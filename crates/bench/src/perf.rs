@@ -2,10 +2,9 @@
 //! of hot-path measurements serialized as versioned `BENCH_<suite>.json`
 //! records that CI compares across commits.
 //!
-//! Unlike the criterion micro-benches under `benches/` (exploratory,
-//! human-read), this harness is the machine-readable performance
-//! record: every bench has a stable name, a fixed workload shape, and
-//! a self-calibrated iteration count, and the output schema
+//! This harness is the workspace's performance record: every bench
+//! has a stable name, a fixed workload shape, and a self-calibrated
+//! iteration count, and the output schema
 //! round-trips through serde so `tools/bench_compare` can diff any
 //! two runs. Thread count is pinned via `OASIS_THREADS` for
 //! cross-machine comparability (the JSON records what was used).
@@ -21,8 +20,9 @@
 //!   Lane speedup is derived from the `_scalar`/`_simd` medians by
 //!   [`simd_points`], and the CI gate ([`simd_gate`]) fails when the
 //!   vector backend is slower than scalar on the same machine.
-//! * `fl` — protocol macro paths: a full [`FlServer::run_round`]
-//!   (raw and q8 wire), codec encode/decode, one RTF inversion step,
+//! * `fl` — protocol macro paths: a full [`CohortRunner::run_round`]
+//!   over four resident clients (raw and q8 wire), codec
+//!   encode/decode, one RTF inversion step,
 //!   and one `oasis:MR+dp:1,0.01` defense-stack application.
 //! * `scale` — multi-core scaling: the core/fl macro-benches re-run
 //!   at 1, 2, and 4 worker threads (pinned per bench via
@@ -795,8 +795,9 @@ fn bench_fl_round(codec: CodecSpec) -> PreparedBench {
             let mut server =
                 FlServer::new(Arc::clone(&factory), FlConfig::default()).expect("bench server");
             server.set_wire(WireConfig::new(codec, NetSpec::Ideal));
+            let mut runner = CohortRunner::new(server, &clients);
             let mut rng = StdRng::seed_from_u64(14);
-            std::hint::black_box(server.run_round(&clients, &mut rng).expect("bench round"));
+            std::hint::black_box(runner.run_round(&mut rng).expect("bench round"));
         }),
     }
 }
@@ -851,7 +852,7 @@ fn bench_codec_decode(codec: Box<dyn UpdateCodec>) -> PreparedBench {
     let bytes = update.len() as f64 * 4.0;
     let encoded = codec.encode(&update).expect("bench encode");
     // Measure the fold-path decode: a borrowed view over one reused
-    // arena slot — raw frames resolve to a zero-copy borrow, lossy
+    // scratch slot — raw frames resolve to a zero-copy borrow, lossy
     // codecs fill the slot — exactly what the server does per frame.
     let mut scratch = oasis_wire::FrameBuf::new();
     PreparedBench {
@@ -1341,9 +1342,8 @@ mod tests {
     fn pop_suite_memory_stays_bounded() {
         // The bench fixture's promise: on the raw zero-copy wire the
         // server-side update memory is exactly one model buffer (the
-        // accumulator — frames fold as borrowed views and the frame
-        // arena never materializes scratch), independent of
-        // population. One round at the smallest population suffices —
+        // accumulator — frames fold as borrowed views, so no decode
+        // scratch is ever materialized), independent of population. One round at the smallest population suffices —
         // the aggregator's footprint has no population term at all.
         let (factory, pop) = pop_fixture(1_000);
         let n = oasis_nn::param_count(&mut factory());
@@ -1362,11 +1362,6 @@ mod tests {
         assert_eq!(report.population, 1_000);
         assert_eq!(report.round_report.cohort, 64);
         assert_eq!(report.peak_accum_bytes, 4 * n);
-        assert_eq!(
-            runner.server().decode_scratch_bytes(),
-            0,
-            "raw rounds must not retain frame-arena scratch"
-        );
     }
 
     fn scale_suite_of(medians: &[(&str, u64)]) -> BenchSuite {

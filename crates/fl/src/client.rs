@@ -38,6 +38,7 @@ pub struct ClientUpdate {
 /// gradient computation, and update stages (DP-SGD clip + noise)
 /// perturb the flattened update before it is uploaded. The empty
 /// stack is the undefended baseline.
+#[derive(Clone)]
 pub struct FlClient {
     id: usize,
     data: Dataset,

@@ -21,18 +21,25 @@
 //!   [`UpdateStage`]s perturb the flattened update *before* it is
 //!   uploaded (how DP-SGD clips and noises).
 //!
-//! Updates travel over a real wire: each round every selected client
-//! encodes its update with the server's [`WireConfig`] codec
-//! (`oasis_wire`), a deterministic simulated transport delivers,
-//! delays, or drops it, and the server aggregates **only what
-//! arrived**, weighted by the examples each client contributed. The
-//! default wire (raw codec, ideal network) reproduces the in-process
-//! protocol bit-exactly.
+//! Updates travel over a real wire: each selected client's update is
+//! encoded with the server's [`WireConfig`] codec (`oasis_wire`), a
+//! deterministic simulated transport delivers, delays, or drops it,
+//! and the server aggregates **only what arrived**, weighted by the
+//! examples each client contributed. The default wire (raw codec,
+//! ideal network) is lossless.
+//!
+//! This crate holds the protocol's parts: clients, their defenses,
+//! and the [`FlServer`] state (global model, config, tamper hook,
+//! wire). The round that composes them — cohort sampling, delivery
+//! planning, streaming FedAvg, the server step — is
+//! `oasis_population::CohortRunner`, which runs over resident clients
+//! as well as over descriptor populations:
 //!
 //! ```
 //! use oasis_fl::{DefenseStack, FlConfig, FlServer, partition_iid};
 //! use oasis_data::cifar_like_with;
 //! use oasis_nn::{Linear, Relu, Sequential};
+//! use oasis_population::CohortRunner;
 //! use rand::{rngs::StdRng, SeedableRng};
 //! use std::sync::Arc;
 //!
@@ -48,8 +55,9 @@
 //!     m
 //! });
 //! let clients = partition_iid(&data, 3, Arc::new(DefenseStack::identity()), &mut StdRng::seed_from_u64(1));
-//! let mut server = FlServer::new(factory, FlConfig::default())?;
-//! let report = server.run_round(&clients, &mut StdRng::seed_from_u64(2))?;
+//! let server = FlServer::new(factory, FlConfig::default())?;
+//! let mut runner = CohortRunner::new(server, clients);
+//! let report = runner.run_round(&mut StdRng::seed_from_u64(2))?.round_report;
 //! assert_eq!(report.participants, 3);
 //! # Ok(())
 //! # }
@@ -57,7 +65,6 @@
 
 #![warn(missing_docs)]
 
-mod aggregate;
 mod client;
 mod config;
 mod defense;
@@ -67,15 +74,11 @@ mod tamper;
 mod timings;
 mod training;
 
-pub use aggregate::{fedavg, fedavg_weighted};
 pub use client::{ClientUpdate, FlClient, ModelFactory};
 pub use config::FlConfig;
 pub use defense::{
     BatchStage, ClipStage, Defense, DefenseStack, DpStage, IdentityPreprocessor, UpdateStage,
 };
-// The legacy name of [`BatchStage`], kept so downstream code written
-// against the pre-stack API keeps compiling.
-pub use defense::BatchStage as BatchPreprocessor;
 pub use error::FlError;
 pub use server::{FlServer, RoundReport, WireConfig};
 pub use tamper::{HonestServer, ModelTamper};

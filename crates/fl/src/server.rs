@@ -1,23 +1,9 @@
 //! The central server.
 
-use oasis_tensor::parallel;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-
 use oasis_nn::{flatten_params, load_params, param_count, Sequential};
-use oasis_wire::{
-    CodecSpec, DeliveryStatus, EncodedUpdate, FrameArena, FrameBuf, NetSpec, Submission,
-    UpdateCodec,
-};
+use oasis_wire::{CodecSpec, NetSpec};
 
-use crate::{ClientUpdate, FlClient, FlConfig, FlError, ModelFactory, Result};
-
-/// Minimum model size (parameters) before update decoding fans a
-/// wave of frames out across the worker pool; smaller updates decode
-/// serially into one reused buffer, where pool-dispatch latency
-/// would rival the decode itself.
-const DECODE_PAR_MIN_ELEMS: usize = 16 * 1024;
+use crate::{FlConfig, FlError, ModelFactory, Result};
 
 /// How updates travel between clients and the server: the update
 /// codec plus the simulated network condition.
@@ -28,7 +14,6 @@ const DECODE_PAR_MIN_ELEMS: usize = 16 * 1024;
 /// the wire are always measured.
 pub struct WireConfig {
     codec_spec: CodecSpec,
-    codec: Box<dyn UpdateCodec>,
     /// The simulated network the round runs over.
     pub net: NetSpec,
 }
@@ -38,7 +23,6 @@ impl WireConfig {
     pub fn new(codec: CodecSpec, net: NetSpec) -> Self {
         WireConfig {
             codec_spec: codec,
-            codec: codec.build(),
             net,
         }
     }
@@ -69,10 +53,7 @@ pub struct RoundReport {
     /// How many clients' updates were aggregated (delivered in time).
     pub participants: usize,
     /// Cohort size after sampling — the number of clients the
-    /// scheduler drew for this round, whether from a resident client
-    /// slice (the legacy path) or from a descriptor population. The
-    /// deprecated `selected` name is derived from this one field via
-    /// [`RoundReport::selected`].
+    /// scheduler drew for this round.
     pub cohort: usize,
     /// How many selected clients' updates were lost or cut off.
     pub dropped: usize,
@@ -94,18 +75,6 @@ pub struct RoundReport {
     pub timings: Option<crate::RoundTimings>,
 }
 
-impl RoundReport {
-    /// How many clients were selected to participate.
-    ///
-    /// Deprecated spelling of [`RoundReport::cohort`] — the two
-    /// fields always carried the same number, so the duplicate field
-    /// was collapsed; this accessor keeps the old name readable at
-    /// call sites.
-    pub fn selected(&self) -> usize {
-        self.cohort
-    }
-}
-
 /// Equality over protocol outcomes only: `timings` is wall-clock
 /// measurement and varies run to run, so it is deliberately excluded
 /// — determinism tests compare traced vs untraced reports directly.
@@ -123,11 +92,15 @@ impl PartialEq for RoundReport {
     }
 }
 
-/// The FL coordinator of paper Eq. 1, with an optional dishonest
-/// tamper hook. Updates travel through a [`WireConfig`]: encoded by
-/// an [`UpdateCodec`], moved by a simulated [`NetSpec`] transport,
-/// and only the updates that actually arrive are aggregated —
-/// weighted by the examples each client contributed.
+/// The server state of paper Eq. 1: the global model, the training
+/// configuration, an optional dishonest tamper hook, the
+/// [`WireConfig`] updates travel over, and the round counter.
+///
+/// The round itself — cohort sampling, broadcast, delivery over the
+/// wire, sample-weighted FedAvg of what arrived — is driven by
+/// `oasis_population::CohortRunner`, which calls
+/// [`FlServer::broadcast_weights`] to open a round and
+/// [`FlServer::apply_update`] to close it.
 pub struct FlServer {
     factory: ModelFactory,
     model: Sequential,
@@ -135,13 +108,6 @@ pub struct FlServer {
     tamper: Option<Box<dyn crate::ModelTamper>>,
     wire: WireConfig,
     round: usize,
-    /// Reused decode scratch: lossy rounds decode delivered updates
-    /// in waves of up to [`parallel::num_threads`] concurrent wire
-    /// frames, one arena slot per wave lane, so a round allocates
-    /// O(threads · model) instead of O(clients · model). Raw rounds
-    /// fold borrowed views straight off the wire frames and leave the
-    /// arena empty.
-    arena: FrameArena,
 }
 
 impl FlServer {
@@ -164,7 +130,6 @@ impl FlServer {
             tamper: None,
             wire: WireConfig::default(),
             round: 0,
-            arena: FrameArena::new(),
         })
     }
 
@@ -183,14 +148,6 @@ impl FlServer {
     /// The wire currently in use.
     pub fn wire(&self) -> &WireConfig {
         &self.wire
-    }
-
-    /// Bytes of decode scratch the server's frame arena retains
-    /// across rounds. Raw rounds fold borrowed frames, so this stays
-    /// 0 on the default wire — the machine-checked face of the
-    /// zero-copy decode path; lossy codecs retain O(threads · model).
-    pub fn decode_scratch_bytes(&self) -> usize {
-        self.arena.retained_bytes()
     }
 
     /// The training configuration the rounds run under.
@@ -259,246 +216,8 @@ impl FlServer {
         flatten_params(&mut self.model)
     }
 
-    /// Runs one round: tamper (if dishonest) → broadcast → parallel
-    /// client updates → encode → simulated transport → decode →
-    /// sample-weighted FedAvg over the updates that arrived → server
-    /// SGD step.
-    ///
-    /// Partial participation is expected, not an error: lost or
-    /// straggling updates are simply excluded from aggregation, and a
-    /// round where nothing arrives leaves the model untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError::NoClients`] when `clients` is empty, any
-    /// client-side model error, or a wire encode/decode failure.
-    pub fn run_round(&mut self, clients: &[FlClient], rng: &mut StdRng) -> Result<RoundReport> {
-        if clients.is_empty() {
-            return Err(FlError::NoClients);
-        }
-        let round_span = oasis_telemetry::span("fl.round");
-        let mut timings = oasis_telemetry::enabled().then(crate::RoundTimings::default);
-
-        // Random client selection (paper: "a subset of M < N users is
-        // randomly selected").
-        let select_span = oasis_telemetry::span("fl.round.select");
-        let m = if self.config.clients_per_round == 0 {
-            clients.len()
-        } else {
-            self.config.clients_per_round.min(clients.len())
-        };
-        let mut order: Vec<&FlClient> = clients.iter().collect();
-        order.shuffle(rng);
-        let selected = &order[..m];
-        let select_ns = select_span.finish_ns();
-
-        let broadcast_span = oasis_telemetry::span("fl.round.broadcast");
-        let global = self.broadcast_weights();
-        let broadcast_ns = broadcast_span.finish_ns();
-        let bytes_down_each = global.len() * 4;
-        let round_seed: u64 = rng.gen();
-        let batch = self.config.local_batch_size;
-        let codec = &self.wire.codec;
-        // Per-client encode runs inside the same parallel task as the
-        // local training, so `compute` covers both here; the codecs'
-        // own `wire.encode.*` spans still attribute the encode share.
-        let compute_span = oasis_telemetry::span("fl.round.compute");
-        let results: Vec<Result<(ClientUpdate, EncodedUpdate)>> =
-            parallel::map_indexed(selected, |_, client| {
-                let update = client.compute_update(&self.factory, &global, batch, round_seed)?;
-                let encoded = codec.encode(&update.grads)?;
-                Ok((update, encoded))
-            });
-        let mut sent = Vec::with_capacity(results.len());
-        for r in results {
-            sent.push(r?);
-        }
-        let compute_ns = compute_span.finish_ns();
-        oasis_telemetry::counter!("fl.clients_computed").add(sent.len() as u64);
-
-        let deliver_span = oasis_telemetry::span("fl.round.deliver");
-        let submissions: Vec<Submission> = sent
-            .iter()
-            .map(|(u, e)| Submission {
-                client_id: u.client_id,
-                bytes_up: e.byte_size(),
-                bytes_down: bytes_down_each,
-            })
-            .collect();
-        let traffic = self
-            .wire
-            .net
-            .deliver(round_seed, self.round as u64, &submissions);
-
-        // The server aggregates only what actually arrived, decoding
-        // wire frames in parallel waves of reused buffers and folding
-        // them into the sample-weighted mean strictly in delivery
-        // order (the streaming form of [`fedavg_weighted`] — same
-        // weights, same accumulation order at any thread count, no
-        // per-client gradient copies held beyond the wave).
-        let delivered: Vec<&(ClientUpdate, EncodedUpdate)> = sent
-            .iter()
-            .zip(&traffic.deliveries)
-            .filter(|(_, d)| d.status == DeliveryStatus::Delivered)
-            .map(|(u, _)| u)
-            .collect();
-        let deliver_ns = deliver_span.finish_ns();
-
-        let mut decode_ns = 0u64;
-        let mut fold_ns = 0u64;
-        let mut step_ns = 0u64;
-        let (mean_loss, update_norm) = if delivered.is_empty() {
-            (0.0, 0.0)
-        } else {
-            let total: usize = delivered.iter().map(|(u, _)| u.samples).sum();
-            if total == 0 {
-                return Err(FlError::BadConfig(
-                    "weighted FedAvg over zero samples".into(),
-                ));
-            }
-            let n = global.len();
-            let mut agg = vec![0.0f32; n];
-            let mut loss_sum = 0.0f32;
-            // A wave decodes up to `effective_parallelism` frames
-            // concurrently into per-lane arena slots; the fold over
-            // the wave then runs serially in delivery order, so the
-            // FP accumulation sequence is identical to a fully serial
-            // round. Two whole classes of round skip the waves:
-            //
-            // * The raw codec has no decode arithmetic to
-            //   parallelize — an aligned frame is *borrowed*
-            //   ([`UpdateCodec::decode_view`]) and folded in place
-            //   with zero post-decode copies, so the serial streaming
-            //   path is strictly faster at every model size.
-            // * Small lossy models stay on a single slot — like every
-            //   other parallel front, a decode below the work
-            //   threshold must not pay pool-dispatch latency — as
-            //   does a server running inside a pool worker (nested
-            //   parallelism), sizing only scratch it can actually
-            //   use.
-            let zero_copy = matches!(self.wire.codec_spec, CodecSpec::Raw);
-            let wave_width = if !zero_copy && n >= DECODE_PAR_MIN_ELEMS {
-                parallel::effective_parallelism()
-                    .min(delivered.len())
-                    .max(1)
-            } else {
-                1
-            };
-            // The first failure aborts the fold, but every scratch
-            // slot still returns to the arena — a malformed frame
-            // must not cost the retained O(threads · model) scratch
-            // on top of the failed round.
-            let mut fold_err: Option<FlError> = None;
-            let mut fold = |update: &ClientUpdate, buf: &[f32]| -> Option<FlError> {
-                if buf.len() != n {
-                    return Some(FlError::UpdateLength {
-                        len: buf.len(),
-                        expected: n,
-                    });
-                }
-                let w = update.samples as f32 / total as f32;
-                for (a, &g) in agg.iter_mut().zip(buf) {
-                    *a += w * g;
-                }
-                loss_sum += update.loss;
-                None
-            };
-            if wave_width == 1 {
-                // Serial streaming path: each update folds straight
-                // from a borrowed view — raw aligned frames in place
-                // off the wire, everything else through one reused
-                // arena slot. Zero per-update allocations either way.
-                let mut buf = self.arena.acquire();
-                for (update, encoded) in &delivered {
-                    let decode_span = oasis_telemetry::span("fl.round.decode");
-                    let decoded = codec.decode_view(encoded, &mut buf);
-                    decode_ns += decode_span.finish_ns();
-                    fold_err = match decoded {
-                        Err(e) => Some(e.into()),
-                        Ok(view) => {
-                            let fold_span = oasis_telemetry::span("fl.round.fold");
-                            let err = fold(update, view);
-                            fold_ns += fold_span.finish_ns();
-                            err
-                        }
-                    };
-                    if fold_err.is_some() {
-                        break;
-                    }
-                }
-                self.arena.release(buf);
-            } else {
-                for wave in delivered.chunks(wave_width) {
-                    type DecodeResult = std::result::Result<(), oasis_wire::WireError>;
-                    let decode_span = oasis_telemetry::span("fl.round.decode");
-                    let mut slots: Vec<(&EncodedUpdate, FrameBuf, DecodeResult)> = wave
-                        .iter()
-                        .map(|(_, encoded)| (encoded, self.arena.acquire(), Ok(())))
-                        .collect();
-                    parallel::for_each_mut(&mut slots, |_, (encoded, buf, res)| {
-                        *res = codec.decode_to(encoded, buf.reset(encoded.n));
-                    });
-                    decode_ns += decode_span.finish_ns();
-                    let fold_span = oasis_telemetry::span("fl.round.fold");
-                    for ((update, _), (_, buf, res)) in wave.iter().zip(slots) {
-                        if fold_err.is_none() {
-                            fold_err = match res {
-                                Err(e) => Some(e.into()),
-                                Ok(()) => fold(update, buf.as_slice()),
-                            };
-                        }
-                        self.arena.release(buf);
-                    }
-                    fold_ns += fold_span.finish_ns();
-                    if fold_err.is_some() {
-                        break;
-                    }
-                }
-            }
-            if let Some(e) = fold_err {
-                return Err(e);
-            }
-            let mean_loss = loss_sum / delivered.len() as f32;
-            let update_norm = agg.iter().map(|g| g * g).sum::<f32>().sqrt();
-
-            let step_span = oasis_telemetry::span("fl.round.step");
-            self.apply_update(&agg)?;
-            step_ns = step_span.finish_ns();
-            (mean_loss, update_norm)
-        };
-
-        oasis_telemetry::counter!("fl.rounds").add(1);
-        let total_ns = round_span.finish_ns();
-        if let Some(t) = timings.as_mut() {
-            t.select_ns = select_ns;
-            t.broadcast_ns = broadcast_ns;
-            t.compute_ns = compute_ns;
-            t.deliver_ns = deliver_ns;
-            t.decode_ns = decode_ns;
-            t.fold_ns = fold_ns;
-            t.step_ns = step_ns;
-            t.total_ns = total_ns;
-        }
-        let report = RoundReport {
-            round: self.round,
-            participants: delivered.len(),
-            cohort: m,
-            dropped: traffic.dropped,
-            mean_loss,
-            update_norm,
-            bytes_up: traffic.bytes_up,
-            bytes_down: traffic.bytes_down,
-            sim_ms: traffic.round_ms,
-            timings,
-        };
-        self.round += 1;
-        Ok(report)
-    }
-
     /// Applies an aggregated mean update as one server SGD step:
-    /// `w_{t+1} = w_t − η Ḡ` (paper Eq. 1's server side). The legacy
-    /// wave-decode round and the population streaming aggregator both
-    /// land here, so the global step is bit-identical across paths.
+    /// `w_{t+1} = w_t − η Ḡ` (paper Eq. 1's server side).
     ///
     /// # Errors
     ///
@@ -520,23 +239,6 @@ impl FlServer {
         load_params(&mut self.model, &new_params)?;
         Ok(())
     }
-
-    /// Runs `rounds` rounds, returning per-round reports.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first failing round.
-    pub fn run(
-        &mut self,
-        clients: &[FlClient],
-        rounds: usize,
-        seed: u64,
-    ) -> Result<Vec<RoundReport>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..rounds)
-            .map(|_| self.run_round(clients, &mut rng))
-            .collect()
-    }
 }
 
 impl std::fmt::Debug for FlServer {
@@ -554,198 +256,55 @@ impl std::fmt::Debug for FlServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{partition_iid, DefenseStack};
-    use oasis_data::cifar_like_with;
     use oasis_nn::{Linear, Relu};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use std::sync::Arc;
 
-    fn setup(classes: usize) -> (ModelFactory, Vec<FlClient>) {
-        let data = cifar_like_with(classes, 8, 8, 3);
-        let d = data.feature_dim();
-        let factory: ModelFactory = Arc::new(move || {
+    fn factory() -> ModelFactory {
+        Arc::new(|| {
             let mut rng = StdRng::seed_from_u64(11);
             let mut m = Sequential::new();
-            m.push(Linear::new(d, 24, &mut rng));
+            m.push(Linear::new(12, 6, &mut rng));
             m.push(Relu::new());
-            m.push(Linear::new(24, classes, &mut rng));
+            m.push(Linear::new(6, 3, &mut rng));
             m
-        });
-        let clients = partition_iid(
-            &data,
-            4,
-            Arc::new(DefenseStack::identity()),
-            &mut StdRng::seed_from_u64(5),
-        );
-        (factory, clients)
+        })
     }
 
     #[test]
-    fn round_reports_participants() {
-        let (factory, clients) = setup(3);
-        let mut server = FlServer::new(factory, FlConfig::default()).unwrap();
-        let report = server
-            .run_round(&clients, &mut StdRng::seed_from_u64(0))
-            .unwrap();
-        assert_eq!(report.participants, 4);
-        assert_eq!(report.cohort, 4);
-        assert_eq!(report.selected(), report.cohort);
-        assert_eq!(report.dropped, 0);
-        assert!(report.update_norm > 0.0);
-    }
-
-    #[test]
-    fn ideal_wire_reports_traffic() {
-        let (factory, clients) = setup(3);
-        let mut server = FlServer::new(factory, FlConfig::default()).unwrap();
-        let report = server
-            .run_round(&clients, &mut StdRng::seed_from_u64(0))
-            .unwrap();
-        // Raw codec: every update is slightly larger than 4·n bytes
-        // (wire header), broadcast is exactly 4·n per client.
-        let n = 8 * 8 * 3 * 24 + 24 + 24 * 3 + 3;
-        assert_eq!(report.bytes_down, 4 * (4 * n as u64));
-        assert!(report.bytes_up > 4 * (4 * n as u64));
-        assert_eq!(report.sim_ms, 0.0);
-    }
-
-    #[test]
-    fn client_subset_selection_respects_config() {
-        let (factory, clients) = setup(3);
+    fn apply_update_steps_against_the_mean_update() {
         let cfg = FlConfig {
-            clients_per_round: 2,
+            learning_rate: 0.5,
             ..FlConfig::default()
         };
-        let mut server = FlServer::new(factory, cfg).unwrap();
-        let report = server
-            .run_round(&clients, &mut StdRng::seed_from_u64(0))
-            .unwrap();
-        assert_eq!(report.participants, 2);
-    }
-
-    #[test]
-    fn training_reduces_loss_over_rounds() {
-        let (factory, clients) = setup(3);
-        let cfg = FlConfig {
-            learning_rate: 0.5,
-            local_batch_size: 8,
-            clients_per_round: 0,
-        };
-        let mut server = FlServer::new(factory, cfg).unwrap();
-        let reports = server.run(&clients, 30, 42).unwrap();
-        let first: f32 = reports[..3].iter().map(|r| r.mean_loss).sum::<f32>() / 3.0;
-        let last: f32 = reports[reports.len() - 3..]
-            .iter()
-            .map(|r| r.mean_loss)
-            .sum::<f32>()
-            / 3.0;
-        assert!(last < first, "loss did not decrease: {first} -> {last}");
-    }
-
-    #[test]
-    fn training_survives_a_lossy_wire() {
-        let (factory, clients) = setup(3);
-        let cfg = FlConfig {
-            learning_rate: 0.5,
-            local_batch_size: 8,
-            clients_per_round: 0,
-        };
-        let mut server = FlServer::new(factory, cfg).unwrap();
-        server.set_wire(WireConfig::new(
-            CodecSpec::Q8,
-            "sim:5,10,0.2".parse().unwrap(),
-        ));
-        let reports = server.run(&clients, 30, 42).unwrap();
-        let delivered: usize = reports.iter().map(|r| r.participants).sum();
-        let dropped: usize = reports.iter().map(|r| r.dropped).sum();
-        assert!(dropped > 0, "20% loss should drop something over 30 rounds");
-        assert!(delivered > dropped, "most updates should still arrive");
-        assert!(reports.iter().all(|r| r.sim_ms > 0.0));
-        let first: f32 = reports[..3].iter().map(|r| r.mean_loss).sum::<f32>() / 3.0;
-        let last: f32 = reports[reports.len() - 3..]
-            .iter()
-            .map(|r| r.mean_loss)
-            .sum::<f32>()
-            / 3.0;
-        assert!(
-            last < first,
-            "lossy-wire FL did not learn: {first} -> {last}"
-        );
-    }
-
-    #[test]
-    fn q8_wire_compresses_uplink() {
-        let (factory, clients) = setup(3);
-        let mut raw = FlServer::new(Arc::clone(&factory), FlConfig::default()).unwrap();
-        let raw_report = raw
-            .run_round(&clients, &mut StdRng::seed_from_u64(0))
-            .unwrap();
-        let mut q8 = FlServer::new(factory, FlConfig::default()).unwrap();
-        q8.set_wire(WireConfig::new(CodecSpec::Q8, NetSpec::Ideal));
-        let q8_report = q8
-            .run_round(&clients, &mut StdRng::seed_from_u64(0))
-            .unwrap();
-        assert!(
-            q8_report.bytes_up * 3 < raw_report.bytes_up,
-            "q8 uplink {} should be well under raw {}",
-            q8_report.bytes_up,
-            raw_report.bytes_up
-        );
-    }
-
-    #[test]
-    fn round_with_nothing_delivered_is_a_noop() {
-        let (factory, clients) = setup(2);
-        let mut server = FlServer::new(factory, FlConfig::default()).unwrap();
-        // A deadline no update can meet: everything is a straggler.
-        server.set_wire(WireConfig::new(
-            CodecSpec::Raw,
-            "sim:1000,1,0,1".parse().unwrap(),
-        ));
+        let mut server = FlServer::new(factory(), cfg).unwrap();
         let before = flatten_params(server.model_mut());
-        let report = server
-            .run_round(&clients, &mut StdRng::seed_from_u64(0))
-            .unwrap();
-        assert_eq!(report.participants, 0);
-        assert_eq!(report.dropped, report.selected());
-        assert_eq!(report.update_norm, 0.0);
-        assert_eq!(flatten_params(server.model_mut()), before);
-        // The round still advances — the protocol does not wedge.
-        assert_eq!(server.round(), 1);
-    }
-
-    #[test]
-    fn empty_client_set_errors() {
-        let (factory, _) = setup(2);
-        let mut server = FlServer::new(factory, FlConfig::default()).unwrap();
+        let agg: Vec<f32> = (0..before.len()).map(|i| i as f32 * 0.01).collect();
+        server.apply_update(&agg).unwrap();
+        let after = flatten_params(server.model_mut());
+        for ((w0, w1), g) in before.iter().zip(&after).zip(&agg) {
+            assert_eq!(*w1, w0 - 0.5 * g);
+        }
         assert!(matches!(
-            server.run_round(&[], &mut StdRng::seed_from_u64(0)),
-            Err(FlError::NoClients)
+            server.apply_update(&agg[1..]),
+            Err(FlError::UpdateLength { .. })
         ));
-    }
-
-    #[test]
-    fn round_counter_advances() {
-        let (factory, clients) = setup(2);
-        let mut server = FlServer::new(factory, FlConfig::default()).unwrap();
-        assert_eq!(server.round(), 0);
-        server
-            .run_round(&clients, &mut StdRng::seed_from_u64(0))
-            .unwrap();
-        assert_eq!(server.round(), 1);
     }
 
     #[test]
     fn checkpoint_restores_weights() {
-        let (factory, clients) = setup(2);
-        let mut server = FlServer::new(Arc::clone(&factory), FlConfig::default()).unwrap();
-        server.run(&clients, 2, 9).unwrap();
+        let mut server = FlServer::new(factory(), FlConfig::default()).unwrap();
+        let n = flatten_params(server.model_mut()).len();
+        server.apply_update(&vec![0.25; n]).unwrap();
+        server.set_round(2);
         let trained = flatten_params(server.model_mut());
         let dir = std::env::temp_dir().join(format!("oasis_fl_ckpt_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("global.oasis");
         server.save_checkpoint(&path).unwrap();
 
-        let mut fresh = FlServer::new(factory, FlConfig::default()).unwrap();
+        let mut fresh = FlServer::new(factory(), FlConfig::default()).unwrap();
         assert_ne!(flatten_params(fresh.model_mut()), trained);
         fresh.restore_checkpoint(&path).unwrap();
         fresh.set_round(server.round());

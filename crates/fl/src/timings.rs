@@ -1,42 +1,32 @@
 //! Per-round wall-clock phase breakdowns.
 
 /// Wall-clock breakdown of one round across the protocol phases, in
-/// nanoseconds. Produced by [`crate::FlServer::run_round`] (and the
-/// population cohort runner) **only while telemetry is enabled** —
-/// `report.timings` is `None` on untraced runs, so the report itself
-/// stays bit-identical whether tracing is on or off.
+/// nanoseconds. Produced by the cohort round
+/// (`oasis_population::CohortRunner`) **only while telemetry is
+/// enabled** — `report.timings` is `None` on untraced runs, so the
+/// report itself stays bit-identical whether tracing is on or off.
 ///
-/// Phases that a given round shape fuses report 0 here and show up
-/// inside the enclosing phase instead:
-///
-/// * the legacy resident-client round fuses per-client `encode` into
-///   `compute` (both run inside the same parallel task) and has no
-///   `hydrate`;
-/// * the population cohort round fuses `hydrate`/`compute`/`encode`
-///   into its `compute` waves and `decode` into `fold` (the streaming
-///   aggregator decodes each frame as it folds it).
-///
-/// The span trace (see `oasis-telemetry`) still attributes the fused
-/// work: `wire.encode.*` / `wire.decode.*` spans are recorded by the
-/// codecs themselves wherever they run.
+/// `compute` covers each delivered client's local training *and* its
+/// update encode (both run in the same parallel task), and `fold`
+/// covers decoding each frame as the streaming aggregator folds it.
+/// The span trace (see `oasis-telemetry`) still splits them out: the
+/// codecs record `wire.encode.*` / `wire.decode.*` spans wherever
+/// they run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundTimings {
     /// Cohort selection / scheduler sampling.
     pub select_ns: u64,
     /// Tamper hook + global weight flattening.
     pub broadcast_ns: u64,
-    /// Hydrating client state from descriptors (population path; 0 on
-    /// the legacy resident-client path).
+    /// Lending the delivered clients and summing their FedAvg sample
+    /// counts (hydrating descriptors, for a population).
     pub hydrate_ns: u64,
-    /// Parallel local training across the cohort.
+    /// Parallel local training and update encoding across the
+    /// delivered clients.
     pub compute_ns: u64,
-    /// Update encoding, when not fused into `compute`.
-    pub encode_ns: u64,
     /// Simulated transport: submissions, delivery plan, drops.
     pub deliver_ns: u64,
-    /// Wire-frame decoding, when not fused into `fold`.
-    pub decode_ns: u64,
-    /// Sample-weighted folding of delivered updates.
+    /// Decoding and sample-weighted folding of delivered updates.
     pub fold_ns: u64,
     /// The server SGD step.
     pub step_ns: u64,
@@ -46,15 +36,13 @@ pub struct RoundTimings {
 
 impl RoundTimings {
     /// The named phases in execution order, `(name, ns)`.
-    pub fn phases(&self) -> [(&'static str, u64); 9] {
+    pub fn phases(&self) -> [(&'static str, u64); 7] {
         [
             ("select", self.select_ns),
             ("broadcast", self.broadcast_ns),
+            ("deliver", self.deliver_ns),
             ("hydrate", self.hydrate_ns),
             ("compute", self.compute_ns),
-            ("encode", self.encode_ns),
-            ("deliver", self.deliver_ns),
-            ("decode", self.decode_ns),
             ("fold", self.fold_ns),
             ("step", self.step_ns),
         ]

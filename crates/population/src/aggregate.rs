@@ -12,17 +12,14 @@ use oasis_wire::{EncodedUpdate, FrameBuf, UpdateCodec};
 /// ([`UpdateCodec::decode_view`]): with the raw codec an aligned
 /// frame folds straight off the wire with zero post-decode copies and
 /// the scratch slot stays empty; lossy codecs decode into one reused
-/// model-sized slot, for `2 × 4·n` total. The legacy wave-decode
-/// round holds `O(threads · model)` scratch; this holds `O(model)`
-/// and reports its own footprint via
-/// [`StreamingAggregator::peak_bytes`] so tests can assert the bound
-/// rather than trust the comment.
+/// model-sized slot, for `2 × 4·n` total. It reports its own
+/// footprint via [`StreamingAggregator::peak_bytes`] so tests can
+/// assert the bound rather than trust the comment.
 ///
 /// Folding is strictly sequential in call order, so the FP
 /// accumulation sequence — and therefore the aggregated update, bit
-/// for bit — is independent of thread count and identical to the
-/// legacy server's serial fold when called in delivery order with
-/// the same weights `samples_i / total`.
+/// for bit — is independent of thread count. Called in delivery order
+/// with weights `samples_i / total`, it is sample-weighted FedAvg.
 #[derive(Debug)]
 pub struct StreamingAggregator {
     agg: Vec<f32>,
@@ -80,8 +77,8 @@ impl StreamingAggregator {
         &self.agg
     }
 
-    /// L2 norm of the running sum — the legacy report's
-    /// `update_norm`, same expression.
+    /// L2 norm of the running sum — the round report's
+    /// `update_norm`.
     pub fn norm(&self) -> f32 {
         self.agg.iter().map(|g| g * g).sum::<f32>().sqrt()
     }

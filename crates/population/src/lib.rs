@@ -21,10 +21,11 @@
 //!   population.
 //!
 //! [`CohortRunner`] ties them together and drives an
-//! [`FlServer`](oasis_fl::FlServer) through rounds that are
-//! **bit-exact** with the legacy resident-client path at matched
-//! scale: same selection shuffle, same per-client rng streams, same
-//! wire, same fold order, same SGD step.
+//! [`FlServer`](oasis_fl::FlServer) through rounds. It is the
+//! workspace's one round engine: its clients come from any
+//! [`ClientSource`] — a `Population`, or resident clients held in a
+//! `Vec<FlClient>` — and the round is bit-identical at any thread
+//! count.
 //!
 //! ```
 //! use oasis_population::{CohortRunner, Population};
@@ -68,7 +69,7 @@ mod scheduler;
 mod spec;
 
 pub use aggregate::StreamingAggregator;
-pub use population::{ClientDescriptor, Population};
+pub use population::{ClientDescriptor, ClientSource, Population};
 pub use round::{CohortReport, CohortRunner};
 pub use scheduler::CohortScheduler;
 pub use spec::{PopulationSpec, SampleSpec};

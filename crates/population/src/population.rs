@@ -1,5 +1,6 @@
 //! The deployment as data: descriptors over a shared sample pool.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use oasis_data::{Dataset, LabeledImage};
@@ -269,6 +270,58 @@ impl Population {
             self.items[start..end].to_vec(),
         );
         FlClient::new(desc.id as usize, shard, Arc::clone(&self.defense))
+    }
+}
+
+/// The clients a [`CohortRunner`](crate::CohortRunner) draws its
+/// cohorts from: a count, and a way to lend client `i` for the length
+/// of one local computation.
+///
+/// A [`Population`] lends by hydrating a descriptor (the client is
+/// dropped once its update is encoded); resident clients
+/// (`Vec<FlClient>`) lend by reference.
+pub trait ClientSource: Sync {
+    /// How many clients there are. Cohorts are drawn from positions
+    /// `0..client_count()`.
+    fn client_count(&self) -> usize;
+
+    /// Lends the client at position `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
+    fn client(&self, i: usize) -> Cow<'_, FlClient>;
+}
+
+impl ClientSource for Population {
+    fn client_count(&self) -> usize {
+        self.len()
+    }
+
+    fn client(&self, i: usize) -> Cow<'_, FlClient> {
+        Cow::Owned(self.hydrate(self.descriptor(i)))
+    }
+}
+
+impl ClientSource for Vec<FlClient> {
+    fn client_count(&self) -> usize {
+        self.len()
+    }
+
+    fn client(&self, i: usize) -> Cow<'_, FlClient> {
+        Cow::Borrowed(&self[i])
+    }
+}
+
+/// A borrowed source, so one set of resident clients can serve
+/// several runners without being cloned.
+impl<C: ClientSource> ClientSource for &C {
+    fn client_count(&self) -> usize {
+        (**self).client_count()
+    }
+
+    fn client(&self, i: usize) -> Cow<'_, FlClient> {
+        (**self).client(i)
     }
 }
 

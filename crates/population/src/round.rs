@@ -1,22 +1,20 @@
-//! The population-scale round driver.
+//! The round engine: one FL round over any client source.
 
 use oasis_fl::{FlError, FlServer, Result, RoundReport};
 use oasis_tensor::parallel;
 use oasis_wire::{DeliveryStatus, EncodedUpdate, Submission};
 use rand::rngs::StdRng;
 
-use crate::{CohortScheduler, Population, StreamingAggregator};
+use crate::{ClientSource, CohortScheduler, Population, StreamingAggregator};
 
-/// A [`RoundReport`] plus the population-scale facts the legacy
-/// report has no room for.
+/// A [`RoundReport`] plus the resource facts of the streaming round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CohortReport {
-    /// The protocol-level outcome, field-compatible with the legacy
-    /// server's report (same selection, same wire, same weights).
+    /// The protocol-level outcome.
     pub round_report: RoundReport,
-    /// Population size the cohort was sampled from.
+    /// How many clients the cohort was sampled from.
     pub population: usize,
-    /// How many clients were actually hydrated and computed an
+    /// How many clients were actually lent out and computed an
     /// update. Dropped cohort members are never materialized — their
     /// delivery fate is known from the wire plan before any compute —
     /// so this equals `round_report.participants`, not the cohort.
@@ -33,34 +31,33 @@ pub struct CohortReport {
     pub peak_frame_bytes: usize,
 }
 
-/// Drives an [`FlServer`] through rounds sampled from a
-/// [`Population`], replacing the resident-client round loop with
-/// descriptor sampling → delivery planning → lazy hydration →
-/// streaming aggregation.
+/// The round engine: drives an [`FlServer`] through rounds sampled
+/// from a [`ClientSource`] — a descriptor [`Population`] or resident
+/// clients (`Vec<FlClient>`).
 ///
-/// At matched scale (population == resident client count, same seed,
-/// same wire) [`CohortRunner::run_round`] reproduces
-/// [`FlServer::run_round`] bit-exactly: identical selection shuffle,
-/// round seed, per-client rng streams, delivery fates, FedAvg
-/// weights, fold order, and SGD step. What changes is the resource
-/// shape: memory is `O(model + cohort_scratch)` and dropped clients
-/// cost nothing, so population can grow to 10⁵–10⁶ while the server
-/// footprint stays flat.
-pub struct CohortRunner {
+/// Each round is cohort sampling → broadcast → delivery planning →
+/// lending only the clients whose updates will arrive → streaming
+/// aggregation → server step. Memory is `O(model + cohort_scratch)`
+/// and dropped clients cost nothing, so a population can grow to
+/// 10⁵–10⁶ while the server footprint stays flat.
+///
+/// Delivery fates are keyed by cohort position (the client's index in
+/// the source), not by [`FlClient::id`](oasis_fl::FlClient::id).
+pub struct CohortRunner<C = Population> {
     server: FlServer,
-    population: Population,
+    clients: C,
     scheduler: CohortScheduler,
 }
 
-impl CohortRunner {
-    /// Couples a server to a population. Cohort size comes from the
+impl<C: ClientSource> CohortRunner<C> {
+    /// Couples a server to its clients. Cohort size comes from the
     /// server's [`oasis_fl::FlConfig::clients_per_round`]: `0` means
-    /// the whole population, exactly as on the legacy path.
-    pub fn new(server: FlServer, population: Population) -> Self {
-        let scheduler = CohortScheduler::new(population.len());
+    /// every client.
+    pub fn new(server: FlServer, clients: C) -> Self {
+        let scheduler = CohortScheduler::new(clients.client_count());
         CohortRunner {
             server,
-            population,
+            clients,
             scheduler,
         }
     }
@@ -75,26 +72,26 @@ impl CohortRunner {
         &mut self.server
     }
 
-    /// The population rounds sample from.
-    pub fn population(&self) -> &Population {
-        &self.population
+    /// The clients rounds sample from.
+    pub fn population(&self) -> &C {
+        &self.clients
     }
 
-    /// Mutable access to the population (defense re-parameterization
+    /// Mutable access to the clients (defense re-parameterization
     /// between rounds).
-    pub fn population_mut(&mut self) -> &mut Population {
-        &mut self.population
+    pub fn population_mut(&mut self) -> &mut C {
+        &mut self.clients
     }
 
-    /// Replaces the population mid-run — how campaigns express churn
+    /// Replaces the clients mid-run — how campaigns express churn
     /// (an active-subset swap) and non-IID drift (a re-partition).
     /// The scheduler is rebuilt only when the client count changes,
     /// so a same-size swap leaves the sampling stream untouched.
-    pub fn set_population(&mut self, population: Population) {
-        if population.len() != self.scheduler.population() {
-            self.scheduler = CohortScheduler::new(population.len());
+    pub fn set_population(&mut self, clients: C) {
+        if clients.client_count() != self.scheduler.population() {
+            self.scheduler = CohortScheduler::new(clients.client_count());
         }
-        self.population = population;
+        self.clients = clients;
     }
 
     /// Releases the server (e.g. to checkpoint the trained model).
@@ -102,30 +99,31 @@ impl CohortRunner {
         self.server
     }
 
-    /// Runs one population round off an explicit rng — the bridge
-    /// form: driving this with the same sequential
-    /// `StdRng::seed_from_u64(seed)` the legacy
-    /// [`FlServer::run`] uses reproduces its rounds bit-exactly at
-    /// matched scale.
+    /// Runs one round off an explicit rng: the selection shuffle
+    /// draws first, the round seed second. Driving successive rounds
+    /// off one sequential `StdRng` reproduces the protocol's original
+    /// rng stream bit-exactly (pinned by the repository's golden round
+    /// fixture); [`CohortRunner::run`] keys a fresh stream per round
+    /// instead.
     ///
     /// The round proceeds: sample cohort → broadcast → **delivery
     /// plan** (every codec's wire size is value-independent, so each
     /// cohort member's fate is decided before any gradient exists) →
     /// meta pre-pass summing the delivered clients' sample counts →
-    /// wave-parallel hydrate/compute/encode of **delivered clients
+    /// wave-parallel lend/compute/encode of **delivered clients
     /// only** → serial streaming fold in delivery order → server SGD
     /// step.
     ///
-    /// A round where nothing is delivered is a no-op, not an error —
-    /// and unlike the legacy path it skips client compute entirely.
+    /// A round where nothing is delivered is a no-op, not an error,
+    /// and computes nothing.
     ///
     /// # Errors
     ///
-    /// [`FlError::NoClients`] on an empty population, client model
+    /// [`FlError::NoClients`] when there are no clients, client model
     /// errors, wire codec failures, or a delivered set whose sample
     /// counts sum to zero.
     pub fn run_round(&mut self, rng: &mut StdRng) -> Result<CohortReport> {
-        if self.population.is_empty() {
+        if self.clients.client_count() == 0 {
             return Err(FlError::NoClients);
         }
         let round_span = oasis_telemetry::span("fl.round");
@@ -133,8 +131,6 @@ impl CohortRunner {
         let m = self
             .scheduler
             .cohort_size(self.server.config().clients_per_round);
-        // Same rng discipline as the legacy server: selection shuffle
-        // first, round seed second.
         let select_span = oasis_telemetry::span("fl.round.select");
         let (cohort, round_seed) = self.scheduler.sample(m, rng);
         let cohort: Vec<u32> = cohort.to_vec();
@@ -196,12 +192,10 @@ impl CohortRunner {
             // Meta pre-pass: FedAvg weights need the delivered total
             // before the first fold. `round_samples` replays only the
             // rng-consuming batch prefix — no model, no gradients.
-            let population = &self.population;
+            let clients = &self.clients;
             let hydrate_span = oasis_telemetry::span("fl.round.hydrate");
             let samples: Vec<usize> = parallel::map_indexed(&delivered_ids, |_, &id| {
-                population
-                    .hydrate(population.descriptor(id as usize))
-                    .round_samples(batch, round_seed)
+                clients.client(id as usize).round_samples(batch, round_seed)
             });
             hydrate_ns = hydrate_span.finish_ns();
             let total: usize = samples.iter().sum();
@@ -210,11 +204,10 @@ impl CohortRunner {
                     "weighted FedAvg over zero samples".into(),
                 ));
             }
-            // Waves of lazy clients: hydrate → compute → encode, then
+            // Waves of lent clients: lend → compute → encode, then
             // drop client and gradients; only the wire frame survives
             // into the serial fold, which runs in delivery order so
-            // the FP sequence matches the legacy server bit-exactly
-            // at any thread count.
+            // the FP sequence is the same at any thread count.
             let wave_width = parallel::effective_parallelism()
                 .min(delivered_ids.len())
                 .max(1);
@@ -225,7 +218,7 @@ impl CohortRunner {
                 let compute_span = oasis_telemetry::span("fl.round.compute");
                 let frames: Vec<Result<(f32, usize, EncodedUpdate)>> =
                     parallel::map_indexed(wave, |_, &id| {
-                        let client = population.hydrate(population.descriptor(id as usize));
+                        let client = clients.client(id as usize);
                         let update = client.compute_update(&factory, &global, batch, round_seed)?;
                         let encoded = codec.encode(&update.grads)?;
                         Ok((update.loss, update.samples, encoded))
@@ -276,7 +269,7 @@ impl CohortRunner {
         self.server.set_round(round + 1);
         Ok(CohortReport {
             round_report: report,
-            population: self.population.len(),
+            population: self.clients.client_count(),
             computed: agg.folded(),
             peak_accum_bytes: agg.peak_bytes(),
             peak_frame_bytes,
@@ -286,9 +279,9 @@ impl CohortRunner {
     /// Runs `rounds` rounds with per-round keyed rng streams
     /// ([`CohortScheduler::round_rng`]): round `r` depends only on
     /// `(seed, r)`, so long runs can be split, resumed, or replayed
-    /// from any round without replaying the prefix. (The legacy
-    /// bridge — one sequential rng across rounds — is available by
-    /// driving [`CohortRunner::run_round`] directly.)
+    /// from any round without replaying the prefix. (One sequential
+    /// rng across rounds is available by driving
+    /// [`CohortRunner::run_round`] directly.)
     ///
     /// # Errors
     ///
@@ -303,12 +296,12 @@ impl CohortRunner {
     }
 }
 
-impl std::fmt::Debug for CohortRunner {
+impl<C: ClientSource> std::fmt::Debug for CohortRunner<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "CohortRunner(population={}, {:?})",
-            self.population.len(),
+            self.clients.client_count(),
             self.server,
         )
     }
@@ -318,40 +311,61 @@ impl std::fmt::Debug for CohortRunner {
 mod tests {
     use super::*;
     use oasis_data::cifar_like_with;
-    use oasis_fl::{DefenseStack, FlConfig, ModelFactory, WireConfig};
-    use oasis_nn::{Linear, Relu, Sequential};
+    use oasis_fl::{partition_iid, DefenseStack, FlClient, FlConfig, ModelFactory, WireConfig};
+    use oasis_nn::{flatten_params, Linear, Relu, Sequential};
+    use oasis_wire::{CodecSpec, NetSpec};
     use rand::SeedableRng;
     use std::sync::Arc;
 
-    fn factory(d: usize, classes: usize) -> ModelFactory {
-        Arc::new(move || {
+    /// Parameters of the default test model (hidden width 12).
+    const PARAMS: usize = 8 * 8 * 3 * 12 + 12 + 12 * 3 + 3;
+
+    /// A two-layer MLP on 8×8×3 inputs and 3 classes.
+    fn server_with(hidden: usize, config: FlConfig) -> FlServer {
+        let factory: ModelFactory = Arc::new(move || {
             let mut rng = StdRng::seed_from_u64(11);
             let mut m = Sequential::new();
-            m.push(Linear::new(d, 12, &mut rng));
+            m.push(Linear::new(8 * 8 * 3, hidden, &mut rng));
             m.push(Relu::new());
-            m.push(Linear::new(12, classes, &mut rng));
+            m.push(Linear::new(hidden, 3, &mut rng));
             m
-        })
+        });
+        FlServer::new(factory, config).unwrap()
+    }
+
+    fn server(config: FlConfig) -> FlServer {
+        server_with(12, config)
     }
 
     fn runner(population: usize, cohort: usize) -> CohortRunner {
         let data = cifar_like_with(3, 8, 8, 3);
-        let d = data.feature_dim();
         let pop = Population::iid(
             &data,
             population,
             Arc::new(DefenseStack::identity()),
             &mut StdRng::seed_from_u64(5),
         );
-        let server = FlServer::new(
-            factory(d, 3),
-            FlConfig {
+        CohortRunner::new(
+            server(FlConfig {
                 clients_per_round: cohort,
                 ..FlConfig::default()
-            },
+            }),
+            pop,
         )
-        .unwrap();
-        CohortRunner::new(server, pop)
+    }
+
+    /// Four resident clients over the whole 8×8 pool.
+    fn resident_clients() -> Vec<FlClient> {
+        partition_iid(
+            &cifar_like_with(3, 8, 8, 3),
+            4,
+            Arc::new(DefenseStack::identity()),
+            &mut StdRng::seed_from_u64(5),
+        )
+    }
+
+    fn resident(config: FlConfig) -> CohortRunner<Vec<FlClient>> {
+        CohortRunner::new(server(config), resident_clients())
     }
 
     #[test]
@@ -360,7 +374,6 @@ mod tests {
         let report = r.run_round(&mut StdRng::seed_from_u64(0)).unwrap();
         assert_eq!(report.population, 200);
         assert_eq!(report.round_report.cohort, 16);
-        assert_eq!(report.round_report.selected(), 16);
         assert_eq!(report.round_report.participants, 16);
         assert_eq!(report.computed, 16);
         assert!(report.round_report.update_norm > 0.0);
@@ -370,7 +383,7 @@ mod tests {
     fn dropped_cohort_members_are_never_computed() {
         let mut r = runner(100, 32);
         r.server_mut().set_wire(WireConfig::new(
-            oasis_wire::CodecSpec::Raw,
+            CodecSpec::Raw,
             "sim:5,10,0.4".parse().unwrap(),
         ));
         let report = r.run_round(&mut StdRng::seed_from_u64(1)).unwrap();
@@ -395,20 +408,101 @@ mod tests {
 
     #[test]
     fn empty_population_errors() {
-        let data = cifar_like_with(2, 2, 8, 0);
-        let d = data.feature_dim();
+        let empty = runner(4, 0).population().subset(&[]);
+        let mut r = CohortRunner::new(server(FlConfig::default()), empty);
+        assert!(matches!(
+            r.run_round(&mut StdRng::seed_from_u64(0)),
+            Err(FlError::NoClients)
+        ));
+        let mut resident = CohortRunner::new(server(FlConfig::default()), Vec::<FlClient>::new());
+        assert!(matches!(
+            resident.run_round(&mut StdRng::seed_from_u64(0)),
+            Err(FlError::NoClients)
+        ));
+    }
+
+    #[test]
+    fn ideal_wire_reports_traffic() {
+        let report = resident(FlConfig::default())
+            .run_round(&mut StdRng::seed_from_u64(0))
+            .unwrap()
+            .round_report;
+        // Raw codec: every update is slightly larger than 4·n bytes
+        // (wire header), broadcast is exactly 4·n per client.
+        assert_eq!(report.bytes_down, 4 * (4 * PARAMS as u64));
+        assert!(report.bytes_up > 4 * (4 * PARAMS as u64));
+        assert_eq!(report.sim_ms, 0.0);
+    }
+
+    #[test]
+    fn training_survives_a_lossy_wire() {
+        let config = FlConfig {
+            learning_rate: 0.5,
+            local_batch_size: 8,
+            clients_per_round: 0,
+        };
+        let mut r = CohortRunner::new(server_with(24, config), resident_clients());
+        r.server_mut().set_wire(WireConfig::new(
+            CodecSpec::Q8,
+            "sim:5,10,0.2".parse().unwrap(),
+        ));
+        let mut rng = StdRng::seed_from_u64(42);
+        let reports: Vec<RoundReport> = (0..30)
+            .map(|_| r.run_round(&mut rng).unwrap().round_report)
+            .collect();
+        let delivered: usize = reports.iter().map(|r| r.participants).sum();
+        let dropped: usize = reports.iter().map(|r| r.dropped).sum();
+        assert!(dropped > 0, "20% loss should drop something over 30 rounds");
+        assert!(delivered > dropped, "most updates should still arrive");
+        assert!(reports.iter().all(|r| r.sim_ms > 0.0));
+        let first: f32 = reports[..3].iter().map(|r| r.mean_loss).sum::<f32>() / 3.0;
+        let last: f32 = reports[reports.len() - 3..]
+            .iter()
+            .map(|r| r.mean_loss)
+            .sum::<f32>()
+            / 3.0;
+        assert!(
+            last < first,
+            "lossy-wire FL did not learn: {first} -> {last}"
+        );
+    }
+
+    #[test]
+    fn q8_wire_compresses_uplink() {
+        let mut raw = resident(FlConfig::default());
+        let raw_report = raw.run_round(&mut StdRng::seed_from_u64(0)).unwrap();
+        let mut q8 = resident(FlConfig::default());
+        q8.server_mut()
+            .set_wire(WireConfig::new(CodecSpec::Q8, NetSpec::Ideal));
+        let q8_report = q8.run_round(&mut StdRng::seed_from_u64(0)).unwrap();
+        let (q8_up, raw_up) = (
+            q8_report.round_report.bytes_up,
+            raw_report.round_report.bytes_up,
+        );
+        assert!(
+            q8_up * 3 < raw_up,
+            "q8 uplink {q8_up} should be well under raw {raw_up}"
+        );
+    }
+
+    #[test]
+    fn resident_clients_match_their_population() {
+        // Resident clients and a population built from the same rng
+        // hold the same shards, so they run the same rounds.
+        let data = cifar_like_with(3, 8, 8, 3);
         let pop = Population::iid(
             &data,
-            1,
+            4,
             Arc::new(DefenseStack::identity()),
-            &mut StdRng::seed_from_u64(0),
+            &mut StdRng::seed_from_u64(5),
         );
-        // Population::iid clamps n to 1, so build an empty one by
-        // sampling zero rounds instead: the smallest real check is a
-        // 1-client population running fine.
-        let server = FlServer::new(factory(d, 2), FlConfig::default()).unwrap();
-        let mut r = CohortRunner::new(server, pop);
-        assert!(r.run_round(&mut StdRng::seed_from_u64(0)).is_ok());
+        let mut lazy = CohortRunner::new(server(FlConfig::default()), pop);
+        let mut resident = resident(FlConfig::default());
+        assert_eq!(lazy.run(2, 8).unwrap(), resident.run(2, 8).unwrap());
+        assert_eq!(
+            flatten_params(lazy.server_mut().model_mut()),
+            flatten_params(resident.server_mut().model_mut())
+        );
     }
 
     #[test]
@@ -418,19 +512,15 @@ mod tests {
         // exactly the accumulator however large the cohort.
         let mut r = runner(300, 64);
         let report = r.run_round(&mut StdRng::seed_from_u64(3)).unwrap();
-        let n = 8 * 8 * 3 * 12 + 12 + 12 * 3 + 3;
-        assert_eq!(report.peak_accum_bytes, 4 * n);
+        assert_eq!(report.peak_accum_bytes, 4 * PARAMS);
     }
 
     #[test]
     fn lossy_memory_stays_two_model_buffers_regardless_of_cohort() {
         let mut r = runner(300, 64);
-        r.server_mut().set_wire(WireConfig::new(
-            oasis_wire::CodecSpec::Q8,
-            oasis_wire::NetSpec::Ideal,
-        ));
+        r.server_mut()
+            .set_wire(WireConfig::new(CodecSpec::Q8, NetSpec::Ideal));
         let report = r.run_round(&mut StdRng::seed_from_u64(3)).unwrap();
-        let n = 8 * 8 * 3 * 12 + 12 + 12 * 3 + 3;
-        assert_eq!(report.peak_accum_bytes, 2 * 4 * n);
+        assert_eq!(report.peak_accum_bytes, 2 * 4 * PARAMS);
     }
 }

@@ -4,21 +4,18 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// Samples the K participants of each round from a population of N,
-/// reproducing the legacy server's selection exactly.
+/// Samples the K participants of each round from a population of N.
 ///
-/// The legacy [`FlServer::run_round`](oasis_fl::FlServer::run_round)
-/// shuffles a freshly collected client slice and takes a prefix; the
-/// vendored Fisher–Yates consumes rng draws that depend only on the
-/// slice **length**, so shuffling an identity index buffer of the
-/// same length consumes the identical draw sequence and yields the
-/// identical permutation — that is what makes the population path
-/// bit-exact with the resident path at matched scale.
+/// Selection shuffles an identity index buffer of length N and takes
+/// a prefix. The vendored Fisher–Yates consumes rng draws that depend
+/// only on the buffer **length**, so the draw sequence — and with it
+/// the protocol's rng stream — is the same as shuffling the clients
+/// themselves, whatever N is.
 ///
 /// The index buffer is owned and reused across rounds (`O(N)` once,
 /// not per round) and reset to identity before every shuffle: a
-/// shuffle of an already-shuffled buffer would compose permutations
-/// and diverge from the legacy draw-for-draw equivalence.
+/// shuffle of an already-shuffled buffer would compose permutations,
+/// and the same rng would no longer select the same cohort.
 #[derive(Debug)]
 pub struct CohortScheduler {
     population: usize,
@@ -52,8 +49,8 @@ impl CohortScheduler {
     }
 
     /// Draws one round's cohort: shuffles the identity index buffer
-    /// with `rng`, then draws the round seed — the same rng discipline
-    /// (shuffle first, seed second) as the legacy server. Returns the
+    /// with `rng`, then draws the round seed (shuffle first, seed
+    /// second). Returns the
     /// selected ids in selection order plus the `round_seed` that
     /// keys every client's local rng and the wire transport.
     pub fn sample(&mut self, cohort: usize, rng: &mut StdRng) -> (&[u32], u64) {
@@ -79,21 +76,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sample_matches_legacy_slice_shuffle() {
+    fn sample_matches_a_slice_shuffle() {
         // Shuffling any same-length slice consumes identical draws:
-        // emulate the legacy path on a Vec of values and compare.
+        // shuffle a Vec of values directly and compare.
         let n = 37usize;
-        let mut legacy: Vec<usize> = (0..n).collect();
+        let mut direct: Vec<usize> = (0..n).collect();
         let mut rng_a = StdRng::seed_from_u64(77);
-        legacy.shuffle(&mut rng_a);
-        let legacy_seed: u64 = rng_a.gen();
+        direct.shuffle(&mut rng_a);
+        let direct_seed: u64 = rng_a.gen();
 
         let mut sched = CohortScheduler::new(n);
         let mut rng_b = StdRng::seed_from_u64(77);
         let (ids, seed) = sched.sample(n, &mut rng_b);
-        assert_eq!(seed, legacy_seed);
+        assert_eq!(seed, direct_seed);
         let got: Vec<usize> = ids.iter().map(|&i| i as usize).collect();
-        assert_eq!(got, legacy);
+        assert_eq!(got, direct);
     }
 
     #[test]

@@ -110,8 +110,8 @@ fn round_rng_is_instance_free() {
     assert_eq!(xs, ys);
 }
 
-/// Sampling the whole population is a permutation — the legacy
-/// "everyone participates" mode.
+/// Sampling the whole population is a permutation — the
+/// `clients_per_round: 0` "everyone participates" mode.
 #[test]
 fn full_cohort_is_a_permutation() {
     let mut sched = CohortScheduler::new(100);

@@ -264,51 +264,6 @@ where
     map_range(items.len(), |i| f(i, &items[i]))
 }
 
-/// Runs `f(index, &mut items[index])` for every item on pool workers.
-///
-/// Items are handed out as disjoint `&mut` chunks, so the closure may
-/// mutate freely without synchronization. Used by the FL server to
-/// decode a wave of wire updates into per-slot scratch buffers.
-pub fn for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let len = items.len();
-    if len == 0 {
-        return;
-    }
-    let workers = if pool::in_parallel_region() {
-        1
-    } else {
-        num_threads().min(len)
-    };
-    if workers <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let per_chunk = len.div_ceil(workers);
-    let f = &f;
-    let backend = simd::thread_override();
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
-        .chunks_mut(per_chunk)
-        .enumerate()
-        .map(|(w, chunk)| {
-            let base = w * per_chunk;
-            Box::new(move || {
-                simd::with_override(backend, || {
-                    for (j, item) in chunk.iter_mut().enumerate() {
-                        f(base + j, item);
-                    }
-                });
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    pool::run_tasks(tasks);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,24 +416,5 @@ mod tests {
             map_range(12, |i| map_range(10, |j| i * j).into_iter().sum::<usize>())
         });
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn for_each_mut_touches_every_item_once() {
-        for threads in [1, 4] {
-            let mut items: Vec<usize> = vec![0; 23];
-            with_threads(threads, || {
-                for_each_mut(&mut items, |i, slot| *slot = i + 100);
-            });
-            for (i, &v) in items.iter().enumerate() {
-                assert_eq!(v, i + 100, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn for_each_mut_empty_is_noop() {
-        let mut items: Vec<u8> = Vec::new();
-        for_each_mut(&mut items, |_, _| panic!("must not run"));
     }
 }

@@ -1,14 +1,11 @@
-//! Reusable, aligned decode buffers for the zero-copy update path.
+//! A reusable, aligned decode buffer for the zero-copy update path.
 //!
 //! A decoded update is a flat `[f32; n]`. The borrow-based decode API
 //! ([`crate::UpdateCodec::decode_view`]) needs somewhere to land the
 //! *copying* cases — lossy codecs, misaligned raw frames — without
-//! allocating per frame, and the FL server's parallel decode waves
-//! need one such buffer per concurrent slot. [`FrameBuf`] is that
-//! buffer (a grow-only `f32` slab, 4-byte aligned by construction)
-//! and [`FrameArena`] is the pool the server checks slots out of and
-//! back into across waves and rounds, keeping per-round scratch at
-//! `O(threads · model)` with zero steady-state allocation.
+//! allocating per frame. [`FrameBuf`] is that buffer: a grow-only
+//! `f32` slab, 4-byte aligned by construction, which the round's
+//! streaming aggregator keeps as its one scratch slot.
 
 /// One reusable decode buffer: an aligned `f32` slab that grows to
 /// the largest frame it has ever held and never shrinks, so
@@ -32,56 +29,10 @@ impl FrameBuf {
         &mut self.data
     }
 
-    /// The elements handed out by the last [`FrameBuf::reset`] —
-    /// lets a fold read a wave slot after the parallel decode wrote
-    /// it.
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
     /// The slab's current heap footprint in bytes — what memory-bound
     /// assertions sum over.
     pub fn capacity_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<f32>()
-    }
-}
-
-/// A pool of [`FrameBuf`]s sized by demand: `acquire` hands back a
-/// warm buffer when one is free and a fresh empty one otherwise;
-/// `release` returns it for the next wave. The pool never frees —
-/// a round with fewer deliveries must not drop model-sized buffers
-/// the next full round would immediately reallocate.
-#[derive(Debug, Default)]
-pub struct FrameArena {
-    free: Vec<FrameBuf>,
-}
-
-impl FrameArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        FrameArena::default()
-    }
-
-    /// Checks a buffer out of the pool (warm if available).
-    pub fn acquire(&mut self) -> FrameBuf {
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Returns a buffer to the pool for reuse.
-    pub fn release(&mut self, buf: FrameBuf) {
-        self.free.push(buf);
-    }
-
-    /// Number of buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Total bytes retained across every pooled buffer — the
-    /// machine-checked side of the `O(threads · model)` scratch
-    /// bound.
-    pub fn retained_bytes(&self) -> usize {
-        self.free.iter().map(FrameBuf::capacity_bytes).sum()
     }
 }
 
@@ -103,19 +54,5 @@ mod tests {
         assert_eq!(s.len(), 50);
         assert!(s.iter().all(|&v| v == 0.0), "reset must zero the slab");
         assert_eq!(buf.capacity_bytes(), cap, "shrinking reset must not free");
-    }
-
-    #[test]
-    fn arena_recycles_buffers() {
-        let mut arena = FrameArena::new();
-        let mut a = arena.acquire();
-        a.reset(64);
-        let bytes = a.capacity_bytes();
-        arena.release(a);
-        assert_eq!(arena.pooled(), 1);
-        assert_eq!(arena.retained_bytes(), bytes);
-        let b = arena.acquire();
-        assert_eq!(b.capacity_bytes(), bytes, "acquire must hand back warm");
-        assert_eq!(arena.pooled(), 0);
     }
 }

@@ -71,8 +71,8 @@ pub trait UpdateCodec: Send + Sync {
 
     /// Decodes into a caller-provided slice of exactly `encoded.n`
     /// elements — the borrowed-output primitive every other decode
-    /// form is built on. The destination is typically an arena slot
-    /// ([`FrameBuf::reset`]), so steady-state rounds decode with zero
+    /// form is built on. The destination is typically a reused scratch
+    /// slot ([`FrameBuf::reset`]), so steady-state rounds decode with zero
     /// allocations and exactly one write per element.
     ///
     /// # Errors

@@ -557,7 +557,7 @@ impl<'a> TensorView<'a, '_> {
     /// caller-sized slice — exactly one copy, memcpy-speed when the
     /// source is aligned. This is the copying half of the zero-copy
     /// pair ([`TensorView::as_f32s`] is the borrowing half); decode
-    /// arenas hand their slots here.
+    /// scratch slots land here.
     ///
     /// # Errors
     ///

@@ -50,7 +50,7 @@ mod format;
 pub mod mmap;
 mod net;
 
-pub use arena::{FrameArena, FrameBuf};
+pub use arena::FrameBuf;
 pub use codec::{CodecSpec, EncodedUpdate, Q8Codec, RawCodec, SignCodec, TopKCodec, UpdateCodec};
 pub use format::{
     f32s_to_le_bytes, le_bytes_to_f32s, Dtype, TensorMeta, TensorView, WireBuilder, WireView,

@@ -65,7 +65,7 @@ fn raw_frame_folds_with_zero_post_decode_copies() {
         payload.contains(&first) && payload.contains(&last),
         "decoded view must borrow the wire payload in place"
     );
-    // Zero copies also means zero scratch: the arena slot was never
+    // Zero copies also means zero scratch: the scratch slot was never
     // materialized.
     assert_eq!(scratch.capacity_bytes(), 0, "borrowed decode used scratch");
 }

@@ -17,6 +17,7 @@ use oasis_augment::PolicyKind;
 use oasis_data::synthetic_dataset;
 use oasis_fl::{partition_iid, DefenseStack, FlConfig, FlServer, ModelFactory};
 use oasis_nn::{Linear, Relu, Sequential};
+use oasis_population::CohortRunner;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 
@@ -45,12 +46,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         local_batch_size: 12,
         clients_per_round: 0,
     };
-    let mut server = FlServer::new(Arc::clone(&factory), cfg.clone())?;
-    let reports = server.run(&hospitals, 150, 99)?;
+    let server = FlServer::new(Arc::clone(&factory), cfg.clone())?;
+    let reports = CohortRunner::new(server, hospitals).run(150, 99)?;
     println!(
         "honest federation: loss {:.3} -> {:.3} over {} rounds",
-        reports[0].mean_loss,
-        reports.last().unwrap().mean_loss,
+        reports[0].round_report.mean_loss,
+        reports.last().unwrap().round_report.mean_loss,
         reports.len()
     );
 
@@ -104,12 +105,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         })
         .collect();
-    let mut server = FlServer::new(factory, cfg)?;
-    let reports = server.run(&defended_hospitals, 150, 98)?;
+    let server = FlServer::new(factory, cfg)?;
+    let reports = CohortRunner::new(server, defended_hospitals).run(150, 98)?;
     println!(
         "\nmixed federation (2 defended, 2 not): loss {:.3} -> {:.3}",
-        reports[0].mean_loss,
-        reports.last().unwrap().mean_loss
+        reports[0].round_report.mean_loss,
+        reports.last().unwrap().round_report.mean_loss
     );
     println!("OASIS is a purely client-side defense: adopting hospitals gain");
     println!("protection without coordinating with anyone else.");

@@ -3,8 +3,9 @@
 use oasis::{defended_client, undefended_client, OasisConfig};
 use oasis_augment::PolicyKind;
 use oasis_data::cifar_like_with;
-use oasis_fl::{FlConfig, FlServer, ModelFactory};
+use oasis_fl::{FlConfig, FlServer, ModelFactory, RoundReport};
 use oasis_nn::{Linear, Relu, Sequential};
+use oasis_population::CohortRunner;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 
@@ -37,8 +38,13 @@ fn defended_federation_converges() {
         local_batch_size: 6,
         clients_per_round: 0,
     };
-    let mut server = FlServer::new(factory(d, 4), cfg).unwrap();
-    let reports = server.run(&shards, 25, 1).unwrap();
+    let server = FlServer::new(factory(d, 4), cfg).unwrap();
+    let reports: Vec<RoundReport> = CohortRunner::new(server, shards)
+        .run(25, 1)
+        .unwrap()
+        .into_iter()
+        .map(|r| r.round_report)
+        .collect();
     let first: f32 = reports[..3].iter().map(|r| r.mean_loss).sum::<f32>() / 3.0;
     let last: f32 = reports[reports.len() - 3..]
         .iter()
@@ -60,10 +66,11 @@ fn mixed_federation_round_reports_all_participants() {
         defended_client(0, a, OasisConfig::policy(PolicyKind::MajorRotationShearing)),
         undefended_client(1, b),
     ];
-    let mut server = FlServer::new(factory(d, 3), FlConfig::default()).unwrap();
-    let report = server
-        .run_round(&clients, &mut StdRng::seed_from_u64(9))
-        .unwrap();
+    let server = FlServer::new(factory(d, 3), FlConfig::default()).unwrap();
+    let report = CohortRunner::new(server, clients)
+        .run_round(&mut StdRng::seed_from_u64(9))
+        .unwrap()
+        .round_report;
     assert_eq!(report.participants, 2);
     assert!(report.mean_loss.is_finite());
 }
@@ -84,9 +91,14 @@ fn protocol_is_deterministic() {
         )]
     };
     let run = |seed: u64| {
-        let mut server = FlServer::new(factory(d, 3), FlConfig::default()).unwrap();
-        let reports = server.run(&make_clients(), 3, seed).unwrap();
-        reports.iter().map(|r| r.mean_loss).collect::<Vec<_>>()
+        let server = FlServer::new(factory(d, 3), FlConfig::default()).unwrap();
+        let reports = CohortRunner::new(server, make_clients())
+            .run(3, seed)
+            .unwrap();
+        reports
+            .iter()
+            .map(|r| r.round_report.mean_loss)
+            .collect::<Vec<_>>()
     };
     assert_eq!(run(42), run(42));
     assert_ne!(run(42), run(43));

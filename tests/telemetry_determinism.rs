@@ -13,6 +13,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use oasis_data::cifar_like_with;
 use oasis_fl::{partition_iid, DefenseStack, FlConfig, FlServer, ModelFactory, RoundReport};
 use oasis_nn::{flatten_params, Linear, Relu, Sequential};
+use oasis_population::CohortRunner;
 use oasis_scenario::{Scale, Scenario};
 use oasis_tensor::parallel;
 use rand::rngs::StdRng;
@@ -50,10 +51,16 @@ fn run_fl(threads: usize, traced: bool) -> (Vec<f32>, Vec<RoundReport>) {
             Arc::new(DefenseStack::identity()),
             &mut StdRng::seed_from_u64(13),
         );
-        let mut server = FlServer::new(factory, FlConfig::default()).expect("server");
-        let reports = server.run(&clients, 3, 14).expect("rounds");
+        let server = FlServer::new(factory, FlConfig::default()).expect("server");
+        let mut runner = CohortRunner::new(server, clients);
+        let reports: Vec<RoundReport> = runner
+            .run(3, 14)
+            .expect("rounds")
+            .into_iter()
+            .map(|r| r.round_report)
+            .collect();
         oasis_telemetry::set_enabled(was);
-        (flatten_params(server.model_mut()), reports)
+        (flatten_params(runner.server_mut().model_mut()), reports)
     })
 }
 

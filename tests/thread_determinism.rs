@@ -14,6 +14,7 @@ use oasis_attacks::{ActiveAttack, RtfAttack};
 use oasis_data::cifar_like_with;
 use oasis_fl::{partition_iid, DefenseStack, FlConfig, FlServer, ModelFactory, RoundReport};
 use oasis_nn::{flatten_params, Conv2d, Layer, Linear, Mode, Relu, Sequential};
+use oasis_population::CohortRunner;
 use oasis_scenario::{Scale, Scenario};
 use oasis_tensor::{parallel, Tensor};
 use rand::rngs::StdRng;
@@ -39,9 +40,15 @@ fn run_fl(threads: usize) -> (Vec<f32>, Vec<RoundReport>) {
             Arc::new(DefenseStack::identity()),
             &mut StdRng::seed_from_u64(13),
         );
-        let mut server = FlServer::new(factory, FlConfig::default()).expect("server");
-        let reports = server.run(&clients, 3, 14).expect("rounds");
-        (flatten_params(server.model_mut()), reports)
+        let server = FlServer::new(factory, FlConfig::default()).expect("server");
+        let mut runner = CohortRunner::new(server, clients);
+        let reports: Vec<RoundReport> = runner
+            .run(3, 14)
+            .expect("rounds")
+            .into_iter()
+            .map(|r| r.round_report)
+            .collect();
+        (flatten_params(runner.server_mut().model_mut()), reports)
     })
 }
 

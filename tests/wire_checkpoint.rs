@@ -4,6 +4,7 @@
 
 use oasis_fl::{partition_iid, DefenseStack, FlConfig, FlServer, ModelFactory};
 use oasis_nn::{flatten_params, Linear, Relu, Sequential};
+use oasis_population::CohortRunner;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 
@@ -37,20 +38,23 @@ fn resumed_training_is_bit_identical_to_uninterrupted() {
     };
 
     // Reference: 6 uninterrupted rounds from one rng stream.
-    let mut reference = FlServer::new(Arc::clone(&factory), cfg.clone()).unwrap();
+    let server = FlServer::new(Arc::clone(&factory), cfg.clone()).unwrap();
+    let mut reference = CohortRunner::new(server, &clients);
     let mut rng = StdRng::seed_from_u64(99);
     for _ in 0..6 {
-        reference.run_round(&clients, &mut rng).unwrap();
+        reference.run_round(&mut rng).unwrap();
     }
-    let reference_params = flatten_params(reference.model_mut());
+    let reference_params = flatten_params(reference.server_mut().model_mut());
 
     // Interrupted: 3 rounds, checkpoint to disk, resume in a fresh
     // server, 3 more rounds continuing the same rng stream.
-    let mut first_half = FlServer::new(Arc::clone(&factory), cfg.clone()).unwrap();
+    let server = FlServer::new(Arc::clone(&factory), cfg.clone()).unwrap();
+    let mut first_half = CohortRunner::new(server, &clients);
     let mut rng = StdRng::seed_from_u64(99);
     for _ in 0..3 {
-        first_half.run_round(&clients, &mut rng).unwrap();
+        first_half.run_round(&mut rng).unwrap();
     }
+    let first_half = first_half.into_server();
     let dir = std::env::temp_dir().join(format!("oasis_wire_resume_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("round3.oasis");
@@ -62,10 +66,11 @@ fn resumed_training_is_bit_identical_to_uninterrupted() {
     resumed.restore_checkpoint(&path).unwrap();
     resumed.set_round(saved_round);
     assert_eq!(resumed.round(), 3);
+    let mut resumed = CohortRunner::new(resumed, &clients);
     for _ in 0..3 {
-        resumed.run_round(&clients, &mut rng).unwrap();
+        resumed.run_round(&mut rng).unwrap();
     }
-    let resumed_params = flatten_params(resumed.model_mut());
+    let resumed_params = flatten_params(resumed.server_mut().model_mut());
 
     assert_eq!(reference_params.len(), resumed_params.len());
     for (i, (a, b)) in reference_params.iter().zip(&resumed_params).enumerate() {
