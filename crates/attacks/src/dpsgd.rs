@@ -10,7 +10,6 @@
 
 use oasis_data::Dataset;
 use oasis_nn::{softmax_cross_entropy, Layer, Linear, Mode, Sequential};
-use oasis_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -94,10 +93,10 @@ pub fn train_linear_with_dp(
             }
             let mut update = acc.expect("non-empty batch");
             let sigma = config.noise_multiplier * config.clip_norm / b as f32;
-            let noise = Tensor::randn_scaled(&[update.len()], 0.0, sigma, &mut rng);
-            for ((u, &nz), _) in update.iter_mut().zip(noise.data()).zip(0..) {
-                *u = *u / b as f32 + nz;
+            for u in update.iter_mut() {
+                *u /= b as f32;
             }
+            oasis_tensor::add_randn_scaled(&mut update, 0.0, sigma, &mut rng);
             // SGD step.
             let mut params = oasis_nn::flatten_params(&mut model);
             for (p, &g) in params.iter_mut().zip(&update) {

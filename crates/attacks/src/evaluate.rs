@@ -256,41 +256,24 @@ fn run_attack_inner(
             let b = processed.len();
             let d = geometry.0 * geometry.1 * geometry.2;
             let n = attack.attacked_neurons();
-            let mut sum_gw = Tensor::zeros(&[n, d]);
-            let mut sum_gb = Tensor::zeros(&[n]);
-            let mut total_loss = 0.0f32;
-            for i in 0..b {
-                let xi = processed.images[i].to_tensor().reshape(&[1, d])?;
-                model.zero_grad();
-                let logits = model.forward(&xi, Mode::Train)?;
-                let out = softmax_cross_entropy(&logits, &processed.labels[i..i + 1])?;
-                model.backward(&out.grad)?;
-                total_loss += out.loss;
-                let lin = malicious_layer(&model)?;
-                // Clip the whole per-sample gradient (all layers would
-                // be clipped in real DP-SGD; the malicious layer
-                // dominates the norm here and is all the attacker
-                // reads).
-                let norm = (lin.grad_weight().norm_sq() + lin.grad_bias().norm_sq()).sqrt();
-                let scale = if norm > clip_norm {
-                    clip_norm / norm
-                } else {
-                    1.0
-                };
-                sum_gw.axpy(scale, lin.grad_weight())?;
-                sum_gb.axpy(scale, lin.grad_bias())?;
-            }
+            let x = processed.to_matrix();
+            let (deltas, total_loss) = per_sample_deltas(&mut model, &x, &processed.labels)?;
+            // What is clipped is each sample's gradient of the
+            // malicious layer's weight and bias — the only parameters
+            // uploaded and all the attacker reads (real DP-SGD would
+            // clip every layer's gradient jointly). The clip-and-sum
+            // never builds a per-sample gradient tensor; it is
+            // bit-identical to doing so (see `Linear::clipped_grad_mean`).
+            let clip_span = oasis_telemetry::span("attack.clip");
+            let mut update = Linear::clipped_grad_mean(&x, &deltas, clip_norm)?;
+            drop(clip_span);
             let inv_b = 1.0 / b as f32;
-            sum_gw.scale_in_place(inv_b);
-            sum_gb.scale_in_place(inv_b);
             // Only the (perturbed) malicious-layer update is uploaded;
             // that is what crosses the wire.
-            let mut update = sum_gw.data().to_vec();
-            update.extend_from_slice(sum_gb.data());
             defense.perturb_update(&mut update, b, &mut rng);
-            let received = transmit(update)?;
-            let gw = Tensor::from_vec(received[..n * d].to_vec(), &[n, d])?;
-            let gb = Tensor::from_vec(received[n * d..].to_vec(), &[n])?;
+            let mut received = transmit(update)?;
+            let gb = Tensor::from_vec(received.split_off(n * d), &[n])?;
+            let gw = Tensor::from_vec(received, &[n, d])?;
             drop(client_span);
             let recon_span = oasis_telemetry::span("attack.reconstruct");
             let recons = attack.reconstruct(&gw, &gb, geometry);
@@ -307,6 +290,49 @@ fn malicious_layer(model: &Sequential) -> Result<&Linear> {
     model
         .layer_as::<Linear>(0)
         .ok_or_else(|| AttackError::BadConfig("malicious layer missing".into()))
+}
+
+/// Each sample's upstream gradient `δ_s = ∂L_s/∂z_s` at the malicious
+/// layer's output `z`, as the rows of a `(b, n)` tensor, plus the
+/// summed per-sample loss.
+///
+/// Layer 0 runs once on the whole `(b, d)` batch: its product computes
+/// every output row independently, so each row equals the B = 1
+/// forward. The layers after it and the loss then run per sample
+/// (B = 1), as a per-sample backward pass would. Layer 0's own
+/// backward is never run — [`Linear::clipped_grad_mean`] takes its
+/// place.
+fn per_sample_deltas(
+    model: &mut Sequential,
+    x: &Tensor,
+    labels: &[usize],
+) -> Result<(Tensor, f32)> {
+    let malicious = model
+        .layer_as_mut::<Linear>(0)
+        .ok_or_else(|| AttackError::BadConfig("malicious layer missing".into()))?;
+    // Eval: nothing reads a cached input, since layer 0 never runs
+    // backward here.
+    let z = malicious.forward(x, Mode::Eval)?;
+    let (b, n) = (z.dims()[0], z.dims()[1]);
+    let mut deltas = Tensor::zeros(&[b, n]);
+    let mut total_loss = 0.0f32;
+    for (s, delta) in deltas.data_mut().chunks_exact_mut(n).enumerate() {
+        let mut h = z.slice_rows(s, s + 1)?;
+        for l in 1..model.len() {
+            h = model
+                .layer_mut(l)
+                .expect("index in range")
+                .forward(&h, Mode::Train)?;
+        }
+        let out = softmax_cross_entropy(&h, &labels[s..s + 1])?;
+        let mut g = out.grad;
+        for l in (1..model.len()).rev() {
+            g = model.layer_mut(l).expect("index in range").backward(&g)?;
+        }
+        delta.copy_from_slice(g.data());
+        total_loss += out.loss;
+    }
+    Ok((deltas, total_loss))
 }
 
 fn score(

@@ -48,10 +48,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use oasis_attacks::{ActiveAttack, RtfAttack};
+use oasis_attacks::{run_attack, ActiveAttack, RtfAttack};
 use oasis_campaign::{CampaignRunner, CampaignSetup, CampaignSpec};
 use oasis_data::cifar_like_with;
-use oasis_fl::{DefenseStack, FlConfig, FlServer, ModelFactory, WireConfig};
+use oasis_fl::{DefenseStack, DpStage, FlConfig, FlServer, ModelFactory, WireConfig};
 use oasis_metrics::psnr_data;
 use oasis_nn::{Conv2d, Layer, Linear, Mode, Relu, Sequential};
 use oasis_population::{CohortRunner, Population};
@@ -252,6 +252,10 @@ pub fn fl_suite() -> Vec<BenchDef> {
         BenchDef {
             name: "defense_stack",
             build: bench_defense_stack,
+        },
+        BenchDef {
+            name: "attack_dp_per_sample",
+            build: bench_attack_dp_per_sample,
         },
     ]
 }
@@ -936,6 +940,23 @@ fn bench_rtf_invert() -> PreparedBench {
     }
 }
 
+/// One attacked round under record-level DP (`dp:1,0.01`): RTF with
+/// 128 neurons against a B = 32 batch of 16×16×3 images — the
+/// per-sample clip-and-sum, the Gaussian noise, then inversion and
+/// scoring.
+fn bench_attack_dp_per_sample() -> PreparedBench {
+    let calibration = oasis_data::Batch::from_items(cifar_like_with(8, 8, 16, 23).items().to_vec());
+    let attack = RtfAttack::calibrated(128, &calibration.images).expect("bench rtf");
+    let batch = oasis_data::Batch::from_items(cifar_like_with(8, 4, 16, 24).items().to_vec());
+    let stack = DefenseStack::of(DpStage::new(1.0, 0.01));
+    PreparedBench {
+        throughput: Some((batch.len() as f64, "sample/s")),
+        run: Box::new(move || {
+            std::hint::black_box(run_attack(&attack, &batch, &stack, 8, 25).expect("dp attack"));
+        }),
+    }
+}
+
 // ---------------------------------------------------------------------
 // scale benches (+ the parallel-efficiency gate)
 // ---------------------------------------------------------------------
@@ -1305,6 +1326,7 @@ mod tests {
                 "codec_q8_decode",
                 "rtf_invert_128",
                 "defense_stack",
+                "attack_dp_per_sample",
             ]
         );
         let scale = names(scale_suite());

@@ -34,7 +34,6 @@
 //! ```
 
 use oasis_data::Batch;
-use oasis_tensor::Tensor;
 use rand::rngs::StdRng;
 
 /// Client-side batch preprocessing applied before gradients are
@@ -167,12 +166,10 @@ impl UpdateStage for DpStage {
     fn perturb(&self, update: &mut [f32], samples: usize, rng: &mut StdRng) {
         let inv_b = 1.0 / samples.max(1) as f32;
         let sigma = self.noise * self.clip * inv_b;
+        let _span = oasis_telemetry::span("dp.noise");
         // Drawn even at σ = 0 so the consumed rng stream (and thus any
         // downstream stage) is independent of the noise setting.
-        let noise = Tensor::randn_scaled(&[update.len()], 0.0, sigma, rng);
-        for (u, &n) in update.iter_mut().zip(noise.data()) {
-            *u += n;
-        }
+        oasis_tensor::add_randn_scaled(update, 0.0, sigma, rng);
     }
 }
 

@@ -103,6 +103,174 @@ impl Linear {
     pub fn grad_bias(&self) -> &Tensor {
         &self.grad_bias
     }
+
+    /// Record-level clipped mean gradient (DP-SGD's clip-and-sum) of
+    /// a `Linear` layer, without materializing any per-sample
+    /// gradient.
+    ///
+    /// `inputs` is the layer's `(b, d)` input and `deltas` the
+    /// `(b, n)` upstream gradients, one row per sample. Sample `s`'s
+    /// gradient is the rank-one `∂L/∂W = δ_sᵀ x_s`, `∂L/∂b = δ_s`;
+    /// each is scaled to L2 norm at most `clip`, and the mean over
+    /// the batch comes back flat, weight `(n×d)` row-major then bias
+    /// `(n)` — the layer's [`crate::flatten_grads`] order.
+    ///
+    /// The result is bit-identical to materializing each sample's
+    /// gradient with a B = 1 backward pass, taking its
+    /// [`Tensor::norm_sq`] (weight, then bias), `axpy`-ing it into a
+    /// running sum in sample order, and scaling the sum by `1/b`.
+    /// Every output element goes through the same IEEE operations in
+    /// the same order (separate multiplies and adds, never fused);
+    /// only the loop nest changes:
+    ///
+    /// * the norms run one lane per sample, so eight samples advance
+    ///   together through their sequential sums;
+    /// * the sum walks each weight row once, adding
+    ///   `scale_s · (δ_si · x_s)` for `s` ascending.
+    ///
+    /// Terms with `δ_si = 0` are skipped, as `matmul_tn` skips them
+    /// when it builds the gradient: they contribute exactly `+0` to
+    /// sums that start at `+0`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error unless both operands are non-empty rank-2
+    /// tensors with the same number of rows.
+    pub fn clipped_grad_mean(inputs: &Tensor, deltas: &Tensor, clip: f32) -> Result<Vec<f32>> {
+        let (b, d, n) = match (inputs.dims(), deltas.dims()) {
+            (&[b, d], &[b2, n]) if b == b2 && b > 0 && d > 0 && n > 0 => (b, d, n),
+            _ => {
+                return Err(NnError::BadInput {
+                    layer: "linear",
+                    expected: "non-empty inputs (b, d) and deltas (b, n)".into(),
+                    actual: deltas.dims().to_vec(),
+                })
+            }
+        };
+        let (x, delta) = (inputs.data(), deltas.data());
+        let scales = clip_scales(x, delta, n, d, clip);
+        let inv_b = 1.0 / b as f32;
+        let mut out = vec![0.0f32; n * d + n];
+        let (gw, gb) = out.split_at_mut(n * d);
+        // Row i's terms (x_s, δ_si, scale_s) with δ_si ≠ 0, s ascending.
+        let mut terms: Vec<(&[f32], f32, f32)> = Vec::with_capacity(b);
+        for (i, (row, gbi)) in gw.chunks_exact_mut(d).zip(gb.iter_mut()).enumerate() {
+            terms.clear();
+            for (s, (xs, &scale)) in x.chunks_exact(d).zip(&scales).enumerate() {
+                let c = delta[s * n + i];
+                if c != 0.0 {
+                    terms.push((xs, c, scale));
+                    *gbi += scale * c;
+                }
+            }
+            // Four samples per pass over the row, each element still
+            // adding its terms one at a time in sample order.
+            let mut quads = terms.chunks_exact(4);
+            for quad in &mut quads {
+                let [(x0, c0, s0), (x1, c1, s1), (x2, c2, s2), (x3, c3, s3)] =
+                    [quad[0], quad[1], quad[2], quad[3]];
+                let (x0, x1, x2, x3) = (&x0[..d], &x1[..d], &x2[..d], &x3[..d]);
+                for (j, o) in row.iter_mut().enumerate() {
+                    let mut v = *o;
+                    v += s0 * (c0 * x0[j]);
+                    v += s1 * (c1 * x1[j]);
+                    v += s2 * (c2 * x2[j]);
+                    v += s3 * (c3 * x3[j]);
+                    *o = v;
+                }
+            }
+            for &(xs, c, scale) in quads.remainder() {
+                for (o, &xv) in row.iter_mut().zip(xs) {
+                    *o += scale * (c * xv);
+                }
+            }
+            for o in row.iter_mut() {
+                *o *= inv_b;
+            }
+            *gbi *= inv_b;
+        }
+        Ok(out)
+    }
+}
+
+/// Samples whose clip norms advance together in
+/// [`Linear::clipped_grad_mean`]: one independent accumulator lane per
+/// sample, the shape LLVM vectorizes without reassociating anything.
+const CLIP_LANES: usize = 8;
+
+/// Per-sample clip factors: `clip / ‖g_s‖` when the norm of sample
+/// `s`'s gradient exceeds `clip`, else `1`.
+///
+/// `‖g_s‖² = Σ_i Σ_j (δ_si·x_sj)² + Σ_i δ_si²`, each sum strictly
+/// sequential in row-major order from `+0` — exactly what
+/// [`Tensor::norm_sq`] computes on the materialized weight and bias
+/// gradients, minus the exact `+0` terms of rows with `δ_si = 0`.
+///
+/// Each lane walks its own sample's nonzero `δ_si` in row order
+/// against that sample's `x_s`. Samples are grouped eight to a block
+/// by their count of nonzero rows, so lanes in a block run similar
+/// lengths; lanes that have run out (and padding lanes) are masked to
+/// `+0` terms and discarded.
+fn clip_scales(x: &[f32], delta: &[f32], n: usize, d: usize, clip: f32) -> Vec<f32> {
+    let active: Vec<Vec<f32>> = delta
+        .chunks_exact(n)
+        .map(|row| row.iter().copied().filter(|&v| v != 0.0).collect())
+        .collect();
+    let mut order: Vec<usize> = (0..active.len()).collect();
+    order.sort_by_key(|&s| active[s].len());
+    let mut weight_sq = vec![0.0f32; active.len()];
+    let mut xt = vec![[0.0f32; CLIP_LANES]; d];
+    let mut dt: Vec<[f32; CLIP_LANES]> = Vec::with_capacity(n);
+    for block in order.chunks(CLIP_LANES) {
+        let rows = block.iter().map(|&s| active[s].len()).max().unwrap_or(0);
+        dt.clear();
+        dt.resize(rows, [0.0; CLIP_LANES]);
+        for l in 0..CLIP_LANES {
+            let sample = block.get(l).copied();
+            for (j, xj) in xt.iter_mut().enumerate() {
+                xj[l] = sample.map_or(0.0, |s| x[s * d + j]);
+            }
+            if let Some(s) = sample {
+                for (dk, &v) in dt.iter_mut().zip(&active[s]) {
+                    dk[l] = v;
+                }
+            }
+        }
+        let mut acc = [0.0f32; CLIP_LANES];
+        for dv in &dt {
+            // A zero lane contributes +0 whatever x holds: matmul_tn
+            // never computes a zero-δ gradient row, so no 0·∞ = NaN.
+            let keep = dv.map(|v| if v != 0.0 { u32::MAX } else { 0 });
+            // A local copy keeps the accumulators in registers.
+            let mut a = acc;
+            for xv in &xt {
+                let mut p = [0.0f32; CLIP_LANES];
+                for l in 0..CLIP_LANES {
+                    p[l] = f32::from_bits((dv[l] * xv[l]).to_bits() & keep[l]);
+                }
+                for l in 0..CLIP_LANES {
+                    a[l] += p[l] * p[l];
+                }
+            }
+            acc = a;
+        }
+        for (&s, &sq) in block.iter().zip(&acc) {
+            weight_sq[s] = sq;
+        }
+    }
+    delta
+        .chunks_exact(n)
+        .zip(weight_sq)
+        .map(|(row, sq)| {
+            let bias_sq = row.iter().fold(0.0f32, |a, &v| a + v * v);
+            let norm = (sq + bias_sq).sqrt();
+            if norm > clip {
+                clip / norm
+            } else {
+                1.0
+            }
+        })
+        .collect()
 }
 
 impl Layer for Linear {

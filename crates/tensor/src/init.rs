@@ -13,23 +13,14 @@ impl Tensor {
     /// distribution via the Box–Muller transform.
     pub fn randn(dims: &[usize], rng: &mut impl Rng) -> Tensor {
         let mut t = Tensor::zeros(dims);
-        let data = t.data_mut();
-        let mut i = 0;
-        while i < data.len() {
-            let (a, b) = box_muller(rng);
-            data[i] = a;
-            if i + 1 < data.len() {
-                data[i + 1] = b;
-            }
-            i += 2;
-        }
+        for_each_normal(t.data_mut(), rng, |o, v| *o = v);
         t
     }
 
     /// Samples every element i.i.d. from `N(mean, std²)`.
     pub fn randn_scaled(dims: &[usize], mean: f32, std: f32, rng: &mut impl Rng) -> Tensor {
-        let mut t = Tensor::randn(dims, rng);
-        t.map_in_place(|v| v * std + mean);
+        let mut t = Tensor::zeros(dims);
+        for_each_normal(t.data_mut(), rng, |o, v| *o = v * std + mean);
         t
     }
 
@@ -40,6 +31,31 @@ impl Tensor {
             *v = rng.gen_range(lo..hi);
         }
         t
+    }
+}
+
+/// Adds i.i.d. `N(mean, std²)` noise to every element of `out`, in
+/// place: `out[i] += v_i * std + mean`.
+///
+/// `v` is exactly the stream [`Tensor::randn_scaled`] would draw for a
+/// tensor of `out.len()` elements (same rng consumption, same values),
+/// without the temporary tensor.
+pub fn add_randn_scaled(out: &mut [f32], mean: f32, std: f32, rng: &mut impl Rng) {
+    for_each_normal(out, rng, |o, v| *o += v * std + mean);
+}
+
+/// Visits every element of `out` with one standard normal, in index
+/// order: one Box–Muller draw per pair of elements, the second normal
+/// of the last draw discarded when the length is odd.
+fn for_each_normal(out: &mut [f32], rng: &mut impl Rng, mut f: impl FnMut(&mut f32, f32)) {
+    let mut pairs = out.chunks_exact_mut(2);
+    for pair in &mut pairs {
+        let (a, b) = box_muller(rng);
+        f(&mut pair[0], a);
+        f(&mut pair[1], b);
+    }
+    if let [last] = pairs.into_remainder() {
+        f(last, box_muller(rng).0);
     }
 }
 
@@ -82,6 +98,24 @@ mod tests {
         let t = Tensor::randn_scaled(&[20_000], 3.0, 0.5, &mut StdRng::seed_from_u64(1));
         let mean = t.mean().unwrap();
         assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
+    }
+
+    #[test]
+    fn add_randn_scaled_adds_the_randn_scaled_stream() {
+        // Odd length: the discarded second normal of the last pair must
+        // leave the rng where randn_scaled leaves it.
+        for len in [0, 1, 6, 7] {
+            let base: Vec<f32> = (0..len).map(|i| i as f32 * 0.5 - 1.0).collect();
+            let mut rng_a = StdRng::seed_from_u64(11);
+            let noise = Tensor::randn_scaled(&[len], 0.25, 0.7, &mut rng_a);
+            let mut rng_b = StdRng::seed_from_u64(11);
+            let mut got = base.clone();
+            add_randn_scaled(&mut got, 0.25, 0.7, &mut rng_b);
+            for ((g, b), n) in got.iter().zip(&base).zip(noise.data()) {
+                assert_eq!(g.to_bits(), (b + n).to_bits());
+            }
+            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "len {len}");
+        }
     }
 
     #[test]

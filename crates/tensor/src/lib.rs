@@ -45,6 +45,7 @@ pub mod simd;
 mod tensor;
 
 pub use error::TensorError;
+pub use init::add_randn_scaled;
 pub use shape::Shape;
 pub use tensor::Tensor;
 
