@@ -31,6 +31,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::calibrate::CalibratedLayer;
 use crate::inversion::PAR_MIN_SWEEP_ELEMS;
 use crate::{attacked_model, dedupe_images, invert_neuron, ActiveAttack, AttackError, Result};
 
@@ -53,10 +54,9 @@ pub struct CahAttack {
     neurons: usize,
     gamma: f32,
     weight_seed: u64,
-    /// Per-row biases from quantile calibration (None ⇒ zero biases).
-    biases: Option<Vec<f32>>,
-    /// Input dimension the biases were calibrated for.
-    calibrated_dim: Option<usize>,
+    /// Trap weights with per-row quantile biases (None ⇒ weights drawn
+    /// at build time, zero biases).
+    calibrated: Option<CalibratedLayer>,
 }
 
 impl CahAttack {
@@ -77,54 +77,36 @@ impl CahAttack {
             neurons,
             gamma,
             weight_seed,
-            biases: None,
-            calibrated_dim: None,
+            calibrated: None,
         })
     }
 
     /// Strongest-attack variant: per-row biases at the `1−target`
     /// response quantile over `calibration` images, pinning each
-    /// neuron's activation probability at `target`.
+    /// neuron's activation probability at `target`. The trap weights
+    /// fitted here are the ones every built model carries.
     ///
     /// # Errors
     ///
     /// Returns [`AttackError::Calibration`] if the calibration set is
-    /// empty or the target is not in `(0, 1)`.
+    /// empty, its images differ in size, or the target is not in
+    /// `(0, 1)`.
     pub fn calibrated(
         neurons: usize,
         target: f64,
         calibration: &[Image],
         weight_seed: u64,
     ) -> Result<Self> {
-        if calibration.is_empty() {
-            return Err(AttackError::Calibration("empty calibration set".into()));
-        }
-        if !(target > 0.0 && target < 1.0) {
-            return Err(AttackError::Calibration(format!(
-                "unreachable target {target}"
-            )));
-        }
-        let d = calibration[0].numel();
+        let first = calibration
+            .first()
+            .ok_or_else(|| AttackError::Calibration("empty calibration set".into()))?;
         let gamma = 1.0f32;
-        let w = trap_weights(neurons, d, gamma, weight_seed);
-        let mut biases = Vec::with_capacity(neurons);
-        for r in 0..neurons {
-            let row = w.row(r).expect("row in bounds");
-            let mut responses: Vec<f32> = calibration
-                .iter()
-                .map(|img| row.iter().zip(img.data()).map(|(&a, &b)| a * b).sum())
-                .collect();
-            responses.sort_by(f32::total_cmp);
-            // Bias at the (1−target) quantile: P(z > −b) ≈ target.
-            let pos = ((1.0 - target) * (responses.len() - 1) as f64).round() as usize;
-            biases.push(-responses[pos]);
-        }
+        let w = trap_weights(neurons, first.numel(), gamma, weight_seed);
         Ok(CahAttack {
             neurons,
             gamma,
             weight_seed,
-            biases: Some(biases),
-            calibrated_dim: Some(d),
+            calibrated: Some(CalibratedLayer::fit(w, calibration, target)?),
         })
     }
 
@@ -135,7 +117,7 @@ impl CahAttack {
 
     /// Whether per-row quantile biases are installed.
     pub fn is_calibrated(&self) -> bool {
-        self.biases.is_some()
+        self.calibrated.is_some()
     }
 }
 
@@ -175,19 +157,15 @@ impl ActiveAttack for CahAttack {
     ) -> Result<Sequential> {
         let (c, h, w) = geometry;
         let d = c * h * w;
-        if let Some(cal_d) = self.calibrated_dim {
-            if cal_d != d {
-                return Err(AttackError::BadConfig(format!(
-                    "attack calibrated for d={cal_d}, asked to build d={d}"
-                )));
-            }
+        match &self.calibrated {
+            Some(layer) => layer.model(d, classes, seed),
+            None => attacked_model(
+                trap_weights(self.neurons, d, self.gamma, self.weight_seed),
+                Tensor::zeros(&[self.neurons]),
+                classes,
+                seed,
+            ),
         }
-        let weight = trap_weights(self.neurons, d, self.gamma, self.weight_seed);
-        let bias = match &self.biases {
-            Some(b) => Tensor::from_slice(b),
-            None => Tensor::zeros(&[self.neurons]),
-        };
-        attacked_model(weight, bias, classes, seed)
     }
 
     fn reconstruct(
@@ -247,9 +225,8 @@ mod tests {
         assert!(attack.is_calibrated());
         // Measure per-row activation on a fresh sample of images.
         let fresh = structured_images(80, 12, 99);
-        let d = fresh[0].numel();
-        let w = trap_weights(32, d, attack.gamma(), 7);
-        let biases = attack.biases.as_ref().unwrap();
+        let layer = attack.calibrated.as_ref().unwrap();
+        let (w, biases) = (layer.weights(), layer.biases());
         let mut rates = Vec::new();
         for (r, &bias) in biases.iter().enumerate().take(32) {
             let row = w.row(r).unwrap();
@@ -325,6 +302,19 @@ mod tests {
             "only {perfect}/6 samples leaked; PSNRs: {:?}",
             matches.iter().map(|m| m.psnr as i64).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn calibrated_model_carries_the_trap_weights_of_its_seed() {
+        let calib = structured_images(24, 8, 4);
+        let attack = CahAttack::calibrated(20, 0.1, &calib, 17).unwrap();
+        let model = attack.build_model((3, 8, 8), 5, 0).unwrap();
+        let want = trap_weights(20, 3 * 8 * 8, attack.gamma(), 17);
+        let lin = model.layer_as::<Linear>(0).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(lin.weight()), bits(&want));
+        let bias = attack.calibrated.as_ref().unwrap().biases();
+        assert_eq!(bits(lin.bias()), bits(&Tensor::from_slice(bias)));
     }
 
     #[test]

@@ -32,6 +32,7 @@
 
 mod ats;
 mod cah;
+mod calibrate;
 mod dpsgd;
 mod error;
 mod evaluate;

@@ -23,8 +23,9 @@ use oasis_tensor::{parallel, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::calibrate::CalibratedLayer;
 use crate::inversion::PAR_MIN_SWEEP_ELEMS;
-use crate::{attacked_model, dedupe_images, invert_neuron, ActiveAttack, AttackError, Result};
+use crate::{dedupe_images, invert_neuron, ActiveAttack, AttackError, Result};
 
 /// The batch size the default activation target is tuned for:
 /// `p* = 1/B` with `B = 8`, the evaluation's default local batch.
@@ -37,10 +38,8 @@ pub struct QbiAttack {
     neurons: usize,
     /// Activation probability target (`1/B` for the tuned batch size).
     target: f64,
-    weight_seed: u64,
-    biases: Vec<f32>,
-    /// Input dimension the biases were calibrated for.
-    calibrated_dim: usize,
+    /// The Gaussian rows and the biases fitted against them.
+    layer: CalibratedLayer,
 }
 
 impl QbiAttack {
@@ -53,7 +52,7 @@ impl QbiAttack {
     ///
     /// Returns [`AttackError::BadConfig`] for zero neurons or a batch
     /// size below 2, and [`AttackError::Calibration`] for an empty
-    /// calibration set.
+    /// calibration set or images of differing sizes.
     pub fn calibrated(
         neurons: usize,
         batch: usize,
@@ -68,30 +67,15 @@ impl QbiAttack {
                 "QBI batch target must be at least 2 (p* = 1/B)".into(),
             ));
         }
-        if calibration.is_empty() {
-            return Err(AttackError::Calibration("empty calibration set".into()));
-        }
+        let first = calibration
+            .first()
+            .ok_or_else(|| AttackError::Calibration("empty calibration set".into()))?;
         let target = 1.0 / batch as f64;
-        let d = calibration[0].numel();
-        let w = gaussian_rows(neurons, d, weight_seed);
-        let mut biases = Vec::with_capacity(neurons);
-        for r in 0..neurons {
-            let row = w.row(r).expect("row in bounds");
-            let mut responses: Vec<f32> = calibration
-                .iter()
-                .map(|img| row.iter().zip(img.data()).map(|(&a, &b)| a * b).sum())
-                .collect();
-            responses.sort_by(f32::total_cmp);
-            // Bias at the (1−target) quantile: P(z + b > 0) ≈ target.
-            let pos = ((1.0 - target) * (responses.len() - 1) as f64).round() as usize;
-            biases.push(-responses[pos]);
-        }
+        let w = gaussian_rows(neurons, first.numel(), weight_seed);
         Ok(QbiAttack {
             neurons,
             target,
-            weight_seed,
-            biases,
-            calibrated_dim: d,
+            layer: CalibratedLayer::fit(w, calibration, target)?,
         })
     }
 
@@ -126,16 +110,7 @@ impl ActiveAttack for QbiAttack {
         seed: u64,
     ) -> Result<Sequential> {
         let (c, h, w) = geometry;
-        let d = c * h * w;
-        if self.calibrated_dim != d {
-            return Err(AttackError::BadConfig(format!(
-                "attack calibrated for d={}, asked to build d={d}",
-                self.calibrated_dim
-            )));
-        }
-        let weight = gaussian_rows(self.neurons, d, self.weight_seed);
-        let bias = Tensor::from_slice(&self.biases);
-        attacked_model(weight, bias, classes, seed)
+        self.layer.model(c * h * w, classes, seed)
     }
 
     fn reconstruct(
@@ -183,10 +158,9 @@ mod tests {
         let attack = QbiAttack::calibrated(32, 8, &imgs, 7).unwrap();
         assert!((attack.target() - 0.125).abs() < 1e-12);
         let fresh = structured_images(80, 12, 99);
-        let d = fresh[0].numel();
-        let w = gaussian_rows(32, d, 7);
+        let (w, biases) = (attack.layer.weights(), attack.layer.biases());
         let mut rates = Vec::new();
-        for (r, &bias) in attack.biases.iter().enumerate() {
+        for (r, &bias) in biases.iter().enumerate() {
             let row = w.row(r).unwrap();
             let active = fresh
                 .iter()
@@ -231,6 +205,21 @@ mod tests {
             perfect >= 3,
             "only {perfect}/6 samples leaked; PSNRs: {:?}",
             matches.iter().map(|m| m.psnr as i64).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn calibrated_model_carries_the_gaussian_rows_of_its_seed() {
+        let calib = structured_images(24, 8, 4);
+        let attack = QbiAttack::calibrated(20, 8, &calib, 17).unwrap();
+        let model = attack.build_model((3, 8, 8), 5, 0).unwrap();
+        let want = gaussian_rows(20, 3 * 8 * 8, 17);
+        let lin = model.layer_as::<Linear>(0).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(lin.weight()), bits(&want));
+        assert_eq!(
+            bits(lin.bias()),
+            bits(&Tensor::from_slice(attack.layer.biases()))
         );
     }
 

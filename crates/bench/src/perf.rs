@@ -23,7 +23,8 @@
 //! * `fl` — protocol macro paths: a full [`CohortRunner::run_round`]
 //!   over four resident clients (raw and q8 wire), codec
 //!   encode/decode, one RTF inversion step,
-//!   and one `oasis:MR+dp:1,0.01` defense-stack application.
+//!   one `oasis:MR+dp:1,0.01` defense-stack application, one attacked
+//!   round under record-level DP, and one CAH calibration.
 //! * `scale` — multi-core scaling: the core/fl macro-benches re-run
 //!   at 1, 2, and 4 worker threads (pinned per bench via
 //!   [`parallel::with_threads`], independent of `OASIS_THREADS`), as
@@ -48,7 +49,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use oasis_attacks::{run_attack, ActiveAttack, RtfAttack};
+use oasis_attacks::{run_attack, ActiveAttack, CahAttack, RtfAttack, DEFAULT_ACTIVATION_TARGET};
 use oasis_campaign::{CampaignRunner, CampaignSetup, CampaignSpec};
 use oasis_data::cifar_like_with;
 use oasis_fl::{DefenseStack, DpStage, FlConfig, FlServer, ModelFactory, WireConfig};
@@ -256,6 +257,10 @@ pub fn fl_suite() -> Vec<BenchDef> {
         BenchDef {
             name: "attack_dp_per_sample",
             build: bench_attack_dp_per_sample,
+        },
+        BenchDef {
+            name: "attack_calibrate_cah",
+            build: bench_attack_calibrate_cah,
         },
     ]
 }
@@ -957,6 +962,28 @@ fn bench_attack_dp_per_sample() -> PreparedBench {
     }
 }
 
+/// The dishonest server's CAH setup at the evaluation's default size:
+/// draw 400 trap rows for 32×32×3 inputs, then fit every row's bias at
+/// its response quantile over 384 calibration images (153 600
+/// responses of length 3072).
+fn bench_attack_calibrate_cah() -> PreparedBench {
+    let (neurons, images) = (400, 384);
+    let calibration: Vec<_> = cifar_like_with(96, 4, 32, 26)
+        .items()
+        .iter()
+        .map(|it| it.image.clone())
+        .collect();
+    PreparedBench {
+        throughput: Some(((neurons * images) as f64, "resp/s")),
+        run: Box::new(move || {
+            std::hint::black_box(
+                CahAttack::calibrated(neurons, DEFAULT_ACTIVATION_TARGET, &calibration, 27)
+                    .expect("bench cah"),
+            );
+        }),
+    }
+}
+
 // ---------------------------------------------------------------------
 // scale benches (+ the parallel-efficiency gate)
 // ---------------------------------------------------------------------
@@ -1327,6 +1354,7 @@ mod tests {
                 "rtf_invert_128",
                 "defense_stack",
                 "attack_dp_per_sample",
+                "attack_calibrate_cah",
             ]
         );
         let scale = names(scale_suite());

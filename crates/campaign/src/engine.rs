@@ -233,7 +233,7 @@ impl CampaignRunner {
     /// Builds the campaign at round 0: partitions the population
     /// (Dirichlet when phase 0 declares `alpha=`, i.i.d. otherwise),
     /// installs phase 0's network, and draws the adversary's probe
-    /// batch and calibration images from the workload.
+    /// batch and a shuffled calibration pool from the dataset.
     ///
     /// # Errors
     ///
@@ -280,9 +280,13 @@ impl CampaignRunner {
         let runner = CohortRunner::new(server, base.clone());
 
         // The adversary's probe batch and calibration pool come from
-        // the workload distribution (the attacker-knowledge
-        // assumption the scenario engine makes), on streams salted
-        // away from training.
+        // the training dataset itself, on streams salted away from
+        // training: the pool is a seeded shuffle of the dataset
+        // (cycled when a family needs more images than it holds), so
+        // it spans every class — unlike `Scenario::calibration_images`,
+        // a class-major prefix of a separately seeded dataset. Each
+        // family calibrates on the pool's first
+        // `default_calibration()` images.
         let wants_adversary = eval_every > 0 && spec.phases().iter().any(|p| !p.attack.is_empty());
         let probe = if wants_adversary {
             let size = probe_batch.clamp(1, dataset.len());

@@ -40,19 +40,29 @@ pub fn synthetic_dataset(
     side: usize,
     seed: u64,
 ) -> Dataset {
-    let mut items = Vec::with_capacity(classes * samples_per_class);
-    for class in 0..classes {
+    let items = synthetic_images(classes, samples_per_class, side, seed).collect();
+    Dataset::new(name, classes, items)
+}
+
+/// The items of [`synthetic_dataset`] in dataset order (class-major),
+/// rendered on demand: every class draws from its own rng stream, so
+/// a prefix renders only the images it yields, bit-identical to the
+/// same prefix of the full dataset.
+pub fn synthetic_images(
+    classes: usize,
+    samples_per_class: usize,
+    side: usize,
+    seed: u64,
+) -> impl Iterator<Item = LabeledImage> {
+    (0..classes).flat_map(move |class| {
         let spec = ClassSpec::derive(seed, class);
         let mut rng =
             StdRng::seed_from_u64(seed.wrapping_mul(31).wrapping_add(class as u64) ^ SALT);
-        for _ in 0..samples_per_class {
-            items.push(LabeledImage {
-                image: spec.render(side, side, &mut rng),
-                label: class,
-            });
-        }
-    }
-    Dataset::new(name, classes, items)
+        (0..samples_per_class).map(move |_| LabeledImage {
+            image: spec.render(side, side, &mut rng),
+            label: class,
+        })
+    })
 }
 
 /// Salt mixed into per-class RNG streams so sample jitter is

@@ -34,20 +34,28 @@ pub fn imagenette_like(samples_per_class: usize, seed: u64) -> Dataset {
 
 /// Generator with explicit resolution.
 pub fn imagenette_like_with(samples_per_class: usize, side: usize, seed: u64) -> Dataset {
-    let classes = IMAGENETTE_CLASSES.len();
-    let mut items = Vec::with_capacity(classes * samples_per_class);
-    for class in 0..classes {
+    let items = imagenette_images(samples_per_class, side, seed).collect();
+    Dataset::new("ImageNette-like", IMAGENETTE_CLASSES.len(), items)
+}
+
+/// The items of [`imagenette_like_with`] in dataset order
+/// (class-major), rendered on demand: every class draws from its own
+/// rng stream, so a prefix renders only the images it yields,
+/// bit-identical to the same prefix of the full dataset.
+pub fn imagenette_images(
+    samples_per_class: usize,
+    side: usize,
+    seed: u64,
+) -> impl Iterator<Item = LabeledImage> {
+    (0..IMAGENETTE_CLASSES.len()).flat_map(move |class| {
         let spec = ClassSpec::derive(seed ^ SALT, class);
         let mut rng =
             StdRng::seed_from_u64(seed.wrapping_mul(131).wrapping_add(class as u64) ^ SALT);
-        for _ in 0..samples_per_class {
-            items.push(LabeledImage {
-                image: spec.render(side, side, &mut rng),
-                label: class,
-            });
-        }
-    }
-    Dataset::new("ImageNette-like", classes, items)
+        (0..samples_per_class).map(move |_| LabeledImage {
+            image: spec.render(side, side, &mut rng),
+            label: class,
+        })
+    })
 }
 
 const SALT: u64 = 0x1A6E_7E77;

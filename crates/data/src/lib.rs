@@ -37,7 +37,11 @@ mod imagenette_like;
 mod patterns;
 
 pub use batch::Batch;
-pub use cifar_like::{cifar100_like, cifar100_like_at, cifar_like_with, synthetic_dataset};
+pub use cifar_like::{
+    cifar100_like, cifar100_like_at, cifar_like_with, synthetic_dataset, synthetic_images,
+};
 pub use dataset::{Dataset, LabeledImage};
-pub use imagenette_like::{imagenette_like, imagenette_like_with, IMAGENETTE_CLASSES};
+pub use imagenette_like::{
+    imagenette_images, imagenette_like, imagenette_like_with, IMAGENETTE_CLASSES,
+};
 pub use patterns::ClassSpec;

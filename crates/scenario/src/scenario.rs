@@ -218,18 +218,20 @@ impl Scenario {
             .collect()
     }
 
-    /// Draws the calibration images the attacker is assumed to know.
+    /// The calibration images the attacker is assumed to know: the
+    /// first `calibration` images, in dataset order, of the workload
+    /// dataset drawn at a fixed calibration seed (sized for batches
+    /// of `calibration`). Dataset order is class-major, so this is a
+    /// prefix of the label space, not a class-balanced sample — on
+    /// `imagenette` the default 384 images come from classes 0–4
+    /// only. Only the prefix is rendered. (Campaign probes instead
+    /// calibrate on a seeded shuffle of the training dataset; see
+    /// `oasis-campaign`.)
     pub fn calibration_images(&self) -> Vec<Image> {
-        if self.calibration == 0 {
-            return Vec::new();
-        }
-        let ds = self
-            .workload
-            .dataset(self.scale, self.calibration, CALIBRATION_SEED);
-        ds.items()
-            .iter()
+        self.workload
+            .images(self.scale, self.calibration, CALIBRATION_SEED)
             .take(self.calibration)
-            .map(|it| it.image.clone())
+            .map(|it| it.image)
             .collect()
     }
 
@@ -272,9 +274,15 @@ impl Scenario {
         let run_span = oasis_telemetry::span("scenario.run");
         let started = Instant::now();
         let setup_span = oasis_telemetry::span("scenario.setup");
-        let dataset = self.dataset();
+        let dataset = {
+            let _span = oasis_telemetry::span("scenario.dataset");
+            self.dataset()
+        };
         let classes = dataset.num_classes();
-        let calibration = self.calibration_images();
+        let calibration = {
+            let _span = oasis_telemetry::span("scenario.calibration");
+            self.calibration_images()
+        };
         let attack = self.attack.build(&calibration, classes)?;
         let defense = self.defense.build()?;
         let codec = self.codec.build();

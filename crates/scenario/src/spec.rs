@@ -17,7 +17,7 @@
 
 use oasis_attacks::{ActiveAttack, DEFAULT_ACTIVATION_TARGET};
 use oasis_augment::PolicyKind;
-use oasis_data::{synthetic_dataset, Dataset};
+use oasis_data::{imagenette_images, synthetic_images, Dataset, LabeledImage};
 use oasis_fl::DefenseStack;
 use oasis_image::Image;
 use serde::{Deserialize, Serialize};
@@ -113,7 +113,7 @@ impl AttackSpec {
     }
 
     /// Constructs the attack behind this spec via the family
-    /// registry.
+    /// registry, traced as `attack.calibrate`.
     ///
     /// `calibration` holds the public images the dishonest server fits
     /// its measurement statistics on; `classes` is the label-space
@@ -129,6 +129,7 @@ impl AttackSpec {
         classes: usize,
     ) -> Result<Box<dyn ActiveAttack>, ScenarioError> {
         let family = attack_family(&self.family)?;
+        let _span = oasis_telemetry::span("attack.calibrate");
         (family.build)(self.args(), calibration, classes)
     }
 }
@@ -497,29 +498,34 @@ impl WorkloadSpec {
     /// Builds the dataset at the given scale with enough samples for
     /// batches up to `max_batch`.
     pub fn dataset(&self, scale: Scale, max_batch: usize, seed: u64) -> Dataset {
+        let name = match self {
+            WorkloadSpec::ImageNette => "ImageNette-like",
+            WorkloadSpec::ImageNette100c => "ImageNet-like-100c",
+            WorkloadSpec::Cifar100 | WorkloadSpec::Cifar100c => "CIFAR100-like",
+        };
+        let items = self.images(scale, max_batch, seed).collect();
+        Dataset::new(name, self.num_classes(), items)
+    }
+
+    /// The items of [`WorkloadSpec::dataset`] in dataset order —
+    /// class-major: every image of class 0, then class 1, … — rendered
+    /// on demand, so `.take(n)` renders only the first `n`.
+    pub(crate) fn images(
+        &self,
+        scale: Scale,
+        max_batch: usize,
+        seed: u64,
+    ) -> Box<dyn Iterator<Item = LabeledImage>> {
+        let side = self.side(scale);
         match self {
             WorkloadSpec::ImageNette => {
                 let spc = (max_batch * 2).div_ceil(10).max(8);
-                oasis_data::imagenette_like_with(spc, scale.imagenette_side(), seed)
+                Box::new(imagenette_images(spc, side, seed))
             }
-            WorkloadSpec::Cifar100 => {
+            WorkloadSpec::Cifar100 | WorkloadSpec::ImageNette100c | WorkloadSpec::Cifar100c => {
                 let spc = (max_batch * 2).div_ceil(100).max(2);
-                oasis_data::cifar100_like_at(spc, scale.cifar_side(), seed)
+                Box::new(synthetic_images(100, spc, side, seed))
             }
-            WorkloadSpec::ImageNette100c => synthetic_dataset(
-                "ImageNet-like-100c",
-                100,
-                (max_batch * 2).div_ceil(100).max(2),
-                scale.imagenette_side(),
-                seed,
-            ),
-            WorkloadSpec::Cifar100c => synthetic_dataset(
-                "CIFAR100-like",
-                100,
-                (max_batch * 2).div_ceil(100).max(2),
-                scale.cifar_side(),
-                seed,
-            ),
         }
     }
 
@@ -698,6 +704,38 @@ mod tests {
                 err.to_string().contains("cannot be part of a stack"),
                 "`{bad}`: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn image_prefixes_match_the_dataset_prefix() {
+        for spec in [
+            WorkloadSpec::ImageNette,
+            WorkloadSpec::Cifar100,
+            WorkloadSpec::ImageNette100c,
+            WorkloadSpec::Cifar100c,
+        ] {
+            let ds = spec.dataset(Scale::Quick, 24, 5);
+            let per_class = ds.len() / ds.num_classes();
+            // Inside class 0, on the first two class boundaries, one
+            // past a boundary, the whole dataset and beyond it.
+            for n in [
+                0,
+                1,
+                per_class,
+                per_class + 1,
+                2 * per_class,
+                ds.len(),
+                ds.len() + 7,
+            ] {
+                let prefix: Vec<LabeledImage> = spec.images(Scale::Quick, 24, 5).take(n).collect();
+                let want: Vec<LabeledImage> = ds.items().iter().take(n).cloned().collect();
+                assert_eq!(prefix.len(), n.min(ds.len()), "{spec} n={n}");
+                assert!(
+                    prefix == want,
+                    "{spec} n={n}: prefix differs from the dataset"
+                );
+            }
         }
     }
 
