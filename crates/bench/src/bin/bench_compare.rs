@@ -1,200 +1,87 @@
-//! `bench_compare` — the CI regression gate over `BENCH_*.json`.
-//!
-//! Two modes. Diffing a current perf run against the committed
-//! baseline:
+//! `bench_compare` — checks `perf`'s `BENCH_*.json` records.
 //!
 //! ```text
-//! bench_compare <baseline.json> <current.json> [--warn PCT] [--fail PCT]
+//! bench_compare <run.json>                    # the paired gate
+//! bench_compare <baseline.json> <current.json> # same-host absolute diff
 //! ```
 //!
-//! and gating a `scale` suite run on parallel efficiency (the
-//! `_t1`/`_tN` medians measured *within that one run*, so the gate is
-//! machine-relative and immune to runner-generation noise):
+//! With one file it applies [`perf::paired_gate`]: every variant
+//! record (`_simd`, `_t4`, `_telem`, `_100k`) against its reference
+//! sibling measured in the same run, at the floors of
+//! [`perf::PAIR_RULES`]. The check is machine-relative, so it holds on
+//! any host; pairs wider than the host's core count print as `info`.
+//! This is the CI gate.
 //!
-//! ```text
-//! bench_compare --scale-gate <scale.json> [--at-threads N] [--min-speedup X]
-//! ```
+//! With two files it diffs absolute medians ([`perf::compare_suites`]):
+//! warn past [`perf::WARN_PCT`], fail past [`perf::FAIL_PCT`] or when
+//! a bench disappeared. Runs from different hosts or settings are
+//! refused — their medians track the machine, not the code.
 //!
-//! plus gating a `core` suite run on lane efficiency (the
-//! `_scalar`/`_simd` medians measured within that one run — also
-//! machine-relative, so a baseline captured on non-AVX2 hardware
-//! still gates correctly on an AVX2 runner and vice versa):
-//!
-//! ```text
-//! bench_compare --simd-gate <core.json> [--min-speedup X]
-//! ```
-//!
-//! Exit status: 0 when every bench is within the warn threshold (or
-//! faster), 0 with warnings printed between warn and fail, 1 when any
-//! bench regressed past the fail threshold, disappeared from the
-//! suite, (scale mode) ran slower multi-threaded than serial, or
-//! (simd mode) ran slower vectorized than scalar.
-//! `tools/bench_compare` wraps this binary for CI.
+//! Every loaded file is validated first ([`perf::BenchSuite::from_json`]).
+//! Exit status 1 on a failed pair, a failed or missing bench, or any
+//! refused input. `tools/bench_compare` wraps this binary.
 
 use std::process::ExitCode;
 
 use oasis_bench::perf::{self, BenchSuite, DeltaClass};
 
+const USAGE: &str = "bench_compare <run.json>                     paired gate within one run\n\
+                     bench_compare <baseline.json> <current.json> same-host absolute diff";
+
 fn load(path: &str) -> Result<BenchSuite, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e:?}"))
+    BenchSuite::from_json(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Prints every scaling datapoint and applies the efficiency gate.
-fn run_scale_gate(path: &str, at_threads: usize, min_speedup: f64) -> Result<bool, String> {
+/// Prints every pair of one run and reports whether any failed.
+fn run_paired_gate(path: &str) -> Result<bool, String> {
     let suite = load(path)?;
-    let report = perf::scale_gate(&suite, at_threads, min_speedup)?;
+    let points = perf::paired_gate(&suite)?;
     println!(
-        "suite `{}`: parallel efficiency (gate: ≥{min_speedup:.2}x at {at_threads} threads)",
-        suite.suite
+        "suite `{}`: paired gate on {} ({} cores, {} threads, simd {})",
+        suite.suite, suite.cpu, suite.nproc, suite.threads, suite.simd
     );
-    for p in &report.points {
-        let gated = p.threads == at_threads;
-        let tag = if gated && p.speedup() < min_speedup {
-            "FAIL"
-        } else if gated {
-            "ok"
-        } else {
+    for p in &points {
+        let tag = if !p.gated {
             "info"
-        };
-        println!(
-            "  {tag:<5} {:<22} t1 {:>12} ns -> t{} {:>12} ns  ({:.2}x, {:.0}% eff)",
-            p.base,
-            p.t1_ns,
-            p.threads,
-            p.tn_ns,
-            p.speedup(),
-            p.efficiency() * 100.0
-        );
-    }
-    Ok(report.failed)
-}
-
-/// Prints every lane-scaling datapoint and applies the SIMD gate.
-fn run_simd_gate(path: &str, min_speedup: f64) -> Result<bool, String> {
-    let suite = load(path)?;
-    let report = perf::simd_gate(&suite, min_speedup)?;
-    let backend = if suite.simd.is_empty() {
-        "unrecorded".to_string()
-    } else {
-        suite.simd.clone()
-    };
-    println!(
-        "suite `{}`: lane efficiency, backend `{backend}` (gate: ≥{min_speedup:.2}x vs scalar)",
-        suite.suite
-    );
-    for p in &report.points {
-        let tag = if p.speedup() < min_speedup {
+        } else if p.failed() {
             "FAIL"
         } else {
             "ok"
         };
         println!(
-            "  {tag:<5} {:<22} scalar {:>12} ns -> simd {:>12} ns  ({:.2}x)",
-            p.base,
-            p.scalar_ns,
-            p.simd_ns,
-            p.speedup(),
+            "  {tag:<5} {:<26} {:>12} ns vs {:<26} {:>12} ns  ({:.2}x, floor {:.2})",
+            p.variant,
+            p.variant_ns,
+            p.reference,
+            p.reference_ns,
+            p.ratio(),
+            p.floor
         );
     }
-    Ok(report.failed)
+    Ok(points.iter().any(perf::PairPoint::failed))
 }
 
-fn run() -> Result<bool, String> {
-    let mut positional = Vec::new();
-    let mut warn_pct = perf::WARN_PCT;
-    let mut fail_pct = perf::FAIL_PCT;
-    let mut scale_path: Option<String> = None;
-    let mut simd_path: Option<String> = None;
-    let mut at_threads = 4usize;
-    let mut min_speedup = 1.0f64;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--warn" => {
-                warn_pct = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--warn needs a percentage")?;
-            }
-            "--fail" => {
-                fail_pct = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--fail needs a percentage")?;
-            }
-            "--scale-gate" => {
-                scale_path = Some(it.next().ok_or("--scale-gate needs a BENCH_scale.json")?);
-            }
-            "--simd-gate" => {
-                simd_path = Some(it.next().ok_or("--simd-gate needs a BENCH_core.json")?);
-            }
-            "--at-threads" => {
-                at_threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--at-threads needs a thread count")?;
-            }
-            "--min-speedup" => {
-                min_speedup = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--min-speedup needs a factor")?;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "bench_compare <baseline.json> <current.json> [--warn PCT] [--fail PCT]\n\
-                     bench_compare --scale-gate <scale.json> [--at-threads N] [--min-speedup X]\n\
-                     bench_compare --simd-gate <core.json> [--min-speedup X]"
-                );
-                std::process::exit(0);
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag `{flag}` (see --help)"));
-            }
-            path => positional.push(path.to_string()),
-        }
-    }
-    if scale_path.is_some() && simd_path.is_some() {
-        return Err("--scale-gate and --simd-gate are separate invocations".into());
-    }
-    if let Some(path) = scale_path {
-        if !positional.is_empty() {
-            return Err("--scale-gate takes no positional baseline/current files".into());
-        }
-        return run_scale_gate(&path, at_threads, min_speedup);
-    }
-    if let Some(path) = simd_path {
-        if !positional.is_empty() {
-            return Err("--simd-gate takes no positional baseline/current files".into());
-        }
-        return run_simd_gate(&path, min_speedup);
-    }
-    let [baseline_path, current_path] = positional.as_slice() else {
-        return Err("expected exactly two files: <baseline.json> <current.json>".into());
-    };
+/// Prints the absolute diff of two same-host runs and reports whether
+/// it failed.
+fn run_diff(baseline_path: &str, current_path: &str) -> Result<bool, String> {
     let baseline = load(baseline_path)?;
     let current = load(current_path)?;
-    if baseline.quick != current.quick || baseline.threads != current.threads {
-        println!(
-            "note: run conditions differ (baseline quick={} threads={}, \
-             current quick={} threads={}) — deltas may be noisy",
-            baseline.quick, baseline.threads, current.quick, current.threads
-        );
-    }
-    let report = perf::compare_suites(&baseline, &current, warn_pct, fail_pct)?;
+    let report = perf::compare_suites(&baseline, &current)?;
     println!(
-        "suite `{}`: {} benches vs baseline (warn >{warn_pct}%, fail >{fail_pct}%)",
+        "suite `{}`: {} benches vs baseline (warn >{}%, fail >{}%)",
         baseline.suite,
-        report.deltas.len()
+        report.deltas.len(),
+        perf::WARN_PCT,
+        perf::FAIL_PCT
     );
     for d in &report.deltas {
         match d.class {
             DeltaClass::Missing => {
-                println!("  FAIL  {:<22} missing from current run", d.name);
+                println!("  FAIL  {:<26} missing from current run", d.name);
             }
             DeltaClass::New => {
-                println!("  new   {:<22} {} ns (no baseline)", d.name, d.cur_ns);
+                println!("  new   {:<26} {} ns (no baseline)", d.name, d.cur_ns);
             }
             class => {
                 let tag = match class {
@@ -203,13 +90,29 @@ fn run() -> Result<bool, String> {
                     _ => "ok",
                 };
                 println!(
-                    "  {tag:<5} {:<22} {:>12} -> {:>12} ns  ({:+.1}%)",
+                    "  {tag:<5} {:<26} {:>12} -> {:>12} ns  ({:+.1}%)",
                     d.name, d.base_ns, d.cur_ns, d.pct
                 );
             }
         }
     }
     Ok(report.failed)
+}
+
+fn run() -> Result<bool, String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown flag `{flag}` (see --help)"));
+    }
+    match args.as_slice() {
+        [run] => run_paired_gate(run),
+        [baseline, current] => run_diff(baseline, current),
+        _ => Err(format!("expected one or two files\n{USAGE}")),
+    }
 }
 
 fn main() -> ExitCode {

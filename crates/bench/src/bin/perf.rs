@@ -1,19 +1,19 @@
-//! `perf` — the machine-readable performance record.
+//! `perf` — the machine-readable kernel and record-pair record.
 //!
-//! Runs the fixed macro-benchmark suites of [`oasis_bench::perf`] and
-//! serializes one versioned `BENCH_<suite>.json` per suite (committed
-//! at the repo root as the CI regression baseline; see
-//! `tools/bench_compare`).
+//! Runs the fixed micro-benchmark suites of [`oasis_bench::perf`] and
+//! serializes one versioned `BENCH_<suite>.json` per suite, stamped
+//! with the host it ran on. `tools/bench_compare <file>` applies the
+//! paired gate to one run; `tools/bench_compare <before> <after>`
+//! diffs two runs of the same host.
 //!
 //! ```text
-//! perf [--quick] [--suite core|fl|scale|pop|campaign|all]... [--filter SUBSTR]
-//!      [--out-dir DIR] [--list]
+//! perf [--quick] [--suite core|fl|scale|all]... [--filter SUBSTR]
+//!      [--out-dir DIR] [--trace PATH] [--list]
 //! ```
 //!
-//! `--suite` may repeat to select several suites. Set
-//! `OASIS_THREADS=1` for timings comparable across machines (the
-//! `scale` suite pins its own per-bench thread counts and ignores
-//! the variable).
+//! `--suite` may repeat to select several suites. `OASIS_THREADS`
+//! sets the pool width of the `core` and `fl` records (the `scale`
+//! suite pins its own per-bench thread counts and ignores it).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -47,7 +47,7 @@ fn parse_args() -> Result<Args, String> {
             "--suite" => {
                 let v = it
                     .next()
-                    .ok_or("--suite needs a value (core|fl|scale|pop|campaign|all)")?;
+                    .ok_or("--suite needs a value (core|fl|scale|all)")?;
                 if v == "all" {
                     args.suites = perf::SUITE_NAMES.iter().map(|s| s.to_string()).collect();
                     suites_explicit = true;
@@ -61,7 +61,7 @@ fn parse_args() -> Result<Args, String> {
                     }
                 } else {
                     return Err(format!(
-                        "unknown suite `{v}` (expected core, fl, scale, pop, campaign, or all)"
+                        "unknown suite `{v}` (expected core, fl, scale, or all)"
                     ));
                 }
             }
@@ -76,7 +76,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "perf [--quick] [--suite core|fl|scale|pop|campaign|all]... [--filter SUBSTR] \
+                    "perf [--quick] [--suite core|fl|scale|all]... [--filter SUBSTR] \
                      [--out-dir DIR] [--trace PATH] [--list]\n\
                      --trace PATH (or OASIS_TRACE=PATH) records a schema-v1 JSONL span \
                      trace of the run and prints a self-time table; bench medians are \

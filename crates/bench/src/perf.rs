@@ -1,58 +1,48 @@
-//! The `perf` macro-benchmark harness: a fixed, deterministic suite
-//! of hot-path measurements serialized as versioned `BENCH_<suite>.json`
-//! records that CI compares across commits.
+//! The `perf` micro-benchmark harness: kernels and machine-relative
+//! record pairs, serialized as versioned `BENCH_<suite>.json` records.
 //!
-//! This harness is the workspace's performance record: every bench
-//! has a stable name, a fixed workload shape, and a self-calibrated
-//! iteration count, and the output schema
-//! round-trips through serde so `tools/bench_compare` can diff any
-//! two runs. Thread count is pinned via `OASIS_THREADS` for
-//! cross-machine comparability (the JSON records what was used).
+//! End-to-end throughput — the paper's attack grid, defended
+//! campaigns — is measured by `e2ebench`, which fingerprints the host,
+//! attributes time per layer and checks reference outputs. `perf`
+//! keeps what a single process can time in isolation: every bench has
+//! a stable name, a fixed workload shape and a self-calibrated
+//! iteration count, and the output schema round-trips through serde.
 //!
-//! Five suites:
+//! Three suites:
 //!
-//! * `core` — tensor/nn kernels: matmul / matmul_nt / matmul_tn at
-//!   model-relevant shapes, Conv2d forward+backward. Also carries the
-//!   SIMD record pairs: the lane-sensitive hot paths (matmul, q8
-//!   codec, PSNR) re-run with the SIMD backend pinned to the best
-//!   detected one (`_simd`) and to the scalar reference (`_scalar`)
-//!   via [`simd::with_backend`], independent of `OASIS_SIMD`.
-//!   Lane speedup is derived from the `_scalar`/`_simd` medians by
-//!   [`simd_points`], and the CI gate ([`simd_gate`]) fails when the
-//!   vector backend is slower than scalar on the same machine.
-//! * `fl` — protocol macro paths: a full [`CohortRunner::run_round`]
-//!   over four resident clients (raw and q8 wire), codec
-//!   encode/decode, one RTF inversion step,
-//!   one `oasis:MR+dp:1,0.01` defense-stack application, one attacked
-//!   round under record-level DP, and one CAH calibration.
-//! * `scale` — multi-core scaling: the core/fl macro-benches re-run
-//!   at 1, 2, and 4 worker threads (pinned per bench via
-//!   [`parallel::with_threads`], independent of `OASIS_THREADS`), as
-//!   `<bench>_t<N>` records. Parallel efficiency is derived from the
-//!   `_t1`/`_tN` medians by [`scale_points`], and the CI gate
-//!   ([`scale_gate`]) fails when the multi-threaded run is slower
-//!   than the serial one on the same machine.
-//! * `pop` — population-scale rounds: one [`CohortRunner`] round
-//!   (cohort 64, raw wire) sampled from 1 k / 10 k / 100 k
-//!   descriptor clients, pinning rounds-per-second as the population
-//!   grows. The streaming aggregator keeps server memory at two
-//!   model buffers regardless of population (asserted by
-//!   `pop_suite_memory_stays_bounded`), so the records should differ
-//!   only by the O(population) selection shuffle.
-//! * `campaign` — the long-horizon path: one full 100-round
-//!   [`CampaignRunner`] campaign (three phases: plain, churn,
-//!   churn + Dirichlet drift) over 16 clients, pinning
-//!   rounds-per-second for the campaign engine's per-round
-//!   bookkeeping (phase tracking, churn stream, population
-//!   subsetting) on top of the cohort round itself.
+//! * `core` — tensor, nn and codec kernels at model-relevant shapes
+//!   (matmul / matmul_nt / matmul_tn, Conv2d forward and backward, the
+//!   q8 codec, PSNR). Every kernel in [`CORE_KERNELS`] is recorded
+//!   twice, with the SIMD backend pinned per bench via
+//!   [`simd::with_backend`]: `_simd` (best detected backend) and
+//!   `_scalar` (the reference kernels).
+//! * `fl` — protocol paths: a full [`CohortRunner::run_round`] over
+//!   four resident clients untraced and traced (`fl_round_raw` /
+//!   `fl_round_raw_telem`), the raw codec, one RTF inversion step, one
+//!   `oasis:MR+dp:1,0.01` defense-stack application, and one cohort-64
+//!   round sampled from 1 k and from 100 k descriptor clients
+//!   (`pop_round_1k` / `pop_round_100k`).
+//! * `scale` — the [`SCALE_BASES`] re-run at 1 and 4 worker threads
+//!   (pinned per bench via [`parallel::with_threads`], independent of
+//!   `OASIS_THREADS`), as `_t1` / `_t4` records.
+//!
+//! Two checks read the records, and neither compares hosts:
+//!
+//! * [`paired_gate`] times each variant record against its reference
+//!   sibling *within one run*, per the fixed [`PAIR_RULES`] table, so
+//!   it holds on any machine. This is the CI gate.
+//! * [`compare_suites`] diffs the absolute medians of two runs, and
+//!   refuses unless both ran on the same host ([`BenchSuite::cpu`],
+//!   [`BenchSuite::nproc`], [`BenchSuite::simd`]) with the same
+//!   settings. It is for before/after runs on one machine.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use oasis_attacks::{run_attack, ActiveAttack, CahAttack, RtfAttack, DEFAULT_ACTIVATION_TARGET};
-use oasis_campaign::{CampaignRunner, CampaignSetup, CampaignSpec};
-use oasis_data::cifar_like_with;
-use oasis_fl::{DefenseStack, DpStage, FlConfig, FlServer, ModelFactory, WireConfig};
+use oasis_attacks::{ActiveAttack, RtfAttack};
+use oasis_data::{cifar_like_with, Dataset};
+use oasis_fl::{DefenseStack, FlConfig, FlServer, ModelFactory, WireConfig};
 use oasis_metrics::psnr_data;
 use oasis_nn::{Conv2d, Layer, Linear, Mode, Relu, Sequential};
 use oasis_population::{CohortRunner, Population};
@@ -63,8 +53,8 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Version of the `BENCH_*.json` schema. Bump on breaking changes;
-/// `bench_compare` refuses to diff mismatched versions.
-pub const SCHEMA_VERSION: u32 = 1;
+/// files of any other version are refused on load.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// One benchmark's measured result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -89,15 +79,17 @@ pub struct BenchRecord {
 pub struct BenchSuite {
     /// Schema version ([`SCHEMA_VERSION`] at write time).
     pub schema_version: u32,
-    /// Suite name (`core` or `fl`).
+    /// Suite name, one of [`SUITE_NAMES`].
     pub suite: String,
+    /// CPU model of the host (the `model name` line of
+    /// `/proc/cpuinfo`, `unknown` where there is none).
+    pub cpu: String,
+    /// Hardware threads available on the host.
+    pub nproc: usize,
     /// Worker threads the run used (see `OASIS_THREADS`).
     pub threads: usize,
     /// SIMD backend label the run resolved (see `OASIS_SIMD`); `_simd`
-    /// / `_scalar` record pairs pin their own backend per bench, so
-    /// this only describes the unpinned records. Empty in baselines
-    /// captured before the field existed.
-    #[serde(default)]
+    /// / `_scalar` record pairs pin their own backend per bench.
     pub simd: String,
     /// Whether the run used the reduced `--quick` calibration budget.
     pub quick: bool,
@@ -110,6 +102,67 @@ impl BenchSuite {
     pub fn get(&self, name: &str) -> Option<&BenchRecord> {
         self.results.iter().find(|r| r.name == name)
     }
+
+    /// Parses and validates a `BENCH_<suite>.json` document.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the text is not JSON, its schema version
+    /// is not [`SCHEMA_VERSION`], a field is missing, or the records
+    /// cannot be compared at all: no result, a zero median, a minimum
+    /// above its median, or a name recorded twice (a duplicate would
+    /// shadow its twin in [`BenchSuite::get`]).
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let value: serde_json::Value = serde_json::from_str(text).map_err(|e| format!("{e:?}"))?;
+        match value.get("schema_version").and_then(|v| v.as_u64()) {
+            Some(v) if v == u64::from(SCHEMA_VERSION) => {}
+            Some(v) => {
+                return Err(format!(
+                    "schema v{v} is not supported (expected v{SCHEMA_VERSION}); re-run `perf`"
+                ))
+            }
+            None => return Err("no `schema_version` field".into()),
+        }
+        let suite: Self = serde_json::from_str(text).map_err(|e| format!("{e:?}"))?;
+        suite.validate()?;
+        Ok(suite)
+    }
+
+    /// Names the first record [`BenchSuite::from_json`] must reject.
+    fn validate(&self) -> Result<(), String> {
+        if self.results.is_empty() {
+            return Err(format!("suite `{}` has no results", self.suite));
+        }
+        let mut seen = HashSet::new();
+        for r in &self.results {
+            if r.median_ns == 0 {
+                return Err(format!("`{}` has a zero median", r.name));
+            }
+            if r.min_ns > r.median_ns {
+                return Err(format!(
+                    "`{}` has min_ns {} above median_ns {}",
+                    r.name, r.min_ns, r.median_ns
+                ));
+            }
+            if !seen.insert(r.name.as_str()) {
+                return Err(format!("`{}` is recorded twice", r.name));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The host's CPU model, read as `e2ebench` reads it.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
 }
 
 /// A benchmark ready to run: an optional throughput denomination
@@ -124,248 +177,134 @@ pub struct PreparedBench {
 /// A named benchmark definition: construction is deferred so listing
 /// a suite costs nothing.
 pub struct BenchDef {
-    /// Stable name (the comparison key across commits).
-    pub name: &'static str,
-    build: fn() -> PreparedBench,
+    /// Stable name (the comparison key across runs).
+    pub name: String,
+    build: Box<dyn Fn() -> PreparedBench>,
+}
+
+impl BenchDef {
+    fn new(name: impl Into<String>, build: impl Fn() -> PreparedBench + 'static) -> Self {
+        Self {
+            name: name.into(),
+            build: Box::new(build),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
 // Suite definitions
 // ---------------------------------------------------------------------
 
-/// The `core` suite: tensor and nn kernels at model-relevant shapes.
+/// A bench base: its name and the builder of its workload.
+type Base = (&'static str, fn() -> PreparedBench);
+
+/// Every `core` kernel; [`core_suite`] records each as a
+/// `_simd`/`_scalar` pair.
+pub const CORE_KERNELS: [Base; 11] = [
+    ("matmul_256", bench_matmul_256),
+    ("matmul_conv_fwd", bench_matmul_conv_fwd),
+    ("matmul_nt_conv_gw", bench_matmul_nt_conv_gw),
+    ("matmul_tn_conv_gx", bench_matmul_tn_conv_gx),
+    ("matmul_nt_linear", bench_matmul_nt_linear),
+    ("conv2d_forward_b8", || bench_conv_forward(8)),
+    ("conv2d_backward_b8", bench_conv_backward_b8),
+    ("conv2d_forward_b32", || bench_conv_forward(32)),
+    ("codec_q8_encode", || bench_codec_encode(Box::new(Q8Codec))),
+    ("codec_q8_decode", || bench_codec_decode(Box::new(Q8Codec))),
+    ("psnr", bench_psnr),
+];
+
+/// The benches [`scale_suite`] records at each of [`SCALE_WIDTHS`].
+pub const SCALE_BASES: [Base; 4] = [
+    ("fl_round_raw", bench_fl_round_raw),
+    ("conv2d_forward_b32", || bench_conv_forward(32)),
+    ("matmul_256", bench_matmul_256),
+    ("rtf_invert_128", bench_rtf_invert),
+];
+
+/// Worker-thread widths of the `scale` suite (`_t<N>` records).
+pub const SCALE_WIDTHS: [usize; 2] = [1, 4];
+
+/// The `core` suite: each of [`CORE_KERNELS`] as a `_simd` record
+/// (best detected backend) followed by a `_scalar` record.
 ///
 /// Order is fixed; names are stable comparison keys.
 pub fn core_suite() -> Vec<BenchDef> {
-    vec![
-        BenchDef {
-            name: "matmul_256",
-            build: bench_matmul_256,
-        },
-        BenchDef {
-            name: "matmul_conv_fwd",
-            build: bench_matmul_conv_fwd,
-        },
-        BenchDef {
-            name: "matmul_nt_conv_gw",
-            build: bench_matmul_nt_conv_gw,
-        },
-        BenchDef {
-            name: "matmul_tn_conv_gx",
-            build: bench_matmul_tn_conv_gx,
-        },
-        BenchDef {
-            name: "matmul_nt_linear",
-            build: bench_matmul_nt_linear,
-        },
-        BenchDef {
-            name: "conv2d_forward_b8",
-            build: bench_conv_forward_b8,
-        },
-        BenchDef {
-            name: "conv2d_backward_b8",
-            build: bench_conv_backward_b8,
-        },
-        BenchDef {
-            name: "conv2d_forward_b32",
-            build: bench_conv_forward_b32,
-        },
-        BenchDef {
-            name: "matmul_256_simd",
-            build: bench_matmul_256_simd,
-        },
-        BenchDef {
-            name: "matmul_256_scalar",
-            build: bench_matmul_256_scalar,
-        },
-        BenchDef {
-            name: "matmul_nt_linear_simd",
-            build: bench_matmul_nt_linear_simd,
-        },
-        BenchDef {
-            name: "matmul_nt_linear_scalar",
-            build: bench_matmul_nt_linear_scalar,
-        },
-        BenchDef {
-            name: "codec_q8_encode_simd",
-            build: bench_codec_q8_encode_simd,
-        },
-        BenchDef {
-            name: "codec_q8_encode_scalar",
-            build: bench_codec_q8_encode_scalar,
-        },
-        BenchDef {
-            name: "codec_q8_decode_simd",
-            build: bench_codec_q8_decode_simd,
-        },
-        BenchDef {
-            name: "codec_q8_decode_scalar",
-            build: bench_codec_q8_decode_scalar,
-        },
-        BenchDef {
-            name: "psnr_simd",
-            build: bench_psnr_simd,
-        },
-        BenchDef {
-            name: "psnr_scalar",
-            build: bench_psnr_scalar,
-        },
-    ]
+    let backends = [
+        ("simd", simd::Backend::detect()),
+        ("scalar", simd::Backend::Scalar),
+    ];
+    CORE_KERNELS
+        .iter()
+        .flat_map(|&(name, build)| {
+            backends.map(|(tag, backend)| {
+                BenchDef::new(format!("{name}_{tag}"), move || {
+                    pinned(build(), move |run| simd::with_backend(backend, run))
+                })
+            })
+        })
+        .collect()
 }
 
-/// The `fl` suite: protocol round, codecs, and one attack step.
+/// The `fl` suite: protocol round (untraced and traced), raw codec,
+/// one attack step, the defense stack, and population rounds.
 ///
 /// Order is fixed; names are stable comparison keys.
 pub fn fl_suite() -> Vec<BenchDef> {
     vec![
-        BenchDef {
-            name: "fl_round_raw",
-            build: bench_fl_round_raw,
-        },
-        BenchDef {
-            name: "fl_round_raw_telem",
-            build: bench_fl_round_raw_telem,
-        },
-        BenchDef {
-            name: "fl_round_q8",
-            build: bench_fl_round_q8,
-        },
-        BenchDef {
-            name: "codec_raw_encode",
-            build: bench_codec_raw_encode,
-        },
-        BenchDef {
-            name: "codec_raw_decode",
-            build: bench_codec_raw_decode,
-        },
-        BenchDef {
-            name: "codec_q8_encode",
-            build: bench_codec_q8_encode,
-        },
-        BenchDef {
-            name: "codec_q8_decode",
-            build: bench_codec_q8_decode,
-        },
-        BenchDef {
-            name: "rtf_invert_128",
-            build: bench_rtf_invert,
-        },
-        BenchDef {
-            name: "defense_stack",
-            build: bench_defense_stack,
-        },
-        BenchDef {
-            name: "attack_dp_per_sample",
-            build: bench_attack_dp_per_sample,
-        },
-        BenchDef {
-            name: "attack_calibrate_cah",
-            build: bench_attack_calibrate_cah,
-        },
+        BenchDef::new("fl_round_raw", bench_fl_round_raw),
+        BenchDef::new("fl_round_raw_telem", bench_fl_round_raw_telem),
+        BenchDef::new("codec_raw_encode", || {
+            bench_codec_encode(Box::new(RawCodec))
+        }),
+        BenchDef::new("codec_raw_decode", || {
+            bench_codec_decode(Box::new(RawCodec))
+        }),
+        BenchDef::new("rtf_invert_128", bench_rtf_invert),
+        BenchDef::new("defense_stack", bench_defense_stack),
+        BenchDef::new("pop_round_1k", || bench_pop_round(1_000)),
+        BenchDef::new("pop_round_100k", || bench_pop_round(100_000)),
     ]
 }
 
-/// The `scale` suite: core/fl macro-benches at 1/2/4 worker threads.
+/// The `scale` suite: each of [`SCALE_BASES`] at every width of
+/// [`SCALE_WIDTHS`].
 ///
 /// Order is fixed; names are stable comparison keys. Thread count is
 /// pinned per bench with [`parallel::with_threads`], so one run
 /// measures every width regardless of `OASIS_THREADS`.
 pub fn scale_suite() -> Vec<BenchDef> {
-    vec![
-        BenchDef {
-            name: "fl_round_raw_t1",
-            build: bench_fl_round_raw_t1,
-        },
-        BenchDef {
-            name: "fl_round_raw_t2",
-            build: bench_fl_round_raw_t2,
-        },
-        BenchDef {
-            name: "fl_round_raw_t4",
-            build: bench_fl_round_raw_t4,
-        },
-        BenchDef {
-            name: "conv2d_forward_b32_t1",
-            build: bench_conv_forward_b32_t1,
-        },
-        BenchDef {
-            name: "conv2d_forward_b32_t2",
-            build: bench_conv_forward_b32_t2,
-        },
-        BenchDef {
-            name: "conv2d_forward_b32_t4",
-            build: bench_conv_forward_b32_t4,
-        },
-        BenchDef {
-            name: "matmul_256_t1",
-            build: bench_matmul_256_t1,
-        },
-        BenchDef {
-            name: "matmul_256_t2",
-            build: bench_matmul_256_t2,
-        },
-        BenchDef {
-            name: "matmul_256_t4",
-            build: bench_matmul_256_t4,
-        },
-        BenchDef {
-            name: "rtf_invert_128_t1",
-            build: bench_rtf_invert_t1,
-        },
-        BenchDef {
-            name: "rtf_invert_128_t2",
-            build: bench_rtf_invert_t2,
-        },
-        BenchDef {
-            name: "rtf_invert_128_t4",
-            build: bench_rtf_invert_t4,
-        },
-    ]
+    SCALE_BASES
+        .iter()
+        .flat_map(|&(name, build)| {
+            SCALE_WIDTHS.map(|threads| {
+                BenchDef::new(format!("{name}_t{threads}"), move || {
+                    pinned(build(), move |run| parallel::with_threads(threads, run))
+                })
+            })
+        })
+        .collect()
 }
 
-/// The `pop` suite: one cohort-64 population round at growing
-/// population sizes.
-///
-/// Order is fixed; names are stable comparison keys.
-pub fn pop_suite() -> Vec<BenchDef> {
-    vec![
-        BenchDef {
-            name: "pop_round_1k",
-            build: bench_pop_round_1k,
-        },
-        BenchDef {
-            name: "pop_round_10k",
-            build: bench_pop_round_10k,
-        },
-        BenchDef {
-            name: "pop_round_100k",
-            build: bench_pop_round_100k,
-        },
-    ]
-}
-
-/// The `campaign` suite: the long-horizon campaign engine end to end.
-///
-/// Order is fixed; names are stable comparison keys.
-pub fn campaign_suite() -> Vec<BenchDef> {
-    vec![BenchDef {
-        name: "campaign_100r",
-        build: bench_campaign_100r,
-    }]
+/// Re-times `inner` with `pin` (a backend, a thread count, a
+/// telemetry state) wrapped around every iteration.
+fn pinned(inner: PreparedBench, pin: impl Fn(&mut dyn FnMut()) + 'static) -> PreparedBench {
+    let mut run = inner.run;
+    PreparedBench {
+        throughput: inner.throughput,
+        run: Box::new(move || pin(&mut run)),
+    }
 }
 
 /// All suite names, in run order.
-pub const SUITE_NAMES: [&str; 5] = ["core", "fl", "scale", "pop", "campaign"];
+pub const SUITE_NAMES: [&str; 3] = ["core", "fl", "scale"];
 
-/// The benches of the named suite (`core`, `fl`, `scale`, `pop`, or
-/// `campaign`).
+/// The benches of the named suite (one of [`SUITE_NAMES`]).
 pub fn suite(name: &str) -> Option<Vec<BenchDef>> {
     match name {
         "core" => Some(core_suite()),
         "fl" => Some(fl_suite()),
         "scale" => Some(scale_suite()),
-        "pop" => Some(pop_suite()),
-        "campaign" => Some(campaign_suite()),
         _ => None,
     }
 }
@@ -382,58 +321,86 @@ pub fn apply_filter(benches: Vec<BenchDef>, filter: &str) -> Vec<BenchDef> {
 // Runner
 // ---------------------------------------------------------------------
 
-/// Self-calibrates the iteration count and times `prepared`.
+/// Self-calibrates one iteration count and times every bench of
+/// `group` in alternating iterations.
 ///
-/// One warmup iteration estimates the per-iter cost; the measured
-/// loop then sizes itself to roughly the time budget (`--quick`
-/// shrinks the budget, never the workload shapes, so medians stay
-/// comparable across modes — just noisier).
-pub fn run_prepared(name: &str, mut prepared: PreparedBench, quick: bool) -> BenchRecord {
+/// One warmup iteration per bench estimates the cost of a round (one
+/// iteration of each); the measured loop then sizes itself to roughly
+/// the time budget per bench (`--quick` shrinks the budget, never the
+/// workload shapes, so medians stay comparable across modes — just
+/// noisier). Interleaving makes the group a paired measurement: a
+/// host that slows down mid-run slows every member alike, so the
+/// ratio of their medians tracks the code, not the moment.
+pub fn run_group(mut group: Vec<(String, PreparedBench)>, quick: bool) -> Vec<BenchRecord> {
     let budget_ns: u128 = if quick { 60_000_000 } else { 400_000_000 };
     let warmup = Instant::now();
-    (prepared.run)();
-    let est = warmup.elapsed().as_nanos().max(1);
-    let iters = (budget_ns / est).clamp(3, 1000) as u64;
-    let mut samples = Vec::with_capacity(iters as usize);
-    for _ in 0..iters {
-        let t = Instant::now();
+    for (_, prepared) in &mut group {
         (prepared.run)();
-        samples.push(t.elapsed().as_nanos() as u64);
     }
-    samples.sort_unstable();
-    let median_ns = samples[samples.len() / 2].max(1);
-    let min_ns = samples[0].max(1);
-    let (throughput, throughput_unit) = match prepared.throughput {
-        Some((items, unit)) => (Some(items * 1e9 / median_ns as f64), Some(unit.to_string())),
-        None => (None, None),
-    };
-    BenchRecord {
-        name: name.to_string(),
-        iters,
-        median_ns,
-        min_ns,
-        throughput,
-        throughput_unit,
+    let est = warmup.elapsed().as_nanos().max(1);
+    let iters = (budget_ns * group.len() as u128 / est).clamp(3, 1000) as u64;
+    let mut samples = vec![Vec::with_capacity(iters as usize); group.len()];
+    for _ in 0..iters {
+        for ((_, prepared), samples) in group.iter_mut().zip(&mut samples) {
+            let t = Instant::now();
+            (prepared.run)();
+            samples.push(t.elapsed().as_nanos() as u64);
+        }
     }
+    group
+        .into_iter()
+        .zip(samples)
+        .map(|((name, prepared), mut samples)| {
+            samples.sort_unstable();
+            let median_ns = samples[samples.len() / 2].max(1);
+            let (throughput, throughput_unit) = match prepared.throughput {
+                Some((items, unit)) => {
+                    (Some(items * 1e9 / median_ns as f64), Some(unit.to_string()))
+                }
+                None => (None, None),
+            };
+            BenchRecord {
+                name,
+                iters,
+                median_ns,
+                min_ns: samples[0].max(1),
+                throughput,
+                throughput_unit,
+            }
+        })
+        .collect()
 }
 
-/// Runs a suite (optionally filtered) and collects the records.
+/// Runs a suite (optionally filtered) and collects the records. Each
+/// variant of [`PAIR_RULES`] is timed in one group with its reference
+/// sibling ([`run_group`]); records come out group by group, in suite
+/// order of each group's first member.
 pub fn run_suite(name: &str, filter: Option<&str>, quick: bool) -> Option<BenchSuite> {
     let mut benches = suite(name)?;
     if let Some(f) = filter {
         benches = apply_filter(benches, f);
     }
-    let results = benches
-        .into_iter()
-        .map(|b| {
-            let rec = run_prepared(b.name, (b.build)(), quick);
+    let mut groups: Vec<(String, Vec<BenchDef>)> = Vec::new();
+    for b in benches {
+        let key = reference_of(&b.name).map_or_else(|| b.name.clone(), |(_, r)| r);
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, group)) => group.push(b),
+            None => groups.push((key, vec![b])),
+        }
+    }
+    let mut results = Vec::new();
+    for (_, group) in groups {
+        let prepared = group.into_iter().map(|b| (b.name, (b.build)())).collect();
+        for rec in run_group(prepared, quick) {
             eprintln!("  {}", format_record(&rec));
-            rec
-        })
-        .collect();
+            results.push(rec);
+        }
+    }
     Some(BenchSuite {
         schema_version: SCHEMA_VERSION,
         suite: name.to_string(),
+        cpu: cpu_model(),
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
         threads: parallel::num_threads(),
         simd: simd::resolved().label().to_string(),
         quick,
@@ -449,18 +416,151 @@ pub fn format_record(r: &BenchRecord) -> String {
         _ => String::new(),
     };
     format!(
-        "{:<22} median {:>12} ns  min {:>12} ns  ({} iters){tp}",
+        "{:<26} median {:>12} ns  min {:>12} ns  ({} iters){tp}",
         r.name, r.median_ns, r.min_ns, r.iters
     )
 }
 
 // ---------------------------------------------------------------------
-// Comparison (the CI regression gate)
+// The paired gate (machine-relative, one run)
 // ---------------------------------------------------------------------
 
-/// Default warn threshold: median slower by more than this percent.
+/// One row of the paired gate: a record named `<base><variant>` is
+/// timed against its sibling `<base><reference>` from the same run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairRule {
+    /// Name suffix of the variant record.
+    pub variant: &'static str,
+    /// Name suffix of the reference record (empty: the bare base).
+    pub reference: &'static str,
+    /// Lowest passing reference/variant median ratio.
+    pub floor: f64,
+    /// Worker threads the variant runs at; `None` is the run's own
+    /// pool width ([`BenchSuite::threads`]).
+    pub threads: Option<usize>,
+}
+
+/// The paired gate's fixed table. Ranges quoted are reference/variant
+/// over ten `--quick` runs on a 2-vCPU Xeon (AVX2).
+///
+/// * `_simd`/`_scalar` and `_t4`/`_t1` at 0.9: vector lanes and worker
+///   threads must never lose to the serial reference; 0.9 absorbs
+///   `--quick` median jitter (and both halves time the same code on a
+///   host without vector lanes). The `_simd` pairs range 1.12–4.73.
+/// * `_telem`/bare at 0.5: recording a trace costs about 15 % of a
+///   round; the pair ranges 0.95–1.06.
+/// * `_100k`/`_1k` at 0.5: a round's cost must not grow with the
+///   population (the selection shuffle is the only population term);
+///   the pair ranges 0.86–0.97.
+pub const PAIR_RULES: [PairRule; 4] = [
+    PairRule {
+        variant: "_simd",
+        reference: "_scalar",
+        floor: 0.9,
+        threads: None,
+    },
+    PairRule {
+        variant: "_t4",
+        reference: "_t1",
+        floor: 0.9,
+        threads: Some(4),
+    },
+    PairRule {
+        variant: "_telem",
+        reference: "",
+        floor: 0.5,
+        threads: None,
+    },
+    PairRule {
+        variant: "_100k",
+        reference: "_1k",
+        floor: 0.5,
+        threads: None,
+    },
+];
+
+/// The rule a record name is a variant of, with its reference
+/// sibling's name; `None` for records no rule pairs as a variant.
+fn reference_of(name: &str) -> Option<(&'static PairRule, String)> {
+    PAIR_RULES.iter().find_map(|rule| {
+        name.strip_suffix(rule.variant)
+            .map(|base| (rule, format!("{base}{}", rule.reference)))
+    })
+}
+
+/// One variant/reference pair measured in one run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairPoint {
+    /// Variant record name (e.g. `matmul_256_simd`).
+    pub variant: String,
+    /// Reference record name (e.g. `matmul_256_scalar`).
+    pub reference: String,
+    /// Variant median, ns.
+    pub variant_ns: u64,
+    /// Reference median, ns.
+    pub reference_ns: u64,
+    /// The rule's floor on [`PairPoint::ratio`].
+    pub floor: f64,
+    /// False when the variant runs wider than the host's core count:
+    /// the pair is then informational, since extra threads can only
+    /// timeslice.
+    pub gated: bool,
+}
+
+impl PairPoint {
+    /// Reference time over variant time — > 1 means the variant is
+    /// faster.
+    pub fn ratio(&self) -> f64 {
+        self.reference_ns as f64 / self.variant_ns as f64
+    }
+
+    /// Whether this pair fails the gate.
+    pub fn failed(&self) -> bool {
+        self.gated && self.ratio() < self.floor
+    }
+}
+
+/// Pairs every variant record of one run with its reference sibling
+/// per [`PAIR_RULES`], in record order.
+///
+/// # Errors
+///
+/// Returns a message when a variant has no reference sibling, or when
+/// the run holds no pair at all — the gate would be vacuous.
+pub fn paired_gate(suite: &BenchSuite) -> Result<Vec<PairPoint>, String> {
+    let mut points = Vec::new();
+    for rec in &suite.results {
+        let Some((rule, reference)) = reference_of(&rec.name) else {
+            continue;
+        };
+        let base = suite
+            .get(&reference)
+            .ok_or_else(|| format!("`{}` has no `{reference}` record to pair with", rec.name))?;
+        points.push(PairPoint {
+            variant: rec.name.clone(),
+            reference,
+            variant_ns: rec.median_ns,
+            reference_ns: base.median_ns,
+            floor: rule.floor,
+            gated: rule.threads.unwrap_or(suite.threads) <= suite.nproc,
+        });
+    }
+    if points.is_empty() {
+        return Err(format!(
+            "suite `{}` has no paired records to gate on",
+            suite.suite
+        ));
+    }
+    Ok(points)
+}
+
+// ---------------------------------------------------------------------
+// Absolute comparison (same host only)
+// ---------------------------------------------------------------------
+
+/// Warn threshold: median slower by more than this percent.
 pub const WARN_PCT: f64 = 10.0;
-/// Default fail threshold: median slower by more than this percent.
+/// Fail threshold: median slower by more than this percent.
 pub const FAIL_PCT: f64 = 35.0;
 
 /// How one bench moved between baseline and current.
@@ -468,9 +568,9 @@ pub const FAIL_PCT: f64 = 35.0;
 pub enum DeltaClass {
     /// Within thresholds (or faster).
     Ok,
-    /// Slower than the warn threshold.
+    /// Slower than [`WARN_PCT`].
     Warn,
-    /// Slower than the fail threshold.
+    /// Slower than [`FAIL_PCT`].
     Fail,
     /// Present in the baseline but missing from the current run —
     /// coverage silently shrank, treated as failure.
@@ -505,59 +605,67 @@ pub struct CompareReport {
     pub failed: bool,
 }
 
-/// Diffs `current` against `baseline` with the given thresholds.
+/// Diffs `current` against `baseline` at [`WARN_PCT`] / [`FAIL_PCT`].
 ///
 /// # Errors
 ///
-/// Returns a message when the schema versions or suite names
-/// disagree — those runs are not comparable.
+/// Returns a message when the runs are not comparable: a different
+/// schema, suite, host (CPU model, core count, SIMD backend), worker
+/// threads or calibration budget. Medians from another host track the
+/// host, not the code, so such a diff is refused rather than failed.
 pub fn compare_suites(
     baseline: &BenchSuite,
     current: &BenchSuite,
-    warn_pct: f64,
-    fail_pct: f64,
 ) -> Result<CompareReport, String> {
-    if baseline.schema_version != current.schema_version {
-        return Err(format!(
-            "schema version mismatch: baseline v{} vs current v{}",
-            baseline.schema_version, current.schema_version
-        ));
-    }
-    if baseline.suite != current.suite {
-        return Err(format!(
-            "suite mismatch: baseline `{}` vs current `{}`",
-            baseline.suite, current.suite
-        ));
+    let conditions = |s: &BenchSuite| {
+        [
+            ("schema", s.schema_version.to_string()),
+            ("suite", s.suite.clone()),
+            ("host cpu", s.cpu.clone()),
+            ("host nproc", s.nproc.to_string()),
+            ("host simd", s.simd.clone()),
+            ("threads", s.threads.to_string()),
+            ("quick", s.quick.to_string()),
+        ]
+    };
+    for ((what, base), (_, cur)) in conditions(baseline).into_iter().zip(conditions(current)) {
+        if base != cur {
+            return Err(format!(
+                "{what} mismatch: baseline `{base}` vs current `{cur}` — \
+                 absolute medians compare on the same host and settings only"
+            ));
+        }
     }
     let mut deltas = Vec::new();
     for base in &baseline.results {
-        match current.get(&base.name) {
+        let delta = match current.get(&base.name) {
             Some(cur) => {
                 let pct =
                     (cur.median_ns as f64 - base.median_ns as f64) / base.median_ns as f64 * 100.0;
-                let class = if pct > fail_pct {
+                let class = if pct > FAIL_PCT {
                     DeltaClass::Fail
-                } else if pct > warn_pct {
+                } else if pct > WARN_PCT {
                     DeltaClass::Warn
                 } else {
                     DeltaClass::Ok
                 };
-                deltas.push(Delta {
+                Delta {
                     name: base.name.clone(),
                     base_ns: base.median_ns,
                     cur_ns: cur.median_ns,
                     pct,
                     class,
-                });
+                }
             }
-            None => deltas.push(Delta {
+            None => Delta {
                 name: base.name.clone(),
                 base_ns: base.median_ns,
                 cur_ns: 0,
                 pct: 0.0,
                 class: DeltaClass::Missing,
-            }),
-        }
+            },
+        };
+        deltas.push(delta);
     }
     for cur in &current.results {
         if baseline.get(&cur.name).is_none() {
@@ -682,78 +790,6 @@ fn bench_conv_forward(batch: usize) -> PreparedBench {
     }
 }
 
-/// Re-times `inner` with [`simd::with_backend`] pinning `backend`
-/// around every iteration (the worker pool inherits the pin), so one
-/// run measures both backends regardless of `OASIS_SIMD`.
-fn simd_pinned(backend: simd::Backend, inner: PreparedBench) -> PreparedBench {
-    let mut run = inner.run;
-    PreparedBench {
-        throughput: inner.throughput,
-        run: Box::new(move || simd::with_backend(backend, &mut run)),
-    }
-}
-
-fn bench_matmul_256_simd() -> PreparedBench {
-    simd_pinned(simd::Backend::detect(), bench_matmul_256())
-}
-
-fn bench_matmul_256_scalar() -> PreparedBench {
-    simd_pinned(simd::Backend::Scalar, bench_matmul_256())
-}
-
-fn bench_matmul_nt_linear_simd() -> PreparedBench {
-    simd_pinned(simd::Backend::detect(), bench_matmul_nt_linear())
-}
-
-fn bench_matmul_nt_linear_scalar() -> PreparedBench {
-    simd_pinned(simd::Backend::Scalar, bench_matmul_nt_linear())
-}
-
-fn bench_codec_q8_encode_simd() -> PreparedBench {
-    simd_pinned(simd::Backend::detect(), bench_codec_q8_encode())
-}
-
-fn bench_codec_q8_encode_scalar() -> PreparedBench {
-    simd_pinned(simd::Backend::Scalar, bench_codec_q8_encode())
-}
-
-fn bench_codec_q8_decode_simd() -> PreparedBench {
-    simd_pinned(simd::Backend::detect(), bench_codec_q8_decode())
-}
-
-fn bench_codec_q8_decode_scalar() -> PreparedBench {
-    simd_pinned(simd::Backend::Scalar, bench_codec_q8_decode())
-}
-
-/// PSNR over a ~1 MB signal pair — the metrics hot path every trial's
-/// reconstruction matching runs per candidate image.
-fn bench_psnr() -> PreparedBench {
-    let a = codec_update();
-    let b = seeded_tensor(&[262_144], 23).data().to_vec();
-    PreparedBench {
-        throughput: Some((a.len() as f64, "elem/s")),
-        run: Box::new(move || {
-            std::hint::black_box(psnr_data(&a, &b));
-        }),
-    }
-}
-
-fn bench_psnr_simd() -> PreparedBench {
-    simd_pinned(simd::Backend::detect(), bench_psnr())
-}
-
-fn bench_psnr_scalar() -> PreparedBench {
-    simd_pinned(simd::Backend::Scalar, bench_psnr())
-}
-
-fn bench_conv_forward_b8() -> PreparedBench {
-    bench_conv_forward(8)
-}
-
-fn bench_conv_forward_b32() -> PreparedBench {
-    bench_conv_forward(32)
-}
-
 fn bench_conv_backward_b8() -> PreparedBench {
     let batch = 8;
     let mut conv = conv_layer();
@@ -766,78 +802,6 @@ fn bench_conv_backward_b8() -> PreparedBench {
             std::hint::black_box(conv.backward(&grad).expect("bench conv bwd"));
         }),
     }
-}
-
-// ---------------------------------------------------------------------
-// fl benches
-// ---------------------------------------------------------------------
-
-fn fl_fixture() -> (ModelFactory, Vec<oasis_fl::FlClient>) {
-    let data = cifar_like_with(10, 8, 16, 0);
-    let d = data.feature_dim();
-    let factory: ModelFactory = Arc::new(move || {
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut m = Sequential::new();
-        m.push(Linear::new(d, 64, &mut rng));
-        m.push(Relu::new());
-        m.push(Linear::new(64, 10, &mut rng));
-        m
-    });
-    let clients = oasis_fl::partition_iid(
-        &data,
-        4,
-        Arc::new(DefenseStack::identity()),
-        &mut StdRng::seed_from_u64(13),
-    );
-    (factory, clients)
-}
-
-fn bench_fl_round(codec: CodecSpec) -> PreparedBench {
-    let (factory, clients) = fl_fixture();
-    PreparedBench {
-        throughput: Some((clients.len() as f64, "client/s")),
-        run: Box::new(move || {
-            // Fresh server + pinned rng per iteration: every round is
-            // bit-identical work. A persistent server would train the
-            // model across iterations, and round cost drifts with
-            // activation sparsity (the matmul kernels skip zeros).
-            let mut server =
-                FlServer::new(Arc::clone(&factory), FlConfig::default()).expect("bench server");
-            server.set_wire(WireConfig::new(codec, NetSpec::Ideal));
-            let mut runner = CohortRunner::new(server, &clients);
-            let mut rng = StdRng::seed_from_u64(14);
-            std::hint::black_box(runner.run_round(&mut rng).expect("bench round"));
-        }),
-    }
-}
-
-fn bench_fl_round_raw() -> PreparedBench {
-    bench_fl_round(CodecSpec::Raw)
-}
-
-/// `fl_round_raw` with telemetry recording forced on for the
-/// iteration — the other half of the observability record pair.
-/// Comparing its median against `fl_round_raw` (telemetry compiled
-/// in but disabled, the default) bounds the cost of tracing a round;
-/// the disabled path itself is a single relaxed atomic load per
-/// instrumentation point.
-fn bench_fl_round_raw_telem() -> PreparedBench {
-    let mut base = bench_fl_round(CodecSpec::Raw);
-    PreparedBench {
-        throughput: base.throughput,
-        run: Box::new(move || {
-            let was = oasis_telemetry::set_enabled(true);
-            (base.run)();
-            oasis_telemetry::set_enabled(was);
-            // Drop the spans so long bench runs don't accumulate
-            // unbounded records (and later benches start clean).
-            oasis_telemetry::reset();
-        }),
-    }
-}
-
-fn bench_fl_round_q8() -> PreparedBench {
-    bench_fl_round(CodecSpec::Q8)
 }
 
 /// A ~1 MB update vector (262 144 parameters).
@@ -877,20 +841,78 @@ fn bench_codec_decode(codec: Box<dyn UpdateCodec>) -> PreparedBench {
     }
 }
 
-fn bench_codec_raw_encode() -> PreparedBench {
-    bench_codec_encode(Box::new(RawCodec))
+/// PSNR over a ~1 MB signal pair — the metrics hot path every trial's
+/// reconstruction matching runs per candidate image.
+fn bench_psnr() -> PreparedBench {
+    let a = codec_update();
+    let b = seeded_tensor(&[262_144], 23).data().to_vec();
+    PreparedBench {
+        throughput: Some((a.len() as f64, "elem/s")),
+        run: Box::new(move || {
+            std::hint::black_box(psnr_data(&a, &b));
+        }),
+    }
 }
 
-fn bench_codec_raw_decode() -> PreparedBench {
-    bench_codec_decode(Box::new(RawCodec))
+// ---------------------------------------------------------------------
+// fl benches
+// ---------------------------------------------------------------------
+
+/// The protocol fixture's 80-image 16×16 pool and its two-layer MLP.
+fn fl_data_and_factory() -> (Dataset, ModelFactory) {
+    let data = cifar_like_with(10, 8, 16, 0);
+    let d = data.feature_dim();
+    let factory: ModelFactory = Arc::new(move || {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut m = Sequential::new();
+        m.push(Linear::new(d, 64, &mut rng));
+        m.push(Relu::new());
+        m.push(Linear::new(64, 10, &mut rng));
+        m
+    });
+    (data, factory)
 }
 
-fn bench_codec_q8_encode() -> PreparedBench {
-    bench_codec_encode(Box::new(Q8Codec))
+/// One round over four resident clients on the raw wire.
+fn bench_fl_round_raw() -> PreparedBench {
+    let (data, factory) = fl_data_and_factory();
+    let clients = oasis_fl::partition_iid(
+        &data,
+        4,
+        Arc::new(DefenseStack::identity()),
+        &mut StdRng::seed_from_u64(13),
+    );
+    PreparedBench {
+        throughput: Some((clients.len() as f64, "client/s")),
+        run: Box::new(move || {
+            // Fresh server + pinned rng per iteration: every round is
+            // bit-identical work. A persistent server would train the
+            // model across iterations, and round cost drifts with
+            // activation sparsity (the matmul kernels skip zeros).
+            let mut server =
+                FlServer::new(Arc::clone(&factory), FlConfig::default()).expect("bench server");
+            server.set_wire(WireConfig::new(CodecSpec::Raw, NetSpec::Ideal));
+            let mut runner = CohortRunner::new(server, &clients);
+            let mut rng = StdRng::seed_from_u64(14);
+            std::hint::black_box(runner.run_round(&mut rng).expect("bench round"));
+        }),
+    }
 }
 
-fn bench_codec_q8_decode() -> PreparedBench {
-    bench_codec_decode(Box::new(Q8Codec))
+/// `fl_round_raw` with telemetry recording forced on for the
+/// iteration — the variant of the observability record pair. Its
+/// reference, `fl_round_raw`, runs with telemetry compiled in but
+/// disabled (the default), where each instrumentation point costs a
+/// single relaxed atomic load.
+fn bench_fl_round_raw_telem() -> PreparedBench {
+    pinned(bench_fl_round_raw(), |run| {
+        let was = oasis_telemetry::set_enabled(true);
+        run();
+        oasis_telemetry::set_enabled(was);
+        // Drop the spans so long bench runs don't accumulate
+        // unbounded records (and later benches start clean).
+        oasis_telemetry::reset();
+    })
 }
 
 /// One `oasis:MR+dp:1,0.01` defense-stack application: the OASIS
@@ -945,127 +967,13 @@ fn bench_rtf_invert() -> PreparedBench {
     }
 }
 
-/// One attacked round under record-level DP (`dp:1,0.01`): RTF with
-/// 128 neurons against a B = 32 batch of 16×16×3 images — the
-/// per-sample clip-and-sum, the Gaussian noise, then inversion and
-/// scoring.
-fn bench_attack_dp_per_sample() -> PreparedBench {
-    let calibration = oasis_data::Batch::from_items(cifar_like_with(8, 8, 16, 23).items().to_vec());
-    let attack = RtfAttack::calibrated(128, &calibration.images).expect("bench rtf");
-    let batch = oasis_data::Batch::from_items(cifar_like_with(8, 4, 16, 24).items().to_vec());
-    let stack = DefenseStack::of(DpStage::new(1.0, 0.01));
-    PreparedBench {
-        throughput: Some((batch.len() as f64, "sample/s")),
-        run: Box::new(move || {
-            std::hint::black_box(run_attack(&attack, &batch, &stack, 8, 25).expect("dp attack"));
-        }),
-    }
-}
-
-/// The dishonest server's CAH setup at the evaluation's default size:
-/// draw 400 trap rows for 32×32×3 inputs, then fit every row's bias at
-/// its response quantile over 384 calibration images (153 600
-/// responses of length 3072).
-fn bench_attack_calibrate_cah() -> PreparedBench {
-    let (neurons, images) = (400, 384);
-    let calibration: Vec<_> = cifar_like_with(96, 4, 32, 26)
-        .items()
-        .iter()
-        .map(|it| it.image.clone())
-        .collect();
-    PreparedBench {
-        throughput: Some(((neurons * images) as f64, "resp/s")),
-        run: Box::new(move || {
-            std::hint::black_box(
-                CahAttack::calibrated(neurons, DEFAULT_ACTIVATION_TARGET, &calibration, 27)
-                    .expect("bench cah"),
-            );
-        }),
-    }
-}
-
-// ---------------------------------------------------------------------
-// scale benches (+ the parallel-efficiency gate)
-// ---------------------------------------------------------------------
-
-/// Re-times `inner` with [`parallel::with_threads`] pinned to
-/// `threads` around every iteration.
-fn scaled(threads: usize, inner: PreparedBench) -> PreparedBench {
-    let mut run = inner.run;
-    PreparedBench {
-        throughput: inner.throughput,
-        run: Box::new(move || parallel::with_threads(threads, &mut run)),
-    }
-}
-
-fn bench_fl_round_raw_t1() -> PreparedBench {
-    scaled(1, bench_fl_round_raw())
-}
-
-fn bench_fl_round_raw_t2() -> PreparedBench {
-    scaled(2, bench_fl_round_raw())
-}
-
-fn bench_fl_round_raw_t4() -> PreparedBench {
-    scaled(4, bench_fl_round_raw())
-}
-
-fn bench_conv_forward_b32_t1() -> PreparedBench {
-    scaled(1, bench_conv_forward_b32())
-}
-
-fn bench_conv_forward_b32_t2() -> PreparedBench {
-    scaled(2, bench_conv_forward_b32())
-}
-
-fn bench_conv_forward_b32_t4() -> PreparedBench {
-    scaled(4, bench_conv_forward_b32())
-}
-
-fn bench_matmul_256_t1() -> PreparedBench {
-    scaled(1, bench_matmul_256())
-}
-
-fn bench_matmul_256_t2() -> PreparedBench {
-    scaled(2, bench_matmul_256())
-}
-
-fn bench_matmul_256_t4() -> PreparedBench {
-    scaled(4, bench_matmul_256())
-}
-
-fn bench_rtf_invert_t1() -> PreparedBench {
-    scaled(1, bench_rtf_invert())
-}
-
-fn bench_rtf_invert_t2() -> PreparedBench {
-    scaled(2, bench_rtf_invert())
-}
-
-fn bench_rtf_invert_t4() -> PreparedBench {
-    scaled(4, bench_rtf_invert())
-}
-
-// ---------------------------------------------------------------------
-// pop benches
-// ---------------------------------------------------------------------
-
 /// The population-round fixture: the fl fixture's pool and model,
 /// but `population` descriptor clients instead of four resident
 /// ones. Past the pool size every client holds one sample
 /// (round-robin), so per-client compute stays constant while the
 /// population axis grows.
 fn pop_fixture(population: usize) -> (ModelFactory, Population) {
-    let data = cifar_like_with(10, 8, 16, 0);
-    let d = data.feature_dim();
-    let factory: ModelFactory = Arc::new(move || {
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut m = Sequential::new();
-        m.push(Linear::new(d, 64, &mut rng));
-        m.push(Relu::new());
-        m.push(Linear::new(64, 10, &mut rng));
-        m
-    });
+    let (data, factory) = fl_data_and_factory();
     let pop = Population::iid(
         &data,
         population,
@@ -1078,7 +986,7 @@ fn pop_fixture(population: usize) -> (ModelFactory, Population) {
 /// One cohort-64 round sampled from `population` clients. The
 /// population (descriptors + shared pool) is built once and shared
 /// across iterations; the server and runner are fresh per iteration
-/// so every round is bit-identical work (see [`bench_fl_round`]).
+/// so every round is bit-identical work (see [`bench_fl_round_raw`]).
 fn bench_pop_round(population: usize) -> PreparedBench {
     let (factory, pop) = pop_fixture(population);
     PreparedBench {
@@ -1099,293 +1007,91 @@ fn bench_pop_round(population: usize) -> PreparedBench {
     }
 }
 
-fn bench_pop_round_1k() -> PreparedBench {
-    bench_pop_round(1_000)
-}
-
-fn bench_pop_round_10k() -> PreparedBench {
-    bench_pop_round(10_000)
-}
-
-fn bench_pop_round_100k() -> PreparedBench {
-    bench_pop_round(100_000)
-}
-
-/// One full 100-round campaign: 40 plain rounds, 30 with 20%/30%
-/// churn, 30 with churn plus an α=0.5 Dirichlet re-partition — no
-/// adversary probes, so the record isolates the engine's per-round
-/// bookkeeping over the cohort round. The dataset is built once and
-/// shared; each iteration runs a fresh campaign, so every iteration
-/// is bit-identical work.
-fn bench_campaign_100r() -> PreparedBench {
-    let data = cifar_like_with(3, 8, 8, 3);
-    let d = data.feature_dim();
-    PreparedBench {
-        throughput: Some((100.0, "round/s")),
-        run: Box::new(move || {
-            let spec: CampaignSpec =
-                "campaign:40;30+leave=0.2+join=0.3;30+leave=0.1+join=0.3+alpha=0.5"
-                    .parse()
-                    .expect("campaign bench spec parses");
-            let mut setup = CampaignSetup::new(
-                data.clone(),
-                16,
-                oasis_campaign::linear_relu_factory(d, 12, 3, 12),
-            );
-            setup.seed = 14;
-            setup.partition_seed = 13;
-            setup.eval_every = 0;
-            let mut campaign =
-                CampaignRunner::new(spec, setup).expect("campaign bench setup builds");
-            campaign.run().expect("campaign bench run");
-            std::hint::black_box(campaign.records().len());
-        }),
-    }
-}
-
-/// One bench's scaling datapoint, derived from a scale suite's
-/// `<base>_t1` / `<base>_t<N>` medians.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalePoint {
-    /// Bench base name (e.g. `fl_round_raw`).
-    pub base: String,
-    /// Worker threads of the multi-threaded record.
-    pub threads: usize,
-    /// Serial (`_t1`) median, ns.
-    pub t1_ns: u64,
-    /// Multi-threaded (`_t<threads>`) median, ns.
-    pub tn_ns: u64,
-}
-
-impl ScalePoint {
-    /// Serial time over parallel time — > 1 means threads helped.
-    pub fn speedup(&self) -> f64 {
-        self.t1_ns as f64 / self.tn_ns.max(1) as f64
-    }
-
-    /// Speedup normalized by thread count (1.0 = perfect scaling).
-    pub fn efficiency(&self) -> f64 {
-        self.speedup() / self.threads as f64
-    }
-}
-
-/// Extracts every `_t1`/`_tN` pair from a scale-suite run, in record
-/// order. Records without a `_t1` sibling are skipped.
-pub fn scale_points(suite: &BenchSuite) -> Vec<ScalePoint> {
-    let mut points = Vec::new();
-    for rec in &suite.results {
-        let Some((base, tn)) = rec.name.rsplit_once("_t") else {
-            continue;
-        };
-        let Ok(threads) = tn.parse::<usize>() else {
-            continue;
-        };
-        if threads <= 1 {
-            continue;
-        }
-        let Some(t1) = suite.get(&format!("{base}_t1")) else {
-            continue;
-        };
-        points.push(ScalePoint {
-            base: base.to_string(),
-            threads,
-            t1_ns: t1.median_ns,
-            tn_ns: rec.median_ns,
-        });
-    }
-    points
-}
-
-/// Outcome of the parallel-efficiency gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaleReport {
-    /// Every `_t1`/`_tN` pair found, in record order.
-    pub points: Vec<ScalePoint>,
-    /// True when any pair at `at_threads` fell below `min_speedup`.
-    pub failed: bool,
-}
-
-/// Gates a scale-suite run on parallel efficiency: every bench's
-/// `_t<at_threads>` median must be at least `min_speedup` times
-/// faster than its `_t1` median. `min_speedup = 1.0` asserts the old
-/// failure mode is gone — multi-threaded must never be *slower* than
-/// serial on the same machine.
-///
-/// # Errors
-///
-/// Returns a message when the suite contains no pair at `at_threads`
-/// — the gate would be vacuous.
-pub fn scale_gate(
-    suite: &BenchSuite,
-    at_threads: usize,
-    min_speedup: f64,
-) -> Result<ScaleReport, String> {
-    let points = scale_points(suite);
-    if !points.iter().any(|p| p.threads == at_threads) {
-        return Err(format!(
-            "suite `{}` has no _t1/_t{at_threads} pairs to gate on",
-            suite.suite
-        ));
-    }
-    let failed = points
-        .iter()
-        .any(|p| p.threads == at_threads && p.speedup() < min_speedup);
-    Ok(ScaleReport { points, failed })
-}
-
-/// One bench's lane-scaling datapoint, derived from a core suite's
-/// `<base>_scalar` / `<base>_simd` medians.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimdPoint {
-    /// Bench base name (e.g. `matmul_nt_linear`).
-    pub base: String,
-    /// Scalar-reference (`_scalar`) median, ns.
-    pub scalar_ns: u64,
-    /// Best-backend (`_simd`) median, ns.
-    pub simd_ns: u64,
-}
-
-impl SimdPoint {
-    /// Scalar time over vector time — > 1 means lanes helped.
-    pub fn speedup(&self) -> f64 {
-        self.scalar_ns as f64 / self.simd_ns.max(1) as f64
-    }
-}
-
-/// Extracts every `_scalar`/`_simd` pair from a suite run, in record
-/// order of the `_simd` records. Records without a `_scalar` sibling
-/// are skipped.
-pub fn simd_points(suite: &BenchSuite) -> Vec<SimdPoint> {
-    let mut points = Vec::new();
-    for rec in &suite.results {
-        let Some(base) = rec.name.strip_suffix("_simd") else {
-            continue;
-        };
-        let Some(scalar) = suite.get(&format!("{base}_scalar")) else {
-            continue;
-        };
-        points.push(SimdPoint {
-            base: base.to_string(),
-            scalar_ns: scalar.median_ns,
-            simd_ns: rec.median_ns,
-        });
-    }
-    points
-}
-
-/// Outcome of the lane-efficiency gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimdReport {
-    /// Every `_scalar`/`_simd` pair found, in record order.
-    pub points: Vec<SimdPoint>,
-    /// True when any pair fell below `min_speedup`.
-    pub failed: bool,
-}
-
-/// Gates a suite run on lane efficiency: every bench's `_simd` median
-/// must be at least `min_speedup` times faster than its `_scalar`
-/// median *within the same run*, so the gate is machine-relative.
-/// On hardware where the best detected backend is scalar itself the
-/// pairs time identical code and the gate degenerates to a noise
-/// check — which is why the margin should sit below 1.0.
-///
-/// # Errors
-///
-/// Returns a message when the suite contains no `_scalar`/`_simd`
-/// pairs — the gate would be vacuous.
-pub fn simd_gate(suite: &BenchSuite, min_speedup: f64) -> Result<SimdReport, String> {
-    let points = simd_points(suite);
-    if points.is_empty() {
-        return Err(format!(
-            "suite `{}` has no _scalar/_simd pairs to gate on",
-            suite.suite
-        ));
-    }
-    let failed = points.iter().any(|p| p.speedup() < min_speedup);
-    Ok(SimdReport { points, failed })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn names(suite: Vec<BenchDef>) -> Vec<&'static str> {
+    fn names(suite: Vec<BenchDef>) -> Vec<String> {
         suite.into_iter().map(|b| b.name).collect()
     }
 
     #[test]
     fn suite_listing_is_deterministic_and_stable() {
         let core = names(core_suite());
+        assert_eq!(core.len(), 2 * CORE_KERNELS.len());
         assert_eq!(
-            core,
-            vec![
-                "matmul_256",
-                "matmul_conv_fwd",
-                "matmul_nt_conv_gw",
-                "matmul_tn_conv_gx",
-                "matmul_nt_linear",
-                "conv2d_forward_b8",
-                "conv2d_backward_b8",
-                "conv2d_forward_b32",
+            core[..6],
+            [
                 "matmul_256_simd",
                 "matmul_256_scalar",
-                "matmul_nt_linear_simd",
-                "matmul_nt_linear_scalar",
-                "codec_q8_encode_simd",
-                "codec_q8_encode_scalar",
-                "codec_q8_decode_simd",
-                "codec_q8_decode_scalar",
-                "psnr_simd",
-                "psnr_scalar",
+                "matmul_conv_fwd_simd",
+                "matmul_conv_fwd_scalar",
+                "matmul_nt_conv_gw_simd",
+                "matmul_nt_conv_gw_scalar",
             ]
+        );
+        assert_eq!(
+            core[core.len() - 2..],
+            ["psnr_simd", "psnr_scalar"],
+            "kernels keep their table order"
         );
         assert_eq!(core, names(core_suite()), "listing must be reproducible");
-        let fl = names(fl_suite());
         assert_eq!(
-            fl,
-            vec![
+            names(fl_suite()),
+            [
                 "fl_round_raw",
                 "fl_round_raw_telem",
-                "fl_round_q8",
                 "codec_raw_encode",
                 "codec_raw_decode",
-                "codec_q8_encode",
-                "codec_q8_decode",
                 "rtf_invert_128",
                 "defense_stack",
-                "attack_dp_per_sample",
-                "attack_calibrate_cah",
+                "pop_round_1k",
+                "pop_round_100k",
             ]
         );
-        let scale = names(scale_suite());
         assert_eq!(
-            scale,
-            vec![
+            names(scale_suite()),
+            [
                 "fl_round_raw_t1",
-                "fl_round_raw_t2",
                 "fl_round_raw_t4",
                 "conv2d_forward_b32_t1",
-                "conv2d_forward_b32_t2",
                 "conv2d_forward_b32_t4",
                 "matmul_256_t1",
-                "matmul_256_t2",
                 "matmul_256_t4",
                 "rtf_invert_128_t1",
-                "rtf_invert_128_t2",
                 "rtf_invert_128_t4",
             ]
         );
-        let pop = names(pop_suite());
-        assert_eq!(pop, vec!["pop_round_1k", "pop_round_10k", "pop_round_100k"]);
-        let campaign = names(campaign_suite());
-        assert_eq!(campaign, vec!["campaign_100r"]);
-        assert!(suite("core").is_some());
-        assert!(suite("fl").is_some());
-        assert!(suite("scale").is_some());
-        assert!(suite("pop").is_some());
-        assert!(suite("campaign").is_some());
+        for name in SUITE_NAMES {
+            assert!(suite(name).is_some(), "{name}");
+        }
         assert!(suite("nope").is_none());
-        assert_eq!(SUITE_NAMES.len(), 5);
+        assert_eq!(SUITE_NAMES.len(), 3);
+    }
+
+    #[test]
+    fn no_rename_can_ungate_a_pair() {
+        // Listing only, no timing: every rule of the table must pair
+        // something, and every variant must have its reference in the
+        // same suite — otherwise a rename silently drops a gate.
+        let mut matched = [false; PAIR_RULES.len()];
+        for suite_name in SUITE_NAMES {
+            let listed = names(suite(suite_name).expect("listed suite"));
+            for name in &listed {
+                let Some((rule, reference)) = reference_of(name) else {
+                    continue;
+                };
+                assert!(
+                    listed.contains(&reference),
+                    "`{suite_name}::{name}` lacks its `{reference}` sibling"
+                );
+                let i = PAIR_RULES.iter().position(|r| r == rule).expect("rule");
+                matched[i] = true;
+            }
+        }
+        for (rule, hit) in PAIR_RULES.iter().zip(matched) {
+            assert!(hit, "rule `{}` pairs no record", rule.variant);
+        }
     }
 
     #[test]
@@ -1393,8 +1099,9 @@ mod tests {
         // The bench fixture's promise: on the raw zero-copy wire the
         // server-side update memory is exactly one model buffer (the
         // accumulator — frames fold as borrowed views, so no decode
-        // scratch is ever materialized), independent of population. One round at the smallest population suffices —
-        // the aggregator's footprint has no population term at all.
+        // scratch is ever materialized), independent of population.
+        // One round at the smallest population suffices — the
+        // aggregator's footprint has no population term at all.
         let (factory, pop) = pop_fixture(1_000);
         let n = oasis_nn::param_count(&mut factory());
         let server = FlServer::new(
@@ -1414,226 +1121,181 @@ mod tests {
         assert_eq!(report.peak_accum_bytes, 4 * n);
     }
 
-    fn scale_suite_of(medians: &[(&str, u64)]) -> BenchSuite {
+    fn record(name: &str, median_ns: u64) -> BenchRecord {
+        BenchRecord {
+            name: name.into(),
+            iters: 3,
+            median_ns,
+            min_ns: median_ns,
+            throughput: None,
+            throughput_unit: None,
+        }
+    }
+
+    fn suite_of(medians: &[(&str, u64)]) -> BenchSuite {
         BenchSuite {
             schema_version: SCHEMA_VERSION,
-            suite: "scale".into(),
-            threads: 4,
+            suite: "core".into(),
+            cpu: "Test CPU".into(),
+            nproc: 2,
+            threads: 1,
             simd: "scalar".into(),
             quick: true,
-            results: medians
-                .iter()
-                .map(|&(name, median_ns)| BenchRecord {
-                    name: name.into(),
-                    iters: 3,
-                    median_ns,
-                    min_ns: median_ns,
-                    throughput: None,
-                    throughput_unit: None,
-                })
-                .collect(),
+            results: medians.iter().map(|&(n, m)| record(n, m)).collect(),
         }
     }
 
     #[test]
-    fn scale_points_derive_speedup_and_efficiency() {
-        let suite = scale_suite_of(&[
-            ("fl_round_raw_t1", 4000),
-            ("fl_round_raw_t2", 2000),
-            ("fl_round_raw_t4", 1000),
-            ("orphan_t4", 10), // no _t1 sibling: skipped
-            ("not_a_pair", 10),
-        ]);
-        let points = scale_points(&suite);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].base, "fl_round_raw");
-        assert_eq!(points[0].threads, 2);
-        assert!((points[0].speedup() - 2.0).abs() < 1e-9);
-        assert!((points[0].efficiency() - 1.0).abs() < 1e-9);
-        assert_eq!(points[1].threads, 4);
-        assert!((points[1].speedup() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scale_gate_passes_speedups_and_fails_slowdowns() {
-        let good = scale_suite_of(&[
-            ("fl_round_raw_t1", 4000),
-            ("fl_round_raw_t4", 1500),
-            ("matmul_256_t1", 1000),
-            ("matmul_256_t4", 900),
-        ]);
-        let report = scale_gate(&good, 4, 1.0).expect("gate applies");
-        assert!(!report.failed);
-
-        // The pre-pool failure mode: 4 threads slower than 1.
-        let bad = scale_suite_of(&[("fl_round_raw_t1", 4000), ("fl_round_raw_t4", 5000)]);
-        let report = scale_gate(&bad, 4, 1.0).expect("gate applies");
-        assert!(report.failed);
-
-        // A stricter bar: ≥2× at 4 threads.
-        let report = scale_gate(&good, 4, 2.0).expect("gate applies");
-        assert!(report.failed, "matmul_256 at 1.11x misses a 2x bar");
-
-        // No pairs at the requested width ⇒ the gate refuses to be
-        // vacuously green.
-        assert!(scale_gate(&good, 8, 1.0).is_err());
-    }
-
-    #[test]
-    fn simd_points_pair_scalar_and_simd_records() {
-        let suite = scale_suite_of(&[
-            ("matmul_nt_linear_simd", 1000),
-            ("matmul_nt_linear_scalar", 5000),
-            ("psnr_simd", 10), // no _scalar sibling: skipped
-            ("matmul_256", 10),
-        ]);
-        let points = simd_points(&suite);
-        assert_eq!(points.len(), 1);
-        assert_eq!(points[0].base, "matmul_nt_linear");
-        assert_eq!(points[0].scalar_ns, 5000);
-        assert_eq!(points[0].simd_ns, 1000);
-        assert!((points[0].speedup() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn simd_gate_fails_when_lanes_lose_to_scalar() {
-        let good = scale_suite_of(&[
+    fn paired_gate_applies_each_rule_floor() {
+        let points = paired_gate(&suite_of(&[
             ("matmul_256_simd", 1000),
             ("matmul_256_scalar", 4000),
-            ("psnr_simd", 980),
-            ("psnr_scalar", 1000), // 1.02x: scalar-best hardware noise band
-        ]);
-        let report = simd_gate(&good, 0.9).expect("gate applies");
-        assert!(!report.failed);
-        assert_eq!(report.points.len(), 2);
+            ("psnr_simd", 1050),
+            ("psnr_scalar", 1000), // 0.95: inside the 0.9 noise band
+            ("fl_round_raw", 1000),
+            ("fl_round_raw_telem", 1900), // 0.53 ≥ 0.5
+            ("pop_round_1k", 1000),
+            ("pop_round_100k", 2500), // 0.4 < 0.5
+            ("unpaired", 10),
+        ]))
+        .expect("gate applies");
+        let ratio_of = |v: &str| points.iter().find(|p| p.variant == v).expect(v);
+        assert_eq!(points.len(), 4);
+        assert!((ratio_of("matmul_256_simd").ratio() - 4.0).abs() < 1e-9);
+        assert!(!ratio_of("psnr_simd").failed());
+        assert_eq!(ratio_of("fl_round_raw_telem").reference, "fl_round_raw");
+        assert!(!ratio_of("fl_round_raw_telem").failed());
+        assert!(ratio_of("pop_round_100k").failed());
 
         // A vector backend slower than the scalar reference is a
         // dispatch or kernel regression, not noise.
-        let bad = scale_suite_of(&[
-            ("codec_q8_encode_simd", 2000),
-            ("codec_q8_encode_scalar", 1000),
-        ]);
-        let report = simd_gate(&bad, 0.9).expect("gate applies");
-        assert!(report.failed);
-
-        // A stricter bar: the 1.02x pair misses 2x.
-        assert!(simd_gate(&good, 2.0).expect("gate applies").failed);
-
-        // No pairs ⇒ the gate refuses to be vacuously green.
-        assert!(simd_gate(&scale_suite_of(&[("matmul_256", 10)]), 0.9).is_err());
+        let bad = paired_gate(&suite_of(&[("q8_simd", 2000), ("q8_scalar", 1000)]));
+        assert!(bad.expect("gate applies")[0].failed());
     }
 
     #[test]
-    fn baselines_without_simd_field_still_parse() {
-        // Committed BENCH_*.json files predating the `simd` field must
-        // stay diffable without a schema bump.
-        let json = r#"{
+    fn pairs_wider_than_the_host_are_informational() {
+        let mut scale = suite_of(&[("matmul_256_t1", 1000), ("matmul_256_t4", 5000)]);
+        let points = paired_gate(&scale).expect("gate applies");
+        assert!(
+            !points[0].gated && !points[0].failed(),
+            "4 threads on 2 cores"
+        );
+        scale.nproc = 4;
+        assert!(paired_gate(&scale).expect("gate applies")[0].failed());
+    }
+
+    #[test]
+    fn paired_gate_refuses_orphans_and_vacuous_runs() {
+        let orphan = paired_gate(&suite_of(&[("psnr_simd", 10), ("psnr", 10)]));
+        assert!(orphan.unwrap_err().contains("psnr_scalar"));
+        assert!(paired_gate(&suite_of(&[("matmul_256", 10)])).is_err());
+    }
+
+    #[test]
+    fn loading_rejects_records_that_cannot_be_compared() {
+        let json = |s: &BenchSuite| serde_json::to_string(s).expect("serialize");
+        let good = suite_of(&[("a", 10), ("b", 20)]);
+        assert_eq!(BenchSuite::from_json(&json(&good)), Ok(good.clone()));
+
+        let empty = suite_of(&[]);
+        assert!(BenchSuite::from_json(&json(&empty)).is_err());
+        // Two zero medians would divide 0 by 0: a NaN delta that
+        // classifies as `Ok`.
+        let zero = suite_of(&[("a", 0)]);
+        assert!(BenchSuite::from_json(&json(&zero))
+            .unwrap_err()
+            .contains("zero median"));
+        let mut inverted = good.clone();
+        inverted.results[0].min_ns = 11;
+        assert!(BenchSuite::from_json(&json(&inverted)).is_err());
+        let twice = suite_of(&[("a", 10), ("a", 20)]);
+        assert!(BenchSuite::from_json(&json(&twice))
+            .unwrap_err()
+            .contains("twice"));
+    }
+
+    #[test]
+    fn v1_files_are_refused_on_schema() {
+        let v1 = r#"{
             "schema_version": 1,
             "suite": "core",
             "threads": 1,
-            "quick": false,
-            "results": []
+            "simd": "avx2",
+            "quick": true,
+            "results": [{"name": "a", "iters": 3, "median_ns": 10, "min_ns": 9,
+                         "throughput": null, "throughput_unit": null}]
         }"#;
-        let suite: BenchSuite = serde_json::from_str(json).expect("old baseline parses");
-        assert_eq!(suite.simd, "");
+        let err = BenchSuite::from_json(v1).unwrap_err();
+        assert!(err.contains("schema v1"), "{err}");
+        assert!(BenchSuite::from_json("not json").is_err());
     }
 
     #[test]
     fn filter_selects_expected_subset() {
         assert_eq!(
-            names(apply_filter(core_suite(), "conv2d")),
-            vec![
-                "conv2d_forward_b8",
-                "conv2d_backward_b8",
-                "conv2d_forward_b32"
+            names(apply_filter(core_suite(), "conv2d_forward")),
+            [
+                "conv2d_forward_b8_simd",
+                "conv2d_forward_b8_scalar",
+                "conv2d_forward_b32_simd",
+                "conv2d_forward_b32_scalar",
             ]
         );
         assert_eq!(
-            names(apply_filter(fl_suite(), "q8")),
-            vec!["fl_round_q8", "codec_q8_encode", "codec_q8_decode"]
+            names(apply_filter(fl_suite(), "codec")),
+            ["codec_raw_encode", "codec_raw_decode"]
         );
         assert!(apply_filter(core_suite(), "no-such-bench").is_empty());
     }
 
     #[test]
     fn schema_roundtrips_through_serde_json() {
-        let suite = BenchSuite {
-            schema_version: SCHEMA_VERSION,
-            suite: "core".into(),
-            threads: 4,
-            simd: "avx2".into(),
-            quick: true,
-            results: vec![
-                BenchRecord {
-                    name: "matmul_256".into(),
-                    iters: 17,
-                    median_ns: 1_234_567,
-                    min_ns: 1_200_000,
-                    throughput: Some(2.5e9),
-                    throughput_unit: Some("flop/s".into()),
-                },
-                BenchRecord {
-                    name: "unitless".into(),
-                    iters: 3,
-                    median_ns: 10,
-                    min_ns: 9,
-                    throughput: None,
-                    throughput_unit: None,
-                },
-            ],
-        };
+        let mut suite = suite_of(&[("matmul_256_simd", 1_234_567), ("unitless", 10)]);
+        suite.results[0].throughput = Some(2.5e9);
+        suite.results[0].throughput_unit = Some("flop/s".into());
         let json = serde_json::to_string_pretty(&suite).expect("serialize");
         let back: BenchSuite = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, suite);
     }
 
     #[test]
-    fn tiny_bench_produces_sane_record() {
-        let prepared = PreparedBench {
-            throughput: Some((100.0, "item/s")),
-            run: Box::new(|| {
-                std::hint::black_box((0..100u64).sum::<u64>());
+    fn tiny_group_produces_sane_records() {
+        let tiny = |n: u64| PreparedBench {
+            throughput: Some((n as f64, "item/s")),
+            run: Box::new(move || {
+                std::hint::black_box((0..n).sum::<u64>());
             }),
         };
-        let rec = run_prepared("tiny", prepared, true);
-        assert_eq!(rec.name, "tiny");
-        assert!(rec.iters >= 3);
-        assert!(rec.min_ns <= rec.median_ns);
-        assert!(rec.throughput.unwrap() > 0.0);
-        assert_eq!(rec.throughput_unit.as_deref(), Some("item/s"));
+        let group = vec![("tiny".into(), tiny(100)), ("tiny_x4".into(), tiny(400))];
+        let [a, b] = &run_group(group, true)[..] else {
+            panic!("two benches, two records");
+        };
+        assert_eq!((a.name.as_str(), b.name.as_str()), ("tiny", "tiny_x4"));
+        assert!(a.iters >= 3);
+        assert_eq!(a.iters, b.iters, "a group shares one iteration count");
+        for rec in [a, b] {
+            assert!(rec.min_ns <= rec.median_ns);
+            assert!(rec.throughput.unwrap() > 0.0);
+            assert_eq!(rec.throughput_unit.as_deref(), Some("item/s"));
+        }
     }
 
     #[test]
     fn compare_classifies_against_thresholds() {
-        let rec = |name: &str, median: u64| BenchRecord {
-            name: name.into(),
-            iters: 3,
-            median_ns: median,
-            min_ns: median,
-            throughput: None,
-            throughput_unit: None,
-        };
-        let suite_of = |results: Vec<BenchRecord>| BenchSuite {
-            schema_version: SCHEMA_VERSION,
-            suite: "core".into(),
-            threads: 1,
-            simd: "scalar".into(),
-            quick: true,
-            results,
-        };
-        let baseline = suite_of(vec![
-            rec("steady", 1000),
-            rec("warned", 1000),
-            rec("failed", 1000),
-            rec("gone", 1000),
+        let baseline = suite_of(&[
+            ("steady", 1000),
+            ("warned", 1000),
+            ("failed", 1000),
+            ("gone", 1000),
         ]);
-        let current = suite_of(vec![
-            rec("steady", 1050),
-            rec("warned", 1200),
-            rec("failed", 1500),
-            rec("brand_new", 10),
+        let current = suite_of(&[
+            ("steady", 1050),
+            ("warned", 1200),
+            ("failed", 1500),
+            ("brand_new", 10),
         ]);
-        let report = compare_suites(&baseline, &current, WARN_PCT, FAIL_PCT).expect("comparable");
+        let report = compare_suites(&baseline, &current).expect("comparable");
         let class_of = |n: &str| {
             report
                 .deltas
@@ -1652,42 +1314,35 @@ mod tests {
     }
 
     #[test]
-    fn compare_rejects_mismatched_runs() {
-        let a = BenchSuite {
-            schema_version: SCHEMA_VERSION,
-            suite: "core".into(),
-            threads: 1,
-            simd: "scalar".into(),
-            quick: true,
-            results: vec![],
-        };
-        let mut b = a.clone();
-        b.suite = "fl".into();
-        assert!(compare_suites(&a, &b, WARN_PCT, FAIL_PCT).is_err());
-        let mut c = a.clone();
-        c.schema_version = SCHEMA_VERSION + 1;
-        assert!(compare_suites(&a, &c, WARN_PCT, FAIL_PCT).is_err());
+    fn compare_refuses_another_host_or_setting() {
+        let a = suite_of(&[("a", 10)]);
+        let edits: [fn(&mut BenchSuite); 7] = [
+            |s| s.schema_version += 1,
+            |s| s.suite = "fl".into(),
+            |s| s.cpu = "Other CPU".into(),
+            |s| s.nproc = 64,
+            |s| s.simd = "avx2".into(),
+            |s| s.threads = 4,
+            |s| s.quick = false,
+        ];
+        for edit in edits {
+            let mut b = a.clone();
+            edit(&mut b);
+            assert!(compare_suites(&a, &b).is_err(), "{b:?}");
+        }
+        let err = compare_suites(&a, &{
+            let mut b = a.clone();
+            b.cpu = "Other CPU".into();
+            b
+        })
+        .unwrap_err();
+        assert!(err.contains("host cpu mismatch"), "{err}");
     }
 
     #[test]
     fn improvements_never_warn() {
-        let rec = |median: u64| BenchRecord {
-            name: "fast".into(),
-            iters: 3,
-            median_ns: median,
-            min_ns: median,
-            throughput: None,
-            throughput_unit: None,
-        };
-        let mk = |median| BenchSuite {
-            schema_version: SCHEMA_VERSION,
-            suite: "fl".into(),
-            threads: 1,
-            simd: "scalar".into(),
-            quick: false,
-            results: vec![rec(median)],
-        };
-        let report = compare_suites(&mk(1000), &mk(400), WARN_PCT, FAIL_PCT).expect("comparable");
+        let report = compare_suites(&suite_of(&[("fast", 1000)]), &suite_of(&[("fast", 400)]))
+            .expect("comparable");
         assert!(!report.warned && !report.failed);
         assert!(report.deltas[0].pct < 0.0);
     }
