@@ -336,7 +336,7 @@ fn per_sample_deltas(
 }
 
 fn score(
-    recons: Vec<Image>,
+    mut recons: Vec<Image>,
     batch: &Batch,
     processed: &Batch,
     client_loss: f32,
@@ -345,7 +345,9 @@ fn score(
     let _span = oasis_telemetry::span("attack.score");
     // Clamp reconstructions into the displayable range before scoring,
     // mirroring how reconstructed images are rendered and compared.
-    let recons: Vec<Image> = recons.into_iter().map(|r| r.clamp01()).collect();
+    for r in &mut recons {
+        r.clamp01_in_place();
+    }
     let matches = match_greedy_coarse(&recons, &batch.images, COARSE_MATCH_SIDE);
     let matched_psnrs: Vec<f64> = matches.iter().map(|m| m.psnr).collect();
     let summary = Summary::from_values(&matched_psnrs);

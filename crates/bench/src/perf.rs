@@ -12,10 +12,10 @@
 //!
 //! * `core` — tensor, nn and codec kernels at model-relevant shapes
 //!   (matmul / matmul_nt / matmul_tn, Conv2d forward and backward, the
-//!   q8 codec, PSNR). Every kernel in [`CORE_KERNELS`] is recorded
-//!   twice, with the SIMD backend pinned per bench via
-//!   [`simd::with_backend`]: `_simd` (best detected backend) and
-//!   `_scalar` (the reference kernels).
+//!   q8 codec, PSNR of one pair and all-pairs PSNR). Every kernel in
+//!   [`CORE_KERNELS`] is recorded twice, with the SIMD backend pinned
+//!   per bench via [`simd::with_backend`]: `_simd` (best detected
+//!   backend) and `_scalar` (the reference kernels).
 //! * `fl` — protocol paths: a full [`CohortRunner::run_round`] over
 //!   four resident clients untraced and traced (`fl_round_raw` /
 //!   `fl_round_raw_telem`), the raw codec, one RTF inversion step, one
@@ -43,7 +43,8 @@ use std::time::Instant;
 use oasis_attacks::{ActiveAttack, RtfAttack};
 use oasis_data::{cifar_like_with, Dataset};
 use oasis_fl::{DefenseStack, FlConfig, FlServer, ModelFactory, WireConfig};
-use oasis_metrics::psnr_data;
+use oasis_image::Image;
+use oasis_metrics::{best_psnr_per_original, psnr_data};
 use oasis_nn::{Conv2d, Layer, Linear, Mode, Relu, Sequential};
 use oasis_population::{CohortRunner, Population};
 use oasis_tensor::{parallel, simd, Tensor};
@@ -200,7 +201,7 @@ type Base = (&'static str, fn() -> PreparedBench);
 
 /// Every `core` kernel; [`core_suite`] records each as a
 /// `_simd`/`_scalar` pair.
-pub const CORE_KERNELS: [Base; 11] = [
+pub const CORE_KERNELS: [Base; 12] = [
     ("matmul_256", bench_matmul_256),
     ("matmul_conv_fwd", bench_matmul_conv_fwd),
     ("matmul_nt_conv_gw", bench_matmul_nt_conv_gw),
@@ -212,6 +213,7 @@ pub const CORE_KERNELS: [Base; 11] = [
     ("codec_q8_encode", || bench_codec_encode(Box::new(Q8Codec))),
     ("codec_q8_decode", || bench_codec_decode(Box::new(Q8Codec))),
     ("psnr", bench_psnr),
+    ("psnr_pairs", bench_psnr_pairs),
 ];
 
 /// The benches [`scale_suite`] records at each of [`SCALE_WIDTHS`].
@@ -854,6 +856,26 @@ fn bench_psnr() -> PreparedBench {
     }
 }
 
+/// All-pairs scoring: 128 reconstructions against 32 originals at
+/// 3×32×32, through the squared-error tile.
+fn bench_psnr_pairs() -> PreparedBench {
+    let images = |count: usize, seed: u64| -> Vec<Image> {
+        let t = seeded_tensor(&[count, 3 * 32 * 32], seed);
+        t.data()
+            .chunks_exact(3 * 32 * 32)
+            .map(|px| Image::from_vec(3, 32, 32, px.to_vec()).expect("3×32×32"))
+            .collect()
+    };
+    let recons = images(128, 24);
+    let originals = images(32, 25);
+    PreparedBench {
+        throughput: Some(((recons.len() * originals.len()) as f64, "pair/s")),
+        run: Box::new(move || {
+            std::hint::black_box(best_psnr_per_original(&recons, &originals));
+        }),
+    }
+}
+
 // ---------------------------------------------------------------------
 // fl benches
 // ---------------------------------------------------------------------
@@ -1032,7 +1054,7 @@ mod tests {
         );
         assert_eq!(
             core[core.len() - 2..],
-            ["psnr_simd", "psnr_scalar"],
+            ["psnr_pairs_simd", "psnr_pairs_scalar"],
             "kernels keep their table order"
         );
         assert_eq!(core, names(core_suite()), "listing must be reproducible");

@@ -210,6 +210,11 @@ impl Image {
         self.map(|v| v.clamp(0.0, 1.0))
     }
 
+    /// [`Image::clamp01`] without the copy.
+    pub fn clamp01_in_place(&mut self) {
+        self.data.iter_mut().for_each(|v| *v = v.clamp(0.0, 1.0));
+    }
+
     /// Pixel-wise average of several same-shape images — the "linear
     /// combination" visualization used in the paper's Figures 7–12.
     ///
@@ -252,21 +257,35 @@ impl Image {
             return self.clone();
         }
         let mut out = Image::new(c, out_h, out_w);
-        for ch in 0..c {
+        if self.data.is_empty() {
+            return out;
+        }
+        let x_boxes: Vec<(usize, usize)> = (0..out_w)
+            .map(|ox| {
+                let x0 = ox * w / out_w;
+                (x0, (((ox + 1) * w).div_ceil(out_w)).min(w).max(x0 + 1))
+            })
+            .collect();
+        let mut acc = vec![0.0f32; out_w];
+        let mut out_rows = out.data.chunks_exact_mut(out_w);
+        for plane in self.data.chunks_exact(h * w) {
             for oy in 0..out_h {
                 let y0 = oy * h / out_h;
                 let y1 = (((oy + 1) * h).div_ceil(out_h)).min(h).max(y0 + 1);
-                for ox in 0..out_w {
-                    let x0 = ox * w / out_w;
-                    let x1 = (((ox + 1) * w).div_ceil(out_w)).min(w).max(x0 + 1);
-                    let mut acc = 0.0f32;
-                    for y in y0..y1 {
-                        for x in x0..x1 {
-                            acc += self.get(ch, y, x).expect("in bounds");
+                // One source row at a time across every box of this
+                // output row: each box still sums in (y, x) order, and
+                // the boxes' independent sums overlap.
+                acc.fill(0.0);
+                for row in plane[y0 * w..y1 * w].chunks_exact(w) {
+                    for (a, &(x0, x1)) in acc.iter_mut().zip(&x_boxes) {
+                        for &v in &row[x0..x1] {
+                            *a += v;
                         }
                     }
-                    let count = ((y1 - y0) * (x1 - x0)) as f32;
-                    out.set(ch, oy, ox, acc / count).expect("in bounds");
+                }
+                let out_row = out_rows.next().expect("one output row per box row");
+                for ((o, &a), &(x0, x1)) in out_row.iter_mut().zip(&acc).zip(&x_boxes) {
+                    *o = a / ((y1 - y0) * (x1 - x0)) as f32;
                 }
             }
         }
@@ -393,6 +412,48 @@ mod tests {
         img.set(0, 0, 0, 1.0).unwrap();
         let d = img.downsample(1, 1);
         assert!((d.get(0, 0, 0).unwrap() - 0.25).abs() < 1e-6);
+    }
+
+    #[test]
+    fn downsample_matches_the_per_pixel_box_sum_bit_for_bit() {
+        // The reference reads one pixel at a time and sums each box in
+        // (y, x) order; uneven boxes cover the overlap rules.
+        for (c, h, w, oh, ow) in [(3, 32, 32, 8, 8), (2, 13, 11, 4, 5), (1, 7, 9, 7, 2)] {
+            let data = (0..c * h * w).map(|i| (i as f32 * 0.37).sin()).collect();
+            let img = Image::from_vec(c, h, w, data).unwrap();
+            let d = img.downsample(oh, ow);
+            for ch in 0..c {
+                for oy in 0..oh {
+                    let (y0, y1) = (
+                        oy * h / oh,
+                        ((oy + 1) * h).div_ceil(oh).min(h).max(oy * h / oh + 1),
+                    );
+                    for ox in 0..ow {
+                        let (x0, x1) = (
+                            ox * w / ow,
+                            ((ox + 1) * w).div_ceil(ow).min(w).max(ox * w / ow + 1),
+                        );
+                        let mut acc = 0.0f32;
+                        for y in y0..y1 {
+                            for x in x0..x1 {
+                                acc += img.get(ch, y, x).unwrap();
+                            }
+                        }
+                        let want = acc / ((y1 - y0) * (x1 - x0)) as f32;
+                        assert_eq!(d.get(ch, oy, ox).unwrap().to_bits(), want.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clamp01_in_place_matches_clamp01() {
+        let mut img = Image::from_vec(1, 1, 5, vec![-0.5, 0.0, 0.5, 1.5, f32::NAN]).unwrap();
+        let copy = img.clamp01();
+        img.clamp01_in_place();
+        let bits = |i: &Image| i.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&img), bits(&copy));
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! PSNRs are what the figures report.
 
 use oasis_image::Image;
+use oasis_tensor::simd::SQ_TILE;
 use serde::{Deserialize, Serialize};
 
 use crate::psnr;
+use crate::psnr::psnr_tile;
 
 /// One reconstruction↔original assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -30,15 +32,13 @@ pub struct ReconstructionMatch {
 /// numbers negligibly and costs O(n³)).
 pub fn match_greedy(recons: &[Image], originals: &[Image]) -> Vec<ReconstructionMatch> {
     let mut pairs = Vec::with_capacity(recons.len() * originals.len());
-    for (ri, r) in recons.iter().enumerate() {
-        for (oi, o) in originals.iter().enumerate() {
-            pairs.push(ReconstructionMatch {
-                recon_idx: ri,
-                original_idx: oi,
-                psnr: psnr(r, o),
-            });
-        }
-    }
+    for_each_pair_psnr(recons, originals, |recon_idx, original_idx, psnr| {
+        pairs.push(ReconstructionMatch {
+            recon_idx,
+            original_idx,
+            psnr,
+        });
+    });
     pairs.sort_by(|a, b| b.psnr.total_cmp(&a.psnr));
     let mut recon_used = vec![false; recons.len()];
     let mut orig_used = vec![false; originals.len()];
@@ -88,10 +88,34 @@ pub fn match_greedy_coarse(
 /// against it — the per-sample "leakage" view used by the
 /// Proposition 1 ablation. Empty reconstruction pools yield 0 dB.
 pub fn best_psnr_per_original(recons: &[Image], originals: &[Image]) -> Vec<f64> {
-    originals
-        .iter()
-        .map(|o| recons.iter().map(|r| psnr(r, o)).fold(0.0f64, f64::max))
-        .collect()
+    let mut best = vec![0.0f64; originals.len()];
+    for_each_pair_psnr(recons, originals, |_, oi, psnr| {
+        best[oi] = best[oi].max(psnr)
+    });
+    best
+}
+
+/// Calls `f(recon_idx, original_idx, psnr)` for every pair, in
+/// (reconstruction, original) lexicographic order.
+///
+/// Each reconstruction is read once against the cache-resident
+/// originals, [`SQ_TILE`] at a time ([`psnr_tile`]); the last
+/// `originals.len() % SQ_TILE` take [`psnr`], which gives the same
+/// bits.
+fn for_each_pair_psnr(recons: &[Image], originals: &[Image], mut f: impl FnMut(usize, usize, f64)) {
+    let tiled = originals.len() / SQ_TILE * SQ_TILE;
+    for (ri, r) in recons.iter().enumerate() {
+        let mut groups = originals.chunks_exact(SQ_TILE);
+        for (g, group) in (&mut groups).enumerate() {
+            let tile = psnr_tile(r, std::array::from_fn(|j| &group[j]));
+            for (j, p) in tile.into_iter().enumerate() {
+                f(ri, g * SQ_TILE + j, p);
+            }
+        }
+        for (j, o) in groups.remainder().iter().enumerate() {
+            f(ri, tiled + j, psnr(r, o));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -152,6 +176,47 @@ mod tests {
     fn best_psnr_with_no_recons_is_zero() {
         let originals = vec![img(0.2)];
         assert_eq!(best_psnr_per_original(&[], &originals), vec![0.0]);
+    }
+
+    /// The original-major fold `best_psnr_per_original` ran before it
+    /// became recon-major, kept verbatim as the oracle.
+    fn best_psnr_oracle(recons: &[Image], originals: &[Image]) -> Vec<f64> {
+        originals
+            .iter()
+            .map(|o| recons.iter().map(|r| psnr(r, o)).fold(0.0f64, f64::max))
+            .collect()
+    }
+
+    #[test]
+    fn recon_major_best_psnr_matches_the_original_major_fold() {
+        use oasis_tensor::simd::{self, Backend};
+        // 3×5×7 = 105 values: thirteen 8-lane chunks plus a tail.
+        // Originals 3.. repeat recons 3..6, so capped exact matches mix
+        // with finite scores; 0–9 originals cover every tile remainder.
+        let pic = |seed: usize| {
+            let data = (0..105)
+                .map(|i| ((i * 31 + seed * 17) % 23) as f32 / 22.0)
+                .collect();
+            Image::from_vec(3, 5, 7, data).unwrap()
+        };
+        let recons: Vec<Image> = (0..6).map(pic).collect();
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for count in 0..=9 {
+            let originals: Vec<Image> = (3..3 + count).map(pic).collect();
+            for pool in [&recons[..0], &recons[..]] {
+                let want =
+                    simd::with_backend(Backend::Scalar, || best_psnr_oracle(pool, &originals));
+                for backend in [Backend::Scalar, Backend::detect()] {
+                    let got =
+                        simd::with_backend(backend, || best_psnr_per_original(pool, &originals));
+                    assert_eq!(
+                        bits(got),
+                        bits(want.clone()),
+                        "{backend:?} {count} originals"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

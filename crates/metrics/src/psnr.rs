@@ -1,6 +1,7 @@
 //! Peak signal-to-noise ratio.
 
 use oasis_image::Image;
+use oasis_tensor::simd::{self, SQ_TILE};
 
 /// The PSNR value reported for (numerically) identical images.
 ///
@@ -26,7 +27,26 @@ const MSE_FLOOR: f64 = 1e-16;
 pub fn psnr_data(a: &[f32], b: &[f32]) -> f64 {
     assert_eq!(a.len(), b.len(), "psnr requires equal lengths");
     assert!(!a.is_empty(), "psnr of empty signals");
-    let mse = oasis_tensor::simd::sq_err_sum(a, b) / a.len() as f64;
+    db_from_sq_err(simd::sq_err_sum(a, b), a.len())
+}
+
+/// [`psnr`] of one image against [`SQ_TILE`] others at once, bit for
+/// bit: the squared-error tile reads `a` once for all four.
+///
+/// # Panics
+///
+/// Panics if any dimensions differ or the images are empty.
+pub(crate) fn psnr_tile(a: &Image, others: [&Image; SQ_TILE]) -> [f64; SQ_TILE] {
+    for o in others {
+        assert_eq!(a.dims(), o.dims(), "psnr requires identical dimensions");
+    }
+    assert!(a.numel() > 0, "psnr of empty signals");
+    simd::sq_err_tile(a.data(), others.map(Image::data)).map(|sq| db_from_sq_err(sq, a.numel()))
+}
+
+/// PSNR in dB of a squared-error sum over `len` elements.
+fn db_from_sq_err(sq: f64, len: usize) -> f64 {
+    let mse = sq / len as f64;
     if mse < MSE_FLOOR {
         return PSNR_CAP;
     }

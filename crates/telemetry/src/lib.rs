@@ -13,8 +13,10 @@
 //!   process-global [`AtomicBool`]; a [`span()`](fn@span) or counter update on
 //!   the disabled path costs a relaxed load and a predictable branch.
 //!   There is no compile-time feature flag to get wrong: the
-//!   instrumentation is always compiled in, and the perf suite pins
-//!   the disabled-path overhead (see the README's Observability section).
+//!   instrumentation is always compiled in. The perf suite's
+//!   `fl_round_raw_telem`/`fl_round_raw` pair bounds what *recording*
+//!   costs; no bench isolates the disabled path (see the README's
+//!   Observability section).
 //! - **Determinism is untouched.** Telemetry reads monotonic clocks
 //!   and atomics but never RNG, and nothing downstream branches on a
 //!   measured time. Runs with tracing on and off produce bit-identical

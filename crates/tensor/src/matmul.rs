@@ -1,9 +1,10 @@
 //! Dense matrix multiplication with cache-friendly loop order.
 //!
-//! The inner kernels — the eight-lane unrolled dot product and the
-//! register-blocked `axpy4`/`axpy4x2` row updates — live in
-//! [`crate::simd`] and dispatch to the best available instruction set
-//! at runtime; this module contributes the loop orders, the zero-block
+//! The inner kernels — the eight-lane unrolled dot product and its
+//! 4×2 register tile `dot_tile`, and the register-blocked
+//! `axpy4`/`axpy4x2` row updates — live in [`crate::simd`] and
+//! dispatch to the best available instruction set at runtime; this
+//! module contributes the loop orders, the tiling, the zero-block
 //! skips, and the row partitioning.
 
 use crate::{parallel, simd, Result, Tensor, TensorError};
@@ -23,7 +24,7 @@ fn above_par_threshold(m: usize, k: usize, n: usize) -> bool {
     m > 1 && 2usize.saturating_mul(m).saturating_mul(k).saturating_mul(n) >= PAR_MIN_FLOPS
 }
 
-use simd::{axpy4, axpy4x2};
+use simd::{axpy4, axpy4x2, TILE_COLS, TILE_ROWS};
 
 impl Tensor {
     /// Matrix product `self (m×k) · other (k×n) → (m×n)`.
@@ -200,7 +201,13 @@ impl Tensor {
     /// Computes `self · otherᵀ` without materializing the transpose.
     ///
     /// `self` is `(m×k)`, `other` is `(n×k)`, result is `(m×n)`. This is
-    /// the shape needed for input gradients (`δ · Wᵀ` with `W: n×k`).
+    /// the shape of `Linear::forward` (`x · Wᵀ` with `W: n×k`) and of
+    /// the conv weight gradient (`δY · colᵀ`).
+    ///
+    /// With a long reduction axis every output is one [`simd::dot`];
+    /// whole 4×2 blocks of outputs come from one [`simd::dot_tile`],
+    /// which gives the same bits while reading each row of `other`
+    /// once per four rows of `self`.
     ///
     /// # Errors
     ///
@@ -229,12 +236,38 @@ impl Tensor {
         let mut out = Tensor::zeros(&[m, n]);
         let a = self.data();
         let b = other.data();
+        let a_row = |i: usize| &a[i * k..(i + 1) * k];
+        let b_row = |j: usize| &b[j * k..(j + 1) * k];
+        // Every output is `dot(a_row(i), b_row(j))`. Whole 4×2 tiles
+        // go through `dot_tile`, which reads each B row once per four
+        // A rows instead of once per A row; edge rows and columns take
+        // `dot` directly, which gives the same bits.
         let kernel = |row0: usize, rows: &mut [f32]| {
-            for (local_i, out_row) in rows.chunks_mut(n).enumerate() {
-                let i = row0 + local_i;
-                let arow = &a[i * k..(i + 1) * k];
+            if rows.is_empty() {
+                return;
+            }
+            let i0 = row0 + rows.len() / (TILE_ROWS * n) * TILE_ROWS;
+            let mut tiles = rows.chunks_exact_mut(TILE_ROWS * n);
+            for (t, block) in (&mut tiles).enumerate() {
+                let ar: [&[f32]; TILE_ROWS] =
+                    std::array::from_fn(|r| a_row(row0 + t * TILE_ROWS + r));
+                let mut j = 0;
+                while j + TILE_COLS <= n {
+                    let tile = simd::dot_tile(ar, std::array::from_fn(|c| b_row(j + c)));
+                    for (o, v) in tile.into_iter().enumerate() {
+                        block[o / TILE_COLS * n + j + o % TILE_COLS] = v;
+                    }
+                    j += TILE_COLS;
+                }
+                for (r, out_row) in block.chunks_exact_mut(n).enumerate() {
+                    for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
+                        *o = simd::dot(ar[r], b_row(jj));
+                    }
+                }
+            }
+            for (r, out_row) in tiles.into_remainder().chunks_exact_mut(n).enumerate() {
                 for (j, o) in out_row.iter_mut().enumerate() {
-                    *o = simd::dot(arow, &b[j * k..(j + 1) * k]);
+                    *o = simd::dot(a_row(i0 + r), b_row(j));
                 }
             }
         };

@@ -26,6 +26,7 @@
 use std::arch::x86_64::*;
 
 use super::scalar;
+use super::{SQ_TILE, TILE_COLS, TILE_ROWS};
 
 /// Reads the 8 lanes of an f32x8 register into an array (for scalar
 /// fixed-order combines).
@@ -57,12 +58,50 @@ pub(crate) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
         let vb = _mm256_loadu_ps(b.as_ptr().add(c * 8));
         acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
     }
+    finish_dot(acc, a, b, chunks * 8)
+}
+
+/// The end of one [`dot`]: the fixed lane combine of `acc` plus the
+/// sequential tail of `a[from..] · b[from..]`.
+#[target_feature(enable = "avx2")]
+unsafe fn finish_dot(acc: __m256, a: &[f32], b: &[f32], from: usize) -> f32 {
     let l = lanes_f32(acc);
     let mut tail = 0.0f32;
-    for i in chunks * 8..n {
-        tail += a[i] * b[i];
+    for (&x, &y) in a[from..].iter().zip(&b[from..]) {
+        tail += x * y;
     }
     ((l[0] + l[4]) + (l[1] + l[5])) + ((l[2] + l[6]) + (l[3] + l[7])) + tail
+}
+
+/// See [`scalar::dot_tile`]: one f32x8 accumulator per output, so
+/// each output runs [`dot`]'s exact sequence; each chunk of the four
+/// A rows and two B rows is loaded once for all eight outputs.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn dot_tile(
+    a: [&[f32]; TILE_ROWS],
+    b: [&[f32]; TILE_COLS],
+) -> [f32; TILE_ROWS * TILE_COLS] {
+    debug_assert!(
+        a.iter().chain(&b).all(|r| r.len() == a[0].len()),
+        "dot_tile requires equal lengths"
+    );
+    let n = a.iter().chain(&b).map(|r| r.len()).min().unwrap_or(0);
+    let chunks = n / 8;
+    let mut acc = [_mm256_setzero_ps(); TILE_ROWS * TILE_COLS];
+    for c in 0..chunks {
+        let vb0 = _mm256_loadu_ps(b[0].as_ptr().add(c * 8));
+        let vb1 = _mm256_loadu_ps(b[1].as_ptr().add(c * 8));
+        for r in 0..TILE_ROWS {
+            let va = _mm256_loadu_ps(a[r].as_ptr().add(c * 8));
+            acc[2 * r] = _mm256_add_ps(acc[2 * r], _mm256_mul_ps(va, vb0));
+            acc[2 * r + 1] = _mm256_add_ps(acc[2 * r + 1], _mm256_mul_ps(va, vb1));
+        }
+    }
+    let mut out = [0.0f32; TILE_ROWS * TILE_COLS];
+    for (o, v) in out.iter_mut().enumerate() {
+        *v = finish_dot(acc[o], a[o / TILE_COLS], b[o % TILE_COLS], chunks * 8);
+    }
+    out
 }
 
 /// See [`scalar::axpy`].
@@ -353,12 +392,57 @@ pub(crate) unsafe fn sq_err_sum(a: &[f32], b: &[f32]) -> f64 {
         acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(d_lo, d_lo));
         acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(d_hi, d_hi));
     }
+    finish_sq_err(acc_lo, acc_hi, a, b, chunks * 8)
+}
+
+/// The end of one [`sq_err_sum`]: the fixed combine of the two f64x4
+/// accumulators, then the sequential tail from `from`.
+#[target_feature(enable = "avx2")]
+unsafe fn finish_sq_err(
+    acc_lo: __m256d,
+    acc_hi: __m256d,
+    a: &[f32],
+    b: &[f32],
+    from: usize,
+) -> f64 {
     let l = lanes_f64(acc_lo);
     let h = lanes_f64(acc_hi);
     let mut sum = ((l[0] + h[0]) + (l[1] + h[1])) + ((l[2] + h[2]) + (l[3] + h[3]));
-    for i in chunks * 8..n {
-        let d = f64::from(a[i]) - f64::from(b[i]);
+    for (&x, &y) in a[from..].iter().zip(&b[from..]) {
+        let d = f64::from(x) - f64::from(y);
         sum += d * d;
     }
     sum
+}
+
+/// See [`scalar::sq_err_tile`]: two f64x4 accumulators per original,
+/// each running [`sq_err_sum`]'s exact sequence; each chunk of `a` is
+/// loaded and widened once for all four originals.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn sq_err_tile(a: &[f32], b: [&[f32]; SQ_TILE]) -> [f64; SQ_TILE] {
+    debug_assert!(
+        b.iter().all(|r| r.len() == a.len()),
+        "sq_err_tile requires equal lengths"
+    );
+    let n = b.iter().map(|r| r.len()).fold(a.len(), usize::min);
+    let chunks = n / 8;
+    let mut acc_lo = [_mm256_setzero_pd(); SQ_TILE];
+    let mut acc_hi = [_mm256_setzero_pd(); SQ_TILE];
+    for c in 0..chunks {
+        let va = _mm256_loadu_ps(a.as_ptr().add(c * 8));
+        let a_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(va));
+        let a_hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(va));
+        for j in 0..SQ_TILE {
+            let vb = _mm256_loadu_ps(b[j].as_ptr().add(c * 8));
+            let d_lo = _mm256_sub_pd(a_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(vb)));
+            let d_hi = _mm256_sub_pd(a_hi, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(vb)));
+            acc_lo[j] = _mm256_add_pd(acc_lo[j], _mm256_mul_pd(d_lo, d_lo));
+            acc_hi[j] = _mm256_add_pd(acc_hi[j], _mm256_mul_pd(d_hi, d_hi));
+        }
+    }
+    let mut out = [0.0f64; SQ_TILE];
+    for (j, v) in out.iter_mut().enumerate() {
+        *v = finish_sq_err(acc_lo[j], acc_hi[j], a, b[j], chunks * 8);
+    }
+    out
 }

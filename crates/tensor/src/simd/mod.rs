@@ -10,6 +10,13 @@
 //! from a [`std::sync::OnceLock`]; per-call overhead is one relaxed
 //! atomic load and a thread-local check.
 //!
+//! Two kernels are register tiles over the pairwise ones: [`dot_tile`]
+//! (4 A rows × 2 B rows, for `matmul_nt`) and [`sq_err_tile`] (one
+//! reconstruction × 4 originals, for all-pairs PSNR). A tile loads
+//! each chunk once for all its outputs, and each output keeps the
+//! single-pair kernel's lane order, combine and tail, so every output
+//! equals [`dot`] or [`sq_err_sum`] of its pair, bit for bit.
+//!
 //! ## Bit-exactness contract
 //!
 //! The scalar backend is the reference semantics. Vector backends replicate
@@ -40,6 +47,15 @@ mod avx2;
 #[cfg(target_arch = "aarch64")]
 mod neon;
 pub(crate) mod scalar;
+
+/// A rows per [`dot_tile`].
+pub const TILE_ROWS: usize = 4;
+
+/// B rows per [`dot_tile`].
+pub const TILE_COLS: usize = 2;
+
+/// Originals per [`sq_err_tile`].
+pub const SQ_TILE: usize = 4;
 
 /// A SIMD instruction-set backend the kernels can dispatch to.
 ///
@@ -211,6 +227,14 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     dispatch!(dot(a, b))
 }
 
+/// Tile of [`dot`]s: `out[r·TILE_COLS + c] = dot(a[r], b[c])`, bit for
+/// bit, with each chunk of the six rows loaded once.
+///
+/// All rows must have the same length (debug-asserted).
+pub fn dot_tile(a: [&[f32]; TILE_ROWS], b: [&[f32]; TILE_COLS]) -> [f32; TILE_ROWS * TILE_COLS] {
+    dispatch!(dot_tile(a, b))
+}
+
 /// In-place AXPY `out[i] += alpha · x[i]`.
 ///
 /// Both slices must have the same length (debug-asserted).
@@ -295,6 +319,15 @@ pub fn unpack_signs(bits: &[u8], mag: f32, out: &mut [f32]) {
 /// same length (debug-asserted).
 pub fn sq_err_sum(a: &[f32], b: &[f32]) -> f64 {
     dispatch!(sq_err_sum(a, b))
+}
+
+/// One reconstruction against [`SQ_TILE`] originals:
+/// `out[j] = sq_err_sum(a, b[j])`, bit for bit, with each chunk of `a`
+/// loaded once.
+///
+/// All slices must have the same length (debug-asserted).
+pub fn sq_err_tile(a: &[f32], b: [&[f32]; SQ_TILE]) -> [f64; SQ_TILE] {
+    dispatch!(sq_err_tile(a, b))
 }
 
 #[cfg(test)]

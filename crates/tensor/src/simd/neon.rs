@@ -8,7 +8,7 @@
 //! registers (low = lanes 0–3, high = 4–7).
 //!
 //! The f64- and bit-manipulation kernels (q8 quantize/dequantize,
-//! sign pack/unpack, squared-error sum) delegate to the scalar
+//! sign pack/unpack, squared-error sum and tile) delegate to the scalar
 //! reference: their cost is dominated by f64 arithmetic NEON widens
 //! only 2×, and delegation keeps the bytes-on-wire guarantee trivial
 //! on hardware this workspace's CI cannot exercise.
@@ -24,6 +24,7 @@
 use std::arch::aarch64::*;
 
 use super::scalar;
+use super::{SQ_TILE, TILE_COLS, TILE_ROWS};
 
 /// See [`scalar::dot`]: two f32x4 accumulators carry the eight scalar
 /// lanes; the pairwise combine `vaddq(lo, hi)` reproduces the
@@ -43,14 +44,64 @@ pub(crate) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
             vmulq_f32(vld1q_f32(p_a.add(4)), vld1q_f32(p_b.add(4))),
         );
     }
+    finish_dot(acc_lo, acc_hi, a, b, chunks * 8)
+}
+
+/// The end of one [`dot`]: the pairwise `vaddq(lo, hi)`, the fixed
+/// scalar fold, and the sequential tail of `a[from..] · b[from..]`.
+unsafe fn finish_dot(
+    acc_lo: float32x4_t,
+    acc_hi: float32x4_t,
+    a: &[f32],
+    b: &[f32],
+    from: usize,
+) -> f32 {
     let s = vaddq_f32(acc_lo, acc_hi);
     let mut tail = 0.0f32;
-    for i in chunks * 8..n {
-        tail += a[i] * b[i];
+    for (&x, &y) in a[from..].iter().zip(&b[from..]) {
+        tail += x * y;
     }
     (vgetq_lane_f32::<0>(s) + vgetq_lane_f32::<1>(s))
         + (vgetq_lane_f32::<2>(s) + vgetq_lane_f32::<3>(s))
         + tail
+}
+
+/// See [`scalar::dot_tile`]: two f32x4 accumulators per output, so
+/// each output runs [`dot`]'s exact sequence; each chunk of the four
+/// A rows and two B rows is loaded once for all eight outputs.
+pub(crate) unsafe fn dot_tile(
+    a: [&[f32]; TILE_ROWS],
+    b: [&[f32]; TILE_COLS],
+) -> [f32; TILE_ROWS * TILE_COLS] {
+    debug_assert!(
+        a.iter().chain(&b).all(|r| r.len() == a[0].len()),
+        "dot_tile requires equal lengths"
+    );
+    let n = a.iter().chain(&b).map(|r| r.len()).min().unwrap_or(0);
+    let chunks = n / 8;
+    let mut acc_lo = [vdupq_n_f32(0.0); TILE_ROWS * TILE_COLS];
+    let mut acc_hi = [vdupq_n_f32(0.0); TILE_ROWS * TILE_COLS];
+    for c in 0..chunks {
+        let p_b0 = b[0].as_ptr().add(c * 8);
+        let p_b1 = b[1].as_ptr().add(c * 8);
+        let (b0_lo, b0_hi) = (vld1q_f32(p_b0), vld1q_f32(p_b0.add(4)));
+        let (b1_lo, b1_hi) = (vld1q_f32(p_b1), vld1q_f32(p_b1.add(4)));
+        for r in 0..TILE_ROWS {
+            let p_a = a[r].as_ptr().add(c * 8);
+            let (a_lo, a_hi) = (vld1q_f32(p_a), vld1q_f32(p_a.add(4)));
+            let (o0, o1) = (2 * r, 2 * r + 1);
+            acc_lo[o0] = vaddq_f32(acc_lo[o0], vmulq_f32(a_lo, b0_lo));
+            acc_hi[o0] = vaddq_f32(acc_hi[o0], vmulq_f32(a_hi, b0_hi));
+            acc_lo[o1] = vaddq_f32(acc_lo[o1], vmulq_f32(a_lo, b1_lo));
+            acc_hi[o1] = vaddq_f32(acc_hi[o1], vmulq_f32(a_hi, b1_hi));
+        }
+    }
+    let mut out = [0.0f32; TILE_ROWS * TILE_COLS];
+    for (o, v) in out.iter_mut().enumerate() {
+        let (a_row, b_row) = (a[o / TILE_COLS], b[o % TILE_COLS]);
+        *v = finish_dot(acc_lo[o], acc_hi[o], a_row, b_row, chunks * 8);
+    }
+    out
 }
 
 /// See [`scalar::axpy`].
@@ -215,4 +266,9 @@ pub(crate) unsafe fn unpack_signs(bits: &[u8], mag: f32, out: &mut [f32]) {
 /// See [`scalar::sq_err_sum`] — delegated (f64-bound; see module docs).
 pub(crate) unsafe fn sq_err_sum(a: &[f32], b: &[f32]) -> f64 {
     scalar::sq_err_sum(a, b)
+}
+
+/// See [`scalar::sq_err_tile`] — delegated (f64-bound; see module docs).
+pub(crate) unsafe fn sq_err_tile(a: &[f32], b: [&[f32]; SQ_TILE]) -> [f64; SQ_TILE] {
+    scalar::sq_err_tile(a, b)
 }

@@ -13,6 +13,8 @@
 //! so the "scalar" backend is itself reasonably fast — the explicit
 //! backends buy the full register width plus runtime dispatch.
 
+use super::{SQ_TILE, TILE_COLS, TILE_ROWS};
+
 /// Lane width every reduction kernel is blocked to. Vector backends
 /// must use the same logical lane count (one f32x8, two f32x4, …) to
 /// stay bit-identical.
@@ -41,6 +43,19 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
         .map(|(&x, &y)| x * y)
         .sum();
     ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7])) + tail
+}
+
+/// Register tile of dot products: `out[r·TILE_COLS + c] = dot(a[r], b[c])`.
+///
+/// This is the specification, not a fast path: every output is the
+/// single-pair [`dot`] of its row pair, so a vector backend that keeps
+/// one accumulator per output (with [`dot`]'s lane order, combine and
+/// tail) matches it bit for bit while loading each chunk once per tile.
+pub(crate) fn dot_tile(
+    a: [&[f32]; TILE_ROWS],
+    b: [&[f32]; TILE_COLS],
+) -> [f32; TILE_ROWS * TILE_COLS] {
+    std::array::from_fn(|o| dot(a[o / TILE_COLS], b[o % TILE_COLS]))
 }
 
 /// In-place single-coefficient AXPY: `out[j] += alpha * x[j]`.
@@ -197,4 +212,14 @@ pub(crate) fn sq_err_sum(a: &[f32], b: &[f32]) -> f64 {
         sum += d * d;
     }
     sum
+}
+
+/// One reconstruction against [`SQ_TILE`] originals:
+/// `out[j] = sq_err_sum(a, b[j])`.
+///
+/// The specification, like [`dot_tile`]: each output is the
+/// single-pair kernel, so a vector backend that keeps two f64x4
+/// accumulators per original reproduces it while loading `a` once.
+pub(crate) fn sq_err_tile(a: &[f32], b: [&[f32]; SQ_TILE]) -> [f64; SQ_TILE] {
+    b.map(|bj| sq_err_sum(a, bj))
 }

@@ -10,6 +10,10 @@
 //! magnitudes, large magnitudes — mixed in. On hardware where the
 //! best backend *is* scalar the comparisons are trivially true; the
 //! CI perf leg runs on AVX2 where they are load-bearing.
+//!
+//! The register tiles (`dot_tile`, `sq_err_tile`, and `matmul_nt`
+//! built on them) are pinned against the single-pair kernels on every
+//! available backend, with ±∞, NaN and subnormals added to the mix.
 
 use oasis_tensor::simd::{self, Backend};
 use oasis_tensor::{parallel, Tensor};
@@ -45,6 +49,71 @@ fn lane_pair() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
 
 fn best() -> Backend {
     Backend::detect()
+}
+
+/// Every backend this CPU can run.
+fn backends() -> Vec<Backend> {
+    [Backend::Scalar, Backend::Avx2, Backend::Neon]
+        .into_iter()
+        .filter(|b| b.is_available())
+        .collect()
+}
+
+/// The non-finite values and true subnormals the pairwise tiles must
+/// pass through exactly as the single-pair kernels do.
+fn special_f32() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        Just(f32::INFINITY),
+        Just(f32::NEG_INFINITY),
+        Just(f32::NAN),
+        Just(1e-40f32),
+        Just(-1e-40f32),
+    ]
+}
+
+/// Bit equality, except that any NaN equals any NaN: Rust does not
+/// pin NaN payloads, so "same output" means NaN exactly where the
+/// reference is NaN and the same bits everywhere else.
+fn same<T: Into<f64> + Copy>(got: T, want: T) -> bool {
+    let (g, w) = (got.into(), want.into());
+    (g.is_nan() && w.is_nan()) || g.to_bits() == w.to_bits()
+}
+
+/// `rows` vectors of one length, swept across lane and tail splits,
+/// of [`tricky_f32`] values; in about half the cases one element of
+/// one row is a [`special_f32`] (rarely enough that most outputs stay
+/// finite and their bits stay meaningful).
+fn lane_rows(rows: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
+    (0usize..=41).prop_flat_map(move |n| {
+        (
+            proptest::collection::vec(proptest::collection::vec(tricky_f32(), n), rows),
+            0..2 * rows,
+            0..n.max(1),
+            special_f32(),
+        )
+            .prop_map(move |(mut v, r, i, x)| {
+                if r < rows && n > 0 {
+                    v[r][i] = x;
+                }
+                v
+            })
+    })
+}
+
+/// The per-element loop `matmul_nt` ran before its register tile,
+/// kept verbatim as the oracle.
+fn matmul_nt_oracle(a: &Tensor, b: &Tensor) -> Vec<f32> {
+    let (m, k) = (a.dims()[0], a.dims()[1]);
+    let n = b.dims()[0];
+    let (a, b) = (a.data(), b.data());
+    let mut out = vec![0.0f32; m * n];
+    for (i, out_row) in out.chunks_mut(n).enumerate() {
+        let arow = &a[i * k..(i + 1) * k];
+        for (j, o) in out_row.iter_mut().enumerate() {
+            *o = simd::dot(arow, &b[j * k..(j + 1) * k]);
+        }
+    }
+    out
 }
 
 proptest! {
@@ -164,6 +233,90 @@ proptest! {
         let scalar = simd::with_backend(Backend::Scalar, || simd::sq_err_sum(sa, sb));
         let vector = simd::with_backend(best(), || simd::sq_err_sum(sa, sb));
         prop_assert_eq!(scalar.to_bits(), vector.to_bits());
+    }
+}
+
+proptest! {
+    #[test]
+    fn dot_tile_is_the_single_pair_dot_per_output(rows in lane_rows(6)) {
+        let a: [&[f32]; 4] = std::array::from_fn(|r| &rows[r][..]);
+        let b: [&[f32]; 2] = std::array::from_fn(|c| &rows[4 + c][..]);
+        let want: Vec<f32> = simd::with_backend(Backend::Scalar, || {
+            (0..8).map(|o| simd::dot(a[o / 2], b[o % 2])).collect()
+        });
+        for backend in backends() {
+            let tile = simd::with_backend(backend, || simd::dot_tile(a, b));
+            for (o, (&got, &w)) in tile.iter().zip(&want).enumerate() {
+                prop_assert!(same(got, w), "{:?} output {}: {} vs {}", backend, o, got, w);
+            }
+        }
+    }
+
+    #[test]
+    fn sq_err_tile_is_the_single_pair_sum_per_output(rows in lane_rows(5)) {
+        let b: [&[f32]; 4] = std::array::from_fn(|j| &rows[1 + j][..]);
+        let want: Vec<f64> = simd::with_backend(Backend::Scalar, || {
+            b.iter().map(|bj| simd::sq_err_sum(&rows[0], bj)).collect()
+        });
+        for backend in backends() {
+            let tile = simd::with_backend(backend, || simd::sq_err_tile(&rows[0], b));
+            for (j, (&got, &w)) in tile.iter().zip(&want).enumerate() {
+                prop_assert!(same(got, w), "{:?} output {}: {} vs {}", backend, j, got, w);
+            }
+        }
+    }
+}
+
+#[test]
+fn tiled_matmul_nt_matches_the_per_element_dot_loop() {
+    // m and n cover every edge: whole 4×2 tiles, leftover rows (m % 4)
+    // and an odd last column. k = 64 is the smallest dot-path k, 65
+    // adds a one-element tail, and 3079 is long enough to cross the
+    // parallel threshold at 2 threads. Signed zeros and subnormals are
+    // sprinkled everywhere; non-finite values sit in the last A row
+    // (NaN) and the first and last B rows (±∞), so the other outputs
+    // stay finite and their bits meaningful.
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(17);
+    let quiet = [0.0f32, -0.0, 1e-40, -1e-40];
+    let mut matrix = |rows: usize, k: usize, loud: [(usize, f32); 2]| {
+        let mut data: Vec<f32> = (0..rows * k)
+            .map(|_| {
+                if rng.gen_range(0..16) == 0 {
+                    quiet[rng.gen_range(0..quiet.len())]
+                } else {
+                    rng.gen_range(-2.0f32..2.0)
+                }
+            })
+            .collect();
+        for (row, v) in loud {
+            data[row * k + rng.gen_range(0..k)] = v;
+        }
+        Tensor::from_vec(data, &[rows, k]).unwrap()
+    };
+    for k in [64, 65, 3079] {
+        for m in 1..=9 {
+            for n in 1..=7 {
+                let a = matrix(m, k, [(m - 1, f32::NAN), (m - 1, f32::NAN)]);
+                let b = matrix(n, k, [(0, f32::INFINITY), (n - 1, f32::NEG_INFINITY)]);
+                let want = simd::with_backend(Backend::Scalar, || matmul_nt_oracle(&a, &b));
+                for backend in backends() {
+                    for threads in [1, 2] {
+                        let got = simd::with_backend(backend, || {
+                            parallel::with_threads(threads, || a.matmul_nt(&b).unwrap())
+                        });
+                        assert_eq!(got.dims(), &[m, n]);
+                        for (o, (&g, &w)) in got.data().iter().zip(&want).enumerate() {
+                            assert!(
+                                same(g, w),
+                                "{backend:?} t={threads} m={m} n={n} k={k} out {o}: {g} vs {w}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
