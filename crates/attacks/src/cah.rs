@@ -88,15 +88,18 @@ impl CahAttack {
     ///
     /// # Errors
     ///
-    /// Returns [`AttackError::Calibration`] if the calibration set is
-    /// empty, its images differ in size, or the target is not in
-    /// `(0, 1)`.
+    /// Returns [`AttackError::BadConfig`] for zero neurons, and
+    /// [`AttackError::Calibration`] if the calibration set is empty,
+    /// its images differ in size, or the target is not in `(0, 1)`.
     pub fn calibrated(
         neurons: usize,
         target: f64,
         calibration: &[Image],
         weight_seed: u64,
     ) -> Result<Self> {
+        if neurons == 0 {
+            return Err(AttackError::BadConfig("CAH needs at least 1 neuron".into()));
+        }
         let first = calibration
             .first()
             .ok_or_else(|| AttackError::Calibration("empty calibration set".into()))?;
@@ -338,5 +341,16 @@ mod tests {
         assert!(CahAttack::calibrated(8, 0.1, &[], 0).is_err());
         assert!(CahAttack::calibrated(8, 0.0, &imgs, 0).is_err());
         assert!(CahAttack::calibrated(8, 1.5, &imgs, 0).is_err());
+    }
+
+    #[test]
+    fn calibration_rejects_zero_neurons() {
+        // A 0-row layer would otherwise build and panic in the first
+        // backward pass.
+        let imgs = structured_images(4, 8, 0);
+        assert!(matches!(
+            CahAttack::calibrated(0, 0.1, &imgs, 0),
+            Err(AttackError::BadConfig(_))
+        ));
     }
 }

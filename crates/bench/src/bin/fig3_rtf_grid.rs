@@ -8,7 +8,7 @@ use oasis_bench::{attack_grid, banner, AttackSpec, Scale};
 fn main() {
     let scale = Scale::from_args();
     banner("Figure 3", "RTF average PSNR grid (undefended)", scale);
-    attack_grid(scale, AttackSpec::rtf(0), 101, 30_000, 256);
+    attack_grid(scale, AttackSpec::rtf(100), 101, 30_000, 256);
     println!("\nExpected shape (paper): PSNR decreases with batch size; for each");
     println!("batch size some mid/high neuron count maximizes the attack.");
 }

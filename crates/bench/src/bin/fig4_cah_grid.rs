@@ -6,7 +6,7 @@ use oasis_bench::{attack_grid, banner, AttackSpec, Scale};
 fn main() {
     let scale = Scale::from_args();
     banner("Figure 4", "CAH average PSNR grid (undefended)", scale);
-    attack_grid(scale, AttackSpec::cah(0), 102, 40_000, 384);
+    attack_grid(scale, AttackSpec::cah(100), 102, 40_000, 384);
     println!("\nExpected shape (paper): strong reconstruction at small batches,");
     println!("sharp decline as the batch grows (trap-neuron collisions).");
 }

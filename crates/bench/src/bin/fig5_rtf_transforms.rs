@@ -26,7 +26,7 @@ fn main() {
     ];
     transform_comparison(
         scale,
-        AttackSpec::rtf(0),
+        AttackSpec::rtf(900),
         &configs,
         &figure5_policies(),
         42,

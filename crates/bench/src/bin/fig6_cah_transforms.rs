@@ -28,7 +28,7 @@ fn main() {
     ];
     transform_comparison(
         scale,
-        AttackSpec::cah(0),
+        AttackSpec::cah(100),
         &configs,
         &figure6_policies(),
         43,

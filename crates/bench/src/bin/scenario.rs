@@ -66,7 +66,7 @@ FLAGS (comma-separated lists sweep the grid):
     --trace PATH        enable telemetry: write a schema-v1 JSONL span
                         trace to PATH and print a self-time summary
                         table on exit (env: OASIS_TRACE=PATH)
-    --list-specs        list every registered spec family and exit
+    --list-specs        list every spec grammar and exit
     --help              this text
 
 Artifacts go to out/ by default; set OASIS_OUT_DIR to redirect.

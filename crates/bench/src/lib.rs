@@ -128,6 +128,8 @@ pub fn pooled_attack_psnrs(
 /// the paper's grid with the strongest per-batch configuration
 /// highlighted.
 ///
+/// `attack` fixes the family (and CAH's γ or QBI's batch target); each
+/// cell sets its own neuron count through [`AttackSpec::with_neurons`].
 /// `seed_base` spreads the per-cell seeds (`seed_base + B·mult + n`,
 /// the figure binaries' historical scheme); `dataset_seed` pins the
 /// workload build. Each cell rebuilds its (deterministic) dataset and
@@ -140,8 +142,8 @@ pub fn attack_grid(
     seed_base: u64,
     calibration: usize,
 ) {
-    let seed_mult: u64 = match attack.family() {
-        "cah" => 19,
+    let seed_mult: u64 = match attack {
+        AttackSpec::Cah { .. } => 19,
         _ => 17,
     };
     for workload in [Workload::ImageNette, Workload::Cifar100] {
@@ -194,8 +196,10 @@ pub fn attack_grid(
 /// (workload, B, n) configuration, one [`Scenario`] per policy in
 /// `policies`, printed as the paper's per-policy summary rows.
 ///
-/// `neuron_cap` bounds `n` at quick scale so smoke tests stay in
-/// seconds; `linear` attacks ignore the neuron axis entirely.
+/// `attack` fixes the family; each configuration sets its neuron
+/// count through [`AttackSpec::with_neurons`]. `neuron_cap` bounds `n`
+/// at quick scale so smoke tests stay in seconds; `linear` attacks
+/// ignore the neuron axis entirely.
 #[allow(clippy::too_many_arguments)]
 pub fn transform_comparison(
     scale: Scale,
@@ -212,12 +216,12 @@ pub fn transform_comparison(
         let attack = attack.with_neurons(neurons);
         // The linear-model experiment historically pooled at least two
         // batches so unique-label draws cover the class space.
-        let trials = match attack.family() {
-            "linear" => scale.trials().max(2),
+        let trials = match attack {
+            AttackSpec::Linear => scale.trials().max(2),
             _ => scale.trials(),
         };
-        match attack.family() {
-            "linear" => println!("\n--- {} | B = {batch} ---", workload.label()),
+        match attack {
+            AttackSpec::Linear => println!("\n--- {} | B = {batch} ---", workload.label()),
             _ => println!(
                 "\n--- {} | B = {batch}, n = {neurons} ---",
                 workload.label()

@@ -945,8 +945,7 @@ fn bench_defense_stack() -> PreparedBench {
     let stack: DefenseStack = "oasis:MR+dp:1,0.01"
         .parse::<oasis_scenario::DefenseSpec>()
         .expect("stack spec")
-        .build()
-        .expect("stack build");
+        .build();
     let data = cifar_like_with(8, 1, 16, 21);
     let batch = oasis_data::Batch::from_items(data.items().to_vec());
     let update = codec_update();

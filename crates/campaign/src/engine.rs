@@ -258,7 +258,7 @@ impl CampaignRunner {
                 "campaign needs at least one client".into(),
             )));
         }
-        let defense_stack = Arc::new(defense.build()?);
+        let defense_stack = Arc::new(defense.build());
         let phase0 = spec.phases()[0].clone();
         let base = match phase0.alpha {
             Some(alpha) => Population::dirichlet(
@@ -528,7 +528,7 @@ impl CampaignRunner {
             };
             let decision = self.adapter.as_mut().and_then(|adapter| adapter(&signals));
             if let Some(new_spec) = decision {
-                self.install_defense(new_spec)?;
+                self.install_defense(new_spec);
             }
         }
         self.records.push(record);
@@ -537,20 +537,15 @@ impl CampaignRunner {
 
     /// Re-parameterizes the defense stack for subsequent rounds (the
     /// adaptation hook's effector; also callable directly).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignError::Spec`] when the spec cannot build.
-    pub fn install_defense(&mut self, spec: DefenseSpec) -> Result<(), CampaignError> {
+    pub fn install_defense(&mut self, spec: DefenseSpec) {
         if spec == self.defense_spec {
-            return Ok(());
+            return;
         }
-        let stack = Arc::new(spec.build()?);
+        let stack = Arc::new(spec.build());
         self.defense_spec = spec;
         self.defense_stack = Arc::clone(&stack);
         self.base.set_defense(Arc::clone(&stack));
         self.runner.population_mut().set_defense(stack);
-        Ok(())
     }
 
     /// Applies phase-entry actions exactly once per phase: the

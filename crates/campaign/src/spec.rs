@@ -15,7 +15,9 @@
 //!   client population (departed clients keep their shard and can
 //!   rejoin);
 //! * `alpha=A` — Dirichlet re-partition at phase entry (label-skew
-//!   drift, the [`oasis_fl::partition_dirichlet`] discipline);
+//!   drift, the [`oasis_fl::partition_dirichlet`] discipline); `A` is
+//!   finite and positive, and each Dirichlet draw costs O(A) (the
+//!   sampler peels off integer parts of the shape one at a time);
 //! * `net=SPEC` — network conditions for the phase
 //!   ([`NetSpec`] grammar: `ideal` or `sim:LAT,BW,DROP[,DL]`),
 //!   sticky until a later phase overrides it;
@@ -83,10 +85,11 @@ impl PhaseSpec {
             }
         }
         if let Some(a) = self.alpha {
-            // NaN must fail too, so compare on the accepting side.
-            if a <= 0.0 || a.is_nan() {
+            // NaN must fail too, so compare on the accepting side. An
+            // infinite α would never leave the Dirichlet sampler.
+            if !(a.is_finite() && a > 0.0) {
                 return Err(ScenarioError::BadSpec(format!(
-                    "campaign `alpha` must be positive, got `{a}`"
+                    "campaign `alpha` must be positive and finite, got `{a}`"
                 )));
             }
         }
@@ -319,6 +322,8 @@ mod tests {
             "campaign:0",               // zero rounds
             "campaign:5+join=1.5",      // probability out of range
             "campaign:5+alpha=0",       // non-positive alpha
+            "campaign:3+alpha=inf",     // infinite alpha
+            "campaign:3+alpha=NaN",     // NaN alpha
             "campaign:5+warp=1",        // unknown field
             "campaign:5+join",          // not key=value
             "campaign:5+net=warp",      // bad net spec

@@ -44,11 +44,12 @@ pub fn partition_iid(
 /// Splits a dataset into `n` label-skewed (non-IID) client shards via
 /// a symmetric Dirichlet(α) allocation per class — the standard
 /// heterogeneity model in the FL literature. Small `alpha` (e.g. 0.1)
-/// gives near-pathological skew; large `alpha` approaches IID.
+/// gives near-pathological skew; large `alpha` approaches IID. Each
+/// Gamma(α) draw costs O(α).
 ///
 /// # Panics
 ///
-/// Panics if `alpha` is not positive or `n` is zero.
+/// Panics if `alpha` is not positive and finite, or `n` is zero.
 pub fn partition_dirichlet(
     dataset: &Dataset,
     n: usize,
@@ -58,7 +59,10 @@ pub fn partition_dirichlet(
 ) -> Vec<FlClient> {
     use rand::seq::SliceRandom;
     use rand::Rng;
-    assert!(alpha > 0.0, "Dirichlet concentration must be positive");
+    assert!(
+        alpha > 0.0 && alpha.is_finite(),
+        "Dirichlet concentration must be positive and finite"
+    );
     assert!(n > 0, "need at least one client");
 
     // Marsaglia–Tsang-free Gamma(α) sampling via Johnk's algorithm for

@@ -109,8 +109,8 @@ impl Population {
     ///
     /// # Panics
     ///
-    /// Panics when `alpha` is not positive or `n` is zero, matching
-    /// `partition_dirichlet`.
+    /// Panics when `alpha` is not positive and finite or `n` is zero,
+    /// matching `partition_dirichlet`.
     pub fn dirichlet(
         dataset: &Dataset,
         n: usize,
@@ -119,7 +119,10 @@ impl Population {
         rng: &mut StdRng,
     ) -> Self {
         use rand::Rng;
-        assert!(alpha > 0.0, "Dirichlet concentration must be positive");
+        assert!(
+            alpha > 0.0 && alpha.is_finite(),
+            "Dirichlet concentration must be positive and finite"
+        );
         assert!(n > 0, "need at least one client");
 
         // Johnk's Gamma(α) sampler — byte-for-byte the draw sequence

@@ -10,11 +10,10 @@
 //! names every cell with compact spec strings
 //! ([`AttackSpec`] / [`DefenseSpec`] / [`WorkloadSpec`], all
 //! round-tripping through `FromStr` ⇄ `Display`). Attack and defense
-//! specs are string-keyed into the pluggable family
-//! [`registry`]; defenses **stack** with `+`
-//! (`oasis:MR+dp:1,0.01` builds one [`oasis_fl::DefenseStack`]
-//! applying the OASIS batch stage then DP-SGD's update stage). The
-//! engine assembles a cell
+//! specs are closed, typed enums whose parse is their validation;
+//! defenses **stack** with `+` (`oasis:MR+dp:1,0.01` builds one
+//! [`oasis_fl::DefenseStack`] applying the OASIS batch stage then
+//! DP-SGD's update stage). The engine assembles a cell
 //! with [`Scenario::builder`], executes trials in parallel, and
 //! returns a [`ScenarioReport`] carrying per-trial matched PSNRs,
 //! leak rates, wall clock, and the full provenance needed to
@@ -46,18 +45,15 @@
 
 #![warn(missing_docs)]
 
-pub mod registry;
 mod scale;
 mod scenario;
 mod spec;
 
-pub use registry::{
-    register_attack_family, register_defense_family, spec_catalog, AttackFamily, DefenseFamily,
-    CAH_WEIGHT_SEED, QBI_WEIGHT_SEED,
-};
 pub use scale::Scale;
 pub use scenario::{Sampling, Scenario, ScenarioBuilder, ScenarioReport, TrialReport};
-pub use spec::{AttackSpec, DefenseSpec, WorkloadSpec};
+pub use spec::{
+    spec_catalog, AttackSpec, DefenseSpec, WorkloadSpec, CAH_WEIGHT_SEED, QBI_WEIGHT_SEED,
+};
 
 // The wire dimensions of a scenario — re-exported so spec consumers
 // need only this crate.

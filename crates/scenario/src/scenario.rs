@@ -284,7 +284,7 @@ impl Scenario {
             self.calibration_images()
         };
         let attack = self.attack.build(&calibration, classes)?;
-        let defense = self.defense.build()?;
+        let defense = self.defense.build();
         let codec = self.codec.build();
 
         // Batches are drawn sequentially from one rng (so trial `i`
@@ -831,7 +831,7 @@ mod tests {
             .attack
             .build(&scenario.calibration_images(), 100)
             .unwrap();
-        let defense = scenario.defense.build().unwrap();
+        let defense = scenario.defense.build();
         for (i, batch) in scenario.trial_batches().iter().enumerate() {
             let outcome = oasis_attacks::run_attack(
                 attack.as_ref(),

@@ -6,114 +6,190 @@
 //! the exact provenance of the numbers it holds and any experiment
 //! can be reproduced from its printed spec alone.
 //!
-//! Attack and defense specs are **string-keyed**: `family[:args]`
-//! values whose parsing and construction dispatch through the
-//! [`crate::registry`] — new families plug in with one
-//! [`crate::register_attack_family`] /
-//! [`crate::register_defense_family`] call. Defense specs
-//! additionally **stack** with `+` (`oasis:MR+dp:1,0.01`): the parts
-//! build one [`DefenseStack`] applying batch stages then update
+//! The vocabulary is closed: attack and defense specs are typed enums,
+//! and parsing is their validation. Every numeric field is checked
+//! once, by the same bounds the constructors enforce, so a spec that
+//! parses prints back to itself and builds without panicking. Defense
+//! specs additionally **stack** with `+` (`oasis:MR+dp:1,0.01`): the
+//! parts build one [`DefenseStack`] applying batch stages then update
 //! stages in spec order.
 
-use oasis_attacks::{ActiveAttack, DEFAULT_ACTIVATION_TARGET};
-use oasis_augment::PolicyKind;
-use oasis_data::{imagenette_images, synthetic_images, Dataset, LabeledImage};
-use oasis_fl::DefenseStack;
-use oasis_image::Image;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
-use crate::registry::{attack_family, cah_args, defense_family};
+use oasis_attacks::{
+    ActiveAttack, AtsDefense, CahAttack, LinearModelAttack, QbiAttack, RtfAttack,
+    DEFAULT_ACTIVATION_TARGET, DEFAULT_QBI_BATCH,
+};
+use oasis_augment::PolicyKind;
+use oasis_data::{imagenette_images, synthetic_images, Dataset, LabeledImage};
+use oasis_fl::{ClipStage, Defense, DefenseStack, DpStage};
+use oasis_image::Image;
+use serde::{Deserialize, Serialize};
+
 use crate::{Scale, ScenarioError};
 
-/// An active reconstruction attack, as a string-keyed value.
+/// Weight seed used when constructing CAH trap weights from a spec.
 ///
-/// Built-in spec grammar (round-tripping through `Display`; run
-/// `scenario --list-specs` for whatever is registered):
+/// The figure binaries historically used this constant; building
+/// `cah:N` specs with it reproduces those numbers.
+pub const CAH_WEIGHT_SEED: u64 = 0xCA11;
+
+/// Weight seed used when constructing QBI Gaussian rows from a spec.
+pub const QBI_WEIGHT_SEED: u64 = 0x0B1A;
+
+/// An active reconstruction attack, as a value.
 ///
-/// * `rtf:N` — Robbing the Fed with `N` attacked neurons,
-/// * `cah:N` — Curious Abandon Honesty with `N` trap neurons at the
-///   default activation target, or `cah:N,G` for target `G`,
+/// Spec grammar (round-tripping through `Display`; `scenario
+/// --list-specs` prints it):
+///
+/// * `rtf:N` — Robbing the Fed with `N ≥ 2` attacked neurons,
+/// * `cah:N` — Curious Abandon Honesty with `N ≥ 1` trap neurons at
+///   the default activation target, or `cah:N,G` for a target `G`
+///   in `(0, 1)`,
+/// * `qbi:N` — quantile-based bias init with `N ≥ 1` neurons tuned
+///   for the default batch size, or `qbi:N,B` for batch `B ≥ 2`,
 /// * `linear` — gradient inversion on a single-layer softmax model.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttackSpec {
-    family: String,
-    args: Option<String>,
+///
+/// Default targets are elided when printing (`cah:400,0.1` prints as
+/// `cah:400`). The constructors enforce the same bounds as the parse
+/// path and panic on a violation.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AttackSpec {
+    /// Robbing the Fed.
+    Rtf {
+        /// Attacked imprint neurons (≥ 2).
+        neurons: usize,
+    },
+    /// Curious Abandon Honesty.
+    Cah {
+        /// Trap neurons (≥ 1).
+        neurons: usize,
+        /// Per-neuron activation target, finite in `(0, 1)`.
+        gamma: f64,
+    },
+    /// Quantile-based bias initialization.
+    Qbi {
+        /// Attacked neurons (≥ 1).
+        neurons: usize,
+        /// Batch size the biases are tuned for (≥ 2).
+        batch: usize,
+    },
+    /// Gradient inversion on a single-layer softmax model.
+    Linear,
 }
 
 impl AttackSpec {
     /// An RTF spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `neurons < 2`.
     pub fn rtf(neurons: usize) -> Self {
-        AttackSpec {
-            family: "rtf".into(),
-            args: Some(neurons.to_string()),
-        }
+        AttackSpec::Rtf { neurons }.checked()
     }
 
     /// A CAH spec at the default activation target.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `neurons` is zero.
     pub fn cah(neurons: usize) -> Self {
         AttackSpec::cah_with_gamma(neurons, DEFAULT_ACTIVATION_TARGET)
     }
 
     /// A CAH spec with an explicit activation target γ.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `neurons` is zero or γ is not finite in `(0, 1)`.
     pub fn cah_with_gamma(neurons: usize, gamma: f64) -> Self {
-        AttackSpec {
-            family: "cah".into(),
-            args: Some(cah_args(neurons, gamma)),
-        }
+        AttackSpec::Cah { neurons, gamma }.checked()
+    }
+
+    /// A QBI spec tuned for batch size `batch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `neurons` is zero or `batch < 2`.
+    pub fn qbi(neurons: usize, batch: usize) -> Self {
+        AttackSpec::Qbi { neurons, batch }.checked()
     }
 
     /// The linear-model inversion spec (paper §IV-D).
     pub fn linear() -> Self {
-        AttackSpec {
-            family: "linear".into(),
-            args: None,
+        AttackSpec::Linear
+    }
+
+    /// Checks the bounds every spec must satisfy — the single check
+    /// behind both `FromStr` and the constructors.
+    fn validated(self) -> Result<Self, ScenarioError> {
+        let problem = match self {
+            AttackSpec::Rtf { neurons } if neurons < 2 => {
+                format!("rtf needs at least 2 neurons, got `{neurons}`")
+            }
+            AttackSpec::Cah { neurons: 0, .. } | AttackSpec::Qbi { neurons: 0, .. } => {
+                format!("{} needs at least 1 neuron", self.family())
+            }
+            AttackSpec::Cah { gamma, .. } if !(gamma > 0.0 && gamma < 1.0) => {
+                format!("cah activation target must be in (0, 1), got `{gamma}`")
+            }
+            AttackSpec::Qbi { batch, .. } if batch < 2 => {
+                format!("qbi batch target must be at least 2, got `{batch}`")
+            }
+            _ => return Ok(self),
+        };
+        Err(ScenarioError::BadSpec(problem))
+    }
+
+    fn checked(self) -> Self {
+        self.validated().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Short family name: `rtf`, `cah`, `qbi` or `linear`.
+    pub fn family(&self) -> &'static str {
+        match self {
+            AttackSpec::Rtf { .. } => "rtf",
+            AttackSpec::Cah { .. } => "cah",
+            AttackSpec::Qbi { .. } => "qbi",
+            AttackSpec::Linear => "linear",
         }
     }
 
-    /// Short family name ("rtf", "cah", "linear", …) — the registry
-    /// key.
-    pub fn family(&self) -> &str {
-        &self.family
-    }
-
-    /// The spec's canonical arguments, if the family takes any.
-    pub fn args(&self) -> Option<&str> {
-        self.args.as_deref()
-    }
-
     /// The same spec with a different neuron count (no-op for
-    /// families without a neuron knob, e.g. `linear`) — how grid
-    /// sweeps vary one axis of an attack.
+    /// `linear`, which has no neuron knob) — how grid sweeps vary one
+    /// axis of an attack.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `neurons` is below the family's minimum.
     pub fn with_neurons(&self, neurons: usize) -> Self {
-        let family = attack_family(&self.family).expect("constructed specs have a family");
-        match (family.with_neurons)(self.args(), neurons) {
-            Some(args) => AttackSpec {
-                family: self.family.clone(),
-                args: Some(args),
-            },
-            None => self.clone(),
+        match *self {
+            AttackSpec::Rtf { .. } => AttackSpec::rtf(neurons),
+            AttackSpec::Cah { gamma, .. } => AttackSpec::cah_with_gamma(neurons, gamma),
+            AttackSpec::Qbi { batch, .. } => AttackSpec::qbi(neurons, batch),
+            AttackSpec::Linear => AttackSpec::Linear,
         }
     }
 
     /// How many calibration images the attack wants for its
     /// measurement statistics (0 = needs none).
     pub fn default_calibration(&self) -> usize {
-        let family = attack_family(&self.family).expect("constructed specs have a family");
-        (family.calibration)(self.args())
+        match self {
+            AttackSpec::Rtf { .. } | AttackSpec::Qbi { .. } => 256,
+            AttackSpec::Cah { .. } => 384,
+            AttackSpec::Linear => 0,
+        }
     }
 
     /// Whether trial batches should default to unique-label sampling
     /// (the linear-model inversion needs one class per sample).
     pub fn unique_labels_default(&self) -> bool {
-        attack_family(&self.family)
-            .expect("constructed specs have a family")
-            .unique_labels
+        matches!(self, AttackSpec::Linear)
     }
 
-    /// Constructs the attack behind this spec via the family
-    /// registry, traced as `attack.calibrate`.
+    /// Constructs the attack behind this spec, traced as
+    /// `attack.calibrate`.
     ///
     /// `calibration` holds the public images the dishonest server fits
     /// its measurement statistics on; `classes` is the label-space
@@ -128,17 +204,39 @@ impl AttackSpec {
         calibration: &[Image],
         classes: usize,
     ) -> Result<Box<dyn ActiveAttack>, ScenarioError> {
-        let family = attack_family(&self.family)?;
         let _span = oasis_telemetry::span("attack.calibrate");
-        (family.build)(self.args(), calibration, classes)
+        Ok(match *self {
+            AttackSpec::Rtf { neurons } => Box::new(RtfAttack::calibrated(neurons, calibration)?),
+            AttackSpec::Cah { neurons, gamma } => Box::new(CahAttack::calibrated(
+                neurons,
+                gamma,
+                calibration,
+                CAH_WEIGHT_SEED,
+            )?),
+            AttackSpec::Qbi { neurons, batch } => Box::new(QbiAttack::calibrated(
+                neurons,
+                batch,
+                calibration,
+                QBI_WEIGHT_SEED,
+            )?),
+            AttackSpec::Linear => Box::new(LinearModelAttack::new(classes)?),
+        })
     }
 }
 
 impl fmt::Display for AttackSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.args {
-            Some(args) => write!(f, "{}:{args}", self.family),
-            None => f.write_str(&self.family),
+        match *self {
+            AttackSpec::Rtf { neurons } => write!(f, "rtf:{neurons}"),
+            AttackSpec::Cah { neurons, gamma } if gamma == DEFAULT_ACTIVATION_TARGET => {
+                write!(f, "cah:{neurons}")
+            }
+            AttackSpec::Cah { neurons, gamma } => write!(f, "cah:{neurons},{gamma}"),
+            AttackSpec::Qbi { neurons, batch } if batch == DEFAULT_QBI_BATCH => {
+                write!(f, "qbi:{neurons}")
+            }
+            AttackSpec::Qbi { neurons, batch } => write!(f, "qbi:{neurons},{batch}"),
+            AttackSpec::Linear => f.write_str("linear"),
         }
     }
 }
@@ -147,12 +245,42 @@ impl FromStr for AttackSpec {
     type Err = ScenarioError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (name, args) = split_spec(s);
-        let family = attack_family(name)?;
-        Ok(AttackSpec {
-            family: name.to_string(),
-            args: (family.canon)(args)?,
-        })
+        let (family, args) = split_first(s, ':');
+        let spec = match family {
+            "rtf" => AttackSpec::Rtf {
+                neurons: field(family, "neurons", required(family, args)?)?,
+            },
+            "cah" => {
+                let (neurons, gamma) = split_first(required(family, args)?, ',');
+                AttackSpec::Cah {
+                    neurons: field(family, "neurons", neurons)?,
+                    gamma: match gamma {
+                        Some(g) => field(family, "gamma", g)?,
+                        None => DEFAULT_ACTIVATION_TARGET,
+                    },
+                }
+            }
+            "qbi" => {
+                let (neurons, batch) = split_first(required(family, args)?, ',');
+                AttackSpec::Qbi {
+                    neurons: field(family, "neurons", neurons)?,
+                    batch: match batch {
+                        Some(b) => field(family, "batch", b)?,
+                        None => DEFAULT_QBI_BATCH,
+                    },
+                }
+            }
+            "linear" => {
+                no_args(family, args)?;
+                AttackSpec::Linear
+            }
+            other => {
+                return Err(ScenarioError::BadSpec(format!(
+                    "unknown attack `{other}` (known: rtf, cah, qbi, linear)"
+                )))
+            }
+        };
+        spec.validated()
     }
 }
 
@@ -172,35 +300,124 @@ impl Deserialize for AttackSpec {
     }
 }
 
-/// One `family[:args]` part of a defense stack.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct DefensePart {
-    family: String,
-    args: Option<String>,
+/// One part of a defense stack.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum DefensePart {
+    Oasis(PolicyKind),
+    Ats,
+    Dp { clip: f32, noise: f32 },
+    Clip(f32),
 }
 
-impl fmt::Display for DefensePart {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.args {
-            Some(args) => write!(f, "{}:{args}", self.family),
-            None => f.write_str(&self.family),
+impl DefensePart {
+    fn family(&self) -> &'static str {
+        match self {
+            DefensePart::Oasis(_) => "oasis",
+            DefensePart::Ats => "ats",
+            DefensePart::Dp { .. } => "dp",
+            DefensePart::Clip(_) => "clip",
+        }
+    }
+
+    /// Checks the bounds every part must satisfy — the single check
+    /// behind both `FromStr` and the constructors.
+    fn validated(self) -> Result<Self, ScenarioError> {
+        let problem = match self {
+            DefensePart::Dp { clip, .. } if !(clip.is_finite() && clip > 0.0) => {
+                format!("dp clip bound must be positive and finite, got `{clip}`")
+            }
+            DefensePart::Dp { noise, .. } if !(noise.is_finite() && noise >= 0.0) => {
+                format!("dp noise multiplier must be non-negative and finite, got `{noise}`")
+            }
+            DefensePart::Clip(clip) if !(clip.is_finite() && clip > 0.0) => {
+                format!("clip bound must be positive and finite, got `{clip}`")
+            }
+            _ => return Ok(self),
+        };
+        Err(ScenarioError::BadSpec(problem))
+    }
+
+    fn build(&self) -> Box<dyn Defense> {
+        match *self {
+            DefensePart::Oasis(kind) => {
+                Box::new(oasis::Oasis::new(oasis::OasisConfig::policy(kind)))
+            }
+            DefensePart::Ats => Box::new(AtsDefense::searched()),
+            DefensePart::Dp { clip, noise } => Box::new(DpStage::new(clip, noise)),
+            DefensePart::Clip(clip) => Box::new(ClipStage::new(clip)),
         }
     }
 }
 
-/// A client-side defense stack (possibly empty), as a string-keyed
-/// value.
+impl fmt::Display for DefensePart {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DefensePart::Oasis(kind) => write!(f, "oasis:{}", kind.abbrev()),
+            DefensePart::Ats => f.write_str("ats"),
+            DefensePart::Dp { clip, noise } => write!(f, "dp:{clip},{noise}"),
+            DefensePart::Clip(clip) => write!(f, "clip:{clip}"),
+        }
+    }
+}
+
+impl FromStr for DefensePart {
+    type Err = ScenarioError;
+
+    /// Parses one stack part. `none` is rejected here: the baseline
+    /// is the whole-spec `none`, never a stack member.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let (family, args) = split_first(s, ':');
+        let part = match family {
+            "none" | "wo" | "without" => {
+                return Err(ScenarioError::BadSpec(
+                    "`none` cannot be part of a stack (it is the empty stack)".into(),
+                ))
+            }
+            "oasis" => DefensePart::Oasis(
+                required(family, args)?
+                    .parse::<PolicyKind>()
+                    .map_err(|e| ScenarioError::BadSpec(e.to_string()))?,
+            ),
+            "ats" => {
+                no_args(family, args)?;
+                DefensePart::Ats
+            }
+            "dp" => {
+                let (clip, noise) = required(family, args)?.split_once(',').ok_or_else(|| {
+                    ScenarioError::BadSpec("dp spec needs `dp:CLIP,NOISE`".into())
+                })?;
+                DefensePart::Dp {
+                    clip: field(family, "clip", clip)?,
+                    noise: field(family, "noise", noise)?,
+                }
+            }
+            "clip" => DefensePart::Clip(field(family, "clip", required(family, args)?)?),
+            other => {
+                return Err(ScenarioError::BadSpec(format!(
+                    "unknown defense `{other}` (known: none, oasis, ats, dp, clip)"
+                )))
+            }
+        };
+        part.validated()
+    }
+}
+
+/// A client-side defense stack (possibly empty), as a value.
 ///
-/// Built-in spec grammar (round-tripping through `Display`; run
-/// `scenario --list-specs` for whatever is registered):
+/// Spec grammar (round-tripping through `Display`; `scenario
+/// --list-specs` prints it):
 ///
 /// * `none` — undefended baseline (also parses from `wo`, `without`),
 /// * `oasis:P` — the OASIS defense with policy abbreviation `P`
 ///   (`MR`, `mR`, `SH`, `HFlip`, `VFlip`, `MR+SH`, `WO`),
 /// * `ats` — ATSPrivacy-style transform *replacement* baseline,
-/// * `dp:C,S` — DP-SGD update stage with clip norm `C` and noise
-///   multiplier `S`,
-/// * `clip:C` — clip-only update stage,
+/// * `dp:C,S` — DP-SGD update stage with clip norm `C` (finite, > 0)
+///   and noise multiplier `S` (finite, ≥ 0). The clip granularity
+///   depends on the harness: attack evaluation clips each sample's
+///   gradient (record-level), FL training clips the whole update
+///   (client-level, `FlClient::compute_update`). ROADMAP.md item 5
+///   tracks giving `dp:` one meaning in both,
+/// * `clip:C` — clip-only update stage (`C` finite, > 0),
 /// * any `+`-joined stack of distinct families, applied in order:
 ///   `oasis:MR+dp:1,0.01` runs the OASIS batch stage, then DP-SGD's
 ///   clip + noise on the uploaded update.
@@ -215,7 +432,7 @@ impl fmt::Display for DefensePart {
 /// assert_eq!(stack.to_string(), "oasis:MR+dp:1,0.01");
 /// assert_eq!(stack, "oasis:MR+dp:1,0.01".parse().unwrap());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DefenseSpec {
     parts: Vec<DefensePart>,
 }
@@ -226,39 +443,20 @@ impl DefenseSpec {
         DefenseSpec::default()
     }
 
-    /// A single-part spec from a registered family's raw args.
-    ///
-    /// # Errors
-    ///
-    /// Rejects unknown families and invalid args.
-    pub fn part(family: &str, args: Option<&str>) -> Result<Self, ScenarioError> {
-        let f = defense_family(family)?;
-        Ok(DefenseSpec {
-            parts: vec![DefensePart {
-                family: family.to_string(),
-                args: (f.canon)(args)?,
-            }],
-        })
+    fn single(part: DefensePart) -> Self {
+        DefenseSpec {
+            parts: vec![part.validated().unwrap_or_else(|e| panic!("{e}"))],
+        }
     }
 
     /// An OASIS defense spec with the given policy.
     pub fn oasis(kind: PolicyKind) -> Self {
-        DefenseSpec {
-            parts: vec![DefensePart {
-                family: "oasis".into(),
-                args: Some(kind.abbrev().to_string()),
-            }],
-        }
+        DefenseSpec::single(DefensePart::Oasis(kind))
     }
 
     /// The ATSPrivacy-style replacement baseline spec.
     pub fn ats() -> Self {
-        DefenseSpec {
-            parts: vec![DefensePart {
-                family: "ats".into(),
-                args: None,
-            }],
-        }
+        DefenseSpec::single(DefensePart::Ats)
     }
 
     /// A DP-SGD spec with clip norm `clip` and noise multiplier
@@ -266,37 +464,20 @@ impl DefenseSpec {
     ///
     /// # Panics
     ///
-    /// Panics when `clip` is not positive or `noise` is negative —
-    /// the same bounds the parse path enforces, so every constructed
-    /// spec round-trips through `Display` ⇄ `FromStr`.
+    /// Panics when `clip` is not finite and positive or `noise` is not
+    /// finite and non-negative — the bounds the parse path enforces.
     pub fn dp(clip: f32, noise: f32) -> Self {
-        assert!(clip > 0.0, "dp clip bound must be positive, got {clip}");
-        assert!(
-            noise >= 0.0,
-            "dp noise multiplier must be non-negative, got {noise}"
-        );
-        DefenseSpec {
-            parts: vec![DefensePart {
-                family: "dp".into(),
-                args: Some(format!("{clip},{noise}")),
-            }],
-        }
+        DefenseSpec::single(DefensePart::Dp { clip, noise })
     }
 
     /// A clip-only spec with L2 bound `clip`.
     ///
     /// # Panics
     ///
-    /// Panics when `clip` is not positive (the bound the parse path
-    /// enforces).
+    /// Panics when `clip` is not finite and positive (the bound the
+    /// parse path enforces).
     pub fn clip(clip: f32) -> Self {
-        assert!(clip > 0.0, "clip bound must be positive, got {clip}");
-        DefenseSpec {
-            parts: vec![DefensePart {
-                family: "clip".into(),
-                args: Some(clip.to_string()),
-            }],
-        }
+        DefenseSpec::single(DefensePart::Clip(clip))
     }
 
     /// Whether this is the undefended baseline.
@@ -305,8 +486,8 @@ impl DefenseSpec {
     }
 
     /// The stacked family names, in application order.
-    pub fn families(&self) -> Vec<&str> {
-        self.parts.iter().map(|p| p.family.as_str()).collect()
+    pub fn families(&self) -> Vec<&'static str> {
+        self.parts.iter().map(DefensePart::family).collect()
     }
 
     /// Appends `other`'s parts to this stack, preserving order.
@@ -317,10 +498,10 @@ impl DefenseSpec {
     /// no defined semantics).
     pub fn stacked(mut self, other: DefenseSpec) -> Result<Self, ScenarioError> {
         for part in other.parts {
-            if self.parts.iter().any(|p| p.family == part.family) {
+            if self.parts.iter().any(|p| p.family() == part.family()) {
                 return Err(ScenarioError::BadSpec(format!(
                     "duplicate defense family `{}` in stack",
-                    part.family
+                    part.family()
                 )));
             }
             self.parts.push(part);
@@ -328,24 +509,19 @@ impl DefenseSpec {
         Ok(self)
     }
 
-    /// Builds the [`DefenseStack`] behind this spec via the family
-    /// registry: one [`oasis_fl::Defense`] per part, in spec order.
+    /// Builds the [`DefenseStack`] behind this spec: one
+    /// [`oasis_fl::Defense`] per part, in spec order.
     ///
     /// The stack *owns* every stage of every part — batch transforms
     /// **and** update perturbations — so a DP part can no longer be
     /// dropped by a caller that forgets a side channel (the
     /// historical `dp_params()` bug class).
-    ///
-    /// # Errors
-    ///
-    /// Propagates registry lookup and construction failures.
-    pub fn build(&self) -> Result<DefenseStack, ScenarioError> {
+    pub fn build(&self) -> DefenseStack {
         let mut stack = DefenseStack::identity();
         for part in &self.parts {
-            let family = defense_family(&part.family)?;
-            stack.push((family.build)(part.args.as_deref())?);
+            stack.push(part.build());
         }
-        Ok(stack)
+        stack
     }
 }
 
@@ -401,7 +577,7 @@ impl FromStr for DefenseSpec {
                     candidate.push('+');
                 }
                 candidate.push_str(segment);
-                if let Ok(part) = parse_part(&candidate) {
+                if let Ok(part) = candidate.parse() {
                     matched = Some((j, part));
                 }
             }
@@ -412,27 +588,15 @@ impl FromStr for DefenseSpec {
                 }
                 // Nothing starting at segment `i` parses; surface the
                 // single-segment error for context.
-                None => return Err(parse_part(segments[i]).expect_err("greedy match missed")),
+                None => {
+                    return Err(segments[i]
+                        .parse::<DefensePart>()
+                        .expect_err("greedy match missed"))
+                }
             }
         }
         Ok(spec)
     }
-}
-
-/// Parses one stack part. `none` is rejected here: the baseline is
-/// the whole-spec `none`, never a stack member.
-fn parse_part(s: &str) -> Result<DefensePart, ScenarioError> {
-    let (name, args) = split_spec(s);
-    if matches!(name, "none" | "wo" | "without") {
-        return Err(ScenarioError::BadSpec(
-            "`none` cannot be part of a stack (it is the empty stack)".into(),
-        ));
-    }
-    let family = defense_family(name)?;
-    Ok(DefensePart {
-        family: name.to_string(),
-        args: (family.canon)(args)?,
-    })
 }
 
 impl Serialize for DefenseSpec {
@@ -583,13 +747,86 @@ impl Deserialize for WorkloadSpec {
     }
 }
 
-/// Splits `family:args` into its two halves.
-fn split_spec(s: &str) -> (&str, Option<&str>) {
-    match s.split_once(':') {
-        Some((family, args)) => (family, Some(args)),
+/// Splits `s` at the first `sep` into its head and optional tail.
+fn split_first(s: &str, sep: char) -> (&str, Option<&str>) {
+    match s.split_once(sep) {
+        Some((head, tail)) => (head, Some(tail)),
         None => (s, None),
     }
 }
+
+/// The `:` arguments of a family that requires them.
+fn required<'a>(family: &str, args: Option<&'a str>) -> Result<&'a str, ScenarioError> {
+    args.ok_or_else(|| ScenarioError::BadSpec(format!("`{family}` needs `:` arguments")))
+}
+
+/// Rejects `:` arguments on a family that takes none.
+fn no_args(family: &str, args: Option<&str>) -> Result<(), ScenarioError> {
+    match args {
+        Some(_) => Err(ScenarioError::BadSpec(format!(
+            "`{family}` takes no arguments"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Parses one numeric field of a `family:` spec.
+fn field<T: FromStr>(family: &str, name: &str, value: &str) -> Result<T, ScenarioError> {
+    value
+        .trim()
+        .parse()
+        .map_err(|_| ScenarioError::BadSpec(format!("bad {name} `{value}` in `{family}:` spec")))
+}
+
+/// The full spec catalog, one grammar line per attack and defense
+/// family and per workload, codec, net, population, campaign and scale
+/// form — the text behind `scenario --list-specs`.
+pub fn spec_catalog() -> &'static str {
+    SPEC_CATALOG
+}
+
+const SPEC_CATALOG: &str = "\
+attack families:
+  rtf              Robbing the Fed with N attacked imprint neurons (rtf:N)
+  cah              Curious Abandon Honesty, N trap neurons, activation target G (cah:N[,G])
+  qbi              quantile-based bias init, N neurons tuned for batch B (qbi:N[,B])
+  linear           gradient inversion on a single-layer softmax model (no arguments)
+defense families (stack with `+`, e.g. oasis:MR+dp:1,0.01):
+  none             undefended baseline (aliases: wo, without; never part of a stack)
+  oasis            OASIS additive augmentation, policy P in WO|MR|mR|SH|HFlip|VFlip|MR+SH (oasis:P)
+  ats              ATSPrivacy-style transform replacement (no arguments)
+  dp               DP-SGD update stage: clip C, noise multiplier S (dp:C,S); attack
+                   evaluation clips per sample, FL training the whole update (ROADMAP item 5)
+  clip             clip-only update stage: bound the update's L2 norm, no noise (clip:C)
+workloads:
+  imagenette       ImageNet stand-in (Imagenette subset), 10 classes
+  cifar100         CIFAR100 stand-in, 100 classes
+  imagenette100c   100-class synthetic at ImageNette resolution
+  cifar100c        100-class synthetic at CIFAR resolution
+codecs:
+  raw              lossless f32 updates
+  q8               int8 affine quantization
+  topk:K           K largest-magnitude coordinates
+  sign             1-bit sign compression
+nets:
+  ideal            no latency, no loss
+  sim:LAT,BW,DROP[,DL] latency ms, bandwidth Mbit/s, drop probability, straggler deadline ms
+population (cohorts are sampled per attacked round; K peers share the victim's wire):
+  population:N     deployment size the cohorts are drawn from (0 = legacy single-victim wire)
+  sample:K         cohort size per round (default min(population, 64); requires a population)
+campaigns (oasis-campaign; phases separated by `;`, fields by `+`):
+  campaign:PHASES  multi-phase long-horizon run, e.g. campaign:20;30+alpha=0.5+attack=qbi:128
+  R                each phase starts with its round count
+  join=F/leave=F   per-round churn probabilities over the client population
+  alpha=A          Dirichlet re-partition at phase entry (label-skew drift); A finite
+                   and > 0, each draw costs O(A)
+  net=SPEC         phase network conditions (same grammar as nets)
+  attack=S[|S...]  adversary candidates for the phase; `|` sweeps pick the worst case
+scales:
+  quick            seconds-scale smoke test
+  default          minutes-scale, preserves the paper's shape
+  full             the paper's full grids (slow on CPU)
+";
 
 #[cfg(test)]
 mod tests {
@@ -601,6 +838,8 @@ mod tests {
             AttackSpec::rtf(512),
             AttackSpec::cah(700),
             AttackSpec::cah_with_gamma(64, 0.004),
+            AttackSpec::qbi(128, 8),
+            AttackSpec::qbi(96, 4),
             AttackSpec::linear(),
         ] {
             assert_eq!(spec.to_string().parse::<AttackSpec>().unwrap(), spec);
@@ -693,7 +932,7 @@ mod tests {
             assert_eq!(spec, DefenseSpec::none());
             assert_eq!(spec.to_string(), "none");
         }
-        assert!(DefenseSpec::none().build().unwrap().is_empty());
+        assert!(DefenseSpec::none().build().is_empty());
     }
 
     #[test]
@@ -792,6 +1031,10 @@ mod tests {
         assert_eq!(AttackSpec::rtf(100).with_neurons(900), AttackSpec::rtf(900));
         let cah = AttackSpec::cah_with_gamma(100, 0.1);
         assert_eq!(cah.with_neurons(300), AttackSpec::cah_with_gamma(300, 0.1));
+        assert_eq!(
+            AttackSpec::qbi(64, 4).with_neurons(32),
+            AttackSpec::qbi(32, 4)
+        );
         assert_eq!(AttackSpec::linear().with_neurons(5), AttackSpec::linear());
     }
 
@@ -837,17 +1080,15 @@ mod tests {
         // The historical `dp_params()` side channel is gone: building
         // a dp spec yields a stack whose update stage is live — there
         // is no second call a harness could forget.
-        let stack = DefenseSpec::dp(2.0, 0.1).build().unwrap();
+        let stack = DefenseSpec::dp(2.0, 0.1).build();
         assert!(stack.has_update_stage());
         assert_eq!(stack.clip_norm(), Some(2.0));
-        assert!(!DefenseSpec::none().build().unwrap().has_update_stage());
+        assert!(!DefenseSpec::none().build().has_update_stage());
     }
 
     #[test]
     fn stacked_spec_builds_both_stages() {
-        let stack = ("oasis:MR+dp:1,0.01".parse::<DefenseSpec>().unwrap())
-            .build()
-            .unwrap();
+        let stack = ("oasis:MR+dp:1,0.01".parse::<DefenseSpec>().unwrap()).build();
         assert_eq!(stack.names(), vec!["oasis", "dp"]);
         assert!(stack.has_update_stage());
         assert_eq!(stack.clip_norm(), Some(1.0));
@@ -857,5 +1098,149 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         use rand::SeedableRng;
         assert_eq!(stack.process_batch(&batch, &mut rng).len(), batch.len() * 4);
+    }
+
+    #[test]
+    fn parse_is_validation() {
+        // Each of these used to parse and then panic, hang or poison
+        // the model downstream; now each is a spec error.
+        for bad in [
+            "dp:NaN,1",
+            "dp:1,NaN",
+            "dp:inf,0.1",
+            "dp:1,inf",
+            "clip:NaN",
+            "clip:inf",
+        ] {
+            assert!(
+                matches!(bad.parse::<DefenseSpec>(), Err(ScenarioError::BadSpec(_))),
+                "`{bad}` should be a spec error"
+            );
+        }
+        for bad in ["cah:0", "cah:8,NaN", "cah:8,2", "rtf:0", "rtf:1", "qbi:0"] {
+            assert!(
+                matches!(bad.parse::<AttackSpec>(), Err(ScenarioError::BadSpec(_))),
+                "`{bad}` should be a spec error"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cah activation target must be in (0, 1)")]
+    fn cah_constructor_enforces_parse_bounds() {
+        let _ = AttackSpec::cah_with_gamma(8, 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rtf needs at least 2 neurons")]
+    fn rtf_constructor_enforces_parse_bounds() {
+        let _ = AttackSpec::rtf(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "qbi batch target must be at least 2")]
+    fn qbi_constructor_enforces_parse_bounds() {
+        let _ = AttackSpec::qbi(8, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "noise multiplier must be non-negative and finite")]
+    fn dp_constructor_rejects_infinite_noise() {
+        let _ = DefenseSpec::dp(1.0, f32::INFINITY);
+    }
+
+    #[test]
+    fn workspace_spec_strings_print_unchanged() {
+        // Every spec string the figure binaries, CI and the end-to-end
+        // benchmark name: `Display ∘ FromStr` is the identity on them,
+        // so report provenance and file names cannot drift.
+        for s in [
+            "rtf:512",
+            "rtf:128",
+            "rtf:24",
+            "cah:400",
+            "cah:400,0.05",
+            "cah:700",
+            "qbi:128",
+            "qbi:128,16",
+            "qbi:96,4",
+            "qbi:24",
+            "linear",
+        ] {
+            assert_eq!(s.parse::<AttackSpec>().unwrap().to_string(), s);
+        }
+        for s in [
+            "none",
+            "oasis:MR",
+            "oasis:MR+SH",
+            "oasis:HFlip",
+            "ats",
+            "dp:1,0.0003",
+            "dp:1,0.01",
+            "dp:1,0",
+            "dp:1,20",
+            "oasis:MR+dp:1,0.0003",
+            "oasis:MR+dp:1,0.01",
+            "clip:0.5",
+        ] {
+            assert_eq!(s.parse::<DefenseSpec>().unwrap().to_string(), s);
+        }
+        for alias in ["wo", "without"] {
+            assert_eq!(alias.parse::<DefenseSpec>().unwrap().to_string(), "none");
+        }
+        // Default targets are elided.
+        assert_eq!(
+            "cah:400,0.1".parse::<AttackSpec>().unwrap().to_string(),
+            "cah:400"
+        );
+        assert_eq!(
+            "qbi:128,8".parse::<AttackSpec>().unwrap().to_string(),
+            "qbi:128"
+        );
+    }
+
+    #[test]
+    fn unknown_families_name_the_known_ones() {
+        let err = "warp:3".parse::<AttackSpec>().unwrap_err().to_string();
+        assert!(err.contains("rtf") && err.contains("qbi"), "{err}");
+        let err = "dropout".parse::<DefenseSpec>().unwrap_err().to_string();
+        assert!(err.contains("oasis") && err.contains("clip"), "{err}");
+    }
+
+    #[test]
+    fn catalog_names_every_dimension() {
+        let catalog = spec_catalog();
+        for needle in [
+            "attack families:",
+            "defense families",
+            "workloads:",
+            "codecs:",
+            "nets:",
+            "population",
+            "scales:",
+            "rtf",
+            "cah",
+            "qbi",
+            "linear",
+            "oasis",
+            "ats",
+            "dp",
+            "clip",
+            "none",
+            "imagenette100c",
+            "topk:K",
+            "sim:LAT",
+            "population:N",
+            "sample:K",
+            "campaigns",
+            "campaign:PHASES",
+            "alpha=A",
+            "full",
+        ] {
+            assert!(
+                catalog.contains(needle),
+                "catalog missing `{needle}`:\n{catalog}"
+            );
+        }
     }
 }

@@ -2,18 +2,26 @@
 //! `FromStr` ⇄ `Display` round-trips over the whole spec space, and
 //! run-level determinism.
 
+use oasis_attacks::DEFAULT_QBI_BATCH;
 use oasis_augment::PolicyKind;
 use oasis_scenario::{AttackSpec, DefenseSpec, Scale, Scenario, WorkloadSpec};
 use proptest::prelude::*;
 
 /// Strategy: any attack spec (neuron counts across the paper's grid,
-/// gammas across CAH's plausible range).
+/// gammas across CAH's plausible range, QBI batch targets both at
+/// their elided default and explicit).
 fn any_attack() -> BoxedStrategy<AttackSpec> {
     prop_oneof![
-        (1usize..2000).prop_map(AttackSpec::rtf).boxed(),
+        (2usize..2000).prop_map(AttackSpec::rtf).boxed(),
         (1usize..2000).prop_map(AttackSpec::cah).boxed(),
         (1usize..2000, 0.0005f64..0.5)
             .prop_map(|(neurons, gamma)| AttackSpec::cah_with_gamma(neurons, gamma))
+            .boxed(),
+        (1usize..2000)
+            .prop_map(|neurons| AttackSpec::qbi(neurons, DEFAULT_QBI_BATCH))
+            .boxed(),
+        (1usize..2000, 2usize..256)
+            .prop_map(|(neurons, batch)| AttackSpec::qbi(neurons, batch))
             .boxed(),
         (0usize..1).prop_map(|_| AttackSpec::linear()).boxed(),
     ]

@@ -47,7 +47,7 @@ fn one_phase_campaign_matches_cohort_runner_bit_exactly() {
 
     // Reference: the plain cohort runner over the same population.
     let dataset = data();
-    let defense = Arc::new(DefenseSpec::none().build().unwrap());
+    let defense = Arc::new(DefenseSpec::none().build());
     let population = Population::iid(&dataset, 6, defense, &mut StdRng::seed_from_u64(5));
     let server = FlServer::new(
         linear_relu_factory(D, HIDDEN, CLASSES, MODEL_SEED),
