@@ -18,9 +18,11 @@ use crate::{AttackError, Result};
 
 /// An active reconstruction attack by a dishonest server.
 ///
-/// Implementations build the malicious global model (their
-/// [`oasis_fl::ModelTamper`]-style capability) and invert the
-/// gradients the victim uploads.
+/// Implementations build the malicious global model
+/// ([`ActiveAttack::build_model`]) and invert the gradients the victim
+/// uploads. The harness below runs the victim's step on that model
+/// directly; no attack implements [`oasis_fl::ModelTamper`] or runs
+/// on the real round yet (ROADMAP item 5).
 pub trait ActiveAttack: Send + Sync {
     /// Display name ("RTF", "CAH", …).
     fn name(&self) -> &'static str;

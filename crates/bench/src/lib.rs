@@ -25,7 +25,6 @@ pub mod perf;
 
 use oasis_augment::PolicyKind;
 use oasis_data::Batch;
-use oasis_fl::DefenseStack;
 use oasis_image::Image;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,37 +89,6 @@ pub fn run_campaign(
     let mut runner = CampaignRunner::new(spec, setup)?;
     runner.run()?;
     Ok(runner)
-}
-
-/// Runs `attack` against `trials` batches of size `batch_size` under
-/// `defense`, pooling all matched PSNRs.
-///
-/// Retained for bespoke experiments (e.g. sweeping a calibrated
-/// attack object that is expensive to rebuild); figure binaries use
-/// [`Scenario`] instead.
-pub fn pooled_attack_psnrs(
-    attack: &dyn ActiveAttack,
-    dataset: &oasis_data::Dataset,
-    batch_size: usize,
-    defense: &DefenseStack,
-    trials: usize,
-    seed: u64,
-) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut pooled = Vec::new();
-    for trial in 0..trials {
-        let batch = dataset.sample_batch(batch_size.min(dataset.len()), &mut rng);
-        let outcome = run_attack(
-            attack,
-            &batch,
-            defense,
-            dataset.num_classes(),
-            seed ^ trial as u64,
-        )
-        .expect("attack execution");
-        pooled.extend(outcome.matched_psnrs);
-    }
-    pooled
 }
 
 /// The shared Figure 3/4 grid loop: one [`Scenario`] per

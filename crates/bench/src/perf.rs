@@ -898,12 +898,13 @@ fn fl_data_and_factory() -> (Dataset, ModelFactory) {
 /// One round over four resident clients on the raw wire.
 fn bench_fl_round_raw() -> PreparedBench {
     let (data, factory) = fl_data_and_factory();
-    let clients = oasis_fl::partition_iid(
+    let clients = Population::iid(
         &data,
         4,
         Arc::new(DefenseStack::identity()),
         &mut StdRng::seed_from_u64(13),
-    );
+    )
+    .clients();
     PreparedBench {
         throughput: Some((clients.len() as f64, "client/s")),
         run: Box::new(move || {

@@ -15,9 +15,10 @@
 //!   client population (departed clients keep their shard and can
 //!   rejoin);
 //! * `alpha=A` — Dirichlet re-partition at phase entry (label-skew
-//!   drift, the [`oasis_fl::partition_dirichlet`] discipline); `A` is
-//!   finite and positive, and each Dirichlet draw costs O(A) (the
-//!   sampler peels off integer parts of the shape one at a time);
+//!   drift, [`oasis_population::Population::dirichlet`]); `A` is
+//!   positive and at most [`MAX_DIRICHLET_ALPHA`] (10⁴): each
+//!   Dirichlet draw costs O(A), and at the cap every share is already
+//!   within about 1 % of IID;
 //! * `net=SPEC` — network conditions for the phase
 //!   ([`NetSpec`] grammar: `ideal` or `sim:LAT,BW,DROP[,DL]`),
 //!   sticky until a later phase overrides it;
@@ -32,6 +33,7 @@
 use std::fmt;
 use std::str::FromStr;
 
+use oasis_population::MAX_DIRICHLET_ALPHA;
 use oasis_scenario::{AttackSpec, ScenarioError};
 use oasis_wire::NetSpec;
 
@@ -85,11 +87,13 @@ impl PhaseSpec {
             }
         }
         if let Some(a) = self.alpha {
-            // NaN must fail too, so compare on the accepting side. An
-            // infinite α would never leave the Dirichlet sampler.
-            if !(a.is_finite() && a > 0.0) {
+            // NaN must fail too, so compare on the accepting side. The
+            // Dirichlet sampler costs O(α) per draw, and never finishes
+            // once α ≥ 2⁵³.
+            if !(a > 0.0 && a <= MAX_DIRICHLET_ALPHA) {
                 return Err(ScenarioError::BadSpec(format!(
-                    "campaign `alpha` must be positive and finite, got `{a}`"
+                    "campaign `alpha` must be positive and at most \
+                     {MAX_DIRICHLET_ALPHA}, got `{a}`"
                 )));
             }
         }
@@ -324,6 +328,8 @@ mod tests {
             "campaign:5+alpha=0",       // non-positive alpha
             "campaign:3+alpha=inf",     // infinite alpha
             "campaign:3+alpha=NaN",     // NaN alpha
+            "campaign:3+alpha=1e5",     // alpha above the cap
+            "campaign:3+alpha=1e300",   // alpha far above the cap
             "campaign:5+warp=1",        // unknown field
             "campaign:5+join",          // not key=value
             "campaign:5+net=warp",      // bad net spec

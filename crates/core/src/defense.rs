@@ -150,4 +150,31 @@ mod tests {
             defense.process(&b, &mut rng2)
         );
     }
+
+    #[test]
+    fn oasis_client_computes_update_on_expanded_batch() {
+        use oasis_fl::{DefenseStack, FlClient, ModelFactory};
+        use oasis_nn::{flatten_params, Linear, Relu, Sequential};
+        use std::sync::Arc;
+
+        let data = cifar_like_with(3, 4, 8, 0);
+        let d = data.feature_dim();
+        let factory: ModelFactory = Arc::new(move || {
+            let mut rng = StdRng::seed_from_u64(0);
+            let mut m = Sequential::new();
+            m.push(Linear::new(d, 8, &mut rng));
+            m.push(Relu::new());
+            m.push(Linear::new(8, 3, &mut rng));
+            m
+        });
+        let global = flatten_params(&mut factory());
+        let oasis = Oasis::new(OasisConfig::policy(PolicyKind::MajorRotation));
+        let client = FlClient::new(0, data.clone(), Arc::new(DefenseStack::of(oasis)));
+        let update = client.compute_update(&factory, &global, 4, 1).unwrap();
+        assert_eq!(update.samples, 16, "4 samples × (1 + 3 rotations)");
+
+        let plain = FlClient::new(1, data, Arc::new(DefenseStack::identity()));
+        let update2 = plain.compute_update(&factory, &global, 4, 1).unwrap();
+        assert_eq!(update2.samples, 4);
+    }
 }

@@ -45,17 +45,15 @@ mod analysis;
 mod config;
 mod defense;
 mod detect;
-mod pipeline;
 
 pub use analysis::{activation_set_analysis, layer_from_parts, ActivationAnalysis};
 pub use config::OasisConfig;
 pub use defense::Oasis;
 pub use detect::{audit_first_layer, LayerAudit};
-pub use pipeline::{defended_client, stacked_client, undefended_client};
 
 /// Commonly used items for downstream code.
 pub mod prelude {
-    pub use crate::{activation_set_analysis, defended_client, Oasis, OasisConfig};
+    pub use crate::{activation_set_analysis, Oasis, OasisConfig};
     pub use oasis_augment::{AugmentationPolicy, PolicyKind, Transform};
     pub use oasis_fl::{
         BatchStage, ClipStage, Defense, DefenseStack, DpStage, IdentityPreprocessor, UpdateStage,

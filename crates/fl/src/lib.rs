@@ -13,8 +13,11 @@
 //! Two hooks make this crate the substrate for the OASIS evaluation:
 //!
 //! * [`ModelTamper`] — the dishonest server's ability to modify the
-//!   global model *before* dispatching it (how the RTF and CAH
-//!   attacks insert their malicious layers), and
+//!   global model *before* dispatching it. Only [`HonestServer`]
+//!   implements it today: the attacks in `oasis-attacks` build their
+//!   malicious model through `ActiveAttack::build_model` in their own
+//!   evaluation harness, not on the round (ROADMAP item 5 moves them
+//!   onto this hook), and
 //! * [`DefenseStack`] — the client's composable defense pipeline:
 //!   [`BatchStage`]s preprocess the training batch *before* gradients
 //!   are computed (how the OASIS defense augments `D` into `D′`) and
@@ -33,13 +36,14 @@
 //! wire). The round that composes them — cohort sampling, delivery
 //! planning, streaming FedAvg, the server step — is
 //! `oasis_population::CohortRunner`, which runs over resident clients
-//! as well as over descriptor populations:
+//! as well as over descriptor populations. Splitting a dataset into
+//! client shards is `oasis_population::Population`'s job too:
 //!
 //! ```
-//! use oasis_fl::{DefenseStack, FlConfig, FlServer, partition_iid};
+//! use oasis_fl::{DefenseStack, FlConfig, FlServer};
 //! use oasis_data::cifar_like_with;
 //! use oasis_nn::{Linear, Relu, Sequential};
-//! use oasis_population::CohortRunner;
+//! use oasis_population::{CohortRunner, Population};
 //! use rand::{rngs::StdRng, SeedableRng};
 //! use std::sync::Arc;
 //!
@@ -54,7 +58,7 @@
 //!     m.push(Linear::new(32, 4, &mut rng));
 //!     m
 //! });
-//! let clients = partition_iid(&data, 3, Arc::new(DefenseStack::identity()), &mut StdRng::seed_from_u64(1));
+//! let clients = Population::iid(&data, 3, Arc::new(DefenseStack::identity()), &mut StdRng::seed_from_u64(1));
 //! let server = FlServer::new(factory, FlConfig::default())?;
 //! let mut runner = CohortRunner::new(server, clients);
 //! let report = runner.run_round(&mut StdRng::seed_from_u64(2))?.round_report;
@@ -83,9 +87,7 @@ pub use error::FlError;
 pub use server::{FlServer, RoundReport, WireConfig};
 pub use tamper::{HonestServer, ModelTamper};
 pub use timings::RoundTimings;
-pub use training::{
-    evaluate_accuracy, partition_dirichlet, partition_iid, train_centralized, TrainReport,
-};
+pub use training::{evaluate_accuracy, train_centralized, TrainReport};
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, FlError>;

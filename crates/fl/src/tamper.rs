@@ -7,8 +7,11 @@ use oasis_nn::Sequential;
 /// threat model ("a dishonest server is capable of making malicious
 /// modifications to `w` before dispatching it to the users").
 ///
-/// The RTF and CAH attacks in `oasis-attacks` implement this trait;
-/// their `tamper` installs the malicious `(W, b)` layer.
+/// Only [`HonestServer`] implements this trait today. The attacks in
+/// `oasis-attacks` build their malicious model through
+/// `ActiveAttack::build_model` inside their own evaluation harness
+/// rather than tampering with a live round; moving each attack onto
+/// this hook is ROADMAP item 5.
 pub trait ModelTamper: Send + Sync {
     /// Mutates the global model in place for round `round`.
     fn tamper(&self, model: &mut Sequential, round: usize);

@@ -8,9 +8,11 @@
 //!
 //! * [`Population`] — the deployment as data: a shared, shuffled
 //!   sample pool plus one 12-byte [`ClientDescriptor`] per client.
-//!   A descriptor is **hydrated** into a full `FlClient` (shard,
-//!   defense stack) only while its update is being computed, then
-//!   dropped.
+//!   It is the workspace's partitioner ([`Population::iid`],
+//!   [`Population::dirichlet`]). A descriptor is **hydrated** into a
+//!   full `FlClient` (shard, defense stack) only while its update is
+//!   being computed, then dropped; [`Population::clients`] hydrates
+//!   them all at once, the resident form for small federations.
 //! * [`CohortScheduler`] — seeded deterministic sampling of the K
 //!   participants of each round. The per-round rng stream is keyed by
 //!   `(seed, round)`, so any round is reproducible in isolation and
@@ -69,7 +71,7 @@ mod scheduler;
 mod spec;
 
 pub use aggregate::StreamingAggregator;
-pub use population::{ClientDescriptor, ClientSource, Population};
+pub use population::{ClientDescriptor, ClientSource, Population, MAX_DIRICHLET_ALPHA};
 pub use round::{CohortReport, CohortRunner};
 pub use scheduler::CohortScheduler;
 pub use spec::{PopulationSpec, SampleSpec};

@@ -7,6 +7,7 @@ use oasis_data::{Dataset, LabeledImage};
 use oasis_fl::{DefenseStack, FlClient};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use rand::Rng;
 
 /// Everything the server needs to remember about one client while it
 /// is **not** participating: 12 bytes. A million clients cost ~12 MB
@@ -31,38 +32,45 @@ impl ClientDescriptor {
     }
 }
 
+/// The largest Dirichlet concentration [`Population::dirichlet`]
+/// accepts. Each Gamma(α) draw costs O(α), and at α = 10⁴ each
+/// client's share of each class is already 1/n to within about 1 %
+/// (relative standard deviation ≈ 1/√α), so larger values buy
+/// nothing but time.
+pub const MAX_DIRICHLET_ALPHA: f64 = 1e4;
+
 /// A population of lightweight clients over one shared sample pool.
 ///
-/// Construction shuffles the dataset once and records, per client, a
-/// `(start, len)` window into the shared pool — the same shards
-/// [`partition_iid`](oasis_fl::partition_iid) would build, without
-/// materializing them. [`Population::hydrate`] turns a descriptor
-/// into a full [`FlClient`] (copying only that client's window) for
-/// the duration of its local computation; the client is dropped when
-/// its update has been computed.
+/// This is the workspace's partitioner: [`Population::iid`] and
+/// [`Population::dirichlet`] split a dataset into client shards,
+/// recording per client a `(start, len)` window into one shared,
+/// reordered pool instead of materializing the shards.
+/// [`Population::hydrate`] turns a descriptor into a full
+/// [`FlClient`] (copying only that client's window) for the duration
+/// of its local computation; the client is dropped when its update
+/// has been computed. [`Population::clients`] hydrates every
+/// descriptor at once, for callers that keep their clients resident.
 #[derive(Clone)]
 pub struct Population {
     items: Arc<Vec<LabeledImage>>,
     name: String,
     num_classes: usize,
     // Shard-name infix: "shard" for i.i.d. partitions, "dirichlet"
-    // for label-skewed ones, matching the names the eager
-    // `partition_*` helpers give their materialized clients.
+    // for label-skewed ones.
     shard_label: &'static str,
     defense: Arc<DefenseStack>,
     descriptors: Vec<ClientDescriptor>,
 }
 
 impl Population {
-    /// Builds an i.i.d. population of `n` clients, shard-compatible
-    /// with [`partition_iid`](oasis_fl::partition_iid): the same
-    /// `rng` produces descriptors that hydrate into bit-identical
-    /// clients (same shard contents, names, and ids).
+    /// Builds an i.i.d. population of `n` clients: one shuffle of the
+    /// dataset, then `n` contiguous windows of `len / n` samples, the
+    /// last taking the remainder. Client `i`'s shard is named
+    /// `{dataset}-shard{i}`.
     ///
-    /// When `n` exceeds the sample count — the population-scale
-    /// regime `partition_iid` cannot express — every client gets a
-    /// single sample, assigned round-robin from the shuffled pool, so
-    /// all clients stay trainable.
+    /// When `n` exceeds the sample count, every client gets a single
+    /// sample, assigned round-robin from the shuffled pool, so all
+    /// clients stay trainable.
     pub fn iid(dataset: &Dataset, n: usize, defense: Arc<DefenseStack>, rng: &mut StdRng) -> Self {
         let mut items = dataset.items().to_vec();
         items.shuffle(rng);
@@ -99,18 +107,18 @@ impl Population {
         }
     }
 
-    /// Builds a label-skewed population of `n` clients,
-    /// shard-compatible with
-    /// [`partition_dirichlet`](oasis_fl::partition_dirichlet): the
-    /// same `rng` consumes the identical draw sequence (per-class
-    /// shuffle, then `n` Gamma(α) draws per class), so descriptors
-    /// hydrate into bit-identical clients — same shard contents,
-    /// names, and ids as the eager partitioner would materialize.
+    /// Builds a label-skewed population of `n` clients via a
+    /// symmetric Dirichlet(α) allocation per class, the standard
+    /// heterogeneity model in the FL literature. Per class, the
+    /// class's samples are shuffled and split by `n` Gamma(α) draws;
+    /// small α (e.g. 0.1) gives near-pathological skew, large α
+    /// approaches IID. Client `i`'s shard is named
+    /// `{dataset}-dirichlet{i}`.
     ///
     /// # Panics
     ///
-    /// Panics when `alpha` is not positive and finite or `n` is zero,
-    /// matching `partition_dirichlet`.
+    /// Panics when `alpha` is not in `(0, MAX_DIRICHLET_ALPHA]` or `n`
+    /// is zero.
     pub fn dirichlet(
         dataset: &Dataset,
         n: usize,
@@ -118,38 +126,13 @@ impl Population {
         defense: Arc<DefenseStack>,
         rng: &mut StdRng,
     ) -> Self {
-        use rand::Rng;
+        // NaN must fail too, so compare on the accepting side.
         assert!(
-            alpha > 0.0 && alpha.is_finite(),
-            "Dirichlet concentration must be positive and finite"
+            alpha > 0.0 && alpha <= MAX_DIRICHLET_ALPHA,
+            "Dirichlet concentration must be positive and at most \
+             {MAX_DIRICHLET_ALPHA}, got {alpha}"
         );
         assert!(n > 0, "need at least one client");
-
-        // Johnk's Gamma(α) sampler — byte-for-byte the draw sequence
-        // `partition_dirichlet` consumes, so the two constructions
-        // stay interchangeable under one rng seed.
-        let gamma_sample = |a: f64, rng: &mut StdRng| -> f64 {
-            let mut acc = 0.0f64;
-            let mut shape = a;
-            while shape >= 1.0 {
-                acc += -(1.0 - rng.gen::<f64>()).ln();
-                shape -= 1.0;
-            }
-            if shape > 1e-9 {
-                loop {
-                    let u: f64 = rng.gen();
-                    let v: f64 = rng.gen();
-                    let x = u.powf(1.0 / shape);
-                    let y = v.powf(1.0 / (1.0 - shape));
-                    if x + y <= 1.0 {
-                        let e = -(1.0 - rng.gen::<f64>()).ln();
-                        acc += e * x / (x + y);
-                        break;
-                    }
-                }
-            }
-            acc
-        };
 
         let mut per_client_items: Vec<Vec<LabeledImage>> = (0..n).map(|_| Vec::new()).collect();
         for class in 0..dataset.num_classes() {
@@ -163,9 +146,7 @@ impl Population {
                 continue;
             }
             class_items.shuffle(rng);
-            let weights: Vec<f64> = (0..n)
-                .map(|_| gamma_sample(alpha, rng).max(1e-12))
-                .collect();
+            let weights: Vec<f64> = (0..n).map(|_| gamma(alpha, rng).max(1e-12)).collect();
             let total: f64 = weights.iter().sum();
             let mut start = 0usize;
             for (client, &w) in weights.iter().enumerate() {
@@ -260,10 +241,8 @@ impl Population {
 
     /// Materializes one client from its descriptor: copies the
     /// client's shard window out of the shared pool and wires up the
-    /// shared defense stack. The result matches what
-    /// [`partition_iid`](oasis_fl::partition_iid) would have built
-    /// for the same id (same shard name, contents, defense), and its
-    /// memory is reclaimed the moment the caller drops it.
+    /// shared defense stack. Its memory is reclaimed the moment the
+    /// caller drops it.
     pub fn hydrate(&self, desc: ClientDescriptor) -> FlClient {
         let start = desc.start as usize;
         let end = start + desc.len as usize;
@@ -274,6 +253,41 @@ impl Population {
         );
         FlClient::new(desc.id as usize, shard, Arc::clone(&self.defense))
     }
+
+    /// Every client, hydrated in id order: the resident form of the
+    /// population, for callers that keep their clients for a whole
+    /// run. Costs one shard copy per client.
+    pub fn clients(&self) -> Vec<FlClient> {
+        self.descriptors.iter().map(|&d| self.hydrate(d)).collect()
+    }
+}
+
+/// One Gamma(`alpha`) draw: a sum of Exp(1) draws for the integer
+/// part of the shape, then Johnk's generator for the fractional part.
+/// Costs O(`alpha`) draws, which is what [`MAX_DIRICHLET_ALPHA`]
+/// bounds.
+fn gamma(alpha: f64, rng: &mut StdRng) -> f64 {
+    let mut acc = 0.0f64;
+    let mut shape = alpha;
+    while shape >= 1.0 {
+        // Gamma(1) = Exp(1).
+        acc += -(1.0 - rng.gen::<f64>()).ln();
+        shape -= 1.0;
+    }
+    if shape > 1e-9 {
+        loop {
+            let u: f64 = rng.gen();
+            let v: f64 = rng.gen();
+            let x = u.powf(1.0 / shape);
+            let y = v.powf(1.0 / (1.0 - shape));
+            if x + y <= 1.0 {
+                let e = -(1.0 - rng.gen::<f64>()).ln();
+                acc += e * x / (x + y);
+                break;
+            }
+        }
+    }
+    acc
 }
 
 /// The clients a [`CohortRunner`](crate::CohortRunner) draws its
@@ -351,23 +365,34 @@ mod tests {
         assert_eq!(std::mem::size_of::<ClientDescriptor>(), 12);
     }
 
+    /// The resident clients of a Dirichlet(α) population.
+    fn dirichlet_clients(data: &Dataset, n: usize, alpha: f64, seed: u64) -> Vec<FlClient> {
+        Population::dirichlet(
+            data,
+            n,
+            alpha,
+            Arc::new(DefenseStack::identity()),
+            &mut StdRng::seed_from_u64(seed),
+        )
+        .clients()
+    }
+
     #[test]
-    fn iid_matches_partition_iid_shards() {
+    fn clients_hydrate_every_descriptor_in_id_order() {
         let data = cifar_like_with(4, 6, 8, 0);
-        let defense = Arc::new(DefenseStack::identity());
-        let legacy = oasis_fl::partition_iid(
+        let pop = Population::iid(
             &data,
             5,
-            Arc::clone(&defense),
+            Arc::new(DefenseStack::identity()),
             &mut StdRng::seed_from_u64(9),
         );
-        let pop = Population::iid(&data, 5, defense, &mut StdRng::seed_from_u64(9));
-        assert_eq!(pop.len(), legacy.len());
-        for (i, old) in legacy.iter().enumerate() {
+        let clients = pop.clients();
+        assert_eq!(clients.len(), 5);
+        for (i, c) in clients.iter().enumerate() {
             let fresh = pop.hydrate(pop.descriptor(i));
-            assert_eq!(fresh.id(), old.id());
-            assert_eq!(fresh.data().name(), old.data().name());
-            assert_eq!(fresh.data().items(), old.data().items());
+            assert_eq!(c.id(), i);
+            assert_eq!(c.data().name(), format!("{}-shard{i}", data.name()));
+            assert_eq!(c.data().items(), fresh.data().items());
         }
     }
 
@@ -388,30 +413,119 @@ mod tests {
     }
 
     #[test]
-    fn dirichlet_matches_partition_dirichlet_shards() {
-        let data = cifar_like_with(4, 12, 8, 6);
-        let defense = Arc::new(DefenseStack::identity());
-        for alpha in [0.3, 1.7] {
-            let legacy = oasis_fl::partition_dirichlet(
-                &data,
-                5,
-                alpha,
-                Arc::clone(&defense),
-                &mut StdRng::seed_from_u64(21),
+    fn dirichlet_partition_covers_all_samples() {
+        let ds = cifar_like_with(5, 12, 8, 1);
+        let clients = dirichlet_clients(&ds, 4, 0.5, 3);
+        assert_eq!(clients.len(), 4);
+        let total: usize = clients.iter().map(|c| c.data().len()).sum();
+        assert_eq!(total, ds.len());
+    }
+
+    #[test]
+    fn small_alpha_skews_labels_more_than_large_alpha() {
+        // Measure label skew as the mean (over clients) of the max
+        // class share within each client's shard.
+        let ds = cifar_like_with(4, 24, 8, 2);
+        let skew = |alpha: f64| -> f64 {
+            let mut total = 0.0;
+            let mut counted = 0usize;
+            for c in dirichlet_clients(&ds, 4, alpha, 7) {
+                if c.data().is_empty() {
+                    continue;
+                }
+                let mut counts = vec![0usize; ds.num_classes()];
+                for it in c.data().items() {
+                    counts[it.label] += 1;
+                }
+                let max = *counts.iter().max().unwrap() as f64;
+                total += max / c.data().len() as f64;
+                counted += 1;
+            }
+            total / counted.max(1) as f64
+        };
+        let skew_low_alpha = skew(0.05);
+        let skew_high_alpha = skew(50.0);
+        assert!(
+            skew_low_alpha > skew_high_alpha,
+            "alpha 0.05 skew {skew_low_alpha:.2} should exceed alpha 50 skew {skew_high_alpha:.2}"
+        );
+    }
+
+    #[test]
+    fn tiny_alpha_concentrates_each_class_on_one_client() {
+        // As α → 0 the Dirichlet concentrates each class's mass on
+        // one client: per class, a single winner should hold (nearly)
+        // all of it, and no sample may be lost.
+        let ds = cifar_like_with(4, 24, 8, 5);
+        let clients = dirichlet_clients(&ds, 4, 0.05, 13);
+        let total: usize = clients.iter().map(|c| c.data().len()).sum();
+        assert_eq!(total, ds.len(), "extreme skew must still conserve samples");
+        let mut per_class = vec![vec![0usize; clients.len()]; ds.num_classes()];
+        for (ci, c) in clients.iter().enumerate() {
+            for it in c.data().items() {
+                per_class[it.label][ci] += 1;
+            }
+        }
+        let concentrated = per_class
+            .iter()
+            .filter(|counts| *counts.iter().max().unwrap() * 4 >= 24 * 3)
+            .count();
+        assert!(
+            concentrated >= 3,
+            "α=0.05 should hand ≥75% of most classes to a single client, \
+             got {concentrated}/4 concentrated classes ({per_class:?})"
+        );
+    }
+
+    #[test]
+    fn underflowing_alpha_is_numerically_safe() {
+        // Below α ≈ 1/n·ln(1/u) the Gamma draws underflow `f64` and
+        // hit the 1e-12 floor; the partition must stay well-defined —
+        // all samples placed, no NaN shares, every count finite —
+        // rather than collapsing or crashing.
+        let ds = cifar_like_with(3, 12, 8, 4);
+        let clients = dirichlet_clients(&ds, 3, 1e-4, 29);
+        assert_eq!(clients.len(), 3);
+        let total: usize = clients.iter().map(|c| c.data().len()).sum();
+        assert_eq!(
+            total,
+            ds.len(),
+            "underflowed weights must still place every sample"
+        );
+        for c in &clients {
+            assert!(c.data().len() <= ds.len());
+        }
+    }
+
+    #[test]
+    fn large_alpha_approaches_iid_shares() {
+        // At α = 100 the Dirichlet is nearly uniform: every client
+        // holds data, and every client's share of every class stays
+        // near 1/n.
+        let ds = cifar_like_with(4, 40, 8, 6);
+        let n = 4;
+        let clients = dirichlet_clients(&ds, n, 100.0, 13);
+        let total: usize = clients.iter().map(|c| c.data().len()).sum();
+        assert_eq!(total, ds.len());
+        let per_class = 40.0;
+        for c in &clients {
+            assert!(
+                !c.data().is_empty(),
+                "α=100 should leave no client empty-handed"
             );
-            let pop = Population::dirichlet(
-                &data,
-                5,
-                alpha,
-                Arc::clone(&defense),
-                &mut StdRng::seed_from_u64(21),
-            );
-            assert_eq!(pop.len(), legacy.len());
-            for (i, old) in legacy.iter().enumerate() {
-                let fresh = pop.hydrate(pop.descriptor(i));
-                assert_eq!(fresh.id(), old.id());
-                assert_eq!(fresh.data().name(), old.data().name());
-                assert_eq!(fresh.data().items(), old.data().items());
+            let mut counts = vec![0usize; ds.num_classes()];
+            for it in c.data().items() {
+                counts[it.label] += 1;
+            }
+            for (class, &count) in counts.iter().enumerate() {
+                let share = count as f64 / per_class;
+                assert!(
+                    (share - 1.0 / n as f64).abs() < 0.15,
+                    "client {} share of class {class} is {share:.2}, \
+                     expected ~{:.2} at α=100",
+                    c.id(),
+                    1.0 / n as f64
+                );
             }
         }
     }
@@ -424,6 +538,19 @@ mod tests {
             &data,
             2,
             0.0,
+            Arc::new(DefenseStack::identity()),
+            &mut StdRng::seed_from_u64(0),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 10000")]
+    fn dirichlet_rejects_alpha_above_the_cap() {
+        let data = cifar_like_with(2, 4, 8, 0);
+        Population::dirichlet(
+            &data,
+            2,
+            MAX_DIRICHLET_ALPHA * 10.0,
             Arc::new(DefenseStack::identity()),
             &mut StdRng::seed_from_u64(0),
         );

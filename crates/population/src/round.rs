@@ -311,7 +311,7 @@ impl<C: ClientSource> std::fmt::Debug for CohortRunner<C> {
 mod tests {
     use super::*;
     use oasis_data::cifar_like_with;
-    use oasis_fl::{partition_iid, DefenseStack, FlClient, FlConfig, ModelFactory, WireConfig};
+    use oasis_fl::{DefenseStack, FlClient, FlConfig, ModelFactory, WireConfig};
     use oasis_nn::{flatten_params, Linear, Relu, Sequential};
     use oasis_wire::{CodecSpec, NetSpec};
     use rand::SeedableRng;
@@ -356,12 +356,13 @@ mod tests {
 
     /// Four resident clients over the whole 8×8 pool.
     fn resident_clients() -> Vec<FlClient> {
-        partition_iid(
+        Population::iid(
             &cifar_like_with(3, 8, 8, 3),
             4,
             Arc::new(DefenseStack::identity()),
             &mut StdRng::seed_from_u64(5),
         )
+        .clients()
     }
 
     fn resident(config: FlConfig) -> CohortRunner<Vec<FlClient>> {

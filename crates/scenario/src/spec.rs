@@ -818,8 +818,8 @@ campaigns (oasis-campaign; phases separated by `;`, fields by `+`):
   campaign:PHASES  multi-phase long-horizon run, e.g. campaign:20;30+alpha=0.5+attack=qbi:128
   R                each phase starts with its round count
   join=F/leave=F   per-round churn probabilities over the client population
-  alpha=A          Dirichlet re-partition at phase entry (label-skew drift); A finite
-                   and > 0, each draw costs O(A)
+  alpha=A          Dirichlet re-partition at phase entry (label-skew drift); A in
+                   (0, 1e4], each draw costs O(A)
   net=SPEC         phase network conditions (same grammar as nets)
   attack=S[|S...]  adversary candidates for the phase; `|` sweeps pick the worst case
 scales:

@@ -11,13 +11,13 @@
 //!
 //! Run with: `cargo run --release --example medical_federation`
 
-use oasis::{defended_client, undefended_client, OasisConfig};
+use oasis::{Oasis, OasisConfig};
 use oasis_attacks::{run_attack, CahAttack, DEFAULT_ACTIVATION_TARGET};
 use oasis_augment::PolicyKind;
 use oasis_data::synthetic_dataset;
-use oasis_fl::{partition_iid, DefenseStack, FlConfig, FlServer, ModelFactory};
+use oasis_fl::{DefenseStack, FlClient, FlConfig, FlServer, ModelFactory};
 use oasis_nn::{Linear, Relu, Sequential};
-use oasis_population::CohortRunner;
+use oasis_population::{CohortRunner, Population};
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Phase 1: honest training across four hospitals ---------------
     let mut rng = StdRng::seed_from_u64(5);
-    let hospitals = partition_iid(&scans, 4, Arc::new(DefenseStack::identity()), &mut rng);
+    let hospitals = Population::iid(&scans, 4, Arc::new(DefenseStack::identity()), &mut rng);
     let cfg = FlConfig {
         learning_rate: 0.1,
         local_batch_size: 12,
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("  mean matched PSNR:     {:.1} dB", undefended.mean_psnr());
 
-    let defense = DefenseStack::of(oasis::Oasis::new(OasisConfig::policy(
+    let defense = DefenseStack::of(Oasis::new(OasisConfig::policy(
         PolicyKind::MajorRotationShearing,
     )));
     let defended = run_attack(&attack, &victim_batch, &defense, classes, 3)?;
@@ -88,21 +88,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Phase 3: defended hospitals still learn -----------------------
     let mut rng = StdRng::seed_from_u64(6);
-    let mut shards = partition_iid(&scans, 4, Arc::new(DefenseStack::identity()), &mut rng);
+    let shards = Population::iid(&scans, 4, Arc::new(DefenseStack::identity()), &mut rng);
     let defended_hospitals: Vec<_> = shards
-        .drain(..)
-        .enumerate()
-        .map(|(i, c)| {
-            let data = c.data().clone();
-            if i % 2 == 0 {
-                defended_client(
-                    i,
-                    data,
-                    OasisConfig::policy(PolicyKind::MajorRotationShearing),
-                )
+        .clients()
+        .into_iter()
+        .map(|c| {
+            let defense = if c.id() % 2 == 0 {
+                DefenseStack::of(Oasis::new(OasisConfig::policy(
+                    PolicyKind::MajorRotationShearing,
+                )))
             } else {
-                undefended_client(i, data)
-            }
+                DefenseStack::identity()
+            };
+            FlClient::new(c.id(), c.data().clone(), Arc::new(defense))
         })
         .collect();
     let server = FlServer::new(factory, cfg)?;

@@ -1,13 +1,17 @@
 //! Integration tests for the FL protocol with defended clients.
 
-use oasis::{defended_client, undefended_client, OasisConfig};
+use oasis::{Oasis, OasisConfig};
 use oasis_augment::PolicyKind;
 use oasis_data::cifar_like_with;
-use oasis_fl::{FlConfig, FlServer, ModelFactory, RoundReport};
+use oasis_fl::{DefenseStack, FlClient, FlConfig, FlServer, ModelFactory, RoundReport};
 use oasis_nn::{Linear, Relu, Sequential};
 use oasis_population::CohortRunner;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
+
+fn oasis(policy: PolicyKind) -> Arc<DefenseStack> {
+    Arc::new(DefenseStack::of(Oasis::new(OasisConfig::policy(policy))))
+}
 
 fn factory(d: usize, classes: usize) -> ModelFactory {
     Arc::new(move || {
@@ -30,7 +34,7 @@ fn defended_federation_converges() {
     let shards: Vec<_> = (0..3)
         .map(|i| {
             let (a, _) = ds.split(0.5, &mut rng);
-            defended_client(i, a, OasisConfig::policy(PolicyKind::MajorRotation))
+            FlClient::new(i, a, oasis(PolicyKind::MajorRotation))
         })
         .collect();
     let cfg = FlConfig {
@@ -63,8 +67,8 @@ fn mixed_federation_round_reports_all_participants() {
     let mut rng = StdRng::seed_from_u64(0);
     let (a, b) = ds.split(0.5, &mut rng);
     let clients = vec![
-        defended_client(0, a, OasisConfig::policy(PolicyKind::MajorRotationShearing)),
-        undefended_client(1, b),
+        FlClient::new(0, a, oasis(PolicyKind::MajorRotationShearing)),
+        FlClient::new(1, b, Arc::new(DefenseStack::identity())),
     ];
     let server = FlServer::new(factory(d, 3), FlConfig::default()).unwrap();
     let report = CohortRunner::new(server, clients)
@@ -84,10 +88,10 @@ fn protocol_is_deterministic() {
     let mut rng = StdRng::seed_from_u64(0);
     let (a, _) = ds.split(0.8, &mut rng);
     let make_clients = || {
-        vec![defended_client(
+        vec![FlClient::new(
             0,
             a.clone(),
-            OasisConfig::policy(PolicyKind::MajorRotation),
+            oasis(PolicyKind::MajorRotation),
         )]
     };
     let run = |seed: u64| {

@@ -33,13 +33,10 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use oasis::{defended_client, undefended_client, OasisConfig};
+use oasis::{Oasis, OasisConfig};
 use oasis_augment::PolicyKind;
 use oasis_data::cifar_like_with;
-use oasis_fl::{
-    partition_iid, DefenseStack, FlClient, FlConfig, FlServer, ModelFactory, RoundReport,
-    WireConfig,
-};
+use oasis_fl::{DefenseStack, FlClient, FlConfig, FlServer, ModelFactory, RoundReport, WireConfig};
 use oasis_nn::{flatten_params, Linear, Relu, Sequential};
 use oasis_population::{CohortRunner, Population};
 use oasis_tensor::parallel;
@@ -85,21 +82,26 @@ fn case_factory((d, hidden, classes, seed): Mlp) -> ModelFactory {
 }
 
 fn bridge_clients(n: usize) -> Vec<FlClient> {
-    partition_iid(
+    Population::iid(
         &cifar_like_with(CLASSES, 8, SIDE, 3),
         n,
         Arc::new(DefenseStack::identity()),
         &mut StdRng::seed_from_u64(5),
     )
+    .clients()
 }
 
-fn defended_clients() -> Vec<FlClient> {
+fn oasis(policy: PolicyKind) -> Arc<DefenseStack> {
+    Arc::new(DefenseStack::of(Oasis::new(OasisConfig::policy(policy))))
+}
+
+fn oasis_mr_clients() -> Vec<FlClient> {
     let ds = cifar_like_with(4, 12, 10, 3);
     let mut rng = StdRng::seed_from_u64(0);
     (0..3)
         .map(|i| {
             let (a, _) = ds.split(0.5, &mut rng);
-            defended_client(i, a, OasisConfig::policy(PolicyKind::MajorRotation))
+            FlClient::new(i, a, oasis(PolicyKind::MajorRotation))
         })
         .collect()
 }
@@ -108,8 +110,8 @@ fn mixed_clients() -> Vec<FlClient> {
     let ds = cifar_like_with(3, 8, 10, 5);
     let (a, b) = ds.split(0.5, &mut StdRng::seed_from_u64(0));
     vec![
-        defended_client(0, a, OasisConfig::policy(PolicyKind::MajorRotationShearing)),
-        undefended_client(1, b),
+        FlClient::new(0, a, oasis(PolicyKind::MajorRotationShearing)),
+        FlClient::new(1, b, Arc::new(DefenseStack::identity())),
     ]
 }
 
@@ -161,7 +163,7 @@ fn cases() -> Vec<Case> {
         },
         Case {
             name: "fl_protocol_defended",
-            clients: defended_clients,
+            clients: oasis_mr_clients,
             model: (10 * 10 * 3, 32, 4, 13),
             config: FlConfig {
                 learning_rate: 0.5,

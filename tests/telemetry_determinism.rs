@@ -11,9 +11,9 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use oasis_data::cifar_like_with;
-use oasis_fl::{partition_iid, DefenseStack, FlConfig, FlServer, ModelFactory, RoundReport};
+use oasis_fl::{DefenseStack, FlConfig, FlServer, ModelFactory, RoundReport};
 use oasis_nn::{flatten_params, Linear, Relu, Sequential};
-use oasis_population::CohortRunner;
+use oasis_population::{CohortRunner, Population};
 use oasis_scenario::{Scale, Scenario};
 use oasis_tensor::parallel;
 use rand::rngs::StdRng;
@@ -45,12 +45,13 @@ fn run_fl(threads: usize, traced: bool) -> (Vec<f32>, Vec<RoundReport>) {
             m.push(Linear::new(64, 10, &mut rng));
             m
         });
-        let clients = partition_iid(
+        let clients = Population::iid(
             &data,
             4,
             Arc::new(DefenseStack::identity()),
             &mut StdRng::seed_from_u64(13),
-        );
+        )
+        .clients();
         let server = FlServer::new(factory, FlConfig::default()).expect("server");
         let mut runner = CohortRunner::new(server, clients);
         let reports: Vec<RoundReport> = runner

@@ -2,9 +2,9 @@
 //! at round *k*, reloading it into a fresh server, and continuing
 //! training reproduces the uninterrupted trajectory bit-identically.
 
-use oasis_fl::{partition_iid, DefenseStack, FlConfig, FlServer, ModelFactory};
+use oasis_fl::{DefenseStack, FlConfig, FlServer, ModelFactory};
 use oasis_nn::{flatten_params, Linear, Relu, Sequential};
-use oasis_population::CohortRunner;
+use oasis_population::{CohortRunner, Population};
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 
@@ -19,12 +19,13 @@ fn setup() -> (ModelFactory, Vec<oasis_fl::FlClient>) {
         m.push(Linear::new(20, 4, &mut rng));
         m
     });
-    let clients = partition_iid(
+    let clients = Population::iid(
         &data,
         3,
         Arc::new(DefenseStack::identity()),
         &mut StdRng::seed_from_u64(2),
-    );
+    )
+    .clients();
     (factory, clients)
 }
 
