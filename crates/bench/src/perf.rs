@@ -12,14 +12,16 @@
 //!
 //! * `core` — tensor, nn and codec kernels at model-relevant shapes
 //!   (matmul / matmul_nt / matmul_tn, Conv2d forward and backward, the
-//!   q8 codec, PSNR of one pair and all-pairs PSNR). Every kernel in
+//!   q8 codec, PSNR of one pair and all-pairs PSNR, a DP-noise fill of
+//!   Gaussian normals). Every kernel in
 //!   [`CORE_KERNELS`] is recorded twice, with the SIMD backend pinned
 //!   per bench via [`simd::with_backend`]: `_simd` (best detected
 //!   backend) and `_scalar` (the reference kernels).
 //! * `fl` — protocol paths: a full [`CohortRunner::run_round`] over
 //!   four resident clients untraced and traced (`fl_round_raw` /
 //!   `fl_round_raw_telem`), the raw codec, one RTF inversion step, one
-//!   `oasis:MR+dp:1,0.01` defense-stack application, and one cohort-64
+//!   `oasis:MR` batch transform and one `dp:1,0.01` update perturbation
+//!   (`defense_oasis` / `defense_dp`), and one cohort-64
 //!   round sampled from 1 k and from 100 k descriptor clients
 //!   (`pop_round_1k` / `pop_round_100k`).
 //! * `scale` — the [`SCALE_BASES`] re-run at 1 and 4 worker threads
@@ -201,7 +203,7 @@ type Base = (&'static str, fn() -> PreparedBench);
 
 /// Every `core` kernel; [`core_suite`] records each as a
 /// `_simd`/`_scalar` pair.
-pub const CORE_KERNELS: [Base; 12] = [
+pub const CORE_KERNELS: [Base; 13] = [
     ("matmul_256", bench_matmul_256),
     ("matmul_conv_fwd", bench_matmul_conv_fwd),
     ("matmul_nt_conv_gw", bench_matmul_nt_conv_gw),
@@ -214,6 +216,7 @@ pub const CORE_KERNELS: [Base; 12] = [
     ("codec_q8_decode", || bench_codec_decode(Box::new(Q8Codec))),
     ("psnr", bench_psnr),
     ("psnr_pairs", bench_psnr_pairs),
+    ("normal_fill", bench_normal_fill),
 ];
 
 /// The benches [`scale_suite`] records at each of [`SCALE_WIDTHS`].
@@ -249,7 +252,8 @@ pub fn core_suite() -> Vec<BenchDef> {
 }
 
 /// The `fl` suite: protocol round (untraced and traced), raw codec,
-/// one attack step, the defense stack, and population rounds.
+/// one attack step, each stage of the `oasis:MR+dp` stack, and
+/// population rounds.
 ///
 /// Order is fixed; names are stable comparison keys.
 pub fn fl_suite() -> Vec<BenchDef> {
@@ -263,7 +267,8 @@ pub fn fl_suite() -> Vec<BenchDef> {
             bench_codec_decode(Box::new(RawCodec))
         }),
         BenchDef::new("rtf_invert_128", bench_rtf_invert),
-        BenchDef::new("defense_stack", bench_defense_stack),
+        BenchDef::new("defense_oasis", bench_defense_oasis),
+        BenchDef::new("defense_dp", bench_defense_dp),
         BenchDef::new("pop_round_1k", || bench_pop_round(1_000)),
         BenchDef::new("pop_round_100k", || bench_pop_round(100_000)),
     ]
@@ -856,6 +861,20 @@ fn bench_psnr() -> PreparedBench {
     }
 }
 
+/// One `fl_defended`-sized DP noise draw: 197 322 normals added in
+/// place by [`oasis_tensor::add_randn_scaled`], rng draws included.
+fn bench_normal_fill() -> PreparedBench {
+    let mut update = vec![0.0f32; 197_322];
+    let mut rng = StdRng::seed_from_u64(26);
+    PreparedBench {
+        throughput: Some((update.len() as f64, "normal/s")),
+        run: Box::new(move || {
+            oasis_tensor::add_randn_scaled(&mut update, 0.0, 0.01, &mut rng);
+            std::hint::black_box(&update);
+        }),
+    }
+}
+
 /// All-pairs scoring: 128 reconstructions against 32 originals at
 /// 3×32×32, through the squared-error tile.
 fn bench_psnr_pairs() -> PreparedBench {
@@ -938,27 +957,41 @@ fn bench_fl_round_raw_telem() -> PreparedBench {
     })
 }
 
-/// One `oasis:MR+dp:1,0.01` defense-stack application: the OASIS
-/// batch stage on a B = 8 batch (16×16×3) plus the update stage
-/// (client-level clip + Gaussian noise) on a 262 144-parameter
-/// update — the per-round client-side cost of stacking defenses.
-fn bench_defense_stack() -> PreparedBench {
-    let stack: DefenseStack = "oasis:MR+dp:1,0.01"
-        .parse::<oasis_scenario::DefenseSpec>()
-        .expect("stack spec")
-        .build();
+/// The stack a defense spec string builds.
+fn defense(spec: &str) -> DefenseStack {
+    spec.parse::<oasis_scenario::DefenseSpec>()
+        .expect("defense spec")
+        .build()
+}
+
+/// The `oasis:MR` batch stage on a B = 8 batch (16×16×3): the
+/// per-round client-side cost of OASIS's augmentation.
+fn bench_defense_oasis() -> PreparedBench {
+    let stack = defense("oasis:MR");
     let data = cifar_like_with(8, 1, 16, 21);
     let batch = oasis_data::Batch::from_items(data.items().to_vec());
-    let update = codec_update();
     PreparedBench {
         throughput: Some((batch.len() as f64, "img/s")),
         run: Box::new(move || {
             let mut rng = StdRng::seed_from_u64(22);
-            let processed = stack.process_batch(&batch, &mut rng);
+            std::hint::black_box(stack.process_batch(&batch, &mut rng));
+        }),
+    }
+}
+
+/// The `dp:1,0.01` update stage on a 262 144-parameter update:
+/// client-level clip plus Gaussian noise, mostly the noise sampler.
+fn bench_defense_dp() -> PreparedBench {
+    let stack = defense("dp:1,0.01");
+    let update = codec_update();
+    PreparedBench {
+        throughput: Some((update.len() as f64, "param/s")),
+        run: Box::new(move || {
+            let mut rng = StdRng::seed_from_u64(22);
             let mut u = update.clone();
             stack.clip_update(&mut u);
-            stack.perturb_update(&mut u, processed.len(), &mut rng);
-            std::hint::black_box((processed, u));
+            stack.perturb_update(&mut u, 8, &mut rng);
+            std::hint::black_box(u);
         }),
     }
 }
@@ -1054,7 +1087,7 @@ mod tests {
         );
         assert_eq!(
             core[core.len() - 2..],
-            ["psnr_pairs_simd", "psnr_pairs_scalar"],
+            ["normal_fill_simd", "normal_fill_scalar"],
             "kernels keep their table order"
         );
         assert_eq!(core, names(core_suite()), "listing must be reproducible");
@@ -1066,7 +1099,8 @@ mod tests {
                 "codec_raw_encode",
                 "codec_raw_decode",
                 "rtf_invert_128",
-                "defense_stack",
+                "defense_oasis",
+                "defense_dp",
                 "pop_round_1k",
                 "pop_round_100k",
             ]

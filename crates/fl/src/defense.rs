@@ -125,6 +125,15 @@ pub trait Defense: Send + Sync {
 /// supports it, whole-update otherwise) to `clip`, then add Gaussian
 /// noise with standard deviation `noise · clip / B` to the averaged
 /// update — the related-work baseline the paper trades off against.
+///
+/// The noise comes from [`oasis_tensor::add_randn_scaled`]: f64
+/// Box–Muller cast to f32, with support `|z| ≤ √(−2 ln 2⁻⁵³) ≈ 8.57`
+/// standard deviations. Its vector path is bit-exact with the libm
+/// path, because it keeps a polynomial result only when its f32
+/// rounding cannot differ from the libm value's and recomputes the
+/// rest. Floating-point samplers like this one can void formal DP
+/// guarantees (Mironov, CCS 2012): the repository measures attack
+/// success under this noise and certifies no privacy.
 #[derive(Debug, Clone, Copy)]
 pub struct DpStage {
     clip: f32,

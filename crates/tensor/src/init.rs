@@ -6,7 +6,7 @@
 
 use rand::Rng;
 
-use crate::Tensor;
+use crate::{simd, Tensor};
 
 impl Tensor {
     /// Samples every element i.i.d. from the standard normal
@@ -35,38 +35,55 @@ impl Tensor {
 }
 
 /// Adds i.i.d. `N(mean, std²)` noise to every element of `out`, in
-/// place: `out[i] += v_i * std + mean`.
+/// place: `out[i] += v_i * std + mean`, as separate f32 operations.
 ///
 /// `v` is exactly the stream [`Tensor::randn_scaled`] would draw for a
 /// tensor of `out.len()` elements (same rng consumption, same values),
 /// without the temporary tensor.
+///
+/// The sampler is f64 Box–Muller cast to f32 (`u1 ∈ [2⁻⁵³, 1]`, so its
+/// support is `|v| ≤ √(−2 ln 2⁻⁵³) ≈ 8.57`). Its vector path is
+/// bit-exact with the libm path: it approximates `ln`, `sin` and `cos`
+/// with polynomials but keeps a result only when its f32 rounding
+/// cannot differ from the libm value's, and recomputes the rest on the
+/// libm path (see [`crate::simd::normal_pairs`]). Floating-point
+/// samplers like this one can void formal differential privacy
+/// (Mironov, "On Significance of the Least Significant Bits for
+/// Differential Privacy", CCS 2012): callers use it to measure attack
+/// success under noise, and it certifies no privacy guarantee.
 pub fn add_randn_scaled(out: &mut [f32], mean: f32, std: f32, rng: &mut impl Rng) {
     for_each_normal(out, rng, |o, v| *o += v * std + mean);
 }
 
-/// Visits every element of `out` with one standard normal, in index
-/// order: one Box–Muller draw per pair of elements, the second normal
-/// of the last draw discarded when the length is odd.
-fn for_each_normal(out: &mut [f32], rng: &mut impl Rng, mut f: impl FnMut(&mut f32, f32)) {
-    let mut pairs = out.chunks_exact_mut(2);
-    for pair in &mut pairs {
-        let (a, b) = box_muller(rng);
-        f(&mut pair[0], a);
-        f(&mut pair[1], b);
-    }
-    if let [last] = pairs.into_remainder() {
-        f(last, box_muller(rng).0);
-    }
-}
+/// Box–Muller pairs per [`simd::normal_pairs`] call.
+const NORMAL_BATCH: usize = 128;
 
-/// One Box–Muller draw producing two independent standard normals.
-fn box_muller(rng: &mut impl Rng) -> (f32, f32) {
-    // Avoid ln(0) by sampling u1 from (0, 1].
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    let r = (-2.0 * u1.ln()).sqrt();
-    let theta = 2.0 * std::f64::consts::PI * u2;
-    ((r * theta.cos()) as f32, (r * theta.sin()) as f32)
+/// Visits every element of `out` with one standard normal, in index
+/// order: one Box–Muller draw per pair of elements (`u1 = 1 − U`, then
+/// `u2 = U`, so `ln` never sees 0), the second normal of the last draw
+/// discarded when the length is odd.
+///
+/// Draws are batched [`NORMAL_BATCH`] pairs at a time into stack
+/// buffers; the rng consumption is the same as one draw per pair. The
+/// pairs the kernel recomputed on its libm path are added to the
+/// `tensor.normal_fallbacks` counter once per call.
+fn for_each_normal(out: &mut [f32], rng: &mut impl Rng, mut f: impl FnMut(&mut f32, f32)) {
+    let mut u1 = [0.0f64; NORMAL_BATCH];
+    let mut u2 = [0.0f64; NORMAL_BATCH];
+    let mut z = [0.0f32; 2 * NORMAL_BATCH];
+    let mut fallbacks = 0;
+    for chunk in out.chunks_mut(2 * NORMAL_BATCH) {
+        let pairs = chunk.len().div_ceil(2);
+        for (a, b) in u1[..pairs].iter_mut().zip(&mut u2[..pairs]) {
+            *a = 1.0 - rng.gen::<f64>();
+            *b = rng.gen();
+        }
+        fallbacks += simd::normal_pairs(&u1[..pairs], &u2[..pairs], &mut z[..2 * pairs]);
+        for (o, &v) in chunk.iter_mut().zip(&z) {
+            f(o, v);
+        }
+    }
+    oasis_telemetry::counter!("tensor.normal_fallbacks").add(fallbacks as u64);
 }
 
 #[cfg(test)]

@@ -9,6 +9,11 @@
 //! bit-identity; if a kernel here is ever "optimized" with FMA or a
 //! horizontal-add shuffle, that suite is the tripwire.
 //!
+//! The exception is [`normal_pairs`], whose reference is libm: it
+//! approximates inside a rounding guard and recomputes every undecided
+//! lane with the scalar specification (see [`super::normal_pairs`];
+//! `crates/tensor/tests/normal_parity.rs` is its tripwire).
+//!
 //! # Safety
 //!
 //! Every function is `#[target_feature(enable = "avx2")]` and thus
@@ -445,4 +450,256 @@ pub(crate) unsafe fn sq_err_tile(a: &[f32], b: [&[f32]; SQ_TILE]) -> [f64; SQ_TI
         *v = finish_sq_err(acc_lo[j], acc_hi[j], a, b[j], chunks * 8);
     }
     out
+}
+
+/// See [`scalar::normal_pairs`] and the guard rule in
+/// [`super::normal_pairs`]: four pairs per f64x4, in-repo polynomials
+/// in place of libm, and every lane whose f32 rounding is not decided
+/// by the guard recomputed by [`scalar::normal_pair`]. A final partial
+/// block runs padded with a fast-path pair whose lanes are discarded.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn normal_pairs(u1: &[f64], u2: &[f64], out: &mut [f32]) -> usize {
+    debug_assert!(
+        u1.len() == u2.len() && out.len() == 2 * u1.len(),
+        "normal_pairs needs equal uniform lengths and two outputs per pair"
+    );
+    // `n` bounds all three slices, so every block's four-pair loads
+    // and eight-float store below stay in range.
+    let n = u1.len().min(u2.len()).min(out.len() / 2);
+    let full = n / 4 * 4;
+    let mut fallbacks = 0;
+    for i in (0..full).step_by(4) {
+        let fail = normal_block(
+            _mm256_loadu_pd(u1.as_ptr().add(i)),
+            _mm256_loadu_pd(u2.as_ptr().add(i)),
+            out.as_mut_ptr().add(2 * i),
+        );
+        if fail != 0 {
+            fallbacks += recompute_lanes(fail, &u1[i..], &u2[i..], &mut out[2 * i..]);
+        }
+    }
+    if full < n {
+        let m = n - full;
+        let (mut a, mut b, mut z) = ([0.5f64; 4], [0.125f64; 4], [0.0f32; 8]);
+        a[..m].copy_from_slice(&u1[full..n]);
+        b[..m].copy_from_slice(&u2[full..n]);
+        let fail = normal_block(
+            _mm256_loadu_pd(a.as_ptr()),
+            _mm256_loadu_pd(b.as_ptr()),
+            z.as_mut_ptr(),
+        ) & ((1 << m) - 1);
+        out[2 * full..2 * n].copy_from_slice(&z[..2 * m]);
+        fallbacks += recompute_lanes(fail, &u1[full..], &u2[full..], &mut out[2 * full..]);
+    }
+    fallbacks
+}
+
+/// Overwrites the pairs flagged in the 4-bit `fail` mask with the
+/// scalar specification; returns how many there were.
+fn recompute_lanes(fail: i32, u1: &[f64], u2: &[f64], out: &mut [f32]) -> usize {
+    for l in (0..4).filter(|l| fail & (1 << l) != 0) {
+        (out[2 * l], out[2 * l + 1]) = scalar::normal_pair(u1[l], u2[l]);
+    }
+    fail.count_ones() as usize
+}
+
+/// Relative half-width of the rounding guard. The polynomial results
+/// differ from libm's by at most about 2⁻⁴⁹ relative (2⁻⁵⁰·⁴, 3 ulps,
+/// measured over 2·10⁷ pairs), far inside it.
+const GUARD: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// Four Box–Muller pairs, stored interleaved (`a0 b0 a1 b1 …`) at
+/// `dst`; returns the mask of lanes the caller must recompute.
+///
+/// # Safety
+///
+/// AVX2 must be available, and `dst` must be valid for writing eight
+/// `f32`s.
+#[target_feature(enable = "avx2")]
+unsafe fn normal_block(u1: __m256d, u2: __m256d, dst: *mut f32) -> i32 {
+    let one = _mm256_set1_pd(1.0);
+    // The fast path covers normal u1 < 1 and u2 ∈ [0, 1); ordered
+    // compares also send NaN to the fallback. u1 = 1 is excluded for
+    // the sign of its zero output.
+    let in_domain = _mm256_and_pd(
+        _mm256_and_pd(
+            _mm256_cmp_pd::<_CMP_GE_OQ>(u1, _mm256_set1_pd(f64::MIN_POSITIVE)),
+            _mm256_cmp_pd::<_CMP_LT_OQ>(u1, one),
+        ),
+        _mm256_and_pd(
+            _mm256_cmp_pd::<_CMP_GE_OQ>(u2, _mm256_setzero_pd()),
+            _mm256_cmp_pd::<_CMP_LT_OQ>(u2, one),
+        ),
+    );
+    let r = _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), ln(u1)));
+    let theta = _mm256_mul_pd(_mm256_set1_pd(2.0 * std::f64::consts::PI), u2);
+    let (sin, cos, reduced_ok) = sincos(theta);
+    let (a, a_ok) = guarded_f32(_mm256_mul_pd(r, cos));
+    let (b, b_ok) = guarded_f32(_mm256_mul_pd(r, sin));
+    _mm_storeu_ps(dst, _mm_unpacklo_ps(a, b));
+    _mm_storeu_ps(dst.add(4), _mm_unpackhi_ps(a, b));
+    let ok = _mm256_movemask_pd(_mm256_and_pd(in_domain, reduced_ok))
+        & _mm_movemask_ps(_mm_and_ps(a_ok, b_ok));
+    !ok & 0xf
+}
+
+/// `v` rounded to f32, and whether that rounding is decided: `v·(1−g)`
+/// and `v·(1+g)` round to the same f32, so every value within relative
+/// `g` of `v` does too.
+#[target_feature(enable = "avx2")]
+unsafe fn guarded_f32(v: __m256d) -> (__m128, __m128) {
+    let lo = _mm256_cvtpd_ps(_mm256_mul_pd(v, _mm256_set1_pd(1.0 - GUARD)));
+    let hi = _mm256_cvtpd_ps(_mm256_mul_pd(v, _mm256_set1_pd(1.0 + GUARD)));
+    (_mm256_cvtpd_ps(v), _mm_cmpeq_ps(lo, hi))
+}
+
+/// Horner's rule `k[0] + x·(k[1] + x·(… + x·k[n−1]))`, mul then add.
+#[target_feature(enable = "avx2")]
+unsafe fn horner(x: __m256d, k: &[f64]) -> __m256d {
+    let (last, rest) = k.split_last().expect("coefficients");
+    rest.iter().rev().fold(_mm256_set1_pd(*last), |acc, &k| {
+        _mm256_add_pd(_mm256_set1_pd(k), _mm256_mul_pd(x, acc))
+    })
+}
+
+/// Natural log of normal positive lanes: fdlibm's `__ieee754_log`
+/// (x = 2ᵏ·(1+f) with 1+f ∈ [√2/2, √2), `s = f/(2+f)`, the `Lg1..Lg7`
+/// polynomial in s²), always on its `hfsq` branch. Constants are
+/// fdlibm's, as bit patterns.
+#[target_feature(enable = "avx2")]
+unsafe fn ln(x: __m256d) -> __m256d {
+    const LN2_HI: f64 = f64::from_bits(0x3fe62e42_fee00000);
+    const LN2_LO: f64 = f64::from_bits(0x3dea39ef_35793c76);
+    const LG: [f64; 7] = [
+        f64::from_bits(0x3fe55555_55555593),
+        f64::from_bits(0x3fd99999_9997fa04),
+        f64::from_bits(0x3fd24924_94229359),
+        f64::from_bits(0x3fcc71c5_1d8e78af),
+        f64::from_bits(0x3fc74664_96cb03de),
+        f64::from_bits(0x3fc39a09_d078c69f),
+        f64::from_bits(0x3fc2f112_df3e5244),
+    ];
+    let c = |v: f64| _mm256_set1_pd(v);
+    let bits = _mm256_castpd_si256(x);
+    let mant = _mm256_and_si256(bits, _mm256_set1_epi64x(0x000f_ffff_ffff_ffff));
+    // Bit 52 set iff 1+f ≥ √2 (high mantissa word ≥ 0x6a09c): then
+    // use (1+f)/2 and k+1.
+    let carry = _mm256_and_si256(
+        _mm256_add_epi64(mant, _mm256_set1_epi64x(0x95f64 << 32)),
+        _mm256_set1_epi64x(1 << 52),
+    );
+    let m = _mm256_castsi256_pd(_mm256_or_si256(
+        mant,
+        _mm256_xor_si256(carry, _mm256_set1_epi64x(0x3ff0_0000_0000_0000)),
+    ));
+    // k + 1023 is a small integer: place it in the mantissa of 2⁵².
+    let biased_k = _mm256_add_epi64(
+        _mm256_srli_epi64::<52>(bits),
+        _mm256_srli_epi64::<52>(carry),
+    );
+    let k = _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_or_si256(
+            biased_k,
+            _mm256_set1_epi64x(0x4330_0000_0000_0000),
+        )),
+        c((1u64 << 52) as f64 + 1023.0),
+    );
+    let f = _mm256_sub_pd(m, c(1.0));
+    let s = _mm256_div_pd(f, _mm256_add_pd(c(2.0), f));
+    let z = _mm256_mul_pd(s, s);
+    let w = _mm256_mul_pd(z, z);
+    let t1 = _mm256_mul_pd(w, horner(w, &[LG[1], LG[3], LG[5]]));
+    let t2 = _mm256_mul_pd(z, horner(w, &[LG[0], LG[2], LG[4], LG[6]]));
+    let r = _mm256_add_pd(t2, t1);
+    let hfsq = _mm256_mul_pd(_mm256_mul_pd(c(0.5), f), f);
+    // k·ln2_hi − ((hfsq − (s·(hfsq + R) + k·ln2_lo)) − f)
+    let inner = _mm256_add_pd(
+        _mm256_mul_pd(s, _mm256_add_pd(hfsq, r)),
+        _mm256_mul_pd(k, c(LN2_LO)),
+    );
+    _mm256_sub_pd(
+        _mm256_mul_pd(k, c(LN2_HI)),
+        _mm256_sub_pd(_mm256_sub_pd(hfsq, inner), f),
+    )
+}
+
+/// `(sin θ, cos θ, ok)` for θ ∈ [0, 2π): Cody–Waite reduction
+/// `y = θ − n·π/2` with fdlibm's 33-bit `pio2_1` (so `n·pio2_1` and the
+/// first subtraction are exact), fdlibm's `__kernel_sin`/`__kernel_cos`
+/// on `y`, then a branch-free quadrant select on `n ∈ 0..=4`. `ok`
+/// clears lanes with `|y| < 2⁻³⁰`, where the reduction's absolute error
+/// (about 2⁻⁸⁴) is no longer small relative to `y`. Constants are
+/// fdlibm's, as bit patterns.
+#[target_feature(enable = "avx2")]
+unsafe fn sincos(theta: __m256d) -> (__m256d, __m256d, __m256d) {
+    const PIO2_1: f64 = f64::from_bits(0x3ff921fb_54400000);
+    const PIO2_1T: f64 = f64::from_bits(0x3dd0b461_1a626331);
+    const S: [f64; 6] = [
+        f64::from_bits(0xbfc55555_55555549),
+        f64::from_bits(0x3f811111_1110f8a6),
+        f64::from_bits(0xbf2a01a0_19c161d5),
+        f64::from_bits(0x3ec71de3_57b1fe7d),
+        f64::from_bits(0xbe5ae5e6_8a2b9ceb),
+        f64::from_bits(0x3de5d93a_5acfd57c),
+    ];
+    const C: [f64; 6] = [
+        f64::from_bits(0x3fa55555_5555554c),
+        f64::from_bits(0xbf56c16c_16c15177),
+        f64::from_bits(0x3efa01a0_19cb1590),
+        f64::from_bits(0xbe927e4f_809c52ad),
+        f64::from_bits(0x3e21ee9e_bdb4b1c4),
+        f64::from_bits(0xbda8fae9_be8838d4),
+    ];
+    let c = |v: f64| _mm256_set1_pd(v);
+    let sign = c(-0.0);
+    let n = _mm256_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(_mm256_mul_pd(
+        theta,
+        c(std::f64::consts::FRAC_2_PI),
+    ));
+    let y = _mm256_sub_pd(
+        _mm256_sub_pd(theta, _mm256_mul_pd(n, c(PIO2_1))),
+        _mm256_mul_pd(n, c(PIO2_1T)),
+    );
+    let ay = _mm256_andnot_pd(sign, y);
+    let ok = _mm256_cmp_pd::<_CMP_GE_OQ>(ay, c(1.0 / (1u64 << 30) as f64));
+    let z = _mm256_mul_pd(y, y);
+    // __kernel_sin(y, 0, 0) = y + y³·(S1 + z·(S2 + z·(… + z·S6)))
+    let sr = horner(z, &S[1..]);
+    let v = _mm256_mul_pd(z, y);
+    let sin_y = _mm256_add_pd(
+        y,
+        _mm256_mul_pd(v, _mm256_add_pd(c(S[0]), _mm256_mul_pd(z, sr))),
+    );
+    // __kernel_cos(y, 0) = (1 − qx) − ((z/2 − qx) − z·r), where qx is 0
+    // below |y| = 0.3, 0.28125 above 0.78125, else |y|/4 truncated to
+    // its high word.
+    let cr = _mm256_mul_pd(z, horner(z, &C));
+    let quarter = _mm256_castsi256_pd(_mm256_sub_epi64(
+        _mm256_and_si256(
+            _mm256_castpd_si256(ay),
+            _mm256_set1_epi64x(0xffff_ffff_0000_0000_u64 as i64),
+        ),
+        _mm256_set1_epi64x(0x0020_0000_0000_0000),
+    ));
+    let qx = _mm256_blendv_pd(
+        quarter,
+        c(0.28125),
+        _mm256_cmp_pd::<_CMP_GT_OQ>(ay, c(0.78125)),
+    );
+    let qx = _mm256_andnot_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(ay, c(0.3)), qx);
+    let cos_y = _mm256_sub_pd(
+        _mm256_sub_pd(c(1.0), qx),
+        _mm256_sub_pd(
+            _mm256_sub_pd(_mm256_mul_pd(c(0.5), z), qx),
+            _mm256_mul_pd(z, cr),
+        ),
+    );
+    // Quadrant n mod 4: sin θ = (s, c, −s, −c), cos θ = (c, −s, −c, s).
+    let is = |q: f64| _mm256_cmp_pd::<_CMP_EQ_OQ>(n, c(q));
+    let swap = _mm256_or_pd(is(1.0), is(3.0));
+    let sin_neg = _mm256_and_pd(_mm256_or_pd(is(2.0), is(3.0)), sign);
+    let cos_neg = _mm256_and_pd(_mm256_or_pd(is(1.0), is(2.0)), sign);
+    let sin = _mm256_xor_pd(_mm256_blendv_pd(sin_y, cos_y, swap), sin_neg);
+    let cos = _mm256_xor_pd(_mm256_blendv_pd(cos_y, sin_y, swap), cos_neg);
+    (sin, cos, ok)
 }

@@ -1,7 +1,7 @@
 //! Runtime-dispatched SIMD kernels for the workspace's hot loops.
 //!
 //! The hot inner loops — matmul dot/axpy, q8 quantize/dequantize,
-//! sign pack/unpack, MSE reduction — are implemented once per
+//! sign pack/unpack, MSE reduction, Gaussian sampling — are implemented once per
 //! backend: AVX2 f32x8 on `x86_64` (runtime-detected), NEON f32x4
 //! pairs on `aarch64`, and a portable scalar reference everywhere.
 //! Dispatch is resolved **once per process** from the `OASIS_SIMD`
@@ -27,6 +27,27 @@
 //! bytes-on-wire (q8/sign payloads are part of the threat model)
 //! hold under any `OASIS_SIMD` setting. The parity suite
 //! (`tests/simd_parity.rs`) pins this across lane-boundary shapes.
+//!
+//! ### The libm-referenced kernel: [`normal_pairs`]
+//!
+//! One kernel follows a different rule. The reference of
+//! [`normal_pairs`] (Box–Muller) is the platform libm's f64 `ln`,
+//! `cos` and `sin`, which no vector backend can replicate lane by
+//! lane. Its AVX2 backend evaluates in-repo polynomials instead
+//! (fdlibm's log and sin/cos kernels, within about 2⁻⁴⁹ relative of a
+//! libm accurate to a few ulps), so approximation is allowed — but only
+//! inside a rounding guard. A lane's f64 result `v` is accepted only
+//! when `v·(1−2⁻⁴⁰)` and `v·(1+2⁻⁴⁰)` round to the same f32; rounding
+//! is monotone, so the libm value, which lies between them, rounds to
+//! that f32 too. Pairs that fail the guard are recomputed by the
+//! scalar specification, and so are the edge cases the polynomials do
+//! not cover: `u1` outside `[f64::MIN_POSITIVE, 1)` (`u1 = 1` for the
+//! sign of its zero output), `u2` outside `[0, 1)`, non-finite inputs,
+//! and a reduced angle below 2⁻³⁰. The output therefore still equals
+//! the scalar backend bit for bit, by construction; about 4·10⁻⁵ of
+//! pairs take the fallback. The parity suite for this kernel is
+//! `tests/normal_parity.rs`. NEON delegates to the scalar
+//! specification.
 //!
 //! ## Safety
 //!
@@ -328,6 +349,21 @@ pub fn sq_err_sum(a: &[f32], b: &[f32]) -> f64 {
 /// All slices must have the same length (debug-asserted).
 pub fn sq_err_tile(a: &[f32], b: [&[f32]; SQ_TILE]) -> [f64; SQ_TILE] {
     dispatch!(sq_err_tile(a, b))
+}
+
+/// Box–Muller over paired uniforms: `out[2i]` and `out[2i + 1]` are
+/// `r·cos θ` and `r·sin θ` cast to f32, with `r = √(−2 ln u1[i])` and
+/// `θ = 2π·u2[i]` evaluated in f64 with the platform libm — the stream
+/// [`Tensor::randn`](crate::Tensor::randn) draws. Returns the number of
+/// pairs the backend recomputed on the libm path (0 on the scalar
+/// backend).
+///
+/// The output is bit-identical on every backend, under the rule in
+/// the module docs' "libm-referenced kernel" section. Requires
+/// `u1.len() == u2.len()` and `out.len() == 2·u1.len()`
+/// (debug-asserted).
+pub fn normal_pairs(u1: &[f64], u2: &[f64], out: &mut [f32]) -> usize {
+    dispatch!(normal_pairs(u1, u2, out))
 }
 
 #[cfg(test)]

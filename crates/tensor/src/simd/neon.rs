@@ -272,3 +272,9 @@ pub(crate) unsafe fn sq_err_sum(a: &[f32], b: &[f32]) -> f64 {
 pub(crate) unsafe fn sq_err_tile(a: &[f32], b: [&[f32]; SQ_TILE]) -> [f64; SQ_TILE] {
     scalar::sq_err_tile(a, b)
 }
+
+/// See [`scalar::normal_pairs`] — delegated: the guarded vector kernel
+/// exists for AVX2 only (see [`super::normal_pairs`]).
+pub(crate) unsafe fn normal_pairs(u1: &[f64], u2: &[f64], out: &mut [f32]) -> usize {
+    scalar::normal_pairs(u1, u2, out)
+}

@@ -223,3 +223,32 @@ pub(crate) fn sq_err_sum(a: &[f32], b: &[f32]) -> f64 {
 pub(crate) fn sq_err_tile(a: &[f32], b: [&[f32]; SQ_TILE]) -> [f64; SQ_TILE] {
     b.map(|bj| sq_err_sum(a, bj))
 }
+
+/// One Box–Muller pair from `u1 ∈ (0, 1]` and `u2 ∈ [0, 1)`:
+/// `r = √(−2 ln u1)`, `θ = 2π·u2`, then `(r·cos θ, r·sin θ)`, all in
+/// f64 with the platform libm's `ln`, `cos` and `sin`, each result
+/// cast to f32.
+///
+/// The specification of [`normal_pairs`]. Unlike every other kernel
+/// here, vector backends do not replicate it operation by operation;
+/// they approximate it inside a rounding guard (see
+/// [`super::normal_pairs`]).
+pub(crate) fn normal_pair(u1: f64, u2: f64) -> (f32, f32) {
+    let r = (-2.0 * u1.ln()).sqrt();
+    let theta = 2.0 * std::f64::consts::PI * u2;
+    ((r * theta.cos()) as f32, (r * theta.sin()) as f32)
+}
+
+/// [`normal_pair`] of every `(u1[i], u2[i])` into `out[2i]` (the
+/// cosine branch) and `out[2i + 1]` (the sine branch). Returns the
+/// number of pairs recomputed on a fallback path: always 0 here.
+pub(crate) fn normal_pairs(u1: &[f64], u2: &[f64], out: &mut [f32]) -> usize {
+    debug_assert!(
+        u1.len() == u2.len() && out.len() == 2 * u1.len(),
+        "normal_pairs needs equal uniform lengths and two outputs per pair"
+    );
+    for ((&a, &b), o) in u1.iter().zip(u2).zip(out.chunks_exact_mut(2)) {
+        (o[0], o[1]) = normal_pair(a, b);
+    }
+    0
+}
