@@ -13,7 +13,7 @@
 //! * `core` — tensor, nn and codec kernels at model-relevant shapes
 //!   (matmul / matmul_nt / matmul_tn, Conv2d forward and backward, the
 //!   q8 codec, PSNR of one pair and all-pairs PSNR, a DP-noise fill of
-//!   Gaussian normals). Every kernel in
+//!   Gaussian normals, a rendered calibration set). Every kernel in
 //!   [`CORE_KERNELS`] is recorded twice, with the SIMD backend pinned
 //!   per bench via [`simd::with_backend`]: `_simd` (best detected
 //!   backend) and `_scalar` (the reference kernels).
@@ -43,7 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use oasis_attacks::{ActiveAttack, RtfAttack};
-use oasis_data::{cifar_like_with, Dataset};
+use oasis_data::{cifar_like_with, Dataset, Generator};
 use oasis_fl::{DefenseStack, FlConfig, FlServer, ModelFactory, WireConfig};
 use oasis_image::Image;
 use oasis_metrics::{best_psnr_per_original, psnr_data};
@@ -203,7 +203,7 @@ type Base = (&'static str, fn() -> PreparedBench);
 
 /// Every `core` kernel; [`core_suite`] records each as a
 /// `_simd`/`_scalar` pair.
-pub const CORE_KERNELS: [Base; 13] = [
+pub const CORE_KERNELS: [Base; 14] = [
     ("matmul_256", bench_matmul_256),
     ("matmul_conv_fwd", bench_matmul_conv_fwd),
     ("matmul_nt_conv_gw", bench_matmul_nt_conv_gw),
@@ -217,6 +217,7 @@ pub const CORE_KERNELS: [Base; 13] = [
     ("psnr", bench_psnr),
     ("psnr_pairs", bench_psnr_pairs),
     ("normal_fill", bench_normal_fill),
+    ("render_imagenette", bench_render_imagenette),
 ];
 
 /// The benches [`scale_suite`] records at each of [`SCALE_WIDTHS`].
@@ -875,6 +876,20 @@ fn bench_normal_fill() -> PreparedBench {
     }
 }
 
+/// The `cah` calibration set of `attack_grid`: the 384-image prefix of
+/// a 77-per-class `imagenette` dataset at 32×32, through the public
+/// renderer (classes on the run's pool, pixel noise on the pinned
+/// backend).
+fn bench_render_imagenette() -> PreparedBench {
+    let generator = Generator::imagenette(77, 32, 27);
+    PreparedBench {
+        throughput: Some((384.0, "image/s")),
+        run: Box::new(move || {
+            std::hint::black_box(generator.render(384));
+        }),
+    }
+}
+
 /// All-pairs scoring: 128 reconstructions against 32 originals at
 /// 3×32×32, through the squared-error tile.
 fn bench_psnr_pairs() -> PreparedBench {
@@ -1087,7 +1102,7 @@ mod tests {
         );
         assert_eq!(
             core[core.len() - 2..],
-            ["normal_fill_simd", "normal_fill_scalar"],
+            ["render_imagenette_simd", "render_imagenette_scalar"],
             "kernels keep their table order"
         );
         assert_eq!(core, names(core_suite()), "listing must be reproducible");

@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{ClassSpec, Dataset, LabeledImage};
+use crate::{ClassSpec, Dataset, Generator};
 
 /// Generates the CIFAR100-like dataset: 100 classes, 32×32×3.
 ///
@@ -32,7 +32,7 @@ pub fn cifar_like_with(
 
 /// Fully generic procedural dataset constructor: `classes` procedural
 /// class identities rendered `samples_per_class` times at
-/// `side`×`side`. All named dataset constructors delegate here.
+/// `side`×`side`, through [`Generator::synthetic`].
 pub fn synthetic_dataset(
     name: &str,
     classes: usize,
@@ -40,29 +40,14 @@ pub fn synthetic_dataset(
     side: usize,
     seed: u64,
 ) -> Dataset {
-    let items = synthetic_images(classes, samples_per_class, side, seed).collect();
-    Dataset::new(name, classes, items)
+    Generator::synthetic(classes, samples_per_class, side, seed).dataset(name)
 }
 
-/// The items of [`synthetic_dataset`] in dataset order (class-major),
-/// rendered on demand: every class draws from its own rng stream, so
-/// a prefix renders only the images it yields, bit-identical to the
-/// same prefix of the full dataset.
-pub fn synthetic_images(
-    classes: usize,
-    samples_per_class: usize,
-    side: usize,
-    seed: u64,
-) -> impl Iterator<Item = LabeledImage> {
-    (0..classes).flat_map(move |class| {
-        let spec = ClassSpec::derive(seed, class);
-        let mut rng =
-            StdRng::seed_from_u64(seed.wrapping_mul(31).wrapping_add(class as u64) ^ SALT);
-        (0..samples_per_class).map(move |_| LabeledImage {
-            image: spec.render(side, side, &mut rng),
-            label: class,
-        })
-    })
+/// The identity and jitter streams of `class` in the synthetic
+/// family under `seed`.
+pub(crate) fn class_streams(seed: u64, class: usize) -> (ClassSpec, StdRng) {
+    let rng = StdRng::seed_from_u64(seed.wrapping_mul(31).wrapping_add(class as u64) ^ SALT);
+    (ClassSpec::derive(seed, class), rng)
 }
 
 /// Salt mixed into per-class RNG streams so sample jitter is

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{ClassSpec, Dataset, LabeledImage};
+use crate::{ClassSpec, Dataset, Generator};
 
 /// The ten Imagenette class names, kept for readable experiment
 /// output.
@@ -32,30 +32,17 @@ pub fn imagenette_like(samples_per_class: usize, seed: u64) -> Dataset {
     imagenette_like_with(samples_per_class, 64, seed)
 }
 
-/// Generator with explicit resolution.
+/// Generator with explicit resolution, through
+/// [`Generator::imagenette`].
 pub fn imagenette_like_with(samples_per_class: usize, side: usize, seed: u64) -> Dataset {
-    let items = imagenette_images(samples_per_class, side, seed).collect();
-    Dataset::new("ImageNette-like", IMAGENETTE_CLASSES.len(), items)
+    Generator::imagenette(samples_per_class, side, seed).dataset("ImageNette-like")
 }
 
-/// The items of [`imagenette_like_with`] in dataset order
-/// (class-major), rendered on demand: every class draws from its own
-/// rng stream, so a prefix renders only the images it yields,
-/// bit-identical to the same prefix of the full dataset.
-pub fn imagenette_images(
-    samples_per_class: usize,
-    side: usize,
-    seed: u64,
-) -> impl Iterator<Item = LabeledImage> {
-    (0..IMAGENETTE_CLASSES.len()).flat_map(move |class| {
-        let spec = ClassSpec::derive(seed ^ SALT, class);
-        let mut rng =
-            StdRng::seed_from_u64(seed.wrapping_mul(131).wrapping_add(class as u64) ^ SALT);
-        (0..samples_per_class).map(move |_| LabeledImage {
-            image: spec.render(side, side, &mut rng),
-            label: class,
-        })
-    })
+/// The identity and jitter streams of `class` in the ImageNette
+/// family under `seed`.
+pub(crate) fn class_streams(seed: u64, class: usize) -> (ClassSpec, StdRng) {
+    let rng = StdRng::seed_from_u64(seed.wrapping_mul(131).wrapping_add(class as u64) ^ SALT);
+    (ClassSpec::derive(seed ^ SALT, class), rng)
 }
 
 const SALT: u64 = 0x1A6E_7E77;

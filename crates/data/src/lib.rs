@@ -35,13 +35,11 @@ mod cifar_like;
 mod dataset;
 mod imagenette_like;
 mod patterns;
+mod render;
 
 pub use batch::Batch;
-pub use cifar_like::{
-    cifar100_like, cifar100_like_at, cifar_like_with, synthetic_dataset, synthetic_images,
-};
+pub use cifar_like::{cifar100_like, cifar100_like_at, cifar_like_with, synthetic_dataset};
 pub use dataset::{Dataset, LabeledImage};
-pub use imagenette_like::{
-    imagenette_images, imagenette_like, imagenette_like_with, IMAGENETTE_CLASSES,
-};
+pub use imagenette_like::{imagenette_like, imagenette_like_with, IMAGENETTE_CLASSES};
 pub use patterns::ClassSpec;
+pub use render::Generator;

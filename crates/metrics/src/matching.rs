@@ -173,6 +173,18 @@ mod tests {
     }
 
     #[test]
+    fn nan_reconstructions_score_no_leak() {
+        // Five originals: one full SQ_TILE group plus a remainder, so
+        // both scoring paths see the NaN pool.
+        let originals: Vec<Image> = (0..5).map(|i| img(i as f32 / 5.0)).collect();
+        let recons = vec![img(f32::NAN)];
+        assert_eq!(best_psnr_per_original(&recons, &originals), vec![0.0; 5]);
+        let matches = match_greedy(&recons, &originals);
+        assert_eq!(matches.len(), 1);
+        assert_eq!(matches[0].psnr, 0.0);
+    }
+
+    #[test]
     fn best_psnr_with_no_recons_is_zero() {
         let originals = vec![img(0.2)];
         assert_eq!(best_psnr_per_original(&[], &originals), vec![0.0]);

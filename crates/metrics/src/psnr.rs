@@ -21,6 +21,10 @@ const MSE_FLOOR: f64 = 1e-16;
 /// accumulation (fixed combine order) is bit-identical across SIMD
 /// backends and deterministic for a given input.
 ///
+/// A NaN squared error (a NaN anywhere in either signal) scores 0 dB,
+/// the floor an empty reconstruction pool scores, never the
+/// [`PSNR_CAP`] of a perfect reconstruction.
+///
 /// # Panics
 ///
 /// Panics if lengths differ or are zero.
@@ -44,9 +48,13 @@ pub(crate) fn psnr_tile(a: &Image, others: [&Image; SQ_TILE]) -> [f64; SQ_TILE] 
     simd::sq_err_tile(a.data(), others.map(Image::data)).map(|sq| db_from_sq_err(sq, a.numel()))
 }
 
-/// PSNR in dB of a squared-error sum over `len` elements.
+/// PSNR in dB of a squared-error sum over `len` elements; 0 dB for a
+/// NaN sum (`f64::min` below would drop the NaN and report the cap).
 fn db_from_sq_err(sq: f64, len: usize) -> f64 {
     let mse = sq / len as f64;
+    if mse.is_nan() {
+        return 0.0;
+    }
     if mse < MSE_FLOOR {
         return PSNR_CAP;
     }
@@ -90,6 +98,19 @@ mod tests {
         let small: Vec<f32> = base.iter().map(|v| v + 0.01).collect();
         let large: Vec<f32> = base.iter().map(|v| v + 0.2).collect();
         assert!(psnr_data(&base, &small) > psnr_data(&base, &large));
+    }
+
+    #[test]
+    fn nan_reconstruction_scores_zero_not_the_cap() {
+        let original = vec![0.5f32; 9];
+        let mut recon = original.clone();
+        recon[4] = f32::NAN;
+        assert_eq!(psnr_data(&recon, &original), 0.0);
+        assert_eq!(psnr_data(&original, &recon), 0.0);
+        let a = Image::from_vec(1, 3, 3, original).unwrap();
+        let r = Image::from_vec(1, 3, 3, recon).unwrap();
+        assert_eq!(psnr(&r, &a), 0.0);
+        assert_eq!(psnr_tile(&r, [&a; SQ_TILE]), [0.0; SQ_TILE]);
     }
 
     #[test]

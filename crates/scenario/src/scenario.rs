@@ -224,13 +224,15 @@ impl Scenario {
     /// of `calibration`). Dataset order is class-major, so this is a
     /// prefix of the label space, not a class-balanced sample — on
     /// `imagenette` the default 384 images come from classes 0–4
-    /// only. Only the prefix is rendered. (Campaign probes instead
+    /// only. Only the prefix is rendered, its classes in parallel
+    /// ([`oasis_data::Generator::render`]). (Campaign probes instead
     /// calibrate on a seeded shuffle of the training dataset; see
     /// `oasis-campaign`.)
     pub fn calibration_images(&self) -> Vec<Image> {
         self.workload
-            .images(self.scale, self.calibration, CALIBRATION_SEED)
-            .take(self.calibration)
+            .generator(self.scale, self.calibration, CALIBRATION_SEED)
+            .render(self.calibration)
+            .into_iter()
             .map(|it| it.image)
             .collect()
     }

@@ -22,7 +22,7 @@ use oasis_attacks::{
     DEFAULT_ACTIVATION_TARGET, DEFAULT_QBI_BATCH,
 };
 use oasis_augment::PolicyKind;
-use oasis_data::{imagenette_images, synthetic_images, Dataset, LabeledImage};
+use oasis_data::{Dataset, Generator};
 use oasis_fl::{ClipStage, Defense, DefenseStack, DpStage};
 use oasis_image::Image;
 use serde::{Deserialize, Serialize};
@@ -667,28 +667,22 @@ impl WorkloadSpec {
             WorkloadSpec::ImageNette100c => "ImageNet-like-100c",
             WorkloadSpec::Cifar100 | WorkloadSpec::Cifar100c => "CIFAR100-like",
         };
-        let items = self.images(scale, max_batch, seed).collect();
-        Dataset::new(name, self.num_classes(), items)
+        self.generator(scale, max_batch, seed).dataset(name)
     }
 
-    /// The items of [`WorkloadSpec::dataset`] in dataset order —
-    /// class-major: every image of class 0, then class 1, … — rendered
-    /// on demand, so `.take(n)` renders only the first `n`.
-    pub(crate) fn images(
-        &self,
-        scale: Scale,
-        max_batch: usize,
-        seed: u64,
-    ) -> Box<dyn Iterator<Item = LabeledImage>> {
+    /// The unrendered [`WorkloadSpec::dataset`]: its
+    /// [`Generator::render`] renders any class-major prefix of it
+    /// (every image of class 0, then class 1, …), classes in parallel.
+    pub(crate) fn generator(&self, scale: Scale, max_batch: usize, seed: u64) -> Generator {
         let side = self.side(scale);
         match self {
             WorkloadSpec::ImageNette => {
                 let spc = (max_batch * 2).div_ceil(10).max(8);
-                Box::new(imagenette_images(spc, side, seed))
+                Generator::imagenette(spc, side, seed)
             }
             WorkloadSpec::Cifar100 | WorkloadSpec::ImageNette100c | WorkloadSpec::Cifar100c => {
                 let spc = (max_batch * 2).div_ceil(100).max(2);
-                Box::new(synthetic_images(100, spc, side, seed))
+                Generator::synthetic(100, spc, side, seed)
             }
         }
     }
@@ -967,11 +961,10 @@ mod tests {
                 ds.len(),
                 ds.len() + 7,
             ] {
-                let prefix: Vec<LabeledImage> = spec.images(Scale::Quick, 24, 5).take(n).collect();
-                let want: Vec<LabeledImage> = ds.items().iter().take(n).cloned().collect();
+                let prefix = spec.generator(Scale::Quick, 24, 5).render(n);
                 assert_eq!(prefix.len(), n.min(ds.len()), "{spec} n={n}");
                 assert!(
-                    prefix == want,
+                    prefix[..] == ds.items()[..prefix.len()],
                     "{spec} n={n}: prefix differs from the dataset"
                 );
             }

@@ -13,14 +13,14 @@ impl Tensor {
     /// distribution via the Box–Muller transform.
     pub fn randn(dims: &[usize], rng: &mut impl Rng) -> Tensor {
         let mut t = Tensor::zeros(dims);
-        for_each_normal(t.data_mut(), rng, |o, v| *o = v);
+        for_each_normal::<2>(t.data_mut(), rng, |o, v| *o = v);
         t
     }
 
     /// Samples every element i.i.d. from `N(mean, std²)`.
     pub fn randn_scaled(dims: &[usize], mean: f32, std: f32, rng: &mut impl Rng) -> Tensor {
         let mut t = Tensor::zeros(dims);
-        for_each_normal(t.data_mut(), rng, |o, v| *o = v * std + mean);
+        for_each_normal::<2>(t.data_mut(), rng, |o, v| *o = v * std + mean);
         t
     }
 
@@ -52,35 +52,60 @@ impl Tensor {
 /// Differential Privacy", CCS 2012): callers use it to measure attack
 /// success under noise, and it certifies no privacy guarantee.
 pub fn add_randn_scaled(out: &mut [f32], mean: f32, std: f32, rng: &mut impl Rng) {
-    for_each_normal(out, rng, |o, v| *o += v * std + mean);
+    for_each_normal::<2>(out, rng, |o, v| *o += v * std + mean);
+}
+
+/// Applies `f(out[i], z_i)` to every element of `out`, in index order,
+/// where `z_i` is the cosine normal `√(−2 ln u1)·cos(2π·u2)` (f64, cast
+/// to f32) of element `i`'s own Box–Muller draw (`u1 = 1 − U`, then
+/// `u2 = U`); the sine normal of each draw is discarded.
+///
+/// This is the pixel noise of `oasis_image`'s `Image::add_noise`: the
+/// same rng consumption and the same bits as one libm Box–Muller per
+/// element, computed by the batched, guarded [`simd::normal_pairs`]
+/// kernel.
+pub fn for_each_cos_normal(out: &mut [f32], rng: &mut impl Rng, f: impl FnMut(&mut f32, f32)) {
+    for_each_normal::<1>(out, rng, f);
 }
 
 /// Box–Muller pairs per [`simd::normal_pairs`] call.
 const NORMAL_BATCH: usize = 128;
 
 /// Visits every element of `out` with one standard normal, in index
-/// order: one Box–Muller draw per pair of elements (`u1 = 1 − U`, then
-/// `u2 = U`, so `ln` never sees 0), the second normal of the last draw
-/// discarded when the length is odd.
+/// order, from one Box–Muller draw (`u1 = 1 − U`, then `u2 = U`, so
+/// `ln` never sees 0) per `PER_DRAW` elements. `PER_DRAW = 2` uses both
+/// normals of a draw, cosine first, and discards the second normal of
+/// the last draw when the length is odd; `PER_DRAW = 1` uses the cosine
+/// normal only ([`for_each_cos_normal`]).
 ///
 /// Draws are batched [`NORMAL_BATCH`] pairs at a time into stack
 /// buffers; the rng consumption is the same as one draw per pair. The
 /// pairs the kernel recomputed on its libm path are added to the
 /// `tensor.normal_fallbacks` counter once per call.
-fn for_each_normal(out: &mut [f32], rng: &mut impl Rng, mut f: impl FnMut(&mut f32, f32)) {
+fn for_each_normal<const PER_DRAW: usize>(
+    out: &mut [f32],
+    rng: &mut impl Rng,
+    mut f: impl FnMut(&mut f32, f32),
+) {
     let mut u1 = [0.0f64; NORMAL_BATCH];
     let mut u2 = [0.0f64; NORMAL_BATCH];
     let mut z = [0.0f32; 2 * NORMAL_BATCH];
     let mut fallbacks = 0;
-    for chunk in out.chunks_mut(2 * NORMAL_BATCH) {
-        let pairs = chunk.len().div_ceil(2);
+    for chunk in out.chunks_mut(PER_DRAW * NORMAL_BATCH) {
+        let pairs = chunk.len().div_ceil(PER_DRAW);
         for (a, b) in u1[..pairs].iter_mut().zip(&mut u2[..pairs]) {
             *a = 1.0 - rng.gen::<f64>();
             *b = rng.gen();
         }
         fallbacks += simd::normal_pairs(&u1[..pairs], &u2[..pairs], &mut z[..2 * pairs]);
-        for (o, &v) in chunk.iter_mut().zip(&z) {
-            f(o, v);
+        if PER_DRAW == 2 {
+            for (o, &v) in chunk.iter_mut().zip(&z) {
+                f(o, v);
+            }
+        } else {
+            for (o, pair) in chunk.iter_mut().zip(z.chunks_exact(2)) {
+                f(o, pair[0]);
+            }
         }
     }
     oasis_telemetry::counter!("tensor.normal_fallbacks").add(fallbacks as u64);

@@ -45,7 +45,7 @@ pub mod simd;
 mod tensor;
 
 pub use error::TensorError;
-pub use init::add_randn_scaled;
+pub use init::{add_randn_scaled, for_each_cos_normal};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

@@ -51,14 +51,21 @@
 //!
 //! ## Safety
 //!
-//! This module is the only place in the workspace that contains
-//! `unsafe`: calling a `#[target_feature]` kernel requires the CPU
-//! feature, and the invariant is enforced structurally — a
-//! feature-gated [`Backend`] value is only obtainable after its
+//! This module's `unsafe` (the dispatchers here and the kernels in
+//! `avx2.rs`) exists because calling a `#[target_feature]` kernel
+//! requires the CPU feature. The invariant is enforced structurally:
+//! a feature-gated [`Backend`] value is only obtainable after its
 //! detection predicate passed ([`Backend::detect`] checks
 //! `is_x86_feature_detected!`, [`with_backend`] asserts
 //! [`Backend::is_available`]). Each backend file documents this at
 //! the top; the dispatchers carry the per-call SAFETY notes.
+//!
+//! It is not the workspace's only `unsafe`. The worker pool erases
+//! task lifetimes in `pool.rs` (sound because `run_tasks` joins every
+//! task before it returns), and `oasis-wire` maps checkpoints and
+//! casts aligned f32 payloads. Only `oasis-wire` runs under miri in
+//! CI; this module and the pool are held by their parity and
+//! determinism suites instead.
 
 use std::cell::Cell;
 use std::sync::OnceLock;

@@ -105,6 +105,45 @@ fn stacked_defense_trials_are_bit_identical_across_thread_counts() {
     }
 }
 
+/// Every pixel bit of a workload's dataset and of its attacker
+/// calibration prefix, rendered at `threads` pool threads.
+fn render_workload(threads: usize, workload: &str) -> Vec<Vec<u32>> {
+    parallel::with_threads(threads, || {
+        let scenario = Scenario::builder()
+            .workload(workload.parse().expect("workload"))
+            .attack("cah:64".parse().expect("attack"))
+            .batch_size(32)
+            .scale(Scale::Quick)
+            .calibration(148)
+            .build()
+            .expect("scenario");
+        let bits = |image: &oasis_image::Image| image.data().iter().map(|v| v.to_bits()).collect();
+        let dataset = scenario.dataset();
+        let calibration = scenario.calibration_images();
+        assert!(!dataset.is_empty() && calibration.len() == 148);
+        dataset
+            .items()
+            .iter()
+            .map(|it| &it.image)
+            .chain(&calibration)
+            .map(bits)
+            .collect()
+    })
+}
+
+/// The class-parallel renderer: the `imagenette` and `cifar100`
+/// datasets and calibration prefixes (which end inside a class) are
+/// identical at 1 and 4 worker threads.
+#[test]
+fn workload_rendering_is_bit_identical_across_thread_counts() {
+    for workload in ["imagenette", "cifar100"] {
+        assert!(
+            render_workload(4, workload) == render_workload(1, workload),
+            "{workload} rendering diverged at t=4"
+        );
+    }
+}
+
 /// The `conv2d_forward_b32` perf workload plus its backward, at model
 /// shape: forward activations, weight/bias gradients, and the input
 /// gradient must not move by a bit.
