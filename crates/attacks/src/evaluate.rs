@@ -21,8 +21,7 @@ use crate::{AttackError, Result};
 /// Implementations build the malicious global model
 /// ([`ActiveAttack::build_model`]) and invert the gradients the victim
 /// uploads. The harness below runs the victim's step on that model
-/// directly; no attack implements [`oasis_fl::ModelTamper`] or runs
-/// on the real round yet (ROADMAP item 5).
+/// directly; no attack runs on the real round yet (ROADMAP item 2).
 pub trait ActiveAttack: Send + Sync {
     /// Display name ("RTF", "CAH", …).
     fn name(&self) -> &'static str;

@@ -10,7 +10,6 @@
 
 use oasis_data::Batch;
 use oasis_nn::Linear;
-use oasis_tensor::Tensor;
 
 use crate::Oasis;
 
@@ -107,21 +106,13 @@ pub fn activation_set_analysis(
     }
 }
 
-/// Builds a [`Linear`] from explicit weight/bias for analysis use.
-///
-/// # Panics
-///
-/// Panics on shape mismatch (see [`Linear::from_parts`]).
-pub fn layer_from_parts(weight: Tensor, bias: Tensor) -> Linear {
-    Linear::from_parts(weight, bias).expect("valid layer shapes")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::OasisConfig;
     use oasis_augment::PolicyKind;
     use oasis_data::cifar_like_with;
+    use oasis_tensor::Tensor;
 
     fn batch(n: usize, side: usize) -> Batch {
         let ds = cifar_like_with(n, 1, side, 3);
@@ -135,7 +126,7 @@ mod tests {
         let cuts: Vec<f32> = (0..n)
             .map(|i| -(mean - spread + 2.0 * spread * (i as f32 + 1.0) / (n as f32 + 1.0)))
             .collect();
-        layer_from_parts(w, Tensor::from_slice(&cuts))
+        Linear::from_parts(w, Tensor::from_slice(&cuts)).unwrap()
     }
 
     #[test]
@@ -200,7 +191,7 @@ mod tests {
         let d = b.images[0].numel();
         let mut rng = StdRng::seed_from_u64(0);
         let w = Tensor::randn(&[64, d], &mut rng).scale(1.0 / (d as f32).sqrt());
-        let layer = layer_from_parts(w, Tensor::zeros(&[64]));
+        let layer = Linear::from_parts(w, Tensor::zeros(&[64])).unwrap();
         let defense = Oasis::new(OasisConfig::policy(PolicyKind::MajorRotation));
         let analysis = activation_set_analysis(&layer, &b, &defense);
         assert!(

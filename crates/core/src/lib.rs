@@ -44,12 +44,10 @@
 mod analysis;
 mod config;
 mod defense;
-mod detect;
 
-pub use analysis::{activation_set_analysis, layer_from_parts, ActivationAnalysis};
+pub use analysis::{activation_set_analysis, ActivationAnalysis};
 pub use config::OasisConfig;
 pub use defense::Oasis;
-pub use detect::{audit_first_layer, LayerAudit};
 
 /// Commonly used items for downstream code.
 pub mod prelude {

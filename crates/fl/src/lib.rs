@@ -1,7 +1,7 @@
 //! # oasis-fl
 //!
 //! A horizontal federated-learning protocol simulation (paper §II-A)
-//! with first-class support for **actively dishonest servers**
+//! whose clients defend against **actively dishonest servers**
 //! (paper §III-A threat model).
 //!
 //! The protocol is the iterative scheme of paper Eq. 1: each round the
@@ -10,19 +10,15 @@
 //! data, and the server averages the updates and steps
 //! `w_{t+1} = w_t − η·Ḡ`.
 //!
-//! Two hooks make this crate the substrate for the OASIS evaluation:
-//!
-//! * [`ModelTamper`] — the dishonest server's ability to modify the
-//!   global model *before* dispatching it. Only [`HonestServer`]
-//!   implements it today: the attacks in `oasis-attacks` build their
-//!   malicious model through `ActiveAttack::build_model` in their own
-//!   evaluation harness, not on the round (ROADMAP item 5 moves them
-//!   onto this hook), and
-//! * [`DefenseStack`] — the client's composable defense pipeline:
-//!   [`BatchStage`]s preprocess the training batch *before* gradients
-//!   are computed (how the OASIS defense augments `D` into `D′`) and
-//!   [`UpdateStage`]s perturb the flattened update *before* it is
-//!   uploaded (how DP-SGD clips and noises).
+//! The client's [`DefenseStack`] is the hook that makes this crate the
+//! substrate for the OASIS evaluation: [`BatchStage`]s preprocess the
+//! training batch *before* gradients are computed (how the OASIS
+//! defense augments `D` into `D′`) and [`UpdateStage`]s perturb the
+//! flattened update *before* it is uploaded (how DP-SGD clips and
+//! noises). The server side has no hook: the attacks in
+//! `oasis-attacks` build their malicious model through
+//! `ActiveAttack::build_model` in their own evaluation harness, not on
+//! the round (ROADMAP item 2).
 //!
 //! Updates travel over a real wire: each selected client's update is
 //! encoded with the server's [`WireConfig`] codec (`oasis_wire`), a
@@ -32,8 +28,8 @@
 //! ideal network) is lossless.
 //!
 //! This crate holds the protocol's parts: clients, their defenses,
-//! and the [`FlServer`] state (global model, config, tamper hook,
-//! wire). The round that composes them — cohort sampling, delivery
+//! and the [`FlServer`] state (global model, config, wire, round).
+//! The round that composes them — cohort sampling, delivery
 //! planning, streaming FedAvg, the server step — is
 //! `oasis_population::CohortRunner`, which runs over resident clients
 //! as well as over descriptor populations. Splitting a dataset into
@@ -74,7 +70,6 @@ mod config;
 mod defense;
 mod error;
 mod server;
-mod tamper;
 mod timings;
 mod training;
 
@@ -85,7 +80,6 @@ pub use defense::{
 };
 pub use error::FlError;
 pub use server::{FlServer, RoundReport, WireConfig};
-pub use tamper::{HonestServer, ModelTamper};
 pub use timings::RoundTimings;
 pub use training::{evaluate_accuracy, train_centralized, TrainReport};
 

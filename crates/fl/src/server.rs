@@ -93,8 +93,8 @@ impl PartialEq for RoundReport {
 }
 
 /// The server state of paper Eq. 1: the global model, the training
-/// configuration, an optional dishonest tamper hook, the
-/// [`WireConfig`] updates travel over, and the round counter.
+/// configuration, the [`WireConfig`] updates travel over, and the
+/// round counter.
 ///
 /// The round itself — cohort sampling, broadcast, delivery over the
 /// wire, sample-weighted FedAvg of what arrived — is driven by
@@ -105,7 +105,6 @@ pub struct FlServer {
     factory: ModelFactory,
     model: Sequential,
     config: FlConfig,
-    tamper: Option<Box<dyn crate::ModelTamper>>,
     wire: WireConfig,
     round: usize,
 }
@@ -127,16 +126,9 @@ impl FlServer {
             factory,
             model,
             config,
-            tamper: None,
             wire: WireConfig::default(),
             round: 0,
         })
-    }
-
-    /// Installs a dishonest-server behaviour (e.g. an active
-    /// reconstruction attack).
-    pub fn set_tamper(&mut self, tamper: Box<dyn crate::ModelTamper>) {
-        self.tamper = Some(tamper);
     }
 
     /// Replaces the wire (codec + simulated network) the rounds run
@@ -176,17 +168,6 @@ impl FlServer {
         self.round = round;
     }
 
-    /// Loads flat global weights (e.g. from a reloaded checkpoint).
-    ///
-    /// # Errors
-    ///
-    /// Returns a model error when the length disagrees with the
-    /// architecture.
-    pub fn load_weights(&mut self, params: &[f32]) -> Result<()> {
-        load_params(&mut self.model, params)?;
-        Ok(())
-    }
-
     /// Writes the global model as a wire-format checkpoint file.
     ///
     /// # Errors
@@ -207,12 +188,8 @@ impl FlServer {
         Ok(())
     }
 
-    /// The flattened global weights `w_t` as broadcast this round
-    /// (after tampering, if a tamper hook is installed).
+    /// The flattened global weights `w_t` as broadcast this round.
     pub fn broadcast_weights(&mut self) -> Vec<f32> {
-        if let Some(t) = &self.tamper {
-            t.tamper(&mut self.model, self.round);
-        }
         flatten_params(&mut self.model)
     }
 
@@ -243,13 +220,7 @@ impl FlServer {
 
 impl std::fmt::Debug for FlServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "FlServer(round={}, tamper={}, wire={:?})",
-            self.round,
-            self.tamper.as_ref().map(|t| t.name()).unwrap_or("none"),
-            self.wire,
-        )
+        write!(f, "FlServer(round={}, wire={:?})", self.round, self.wire)
     }
 }
 

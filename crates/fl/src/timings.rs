@@ -16,7 +16,7 @@
 pub struct RoundTimings {
     /// Cohort selection / scheduler sampling.
     pub select_ns: u64,
-    /// Tamper hook + global weight flattening.
+    /// Global weight flattening.
     pub broadcast_ns: u64,
     /// Lending the delivered clients and summing their FedAvg sample
     /// counts (hydrating descriptors, for a population).

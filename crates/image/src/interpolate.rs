@@ -56,14 +56,6 @@ impl AffineMap {
         }
     }
 
-    /// Inverse map for a vertical shear with factor `mu`.
-    pub fn shear_y(mu: f32) -> Self {
-        AffineMap {
-            linear: [[1.0, mu], [0.0, 1.0]],
-            translation: [0.0, 0.0],
-        }
-    }
-
     /// Composition `self ∘ other` (apply `other` first).
     pub fn compose(&self, other: &AffineMap) -> AffineMap {
         let a = &self.linear;

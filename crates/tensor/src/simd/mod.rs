@@ -2,10 +2,10 @@
 //!
 //! The hot inner loops — matmul dot/axpy, q8 quantize/dequantize,
 //! sign pack/unpack, MSE reduction, Gaussian sampling — are implemented once per
-//! backend: AVX2 f32x8 on `x86_64` (runtime-detected), NEON f32x4
-//! pairs on `aarch64`, and a portable scalar reference everywhere.
+//! backend: AVX2 f32x8 on `x86_64` (runtime-detected) and a portable
+//! scalar reference everywhere else (including `aarch64`).
 //! Dispatch is resolved **once per process** from the `OASIS_SIMD`
-//! environment variable (`auto` | `avx2` | `neon` | `scalar`,
+//! environment variable (`auto` | `avx2` | `scalar`,
 //! mirroring `OASIS_THREADS`) plus CPU feature detection, then read
 //! from a [`std::sync::OnceLock`]; per-call overhead is one relaxed
 //! atomic load and a thread-local check.
@@ -46,8 +46,7 @@
 //! and a reduced angle below 2⁻³⁰. The output therefore still equals
 //! the scalar backend bit for bit, by construction; about 4·10⁻⁵ of
 //! pairs take the fallback. The parity suite for this kernel is
-//! `tests/normal_parity.rs`. NEON delegates to the scalar
-//! specification.
+//! `tests/normal_parity.rs`.
 //!
 //! ## Safety
 //!
@@ -57,23 +56,23 @@
 //! a feature-gated [`Backend`] value is only obtainable after its
 //! detection predicate passed ([`Backend::detect`] checks
 //! `is_x86_feature_detected!`, [`with_backend`] asserts
-//! [`Backend::is_available`]). Each backend file documents this at
+//! [`Backend::is_available`]). `avx2.rs` documents this at
 //! the top; the dispatchers carry the per-call SAFETY notes.
 //!
 //! It is not the workspace's only `unsafe`. The worker pool erases
 //! task lifetimes in `pool.rs` (sound because `run_tasks` joins every
 //! task before it returns), and `oasis-wire` maps checkpoints and
-//! casts aligned f32 payloads. Only `oasis-wire` runs under miri in
-//! CI; this module and the pool are held by their parity and
-//! determinism suites instead.
+//! casts aligned f32 payloads. CI runs `oasis-wire` and this crate's
+//! pool, parallel and dispatch unit tests under miri (with
+//! `OASIS_SIMD=scalar`); the `#[target_feature]` AVX2 kernels are not
+//! miri-checked and are held by the parity suites and the forced-scalar
+//! end-to-end reference check instead.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
-#[cfg(target_arch = "aarch64")]
-mod neon;
 pub(crate) mod scalar;
 
 /// A rows per [`dot_tile`].
@@ -95,8 +94,6 @@ pub const SQ_TILE: usize = 4;
 pub enum Backend {
     /// AVX2 f32x8 kernels (`x86_64` with runtime-detected AVX2).
     Avx2,
-    /// NEON f32x4 kernels (`aarch64`, where NEON is architectural).
-    Neon,
     /// Portable scalar reference kernels (always available).
     Scalar,
 }
@@ -108,9 +105,6 @@ impl Backend {
         if is_x86_feature_detected!("avx2") {
             return Backend::Avx2;
         }
-        #[cfg(target_arch = "aarch64")]
-        return Backend::Neon;
-        #[allow(unreachable_code)]
         Backend::Scalar
     }
 
@@ -121,7 +115,6 @@ impl Backend {
             Backend::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
             Backend::Avx2 => false,
-            Backend::Neon => cfg!(target_arch = "aarch64"),
             Backend::Scalar => true,
         }
     }
@@ -131,7 +124,6 @@ impl Backend {
     pub fn label(self) -> &'static str {
         match self {
             Backend::Avx2 => "avx2",
-            Backend::Neon => "neon",
             Backend::Scalar => "scalar",
         }
     }
@@ -145,7 +137,6 @@ impl Backend {
 fn parse_choice(v: &str) -> Option<Backend> {
     let forced = match v.trim().to_ascii_lowercase().as_str() {
         "avx2" => Backend::Avx2,
-        "neon" => Backend::Neon,
         "scalar" => return Some(Backend::Scalar),
         _ => return None, // "auto", empty, unknown
     };
@@ -228,8 +219,8 @@ pub(crate) fn with_override<R>(o: Option<Backend>, f: impl FnOnce() -> R) -> R {
 ///
 /// SAFETY: the vector arms require their instruction set, and are
 /// only reachable through a `Backend` value whose detection predicate
-/// passed (see module docs) — `Backend::Avx2`/`Backend::Neon` cannot
-/// become active on a CPU that lacks them.
+/// passed (see module docs) — `Backend::Avx2` cannot become active on
+/// a CPU that lacks AVX2.
 macro_rules! dispatch {
     ($kernel:ident ( $($arg:expr),* $(,)? )) => {
         match active() {
@@ -237,9 +228,6 @@ macro_rules! dispatch {
             // SAFETY: Avx2 is only constructed after
             // `is_x86_feature_detected!("avx2")` returned true.
             Backend::Avx2 => unsafe { avx2::$kernel($($arg),*) },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: NEON is architecturally guaranteed on aarch64.
-            Backend::Neon => unsafe { neon::$kernel($($arg),*) },
             _ => scalar::$kernel($($arg),*),
         }
     };
@@ -386,7 +374,6 @@ mod tests {
     #[test]
     fn labels_are_the_env_spellings() {
         assert_eq!(Backend::Avx2.label(), "avx2");
-        assert_eq!(Backend::Neon.label(), "neon");
         assert_eq!(Backend::Scalar.label(), "scalar");
     }
 
@@ -399,16 +386,11 @@ mod tests {
         assert_eq!(parse_choice("auto"), None);
         assert_eq!(parse_choice(""), None);
         assert_eq!(parse_choice("sse9"), None, "unknown falls back to auto");
-        // Explicit requests degrade to auto when the CPU lacks them;
-        // when available they are honored.
-        for (s, b) in [("avx2", Backend::Avx2), ("neon", Backend::Neon)] {
-            let parsed = parse_choice(s);
-            if b.is_available() {
-                assert_eq!(parsed, Some(b));
-            } else {
-                assert_eq!(parsed, None);
-            }
-        }
+        assert_eq!(parse_choice("neon"), None, "retired name: auto");
+        // An explicit request degrades to auto when the CPU lacks it;
+        // when available it is honored.
+        let avx2 = Backend::Avx2.is_available().then_some(Backend::Avx2);
+        assert_eq!(parse_choice("avx2"), avx2);
     }
 
     #[test]

@@ -229,24 +229,6 @@ impl Tensor {
         })
     }
 
-    /// In-place reshape (metadata only).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the element counts
-    /// differ.
-    pub fn reshape_in_place(&mut self, dims: &[usize]) -> Result<()> {
-        let shape = Shape::new(dims);
-        if shape.numel() != self.numel() {
-            return Err(TensorError::LengthMismatch {
-                len: self.numel(),
-                expected: shape.numel(),
-            });
-        }
-        self.shape = shape;
-        Ok(())
-    }
-
     /// Transposes a rank-2 tensor (copies).
     ///
     /// # Errors

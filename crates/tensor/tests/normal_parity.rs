@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 
 /// Every backend this CPU can run.
 fn backends() -> Vec<Backend> {
-    [Backend::Scalar, Backend::Avx2, Backend::Neon]
+    [Backend::Scalar, Backend::Avx2]
         .into_iter()
         .filter(|b| b.is_available())
         .collect()

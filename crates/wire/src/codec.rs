@@ -162,11 +162,6 @@ impl CodecSpec {
             CodecSpec::Sign => Box::new(SignCodec),
         }
     }
-
-    /// Whether decode(encode(x)) == x for every finite input.
-    pub fn is_lossless(&self) -> bool {
-        matches!(self, CodecSpec::Raw)
-    }
 }
 
 impl fmt::Display for CodecSpec {
