@@ -12,7 +12,7 @@
 
 use oasis_augment::Transform;
 use oasis_data::Batch;
-use oasis_fl::{BatchStage, Defense};
+use oasis_fl::Defense;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -43,31 +43,17 @@ impl AtsDefense {
     }
 }
 
-impl BatchStage for AtsDefense {
-    fn process(&self, batch: &Batch, rng: &mut StdRng) -> Batch {
-        let images = batch
-            .images
-            .iter()
-            .map(|img| {
-                let t = &self.transforms[rng.gen_range(0..self.transforms.len())];
-                t.apply(img)
-            })
-            .collect();
-        Batch::new(images, batch.labels.clone())
-    }
-
-    fn name(&self) -> &str {
-        "ATS"
-    }
-}
-
 impl Defense for AtsDefense {
     fn name(&self) -> &str {
         "ats"
     }
 
-    fn batch_stage(&self) -> Option<&dyn BatchStage> {
-        Some(self)
+    fn process(&self, mut batch: Batch, rng: &mut StdRng) -> Batch {
+        for img in &mut batch.images {
+            let t = &self.transforms[rng.gen_range(0..self.transforms.len())];
+            *img = t.apply(img);
+        }
+        batch
     }
 }
 
@@ -87,7 +73,7 @@ mod tests {
         // The structural difference from OASIS: ATS replaces, OASIS adds.
         let b = batch(5);
         let mut rng = StdRng::seed_from_u64(1);
-        let out = AtsDefense::searched().process(&b, &mut rng);
+        let out = AtsDefense::searched().process(b, &mut rng);
         assert_eq!(out.len(), 5);
     }
 
@@ -95,7 +81,7 @@ mod tests {
     fn images_are_transformed() {
         let b = batch(5);
         let mut rng = StdRng::seed_from_u64(1);
-        let out = AtsDefense::searched().process(&b, &mut rng);
+        let out = AtsDefense::searched().process(b.clone(), &mut rng);
         let changed = out
             .images
             .iter()
@@ -109,7 +95,7 @@ mod tests {
     fn labels_are_preserved() {
         let b = batch(4);
         let mut rng = StdRng::seed_from_u64(2);
-        let out = AtsDefense::searched().process(&b, &mut rng);
+        let out = AtsDefense::searched().process(b.clone(), &mut rng);
         assert_eq!(out.labels, b.labels);
     }
 

@@ -8,8 +8,9 @@
 //! (`run_attack` with `oasis_fl::DpStage`); this module measures the
 //! utility side by training a classifier under the same mechanism.
 
-use oasis_data::Dataset;
-use oasis_nn::{softmax_cross_entropy, Layer, Linear, Mode, Sequential};
+use oasis_data::{Batch, Dataset};
+use oasis_fl::{ClipStage, DefenseStack};
+use oasis_nn::{Linear, Sequential};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -49,6 +50,10 @@ impl Default for DpConfig {
 /// # Errors
 ///
 /// Propagates model execution failures.
+///
+/// # Panics
+///
+/// Panics if `config.clip_norm` is not positive.
 pub fn train_linear_with_dp(
     train: &Dataset,
     test: &Dataset,
@@ -60,41 +65,26 @@ pub fn train_linear_with_dp(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut model = Sequential::new();
     model.push(Linear::new(d, classes, &mut rng));
+    let clip = DefenseStack::of(ClipStage::new(config.clip_norm));
 
     for _ in 0..config.epochs {
         for batch in train.shuffled_batches(config.batch_size, &mut rng) {
-            let b = batch.len();
-            if b == 0 {
-                continue;
-            }
-            // Per-sample clipped gradients.
-            let mut acc: Option<Vec<f32>> = None;
-            for i in 0..b {
-                let xi = batch.images[i].to_tensor().reshape(&[1, d])?;
-                model.zero_grad();
-                let logits = model.forward(&xi, Mode::Train)?;
-                let out = softmax_cross_entropy(&logits, &batch.labels[i..i + 1])?;
-                model.backward(&out.grad)?;
-                let g = oasis_nn::flatten_grads(&mut model);
-                let norm = g.iter().map(|v| v * v).sum::<f32>().sqrt();
-                let scale = if norm > config.clip_norm {
-                    config.clip_norm / norm
+            // Per-sample clipped gradients, summed: the clip stack's
+            // local step on each one-sample batch.
+            let b = batch.len() as f32;
+            let mut update = Vec::new();
+            for (image, label) in batch.images.into_iter().zip(batch.labels) {
+                let sample = Batch::new(vec![image], vec![label]);
+                let g = clip.local_step(&mut model, &sample, &mut rng)?.update;
+                if update.is_empty() {
+                    update = g;
                 } else {
-                    1.0
-                };
-                match &mut acc {
-                    None => acc = Some(g.iter().map(|v| v * scale).collect()),
-                    Some(a) => {
-                        for (av, gv) in a.iter_mut().zip(&g) {
-                            *av += gv * scale;
-                        }
-                    }
+                    update.iter_mut().zip(&g).for_each(|(u, v)| *u += v);
                 }
             }
-            let mut update = acc.expect("non-empty batch");
-            let sigma = config.noise_multiplier * config.clip_norm / b as f32;
+            let sigma = config.noise_multiplier * config.clip_norm / b;
             for u in update.iter_mut() {
-                *u /= b as f32;
+                *u /= b;
             }
             oasis_tensor::add_randn_scaled(&mut update, 0.0, sigma, &mut rng);
             // SGD step.

@@ -6,9 +6,7 @@ use oasis_data::Batch;
 use oasis_fl::DefenseStack;
 use oasis_image::Image;
 use oasis_metrics::{best_psnr_per_original, match_greedy_coarse, ReconstructionMatch, Summary};
-use oasis_nn::{
-    flatten_grads, load_grads, param_count, softmax_cross_entropy, Layer, Linear, Mode, Sequential,
-};
+use oasis_nn::{load_grads, param_count, softmax_cross_entropy, Layer, Linear, Mode, Sequential};
 use oasis_tensor::Tensor;
 use oasis_wire::UpdateCodec;
 use rand::rngs::StdRng;
@@ -178,11 +176,11 @@ pub fn run_attack_over_wire(
 }
 
 /// The shared attacked-round harness behind [`run_attack`] and
-/// [`run_attack_over_wire`]: build the malicious model, run the
-/// stack's batch stages, compute the uploaded gradients (exact, or
-/// per-sample-clipped when the stack clips), run the stack's update
-/// stages, optionally round-trip the update through a wire codec,
-/// invert, and score.
+/// [`run_attack_over_wire`]: build the malicious model, compute the
+/// uploaded gradients on the defended batch (the stack's
+/// [`DefenseStack::local_step`] when it does not clip; per-sample
+/// clipped otherwise) and perturb them, optionally round-trip the
+/// update through a wire codec, invert, and score.
 fn run_attack_inner(
     attack: &dyn ActiveAttack,
     batch: &Batch,
@@ -200,7 +198,6 @@ fn run_attack_inner(
     let mut model = attack.build_model(geometry, classes, seed)?;
     let broadcast_bytes = param_count(&mut model) * 4;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x00DE_F317);
-    let processed = defense.process_batch(batch, &mut rng);
     drop(setup_span);
     let mut wire: Option<WireTrace> = None;
     // The server reconstructs from what it *receives*: when a codec
@@ -228,32 +225,27 @@ fn run_attack_inner(
         }
     };
 
-    let (recons, loss) = match defense.clip_norm() {
+    let (recons, loss, processed) = match defense.clip_norm() {
         None => {
-            // The exact-gradient path: one full-batch backward pass.
+            // The exact-gradient path: the client's local step.
             let client_span = oasis_telemetry::span("attack.client_step");
-            let x = processed.to_matrix();
-            model.zero_grad();
-            let logits = model.forward(&x, Mode::Train)?;
-            let out = softmax_cross_entropy(&logits, &processed.labels)?;
-            model.backward(&out.grad)?;
-            let mut update = flatten_grads(&mut model);
-            defense.perturb_update(&mut update, processed.len(), &mut rng);
-            let received = transmit(update)?;
+            let step = defense.local_step(&mut model, batch, &mut rng)?;
+            let received = transmit(step.update)?;
             load_grads(&mut model, &received)?;
             let lin = malicious_layer(&model)?;
             drop(client_span);
             let recon_span = oasis_telemetry::span("attack.reconstruct");
             let recons = attack.reconstruct(lin.grad_weight(), lin.grad_bias(), geometry);
             drop(recon_span);
-            (recons, out.loss)
+            (recons, step.loss, step.processed)
         }
         Some(clip_norm) => {
             // The per-sample path (record-level DP-SGD): per-sample
             // gradients, clipped then averaged, then the stack's
-            // update stages (e.g. Gaussian noise of std
+            // update perturbation (e.g. Gaussian noise of std
             // `σ · C / B` from the DP stage).
             let client_span = oasis_telemetry::span("attack.client_step");
+            let processed = defense.process_batch(batch, &mut rng);
             let b = processed.len();
             let d = geometry.0 * geometry.1 * geometry.2;
             let n = attack.attacked_neurons();
@@ -279,7 +271,7 @@ fn run_attack_inner(
             let recon_span = oasis_telemetry::span("attack.reconstruct");
             let recons = attack.reconstruct(&gw, &gb, geometry);
             drop(recon_span);
-            (recons, total_loss * inv_b)
+            (recons, total_loss * inv_b, processed)
         }
     };
 

@@ -136,7 +136,8 @@ mod tests {
         // row directly in both settings and compare.
         use crate::invert_neuron;
         use oasis_metrics::psnr;
-        use oasis_nn::{softmax_cross_entropy, Layer, Linear, Mode};
+        use oasis_nn::Linear;
+        use rand::{rngs::StdRng, SeedableRng};
 
         // Many classes keep the softmax cross-terms small (p ≈ 1/k),
         // as with the paper's CIFAR100/ImageNet label spaces — the
@@ -160,11 +161,9 @@ mod tests {
 
         let invert_class_row = |batch: &Batch| -> f64 {
             let mut model = attack.build_model(geometry, classes, 1).unwrap();
-            let x = batch.to_matrix();
-            model.zero_grad();
-            let logits = model.forward(&x, Mode::Train).unwrap();
-            let out = softmax_cross_entropy(&logits, &batch.labels).unwrap();
-            model.backward(&out.grad).unwrap();
+            DefenseStack::identity()
+                .local_step(&mut model, batch, &mut StdRng::seed_from_u64(0))
+                .unwrap();
             let lin = model.layer_as::<Linear>(0).unwrap();
             let mut values = invert_neuron(
                 lin.grad_weight().row(class_row).unwrap(),

@@ -158,8 +158,11 @@ impl ActiveAttack for RtfAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasis_data::Batch;
+    use oasis_fl::DefenseStack;
     use oasis_metrics::{match_greedy, PSNR_CAP};
-    use oasis_nn::{softmax_cross_entropy, Layer, Linear, Mode};
+    use oasis_nn::Linear;
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn structured_images(count: usize, side: usize, seed: u64) -> Vec<Image> {
         let ds = oasis_data::cifar_like_with(count, 1, side, seed);
@@ -204,15 +207,10 @@ mod tests {
         let geometry = batch[0].dims();
         let mut model = attack.build_model(geometry, 10, 0).unwrap();
 
-        let d = geometry.0 * geometry.1 * geometry.2;
-        let mut x = Tensor::zeros(&[4, d]);
-        for (i, img) in batch.iter().enumerate() {
-            x.row_mut(i).unwrap().copy_from_slice(img.data());
-        }
-        model.zero_grad();
-        let logits = model.forward(&x, Mode::Train).unwrap();
-        let out = softmax_cross_entropy(&logits, &[0, 1, 2, 3]).unwrap();
-        model.backward(&out.grad).unwrap();
+        let labeled = Batch::new(batch.clone(), (0..4).collect());
+        DefenseStack::identity()
+            .local_step(&mut model, &labeled, &mut StdRng::seed_from_u64(0))
+            .unwrap();
 
         let lin = model.layer_as::<Linear>(0).unwrap();
         let recons = attack.reconstruct(lin.grad_weight(), lin.grad_bias(), geometry);

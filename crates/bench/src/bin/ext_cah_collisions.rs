@@ -11,8 +11,7 @@ use oasis_bench::{
     banner, calibration_images, figure6_policies, ActiveAttack, CahAttack, Scale, Workload,
     DEFAULT_ACTIVATION_TARGET,
 };
-use oasis_fl::BatchStage;
-use oasis_nn::{Layer, Linear, Mode};
+use oasis_nn::Linear;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,15 +44,12 @@ fn main() {
         );
         for kind in figure6_policies() {
             let defense = Oasis::new(OasisConfig::policy(kind));
-            let mut drng = StdRng::seed_from_u64(1);
-            let processed = defense.process(&b, &mut drng);
+            let processed = defense.defend(b.clone());
             let m = processed.len();
-            let mut model = attack
+            let model = attack
                 .build_model(b.images[0].dims(), dataset.num_classes(), 7)
                 .expect("model");
             let x = processed.to_matrix();
-            let z = model.forward(&x, Mode::Train).expect("fwd"); // not used directly
-            let _ = z;
             let lin = model.layer_as::<Linear>(0).expect("malicious layer");
             // Activation matrix from pre-activations.
             let pre = x

@@ -10,7 +10,7 @@
 use oasis::{Oasis, OasisConfig};
 use oasis_augment::PolicyKind;
 use oasis_bench::{banner, Scale, Workload};
-use oasis_fl::{train_centralized, BatchStage, IdentityPreprocessor};
+use oasis_fl::{train_centralized, DefenseStack};
 use oasis_nn::{resnet_lite, Adam};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,19 +94,17 @@ fn main() {
             );
             // Paper: Adam, lr 1e-3.
             let mut opt = Adam::new(1e-3, setup.weight_decay);
-            let defense = Oasis::new(OasisConfig::policy(kind));
-            let idy = IdentityPreprocessor;
-            let pre: &dyn BatchStage = if kind == PolicyKind::Without {
-                &idy
+            let defense = if kind == PolicyKind::Without {
+                DefenseStack::identity()
             } else {
-                &defense
+                DefenseStack::of(Oasis::new(OasisConfig::policy(kind)))
             };
             let report = train_centralized(
                 &mut model,
                 &mut opt,
                 &train,
                 &test,
-                pre,
+                &defense,
                 setup.epochs,
                 32,
                 0x7AB1E,

@@ -41,7 +41,7 @@ pub fn activation_set_analysis(
     batch: &Batch,
     defense: &Oasis,
 ) -> ActivationAnalysis {
-    let defended = defense.defend(batch);
+    let defended = defense.defend(batch.clone());
     let b = batch.len();
     let group = defense.config().augmentation().expansion_factor() - 1;
     let x = defended.to_matrix();

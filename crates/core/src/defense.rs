@@ -1,18 +1,17 @@
 //! The OASIS defense: batch augmentation per paper Eq. 7.
 
 use oasis_data::Batch;
-use oasis_fl::{BatchStage, Defense};
+use oasis_fl::Defense;
 use rand::rngs::StdRng;
 
 use crate::OasisConfig;
 
 /// The OASIS defense.
 ///
-/// As a [`BatchStage`] (and therefore a [`Defense`] that can be
-/// stacked with others, e.g. a DP-SGD update stage), `Oasis` plugs
+/// As a [`Defense`] that transforms the batch (and can be stacked with
+/// others, e.g. DP-SGD's update clip and noise), `Oasis` plugs
 /// directly into the FL client pipeline: before gradients are
-/// computed, the local batch
-/// `D = {x_t}` is expanded to
+/// computed, the local batch `D = {x_t}` is expanded to
 ///
 /// ```text
 /// D′ = D ∪ ⋃_t X′_t        (paper Eq. 7)
@@ -38,29 +37,20 @@ impl Oasis {
         &self.config
     }
 
-    /// Expands a batch to `D′` (deterministic; the paper's transforms
-    /// have fixed parameters, so no randomness is consumed).
-    pub fn defend(&self, batch: &Batch) -> Batch {
+    /// Expands a batch to `D′` in place, appending each sample's
+    /// augment group after the originals (deterministic; the paper's
+    /// transforms have fixed parameters, so no randomness is consumed).
+    pub fn defend(&self, mut batch: Batch) -> Batch {
         let policy = self.config.augmentation();
-        let mut images = batch.images.clone();
-        let mut labels = batch.labels.clone();
-        for (img, &label) in batch.images.iter().zip(&batch.labels) {
-            for transformed in policy.expand(img) {
-                images.push(transformed);
-                labels.push(label);
+        let n = batch.len();
+        for t in 0..n {
+            let label = batch.labels[t];
+            for transformed in policy.expand(&batch.images[t]) {
+                batch.images.push(transformed);
+                batch.labels.push(label);
             }
         }
-        Batch::new(images, labels)
-    }
-}
-
-impl BatchStage for Oasis {
-    fn process(&self, batch: &Batch, _rng: &mut StdRng) -> Batch {
-        self.defend(batch)
-    }
-
-    fn name(&self) -> &str {
-        self.config.augmentation().name()
+        batch
     }
 }
 
@@ -69,8 +59,8 @@ impl Defense for Oasis {
         "oasis"
     }
 
-    fn batch_stage(&self) -> Option<&dyn BatchStage> {
-        Some(self)
+    fn process(&self, batch: Batch, _rng: &mut StdRng) -> Batch {
+        self.defend(batch)
     }
 }
 
@@ -90,8 +80,7 @@ mod tests {
     fn defend_expands_by_policy_factor() {
         for kind in PolicyKind::all() {
             let defense = Oasis::new(OasisConfig::policy(kind));
-            let b = batch(5);
-            let out = defense.defend(&b);
+            let out = defense.defend(batch(5));
             assert_eq!(
                 out.len(),
                 5 * kind.policy().expansion_factor(),
@@ -105,7 +94,7 @@ mod tests {
     fn originals_come_first_unchanged() {
         let defense = Oasis::new(OasisConfig::policy(PolicyKind::MajorRotation));
         let b = batch(3);
-        let out = defense.defend(&b);
+        let out = defense.defend(b.clone());
         for i in 0..3 {
             assert_eq!(out.images[i], b.images[i]);
             assert_eq!(out.labels[i], b.labels[i]);
@@ -116,7 +105,7 @@ mod tests {
     fn augments_inherit_labels() {
         let defense = Oasis::new(OasisConfig::policy(PolicyKind::MajorRotationShearing));
         let b = batch(4);
-        let out = defense.defend(&b);
+        let out = defense.defend(b.clone());
         // Layout: originals, then 6 augments per sample in order.
         for t in 0..4 {
             for k in 0..6 {
@@ -130,13 +119,7 @@ mod tests {
     fn without_policy_is_identity() {
         let defense = Oasis::new(OasisConfig::policy(PolicyKind::Without));
         let b = batch(4);
-        assert_eq!(defense.defend(&b), b);
-    }
-
-    #[test]
-    fn preprocessor_name_matches_policy() {
-        let defense = Oasis::new(OasisConfig::policy(PolicyKind::Shearing));
-        assert_eq!(BatchStage::name(&defense), "SH");
+        assert_eq!(defense.defend(b.clone()), b);
     }
 
     #[test]
@@ -146,8 +129,8 @@ mod tests {
         let mut rng1 = StdRng::seed_from_u64(1);
         let mut rng2 = StdRng::seed_from_u64(999);
         assert_eq!(
-            defense.process(&b, &mut rng1),
-            defense.process(&b, &mut rng2)
+            defense.process(b.clone(), &mut rng1),
+            defense.process(b, &mut rng2)
         );
     }
 

@@ -28,14 +28,14 @@
 //! use oasis::{Oasis, OasisConfig};
 //! use oasis_augment::PolicyKind;
 //! use oasis_data::{cifar_like_with, Batch};
-//! use oasis_fl::BatchStage;
+//! use oasis_fl::Defense;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let defense = Oasis::new(OasisConfig::policy(PolicyKind::MajorRotation));
 //! let ds = cifar_like_with(4, 2, 16, 0);
 //! let batch = Batch::from_items(ds.items().to_vec());
 //! let mut rng = StdRng::seed_from_u64(0);
-//! let defended = defense.process(&batch, &mut rng);
+//! let defended = defense.process(batch.clone(), &mut rng);
 //! assert_eq!(defended.len(), batch.len() * 4); // original + 3 rotations
 //! ```
 
@@ -53,7 +53,5 @@ pub use defense::Oasis;
 pub mod prelude {
     pub use crate::{activation_set_analysis, Oasis, OasisConfig};
     pub use oasis_augment::{AugmentationPolicy, PolicyKind, Transform};
-    pub use oasis_fl::{
-        BatchStage, ClipStage, Defense, DefenseStack, DpStage, IdentityPreprocessor, UpdateStage,
-    };
+    pub use oasis_fl::{ClipStage, Defense, DefenseStack, DpStage};
 }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use oasis_data::Dataset;
-use oasis_nn::{flatten_grads, load_params, softmax_cross_entropy, Layer, Mode, Sequential};
+use oasis_nn::{load_params, Sequential};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -32,12 +32,12 @@ pub struct ClientUpdate {
 
 /// A federated client owning a local data shard.
 ///
-/// The client's defense hook is its [`DefenseStack`]: batch stages
-/// (e.g. the OASIS defense from crate `oasis`, which replaces the
-/// local batch `D` with the augmented `D′` of Eq. 7) run before
-/// gradient computation, and update stages (DP-SGD clip + noise)
-/// perturb the flattened update before it is uploaded. The empty
-/// stack is the undefended baseline.
+/// The client's defense hook is its [`DefenseStack`]: batch
+/// transforms (e.g. the OASIS defense from crate `oasis`, which
+/// replaces the local batch `D` with the augmented `D′` of Eq. 7) run
+/// before gradient computation, and update perturbations (DP-SGD's
+/// clip and noise) apply to the flattened update before it is
+/// uploaded. The empty stack is the undefended baseline.
 #[derive(Clone)]
 pub struct FlClient {
     id: usize,
@@ -61,11 +61,6 @@ impl FlClient {
         &self.data
     }
 
-    /// The client's defense stack.
-    pub fn defense(&self) -> &DefenseStack {
-        &self.defense
-    }
-
     /// The client's deterministic per-round rng stream. Both
     /// [`FlClient::compute_update`] and [`FlClient::round_samples`]
     /// start from this stream, which is why the latter can predict the
@@ -79,8 +74,8 @@ impl FlClient {
     /// computing gradients.
     ///
     /// Replays exactly the rng-consuming prefix of a round (batch draw
-    /// plus defense batch stages, which may expand the batch) on a
-    /// fresh copy of the same seeded stream. Streaming aggregation
+    /// plus the defense's batch transforms, which may expand the
+    /// batch) on a fresh copy of the same seeded stream. Streaming aggregation
     /// needs every delivered client's sample count up front to form
     /// FedAvg weights before the first update is folded.
     pub fn round_samples(&self, batch_size: usize, round_seed: u64) -> usize {
@@ -92,18 +87,17 @@ impl FlClient {
     }
 
     /// Executes one round of local computation: loads the broadcast
-    /// weights, runs the defense stack's batch stages on a sampled
-    /// batch, computes the full-batch gradient, and runs the stack's
-    /// update stages on it — the result is precisely what a dishonest
-    /// server gets to inspect.
+    /// weights and runs [`DefenseStack::local_step`] on a sampled batch
+    /// — the result is precisely what a dishonest server gets to
+    /// inspect.
     ///
-    /// Update stages apply at client granularity here: the whole
+    /// Update clipping applies at client granularity here: the whole
     /// averaged update is clipped to [`DefenseStack::clip_norm`] and
     /// then perturbed (client-level DP). The per-sample record-level
     /// variant lives in the attack harness, which can afford
     /// per-sample gradients.
     ///
-    /// Determinism: the drawn batch and any update-stage noise depend
+    /// Determinism: the drawn batch and any update noise depend
     /// only on `(round_seed, client id)`.
     ///
     /// # Errors
@@ -120,23 +114,14 @@ impl FlClient {
         let batch = self
             .data
             .sample_batch(batch_size.min(self.data.len()), &mut rng);
-        let processed = self.defense.process_batch(&batch, &mut rng);
         let mut model = factory();
         load_params(&mut model, global_params)?;
-        model.zero_grad();
-        let x = processed.to_matrix();
-        let logits = model.forward(&x, Mode::Train)?;
-        let loss = softmax_cross_entropy(&logits, &processed.labels)?;
-        model.backward(&loss.grad)?;
-        let mut grads = flatten_grads(&mut model);
-        self.defense.clip_update(&mut grads);
-        self.defense
-            .perturb_update(&mut grads, processed.len(), &mut rng);
+        let step = self.defense.local_step(&mut model, &batch, &mut rng)?;
         Ok(ClientUpdate {
             client_id: self.id,
-            grads,
-            loss: loss.loss,
-            samples: processed.len(),
+            grads: step.update,
+            loss: step.loss,
+            samples: step.processed.len(),
         })
     }
 }
@@ -151,7 +136,7 @@ impl std::fmt::Debug for FlClient {
 mod tests {
     use super::*;
     use crate::{DefenseStack, DpStage};
-    use oasis_data::cifar_like_with;
+    use oasis_data::{cifar_like_with, Batch};
     use oasis_nn::{flatten_params, Linear, Relu};
 
     fn factory(d: usize, classes: usize) -> ModelFactory {
@@ -235,20 +220,14 @@ mod tests {
         // An expanding batch defense: duplicates every sample, so the
         // reported count differs from the drawn batch size.
         struct Doubler;
-        impl crate::BatchStage for Doubler {
-            fn process(&self, batch: &oasis_data::Batch, _rng: &mut StdRng) -> oasis_data::Batch {
-                let mut doubled = batch.clone();
-                doubled.images.extend(batch.images.iter().cloned());
-                doubled.labels.extend(batch.labels.iter().cloned());
-                doubled
-            }
-        }
         impl crate::Defense for Doubler {
             fn name(&self) -> &str {
                 "doubler"
             }
-            fn batch_stage(&self) -> Option<&dyn crate::BatchStage> {
-                Some(self)
+            fn process(&self, mut batch: Batch, _rng: &mut StdRng) -> Batch {
+                batch.images.extend_from_within(..);
+                batch.labels.extend_from_within(..);
+                batch
             }
         }
         for (defense, seed) in [

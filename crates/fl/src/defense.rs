@@ -1,23 +1,21 @@
-//! The composable defense pipeline: [`Defense`], its two stages
-//! ([`BatchStage`], [`UpdateStage`]), and the [`DefenseStack`] that
-//! composes them.
+//! The composable defense pipeline: the [`Defense`] trait, the
+//! [`DefenseStack`] that composes defenses, and the one defended
+//! training step every caller shares ([`DefenseStack::local_step`]).
 //!
 //! A client-side defense can act at two points of the round:
 //!
-//! 1. **Batch stage** — transform the sampled batch `D → D′` *before*
-//!    gradients are computed. OASIS (additive augmentation, paper
-//!    Eq. 7) and ATSPrivacy-style replacement live here.
-//! 2. **Update stage** — perturb the flattened update *after*
-//!    gradients are computed and before it is uploaded. DP-SGD
-//!    (clip + Gaussian noise) and plain clipping live here.
+//! 1. **On the batch** ([`Defense::process`]) — transform the sampled
+//!    batch `D → D′` *before* gradients are computed: OASIS (paper
+//!    Eq. 7) and ATSPrivacy-style replacement.
+//! 2. **On the update** ([`Defense::clip_norm`], [`Defense::perturb`])
+//!    — clip and perturb the flattened update *after* gradients are
+//!    computed, before upload: DP-SGD and plain clipping.
 //!
-//! A [`DefenseStack`] holds any number of [`Defense`]s and applies
-//! their batch stages in stack order, then their update stages in
-//! stack order. The empty stack is the undefended baseline. Because
-//! the stack *owns* the update perturbation, a DP defense can no
-//! longer be silently forgotten by a caller that builds the batch
-//! preprocessor but never asks for the DP parameters — the historical
-//! `dp_params()` side channel this design replaces.
+//! A [`DefenseStack`] applies its defenses' batch transforms in stack
+//! order, then their update clips and perturbations in stack order;
+//! the empty stack is the undefended baseline. Because the stack
+//! *owns* the update perturbation, no caller can build the batch
+//! transform and forget the DP noise.
 //!
 //! ```
 //! use oasis_fl::{DefenseStack, DpStage};
@@ -34,55 +32,24 @@
 //! ```
 
 use oasis_data::Batch;
+use oasis_nn::{flatten_grads, softmax_cross_entropy, Layer, Mode};
 use rand::rngs::StdRng;
 
-/// Client-side batch preprocessing applied before gradients are
-/// computed — the first stage of the defense pipeline.
-///
-/// The OASIS defense implements this trait: its `process` returns the
-/// augmented batch `D′ = D ∪ ⋃ X′_t` of paper Eq. 7. The identity
-/// stage (an empty [`DefenseStack`]) is the undefended baseline.
-pub trait BatchStage: Send + Sync {
-    /// Transforms the sampled batch before gradient computation.
-    fn process(&self, batch: &Batch, rng: &mut StdRng) -> Batch;
-
-    /// A short name for reports.
-    fn name(&self) -> &str {
-        "batch-stage"
-    }
-}
-
-/// The undefended client: trains on `D` unchanged.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IdentityPreprocessor;
-
-impl BatchStage for IdentityPreprocessor {
-    fn process(&self, batch: &Batch, _rng: &mut StdRng) -> Batch {
-        batch.clone()
-    }
-
-    fn name(&self) -> &str {
-        "identity"
-    }
-}
-
-impl Defense for IdentityPreprocessor {
-    fn name(&self) -> &str {
-        "identity"
-    }
-
-    fn batch_stage(&self) -> Option<&dyn BatchStage> {
-        Some(self)
-    }
-}
-
-/// An update-perturbing defense stage — the second stage of the
-/// pipeline, applied to the flattened update the client uploads.
-pub trait UpdateStage: Send + Sync {
-    /// A short name for reports.
+/// One client-side defense, as a value. Every method but `name`
+/// defaults to leaving its point of the round untouched, so a defense
+/// overrides only the points it acts at.
+pub trait Defense: Send + Sync {
+    /// Short family name for reports ("oasis", "dp", …).
     fn name(&self) -> &str;
 
-    /// Per-sample gradient L2 clip bound, when this stage clips.
+    /// Transforms the sampled batch before gradient computation. The
+    /// OASIS defense returns the augmented batch `D′ = D ∪ ⋃ X′_t` of
+    /// paper Eq. 7. The default returns the batch unchanged.
+    fn process(&self, batch: Batch, _rng: &mut StdRng) -> Batch {
+        batch
+    }
+
+    /// Per-sample gradient L2 clip bound, when this defense clips.
     ///
     /// Harnesses that can afford per-sample gradients (the attack
     /// evaluation harness) clip each sample's gradient to this bound
@@ -95,30 +62,8 @@ pub trait UpdateStage: Send + Sync {
 
     /// Perturbs the averaged update in place. `samples` is the number
     /// of examples averaged into it (`B`), which DP noise scales by.
-    fn perturb(&self, update: &mut [f32], samples: usize, rng: &mut StdRng);
-}
-
-/// One client-side defense, as a value: a named bundle of up to one
-/// batch stage and up to one update stage.
-///
-/// Implementations return `self` from the stage accessor(s) they
-/// participate in; a [`DefenseStack`] composes any number of
-/// defenses. Batch-only defenses (OASIS, ATS) override
-/// [`Defense::batch_stage`]; update-only defenses (DP-SGD, clipping)
-/// override [`Defense::update_stage`].
-pub trait Defense: Send + Sync {
-    /// Short family name for reports ("oasis", "dp", …).
-    fn name(&self) -> &str;
-
-    /// The batch-transform stage, if this defense has one.
-    fn batch_stage(&self) -> Option<&dyn BatchStage> {
-        None
-    }
-
-    /// The update-perturbation stage, if this defense has one.
-    fn update_stage(&self) -> Option<&dyn UpdateStage> {
-        None
-    }
+    /// The default adds nothing.
+    fn perturb(&self, _update: &mut [f32], _samples: usize, _rng: &mut StdRng) {}
 }
 
 /// The DP-SGD update stage: clip (per-sample where the harness
@@ -151,19 +96,9 @@ impl DpStage {
         assert!(noise >= 0.0, "DP noise multiplier must be non-negative");
         DpStage { clip, noise }
     }
-
-    /// The clip bound `C`.
-    pub fn clip(&self) -> f32 {
-        self.clip
-    }
-
-    /// The noise multiplier σ.
-    pub fn noise(&self) -> f32 {
-        self.noise
-    }
 }
 
-impl UpdateStage for DpStage {
+impl Defense for DpStage {
     fn name(&self) -> &str {
         "dp"
     }
@@ -179,16 +114,6 @@ impl UpdateStage for DpStage {
         // Drawn even at σ = 0 so the consumed rng stream (and thus any
         // downstream stage) is independent of the noise setting.
         oasis_tensor::add_randn_scaled(update, 0.0, sigma, rng);
-    }
-}
-
-impl Defense for DpStage {
-    fn name(&self) -> &str {
-        "dp"
-    }
-
-    fn update_stage(&self) -> Option<&dyn UpdateStage> {
-        Some(self)
     }
 }
 
@@ -210,23 +135,6 @@ impl ClipStage {
         assert!(clip > 0.0, "clip bound must be positive");
         ClipStage { clip }
     }
-
-    /// The clip bound `C`.
-    pub fn clip(&self) -> f32 {
-        self.clip
-    }
-}
-
-impl UpdateStage for ClipStage {
-    fn name(&self) -> &str {
-        "clip"
-    }
-
-    fn clip_norm(&self) -> Option<f32> {
-        Some(self.clip)
-    }
-
-    fn perturb(&self, _update: &mut [f32], _samples: usize, _rng: &mut StdRng) {}
 }
 
 impl Defense for ClipStage {
@@ -234,29 +142,21 @@ impl Defense for ClipStage {
         "clip"
     }
 
-    fn update_stage(&self) -> Option<&dyn UpdateStage> {
-        Some(self)
+    fn clip_norm(&self) -> Option<f32> {
+        Some(self.clip)
     }
 }
 
-/// An ordered stack of [`Defense`]s, applied as a two-stage pipeline:
-/// every batch stage in stack order, then every update stage in stack
-/// order.
-///
-/// The empty stack ([`DefenseStack::identity`]) is the undefended
-/// baseline: `process_batch` clones the batch and the update is
-/// uploaded untouched.
+/// An ordered stack of [`Defense`]s. The empty stack
+/// ([`DefenseStack::identity`]) is the undefended baseline:
+/// `process_batch` clones the batch and the update is uploaded
+/// untouched.
 #[derive(Default)]
 pub struct DefenseStack {
     defenses: Vec<Box<dyn Defense>>,
 }
 
 impl DefenseStack {
-    /// A stack over the given defenses, applied in order.
-    pub fn new(defenses: Vec<Box<dyn Defense>>) -> Self {
-        DefenseStack { defenses }
-    }
-
     /// The empty stack: the undefended baseline.
     pub fn identity() -> Self {
         DefenseStack::default()
@@ -274,48 +174,28 @@ impl DefenseStack {
         self.defenses.push(defense);
     }
 
-    /// Number of defenses in the stack.
-    pub fn len(&self) -> usize {
-        self.defenses.len()
-    }
-
-    /// Whether the stack is the undefended baseline.
-    pub fn is_empty(&self) -> bool {
-        self.defenses.is_empty()
-    }
-
     /// The stacked defense names, in application order.
     pub fn names(&self) -> Vec<&str> {
         self.defenses.iter().map(|d| d.name()).collect()
     }
 
-    /// Whether any defense contributes an update stage — when true,
-    /// the uploaded update is *not* the exact gradient.
-    pub fn has_update_stage(&self) -> bool {
-        self.defenses.iter().any(|d| d.update_stage().is_some())
-    }
-
-    /// Runs the batch pipeline: every batch stage in stack order.
-    /// With no batch stages this clones the batch unchanged.
+    /// Runs the batch pipeline: every defense's [`Defense::process`]
+    /// in stack order, starting from one copy of `batch`. The empty
+    /// stack returns that copy unchanged.
     pub fn process_batch(&self, batch: &Batch, rng: &mut StdRng) -> Batch {
-        let mut stages = self.defenses.iter().filter_map(|d| d.batch_stage());
-        let Some(first) = stages.next() else {
-            return batch.clone();
-        };
-        let mut out = first.process(batch, rng);
-        for stage in stages {
-            out = stage.process(&out, rng);
-        }
-        out
+        let _span = oasis_telemetry::span("defense.batch");
+        self.defenses
+            .iter()
+            .fold(batch.clone(), |b, d| d.process(b, rng))
     }
 
     /// The effective per-sample clip bound: the minimum over all
-    /// update stages that clip (clipping to `C₁` then `C₂` equals
-    /// clipping to `min(C₁, C₂)`), or `None` when nothing clips.
+    /// defenses that clip (clipping to `C₁` then `C₂` equals clipping
+    /// to `min(C₁, C₂)`), or `None` when nothing clips.
     pub fn clip_norm(&self) -> Option<f32> {
         self.defenses
             .iter()
-            .filter_map(|d| d.update_stage().and_then(|s| s.clip_norm()))
+            .filter_map(|d| d.clip_norm())
             .reduce(f32::min)
     }
 
@@ -324,6 +204,7 @@ impl DefenseStack {
     /// harnesses that do not compute per-sample gradients.
     pub fn clip_update(&self, update: &mut [f32]) {
         let Some(clip) = self.clip_norm() else { return };
+        let _span = oasis_telemetry::span("defense.clip");
         let norm = update.iter().map(|v| v * v).sum::<f32>().sqrt();
         if norm > clip {
             let scale = clip / norm;
@@ -333,14 +214,60 @@ impl DefenseStack {
         }
     }
 
-    /// Runs the update pipeline: every update stage's `perturb` in
-    /// stack order. `samples` is the number of examples averaged into
-    /// the update.
+    /// Runs the update pipeline: every defense's [`Defense::perturb`]
+    /// in stack order. `samples` is the number of examples averaged
+    /// into the update.
     pub fn perturb_update(&self, update: &mut [f32], samples: usize, rng: &mut StdRng) {
-        for stage in self.defenses.iter().filter_map(|d| d.update_stage()) {
-            stage.perturb(update, samples, rng);
+        for defense in &self.defenses {
+            defense.perturb(update, samples, rng);
         }
     }
+
+    /// One defended local training step — the computation whose
+    /// result a dishonest server gets to inspect. In order:
+    /// [`DefenseStack::process_batch`], one full-batch `Mode::Train`
+    /// forward and softmax cross-entropy backward from zeroed
+    /// gradients, [`flatten_grads`], [`DefenseStack::clip_update`] and
+    /// [`DefenseStack::perturb_update`] over the processed batch size.
+    ///
+    /// The model's gradient slots keep the *unclipped* gradients; the
+    /// defended update is [`LocalStep::update`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates model-execution failures.
+    pub fn local_step(
+        &self,
+        model: &mut dyn Layer,
+        batch: &Batch,
+        rng: &mut StdRng,
+    ) -> oasis_nn::Result<LocalStep> {
+        let processed = self.process_batch(batch, rng);
+        model.zero_grad();
+        let logits = model.forward(&processed.to_matrix(), Mode::Train)?;
+        let out = softmax_cross_entropy(&logits, &processed.labels)?;
+        model.backward(&out.grad)?;
+        let mut update = flatten_grads(model);
+        self.clip_update(&mut update);
+        self.perturb_update(&mut update, processed.len(), rng);
+        Ok(LocalStep {
+            processed,
+            update,
+            loss: out.loss,
+        })
+    }
+}
+
+/// What [`DefenseStack::local_step`] produced.
+#[derive(Debug, Clone)]
+pub struct LocalStep {
+    /// The defended batch `D′` the gradients were computed on.
+    pub processed: Batch,
+    /// The flattened update after the stack's clip and perturbation,
+    /// in [`flatten_grads`] order.
+    pub update: Vec<f32>,
+    /// The mean cross-entropy loss over `processed`.
+    pub loss: f32,
 }
 
 impl std::fmt::Debug for DefenseStack {
@@ -366,8 +293,7 @@ mod tests {
         let b = batch(4);
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(stack.process_batch(&b, &mut rng), b);
-        assert!(stack.is_empty());
-        assert!(!stack.has_update_stage());
+        assert!(stack.names().is_empty());
         assert_eq!(stack.clip_norm(), None);
         let mut update = vec![10.0f32, -20.0];
         let before = update.clone();
@@ -377,18 +303,8 @@ mod tests {
     }
 
     #[test]
-    fn single_batch_stage_matches_direct_call() {
-        let stack = DefenseStack::of(IdentityPreprocessor);
-        let b = batch(3);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(stack.process_batch(&b, &mut rng), b);
-        assert_eq!(stack.names(), vec!["identity"]);
-    }
-
-    #[test]
     fn dp_stage_clips_and_noises() {
         let stack = DefenseStack::of(DpStage::new(1.0, 2.0));
-        assert!(stack.has_update_stage());
         assert_eq!(stack.clip_norm(), Some(1.0));
         let mut update = vec![3.0f32, 4.0];
         stack.clip_update(&mut update);
@@ -426,13 +342,10 @@ mod tests {
 
     #[test]
     fn clip_norm_is_min_over_stages() {
-        let stack = DefenseStack::new(vec![
-            Box::new(DpStage::new(2.0, 0.1)),
-            Box::new(ClipStage::new(0.25)),
-        ]);
+        let mut stack = DefenseStack::of(DpStage::new(2.0, 0.1));
+        stack.push(Box::new(ClipStage::new(0.25)));
         assert_eq!(stack.clip_norm(), Some(0.25));
         assert_eq!(stack.names(), vec!["dp", "clip"]);
-        assert_eq!(stack.len(), 2);
     }
 
     #[test]

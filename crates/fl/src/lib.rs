@@ -11,14 +11,16 @@
 //! `w_{t+1} = w_t − η·Ḡ`.
 //!
 //! The client's [`DefenseStack`] is the hook that makes this crate the
-//! substrate for the OASIS evaluation: [`BatchStage`]s preprocess the
-//! training batch *before* gradients are computed (how the OASIS
-//! defense augments `D` into `D′`) and [`UpdateStage`]s perturb the
-//! flattened update *before* it is uploaded (how DP-SGD clips and
-//! noises). The server side has no hook: the attacks in
-//! `oasis-attacks` build their malicious model through
-//! `ActiveAttack::build_model` in their own evaluation harness, not on
-//! the round (ROADMAP item 2).
+//! substrate for the OASIS evaluation: each [`Defense`] may transform
+//! the training batch *before* gradients are computed (how the OASIS
+//! defense augments `D` into `D′`) and clip or perturb the flattened
+//! update *before* it is uploaded (how DP-SGD clips and noises).
+//! [`DefenseStack::local_step`] is the one defended training step: the
+//! FL client, centralized training, the attack harness's exact-gradient
+//! path and the DP-SGD baseline all run it. The server side has no
+//! hook: the attacks in `oasis-attacks` build their malicious model
+//! through `ActiveAttack::build_model` in their own evaluation
+//! harness, not on the round (ROADMAP item 2).
 //!
 //! Updates travel over a real wire: each selected client's update is
 //! encoded with the server's [`WireConfig`] codec (`oasis_wire`), a
@@ -75,9 +77,7 @@ mod training;
 
 pub use client::{ClientUpdate, FlClient, ModelFactory};
 pub use config::FlConfig;
-pub use defense::{
-    BatchStage, ClipStage, Defense, DefenseStack, DpStage, IdentityPreprocessor, UpdateStage,
-};
+pub use defense::{ClipStage, Defense, DefenseStack, DpStage, LocalStep};
 pub use error::FlError;
 pub use server::{FlServer, RoundReport, WireConfig};
 pub use timings::RoundTimings;

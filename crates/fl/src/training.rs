@@ -1,12 +1,12 @@
 //! Centralized training helpers (used by the Table I experiment).
 
 use oasis_data::Dataset;
-use oasis_nn::{softmax_cross_entropy, Layer, Mode, Optimizer, Sequential};
+use oasis_nn::{load_grads, Layer, Mode, Optimizer, Sequential};
 use oasis_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{BatchStage, Result};
+use crate::{DefenseStack, Result};
 
 /// Report from a centralized training run.
 #[derive(Debug, Clone)]
@@ -18,9 +18,12 @@ pub struct TrainReport {
 }
 
 /// Trains `model` on `train` for `epochs` epochs with the given batch
-/// size and preprocessor, then evaluates top-1 accuracy on `test`.
+/// size and defense stack, then evaluates top-1 accuracy on `test`.
 ///
-/// This is the Table I pipeline: the preprocessor is either the
+/// Every batch runs [`DefenseStack::local_step`]; the defended update
+/// is loaded back into the model's gradient slots and the optimizer
+/// steps on it, so a stack that clips or perturbs the update is
+/// applied too. This is the Table I pipeline: the stack is either the
 /// identity (the paper's "Without OASIS" row) or the OASIS defense
 /// (every other row).
 ///
@@ -33,7 +36,7 @@ pub fn train_centralized(
     optimizer: &mut dyn Optimizer,
     train: &Dataset,
     test: &Dataset,
-    preprocessor: &dyn BatchStage,
+    defense: &DefenseStack,
     epochs: usize,
     batch_size: usize,
     seed: u64,
@@ -43,14 +46,10 @@ pub fn train_centralized(
     for _ in 0..epochs {
         let mut losses = Vec::new();
         for batch in train.shuffled_batches(batch_size, &mut rng) {
-            let processed = preprocessor.process(&batch, &mut rng);
-            let x = processed.to_matrix();
-            model.zero_grad();
-            let logits = model.forward(&x, Mode::Train)?;
-            let out = softmax_cross_entropy(&logits, &processed.labels)?;
-            model.backward(&out.grad)?;
+            let step = defense.local_step(model, &batch, &mut rng)?;
+            load_grads(model, &step.update)?;
             optimizer.step(model);
-            losses.push(out.loss);
+            losses.push(step.loss);
         }
         epoch_losses.push(losses.iter().sum::<f32>() / losses.len().max(1) as f32);
     }
@@ -94,18 +93,9 @@ pub fn evaluate_accuracy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IdentityPreprocessor;
-    use oasis_data::{cifar_like_with, Batch};
-    use oasis_nn::{Linear, Relu, Sgd};
-
-    #[test]
-    fn identity_preprocessor_is_identity() {
-        let ds = cifar_like_with(2, 2, 8, 0);
-        let batch = Batch::from_items(ds.items().to_vec());
-        let mut rng = StdRng::seed_from_u64(0);
-        let out = IdentityPreprocessor.process(&batch, &mut rng);
-        assert_eq!(out, batch);
-    }
+    use crate::ClipStage;
+    use oasis_data::cifar_like_with;
+    use oasis_nn::{flatten_params, Linear, Relu, Sgd};
 
     #[test]
     fn centralized_training_learns_separable_classes() {
@@ -123,7 +113,7 @@ mod tests {
             &mut opt,
             &train,
             &test,
-            &IdentityPreprocessor,
+            &DefenseStack::identity(),
             20,
             8,
             7,
@@ -135,6 +125,38 @@ mod tests {
             report.test_accuracy
         );
         assert!(report.epoch_losses.first().unwrap() > report.epoch_losses.last().unwrap());
+    }
+
+    #[test]
+    fn update_clip_bounds_each_optimizer_step() {
+        // Plain SGD moves the parameters by `lr · ‖update‖` per batch,
+        // so with every update clipped to `c` one epoch of `k` batches
+        // moves them by at most `k · lr · c` in L2.
+        let train = cifar_like_with(3, 4, 8, 1);
+        let (c, lr, k) = (0.01f32, 0.5f32, train.len().div_ceil(4) as f32);
+        let moved = |stack: &DefenseStack| {
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut model = Sequential::new();
+            model.push(Linear::new(train.feature_dim(), 3, &mut rng));
+            let before = flatten_params(&mut model);
+            let mut opt = Sgd::new(lr);
+            train_centralized(&mut model, &mut opt, &train, &train, stack, 1, 4, 5).unwrap();
+            let after = flatten_params(&mut model);
+            after
+                .iter()
+                .zip(&before)
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum::<f32>()
+                .sqrt()
+        };
+        let bound = k * lr * c * (1.0 + 1e-4);
+        let clipped = moved(&DefenseStack::of(ClipStage::new(c)));
+        assert!(
+            clipped > 0.0 && clipped <= bound,
+            "moved {clipped}, bound {bound}"
+        );
+        // The bound binds: unclipped training moves further.
+        assert!(moved(&DefenseStack::identity()) > bound);
     }
 
     #[test]
