@@ -62,6 +62,11 @@ impl Defense for Oasis {
     fn process(&self, batch: Batch, _rng: &mut StdRng) -> Batch {
         self.defend(batch)
     }
+
+    /// Each sample becomes itself plus its augment group.
+    fn processed_len(&self, n: usize) -> usize {
+        n * self.config.augmentation().expansion_factor()
+    }
 }
 
 #[cfg(test)]

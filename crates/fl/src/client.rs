@@ -61,29 +61,25 @@ impl FlClient {
         &self.data
     }
 
-    /// The client's deterministic per-round rng stream. Both
-    /// [`FlClient::compute_update`] and [`FlClient::round_samples`]
-    /// start from this stream, which is why the latter can predict the
-    /// former's sample count without touching the model.
+    /// The client's deterministic per-round rng stream, which
+    /// [`FlClient::compute_update`] draws its batch and any update
+    /// noise from.
     fn round_rng(&self, round_seed: u64) -> StdRng {
         StdRng::seed_from_u64(round_seed ^ (self.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
-    /// How many samples [`FlClient::compute_update`] would report for
-    /// this `(batch_size, round_seed)` — without building the model or
-    /// computing gradients.
+    /// How many samples [`FlClient::compute_update`] will report for a
+    /// round at `batch_size` — without drawing a batch, building the
+    /// model or computing gradients.
     ///
-    /// Replays exactly the rng-consuming prefix of a round (batch draw
-    /// plus the defense's batch transforms, which may expand the
-    /// batch) on a fresh copy of the same seeded stream. Streaming aggregation
-    /// needs every delivered client's sample count up front to form
-    /// FedAvg weights before the first update is folded.
-    pub fn round_samples(&self, batch_size: usize, round_seed: u64) -> usize {
-        let mut rng = self.round_rng(round_seed);
-        let batch = self
-            .data
-            .sample_batch(batch_size.min(self.data.len()), &mut rng);
-        self.defense.process_batch(&batch, &mut rng).len()
+    /// The drawn batch holds `batch_size.min(len)` samples, and its
+    /// processed size is [`DefenseStack::processed_len`] of that, a
+    /// function of the length alone, so the round seed plays no part.
+    /// Streaming aggregation needs every delivered client's sample
+    /// count up front to form FedAvg weights before the first update
+    /// is folded.
+    pub fn round_samples(&self, batch_size: usize) -> usize {
+        self.defense.processed_len(batch_size.min(self.data.len()))
     }
 
     /// Executes one round of local computation: loads the broadcast
@@ -229,6 +225,9 @@ mod tests {
                 batch.labels.extend_from_within(..);
                 batch
             }
+            fn processed_len(&self, n: usize) -> usize {
+                2 * n
+            }
         }
         for (defense, seed) in [
             (Arc::new(DefenseStack::identity()), 5u64),
@@ -236,7 +235,7 @@ mod tests {
         ] {
             let client = FlClient::new(3, data.clone(), defense);
             let update = client.compute_update(&f, &global, 4, seed).unwrap();
-            assert_eq!(client.round_samples(4, seed), update.samples);
+            assert_eq!(client.round_samples(4), update.samples);
         }
     }
 

@@ -49,6 +49,14 @@ pub trait Defense: Send + Sync {
         batch
     }
 
+    /// How many samples [`Defense::process`] returns for an `n`-sample
+    /// batch, without building them. Every batch transform's output
+    /// length is a function of its input length alone; the default,
+    /// `n`, fits every defense that keeps the batch size.
+    fn processed_len(&self, n: usize) -> usize {
+        n
+    }
+
     /// Per-sample gradient L2 clip bound, when this defense clips.
     ///
     /// Harnesses that can afford per-sample gradients (the attack
@@ -189,6 +197,13 @@ impl DefenseStack {
             .fold(batch.clone(), |b, d| d.process(b, rng))
     }
 
+    /// How many samples [`DefenseStack::process_batch`] returns for an
+    /// `n`-sample batch: every defense's [`Defense::processed_len`],
+    /// folded in stack order. Nothing is drawn or built.
+    pub fn processed_len(&self, n: usize) -> usize {
+        self.defenses.iter().fold(n, |n, d| d.processed_len(n))
+    }
+
     /// The effective per-sample clip bound: the minimum over all
     /// defenses that clip (clipping to `C₁` then `C₂` equals clipping
     /// to `min(C₁, C₂)`), or `None` when nothing clips.
@@ -229,6 +244,9 @@ impl DefenseStack {
     /// forward and softmax cross-entropy backward from zeroed
     /// gradients, [`flatten_grads`], [`DefenseStack::clip_update`] and
     /// [`DefenseStack::perturb_update`] over the processed batch size.
+    /// The backward is [`Layer::backward_params`]: the update is made
+    /// of parameter gradients only, so the model's input gradient is
+    /// never computed.
     ///
     /// The model's gradient slots keep the *unclipped* gradients; the
     /// defended update is [`LocalStep::update`].
@@ -246,7 +264,7 @@ impl DefenseStack {
         model.zero_grad();
         let logits = model.forward(&processed.to_matrix(), Mode::Train)?;
         let out = softmax_cross_entropy(&logits, &processed.labels)?;
-        model.backward(&out.grad)?;
+        model.backward_params(&out.grad)?;
         let mut update = flatten_grads(model);
         self.clip_update(&mut update);
         self.perturb_update(&mut update, processed.len(), rng);

@@ -18,8 +18,8 @@ pub struct RoundTimings {
     pub select_ns: u64,
     /// Global weight flattening.
     pub broadcast_ns: u64,
-    /// Lending the delivered clients and summing their FedAvg sample
-    /// counts (hydrating descriptors, for a population).
+    /// Summing the delivered clients' FedAvg sample counts (a
+    /// population answers from its descriptors, without hydrating).
     pub hydrate_ns: u64,
     /// Parallel local training and update encoding across the
     /// delivered clients.

@@ -249,51 +249,12 @@ impl Conv2d {
         }
         Ok(())
     }
-}
 
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        self.check_input(input)?;
-        let _span = oasis_telemetry::span("nn.conv.forward");
-        let batch = input.dims()[0];
-        let p = self.out_h() * self.out_w();
-        let bp = batch * p;
-        let oc = self.out_channels;
-        let ckk = self.weight.dims()[1];
-        if mode == Mode::Train {
-            self.cached_input = Some(input.clone());
-        }
-        let mut colv = std::mem::take(&mut self.scratch_col);
-        colv.resize(ckk * bp, 0.0);
-        self.im2col_t(input.data(), batch, &mut colv);
-        let col = Tensor::from_vec(colv, &[ckk, bp])?;
-        let y = self.weight.matmul(&col)?; // (oc, B·P)
-        self.scratch_col = col.into_vec();
-        // A training forward leaves `col` describing `cached_input`,
-        // so the next backward can skip the rebuild.
-        self.col_valid = mode == Mode::Train;
-
-        // (oc, B·P) → per-sample channel-major rows, bias fused into
-        // the copy.
-        let mut out = Tensor::zeros(&[batch, oc * p]);
-        let ydata = y.data();
-        let bias = self.bias.data();
-        parallel::for_each_row_block_min(out.data_mut(), oc * p, PAR_MIN_ELEMS, |b0, rows| {
-            for (lb, orow) in rows.chunks_mut(oc * p).enumerate() {
-                let b = b0 + lb;
-                for (c, dst) in orow.chunks_mut(p).enumerate() {
-                    let src = &ydata[c * bp + b * p..c * bp + (b + 1) * p];
-                    let bv = bias[c];
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d = s + bv;
-                    }
-                }
-            }
-        });
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+    /// The one backward pass behind [`Layer::backward`] and
+    /// [`Layer::backward_params`]: accumulates the parameter gradients
+    /// and, when `input_grad` is set, also computes and returns `δx`
+    /// (`Wᵀ·δY` scattered back through col2im).
+    fn backward_with(&mut self, grad_output: &Tensor, input_grad: bool) -> Result<Option<Tensor>> {
         let _span = oasis_telemetry::span("nn.conv.backward");
         let batch = self
             .cached_input
@@ -346,21 +307,84 @@ impl Layer for Conv2d {
         let dy = Tensor::from_vec(dyv, &[oc, bp])?;
 
         let gw = dy.matmul_nt(&col)?; // (oc, C·k·k)
-        let dcol = self.weight.matmul_tn(&dy)?; // (C·k·k, B·P)
         self.grad_weight.add_assign(&gw)?;
         self.grad_bias.add_assign(&gb)?;
 
-        let mut grad_input = Tensor::zeros(&[batch, in_f]);
-        let dcol_data = dcol.data();
-        parallel::for_each_row_block_min(grad_input.data_mut(), in_f, PAR_MIN_ELEMS, |b0, rows| {
-            for (lb, gx) in rows.chunks_mut(in_f).enumerate() {
-                self.col2im_t(dcol_data, bp, b0 + lb, gx);
-            }
-        });
+        let grad_input = if input_grad {
+            let dcol = self.weight.matmul_tn(&dy)?; // (C·k·k, B·P)
+            let mut grad_input = Tensor::zeros(&[batch, in_f]);
+            let dcol_data = dcol.data();
+            parallel::for_each_row_block_min(
+                grad_input.data_mut(),
+                in_f,
+                PAR_MIN_ELEMS,
+                |b0, rows| {
+                    for (lb, gx) in rows.chunks_mut(in_f).enumerate() {
+                        self.col2im_t(dcol_data, bp, b0 + lb, gx);
+                    }
+                },
+            );
+            Some(grad_input)
+        } else {
+            None
+        };
         self.scratch_col = col.into_vec();
         self.scratch_dy = dy.into_vec();
         self.cached_input = Some(input);
         Ok(grad_input)
+    }
+}
+
+impl Layer for Conv2d {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+        self.check_input(input)?;
+        let _span = oasis_telemetry::span("nn.conv.forward");
+        let batch = input.dims()[0];
+        let p = self.out_h() * self.out_w();
+        let bp = batch * p;
+        let oc = self.out_channels;
+        let ckk = self.weight.dims()[1];
+        if mode == Mode::Train {
+            self.cached_input = Some(input.clone());
+        }
+        let mut colv = std::mem::take(&mut self.scratch_col);
+        colv.resize(ckk * bp, 0.0);
+        self.im2col_t(input.data(), batch, &mut colv);
+        let col = Tensor::from_vec(colv, &[ckk, bp])?;
+        let y = self.weight.matmul(&col)?; // (oc, B·P)
+        self.scratch_col = col.into_vec();
+        // A training forward leaves `col` describing `cached_input`,
+        // so the next backward can skip the rebuild.
+        self.col_valid = mode == Mode::Train;
+
+        // (oc, B·P) → per-sample channel-major rows, bias fused into
+        // the copy.
+        let mut out = Tensor::zeros(&[batch, oc * p]);
+        let ydata = y.data();
+        let bias = self.bias.data();
+        parallel::for_each_row_block_min(out.data_mut(), oc * p, PAR_MIN_ELEMS, |b0, rows| {
+            for (lb, orow) in rows.chunks_mut(oc * p).enumerate() {
+                let b = b0 + lb;
+                for (c, dst) in orow.chunks_mut(p).enumerate() {
+                    let src = &ydata[c * bp + b * p..c * bp + (b + 1) * p];
+                    let bv = bias[c];
+                    for (d, &s) in dst.iter_mut().zip(src) {
+                        *d = s + bv;
+                    }
+                }
+            }
+        });
+        Ok(out)
+    }
+
+    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        Ok(self
+            .backward_with(grad_output, true)?
+            .expect("input gradient requested"))
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward_with(grad_output, false).map(drop)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {

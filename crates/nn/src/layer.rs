@@ -24,7 +24,11 @@ pub enum Mode {
 /// 2. `backward(δy)` **accumulates** parameter gradients (they are not
 ///    overwritten — call [`Layer::zero_grad`] between steps) and
 ///    returns `δx`.
-/// 3. [`Layer::visit_params`] yields `(param, grad)` pairs in a stable
+/// 3. `backward_params(δy)` accumulates the same parameter gradients,
+///    bit for bit, and skips `δx`: the backward of a network's first
+///    layer, whose input gradient nothing reads (a client uploads
+///    parameter gradients only).
+/// 4. [`Layer::visit_params`] yields `(param, grad)` pairs in a stable
 ///    order; optimizers and the FL protocol rely on that order.
 pub trait Layer: Send {
     /// Runs the layer on `input` (rank-2: `[batch, features]`).
@@ -42,6 +46,19 @@ pub trait Layer: Send {
     /// Returns an error if called before `forward` or on shape
     /// mismatch.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
+
+    /// Backpropagates `grad_output` into the parameter gradients only:
+    /// the accumulation of [`Layer::backward`], bit for bit, without
+    /// computing the input gradient. The default runs `backward` and
+    /// drops its result; layers whose input gradient costs real work
+    /// override it.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Layer::backward`].
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward(grad_output).map(drop)
+    }
 
     /// Visits every `(parameter, gradient)` pair in a stable order.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor));

@@ -5,8 +5,10 @@
 //!
 //! Every layer implements [`Layer`]: a `forward` pass that caches what
 //! backward needs, a `backward` pass that accumulates parameter
-//! gradients and returns the input gradient, and a parameter visitor
-//! used by optimizers and the federated-learning protocol.
+//! gradients and returns the input gradient, a `backward_params` pass
+//! that accumulates the same parameter gradients without the input
+//! gradient (what a network's first layer needs), and a parameter
+//! visitor used by optimizers and the federated-learning protocol.
 //!
 //! The gradients are **analytically exact** — this matters because the
 //! active reconstruction attacks in `oasis-attacks` invert gradient

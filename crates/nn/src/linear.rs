@@ -290,6 +290,12 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        self.backward_params(grad_output)?;
+        // ∂L/∂x = δ · W
+        Ok(grad_output.matmul(&self.weight)?)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
         let input = self
             .cached_input
             .as_ref()
@@ -299,8 +305,7 @@ impl Layer for Linear {
             .add_assign(&grad_output.matmul_tn(input)?)?;
         // ∂L/∂b = Σ_batch δ
         self.grad_bias.add_assign(&grad_output.sum_axis0()?)?;
-        // ∂L/∂x = δ · W
-        Ok(grad_output.matmul(&self.weight)?)
+        Ok(())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {

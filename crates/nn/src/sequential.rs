@@ -77,6 +77,20 @@ impl Layer for Sequential {
         Ok(g)
     }
 
+    /// Runs `backward` through layers `1..` in reverse, then
+    /// `backward_params` on layer 0, so the stack's input gradient is
+    /// never formed.
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let mut g = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_output))?);
+        }
+        first.backward_params(g.as_ref().unwrap_or(grad_output))
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         for layer in &mut self.layers {
             layer.visit_params(f);

@@ -308,6 +308,18 @@ pub trait ClientSource: Sync {
     ///
     /// Panics when `i` is out of range.
     fn client(&self, i: usize) -> Cow<'_, FlClient>;
+
+    /// How many samples client `i` will report for a round at
+    /// `batch_size`: its [`FlClient::round_samples`]. The default lends
+    /// the client to ask it; a source that knows shard lengths answers
+    /// without lending.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
+    fn round_samples(&self, i: usize, batch_size: usize) -> usize {
+        self.client(i).round_samples(batch_size)
+    }
 }
 
 impl ClientSource for Population {
@@ -317,6 +329,13 @@ impl ClientSource for Population {
 
     fn client(&self, i: usize) -> Cow<'_, FlClient> {
         Cow::Owned(self.hydrate(self.descriptor(i)))
+    }
+
+    /// The hydrated client's count, from the descriptor's shard length
+    /// and the shared defense stack alone: no shard is copied.
+    fn round_samples(&self, i: usize, batch_size: usize) -> usize {
+        self.defense
+            .processed_len(batch_size.min(self.descriptor(i).shard_len()))
     }
 }
 
@@ -339,6 +358,10 @@ impl<C: ClientSource> ClientSource for &C {
 
     fn client(&self, i: usize) -> Cow<'_, FlClient> {
         (**self).client(i)
+    }
+
+    fn round_samples(&self, i: usize, batch_size: usize) -> usize {
+        (**self).round_samples(i, batch_size)
     }
 }
 
@@ -393,6 +416,40 @@ mod tests {
             assert_eq!(c.id(), i);
             assert_eq!(c.data().name(), format!("{}-shard{i}", data.name()));
             assert_eq!(c.data().items(), fresh.data().items());
+        }
+    }
+
+    #[test]
+    fn population_counts_round_samples_without_hydrating() {
+        // Triples every batch, so the count depends on the defense
+        // stack as well as on the shard length.
+        struct Tripler;
+        impl oasis_fl::Defense for Tripler {
+            fn name(&self) -> &str {
+                "tripler"
+            }
+            fn processed_len(&self, n: usize) -> usize {
+                3 * n
+            }
+        }
+        let data = cifar_like_with(3, 7, 8, 2);
+        for defense in [DefenseStack::identity(), DefenseStack::of(Tripler)] {
+            let pop = Population::dirichlet(
+                &data,
+                6,
+                0.5,
+                Arc::new(defense),
+                &mut StdRng::seed_from_u64(4),
+            );
+            for i in 0..pop.len() {
+                for batch in [0, 1, 3, 64] {
+                    assert_eq!(
+                        ClientSource::round_samples(&pop, i, batch),
+                        pop.hydrate(pop.descriptor(i)).round_samples(batch),
+                        "client {i}, batch {batch}"
+                    );
+                }
+            }
         }
     }
 

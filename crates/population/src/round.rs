@@ -120,8 +120,9 @@ impl<C: ClientSource> CohortRunner<C> {
     /// # Errors
     ///
     /// [`FlError::NoClients`] when there are no clients, client model
-    /// errors, wire codec failures, or a delivered set whose sample
-    /// counts sum to zero.
+    /// errors, wire codec failures, a delivered set whose sample
+    /// counts sum to zero, or an update whose sample count differs
+    /// from the pre-pass count ([`FlError::BadConfig`]).
     pub fn run_round(&mut self, rng: &mut StdRng) -> Result<CohortReport> {
         if self.clients.client_count() == 0 {
             return Err(FlError::NoClients);
@@ -190,13 +191,17 @@ impl<C: ClientSource> CohortRunner<C> {
             (0.0, 0.0)
         } else {
             // Meta pre-pass: FedAvg weights need the delivered total
-            // before the first fold. `round_samples` replays only the
-            // rng-consuming batch prefix — no model, no gradients.
+            // before the first fold. `round_samples` is a count from
+            // the shard length and the defense stack alone — no batch,
+            // no model, no gradients, and for a `Population` no
+            // hydrated shard. Each update's reported count is checked
+            // against it at fold time.
             let clients = &self.clients;
             let hydrate_span = oasis_telemetry::span("fl.round.hydrate");
-            let samples: Vec<usize> = parallel::map_indexed(&delivered_ids, |_, &id| {
-                clients.client(id as usize).round_samples(batch, round_seed)
-            });
+            let samples: Vec<usize> = delivered_ids
+                .iter()
+                .map(|&id| clients.round_samples(id as usize, batch))
+                .collect();
             hydrate_ns = hydrate_span.finish_ns();
             let total: usize = samples.iter().sum();
             if total == 0 {
@@ -214,6 +219,7 @@ impl<C: ClientSource> CohortRunner<C> {
             peak_frame_bytes = wave_width * bytes_up_each;
             let factory = self.server.factory().clone();
             let mut loss_sum = 0.0f32;
+            let mut predicted = samples.iter().copied();
             for wave in delivered_ids.chunks(wave_width) {
                 let compute_span = oasis_telemetry::span("fl.round.compute");
                 let frames: Vec<Result<(f32, usize, EncodedUpdate)>> =
@@ -225,8 +231,16 @@ impl<C: ClientSource> CohortRunner<C> {
                     });
                 compute_ns += compute_span.finish_ns();
                 let fold_span = oasis_telemetry::span("fl.round.fold");
-                for frame in frames {
+                for ((&id, frame), expected) in wave.iter().zip(frames).zip(&mut predicted) {
                     let (loss, samples, encoded) = frame?;
+                    // A defense whose `processed_len` disagrees with
+                    // its batch transform would skew every FedAvg
+                    // weight of the round: refuse it before the step.
+                    if samples != expected {
+                        return Err(FlError::BadConfig(format!(
+                            "client {id} reported {samples} samples, its defense stack predicted {expected}"
+                        )));
+                    }
                     agg.fold(&*codec, &encoded, samples as f32 / total as f32)?;
                     loss_sum += loss;
                 }
@@ -420,6 +434,43 @@ mod tests {
             resident.run_round(&mut StdRng::seed_from_u64(0)),
             Err(FlError::NoClients)
         ));
+    }
+
+    #[test]
+    fn a_defense_whose_count_lies_fails_the_round_before_the_step() {
+        // Doubles the batch but predicts it unchanged: the pre-pass
+        // FedAvg weights would sum to 2 if the round went ahead.
+        struct Liar;
+        impl oasis_fl::Defense for Liar {
+            fn name(&self) -> &str {
+                "liar"
+            }
+            fn process(
+                &self,
+                mut batch: oasis_data::Batch,
+                _rng: &mut StdRng,
+            ) -> oasis_data::Batch {
+                batch.images.extend_from_within(..);
+                batch.labels.extend_from_within(..);
+                batch
+            }
+        }
+        let clients = Population::iid(
+            &cifar_like_with(3, 8, 8, 3),
+            4,
+            Arc::new(DefenseStack::of(Liar)),
+            &mut StdRng::seed_from_u64(5),
+        )
+        .clients();
+        let mut r = CohortRunner::new(server(FlConfig::default()), clients);
+        let before = r.server_mut().broadcast_weights();
+        let err = r.run_round(&mut StdRng::seed_from_u64(0)).unwrap_err();
+        assert!(
+            matches!(&err, FlError::BadConfig(m) if m.contains("predicted")),
+            "{err}"
+        );
+        assert_eq!(r.server_mut().broadcast_weights(), before);
+        assert_eq!(r.server().round(), 0);
     }
 
     #[test]

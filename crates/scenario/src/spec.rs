@@ -1092,6 +1092,39 @@ mod tests {
     }
 
     #[test]
+    fn processed_len_predicts_process_batch() {
+        use rand::SeedableRng;
+        let mut specs = vec![
+            DefenseSpec::none(),
+            DefenseSpec::ats(),
+            DefenseSpec::dp(1.0, 0.5),
+            DefenseSpec::clip(2.0),
+            DefenseSpec::ats() + DefenseSpec::oasis(PolicyKind::MajorRotation),
+            DefenseSpec::oasis(PolicyKind::MajorRotationShearing)
+                + DefenseSpec::ats()
+                + DefenseSpec::dp(1.0, 0.1)
+                + DefenseSpec::clip(0.5),
+        ];
+        for kind in PolicyKind::all() {
+            specs.push(DefenseSpec::oasis(kind));
+            specs.push(DefenseSpec::oasis(kind) + DefenseSpec::dp(1.0, 0.01));
+        }
+        let pool = oasis_data::cifar_like_with(4, 8, 8, 0);
+        for spec in &specs {
+            let stack = spec.build();
+            for n in [0, 1, 7, 32] {
+                let batch = oasis_data::Batch::from_items(pool.items()[..n].to_vec());
+                let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+                assert_eq!(
+                    stack.processed_len(n),
+                    stack.process_batch(&batch, &mut rng).len(),
+                    "{spec} at n = {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn parse_is_validation() {
         // Each of these used to parse and then panic, hang or poison
         // the model downstream; now each is a spec error.

@@ -15,7 +15,7 @@ use std::path::Path;
 
 use oasis_nn::Sequential;
 
-use crate::format::{Dtype, WireBuilder, WireView};
+use crate::format::{Dtype, FrameWriter, WireView};
 use crate::WireError;
 
 /// Walks the model's parameter tensors read-only, yielding
@@ -50,12 +50,18 @@ fn for_each_param_entry(model: &Sequential, f: ParamEntryVisitor) -> Result<(), 
 /// Tensor names are `"{layer:03}.{layer_name}.{param}"` in visit
 /// order, so the buffer is self-describing and order-stable.
 pub fn model_to_bytes(model: &Sequential) -> Result<Vec<u8>, WireError> {
-    let payload_bytes = oasis_nn::param_count_ref(model) * std::mem::size_of::<f32>();
-    let mut builder = WireBuilder::with_payload_capacity(payload_bytes);
-    for_each_param_entry(model, &mut |name, shape, data| {
-        builder.push_f32(name, shape, data).map(|_| ())
+    let mut entries = Vec::new();
+    for_each_param_entry(model, &mut |name, shape, _| {
+        entries.push((name.to_owned(), shape.to_vec()));
+        Ok(())
     })?;
-    Ok(builder.finish())
+    let declared: Vec<(&str, Dtype, &[usize])> = entries
+        .iter()
+        .map(|(name, shape)| (name.as_str(), Dtype::F32, shape.as_slice()))
+        .collect();
+    let mut frame = FrameWriter::new(&declared)?;
+    for_each_param_entry(model, &mut |_, _, data| frame.write_f32(data).map(|_| ()))?;
+    frame.finish()
 }
 
 /// Loads a checkpoint produced by [`model_to_bytes`] into `model`.

@@ -20,7 +20,7 @@ use std::str::FromStr;
 use serde::{Deserialize, Serialize};
 
 use crate::arena::FrameBuf;
-use crate::format::{WireBuilder, WireView};
+use crate::format::{Dtype, FrameWriter, WireView};
 use crate::WireError;
 
 /// A client update after encoding: codec provenance, the original
@@ -225,6 +225,16 @@ fn parse_payload(encoded: &EncodedUpdate) -> Result<WireView<'_>, WireError> {
     WireView::parse(&encoded.payload)
 }
 
+/// Whether every value is finite, in one pass without an early exit
+/// (so it vectorizes): a value is infinite or NaN exactly when its
+/// exponent bits are all ones, and those flags are OR-ed together.
+fn all_finite(values: &[f32]) -> bool {
+    const EXPONENT: u32 = 0x7f80_0000;
+    values.iter().fold(0u32, |bad, v| {
+        bad | u32::from(v.to_bits() & EXPONENT == EXPONENT)
+    }) == 0
+}
+
 fn check_out_len(out: &[f32], n: usize) -> Result<(), WireError> {
     if out.len() != n {
         return Err(WireError::Codec(format!(
@@ -250,9 +260,9 @@ impl UpdateCodec for RawCodec {
 
     fn encode(&self, update: &[f32]) -> Result<EncodedUpdate, WireError> {
         let _span = oasis_telemetry::span("wire.encode.raw");
-        let mut b = WireBuilder::with_payload_capacity(update.len() * 4);
-        b.push_f32("update", &[update.len()], update)?;
-        let payload = b.finish();
+        let mut frame = FrameWriter::new(&[("update", Dtype::F32, &[update.len()])])?;
+        frame.write_f32(update)?;
+        let payload = frame.finish()?;
         oasis_telemetry::counter!("wire.bytes_encoded").add(payload.len() as u64);
         Ok(EncodedUpdate {
             codec: self.spec().to_string(),
@@ -271,7 +281,7 @@ impl UpdateCodec for RawCodec {
 
     /// The zero-copy fast path: a raw frame's `update` tensor is
     /// borrowed straight off the wire payload when its extent is
-    /// 4-byte aligned (which [`WireBuilder::finish`]'s padded headers
+    /// 4-byte aligned (which [`FrameWriter::new`]'s padded headers
     /// make the steady state); `scratch` is touched only by the
     /// misaligned fallback.
     fn decode_view<'a>(
@@ -313,7 +323,7 @@ impl UpdateCodec for Q8Codec {
 
     fn encode(&self, update: &[f32]) -> Result<EncodedUpdate, WireError> {
         let _span = oasis_telemetry::span("wire.encode.q8");
-        if update.iter().any(|v| !v.is_finite()) {
+        if !all_finite(update) {
             return Err(WireError::Codec("q8 requires finite values".into()));
         }
         let (mut lo, mut hi) = oasis_tensor::simd::minmax(update);
@@ -326,17 +336,20 @@ impl UpdateCodec for Q8Codec {
         // inf/NaN while the finite-input guard still passes.
         let range = f64::from(hi) - f64::from(lo);
         let scale = if range > 0.0 { range / 255.0 } else { 0.0 };
+        let mut frame = FrameWriter::new(&[
+            ("q", Dtype::U8, &[update.len()]),
+            ("affine", Dtype::F32, &[2]),
+        ])?;
         // Zero range (constant vector) quantizes everything to level
         // 0; otherwise the kernel's preconditions hold: positive
         // finite scale, every value finite and ≥ lo.
-        let mut q = vec![0u8; update.len()];
-        if scale > 0.0 {
-            oasis_tensor::simd::quantize_q8(update, lo, scale, &mut q);
-        }
-        let mut b = WireBuilder::new();
-        b.push("q", crate::Dtype::U8, &[q.len()], &q)?;
-        b.push_f32("affine", &[2], &[lo, scale as f32])?;
-        let payload = b.finish();
+        frame.write_with(|q| {
+            if scale > 0.0 {
+                oasis_tensor::simd::quantize_q8(update, lo, scale, q);
+            }
+        })?;
+        frame.write_f32(&[lo, scale as f32])?;
+        let payload = frame.finish()?;
         oasis_telemetry::counter!("wire.bytes_encoded").add(payload.len() as u64);
         Ok(EncodedUpdate {
             codec: self.spec().to_string(),
@@ -415,10 +428,9 @@ impl UpdateCodec for TopKCodec {
             })
             .collect::<Result<_, _>>()?;
         let values: Vec<f32> = kept.iter().map(|&i| update[i]).collect();
-        let mut b = WireBuilder::new();
-        b.push_u32("idx", &[k], &indices)?;
-        b.push_f32("val", &[k], &values)?;
-        let payload = b.finish();
+        let mut frame = FrameWriter::new(&[("idx", Dtype::U32, &[k]), ("val", Dtype::F32, &[k])])?;
+        frame.write_u32(&indices)?.write_f32(&values)?;
+        let payload = frame.finish()?;
         oasis_telemetry::counter!("wire.bytes_encoded").add(payload.len() as u64);
         Ok(EncodedUpdate {
             codec: self.spec().to_string(),
@@ -469,11 +481,13 @@ impl UpdateCodec for SignCodec {
 
     fn encode(&self, update: &[f32]) -> Result<EncodedUpdate, WireError> {
         let _span = oasis_telemetry::span("wire.encode.sign");
-        if update.iter().any(|v| !v.is_finite()) {
+        if !all_finite(update) {
             return Err(WireError::Codec("sign requires finite values".into()));
         }
-        let mut bits = vec![0u8; update.len().div_ceil(8)];
-        oasis_tensor::simd::pack_signs(update, &mut bits);
+        let bit_bytes = update.len().div_ceil(8);
+        let mut frame =
+            FrameWriter::new(&[("bits", Dtype::U8, &[bit_bytes]), ("mag", Dtype::F32, &[1])])?;
+        frame.write_with(|bits| oasis_tensor::simd::pack_signs(update, bits))?;
         // Strictly sequential f64 accumulation: the magnitude goes on
         // the wire, so its bits must not depend on the SIMD backend —
         // lane-blocking this sum would change them.
@@ -482,10 +496,8 @@ impl UpdateCodec for SignCodec {
         } else {
             (update.iter().map(|&v| f64::from(v.abs())).sum::<f64>() / update.len() as f64) as f32
         };
-        let mut b = WireBuilder::new();
-        b.push("bits", crate::Dtype::U8, &[bits.len()], &bits)?;
-        b.push_f32("mag", &[1], &[mag])?;
-        let payload = b.finish();
+        frame.write_f32(&[mag])?;
+        let payload = frame.finish()?;
         oasis_telemetry::counter!("wire.bytes_encoded").add(payload.len() as u64);
         Ok(EncodedUpdate {
             codec: self.spec().to_string(),

@@ -16,7 +16,7 @@
 //! buffer; tensor bytes are sliced, not copied, until a typed
 //! conversion such as [`TensorView::to_f32_vec`] is requested.
 //!
-//! **Alignment.** [`WireBuilder::finish`] pads the JSON header with
+//! **Alignment.** [`FrameWriter::new`] pads the JSON header with
 //! trailing spaces (valid JSON whitespace) so the payload starts at
 //! an 8-byte-aligned offset *within the buffer*. When the buffer
 //! itself lands on an aligned base address — heap allocations and
@@ -126,7 +126,7 @@ const WIRE_VERSION: u32 = 1;
 /// not drive a huge allocation.
 const MAX_HEADER_BYTES: usize = 16 << 20;
 
-/// Payload alignment written by [`WireBuilder::finish`]: the header
+/// Payload alignment written by [`FrameWriter::new`]: the header
 /// is space-padded so the payload begins at a multiple of this many
 /// bytes from the buffer start. 8 covers every dtype the format can
 /// carry (and any future f64/u64).
@@ -205,154 +205,167 @@ fn extend_u32_le_bytes(out: &mut Vec<u8>, values: &[u32]) {
     }
 }
 
-/// Incrementally assembles a wire buffer (header + payload).
+/// Writes a wire buffer (header + payload) in one pass.
+///
+/// Every tensor is declared up front — name, dtype and shape fix its
+/// byte extent — so [`FrameWriter::new`] serializes the header and
+/// its alignment padding first, into a buffer allocated at the
+/// frame's final size. The payload then goes straight in behind it,
+/// one tensor at a time in declaration order: no staging buffer, no
+/// second copy.
 ///
 /// ```
-/// use oasis_wire::{Dtype, WireBuilder, WireView};
+/// use oasis_wire::{Dtype, FrameWriter, WireView};
 ///
-/// let mut b = WireBuilder::new();
-/// b.push_f32("update", &[3], &[1.0, -2.0, 0.5]).unwrap();
-/// let bytes = b.finish();
+/// let mut w = FrameWriter::new(&[("update", Dtype::F32, &[3])]).unwrap();
+/// w.write_f32(&[1.0, -2.0, 0.5]).unwrap();
+/// let bytes = w.finish().unwrap();
 /// let view = WireView::parse(&bytes).unwrap();
 /// assert_eq!(view.tensor("update").unwrap().to_f32_vec().unwrap(), vec![1.0, -2.0, 0.5]);
 /// ```
-#[derive(Debug, Default)]
-pub struct WireBuilder {
-    tensors: Vec<TensorMeta>,
-    payload: Vec<u8>,
+#[derive(Debug)]
+pub struct FrameWriter {
+    buf: Vec<u8>,
+    /// Buffer offset where each declared tensor ends, in declaration
+    /// order.
+    ends: Vec<usize>,
+    /// How many declared tensors have been written.
+    written: usize,
 }
 
-impl WireBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        WireBuilder::default()
-    }
-
-    /// An empty builder with `payload_bytes` of payload capacity
-    /// pre-reserved — for encoders that know the frame size up front
-    /// (every codec does) and want one allocation, not a growth
-    /// sequence.
-    pub fn with_payload_capacity(payload_bytes: usize) -> Self {
-        WireBuilder {
-            tensors: Vec::new(),
-            payload: Vec::with_capacity(payload_bytes),
-        }
-    }
-
-    /// Validates a prospective entry (unique name, byte length
-    /// agreeing with `shape × dtype`) without touching the payload.
-    fn check_entry(
-        &self,
-        name: &str,
-        dtype: Dtype,
-        shape: &[usize],
-        byte_len: usize,
-    ) -> Result<(), WireError> {
-        if self.tensors.iter().any(|t| t.name == name) {
-            return Err(WireError::Header(format!("duplicate tensor name `{name}`")));
-        }
-        let numel = shape.iter().try_fold(1usize, |acc, &d| {
-            acc.checked_mul(d)
-                .ok_or_else(|| WireError::Header(format!("shape overflow in `{name}`")))
-        })?;
-        let expected = numel
-            .checked_mul(dtype.size())
-            .ok_or_else(|| WireError::Header(format!("byte-size overflow in `{name}`")))?;
-        if byte_len != expected {
-            return Err(WireError::Header(format!(
-                "tensor `{name}` has {byte_len} bytes, shape {:?} ({}) needs {expected}",
-                shape,
-                dtype.as_str(),
-            )));
-        }
-        Ok(())
-    }
-
-    fn record_entry(&mut self, name: &str, dtype: Dtype, shape: &[usize], start: usize) {
-        self.tensors.push(TensorMeta {
-            name: name.to_owned(),
-            dtype,
-            shape: shape.to_vec(),
-            offsets: (start, self.payload.len()),
-        });
-    }
-
-    /// Appends a tensor of raw `bytes` with the given dtype and shape.
+impl FrameWriter {
+    /// Declares the frame's tensors as `(name, dtype, shape)` in
+    /// payload order and writes the header.
     ///
-    /// # Errors
-    ///
-    /// Rejects duplicate names and byte lengths that disagree with
-    /// `shape × dtype`.
-    pub fn push(
-        &mut self,
-        name: &str,
-        dtype: Dtype,
-        shape: &[usize],
-        bytes: &[u8],
-    ) -> Result<&mut Self, WireError> {
-        self.check_entry(name, dtype, shape, bytes.len())?;
-        let start = self.payload.len();
-        self.payload.extend_from_slice(bytes);
-        self.record_entry(name, dtype, shape, start);
-        Ok(self)
-    }
-
-    /// Appends an `f32` tensor, encoding little-endian straight into
-    /// the payload (no intermediate byte buffer).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`WireBuilder::push`].
-    pub fn push_f32(
-        &mut self,
-        name: &str,
-        shape: &[usize],
-        values: &[f32],
-    ) -> Result<&mut Self, WireError> {
-        self.check_entry(name, Dtype::F32, shape, values.len() * 4)?;
-        let start = self.payload.len();
-        extend_f32_le_bytes(&mut self.payload, values);
-        self.record_entry(name, Dtype::F32, shape, start);
-        Ok(self)
-    }
-
-    /// Appends a `u32` tensor, encoding little-endian straight into
-    /// the payload (no intermediate byte buffer).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`WireBuilder::push`].
-    pub fn push_u32(
-        &mut self,
-        name: &str,
-        shape: &[usize],
-        values: &[u32],
-    ) -> Result<&mut Self, WireError> {
-        self.check_entry(name, Dtype::U32, shape, values.len() * 4)?;
-        let start = self.payload.len();
-        extend_u32_le_bytes(&mut self.payload, values);
-        self.record_entry(name, Dtype::U32, shape, start);
-        Ok(self)
-    }
-
-    /// Serializes the header + payload into the final buffer. The
-    /// JSON header is space-padded to a [`PAYLOAD_ALIGN`]ed length so
-    /// the payload's buffer offset supports the borrowed-`&[f32]`
+    /// The JSON header is space-padded to a [`PAYLOAD_ALIGN`]ed length
+    /// so the payload's buffer offset supports the borrowed-`&[f32]`
     /// decode path (trailing whitespace is valid JSON, so old readers
     /// parse padded headers unchanged).
-    pub fn finish(self) -> Vec<u8> {
+    ///
+    /// # Errors
+    ///
+    /// Rejects duplicate names and shapes whose byte size overflows.
+    pub fn new(tensors: &[(&str, Dtype, &[usize])]) -> Result<Self, WireError> {
+        let mut metas: Vec<TensorMeta> = Vec::with_capacity(tensors.len());
+        let mut payload_len = 0usize;
+        for &(name, dtype, shape) in tensors {
+            if metas.iter().any(|t| t.name == name) {
+                return Err(WireError::Header(format!("duplicate tensor name `{name}`")));
+            }
+            let overflow = || WireError::Header(format!("byte-size overflow in `{name}`"));
+            let bytes = shape
+                .iter()
+                .try_fold(dtype.size(), |acc, &d| acc.checked_mul(d))
+                .ok_or_else(overflow)?;
+            let end = payload_len.checked_add(bytes).ok_or_else(overflow)?;
+            metas.push(TensorMeta {
+                name: name.to_owned(),
+                dtype,
+                shape: shape.to_vec(),
+                offsets: (payload_len, end),
+            });
+            payload_len = end;
+        }
+        let ends: Vec<usize> = metas.iter().map(|t| t.offsets.1).collect();
         let header = Header {
             version: WIRE_VERSION,
-            tensors: self.tensors,
+            tensors: metas,
         };
         let json = serde_json::to_string(&header).expect("header serialization is infallible");
         let header_len = (8 + json.len()).next_multiple_of(PAYLOAD_ALIGN) - 8;
-        let mut out = Vec::with_capacity(8 + header_len + self.payload.len());
-        out.extend_from_slice(&(header_len as u64).to_le_bytes());
-        out.extend_from_slice(json.as_bytes());
-        out.resize(8 + header_len, b' ');
-        out.extend_from_slice(&self.payload);
-        out
+        let base = 8 + header_len;
+        let mut buf = Vec::with_capacity(base + payload_len);
+        buf.extend_from_slice(&(header_len as u64).to_le_bytes());
+        buf.extend_from_slice(json.as_bytes());
+        buf.resize(base, b' ');
+        Ok(FrameWriter {
+            buf,
+            ends: ends.into_iter().map(|e| base + e).collect(),
+            written: 0,
+        })
+    }
+
+    /// Byte length of the next declared tensor.
+    fn next_len(&self) -> Result<usize, WireError> {
+        self.ends
+            .get(self.written)
+            .map(|&end| end - self.buf.len())
+            .ok_or_else(|| {
+                WireError::Header(format!(
+                    "all {} declared tensors are already written",
+                    self.ends.len()
+                ))
+            })
+    }
+
+    /// Appends the next declared tensor through `write`, once its
+    /// declared length is checked to be `byte_len`.
+    fn append(
+        &mut self,
+        byte_len: usize,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<&mut Self, WireError> {
+        let declared = self.next_len()?;
+        if byte_len != declared {
+            return Err(WireError::Header(format!(
+                "tensor {} is declared with {declared} bytes, got {byte_len}",
+                self.written
+            )));
+        }
+        write(&mut self.buf);
+        self.written += 1;
+        Ok(self)
+    }
+
+    /// Writes the next declared tensor as little-endian `f32`s.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a byte length other than the declared one, or a write
+    /// past the last declared tensor.
+    pub fn write_f32(&mut self, values: &[f32]) -> Result<&mut Self, WireError> {
+        self.append(values.len() * 4, |buf| extend_f32_le_bytes(buf, values))
+    }
+
+    /// Writes the next declared tensor as little-endian `u32`s.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`FrameWriter::write_f32`].
+    pub fn write_u32(&mut self, values: &[u32]) -> Result<&mut Self, WireError> {
+        self.append(values.len() * 4, |buf| extend_u32_le_bytes(buf, values))
+    }
+
+    /// Writes the next declared tensor in place: its bytes are
+    /// appended zeroed and `fill` overwrites them inside the frame —
+    /// the path for kernels that quantize or pack into a `&mut [u8]`.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a write past the last declared tensor.
+    pub fn write_with(&mut self, fill: impl FnOnce(&mut [u8])) -> Result<&mut Self, WireError> {
+        let len = self.next_len()?;
+        self.append(len, |buf| {
+            let start = buf.len();
+            buf.resize(start + len, 0);
+            fill(&mut buf[start..]);
+        })
+    }
+
+    /// The finished frame.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a frame with declared tensors left unwritten.
+    pub fn finish(self) -> Result<Vec<u8>, WireError> {
+        if self.written != self.ends.len() {
+            return Err(WireError::Header(format!(
+                "{} of {} declared tensors written",
+                self.written,
+                self.ends.len()
+            )));
+        }
+        Ok(self.buf)
     }
 }
 
@@ -528,7 +541,7 @@ impl<'a> TensorView<'a, '_> {
     ///
     /// Returns `Some` when the bytes can be reinterpreted in place
     /// (little-endian target, 4-byte-aligned extent — which
-    /// [`WireBuilder::finish`]-padded buffers on heap or mmap bases
+    /// [`FrameWriter`]-padded buffers on heap or mmap bases
     /// always satisfy for a leading `f32` tensor) and `None` when the
     /// caller must fall back to a copying read such as
     /// [`TensorView::read_f32`]. The borrow lives as long as the
@@ -636,10 +649,13 @@ mod tests {
     use super::*;
 
     fn one_tensor_buffer() -> Vec<u8> {
-        let mut b = WireBuilder::new();
-        b.push_f32("w", &[2, 2], &[1.0, 2.0, 3.0, 4.0]).unwrap();
-        b.push("mask", Dtype::U8, &[3], &[0, 1, 255]).unwrap();
-        b.finish()
+        let mut w =
+            FrameWriter::new(&[("w", Dtype::F32, &[2, 2]), ("mask", Dtype::U8, &[3])]).unwrap();
+        w.write_f32(&[1.0, 2.0, 3.0, 4.0])
+            .unwrap()
+            .write_with(|mask| mask.copy_from_slice(&[0, 1, 255]))
+            .unwrap();
+        w.finish().unwrap()
     }
 
     #[test]
@@ -700,11 +716,24 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_shape_mismatch_and_duplicates() {
-        let mut b = WireBuilder::new();
-        assert!(b.push_f32("w", &[3], &[1.0]).is_err());
-        b.push_f32("w", &[1], &[1.0]).unwrap();
-        assert!(b.push_f32("w", &[1], &[2.0]).is_err());
+    fn writer_rejects_duplicates_overflow_and_wrong_extents() {
+        assert!(FrameWriter::new(&[("w", Dtype::F32, &[1]), ("w", Dtype::U8, &[1])]).is_err());
+        assert!(FrameWriter::new(&[("w", Dtype::F32, &[usize::MAX, 2])]).is_err());
+        assert!(
+            FrameWriter::new(&[("a", Dtype::U8, &[usize::MAX]), ("b", Dtype::U8, &[1])]).is_err()
+        );
+        let decl: &[(&str, Dtype, &[usize])] = &[("w", Dtype::F32, &[3])];
+        let mut w = FrameWriter::new(decl).unwrap();
+        assert!(w.write_f32(&[1.0]).is_err());
+        assert!(w.write_f32(&[0.0; 3]).is_ok());
+        assert!(
+            w.write_with(|_| ()).is_err(),
+            "write past the declared tensors"
+        );
+        assert!(
+            FrameWriter::new(decl).unwrap().finish().is_err(),
+            "unwritten tensor"
+        );
     }
 
     #[test]

@@ -53,7 +53,7 @@ mod net;
 pub use arena::FrameBuf;
 pub use codec::{CodecSpec, EncodedUpdate, Q8Codec, RawCodec, SignCodec, TopKCodec, UpdateCodec};
 pub use format::{
-    f32s_to_le_bytes, le_bytes_to_f32s, Dtype, TensorMeta, TensorView, WireBuilder, WireView,
+    f32s_to_le_bytes, le_bytes_to_f32s, Dtype, FrameWriter, TensorMeta, TensorView, WireView,
     PAYLOAD_ALIGN,
 };
 pub use net::{Delivery, DeliveryStatus, NetSpec, RoundTraffic, Submission};

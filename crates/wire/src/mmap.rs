@@ -6,7 +6,7 @@
 //! instead of staging the whole file through a heap `Vec<u8>` first.
 //! The mapping is page-aligned by the kernel, so together with the
 //! [`crate::PAYLOAD_ALIGN`]ed headers written by
-//! [`crate::WireBuilder::finish`] every `f32` tensor is eligible for
+//! [`crate::FrameWriter`] every `f32` tensor is eligible for
 //! the borrowed-slice read ([`crate::TensorView::as_f32s`]).
 //!
 //! Platform coverage: the real `mmap(2)` path is compiled on Linux

@@ -11,7 +11,7 @@
 use oasis_nn::{flatten_params, flatten_params_ref, Linear, Relu, Sequential};
 use oasis_wire::checkpoint::{load_model, load_model_bytes, save_model};
 use oasis_wire::mmap::MappedFile;
-use oasis_wire::{FrameBuf, RawCodec, UpdateCodec, WireView, PAYLOAD_ALIGN};
+use oasis_wire::{Dtype, FrameBuf, FrameWriter, RawCodec, UpdateCodec, WireView, PAYLOAD_ALIGN};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn model(seed: u64) -> Sequential {
@@ -71,10 +71,10 @@ fn raw_frame_folds_with_zero_post_decode_copies() {
 }
 
 #[test]
-fn builder_payloads_are_alignment_padded() {
-    let mut b = oasis_wire::WireBuilder::new();
-    b.push_f32("update", &[3], &[1.0, 2.0, 3.0]).unwrap();
-    let buf = b.finish();
+fn written_payloads_are_alignment_padded() {
+    let mut w = FrameWriter::new(&[("update", Dtype::F32, &[3])]).unwrap();
+    w.write_f32(&[1.0, 2.0, 3.0]).unwrap();
+    let buf = w.finish().unwrap();
     let header_len = u64::from_le_bytes(buf[..8].try_into().unwrap()) as usize;
     assert_eq!(
         (8 + header_len) % PAYLOAD_ALIGN,
@@ -137,10 +137,10 @@ fn shifted_buffer_reads_match_aligned_reads() {
     // The same frame bytes at a deliberately misaligned base decode
     // to the same values through the copying path as the aligned
     // borrow does — alignment affects the route, never the result.
-    let mut b = oasis_wire::WireBuilder::new();
     let values: Vec<f32> = (0..257).map(|i| (i as f32).cos()).collect();
-    b.push_f32("w", &[values.len()], &values).unwrap();
-    let buf = b.finish();
+    let mut w = FrameWriter::new(&[("w", Dtype::F32, &[values.len()])]).unwrap();
+    w.write_f32(&values).unwrap();
+    let buf = w.finish().unwrap();
 
     // Aligned backing (u64 words), then parse at byte offset 1.
     let mut words = vec![0u64; buf.len() / 8 + 2];
@@ -299,10 +299,9 @@ fn overlapping_offset_checkpoint_errors_never_panics() {
 fn checkpoint_with_foreign_tensor_set_errors() {
     // A valid wire buffer that is not this model's parameter walk:
     // strict name matching refuses it (and the model is untouched).
-    let mut b = oasis_wire::WireBuilder::new();
-    b.push_f32("not_a_param", &[4], &[1.0, 2.0, 3.0, 4.0])
-        .unwrap();
-    let bytes = b.finish();
+    let mut w = FrameWriter::new(&[("not_a_param", Dtype::F32, &[4])]).unwrap();
+    w.write_f32(&[1.0, 2.0, 3.0, 4.0]).unwrap();
+    let bytes = w.finish().unwrap();
     let mut m = model(7);
     let before = flatten_params(&mut m);
     assert!(load_model_bytes(&mut m, &bytes).is_err());
