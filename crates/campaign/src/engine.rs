@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use oasis_attacks::{run_attack, ActiveAttack, AttackError};
 use oasis_data::{Batch, Dataset};
-use oasis_fl::{DefenseStack, FlConfig, FlError, FlServer, ModelFactory, WireConfig};
+use oasis_fl::{FlConfig, FlError, FlServer, ModelFactory, WireConfig};
 use oasis_image::Image;
 use oasis_population::{CohortRunner, CohortScheduler, Population};
 use oasis_scenario::{AttackSpec, DefenseSpec, ScenarioError};
@@ -125,8 +125,7 @@ pub struct CampaignSetup {
     pub dataset: Dataset,
     /// Population size (client count).
     pub clients: usize,
-    /// Defense stack every client runs (adaptation hooks can swap it
-    /// mid-campaign).
+    /// Defense stack every client runs, fixed for the whole campaign.
     pub defense: DefenseSpec,
     /// Server model factory.
     pub factory: ModelFactory,
@@ -187,24 +186,6 @@ pub struct AdversaryEval {
     pub picked: bool,
 }
 
-/// Signals a defense adaptation hook observes after each round.
-#[derive(Debug)]
-pub struct AdaptSignals<'a> {
-    /// The round just completed.
-    pub round: u64,
-    /// Its phase index.
-    pub phase: usize,
-    /// The trajectory record just produced (privacy, utility,
-    /// traffic, churn).
-    pub record: &'a TrajectoryRecord,
-}
-
-/// A defense adaptation hook: observes each round's signals and may
-/// return a new [`DefenseSpec`] to install for subsequent rounds.
-/// Hooks must be deterministic functions of their signals or
-/// campaigns lose replayability.
-pub type DefenseAdapter = Box<dyn FnMut(&AdaptSignals<'_>) -> Option<DefenseSpec> + Send>;
-
 /// Drives a [`CohortRunner`] through a [`CampaignSpec`].
 pub struct CampaignRunner {
     spec: CampaignSpec,
@@ -216,14 +197,11 @@ pub struct CampaignRunner {
     leak_threshold_db: f64,
     probe: Option<Batch>,
     calibration_pool: Vec<Image>,
-    defense_spec: DefenseSpec,
-    defense_stack: Arc<DefenseStack>,
     runner: CohortRunner,
     base: Population,
     active: Vec<bool>,
     active_count: usize,
     entered_phase: usize,
-    adapter: Option<DefenseAdapter>,
     attack_cache: Vec<(String, Box<dyn ActiveAttack>)>,
     adversary_log: Vec<AdversaryEval>,
     records: Vec<TrajectoryRecord>,
@@ -265,13 +243,13 @@ impl CampaignRunner {
                 &dataset,
                 clients,
                 alpha,
-                Arc::clone(&defense_stack),
+                defense_stack,
                 &mut drift_rng(seed, 0),
             ),
             None => Population::iid(
                 &dataset,
                 clients,
-                Arc::clone(&defense_stack),
+                defense_stack,
                 &mut StdRng::seed_from_u64(partition_seed),
             ),
         };
@@ -322,14 +300,11 @@ impl CampaignRunner {
             leak_threshold_db,
             probe,
             calibration_pool,
-            defense_spec: defense,
-            defense_stack,
             runner,
             base,
             active: vec![true; clients],
             active_count: clients,
             entered_phase: 0,
-            adapter: None,
             attack_cache: Vec::new(),
             adversary_log: Vec::new(),
             records: Vec::new(),
@@ -342,19 +317,9 @@ impl CampaignRunner {
         Ok(campaign)
     }
 
-    /// Installs a defense adaptation hook (see [`DefenseAdapter`]).
-    pub fn set_defense_adapter(&mut self, adapter: DefenseAdapter) {
-        self.adapter = Some(adapter);
-    }
-
     /// The campaign spec.
     pub fn spec(&self) -> &CampaignSpec {
         &self.spec
-    }
-
-    /// The defense currently installed (adaptation hooks move this).
-    pub fn defense_spec(&self) -> &DefenseSpec {
-        &self.defense_spec
     }
 
     /// The next round to run (== rounds completed or skipped so far).
@@ -438,9 +403,6 @@ impl CampaignRunner {
     /// resume path: seek, then restore the model checkpoint taken at
     /// that round, and the campaign continues on the identical
     /// trajectory. Skipped rounds produce no trajectory records.
-    /// Defense adaptation hooks do not run while seeking; resuming an
-    /// adapted campaign requires re-installing the defense the hook
-    /// had reached.
     ///
     /// # Errors
     ///
@@ -471,7 +433,7 @@ impl CampaignRunner {
 
     /// Runs one campaign round: phase entry (network swap, drift),
     /// churn, the training round under the round-keyed rng, the
-    /// adversary probe, trajectory recording, and defense adaptation.
+    /// adversary probe, and trajectory recording.
     fn step(&mut self) -> Result<(), CampaignError> {
         let r = self.round();
         let (pi, phase) = self
@@ -519,33 +481,8 @@ impl CampaignRunner {
                     .collect()
             }),
         };
-
-        if self.adapter.is_some() {
-            let signals = AdaptSignals {
-                round: r,
-                phase: pi,
-                record: &record,
-            };
-            let decision = self.adapter.as_mut().and_then(|adapter| adapter(&signals));
-            if let Some(new_spec) = decision {
-                self.install_defense(new_spec);
-            }
-        }
         self.records.push(record);
         Ok(())
-    }
-
-    /// Re-parameterizes the defense stack for subsequent rounds (the
-    /// adaptation hook's effector; also callable directly).
-    pub fn install_defense(&mut self, spec: DefenseSpec) {
-        if spec == self.defense_spec {
-            return;
-        }
-        let stack = Arc::new(spec.build());
-        self.defense_spec = spec;
-        self.defense_stack = Arc::clone(&stack);
-        self.base.set_defense(Arc::clone(&stack));
-        self.runner.population_mut().set_defense(stack);
     }
 
     /// Applies phase-entry actions exactly once per phase: the
@@ -565,7 +502,7 @@ impl CampaignRunner {
                 &self.dataset,
                 self.clients,
                 alpha,
-                Arc::clone(&self.defense_stack),
+                Arc::clone(self.base.defense()),
                 &mut drift_rng(self.seed, pi as u64),
             );
             self.sync_population();
@@ -628,7 +565,7 @@ impl CampaignRunner {
         self.runner.set_population(self.base.subset(&positions));
     }
 
-    /// Probes every candidate against the current defense and returns
+    /// Probes every candidate against the campaign's defense and returns
     /// the winner (max leak rate, then max PSNR) — the adaptive
     /// adversary's worst-case report.
     fn evaluate_adversary(
@@ -659,7 +596,7 @@ impl CampaignRunner {
             let outcome = run_attack(
                 attack.as_ref(),
                 &probe,
-                &self.defense_stack,
+                self.base.defense(),
                 classes,
                 probe_seed,
             )?;

@@ -20,9 +20,9 @@
 //!   exact [`oasis_population::CohortScheduler::round_rng`] stream
 //!   (a one-phase campaign is bit-identical to
 //!   [`oasis_population::CohortRunner::run`]), applies dynamics on
-//!   disjoint salted streams, probes the adversary, and calls an
-//!   optional [`DefenseAdapter`] hook that can re-parameterize the
-//!   [`oasis_fl::DefenseStack`] from observed signals.
+//!   disjoint salted streams, and probes the adversary against the
+//!   one [`oasis_fl::DefenseStack`] every client runs, fixed at setup
+//!   by [`CampaignSetup::defense`].
 //! * [`TrajectoryReport`] — one serde record per round (PSNR, leak
 //!   rate, accuracy proxy, bytes on wire, delivered/dropped/churned
 //!   counts, telemetry phase timings), written as schema-versioned
@@ -47,8 +47,8 @@ mod spec;
 mod trajectory;
 
 pub use engine::{
-    adversary_seed, churn_rng, drift_rng, linear_relu_factory, AdaptSignals, AdversaryEval,
-    CampaignError, CampaignRunner, CampaignSetup, DefenseAdapter,
+    adversary_seed, churn_rng, drift_rng, linear_relu_factory, AdversaryEval, CampaignError,
+    CampaignRunner, CampaignSetup,
 };
 pub use spec::{CampaignSpec, PhaseSpec};
 pub use trajectory::{

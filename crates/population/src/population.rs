@@ -203,13 +203,6 @@ impl Population {
         }
     }
 
-    /// Swaps the defense stack every subsequently hydrated client
-    /// runs. The sample pool and descriptors are untouched, so this
-    /// is how a campaign re-parameterizes defenses mid-run.
-    pub fn set_defense(&mut self, defense: Arc<DefenseStack>) {
-        self.defense = defense;
-    }
-
     /// Number of clients in the population.
     pub fn len(&self) -> usize {
         self.descriptors.len()

@@ -77,12 +77,6 @@ impl<C: ClientSource> CohortRunner<C> {
         &self.clients
     }
 
-    /// Mutable access to the clients (defense re-parameterization
-    /// between rounds).
-    pub fn population_mut(&mut self) -> &mut C {
-        &mut self.clients
-    }
-
     /// Replaces the clients mid-run — how campaigns express churn
     /// (an active-subset swap) and non-IID drift (a re-partition).
     /// The scheduler is rebuilt only when the client count changes,

@@ -275,15 +275,6 @@ fn span_enabled(name: &'static str) -> SpanGuard {
     }
 }
 
-/// `span!("fl.round.decode")` — macro spelling of [`span()`](fn@span), for
-/// symmetry with [`counter!`]/[`gauge!`]/[`histogram!`].
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::span($name)
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,14 +2,14 @@
 //! global model at round *k*, reload it later (or on another host),
 //! and continue training with a bit-identical trajectory.
 //!
-//! The load path is single-copy: [`load_model`] memory-maps the file
-//! ([`crate::mmap::MappedFile`]), validates the header and every
+//! [`load_model`] reads the file into memory and hands the bytes to
+//! [`load_model_bytes`], which validates the header and every
 //! name/shape against the model *before mutating anything*, then
-//! copies each tensor exactly once — mapping → parameter storage —
+//! copies each tensor exactly once — file bytes → parameter storage —
 //! via [`crate::TensorView::read_f32`]. There is no intermediate
-//! `Vec<Vec<f32>>` staging, so peak load memory is the file mapping
-//! plus the model itself. The save path takes `&Sequential` (models
-//! are read, not borrowed exclusively, while serializing).
+//! `Vec<Vec<f32>>` staging, so peak load memory is the file plus the
+//! model itself. The save path takes `&Sequential` (models are read,
+//! not borrowed exclusively, while serializing).
 
 use std::path::Path;
 
@@ -108,7 +108,7 @@ pub fn load_model_bytes(model: &mut Sequential, bytes: &[u8]) -> Result<(), Wire
         )));
     }
 
-    // Pass 2: copy each tensor exactly once, mapping → parameter
+    // Pass 2: copy each tensor exactly once, buffer → parameter
     // storage, in the same visit order.
     let mut copy_err = None;
     for li in 0..model.len() {
@@ -145,20 +145,16 @@ pub fn save_model(path: impl AsRef<Path>, model: &Sequential) -> Result<(), Wire
     Ok(())
 }
 
-/// Loads a checkpoint file written by [`save_model`] into `model`.
-///
-/// The file is memory-mapped (read-only, private), so its bytes are
-/// paged in on demand and each tensor is copied exactly once from the
-/// mapping into parameter storage — the whole-file heap buffer of a
-/// read-then-parse load never exists.
+/// Loads a checkpoint file written by [`save_model`] into `model`:
+/// the whole file is read, then loaded by [`load_model_bytes`], so a
+/// failed load leaves `model` untouched.
 ///
 /// # Errors
 ///
 /// Propagates filesystem failures and the strict checks of
 /// [`load_model_bytes`].
 pub fn load_model(path: impl AsRef<Path>, model: &mut Sequential) -> Result<(), WireError> {
-    let mapped = crate::mmap::MappedFile::open(path)?;
-    load_model_bytes(model, mapped.bytes())
+    load_model_bytes(model, &std::fs::read(path)?)
 }
 
 #[cfg(test)]

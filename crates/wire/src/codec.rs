@@ -122,15 +122,10 @@ pub trait UpdateCodec: Send + Sync {
     /// element count — values never change the byte count — which is
     /// what lets a round's delivery plan be computed before any update
     /// is materialized (the population scheduler relies on this). The
-    /// default implementation encodes an all-zeros probe vector once;
-    /// a codec whose size *did* depend on values would have to
-    /// override it (and would break the size-determinism property
-    /// test in doing so).
-    fn encoded_len(&self, n: usize) -> usize {
-        self.encode(&vec![0.0; n])
-            .map(|e| e.byte_size())
-            .unwrap_or(0)
-    }
+    /// built-in codecs compute it from their frame declaration and
+    /// encode nothing, so sizing a round opens no `wire.encode.*`
+    /// span and adds nothing to `wire.bytes_encoded`.
+    fn encoded_len(&self, n: usize) -> usize;
 }
 
 /// A codec choice, as a value. Spec grammar (round-tripping through
@@ -245,6 +240,29 @@ fn check_out_len(out: &[f32], n: usize) -> Result<(), WireError> {
     Ok(())
 }
 
+/// A codec frame's tensors in payload order, as `(name, dtype,
+/// length)`: every codec tensor is one-dimensional and its length
+/// depends only on the update's element count. Each codec declares
+/// its frame once, and both encoding and
+/// [`UpdateCodec::encoded_len`] read that declaration.
+type Decl<const K: usize> = [(&'static str, Dtype, usize); K];
+
+/// Calls `f` with `decl` in [`FrameWriter`]'s declaration form.
+fn declared<const K: usize, T>(
+    decl: Decl<K>,
+    f: impl FnOnce(&[(&str, Dtype, &[usize])]) -> T,
+) -> T {
+    let shapes = decl.map(|(_, _, len)| [len]);
+    let tensors: [(&str, Dtype, &[usize]); K] =
+        std::array::from_fn(|i| (decl[i].0, decl[i].1, &shapes[i][..]));
+    f(&tensors)
+}
+
+/// Byte length of the frame `decl` declares.
+fn frame_len<const K: usize>(decl: Decl<K>) -> usize {
+    declared(decl, FrameWriter::frame_len).unwrap_or(0)
+}
+
 // ---------------------------------------------------------------------
 // raw
 // ---------------------------------------------------------------------
@@ -253,14 +271,24 @@ fn check_out_len(out: &[f32], n: usize) -> Result<(), WireError> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RawCodec;
 
+impl RawCodec {
+    fn tensors(n: usize) -> Decl<1> {
+        [("update", Dtype::F32, n)]
+    }
+}
+
 impl UpdateCodec for RawCodec {
     fn spec(&self) -> CodecSpec {
         CodecSpec::Raw
     }
 
+    fn encoded_len(&self, n: usize) -> usize {
+        frame_len(Self::tensors(n))
+    }
+
     fn encode(&self, update: &[f32]) -> Result<EncodedUpdate, WireError> {
         let _span = oasis_telemetry::span("wire.encode.raw");
-        let mut frame = FrameWriter::new(&[("update", Dtype::F32, &[update.len()])])?;
+        let mut frame = declared(Self::tensors(update.len()), FrameWriter::new)?;
         frame.write_f32(update)?;
         let payload = frame.finish()?;
         oasis_telemetry::counter!("wire.bytes_encoded").add(payload.len() as u64);
@@ -316,9 +344,19 @@ impl UpdateCodec for RawCodec {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Q8Codec;
 
+impl Q8Codec {
+    fn tensors(n: usize) -> Decl<2> {
+        [("q", Dtype::U8, n), ("affine", Dtype::F32, 2)]
+    }
+}
+
 impl UpdateCodec for Q8Codec {
     fn spec(&self) -> CodecSpec {
         CodecSpec::Q8
+    }
+
+    fn encoded_len(&self, n: usize) -> usize {
+        frame_len(Self::tensors(n))
     }
 
     fn encode(&self, update: &[f32]) -> Result<EncodedUpdate, WireError> {
@@ -336,10 +374,7 @@ impl UpdateCodec for Q8Codec {
         // inf/NaN while the finite-input guard still passes.
         let range = f64::from(hi) - f64::from(lo);
         let scale = if range > 0.0 { range / 255.0 } else { 0.0 };
-        let mut frame = FrameWriter::new(&[
-            ("q", Dtype::U8, &[update.len()]),
-            ("affine", Dtype::F32, &[2]),
-        ])?;
+        let mut frame = declared(Self::tensors(update.len()), FrameWriter::new)?;
         // Zero range (constant vector) quantizes everything to level
         // 0; otherwise the kernel's preconditions hold: positive
         // finite scale, every value finite and ≥ lo.
@@ -400,9 +435,20 @@ pub struct TopKCodec {
     pub k: usize,
 }
 
+impl TopKCodec {
+    fn tensors(&self, n: usize) -> Decl<2> {
+        let k = self.k.min(n);
+        [("idx", Dtype::U32, k), ("val", Dtype::F32, k)]
+    }
+}
+
 impl UpdateCodec for TopKCodec {
     fn spec(&self) -> CodecSpec {
         CodecSpec::TopK { k: self.k }
+    }
+
+    fn encoded_len(&self, n: usize) -> usize {
+        frame_len(self.tensors(n))
     }
 
     fn encode(&self, update: &[f32]) -> Result<EncodedUpdate, WireError> {
@@ -428,7 +474,7 @@ impl UpdateCodec for TopKCodec {
             })
             .collect::<Result<_, _>>()?;
         let values: Vec<f32> = kept.iter().map(|&i| update[i]).collect();
-        let mut frame = FrameWriter::new(&[("idx", Dtype::U32, &[k]), ("val", Dtype::F32, &[k])])?;
+        let mut frame = declared(self.tensors(update.len()), FrameWriter::new)?;
         frame.write_u32(&indices)?.write_f32(&values)?;
         let payload = frame.finish()?;
         oasis_telemetry::counter!("wire.bytes_encoded").add(payload.len() as u64);
@@ -474,9 +520,19 @@ impl UpdateCodec for TopKCodec {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SignCodec;
 
+impl SignCodec {
+    fn tensors(n: usize) -> Decl<2> {
+        [("bits", Dtype::U8, n.div_ceil(8)), ("mag", Dtype::F32, 1)]
+    }
+}
+
 impl UpdateCodec for SignCodec {
     fn spec(&self) -> CodecSpec {
         CodecSpec::Sign
+    }
+
+    fn encoded_len(&self, n: usize) -> usize {
+        frame_len(Self::tensors(n))
     }
 
     fn encode(&self, update: &[f32]) -> Result<EncodedUpdate, WireError> {
@@ -484,9 +540,7 @@ impl UpdateCodec for SignCodec {
         if !all_finite(update) {
             return Err(WireError::Codec("sign requires finite values".into()));
         }
-        let bit_bytes = update.len().div_ceil(8);
-        let mut frame =
-            FrameWriter::new(&[("bits", Dtype::U8, &[bit_bytes]), ("mag", Dtype::F32, &[1])])?;
+        let mut frame = declared(Self::tensors(update.len()), FrameWriter::new)?;
         frame.write_with(|bits| oasis_tensor::simd::pack_signs(update, bits))?;
         // Strictly sequential f64 accumulation: the magnitude goes on
         // the wire, so its bits must not depend on the SIMD backend —

@@ -19,13 +19,19 @@
 //! **Alignment.** [`FrameWriter::new`] pads the JSON header with
 //! trailing spaces (valid JSON whitespace) so the payload starts at
 //! an 8-byte-aligned offset *within the buffer*. When the buffer
-//! itself lands on an aligned base address — heap allocations and
-//! page-aligned memory maps both do — an `f32` tensor at a
-//! 4-byte-aligned payload offset can be borrowed directly as
-//! `&[f32]` via [`TensorView::as_f32s`], no copy. Alignment is
-//! checked at runtime, never assumed: a misaligned buffer (old
-//! unpadded checkpoints, arbitrary slices) simply takes the copying
-//! path instead.
+//! itself lands on an aligned base address, as heap allocations do,
+//! an `f32` tensor at a 4-byte-aligned payload offset can be borrowed
+//! directly as `&[f32]` via [`TensorView::as_f32s`], no copy.
+//! Alignment is checked at runtime, never assumed: a misaligned
+//! buffer (old unpadded checkpoints, arbitrary slices) simply takes
+//! the copying path instead.
+//!
+//! **Unsafe.** This module holds the crate's only `unsafe`, three
+//! slice reinterpretations: the alignment-checked bytes → `f32` cast
+//! behind the borrowed read, and the `f32` → bytes and `u32` → bytes
+//! views the writer copies into the frame. Each documents its
+//! invariants inline, and the crate's tests run all three under miri
+//! in CI.
 
 use serde::{Deserialize, Serialize};
 
@@ -205,6 +211,58 @@ fn extend_u32_le_bytes(out: &mut Vec<u8>, values: &[u32]) {
     }
 }
 
+/// A declared frame's layout, shared by [`FrameWriter::new`] and
+/// [`FrameWriter::frame_len`]: the serialized JSON header and where
+/// each tensor ends in the payload.
+struct Layout {
+    json: String,
+    /// Payload-relative end offset of each tensor, in declaration
+    /// order.
+    ends: Vec<usize>,
+}
+
+impl Layout {
+    fn new(tensors: &[(&str, Dtype, &[usize])]) -> Result<Self, WireError> {
+        let mut metas: Vec<TensorMeta> = Vec::with_capacity(tensors.len());
+        let mut payload_len = 0usize;
+        for &(name, dtype, shape) in tensors {
+            if metas.iter().any(|t| t.name == name) {
+                return Err(WireError::Header(format!("duplicate tensor name `{name}`")));
+            }
+            let overflow = || WireError::Header(format!("byte-size overflow in `{name}`"));
+            let bytes = shape
+                .iter()
+                .try_fold(dtype.size(), |acc, &d| acc.checked_mul(d))
+                .ok_or_else(overflow)?;
+            let end = payload_len.checked_add(bytes).ok_or_else(overflow)?;
+            metas.push(TensorMeta {
+                name: name.to_owned(),
+                dtype,
+                shape: shape.to_vec(),
+                offsets: (payload_len, end),
+            });
+            payload_len = end;
+        }
+        let ends = metas.iter().map(|t| t.offsets.1).collect();
+        let header = Header {
+            version: WIRE_VERSION,
+            tensors: metas,
+        };
+        let json = serde_json::to_string(&header).expect("header serialization is infallible");
+        Ok(Layout { json, ends })
+    }
+
+    /// Buffer offset of the payload: the length prefix plus the JSON
+    /// header, space-padded to a [`PAYLOAD_ALIGN`] boundary.
+    fn payload_start(&self) -> usize {
+        (8 + self.json.len()).next_multiple_of(PAYLOAD_ALIGN)
+    }
+
+    fn frame_len(&self) -> usize {
+        self.payload_start() + self.ends.last().copied().unwrap_or(0)
+    }
+}
+
 /// Writes a wire buffer (header + payload) in one pass.
 ///
 /// Every tensor is declared up front — name, dtype and shape fix its
@@ -246,43 +304,28 @@ impl FrameWriter {
     ///
     /// Rejects duplicate names and shapes whose byte size overflows.
     pub fn new(tensors: &[(&str, Dtype, &[usize])]) -> Result<Self, WireError> {
-        let mut metas: Vec<TensorMeta> = Vec::with_capacity(tensors.len());
-        let mut payload_len = 0usize;
-        for &(name, dtype, shape) in tensors {
-            if metas.iter().any(|t| t.name == name) {
-                return Err(WireError::Header(format!("duplicate tensor name `{name}`")));
-            }
-            let overflow = || WireError::Header(format!("byte-size overflow in `{name}`"));
-            let bytes = shape
-                .iter()
-                .try_fold(dtype.size(), |acc, &d| acc.checked_mul(d))
-                .ok_or_else(overflow)?;
-            let end = payload_len.checked_add(bytes).ok_or_else(overflow)?;
-            metas.push(TensorMeta {
-                name: name.to_owned(),
-                dtype,
-                shape: shape.to_vec(),
-                offsets: (payload_len, end),
-            });
-            payload_len = end;
-        }
-        let ends: Vec<usize> = metas.iter().map(|t| t.offsets.1).collect();
-        let header = Header {
-            version: WIRE_VERSION,
-            tensors: metas,
-        };
-        let json = serde_json::to_string(&header).expect("header serialization is infallible");
-        let header_len = (8 + json.len()).next_multiple_of(PAYLOAD_ALIGN) - 8;
-        let base = 8 + header_len;
-        let mut buf = Vec::with_capacity(base + payload_len);
-        buf.extend_from_slice(&(header_len as u64).to_le_bytes());
-        buf.extend_from_slice(json.as_bytes());
+        let layout = Layout::new(tensors)?;
+        let base = layout.payload_start();
+        let mut buf = Vec::with_capacity(layout.frame_len());
+        buf.extend_from_slice(&((base - 8) as u64).to_le_bytes());
+        buf.extend_from_slice(layout.json.as_bytes());
         buf.resize(base, b' ');
         Ok(FrameWriter {
             buf,
-            ends: ends.into_iter().map(|e| base + e).collect(),
+            ends: layout.ends.iter().map(|e| base + e).collect(),
             written: 0,
         })
+    }
+
+    /// Byte length of the frame [`FrameWriter::new`] writes for the
+    /// same declaration, computed from the header alone: no frame is
+    /// allocated and no payload is written.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`FrameWriter::new`].
+    pub fn frame_len(tensors: &[(&str, Dtype, &[usize])]) -> Result<usize, WireError> {
+        Layout::new(tensors).map(|layout| layout.frame_len())
     }
 
     /// Byte length of the next declared tensor.
@@ -541,7 +584,7 @@ impl<'a> TensorView<'a, '_> {
     ///
     /// Returns `Some` when the bytes can be reinterpreted in place
     /// (little-endian target, 4-byte-aligned extent — which
-    /// [`FrameWriter`]-padded buffers on heap or mmap bases
+    /// [`FrameWriter`]-padded buffers on heap bases
     /// always satisfy for a leading `f32` tensor) and `None` when the
     /// caller must fall back to a copying read such as
     /// [`TensorView::read_f32`]. The borrow lives as long as the
@@ -628,22 +671,6 @@ impl<'a> TensorView<'a, '_> {
     }
 }
 
-/// Encodes `f32`s as contiguous little-endian bytes.
-pub fn f32s_to_le_bytes(values: &[f32]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(values.len() * 4);
-    extend_f32_le_bytes(&mut bytes, values);
-    bytes
-}
-
-/// Decodes contiguous little-endian bytes into `f32`s (bit-exact
-/// inverse of [`f32s_to_le_bytes`]).
-pub fn le_bytes_to_f32s(bytes: &[u8]) -> Vec<f32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,15 +698,6 @@ mod tests {
             &[0, 1, 255]
         );
         assert!(view.tensor("absent").is_none());
-    }
-
-    #[test]
-    fn f32_bytes_are_bit_exact() {
-        let values = [0.0f32, -0.0, 1.5, f32::MIN_POSITIVE, f32::MAX, -123.456];
-        let back = le_bytes_to_f32s(&f32s_to_le_bytes(&values));
-        for (a, b) in values.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

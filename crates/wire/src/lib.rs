@@ -47,15 +47,11 @@ mod arena;
 pub mod checkpoint;
 mod codec;
 mod format;
-pub mod mmap;
 mod net;
 
 pub use arena::FrameBuf;
 pub use codec::{CodecSpec, EncodedUpdate, Q8Codec, RawCodec, SignCodec, TopKCodec, UpdateCodec};
-pub use format::{
-    f32s_to_le_bytes, le_bytes_to_f32s, Dtype, FrameWriter, TensorMeta, TensorView, WireView,
-    PAYLOAD_ALIGN,
-};
+pub use format::{Dtype, FrameWriter, TensorMeta, TensorView, WireView, PAYLOAD_ALIGN};
 pub use net::{Delivery, DeliveryStatus, NetSpec, RoundTraffic, Submission};
 
 use std::fmt;

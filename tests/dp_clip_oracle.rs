@@ -46,6 +46,10 @@ impl UpdateCodec for Capture {
     fn decode_to(&self, encoded: &EncodedUpdate, out: &mut [f32]) -> Result<(), WireError> {
         RawCodec.decode_to(encoded, out)
     }
+
+    fn encoded_len(&self, n: usize) -> usize {
+        RawCodec.encoded_len(n)
+    }
 }
 
 fn malicious_layer(model: &Sequential) -> Res<&Linear> {

@@ -92,7 +92,22 @@ fn traced_fl_run_is_bit_identical_to_untraced() {
     let (weights_off, reports_off) = run_fl(1, false);
     for threads in [1, 2, 4] {
         let (weights_on, reports_on) = run_fl(threads, true);
+        let counters = oasis_telemetry::metrics_snapshot().counters;
         oasis_telemetry::reset();
+        let counter = |name: &str| {
+            counters
+                .iter()
+                .find(|c| c.name == name)
+                .map_or(0, |c| c.value)
+        };
+        // Every frame a round encodes is delivered and decoded once:
+        // sizing the delivery plan encodes nothing.
+        assert!(counter("wire.bytes_encoded") > 0, "no frames traced");
+        assert_eq!(
+            counter("wire.bytes_encoded"),
+            counter("wire.bytes_decoded"),
+            "encoded bytes that were never sent at t={threads}"
+        );
         assert_eq!(weights_on, weights_off, "weights diverged at t={threads}");
         // RoundReport equality deliberately ignores `timings`
         // (wall-clock measurement, not protocol outcome) — every
