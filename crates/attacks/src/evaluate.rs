@@ -5,7 +5,9 @@
 use oasis_data::Batch;
 use oasis_fl::DefenseStack;
 use oasis_image::Image;
-use oasis_metrics::{best_psnr_per_original, match_greedy_coarse, ReconstructionMatch, Summary};
+use oasis_metrics::{
+    best_psnr_per_original_seeded, match_greedy_coarse, ReconstructionMatch, Summary,
+};
 use oasis_nn::{load_grads, param_count, softmax_cross_entropy, Layer, Linear, Mode, Sequential};
 use oasis_tensor::Tensor;
 use oasis_wire::UpdateCodec;
@@ -275,7 +277,7 @@ fn run_attack_inner(
         }
     };
 
-    Ok(score(recons, batch, &processed, loss, wire))
+    Ok(score(recons, batch, processed, loss, wire))
 }
 
 /// The attacked first layer the adversary reads gradients from.
@@ -331,27 +333,36 @@ fn per_sample_deltas(
 fn score(
     mut recons: Vec<Image>,
     batch: &Batch,
-    processed: &Batch,
+    processed: Batch,
     client_loss: f32,
     wire: Option<WireTrace>,
 ) -> AttackOutcome {
     let _span = oasis_telemetry::span("attack.score");
-    // Clamp reconstructions into the displayable range before scoring,
-    // mirroring how reconstructed images are rendered and compared.
-    for r in &mut recons {
-        r.clamp01_in_place();
-    }
-    let matches = match_greedy_coarse(&recons, &batch.images, COARSE_MATCH_SIDE);
+    let matches = {
+        let _span = oasis_telemetry::span("attack.score.match");
+        // Clamp reconstructions into the displayable range before
+        // scoring, mirroring how reconstructed images are rendered and
+        // compared.
+        for r in &mut recons {
+            r.clamp01_in_place();
+        }
+        match_greedy_coarse(&recons, &batch.images, COARSE_MATCH_SIDE)
+    };
     let matched_psnrs: Vec<f64> = matches.iter().map(|m| m.psnr).collect();
     let summary = Summary::from_values(&matched_psnrs);
-    let per_original_best = best_psnr_per_original(&recons, &batch.images);
+    // The matched pairs seed the bounds: most other pairs then stop
+    // after a few hundred pixels.
+    let per_original_best = {
+        let _span = oasis_telemetry::span("attack.score.best");
+        best_psnr_per_original_seeded(&recons, &batch.images, &matches)
+    };
     AttackOutcome {
         matches,
         matched_psnrs,
         summary,
         per_original_best,
         reconstructions: recons,
-        processed_images: processed.images.clone(),
+        processed_images: processed.images,
         client_loss,
         wire,
     }

@@ -46,7 +46,9 @@ use oasis_attacks::{ActiveAttack, RtfAttack};
 use oasis_data::{cifar_like_with, Dataset, Generator};
 use oasis_fl::{DefenseStack, FlConfig, FlServer, ModelFactory, WireConfig};
 use oasis_image::Image;
-use oasis_metrics::{best_psnr_per_original, psnr_data};
+use oasis_metrics::{
+    best_psnr_per_original, best_psnr_per_original_seeded, match_greedy_coarse, psnr_data,
+};
 use oasis_nn::{Conv2d, Layer, Linear, Mode, Relu, Sequential};
 use oasis_population::{CohortRunner, Population};
 use oasis_tensor::{parallel, simd, Tensor};
@@ -203,7 +205,7 @@ type Base = (&'static str, fn() -> PreparedBench);
 
 /// Every `core` kernel; [`core_suite`] records each as a
 /// `_simd`/`_scalar` pair.
-pub const CORE_KERNELS: [Base; 14] = [
+pub const CORE_KERNELS: [Base; 15] = [
     ("matmul_256", bench_matmul_256),
     ("matmul_conv_fwd", bench_matmul_conv_fwd),
     ("matmul_nt_conv_gw", bench_matmul_nt_conv_gw),
@@ -216,6 +218,7 @@ pub const CORE_KERNELS: [Base; 14] = [
     ("codec_q8_decode", || bench_codec_decode(Box::new(Q8Codec))),
     ("psnr", bench_psnr),
     ("psnr_pairs", bench_psnr_pairs),
+    ("score_pool", bench_score_pool),
     ("normal_fill", bench_normal_fill),
     ("render_imagenette", bench_render_imagenette),
 ];
@@ -891,7 +894,7 @@ fn bench_render_imagenette() -> PreparedBench {
 }
 
 /// All-pairs scoring: 128 reconstructions against 32 originals at
-/// 3×32×32, through the squared-error tile.
+/// 3×32×32, unseeded, through the abandoning squared-error tile.
 fn bench_psnr_pairs() -> PreparedBench {
     let images = |count: usize, seed: u64| -> Vec<Image> {
         let t = seeded_tensor(&[count, 3 * 32 * 32], seed);
@@ -906,6 +909,55 @@ fn bench_psnr_pairs() -> PreparedBench {
         throughput: Some(((recons.len() * originals.len()) as f64, "pair/s")),
         run: Box::new(move || {
             std::hint::black_box(best_psnr_per_original(&recons, &originals));
+        }),
+    }
+}
+
+/// A structured pool the way `attack.score` sees a defended RTF trial:
+/// 32 rendered `imagenette` originals at 3×32×32 and 256
+/// reconstructions, clamped to [0, 1] — each original under uniform
+/// noise of graded amplitude (0.02–0.09) and 224 decoys, two-image
+/// mixtures under noise of amplitude 0.05.
+fn structured_pool() -> (Vec<Image>, Vec<Image>) {
+    use rand::Rng;
+    let originals: Vec<Image> = Generator::imagenette(4, 32, 31)
+        .render(32)
+        .into_iter()
+        .map(|item| item.image)
+        .collect();
+    let mut rng = StdRng::seed_from_u64(32);
+    let mut noisy = |pixels: Vec<f32>, level: f32| {
+        let data = pixels
+            .into_iter()
+            .map(|v| v + level * rng.gen_range(-1.0f32..1.0))
+            .collect();
+        Image::from_vec(3, 32, 32, data).expect("3×32×32").clamp01()
+    };
+    let mut recons: Vec<Image> = originals
+        .iter()
+        .enumerate()
+        .map(|(i, o)| noisy(o.data().to_vec(), 0.02 + 0.01 * (i % 8) as f32))
+        .collect();
+    for k in 0..224 {
+        let (a, b) = (&originals[k % 32], &originals[(k * 7 + 1) % 32]);
+        let mix = a.data().iter().zip(b.data()).map(|(x, y)| 0.5 * (x + y));
+        recons.push(noisy(mix.collect(), 0.05));
+    }
+    (recons, originals)
+}
+
+/// `attack.score`'s pricing of [`structured_pool`]: coarse 8×8
+/// matching, then the best-PSNR pass seeded by its matches, where
+/// most pairs are abandoned early. (In `psnr_pairs`' i.i.d. normal
+/// pool every MSE is near 2, so each pair stops about halfway, at
+/// the 0 dB floor.)
+fn bench_score_pool() -> PreparedBench {
+    let (recons, originals) = structured_pool();
+    PreparedBench {
+        throughput: Some(((recons.len() * originals.len()) as f64, "pair/s")),
+        run: Box::new(move || {
+            let matches = match_greedy_coarse(&recons, &originals, 8);
+            std::hint::black_box(best_psnr_per_original_seeded(&recons, &originals, &matches));
         }),
     }
 }

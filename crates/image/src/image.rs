@@ -1,6 +1,6 @@
 //! The CHW `f32` image container.
 
-use oasis_tensor::Tensor;
+use oasis_tensor::{simd, Tensor};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -247,6 +247,12 @@ impl Image {
     /// large all-pairs PSNR matching; reconstruction scoring still
     /// happens at full resolution).
     ///
+    /// Each output pixel is its box's sum, added in (y, x) order from
+    /// 0.0, divided by the box's pixel count. When `out_w` is a
+    /// multiple of 8 that divides `w`, every box is equally wide and
+    /// eight boxes at a time run on [`simd::box_sums8`], which keeps
+    /// that order bit for bit; other shapes run the per-box loop.
+    ///
     /// # Panics
     ///
     /// Panics if either target dimension is zero.
@@ -260,6 +266,31 @@ impl Image {
         if self.data.is_empty() {
             return out;
         }
+        let y_box = |oy: usize| {
+            let y0 = oy * h / out_h;
+            (y0, (((oy + 1) * h).div_ceil(out_h)).min(h).max(y0 + 1))
+        };
+        if out_w.is_multiple_of(8) && w.is_multiple_of(out_w) {
+            // Equal-width boxes: eight at a time, every channel's
+            // boxes of one output row in one call.
+            let bw = w / out_w;
+            let mut sums = vec![[0.0f32; 8]; c];
+            for oy in 0..out_h {
+                let (y0, y1) = y_box(oy);
+                let count = ((y1 - y0) * bw) as f32;
+                for g in 0..out_w / 8 {
+                    let src = &self.data[y0 * w + g * 8 * bw..];
+                    simd::box_sums8(src, h * w, w, y1 - y0, bw, &mut sums);
+                    for (ch, boxes) in sums.iter().enumerate() {
+                        let dst = &mut out.data[(ch * out_h + oy) * out_w + g * 8..][..8];
+                        for (o, &a) in dst.iter_mut().zip(boxes) {
+                            *o = a / count;
+                        }
+                    }
+                }
+            }
+            return out;
+        }
         let x_boxes: Vec<(usize, usize)> = (0..out_w)
             .map(|ox| {
                 let x0 = ox * w / out_w;
@@ -270,8 +301,7 @@ impl Image {
         let mut out_rows = out.data.chunks_exact_mut(out_w);
         for plane in self.data.chunks_exact(h * w) {
             for oy in 0..out_h {
-                let y0 = oy * h / out_h;
-                let y1 = (((oy + 1) * h).div_ceil(out_h)).min(h).max(y0 + 1);
+                let (y0, y1) = y_box(oy);
                 // One source row at a time across every box of this
                 // output row: each box still sums in (y, x) order, and
                 // the boxes' independent sums overlap.
@@ -417,11 +447,33 @@ mod tests {
     #[test]
     fn downsample_matches_the_per_pixel_box_sum_bit_for_bit() {
         // The reference reads one pixel at a time and sums each box in
-        // (y, x) order; uneven boxes cover the overlap rules.
-        for (c, h, w, oh, ow) in [(3, 32, 32, 8, 8), (2, 13, 11, 4, 5), (1, 7, 9, 7, 2)] {
+        // (y, x) order; uneven boxes cover the overlap rules. Widths
+        // with `ow` a multiple of 8 dividing `w` take the equal-width
+        // kernel: box widths 4 and 8 (vector), 3 (its scalar
+        // fallback), two groups of eight, one to five channels (a
+        // full interleave of four plus one) and uneven box heights.
+        use oasis_tensor::simd::{self, Backend};
+        for (c, h, w, oh, ow) in [
+            (3, 32, 32, 8, 8),
+            (2, 13, 11, 4, 5),
+            (1, 7, 9, 7, 2),
+            (3, 64, 64, 8, 8),
+            (5, 13, 24, 8, 8),
+            (1, 10, 64, 3, 16),
+            (4, 9, 32, 9, 8),
+        ] {
             let data = (0..c * h * w).map(|i| (i as f32 * 0.37).sin()).collect();
             let img = Image::from_vec(c, h, w, data).unwrap();
             let d = img.downsample(oh, ow);
+            for backend in [Backend::Scalar, Backend::detect()] {
+                let again = simd::with_backend(backend, || img.downsample(oh, ow));
+                let bits = |i: &Image| i.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&again),
+                    bits(&d),
+                    "{backend:?} {c}×{h}×{w} → {oh}×{ow}"
+                );
+            }
             for ch in 0..c {
                 for oy in 0..oh {
                     let (y0, y1) = (

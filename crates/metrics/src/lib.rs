@@ -23,7 +23,8 @@ mod stats;
 
 pub use accuracy::accuracy;
 pub use matching::{
-    best_psnr_per_original, match_greedy, match_greedy_coarse, ReconstructionMatch,
+    best_psnr_per_original, best_psnr_per_original_seeded, match_greedy, match_greedy_coarse,
+    ReconstructionMatch,
 };
 pub use psnr::{psnr, psnr_data, PSNR_CAP};
 pub use stats::Summary;

@@ -41,16 +41,25 @@ pub fn psnr_data(a: &[f32], b: &[f32]) -> f64 {
 ///
 /// Panics if any dimensions differ or the images are empty.
 pub(crate) fn psnr_tile(a: &Image, others: [&Image; SQ_TILE]) -> [f64; SQ_TILE] {
+    check_tile(a, others);
+    simd::sq_err_tile(a.data(), others.map(Image::data)).map(|sq| db_from_sq_err(sq, a.numel()))
+}
+
+/// [`psnr`]'s checks for one image against [`SQ_TILE`] others.
+///
+/// # Panics
+///
+/// Panics if any dimensions differ or the images are empty.
+pub(crate) fn check_tile(a: &Image, others: [&Image; SQ_TILE]) {
     for o in others {
         assert_eq!(a.dims(), o.dims(), "psnr requires identical dimensions");
     }
     assert!(a.numel() > 0, "psnr of empty signals");
-    simd::sq_err_tile(a.data(), others.map(Image::data)).map(|sq| db_from_sq_err(sq, a.numel()))
 }
 
 /// PSNR in dB of a squared-error sum over `len` elements; 0 dB for a
 /// NaN sum (`f64::min` below would drop the NaN and report the cap).
-fn db_from_sq_err(sq: f64, len: usize) -> f64 {
+pub(crate) fn db_from_sq_err(sq: f64, len: usize) -> f64 {
     let mse = sq / len as f64;
     if mse.is_nan() {
         return 0.0;
@@ -59,6 +68,20 @@ fn db_from_sq_err(sq: f64, len: usize) -> f64 {
         return PSNR_CAP;
     }
     (10.0 * (1.0 / mse).log10()).min(PSNR_CAP)
+}
+
+/// A squared-error sum over `len` elements above which a pair scores
+/// strictly below `db` dB: `len · 10^(−db/10) · (1 + 2⁻²⁰)`.
+///
+/// The margin keeps the rule safe under rounding. A sum above the
+/// bound has an MSE at least `(1 + 2⁻²⁰)(1 − 2⁻⁵⁰)` times the MSE
+/// that scores `db`, so its exact PSNR is at least 4·10⁻⁶ dB lower,
+/// while `db_from_sq_err`'s division, reciprocal, `log10` and scaling
+/// err by under 10⁻¹² dB. The MSE floor is no exception: for
+/// `db ≤ PSNR_CAP` the MSE of such a sum is above it.
+pub(crate) fn sq_err_bound(db: f64, len: usize) -> f64 {
+    const MARGIN: f64 = 1.0 + 1.0 / (1u64 << 20) as f64;
+    len as f64 * 10f64.powf(-db / 10.0) * MARGIN
 }
 
 /// PSNR between two images of identical dimensions, in dB. Higher

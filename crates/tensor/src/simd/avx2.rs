@@ -31,7 +31,7 @@
 use std::arch::x86_64::*;
 
 use super::scalar;
-use super::{SQ_TILE, TILE_COLS, TILE_ROWS};
+use super::{SQ_BOUND_CHUNKS, SQ_TILE, TILE_COLS, TILE_ROWS};
 
 /// Reads the 8 lanes of an f32x8 register into an array (for scalar
 /// fixed-order combines).
@@ -383,7 +383,21 @@ pub(crate) unsafe fn sq_err_sum(a: &[f32], b: &[f32]) -> f64 {
     let chunks = n / 8;
     let mut acc_lo = _mm256_setzero_pd();
     let mut acc_hi = _mm256_setzero_pd();
-    for c in 0..chunks {
+    sq_chunks(a, b, 0..chunks, &mut acc_lo, &mut acc_hi);
+    finish_sq_err(acc_lo, acc_hi, a, b, chunks * 8)
+}
+
+/// The chunks `range` of a [`sq_err_sum`] into its two accumulators.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn sq_chunks(
+    a: &[f32],
+    b: &[f32],
+    range: std::ops::Range<usize>,
+    acc_lo: &mut __m256d,
+    acc_hi: &mut __m256d,
+) {
+    for c in range {
         let va = _mm256_loadu_ps(a.as_ptr().add(c * 8));
         let vb = _mm256_loadu_ps(b.as_ptr().add(c * 8));
         let d_lo = _mm256_sub_pd(
@@ -394,10 +408,9 @@ pub(crate) unsafe fn sq_err_sum(a: &[f32], b: &[f32]) -> f64 {
             _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(va)),
             _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(vb)),
         );
-        acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(d_lo, d_lo));
-        acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(d_hi, d_hi));
+        *acc_lo = _mm256_add_pd(*acc_lo, _mm256_mul_pd(d_lo, d_lo));
+        *acc_hi = _mm256_add_pd(*acc_hi, _mm256_mul_pd(d_hi, d_hi));
     }
-    finish_sq_err(acc_lo, acc_hi, a, b, chunks * 8)
 }
 
 /// The end of one [`sq_err_sum`]: the fixed combine of the two f64x4
@@ -410,14 +423,46 @@ unsafe fn finish_sq_err(
     b: &[f32],
     from: usize,
 ) -> f64 {
-    let l = lanes_f64(acc_lo);
-    let h = lanes_f64(acc_hi);
-    let mut sum = ((l[0] + h[0]) + (l[1] + h[1])) + ((l[2] + h[2]) + (l[3] + h[3]));
+    let mut sum = combine_sq(acc_lo, acc_hi);
     for (&x, &y) in a[from..].iter().zip(&b[from..]) {
         let d = f64::from(x) - f64::from(y);
         sum += d * d;
     }
     sum
+}
+
+/// The fixed lane combine of [`sq_err_sum`]'s two f64x4 accumulators.
+#[target_feature(enable = "avx2")]
+unsafe fn combine_sq(acc_lo: __m256d, acc_hi: __m256d) -> f64 {
+    let l = lanes_f64(acc_lo);
+    let h = lanes_f64(acc_hi);
+    ((l[0] + h[0]) + (l[1] + h[1])) + ((l[2] + h[2]) + (l[3] + h[3]))
+}
+
+/// The chunks `range` of a [`sq_err_tile`]: each chunk of `a` is
+/// loaded and widened once, then squared against all four originals
+/// into their lanes (`acc_lo`: lanes 0–3, `acc_hi`: lanes 4–7).
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn sq_tile_chunks(
+    a: &[f32],
+    b: [&[f32]; SQ_TILE],
+    range: std::ops::Range<usize>,
+    acc_lo: &mut [__m256d; SQ_TILE],
+    acc_hi: &mut [__m256d; SQ_TILE],
+) {
+    for c in range {
+        let va = _mm256_loadu_ps(a.as_ptr().add(c * 8));
+        let a_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(va));
+        let a_hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(va));
+        for j in 0..SQ_TILE {
+            let vb = _mm256_loadu_ps(b[j].as_ptr().add(c * 8));
+            let d_lo = _mm256_sub_pd(a_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(vb)));
+            let d_hi = _mm256_sub_pd(a_hi, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(vb)));
+            acc_lo[j] = _mm256_add_pd(acc_lo[j], _mm256_mul_pd(d_lo, d_lo));
+            acc_hi[j] = _mm256_add_pd(acc_hi[j], _mm256_mul_pd(d_hi, d_hi));
+        }
+    }
 }
 
 /// See [`scalar::sq_err_tile`]: two f64x4 accumulators per original,
@@ -433,23 +478,182 @@ pub(crate) unsafe fn sq_err_tile(a: &[f32], b: [&[f32]; SQ_TILE]) -> [f64; SQ_TI
     let chunks = n / 8;
     let mut acc_lo = [_mm256_setzero_pd(); SQ_TILE];
     let mut acc_hi = [_mm256_setzero_pd(); SQ_TILE];
-    for c in 0..chunks {
-        let va = _mm256_loadu_ps(a.as_ptr().add(c * 8));
-        let a_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(va));
-        let a_hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(va));
-        for j in 0..SQ_TILE {
-            let vb = _mm256_loadu_ps(b[j].as_ptr().add(c * 8));
-            let d_lo = _mm256_sub_pd(a_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(vb)));
-            let d_hi = _mm256_sub_pd(a_hi, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(vb)));
-            acc_lo[j] = _mm256_add_pd(acc_lo[j], _mm256_mul_pd(d_lo, d_lo));
-            acc_hi[j] = _mm256_add_pd(acc_hi[j], _mm256_mul_pd(d_hi, d_hi));
-        }
-    }
+    sq_tile_chunks(a, b, 0..chunks, &mut acc_lo, &mut acc_hi);
     let mut out = [0.0f64; SQ_TILE];
     for (j, v) in out.iter_mut().enumerate() {
         *v = finish_sq_err(acc_lo[j], acc_hi[j], a, b[j], chunks * 8);
     }
     out
+}
+
+/// See [`scalar::sq_err_tile_bounded`]: [`sq_err_tile`]'s loop in
+/// blocks of [`SQ_BOUND_CHUNKS`] chunks, all four originals checked
+/// at once after each block. An original above its bound keeps that
+/// partial as its output. From the first checkpoint that stops one,
+/// the others continue one at a time ([`sq_err_bounded_from`]).
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn sq_err_tile_bounded(
+    a: &[f32],
+    b: [&[f32]; SQ_TILE],
+    bound: [f64; SQ_TILE],
+) -> [f64; SQ_TILE] {
+    debug_assert!(
+        b.iter().all(|r| r.len() == a.len()),
+        "sq_err_tile_bounded requires equal lengths"
+    );
+    let n = b.iter().map(|r| r.len()).fold(a.len(), usize::min);
+    let chunks = n / 8;
+    let mut acc_lo = [_mm256_setzero_pd(); SQ_TILE];
+    let mut acc_hi = [_mm256_setzero_pd(); SQ_TILE];
+    let bounds = _mm256_loadu_pd(bound.as_ptr());
+    let mut out = [0.0f64; SQ_TILE];
+    const ALL: i32 = (1 << SQ_TILE) - 1;
+    let mut live = ALL;
+    let mut c = 0;
+    while live == ALL && c + SQ_BOUND_CHUNKS <= chunks {
+        sq_tile_chunks(a, b, c..c + SQ_BOUND_CHUNKS, &mut acc_lo, &mut acc_hi);
+        c += SQ_BOUND_CHUNKS;
+        let partial = combine_sq_tile(&acc_lo, &acc_hi);
+        // Ordered compare: a NaN partial is never above its bound.
+        let above = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(partial, bounds));
+        if above != 0 {
+            let p = lanes_f64(partial);
+            for j in 0..SQ_TILE {
+                if above & (1 << j) != 0 {
+                    out[j] = p[j];
+                }
+            }
+            live &= !above;
+        }
+    }
+    if live == ALL {
+        sq_tile_chunks(a, b, c..chunks, &mut acc_lo, &mut acc_hi);
+        for j in 0..SQ_TILE {
+            out[j] = finish_sq_err(acc_lo[j], acc_hi[j], a, b[j], chunks * 8);
+        }
+        return out;
+    }
+    // Some original stopped at checkpoint `c`: the rest go on alone,
+    // so a stopped one costs nothing more.
+    for j in 0..SQ_TILE {
+        if live & (1 << j) != 0 {
+            out[j] = sq_err_bounded_from(a, b[j], acc_lo[j], acc_hi[j], c, chunks, bound[j]);
+        }
+    }
+    out
+}
+
+/// The rest of one original's [`sq_err_tile_bounded`] from checkpoint
+/// `from` (a multiple of [`SQ_BOUND_CHUNKS`]) with its lanes so far:
+/// the same chunks, checkpoints and finish as in the tile.
+#[target_feature(enable = "avx2")]
+unsafe fn sq_err_bounded_from(
+    a: &[f32],
+    b: &[f32],
+    mut acc_lo: __m256d,
+    mut acc_hi: __m256d,
+    from: usize,
+    chunks: usize,
+    bound: f64,
+) -> f64 {
+    let mut c = from;
+    while c + SQ_BOUND_CHUNKS <= chunks {
+        sq_chunks(a, b, c..c + SQ_BOUND_CHUNKS, &mut acc_lo, &mut acc_hi);
+        c += SQ_BOUND_CHUNKS;
+        let partial = combine_sq(acc_lo, acc_hi);
+        if partial > bound {
+            return partial;
+        }
+    }
+    sq_chunks(a, b, c..chunks, &mut acc_lo, &mut acc_hi);
+    finish_sq_err(acc_lo, acc_hi, a, b, chunks * 8)
+}
+
+/// [`combine_sq`] of all four originals at once, lane `j` holding
+/// original `j`'s `((l0 + h0) + (l1 + h1)) + ((l2 + h2) + (l3 + h3))`:
+/// the same adds on the same operands, so the same bits.
+#[target_feature(enable = "avx2")]
+unsafe fn combine_sq_tile(acc_lo: &[__m256d; SQ_TILE], acc_hi: &[__m256d; SQ_TILE]) -> __m256d {
+    let s: [__m256d; SQ_TILE] = [
+        _mm256_add_pd(acc_lo[0], acc_hi[0]),
+        _mm256_add_pd(acc_lo[1], acc_hi[1]),
+        _mm256_add_pd(acc_lo[2], acc_hi[2]),
+        _mm256_add_pd(acc_lo[3], acc_hi[3]),
+    ];
+    // (s0[0] + s0[1], s1[0] + s1[1], s0[2] + s0[3], s1[2] + s1[3]).
+    let h01 = _mm256_hadd_pd(s[0], s[1]);
+    let h23 = _mm256_hadd_pd(s[2], s[3]);
+    _mm256_add_pd(
+        _mm256_permute2f128_pd::<0x20>(h01, h23),
+        _mm256_permute2f128_pd::<0x31>(h01, h23),
+    )
+}
+
+/// See [`scalar::box_sums8`]: one f32x8 accumulator per group, box
+/// `k` in lane `k`. Four pixels of boxes `k` and `k + 4` load into the
+/// two halves of one register; an in-lane 4×4 transpose of four such
+/// registers yields one register per pixel column, added in column
+/// order, so every box keeps its (y, x) add order. Up to four groups
+/// run interleaved to hide the add latency of each box's serial sum.
+/// Box widths that are not a multiple of four take the scalar loop.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn box_sums8(
+    src: &[f32],
+    step: usize,
+    stride: usize,
+    rows: usize,
+    bw: usize,
+    out: &mut [[f32; 8]],
+) {
+    if !bw.is_multiple_of(4) {
+        return scalar::box_sums8(src, step, stride, rows, bw, out);
+    }
+    for (q, quad) in out.chunks_mut(4).enumerate() {
+        let src = &src[q * 4 * step..];
+        match quad.len() {
+            4 => box_sums8_n::<4>(src, step, stride, rows, bw, quad),
+            3 => box_sums8_n::<3>(src, step, stride, rows, bw, quad),
+            2 => box_sums8_n::<2>(src, step, stride, rows, bw, quad),
+            _ => box_sums8_n::<1>(src, step, stride, rows, bw, quad),
+        }
+    }
+}
+
+/// [`box_sums8`] of exactly `N` groups, their accumulators in
+/// registers. `bw` is a multiple of four.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn box_sums8_n<const N: usize>(
+    src: &[f32],
+    step: usize,
+    stride: usize,
+    rows: usize,
+    bw: usize,
+    out: &mut [[f32; 8]],
+) {
+    let mut acc = [_mm256_setzero_ps(); N];
+    for y in 0..rows {
+        for x in (0..bw).step_by(4) {
+            for (i, acc) in acc.iter_mut().enumerate() {
+                let row = src[i * step + y * stride..][..8 * bw].as_ptr();
+                let r0 = _mm256_loadu2_m128(row.add(4 * bw + x), row.add(x));
+                let r1 = _mm256_loadu2_m128(row.add(5 * bw + x), row.add(bw + x));
+                let r2 = _mm256_loadu2_m128(row.add(6 * bw + x), row.add(2 * bw + x));
+                let r3 = _mm256_loadu2_m128(row.add(7 * bw + x), row.add(3 * bw + x));
+                let t0 = _mm256_unpacklo_ps(r0, r1);
+                let t1 = _mm256_unpackhi_ps(r0, r1);
+                let t2 = _mm256_unpacklo_ps(r2, r3);
+                let t3 = _mm256_unpackhi_ps(r2, r3);
+                *acc = _mm256_add_ps(*acc, _mm256_shuffle_ps::<0x44>(t0, t2));
+                *acc = _mm256_add_ps(*acc, _mm256_shuffle_ps::<0xEE>(t0, t2));
+                *acc = _mm256_add_ps(*acc, _mm256_shuffle_ps::<0x44>(t1, t3));
+                *acc = _mm256_add_ps(*acc, _mm256_shuffle_ps::<0xEE>(t1, t3));
+            }
+        }
+    }
+    for (o, acc) in out.iter_mut().zip(acc) {
+        *o = lanes_f32(acc);
+    }
 }
 
 /// See [`scalar::normal_pairs`] and the guard rule in

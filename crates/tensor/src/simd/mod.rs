@@ -16,6 +16,12 @@
 //! each chunk once for all its outputs, and each output keeps the
 //! single-pair kernel's lane order, combine and tail, so every output
 //! equals [`dot`] or [`sq_err_sum`] of its pair, bit for bit.
+//! [`sq_err_tile_bounded`] is [`sq_err_tile`] with early abandon: it
+//! runs the same lanes, checks a per-original bound every
+//! [`SQ_BOUND_CHUNKS`] chunks and stops once all four originals are
+//! above theirs; an output it does not abandon is [`sq_err_sum`]'s.
+//! [`box_sums8`] is one output row of an equal-width box filter (the
+//! coarse shrink of PSNR matching), eight boxes in eight lanes.
 //!
 //! ## Bit-exactness contract
 //!
@@ -27,6 +33,10 @@
 //! bytes-on-wire (q8/sign payloads are part of the threat model)
 //! hold under any `OASIS_SIMD` setting. The parity suite
 //! (`tests/simd_parity.rs`) pins this across lane-boundary shapes.
+//! That includes [`sq_err_tile_bounded`], whose abandoned outputs (the
+//! partial sum at the checkpoint that stopped them) are bit-identical
+//! too, and [`box_sums8`], whose vector backend keeps each box's
+//! (y, x) add order by giving every box its own lane.
 //!
 //! ### The libm-referenced kernel: [`normal_pairs`]
 //!
@@ -83,6 +93,10 @@ pub const TILE_COLS: usize = 2;
 
 /// Originals per [`sq_err_tile`].
 pub const SQ_TILE: usize = 4;
+
+/// Eight-lane chunks between the checkpoints of
+/// [`sq_err_tile_bounded`] (128 elements).
+pub const SQ_BOUND_CHUNKS: usize = 16;
 
 /// A SIMD instruction-set backend the kernels can dispatch to.
 ///
@@ -344,6 +358,61 @@ pub fn sq_err_sum(a: &[f32], b: &[f32]) -> f64 {
 /// All slices must have the same length (debug-asserted).
 pub fn sq_err_tile(a: &[f32], b: [&[f32]; SQ_TILE]) -> [f64; SQ_TILE] {
     dispatch!(sq_err_tile(a, b))
+}
+
+/// [`sq_err_tile`] that stops pricing an original once it cannot
+/// come in at or under `bound[j]`.
+///
+/// Every [`SQ_BOUND_CHUNKS`] chunks each original's lanes are combined
+/// in the fixed order. Once that partial sum is strictly above
+/// `bound[j]`, `out[j]` is that partial and original `j` is done; the
+/// tile returns as soon as all four are done. Otherwise `out[j]` is
+/// `sq_err_sum(a, b[j])`, bit for bit.
+///
+/// Exact, not approximate: every lane sums non-negative squares, f64
+/// addition is monotone and the tail only adds, so a partial above
+/// the bound means the full sum is above it too (or NaN, if a NaN
+/// comes after the checkpoint). A tie never stops, and neither does a
+/// NaN partial (it never compares above). So `out[j] > bound[j]`
+/// means the full sum is above the bound or NaN, and otherwise
+/// `out[j]` is the full sum. Bit-identical across backends, including
+/// the partials.
+///
+/// All slices must have the same length (debug-asserted).
+pub fn sq_err_tile_bounded(
+    a: &[f32],
+    b: [&[f32]; SQ_TILE],
+    bound: [f64; SQ_TILE],
+) -> [f64; SQ_TILE] {
+    dispatch!(sq_err_tile_bounded(a, b, bound))
+}
+
+/// Sums of eight side-by-side boxes, each `bw` wide, over `rows` rows
+/// `stride` apart — one output row of an equal-width box filter — for
+/// `out.len()` such groups `step` apart (e.g. the channels of an
+/// image): `out[i][k] = Σ src[i·step + y·stride + k·bw + x]` for
+/// `y < rows`, `x < bw`, each box summed from 0.0 in (y, x) order.
+///
+/// # Panics
+///
+/// Panics if `bw` is zero or `src` is too short for the last group's
+/// last row.
+pub fn box_sums8(
+    src: &[f32],
+    step: usize,
+    stride: usize,
+    rows: usize,
+    bw: usize,
+    out: &mut [[f32; 8]],
+) {
+    assert!(bw > 0, "box_sums8 needs a positive box width");
+    if rows > 0 && !out.is_empty() {
+        assert!(
+            src.len() >= (out.len() - 1) * step + (rows - 1) * stride + 8 * bw,
+            "box_sums8 source too short"
+        );
+    }
+    dispatch!(box_sums8(src, step, stride, rows, bw, out))
 }
 
 /// Box–Muller over paired uniforms: `out[2i]` and `out[2i + 1]` are

@@ -13,7 +13,7 @@
 //! so the "scalar" backend is itself reasonably fast — the explicit
 //! backends buy the full register width plus runtime dispatch.
 
-use super::{SQ_TILE, TILE_COLS, TILE_ROWS};
+use super::{SQ_BOUND_CHUNKS, SQ_TILE, TILE_COLS, TILE_ROWS};
 
 /// Lane width every reduction kernel is blocked to. Vector backends
 /// must use the same logical lane count (one f32x8, two f32x4, …) to
@@ -206,7 +206,47 @@ pub(crate) fn sq_err_sum(a: &[f32], b: &[f32]) -> f64 {
             acc[l] += d * d;
         }
     }
-    let mut sum = ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]));
+    let mut sum = combine_sq(&acc);
+    for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
+        let d = f64::from(x) - f64::from(y);
+        sum += d * d;
+    }
+    sum
+}
+
+/// The fixed lane combine of [`sq_err_sum`] (the order of [`dot`]'s).
+fn combine_sq(acc: &[f64; LANES]) -> f64 {
+    ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]))
+}
+
+/// [`sq_err_sum`] that may stop early. After every
+/// [`SQ_BOUND_CHUNKS`] chunks the lanes are combined in the fixed
+/// order; once that partial sum is strictly above `bound` it is
+/// returned as is. Otherwise the result is [`sq_err_sum`], bit for
+/// bit.
+///
+/// Every lane adds non-negative terms (or NaN), so a returned partial
+/// is a lower bound on the full sum: the full sum is above `bound`
+/// too, or NaN if a NaN comes later. A NaN partial never compares
+/// above, so it never stops.
+pub(crate) fn sq_err_bounded(a: &[f32], b: &[f32], bound: f64) -> f64 {
+    debug_assert_eq!(a.len(), b.len(), "sq_err_bounded requires equal lengths");
+    let mut acc = [0.0f64; LANES];
+    let mut ca = a.chunks_exact(LANES);
+    let mut cb = b.chunks_exact(LANES);
+    for (c, (xa, xb)) in (&mut ca).zip(&mut cb).enumerate() {
+        for l in 0..LANES {
+            let d = f64::from(xa[l]) - f64::from(xb[l]);
+            acc[l] += d * d;
+        }
+        if (c + 1).is_multiple_of(SQ_BOUND_CHUNKS) {
+            let partial = combine_sq(&acc);
+            if partial > bound {
+                return partial;
+            }
+        }
+    }
+    let mut sum = combine_sq(&acc);
     for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
         let d = f64::from(x) - f64::from(y);
         sum += d * d;
@@ -222,6 +262,45 @@ pub(crate) fn sq_err_sum(a: &[f32], b: &[f32]) -> f64 {
 /// accumulators per original reproduces it while loading `a` once.
 pub(crate) fn sq_err_tile(a: &[f32], b: [&[f32]; SQ_TILE]) -> [f64; SQ_TILE] {
     b.map(|bj| sq_err_sum(a, bj))
+}
+
+/// [`sq_err_tile`] with a bound per original:
+/// `out[j] = sq_err_bounded(a, b[j], bound[j])`.
+///
+/// The specification: a vector backend runs [`sq_err_tile`]'s lanes,
+/// checks all four originals at each [`sq_err_bounded`] checkpoint and
+/// returns once all four have stopped.
+pub(crate) fn sq_err_tile_bounded(
+    a: &[f32],
+    b: [&[f32]; SQ_TILE],
+    bound: [f64; SQ_TILE],
+) -> [f64; SQ_TILE] {
+    std::array::from_fn(|j| sq_err_bounded(a, b[j], bound[j]))
+}
+
+/// Sums of eight side-by-side boxes `bw` wide over `rows` rows
+/// `stride` apart, for `out.len()` groups `step` apart:
+/// `out[i][k] = Σ src[i·step + y·stride + k·bw + x]` over `y < rows`,
+/// `x < bw`, each box summed from 0.0 in (y, x) order.
+pub(crate) fn box_sums8(
+    src: &[f32],
+    step: usize,
+    stride: usize,
+    rows: usize,
+    bw: usize,
+    out: &mut [[f32; 8]],
+) {
+    for (i, acc) in out.iter_mut().enumerate() {
+        *acc = [0.0; 8];
+        for y in 0..rows {
+            let row = &src[i * step + y * stride..][..8 * bw];
+            for (a, cell) in acc.iter_mut().zip(row.chunks_exact(bw)) {
+                for &v in cell {
+                    *a += v;
+                }
+            }
+        }
+    }
 }
 
 /// One Box–Muller pair from `u1 ∈ (0, 1]` and `u2 ∈ [0, 1)`:

@@ -13,7 +13,10 @@
 //!
 //! The register tiles (`dot_tile`, `sq_err_tile`, and `matmul_nt`
 //! built on them) are pinned against the single-pair kernels on every
-//! available backend, with ±∞, NaN and subnormals added to the mix.
+//! available backend, with ±∞, NaN and subnormals added to the mix;
+//! `sq_err_tile_bounded` against `sq_err_tile` (an output is the full
+//! sum or a sound early stop) and `box_sums8` against the per-pixel
+//! box loop.
 
 use oasis_tensor::simd::{self, Backend};
 use oasis_tensor::{parallel, Tensor};
@@ -402,6 +405,163 @@ fn matmul_is_bit_identical_across_backends_and_threads() {
                 reference.2.data(),
                 "matmul_tn {backend:?} t={threads}"
             );
+        }
+    }
+}
+
+/// The outputs `sq_err_tile_bounded` may give for original `j`: the
+/// full sum, or (stopped at a checkpoint) a partial that is above the
+/// bound and no more than the full sum — which may itself have turned
+/// NaN after the checkpoint.
+fn bounded_output_is_sound(got: f64, full: f64, bound: f64) -> bool {
+    same(got, full) || (got > bound && (full.is_nan() || got <= full))
+}
+
+#[test]
+fn sq_err_tile_bounded_prices_or_stops_soundly_on_every_backend() {
+    // Lengths 0–200 cross every 8-lane tail and the first two
+    // checkpoints (128 and 256 elements would be the next). Each case
+    // pins one original's bound to its own full sum, a tie that must
+    // never stop, so one output per tile is always the full sum.
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(26);
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1e-40];
+    let mut stopped = 0;
+    for n in 0..=200usize {
+        let mut rows: Vec<Vec<f32>> = (0..5)
+            .map(|_| (0..n).map(|_| rng.gen_range(0.0f32..1.0)).collect())
+            .collect();
+        // A special value in one row of every third length, placed
+        // before or after the first checkpoint.
+        if n % 3 == 0 && n > 0 {
+            let row = rng.gen_range(0..5);
+            let at = rng.gen_range(0..n);
+            rows[row][at] = specials[n / 3 % specials.len()];
+        }
+        let a = &rows[0];
+        let b: [&[f32]; 4] = std::array::from_fn(|j| &rows[1 + j][..]);
+        let full = simd::with_backend(Backend::Scalar, || simd::sq_err_tile(a, b));
+        for rot in 0..4 {
+            // Slot `(rot + k) % 4` gets bound kind `k`: its own full
+            // sum (a tie), +0, −0, and +∞ — or, on odd lengths, half
+            // its full sum, which stops long rows at a checkpoint.
+            let mut bound = [0.0f64; 4];
+            for k in 0..4 {
+                let j = (rot + k) % 4;
+                bound[j] = match k {
+                    0 => full[j],
+                    1 => 0.0,
+                    2 => -0.0,
+                    _ if n % 2 == 1 => full[j] / 2.0,
+                    _ => f64::INFINITY,
+                };
+            }
+            let want =
+                simd::with_backend(Backend::Scalar, || simd::sq_err_tile_bounded(a, b, bound));
+            for backend in backends() {
+                let got = simd::with_backend(backend, || simd::sq_err_tile_bounded(a, b, bound));
+                for j in 0..4 {
+                    assert!(
+                        same(got[j], want[j]),
+                        "{backend:?} n={n} rot={rot} output {j}: {} vs {}",
+                        got[j],
+                        want[j]
+                    );
+                    assert!(
+                        bounded_output_is_sound(got[j], full[j], bound[j]),
+                        "{backend:?} n={n} output {j}: {} for full {} bound {}",
+                        got[j],
+                        full[j],
+                        bound[j]
+                    );
+                    if bound[j] == full[j] || bound[j] == f64::INFINITY || bound[j].is_nan() {
+                        assert!(same(got[j], full[j]), "{backend:?} n={n}: a tie stopped");
+                    }
+                    stopped += usize::from(!same(got[j], full[j]));
+                }
+            }
+        }
+    }
+    assert!(stopped > 0, "no output was ever stopped early");
+}
+
+#[test]
+fn sq_err_tile_bounded_stops_at_the_checkpoint_with_the_partial() {
+    // Every element differs by 1: after the first 16 chunks the
+    // partial is exactly 128, above a bound of 100, so the output is
+    // 128 and not the full 200. A NaN in the first chunk keeps its
+    // original priced to the end; a bound of 128 (a tie at the
+    // checkpoint) and +∞ are never stopped.
+    let a = vec![1.0f32; 200];
+    let zeros = vec![0.0f32; 200];
+    let mut nan = zeros.clone();
+    nan[3] = f32::NAN;
+    let b: [&[f32]; 4] = [&zeros, &nan, &zeros, &zeros];
+    for backend in backends() {
+        let got = simd::with_backend(backend, || {
+            simd::sq_err_tile_bounded(&a, b, [100.0, 100.0, 128.0, f64::INFINITY])
+        });
+        assert_eq!(got[0], 128.0, "{backend:?}");
+        assert!(got[1].is_nan(), "{backend:?}");
+        assert_eq!(got[2], 200.0, "{backend:?}");
+        assert_eq!(got[3], 200.0, "{backend:?}");
+    }
+}
+
+#[test]
+fn box_sums8_matches_the_per_pixel_box_loop_on_every_backend() {
+    // Box widths 1–9 cover the vector path (multiples of four) and
+    // the scalar fallback; 0–6 groups cover every interleave width and
+    // a second pass of four.
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(8);
+    let quiet = [0.0f32, -0.0, 1e-40, -1e-40];
+    for bw in 1..=9usize {
+        for rows in 0..=4usize {
+            for groups in 0..=6usize {
+                let stride = 8 * bw + rng.gen_range(0..5);
+                let step = rows.max(1) * stride + rng.gen_range(0..7);
+                let len = groups.max(1) * step + rows * stride + 8 * bw;
+                let src: Vec<f32> = (0..len)
+                    .map(|_| {
+                        if rng.gen_range(0..10) == 0 {
+                            quiet[rng.gen_range(0..quiet.len())]
+                        } else {
+                            rng.gen_range(-1.0f32..1.0)
+                        }
+                    })
+                    .collect();
+                let want: Vec<[f32; 8]> = (0..groups)
+                    .map(|g| {
+                        std::array::from_fn(|k| {
+                            let mut acc = 0.0f32;
+                            for y in 0..rows {
+                                for x in 0..bw {
+                                    acc += src[g * step + y * stride + k * bw + x];
+                                }
+                            }
+                            acc
+                        })
+                    })
+                    .collect();
+                for backend in backends() {
+                    let mut got = vec![[f32::NAN; 8]; groups];
+                    simd::with_backend(backend, || {
+                        simd::box_sums8(&src, step, stride, rows, bw, &mut got)
+                    });
+                    for (g, (got, want)) in got.iter().zip(&want).enumerate() {
+                        for k in 0..8 {
+                            assert_eq!(
+                                got[k].to_bits(),
+                                want[k].to_bits(),
+                                "{backend:?} bw={bw} rows={rows} group {g} box {k}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

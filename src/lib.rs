@@ -14,8 +14,8 @@
 //! * [`oasis_tensor`], [`oasis_image`], [`oasis_augment`],
 //!   [`oasis_data`], [`oasis_metrics`] — supporting substrates
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` for the system
-//! inventory.
+//! See `README.md` for a quickstart, the workspace layout and the
+//! performance notes, and `ROADMAP.md` for the open work.
 
 pub use oasis;
 pub use oasis_attacks;
