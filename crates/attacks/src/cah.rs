@@ -3,26 +3,22 @@
 //! construction.
 //!
 //! The malicious layer's rows are *trap weights*: random vectors in
-//! which a random half of the coordinates is negated and rescaled by a
-//! factor γ. For non-negative inputs (images), γ (or, in the
-//! calibrated variant, a per-row bias at a data quantile) controls the
-//! probability that a neuron activates; the attacker tunes it so each
-//! neuron fires for only a small fraction of inputs. A neuron
+//! which a random half of the coordinates is negated. For
+//! non-negative inputs (images), each row's bias controls the
+//! probability that its neuron activates; the attacker tunes it so
+//! each neuron fires for only a small fraction of inputs. A neuron
 //! activated by exactly one sample yields that sample *exactly* via
 //! Eq. 6 inversion.
 //!
-//! Two constructors:
-//!
-//! * [`CahAttack::new`] — the paper-literal variant: zero biases,
-//!   activation controlled only by the global γ. Per-row activation
-//!   probabilities are over-dispersed (some rows fire for most
-//!   inputs, many never fire).
-//! * [`CahAttack::calibrated`] — the strongest-attack configuration
-//!   used by the evaluation (the OASIS paper configures every attack
-//!   "to have the highest success rate", §IV-A): each row's bias is
-//!   set at the `1−p` quantile of that row's response over a
-//!   calibration set, pinning every neuron's activation probability
-//!   at the target `p`.
+//! [`CahAttack::calibrated`] is the one constructor: the
+//! strongest-attack configuration used by the evaluation (the OASIS
+//! paper configures every attack "to have the highest success rate",
+//! §IV-A). Each row's bias is set at the `1−p` quantile of that row's
+//! response over a calibration set, pinning every neuron's activation
+//! probability at the target `p` — the construction QBI also uses.
+//! The original paper's zero-bias form, which scales the negated half
+//! by a global γ instead, leaves per-row activation over-dispersed
+//! (some rows fire for most inputs, many never fire) and is not built.
 
 use oasis_image::Image;
 use oasis_nn::Sequential;
@@ -33,7 +29,7 @@ use rand::SeedableRng;
 
 use crate::calibrate::CalibratedLayer;
 use crate::inversion::PAR_MIN_SWEEP_ELEMS;
-use crate::{attacked_model, dedupe_images, invert_neuron, ActiveAttack, AttackError, Result};
+use crate::{dedupe_images, invert_neuron, ActiveAttack, AttackError, Result};
 
 /// Default activation probability target.
 ///
@@ -52,37 +48,13 @@ pub const DEFAULT_ACTIVATION_TARGET: f64 = 0.10;
 #[derive(Debug, Clone)]
 pub struct CahAttack {
     neurons: usize,
-    gamma: f32,
-    weight_seed: u64,
-    /// Trap weights with per-row quantile biases (None ⇒ weights drawn
-    /// at build time, zero biases).
-    calibrated: Option<CalibratedLayer>,
+    /// Trap weights with per-row quantile biases.
+    layer: CalibratedLayer,
 }
 
 impl CahAttack {
-    /// Paper-literal trap weights: zero biases, activation controlled
-    /// by the global negative-scaling factor γ.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttackError::BadConfig`] for zero neurons or γ ≤ 0.
-    pub fn new(neurons: usize, gamma: f32, weight_seed: u64) -> Result<Self> {
-        if neurons == 0 {
-            return Err(AttackError::BadConfig("CAH needs at least 1 neuron".into()));
-        }
-        if gamma <= 0.0 {
-            return Err(AttackError::BadConfig("gamma must be positive".into()));
-        }
-        Ok(CahAttack {
-            neurons,
-            gamma,
-            weight_seed,
-            calibrated: None,
-        })
-    }
-
-    /// Strongest-attack variant: per-row biases at the `1−target`
-    /// response quantile over `calibration` images, pinning each
+    /// Trap weights with per-row biases at the `1−target` response
+    /// quantile over `calibration` images, pinning each
     /// neuron's activation probability at `target`. The trap weights
     /// fitted here are the ones every built model carries.
     ///
@@ -103,30 +75,17 @@ impl CahAttack {
         let first = calibration
             .first()
             .ok_or_else(|| AttackError::Calibration("empty calibration set".into()))?;
-        let gamma = 1.0f32;
-        let w = trap_weights(neurons, first.numel(), gamma, weight_seed);
+        let w = trap_weights(neurons, first.numel(), weight_seed);
         Ok(CahAttack {
             neurons,
-            gamma,
-            weight_seed,
-            calibrated: Some(CalibratedLayer::fit(w, calibration, target)?),
+            layer: CalibratedLayer::fit(w, calibration, target)?,
         })
-    }
-
-    /// The negative-scaling factor γ.
-    pub fn gamma(&self) -> f32 {
-        self.gamma
-    }
-
-    /// Whether per-row quantile biases are installed.
-    pub fn is_calibrated(&self) -> bool {
-        self.calibrated.is_some()
     }
 }
 
 /// Builds `rows` trap-weight rows of width `d`: |N(0,1)| magnitudes, a
-/// random half of coordinates negated and scaled by γ.
-fn trap_weights(rows: usize, d: usize, gamma: f32, seed: u64) -> Tensor {
+/// random half of coordinates negated.
+fn trap_weights(rows: usize, d: usize, seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut w = Tensor::randn(&[rows, d], &mut rng).map(f32::abs);
     let mut indices: Vec<usize> = (0..d).collect();
@@ -134,7 +93,7 @@ fn trap_weights(rows: usize, d: usize, gamma: f32, seed: u64) -> Tensor {
         indices.shuffle(&mut rng);
         let row = w.row_mut(r).expect("row in bounds");
         for &i in indices.iter().take(d / 2) {
-            row[i] *= -gamma;
+            row[i] = -row[i];
         }
     }
     // Normalize rows so pre-activations stay O(1) for unit images.
@@ -159,16 +118,7 @@ impl ActiveAttack for CahAttack {
         seed: u64,
     ) -> Result<Sequential> {
         let (c, h, w) = geometry;
-        let d = c * h * w;
-        match &self.calibrated {
-            Some(layer) => layer.model(d, classes, seed),
-            None => attacked_model(
-                trap_weights(self.neurons, d, self.gamma, self.weight_seed),
-                Tensor::zeros(&[self.neurons]),
-                classes,
-                seed,
-            ),
-        }
+        self.layer.model(c * h * w, classes, seed)
     }
 
     fn reconstruct(
@@ -215,7 +165,7 @@ mod tests {
 
     #[test]
     fn trap_weights_have_half_negative_entries() {
-        let w = trap_weights(10, 100, 2.0, 0);
+        let w = trap_weights(10, 100, 0);
         for r in 0..10 {
             let neg = w.row(r).unwrap().iter().filter(|&&v| v < 0.0).count();
             assert_eq!(neg, 50, "row {r} has {neg} negative entries");
@@ -227,11 +177,9 @@ mod tests {
         let imgs = structured_images(96, 12, 5);
         let target = 0.1;
         let attack = CahAttack::calibrated(32, target, &imgs, 7).unwrap();
-        assert!(attack.is_calibrated());
         // Measure per-row activation on a fresh sample of images.
         let fresh = structured_images(80, 12, 99);
-        let layer = attack.calibrated.as_ref().unwrap();
-        let (w, biases) = (layer.weights(), layer.biases());
+        let (w, biases) = (attack.layer.weights(), attack.layer.biases());
         let mut rates = Vec::new();
         for (r, &bias) in biases.iter().enumerate().take(32) {
             let row = w.row(r).unwrap();
@@ -249,32 +197,6 @@ mod tests {
             (mean_rate - target).abs() < 0.08,
             "mean per-row activation {mean_rate} far from target {target}"
         );
-    }
-
-    #[test]
-    fn higher_gamma_means_fewer_activations() {
-        let imgs = structured_images(32, 10, 3);
-        let d = imgs[0].numel();
-        let count_active = |gamma: f32| -> usize {
-            let w = trap_weights(64, d, gamma, 11);
-            let mut active = 0;
-            for img in &imgs {
-                for r in 0..64 {
-                    let z: f32 = w
-                        .row(r)
-                        .unwrap()
-                        .iter()
-                        .zip(img.data())
-                        .map(|(&a, &b)| a * b)
-                        .sum();
-                    if z > 0.0 {
-                        active += 1;
-                    }
-                }
-            }
-            active
-        };
-        assert!(count_active(0.5) > count_active(4.0));
     }
 
     #[test]
@@ -309,11 +231,11 @@ mod tests {
         let calib = structured_images(24, 8, 4);
         let attack = CahAttack::calibrated(20, 0.1, &calib, 17).unwrap();
         let model = attack.build_model((3, 8, 8), 5, 0).unwrap();
-        let want = trap_weights(20, 3 * 8 * 8, attack.gamma(), 17);
+        let want = trap_weights(20, 3 * 8 * 8, 17);
         let lin = model.layer_as::<Linear>(0).unwrap();
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(lin.weight()), bits(&want));
-        let bias = attack.calibrated.as_ref().unwrap().biases();
+        let bias = attack.layer.biases();
         assert_eq!(bits(lin.bias()), bits(&Tensor::from_slice(bias)));
     }
 
@@ -323,13 +245,6 @@ mod tests {
         let attack = CahAttack::calibrated(16, 0.1, &calib, 0).unwrap();
         assert!(attack.build_model((3, 8, 8), 4, 0).is_ok());
         assert!(attack.build_model((3, 16, 16), 4, 0).is_err());
-    }
-
-    #[test]
-    fn constructor_validates() {
-        assert!(CahAttack::new(0, 1.0, 0).is_err());
-        assert!(CahAttack::new(10, 0.0, 0).is_err());
-        assert!(CahAttack::new(10, 1.0, 0).is_ok());
     }
 
     #[test]

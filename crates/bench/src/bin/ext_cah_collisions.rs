@@ -6,7 +6,7 @@
 //! the mechanism behind Figure 6 — and contrasts the measured counts
 //! with the binomial model `n·p·(1−p)^{m−1}`.
 
-use oasis::{Oasis, OasisConfig};
+use oasis::{activation_sets, Oasis};
 use oasis_bench::{
     banner, calibration_images, figure6_policies, ActiveAttack, CahAttack, Scale, Workload,
     DEFAULT_ACTIVATION_TARGET,
@@ -43,33 +43,25 @@ fn main() {
             "policy", "m", "singleton", "orig-single", "model E", "mean p"
         );
         for kind in figure6_policies() {
-            let defense = Oasis::new(OasisConfig::policy(kind));
+            let defense = Oasis::new(kind);
             let processed = defense.defend(b.clone());
             let m = processed.len();
             let model = attack
                 .build_model(b.images[0].dims(), dataset.num_classes(), 7)
                 .expect("model");
-            let x = processed.to_matrix();
             let lin = model.layer_as::<Linear>(0).expect("malicious layer");
-            // Activation matrix from pre-activations.
-            let pre = x
-                .matmul_nt(lin.weight())
-                .and_then(|t| t.add_row_broadcast(lin.bias()))
-                .expect("pre-activations");
+            let sets = activation_sets(lin, &processed.images);
             let mut singleton = 0usize;
             let mut orig_single = 0usize;
             let mut active_total = 0usize;
             for neuron in 0..neurons {
-                let mut count = 0usize;
-                let mut who = 0usize;
-                for img in 0..m {
-                    if pre.get(&[img, neuron]).expect("in bounds") > 0.0 {
-                        count += 1;
-                        who = img;
-                    }
-                }
-                active_total += count;
-                if count == 1 {
+                let fired: Vec<usize> = sets
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(img, set)| set[neuron].then_some(img))
+                    .collect();
+                active_total += fired.len();
+                if let [who] = fired[..] {
                     singleton += 1;
                     if who < batch {
                         orig_single += 1;

@@ -3,7 +3,7 @@
 //! major rotation (unrecognizable, paper: 15.41 dB), plus the rendered
 //! images under `out/`.
 
-use oasis::{Oasis, OasisConfig};
+use oasis::Oasis;
 use oasis_augment::PolicyKind;
 use oasis_bench::{banner, calibration_images, out_path, run_attack, RtfAttack, Scale, Workload};
 use oasis_data::Batch;
@@ -28,7 +28,7 @@ fn main() {
         7,
     )
     .expect("run");
-    let defense = DefenseStack::of(Oasis::new(OasisConfig::policy(PolicyKind::MajorRotation)));
+    let defense = DefenseStack::of(Oasis::new(PolicyKind::MajorRotation));
     let defended = run_attack(&attack, &batch, &defense, dataset.num_classes(), 7).expect("run");
 
     println!("\nSample 0 original mean: {:.4}", batch.images[0].mean());

@@ -11,7 +11,7 @@
 //! * Fig. 11 — RTF vs vertical flip (same)
 //! * Fig. 12 — CAH vs MR+SH integration (unrecognizable)
 
-use oasis::{Oasis, OasisConfig};
+use oasis::Oasis;
 use oasis_augment::PolicyKind;
 use oasis_bench::{
     banner, calibration_images, out_path, run_attack, ActiveAttack, CahAttack, RtfAttack, Scale,
@@ -29,7 +29,7 @@ fn panel(
     classes: usize,
     file: &str,
 ) {
-    let defense = oasis_fl::DefenseStack::of(Oasis::new(OasisConfig::policy(kind)));
+    let defense = oasis_fl::DefenseStack::of(Oasis::new(kind));
     let outcome = run_attack(attack, batch, &defense, classes, 99).expect("attack run");
     // Order reconstructions by the original they match so the montage
     // rows correspond.

@@ -7,7 +7,7 @@
 //! budget; the claim under test is *relative*: OASIS imposes no major
 //! accuracy degradation.
 
-use oasis::{Oasis, OasisConfig};
+use oasis::Oasis;
 use oasis_augment::PolicyKind;
 use oasis_bench::{banner, Scale, Workload};
 use oasis_fl::{train_centralized, DefenseStack};
@@ -97,7 +97,7 @@ fn main() {
             let defense = if kind == PolicyKind::Without {
                 DefenseStack::identity()
             } else {
-                DefenseStack::of(Oasis::new(OasisConfig::policy(kind)))
+                DefenseStack::of(Oasis::new(kind))
             };
             let report = train_centralized(
                 &mut model,

@@ -96,8 +96,9 @@ pub fn run_campaign(
 /// the paper's grid with the strongest per-batch configuration
 /// highlighted.
 ///
-/// `attack` fixes the family (and CAH's γ or QBI's batch target); each
-/// cell sets its own neuron count through [`AttackSpec::with_neurons`].
+/// `attack` fixes the family (and CAH's activation target or QBI's
+/// batch target); each cell sets its own neuron count through
+/// [`AttackSpec::with_neurons`].
 /// `seed_base` spreads the per-cell seeds (`seed_base + B·mult + n`,
 /// the figure binaries' historical scheme); `dataset_seed` pins the
 /// workload build. Each cell rebuilds its (deterministic) dataset and

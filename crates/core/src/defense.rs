@@ -1,10 +1,9 @@
 //! The OASIS defense: batch augmentation per paper Eq. 7.
 
+use oasis_augment::{AugmentationPolicy, PolicyKind};
 use oasis_data::Batch;
 use oasis_fl::Defense;
 use rand::rngs::StdRng;
-
-use crate::OasisConfig;
 
 /// The OASIS defense.
 ///
@@ -17,35 +16,31 @@ use crate::OasisConfig;
 /// D′ = D ∪ ⋃_t X′_t        (paper Eq. 7)
 /// ```
 ///
-/// where `X′_t` contains the configured transformations of `x_t`,
-/// each labeled like `x_t`. Originals come first in the output batch,
-/// followed by the augment groups in sample order — a layout the
-/// activation-set analyzer relies on.
-#[derive(Debug, Clone, Default)]
+/// where `X′_t` contains the policy's transformations of `x_t`, each
+/// labeled like `x_t`. Originals come first in the output batch,
+/// followed by the augment groups in sample order — the layout
+/// [`crate::activation_set_analysis`] reads.
+#[derive(Debug, Clone)]
 pub struct Oasis {
-    config: OasisConfig,
+    policy: AugmentationPolicy,
 }
 
 impl Oasis {
-    /// Creates the defense from a configuration.
-    pub fn new(config: OasisConfig) -> Self {
-        Oasis { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &OasisConfig {
-        &self.config
+    /// The defense running one of the paper's named policies.
+    pub fn new(kind: PolicyKind) -> Self {
+        Oasis {
+            policy: kind.policy(),
+        }
     }
 
     /// Expands a batch to `D′` in place, appending each sample's
     /// augment group after the originals (deterministic; the paper's
     /// transforms have fixed parameters, so no randomness is consumed).
     pub fn defend(&self, mut batch: Batch) -> Batch {
-        let policy = self.config.augmentation();
         let n = batch.len();
         for t in 0..n {
             let label = batch.labels[t];
-            for transformed in policy.expand(&batch.images[t]) {
+            for transformed in self.policy.expand(&batch.images[t]) {
                 batch.images.push(transformed);
                 batch.labels.push(label);
             }
@@ -65,7 +60,7 @@ impl Defense for Oasis {
 
     /// Each sample becomes itself plus its augment group.
     fn processed_len(&self, n: usize) -> usize {
-        n * self.config.augmentation().expansion_factor()
+        n * self.policy.expansion_factor()
     }
 }
 
@@ -84,7 +79,7 @@ mod tests {
     #[test]
     fn defend_expands_by_policy_factor() {
         for kind in PolicyKind::all() {
-            let defense = Oasis::new(OasisConfig::policy(kind));
+            let defense = Oasis::new(kind);
             let out = defense.defend(batch(5));
             assert_eq!(
                 out.len(),
@@ -97,7 +92,7 @@ mod tests {
 
     #[test]
     fn originals_come_first_unchanged() {
-        let defense = Oasis::new(OasisConfig::policy(PolicyKind::MajorRotation));
+        let defense = Oasis::new(PolicyKind::MajorRotation);
         let b = batch(3);
         let out = defense.defend(b.clone());
         for i in 0..3 {
@@ -108,7 +103,7 @@ mod tests {
 
     #[test]
     fn augments_inherit_labels() {
-        let defense = Oasis::new(OasisConfig::policy(PolicyKind::MajorRotationShearing));
+        let defense = Oasis::new(PolicyKind::MajorRotationShearing);
         let b = batch(4);
         let out = defense.defend(b.clone());
         // Layout: originals, then 6 augments per sample in order.
@@ -122,14 +117,14 @@ mod tests {
 
     #[test]
     fn without_policy_is_identity() {
-        let defense = Oasis::new(OasisConfig::policy(PolicyKind::Without));
+        let defense = Oasis::new(PolicyKind::Without);
         let b = batch(4);
         assert_eq!(defense.defend(b.clone()), b);
     }
 
     #[test]
     fn process_is_deterministic() {
-        let defense = Oasis::new(OasisConfig::policy(PolicyKind::MajorRotation));
+        let defense = Oasis::new(PolicyKind::MajorRotation);
         let b = batch(2);
         let mut rng1 = StdRng::seed_from_u64(1);
         let mut rng2 = StdRng::seed_from_u64(999);
@@ -156,7 +151,7 @@ mod tests {
             m
         });
         let global = flatten_params(&mut factory());
-        let oasis = Oasis::new(OasisConfig::policy(PolicyKind::MajorRotation));
+        let oasis = Oasis::new(PolicyKind::MajorRotation);
         let client = FlClient::new(0, data.clone(), Arc::new(DefenseStack::of(oasis)));
         let update = client.compute_update(&factory, &global, 4, 1).unwrap();
         assert_eq!(update.samples, 16, "4 samples × (1 + 3 rotations)");

@@ -22,36 +22,52 @@
 //! is also a generalization technique, accuracy is preserved
 //! (paper Table I).
 //!
+//! An [`Oasis`] value is exactly one of the paper's policies
+//! ([`oasis_augment::PolicyKind`]). [`activation_set_analysis`] checks
+//! Proposition 1 on the batch a client trained on — the output of any
+//! [`oasis_fl::DefenseStack`], or an attack outcome's processed images
+//! — against a concrete malicious layer.
+//!
 //! ## Quickstart
 //!
 //! ```
-//! use oasis::{Oasis, OasisConfig};
+//! use oasis::Oasis;
 //! use oasis_augment::PolicyKind;
 //! use oasis_data::{cifar_like_with, Batch};
 //! use oasis_fl::Defense;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
-//! let defense = Oasis::new(OasisConfig::policy(PolicyKind::MajorRotation));
+//! let defense = Oasis::new(PolicyKind::MajorRotation);
 //! let ds = cifar_like_with(4, 2, 16, 0);
 //! let batch = Batch::from_items(ds.items().to_vec());
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let defended = defense.process(batch.clone(), &mut rng);
 //! assert_eq!(defended.len(), batch.len() * 4); // original + 3 rotations
+//!
+//! // Proposition 1 against an RTF-style measurement row (the mean
+//! // pixel, cut at 0.1): a rotation keeps the mean, so every sample
+//! // has a twin.
+//! use oasis::activation_set_analysis;
+//! use oasis_nn::Linear;
+//! use oasis_tensor::Tensor;
+//! let d = batch.images[0].numel();
+//! let row = Tensor::full(&[1, d], 1.0 / d as f32);
+//! let layer = Linear::from_parts(row, Tensor::from_slice(&[-0.1])).unwrap();
+//! let analysis = activation_set_analysis(&layer, &defended.images, batch.len());
+//! assert_eq!(analysis.protection_rate, 1.0);
 //! ```
 
 #![warn(missing_docs)]
 
 mod analysis;
-mod config;
 mod defense;
 
-pub use analysis::{activation_set_analysis, ActivationAnalysis};
-pub use config::OasisConfig;
+pub use analysis::{activation_set_analysis, activation_sets, ActivationAnalysis};
 pub use defense::Oasis;
 
 /// Commonly used items for downstream code.
 pub mod prelude {
-    pub use crate::{activation_set_analysis, Oasis, OasisConfig};
+    pub use crate::{activation_set_analysis, Oasis};
     pub use oasis_augment::{AugmentationPolicy, PolicyKind, Transform};
     pub use oasis_fl::{ClipStage, Defense, DefenseStack, DpStage};
 }

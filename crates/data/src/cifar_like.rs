@@ -5,20 +5,6 @@ use rand::SeedableRng;
 
 use crate::{ClassSpec, Dataset, Generator};
 
-/// Generates the CIFAR100-like dataset: 100 classes, 32×32×3.
-///
-/// `samples_per_class` controls the dataset size;
-/// everything is deterministic in `seed`.
-pub fn cifar100_like(samples_per_class: usize, seed: u64) -> Dataset {
-    cifar_like_with(100, samples_per_class, 32, seed)
-}
-
-/// The CIFAR100 stand-in at an explicit resolution (reduced-scale
-/// benchmark runs use smaller sides to stay CPU-friendly).
-pub fn cifar100_like_at(samples_per_class: usize, side: usize, seed: u64) -> Dataset {
-    cifar_like_with(100, samples_per_class, side, seed)
-}
-
 /// Generator with explicit class count and resolution (used by tests
 /// and by experiments that subsample classes for speed).
 pub fn cifar_like_with(
@@ -83,7 +69,7 @@ mod tests {
 
     #[test]
     fn full_dataset_has_100_classes() {
-        let ds = cifar100_like(1, 0);
+        let ds = cifar_like_with(100, 1, 32, 0);
         assert_eq!(ds.num_classes(), 100);
         assert_eq!(ds.len(), 100);
     }

@@ -38,7 +38,7 @@ mod patterns;
 mod render;
 
 pub use batch::Batch;
-pub use cifar_like::{cifar100_like, cifar100_like_at, cifar_like_with, synthetic_dataset};
+pub use cifar_like::{cifar_like_with, synthetic_dataset};
 pub use dataset::{Dataset, LabeledImage};
 pub use imagenette_like::{imagenette_like, imagenette_like_with, IMAGENETTE_CLASSES};
 pub use patterns::ClassSpec;

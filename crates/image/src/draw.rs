@@ -31,19 +31,6 @@ impl Color {
 }
 
 impl Image {
-    /// Fills the whole image with a color.
-    pub fn fill_color(&mut self, color: Color) {
-        let (c, h, w) = self.dims();
-        for ch in 0..c {
-            let v = color.component(ch);
-            for y in 0..h {
-                for x in 0..w {
-                    self.set(ch, y, x, v).expect("in bounds");
-                }
-            }
-        }
-    }
-
     /// Fills the axis-aligned rectangle `[y0, y1) × [x0, x1)`, clipped
     /// to the frame.
     pub fn fill_rect(&mut self, y0: usize, x0: usize, y1: usize, x1: usize, color: Color) {
@@ -193,15 +180,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn fill_color_sets_channels_independently() {
-        let mut img = Image::new(3, 2, 2);
-        img.fill_color(Color(0.1, 0.2, 0.3));
-        assert_eq!(img.get(0, 0, 0).unwrap(), 0.1);
-        assert_eq!(img.get(1, 0, 0).unwrap(), 0.2);
-        assert_eq!(img.get(2, 0, 0).unwrap(), 0.3);
-    }
 
     #[test]
     fn fill_rect_clips_to_frame() {

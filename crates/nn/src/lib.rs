@@ -60,7 +60,7 @@ pub use layer::{
 pub use linear::Linear;
 pub use loss::{mse_loss, softmax, softmax_cross_entropy, LossOutput};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use pool::{AvgPoolAll, MaxPool2};
+pub use pool::AvgPoolAll;
 pub use relu::Relu;
 pub use resnet::{resnet_lite, ResidualBlock};
 pub use sequential::Sequential;

@@ -78,19 +78,9 @@ impl Linear {
         &self.weight
     }
 
-    /// Mutable weight matrix — used by the dishonest server.
-    pub fn weight_mut(&mut self) -> &mut Tensor {
-        &mut self.weight
-    }
-
     /// The bias vector `b (out)`.
     pub fn bias(&self) -> &Tensor {
         &self.bias
-    }
-
-    /// Mutable bias vector — used by the dishonest server.
-    pub fn bias_mut(&mut self) -> &mut Tensor {
-        &mut self.bias
     }
 
     /// Accumulated weight gradient `∂L/∂W` — what a client uploads and

@@ -1,126 +1,9 @@
-//! Pooling layers: 2×2 max pooling and global average pooling.
+//! Pooling layers: global average pooling.
 
 use oasis_tensor::Tensor;
 use std::any::Any;
 
 use crate::{Layer, Mode, NnError, Result};
-
-/// 2×2 max pooling with stride 2 over fixed CHW geometry.
-#[derive(Debug)]
-pub struct MaxPool2 {
-    channels: usize,
-    in_h: usize,
-    in_w: usize,
-    /// For each output element, the flat input index that won the max.
-    argmax: Option<Vec<usize>>,
-    in_features: usize,
-}
-
-impl MaxPool2 {
-    /// Creates a pooling layer for inputs of geometry
-    /// `(channels, h, w)`; `h` and `w` must be even.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` or `w` is odd.
-    pub fn new(channels: usize, h: usize, w: usize) -> Self {
-        assert!(
-            h.is_multiple_of(2) && w.is_multiple_of(2),
-            "MaxPool2 requires even spatial dims"
-        );
-        MaxPool2 {
-            channels,
-            in_h: h,
-            in_w: w,
-            argmax: None,
-            in_features: channels * h * w,
-        }
-    }
-
-    /// `(channels, h/2, w/2)`.
-    pub fn output_geometry(&self) -> (usize, usize, usize) {
-        (self.channels, self.in_h / 2, self.in_w / 2)
-    }
-}
-
-impl Layer for MaxPool2 {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        if input.rank() != 2 || input.dims()[1] != self.in_features {
-            return Err(NnError::BadInput {
-                layer: "maxpool2",
-                expected: format!("[batch, {}]", self.in_features),
-                actual: input.dims().to_vec(),
-            });
-        }
-        let batch = input.dims()[0];
-        let (oh, ow) = (self.in_h / 2, self.in_w / 2);
-        let out_f = self.channels * oh * ow;
-        let mut out = Tensor::zeros(&[batch, out_f]);
-        let mut argmax = vec![0usize; batch * out_f];
-        for b in 0..batch {
-            let x = &input.data()[b * self.in_features..(b + 1) * self.in_features];
-            for c in 0..self.channels {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                let iy = oy * 2 + dy;
-                                let ix = ox * 2 + dx;
-                                let idx = (c * self.in_h + iy) * self.in_w + ix;
-                                if x[idx] > best {
-                                    best = x[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        let o = (c * oh + oy) * ow + ox;
-                        out.row_mut(b)?[o] = best;
-                        argmax[b * out_f + o] = best_idx;
-                    }
-                }
-            }
-        }
-        if mode == Mode::Train {
-            self.argmax = Some(argmax);
-        }
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let argmax = self
-            .argmax
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward { layer: "maxpool2" })?;
-        let batch = grad_output.dims()[0];
-        let out_f = grad_output.dims()[1];
-        let mut gx = Tensor::zeros(&[batch, self.in_features]);
-        for b in 0..batch {
-            for o in 0..out_f {
-                let src = argmax[b * out_f + o];
-                gx.row_mut(b)?[src] += grad_output.row(b)?[o];
-            }
-        }
-        Ok(gx)
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
-
-    fn visit_params_ref(&self, _f: &mut dyn FnMut(&Tensor)) {}
-
-    fn name(&self) -> &'static str {
-        "maxpool2"
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
 
 /// Global average pooling: `[batch, C·P] → [batch, C]`.
 #[derive(Debug)]
@@ -200,31 +83,6 @@ impl Layer for AvgPoolAll {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn maxpool_picks_maximum() {
-        let mut pool = MaxPool2::new(1, 2, 2);
-        let x = Tensor::from_vec(vec![1.0, 3.0, 2.0, 0.5], &[1, 4]).unwrap();
-        let y = pool.forward(&x, Mode::Train).unwrap();
-        assert_eq!(y.data(), &[3.0]);
-    }
-
-    #[test]
-    fn maxpool_backward_routes_to_argmax() {
-        let mut pool = MaxPool2::new(1, 2, 2);
-        let x = Tensor::from_vec(vec![1.0, 3.0, 2.0, 0.5], &[1, 4]).unwrap();
-        pool.forward(&x, Mode::Train).unwrap();
-        let gx = pool
-            .backward(&Tensor::from_vec(vec![5.0], &[1, 1]).unwrap())
-            .unwrap();
-        assert_eq!(gx.data(), &[0.0, 5.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "even spatial dims")]
-    fn maxpool_rejects_odd_dims() {
-        let _ = MaxPool2::new(1, 3, 4);
-    }
 
     #[test]
     fn avgpool_averages_per_channel() {

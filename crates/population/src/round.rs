@@ -146,32 +146,21 @@ impl<C: ClientSource> CohortRunner<C> {
         // independent, so the whole wire outcome is known before a
         // single gradient is computed. Dropped clients cost nothing.
         let deliver_span = oasis_telemetry::span("fl.round.deliver");
-        let mut bytes_up = 0u64;
-        let mut bytes_down = 0u64;
-        let mut round_ms = 0.0f64;
-        let mut any_missing = false;
-        let mut delivered_ids: Vec<u32> = Vec::new();
-        for &id in &cohort {
-            let sub = Submission {
+        let submissions: Vec<Submission> = cohort
+            .iter()
+            .map(|&id| Submission {
                 client_id: id as usize,
                 bytes_up: bytes_up_each,
                 bytes_down: bytes_down_each,
-            };
-            bytes_up += sub.bytes_up as u64;
-            bytes_down += sub.bytes_down as u64;
-            let fate = net.delivery(round_seed, round as u64, &sub);
-            match fate.status {
-                DeliveryStatus::Delivered => {
-                    round_ms = round_ms.max(fate.arrival_ms);
-                    delivered_ids.push(id);
-                }
-                DeliveryStatus::Straggler | DeliveryStatus::Dropped => any_missing = true,
-            }
-        }
-        if any_missing {
-            round_ms = round_ms.max(net.straggler_wait_ms());
-        }
-        let dropped = cohort.len() - delivered_ids.len();
+            })
+            .collect();
+        let traffic = net.deliver(round_seed, round as u64, &submissions);
+        let delivered_ids: Vec<u32> = traffic
+            .deliveries
+            .iter()
+            .filter(|d| d.status == DeliveryStatus::Delivered)
+            .map(|d| d.client_id as u32)
+            .collect();
         let deliver_ns = deliver_span.finish_ns();
 
         let batch = self.server.config().local_batch_size;
@@ -266,12 +255,12 @@ impl<C: ClientSource> CohortRunner<C> {
             round,
             participants: delivered_ids.len(),
             cohort: cohort.len(),
-            dropped,
+            dropped: traffic.dropped,
             mean_loss,
             update_norm,
-            bytes_up,
-            bytes_down,
-            sim_ms: round_ms,
+            bytes_up: traffic.bytes_up,
+            bytes_down: traffic.bytes_down,
+            sim_ms: traffic.round_ms,
             timings,
         };
         self.server.set_round(round + 1);

@@ -65,8 +65,8 @@ pub enum AttackSpec {
     Cah {
         /// Trap neurons (≥ 1).
         neurons: usize,
-        /// Per-neuron activation target, finite in `(0, 1)`.
-        gamma: f64,
+        /// Per-neuron activation target `p`, finite in `(0, 1)`.
+        target: f64,
     },
     /// Quantile-based bias initialization.
     Qbi {
@@ -95,16 +95,16 @@ impl AttackSpec {
     ///
     /// Panics when `neurons` is zero.
     pub fn cah(neurons: usize) -> Self {
-        AttackSpec::cah_with_gamma(neurons, DEFAULT_ACTIVATION_TARGET)
+        AttackSpec::cah_with_target(neurons, DEFAULT_ACTIVATION_TARGET)
     }
 
-    /// A CAH spec with an explicit activation target γ.
+    /// A CAH spec with an explicit activation target `p`.
     ///
     /// # Panics
     ///
-    /// Panics when `neurons` is zero or γ is not finite in `(0, 1)`.
-    pub fn cah_with_gamma(neurons: usize, gamma: f64) -> Self {
-        AttackSpec::Cah { neurons, gamma }.checked()
+    /// Panics when `neurons` is zero or `p` is not finite in `(0, 1)`.
+    pub fn cah_with_target(neurons: usize, target: f64) -> Self {
+        AttackSpec::Cah { neurons, target }.checked()
     }
 
     /// A QBI spec tuned for batch size `batch`.
@@ -131,8 +131,8 @@ impl AttackSpec {
             AttackSpec::Cah { neurons: 0, .. } | AttackSpec::Qbi { neurons: 0, .. } => {
                 format!("{} needs at least 1 neuron", self.family())
             }
-            AttackSpec::Cah { gamma, .. } if !(gamma > 0.0 && gamma < 1.0) => {
-                format!("cah activation target must be in (0, 1), got `{gamma}`")
+            AttackSpec::Cah { target, .. } if !(target > 0.0 && target < 1.0) => {
+                format!("cah activation target must be in (0, 1), got `{target}`")
             }
             AttackSpec::Qbi { batch, .. } if batch < 2 => {
                 format!("qbi batch target must be at least 2, got `{batch}`")
@@ -166,7 +166,7 @@ impl AttackSpec {
     pub fn with_neurons(&self, neurons: usize) -> Self {
         match *self {
             AttackSpec::Rtf { .. } => AttackSpec::rtf(neurons),
-            AttackSpec::Cah { gamma, .. } => AttackSpec::cah_with_gamma(neurons, gamma),
+            AttackSpec::Cah { target, .. } => AttackSpec::cah_with_target(neurons, target),
             AttackSpec::Qbi { batch, .. } => AttackSpec::qbi(neurons, batch),
             AttackSpec::Linear => AttackSpec::Linear,
         }
@@ -207,9 +207,9 @@ impl AttackSpec {
         let _span = oasis_telemetry::span("attack.calibrate");
         Ok(match *self {
             AttackSpec::Rtf { neurons } => Box::new(RtfAttack::calibrated(neurons, calibration)?),
-            AttackSpec::Cah { neurons, gamma } => Box::new(CahAttack::calibrated(
+            AttackSpec::Cah { neurons, target } => Box::new(CahAttack::calibrated(
                 neurons,
-                gamma,
+                target,
                 calibration,
                 CAH_WEIGHT_SEED,
             )?),
@@ -228,10 +228,10 @@ impl fmt::Display for AttackSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             AttackSpec::Rtf { neurons } => write!(f, "rtf:{neurons}"),
-            AttackSpec::Cah { neurons, gamma } if gamma == DEFAULT_ACTIVATION_TARGET => {
+            AttackSpec::Cah { neurons, target } if target == DEFAULT_ACTIVATION_TARGET => {
                 write!(f, "cah:{neurons}")
             }
-            AttackSpec::Cah { neurons, gamma } => write!(f, "cah:{neurons},{gamma}"),
+            AttackSpec::Cah { neurons, target } => write!(f, "cah:{neurons},{target}"),
             AttackSpec::Qbi { neurons, batch } if batch == DEFAULT_QBI_BATCH => {
                 write!(f, "qbi:{neurons}")
             }
@@ -251,11 +251,11 @@ impl FromStr for AttackSpec {
                 neurons: field(family, "neurons", required(family, args)?)?,
             },
             "cah" => {
-                let (neurons, gamma) = split_first(required(family, args)?, ',');
+                let (neurons, target) = split_first(required(family, args)?, ',');
                 AttackSpec::Cah {
                     neurons: field(family, "neurons", neurons)?,
-                    gamma: match gamma {
-                        Some(g) => field(family, "gamma", g)?,
+                    target: match target {
+                        Some(p) => field(family, "target", p)?,
                         None => DEFAULT_ACTIVATION_TARGET,
                     },
                 }
@@ -339,9 +339,7 @@ impl DefensePart {
 
     fn build(&self) -> Box<dyn Defense> {
         match *self {
-            DefensePart::Oasis(kind) => {
-                Box::new(oasis::Oasis::new(oasis::OasisConfig::policy(kind)))
-            }
+            DefensePart::Oasis(kind) => Box::new(oasis::Oasis::new(kind)),
             DefensePart::Ats => Box::new(AtsDefense::searched()),
             DefensePart::Dp { clip, noise } => Box::new(DpStage::new(clip, noise)),
             DefensePart::Clip(clip) => Box::new(ClipStage::new(clip)),
@@ -831,7 +829,7 @@ mod tests {
         for spec in [
             AttackSpec::rtf(512),
             AttackSpec::cah(700),
-            AttackSpec::cah_with_gamma(64, 0.004),
+            AttackSpec::cah_with_target(64, 0.004),
             AttackSpec::qbi(128, 8),
             AttackSpec::qbi(96, 4),
             AttackSpec::linear(),
@@ -1013,17 +1011,17 @@ mod tests {
     }
 
     #[test]
-    fn default_gamma_is_elided() {
+    fn default_target_is_elided() {
         assert_eq!(AttackSpec::cah(700).to_string(), "cah:700");
-        let custom = AttackSpec::cah_with_gamma(700, 0.25);
+        let custom = AttackSpec::cah_with_target(700, 0.25);
         assert!(custom.to_string().starts_with("cah:700,"));
     }
 
     #[test]
     fn with_neurons_varies_only_that_axis() {
         assert_eq!(AttackSpec::rtf(100).with_neurons(900), AttackSpec::rtf(900));
-        let cah = AttackSpec::cah_with_gamma(100, 0.1);
-        assert_eq!(cah.with_neurons(300), AttackSpec::cah_with_gamma(300, 0.1));
+        let cah = AttackSpec::cah_with_target(100, 0.1);
+        assert_eq!(cah.with_neurons(300), AttackSpec::cah_with_target(300, 0.1));
         assert_eq!(
             AttackSpec::qbi(64, 4).with_neurons(32),
             AttackSpec::qbi(32, 4)
@@ -1152,7 +1150,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cah activation target must be in (0, 1)")]
     fn cah_constructor_enforces_parse_bounds() {
-        let _ = AttackSpec::cah_with_gamma(8, 2.0);
+        let _ = AttackSpec::cah_with_target(8, 2.0);
     }
 
     #[test]

@@ -8,14 +8,14 @@ use oasis_scenario::{AttackSpec, DefenseSpec, Scale, Scenario, WorkloadSpec};
 use proptest::prelude::*;
 
 /// Strategy: any attack spec (neuron counts across the paper's grid,
-/// gammas across CAH's plausible range, QBI batch targets both at
+/// activation targets across CAH's plausible range, QBI batch targets both at
 /// their elided default and explicit).
 fn any_attack() -> BoxedStrategy<AttackSpec> {
     prop_oneof![
         (2usize..2000).prop_map(AttackSpec::rtf).boxed(),
         (1usize..2000).prop_map(AttackSpec::cah).boxed(),
         (1usize..2000, 0.0005f64..0.5)
-            .prop_map(|(neurons, gamma)| AttackSpec::cah_with_gamma(neurons, gamma))
+            .prop_map(|(neurons, target)| AttackSpec::cah_with_target(neurons, target))
             .boxed(),
         (1usize..2000)
             .prop_map(|neurons| AttackSpec::qbi(neurons, DEFAULT_QBI_BATCH))
@@ -228,4 +228,51 @@ fn different_seeds_draw_different_batches() {
         a.trials[0].matched_psnrs, b.trials[0].matched_psnrs,
         "independent seeds produced identical PSNRs"
     );
+}
+
+proptest! {
+    /// Proposition 1 is a per-sample property: permuting the
+    /// originals, each augment group following its original, permutes
+    /// the twin counts and protection flags the same way.
+    #[test]
+    fn prop1_is_invariant_to_batch_order(
+        (b, policy, cah, seed) in (2usize..7, 0usize..7, 0usize..2, 0u64..1_000_000)
+    ) {
+        use oasis::{activation_set_analysis, Oasis};
+        use oasis_data::{cifar_like_with, Batch};
+        use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+
+        let ds = cifar_like_with(10, 2, 12, seed);
+        let images: Vec<_> = ds.items().iter().map(|it| it.image.clone()).collect();
+        let attack = if cah == 1 { AttackSpec::cah(64) } else { AttackSpec::rtf(64) };
+        let model = attack
+            .build(&images, 10)
+            .expect("calibration")
+            .build_model(images[0].dims(), 10, 3)
+            .expect("model");
+        // The malicious layer's type is inferred from the analysis.
+        let layer = model.layer_as(0).expect("malicious layer");
+
+        let batch = Batch::from_items(ds.items()[..b].to_vec());
+        let mut order: Vec<usize> = (0..b).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(seed));
+        let permuted = Batch::new(
+            order.iter().map(|&i| batch.images[i].clone()).collect(),
+            order.iter().map(|&i| batch.labels[i]).collect(),
+        );
+
+        let oasis = Oasis::new(PolicyKind::all()[policy]);
+        let analyse = |batch: &Batch| {
+            activation_set_analysis(layer, &oasis.defend(batch.clone()).images, b)
+        };
+        let (before, after) = (analyse(&batch), analyse(&permuted));
+        for (new, &old) in order.iter().enumerate() {
+            prop_assert_eq!(after.twin_counts[new], before.twin_counts[old]);
+            prop_assert_eq!(
+                after.per_sample_protected[new],
+                before.per_sample_protected[old]
+            );
+        }
+        prop_assert_eq!(after.protection_rate, before.protection_rate);
+    }
 }

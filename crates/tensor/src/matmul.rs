@@ -278,28 +278,6 @@ impl Tensor {
         }
         Ok(out)
     }
-
-    /// Matrix-vector product `self (m×k) · v (k) → (m)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `self` is rank-2 and `v` rank-1 with
-    /// matching length.
-    pub fn matvec(&self, v: &Tensor) -> Result<Tensor> {
-        let (m, k) = dims2(self, "matvec")?;
-        if v.rank() != 1 || v.numel() != k {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec",
-                lhs: self.dims().to_vec(),
-                rhs: v.dims().to_vec(),
-            });
-        }
-        let mut out = vec![0.0f32; m];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = simd::dot(&self.data()[i * k..(i + 1) * k], v.data());
-        }
-        Tensor::from_vec(out, &[m])
-    }
 }
 
 fn dims2(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
@@ -360,14 +338,6 @@ mod tests {
         let fused = a.matmul_nt(&b).unwrap();
         let explicit = a.matmul(&b.transpose().unwrap()).unwrap();
         assert_eq!(fused, explicit);
-    }
-
-    #[test]
-    fn matvec_matches_matmul_with_column() {
-        let a = m(vec![1.0, 2.0, 3.0, 4.0], 2, 2);
-        let v = Tensor::from_slice(&[5.0, 6.0]);
-        let mv = a.matvec(&v).unwrap();
-        assert_eq!(mv.data(), &[17.0, 39.0]);
     }
 
     #[test]

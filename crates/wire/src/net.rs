@@ -80,12 +80,9 @@ impl NetSpec {
     }
 
     /// Simulates one submission's fate in isolation. Pure in
-    /// `(seed, round, submission)` — no cross-submission state — so a
-    /// round's delivery plan can be computed one participant at a
-    /// time, in any order, before any update payload exists.
-    /// [`NetSpec::deliver`] folds exactly these per-submission fates,
-    /// making the two views bit-identical.
-    pub fn delivery(&self, seed: u64, round: u64, sub: &Submission) -> Delivery {
+    /// `(seed, round, submission)` — no cross-submission state — so
+    /// [`NetSpec::deliver`] is independent of submission order.
+    fn delivery(&self, seed: u64, round: u64, sub: &Submission) -> Delivery {
         let (status, arrival_ms) = match *self {
             NetSpec::Ideal => (DeliveryStatus::Delivered, 0.0),
             NetSpec::Sim {
@@ -123,7 +120,7 @@ impl NetSpec {
     /// straggler cutoff, or zero when no deadline is configured (the
     /// model then idealizes the server as knowing the participation
     /// set, so losses add no wait).
-    pub fn straggler_wait_ms(&self) -> f64 {
+    fn straggler_wait_ms(&self) -> f64 {
         match *self {
             NetSpec::Sim { deadline_ms, .. } if deadline_ms > 0.0 => deadline_ms,
             _ => 0.0,
@@ -391,9 +388,9 @@ mod tests {
 
     #[test]
     fn per_submission_delivery_matches_batch_deliver() {
-        // The streaming view (one `delivery` call per participant)
-        // must replay the batch view fate-for-fate, including the
-        // straggler wait on the aggregate clock.
+        // One `delivery` call per participant must replay the batch
+        // fold fate-for-fate, including the straggler wait on the
+        // aggregate clock.
         for raw in ["sim:20,1,0.3,500", "sim:5,8,0", "ideal"] {
             let spec: NetSpec = raw.parse().unwrap();
             let submissions = subs(64, 10_000);

@@ -14,11 +14,12 @@
 //!
 //! Run with: `cargo run --release --example adaptive_attacker`
 
-use oasis::{activation_set_analysis, Oasis, OasisConfig};
-use oasis_attacks::{ActiveAttack, RtfAttack};
+use oasis::{activation_set_analysis, Oasis};
+use oasis_attacks::{run_attack, ActiveAttack, RtfAttack};
 use oasis_augment::PolicyKind;
 use oasis_campaign::{linear_relu_factory, CampaignRunner, CampaignSetup};
 use oasis_data::imagenette_like_with;
+use oasis_fl::DefenseStack;
 use oasis_nn::Linear;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -63,15 +64,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         worst_case * 100.0
     );
 
-    // The client-side audit: Proposition 1 protection against the
-    // strongest RTF layer the attacker tried.
-    let oasis_defense = Oasis::new(OasisConfig::policy(PolicyKind::MajorRotationShearing));
+    // The client-side audit: Proposition 1 protection, on the batch
+    // the client trained on, against the strongest RTF layer the
+    // attacker tried.
+    let stack = DefenseStack::of(Oasis::new(PolicyKind::MajorRotationShearing));
     let mut rng = StdRng::seed_from_u64(2);
     let batch = dataset.sample_batch(8, &mut rng);
     let rtf = RtfAttack::calibrated(512, &calibration)?;
+    let outcome = run_attack(&rtf, &batch, &stack, classes, 5)?;
     let model = rtf.build_model(batch.images[0].dims(), classes, 5)?;
     let layer = model.layer_as::<Linear>(0).expect("malicious layer");
-    let audit = activation_set_analysis(layer, &batch, &oasis_defense);
+    let audit = activation_set_analysis(layer, &outcome.processed_images, batch.len());
     println!(
         "client-side Prop-1 audit vs RTF(512): {:.0}% of samples have an \
          activation-set twin",

@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example medical_federation`
 
-use oasis::{Oasis, OasisConfig};
+use oasis::Oasis;
 use oasis_attacks::{run_attack, CahAttack, DEFAULT_ACTIVATION_TARGET};
 use oasis_augment::PolicyKind;
 use oasis_data::synthetic_dataset;
@@ -75,9 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("  mean matched PSNR:     {:.1} dB", undefended.mean_psnr());
 
-    let defense = DefenseStack::of(Oasis::new(OasisConfig::policy(
-        PolicyKind::MajorRotationShearing,
-    )));
+    let defense = DefenseStack::of(Oasis::new(PolicyKind::MajorRotationShearing));
     let defended = run_attack(&attack, &victim_batch, &defense, classes, 3)?;
     println!("CAH against an OASIS(MR+SH) hospital:");
     println!(
@@ -94,9 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into_iter()
         .map(|c| {
             let defense = if c.id() % 2 == 0 {
-                DefenseStack::of(Oasis::new(OasisConfig::policy(
-                    PolicyKind::MajorRotationShearing,
-                )))
+                DefenseStack::of(Oasis::new(PolicyKind::MajorRotationShearing))
             } else {
                 DefenseStack::identity()
             };

@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example urban_sensing`
 
-use oasis::{Oasis, OasisConfig};
+use oasis::Oasis;
 use oasis_attacks::{run_attack, train_linear_with_dp, DpConfig, LinearModelAttack};
 use oasis_augment::PolicyKind;
 use oasis_data::synthetic_dataset;
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PolicyKind::Shearing,
         PolicyKind::HorizontalFlip,
     ] {
-        let defense = DefenseStack::of(Oasis::new(OasisConfig::policy(kind)));
+        let defense = DefenseStack::of(Oasis::new(kind));
         let defended = run_attack(&attack, &batch, &defense, classes, 2)?;
         println!(
             "  with {:<8} : mean PSNR {:>6.2} dB",

@@ -2,7 +2,7 @@
 //! OASIS does not majorly degrade accuracy (tiny-scale version; the
 //! full sweep lives in `cargo run -p oasis-bench --bin table1_accuracy`).
 
-use oasis::{Oasis, OasisConfig};
+use oasis::Oasis;
 use oasis_augment::PolicyKind;
 use oasis_data::{cifar_like_with, Dataset};
 use oasis_fl::{train_centralized, DefenseStack};
@@ -27,7 +27,7 @@ fn mlp(d: usize) -> Sequential {
 }
 
 fn oasis(kind: PolicyKind) -> DefenseStack {
-    DefenseStack::of(Oasis::new(OasisConfig::policy(kind)))
+    DefenseStack::of(Oasis::new(kind))
 }
 
 fn train_with(defense: &DefenseStack) -> f64 {

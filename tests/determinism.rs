@@ -1,7 +1,7 @@
 //! Reproducibility: every experiment endpoint is a pure function of
 //! its seeds.
 
-use oasis::{Oasis, OasisConfig};
+use oasis::Oasis;
 use oasis_attacks::{run_attack, CahAttack, RtfAttack, DEFAULT_ACTIVATION_TARGET};
 use oasis_augment::PolicyKind;
 use oasis_data::{imagenette_like_with, Batch};
@@ -26,9 +26,7 @@ fn attack_outcomes_are_reproducible() {
     assert_eq!(a.matched_psnrs, b.matched_psnrs);
 
     let cah = CahAttack::calibrated(64, DEFAULT_ACTIVATION_TARGET, &calib, 1).unwrap();
-    let defense = DefenseStack::of(Oasis::new(OasisConfig::policy(
-        PolicyKind::MajorRotationShearing,
-    )));
+    let defense = DefenseStack::of(Oasis::new(PolicyKind::MajorRotationShearing));
     let c = run_attack(&cah, &batch, &defense, 10, 3).unwrap();
     let d = run_attack(&cah, &batch, &defense, 10, 3).unwrap();
     assert_eq!(c.matched_psnrs, d.matched_psnrs);

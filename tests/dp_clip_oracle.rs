@@ -13,7 +13,7 @@
 
 use std::sync::Mutex;
 
-use oasis::{Oasis, OasisConfig};
+use oasis::Oasis;
 use oasis_attacks::{
     run_attack_over_wire, ActiveAttack, CahAttack, LinearModelAttack, QbiAttack, RtfAttack,
 };
@@ -137,9 +137,7 @@ fn attacks(calibration: &Batch) -> Vec<(String, Box<dyn ActiveAttack>)> {
 fn stack(oasis: bool, clip: f32) -> DefenseStack {
     let mut stack = DefenseStack::identity();
     if oasis {
-        stack.push(Box::new(Oasis::new(OasisConfig::policy(
-            PolicyKind::MajorRotation,
-        ))));
+        stack.push(Box::new(Oasis::new(PolicyKind::MajorRotation)));
     }
     stack.push(Box::new(ClipStage::new(clip)));
     stack

@@ -1,7 +1,7 @@
 //! End-to-end integration tests: the paper's headline claims, asserted
 //! across crate boundaries (data → fl → attacks → defense → metrics).
 
-use oasis::{Oasis, OasisConfig};
+use oasis::Oasis;
 use oasis_attacks::{run_attack, CahAttack, RtfAttack, DEFAULT_ACTIVATION_TARGET};
 use oasis_augment::PolicyKind;
 use oasis_data::{imagenette_like_with, Batch};
@@ -38,7 +38,7 @@ fn rtf_perfect_without_oasis_blocked_by_major_rotation() {
     );
     assert!(undefended.leak_rate(60.0) > 0.8);
 
-    let defense = DefenseStack::of(Oasis::new(OasisConfig::policy(PolicyKind::MajorRotation)));
+    let defense = DefenseStack::of(Oasis::new(PolicyKind::MajorRotation));
     let defended = run_attack(&attack, &batch, &defense, 10, 3).expect("run");
     assert!(
         defended.mean_psnr() < 30.0,
@@ -63,7 +63,7 @@ fn all_policies_degrade_rtf() {
         PolicyKind::VerticalFlip,
         PolicyKind::MajorRotationShearing,
     ] {
-        let defense = DefenseStack::of(Oasis::new(OasisConfig::policy(kind)));
+        let defense = DefenseStack::of(Oasis::new(kind));
         let defended = run_attack(&attack, &batch, &defense, 10, 4).expect("run");
         assert!(
             defended.mean_psnr() < undefended.mean_psnr() - 60.0,
@@ -88,7 +88,7 @@ fn cah_defeated_by_mr_sh_integration() {
     let mr = run_attack(
         &attack,
         &batch,
-        &DefenseStack::of(Oasis::new(OasisConfig::policy(PolicyKind::MajorRotation))),
+        &DefenseStack::of(Oasis::new(PolicyKind::MajorRotation)),
         10,
         5,
     )
@@ -96,9 +96,7 @@ fn cah_defeated_by_mr_sh_integration() {
     let mrsh = run_attack(
         &attack,
         &batch,
-        &DefenseStack::of(Oasis::new(OasisConfig::policy(
-            PolicyKind::MajorRotationShearing,
-        ))),
+        &DefenseStack::of(Oasis::new(PolicyKind::MajorRotationShearing)),
         10,
         5,
     )
@@ -131,7 +129,7 @@ fn defended_reconstruction_is_a_linear_combination() {
     use oasis_metrics::psnr;
     let attack = RtfAttack::calibrated(256, &calibration()).expect("calibration");
     let batch = victim_batch(4);
-    let defense = DefenseStack::of(Oasis::new(OasisConfig::policy(PolicyKind::MajorRotation)));
+    let defense = DefenseStack::of(Oasis::new(PolicyKind::MajorRotation));
     let outcome = run_attack(&attack, &batch, &defense, 10, 6).expect("run");
 
     let m = outcome

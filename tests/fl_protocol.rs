@@ -1,6 +1,6 @@
 //! Integration tests for the FL protocol with defended clients.
 
-use oasis::{Oasis, OasisConfig};
+use oasis::Oasis;
 use oasis_augment::PolicyKind;
 use oasis_data::cifar_like_with;
 use oasis_fl::{DefenseStack, FlClient, FlConfig, FlServer, ModelFactory, RoundReport};
@@ -10,7 +10,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 
 fn oasis(policy: PolicyKind) -> Arc<DefenseStack> {
-    Arc::new(DefenseStack::of(Oasis::new(OasisConfig::policy(policy))))
+    Arc::new(DefenseStack::of(Oasis::new(policy)))
 }
 
 fn factory(d: usize, classes: usize) -> ModelFactory {

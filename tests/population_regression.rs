@@ -33,7 +33,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use oasis::{Oasis, OasisConfig};
+use oasis::Oasis;
 use oasis_augment::PolicyKind;
 use oasis_data::cifar_like_with;
 use oasis_fl::{DefenseStack, FlClient, FlConfig, FlServer, ModelFactory, RoundReport, WireConfig};
@@ -92,7 +92,7 @@ fn bridge_clients(n: usize) -> Vec<FlClient> {
 }
 
 fn oasis(policy: PolicyKind) -> Arc<DefenseStack> {
-    Arc::new(DefenseStack::of(Oasis::new(OasisConfig::policy(policy))))
+    Arc::new(DefenseStack::of(Oasis::new(policy)))
 }
 
 fn oasis_mr_clients() -> Vec<FlClient> {
