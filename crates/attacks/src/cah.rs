@@ -47,7 +47,6 @@ pub const DEFAULT_ACTIVATION_TARGET: f64 = 0.10;
 /// The CAH trap-weights attack.
 #[derive(Debug, Clone)]
 pub struct CahAttack {
-    neurons: usize,
     /// Trap weights with per-row quantile biases.
     layer: CalibratedLayer,
 }
@@ -77,7 +76,6 @@ impl CahAttack {
             .ok_or_else(|| AttackError::Calibration("empty calibration set".into()))?;
         let w = trap_weights(neurons, first.numel(), weight_seed);
         Ok(CahAttack {
-            neurons,
             layer: CalibratedLayer::fit(w, calibration, target)?,
         })
     }
@@ -108,7 +106,7 @@ impl ActiveAttack for CahAttack {
     }
 
     fn attacked_neurons(&self) -> usize {
-        self.neurons
+        self.layer.rows()
     }
 
     fn build_model(
@@ -140,8 +138,8 @@ impl ActiveAttack for CahAttack {
         // sweep out across the worker pool, keeping index order so
         // dedupe sees the same candidate sequence at any thread count.
         let candidates = parallel::map_range_min(
-            self.neurons,
-            self.neurons * d,
+            self.layer.rows(),
+            self.layer.rows() * d,
             PAR_MIN_SWEEP_ELEMS,
             invert_trap,
         );

@@ -35,9 +35,6 @@ pub const DEFAULT_QBI_BATCH: usize = 8;
 /// `1 − 1/B` response quantile.
 #[derive(Debug, Clone)]
 pub struct QbiAttack {
-    neurons: usize,
-    /// Activation probability target (`1/B` for the tuned batch size).
-    target: f64,
     /// The Gaussian rows and the biases fitted against them.
     layer: CalibratedLayer,
 }
@@ -70,18 +67,10 @@ impl QbiAttack {
         let first = calibration
             .first()
             .ok_or_else(|| AttackError::Calibration("empty calibration set".into()))?;
-        let target = 1.0 / batch as f64;
         let w = gaussian_rows(neurons, first.numel(), weight_seed);
         Ok(QbiAttack {
-            neurons,
-            target,
-            layer: CalibratedLayer::fit(w, calibration, target)?,
+            layer: CalibratedLayer::fit(w, calibration, 1.0 / batch as f64)?,
         })
-    }
-
-    /// The activation probability target `p* = 1/B`.
-    pub fn target(&self) -> f64 {
-        self.target
     }
 }
 
@@ -100,7 +89,7 @@ impl ActiveAttack for QbiAttack {
     }
 
     fn attacked_neurons(&self) -> usize {
-        self.neurons
+        self.layer.rows()
     }
 
     fn build_model(
@@ -131,8 +120,8 @@ impl ActiveAttack for QbiAttack {
         // Same fan-out discipline as CAH: index order is preserved so
         // dedupe sees one candidate sequence at any thread count.
         let candidates = parallel::map_range_min(
-            self.neurons,
-            self.neurons * d,
+            self.layer.rows(),
+            self.layer.rows() * d,
             PAR_MIN_SWEEP_ELEMS,
             invert_row,
         );
@@ -157,8 +146,10 @@ mod tests {
     #[test]
     fn calibration_pins_activation_near_one_over_b() {
         let imgs = structured_images(96, 12, 5);
-        let attack = QbiAttack::calibrated(32, 8, &imgs, 7).unwrap();
-        assert!((attack.target() - 0.125).abs() < 1e-12);
+        let batch = 8;
+        let attack = QbiAttack::calibrated(32, batch, &imgs, 7).unwrap();
+        assert_eq!(attack.attacked_neurons(), 32);
+        let target = 1.0 / batch as f64;
         let fresh = structured_images(80, 12, 99);
         let (w, biases) = (attack.layer.weights(), attack.layer.biases());
         let mut rates = Vec::new();
@@ -175,8 +166,8 @@ mod tests {
         }
         let mean_rate = rates.iter().sum::<f64>() / rates.len() as f64;
         assert!(
-            (mean_rate - 0.125).abs() < 0.08,
-            "mean per-row activation {mean_rate} far from 1/8"
+            (mean_rate - target).abs() < 0.08,
+            "mean per-row activation {mean_rate} far from 1/{batch}"
         );
     }
 

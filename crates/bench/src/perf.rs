@@ -205,12 +205,15 @@ type Base = (&'static str, fn() -> PreparedBench);
 
 /// Every `core` kernel; [`core_suite`] records each as a
 /// `_simd`/`_scalar` pair.
-pub const CORE_KERNELS: [Base; 15] = [
+pub const CORE_KERNELS: [Base; 18] = [
     ("matmul_256", bench_matmul_256),
     ("matmul_conv_fwd", bench_matmul_conv_fwd),
     ("matmul_nt_conv_gw", bench_matmul_nt_conv_gw),
     ("matmul_tn_conv_gx", bench_matmul_tn_conv_gx),
     ("matmul_nt_linear", bench_matmul_nt_linear),
+    ("matmul_nt_attack", bench_matmul_nt_attack),
+    ("matmul_tn_attack", bench_matmul_tn_attack),
+    ("clip_sum_attack", bench_clip_sum_attack),
     ("conv2d_forward_b8", || bench_conv_forward(8)),
     ("conv2d_backward_b8", bench_conv_backward_b8),
     ("conv2d_forward_b32", || bench_conv_forward(32)),
@@ -784,6 +787,63 @@ fn bench_matmul_nt_linear() -> PreparedBench {
     }
 }
 
+/// The attack grid's malicious-layer forward: a B = 128 batch of
+/// 3×32×32 images against 512 neurons (`x · Wᵀ`).
+fn bench_matmul_nt_attack() -> PreparedBench {
+    let (m, k, n) = (128, 3072, 512);
+    let a = seeded_tensor(&[m, k], 19);
+    let b = seeded_tensor(&[n, k], 20);
+    PreparedBench {
+        throughput: Some((matmul_flops(m, k, n), "flop/s")),
+        run: Box::new(move || {
+            std::hint::black_box(a.matmul_nt(&b).expect("bench matmul_nt"));
+        }),
+    }
+}
+
+/// Upstream gradients shaped like an RTF malicious layer's: neurons
+/// are sorted by threshold, so sample `s` activates a prefix of them
+/// (of seeded length) and its `δ` row is zero past that prefix.
+fn rtf_like_deltas(b: usize, n: usize, seed: u64) -> Tensor {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut delta = Tensor::randn(&[b, n], &mut rng);
+    for row in delta.data_mut().chunks_exact_mut(n) {
+        let active = rng.gen_range(0..=n);
+        row[active..].fill(0.0);
+    }
+    delta
+}
+
+/// The attack grid's malicious-layer weight gradient: ReLU-sparse
+/// `δ (128×512)` against the batch `x (128×3072)` (`δᵀ · x`).
+fn bench_matmul_tn_attack() -> PreparedBench {
+    let (k, m, n) = (128, 512, 3072);
+    let delta = rtf_like_deltas(k, m, 21);
+    let x = seeded_tensor(&[k, n], 22);
+    PreparedBench {
+        throughput: Some((matmul_flops(m, k, n), "flop/s")),
+        run: Box::new(move || {
+            std::hint::black_box(delta.matmul_tn(&x).expect("bench matmul_tn"));
+        }),
+    }
+}
+
+/// The attack grid's record-level DP clip-and-sum
+/// ([`Linear::clipped_grad_mean`]) at B = 128, n = 512, d = 3072, with
+/// RTF-like `δ`.
+fn bench_clip_sum_attack() -> PreparedBench {
+    let (b, n, d) = (128, 512, 3072);
+    let delta = rtf_like_deltas(b, n, 23);
+    let x = Tensor::rand_uniform(&[b, d], 0.0, 1.0, &mut StdRng::seed_from_u64(24));
+    PreparedBench {
+        throughput: Some((b as f64, "sample/s")),
+        run: Box::new(move || {
+            std::hint::black_box(Linear::clipped_grad_mean(&x, &delta, 1.0).expect("bench clip"));
+        }),
+    }
+}
+
 fn conv_layer() -> Conv2d {
     // The workloads' first conv: 3→16 channels, 3×3, stride 1, pad 1
     // on 16×16 inputs.
@@ -1150,6 +1210,17 @@ mod tests {
                 "matmul_conv_fwd_scalar",
                 "matmul_nt_conv_gw_simd",
                 "matmul_nt_conv_gw_scalar",
+            ]
+        );
+        assert_eq!(
+            core[10..16],
+            [
+                "matmul_nt_attack_simd",
+                "matmul_nt_attack_scalar",
+                "matmul_tn_attack_simd",
+                "matmul_tn_attack_scalar",
+                "clip_sum_attack_simd",
+                "clip_sum_attack_scalar",
             ]
         );
         assert_eq!(

@@ -36,14 +36,25 @@ use crate::trajectory::{TrajectoryRecord, TrajectoryReport};
 /// A [`ModelFactory`] producing the evaluation workhorse model —
 /// `Linear(d, hidden) → ReLU → Linear(hidden, classes)` with weights
 /// drawn from `seed` — shared by the campaign binaries and tests.
+///
+/// The weights are drawn once, when the factory is built; every call
+/// clones them into a fresh model, bit-identical to drawing them anew.
 pub fn linear_relu_factory(d: usize, hidden: usize, classes: usize, seed: u64) -> ModelFactory {
     use oasis_nn::{Linear, Relu, Sequential};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let drawn = [
+        Linear::new(d, hidden, &mut rng),
+        Linear::new(hidden, classes, &mut rng),
+    ];
+    let parts = drawn.map(|layer| (layer.weight().clone(), layer.bias().clone()));
     Arc::new(move || {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let [first, second] = parts
+            .clone()
+            .map(|(w, b)| Linear::from_parts(w, b).expect("shapes drawn by Linear::new"));
         let mut model = Sequential::new();
-        model.push(Linear::new(d, hidden, &mut rng));
+        model.push(first);
         model.push(Relu::new());
-        model.push(Linear::new(hidden, classes, &mut rng));
+        model.push(second);
         model
     })
 }

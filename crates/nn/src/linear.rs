@@ -1,7 +1,7 @@
 //! Fully-connected layer — the layer type the active reconstruction
 //! attacks weaponize (paper §III-A).
 
-use oasis_tensor::Tensor;
+use oasis_tensor::{simd, Tensor};
 use rand::Rng;
 use std::any::Any;
 
@@ -113,10 +113,13 @@ impl Linear {
     /// the same order (separate multiplies and adds, never fused);
     /// only the loop nest changes:
     ///
-    /// * the norms run one lane per sample, so eight samples advance
-    ///   together through their sequential sums;
-    /// * the sum walks each weight row once, adding
-    ///   `scale_s · (δ_si · x_s)` for `s` ascending.
+    /// * the norms run one lane per sample, [`simd::NORM_LANES`]
+    ///   samples advancing together through their sequential sums
+    ///   ([`simd::masked_sq_norms`]);
+    /// * the sum ([`simd::clip_sum`]) adds `scale_s · (δ_si · x_s)` to
+    ///   each weight row for `s` ascending; its vector backend holds 64
+    ///   outputs of a row in registers while a packed panel of the
+    ///   inputs stays in L1.
     ///
     /// Terms with `δ_si = 0` are skipped, as `matmul_tn` skips them
     /// when it builds the gradient: they contribute exactly `+0` to
@@ -142,51 +145,19 @@ impl Linear {
         let inv_b = 1.0 / b as f32;
         let mut out = vec![0.0f32; n * d + n];
         let (gw, gb) = out.split_at_mut(n * d);
-        // Row i's terms (x_s, δ_si, scale_s) with δ_si ≠ 0, s ascending.
-        let mut terms: Vec<(&[f32], f32, f32)> = Vec::with_capacity(b);
-        for (i, (row, gbi)) in gw.chunks_exact_mut(d).zip(gb.iter_mut()).enumerate() {
-            terms.clear();
-            for (s, (xs, &scale)) in x.chunks_exact(d).zip(&scales).enumerate() {
-                let c = delta[s * n + i];
+        simd::clip_sum(x, delta, &scales, inv_b, gw);
+        for (i, gbi) in gb.iter_mut().enumerate() {
+            for (row, &scale) in delta.chunks_exact(n).zip(&scales) {
+                let c = row[i];
                 if c != 0.0 {
-                    terms.push((xs, c, scale));
                     *gbi += scale * c;
                 }
-            }
-            // Four samples per pass over the row, each element still
-            // adding its terms one at a time in sample order.
-            let mut quads = terms.chunks_exact(4);
-            for quad in &mut quads {
-                let [(x0, c0, s0), (x1, c1, s1), (x2, c2, s2), (x3, c3, s3)] =
-                    [quad[0], quad[1], quad[2], quad[3]];
-                let (x0, x1, x2, x3) = (&x0[..d], &x1[..d], &x2[..d], &x3[..d]);
-                for (j, o) in row.iter_mut().enumerate() {
-                    let mut v = *o;
-                    v += s0 * (c0 * x0[j]);
-                    v += s1 * (c1 * x1[j]);
-                    v += s2 * (c2 * x2[j]);
-                    v += s3 * (c3 * x3[j]);
-                    *o = v;
-                }
-            }
-            for &(xs, c, scale) in quads.remainder() {
-                for (o, &xv) in row.iter_mut().zip(xs) {
-                    *o += scale * (c * xv);
-                }
-            }
-            for o in row.iter_mut() {
-                *o *= inv_b;
             }
             *gbi *= inv_b;
         }
         Ok(out)
     }
 }
-
-/// Samples whose clip norms advance together in
-/// [`Linear::clipped_grad_mean`]: one independent accumulator lane per
-/// sample, the shape LLVM vectorizes without reassociating anything.
-const CLIP_LANES: usize = 8;
 
 /// Per-sample clip factors: `clip / ‖g_s‖` when the norm of sample
 /// `s`'s gradient exceeds `clip`, else `1`.
@@ -196,12 +167,14 @@ const CLIP_LANES: usize = 8;
 /// [`Tensor::norm_sq`] computes on the materialized weight and bias
 /// gradients, minus the exact `+0` terms of rows with `δ_si = 0`.
 ///
-/// Each lane walks its own sample's nonzero `δ_si` in row order
-/// against that sample's `x_s`. Samples are grouped eight to a block
-/// by their count of nonzero rows, so lanes in a block run similar
-/// lengths; lanes that have run out (and padding lanes) are masked to
-/// `+0` terms and discarded.
+/// The weight sums run in [`simd::masked_sq_norms`], one lane per
+/// sample: each lane walks its own sample's nonzero `δ_si` in row
+/// order against that sample's `x_s`. Samples are grouped
+/// [`simd::NORM_LANES`] to a block by their count of nonzero rows, so
+/// lanes in a block run similar lengths; lanes that have run out (and
+/// padding lanes) hold `δ = 0`, which the kernel masks to `+0` terms.
 fn clip_scales(x: &[f32], delta: &[f32], n: usize, d: usize, clip: f32) -> Vec<f32> {
+    const L: usize = simd::NORM_LANES;
     let active: Vec<Vec<f32>> = delta
         .chunks_exact(n)
         .map(|row| row.iter().copied().filter(|&v| v != 0.0).collect())
@@ -209,13 +182,13 @@ fn clip_scales(x: &[f32], delta: &[f32], n: usize, d: usize, clip: f32) -> Vec<f
     let mut order: Vec<usize> = (0..active.len()).collect();
     order.sort_by_key(|&s| active[s].len());
     let mut weight_sq = vec![0.0f32; active.len()];
-    let mut xt = vec![[0.0f32; CLIP_LANES]; d];
-    let mut dt: Vec<[f32; CLIP_LANES]> = Vec::with_capacity(n);
-    for block in order.chunks(CLIP_LANES) {
+    let mut xt = vec![[0.0f32; L]; d];
+    let mut dt: Vec<[f32; L]> = Vec::with_capacity(n);
+    for block in order.chunks(L) {
         let rows = block.iter().map(|&s| active[s].len()).max().unwrap_or(0);
         dt.clear();
-        dt.resize(rows, [0.0; CLIP_LANES]);
-        for l in 0..CLIP_LANES {
+        dt.resize(rows, [0.0; L]);
+        for l in 0..L {
             let sample = block.get(l).copied();
             for (j, xj) in xt.iter_mut().enumerate() {
                 xj[l] = sample.map_or(0.0, |s| x[s * d + j]);
@@ -226,24 +199,7 @@ fn clip_scales(x: &[f32], delta: &[f32], n: usize, d: usize, clip: f32) -> Vec<f
                 }
             }
         }
-        let mut acc = [0.0f32; CLIP_LANES];
-        for dv in &dt {
-            // A zero lane contributes +0 whatever x holds: matmul_tn
-            // never computes a zero-δ gradient row, so no 0·∞ = NaN.
-            let keep = dv.map(|v| if v != 0.0 { u32::MAX } else { 0 });
-            // A local copy keeps the accumulators in registers.
-            let mut a = acc;
-            for xv in &xt {
-                let mut p = [0.0f32; CLIP_LANES];
-                for l in 0..CLIP_LANES {
-                    p[l] = f32::from_bits((dv[l] * xv[l]).to_bits() & keep[l]);
-                }
-                for l in 0..CLIP_LANES {
-                    a[l] += p[l] * p[l];
-                }
-            }
-            acc = a;
-        }
+        let acc = simd::masked_sq_norms(&dt, &xt);
         for (&s, &sq) in block.iter().zip(&acc) {
             weight_sq[s] = sq;
         }

@@ -8,6 +8,7 @@
 //! tolerance.
 
 use oasis_nn::{Layer, Linear, Mode};
+use oasis_tensor::simd::{self, Backend};
 use oasis_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -92,8 +93,8 @@ proptest! {
 
 #[test]
 fn wide_layer_with_lane_and_quad_tails_is_bit_equal() {
-    // 19 samples: two full eight-lane blocks plus a tail of 3; rows
-    // with 1–3 surviving terms exercise the four-sample pass's tail.
+    // 19 samples: a partial norm block; rows with 1–3 surviving terms
+    // exercise the scalar four-sample pass's tail.
     let (x, delta) = case(19, 67, 203, 7);
     for clip in [1e-2, 3.0, 1e30] {
         let fused = Linear::clipped_grad_mean(&x, &delta, clip).unwrap();
@@ -102,6 +103,43 @@ fn wide_layer_with_lane_and_quad_tails_is_bit_equal() {
             bits(&reference(&x, &delta, clip)),
             "clip {clip}"
         );
+    }
+}
+
+#[test]
+fn batches_and_widths_across_the_blocked_kernels_are_bit_equal_on_every_backend() {
+    // B spans one sample, a norm block one short of full, one full
+    // block and four of them (32 lanes each); n crosses the 16-row
+    // blocks of the clip-and-sum and d its 64-column register tile.
+    // `case` puts a non-finite input in a sample with an all-zero δ
+    // and in one other sample. The reference runs on the scalar
+    // backend; every available backend must match it.
+    let backends: Vec<Backend> = [Backend::Scalar, Backend::Avx2]
+        .into_iter()
+        .filter(|b| b.is_available())
+        .collect();
+    let shapes = [
+        (1, 5, 64),
+        (31, 15, 63),
+        (32, 16, 65),
+        (32, 17, 130),
+        (128, 33, 70),
+    ];
+    for (seed, (b, n, d)) in shapes.into_iter().enumerate() {
+        let (x, delta) = case(b, n, d, seed as u64);
+        for clip in [1e-3, 2.0, 1e30] {
+            let want = simd::with_backend(Backend::Scalar, || reference(&x, &delta, clip));
+            for &backend in &backends {
+                let fused = simd::with_backend(backend, || {
+                    Linear::clipped_grad_mean(&x, &delta, clip).unwrap()
+                });
+                assert_eq!(
+                    bits(&fused),
+                    bits(&want),
+                    "{backend:?} b={b} n={n} d={d} clip {clip}"
+                );
+            }
+        }
     }
 }
 

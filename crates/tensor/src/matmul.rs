@@ -1,11 +1,17 @@
 //! Dense matrix multiplication with cache-friendly loop order.
 //!
-//! The inner kernels — the eight-lane unrolled dot product and its
-//! 4×2 register tile `dot_tile`, and the register-blocked
-//! `axpy4`/`axpy4x2` row updates — live in [`crate::simd`] and
-//! dispatch to the best available instruction set at runtime; this
-//! module contributes the loop orders, the tiling, the zero-block
-//! skips, and the row partitioning.
+//! The kernels live in [`crate::simd`] and dispatch to the best
+//! available instruction set at runtime:
+//!
+//! * `matmul` runs the register-blocked `axpy4`/`axpy4x2` row updates
+//!   in `i-k-j` order, skipping all-zero coefficient blocks;
+//! * `matmul_nt` and `matmul_tn` each call one whole-product kernel,
+//!   `simd::matmul_nt_rows` and `simd::matmul_tn_rows`: cache- and
+//!   register-blocked on the vector backend, a plain loop (the
+//!   specification) on the scalar one.
+//!
+//! This module contributes the shape checks, the `matmul_nt` regime
+//! choice and the row partitioning across the worker pool.
 
 use crate::{parallel, simd, Result, Tensor, TensorError};
 
@@ -24,7 +30,7 @@ fn above_par_threshold(m: usize, k: usize, n: usize) -> bool {
     m > 1 && 2usize.saturating_mul(m).saturating_mul(k).saturating_mul(n) >= PAR_MIN_FLOPS
 }
 
-use simd::{axpy4, axpy4x2, TILE_COLS, TILE_ROWS};
+use simd::{axpy4, axpy4x2};
 
 impl Tensor {
     /// Matrix product `self (m×k) · other (k×n) → (m×n)`.
@@ -147,49 +153,11 @@ impl Tensor {
         let _span = oasis_telemetry::span("tensor.matmul_tn");
         oasis_telemetry::counter!("tensor.matmul_flops").add(2 * (m * k * n) as u64);
         let mut out = Tensor::zeros(&[m, n]);
-        let a = self.data();
-        let b = other.data();
-        // out[i][j] = Σ_p a[p][i] * b[p][j]: accumulate row-by-row of
-        // a/b, four rows per pass so each output row is traversed
-        // once per block instead of once per row. Each output row's
-        // accumulation order (p ascending in 4-blocks, then the tail)
-        // is the same under every row partition, so the parallel path
-        // is bit-identical to the serial one.
-        let blocks = k / 4 * 4;
-        let kernel = |i0: usize, rows: &mut [f32]| {
-            let mut p = 0;
-            while p < blocks {
-                let a0 = &a[p * m..(p + 1) * m];
-                let a1 = &a[(p + 1) * m..(p + 2) * m];
-                let a2 = &a[(p + 2) * m..(p + 3) * m];
-                let a3 = &a[(p + 3) * m..(p + 4) * m];
-                let b0 = &b[p * n..(p + 1) * n];
-                let b1 = &b[(p + 1) * n..(p + 2) * n];
-                let b2 = &b[(p + 2) * n..(p + 3) * n];
-                let b3 = &b[(p + 3) * n..(p + 4) * n];
-                for (li, orow) in rows.chunks_mut(n).enumerate() {
-                    let i = i0 + li;
-                    let coeff = [a0[i], a1[i], a2[i], a3[i]];
-                    if coeff != [0.0; 4] {
-                        axpy4(orow, coeff, b0, b1, b2, b3);
-                    }
-                }
-                p += 4;
-            }
-            for p in blocks..k {
-                let arow = &a[p * m..(p + 1) * m];
-                let brow = &b[p * n..(p + 1) * n];
-                for (li, orow) in rows.chunks_mut(n).enumerate() {
-                    let av = arow[i0 + li];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for (ov, &bv) in orow.iter_mut().zip(brow) {
-                        *ov += av * bv;
-                    }
-                }
-            }
-        };
+        let (a, b) = (self.data(), other.data());
+        // Each output's accumulation order (p ascending in 4-blocks,
+        // then the tail) is the same under every row partition, so the
+        // parallel path is bit-identical to the serial one.
+        let kernel = |i0: usize, rows: &mut [f32]| simd::matmul_tn_rows(a, b, m, n, i0, rows);
         if above_par_threshold(m, k, n) {
             parallel::for_each_row_block(out.data_mut(), n, kernel);
         } else {
@@ -204,10 +172,9 @@ impl Tensor {
     /// the shape of `Linear::forward` (`x · Wᵀ` with `W: n×k`) and of
     /// the conv weight gradient (`δY · colᵀ`).
     ///
-    /// With a long reduction axis every output is one [`simd::dot`];
-    /// whole 4×2 blocks of outputs come from one [`simd::dot_tile`],
-    /// which gives the same bits while reading each row of `other`
-    /// once per four rows of `self`.
+    /// With a long reduction axis every output is one [`simd::dot`] of
+    /// its row pair, computed by the blocked `simd::matmul_nt_rows`
+    /// kernel.
     ///
     /// # Errors
     ///
@@ -234,43 +201,10 @@ impl Tensor {
         }
         oasis_telemetry::counter!("tensor.matmul_flops").add(2 * (m * k * n) as u64);
         let mut out = Tensor::zeros(&[m, n]);
-        let a = self.data();
-        let b = other.data();
-        let a_row = |i: usize| &a[i * k..(i + 1) * k];
-        let b_row = |j: usize| &b[j * k..(j + 1) * k];
-        // Every output is `dot(a_row(i), b_row(j))`. Whole 4×2 tiles
-        // go through `dot_tile`, which reads each B row once per four
-        // A rows instead of once per A row; edge rows and columns take
-        // `dot` directly, which gives the same bits.
-        let kernel = |row0: usize, rows: &mut [f32]| {
-            if rows.is_empty() {
-                return;
-            }
-            let i0 = row0 + rows.len() / (TILE_ROWS * n) * TILE_ROWS;
-            let mut tiles = rows.chunks_exact_mut(TILE_ROWS * n);
-            for (t, block) in (&mut tiles).enumerate() {
-                let ar: [&[f32]; TILE_ROWS] =
-                    std::array::from_fn(|r| a_row(row0 + t * TILE_ROWS + r));
-                let mut j = 0;
-                while j + TILE_COLS <= n {
-                    let tile = simd::dot_tile(ar, std::array::from_fn(|c| b_row(j + c)));
-                    for (o, v) in tile.into_iter().enumerate() {
-                        block[o / TILE_COLS * n + j + o % TILE_COLS] = v;
-                    }
-                    j += TILE_COLS;
-                }
-                for (r, out_row) in block.chunks_exact_mut(n).enumerate() {
-                    for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
-                        *o = simd::dot(ar[r], b_row(jj));
-                    }
-                }
-            }
-            for (r, out_row) in tiles.into_remainder().chunks_exact_mut(n).enumerate() {
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    *o = simd::dot(a_row(i0 + r), b_row(j));
-                }
-            }
-        };
+        let (a, b) = (self.data(), other.data());
+        // Every output is `dot(a_row(i), b_row(j))` under every row
+        // partition.
+        let kernel = |row0: usize, rows: &mut [f32]| simd::matmul_nt_rows(a, b, k, row0, rows);
         if above_par_threshold(m, k, n) {
             parallel::for_each_row_block(out.data_mut(), n, kernel);
         } else {

@@ -25,13 +25,15 @@
 //! resolution or via the availability assert in
 //! [`super::with_backend`]). No other invariant is required: all
 //! loads/stores use unaligned forms, and slice bounds are the same
-//! ones the scalar reference checks.
+//! ones the scalar reference checks. Where a kernel loads through a
+//! raw pointer, the pointer comes from a bounds-checked subslice taken
+//! just before, and the offsets added to it stay inside that subslice.
 #![allow(unsafe_op_in_unsafe_fn)]
 
 use std::arch::x86_64::*;
 
 use super::scalar;
-use super::{SQ_BOUND_CHUNKS, SQ_TILE, TILE_COLS, TILE_ROWS};
+use super::{NORM_LANES, SQ_BOUND_CHUNKS, SQ_TILE};
 
 /// Reads the 8 lanes of an f32x8 register into an array (for scalar
 /// fixed-order combines).
@@ -78,35 +80,119 @@ unsafe fn finish_dot(acc: __m256, a: &[f32], b: &[f32], from: usize) -> f32 {
     ((l[0] + l[4]) + (l[1] + l[5])) + ((l[2] + l[6]) + (l[3] + l[7])) + tail
 }
 
-/// See [`scalar::dot_tile`]: one f32x8 accumulator per output, so
-/// each output runs [`dot`]'s exact sequence; each chunk of the four
-/// A rows and two B rows is loaded once for all eight outputs.
+/// A rows per [`matmul_nt_rows`] register tile.
+const NT_ROWS: usize = 6;
+
+/// B rows per [`matmul_nt_rows`] register tile.
+const NT_COLS: usize = 2;
+
+/// Eight-lane chunks per k-block of [`matmul_nt_rows`]: a tile's A
+/// rows over one k-block (24 KiB) stay in L1.
+const NT_KC: usize = 128;
+
+/// Bytes of B rows per [`matmul_nt_rows`] panel, sized to stay in L2
+/// while every A tile of the row range streams past it.
+const NT_PANEL_BYTES: usize = 512 * 1024;
+
+/// See [`scalar::matmul_nt_rows`]: each output's eight [`dot`] lanes
+/// live in one f32x8 accumulator, and the loops are blocked around it.
+///
+/// * B rows go in panels of at most [`NT_PANEL_BYTES`], so B is read
+///   from memory once per call instead of once per A tile.
+/// * Within a panel, each tile of [`NT_ROWS`] A rows walks the k-axis
+///   in blocks of [`NT_KC`] chunks. A block's A rows stay in L1 while
+///   every [`NT_COLS`] B rows of the panel pass: the tile's
+///   accumulators run the block in registers, then wait in `parked`
+///   until the next block resumes them. Lanes still add their chunks
+///   in order, so every output is [`dot`]'s sequence, bit for bit.
+/// * After the last block, each output gets [`dot`]'s combine and tail.
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn dot_tile(
-    a: [&[f32]; TILE_ROWS],
-    b: [&[f32]; TILE_COLS],
-) -> [f32; TILE_ROWS * TILE_COLS] {
-    debug_assert!(
-        a.iter().chain(&b).all(|r| r.len() == a[0].len()),
-        "dot_tile requires equal lengths"
-    );
-    let n = a.iter().chain(&b).map(|r| r.len()).min().unwrap_or(0);
-    let chunks = n / 8;
-    let mut acc = [_mm256_setzero_ps(); TILE_ROWS * TILE_COLS];
-    for c in 0..chunks {
-        let vb0 = _mm256_loadu_ps(b[0].as_ptr().add(c * 8));
-        let vb1 = _mm256_loadu_ps(b[1].as_ptr().add(c * 8));
-        for r in 0..TILE_ROWS {
-            let va = _mm256_loadu_ps(a[r].as_ptr().add(c * 8));
-            acc[2 * r] = _mm256_add_ps(acc[2 * r], _mm256_mul_ps(va, vb0));
-            acc[2 * r + 1] = _mm256_add_ps(acc[2 * r + 1], _mm256_mul_ps(va, vb1));
+pub(crate) unsafe fn matmul_nt_rows(a: &[f32], b: &[f32], k: usize, row0: usize, out: &mut [f32]) {
+    let n = b.len() / k;
+    if n == 0 || out.is_empty() {
+        return;
+    }
+    let rows = out.len() / n;
+    let a = &a[row0 * k..(row0 + rows) * k];
+    let chunks = k / 8;
+    let panels = n.div_ceil((NT_PANEL_BYTES / (4 * k)).max(NT_COLS));
+    let panel_rows = n.div_ceil(panels).next_multiple_of(NT_COLS);
+    let mut parked = vec![_mm256_setzero_ps(); NT_ROWS * panel_rows];
+    for j0 in (0..n).step_by(panel_rows) {
+        let panel = &b[j0 * k..(j0 + panel_rows).min(n) * k];
+        for t0 in (0..rows).step_by(NT_ROWS) {
+            let h = NT_ROWS.min(rows - t0);
+            let a_tile = &a[t0 * k..(t0 + h) * k];
+            let out_tile = &mut out[t0 * n..(t0 + h) * n];
+            match h {
+                6 => nt_tile::<6>(a_tile, panel, k, chunks, &mut parked, out_tile, j0),
+                5 => nt_tile::<5>(a_tile, panel, k, chunks, &mut parked, out_tile, j0),
+                4 => nt_tile::<4>(a_tile, panel, k, chunks, &mut parked, out_tile, j0),
+                3 => nt_tile::<3>(a_tile, panel, k, chunks, &mut parked, out_tile, j0),
+                2 => nt_tile::<2>(a_tile, panel, k, chunks, &mut parked, out_tile, j0),
+                _ => nt_tile::<1>(a_tile, panel, k, chunks, &mut parked, out_tile, j0),
+            }
         }
     }
-    let mut out = [0.0f32; TILE_ROWS * TILE_COLS];
-    for (o, v) in out.iter_mut().enumerate() {
-        *v = finish_dot(acc[o], a[o / TILE_COLS], b[o % TILE_COLS], chunks * 8);
+}
+
+/// One tile of `R` A rows against one panel of B rows (see
+/// [`matmul_nt_rows`]); writes the outputs of columns
+/// `j0..j0 + panel rows` of the tile's output rows. An odd last panel
+/// row is paired with itself, and its duplicate output dropped.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn nt_tile<const R: usize>(
+    a: &[f32],
+    panel: &[f32],
+    k: usize,
+    chunks: usize,
+    parked: &mut [__m256],
+    out: &mut [f32],
+    j0: usize,
+) {
+    let n = out.len() / R;
+    let cols = panel.len() / k;
+    let ar: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let mut kc0 = 0;
+    loop {
+        let kc1 = (kc0 + NT_KC).min(chunks);
+        for (pair, j) in (0..cols).step_by(NT_COLS).enumerate() {
+            let j1 = (j + 1).min(cols - 1);
+            let br = [&panel[j * k..(j + 1) * k], &panel[j1 * k..(j1 + 1) * k]];
+            let slot = &mut parked[pair * NT_ROWS * NT_COLS..][..NT_ROWS * NT_COLS];
+            let mut acc = [[_mm256_setzero_ps(); NT_COLS]; R];
+            if kc0 > 0 {
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    acc.copy_from_slice(&slot[r * NT_COLS..(r + 1) * NT_COLS]);
+                }
+            }
+            for c in kc0..kc1 {
+                let vb0 = _mm256_loadu_ps(br[0].as_ptr().add(c * 8));
+                let vb1 = _mm256_loadu_ps(br[1].as_ptr().add(c * 8));
+                for (acc, ar) in acc.iter_mut().zip(&ar) {
+                    let va = _mm256_loadu_ps(ar.as_ptr().add(c * 8));
+                    acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(va, vb0));
+                    acc[1] = _mm256_add_ps(acc[1], _mm256_mul_ps(va, vb1));
+                }
+            }
+            if kc1 < chunks {
+                for (r, acc) in acc.iter().enumerate() {
+                    slot[r * NT_COLS..(r + 1) * NT_COLS].copy_from_slice(acc);
+                }
+                continue;
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                for (c, &acc) in acc.iter().enumerate().take(cols - j) {
+                    out[r * n + j0 + j + c] = finish_dot(acc, ar[r], br[c], chunks * 8);
+                }
+            }
+        }
+        if kc1 == chunks {
+            break;
+        }
+        kc0 = kc1;
     }
-    out
 }
 
 /// See [`scalar::axpy`].
@@ -225,6 +311,425 @@ pub(crate) unsafe fn axpy4x2(
             &b3[chunks * 8..],
         );
     }
+}
+
+/// Output columns per register tile and packed panel of
+/// [`matmul_tn_rows`] and [`clip_sum`]: one output row's
+/// [`ROW_VECS`] f32x8 accumulators.
+const ROW_TILE: usize = 8 * ROW_VECS;
+
+/// f32x8 accumulators per [`ROW_TILE`].
+const ROW_VECS: usize = 8;
+
+/// Output rows that share one pass over a packed panel (kept in L1)
+/// in [`matmul_tn_rows`] and [`clip_sum`].
+const ROW_BLOCK: usize = 16;
+
+/// Most k-steps per packed panel of [`matmul_tn_rows`], a multiple of
+/// four so no four-step block straddles two panels: a panel is at most
+/// 32 KiB, inside L1.
+const TN_KC: usize = 128;
+
+/// Bytes of packed B panels per k-block of [`matmul_tn_rows`], sized
+/// to stay in L2 while every block of rows sweeps them.
+const TN_PACK_BYTES: usize = 1024 * 1024;
+
+/// The eight accumulators of one output row segment (at most
+/// [`ROW_TILE`] long); positions past its end read as `+0`.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn load_row(out: &[f32]) -> [__m256; ROW_VECS] {
+    let mut buf = [0.0f32; ROW_TILE];
+    let src = if out.len() == ROW_TILE {
+        out
+    } else {
+        buf[..out.len()].copy_from_slice(out);
+        &buf[..]
+    };
+    let mut acc = [_mm256_setzero_ps(); ROW_VECS];
+    for (v, acc) in acc.iter_mut().enumerate() {
+        *acc = _mm256_loadu_ps(src.as_ptr().add(8 * v));
+    }
+    acc
+}
+
+/// Stores [`load_row`]'s accumulators back, dropping positions past
+/// the segment's end.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn store_row(acc: &[__m256; ROW_VECS], out: &mut [f32]) {
+    let mut buf = [0.0f32; ROW_TILE];
+    let full = out.len() == ROW_TILE;
+    let dst = if full { &mut out[..] } else { &mut buf[..] };
+    for (v, acc) in acc.iter().enumerate() {
+        _mm256_storeu_ps(dst.as_mut_ptr().add(8 * v), *acc);
+    }
+    if !full {
+        let w = out.len();
+        out.copy_from_slice(&buf[..w]);
+    }
+}
+
+thread_local! {
+    /// Packed panels of [`matmul_tn_rows`] and [`clip_sum`], kept per
+    /// thread so that each call reuses memory that is already mapped.
+    static PANELS: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// Every row of `src` (`n` per row) cut into [`ROW_TILE`]-wide
+/// panels: panel `pj`, row `p`, column `c` goes to
+/// `(pj·rows + p)·ROW_TILE + c` of `packed`. Columns past the matrix
+/// edge keep whatever `packed` held there: they only feed lanes that
+/// are never stored. Returns whether every value of `src` is finite.
+#[target_feature(enable = "avx2")]
+unsafe fn pack_panels(src: &[f32], n: usize, packed: &mut Vec<f32>) -> bool {
+    let rows = src.len() / n;
+    let whole = n / ROW_TILE;
+    let mut hit = _mm256_setzero_ps();
+    let mut finite = true;
+    packed.resize(n.div_ceil(ROW_TILE) * rows * ROW_TILE, 0.0);
+    for (p, row) in src.chunks_exact(n).enumerate() {
+        for pj in 0..whole {
+            let from = row[pj * ROW_TILE..(pj + 1) * ROW_TILE].as_ptr();
+            let to = packed[(pj * rows + p) * ROW_TILE..][..ROW_TILE].as_mut_ptr();
+            for v in 0..ROW_VECS {
+                let x = _mm256_loadu_ps(from.add(8 * v));
+                hit = _mm256_or_ps(hit, non_finite(x));
+                _mm256_storeu_ps(to.add(8 * v), x);
+            }
+        }
+        let rest = &row[whole * ROW_TILE..];
+        if !rest.is_empty() {
+            packed[(whole * rows + p) * ROW_TILE..][..rest.len()].copy_from_slice(rest);
+            finite &= rest.iter().all(|v| v.is_finite());
+        }
+    }
+    finite && _mm256_movemask_ps(hit) == 0
+}
+
+/// A run of k-steps one output row of [`matmul_tn_rows`] adds as one
+/// sum: the steps `q + at[i]` for `i < len`, in order.
+#[derive(Clone, Copy)]
+struct Terms {
+    q: u32,
+    len: u8,
+    at: [u8; 4],
+}
+
+/// See [`scalar::matmul_tn_rows`]: each output row segment of
+/// [`ROW_TILE`] columns stays in eight registers over a packed panel
+/// of B, so it is loaded and stored once per k-block rather than once
+/// per four k-steps.
+///
+/// B is packed into panels one k-block at a time, the block sized so
+/// its panels stay in L2 ([`TN_PACK_BYTES`]) and each one in L1
+/// ([`TN_KC`]). Each [`ROW_BLOCK`] of output rows lists, per row, the
+/// four-step blocks with a nonzero coefficient (then the single steps
+/// past them with one), exactly the sums the scalar specification
+/// does not skip, and sweeps every panel with those lists. Each listed
+/// block adds `((a0·b0 + a1·b1) + a2·b2) + a3·b3`, the scalar
+/// sequence.
+///
+/// When B is finite, a listed block adds only its nonzero-coefficient
+/// terms, in order. That is exact: a dropped term `0·b` is `±0`, and
+/// adding a zero to a nonzero partial sum leaves it unchanged, so the
+/// block's sum can differ only in the sign of a zero, which the output
+/// (never `−0`) absorbs. With a non-finite B, `0·b` may be NaN, so
+/// every block adds all four terms.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn matmul_tn_rows(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    n: usize,
+    i0: usize,
+    out: &mut [f32],
+) {
+    if m == 0 || n == 0 || out.is_empty() {
+        return;
+    }
+    let rows = out.len() / n;
+    let k = a.len() / m;
+    let blocks = k / 4 * 4;
+    let panels = n.div_ceil(ROW_TILE);
+    let kc = (TN_PACK_BYTES / (4 * panels * ROW_TILE)).clamp(4, TN_KC) / 4 * 4;
+    let mut packed = PANELS.take();
+    // One row block's coefficients for the k-block (row-major, `kc`
+    // per row), and per row its sums: `live[ends[r - 1]..ends[r]]`.
+    let mut coeff = vec![0.0f32; ROW_BLOCK * kc];
+    let mut live: Vec<Terms> = Vec::new();
+    let mut ends = [0usize; ROW_BLOCK];
+    for kc0 in (0..k).step_by(kc) {
+        let kc1 = (kc0 + kc).min(k);
+        let steps = kc1 - kc0;
+        let quads = kc1.min(blocks).saturating_sub(kc0);
+        let finite = pack_panels(&b[kc0 * n..kc1 * n], n, &mut packed);
+        for r0 in (0..rows).step_by(ROW_BLOCK) {
+            let h = ROW_BLOCK.min(rows - r0);
+            live.clear();
+            for (r, (c, end)) in coeff
+                .chunks_exact_mut(kc)
+                .zip(&mut ends)
+                .take(h)
+                .enumerate()
+            {
+                let col = i0 + r0 + r;
+                for (q, c) in c[..steps].iter_mut().enumerate() {
+                    *c = a[(kc0 + q) * m + col];
+                }
+                for q in (0..quads).step_by(4) {
+                    let block = &c[q..q + 4];
+                    if block == [0.0; 4] {
+                        continue;
+                    }
+                    let mut sum = Terms {
+                        q: q as u32,
+                        len: 0,
+                        at: [0; 4],
+                    };
+                    for (i, &v) in block.iter().enumerate() {
+                        if v != 0.0 || !finite {
+                            sum.at[usize::from(sum.len)] = i as u8;
+                            sum.len += 1;
+                        }
+                    }
+                    live.push(sum);
+                }
+                for (q, &c) in c.iter().enumerate().take(steps).skip(quads) {
+                    if c != 0.0 {
+                        live.push(Terms {
+                            q: q as u32,
+                            len: 1,
+                            at: [0; 4],
+                        });
+                    }
+                }
+                *end = live.len();
+            }
+            for (pj, j0) in (0..n).step_by(ROW_TILE).enumerate() {
+                let panel = &packed[pj * steps * ROW_TILE..(pj + 1) * steps * ROW_TILE];
+                let w = ROW_TILE.min(n - j0);
+                let mut start = 0;
+                for (r, &end) in ends.iter().take(h).enumerate() {
+                    let row_live = &live[start..end];
+                    start = end;
+                    if row_live.is_empty() {
+                        continue;
+                    }
+                    let dst = &mut out[(r0 + r) * n + j0..][..w];
+                    // The first k-block starts from the `+0` that `out`
+                    // holds on entry.
+                    let acc = if kc0 == 0 {
+                        [_mm256_setzero_ps(); ROW_VECS]
+                    } else {
+                        load_row(dst)
+                    };
+                    let acc = tn_row(acc, row_live, &coeff[r * kc..][..steps], panel);
+                    store_row(&acc, dst);
+                }
+            }
+        }
+    }
+    PANELS.set(packed);
+}
+
+/// One output row segment of [`matmul_tn_rows`] over one packed panel:
+/// each listed sum in order, added to the segment. `c` holds the row's
+/// coefficients for the panel's k-steps.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn tn_row(
+    mut acc: [__m256; ROW_VECS],
+    live: &[Terms],
+    c: &[f32],
+    panel: &[f32],
+) -> [__m256; ROW_VECS] {
+    for t in live {
+        let q = t.q as usize;
+        match t.len {
+            1 => add_terms::<1>(&mut acc, t, q, c, panel),
+            2 => add_terms::<2>(&mut acc, t, q, c, panel),
+            3 => add_terms::<3>(&mut acc, t, q, c, panel),
+            _ => add_terms::<4>(&mut acc, t, q, c, panel),
+        }
+    }
+    acc
+}
+
+/// Adds `((c_0·b_0 + c_1·b_1) + …) + c_{N−1}·b_{N−1}` over the steps
+/// `q + t.at[i]`, `i < N`, to every lane of the segment.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn add_terms<const N: usize>(
+    acc: &mut [__m256; ROW_VECS],
+    t: &Terms,
+    q: usize,
+    c: &[f32],
+    panel: &[f32],
+) {
+    let mut cv = [_mm256_setzero_ps(); N];
+    let mut b = [std::ptr::null::<f32>(); N];
+    for i in 0..N {
+        let step = q + usize::from(t.at[i]);
+        cv[i] = _mm256_set1_ps(c[step]);
+        b[i] = panel[step * ROW_TILE..(step + 1) * ROW_TILE].as_ptr();
+    }
+    for (v, acc) in acc.iter_mut().enumerate() {
+        let mut sum = _mm256_mul_ps(cv[0], _mm256_loadu_ps(b[0].add(8 * v)));
+        for i in 1..N {
+            sum = _mm256_add_ps(sum, _mm256_mul_ps(cv[i], _mm256_loadu_ps(b[i].add(8 * v))));
+        }
+        *acc = _mm256_add_ps(*acc, sum);
+    }
+}
+
+/// See [`scalar::clip_sum`]: each output row segment of [`ROW_TILE`]
+/// columns stays in eight registers over a packed panel of every
+/// sample's inputs. Each [`ROW_BLOCK`] of output rows lists, per row,
+/// the samples with `δ_si ≠ 0` (the scalar specification's terms) and
+/// sweeps every panel with those lists, so a panel stays in L1 while
+/// the block's rows pass. Each term is `scale_s·(δ_si·x_sj)`, added in
+/// sample order; the finished segment is scaled by `inv_b` on the way
+/// out.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn clip_sum(
+    x: &[f32],
+    delta: &[f32],
+    scales: &[f32],
+    inv_b: f32,
+    out: &mut [f32],
+) {
+    let b = scales.len();
+    let (d, n) = (x.len() / b, delta.len() / b);
+    if d == 0 || n == 0 {
+        return;
+    }
+    let mut packed = PANELS.take();
+    pack_panels(x, d, &mut packed);
+    let vinv = _mm256_set1_ps(inv_b);
+    // Per row of one row block, its terms `(s, δ_si, scale_s)`:
+    // `live[ends[r - 1]..ends[r]]`.
+    let mut live: Vec<(u32, f32, f32)> = Vec::with_capacity(ROW_BLOCK * b);
+    let mut ends = [0usize; ROW_BLOCK];
+    for r0 in (0..n).step_by(ROW_BLOCK) {
+        let h = ROW_BLOCK.min(n - r0);
+        live.clear();
+        for (r, end) in ends.iter_mut().take(h).enumerate() {
+            for (s, (row, &scale)) in delta.chunks_exact(n).zip(scales).enumerate() {
+                let c = row[r0 + r];
+                if c != 0.0 {
+                    live.push((s as u32, c, scale));
+                }
+            }
+            *end = live.len();
+        }
+        for (pj, j0) in (0..d).step_by(ROW_TILE).enumerate() {
+            let panel = &packed[pj * b * ROW_TILE..(pj + 1) * b * ROW_TILE];
+            let w = ROW_TILE.min(d - j0);
+            let mut start = 0;
+            for (r, &end) in ends.iter().take(h).enumerate() {
+                let mut acc = clip_row(&live[start..end], panel);
+                start = end;
+                for acc in &mut acc {
+                    *acc = _mm256_mul_ps(*acc, vinv);
+                }
+                store_row(&acc, &mut out[(r0 + r) * d + j0..][..w]);
+            }
+        }
+    }
+    PANELS.set(packed);
+}
+
+/// One output row segment of [`clip_sum`] over one packed panel: the
+/// row's terms `(s, δ_si, scale_s)` in sample order, from `+0`.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn clip_row(terms: &[(u32, f32, f32)], panel: &[f32]) -> [__m256; ROW_VECS] {
+    let mut acc = [_mm256_setzero_ps(); ROW_VECS];
+    for &(s, c, scale) in terms {
+        let s = s as usize;
+        let xs = panel[s * ROW_TILE..(s + 1) * ROW_TILE].as_ptr();
+        let vc = _mm256_set1_ps(c);
+        let vs = _mm256_set1_ps(scale);
+        for (v, acc) in acc.iter_mut().enumerate() {
+            let t = _mm256_mul_ps(vs, _mm256_mul_ps(vc, _mm256_loadu_ps(xs.add(8 * v))));
+            *acc = _mm256_add_ps(*acc, t);
+        }
+    }
+    acc
+}
+
+/// All-ones in each lane of `x` that is ±∞ or NaN (all exponent bits
+/// set).
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn non_finite(x: __m256) -> __m256 {
+    let exp = _mm256_castsi256_ps(_mm256_set1_epi32(0x7f80_0000));
+    _mm256_cmp_ps::<_CMP_EQ_OQ>(_mm256_and_ps(x, exp), exp)
+}
+
+/// Whether every value of `x` is finite.
+#[target_feature(enable = "avx2")]
+unsafe fn all_finite(x: &[f32]) -> bool {
+    let mut hit = _mm256_setzero_ps();
+    let chunks = x.len() / 8;
+    for c in 0..chunks {
+        hit = _mm256_or_ps(hit, non_finite(_mm256_loadu_ps(x.as_ptr().add(c * 8))));
+    }
+    _mm256_movemask_ps(hit) == 0 && x[chunks * 8..].iter().all(|v| v.is_finite())
+}
+
+/// f32x8 registers per [`NORM_LANES`] samples.
+const NORM_VECS: usize = NORM_LANES / 8;
+
+/// See [`scalar::masked_sq_norms`]: the [`NORM_LANES`] samples run in
+/// [`NORM_VECS`] f32x8 accumulators, that many independent add chains.
+/// A zero-δ lane adds `(0·x)² = +0` when `x` is finite, which leaves
+/// its sum unchanged; only when an input is non-finite is the product
+/// masked.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn masked_sq_norms(
+    delta: &[[f32; NORM_LANES]],
+    x: &[[f32; NORM_LANES]],
+) -> [f32; NORM_LANES] {
+    if all_finite(x.as_flattened()) {
+        sq_norms::<false>(delta, x)
+    } else {
+        sq_norms::<true>(delta, x)
+    }
+}
+
+/// [`masked_sq_norms`], masking zero-δ products when `MASKED`.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn sq_norms<const MASKED: bool>(
+    delta: &[[f32; NORM_LANES]],
+    x: &[[f32; NORM_LANES]],
+) -> [f32; NORM_LANES] {
+    let zero = _mm256_setzero_ps();
+    let mut acc = [zero; NORM_VECS];
+    for dv in delta {
+        let mut d = [zero; NORM_VECS];
+        let mut keep = [zero; NORM_VECS];
+        for h in 0..NORM_VECS {
+            d[h] = _mm256_loadu_ps(dv.as_ptr().add(8 * h));
+            keep[h] = _mm256_cmp_ps::<_CMP_NEQ_UQ>(d[h], zero);
+        }
+        for xv in x {
+            for h in 0..NORM_VECS {
+                let mut p = _mm256_mul_ps(d[h], _mm256_loadu_ps(xv.as_ptr().add(8 * h)));
+                if MASKED {
+                    p = _mm256_and_ps(p, keep[h]);
+                }
+                acc[h] = _mm256_add_ps(acc[h], _mm256_mul_ps(p, p));
+            }
+        }
+    }
+    let mut out = [0.0f32; NORM_LANES];
+    for (h, acc) in acc.iter().enumerate() {
+        _mm256_storeu_ps(out.as_mut_ptr().add(8 * h), *acc);
+    }
+    out
 }
 
 /// See [`scalar::minmax`]. min/max over finite floats is fold-order

@@ -10,18 +10,34 @@
 //! from a [`std::sync::OnceLock`]; per-call overhead is one relaxed
 //! atomic load and a thread-local check.
 //!
-//! Two kernels are register tiles over the pairwise ones: [`dot_tile`]
-//! (4 A rows × 2 B rows, for `matmul_nt`) and [`sq_err_tile`] (one
-//! reconstruction × 4 originals, for all-pairs PSNR). A tile loads
-//! each chunk once for all its outputs, and each output keeps the
-//! single-pair kernel's lane order, combine and tail, so every output
-//! equals [`dot`] or [`sq_err_sum`] of its pair, bit for bit.
-//! [`sq_err_tile_bounded`] is [`sq_err_tile`] with early abandon: it
-//! runs the same lanes, checks a per-original bound every
-//! [`SQ_BOUND_CHUNKS`] chunks and stops once all four originals are
-//! above theirs; an output it does not abandon is [`sq_err_sum`]'s.
-//! [`box_sums8`] is one output row of an equal-width box filter (the
-//! coarse shrink of PSNR matching), eight boxes in eight lanes.
+//! [`sq_err_tile`] is a register tile over a pairwise kernel (one
+//! reconstruction × 4 originals, for all-pairs PSNR): it loads each
+//! chunk once for all its outputs, and each output keeps
+//! [`sq_err_sum`]'s lane order, combine and tail, so it equals the
+//! single-pair sum bit for bit. [`sq_err_tile_bounded`] is
+//! [`sq_err_tile`] with early abandon: it runs the same lanes, checks a
+//! per-original bound every [`SQ_BOUND_CHUNKS`] chunks and stops once
+//! all four originals are above theirs; an output it does not abandon
+//! is [`sq_err_sum`]'s. [`box_sums8`] is one output row of an
+//! equal-width box filter (the coarse shrink of PSNR matching), eight
+//! boxes in eight lanes.
+//!
+//! Four kernels carry the dense products of the client step, each
+//! cache- and register-blocked on the vector backend and specified by
+//! the scalar backend's plain loop:
+//!
+//! * `matmul_nt_rows` (`x · Wᵀ`): every output is the [`dot`] of its
+//!   row pair. The vector backend walks panels of B rows sized for L2
+//!   and k-blocks sized for L1, keeping each output's eight dot lanes
+//!   in a 6 × 2 register tile and parking them between k-blocks.
+//! * `matmul_tn_rows` (`δᵀ · x`): each output adds one four-step
+//!   block at a time, skipping all-zero blocks. The vector backend
+//!   holds 64 outputs of a row in registers over a packed panel of B
+//!   and walks a per-row list of the blocks the specification keeps.
+//! * [`clip_sum`] and [`masked_sq_norms`] (DP-SGD's per-sample clip
+//!   and sum of rank-one gradients): the sum is `matmul_tn_rows`'s
+//!   layout with one scaled term per nonzero δ; the norms run
+//!   [`NORM_LANES`] samples in independent lanes.
 //!
 //! ## Bit-exactness contract
 //!
@@ -85,11 +101,8 @@ use std::sync::OnceLock;
 mod avx2;
 pub(crate) mod scalar;
 
-/// A rows per [`dot_tile`].
-pub const TILE_ROWS: usize = 4;
-
-/// B rows per [`dot_tile`].
-pub const TILE_COLS: usize = 2;
+/// Samples per [`masked_sq_norms`] call: one independent lane each.
+pub const NORM_LANES: usize = 32;
 
 /// Originals per [`sq_err_tile`].
 pub const SQ_TILE: usize = 4;
@@ -257,12 +270,63 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     dispatch!(dot(a, b))
 }
 
-/// Tile of [`dot`]s: `out[r·TILE_COLS + c] = dot(a[r], b[c])`, bit for
-/// bit, with each chunk of the six rows loaded once.
+/// Rows `[row0, row0 + out.len() / n)` of `a · bᵀ` for `a (m×k)` and
+/// `b (n×k)` row-major, with `n = b.len() / k`: every output is
+/// `dot(a_row(i), b_row(j))`, bit for bit.
 ///
-/// All rows must have the same length (debug-asserted).
-pub fn dot_tile(a: [&[f32]; TILE_ROWS], b: [&[f32]; TILE_COLS]) -> [f32; TILE_ROWS * TILE_COLS] {
-    dispatch!(dot_tile(a, b))
+/// Requires `k > 0` and `out.len()` a multiple of `n` with those rows
+/// inside `a`.
+pub(crate) fn matmul_nt_rows(a: &[f32], b: &[f32], k: usize, row0: usize, out: &mut [f32]) {
+    dispatch!(matmul_nt_rows(a, b, k, row0, out))
+}
+
+/// Rows `[i0, i0 + out.len() / n)` of `aᵀ · b` for `a (k×m)` and
+/// `b (k×n)` row-major, added into `out`, which must hold `+0` on
+/// entry.
+///
+/// Each output adds `((a0·b0 + a1·b1) + a2·b2) + a3·b3` for every
+/// block of four k-steps in order, skipping a block whose four
+/// coefficients `a[p..p + 4][i]` are all zero, then `a·b` for each
+/// remaining k-step with a nonzero coefficient. A skip is exact: the
+/// output starts at `+0` and so never holds `−0`, and skipping avoids
+/// `0·∞`.
+///
+/// Requires `out.len()` a multiple of `n` with those rows inside `a`.
+pub(crate) fn matmul_tn_rows(a: &[f32], b: &[f32], m: usize, n: usize, i0: usize, out: &mut [f32]) {
+    dispatch!(matmul_tn_rows(a, b, m, n, i0, out))
+}
+
+/// The clipped sum of rank-one gradients behind DP-SGD's per-sample
+/// clip-and-sum: for `x (b×d)` and `delta (b×n)` row-major, with
+/// `b = scales.len()`, writes `out (n×d)` as
+/// `out[i][j] = (Σ_s scales[s]·(delta[s][i]·x[s][j]))·inv_b`, each sum
+/// from `+0` in sample order, skipping the terms with
+/// `delta[s][i] = 0` (they would add exactly `+0`, or NaN from `0·∞`).
+///
+/// With no samples every sum is empty and `out` becomes `+0`.
+/// Otherwise requires `x.len() = b·d`, `delta.len() = b·n` and
+/// `out.len() = n·d` (debug-asserted).
+pub fn clip_sum(x: &[f32], delta: &[f32], scales: &[f32], inv_b: f32, out: &mut [f32]) {
+    if scales.is_empty() {
+        out.fill(0.0);
+        return;
+    }
+    debug_assert!(
+        x.len().is_multiple_of(scales.len())
+            && delta.len().is_multiple_of(scales.len())
+            && out.len() == x.len() / scales.len() * (delta.len() / scales.len()),
+        "clip_sum shapes disagree"
+    );
+    dispatch!(clip_sum(x, delta, scales, inv_b, out))
+}
+
+/// Squared norms of [`NORM_LANES`] samples' rank-one gradients,
+/// transposed one sample per lane: `delta[r][l]` is the `r`-th value
+/// of sample `l`'s δ and `x[j][l]` its `j`-th input. Lane `l` returns
+/// `Σ_r Σ_j p²`, with `p = delta[r][l]·x[j][l]` when `delta[r][l] ≠ 0`
+/// and `+0` otherwise, summed strictly in `(r, j)` order from `+0`.
+pub fn masked_sq_norms(delta: &[[f32; NORM_LANES]], x: &[[f32; NORM_LANES]]) -> [f32; NORM_LANES] {
+    dispatch!(masked_sq_norms(delta, x))
 }
 
 /// In-place AXPY `out[i] += alpha · x[i]`.
@@ -495,6 +559,13 @@ mod tests {
     fn pinning_unavailable_backend_panics() {
         let result = std::panic::catch_unwind(|| with_backend(Backend::Avx2, || ()));
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn clip_sum_of_no_samples_is_zero() {
+        let mut out = [f32::NAN; 6];
+        clip_sum(&[], &[], &[], 0.5, &mut out);
+        assert!(out.iter().all(|v| v.to_bits() == 0));
     }
 
     #[test]

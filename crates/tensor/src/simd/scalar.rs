@@ -13,7 +13,7 @@
 //! so the "scalar" backend is itself reasonably fast — the explicit
 //! backends buy the full register width plus runtime dispatch.
 
-use super::{SQ_BOUND_CHUNKS, SQ_TILE, TILE_COLS, TILE_ROWS};
+use super::{NORM_LANES, SQ_BOUND_CHUNKS, SQ_TILE};
 
 /// Lane width every reduction kernel is blocked to. Vector backends
 /// must use the same logical lane count (one f32x8, two f32x4, …) to
@@ -45,17 +45,145 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7])) + tail
 }
 
-/// Register tile of dot products: `out[r·TILE_COLS + c] = dot(a[r], b[c])`.
+/// Rows of `a · bᵀ` from `row0`: every output is the single-pair
+/// [`dot`] of its row pair.
 ///
-/// This is the specification, not a fast path: every output is the
-/// single-pair [`dot`] of its row pair, so a vector backend that keeps
-/// one accumulator per output (with [`dot`]'s lane order, combine and
-/// tail) matches it bit for bit while loading each chunk once per tile.
-pub(crate) fn dot_tile(
-    a: [&[f32]; TILE_ROWS],
-    b: [&[f32]; TILE_COLS],
-) -> [f32; TILE_ROWS * TILE_COLS] {
-    std::array::from_fn(|o| dot(a[o / TILE_COLS], b[o % TILE_COLS]))
+/// The specification, not a fast path: a vector backend that keeps
+/// one eight-lane accumulator per output (with [`dot`]'s lane order,
+/// combine and tail) matches it bit for bit however it blocks the
+/// loops.
+pub(crate) fn matmul_nt_rows(a: &[f32], b: &[f32], k: usize, row0: usize, out: &mut [f32]) {
+    let n = b.len() / k;
+    if n == 0 {
+        return;
+    }
+    for (r, out_row) in out.chunks_exact_mut(n).enumerate() {
+        let arow = &a[(row0 + r) * k..(row0 + r + 1) * k];
+        for (o, brow) in out_row.iter_mut().zip(b.chunks_exact(k)) {
+            *o = dot(arow, brow);
+        }
+    }
+}
+
+/// Rows of `aᵀ · b` from `i0`, added into `out` (`+0` on entry): per
+/// output, one [`axpy4`] term for every block of four k-steps whose
+/// coefficients are not all zero, then the remaining k-steps one at a
+/// time, skipping zero coefficients.
+///
+/// Each [`axpy4`] updates a whole output row, so every output row is
+/// loaded and stored once per block; the order of the IEEE operations
+/// per output is what a vector backend reproduces.
+pub(crate) fn matmul_tn_rows(a: &[f32], b: &[f32], m: usize, n: usize, i0: usize, out: &mut [f32]) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    let k = a.len() / m;
+    let blocks = k / 4 * 4;
+    let mut p = 0;
+    while p < blocks {
+        let a0 = &a[p * m..(p + 1) * m];
+        let a1 = &a[(p + 1) * m..(p + 2) * m];
+        let a2 = &a[(p + 2) * m..(p + 3) * m];
+        let a3 = &a[(p + 3) * m..(p + 4) * m];
+        let b0 = &b[p * n..(p + 1) * n];
+        let b1 = &b[(p + 1) * n..(p + 2) * n];
+        let b2 = &b[(p + 2) * n..(p + 3) * n];
+        let b3 = &b[(p + 3) * n..(p + 4) * n];
+        for (li, orow) in out.chunks_exact_mut(n).enumerate() {
+            let i = i0 + li;
+            let coeff = [a0[i], a1[i], a2[i], a3[i]];
+            if coeff != [0.0; 4] {
+                axpy4(orow, coeff, b0, b1, b2, b3);
+            }
+        }
+        p += 4;
+    }
+    for p in blocks..k {
+        let arow = &a[p * m..(p + 1) * m];
+        let brow = &b[p * n..(p + 1) * n];
+        for (li, orow) in out.chunks_exact_mut(n).enumerate() {
+            let av = arow[i0 + li];
+            if av == 0.0 {
+                continue;
+            }
+            for (ov, &bv) in orow.iter_mut().zip(brow) {
+                *ov += av * bv;
+            }
+        }
+    }
+}
+
+/// The clipped sum of rank-one gradients, one output row at a time:
+/// row `i` collects its terms `(x_s, δ_si, scale_s)` with `δ_si ≠ 0`
+/// in sample order and adds `scale_s·(δ_si·x_s)` to every element,
+/// four samples per pass over the row, each element still adding its
+/// terms one at a time; then scales the row by `inv_b`.
+pub(crate) fn clip_sum(x: &[f32], delta: &[f32], scales: &[f32], inv_b: f32, out: &mut [f32]) {
+    let b = scales.len();
+    let (d, n) = (x.len() / b, delta.len() / b);
+    if d == 0 || n == 0 {
+        return;
+    }
+    let mut terms: Vec<(&[f32], f32, f32)> = Vec::with_capacity(b);
+    for (i, row) in out.chunks_exact_mut(d).enumerate() {
+        row.fill(0.0);
+        terms.clear();
+        for (s, (xs, &scale)) in x.chunks_exact(d).zip(scales).enumerate() {
+            let c = delta[s * n + i];
+            if c != 0.0 {
+                terms.push((xs, c, scale));
+            }
+        }
+        let mut quads = terms.chunks_exact(4);
+        for quad in &mut quads {
+            let [(x0, c0, s0), (x1, c1, s1), (x2, c2, s2), (x3, c3, s3)] =
+                [quad[0], quad[1], quad[2], quad[3]];
+            let (x0, x1, x2, x3) = (&x0[..d], &x1[..d], &x2[..d], &x3[..d]);
+            for (j, o) in row.iter_mut().enumerate() {
+                let mut v = *o;
+                v += s0 * (c0 * x0[j]);
+                v += s1 * (c1 * x1[j]);
+                v += s2 * (c2 * x2[j]);
+                v += s3 * (c3 * x3[j]);
+                *o = v;
+            }
+        }
+        for &(xs, c, scale) in quads.remainder() {
+            for (o, &xv) in row.iter_mut().zip(xs) {
+                *o += scale * (c * xv);
+            }
+        }
+        for o in row.iter_mut() {
+            *o *= inv_b;
+        }
+    }
+}
+
+/// Masked squared norms, one independent lane per sample: for each
+/// δ row in order, every input adds `p·p` with `p = δ·x`, or `+0` in a
+/// lane whose δ is zero (so `0·∞` never turns into NaN). The lanes are
+/// the shape LLVM vectorizes without reassociating anything.
+pub(crate) fn masked_sq_norms(
+    delta: &[[f32; NORM_LANES]],
+    x: &[[f32; NORM_LANES]],
+) -> [f32; NORM_LANES] {
+    let mut acc = [0.0f32; NORM_LANES];
+    for dv in delta {
+        let keep = dv.map(|v| if v != 0.0 { u32::MAX } else { 0 });
+        // A local copy keeps the accumulators in registers.
+        let mut a = acc;
+        for xv in x {
+            let mut p = [0.0f32; NORM_LANES];
+            for l in 0..NORM_LANES {
+                p[l] = f32::from_bits((dv[l] * xv[l]).to_bits() & keep[l]);
+            }
+            for l in 0..NORM_LANES {
+                a[l] += p[l] * p[l];
+            }
+        }
+        acc = a;
+    }
+    acc
 }
 
 /// In-place single-coefficient AXPY: `out[j] += alpha * x[j]`.
@@ -257,7 +385,7 @@ pub(crate) fn sq_err_bounded(a: &[f32], b: &[f32], bound: f64) -> f64 {
 /// One reconstruction against [`SQ_TILE`] originals:
 /// `out[j] = sq_err_sum(a, b[j])`.
 ///
-/// The specification, like [`dot_tile`]: each output is the
+/// The specification, like [`matmul_nt_rows`]: each output is the
 /// single-pair kernel, so a vector backend that keeps two f64x4
 /// accumulators per original reproduces it while loading `a` once.
 pub(crate) fn sq_err_tile(a: &[f32], b: [&[f32]; SQ_TILE]) -> [f64; SQ_TILE] {

@@ -11,9 +11,12 @@
 //! best backend *is* scalar the comparisons are trivially true; the
 //! CI perf leg runs on AVX2 where they are load-bearing.
 //!
-//! The register tiles (`dot_tile`, `sq_err_tile`, and `matmul_nt`
-//! built on them) are pinned against the single-pair kernels on every
-//! available backend, with ±∞, NaN and subnormals added to the mix;
+//! The blocked kernels are pinned against per-element loops on every
+//! available backend and at 1 and 2 threads, with ±0, ±∞, NaN and
+//! subnormals added to the mix: `matmul_nt` against one `dot` per
+//! output and `matmul_tn` against the four-step block sum per output,
+//! at shapes crossing every register-tile, panel and k-block edge.
+//! `sq_err_tile` is pinned against the single-pair sum,
 //! `sq_err_tile_bounded` against `sq_err_tile` (an output is the full
 //! sum or a sound early stop) and `box_sums8` against the per-pixel
 //! box loop.
@@ -104,7 +107,7 @@ fn lane_rows(rows: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
 }
 
 /// The per-element loop `matmul_nt` ran before its register tile,
-/// kept verbatim as the oracle.
+/// kept verbatim as the oracle: one `dot` per output.
 fn matmul_nt_oracle(a: &Tensor, b: &Tensor) -> Vec<f32> {
     let (m, k) = (a.dims()[0], a.dims()[1]);
     let n = b.dims()[0];
@@ -117,6 +120,76 @@ fn matmul_nt_oracle(a: &Tensor, b: &Tensor) -> Vec<f32> {
         }
     }
     out
+}
+
+/// `matmul_tn`'s specification written out per output: from `+0`,
+/// each block of four k-steps whose coefficients `a[p..p + 4][i]` are
+/// not all zero adds `((a0·b0 + a1·b1) + a2·b2) + a3·b3`, then each
+/// remaining k-step with a nonzero coefficient adds `a·b`.
+fn matmul_tn_oracle(a: &Tensor, b: &Tensor) -> Vec<f32> {
+    let (k, m) = (a.dims()[0], a.dims()[1]);
+    let n = b.dims()[1];
+    let (a, b) = (a.data(), b.data());
+    let blocks = k / 4 * 4;
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let (c, x) = (|p: usize| a[p * m + i], |p: usize| b[p * n + j]);
+            let mut o = 0.0f32;
+            for p in (0..blocks).step_by(4) {
+                if [c(p), c(p + 1), c(p + 2), c(p + 3)] != [0.0; 4] {
+                    o += c(p) * x(p)
+                        + c(p + 1) * x(p + 1)
+                        + c(p + 2) * x(p + 2)
+                        + c(p + 3) * x(p + 3);
+                }
+            }
+            for p in blocks..k {
+                if c(p) != 0.0 {
+                    o += c(p) * x(p);
+                }
+            }
+            out[i * n + j] = o;
+        }
+    }
+    out
+}
+
+/// A `rows × cols` matrix of values in ±2 with signed zeros and
+/// subnormals sprinkled in, and each listed `(row, value)` written at a
+/// random column of that row.
+fn sprinkled(
+    rng: &mut rand::rngs::StdRng,
+    rows: usize,
+    cols: usize,
+    loud: &[(usize, f32)],
+) -> Tensor {
+    use rand::Rng;
+    let quiet = [0.0f32, -0.0, 1e-40, -1e-40];
+    let mut data: Vec<f32> = (0..rows * cols)
+        .map(|_| {
+            if rng.gen_range(0..16) == 0 {
+                quiet[rng.gen_range(0..quiet.len())]
+            } else {
+                rng.gen_range(-2.0f32..2.0)
+            }
+        })
+        .collect();
+    for &(row, v) in loud {
+        if row < rows && cols > 0 {
+            data[row * cols + rng.gen_range(0..cols)] = v;
+        }
+    }
+    Tensor::from_vec(data, &[rows, cols]).unwrap()
+}
+
+/// Asserts `got` equals `want` under [`same`], naming the first output
+/// that differs.
+fn assert_same(got: &Tensor, want: &[f32], what: &str) {
+    assert_eq!(got.data().len(), want.len(), "{what}: length");
+    for (o, (&g, &w)) in got.data().iter().zip(want).enumerate() {
+        assert!(same(g, w), "{what} out {o}: {g} vs {w}");
+    }
 }
 
 proptest! {
@@ -241,21 +314,6 @@ proptest! {
 
 proptest! {
     #[test]
-    fn dot_tile_is_the_single_pair_dot_per_output(rows in lane_rows(6)) {
-        let a: [&[f32]; 4] = std::array::from_fn(|r| &rows[r][..]);
-        let b: [&[f32]; 2] = std::array::from_fn(|c| &rows[4 + c][..]);
-        let want: Vec<f32> = simd::with_backend(Backend::Scalar, || {
-            (0..8).map(|o| simd::dot(a[o / 2], b[o % 2])).collect()
-        });
-        for backend in backends() {
-            let tile = simd::with_backend(backend, || simd::dot_tile(a, b));
-            for (o, (&got, &w)) in tile.iter().zip(&want).enumerate() {
-                prop_assert!(same(got, w), "{:?} output {}: {} vs {}", backend, o, got, w);
-            }
-        }
-    }
-
-    #[test]
     fn sq_err_tile_is_the_single_pair_sum_per_output(rows in lane_rows(5)) {
         let b: [&[f32]; 4] = std::array::from_fn(|j| &rows[1 + j][..]);
         let want: Vec<f64> = simd::with_backend(Backend::Scalar, || {
@@ -272,37 +330,27 @@ proptest! {
 
 #[test]
 fn tiled_matmul_nt_matches_the_per_element_dot_loop() {
-    // m and n cover every edge: whole 4×2 tiles, leftover rows (m % 4)
-    // and an odd last column. k = 64 is the smallest dot-path k, 65
-    // adds a one-element tail, and 3079 is long enough to cross the
-    // parallel threshold at 2 threads. Signed zeros and subnormals are
-    // sprinkled everywhere; non-finite values sit in the last A row
-    // (NaN) and the first and last B rows (±∞), so the other outputs
-    // stay finite and their bits meaningful.
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(17);
-    let quiet = [0.0f32, -0.0, 1e-40, -1e-40];
-    let mut matrix = |rows: usize, k: usize, loud: [(usize, f32); 2]| {
-        let mut data: Vec<f32> = (0..rows * k)
-            .map(|_| {
-                if rng.gen_range(0..16) == 0 {
-                    quiet[rng.gen_range(0..quiet.len())]
-                } else {
-                    rng.gen_range(-2.0f32..2.0)
-                }
-            })
-            .collect();
-        for (row, v) in loud {
-            data[row * k + rng.gen_range(0..k)] = v;
-        }
-        Tensor::from_vec(data, &[rows, k]).unwrap()
-    };
-    for k in [64, 65, 3079] {
-        for m in 1..=9 {
+    // m and n cover the register tile's edges: whole 6×2 tiles,
+    // every count of leftover rows (m % 6) and an odd last column. k = 64 is the
+    // smallest dot-path k, 65 adds a one-element tail, 1100 spans two
+    // k-blocks (128 chunks each, the second partial) and 3079 three,
+    // long enough to cross the parallel threshold at 2 threads.
+    // Signed zeros and subnormals are sprinkled everywhere; non-finite
+    // values sit in the last A row (NaN) and the first and last B rows
+    // (±∞), so the other outputs stay finite and their bits
+    // meaningful.
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    for k in [64, 65, 1100, 3079] {
+        for m in 1..=13 {
             for n in 1..=7 {
-                let a = matrix(m, k, [(m - 1, f32::NAN), (m - 1, f32::NAN)]);
-                let b = matrix(n, k, [(0, f32::INFINITY), (n - 1, f32::NEG_INFINITY)]);
+                let a = sprinkled(&mut rng, m, k, &[(m - 1, f32::NAN)]);
+                let b = sprinkled(
+                    &mut rng,
+                    n,
+                    k,
+                    &[(0, f32::INFINITY), (n - 1, f32::NEG_INFINITY)],
+                );
                 let want = simd::with_backend(Backend::Scalar, || matmul_nt_oracle(&a, &b));
                 for backend in backends() {
                     for threads in [1, 2] {
@@ -310,15 +358,129 @@ fn tiled_matmul_nt_matches_the_per_element_dot_loop() {
                             parallel::with_threads(threads, || a.matmul_nt(&b).unwrap())
                         });
                         assert_eq!(got.dims(), &[m, n]);
-                        for (o, (&g, &w)) in got.data().iter().zip(&want).enumerate() {
-                            assert!(
-                                same(g, w),
-                                "{backend:?} t={threads} m={m} n={n} k={k} out {o}: {g} vs {w}"
-                            );
-                        }
+                        assert_same(
+                            &got,
+                            &want,
+                            &format!("{backend:?} t={threads} m={m} n={n} k={k}"),
+                        );
                     }
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn matmul_nt_panels_match_the_per_element_dot_loop() {
+    // A long reduction axis shrinks the panel of B rows the vector
+    // kernel keeps in L2 to a few rows (about 10 at k = 12 000), so
+    // n = 9–23 crosses one and two panel edges, odd panel widths
+    // included; m = 5 and 9 leave partial row tiles in every panel.
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+    let k = 12_000;
+    for m in [5, 9] {
+        for n in [9, 10, 11, 21, 23] {
+            let a = sprinkled(&mut rng, m, k, &[(0, f32::NAN)]);
+            let b = sprinkled(&mut rng, n, k, &[(n - 1, f32::INFINITY)]);
+            let want = simd::with_backend(Backend::Scalar, || matmul_nt_oracle(&a, &b));
+            for backend in backends() {
+                for threads in [1, 2] {
+                    let got = simd::with_backend(backend, || {
+                        parallel::with_threads(threads, || a.matmul_nt(&b).unwrap())
+                    });
+                    assert_same(&got, &want, &format!("{backend:?} t={threads} m={m} n={n}"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn blocked_matmul_tn_matches_the_per_element_block_sum() {
+    // a is (k × m), b (k × n). n crosses the 64-column register tile
+    // (and the 8-lane chunks inside it), m the 16-row blocks, and k
+    // the four-step blocks (tails of 1–3 steps) and the 128-step
+    // packed panels. Every column of a gets all-zero four-step blocks
+    // of signed zeros, zero tail steps and a third of its other
+    // coefficients zeroed, so most blocks mix zero and nonzero terms;
+    // a NaN sits in a's first row. Each shape runs with a finite b
+    // (where the vector kernel drops zero terms inside a block) and
+    // with ±∞ in b's first and last rows (where it must not: 0·∞ is
+    // NaN, and an all-zero block must still be skipped).
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+    let shapes = [
+        (1, 1, 1),
+        (3, 2, 7),
+        (4, 5, 8),
+        (5, 15, 63),
+        (7, 16, 64),
+        (9, 17, 65),
+        (33, 3, 130),
+        (129, 18, 9),
+        (261, 4, 66),
+    ];
+    for (k, m, n) in shapes {
+        let mut a = sprinkled(&mut rng, k, m, &[(0, f32::NAN)]);
+        for i in 0..m {
+            for p in 0..k {
+                let in_zero_block = p / 4 % 3 == i % 3 && p < k / 4 * 4;
+                let tail = p >= k / 4 * 4;
+                if in_zero_block || rng.gen_range(0..3) == 0 || (tail && rng.gen_range(0..2) == 0) {
+                    a.data_mut()[p * m + i] = if rng.gen_range(0..2) == 0 { 0.0 } else { -0.0 };
+                }
+            }
+        }
+        for loud in [
+            &[][..],
+            &[(0, f32::INFINITY), (k - 1, f32::NEG_INFINITY)][..],
+        ] {
+            let b = sprinkled(&mut rng, k, n, loud);
+            let want = matmul_tn_oracle(&a, &b);
+            for backend in backends() {
+                for threads in [1, 2] {
+                    let got = simd::with_backend(backend, || {
+                        parallel::with_threads(threads, || a.matmul_tn(&b).unwrap())
+                    });
+                    assert_eq!(got.dims(), &[m, n]);
+                    let what = format!("{backend:?} t={threads} k={k} m={m} n={n} loud={loud:?}");
+                    assert_same(&got, &want, &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn matmul_tn_k_blocks_match_the_per_element_block_sum() {
+    // A wide b shrinks the vector kernel's k-block so its packed
+    // panels stay within L2: at n = 4160 a k-block is 60 steps, so
+    // k = 130 runs two full blocks and a partial one (with a two-step
+    // tail), and the partial sums are stored and reloaded between
+    // them. Rows of a hold enough all-zero blocks that a row can be
+    // silent for a whole k-block; the NaN in b makes one k-block
+    // non-finite, so that block adds every term of a block while the
+    // finite ones drop the zero terms.
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+    let (k, m, n) = (130, 6, 4160);
+    let mut a = sprinkled(&mut rng, k, m, &[]);
+    for i in 0..m {
+        for p in 0..k {
+            if (p / 60 + i) % 3 == 0 || rng.gen_range(0..4) == 0 {
+                a.data_mut()[p * m + i] = 0.0;
+            }
+        }
+    }
+    let b = sprinkled(&mut rng, k, n, &[(64, f32::NAN)]);
+    let want = matmul_tn_oracle(&a, &b);
+    for backend in backends() {
+        for threads in [1, 2] {
+            let got = simd::with_backend(backend, || {
+                parallel::with_threads(threads, || a.matmul_tn(&b).unwrap())
+            });
+            assert_same(&got, &want, &format!("{backend:?} t={threads}"));
         }
     }
 }

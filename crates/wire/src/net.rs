@@ -387,33 +387,59 @@ mod tests {
     }
 
     #[test]
-    fn per_submission_delivery_matches_batch_deliver() {
-        // One `delivery` call per participant must replay the batch
-        // fold fate-for-fate, including the straggler wait on the
-        // aggregate clock.
-        for raw in ["sim:20,1,0.3,500", "sim:5,8,0", "ideal"] {
-            let spec: NetSpec = raw.parse().unwrap();
-            let submissions = subs(64, 10_000);
-            let batch = spec.deliver(42, 3, &submissions);
-            let mut round_ms = 0.0f64;
-            let mut any_missing = false;
-            for (sub, expected) in submissions.iter().zip(&batch.deliveries) {
-                let one = spec.delivery(42, 3, sub);
-                assert_eq!(
-                    &one, expected,
-                    "{raw} diverged for client {}",
-                    sub.client_id
-                );
-                match one.status {
-                    DeliveryStatus::Delivered => round_ms = round_ms.max(one.arrival_ms),
-                    _ => any_missing = true,
-                }
-            }
-            if any_missing {
-                round_ms = round_ms.max(spec.straggler_wait_ms());
-            }
-            assert_eq!(round_ms, batch.round_ms, "{raw} round clock diverged");
+    fn deliver_matches_hand_computed_fates() {
+        // 5 ms latency each way, 8 Mbit/s = 1 byte/µs, a 20 ms cutoff:
+        // client 0 moves 2000 bytes (12 ms), client 1 5000 (15 ms) and
+        // client 2 11000 (21 ms, past the cutoff).
+        let sub = |client_id, bytes_down, bytes_up| Submission {
+            client_id,
+            bytes_up,
+            bytes_down,
+        };
+        let submissions = [sub(0, 1000, 1000), sub(1, 2500, 2500), sub(2, 6000, 5000)];
+        let close = |got: f64, want: f64| (got - want).abs() < 1e-9;
+        let t = "sim:5,8,0,20"
+            .parse::<NetSpec>()
+            .unwrap()
+            .deliver(42, 3, &submissions);
+        let fates: Vec<_> = t
+            .deliveries
+            .iter()
+            .map(|d| (d.client_id, d.status))
+            .collect();
+        use DeliveryStatus::{Delivered, Dropped, Straggler};
+        assert_eq!(fates, [(0, Delivered), (1, Delivered), (2, Straggler)]);
+        for (d, want) in t.deliveries.iter().zip([12.0, 15.0, 21.0]) {
+            assert!(close(d.arrival_ms, want), "{d:?}");
         }
+        assert_eq!((t.delivered, t.dropped), (2, 1));
+        assert_eq!((t.bytes_down, t.bytes_up), (9500, 8500));
+        // The last arrival is at 15 ms, but the straggler makes the
+        // server wait out its 20 ms cutoff.
+        assert!(close(t.round_ms, 20.0), "{}", t.round_ms);
+
+        // A drop rate just under 1 loses all three (each survives with
+        // probability 1e-9). With a cutoff the server waits it out;
+        // without one, losses add no wait.
+        for (raw, round_ms) in [
+            ("sim:5,8,0.999999999,20", 20.0),
+            ("sim:5,8,0.999999999", 0.0),
+        ] {
+            let t = raw.parse::<NetSpec>().unwrap().deliver(42, 3, &submissions);
+            assert!(t.deliveries.iter().all(|d| d.status == Dropped), "{raw}");
+            assert_eq!((t.delivered, t.dropped), (0, 3), "{raw}");
+            assert!(close(t.round_ms, round_ms), "{raw}: {}", t.round_ms);
+        }
+
+        // Each fate depends on its own submission only: reversing the
+        // submission order reverses the deliveries and nothing else.
+        let spec: NetSpec = "sim:20,1,0.3,500".parse().unwrap();
+        let forward = subs(64, 10_000);
+        let backward: Vec<Submission> = forward.iter().rev().copied().collect();
+        let (f, b) = (spec.deliver(7, 1, &forward), spec.deliver(7, 1, &backward));
+        assert!(f.dropped > 0 && f.delivered > 0, "p=0.3 over 64 clients");
+        assert!(f.deliveries.iter().eq(b.deliveries.iter().rev()));
+        assert_eq!((f.delivered, f.round_ms), (b.delivered, b.round_ms));
     }
 
     #[test]
