@@ -88,7 +88,7 @@ pub fn train_linear_with_dp(
             }
             oasis_tensor::add_randn_scaled(&mut update, 0.0, sigma, &mut rng);
             // SGD step.
-            let mut params = oasis_nn::flatten_params(&mut model);
+            let mut params = oasis_nn::flatten_params(&model);
             for (p, &g) in params.iter_mut().zip(&update) {
                 *p -= config.learning_rate * g;
             }

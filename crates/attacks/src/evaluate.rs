@@ -198,7 +198,7 @@ fn run_attack_inner(
         .ok_or_else(|| AttackError::BadConfig("empty batch".into()))?
         .dims();
     let mut model = attack.build_model(geometry, classes, seed)?;
-    let broadcast_bytes = param_count(&mut model) * 4;
+    let broadcast_bytes = param_count(&model) * 4;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x00DE_F317);
     drop(setup_span);
     let mut wire: Option<WireTrace> = None;

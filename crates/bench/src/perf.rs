@@ -898,7 +898,7 @@ fn bench_codec_decode(codec: Box<dyn UpdateCodec>) -> PreparedBench {
     // Measure the fold-path decode: a borrowed view over one reused
     // scratch slot — raw frames resolve to a zero-copy borrow, lossy
     // codecs fill the slot — exactly what the server does per frame.
-    let mut scratch = oasis_wire::FrameBuf::new();
+    let mut scratch = Vec::new();
     PreparedBench {
         throughput: Some((bytes, "B/s")),
         run: Box::new(move || {
@@ -1297,7 +1297,7 @@ mod tests {
         // One round at the smallest population suffices — the
         // aggregator's footprint has no population term at all.
         let (factory, pop) = pop_fixture(1_000);
-        let n = oasis_nn::param_count(&mut factory());
+        let n = oasis_nn::param_count(&factory());
         let server = FlServer::new(
             factory,
             FlConfig {

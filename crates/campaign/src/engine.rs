@@ -226,8 +226,9 @@ impl CampaignRunner {
     ///
     /// # Errors
     ///
-    /// Returns [`CampaignError::Spec`] when the defense cannot be
-    /// built and [`CampaignError::Fl`] when the server cannot.
+    /// Returns [`CampaignError::Spec`] when there are no clients or
+    /// the dataset is empty, and [`CampaignError::Fl`] when the server
+    /// cannot be built.
     pub fn new(spec: CampaignSpec, setup: CampaignSetup) -> Result<Self, CampaignError> {
         let CampaignSetup {
             dataset,
@@ -245,6 +246,11 @@ impl CampaignRunner {
         if clients == 0 {
             return Err(CampaignError::Spec(ScenarioError::BadSpec(
                 "campaign needs at least one client".into(),
+            )));
+        }
+        if dataset.is_empty() {
+            return Err(CampaignError::Spec(ScenarioError::BadSpec(
+                "campaign needs a non-empty dataset".into(),
             )));
         }
         let defense_stack = Arc::new(defense.build());

@@ -150,7 +150,7 @@ mod tests {
             m.push(Linear::new(8, 3, &mut rng));
             m
         });
-        let global = flatten_params(&mut factory());
+        let global = flatten_params(&factory());
         let oasis = Oasis::new(PolicyKind::MajorRotation);
         let client = FlClient::new(0, data.clone(), Arc::new(DefenseStack::of(oasis)));
         let update = client.compute_update(&factory, &global, 4, 1).unwrap();

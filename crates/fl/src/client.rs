@@ -151,8 +151,8 @@ mod tests {
         let data = cifar_like_with(3, 4, 8, 0);
         let d = data.feature_dim();
         let f = factory(d, 3);
-        let mut template = f();
-        let global = flatten_params(&mut template);
+        let template = f();
+        let global = flatten_params(&template);
         let client = FlClient::new(0, data, Arc::new(DefenseStack::identity()));
         let update = client.compute_update(&f, &global, 4, 99).unwrap();
         assert_eq!(update.grads.len(), global.len());
@@ -165,7 +165,7 @@ mod tests {
         let data = cifar_like_with(3, 4, 8, 0);
         let d = data.feature_dim();
         let f = factory(d, 3);
-        let global = flatten_params(&mut f());
+        let global = flatten_params(&f());
         let client = FlClient::new(1, data, Arc::new(DefenseStack::identity()));
         let a = client.compute_update(&f, &global, 4, 5).unwrap();
         let b = client.compute_update(&f, &global, 4, 5).unwrap();
@@ -179,7 +179,7 @@ mod tests {
         let data = cifar_like_with(3, 4, 8, 0);
         let d = data.feature_dim();
         let f = factory(d, 3);
-        let global = flatten_params(&mut f());
+        let global = flatten_params(&f());
         let exact = FlClient::new(0, data.clone(), Arc::new(DefenseStack::identity()))
             .compute_update(&f, &global, 4, 5)
             .unwrap();
@@ -212,7 +212,7 @@ mod tests {
         let data = cifar_like_with(3, 4, 8, 0);
         let d = data.feature_dim();
         let f = factory(d, 3);
-        let global = flatten_params(&mut f());
+        let global = flatten_params(&f());
         // An expanding batch defense: duplicates every sample, so the
         // reported count differs from the drawn batch size.
         struct Doubler;
@@ -244,7 +244,7 @@ mod tests {
         let data = cifar_like_with(2, 2, 8, 1);
         let d = data.feature_dim();
         let f = factory(d, 2);
-        let global = flatten_params(&mut f());
+        let global = flatten_params(&f());
         let client = FlClient::new(2, data, Arc::new(DefenseStack::identity()));
         let update = client.compute_update(&f, &global, 2, 0).unwrap();
         assert!(update.grads.iter().any(|&g| g.abs() > 1e-9));

@@ -118,8 +118,8 @@ impl FlServer {
     /// Returns [`FlError::BadConfig`] if the factory produces an empty
     /// model.
     pub fn new(factory: ModelFactory, config: FlConfig) -> Result<Self> {
-        let mut model = factory();
-        if param_count(&mut model) == 0 {
+        let model = factory();
+        if param_count(&model) == 0 {
             return Err(FlError::BadConfig("model has no parameters".into()));
         }
         Ok(FlServer {
@@ -190,7 +190,7 @@ impl FlServer {
 
     /// The flattened global weights `w_t` as broadcast this round.
     pub fn broadcast_weights(&mut self) -> Vec<f32> {
-        flatten_params(&mut self.model)
+        flatten_params(&self.model)
     }
 
     /// Applies an aggregated mean update as one server SGD step:
@@ -203,7 +203,7 @@ impl FlServer {
     /// the stepped weights.
     pub fn apply_update(&mut self, agg: &[f32]) -> Result<()> {
         let lr = self.config.learning_rate;
-        let mut new_params = flatten_params(&mut self.model);
+        let mut new_params = flatten_params(&self.model);
         if agg.len() != new_params.len() {
             return Err(FlError::UpdateLength {
                 len: agg.len(),

@@ -138,10 +138,10 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(3);
             let mut model = Sequential::new();
             model.push(Linear::new(train.feature_dim(), 3, &mut rng));
-            let before = flatten_params(&mut model);
+            let before = flatten_params(&model);
             let mut opt = Sgd::new(lr);
             train_centralized(&mut model, &mut opt, &train, &train, stack, 1, 4, 5).unwrap();
-            let after = flatten_params(&mut model);
+            let after = flatten_params(&model);
             after
                 .iter()
                 .zip(&before)

@@ -45,9 +45,9 @@ pub enum ImageError {
         /// Expected element count.
         expected: usize,
     },
-    /// An IO failure while reading or writing an image file.
+    /// An IO failure while writing an image file.
     Io(std::io::Error),
-    /// The file is not a supported PPM/PGM format.
+    /// An input the operation cannot use, such as an empty image set.
     Format(String),
 }
 
@@ -80,7 +80,7 @@ impl fmt::Display for ImageError {
                 )
             }
             ImageError::Io(e) => write!(f, "io error: {e}"),
-            ImageError::Format(msg) => write!(f, "unsupported image format: {msg}"),
+            ImageError::Format(msg) => write!(f, "unsupported image input: {msg}"),
         }
     }
 }

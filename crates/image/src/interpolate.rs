@@ -56,30 +56,6 @@ impl AffineMap {
         }
     }
 
-    /// Composition `self ∘ other` (apply `other` first).
-    pub fn compose(&self, other: &AffineMap) -> AffineMap {
-        let a = &self.linear;
-        let b = &other.linear;
-        let linear = [
-            [
-                a[0][0] * b[0][0] + a[0][1] * b[1][0],
-                a[0][0] * b[0][1] + a[0][1] * b[1][1],
-            ],
-            [
-                a[1][0] * b[0][0] + a[1][1] * b[1][0],
-                a[1][0] * b[0][1] + a[1][1] * b[1][1],
-            ],
-        ];
-        let translation = [
-            a[0][0] * other.translation[0] + a[0][1] * other.translation[1] + self.translation[0],
-            a[1][0] * other.translation[0] + a[1][1] * other.translation[1] + self.translation[1],
-        ];
-        AffineMap {
-            linear,
-            translation,
-        }
-    }
-
     /// Applies the map to center-relative coordinates `(y, x)`.
     pub fn apply(&self, y: f32, x: f32) -> (f32, f32) {
         (
@@ -107,12 +83,7 @@ pub enum FillMode {
 }
 
 /// Samples channel `c` of `img` at continuous position `(y, x)` with
-/// bilinear interpolation and zero padding outside the frame.
-pub fn bilinear_sample(img: &Image, c: usize, y: f32, x: f32) -> f32 {
-    bilinear_sample_with(img, c, y, x, FillMode::Zero)
-}
-
-/// [`bilinear_sample`] with an explicit fill mode.
+/// bilinear interpolation, filling outside the frame as `fill` says.
 pub fn bilinear_sample_with(img: &Image, c: usize, y: f32, x: f32, fill: FillMode) -> f32 {
     let (y, x) = match fill {
         FillMode::Zero => (y, x),
@@ -346,7 +317,7 @@ mod tests {
     fn bilinear_at_integer_coords_is_exact() {
         let img = gradient_image();
         assert_eq!(
-            bilinear_sample(&img, 0, 3.0, 4.0),
+            bilinear_sample_with(&img, 0, 3.0, 4.0, FillMode::Zero),
             img.get(0, 3, 4).unwrap()
         );
     }
@@ -356,15 +327,8 @@ mod tests {
         let mut img = Image::new(1, 1, 2);
         img.set(0, 0, 0, 0.0).unwrap();
         img.set(0, 0, 1, 1.0).unwrap();
-        let v = bilinear_sample(&img, 0, 0.0, 0.5);
+        let v = bilinear_sample_with(&img, 0, 0.0, 0.5, FillMode::Zero);
         assert!((v - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn compose_identity_is_noop() {
-        let r = AffineMap::rotation(33.0);
-        let c = r.compose(&AffineMap::identity());
-        assert_eq!(c, r);
     }
 
     #[test]

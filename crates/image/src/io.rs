@@ -1,33 +1,14 @@
-//! Binary PPM (P6) / PGM (P5) reading and writing.
+//! Binary PPM (P6) writing and figure montages.
 //!
 //! The visual-reconstruction figures (paper Figures 7–12 and 14) are
 //! emitted as PPM files, which every image viewer and converter
 //! understands without pulling in an image-codec dependency.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use crate::{Image, ImageError, Result};
-
-/// Writes a 3-channel image as binary PPM (P6) or a 1-channel image as
-/// binary PGM (P5). Values are clamped to `[0, 1]` and quantized to 8
-/// bits.
-///
-/// # Errors
-///
-/// Returns an error for unsupported channel counts or IO failures.
-pub fn write_auto(path: impl AsRef<Path>, img: &Image) -> Result<()> {
-    match img.channels() {
-        1 => write_pgm(path, img),
-        3 => write_ppm(path, img),
-        c => Err(ImageError::ChannelMismatch {
-            op: "write_auto",
-            expected: 3,
-            actual: c,
-        }),
-    }
-}
 
 /// Writes a 3-channel image as binary PPM (P6).
 ///
@@ -57,108 +38,6 @@ pub fn write_ppm(path: impl AsRef<Path>, img: &Image) -> Result<()> {
     }
     w.write_all(&buf)?;
     Ok(())
-}
-
-/// Writes a 1-channel image as binary PGM (P5).
-///
-/// # Errors
-///
-/// Returns an error if the image is not 1-channel or on IO failure.
-pub fn write_pgm(path: impl AsRef<Path>, img: &Image) -> Result<()> {
-    if img.channels() != 1 {
-        return Err(ImageError::ChannelMismatch {
-            op: "write_pgm",
-            expected: 1,
-            actual: img.channels(),
-        });
-    }
-    let mut w = BufWriter::new(File::create(path)?);
-    writeln!(w, "P5")?;
-    writeln!(w, "{} {}", img.width(), img.height())?;
-    writeln!(w, "255")?;
-    let mut buf = Vec::with_capacity(img.height() * img.width());
-    for y in 0..img.height() {
-        for x in 0..img.width() {
-            buf.push(quantize(img.get(0, y, x).expect("in bounds")));
-        }
-    }
-    w.write_all(&buf)?;
-    Ok(())
-}
-
-/// Reads a binary PPM (P6) or PGM (P5) file.
-///
-/// # Errors
-///
-/// Returns an error on IO failure or malformed headers.
-pub fn read(path: impl AsRef<Path>) -> Result<Image> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    parse(&bytes)
-}
-
-fn parse(bytes: &[u8]) -> Result<Image> {
-    let mut pos = 0usize;
-    let magic = next_token(bytes, &mut pos)?;
-    let channels = match magic.as_str() {
-        "P6" => 3,
-        "P5" => 1,
-        other => return Err(ImageError::Format(format!("magic {other:?}"))),
-    };
-    let width: usize = next_token(bytes, &mut pos)?
-        .parse()
-        .map_err(|_| ImageError::Format("bad width".into()))?;
-    let height: usize = next_token(bytes, &mut pos)?
-        .parse()
-        .map_err(|_| ImageError::Format("bad height".into()))?;
-    let maxval: usize = next_token(bytes, &mut pos)?
-        .parse()
-        .map_err(|_| ImageError::Format("bad maxval".into()))?;
-    if maxval != 255 {
-        return Err(ImageError::Format(format!("unsupported maxval {maxval}")));
-    }
-    // Exactly one whitespace byte separates the header from pixel data.
-    pos += 1;
-    let expected = width * height * channels;
-    let pixels = bytes
-        .get(pos..pos + expected)
-        .ok_or_else(|| ImageError::Format("truncated pixel data".into()))?;
-    let mut img = Image::new(channels, height, width);
-    for y in 0..height {
-        for x in 0..width {
-            for c in 0..channels {
-                let b = pixels[(y * width + x) * channels + c];
-                img.set(c, y, x, b as f32 / 255.0).expect("in bounds");
-            }
-        }
-    }
-    Ok(img)
-}
-
-fn next_token(bytes: &[u8], pos: &mut usize) -> Result<String> {
-    // Skip whitespace and `#` comments.
-    loop {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-        if *pos < bytes.len() && bytes[*pos] == b'#' {
-            while *pos < bytes.len() && bytes[*pos] != b'\n' {
-                *pos += 1;
-            }
-        } else {
-            break;
-        }
-    }
-    let start = *pos;
-    while *pos < bytes.len() && !bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-    if start == *pos {
-        return Err(ImageError::Format("unexpected end of header".into()));
-    }
-    String::from_utf8(bytes[start..*pos].to_vec())
-        .map_err(|_| ImageError::Format("non-utf8 header".into()))
 }
 
 fn quantize(v: f32) -> u8 {
@@ -221,36 +100,30 @@ mod tests {
     }
 
     #[test]
-    fn ppm_round_trip() {
-        let mut img = Image::new(3, 4, 5);
-        for y in 0..4 {
-            for x in 0..5 {
+    fn write_ppm_emits_header_then_quantized_rgb() {
+        let mut img = Image::new(3, 2, 3);
+        for y in 0..2 {
+            for x in 0..3 {
                 for c in 0..3 {
-                    img.set(c, y, x, ((y * 5 + x + c) % 7) as f32 / 7.0)
+                    img.set(c, y, x, ((y * 3 + x + c) % 7) as f32 / 7.0)
                         .unwrap();
                 }
             }
         }
-        let p = temp_path("rt.ppm");
+        img.set(0, 0, 0, -0.5).unwrap();
+        img.set(2, 1, 2, 1.5).unwrap();
+        let p = temp_path("exact.ppm");
         write_ppm(&p, &img).unwrap();
-        let back = read(&p).unwrap();
+        let bytes = std::fs::read(&p).unwrap();
         std::fs::remove_file(&p).ok();
-        assert_eq!(back.dims(), img.dims());
-        for (a, b) in img.data().iter().zip(back.data()) {
-            assert!((a - b).abs() <= 1.0 / 255.0 + 1e-6);
-        }
-    }
-
-    #[test]
-    fn pgm_round_trip() {
-        let mut img = Image::new(1, 3, 3);
-        img.fill(0.25);
-        let p = temp_path("rt.pgm");
-        write_pgm(&p, &img).unwrap();
-        let back = read(&p).unwrap();
-        std::fs::remove_file(&p).ok();
-        assert_eq!(back.dims(), (1, 3, 3));
-        assert!((back.get(0, 1, 1).unwrap() - 0.25).abs() <= 1.0 / 255.0);
+        // Header, then interleaved RGB in row-major order, each value
+        // clamped to [0, 1] and rounded to k/255.
+        let mut expected = b"P6\n3 2\n255\n".to_vec();
+        expected.extend_from_slice(&[
+            0, 36, 73, 36, 73, 109, 73, 109, 146, //
+            109, 146, 182, 146, 182, 219, 182, 219, 255,
+        ]);
+        assert_eq!(bytes, expected);
     }
 
     #[test]

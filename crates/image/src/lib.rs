@@ -1,7 +1,7 @@
 //! # oasis-image
 //!
 //! Image container, bilinear interpolation, procedural drawing and
-//! PPM/PGM IO for the OASIS reproduction.
+//! PPM writing for the OASIS reproduction.
 //!
 //! Images are dense `f32` buffers in **CHW** (channel, height, width)
 //! order with values nominally in `[0, 1]`. The augmentation transforms
@@ -27,7 +27,7 @@ pub mod io;
 pub use draw::Color;
 pub use error::ImageError;
 pub use image::Image;
-pub use interpolate::{bilinear_sample, bilinear_sample_with, AffineMap, FillMode};
+pub use interpolate::{bilinear_sample_with, AffineMap, FillMode};
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, ImageError>;

@@ -86,34 +86,17 @@ pub trait Layer: Send {
 }
 
 /// Total number of scalar parameters in `layer`.
-pub fn param_count(layer: &mut dyn Layer) -> usize {
-    let mut n = 0usize;
-    layer.visit_params(&mut |p, _| n += p.numel());
-    n
-}
-
-/// Total number of scalar parameters in `layer`, through a shared
-/// borrow.
-pub fn param_count_ref(layer: &dyn Layer) -> usize {
+pub fn param_count(layer: &dyn Layer) -> usize {
     let mut n = 0usize;
     layer.visit_params_ref(&mut |p| n += p.numel());
     n
 }
 
-/// [`flatten_params`] through a shared borrow — lets read-only
-/// consumers (checkpointing, broadcast snapshots) flatten without
-/// exclusive access to the model.
-pub fn flatten_params_ref(layer: &dyn Layer) -> Vec<f32> {
-    let mut out = Vec::new();
-    layer.visit_params_ref(&mut |p| out.extend_from_slice(p.data()));
-    out
-}
-
 /// Flattens all parameters into a single `Vec<f32>` in visit order —
 /// the "global model weights `w`" that the FL server broadcasts.
-pub fn flatten_params(layer: &mut dyn Layer) -> Vec<f32> {
+pub fn flatten_params(layer: &dyn Layer) -> Vec<f32> {
     let mut out = Vec::new();
-    layer.visit_params(&mut |p, _| out.extend_from_slice(p.data()));
+    layer.visit_params_ref(&mut |p| out.extend_from_slice(p.data()));
     out
 }
 
@@ -182,13 +165,13 @@ mod tests {
     #[test]
     fn flatten_load_round_trip() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut a = Linear::new(3, 2, &mut rng);
-        let flat = flatten_params(&mut a);
+        let a = Linear::new(3, 2, &mut rng);
+        let flat = flatten_params(&a);
         assert_eq!(flat.len(), 3 * 2 + 2);
 
         let mut b = Linear::new(3, 2, &mut rng);
         load_params(&mut b, &flat).unwrap();
-        assert_eq!(flatten_params(&mut b), flat);
+        assert_eq!(flatten_params(&b), flat);
     }
 
     #[test]

@@ -53,10 +53,7 @@ mod sequential;
 pub use batchnorm::BatchNorm;
 pub use conv::Conv2d;
 pub use error::NnError;
-pub use layer::{
-    flatten_grads, flatten_params, flatten_params_ref, load_grads, load_params, param_count,
-    param_count_ref, Layer, Mode,
-};
+pub use layer::{flatten_grads, flatten_params, load_grads, load_params, param_count, Layer, Mode};
 pub use linear::Linear;
 pub use loss::{mse_loss, softmax, softmax_cross_entropy, LossOutput};
 pub use optim::{Adam, Optimizer, Sgd};

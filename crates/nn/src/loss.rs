@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn softmax_is_shift_invariant() {
         let z = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]).unwrap();
-        let z_shift = z.add_scalar(100.0);
+        let z_shift = z.map(|v| v + 100.0);
         let p = softmax(&z).unwrap();
         let q = softmax(&z_shift).unwrap();
         for (a, b) in p.data().iter().zip(q.data()) {
@@ -181,8 +181,8 @@ mod tests {
 
     #[test]
     fn mse_loss_and_grad() {
-        let y = Tensor::from_slice(&[1.0, 2.0]).reshape(&[1, 2]).unwrap();
-        let t = Tensor::from_slice(&[0.0, 0.0]).reshape(&[1, 2]).unwrap();
+        let y = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]).unwrap();
+        let t = Tensor::zeros(&[1, 2]);
         let out = mse_loss(&y, &t).unwrap();
         assert!((out.loss - 2.5).abs() < 1e-6);
         assert_eq!(out.grad.data(), &[1.0, 2.0]);

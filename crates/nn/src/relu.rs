@@ -76,9 +76,7 @@ mod tests {
     #[test]
     fn forward_clamps_negatives() {
         let mut r = Relu::new();
-        let x = Tensor::from_slice(&[-1.0, 0.0, 2.0])
-            .reshape(&[1, 3])
-            .unwrap();
+        let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[1, 3]).unwrap();
         let y = r.forward(&x, Mode::Train).unwrap();
         assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
     }
@@ -86,13 +84,9 @@ mod tests {
     #[test]
     fn backward_gates_by_activation() {
         let mut r = Relu::new();
-        let x = Tensor::from_slice(&[-1.0, 0.5, 2.0])
-            .reshape(&[1, 3])
-            .unwrap();
+        let x = Tensor::from_vec(vec![-1.0, 0.5, 2.0], &[1, 3]).unwrap();
         r.forward(&x, Mode::Train).unwrap();
-        let g = Tensor::from_slice(&[10.0, 10.0, 10.0])
-            .reshape(&[1, 3])
-            .unwrap();
+        let g = Tensor::from_vec(vec![10.0, 10.0, 10.0], &[1, 3]).unwrap();
         let gx = r.backward(&g).unwrap();
         assert_eq!(gx.data(), &[0.0, 10.0, 10.0]);
     }
@@ -102,7 +96,7 @@ mod tests {
         // The subgradient at exactly 0 is taken as 0, matching the
         // "activated" definition (z > 0) in the attack analysis.
         let mut r = Relu::new();
-        let x = Tensor::from_slice(&[0.0]).reshape(&[1, 1]).unwrap();
+        let x = Tensor::from_vec(vec![0.0], &[1, 1]).unwrap();
         r.forward(&x, Mode::Train).unwrap();
         let gx = r.backward(&Tensor::ones(&[1, 1])).unwrap();
         assert_eq!(gx.data(), &[0.0]);

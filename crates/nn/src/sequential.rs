@@ -176,8 +176,8 @@ mod tests {
     #[test]
     fn param_visit_covers_all_layers() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut m = mlp(&mut rng);
-        let n = crate::param_count(&mut m);
+        let m = mlp(&mut rng);
+        let n = crate::param_count(&m);
         assert_eq!(n, (4 * 8 + 8) + (8 * 3 + 3));
     }
 

@@ -1,7 +1,7 @@
 //! The streaming weighted-sum aggregator.
 
 use oasis_fl::{FlError, Result};
-use oasis_wire::{EncodedUpdate, FrameBuf, UpdateCodec};
+use oasis_wire::{EncodedUpdate, UpdateCodec};
 
 /// Folds delivered updates into a running sample-weighted sum, one
 /// wire frame at a time.
@@ -23,7 +23,7 @@ use oasis_wire::{EncodedUpdate, FrameBuf, UpdateCodec};
 #[derive(Debug)]
 pub struct StreamingAggregator {
     agg: Vec<f32>,
-    scratch: FrameBuf,
+    scratch: Vec<f32>,
     folded: usize,
 }
 
@@ -34,7 +34,7 @@ impl StreamingAggregator {
     pub fn new(n: usize) -> Self {
         StreamingAggregator {
             agg: vec![0.0; n],
-            scratch: FrameBuf::new(),
+            scratch: Vec::new(),
             folded: 0,
         }
     }
@@ -88,7 +88,7 @@ impl StreamingAggregator {
     /// zero-copy path, `2 × 4·n` for lossy codecs — the population
     /// memory bound tests assert on this.
     pub fn peak_bytes(&self) -> usize {
-        self.agg.len() * std::mem::size_of::<f32>() + self.scratch.capacity_bytes()
+        (self.agg.len() + self.scratch.capacity()) * std::mem::size_of::<f32>()
     }
 }
 

@@ -88,11 +88,6 @@ impl<C: ClientSource> CohortRunner<C> {
         self.clients = clients;
     }
 
-    /// Releases the server (e.g. to checkpoint the trained model).
-    pub fn into_server(self) -> FlServer {
-        self.server
-    }
-
     /// Runs one round off an explicit rng: the selection shuffle
     /// draws first, the round seed second. Driving successive rounds
     /// off one sequential `StdRng` reproduces the protocol's original

@@ -32,6 +32,18 @@ fn above_par_threshold(m: usize, k: usize, n: usize) -> bool {
 
 use simd::{axpy4, axpy4x2};
 
+/// The three dense products, told apart by which operand is stored
+/// transposed.
+#[derive(Clone, Copy, PartialEq)]
+enum Product {
+    /// `a (m×k) · b (k×n)`.
+    Nn,
+    /// `aᵀ · b` with `a (k×m)`, `b (k×n)`.
+    Tn,
+    /// `a · bᵀ` with `a (m×k)`, `b (n×k)`.
+    Nt,
+}
+
 impl Tensor {
     /// Matrix product `self (m×k) · other (k×n) → (m×n)`.
     ///
@@ -44,91 +56,7 @@ impl Tensor {
     /// Returns an error unless both operands are rank-2 with matching
     /// inner dimension.
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
-        let (m, k) = dims2(self, "matmul")?;
-        let (k2, n) = dims2(other, "matmul")?;
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul",
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        let _span = oasis_telemetry::span("tensor.matmul");
-        oasis_telemetry::counter!("tensor.matmul_flops").add(2 * (m * k * n) as u64);
-        let mut out = Tensor::zeros(&[m, n]);
-        let a = self.data();
-        let b = other.data();
-        let blocks = k / 4 * 4;
-        // Finishes one output row's remaining k-steps past the 4-blocks.
-        let tail = |arow: &[f32], out_row: &mut [f32]| {
-            for (p, &aip) in arow.iter().enumerate().skip(blocks) {
-                if aip == 0.0 {
-                    continue;
-                }
-                let brow = &b[p * n..(p + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(brow) {
-                    *o += aip * bv;
-                }
-            }
-        };
-        // One output row against the 4-blocks (pair leftover).
-        let one_row = |arow: &[f32], out_row: &mut [f32]| {
-            let mut p = 0;
-            while p < blocks {
-                let coeff = [arow[p], arow[p + 1], arow[p + 2], arow[p + 3]];
-                if coeff != [0.0; 4] {
-                    axpy4(
-                        out_row,
-                        coeff,
-                        &b[p * n..(p + 1) * n],
-                        &b[(p + 1) * n..(p + 2) * n],
-                        &b[(p + 2) * n..(p + 3) * n],
-                        &b[(p + 3) * n..(p + 4) * n],
-                    );
-                }
-                p += 4;
-            }
-            tail(arow, out_row);
-        };
-        let kernel = |row0: usize, rows: &mut [f32]| {
-            // `rows` covers output rows [row0, row0 + rows.len()/n),
-            // processed in pairs so each 4-block of right-hand rows is
-            // read once per pair instead of once per row.
-            for (pc, chunk) in rows.chunks_mut(2 * n).enumerate() {
-                let i = row0 + pc * 2;
-                if chunk.len() < 2 * n {
-                    one_row(&a[i * k..(i + 1) * k], chunk);
-                    continue;
-                }
-                let (o0, o1) = chunk.split_at_mut(n);
-                let ar0 = &a[i * k..(i + 1) * k];
-                let ar1 = &a[(i + 1) * k..(i + 2) * k];
-                let mut p = 0;
-                while p < blocks {
-                    let c0 = [ar0[p], ar0[p + 1], ar0[p + 2], ar0[p + 3]];
-                    let c1 = [ar1[p], ar1[p + 1], ar1[p + 2], ar1[p + 3]];
-                    let b0 = &b[p * n..(p + 1) * n];
-                    let b1 = &b[(p + 1) * n..(p + 2) * n];
-                    let b2 = &b[(p + 2) * n..(p + 3) * n];
-                    let b3 = &b[(p + 3) * n..(p + 4) * n];
-                    match (c0 == [0.0; 4], c1 == [0.0; 4]) {
-                        (false, false) => axpy4x2(o0, o1, c0, c1, b0, b1, b2, b3),
-                        (false, true) => axpy4(o0, c0, b0, b1, b2, b3),
-                        (true, false) => axpy4(o1, c1, b0, b1, b2, b3),
-                        (true, true) => {}
-                    }
-                    p += 4;
-                }
-                tail(ar0, o0);
-                tail(ar1, o1);
-            }
-        };
-        if above_par_threshold(m, k, n) {
-            parallel::for_each_row_block(out.data_mut(), n, kernel);
-        } else {
-            kernel(0, out.data_mut());
-        }
-        Ok(out)
+        dense_product(Product::Nn, self, other)
     }
 
     /// Computes `selfᵀ · other` without materializing the transpose.
@@ -141,29 +69,7 @@ impl Tensor {
     /// Returns an error unless both operands are rank-2 with matching
     /// leading dimension.
     pub fn matmul_tn(&self, other: &Tensor) -> Result<Tensor> {
-        let (k, m) = dims2(self, "matmul_tn")?;
-        let (k2, n) = dims2(other, "matmul_tn")?;
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_tn",
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        let _span = oasis_telemetry::span("tensor.matmul_tn");
-        oasis_telemetry::counter!("tensor.matmul_flops").add(2 * (m * k * n) as u64);
-        let mut out = Tensor::zeros(&[m, n]);
-        let (a, b) = (self.data(), other.data());
-        // Each output's accumulation order (p ascending in 4-blocks,
-        // then the tail) is the same under every row partition, so the
-        // parallel path is bit-identical to the serial one.
-        let kernel = |i0: usize, rows: &mut [f32]| simd::matmul_tn_rows(a, b, m, n, i0, rows);
-        if above_par_threshold(m, k, n) {
-            parallel::for_each_row_block(out.data_mut(), n, kernel);
-        } else {
-            kernel(0, out.data_mut());
-        }
-        Ok(out)
+        dense_product(Product::Tn, self, other)
     }
 
     /// Computes `self · otherᵀ` without materializing the transpose.
@@ -181,36 +87,130 @@ impl Tensor {
     /// Returns an error unless both operands are rank-2 with matching
     /// trailing dimension.
     pub fn matmul_nt(&self, other: &Tensor) -> Result<Tensor> {
-        let (m, k) = dims2(self, "matmul_nt")?;
-        let (n, k2) = dims2(other, "matmul_nt")?;
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_nt",
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
+        dense_product(Product::Nt, self, other)
+    }
+}
+
+/// The steps every dense product takes: the rank and inner-dimension
+/// checks, the `tensor.<op>` span, the FLOP count, the zeroed `m×n`
+/// output and, above the FLOP threshold, the split of its rows across
+/// the worker pool. Each output's accumulation order is the same
+/// under every row partition, so the parallel path is bit-identical
+/// to the serial one.
+fn dense_product(product: Product, lhs: &Tensor, rhs: &Tensor) -> Result<Tensor> {
+    let (op, span) = match product {
+        Product::Nn => ("matmul", "tensor.matmul"),
+        Product::Tn => ("matmul_tn", "tensor.matmul_tn"),
+        Product::Nt => ("matmul_nt", "tensor.matmul_nt"),
+    };
+    let (lr, lc) = dims2(lhs, op)?;
+    let (rr, rc) = dims2(rhs, op)?;
+    let (m, k, k2, n) = match product {
+        Product::Nn => (lr, lc, rr, rc),
+        Product::Tn => (lc, lr, rr, rc),
+        Product::Nt => (lr, lc, rc, rr),
+    };
+    if k != k2 {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: lhs.dims().to_vec(),
+            rhs: rhs.dims().to_vec(),
+        });
+    }
+    let _span = oasis_telemetry::span(span);
+    // `matmul_nt` has two regimes: a long reduction dim amortizes the
+    // unrolled dot's lane setup, while a short one (conv im2col:
+    // k = C·k², often < 64) wastes most of each 8-lane chunk — there
+    // the axpy kernel on a materialized transpose wins despite the
+    // copy, and counts its own FLOPs.
+    if product == Product::Nt && (k < 64 || k < 2 * n) {
+        return lhs.matmul(&rhs.transpose()?);
+    }
+    oasis_telemetry::counter!("tensor.matmul_flops").add(2 * (m * k * n) as u64);
+    let mut out = Tensor::zeros(&[m, n]);
+    let (a, b) = (lhs.data(), rhs.data());
+    let kernel = |row0: usize, rows: &mut [f32]| match product {
+        Product::Nn => matmul_rows(a, b, k, n, row0, rows),
+        Product::Tn => simd::matmul_tn_rows(a, b, m, n, row0, rows),
+        Product::Nt => simd::matmul_nt_rows(a, b, k, row0, rows),
+    };
+    if above_par_threshold(m, k, n) {
+        parallel::for_each_row_block(out.data_mut(), n, kernel);
+    } else {
+        kernel(0, out.data_mut());
+    }
+    Ok(out)
+}
+
+/// `matmul`'s kernel: output rows `[row0, row0 + rows.len() / n)` of
+/// `a (·×k) · b (k×n)`, in `i-k-j` order. Rows go in pairs so each
+/// block of four right-hand rows is read once per pair instead of
+/// once per row, and an all-zero block of four coefficients is
+/// skipped.
+fn matmul_rows(a: &[f32], b: &[f32], k: usize, n: usize, row0: usize, rows: &mut [f32]) {
+    // No columns: nothing to fill, and `chunks_mut` rejects size 0.
+    if n == 0 {
+        return;
+    }
+    let blocks = k / 4 * 4;
+    // Finishes one output row's remaining k-steps past the 4-blocks.
+    let tail = |arow: &[f32], out_row: &mut [f32]| {
+        for (p, &aip) in arow.iter().enumerate().skip(blocks) {
+            if aip == 0.0 {
+                continue;
+            }
+            let brow = &b[p * n..(p + 1) * n];
+            for (o, &bv) in out_row.iter_mut().zip(brow) {
+                *o += aip * bv;
+            }
         }
-        let _span = oasis_telemetry::span("tensor.matmul_nt");
-        // Two regimes: a long reduction dim amortizes the unrolled
-        // dot's lane setup, while a short one (conv im2col: k = C·k²,
-        // often < 64) wastes most of each 8-lane chunk — there the
-        // axpy kernel on a materialized transpose wins despite the
-        // copy.
-        if k < 64 || k < 2 * n {
-            return self.matmul(&other.transpose()?);
+    };
+    // One output row against the 4-blocks (pair leftover).
+    let one_row = |arow: &[f32], out_row: &mut [f32]| {
+        let mut p = 0;
+        while p < blocks {
+            let coeff = [arow[p], arow[p + 1], arow[p + 2], arow[p + 3]];
+            if coeff != [0.0; 4] {
+                axpy4(
+                    out_row,
+                    coeff,
+                    &b[p * n..(p + 1) * n],
+                    &b[(p + 1) * n..(p + 2) * n],
+                    &b[(p + 2) * n..(p + 3) * n],
+                    &b[(p + 3) * n..(p + 4) * n],
+                );
+            }
+            p += 4;
         }
-        oasis_telemetry::counter!("tensor.matmul_flops").add(2 * (m * k * n) as u64);
-        let mut out = Tensor::zeros(&[m, n]);
-        let (a, b) = (self.data(), other.data());
-        // Every output is `dot(a_row(i), b_row(j))` under every row
-        // partition.
-        let kernel = |row0: usize, rows: &mut [f32]| simd::matmul_nt_rows(a, b, k, row0, rows);
-        if above_par_threshold(m, k, n) {
-            parallel::for_each_row_block(out.data_mut(), n, kernel);
-        } else {
-            kernel(0, out.data_mut());
+        tail(arow, out_row);
+    };
+    for (pc, chunk) in rows.chunks_mut(2 * n).enumerate() {
+        let i = row0 + pc * 2;
+        if chunk.len() < 2 * n {
+            one_row(&a[i * k..(i + 1) * k], chunk);
+            continue;
         }
-        Ok(out)
+        let (o0, o1) = chunk.split_at_mut(n);
+        let ar0 = &a[i * k..(i + 1) * k];
+        let ar1 = &a[(i + 1) * k..(i + 2) * k];
+        let mut p = 0;
+        while p < blocks {
+            let c0 = [ar0[p], ar0[p + 1], ar0[p + 2], ar0[p + 3]];
+            let c1 = [ar1[p], ar1[p + 1], ar1[p + 2], ar1[p + 3]];
+            let b0 = &b[p * n..(p + 1) * n];
+            let b1 = &b[(p + 1) * n..(p + 2) * n];
+            let b2 = &b[(p + 2) * n..(p + 3) * n];
+            let b3 = &b[(p + 3) * n..(p + 4) * n];
+            match (c0 == [0.0; 4], c1 == [0.0; 4]) {
+                (false, false) => axpy4x2(o0, o1, c0, c1, b0, b1, b2, b3),
+                (false, true) => axpy4(o0, c0, b0, b1, b2, b3),
+                (true, false) => axpy4(o1, c1, b0, b1, b2, b3),
+                (true, true) => {}
+            }
+            p += 4;
+        }
+        tail(ar0, o0);
+        tail(ar1, o1);
     }
 }
 
@@ -254,6 +254,22 @@ mod tests {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[2, 3]);
         assert!(a.matmul(&b).is_err());
+    }
+
+    #[test]
+    fn products_with_an_empty_axis_do_not_panic() {
+        // n = 0 must not reach `chunks_mut(0)`; k = 0 gives zeros.
+        let (a, b) = (Tensor::zeros(&[2, 3]), Tensor::zeros(&[3, 0]));
+        assert_eq!(a.matmul(&b).unwrap().dims(), &[2, 0]);
+        assert_eq!(
+            a.matmul_nt(&Tensor::zeros(&[0, 3])).unwrap().dims(),
+            &[2, 0]
+        );
+        assert_eq!(b.matmul_tn(&b).unwrap().dims(), &[0, 0]);
+        let k0 = Tensor::zeros(&[2, 0])
+            .matmul(&Tensor::ones(&[0, 2]))
+            .unwrap();
+        assert_eq!(k0, Tensor::zeros(&[2, 2]));
     }
 
     #[test]

@@ -59,15 +59,6 @@ impl Tensor {
         self.zip_map(other, |a, b| a - b)
     }
 
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn mul(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_map(other, |a, b| a * b)
-    }
-
     /// In-place `self += other`.
     ///
     /// # Errors
@@ -104,11 +95,6 @@ impl Tensor {
         }
         simd::axpy(self.data_mut(), alpha, other.data());
         Ok(())
-    }
-
-    /// Adds a scalar to every element.
-    pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.map(|v| v + s)
     }
 
     /// Multiplies every element by a scalar.
@@ -239,12 +225,11 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_mul_elementwise() {
+    fn add_sub_elementwise() {
         let a = t(&[1.0, 2.0, 4.0]);
         let b = t(&[2.0, 2.0, 2.0]);
         assert_eq!(a.add(&b).unwrap().data(), &[3.0, 4.0, 6.0]);
         assert_eq!(a.sub(&b).unwrap().data(), &[-1.0, 0.0, 2.0]);
-        assert_eq!(a.mul(&b).unwrap().data(), &[2.0, 4.0, 8.0]);
     }
 
     #[test]

@@ -74,27 +74,6 @@ impl Tensor {
         Tensor::from_vec(out, &[cols])
     }
 
-    /// Sums a rank-2 tensor over axis 1, producing a length-`rows`
-    /// vector (row sums).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the tensor is not rank-2.
-    pub fn sum_axis1(&self) -> Result<Tensor> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                op: "sum_axis1",
-                expected: 2,
-                actual: self.rank(),
-            });
-        }
-        let (rows, cols) = (self.dims()[0], self.dims()[1]);
-        let out: Vec<f32> = (0..rows)
-            .map(|r| self.data()[r * cols..(r + 1) * cols].iter().sum())
-            .collect();
-        Tensor::from_vec(out, &[rows])
-    }
-
     /// Index of the maximum element of each row of a rank-2 tensor.
     ///
     /// Ties resolve to the first maximal index.
@@ -127,34 +106,6 @@ impl Tensor {
         }
         Ok(out)
     }
-
-    /// Mean squared difference between two same-shape tensors.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatch or empty tensors.
-    pub fn mse(&self, other: &Tensor) -> Result<f64> {
-        if !self.shape().same_as(other.shape()) {
-            return Err(TensorError::ShapeMismatch {
-                op: "mse",
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        if self.numel() == 0 {
-            return Err(TensorError::EmptyTensor);
-        }
-        let sum: f64 = self
-            .data()
-            .iter()
-            .zip(other.data())
-            .map(|(&a, &b)| {
-                let d = a as f64 - b as f64;
-                d * d
-            })
-            .sum();
-        Ok(sum / self.numel() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -181,35 +132,20 @@ mod tests {
     }
 
     #[test]
-    fn axis_sums() {
+    fn axis0_sums() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
         assert_eq!(t.sum_axis0().unwrap().data(), &[5.0, 7.0, 9.0]);
-        assert_eq!(t.sum_axis1().unwrap().data(), &[6.0, 15.0]);
     }
 
     #[test]
-    fn axis_sums_agree_with_total() {
+    fn axis0_sums_agree_with_total() {
         let t = Tensor::from_vec((0..20).map(|i| i as f32).collect(), &[4, 5]).unwrap();
         assert_eq!(t.sum_axis0().unwrap().sum(), t.sum());
-        assert_eq!(t.sum_axis1().unwrap().sum(), t.sum());
     }
 
     #[test]
     fn argmax_rows_first_tie_wins() {
         let t = Tensor::from_vec(vec![1.0, 5.0, 5.0, 0.0, -1.0, -2.0], &[2, 3]).unwrap();
         assert_eq!(t.argmax_rows().unwrap(), vec![1, 0]);
-    }
-
-    #[test]
-    fn mse_zero_for_identical() {
-        let t = Tensor::from_slice(&[1.0, 2.0]);
-        assert_eq!(t.mse(&t).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn mse_matches_hand_computation() {
-        let a = Tensor::from_slice(&[0.0, 0.0]);
-        let b = Tensor::from_slice(&[3.0, 4.0]);
-        assert_eq!(a.mse(&b).unwrap(), 12.5);
     }
 }

@@ -87,8 +87,8 @@
 //!
 //! It is not the workspace's only `unsafe`. The worker pool erases
 //! task lifetimes in `pool.rs` (sound because `run_tasks` joins every
-//! task before it returns), and `oasis-wire` maps checkpoints and
-//! casts aligned f32 payloads. CI runs `oasis-wire` and this crate's
+//! task before it returns), and `oasis-wire`'s frame format casts
+//! aligned f32 payloads to and from bytes. CI runs `oasis-wire` and this crate's
 //! pool, parallel and dispatch unit tests under miri (with
 //! `OASIS_SIMD=scalar`); the `#[target_feature]` AVX2 kernels are not
 //! miri-checked and are held by the parity suites and the forced-scalar

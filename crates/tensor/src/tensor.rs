@@ -7,9 +7,9 @@ use crate::{Result, Shape, TensorError};
 
 /// A dense, row-major, owned `f32` tensor.
 ///
-/// All tensors are contiguous; reshapes are metadata-only, transposes
-/// and slices copy. This keeps every downstream algorithm (manual
-/// backprop, gradient inversion) trivially auditable.
+/// All tensors are contiguous; transposes and slices copy. This keeps
+/// every downstream algorithm (manual backprop, gradient inversion)
+/// trivially auditable.
 ///
 /// ```
 /// use oasis_tensor::Tensor;
@@ -209,26 +209,6 @@ impl Tensor {
     // Shape manipulation
     // ------------------------------------------------------------------
 
-    /// Returns a tensor with the same data and a new shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the element counts
-    /// differ.
-    pub fn reshape(&self, dims: &[usize]) -> Result<Tensor> {
-        let shape = Shape::new(dims);
-        if shape.numel() != self.numel() {
-            return Err(TensorError::LengthMismatch {
-                len: self.numel(),
-                expected: shape.numel(),
-            });
-        }
-        Ok(Tensor {
-            data: self.data.clone(),
-            shape,
-        })
-    }
-
     /// Transposes a rank-2 tensor (copies).
     ///
     /// # Errors
@@ -300,38 +280,6 @@ impl Tensor {
         dims.extend_from_slice(first.dims());
         Tensor::from_vec(data, &dims)
     }
-
-    /// Concatenates rank-2 tensors along axis 0 (rows).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `items` is empty, any item is not rank-2, or
-    /// column counts differ.
-    pub fn concat_rows(items: &[Tensor]) -> Result<Tensor> {
-        let first = items.first().ok_or(TensorError::EmptyTensor)?;
-        if first.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                op: "concat_rows",
-                expected: 2,
-                actual: first.rank(),
-            });
-        }
-        let cols = first.dims()[1];
-        let mut rows = 0usize;
-        let mut data = Vec::new();
-        for t in items {
-            if t.rank() != 2 || t.dims()[1] != cols {
-                return Err(TensorError::ShapeMismatch {
-                    op: "concat_rows",
-                    lhs: first.dims().to_vec(),
-                    rhs: t.dims().to_vec(),
-                });
-            }
-            rows += t.dims()[0];
-            data.extend_from_slice(&t.data);
-        }
-        Tensor::from_vec(data, &[rows, cols])
-    }
 }
 
 impl fmt::Debug for Tensor {
@@ -382,15 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[2, 3]).unwrap();
-        let r = t.reshape(&[3, 2]).unwrap();
-        assert_eq!(r.data(), t.data());
-        assert_eq!(r.dims(), &[3, 2]);
-        assert!(t.reshape(&[4, 2]).is_err());
-    }
-
-    #[test]
     fn transpose_is_involution() {
         let t = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[2, 3]).unwrap();
         let tt = t.transpose().unwrap().transpose().unwrap();
@@ -427,15 +366,6 @@ mod tests {
         let a = Tensor::from_slice(&[1.0, 2.0]);
         let b = Tensor::from_slice(&[3.0]);
         assert!(Tensor::stack(&[a, b]).is_err());
-    }
-
-    #[test]
-    fn concat_rows_appends() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]).unwrap();
-        let b = Tensor::from_vec(vec![3.0, 4.0, 5.0, 6.0], &[2, 2]).unwrap();
-        let c = Tensor::concat_rows(&[a, b]).unwrap();
-        assert_eq!(c.dims(), &[3, 2]);
-        assert_eq!(c.row(2).unwrap(), &[5.0, 6.0]);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! subnormals added to the mix: `matmul_nt` against one `dot` per
 //! output and `matmul_tn` against the four-step block sum per output,
 //! at shapes crossing every register-tile, panel and k-block edge.
+//! Plain `matmul`, and `matmul_nt` below its dot-path k, are pinned
+//! against the same block sum.
 //! `sq_err_tile` is pinned against the single-pair sum,
 //! `sq_err_tile_bounded` against `sq_err_tile` (an output is the full
 //! sum or a sound early stop) and `box_sums8` against the per-pixel
@@ -397,17 +399,21 @@ fn matmul_nt_panels_match_the_per_element_dot_loop() {
 }
 
 #[test]
-fn blocked_matmul_tn_matches_the_per_element_block_sum() {
-    // a is (k × m), b (k × n). n crosses the 64-column register tile
-    // (and the 8-lane chunks inside it), m the 16-row blocks, and k
-    // the four-step blocks (tails of 1–3 steps) and the 128-step
-    // packed panels. Every column of a gets all-zero four-step blocks
-    // of signed zeros, zero tail steps and a third of its other
-    // coefficients zeroed, so most blocks mix zero and nonzero terms;
-    // a NaN sits in a's first row. Each shape runs with a finite b
-    // (where the vector kernel drops zero terms inside a block) and
-    // with ±∞ in b's first and last rows (where it must not: 0·∞ is
-    // NaN, and an all-zero block must still be skipped).
+fn blocked_products_match_the_per_element_block_sum() {
+    // a is (k × m), b (k × n). `a.matmul_tn(b)`, `aᵀ.matmul(b)` and,
+    // below the dot path's k of 64, `aᵀ.matmul_nt(bᵀ)` (which
+    // multiplies by a materialized transpose) share one per-output
+    // specification. n crosses `matmul_tn`'s 64-column register tile
+    // (and the 8-lane chunks inside it), m the 16-row blocks and
+    // `matmul`'s row pairs, and k the four-step blocks (tails of 1–3
+    // steps) and the 128-step packed panels. Every column of a gets
+    // all-zero four-step blocks of signed zeros, zero tail steps and
+    // a third of its other coefficients zeroed, so most blocks mix
+    // zero and nonzero terms; a NaN sits in a's first row. Each shape
+    // runs with a finite b (where the vector kernel drops zero terms
+    // inside a block) and with ±∞ in b's first and last rows (where
+    // it must not: 0·∞ is NaN, and an all-zero block must still be
+    // skipped).
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(29);
     let shapes = [
@@ -437,15 +443,26 @@ fn blocked_matmul_tn_matches_the_per_element_block_sum() {
             &[(0, f32::INFINITY), (k - 1, f32::NEG_INFINITY)][..],
         ] {
             let b = sprinkled(&mut rng, k, n, loud);
+            let (at, bt) = (a.transpose().unwrap(), b.transpose().unwrap());
             let want = matmul_tn_oracle(&a, &b);
             for backend in backends() {
                 for threads in [1, 2] {
-                    let got = simd::with_backend(backend, || {
-                        parallel::with_threads(threads, || a.matmul_tn(&b).unwrap())
-                    });
-                    assert_eq!(got.dims(), &[m, n]);
+                    let run = |product: &dyn Fn() -> Tensor| {
+                        simd::with_backend(backend, || parallel::with_threads(threads, product))
+                    };
                     let what = format!("{backend:?} t={threads} k={k} m={m} n={n} loud={loud:?}");
-                    assert_same(&got, &want, &what);
+                    let got = run(&|| a.matmul_tn(&b).unwrap());
+                    assert_eq!(got.dims(), &[m, n]);
+                    assert_same(&got, &want, &format!("matmul_tn {what}"));
+                    assert_same(
+                        &run(&|| at.matmul(&b).unwrap()),
+                        &want,
+                        &format!("matmul {what}"),
+                    );
+                    if k < 64 {
+                        let got = run(&|| at.matmul_nt(&bt).unwrap());
+                        assert_same(&got, &want, &format!("matmul_nt {what}"));
+                    }
                 }
             }
         }

@@ -19,7 +19,6 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
-use crate::arena::FrameBuf;
 use crate::format::{Dtype, FrameWriter, WireView};
 use crate::WireError;
 
@@ -72,8 +71,8 @@ pub trait UpdateCodec: Send + Sync {
     /// Decodes into a caller-provided slice of exactly `encoded.n`
     /// elements — the borrowed-output primitive every other decode
     /// form is built on. The destination is typically a reused scratch
-    /// slot ([`FrameBuf::reset`]), so steady-state rounds decode with zero
-    /// allocations and exactly one write per element.
+    /// `Vec` (see [`UpdateCodec::decode_view`]), so steady-state rounds
+    /// decode with zero allocations and exactly one write per element.
     ///
     /// # Errors
     ///
@@ -89,7 +88,9 @@ pub trait UpdateCodec: Send + Sync {
     /// [`UpdateCodec::decode_to`] fill. Callers that fold updates
     /// (FedAvg) should prefer this form: with the default raw wire a
     /// delivered update is then never copied between the transport
-    /// and the aggregation arithmetic.
+    /// and the aggregation arithmetic. A copying decode resizes
+    /// `scratch` to `encoded.n` in place, so a caller that keeps one
+    /// `Vec` across frames allocates only when a frame outgrows it.
     ///
     /// # Errors
     ///
@@ -97,11 +98,12 @@ pub trait UpdateCodec: Send + Sync {
     fn decode_view<'a>(
         &self,
         encoded: &'a EncodedUpdate,
-        scratch: &'a mut FrameBuf,
+        scratch: &'a mut Vec<f32>,
     ) -> Result<&'a [f32], WireError> {
-        let out = scratch.reset(encoded.n);
-        self.decode_to(encoded, out)?;
-        Ok(out)
+        scratch.clear();
+        scratch.resize(encoded.n, 0.0);
+        self.decode_to(encoded, scratch)?;
+        Ok(scratch)
     }
 
     /// Decodes an encoded update back into a flat vector of the
@@ -315,7 +317,7 @@ impl UpdateCodec for RawCodec {
     fn decode_view<'a>(
         &self,
         encoded: &'a EncodedUpdate,
-        scratch: &'a mut FrameBuf,
+        scratch: &'a mut Vec<f32>,
     ) -> Result<&'a [f32], WireError> {
         let _span = oasis_telemetry::span("wire.decode.raw");
         oasis_telemetry::counter!("wire.bytes_decoded").add(encoded.payload.len() as u64);
@@ -327,9 +329,10 @@ impl UpdateCodec for RawCodec {
             return Ok(borrowed);
         }
         oasis_telemetry::counter!("wire.decode.copied").add(1);
-        let out = scratch.reset(encoded.n);
-        tensor.read_f32(out)?;
-        Ok(out)
+        scratch.clear();
+        scratch.resize(encoded.n, 0.0);
+        tensor.read_f32(scratch)?;
+        Ok(scratch)
     }
 }
 

@@ -43,13 +43,11 @@
 
 #![warn(missing_docs)]
 
-mod arena;
 pub mod checkpoint;
 mod codec;
 mod format;
 mod net;
 
-pub use arena::FrameBuf;
 pub use codec::{CodecSpec, EncodedUpdate, Q8Codec, RawCodec, SignCodec, TopKCodec, UpdateCodec};
 pub use format::{Dtype, FrameWriter, TensorMeta, TensorView, WireView, PAYLOAD_ALIGN};
 pub use net::{Delivery, DeliveryStatus, NetSpec, RoundTraffic, Submission};

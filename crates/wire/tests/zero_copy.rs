@@ -8,9 +8,9 @@
 //!   malformed checkpoint files (truncated, byte-flipped, overlapping
 //!   offsets) error — never panic — and leave the model untouched.
 
-use oasis_nn::{flatten_params, flatten_params_ref, Linear, Relu, Sequential};
+use oasis_nn::{flatten_params, Linear, Relu, Sequential};
 use oasis_wire::checkpoint::{load_model, load_model_bytes, save_model};
-use oasis_wire::{Dtype, FrameBuf, FrameWriter, RawCodec, UpdateCodec, WireView, PAYLOAD_ALIGN};
+use oasis_wire::{Dtype, FrameWriter, RawCodec, UpdateCodec, WireView, PAYLOAD_ALIGN};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn model(seed: u64) -> Sequential {
@@ -47,7 +47,7 @@ fn raw_frame_folds_with_zero_post_decode_copies() {
     // The tentpole pin: decode_view's slice IS the wire payload.
     let update: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.37).sin()).collect();
     let encoded = RawCodec.encode(&update).unwrap();
-    let mut scratch = FrameBuf::new();
+    let mut scratch = Vec::new();
     let view = RawCodec.decode_view(&encoded, &mut scratch).unwrap();
     assert_eq!(view.len(), update.len());
     for (a, b) in update.iter().zip(view) {
@@ -66,7 +66,7 @@ fn raw_frame_folds_with_zero_post_decode_copies() {
     );
     // Zero copies also means zero scratch: the scratch slot was never
     // materialized.
-    assert_eq!(scratch.capacity_bytes(), 0, "borrowed decode used scratch");
+    assert_eq!(scratch.capacity(), 0, "borrowed decode used scratch");
 }
 
 #[test]
@@ -109,7 +109,7 @@ fn misaligned_frame_falls_back_to_one_bit_identical_copy() {
         payload: forge_wire(json, &payload),
     };
     // Unpadded (pre-zero-copy) buffers still parse: compatibility.
-    let mut scratch = FrameBuf::new();
+    let mut scratch = Vec::new();
     let view = RawCodec.decode_view(&frame, &mut scratch).unwrap();
     for (a, b) in update.iter().zip(view) {
         assert_eq!(a.to_bits(), b.to_bits());
@@ -125,7 +125,7 @@ fn misaligned_frame_falls_back_to_one_bit_identical_copy() {
             "odd-offset payload cannot be borrowed in place"
         );
         assert!(
-            scratch.capacity_bytes() >= update.len() * 4,
+            scratch.capacity() >= update.len(),
             "fallback must have copied into the scratch slot"
         );
     }
@@ -194,7 +194,7 @@ fn owned_decode_agrees_with_slice_decode() {
 
 /// The model's parameters as bit patterns, for exact comparison.
 fn param_bits(m: &Sequential) -> Vec<u32> {
-    flatten_params_ref(m).iter().map(|v| v.to_bits()).collect()
+    flatten_params(m).iter().map(|v| v.to_bits()).collect()
 }
 
 #[test]
@@ -287,7 +287,7 @@ fn checkpoint_with_foreign_tensor_set_errors() {
     w.write_f32(&[1.0, 2.0, 3.0, 4.0]).unwrap();
     let bytes = w.finish().unwrap();
     let mut m = model(7);
-    let before = flatten_params(&mut m);
+    let before = flatten_params(&m);
     assert!(load_model_bytes(&mut m, &bytes).is_err());
-    assert_eq!(flatten_params(&mut m), before);
+    assert_eq!(flatten_params(&m), before);
 }

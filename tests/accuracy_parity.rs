@@ -86,7 +86,7 @@ fn train_centralized_matches_the_unshared_loop_bit_exactly() {
             bits(&epoch_losses),
             "{defense:?}"
         );
-        let (trained, expected) = (flatten_params(&mut model), flatten_params(&mut reference));
+        let (trained, expected) = (flatten_params(&model), flatten_params(&reference));
         assert_eq!(bits(&trained), bits(&expected), "{defense:?}");
     }
 }

@@ -8,12 +8,14 @@
 
 use std::sync::Arc;
 
-use oasis_campaign::{linear_relu_factory, CampaignRunner, CampaignSetup, CampaignSpec};
+use oasis_campaign::{
+    linear_relu_factory, CampaignError, CampaignRunner, CampaignSetup, CampaignSpec,
+};
 use oasis_data::{cifar_like_with, Dataset};
 use oasis_fl::{FlConfig, FlServer};
 use oasis_nn::flatten_params;
 use oasis_population::{CohortRunner, Population};
-use oasis_scenario::DefenseSpec;
+use oasis_scenario::{DefenseSpec, ScenarioError};
 use oasis_tensor::parallel;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -37,6 +39,22 @@ fn setup(clients: usize, seed: u64) -> CampaignSetup {
     s.partition_seed = 5;
     s.probe_batch = 4;
     s
+}
+
+/// An empty dataset is a bad setup, reported as an error — also when
+/// a phase declares attack candidates, which size the adversary's
+/// probe batch by the dataset.
+#[test]
+fn empty_dataset_is_rejected_as_a_bad_spec() {
+    for spec in ["campaign:2+attack=rtf:24", "campaign:2"] {
+        let mut s = setup(2, 1);
+        s.dataset = Dataset::new("empty", CLASSES, Vec::new());
+        let result = CampaignRunner::new(spec.parse().unwrap(), s);
+        assert!(
+            matches!(result, Err(CampaignError::Spec(ScenarioError::BadSpec(_)))),
+            "{spec}: an empty dataset must be a BadSpec error"
+        );
+    }
 }
 
 /// One phase, no dynamics: the campaign IS `CohortRunner::run`.

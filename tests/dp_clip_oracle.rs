@@ -73,7 +73,7 @@ fn oracle(
     let mut sum_gb = Tensor::zeros(&[n]);
     let mut total_loss = 0.0f32;
     for i in 0..b {
-        let xi = processed.images[i].to_tensor().reshape(&[1, d])?;
+        let xi = Tensor::from_vec(processed.images[i].data().to_vec(), &[1, d])?;
         model.zero_grad();
         let logits = model.forward(&xi, Mode::Train)?;
         let out = softmax_cross_entropy(&logits, &processed.labels[i..i + 1])?;

@@ -55,12 +55,11 @@ fn resumed_training_is_bit_identical_to_uninterrupted() {
     for _ in 0..3 {
         first_half.run_round(&mut rng).unwrap();
     }
-    let first_half = first_half.into_server();
     let dir = std::env::temp_dir().join(format!("oasis_wire_resume_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("round3.oasis");
-    first_half.save_checkpoint(&path).unwrap();
-    let saved_round = first_half.round();
+    first_half.server().save_checkpoint(&path).unwrap();
+    let saved_round = first_half.server().round();
     drop(first_half);
 
     let mut resumed = FlServer::new(factory, cfg).unwrap();
