@@ -22,14 +22,13 @@
 
 use oasis_image::Image;
 use oasis_nn::Sequential;
-use oasis_tensor::{parallel, Tensor};
+use oasis_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::calibrate::CalibratedLayer;
-use crate::inversion::PAR_MIN_SWEEP_ELEMS;
-use crate::{dedupe_images, invert_neuron, ActiveAttack, AttackError, Result};
+use crate::{ActiveAttack, AttackError, Result};
 
 /// Default activation probability target.
 ///
@@ -105,10 +104,6 @@ impl ActiveAttack for CahAttack {
         "CAH"
     }
 
-    fn attacked_neurons(&self) -> usize {
-        self.layer.rows()
-    }
-
     fn build_model(
         &self,
         geometry: (usize, usize, usize),
@@ -118,38 +113,12 @@ impl ActiveAttack for CahAttack {
         let (c, h, w) = geometry;
         self.layer.model(c * h * w, classes, seed)
     }
-
-    fn reconstruct(
-        &self,
-        grad_weight: &Tensor,
-        grad_bias: &Tensor,
-        geometry: (usize, usize, usize),
-    ) -> Vec<Image> {
-        let (c, h, w) = geometry;
-        let d = c * h * w;
-        let invert_trap = |i: usize| -> Option<Image> {
-            invert_neuron(
-                grad_weight.row(i).expect("row in bounds"),
-                grad_bias.data()[i],
-            )
-            .and_then(|values| Image::from_vec(c, h, w, values).ok())
-        };
-        // Per-trap-neuron Eq. 6 inversions are independent — fan the
-        // sweep out across the worker pool, keeping index order so
-        // dedupe sees the same candidate sequence at any thread count.
-        let candidates = parallel::map_range_min(
-            self.layer.rows(),
-            self.layer.rows() * d,
-            PAR_MIN_SWEEP_ELEMS,
-            invert_trap,
-        );
-        dedupe_images(candidates.into_iter().flatten().collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reconstruct;
     use oasis_data::cifar_like_with;
     use oasis_data::Batch;
     use oasis_fl::DefenseStack;
@@ -213,7 +182,7 @@ mod tests {
             .unwrap();
 
         let lin = model.layer_as::<Linear>(0).unwrap();
-        let recons = attack.reconstruct(lin.grad_weight(), lin.grad_bias(), geometry);
+        let recons = reconstruct(&attack, lin.grad_weight(), lin.grad_bias(), geometry);
         assert!(!recons.is_empty(), "no reconstructions at all");
         let matches = match_greedy(&recons, &batch);
         let perfect = matches.iter().filter(|m| m.psnr > 100.0).count();

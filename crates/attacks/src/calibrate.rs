@@ -59,12 +59,6 @@ impl CalibratedLayer {
         })
     }
 
-    /// Number of fitted rows: the neurons an attack built on this
-    /// layer reads.
-    pub(crate) fn rows(&self) -> usize {
-        self.weights.dims()[0]
-    }
-
     /// Input dimension `d` the layer was fitted for.
     pub(crate) fn dim(&self) -> usize {
         self.weights.dims()[1]

@@ -9,25 +9,26 @@ use oasis_metrics::{
     best_psnr_per_original_seeded, match_greedy_coarse, ReconstructionMatch, Summary,
 };
 use oasis_nn::{load_grads, param_count, softmax_cross_entropy, Layer, Linear, Mode, Sequential};
-use oasis_tensor::Tensor;
+use oasis_tensor::{parallel, Tensor};
 use oasis_wire::UpdateCodec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{AttackError, Result};
+use crate::{dedupe_images, invert_neuron, AttackError, Result};
 
 /// An active reconstruction attack by a dishonest server.
 ///
-/// Implementations build the malicious global model
-/// ([`ActiveAttack::build_model`]) and invert the gradients the victim
-/// uploads. The harness below runs the victim's step on that model
-/// directly; no attack runs on the real round yet (ROADMAP item 2).
+/// An attack is a malicious global model ([`ActiveAttack::build_model`])
+/// plus a rule ([`ActiveAttack::invert`]) that turns one row of the
+/// malicious layer's gradients into a candidate input. The sweep over
+/// the rows, image assembly and dedupe are shared ([`reconstruct`]), so
+/// a new attack family is a `build_model` and, when plain Eq. 6 does
+/// not fit, an `invert`. The harness below runs the victim's step on
+/// that model directly; no attack runs on the real round yet
+/// (ROADMAP item 2).
 pub trait ActiveAttack: Send + Sync {
     /// Display name ("RTF", "CAH", …).
     fn name(&self) -> &'static str;
-
-    /// Number of attacked neurons `n`.
-    fn attacked_neurons(&self) -> usize;
 
     /// Builds the malicious model for inputs of the given image
     /// geometry and `classes` output classes.
@@ -42,14 +43,46 @@ pub trait ActiveAttack: Send + Sync {
         seed: u64,
     ) -> Result<Sequential>;
 
-    /// Inverts the gradients of the malicious layer into candidate
-    /// image reconstructions.
-    fn reconstruct(
-        &self,
-        grad_weight: &Tensor,
-        grad_bias: &Tensor,
-        geometry: (usize, usize, usize),
-    ) -> Vec<Image>;
+    /// Inverts row `i` of the malicious layer's gradients into a
+    /// flattened candidate input, or `None` when the row carries no
+    /// signal. The default is the single-neuron Eq. 6 rule,
+    /// [`invert_neuron`].
+    fn invert(&self, i: usize, grad_weight: &Tensor, grad_bias: &Tensor) -> Option<Vec<f32>> {
+        invert_neuron(
+            grad_weight.row(i).expect("row in bounds"),
+            grad_bias.data()[i],
+        )
+    }
+}
+
+/// Minimum total gradient elements (`rows · d`) before the inversion
+/// sweep fans out across the worker pool. Each row's inversion is
+/// only a `d`-long divide, so small sweeps would pay more in dispatch
+/// latency than they save.
+const PAR_MIN_SWEEP_ELEMS: usize = 64 * 1024;
+
+/// Inverts every row of the malicious layer's gradients with
+/// `attack`'s [`ActiveAttack::invert`] rule into candidate images of
+/// the given geometry, then drops near-duplicates and degenerate
+/// outputs ([`dedupe_images`]).
+///
+/// Rows invert independently, so the sweep fans out across the worker
+/// pool; it keeps index order, so dedupe sees the same candidate
+/// sequence at any thread count.
+pub fn reconstruct(
+    attack: &dyn ActiveAttack,
+    grad_weight: &Tensor,
+    grad_bias: &Tensor,
+    geometry: (usize, usize, usize),
+) -> Vec<Image> {
+    let (c, h, w) = geometry;
+    let n = grad_weight.dims()[0];
+    let candidates = parallel::map_range_min(n, n * c * h * w, PAR_MIN_SWEEP_ELEMS, |i| {
+        attack
+            .invert(i, grad_weight, grad_bias)
+            .and_then(|values| Image::from_vec(c, h, w, values).ok())
+    });
+    dedupe_images(candidates.into_iter().flatten().collect())
 }
 
 /// What the client's update looked like on the wire during an
@@ -237,7 +270,7 @@ fn run_attack_inner(
             let lin = malicious_layer(&model)?;
             drop(client_span);
             let recon_span = oasis_telemetry::span("attack.reconstruct");
-            let recons = attack.reconstruct(lin.grad_weight(), lin.grad_bias(), geometry);
+            let recons = reconstruct(attack, lin.grad_weight(), lin.grad_bias(), geometry);
             drop(recon_span);
             (recons, step.loss, step.processed)
         }
@@ -250,9 +283,9 @@ fn run_attack_inner(
             let processed = defense.process_batch(batch, &mut rng);
             let b = processed.len();
             let d = geometry.0 * geometry.1 * geometry.2;
-            let n = attack.attacked_neurons();
             let x = processed.to_matrix();
             let (deltas, total_loss) = per_sample_deltas(&mut model, &x, &processed.labels)?;
+            let n = deltas.dims()[1];
             // What is clipped is each sample's gradient of the
             // malicious layer's weight and bias — the only parameters
             // uploaded and all the attacker reads (real DP-SGD would
@@ -271,7 +304,7 @@ fn run_attack_inner(
             let gw = Tensor::from_vec(received, &[n, d])?;
             drop(client_span);
             let recon_span = oasis_telemetry::span("attack.reconstruct");
-            let recons = attack.reconstruct(&gw, &gb, geometry);
+            let recons = reconstruct(attack, &gw, &gb, geometry);
             drop(recon_span);
             (recons, total_loss * inv_b, processed)
         }

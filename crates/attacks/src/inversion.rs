@@ -3,12 +3,6 @@
 
 use oasis_image::Image;
 
-/// Minimum total gradient elements (`neurons · d`) before a
-/// per-neuron inversion sweep fans out across the worker pool. Each
-/// neuron's inversion is only a `d`-long divide, so small sweeps
-/// would pay more in dispatch latency than they save.
-pub(crate) const PAR_MIN_SWEEP_ELEMS: usize = 64 * 1024;
-
 /// Minimum `|∂L/∂b_i|` for a neuron to be considered informative.
 pub const BIAS_GRAD_EPS: f32 = 1e-9;
 

@@ -24,9 +24,15 @@
 //! * [`LinearModelAttack`] — gradient inversion on a single-layer
 //!   softmax model with unique labels (paper §IV-D).
 //!
-//! All three reduce to the same primitive: if a neuron's
+//! All four rest on one primitive: if a neuron's
 //! `(∂L/∂W_i, ∂L/∂b_i)` is dominated by one sample, then
 //! `∂L/∂W_i ÷ ∂L/∂b_i` *is* that sample (Eq. 6) — see [`invert_neuron`].
+//! They differ only in the first layer they broadcast
+//! ([`ActiveAttack::build_model`]) and in how one gradient row is
+//! inverted ([`ActiveAttack::invert`]: RTF divides adjacent-bin
+//! differences, the linear attack min-max normalizes). One sweep,
+//! [`reconstruct`], runs that rule over every row, assembles images
+//! and dedupes them for all of them.
 
 #![warn(missing_docs)]
 
@@ -47,7 +53,9 @@ pub use ats::AtsDefense;
 pub use cah::{CahAttack, DEFAULT_ACTIVATION_TARGET};
 pub use dpsgd::{train_linear_with_dp, DpConfig};
 pub use error::AttackError;
-pub use evaluate::{run_attack, run_attack_over_wire, ActiveAttack, AttackOutcome, WireTrace};
+pub use evaluate::{
+    reconstruct, run_attack, run_attack_over_wire, ActiveAttack, AttackOutcome, WireTrace,
+};
 pub use gaussian::{normal_cdf, probit};
 pub use inversion::{dedupe_images, invert_neuron, invert_neuron_difference};
 pub use linear::LinearModelAttack;

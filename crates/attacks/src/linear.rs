@@ -8,13 +8,12 @@
 //! one sample of that class, so plain Eq. 6 inversion per class row
 //! reveals the data.
 
-use oasis_image::Image;
 use oasis_nn::{Linear, Sequential};
 use oasis_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{dedupe_images, invert_neuron, ActiveAttack, AttackError, Result};
+use crate::{invert_neuron, ActiveAttack, AttackError, Result};
 
 /// The linear-model inversion attack.
 ///
@@ -44,10 +43,6 @@ impl ActiveAttack for LinearModelAttack {
         "LinearInv"
     }
 
-    fn attacked_neurons(&self) -> usize {
-        self.classes
-    }
-
     fn build_model(
         &self,
         geometry: (usize, usize, usize),
@@ -71,37 +66,23 @@ impl ActiveAttack for LinearModelAttack {
         Ok(model)
     }
 
-    fn reconstruct(
-        &self,
-        grad_weight: &Tensor,
-        grad_bias: &Tensor,
-        geometry: (usize, usize, usize),
-    ) -> Vec<Image> {
-        let (c, h, w) = geometry;
-        let mut pool = Vec::new();
-        for class in 0..self.classes {
-            if let Some(mut values) = invert_neuron(
-                grad_weight.row(class).expect("class row"),
-                grad_bias.data()[class],
-            ) {
-                // The softmax cross-terms scale the dominant sample by
-                // (1−p)/(… ), so the raw ratio over- or under-shoots
-                // the [0,1] range. Min-max normalization (the standard
-                // presentation step for gradient-inversion outputs)
-                // restores a comparable intensity range.
-                let lo = values.iter().copied().fold(f32::INFINITY, f32::min);
-                let hi = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                if hi - lo > 1e-9 {
-                    for v in &mut values {
-                        *v = (*v - lo) / (hi - lo);
-                    }
-                }
-                if let Ok(img) = Image::from_vec(c, h, w, values) {
-                    pool.push(img);
-                }
+    /// Eq. 6 on class row `i`, min-max normalized: the softmax
+    /// cross-terms scale the dominant sample by `(1−p)/(…)`, so the raw
+    /// ratio over- or under-shoots the `[0, 1]` range, and min-max
+    /// normalization (the standard presentation step for
+    /// gradient-inversion outputs) restores a comparable intensity
+    /// range.
+    fn invert(&self, i: usize, grad_weight: &Tensor, grad_bias: &Tensor) -> Option<Vec<f32>> {
+        let mut values =
+            invert_neuron(grad_weight.row(i).expect("class row"), grad_bias.data()[i])?;
+        let lo = values.iter().copied().fold(f32::INFINITY, f32::min);
+        let hi = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        if hi - lo > 1e-9 {
+            for v in &mut values {
+                *v = (*v - lo) / (hi - lo);
             }
         }
-        dedupe_images(pool)
+        Some(values)
     }
 }
 
@@ -134,7 +115,6 @@ mod tests {
         // the linear combination the paper's defense leverages via
         // same-label augmentation. Invert the target sample's class
         // row directly in both settings and compare.
-        use crate::invert_neuron;
         use oasis_metrics::psnr;
         use oasis_nn::Linear;
         use rand::{rngs::StdRng, SeedableRng};
@@ -165,16 +145,9 @@ mod tests {
                 .local_step(&mut model, batch, &mut StdRng::seed_from_u64(0))
                 .unwrap();
             let lin = model.layer_as::<Linear>(0).unwrap();
-            let mut values = invert_neuron(
-                lin.grad_weight().row(class_row).unwrap(),
-                lin.grad_bias().data()[class_row],
-            )
-            .expect("class row has signal");
-            let lo = values.iter().copied().fold(f32::INFINITY, f32::min);
-            let hi = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            for v in &mut values {
-                *v = (*v - lo) / (hi - lo);
-            }
+            let values = attack
+                .invert(class_row, lin.grad_weight(), lin.grad_bias())
+                .expect("class row has signal");
             let rec =
                 oasis_image::Image::from_vec(geometry.0, geometry.1, geometry.2, values).unwrap();
             psnr(&rec, &unique.images[0])

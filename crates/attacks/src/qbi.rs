@@ -19,13 +19,12 @@
 
 use oasis_image::Image;
 use oasis_nn::Sequential;
-use oasis_tensor::{parallel, Tensor};
+use oasis_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::calibrate::CalibratedLayer;
-use crate::inversion::PAR_MIN_SWEEP_ELEMS;
-use crate::{dedupe_images, invert_neuron, ActiveAttack, AttackError, Result};
+use crate::{ActiveAttack, AttackError, Result};
 
 /// The batch size the default activation target is tuned for:
 /// `p* = 1/B` with `B = 8`, the evaluation's default local batch.
@@ -88,10 +87,6 @@ impl ActiveAttack for QbiAttack {
         "QBI"
     }
 
-    fn attacked_neurons(&self) -> usize {
-        self.layer.rows()
-    }
-
     fn build_model(
         &self,
         geometry: (usize, usize, usize),
@@ -101,37 +96,12 @@ impl ActiveAttack for QbiAttack {
         let (c, h, w) = geometry;
         self.layer.model(c * h * w, classes, seed)
     }
-
-    fn reconstruct(
-        &self,
-        grad_weight: &Tensor,
-        grad_bias: &Tensor,
-        geometry: (usize, usize, usize),
-    ) -> Vec<Image> {
-        let (c, h, w) = geometry;
-        let d = c * h * w;
-        let invert_row = |i: usize| -> Option<Image> {
-            invert_neuron(
-                grad_weight.row(i).expect("row in bounds"),
-                grad_bias.data()[i],
-            )
-            .and_then(|values| Image::from_vec(c, h, w, values).ok())
-        };
-        // Same fan-out discipline as CAH: index order is preserved so
-        // dedupe sees one candidate sequence at any thread count.
-        let candidates = parallel::map_range_min(
-            self.layer.rows(),
-            self.layer.rows() * d,
-            PAR_MIN_SWEEP_ELEMS,
-            invert_row,
-        );
-        dedupe_images(candidates.into_iter().flatten().collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reconstruct;
     use oasis_data::cifar_like_with;
     use oasis_data::Batch;
     use oasis_fl::DefenseStack;
@@ -148,7 +118,7 @@ mod tests {
         let imgs = structured_images(96, 12, 5);
         let batch = 8;
         let attack = QbiAttack::calibrated(32, batch, &imgs, 7).unwrap();
-        assert_eq!(attack.attacked_neurons(), 32);
+        assert_eq!(attack.layer.biases().len(), 32);
         let target = 1.0 / batch as f64;
         let fresh = structured_images(80, 12, 99);
         let (w, biases) = (attack.layer.weights(), attack.layer.biases());
@@ -185,7 +155,7 @@ mod tests {
             .unwrap();
 
         let lin = model.layer_as::<Linear>(0).unwrap();
-        let recons = attack.reconstruct(lin.grad_weight(), lin.grad_bias(), geometry);
+        let recons = reconstruct(&attack, lin.grad_weight(), lin.grad_bias(), geometry);
         assert!(!recons.is_empty(), "no reconstructions at all");
         let matches = match_greedy(&recons, &batch);
         let perfect = matches.iter().filter(|m| m.psnr > 100.0).count();

@@ -17,12 +17,11 @@
 
 use oasis_image::Image;
 use oasis_nn::Sequential;
-use oasis_tensor::{parallel, Tensor};
+use oasis_tensor::Tensor;
 
-use crate::inversion::PAR_MIN_SWEEP_ELEMS;
 use crate::{
-    attacked_model, dedupe_images, invert_neuron, invert_neuron_difference, probit, ActiveAttack,
-    AttackError, Result,
+    attacked_model, invert_neuron, invert_neuron_difference, probit, ActiveAttack, AttackError,
+    Result,
 };
 
 /// The RTF imprint attack.
@@ -100,10 +99,6 @@ impl ActiveAttack for RtfAttack {
         "RTF"
     }
 
-    fn attacked_neurons(&self) -> usize {
-        self.neurons
-    }
-
     fn build_model(
         &self,
         geometry: (usize, usize, usize),
@@ -121,43 +116,24 @@ impl ActiveAttack for RtfAttack {
         attacked_model(weight, bias, classes, seed)
     }
 
-    fn reconstruct(
-        &self,
-        grad_weight: &Tensor,
-        grad_bias: &Tensor,
-        geometry: (usize, usize, usize),
-    ) -> Vec<Image> {
-        let (c, h, w) = geometry;
-        let n = self.neurons;
-        let d = c * h * w;
-        let invert_bin = |i: usize| -> Option<Image> {
-            let rec = if i + 1 < n {
-                invert_neuron_difference(
-                    grad_weight.row(i).expect("row in bounds"),
-                    grad_bias.data()[i],
-                    grad_weight.row(i + 1).expect("row in bounds"),
-                    grad_bias.data()[i + 1],
-                )
-            } else {
-                // Top bin: h(x) > c_n — the last neuron alone.
-                invert_neuron(
-                    grad_weight.row(i).expect("row in bounds"),
-                    grad_bias.data()[i],
-                )
-            };
-            rec.and_then(|values| Image::from_vec(c, h, w, values).ok())
-        };
-        // Each bin inverts independently — the sweep fans out across
-        // the worker pool (in index order, so the pool fed to dedupe
-        // is the same sequence at any thread count).
-        let candidates = parallel::map_range_min(n, n * d, PAR_MIN_SWEEP_ELEMS, invert_bin);
-        dedupe_images(candidates.into_iter().flatten().collect())
+    /// The adjacent-bin difference: bin `i` holds the samples that
+    /// activate neuron `i` but not `i + 1`. The top bin, `h(x) > c_n`,
+    /// is the last neuron alone.
+    fn invert(&self, i: usize, grad_weight: &Tensor, grad_bias: &Tensor) -> Option<Vec<f32>> {
+        let row = |j: usize| grad_weight.row(j).expect("row in bounds");
+        let bias = grad_bias.data();
+        if i + 1 < self.neurons {
+            invert_neuron_difference(row(i), bias[i], row(i + 1), bias[i + 1])
+        } else {
+            invert_neuron(row(i), bias[i])
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reconstruct;
     use oasis_data::Batch;
     use oasis_fl::DefenseStack;
     use oasis_metrics::{match_greedy, PSNR_CAP};
@@ -213,7 +189,7 @@ mod tests {
             .unwrap();
 
         let lin = model.layer_as::<Linear>(0).unwrap();
-        let recons = attack.reconstruct(lin.grad_weight(), lin.grad_bias(), geometry);
+        let recons = reconstruct(&attack, lin.grad_weight(), lin.grad_bias(), geometry);
         assert!(!recons.is_empty());
         let matches = match_greedy(&recons, &batch);
         assert_eq!(matches.len(), 4);

@@ -14,6 +14,7 @@ use oasis_bench::{
     DEFAULT_ACTIVATION_TARGET,
 };
 use oasis_nn::Linear;
+use oasis_scenario::LEAK_THRESHOLD_DB;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -53,7 +54,7 @@ fn main() {
                 "{:>7} {:>17.0}% {:>13.0}% {:>12.2}",
                 kind.abbrev(),
                 analysis.protection_rate * 100.0,
-                outcome.leak_rate(60.0) * 100.0,
+                outcome.leak_rate(LEAK_THRESHOLD_DB) * 100.0,
                 outcome.mean_psnr(),
             );
         }

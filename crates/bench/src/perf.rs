@@ -42,7 +42,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use oasis_attacks::{ActiveAttack, RtfAttack};
+use oasis_attacks::{reconstruct, RtfAttack};
 use oasis_data::{cifar_like_with, Dataset, Generator};
 use oasis_fl::{DefenseStack, FlConfig, FlServer, ModelFactory, WireConfig};
 use oasis_image::Image;
@@ -1144,7 +1144,7 @@ fn bench_rtf_invert() -> PreparedBench {
     PreparedBench {
         throughput: Some((neurons as f64, "neuron/s")),
         run: Box::new(move || {
-            std::hint::black_box(attack.reconstruct(&grad_w, &grad_b, geometry));
+            std::hint::black_box(reconstruct(&attack, &grad_w, &grad_b, geometry));
         }),
     }
 }

@@ -24,7 +24,7 @@ use oasis_data::{Batch, Dataset};
 use oasis_fl::{FlConfig, FlError, FlServer, ModelFactory, WireConfig};
 use oasis_image::Image;
 use oasis_population::{CohortRunner, CohortScheduler, Population};
-use oasis_scenario::{AttackSpec, DefenseSpec, ScenarioError};
+use oasis_scenario::{AttackSpec, DefenseSpec, ScenarioError, LEAK_THRESHOLD_DB};
 use oasis_wire::{CodecSpec, NetSpec};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -70,6 +70,9 @@ const DRIFT_SALT: u64 = 0xD21F_7A3C_9B64_E015;
 const ADV_SALT: u64 = 0xAD7E_4501_C3F8_269B;
 const PROBE_SALT: u64 = 0x0B5E_55ED_71A2_D4C3;
 const CAL_SALT: u64 = 0xCA1B_0A8E_6F3D_1257;
+
+/// Size of the batch the adversary probes (capped at the dataset).
+const PROBE_BATCH: usize = 8;
 
 /// Per-round churn stream: which clients leave or rejoin at round
 /// `round`. Keyed by round only, so churn replays without training.
@@ -153,17 +156,11 @@ pub struct CampaignSetup {
     /// Evaluate the adversary every `eval_every` rounds (0 = never,
     /// even when phases declare candidates).
     pub eval_every: usize,
-    /// Probe batch size the adversary attacks.
-    pub probe_batch: usize,
-    /// PSNR threshold (dB) above which a reconstruction counts as a
-    /// leak.
-    pub leak_threshold_db: f64,
 }
 
 impl CampaignSetup {
     /// A setup with the evaluation defaults: no defense, default FL
-    /// hyperparameters, raw codec, probe batch 8, leak threshold
-    /// 60 dB, adversary probed every round.
+    /// hyperparameters, raw codec, adversary probed every round.
     pub fn new(dataset: Dataset, clients: usize, factory: ModelFactory) -> Self {
         CampaignSetup {
             dataset,
@@ -175,8 +172,6 @@ impl CampaignSetup {
             seed: 0,
             partition_seed: 0,
             eval_every: 1,
-            probe_batch: 8,
-            leak_threshold_db: 60.0,
         }
     }
 }
@@ -205,7 +200,6 @@ pub struct CampaignRunner {
     seed: u64,
     codec: CodecSpec,
     eval_every: usize,
-    leak_threshold_db: f64,
     probe: Option<Batch>,
     calibration_pool: Vec<Image>,
     runner: CohortRunner,
@@ -240,8 +234,6 @@ impl CampaignRunner {
             seed,
             partition_seed,
             eval_every,
-            probe_batch,
-            leak_threshold_db,
         } = setup;
         if clients == 0 {
             return Err(CampaignError::Spec(ScenarioError::BadSpec(
@@ -284,7 +276,7 @@ impl CampaignRunner {
         // `default_calibration()` images.
         let wants_adversary = eval_every > 0 && spec.phases().iter().any(|p| !p.attack.is_empty());
         let probe = if wants_adversary {
-            let size = probe_batch.clamp(1, dataset.len());
+            let size = PROBE_BATCH.clamp(1, dataset.len());
             Some(dataset.sample_batch(size, &mut StdRng::seed_from_u64(seed ^ PROBE_SALT)))
         } else {
             None
@@ -314,7 +306,6 @@ impl CampaignRunner {
             seed,
             codec,
             eval_every,
-            leak_threshold_db,
             probe,
             calibration_pool,
             runner,
@@ -621,7 +612,7 @@ impl CampaignRunner {
                 round: r,
                 spec: key,
                 mean_psnr: outcome.mean_psnr(),
-                leak_rate: outcome.leak_rate(self.leak_threshold_db),
+                leak_rate: outcome.leak_rate(LEAK_THRESHOLD_DB),
                 picked: false,
             });
         }

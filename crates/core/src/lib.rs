@@ -64,10 +64,3 @@ mod defense;
 
 pub use analysis::{activation_set_analysis, activation_sets, ActivationAnalysis};
 pub use defense::Oasis;
-
-/// Commonly used items for downstream code.
-pub mod prelude {
-    pub use crate::{activation_set_analysis, Oasis};
-    pub use oasis_augment::{AugmentationPolicy, PolicyKind, Transform};
-    pub use oasis_fl::{ClipStage, Defense, DefenseStack, DpStage};
-}

@@ -153,8 +153,8 @@ impl FlServer {
     }
 
     /// The global model (e.g. for evaluation).
-    pub fn model_mut(&mut self) -> &mut Sequential {
-        &mut self.model
+    pub fn model(&self) -> &Sequential {
+        &self.model
     }
 
     /// Current round counter.
@@ -189,7 +189,7 @@ impl FlServer {
     }
 
     /// The flattened global weights `w_t` as broadcast this round.
-    pub fn broadcast_weights(&mut self) -> Vec<f32> {
+    pub fn broadcast_weights(&self) -> Vec<f32> {
         flatten_params(&self.model)
     }
 
@@ -250,10 +250,10 @@ mod tests {
             ..FlConfig::default()
         };
         let mut server = FlServer::new(factory(), cfg).unwrap();
-        let before = flatten_params(server.model_mut());
+        let before = flatten_params(server.model());
         let agg: Vec<f32> = (0..before.len()).map(|i| i as f32 * 0.01).collect();
         server.apply_update(&agg).unwrap();
-        let after = flatten_params(server.model_mut());
+        let after = flatten_params(server.model());
         for ((w0, w1), g) in before.iter().zip(&after).zip(&agg) {
             assert_eq!(*w1, w0 - 0.5 * g);
         }
@@ -266,20 +266,20 @@ mod tests {
     #[test]
     fn checkpoint_restores_weights() {
         let mut server = FlServer::new(factory(), FlConfig::default()).unwrap();
-        let n = flatten_params(server.model_mut()).len();
+        let n = flatten_params(server.model()).len();
         server.apply_update(&vec![0.25; n]).unwrap();
         server.set_round(2);
-        let trained = flatten_params(server.model_mut());
+        let trained = flatten_params(server.model());
         let dir = std::env::temp_dir().join(format!("oasis_fl_ckpt_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("global.oasis");
         server.save_checkpoint(&path).unwrap();
 
         let mut fresh = FlServer::new(factory(), FlConfig::default()).unwrap();
-        assert_ne!(flatten_params(fresh.model_mut()), trained);
+        assert_ne!(flatten_params(fresh.model()), trained);
         fresh.restore_checkpoint(&path).unwrap();
         fresh.set_round(server.round());
-        assert_eq!(flatten_params(fresh.model_mut()), trained);
+        assert_eq!(flatten_params(fresh.model()), trained);
         assert_eq!(fresh.round(), 2);
         let _ = std::fs::remove_file(&path);
     }

@@ -37,14 +37,6 @@ pub enum ImageError {
         /// The bound it violated.
         bound: usize,
     },
-    /// The tensor passed to [`crate::Image::from_tensor`] has the
-    /// wrong element count.
-    TensorShape {
-        /// Element count of the tensor.
-        numel: usize,
-        /// Expected element count.
-        expected: usize,
-    },
     /// An IO failure while writing an image file.
     Io(std::io::Error),
     /// An input the operation cannot use, such as an empty image set.
@@ -72,12 +64,6 @@ impl fmt::Display for ImageError {
             }
             ImageError::OutOfRange { index, bound } => {
                 write!(f, "index {index} out of range (bound {bound})")
-            }
-            ImageError::TensorShape { numel, expected } => {
-                write!(
-                    f,
-                    "tensor with {numel} elements cannot fill image with {expected}"
-                )
             }
             ImageError::Io(e) => write!(f, "io error: {e}"),
             ImageError::Format(msg) => write!(f, "unsupported image input: {msg}"),

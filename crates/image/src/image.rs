@@ -1,6 +1,6 @@
 //! The CHW `f32` image container.
 
-use oasis_tensor::{simd, Tensor};
+use oasis_tensor::simd;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -60,27 +60,6 @@ impl Image {
             height,
             width,
             data,
-        })
-    }
-
-    /// Builds an image from a flat tensor (rank-1 of length `c*h*w`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImageError::TensorShape`] on element-count mismatch.
-    pub fn from_tensor(t: &Tensor, channels: usize, height: usize, width: usize) -> Result<Self> {
-        let expected = channels * height * width;
-        if t.numel() != expected {
-            return Err(ImageError::TensorShape {
-                numel: t.numel(),
-                expected,
-            });
-        }
-        Ok(Image {
-            channels,
-            height,
-            width,
-            data: t.data().to_vec(),
         })
     }
 
@@ -379,20 +358,6 @@ mod tests {
         assert_eq!(img.get_or_zero(0, -1, 0), 0.0);
         assert_eq!(img.get_or_zero(0, 0, 2), 0.0);
         assert_eq!(img.get_or_zero(0, 1, 1), 1.0);
-    }
-
-    #[test]
-    fn from_tensor_keeps_chw_order() {
-        let t = Tensor::from_slice(&[0.1, 0.2, 0.3, 0.4]);
-        let img = Image::from_tensor(&t, 1, 2, 2).unwrap();
-        assert_eq!(img.dims(), (1, 2, 2));
-        assert_eq!(img.get(0, 1, 0).unwrap(), 0.3);
-    }
-
-    #[test]
-    fn from_tensor_validates_count() {
-        let t = Tensor::zeros(&[5]);
-        assert!(Image::from_tensor(&t, 1, 2, 2).is_err());
     }
 
     #[test]

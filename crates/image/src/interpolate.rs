@@ -122,12 +122,7 @@ fn reflect_coord(v: f32, len: usize) -> f32 {
 impl Image {
     /// Warps the image through `map` (interpreted as the inverse
     /// transform around the image center) with bilinear sampling and
-    /// zero fill.
-    pub fn warp_affine(&self, map: &AffineMap) -> Image {
-        self.warp_affine_with(map, FillMode::Zero)
-    }
-
-    /// [`Image::warp_affine`] with an explicit out-of-frame fill mode.
+    /// the given out-of-frame fill.
     pub fn warp_affine_with(&self, map: &AffineMap, fill: FillMode) -> Image {
         let (c, h, w) = self.dims();
         let cy = (h as f32 - 1.0) / 2.0;
@@ -148,7 +143,7 @@ impl Image {
     /// Exact 90°·`quarter_turns` counter-clockwise rotation by pixel
     /// permutation.
     ///
-    /// Unlike [`Image::warp_affine`], this introduces **no**
+    /// Unlike [`Image::warp_affine_with`], this introduces **no**
     /// interpolation and therefore preserves the pixel-mean measurement
     /// *exactly* — the property that makes major rotation the strongest
     /// transform against the RTF attack (paper §IV-B).
@@ -237,7 +232,7 @@ mod tests {
     #[test]
     fn identity_warp_is_identity() {
         let img = gradient_image();
-        let out = img.warp_affine(&AffineMap::identity());
+        let out = img.warp_affine_with(&AffineMap::identity(), FillMode::Zero);
         for (a, b) in img.data().iter().zip(out.data()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -290,7 +285,7 @@ mod tests {
     #[test]
     fn warp_rotation_180_close_to_exact() {
         let img = gradient_image();
-        let warped = img.warp_affine(&AffineMap::rotation(180.0));
+        let warped = img.warp_affine_with(&AffineMap::rotation(180.0), FillMode::Zero);
         let exact = img.rotate90(2);
         for (a, b) in warped.data().iter().zip(exact.data()) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
@@ -300,7 +295,7 @@ mod tests {
     #[test]
     fn shear_zero_is_identity() {
         let img = gradient_image();
-        let out = img.warp_affine(&AffineMap::shear_x(0.0));
+        let out = img.warp_affine_with(&AffineMap::shear_x(0.0), FillMode::Zero);
         for (a, b) in img.data().iter().zip(out.data()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -309,7 +304,7 @@ mod tests {
     #[test]
     fn shear_moves_mass() {
         let img = gradient_image();
-        let out = img.warp_affine(&AffineMap::shear_x(1.0));
+        let out = img.warp_affine_with(&AffineMap::shear_x(1.0), FillMode::Zero);
         assert_ne!(out, img);
     }
 
@@ -378,7 +373,7 @@ mod tests {
                 img.set(0, y, x, 0.8).unwrap();
             }
         }
-        let rot = img.warp_affine(&AffineMap::rotation(30.0));
+        let rot = img.warp_affine_with(&AffineMap::rotation(30.0), FillMode::Zero);
         let delta = (rot.mean() - img.mean()).abs();
         assert!(delta < 0.02, "mean shift {delta}");
     }

@@ -1,8 +1,8 @@
 //! # oasis-metrics
 //!
 //! Measurement utilities for the OASIS evaluation: PSNR (the paper's
-//! reconstruction-quality metric), reconstruction↔original matching,
-//! classification accuracy and boxplot-style summary statistics.
+//! reconstruction-quality metric), reconstruction↔original matching
+//! and boxplot-style summary statistics.
 //!
 //! ```
 //! use oasis_image::Image;
@@ -16,12 +16,10 @@
 
 #![warn(missing_docs)]
 
-mod accuracy;
 mod matching;
 mod psnr;
 mod stats;
 
-pub use accuracy::accuracy;
 pub use matching::{
     best_psnr_per_original, best_psnr_per_original_seeded, match_greedy, match_greedy_coarse,
     ReconstructionMatch,

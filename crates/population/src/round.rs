@@ -441,13 +441,13 @@ mod tests {
         )
         .clients();
         let mut r = CohortRunner::new(server(FlConfig::default()), clients);
-        let before = r.server_mut().broadcast_weights();
+        let before = r.server().broadcast_weights();
         let err = r.run_round(&mut StdRng::seed_from_u64(0)).unwrap_err();
         assert!(
             matches!(&err, FlError::BadConfig(m) if m.contains("predicted")),
             "{err}"
         );
-        assert_eq!(r.server_mut().broadcast_weights(), before);
+        assert_eq!(r.server().broadcast_weights(), before);
         assert_eq!(r.server().round(), 0);
     }
 
@@ -530,8 +530,8 @@ mod tests {
         let mut resident = resident(FlConfig::default());
         assert_eq!(lazy.run(2, 8).unwrap(), resident.run(2, 8).unwrap());
         assert_eq!(
-            flatten_params(lazy.server_mut().model_mut()),
-            flatten_params(resident.server_mut().model_mut())
+            flatten_params(lazy.server().model()),
+            flatten_params(resident.server().model())
         );
     }
 

@@ -50,7 +50,9 @@ mod scenario;
 mod spec;
 
 pub use scale::Scale;
-pub use scenario::{Sampling, Scenario, ScenarioBuilder, ScenarioReport, TrialReport};
+pub use scenario::{
+    Sampling, Scenario, ScenarioBuilder, ScenarioReport, TrialReport, LEAK_THRESHOLD_DB,
+};
 pub use spec::{
     spec_catalog, AttackSpec, DefenseSpec, WorkloadSpec, CAH_WEIGHT_SEED, QBI_WEIGHT_SEED,
 };

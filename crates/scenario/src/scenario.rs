@@ -144,6 +144,10 @@ pub struct Scenario {
 /// seed, mirroring the attacker's "coarse public statistics".
 const CALIBRATION_SEED: u64 = 0xCA11B;
 
+/// PSNR (dB) above which a reconstruction counts as a leak: the
+/// scenario default and the campaign adversary's threshold.
+pub const LEAK_THRESHOLD_DB: f64 = 60.0;
+
 impl Scenario {
     /// Starts building a scenario (defaults: `rtf:512` vs `none` on
     /// `imagenette`, `B = 8`, scale-default trials, seed 0).
@@ -510,7 +514,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the leak-rate PSNR threshold in dB (default 60).
+    /// Sets the leak-rate PSNR threshold in dB (default
+    /// [`LEAK_THRESHOLD_DB`]).
     pub fn leak_threshold_db(mut self, threshold: f64) -> Self {
         self.leak_threshold_db = Some(threshold);
         self
@@ -610,7 +615,7 @@ impl ScenarioBuilder {
             dataset_capacity: self.dataset_capacity.unwrap_or(batch_size).max(batch_size),
             calibration,
             sampling,
-            leak_threshold_db: self.leak_threshold_db.unwrap_or(60.0),
+            leak_threshold_db: self.leak_threshold_db.unwrap_or(LEAK_THRESHOLD_DB),
             codec: self.codec,
             net: self.net,
             population: self.population,

@@ -420,13 +420,15 @@ impl FromStr for DefensePart {
 ///   `oasis:MR+dp:1,0.01` runs the OASIS batch stage, then DP-SGD's
 ///   clip + noise on the uploaded update.
 ///
-/// Stacks compose in Rust with [`DefenseSpec::stacked`] or `+`:
+/// Stacks compose in Rust with [`DefenseSpec::stacked`]:
 ///
 /// ```
 /// use oasis_scenario::DefenseSpec;
 /// use oasis_augment::PolicyKind;
 ///
-/// let stack = DefenseSpec::oasis(PolicyKind::MajorRotation) + DefenseSpec::dp(1.0, 0.01);
+/// let stack = DefenseSpec::oasis(PolicyKind::MajorRotation)
+///     .stacked(DefenseSpec::dp(1.0, 0.01))
+///     .unwrap();
 /// assert_eq!(stack.to_string(), "oasis:MR+dp:1,0.01");
 /// assert_eq!(stack, "oasis:MR+dp:1,0.01".parse().unwrap());
 /// ```
@@ -520,20 +522,6 @@ impl DefenseSpec {
             stack.push(part.build());
         }
         stack
-    }
-}
-
-impl std::ops::Add for DefenseSpec {
-    type Output = DefenseSpec;
-
-    /// Stacks two defense specs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on duplicate families; use [`DefenseSpec::stacked`] for
-    /// a fallible version.
-    fn add(self, other: DefenseSpec) -> DefenseSpec {
-        self.stacked(other).expect("duplicate defense family")
     }
 }
 
@@ -852,16 +840,34 @@ mod tests {
         }
     }
 
+    /// Stacks `parts` in order with [`DefenseSpec::stacked`].
+    fn stack_of<const N: usize>(parts: [DefenseSpec; N]) -> DefenseSpec {
+        parts.into_iter().fold(DefenseSpec::none(), |stack, part| {
+            stack.stacked(part).unwrap()
+        })
+    }
+
     #[test]
     fn stacked_defense_specs_round_trip() {
         for stack in [
-            DefenseSpec::oasis(PolicyKind::MajorRotation) + DefenseSpec::dp(1.0, 0.01),
-            DefenseSpec::dp(1.0, 0.01) + DefenseSpec::oasis(PolicyKind::MajorRotation),
-            DefenseSpec::oasis(PolicyKind::MajorRotationShearing) + DefenseSpec::dp(2.0, 0.5),
-            DefenseSpec::ats() + DefenseSpec::clip(0.5),
-            DefenseSpec::oasis(PolicyKind::Shearing)
-                + DefenseSpec::dp(1.0, 0.25)
-                + DefenseSpec::clip(3.0),
+            stack_of([
+                DefenseSpec::oasis(PolicyKind::MajorRotation),
+                DefenseSpec::dp(1.0, 0.01),
+            ]),
+            stack_of([
+                DefenseSpec::dp(1.0, 0.01),
+                DefenseSpec::oasis(PolicyKind::MajorRotation),
+            ]),
+            stack_of([
+                DefenseSpec::oasis(PolicyKind::MajorRotationShearing),
+                DefenseSpec::dp(2.0, 0.5),
+            ]),
+            stack_of([DefenseSpec::ats(), DefenseSpec::clip(0.5)]),
+            stack_of([
+                DefenseSpec::oasis(PolicyKind::Shearing),
+                DefenseSpec::dp(1.0, 0.25),
+                DefenseSpec::clip(3.0),
+            ]),
         ] {
             let printed = stack.to_string();
             assert_eq!(printed.parse::<DefenseSpec>().unwrap(), stack, "{printed}");
@@ -896,12 +902,6 @@ mod tests {
         let err = "dp:1,0.5+ats+dp:2,0.1".parse::<DefenseSpec>().unwrap_err();
         assert!(err.to_string().contains("duplicate"), "{err}");
         assert!(DefenseSpec::ats().stacked(DefenseSpec::ats()).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate defense family")]
-    fn add_panics_on_duplicates() {
-        let _ = DefenseSpec::dp(1.0, 0.5) + DefenseSpec::dp(2.0, 0.1);
     }
 
     #[test]
@@ -1097,15 +1097,23 @@ mod tests {
             DefenseSpec::ats(),
             DefenseSpec::dp(1.0, 0.5),
             DefenseSpec::clip(2.0),
-            DefenseSpec::ats() + DefenseSpec::oasis(PolicyKind::MajorRotation),
-            DefenseSpec::oasis(PolicyKind::MajorRotationShearing)
-                + DefenseSpec::ats()
-                + DefenseSpec::dp(1.0, 0.1)
-                + DefenseSpec::clip(0.5),
+            stack_of([
+                DefenseSpec::ats(),
+                DefenseSpec::oasis(PolicyKind::MajorRotation),
+            ]),
+            stack_of([
+                DefenseSpec::oasis(PolicyKind::MajorRotationShearing),
+                DefenseSpec::ats(),
+                DefenseSpec::dp(1.0, 0.1),
+                DefenseSpec::clip(0.5),
+            ]),
         ];
         for kind in PolicyKind::all() {
             specs.push(DefenseSpec::oasis(kind));
-            specs.push(DefenseSpec::oasis(kind) + DefenseSpec::dp(1.0, 0.01));
+            specs.push(stack_of([
+                DefenseSpec::oasis(kind),
+                DefenseSpec::dp(1.0, 0.01),
+            ]));
         }
         let pool = oasis_data::cifar_like_with(4, 8, 8, 0);
         for spec in &specs {

@@ -37,7 +37,6 @@ fn setup(clients: usize, seed: u64) -> CampaignSetup {
     );
     s.seed = seed;
     s.partition_seed = 5;
-    s.probe_batch = 4;
     s
 }
 
@@ -74,14 +73,14 @@ fn one_phase_campaign_matches_cohort_runner_bit_exactly() {
     .unwrap();
     let mut reference = CohortRunner::new(server, population);
     let reports = reference.run(rounds, seed).unwrap();
-    let reference_weights = flatten_params(reference.server_mut().model_mut());
+    let reference_weights = flatten_params(reference.server().model());
 
     let spec: CampaignSpec = format!("campaign:{rounds}").parse().unwrap();
     let mut campaign = CampaignRunner::new(spec, setup(6, seed)).unwrap();
     campaign.run().unwrap();
 
     assert_eq!(
-        flatten_params(campaign.server_mut().model_mut()),
+        flatten_params(campaign.server().model()),
         reference_weights,
         "one-phase campaign weights must be bit-identical to CohortRunner::run"
     );
@@ -108,7 +107,7 @@ fn one_phase_campaign_is_thread_count_invariant() {
         campaign.run().unwrap();
         (
             campaign.records().to_vec(),
-            flatten_params(campaign.server_mut().model_mut()),
+            flatten_params(campaign.server().model()),
         )
     };
     let (r1, w1) = parallel::with_threads(1, run);
@@ -142,7 +141,7 @@ fn run_dynamic(seed: u64) -> (Vec<oasis_campaign::TrajectoryRecord>, Vec<f32>, S
         .join("\n");
     (
         campaign.records().to_vec(),
-        flatten_params(campaign.server_mut().model_mut()),
+        flatten_params(campaign.server().model()),
         log,
     )
 }
@@ -208,7 +207,7 @@ fn campaign_resumes_from_checkpoint_via_seek() {
     std::fs::remove_file(&ckpt).ok();
 
     assert_eq!(
-        flatten_params(resumed.server_mut().model_mut()),
+        flatten_params(resumed.server().model()),
         full_weights,
         "resumed campaign must converge to the full run's weights"
     );

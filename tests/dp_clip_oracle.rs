@@ -64,11 +64,11 @@ fn oracle(
     model: &mut Sequential,
     processed: &Batch,
     geometry: (usize, usize, usize),
-    n: usize,
     clip_norm: f32,
 ) -> Res<(Vec<f32>, f32)> {
     let b = processed.len();
     let d = geometry.0 * geometry.1 * geometry.2;
+    let n = malicious_layer(model)?.bias().numel();
     let mut sum_gw = Tensor::zeros(&[n, d]);
     let mut sum_gb = Tensor::zeros(&[n]);
     let mut total_loss = 0.0f32;
@@ -163,14 +163,7 @@ fn fused_clip_and_sum_matches_the_per_sample_loop_bit_exactly() {
                 let processed =
                     defense.process_batch(&batch, &mut StdRng::seed_from_u64(SEED ^ 0x00DE_F317));
                 let mut model = attack.build_model(geometry, CLASSES, SEED).unwrap();
-                let (want, want_loss) = oracle(
-                    &mut model,
-                    &processed,
-                    geometry,
-                    attack.attacked_neurons(),
-                    clip,
-                )
-                .unwrap();
+                let (want, want_loss) = oracle(&mut model, &processed, geometry, clip).unwrap();
                 if unclipped.is_empty() {
                     unclipped = want.clone();
                 } else {

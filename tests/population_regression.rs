@@ -18,7 +18,7 @@
 //! let mut server = FlServer::new(case_factory(case.model), case.config.clone()).unwrap();
 //! server.set_wire((case.wire)());
 //! let reports = server.run(&(case.clients)(), case.rounds, case.seed).unwrap();
-//! (flatten_params(server.model_mut()), reports)
+//! (flatten_params(server.model()), reports)
 //! ```
 //!
 //! and run the ignored capture test, which rewrites the fixture:
@@ -195,7 +195,7 @@ fn run_case(case: &Case) -> (Vec<f32>, Vec<RoundReport>) {
     let reports = (0..case.rounds)
         .map(|_| runner.run_round(&mut rng).unwrap().round_report)
         .collect();
-    (flatten_params(runner.server_mut().model_mut()), reports)
+    (flatten_params(runner.server().model()), reports)
 }
 
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
@@ -357,14 +357,14 @@ fn zero_delivered_cohort_round_is_a_noop() {
         CodecSpec::Raw,
         "sim:1000,1,0,1".parse().unwrap(),
     ));
-    let before = flatten_params(server.model_mut());
+    let before = flatten_params(server.model());
     let mut runner = CohortRunner::new(server, pop);
     let report = runner.run_round(&mut StdRng::seed_from_u64(0)).unwrap();
     assert_eq!(report.round_report.participants, 0);
     assert_eq!(report.round_report.dropped, 8);
     assert_eq!(report.computed, 0, "no-op rounds must not hydrate anyone");
     assert_eq!(report.round_report.update_norm, 0.0);
-    assert_eq!(flatten_params(runner.server_mut().model_mut()), before);
+    assert_eq!(flatten_params(runner.server().model()), before);
     assert_eq!(runner.server().round(), 1, "the protocol must not wedge");
 }
 
@@ -438,7 +438,7 @@ fn keyed_runs_split_and_replay() {
     let rejoined: Vec<_> = head.into_iter().chain(tail).collect();
     assert_eq!(all, rejoined);
     assert_eq!(
-        flatten_params(whole.server_mut().model_mut()),
-        flatten_params(split.server_mut().model_mut()),
+        flatten_params(whole.server().model()),
+        flatten_params(split.server().model()),
     );
 }

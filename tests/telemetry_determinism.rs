@@ -61,7 +61,7 @@ fn run_fl(threads: usize, traced: bool) -> (Vec<f32>, Vec<RoundReport>) {
             .map(|r| r.round_report)
             .collect();
         oasis_telemetry::set_enabled(was);
-        (flatten_params(runner.server_mut().model_mut()), reports)
+        (flatten_params(runner.server().model()), reports)
     })
 }
 

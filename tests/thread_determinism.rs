@@ -10,7 +10,9 @@
 
 use std::sync::Arc;
 
-use oasis_attacks::{ActiveAttack, RtfAttack};
+use oasis_attacks::{
+    reconstruct, ActiveAttack, CahAttack, LinearModelAttack, QbiAttack, RtfAttack,
+};
 use oasis_data::cifar_like_with;
 use oasis_fl::{DefenseStack, FlConfig, FlServer, ModelFactory, RoundReport};
 use oasis_nn::{flatten_params, Conv2d, Layer, Linear, Mode, Relu, Sequential};
@@ -49,7 +51,7 @@ fn run_fl(threads: usize) -> (Vec<f32>, Vec<RoundReport>) {
             .into_iter()
             .map(|r| r.round_report)
             .collect();
-        (flatten_params(runner.server_mut().model_mut()), reports)
+        (flatten_params(runner.server().model()), reports)
     })
 }
 
@@ -167,33 +169,60 @@ fn conv_batch32_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// The `rtf_invert_128` perf workload: the parallel per-neuron sweep
-/// must reconstruct the same pool in the same order.
-fn run_rtf_invert(threads: usize) -> Vec<Vec<f32>> {
+/// Gradients shaped like the `rtf_invert_128` perf workload's, whose
+/// second half of rows repeats the first, so every sweep also feeds
+/// dedupe duplicates.
+fn sweep_gradients(rows: usize, d: usize) -> (Tensor, Tensor) {
+    let half = rows / 2;
+    let base = Tensor::randn(&[half, d], &mut StdRng::seed_from_u64(16));
+    let mut grad_w = base.data().to_vec();
+    grad_w.extend_from_slice(base.data());
+    let grad_b = (0..rows).map(|i| 1.0 + (half - i % half) as f32 * 0.01);
+    (
+        Tensor::from_vec(grad_w, &[rows, d]).expect("weight"),
+        Tensor::from_vec(grad_b.collect(), &[rows]).expect("bias"),
+    )
+}
+
+/// The shared reconstruction sweep for every attack family must
+/// reconstruct the same pool in the same order at any thread count.
+/// At 128 rows of a 3×16×16 input every sweep is wide enough to fan
+/// out across the pool.
+fn run_inversion_sweeps(threads: usize) -> Vec<Vec<Vec<f32>>> {
+    let neurons = 128;
+    let geometry = (3, 16, 16);
+    let d = geometry.0 * geometry.1 * geometry.2;
+    let calibration: Vec<_> = cifar_like_with(4, 8, 16, 2)
+        .items()
+        .iter()
+        .map(|it| it.image.clone())
+        .collect();
+    let attacks: Vec<Box<dyn ActiveAttack>> = vec![
+        Box::new(RtfAttack::new(neurons, 0.5, 0.15).expect("rtf")),
+        Box::new(CahAttack::calibrated(neurons, 0.1, &calibration, 3).expect("cah")),
+        Box::new(QbiAttack::calibrated(neurons, 8, &calibration, 3).expect("qbi")),
+        Box::new(LinearModelAttack::new(neurons).expect("linear")),
+    ];
+    let (grad_w, grad_b) = sweep_gradients(neurons, d);
     parallel::with_threads(threads, || {
-        let neurons = 128;
-        let geometry = (3, 16, 16);
-        let d = geometry.0 * geometry.1 * geometry.2;
-        let attack = RtfAttack::new(neurons, 0.5, 0.15).expect("attack");
-        let grad_w = Tensor::randn(&[neurons, d], &mut StdRng::seed_from_u64(16));
-        let grad_b = Tensor::from_vec(
-            (0..neurons)
-                .map(|i| 1.0 + (neurons - i) as f32 * 0.01)
-                .collect(),
-            &[neurons],
-        )
-        .expect("bias");
-        attack
-            .reconstruct(&grad_w, &grad_b, geometry)
-            .into_iter()
-            .map(|img| img.data().to_vec())
+        attacks
+            .iter()
+            .map(|attack| {
+                reconstruct(attack.as_ref(), &grad_w, &grad_b, geometry)
+                    .into_iter()
+                    .map(|img| img.data().to_vec())
+                    .collect()
+            })
             .collect()
     })
 }
 
 #[test]
 fn rtf_inversion_sweep_is_bit_identical_across_thread_counts() {
-    let serial = run_rtf_invert(1);
-    assert!(!serial.is_empty());
-    assert_eq!(run_rtf_invert(4), serial);
+    let serial = run_inversion_sweeps(1);
+    for pool in &serial {
+        assert!(!pool.is_empty());
+        assert!(pool.len() < 128, "dedupe kept every repeated row");
+    }
+    assert_eq!(run_inversion_sweeps(4), serial);
 }

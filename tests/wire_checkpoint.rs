@@ -45,7 +45,7 @@ fn resumed_training_is_bit_identical_to_uninterrupted() {
     for _ in 0..6 {
         reference.run_round(&mut rng).unwrap();
     }
-    let reference_params = flatten_params(reference.server_mut().model_mut());
+    let reference_params = flatten_params(reference.server().model());
 
     // Interrupted: 3 rounds, checkpoint to disk, resume in a fresh
     // server, 3 more rounds continuing the same rng stream.
@@ -70,7 +70,7 @@ fn resumed_training_is_bit_identical_to_uninterrupted() {
     for _ in 0..3 {
         resumed.run_round(&mut rng).unwrap();
     }
-    let resumed_params = flatten_params(resumed.server_mut().model_mut());
+    let resumed_params = flatten_params(resumed.server().model());
 
     assert_eq!(reference_params.len(), resumed_params.len());
     for (i, (a, b)) in reference_params.iter().zip(&resumed_params).enumerate() {
