@@ -109,8 +109,7 @@ impl ActiveAttack for RtfAttack {
         let d = c * h * w;
         // Every row is the measurement functional h(x) = mean(x).
         let row_value = 1.0 / d as f32;
-        let mut weight = Tensor::full(&[self.neurons, d], row_value);
-        let _ = weight.data_mut(); // rows identical by construction
+        let weight = Tensor::full(&[self.neurons, d], row_value);
         let cutoffs = self.cutoffs();
         let bias = Tensor::from_slice(&cutoffs.iter().map(|&c| -c).collect::<Vec<_>>());
         attacked_model(weight, bias, classes, seed)

@@ -10,7 +10,7 @@
 //! (Table I).
 
 use oasis_attacks::{train_linear_with_dp, DpConfig};
-use oasis_bench::{banner, AttackSpec, DefenseSpec, Scale, Scenario, Workload};
+use oasis_bench::{banner, AttackSpec, DefenseSpec, Scale, Scenario, Sweep, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,9 +36,10 @@ fn main() {
         Scale::Quick => vec![0.0, 1.0, 20.0],
         _ => vec![0.0, 0.1, 0.5, 1.0, 5.0, 20.0],
     };
+    let mut sweep = Sweep::default();
     for sigma in sigmas {
         // Privacy side: the RTF attack against DP-SGD updates.
-        let report = Scenario::builder()
+        let cell = Scenario::builder()
             .workload(Workload::Cifar100)
             .attack(AttackSpec::rtf(128))
             .defense(DefenseSpec::dp(1.0, sigma))
@@ -49,9 +50,8 @@ fn main() {
             .dataset_seed(5)
             .calibration(128)
             .build()
-            .expect("dp scenario")
-            .run()
-            .expect("dp attack run");
+            .expect("dp scenario");
+        let report = sweep.run(&cell).expect("dp attack run");
         let cfg = DpConfig {
             clip_norm: 1.0,
             noise_multiplier: sigma,

@@ -8,7 +8,7 @@
 //! unrecognizable linear combinations.
 
 use oasis_augment::PolicyKind;
-use oasis_bench::{banner, out_path, AttackSpec, DefenseSpec, Scale, Scenario, Workload};
+use oasis_bench::{banner, out_path, AttackSpec, DefenseSpec, Scale, Scenario, Sweep, Workload};
 use oasis_image::{io, Image};
 use oasis_metrics::{match_greedy_coarse, Summary};
 
@@ -20,6 +20,7 @@ fn main() {
         scale,
     );
 
+    let mut sweep = Sweep::default();
     for (name, defense, file) in [
         ("ATS (replacement)", DefenseSpec::ats(), "fig14_ats.ppm"),
         (
@@ -39,7 +40,7 @@ fn main() {
             .dataset_seed(1414)
             .build()
             .expect("figure 14 scenario");
-        let (report, outcomes) = scenario.run_detailed().expect("attack run");
+        let (report, outcomes) = sweep.run_detailed(&scenario).expect("attack run");
         let outcome = &outcomes[0];
         // The original private batch of trial 0, as the runner drew it.
         let batch = scenario.trial_batches().remove(0);

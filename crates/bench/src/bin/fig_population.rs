@@ -19,7 +19,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use oasis_bench::{banner, AttackSpec, Scale, Scenario, Workload};
+use oasis_bench::{banner, AttackSpec, Scale, Scenario, Sweep, Workload};
 use oasis_data::cifar_like_with;
 use oasis_fl::{DefenseStack, FlConfig, FlServer, ModelFactory};
 use oasis_nn::{Linear, Relu, Sequential};
@@ -50,6 +50,7 @@ fn main() {
         "{:>12} {:>10} {:>14} {:>12} {:>14}",
         "population", "cohort", "mean PSNR(dB)", "leak rate(%)", "bytes on wire"
     );
+    let mut sweep = Sweep::default();
     for &population in &populations {
         let mut builder = Scenario::builder()
             .workload(Workload::Cifar100)
@@ -60,11 +61,8 @@ fn main() {
         if population > 0 {
             builder = builder.population(population).sample(cohort);
         }
-        let report = builder
-            .build()
-            .expect("population scenario")
-            .run()
-            .expect("population scenario run");
+        let cell = builder.build().expect("population scenario");
+        let report = sweep.run(&cell).expect("population scenario run");
         println!(
             "{:>12} {:>10} {:>14.2} {:>12.1} {:>14}",
             population,

@@ -22,7 +22,7 @@
 //! keeps accuracy — the regime the paper's trade-off study argues is
 //! the only deployable one.
 
-use oasis_bench::{banner, AttackSpec, DefenseSpec, Scale, Scenario, Workload};
+use oasis_bench::{banner, AttackSpec, DefenseSpec, Scale, Scenario, Sweep, Workload};
 
 fn main() {
     let scale = Scale::from_args();
@@ -42,6 +42,7 @@ fn main() {
         ),
     ];
     let attacks = [("RTF", AttackSpec::rtf(128)), ("CAH", AttackSpec::cah(128))];
+    let mut sweep = Sweep::default();
 
     for (attack_name, attack) in &attacks {
         println!(
@@ -54,7 +55,7 @@ fn main() {
         );
         let mut means = Vec::new();
         for (label, defense) in &defenses {
-            let report = Scenario::builder()
+            let cell = Scenario::builder()
                 .workload(Workload::Cifar100)
                 .attack(attack.clone())
                 .defense(defense.clone())
@@ -63,9 +64,8 @@ fn main() {
                 .seed(31)
                 .dataset_seed(3131)
                 .build()
-                .expect("stack scenario")
-                .run()
-                .expect("stack scenario run");
+                .expect("stack scenario");
+            let report = sweep.run(&cell).expect("stack scenario run");
             println!(
                 "{:>20} {:>14.2} {:>13.1}",
                 label,

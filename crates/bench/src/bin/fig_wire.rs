@@ -10,7 +10,7 @@
 //! cargo run --release -p oasis-bench --bin fig_wire -- [--quick | --full]
 //! ```
 
-use oasis_bench::{banner, AttackSpec, CodecSpec, Scale, Scenario, Workload};
+use oasis_bench::{banner, AttackSpec, CodecSpec, Scale, Scenario, Sweep, Workload};
 
 fn main() {
     let scale = Scale::from_args();
@@ -37,6 +37,7 @@ fn main() {
         ],
     };
     let attacks = [AttackSpec::rtf(128), AttackSpec::cah(128)];
+    let mut sweep = Sweep::default();
 
     for attack in &attacks {
         println!("\n{} on {} (undefended, B=8):", attack, Workload::Cifar100);
@@ -45,7 +46,7 @@ fn main() {
             "codec", "ratio", "bytes/update", "mean PSNR(dB)", "leak rate(%)"
         );
         for &codec in &codecs {
-            let report = Scenario::builder()
+            let cell = Scenario::builder()
                 .workload(Workload::Cifar100)
                 .attack(attack.clone())
                 .codec(codec)
@@ -53,9 +54,8 @@ fn main() {
                 .scale(scale)
                 .seed(7)
                 .build()
-                .expect("wire scenario")
-                .run()
-                .expect("wire scenario run");
+                .expect("wire scenario");
+            let report = sweep.run(&cell).expect("wire scenario run");
             let bytes_per_trial = report.bytes_on_wire / report.trials.len().max(1) as u64;
             println!(
                 "{:>12} {:>11.1}x {:>14} {:>14.2} {:>12.1}",

@@ -12,14 +12,16 @@
 //! ```
 //!
 //! Every run prints its report and writes the serialized
-//! [`ScenarioReport`] JSON under `out/` (or `$OASIS_OUT_DIR`).
+//! `ScenarioReport` JSON under `out/` (or `$OASIS_OUT_DIR`). A sweep's
+//! cells run through one [`Sweep`], so cells that share a dataset,
+//! calibration set or calibrated attack build it once.
 //! Unknown flags are errors, not silently ignored.
 
 use oasis_bench::{
     out_path, run_campaign, spec_catalog, AttackSpec, CampaignSpec, CodecSpec, DefenseSpec,
-    NetSpec, PopulationSpec, SampleSpec, Sampling, Scale, Scenario, ScenarioError, ScenarioReport,
-    WorkloadSpec,
+    NetSpec, PopulationSpec, SampleSpec, Scale, Scenario, ScenarioError, Sweep, WorkloadSpec,
 };
+use oasis_scenario::ScenarioBuilder;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -82,12 +84,9 @@ struct Args {
     populations: Vec<usize>,
     samples: Vec<usize>,
     batches: Vec<usize>,
-    trials: Option<usize>,
+    /// The per-scenario flags every sweep cell shares.
+    base: ScenarioBuilder,
     seed: u64,
-    dataset_seed: Option<u64>,
-    calibration: Option<usize>,
-    sampling: Option<Sampling>,
-    leak_db: Option<f64>,
     scale: Scale,
     save: bool,
     trace: Option<std::path::PathBuf>,
@@ -120,77 +119,10 @@ fn main() -> ExitCode {
         oasis_telemetry::enable();
     }
 
-    if let Some(spec) = args.campaign.clone() {
-        return run_campaign_mode(&args, spec);
-    }
-
-    let cells = args.attacks.len()
-        * args.defenses.len()
-        * args.workloads.len()
-        * args.codecs.len()
-        * args.nets.len()
-        * args.populations.len()
-        * args.samples.len()
-        * args.batches.len();
-    if cells > 1 {
-        println!("sweep: {cells} scenarios");
-    }
-    let mut failures = 0u32;
-    for &workload in &args.workloads {
-        for attack in &args.attacks {
-            for defense in &args.defenses {
-                for &codec in &args.codecs {
-                    for &net in &args.nets {
-                        for &population in &args.populations {
-                            for &sample in &args.samples {
-                                for &batch in &args.batches {
-                                    match run_cell(
-                                        &args,
-                                        workload,
-                                        attack.clone(),
-                                        defense.clone(),
-                                        codec,
-                                        net,
-                                        population,
-                                        sample,
-                                        batch,
-                                    ) {
-                                        Ok(report) => {
-                                            println!("{report}");
-                                            if args.save {
-                                                match report.save() {
-                                                    Ok(path) => {
-                                                        println!("  report -> {}", path.display());
-                                                    }
-                                                    Err(e) => {
-                                                        eprintln!(
-                                                            "error: saving report failed: {e}"
-                                                        );
-                                                        failures += 1;
-                                                    }
-                                                }
-                                            }
-                                            println!();
-                                        }
-                                        Err(e) => {
-                                            eprintln!(
-                                                "error: scenario attack={attack} \
-                                                 defense={defense} workload={workload} \
-                                                 codec={codec} net={net} \
-                                                 population={population} sample={sample} \
-                                                 batch={batch} failed: {e}"
-                                            );
-                                            failures += 1;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let (mut failures, noun) = match args.campaign.clone() {
+        Some(spec) => (run_campaign_mode(&args, spec), "campaign"),
+        None => (run_sweep_mode(&args), "scenario"),
+    };
     if let Some(path) = &args.trace {
         let spans = oasis_telemetry::take_spans();
         let metrics = oasis_telemetry::metrics_snapshot();
@@ -209,16 +141,101 @@ fn main() -> ExitCode {
         }
     }
     if failures > 0 {
-        eprintln!("{failures} scenario(s) failed");
+        eprintln!("{failures} {noun}(s) failed");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }
 
+/// Every cell of the sweep, labelled for its error line, in flag order
+/// workload › attack › defense › codec › net › population › sample ›
+/// batch (the last varies fastest).
+fn cells(args: &Args) -> Vec<(String, Result<Scenario, ScenarioError>)> {
+    let base = args.base.clone().scale(args.scale).seed(args.seed);
+    let axes = [
+        args.workloads.len(),
+        args.attacks.len(),
+        args.defenses.len(),
+        args.codecs.len(),
+        args.nets.len(),
+        args.populations.len(),
+        args.samples.len(),
+        args.batches.len(),
+    ];
+    (0..axes.iter().product())
+        .map(|mut i| {
+            let mut pick = [0; 8];
+            for (p, &len) in pick.iter_mut().zip(&axes).rev() {
+                *p = i % len;
+                i /= len;
+            }
+            let workload = args.workloads[pick[0]];
+            let attack = &args.attacks[pick[1]];
+            let defense = &args.defenses[pick[2]];
+            let codec = args.codecs[pick[3]];
+            let net = args.nets[pick[4]];
+            let population = args.populations[pick[5]];
+            let sample = args.samples[pick[6]];
+            let batch = args.batches[pick[7]];
+            let label = format!(
+                "attack={attack} defense={defense} workload={workload} codec={codec} net={net} \
+                 population={population} sample={sample} batch={batch}"
+            );
+            let cell = base
+                .clone()
+                .workload(workload)
+                .attack(attack.clone())
+                .defense(defense.clone())
+                .codec(codec)
+                .net(net)
+                .population(population)
+                .sample(sample)
+                .batch_size(batch)
+                .build();
+            (label, cell)
+        })
+        .collect()
+}
+
+/// The sweep mode: every cell through one [`Sweep`], each printing its
+/// report and (unless `--no-save`) writing it under `out/`. Returns
+/// the number of failed cells.
+fn run_sweep_mode(args: &Args) -> u32 {
+    let cells = cells(args);
+    if cells.len() > 1 {
+        println!("sweep: {} scenarios", cells.len());
+    }
+    let mut sweep = Sweep::default();
+    let mut failures = 0u32;
+    for (label, cell) in cells {
+        let report = match cell.and_then(|cell| sweep.run(&cell)) {
+            Ok(report) => report,
+            Err(e) => {
+                eprintln!("error: scenario {label} failed: {e}");
+                failures += 1;
+                continue;
+            }
+        };
+        println!("{report}");
+        if args.save {
+            match report.save() {
+                Ok(path) => println!("  report -> {}", path.display()),
+                Err(e) => {
+                    eprintln!("error: saving report failed: {e}");
+                    failures += 1;
+                }
+            }
+        }
+        println!();
+    }
+    failures
+}
+
 /// The `--campaign` mode: one campaign per `--defense` over the
 /// first `--workload`, each printing a per-phase summary and writing
-/// its trajectory JSONL under `out/`.
-fn run_campaign_mode(args: &Args, spec: CampaignSpec) -> ExitCode {
+/// its trajectory JSONL under `out/`. Returns the number of failed
+/// campaigns.
+fn run_campaign_mode(args: &Args, spec: CampaignSpec) -> u32 {
     let workload = args.workloads[0];
     let clients = match args.populations.first() {
         Some(&n) if n > 0 => n,
@@ -261,11 +278,7 @@ fn run_campaign_mode(args: &Args, spec: CampaignSpec) -> ExitCode {
             }
         }
     }
-    if failures > 0 {
-        eprintln!("{failures} campaign(s) failed");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    failures
 }
 
 /// Per-phase aggregates of a finished campaign: delivery, churn,
@@ -319,47 +332,6 @@ fn print_campaign_summary(runner: &oasis_bench::CampaignRunner) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_cell(
-    args: &Args,
-    workload: WorkloadSpec,
-    attack: AttackSpec,
-    defense: DefenseSpec,
-    codec: CodecSpec,
-    net: NetSpec,
-    population: usize,
-    sample: usize,
-    batch: usize,
-) -> Result<ScenarioReport, ScenarioError> {
-    let mut builder = Scenario::builder()
-        .workload(workload)
-        .attack(attack)
-        .defense(defense)
-        .codec(codec)
-        .net(net)
-        .population(population)
-        .sample(sample)
-        .batch_size(batch)
-        .scale(args.scale)
-        .seed(args.seed);
-    if let Some(trials) = args.trials {
-        builder = builder.trials(trials);
-    }
-    if let Some(ds) = args.dataset_seed {
-        builder = builder.dataset_seed(ds);
-    }
-    if let Some(cal) = args.calibration {
-        builder = builder.calibration(cal);
-    }
-    if let Some(sampling) = args.sampling {
-        builder = builder.sampling(sampling);
-    }
-    if let Some(db) = args.leak_db {
-        builder = builder.leak_threshold_db(db);
-    }
-    builder.build()?.run()
-}
-
 fn parse_args(raw: &[String]) -> Result<Args, String> {
     let mut args = Args {
         attacks: vec![AttackSpec::rtf(512)],
@@ -370,18 +342,15 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         populations: vec![0],
         samples: vec![0],
         batches: vec![8],
-        trials: None,
+        base: Scenario::builder(),
         seed: 0,
-        dataset_seed: None,
-        calibration: None,
-        sampling: None,
-        leak_db: None,
         scale: Scale::Default,
         save: true,
         trace: oasis_telemetry::trace_path_from_env(),
         campaign: None,
         eval_every: 5,
     };
+    let mut base = Scenario::builder();
     let mut it = raw.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -411,16 +380,18 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
             "--batch" => {
                 args.batches = parse_list(value("--batch")?, "batch size")?;
             }
-            "--trials" => args.trials = Some(parse_one(value("--trials")?, "trial count")?),
+            "--trials" => base = base.trials(parse_one(value("--trials")?, "trial count")?),
             "--seed" => args.seed = parse_one(value("--seed")?, "seed")?,
             "--dataset-seed" => {
-                args.dataset_seed = Some(parse_one(value("--dataset-seed")?, "dataset seed")?);
+                base = base.dataset_seed(parse_one(value("--dataset-seed")?, "dataset seed")?);
             }
             "--calibration" => {
-                args.calibration = Some(parse_one(value("--calibration")?, "calibration count")?);
+                base = base.calibration(parse_one(value("--calibration")?, "calibration count")?);
             }
-            "--sampling" => args.sampling = Some(parse_one(value("--sampling")?, "sampling")?),
-            "--leak-db" => args.leak_db = Some(parse_one(value("--leak-db")?, "leak threshold")?),
+            "--sampling" => base = base.sampling(parse_one(value("--sampling")?, "sampling")?),
+            "--leak-db" => {
+                base = base.leak_threshold_db(parse_one(value("--leak-db")?, "leak threshold")?);
+            }
             "--scale" => args.scale = parse_one(value("--scale")?, "scale")?,
             "--quick" => args.scale = Scale::Quick,
             "--full" => args.scale = Scale::Full,
@@ -435,6 +406,7 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    args.base = base;
     Ok(args)
 }
 

@@ -25,7 +25,6 @@ pub mod perf;
 
 use oasis_augment::PolicyKind;
 use oasis_data::Batch;
-use oasis_image::Image;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,26 +37,15 @@ pub use oasis_campaign::{
     CampaignSpec, TrajectoryReport, TrajectorySummary,
 };
 pub use oasis_scenario::{
-    out_path, spec_catalog, AttackSpec, CodecSpec, DefenseSpec, NetSpec, PopulationSpec,
-    SampleSpec, Sampling, Scale, Scenario, ScenarioError, ScenarioReport, WorkloadSpec,
+    calibration_images, out_path, spec_catalog, AttackSpec, CodecSpec, DefenseSpec, NetSpec,
+    PopulationSpec, SampleSpec, Sampling, Scale, Scenario, ScenarioError, ScenarioReport, Sweep,
+    WorkloadSpec,
 };
 
 /// The two evaluation workloads of the paper (alias of
 /// [`WorkloadSpec`], which also provides the 100-class synthetic
 /// variants used by the linear-model experiment).
 pub type Workload = WorkloadSpec;
-
-/// Calibration images (the "coarse data statistics" the attacker is
-/// assumed to know) drawn from a disjoint seed.
-pub fn calibration_images(workload: Workload, scale: Scale, count: usize) -> Vec<Image> {
-    Scenario::builder()
-        .workload(workload)
-        .scale(scale)
-        .calibration(count)
-        .build()
-        .expect("calibration-only scenario is always valid")
-        .calibration_images()
-}
 
 /// Builds and runs one campaign of `spec` under `defense`: the
 /// workload's dataset at `scale`, `clients` clients over the shared
@@ -101,9 +89,10 @@ pub fn run_campaign(
 /// [`AttackSpec::with_neurons`].
 /// `seed_base` spreads the per-cell seeds (`seed_base + B·mult + n`,
 /// the figure binaries' historical scheme); `dataset_seed` pins the
-/// workload build. Each cell rebuilds its (deterministic) dataset and
-/// calibration set; at full scale that cost is dominated by the
-/// attack rounds themselves.
+/// workload build. Each workload's cells run through one [`Sweep`]:
+/// its dataset (sized for the largest batch) and calibration set are
+/// built once, and each neuron count's calibrated attack once, shared
+/// by every batch row.
 pub fn attack_grid(
     scale: Scale,
     attack: AttackSpec,
@@ -116,6 +105,7 @@ pub fn attack_grid(
         _ => 17,
     };
     for workload in [Workload::ImageNette, Workload::Cifar100] {
+        let mut sweep = Sweep::default();
         let batches = scale.grid_batches();
         let neurons = scale.grid_neurons();
         println!("\n--- {} ---", workload.label());
@@ -130,7 +120,7 @@ pub fn attack_grid(
             print!("{b:>7}");
             let mut row_best = (0usize, f64::MIN);
             for &n in &neurons {
-                let report = Scenario::builder()
+                let cell = Scenario::builder()
                     .workload(workload)
                     .attack(attack.with_neurons(n))
                     .defense(DefenseSpec::none())
@@ -142,9 +132,8 @@ pub fn attack_grid(
                     .dataset_capacity(max_batch)
                     .calibration(calibration)
                     .build()
-                    .expect("grid cell scenario")
-                    .run()
-                    .expect("grid cell run");
+                    .expect("grid cell scenario");
+                let report = sweep.run(&cell).expect("grid cell run");
                 let mean = report.mean_psnr();
                 if mean > row_best.1 {
                     row_best = (n, mean);
@@ -163,7 +152,9 @@ pub fn attack_grid(
 
 /// The shared Figure 5/6/13 transform-comparison loop: for each
 /// (workload, B, n) configuration, one [`Scenario`] per policy in
-/// `policies`, printed as the paper's per-policy summary rows.
+/// `policies`, printed as the paper's per-policy summary rows. All
+/// cells run through one [`Sweep`], so a configuration's policies
+/// share its dataset, calibration set and calibrated attack.
 ///
 /// `attack` fixes the family; each configuration sets its neuron
 /// count through [`AttackSpec::with_neurons`]. `neuron_cap` bounds `n`
@@ -180,6 +171,7 @@ pub fn transform_comparison(
     calibration: usize,
     neuron_cap: usize,
 ) {
+    let mut sweep = Sweep::default();
     for &(workload, batch, neurons) in configs {
         let neurons = scale.cap_neurons(neurons, neuron_cap);
         let attack = attack.with_neurons(neurons);
@@ -201,7 +193,7 @@ pub fn transform_comparison(
                 PolicyKind::Without => DefenseSpec::none(),
                 kind => DefenseSpec::oasis(kind),
             };
-            let report = Scenario::builder()
+            let cell = Scenario::builder()
                 .workload(workload)
                 .attack(attack.clone())
                 .defense(defense)
@@ -212,9 +204,8 @@ pub fn transform_comparison(
                 .dataset_seed(dataset_seed)
                 .calibration(calibration)
                 .build()
-                .expect("transform scenario")
-                .run()
-                .expect("transform run");
+                .expect("transform scenario");
+            let report = sweep.run(&cell).expect("transform run");
             println!("{:>6}  {}", kind.abbrev(), report.summary);
         }
     }

@@ -39,11 +39,43 @@
 //! assert!(report.summary.count > 0);
 //! ```
 //!
+//! A grid runs through one [`Sweep`], which builds each dataset,
+//! calibration set and calibrated attack once and shares it with every
+//! later cell that asks for the same one. Each is keyed by all the
+//! inputs it is a pure function of (the dataset by workload, scale,
+//! capacity and dataset seed; the calibration images by workload,
+//! scale and count, drawn at one fixed seed; the attack by its spec,
+//! calibration key and class count), so sharing is bit-exact.
+//! [`Scenario::run`] is a sweep of one.
+//!
 //! The `scenario` binary in `oasis-bench` exposes the same engine on
 //! the command line, including sweeps over comma-separated spec
 //! lists; the `figN_*` binaries are thin loops over this API.
 
 #![warn(missing_docs)]
+
+/// Serializes a spec type as its `Display` string and reads it back
+/// through `FromStr`; `$what` names the type in the error for a
+/// non-string value.
+macro_rules! string_serde {
+    ($ty:ty, $what:literal) => {
+        impl serde::Serialize for $ty {
+            fn to_value(&self) -> serde::Value {
+                serde::Value::Str(self.to_string())
+            }
+        }
+
+        impl serde::Deserialize for $ty {
+            fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+                value
+                    .as_str()
+                    .ok_or_else(|| serde::Error::expected($what, value))?
+                    .parse()
+                    .map_err(|e: crate::ScenarioError| serde::Error::msg(e.to_string()))
+            }
+        }
+    };
+}
 
 mod scale;
 mod scenario;
@@ -51,7 +83,8 @@ mod spec;
 
 pub use scale::Scale;
 pub use scenario::{
-    Sampling, Scenario, ScenarioBuilder, ScenarioReport, TrialReport, LEAK_THRESHOLD_DB,
+    calibration_images, Sampling, Scenario, ScenarioBuilder, ScenarioReport, Sweep, TrialReport,
+    LEAK_THRESHOLD_DB,
 };
 pub use spec::{
     spec_catalog, AttackSpec, DefenseSpec, WorkloadSpec, CAH_WEIGHT_SEED, QBI_WEIGHT_SEED,

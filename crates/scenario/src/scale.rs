@@ -2,7 +2,6 @@
 //! from the paper's full evaluation down to a seconds-scale smoke
 //! test.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -132,21 +131,7 @@ impl FromStr for Scale {
     }
 }
 
-impl Serialize for Scale {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for Scale {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let s = value
-            .as_str()
-            .ok_or_else(|| serde::Error::expected("scale", value))?;
-        s.parse()
-            .map_err(|e: ScenarioError| serde::Error::msg(e.to_string()))
-    }
-}
+string_serde!(Scale, "scale");
 
 #[cfg(test)]
 mod tests {

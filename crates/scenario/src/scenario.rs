@@ -2,7 +2,7 @@
 //! attack × defense × workload experiment, a parallel runner, and a
 //! serializable report.
 
-use oasis_attacks::{run_attack_over_wire, AttackOutcome};
+use oasis_attacks::{run_attack_over_wire, ActiveAttack, AttackOutcome};
 use oasis_data::{Batch, Dataset};
 use oasis_image::Image;
 use oasis_metrics::Summary;
@@ -14,6 +14,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::{out_path, AttackSpec, DefenseSpec, Scale, ScenarioError, WorkloadSpec};
@@ -52,44 +53,13 @@ impl FromStr for Sampling {
     }
 }
 
-impl Serialize for Sampling {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for Sampling {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let s = value
-            .as_str()
-            .ok_or_else(|| serde::Error::expected("sampling", value))?;
-        s.parse()
-            .map_err(|e: ScenarioError| serde::Error::msg(e.to_string()))
-    }
-}
+string_serde!(Sampling, "sampling");
 
 /// One fully specified experiment: every knob of an
 /// attack × defense × workload cell, as a serializable value.
 ///
-/// Build with [`Scenario::builder`], execute with [`Scenario::run`]:
-///
-/// ```
-/// use oasis_scenario::{Scale, Scenario};
-///
-/// let report = Scenario::builder()
-///     .workload("imagenette".parse().unwrap())
-///     .attack("rtf:64".parse().unwrap())
-///     .defense("oasis:MR".parse().unwrap())
-///     .batch_size(4)
-///     .trials(1)
-///     .scale(Scale::Quick)
-///     .seed(7)
-///     .build()
-///     .unwrap()
-///     .run()
-///     .unwrap();
-/// assert_eq!(report.trials.len(), 1);
-/// ```
+/// Build with [`Scenario::builder`], execute with [`Scenario::run`]
+/// (the crate docs show one) or, cell by cell, with a [`Sweep`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// The attack under evaluation.
@@ -147,6 +117,24 @@ const CALIBRATION_SEED: u64 = 0xCA11B;
 /// PSNR (dB) above which a reconstruction counts as a leak: the
 /// scenario default and the campaign adversary's threshold.
 pub const LEAK_THRESHOLD_DB: f64 = 60.0;
+
+/// The calibration images the attacker is assumed to know: the first
+/// `count` images, in dataset order, of the `workload` dataset at
+/// `scale` drawn at a fixed calibration seed (sized for batches of
+/// `count`). Dataset order is class-major, so this is a prefix of the
+/// label space, not a class-balanced sample — on `imagenette` the
+/// default 384 images come from classes 0–4 only. Only the prefix is
+/// rendered, its classes in parallel ([`oasis_data::Generator::render`]).
+/// (Campaign probes instead calibrate on a seeded shuffle of the
+/// training dataset; see `oasis-campaign`.)
+pub fn calibration_images(workload: WorkloadSpec, scale: Scale, count: usize) -> Vec<Image> {
+    workload
+        .generator(scale, count, CALIBRATION_SEED)
+        .render(count)
+        .into_iter()
+        .map(|it| it.image)
+        .collect()
+}
 
 impl Scenario {
     /// Starts building a scenario (defaults: `rtf:512` vs `none` on
@@ -222,23 +210,11 @@ impl Scenario {
             .collect()
     }
 
-    /// The calibration images the attacker is assumed to know: the
-    /// first `calibration` images, in dataset order, of the workload
-    /// dataset drawn at a fixed calibration seed (sized for batches
-    /// of `calibration`). Dataset order is class-major, so this is a
-    /// prefix of the label space, not a class-balanced sample — on
-    /// `imagenette` the default 384 images come from classes 0–4
-    /// only. Only the prefix is rendered, its classes in parallel
-    /// ([`oasis_data::Generator::render`]). (Campaign probes instead
-    /// calibrate on a seeded shuffle of the training dataset; see
-    /// `oasis-campaign`.)
+    /// The calibration images the attacker is assumed to know:
+    /// [`calibration_images`] for this scenario's workload, scale and
+    /// calibration count.
     pub fn calibration_images(&self) -> Vec<Image> {
-        self.workload
-            .generator(self.scale, self.calibration, CALIBRATION_SEED)
-            .render(self.calibration)
-            .into_iter()
-            .map(|it| it.image)
-            .collect()
+        calibration_images(self.workload, self.scale, self.calibration)
     }
 
     /// Builds the workload dataset this scenario attacks.
@@ -247,12 +223,93 @@ impl Scenario {
             .dataset(self.scale, self.dataset_capacity, self.dataset_seed)
     }
 
-    /// Executes the scenario: all trial batches are drawn up front
-    /// from the master seed, then attacked rounds fan out across the
-    /// persistent worker pool via [`oasis_tensor::parallel`] (each
-    /// trial's own matmuls run inline under the pool's nesting
-    /// guard); results are bit-identical for a fixed scenario at any
-    /// thread count.
+    /// Executes the scenario as a [`Sweep`] of one, building its own
+    /// dataset, calibration images and calibrated attack (see
+    /// [`Sweep::run`]).
+    ///
+    /// # Errors
+    ///
+    /// See [`Sweep::run`].
+    pub fn run(&self) -> Result<ScenarioReport, ScenarioError> {
+        Sweep::default().run(self)
+    }
+
+    /// Like [`Scenario::run`], but also returns the raw
+    /// [`AttackOutcome`] of every trial (reconstruction pools and
+    /// processed batches) for visual figures.
+    ///
+    /// # Errors
+    ///
+    /// See [`Sweep::run`].
+    pub fn run_detailed(&self) -> Result<(ScenarioReport, Vec<AttackOutcome>), ScenarioError> {
+        Sweep::default().run_detailed(self)
+    }
+}
+
+/// Shared preparation for a sequence of scenarios: each distinct
+/// workload dataset, calibration set and calibrated attack is built
+/// once, on the first cell that needs it, and reused by every later
+/// cell that asks for the same one.
+///
+/// Each value is keyed by exactly what it is a pure function of, so a
+/// cell run through a sweep reports bit-for-bit what
+/// [`Scenario::run`] reports for it alone (wall-clock fields aside).
+/// Nothing is evicted before the sweep is dropped. In a trace,
+/// `scenario.setup` wraps the lookups, and `scenario.dataset`,
+/// `scenario.calibration` and `attack.calibrate` appear only for the
+/// values a cell builds.
+///
+/// ```
+/// use oasis_scenario::{Scale, Scenario, Sweep};
+///
+/// let mut sweep = Sweep::default();
+/// for defense in ["none", "oasis:MR"] {
+///     let cell = Scenario::builder()
+///         .attack("rtf:32".parse().unwrap())
+///         .defense(defense.parse().unwrap())
+///         .workload("cifar100".parse().unwrap())
+///         .scale(Scale::Quick)
+///         .calibration(32)
+///         .build()
+///         .unwrap();
+///     println!("{}", sweep.run(&cell).unwrap());
+/// }
+/// ```
+#[derive(Default)]
+pub struct Sweep {
+    datasets: Vec<(DatasetKey, Arc<Dataset>)>,
+    calibrations: Vec<(CalibrationKey, Arc<Vec<Image>>)>,
+    attacks: Vec<(AttackKey, Arc<dyn ActiveAttack>)>,
+}
+
+// (workload, scale, dataset capacity, dataset seed); (workload, scale,
+// image count); (attack spec, calibration key, classes).
+type DatasetKey = (WorkloadSpec, Scale, usize, u64);
+type CalibrationKey = (WorkloadSpec, Scale, usize);
+type AttackKey = (AttackSpec, CalibrationKey, usize);
+
+/// The value cached under `key`, built by `build` on the first
+/// request. A failed build caches nothing.
+fn cached<K: PartialEq, V: Clone>(
+    cache: &mut Vec<(K, V)>,
+    key: K,
+    build: impl FnOnce() -> Result<V, ScenarioError>,
+) -> Result<V, ScenarioError> {
+    if let Some((_, value)) = cache.iter().find(|(k, _)| *k == key) {
+        return Ok(value.clone());
+    }
+    let value = build()?;
+    cache.push((key, value.clone()));
+    Ok(value)
+}
+
+impl Sweep {
+    /// Runs one cell on whatever earlier cells prepared: all trial
+    /// batches are drawn up front from the master seed, then attacked
+    /// rounds fan out across the persistent worker pool via
+    /// [`oasis_tensor::parallel`] (each trial's own matmuls run inline
+    /// under the pool's nesting guard); results are bit-identical for
+    /// a fixed scenario at any thread count.
     ///
     /// Every trial's update crosses the scenario's wire: it is
     /// encoded with the [`CodecSpec`] codec, carried by the
@@ -265,44 +322,59 @@ impl Scenario {
     /// Returns an error if the spec cannot be constructed (bad
     /// calibration, unique-label sampling without enough classes) or
     /// an attacked round fails.
-    pub fn run(&self) -> Result<ScenarioReport, ScenarioError> {
-        self.run_detailed().map(|(report, _)| report)
+    pub fn run(&mut self, scenario: &Scenario) -> Result<ScenarioReport, ScenarioError> {
+        self.run_detailed(scenario).map(|(report, _)| report)
     }
 
-    /// Like [`Scenario::run`], but also returns the raw
-    /// [`AttackOutcome`] of every trial (reconstruction pools and
-    /// processed batches) for visual figures.
+    /// Like [`Sweep::run`], but also returns every trial's raw
+    /// [`AttackOutcome`] (see [`Scenario::run_detailed`]).
     ///
     /// # Errors
     ///
-    /// See [`Scenario::run`].
-    pub fn run_detailed(&self) -> Result<(ScenarioReport, Vec<AttackOutcome>), ScenarioError> {
+    /// See [`Sweep::run`].
+    pub fn run_detailed(
+        &mut self,
+        scenario: &Scenario,
+    ) -> Result<(ScenarioReport, Vec<AttackOutcome>), ScenarioError> {
         let run_span = oasis_telemetry::span("scenario.run");
         let started = Instant::now();
         let setup_span = oasis_telemetry::span("scenario.setup");
-        let dataset = {
+        let dataset_key = (
+            scenario.workload,
+            scenario.scale,
+            scenario.dataset_capacity,
+            scenario.dataset_seed,
+        );
+        let dataset = cached(&mut self.datasets, dataset_key, || {
             let _span = oasis_telemetry::span("scenario.dataset");
-            self.dataset()
-        };
+            Ok(Arc::new(scenario.dataset()))
+        })?;
         let classes = dataset.num_classes();
-        let calibration = {
-            let _span = oasis_telemetry::span("scenario.calibration");
-            self.calibration_images()
-        };
-        let attack = self.attack.build(&calibration, classes)?;
-        let defense = self.defense.build();
-        let codec = self.codec.build();
+        let calibration_key = (scenario.workload, scenario.scale, scenario.calibration);
+        let attack = cached(
+            &mut self.attacks,
+            (scenario.attack.clone(), calibration_key, classes),
+            || {
+                let images = cached(&mut self.calibrations, calibration_key, || {
+                    let _span = oasis_telemetry::span("scenario.calibration");
+                    Ok(Arc::new(scenario.calibration_images()))
+                })?;
+                Ok(Arc::from(scenario.attack.build(&images, classes)?))
+            },
+        )?;
+        let defense = scenario.defense.build();
+        let codec = scenario.codec.build();
 
         // Batches are drawn sequentially from one rng (so trial `i`
         // sees the same batch however many workers run), then the
         // expensive attacked rounds fan out across threads.
-        let batches = self.trial_batches_from(&dataset);
+        let batches = scenario.trial_batches_from(&dataset);
         drop(setup_span);
 
         let outcomes: Vec<Result<(AttackOutcome, u64), ScenarioError>> =
             oasis_tensor::parallel::map_indexed(&batches, |i, batch| {
                 let trial_span = oasis_telemetry::span("scenario.trial");
-                let trial_seed = self.seed ^ i as u64;
+                let trial_seed = scenario.seed ^ i as u64;
                 let outcome = run_attack_over_wire(
                     attack.as_ref(),
                     batch,
@@ -323,7 +395,7 @@ impl Scenario {
         let mut bytes_on_wire = 0u64;
         let mut ratio_sum = 0.0f64;
         let mut cohort_delivered = 0usize;
-        let mut scheduler = CohortScheduler::new(self.population);
+        let mut scheduler = CohortScheduler::new(scenario.population);
         let mut trial_wall_ns = Vec::new();
         for (i, outcome) in outcomes.into_iter().enumerate() {
             let (outcome, trial_ns) = outcome?;
@@ -337,56 +409,48 @@ impl Scenario {
 
             // Trial i is FL round i of the simulated deployment: does
             // this victim's upload actually reach the server?
-            let traffic = if self.population > 0 {
+            let (clients, net_seed) = if scenario.population > 0 {
                 // Population mode: the victim shares round i with a
                 // seeded K-cohort; the wire carries all K uploads
                 // (every codec's size is value-independent, so the
                 // peers' frames are byte-for-byte the victim's size)
                 // and the victim is the cohort's first member.
-                let mut rng = CohortScheduler::round_rng(self.seed, i as u64);
-                let (cohort, round_seed) = scheduler.sample(self.sample, &mut rng);
-                let submissions: Vec<Submission> = cohort
-                    .iter()
-                    .map(|&id| Submission {
-                        client_id: id as usize,
-                        bytes_up: trace.encoded_bytes,
-                        bytes_down: trace.broadcast_bytes,
-                    })
-                    .collect();
-                self.net.deliver(round_seed, i as u64, &submissions)
+                let mut rng = CohortScheduler::round_rng(scenario.seed, i as u64);
+                let (cohort, round_seed) = scheduler.sample(scenario.sample, &mut rng);
+                (cohort.iter().map(|&id| id as usize).collect(), round_seed)
             } else {
-                self.net.deliver(
-                    self.seed,
-                    i as u64,
-                    &[Submission {
-                        client_id: i,
-                        bytes_up: trace.encoded_bytes,
-                        bytes_down: trace.broadcast_bytes,
-                    }],
-                )
+                (vec![i], scenario.seed)
             };
+            let submissions: Vec<Submission> = clients
+                .into_iter()
+                .map(|client_id| Submission {
+                    client_id,
+                    bytes_up: trace.encoded_bytes,
+                    bytes_down: trace.broadcast_bytes,
+                })
+                .collect();
+            let traffic = scenario.net.deliver(net_seed, i as u64, &submissions);
             let delivered = traffic.deliveries[0].status == oasis_wire::DeliveryStatus::Delivered;
             cohort_delivered += traffic.delivered;
             bytes_on_wire += traffic.bytes_up;
             ratio_sum += trace.compression_ratio();
 
-            if delivered {
+            let (matched_psnrs, mean_psnr, leak_rate) = if delivered {
                 pooled.extend_from_slice(&outcome.matched_psnrs);
-            }
+                (
+                    outcome.matched_psnrs.clone(),
+                    outcome.mean_psnr(),
+                    outcome.leak_rate(scenario.leak_threshold_db),
+                )
+            } else {
+                (Vec::new(), 0.0, 0.0)
+            };
             trials.push(TrialReport {
                 trial: i,
-                attack_seed: self.seed ^ i as u64,
-                matched_psnrs: if delivered {
-                    outcome.matched_psnrs.clone()
-                } else {
-                    Vec::new()
-                },
-                mean_psnr: if delivered { outcome.mean_psnr() } else { 0.0 },
-                leak_rate: if delivered {
-                    outcome.leak_rate(self.leak_threshold_db)
-                } else {
-                    0.0
-                },
+                attack_seed: scenario.seed ^ i as u64,
+                matched_psnrs,
+                mean_psnr,
+                leak_rate,
                 client_loss: outcome.client_loss,
                 dropped: !delivered,
                 bytes_on_wire: trace.encoded_bytes,
@@ -403,7 +467,7 @@ impl Scenario {
         };
         let dropped_trials = trials.iter().filter(|t| t.dropped).count();
         let report = ScenarioReport {
-            scenario: self.clone(),
+            scenario: scenario.clone(),
             dropped_trials,
             cohort_delivered,
             bytes_on_wire,

@@ -25,7 +25,6 @@ use oasis_augment::PolicyKind;
 use oasis_data::{Dataset, Generator};
 use oasis_fl::{ClipStage, Defense, DefenseStack, DpStage};
 use oasis_image::Image;
-use serde::{Deserialize, Serialize};
 
 use crate::{Scale, ScenarioError};
 
@@ -284,21 +283,7 @@ impl FromStr for AttackSpec {
     }
 }
 
-impl Serialize for AttackSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for AttackSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let s = value
-            .as_str()
-            .ok_or_else(|| serde::Error::expected("attack spec", value))?;
-        s.parse()
-            .map_err(|e: ScenarioError| serde::Error::msg(e.to_string()))
-    }
-}
+string_serde!(AttackSpec, "attack spec");
 
 /// One part of a defense stack.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -480,11 +465,6 @@ impl DefenseSpec {
         DefenseSpec::single(DefensePart::Clip(clip))
     }
 
-    /// Whether this is the undefended baseline.
-    pub fn is_none(&self) -> bool {
-        self.parts.is_empty()
-    }
-
     /// The stacked family names, in application order.
     pub fn families(&self) -> Vec<&'static str> {
         self.parts.iter().map(DefensePart::family).collect()
@@ -585,21 +565,7 @@ impl FromStr for DefenseSpec {
     }
 }
 
-impl Serialize for DefenseSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for DefenseSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let s = value
-            .as_str()
-            .ok_or_else(|| serde::Error::expected("defense spec", value))?;
-        s.parse()
-            .map_err(|e: ScenarioError| serde::Error::msg(e.to_string()))
-    }
-}
+string_serde!(DefenseSpec, "defense spec");
 
 /// An evaluation workload, as a value.
 ///
@@ -711,21 +677,7 @@ impl FromStr for WorkloadSpec {
     }
 }
 
-impl Serialize for WorkloadSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for WorkloadSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let s = value
-            .as_str()
-            .ok_or_else(|| serde::Error::expected("workload spec", value))?;
-        s.parse()
-            .map_err(|e: ScenarioError| serde::Error::msg(e.to_string()))
-    }
-}
+string_serde!(WorkloadSpec, "workload spec");
 
 /// Splits `s` at the first `sep` into its head and optional tail.
 fn split_first(s: &str, sep: char) -> (&str, Option<&str>) {
@@ -920,7 +872,6 @@ mod tests {
     fn none_aliases_parse_to_the_empty_stack() {
         for alias in ["none", "wo", "without"] {
             let spec: DefenseSpec = alias.parse().unwrap();
-            assert!(spec.is_none());
             assert_eq!(spec, DefenseSpec::none());
             assert_eq!(spec.to_string(), "none");
         }

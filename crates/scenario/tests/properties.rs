@@ -88,7 +88,7 @@ proptest! {
         let parsed: DefenseSpec = printed.parse().expect("printed stack parses");
         prop_assert_eq!(&parsed, &stack, "`{}` did not round-trip", printed);
         prop_assert_eq!(parsed.families(), stack.families());
-        if stack.is_none() {
+        if stack == DefenseSpec::none() {
             prop_assert_eq!(printed, "none");
         }
     }

@@ -9,10 +9,12 @@
 //! Each experiment is one declarative [`oasis_scenario::Scenario`]
 //! value — the same engine behind every figure binary and the
 //! `scenario` CLI (`cargo run -p oasis-bench --bin scenario -- --help`).
+//! Both run through one [`oasis_scenario::Sweep`], so the defended
+//! run reuses the undefended run's dataset and calibrated attack.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use oasis_scenario::Scenario;
+use oasis_scenario::{Scenario, Sweep};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The victim trains on 8 ImageNet-stand-in images; the dishonest
@@ -30,8 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .build()?)
     };
 
+    let mut sweep = Sweep::default();
+
     // --- Without OASIS -------------------------------------------------
-    let (undefended, undefended_outcomes) = base("none")?.run_detailed()?;
+    let (undefended, undefended_outcomes) = sweep.run_detailed(&base("none")?)?;
     println!("RTF without OASIS:");
     println!(
         "  mean matched PSNR : {:>7.2} dB   (≈130–150 dB = verbatim copies)",
@@ -43,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- With OASIS (major rotation) -----------------------------------
-    let (defended, defended_outcomes) = base("oasis:MR")?.run_detailed()?;
+    let (defended, defended_outcomes) = sweep.run_detailed(&base("oasis:MR")?)?;
     println!("RTF with OASIS (MR):");
     println!(
         "  mean matched PSNR : {:>7.2} dB   (≈15–25 dB = unrecognizable)",

@@ -5,6 +5,10 @@
 //! span trace whose per-round phase breakdown accounts for ≥ 90 % of
 //! the round wall clock.
 //!
+//! A traced [`Sweep`] also shows its sharing: a grid of cells builds
+//! each distinct dataset, calibration set and attack once, and every
+//! report equals the cell's standalone run.
+//!
 //! Telemetry state is process-global, so every test here serializes
 //! on one mutex and restores the enabled flag it found.
 
@@ -14,7 +18,7 @@ use oasis_data::cifar_like_with;
 use oasis_fl::{DefenseStack, FlConfig, FlServer, ModelFactory, RoundReport};
 use oasis_nn::{flatten_params, Linear, Relu, Sequential};
 use oasis_population::{CohortRunner, Population};
-use oasis_scenario::{Scale, Scenario};
+use oasis_scenario::{Scale, Scenario, ScenarioReport, Sweep};
 use oasis_tensor::parallel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -188,6 +192,75 @@ fn traced_run_emits_a_valid_nested_trace() {
     for name in ["fl.round", "fl.round.compute", "fl.round.step"] {
         assert!(table.contains(name), "summary table lists {name}");
     }
+}
+
+/// The fig_stack grid at quick scale: RTF and CAH, each at its
+/// default calibration count, against the four {OASIS, DP} stacking
+/// cells. The 8 cells share one dataset and two calibration sets.
+fn stack_grid() -> Vec<Scenario> {
+    let mut cells = Vec::new();
+    for attack in ["rtf:32", "cah:32"] {
+        for defense in ["none", "oasis:MR", "dp:1,0.0003", "oasis:MR+dp:1,0.0003"] {
+            let cell = Scenario::builder()
+                .workload("cifar100".parse().expect("workload"))
+                .attack(attack.parse().expect("attack"))
+                .defense(defense.parse().expect("defense"))
+                .batch_size(4)
+                .trials(2)
+                .scale(Scale::Quick)
+                .seed(31)
+                .dataset_seed(3131)
+                .build()
+                .expect("grid cell");
+            cells.push(cell);
+        }
+    }
+    cells
+}
+
+/// The report's JSON with its wall-clock fields zeroed.
+fn timeless(mut report: ScenarioReport) -> String {
+    report.wall_clock_ms = 0.0;
+    report.trial_wall_ns.clear();
+    report.to_json()
+}
+
+#[test]
+fn sweep_shares_preparation_and_matches_standalone_runs() {
+    let _guard = telemetry_test();
+    let cells = stack_grid();
+    let standalone: Vec<String> = parallel::with_threads(1, || {
+        cells
+            .iter()
+            .map(|cell| timeless(cell.run().expect("standalone run")))
+            .collect()
+    });
+    let run_sweep = || -> Vec<String> {
+        let mut sweep = Sweep::default();
+        cells
+            .iter()
+            .map(|cell| timeless(sweep.run(cell).expect("sweep run")))
+            .collect()
+    };
+    for threads in [1, 2] {
+        let swept = parallel::with_threads(threads, run_sweep);
+        assert_eq!(swept, standalone, "sweep diverged at t={threads}");
+    }
+
+    let was = oasis_telemetry::set_enabled(true);
+    let traced = run_sweep();
+    oasis_telemetry::set_enabled(was);
+    let spans = oasis_telemetry::take_spans();
+    oasis_telemetry::reset();
+    assert_eq!(traced, standalone, "traced sweep diverged");
+    let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+    // Every cell still runs and sets up; only the shared inputs are
+    // built once per distinct key.
+    assert_eq!(count("scenario.run"), 8);
+    assert_eq!(count("scenario.setup"), 8);
+    assert_eq!(count("scenario.dataset"), 1);
+    assert_eq!(count("scenario.calibration"), 2);
+    assert_eq!(count("attack.calibrate"), 2);
 }
 
 #[test]
