@@ -89,8 +89,6 @@ pub fn reconstruct(
 /// attacked round (present when the round ran over a codec).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireTrace {
-    /// Spec string of the codec the update crossed.
-    pub codec: String,
     /// Uncompressed update size (`4·n` for the full model update).
     pub raw_bytes: usize,
     /// Encoded update size actually on the wire.
@@ -127,8 +125,8 @@ pub struct AttackOutcome {
     pub processed_images: Vec<Image>,
     /// The client's loss during the attacked round (diagnostic).
     pub client_loss: f32,
-    /// Wire provenance of the attacked update (None when the round
-    /// ran in-process, without a codec).
+    /// Wire sizes of the attacked update (None when the round ran
+    /// in-process, without a codec).
     pub wire: Option<WireTrace>,
 }
 
@@ -192,8 +190,8 @@ pub fn run_attack(
 /// flat update is encoded with `codec`, decoded server-side, and the
 /// attacker inverts what the *decoded* gradients say — lossy codecs
 /// therefore degrade reconstruction, a new result surface. The
-/// outcome's [`AttackOutcome::wire`] records codec provenance and
-/// exact bytes on the wire. With the lossless `raw` codec this
+/// outcome's [`AttackOutcome::wire`] records the exact bytes on the
+/// wire. With the lossless `raw` codec this
 /// reproduces the in-process numbers bit-exactly.
 ///
 /// # Errors
@@ -245,7 +243,6 @@ fn run_attack_inner(
             Some(codec) => {
                 let encoded = codec.encode(&update)?;
                 wire = Some(WireTrace {
-                    codec: encoded.codec.clone(),
                     raw_bytes: encoded.raw_byte_size(),
                     encoded_bytes: encoded.byte_size(),
                     broadcast_bytes,
@@ -470,7 +467,6 @@ mod tests {
         .unwrap();
         assert_eq!(over_wire.matched_psnrs, in_process.matched_psnrs);
         let trace = over_wire.wire.expect("wire trace recorded");
-        assert_eq!(trace.codec, "raw");
         assert!(trace.encoded_bytes > trace.raw_bytes, "header overhead");
         assert!(trace.broadcast_bytes > 0);
         assert!(in_process.wire.is_none());

@@ -37,6 +37,10 @@ fn main() {
             .expect("calibration");
         let mut rng = StdRng::seed_from_u64(0x5EED);
         let b = dataset.sample_batch(batch, &mut rng);
+        let model = attack
+            .build_model(b.images[0].dims(), dataset.num_classes(), 7)
+            .expect("model");
+        let lin = model.layer_as::<Linear>(0).expect("malicious layer");
 
         println!(
             "{:>6} {:>6} {:>10} {:>12} {:>12} {:>10}",
@@ -46,10 +50,6 @@ fn main() {
             let defense = Oasis::new(kind);
             let processed = defense.defend(b.clone());
             let m = processed.len();
-            let model = attack
-                .build_model(b.images[0].dims(), dataset.num_classes(), 7)
-                .expect("model");
-            let lin = model.layer_as::<Linear>(0).expect("malicious layer");
             let sets = activation_sets(lin, &processed.images);
             let mut singleton = 0usize;
             let mut orig_single = 0usize;

@@ -42,8 +42,9 @@ fn main() {
             .expect("figure 14 scenario");
         let (report, outcomes) = sweep.run_detailed(&scenario).expect("attack run");
         let outcome = &outcomes[0];
-        // The original private batch of trial 0, as the runner drew it.
-        let batch = scenario.trial_batches().remove(0);
+        // The original private batch of trial 0, as the runner drew it
+        // from the dataset the sweep already holds.
+        let batch = scenario.trial_batches(&sweep.dataset(&scenario)).remove(0);
         // PSNR of reconstructions against the batch the client actually
         // trained on: high values = verbatim leakage of recognizable
         // (albeit transformed) content.

@@ -91,19 +91,23 @@ fn main() {
             continue; // the legacy wire has no population to sample
         }
         let (factory, pop) = fixture(population);
-        let start = Instant::now();
-        let mut peak_accum = 0usize;
-        let mut peak_frame = 0usize;
-        for r in 0..rounds {
-            let server = FlServer::new(
+        let server = || {
+            FlServer::new(
                 Arc::clone(&factory),
                 FlConfig {
                     clients_per_round: cohort,
                     ..FlConfig::default()
                 },
             )
-            .expect("fig server");
-            let mut runner = CohortRunner::new(server, pop.clone());
+            .expect("fig server")
+        };
+        let mut runner = CohortRunner::new(server(), pop);
+        let start = Instant::now();
+        let mut peak_accum = 0usize;
+        let mut peak_frame = 0usize;
+        for r in 0..rounds {
+            // A fresh server per round: every round is the same work.
+            *runner.server_mut() = server();
             let report = runner
                 .run_round(&mut StdRng::seed_from_u64(14 + r as u64))
                 .expect("fig population round");
@@ -129,7 +133,7 @@ fn main() {
 }
 
 /// The perf `pop` fixture's shape: a tiny linear model over the
-/// shared pool, `population` single-sample descriptor clients.
+/// shared pool, `population` single-sample clients.
 fn fixture(population: usize) -> (ModelFactory, Population) {
     let data = cifar_like_with(10, 8, 16, 0);
     let d = data.feature_dim();

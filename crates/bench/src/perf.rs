@@ -18,12 +18,12 @@
 //!   per bench via [`simd::with_backend`]: `_simd` (best detected
 //!   backend) and `_scalar` (the reference kernels).
 //! * `fl` — protocol paths: a full [`CohortRunner::run_round`] over
-//!   four resident clients untraced and traced (`fl_round_raw` /
+//!   four clients untraced and traced (`fl_round_raw` /
 //!   `fl_round_raw_telem`), the raw codec, one RTF inversion step, one
 //!   `oasis:MR` batch transform and one `dp:1,0.01` update perturbation
 //!   (`defense_oasis` / `defense_dp`), and one cohort-64
-//!   round sampled from 1 k and from 100 k descriptor clients
-//!   (`pop_round_1k` / `pop_round_100k`).
+//!   round sampled from 1 k and from 100 k clients over one shared
+//!   sample pool (`pop_round_1k` / `pop_round_100k`).
 //! * `scale` — the [`SCALE_BASES`] re-run at 1 and 4 worker threads
 //!   (pinned per bench via [`parallel::with_threads`], independent of
 //!   `OASIS_THREADS`), as `_t1` / `_t4` records.
@@ -1041,7 +1041,7 @@ fn fl_data_and_factory() -> (Dataset, ModelFactory) {
     (data, factory)
 }
 
-/// One round over four resident clients on the raw wire.
+/// One round over four clients on the raw wire.
 fn bench_fl_round_raw() -> PreparedBench {
     let (data, factory) = fl_data_and_factory();
     let clients = Population::iid(
@@ -1049,8 +1049,7 @@ fn bench_fl_round_raw() -> PreparedBench {
         4,
         Arc::new(DefenseStack::identity()),
         &mut StdRng::seed_from_u64(13),
-    )
-    .clients();
+    );
     PreparedBench {
         throughput: Some((clients.len() as f64, "client/s")),
         run: Box::new(move || {
@@ -1061,7 +1060,7 @@ fn bench_fl_round_raw() -> PreparedBench {
             let mut server =
                 FlServer::new(Arc::clone(&factory), FlConfig::default()).expect("bench server");
             server.set_wire(WireConfig::new(CodecSpec::Raw, NetSpec::Ideal));
-            let mut runner = CohortRunner::new(server, &clients);
+            let mut runner = CohortRunner::new(server, clients.clone());
             let mut rng = StdRng::seed_from_u64(14);
             std::hint::black_box(runner.run_round(&mut rng).expect("bench round"));
         }),
@@ -1150,10 +1149,9 @@ fn bench_rtf_invert() -> PreparedBench {
 }
 
 /// The population-round fixture: the fl fixture's pool and model,
-/// but `population` descriptor clients instead of four resident
-/// ones. Past the pool size every client holds one sample
-/// (round-robin), so per-client compute stays constant while the
-/// population axis grows.
+/// but `population` clients instead of four. Past the pool size
+/// every client holds one sample (round-robin), so per-client compute
+/// stays constant while the population axis grows.
 fn pop_fixture(population: usize) -> (ModelFactory, Population) {
     let (data, factory) = fl_data_and_factory();
     let pop = Population::iid(
@@ -1166,23 +1164,26 @@ fn pop_fixture(population: usize) -> (ModelFactory, Population) {
 }
 
 /// One cohort-64 round sampled from `population` clients. The
-/// population (descriptors + shared pool) is built once and shared
-/// across iterations; the server and runner are fresh per iteration
-/// so every round is bit-identical work (see [`bench_fl_round_raw`]).
+/// population and its runner are built once and kept across
+/// iterations; the server is fresh per iteration so every round is
+/// bit-identical work (see [`bench_fl_round_raw`]).
 fn bench_pop_round(population: usize) -> PreparedBench {
     let (factory, pop) = pop_fixture(population);
+    let server = move || {
+        FlServer::new(
+            Arc::clone(&factory),
+            FlConfig {
+                clients_per_round: 64,
+                ..FlConfig::default()
+            },
+        )
+        .expect("bench server")
+    };
+    let mut runner = CohortRunner::new(server(), pop);
     PreparedBench {
         throughput: Some((1.0, "round/s")),
         run: Box::new(move || {
-            let server = FlServer::new(
-                Arc::clone(&factory),
-                FlConfig {
-                    clients_per_round: 64,
-                    ..FlConfig::default()
-                },
-            )
-            .expect("bench server");
-            let mut runner = CohortRunner::new(server, pop.clone());
+            *runner.server_mut() = server();
             let mut rng = StdRng::seed_from_u64(14);
             std::hint::black_box(runner.run_round(&mut rng).expect("bench pop round"));
         }),

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use oasis_attacks::{run_attack, ActiveAttack, AttackError};
 use oasis_data::{Batch, Dataset};
-use oasis_fl::{FlConfig, FlError, FlServer, ModelFactory, WireConfig};
+use oasis_fl::{DefenseStack, FlConfig, FlError, FlServer, ModelFactory, WireConfig};
 use oasis_image::Image;
 use oasis_population::{CohortRunner, CohortScheduler, Population};
 use oasis_scenario::{AttackSpec, DefenseSpec, ScenarioError, LEAK_THRESHOLD_DB};
@@ -203,6 +203,7 @@ pub struct CampaignRunner {
     probe: Option<Batch>,
     calibration_pool: Vec<Image>,
     runner: CohortRunner,
+    defense: Arc<DefenseStack>,
     base: Population,
     active: Vec<bool>,
     active_count: usize,
@@ -245,20 +246,20 @@ impl CampaignRunner {
                 "campaign needs a non-empty dataset".into(),
             )));
         }
-        let defense_stack = Arc::new(defense.build());
+        let defense = Arc::new(defense.build());
         let phase0 = spec.phases()[0].clone();
         let base = match phase0.alpha {
             Some(alpha) => Population::dirichlet(
                 &dataset,
                 clients,
                 alpha,
-                defense_stack,
+                Arc::clone(&defense),
                 &mut drift_rng(seed, 0),
             ),
             None => Population::iid(
                 &dataset,
                 clients,
-                defense_stack,
+                Arc::clone(&defense),
                 &mut StdRng::seed_from_u64(partition_seed),
             ),
         };
@@ -309,6 +310,7 @@ impl CampaignRunner {
             probe,
             calibration_pool,
             runner,
+            defense,
             base,
             active: vec![true; clients],
             active_count: clients,
@@ -510,7 +512,7 @@ impl CampaignRunner {
                 &self.dataset,
                 self.clients,
                 alpha,
-                Arc::clone(self.base.defense()),
+                Arc::clone(&self.defense),
                 &mut drift_rng(self.seed, pi as u64),
             );
             self.sync_population();
@@ -551,13 +553,13 @@ impl CampaignRunner {
     }
 
     /// Rebuilds the runner's population as the active subset of the
-    /// base partition (descriptors keep their ids, so rejoining
-    /// clients hydrate their original shards). Clients whose current
-    /// shard is empty — extreme-α Dirichlet drift can starve a
+    /// base partition (clients keep their ids, so rejoining clients
+    /// train on their original shards). Clients whose current shard
+    /// is empty — extreme-α Dirichlet drift can starve a
     /// client of data — stay offline until a later re-partition
     /// provisions them again.
     fn sync_population(&mut self) {
-        let eligible = |id: usize| self.base.descriptor(id).shard_len() > 0;
+        let eligible = |id: usize| !self.base.clients()[id].data().is_empty();
         if self.active_count == self.clients && (0..self.clients).all(eligible) {
             self.runner.set_population(self.base.clone());
             return;
@@ -601,13 +603,7 @@ impl CampaignRunner {
                 .find(|(k, _)| *k == key)
                 .expect("just inserted")
                 .1;
-            let outcome = run_attack(
-                attack.as_ref(),
-                &probe,
-                self.base.defense(),
-                classes,
-                probe_seed,
-            )?;
+            let outcome = run_attack(attack.as_ref(), &probe, &self.defense, classes, probe_seed)?;
             evals.push(AdversaryEval {
                 round: r,
                 spec: key,
@@ -616,15 +612,7 @@ impl CampaignRunner {
                 picked: false,
             });
         }
-        let winner = evals
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| {
-                (a.leak_rate, a.mean_psnr)
-                    .partial_cmp(&(b.leak_rate, b.mean_psnr))
-                    .expect("probe metrics are finite")
-            })
-            .map(|(i, _)| i);
+        let winner = worst_case(&evals);
         if let Some(i) = winner {
             evals[i].picked = true;
         }
@@ -632,6 +620,24 @@ impl CampaignRunner {
         self.adversary_log.extend(evals);
         Ok(picked)
     }
+}
+
+/// The index of the candidate the adaptive adversary reports: the
+/// highest leak rate, then the highest mean PSNR, and the last of
+/// equals. A NaN metric (a probe of a diverged model) ranks below
+/// every number instead of panicking the campaign.
+fn worst_case(evals: &[AdversaryEval]) -> Option<usize> {
+    fn rank(a: f64, b: f64) -> std::cmp::Ordering {
+        a.partial_cmp(&b)
+            .unwrap_or_else(|| b.is_nan().cmp(&a.is_nan()))
+    }
+    evals
+        .iter()
+        .enumerate()
+        .max_by(|(_, a), (_, b)| {
+            rank(a.leak_rate, b.leak_rate).then_with(|| rank(a.mean_psnr, b.mean_psnr))
+        })
+        .map(|(i, _)| i)
 }
 
 impl std::fmt::Debug for CampaignRunner {
@@ -642,5 +648,51 @@ impl std::fmt::Debug for CampaignRunner {
             .field("active", &self.active_count)
             .field("clients", &self.clients)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn evals(metrics: &[(f64, f64)]) -> Vec<AdversaryEval> {
+        metrics
+            .iter()
+            .map(|&(leak_rate, mean_psnr)| AdversaryEval {
+                round: 0,
+                spec: String::new(),
+                mean_psnr,
+                leak_rate,
+                picked: false,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn worst_case_ranks_leak_rate_then_psnr() {
+        assert_eq!(worst_case(&evals(&[])), None);
+        assert_eq!(worst_case(&evals(&[(0.5, 20.0), (0.25, 90.0)])), Some(0));
+        assert_eq!(worst_case(&evals(&[(0.5, 20.0), (0.5, 30.0)])), Some(1));
+        // Ties pick the last candidate, as `max_by` does.
+        assert_eq!(
+            worst_case(&evals(&[(0.5, 30.0), (0.5, 30.0), (0.0, 1.0)])),
+            Some(1)
+        );
+        assert_eq!(worst_case(&evals(&[(0.0, 0.0), (0.0, -0.0)])), Some(1));
+    }
+
+    #[test]
+    fn worst_case_ranks_nan_below_every_number() {
+        let inf = f64::INFINITY;
+        let nan = f64::NAN;
+        assert_eq!(worst_case(&evals(&[(nan, 50.0), (0.0, 1.0)])), Some(1));
+        assert_eq!(worst_case(&evals(&[(0.0, 1.0), (nan, 50.0)])), Some(0));
+        assert_eq!(worst_case(&evals(&[(0.5, nan), (0.5, -inf)])), Some(1));
+        assert_eq!(worst_case(&evals(&[(0.5, -inf), (0.5, nan)])), Some(0));
+        assert_eq!(worst_case(&evals(&[(-inf, 0.0), (nan, 0.0)])), Some(0));
+        assert_eq!(worst_case(&evals(&[(0.5, inf), (0.5, 300.0)])), Some(0));
+        // All NaN still picks someone: the last, as in any tie.
+        assert_eq!(worst_case(&evals(&[(nan, nan), (nan, nan)])), Some(1));
+        assert_eq!(worst_case(&evals(&[(nan, 3.0), (nan, nan)])), Some(0));
     }
 }

@@ -1,5 +1,8 @@
 //! Dataset containers and splits.
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use oasis_image::Image;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -16,11 +19,16 @@ pub struct LabeledImage {
 }
 
 /// An in-memory labeled image dataset.
-#[derive(Debug, Clone)]
+///
+/// A dataset is an immutable window of shared sample storage: cloning
+/// it, or taking a [`Dataset::window`] of it, copies no sample and
+/// allocates nothing.
+#[derive(Clone)]
 pub struct Dataset {
-    name: String,
+    name: Arc<str>,
     num_classes: usize,
-    items: Vec<LabeledImage>,
+    pool: Arc<[LabeledImage]>,
+    window: Range<usize>,
 }
 
 impl Dataset {
@@ -38,9 +46,29 @@ impl Dataset {
             );
         }
         Dataset {
-            name: name.into(),
+            name: name.into().into(),
             num_classes,
-            items,
+            window: 0..items.len(),
+            pool: items.into(),
+        }
+    }
+
+    /// The samples at `range` of this dataset, sharing its storage and
+    /// its name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds.
+    pub fn window(&self, range: Range<usize>) -> Dataset {
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "window {range:?} out of bounds for {} samples",
+            self.len()
+        );
+        let start = self.window.start;
+        Dataset {
+            window: start + range.start..start + range.end,
+            ..self.clone()
         }
     }
 
@@ -56,23 +84,23 @@ impl Dataset {
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.window.len()
     }
 
     /// Whether the dataset is empty.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.window.is_empty()
     }
 
     /// The samples.
     pub fn items(&self) -> &[LabeledImage] {
-        &self.items
+        &self.pool[self.window.clone()]
     }
 
     /// `(channels, height, width)` of the first sample, or `(0,0,0)`
     /// when empty.
     pub fn geometry(&self) -> (usize, usize, usize) {
-        self.items
+        self.items()
             .first()
             .map(|it| it.image.dims())
             .unwrap_or((0, 0, 0))
@@ -87,7 +115,7 @@ impl Dataset {
     /// Splits into train/test by shuffling with `rng` and taking
     /// `train_fraction` of samples for training.
     pub fn split(&self, train_fraction: f32, rng: &mut impl Rng) -> (Dataset, Dataset) {
-        let mut items = self.items.clone();
+        let mut items = self.items().to_vec();
         items.shuffle(rng);
         let cut = ((items.len() as f32) * train_fraction.clamp(0.0, 1.0)).round() as usize;
         let test = items.split_off(cut.min(items.len()));
@@ -103,15 +131,16 @@ impl Dataset {
     ///
     /// Panics if `size > len()`.
     pub fn sample_batch(&self, size: usize, rng: &mut impl Rng) -> Batch {
+        let items = self.items();
         assert!(
-            size <= self.items.len(),
+            size <= items.len(),
             "batch {size} > dataset {}",
-            self.items.len()
+            items.len()
         );
-        let mut idx: Vec<usize> = (0..self.items.len()).collect();
+        let mut idx: Vec<usize> = (0..items.len()).collect();
         idx.shuffle(rng);
         let chosen = &idx[..size];
-        Batch::from_items(chosen.iter().map(|&i| self.items[i].clone()).collect())
+        Batch::from_items(chosen.iter().map(|&i| items[i].clone()).collect())
     }
 
     /// Draws a batch whose labels are all distinct (one sample per
@@ -123,7 +152,8 @@ impl Dataset {
     /// Panics if fewer than `size` classes have samples.
     pub fn sample_batch_unique_labels(&self, size: usize, rng: &mut impl Rng) -> Batch {
         let mut by_class: Vec<Vec<usize>> = vec![Vec::new(); self.num_classes];
-        for (i, it) in self.items.iter().enumerate() {
+        let items = self.items();
+        for (i, it) in items.iter().enumerate() {
             by_class[it.label].push(i);
         }
         let mut classes: Vec<usize> = (0..self.num_classes)
@@ -139,7 +169,7 @@ impl Dataset {
             .iter()
             .map(|&c| {
                 let i = by_class[c][rng.gen_range(0..by_class[c].len())];
-                self.items[i].clone()
+                items[i].clone()
             })
             .collect();
         Batch::from_items(items)
@@ -148,19 +178,29 @@ impl Dataset {
     /// Iterates over sequential (non-shuffled) batches of `size`,
     /// including a trailing partial batch.
     pub fn batches(&self, size: usize) -> impl Iterator<Item = Batch> + '_ {
-        self.items
+        self.items()
             .chunks(size.max(1))
             .map(|chunk| Batch::from_items(chunk.to_vec()))
     }
 
     /// Iterates over shuffled batches of `size` (one epoch).
     pub fn shuffled_batches(&self, size: usize, rng: &mut impl Rng) -> Vec<Batch> {
-        let mut items = self.items.clone();
+        let mut items = self.items().to_vec();
         items.shuffle(rng);
         items
             .chunks(size.max(1))
             .map(|chunk| Batch::from_items(chunk.to_vec()))
             .collect()
+    }
+}
+
+impl std::fmt::Debug for Dataset {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Dataset")
+            .field("name", &self.name)
+            .field("num_classes", &self.num_classes)
+            .field("items", &self.items())
+            .finish()
     }
 }
 
@@ -235,6 +275,26 @@ mod tests {
                 label: 1,
             }],
         );
+    }
+
+    #[test]
+    fn clones_and_windows_read_the_shared_storage() {
+        let ds = tiny_dataset(3, 4);
+        assert_eq!(ds.clone().items().as_ptr(), ds.items().as_ptr());
+        let w = ds.window(2..9);
+        assert_eq!(w.len(), 7);
+        assert_eq!(w.name(), "tiny");
+        assert_eq!(w.items(), &ds.items()[2..9]);
+        assert_eq!(w.items().as_ptr(), ds.items()[2..].as_ptr());
+        let inner = w.window(1..3);
+        assert_eq!(inner.items().as_ptr(), ds.items()[3..].as_ptr());
+        assert_eq!(inner.window(2..2).len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn window_rejects_out_of_bounds_ranges() {
+        tiny_dataset(2, 2).window(1..5);
     }
 
     #[test]

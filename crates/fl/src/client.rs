@@ -30,7 +30,11 @@ pub struct ClientUpdate {
     pub samples: usize,
 }
 
-/// A federated client owning a local data shard.
+/// A federated client and its local data shard.
+///
+/// The shard is a [`Dataset`], so clients built over one pool (as
+/// `oasis_population::Population` builds them) read their samples in
+/// place, and cloning a client copies no sample.
 ///
 /// The client's defense hook is its [`DefenseStack`]: batch
 /// transforms (e.g. the OASIS defense from crate `oasis`, which

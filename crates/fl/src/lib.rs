@@ -33,9 +33,10 @@
 //! and the [`FlServer`] state (global model, config, wire, round).
 //! The round that composes them — cohort sampling, delivery
 //! planning, streaming FedAvg, the server step — is
-//! `oasis_population::CohortRunner`, which runs over resident clients
-//! as well as over descriptor populations. Splitting a dataset into
-//! client shards is `oasis_population::Population`'s job too:
+//! `oasis_population::CohortRunner`, which runs over an
+//! `oasis_population::Population` of [`FlClient`]s. Splitting a
+//! dataset into client shards is `Population`'s job too; each shard
+//! is a zero-copy window of one shared sample pool:
 //!
 //! ```
 //! use oasis_fl::{DefenseStack, FlConfig, FlServer};

@@ -18,8 +18,9 @@ pub struct RoundTimings {
     pub select_ns: u64,
     /// Global weight flattening.
     pub broadcast_ns: u64,
-    /// Summing the delivered clients' FedAvg sample counts (a
-    /// population answers from its descriptors, without hydrating).
+    /// The FedAvg pre-pass: summing the delivered clients' sample
+    /// counts (from shard lengths, without drawing a batch) and
+    /// allocating the fold's model-sized accumulator.
     pub hydrate_ns: u64,
     /// Parallel local training and update encoding across the
     /// delivered clients.
@@ -28,7 +29,8 @@ pub struct RoundTimings {
     pub deliver_ns: u64,
     /// Decoding and sample-weighted folding of delivered updates.
     pub fold_ns: u64,
-    /// The server SGD step.
+    /// The aggregated update's norm (the report's `update_norm`)
+    /// and the server SGD step that applies it.
     pub step_ns: u64,
     /// Whole-round wall clock (the `fl.round` span).
     pub total_ns: u64,

@@ -1,18 +1,18 @@
 //! # oasis-population
 //!
 //! Population-scale federated rounds: the machinery that lets the
-//! OASIS evaluation run cohorts sampled from 10⁵–10⁶ clients without
-//! holding 10⁵–10⁶ [`FlClient`](oasis_fl::FlClient)s resident.
+//! OASIS evaluation run cohorts sampled from 10⁵–10⁶ clients with a
+//! server footprint that does not grow with the population.
 //!
 //! Three pieces compose into a round:
 //!
-//! * [`Population`] — the deployment as data: a shared, shuffled
-//!   sample pool plus one 12-byte [`ClientDescriptor`] per client.
-//!   It is the workspace's partitioner ([`Population::iid`],
-//!   [`Population::dirichlet`]). A descriptor is **hydrated** into a
-//!   full `FlClient` (shard, defense stack) only while its update is
-//!   being computed, then dropped; [`Population::clients`] hydrates
-//!   them all at once, the resident form for small federations.
+//! * [`Population`] — the deployment as data: one
+//!   [`FlClient`](oasis_fl::FlClient) per client, each training on a
+//!   zero-copy window of one shared sample pool, so an idle client
+//!   costs 72 bytes and no sample. It is the workspace's partitioner
+//!   ([`Population::iid`], [`Population::dirichlet`]), and hand-built
+//!   client lists (say, a federation that mixes defended and
+//!   undefended clients) convert into it.
 //! * [`CohortScheduler`] — seeded deterministic sampling of the K
 //!   participants of each round. The per-round rng stream is keyed by
 //!   `(seed, round)`, so any round is reproducible in isolation and
@@ -24,10 +24,8 @@
 //!
 //! [`CohortRunner`] ties them together and drives an
 //! [`FlServer`](oasis_fl::FlServer) through rounds. It is the
-//! workspace's one round engine: its clients come from any
-//! [`ClientSource`] — a `Population`, or resident clients held in a
-//! `Vec<FlClient>` — and the round is bit-identical at any thread
-//! count.
+//! workspace's one round engine, and the round is bit-identical at
+//! any thread count.
 //!
 //! ```
 //! use oasis_population::{CohortRunner, Population};
@@ -46,7 +44,7 @@
 //!     m.push(Linear::new(d, 4, &mut rng));
 //!     m
 //! });
-//! // 1000 descriptors cost ~12 KB; 1000 resident clients would not.
+//! // 1000 clients share one 24-sample pool: about 72 KB of clients.
 //! let pop = Population::iid(
 //!     &data,
 //!     1000,
@@ -71,7 +69,7 @@ mod scheduler;
 mod spec;
 
 pub use aggregate::StreamingAggregator;
-pub use population::{ClientDescriptor, ClientSource, Population, MAX_DIRICHLET_ALPHA};
+pub use population::{Population, MAX_DIRICHLET_ALPHA};
 pub use round::{CohortReport, CohortRunner};
 pub use scheduler::CohortScheduler;
 pub use spec::{PopulationSpec, SampleSpec};

@@ -1,36 +1,13 @@
-//! The deployment as data: descriptors over a shared sample pool.
+//! The deployment as data: clients over one shared sample pool.
 
-use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
-use oasis_data::{Dataset, LabeledImage};
+use oasis_data::Dataset;
 use oasis_fl::{DefenseStack, FlClient};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-
-/// Everything the server needs to remember about one client while it
-/// is **not** participating: 12 bytes. A million clients cost ~12 MB
-/// of descriptors; a million resident [`FlClient`]s would cost a data
-/// shard and defense stack each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClientDescriptor {
-    id: u32,
-    start: u32,
-    len: u32,
-}
-
-impl ClientDescriptor {
-    /// The client id — also its index in the population.
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
-    /// How many samples the client's shard holds.
-    pub fn shard_len(&self) -> usize {
-        self.len as usize
-    }
-}
 
 /// The largest Dirichlet concentration [`Population::dirichlet`]
 /// accepts. Each Gamma(α) draw costs O(α), and at α = 10⁴ each
@@ -39,34 +16,27 @@ impl ClientDescriptor {
 /// nothing but time.
 pub const MAX_DIRICHLET_ALPHA: f64 = 1e4;
 
-/// A population of lightweight clients over one shared sample pool.
+/// The clients a [`CohortRunner`](crate::CohortRunner) draws its
+/// cohorts from, in position order.
 ///
 /// This is the workspace's partitioner: [`Population::iid`] and
-/// [`Population::dirichlet`] split a dataset into client shards,
-/// recording per client a `(start, len)` window into one shared,
-/// reordered pool instead of materializing the shards.
-/// [`Population::hydrate`] turns a descriptor into a full
-/// [`FlClient`] (copying only that client's window) for the duration
-/// of its local computation; the client is dropped when its update
-/// has been computed. [`Population::clients`] hydrates every
-/// descriptor at once, for callers that keep their clients resident.
+/// [`Population::dirichlet`] reorder a dataset into one shared pool
+/// and give each client a contiguous [`Dataset::window`] of it. A
+/// client reads its samples in place, so building, cloning or taking
+/// a [`Population::subset`] copies no sample; an idle client costs
+/// one [`FlClient`] (72 bytes on 64-bit targets).
+///
+/// Hand-built client lists, such as a federation that mixes defended
+/// and undefended clients, convert with `From<Vec<FlClient>>`.
 #[derive(Clone)]
 pub struct Population {
-    items: Arc<Vec<LabeledImage>>,
-    name: String,
-    num_classes: usize,
-    // Shard-name infix: "shard" for i.i.d. partitions, "dirichlet"
-    // for label-skewed ones.
-    shard_label: &'static str,
-    defense: Arc<DefenseStack>,
-    descriptors: Vec<ClientDescriptor>,
+    clients: Vec<FlClient>,
 }
 
 impl Population {
     /// Builds an i.i.d. population of `n` clients: one shuffle of the
     /// dataset, then `n` contiguous windows of `len / n` samples, the
-    /// last taking the remainder. Client `i`'s shard is named
-    /// `{dataset}-shard{i}`.
+    /// last taking the remainder.
     ///
     /// When `n` exceeds the sample count, every client gets a single
     /// sample, assigned round-robin from the shuffled pool, so all
@@ -74,37 +44,21 @@ impl Population {
     pub fn iid(dataset: &Dataset, n: usize, defense: Arc<DefenseStack>, rng: &mut StdRng) -> Self {
         let mut items = dataset.items().to_vec();
         items.shuffle(rng);
-        let total = items.len();
+        let pool = Dataset::new(dataset.name(), dataset.num_classes(), items);
+        let total = pool.len();
         let n = n.max(1);
         let per = total / n;
-        let descriptors = (0..n)
-            .map(|i| {
-                if per == 0 {
-                    // More clients than samples: wrap round-robin.
-                    ClientDescriptor {
-                        id: i as u32,
-                        start: (i % total.max(1)) as u32,
-                        len: total.min(1) as u32,
-                    }
-                } else {
-                    let start = i * per;
-                    let end = if i == n - 1 { total } else { (i + 1) * per };
-                    ClientDescriptor {
-                        id: i as u32,
-                        start: start as u32,
-                        len: (end - start) as u32,
-                    }
-                }
-            })
-            .collect();
-        Population {
-            items: Arc::new(items),
-            name: dataset.name().to_string(),
-            num_classes: dataset.num_classes(),
-            shard_label: "shard",
-            defense,
-            descriptors,
-        }
+        let windows = (0..n).map(|i| {
+            if per == 0 {
+                // More clients than samples: wrap round-robin.
+                let start = i % total.max(1);
+                start..start + total.min(1)
+            } else {
+                let end = if i == n - 1 { total } else { (i + 1) * per };
+                i * per..end
+            }
+        });
+        Population::of_windows(&pool, windows, &defense)
     }
 
     /// Builds a label-skewed population of `n` clients via a
@@ -112,8 +66,7 @@ impl Population {
     /// heterogeneity model in the FL literature. Per class, the
     /// class's samples are shuffled and split by `n` Gamma(α) draws;
     /// small α (e.g. 0.1) gives near-pathological skew, large α
-    /// approaches IID. Client `i`'s shard is named
-    /// `{dataset}-dirichlet{i}`.
+    /// approaches IID.
     ///
     /// # Panics
     ///
@@ -134,7 +87,7 @@ impl Population {
         );
         assert!(n > 0, "need at least one client");
 
-        let mut per_client_items: Vec<Vec<LabeledImage>> = (0..n).map(|_| Vec::new()).collect();
+        let mut shards: Vec<Vec<_>> = (0..n).map(|_| Vec::new()).collect();
         for class in 0..dataset.num_classes() {
             let mut class_items: Vec<_> = dataset
                 .items()
@@ -156,102 +109,71 @@ impl Population {
                     ((w / total) * class_items.len() as f64).round() as usize
                 };
                 let end = (start + count).min(class_items.len());
-                per_client_items[client].extend(class_items[start..end].iter().cloned());
+                shards[client].extend(class_items[start..end].iter().cloned());
                 start = end;
             }
         }
 
-        // Flatten client shards into one pool so each descriptor is a
+        // Flatten the shards into one pool so each client is a
         // contiguous window, exactly like the i.i.d. layout.
         let mut items = Vec::with_capacity(dataset.len());
-        let mut descriptors = Vec::with_capacity(n);
-        for (i, shard) in per_client_items.into_iter().enumerate() {
-            descriptors.push(ClientDescriptor {
-                id: i as u32,
-                start: items.len() as u32,
-                len: shard.len() as u32,
-            });
+        let mut windows = Vec::with_capacity(n);
+        for shard in shards {
+            let start = items.len();
             items.extend(shard);
+            windows.push(start..items.len());
         }
-        Population {
-            items: Arc::new(items),
-            name: dataset.name().to_string(),
-            num_classes: dataset.num_classes(),
-            shard_label: "dirichlet",
-            defense,
-            descriptors,
-        }
+        let pool = Dataset::new(dataset.name(), dataset.num_classes(), items);
+        Population::of_windows(&pool, windows, &defense)
     }
 
-    /// A population restricted to the clients at `positions` (indices
-    /// into [`Population::descriptors`]), sharing the sample pool.
-    /// Descriptors keep their original ids, so a churned-out client
-    /// that later rejoins hydrates back into the *same* shard — data
-    /// lives on the device across connectivity gaps.
+    /// Client `i` of the result trains on window `i` of `pool`.
+    fn of_windows(
+        pool: &Dataset,
+        windows: impl IntoIterator<Item = Range<usize>>,
+        defense: &Arc<DefenseStack>,
+    ) -> Self {
+        let clients = windows
+            .into_iter()
+            .enumerate()
+            .map(|(id, window)| FlClient::new(id, pool.window(window), Arc::clone(defense)))
+            .collect();
+        Population { clients }
+    }
+
+    /// A population restricted to the clients at `positions`, sharing
+    /// their datasets. Clients keep their ids, so a churned-out client
+    /// that later rejoins trains on the *same* shard — data lives on
+    /// the device across connectivity gaps.
     ///
     /// # Panics
     ///
     /// Panics when any position is out of range.
     pub fn subset(&self, positions: &[usize]) -> Population {
         Population {
-            items: Arc::clone(&self.items),
-            name: self.name.clone(),
-            num_classes: self.num_classes,
-            shard_label: self.shard_label,
-            defense: Arc::clone(&self.defense),
-            descriptors: positions.iter().map(|&p| self.descriptors[p]).collect(),
+            clients: positions.iter().map(|&p| self.clients[p].clone()).collect(),
         }
     }
 
     /// Number of clients in the population.
     pub fn len(&self) -> usize {
-        self.descriptors.len()
+        self.clients.len()
     }
 
     /// Whether the population has no clients.
     pub fn is_empty(&self) -> bool {
-        self.descriptors.is_empty()
+        self.clients.is_empty()
     }
 
-    /// The descriptor of client `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` is out of range.
-    pub fn descriptor(&self, id: usize) -> ClientDescriptor {
-        self.descriptors[id]
+    /// The clients, in position order.
+    pub fn clients(&self) -> &[FlClient] {
+        &self.clients
     }
+}
 
-    /// All descriptors, in id order.
-    pub fn descriptors(&self) -> &[ClientDescriptor] {
-        &self.descriptors
-    }
-
-    /// The defense stack every hydrated client runs.
-    pub fn defense(&self) -> &Arc<DefenseStack> {
-        &self.defense
-    }
-
-    /// Materializes one client from its descriptor: copies the
-    /// client's shard window out of the shared pool and wires up the
-    /// shared defense stack. Its memory is reclaimed the moment the
-    /// caller drops it.
-    pub fn hydrate(&self, desc: ClientDescriptor) -> FlClient {
-        let start = desc.start as usize;
-        let end = start + desc.len as usize;
-        let shard = Dataset::new(
-            format!("{}-{}{}", self.name, self.shard_label, desc.id),
-            self.num_classes,
-            self.items[start..end].to_vec(),
-        );
-        FlClient::new(desc.id as usize, shard, Arc::clone(&self.defense))
-    }
-
-    /// Every client, hydrated in id order: the resident form of the
-    /// population, for callers that keep their clients for a whole
-    /// run. Costs one shard copy per client.
-    pub fn clients(&self) -> Vec<FlClient> {
-        self.descriptors.iter().map(|&d| self.hydrate(d)).collect()
+impl From<Vec<FlClient>> for Population {
+    fn from(clients: Vec<FlClient>) -> Self {
+        Population { clients }
     }
 }
 
@@ -283,90 +205,9 @@ fn gamma(alpha: f64, rng: &mut StdRng) -> f64 {
     acc
 }
 
-/// The clients a [`CohortRunner`](crate::CohortRunner) draws its
-/// cohorts from: a count, and a way to lend client `i` for the length
-/// of one local computation.
-///
-/// A [`Population`] lends by hydrating a descriptor (the client is
-/// dropped once its update is encoded); resident clients
-/// (`Vec<FlClient>`) lend by reference.
-pub trait ClientSource: Sync {
-    /// How many clients there are. Cohorts are drawn from positions
-    /// `0..client_count()`.
-    fn client_count(&self) -> usize;
-
-    /// Lends the client at position `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    fn client(&self, i: usize) -> Cow<'_, FlClient>;
-
-    /// How many samples client `i` will report for a round at
-    /// `batch_size`: its [`FlClient::round_samples`]. The default lends
-    /// the client to ask it; a source that knows shard lengths answers
-    /// without lending.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    fn round_samples(&self, i: usize, batch_size: usize) -> usize {
-        self.client(i).round_samples(batch_size)
-    }
-}
-
-impl ClientSource for Population {
-    fn client_count(&self) -> usize {
-        self.len()
-    }
-
-    fn client(&self, i: usize) -> Cow<'_, FlClient> {
-        Cow::Owned(self.hydrate(self.descriptor(i)))
-    }
-
-    /// The hydrated client's count, from the descriptor's shard length
-    /// and the shared defense stack alone: no shard is copied.
-    fn round_samples(&self, i: usize, batch_size: usize) -> usize {
-        self.defense
-            .processed_len(batch_size.min(self.descriptor(i).shard_len()))
-    }
-}
-
-impl ClientSource for Vec<FlClient> {
-    fn client_count(&self) -> usize {
-        self.len()
-    }
-
-    fn client(&self, i: usize) -> Cow<'_, FlClient> {
-        Cow::Borrowed(&self[i])
-    }
-}
-
-/// A borrowed source, so one set of resident clients can serve
-/// several runners without being cloned.
-impl<C: ClientSource> ClientSource for &C {
-    fn client_count(&self) -> usize {
-        (**self).client_count()
-    }
-
-    fn client(&self, i: usize) -> Cow<'_, FlClient> {
-        (**self).client(i)
-    }
-
-    fn round_samples(&self, i: usize, batch_size: usize) -> usize {
-        (**self).round_samples(i, batch_size)
-    }
-}
-
 impl std::fmt::Debug for Population {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Population(clients={}, pool={}, defense={:?})",
-            self.descriptors.len(),
-            self.items.len(),
-            self.defense.names(),
-        )
+        write!(f, "Population(clients={})", self.clients.len())
     }
 }
 
@@ -376,12 +217,7 @@ mod tests {
     use oasis_data::cifar_like_with;
     use rand::SeedableRng;
 
-    #[test]
-    fn descriptors_are_12_bytes() {
-        assert_eq!(std::mem::size_of::<ClientDescriptor>(), 12);
-    }
-
-    /// The resident clients of a Dirichlet(α) population.
+    /// The clients of a Dirichlet(α) population.
     fn dirichlet_clients(data: &Dataset, n: usize, alpha: f64, seed: u64) -> Vec<FlClient> {
         Population::dirichlet(
             data,
@@ -391,10 +227,77 @@ mod tests {
             &mut StdRng::seed_from_u64(seed),
         )
         .clients()
+        .to_vec()
+    }
+
+    /// Where each client's samples start, in samples past client 0's.
+    /// Every window of a partition starts at its offset into the
+    /// pool, and client 0's starts at 0, so these are pool offsets.
+    fn pool_offsets(pop: &Population) -> Vec<usize> {
+        let base = pop.clients()[0].data().items().as_ptr() as usize;
+        pop.clients()
+            .iter()
+            .map(|c| {
+                let at = c.data().items().as_ptr() as usize;
+                (at - base) / std::mem::size_of::<oasis_data::LabeledImage>()
+            })
+            .collect()
+    }
+
+    /// Asserts that `pop`'s clients read their samples in place from
+    /// one pool of `total` samples, as consecutive windows.
+    fn assert_consecutive_windows(pop: &Population, total: usize) {
+        let mut end = 0;
+        for (c, offset) in pop.clients().iter().zip(pool_offsets(pop)) {
+            assert_eq!(offset, end, "client {} starts off its window", c.id());
+            end += c.data().len();
+        }
+        assert_eq!(end, total, "the windows tile the pool");
+    }
+
+    /// Asserts that every client of `view` is `pop`'s client at the
+    /// matching position and reads the very same samples.
+    fn assert_shares_clients(view: &Population, pop: &Population, positions: &[usize]) {
+        assert_eq!(view.len(), positions.len());
+        for (c, &p) in view.clients().iter().zip(positions) {
+            let original = &pop.clients()[p];
+            assert_eq!(c.id(), original.id());
+            assert_eq!(c.data().len(), original.data().len());
+            assert_eq!(c.data().items().as_ptr(), original.data().items().as_ptr());
+        }
     }
 
     #[test]
-    fn clients_hydrate_every_descriptor_in_id_order() {
+    fn every_client_reads_its_samples_in_place_from_the_pool() {
+        let data = cifar_like_with(4, 6, 8, 0);
+        let defense = Arc::new(DefenseStack::identity());
+        let iid = Population::iid(&data, 5, defense.clone(), &mut StdRng::seed_from_u64(9));
+        assert_consecutive_windows(&iid, data.len());
+        let dirichlet = Population::dirichlet(
+            &data,
+            6,
+            0.3,
+            defense.clone(),
+            &mut StdRng::seed_from_u64(4),
+        );
+        assert_consecutive_windows(&dirichlet, data.len());
+
+        // More clients than samples: client i reads pool sample i mod n.
+        let wide = Population::iid(&data, 50, defense, &mut StdRng::seed_from_u64(0));
+        let offsets: Vec<usize> = (0..50).map(|i| i % data.len()).collect();
+        assert_eq!(pool_offsets(&wide), offsets);
+
+        for pop in [&iid, &dirichlet, &wide] {
+            let all: Vec<usize> = (0..pop.len()).collect();
+            assert_shares_clients(&pop.clone(), pop, &all);
+            assert_shares_clients(&pop.subset(&[3, 1, 4]), pop, &[3, 1, 4]);
+        }
+        // An idle client is one handle on the shared pool, not a shard.
+        assert!(std::mem::size_of::<FlClient>() <= 80);
+    }
+
+    #[test]
+    fn clients_are_in_id_order_over_the_shuffled_dataset() {
         let data = cifar_like_with(4, 6, 8, 0);
         let pop = Population::iid(
             &data,
@@ -402,47 +305,19 @@ mod tests {
             Arc::new(DefenseStack::identity()),
             &mut StdRng::seed_from_u64(9),
         );
-        let clients = pop.clients();
-        assert_eq!(clients.len(), 5);
-        for (i, c) in clients.iter().enumerate() {
-            let fresh = pop.hydrate(pop.descriptor(i));
+        let mut items = data.items().to_vec();
+        items.shuffle(&mut StdRng::seed_from_u64(9));
+        let mut start = 0;
+        for (i, c) in pop.clients().iter().enumerate() {
             assert_eq!(c.id(), i);
-            assert_eq!(c.data().name(), format!("{}-shard{i}", data.name()));
-            assert_eq!(c.data().items(), fresh.data().items());
-        }
-    }
-
-    #[test]
-    fn population_counts_round_samples_without_hydrating() {
-        // Triples every batch, so the count depends on the defense
-        // stack as well as on the shard length.
-        struct Tripler;
-        impl oasis_fl::Defense for Tripler {
-            fn name(&self) -> &str {
-                "tripler"
-            }
-            fn processed_len(&self, n: usize) -> usize {
-                3 * n
-            }
-        }
-        let data = cifar_like_with(3, 7, 8, 2);
-        for defense in [DefenseStack::identity(), DefenseStack::of(Tripler)] {
-            let pop = Population::dirichlet(
-                &data,
-                6,
-                0.5,
-                Arc::new(defense),
-                &mut StdRng::seed_from_u64(4),
-            );
-            for i in 0..pop.len() {
-                for batch in [0, 1, 3, 64] {
-                    assert_eq!(
-                        ClientSource::round_samples(&pop, i, batch),
-                        pop.hydrate(pop.descriptor(i)).round_samples(batch),
-                        "client {i}, batch {batch}"
-                    );
-                }
-            }
+            assert_eq!(c.data().name(), data.name());
+            let len = if i == 4 {
+                items.len() - start
+            } else {
+                items.len() / 5
+            };
+            assert_eq!(c.data().items(), &items[start..start + len]);
+            start += len;
         }
     }
 
@@ -456,9 +331,8 @@ mod tests {
             &mut StdRng::seed_from_u64(0),
         );
         assert_eq!(pop.len(), 50);
-        for d in pop.descriptors() {
-            assert_eq!(d.shard_len(), 1);
-            assert_eq!(pop.hydrate(*d).data().len(), 1);
+        for c in pop.clients() {
+            assert_eq!(c.data().len(), 1);
         }
     }
 
@@ -615,57 +489,26 @@ mod tests {
             Arc::new(DefenseStack::identity()),
             &mut StdRng::seed_from_u64(2),
         );
-        let before: Vec<_> = (0..6)
-            .map(|i| pop.hydrate(pop.descriptor(i)).data().items().to_vec())
+        let before: Vec<_> = pop
+            .clients()
+            .iter()
+            .map(|c| c.data().items().to_vec())
             .collect();
 
         // Clients 1 and 4 churn out, then client 4 rejoins.
         let shrunk = pop.subset(&[0, 2, 3, 5]);
         assert_eq!(shrunk.len(), 4);
-        assert_eq!(shrunk.descriptor(2).id(), 3);
+        assert_eq!(shrunk.clients()[2].id(), 3);
         let regrown = pop.subset(&[0, 2, 3, 4, 5]);
-        let back = regrown.hydrate(regrown.descriptor(3));
+        let back = &regrown.clients()[3];
         assert_eq!(back.id(), 4);
         assert_eq!(back.data().items(), &before[4][..]);
 
-        // Every surviving client still hydrates its original shard
-        // (and shard name) through the subset view.
-        for (slot, &id) in [0usize, 2, 3, 5].iter().enumerate() {
-            let c = shrunk.hydrate(shrunk.descriptor(slot));
+        // Every surviving client still trains on its original shard
+        // through the subset view.
+        for (c, &id) in shrunk.clients().iter().zip(&[0usize, 2, 3, 5]) {
             assert_eq!(c.id(), id);
             assert_eq!(c.data().items(), &before[id][..]);
-            assert_eq!(c.data().name(), format!("{}-shard{}", data.name(), id));
         }
-    }
-
-    #[test]
-    fn subset_shares_the_sample_pool() {
-        let data = cifar_like_with(2, 6, 8, 3);
-        let pop = Population::iid(
-            &data,
-            4,
-            Arc::new(DefenseStack::identity()),
-            &mut StdRng::seed_from_u64(1),
-        );
-        let sub = pop.subset(&[1, 3]);
-        assert!(Arc::ptr_eq(&pop.items, &sub.items));
-        assert_eq!(sub.len(), 2);
-    }
-
-    #[test]
-    fn hydrate_copies_only_the_window() {
-        let data = cifar_like_with(3, 4, 8, 2);
-        let pop = Population::iid(
-            &data,
-            4,
-            Arc::new(DefenseStack::identity()),
-            &mut StdRng::seed_from_u64(3),
-        );
-        let total: usize = pop
-            .descriptors()
-            .iter()
-            .map(|d| pop.hydrate(*d).data().len())
-            .sum();
-        assert_eq!(total, data.len());
     }
 }

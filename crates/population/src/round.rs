@@ -1,11 +1,11 @@
-//! The round engine: one FL round over any client source.
+//! The round engine: one FL round over a population.
 
 use oasis_fl::{FlError, FlServer, Result, RoundReport};
 use oasis_tensor::parallel;
 use oasis_wire::{DeliveryStatus, EncodedUpdate, Submission};
 use rand::rngs::StdRng;
 
-use crate::{ClientSource, CohortScheduler, Population, StreamingAggregator};
+use crate::{CohortScheduler, Population, StreamingAggregator};
 
 /// A [`RoundReport`] plus the resource facts of the streaming round.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,16 +14,16 @@ pub struct CohortReport {
     pub round_report: RoundReport,
     /// How many clients the cohort was sampled from.
     pub population: usize,
-    /// How many clients were actually lent out and computed an
-    /// update. Dropped cohort members are never materialized — their
-    /// delivery fate is known from the wire plan before any compute —
-    /// so this equals `round_report.participants`, not the cohort.
+    /// How many clients actually computed an update. Dropped cohort
+    /// members never compute — their delivery fate is known from the
+    /// wire plan before any compute — so this equals
+    /// `round_report.participants`, not the cohort.
     pub computed: usize,
     /// Peak accumulator + decode-scratch bytes held by the streaming
     /// fold, independent of population and cohort: `4·n` for an
     /// `n`-parameter model on the raw zero-copy wire (frames fold as
     /// borrowed views), `2 × 4·n` when a lossy codec needs a decode
-    /// slot.
+    /// slot, and 0 when nothing is delivered.
     pub peak_accum_bytes: usize,
     /// Peak encoded-frame bytes alive at once: one wire frame per
     /// concurrent compute slot, `O(threads · frame)`, never
@@ -32,29 +32,30 @@ pub struct CohortReport {
 }
 
 /// The round engine: drives an [`FlServer`] through rounds sampled
-/// from a [`ClientSource`] — a descriptor [`Population`] or resident
-/// clients (`Vec<FlClient>`).
+/// from a [`Population`] — a partition, or any hand-built client list
+/// converted into one.
 ///
 /// Each round is cohort sampling → broadcast → delivery planning →
-/// lending only the clients whose updates will arrive → streaming
+/// computing only the clients whose updates will arrive → streaming
 /// aggregation → server step. Memory is `O(model + cohort_scratch)`
 /// and dropped clients cost nothing, so a population can grow to
 /// 10⁵–10⁶ while the server footprint stays flat.
 ///
 /// Delivery fates are keyed by cohort position (the client's index in
-/// the source), not by [`FlClient::id`](oasis_fl::FlClient::id).
-pub struct CohortRunner<C = Population> {
+/// the population), not by [`FlClient::id`](oasis_fl::FlClient::id).
+pub struct CohortRunner {
     server: FlServer,
-    clients: C,
+    clients: Population,
     scheduler: CohortScheduler,
 }
 
-impl<C: ClientSource> CohortRunner<C> {
+impl CohortRunner {
     /// Couples a server to its clients. Cohort size comes from the
     /// server's [`oasis_fl::FlConfig::clients_per_round`]: `0` means
     /// every client.
-    pub fn new(server: FlServer, clients: C) -> Self {
-        let scheduler = CohortScheduler::new(clients.client_count());
+    pub fn new(server: FlServer, clients: impl Into<Population>) -> Self {
+        let clients = clients.into();
+        let scheduler = CohortScheduler::new(clients.len());
         CohortRunner {
             server,
             clients,
@@ -73,7 +74,7 @@ impl<C: ClientSource> CohortRunner<C> {
     }
 
     /// The clients rounds sample from.
-    pub fn population(&self) -> &C {
+    pub fn population(&self) -> &Population {
         &self.clients
     }
 
@@ -81,9 +82,9 @@ impl<C: ClientSource> CohortRunner<C> {
     /// (an active-subset swap) and non-IID drift (a re-partition).
     /// The scheduler is rebuilt only when the client count changes,
     /// so a same-size swap leaves the sampling stream untouched.
-    pub fn set_population(&mut self, clients: C) {
-        if clients.client_count() != self.scheduler.population() {
-            self.scheduler = CohortScheduler::new(clients.client_count());
+    pub fn set_population(&mut self, clients: Population) {
+        if clients.len() != self.scheduler.population() {
+            self.scheduler = CohortScheduler::new(clients.len());
         }
         self.clients = clients;
     }
@@ -99,9 +100,8 @@ impl<C: ClientSource> CohortRunner<C> {
     /// plan** (every codec's wire size is value-independent, so each
     /// cohort member's fate is decided before any gradient exists) →
     /// meta pre-pass summing the delivered clients' sample counts →
-    /// wave-parallel lend/compute/encode of **delivered clients
-    /// only** → serial streaming fold in delivery order → server SGD
-    /// step.
+    /// wave-parallel compute/encode of **delivered clients only** →
+    /// serial streaming fold in delivery order → server SGD step.
     ///
     /// A round where nothing is delivered is a no-op, not an error,
     /// and computes nothing.
@@ -113,7 +113,8 @@ impl<C: ClientSource> CohortRunner<C> {
     /// counts sum to zero, or an update whose sample count differs
     /// from the pre-pass count ([`FlError::BadConfig`]).
     pub fn run_round(&mut self, rng: &mut StdRng) -> Result<CohortReport> {
-        if self.clients.client_count() == 0 {
+        let clients = self.clients.clients();
+        if clients.is_empty() {
             return Err(FlError::NoClients);
         }
         let round_span = oasis_telemetry::span("fl.round");
@@ -159,7 +160,7 @@ impl<C: ClientSource> CohortRunner<C> {
         let deliver_ns = deliver_span.finish_ns();
 
         let batch = self.server.config().local_batch_size;
-        let mut agg = StreamingAggregator::new(n);
+        let mut agg = None;
         let mut peak_frame_bytes = 0usize;
         let mut hydrate_ns = 0u64;
         let mut compute_ns = 0u64;
@@ -171,15 +172,16 @@ impl<C: ClientSource> CohortRunner<C> {
             // Meta pre-pass: FedAvg weights need the delivered total
             // before the first fold. `round_samples` is a count from
             // the shard length and the defense stack alone — no batch,
-            // no model, no gradients, and for a `Population` no
-            // hydrated shard. Each update's reported count is checked
-            // against it at fold time.
-            let clients = &self.clients;
+            // no model, no gradients. Each update's reported count is
+            // checked against it at fold time. The pre-pass also
+            // allocates the fold's accumulator, so that the allocation
+            // falls inside a timed phase.
             let hydrate_span = oasis_telemetry::span("fl.round.hydrate");
             let samples: Vec<usize> = delivered_ids
                 .iter()
-                .map(|&id| clients.round_samples(id as usize, batch))
+                .map(|&id| clients[id as usize].round_samples(batch))
                 .collect();
+            let agg = agg.insert(StreamingAggregator::new(n));
             hydrate_ns = hydrate_span.finish_ns();
             let total: usize = samples.iter().sum();
             if total == 0 {
@@ -187,10 +189,10 @@ impl<C: ClientSource> CohortRunner<C> {
                     "weighted FedAvg over zero samples".into(),
                 ));
             }
-            // Waves of lent clients: lend → compute → encode, then
-            // drop client and gradients; only the wire frame survives
-            // into the serial fold, which runs in delivery order so
-            // the FP sequence is the same at any thread count.
+            // Waves of clients: compute → encode, then drop the
+            // gradients; only the wire frame survives into the serial
+            // fold, which runs in delivery order so the FP sequence is
+            // the same at any thread count.
             let wave_width = parallel::effective_parallelism()
                 .min(delivered_ids.len())
                 .max(1);
@@ -202,8 +204,8 @@ impl<C: ClientSource> CohortRunner<C> {
                 let compute_span = oasis_telemetry::span("fl.round.compute");
                 let frames: Vec<Result<(f32, usize, EncodedUpdate)>> =
                     parallel::map_indexed(wave, |_, &id| {
-                        let client = clients.client(id as usize);
-                        let update = client.compute_update(&factory, &global, batch, round_seed)?;
+                        let update = clients[id as usize]
+                            .compute_update(&factory, &global, batch, round_seed)?;
                         let encoded = codec.encode(&update.grads)?;
                         Ok((update.loss, update.samples, encoded))
                     });
@@ -227,8 +229,8 @@ impl<C: ClientSource> CohortRunner<C> {
             oasis_telemetry::counter!("fl.clients_computed").add(delivered_ids.len() as u64);
             oasis_telemetry::gauge!("agg.peak_accum_bytes").set_max(agg.peak_bytes() as i64);
             let mean_loss = loss_sum / delivered_ids.len() as f32;
-            let update_norm = agg.norm();
             let step_span = oasis_telemetry::span("fl.round.step");
+            let update_norm = agg.norm();
             self.server.apply_update(agg.as_slice())?;
             step_ns = step_span.finish_ns();
             (mean_loss, update_norm)
@@ -261,9 +263,9 @@ impl<C: ClientSource> CohortRunner<C> {
         self.server.set_round(round + 1);
         Ok(CohortReport {
             round_report: report,
-            population: self.clients.client_count(),
-            computed: agg.folded(),
-            peak_accum_bytes: agg.peak_bytes(),
+            population: clients.len(),
+            computed: agg.as_ref().map_or(0, StreamingAggregator::folded),
+            peak_accum_bytes: agg.as_ref().map_or(0, StreamingAggregator::peak_bytes),
             peak_frame_bytes,
         })
     }
@@ -288,12 +290,12 @@ impl<C: ClientSource> CohortRunner<C> {
     }
 }
 
-impl<C: ClientSource> std::fmt::Debug for CohortRunner<C> {
+impl std::fmt::Debug for CohortRunner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "CohortRunner(population={}, {:?})",
-            self.clients.client_count(),
+            self.clients.len(),
             self.server,
         )
     }
@@ -346,7 +348,7 @@ mod tests {
         )
     }
 
-    /// Four resident clients over the whole 8×8 pool.
+    /// Four clients over the whole 8×8 pool, as a hand-built list.
     fn resident_clients() -> Vec<FlClient> {
         Population::iid(
             &cifar_like_with(3, 8, 8, 3),
@@ -355,9 +357,10 @@ mod tests {
             &mut StdRng::seed_from_u64(5),
         )
         .clients()
+        .to_vec()
     }
 
-    fn resident(config: FlConfig) -> CohortRunner<Vec<FlClient>> {
+    fn resident(config: FlConfig) -> CohortRunner {
         CohortRunner::new(server(config), resident_clients())
     }
 
@@ -438,8 +441,7 @@ mod tests {
             4,
             Arc::new(DefenseStack::of(Liar)),
             &mut StdRng::seed_from_u64(5),
-        )
-        .clients();
+        );
         let mut r = CohortRunner::new(server(FlConfig::default()), clients);
         let before = r.server().broadcast_weights();
         let err = r.run_round(&mut StdRng::seed_from_u64(0)).unwrap_err();
@@ -517,8 +519,8 @@ mod tests {
 
     #[test]
     fn resident_clients_match_their_population() {
-        // Resident clients and a population built from the same rng
-        // hold the same shards, so they run the same rounds.
+        // A hand-built client list and a population built from the
+        // same rng hold the same shards, so they run the same rounds.
         let data = cifar_like_with(3, 8, 8, 3);
         let pop = Population::iid(
             &data,

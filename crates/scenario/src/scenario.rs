@@ -11,6 +11,7 @@ use oasis_wire::{CodecSpec, NetSpec, Submission};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -192,14 +193,12 @@ impl Scenario {
         s
     }
 
-    /// The trial batches this scenario draws — the same sequence
-    /// [`Scenario::run`] attacks (trial `i` is element `i`). Visual
-    /// figures use this to recover the original private images.
-    pub fn trial_batches(&self) -> Vec<Batch> {
-        self.trial_batches_from(&self.dataset())
-    }
-
-    fn trial_batches_from(&self, dataset: &Dataset) -> Vec<Batch> {
+    /// The trial batches this scenario draws from its workload
+    /// `dataset` ([`Scenario::dataset`], or [`Sweep::dataset`]) — the
+    /// same sequence [`Scenario::run`] attacks (trial `i` is element
+    /// `i`). Visual figures use this to recover the original private
+    /// images.
+    pub fn trial_batches(&self, dataset: &Dataset) -> Vec<Batch> {
         let batch_size = self.batch_size.min(dataset.len());
         let mut rng = StdRng::seed_from_u64(self.seed);
         (0..self.trials)
@@ -277,7 +276,7 @@ impl Scenario {
 /// ```
 #[derive(Default)]
 pub struct Sweep {
-    datasets: Vec<(DatasetKey, Arc<Dataset>)>,
+    datasets: Vec<(DatasetKey, Dataset)>,
     calibrations: Vec<(CalibrationKey, Arc<Vec<Image>>)>,
     attacks: Vec<(AttackKey, Arc<dyn ActiveAttack>)>,
 }
@@ -290,11 +289,11 @@ type AttackKey = (AttackSpec, CalibrationKey, usize);
 
 /// The value cached under `key`, built by `build` on the first
 /// request. A failed build caches nothing.
-fn cached<K: PartialEq, V: Clone>(
+fn cached<K: PartialEq, V: Clone, E>(
     cache: &mut Vec<(K, V)>,
     key: K,
-    build: impl FnOnce() -> Result<V, ScenarioError>,
-) -> Result<V, ScenarioError> {
+    build: impl FnOnce() -> Result<V, E>,
+) -> Result<V, E> {
     if let Some((_, value)) = cache.iter().find(|(k, _)| *k == key) {
         return Ok(value.clone());
     }
@@ -304,6 +303,23 @@ fn cached<K: PartialEq, V: Clone>(
 }
 
 impl Sweep {
+    /// The workload dataset `scenario` attacks ([`Scenario::dataset`]),
+    /// built on the first request for it. Handing it out copies no
+    /// sample.
+    pub fn dataset(&mut self, scenario: &Scenario) -> Dataset {
+        let key = (
+            scenario.workload,
+            scenario.scale,
+            scenario.dataset_capacity,
+            scenario.dataset_seed,
+        );
+        let Ok(dataset) = cached(&mut self.datasets, key, || {
+            let _span = oasis_telemetry::span("scenario.dataset");
+            Ok::<_, Infallible>(scenario.dataset())
+        });
+        dataset
+    }
+
     /// Runs one cell on whatever earlier cells prepared: all trial
     /// batches are drawn up front from the master seed, then attacked
     /// rounds fan out across the persistent worker pool via
@@ -339,26 +355,17 @@ impl Sweep {
         let run_span = oasis_telemetry::span("scenario.run");
         let started = Instant::now();
         let setup_span = oasis_telemetry::span("scenario.setup");
-        let dataset_key = (
-            scenario.workload,
-            scenario.scale,
-            scenario.dataset_capacity,
-            scenario.dataset_seed,
-        );
-        let dataset = cached(&mut self.datasets, dataset_key, || {
-            let _span = oasis_telemetry::span("scenario.dataset");
-            Ok(Arc::new(scenario.dataset()))
-        })?;
+        let dataset = self.dataset(scenario);
         let classes = dataset.num_classes();
         let calibration_key = (scenario.workload, scenario.scale, scenario.calibration);
         let attack = cached(
             &mut self.attacks,
             (scenario.attack.clone(), calibration_key, classes),
-            || {
-                let images = cached(&mut self.calibrations, calibration_key, || {
+            || -> Result<_, ScenarioError> {
+                let Ok(images) = cached(&mut self.calibrations, calibration_key, || {
                     let _span = oasis_telemetry::span("scenario.calibration");
-                    Ok(Arc::new(scenario.calibration_images()))
-                })?;
+                    Ok::<_, Infallible>(Arc::new(scenario.calibration_images()))
+                });
                 Ok(Arc::from(scenario.attack.build(&images, classes)?))
             },
         )?;
@@ -368,7 +375,7 @@ impl Sweep {
         // Batches are drawn sequentially from one rng (so trial `i`
         // sees the same batch however many workers run), then the
         // expensive attacked rounds fan out across threads.
-        let batches = scenario.trial_batches_from(&dataset);
+        let batches = scenario.trial_batches(&dataset);
         drop(setup_span);
 
         let outcomes: Vec<Result<(AttackOutcome, u64), ScenarioError>> =
@@ -903,7 +910,11 @@ mod tests {
             .build(&scenario.calibration_images(), 100)
             .unwrap();
         let defense = scenario.defense.build();
-        for (i, batch) in scenario.trial_batches().iter().enumerate() {
+        for (i, batch) in scenario
+            .trial_batches(&scenario.dataset())
+            .iter()
+            .enumerate()
+        {
             let outcome = oasis_attacks::run_attack(
                 attack.as_ref(),
                 batch,

@@ -22,12 +22,11 @@ use serde::{Deserialize, Serialize};
 use crate::format::{Dtype, FrameWriter, WireView};
 use crate::WireError;
 
-/// A client update after encoding: codec provenance, the original
-/// element count, and the framed payload.
+/// A client update after encoding: the original element count and
+/// the framed payload. The frame does not name its codec; whoever
+/// decodes it holds the codec that encoded it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedUpdate {
-    /// Spec string of the codec that produced the payload.
-    pub codec: String,
     /// Element count of the original update vector.
     pub n: usize,
     /// Wire-format payload (see the `format` module).
@@ -295,7 +294,6 @@ impl UpdateCodec for RawCodec {
         let payload = frame.finish()?;
         oasis_telemetry::counter!("wire.bytes_encoded").add(payload.len() as u64);
         Ok(EncodedUpdate {
-            codec: self.spec().to_string(),
             n: update.len(),
             payload,
         })
@@ -390,7 +388,6 @@ impl UpdateCodec for Q8Codec {
         let payload = frame.finish()?;
         oasis_telemetry::counter!("wire.bytes_encoded").add(payload.len() as u64);
         Ok(EncodedUpdate {
-            codec: self.spec().to_string(),
             n: update.len(),
             payload,
         })
@@ -482,7 +479,6 @@ impl UpdateCodec for TopKCodec {
         let payload = frame.finish()?;
         oasis_telemetry::counter!("wire.bytes_encoded").add(payload.len() as u64);
         Ok(EncodedUpdate {
-            codec: self.spec().to_string(),
             n: update.len(),
             payload,
         })
@@ -557,7 +553,6 @@ impl UpdateCodec for SignCodec {
         let payload = frame.finish()?;
         oasis_telemetry::counter!("wire.bytes_encoded").add(payload.len() as u64);
         Ok(EncodedUpdate {
-            codec: self.spec().to_string(),
             n: update.len(),
             payload,
         })

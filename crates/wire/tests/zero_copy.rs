@@ -104,7 +104,6 @@ fn misaligned_frame_falls_back_to_one_bit_identical_copy() {
         "forged header must leave the payload at an odd offset"
     );
     let frame = oasis_wire::EncodedUpdate {
-        codec: "raw".into(),
         n: 3,
         payload: forge_wire(json, &payload),
     };

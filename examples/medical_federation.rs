@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let shards = Population::iid(&scans, 4, Arc::new(DefenseStack::identity()), &mut rng);
     let defended_hospitals: Vec<_> = shards
         .clients()
-        .into_iter()
+        .iter()
         .map(|c| {
             let defense = if c.id() % 2 == 0 {
                 DefenseStack::of(Oasis::new(PolicyKind::MajorRotationShearing))

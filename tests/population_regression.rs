@@ -59,7 +59,7 @@ fn model_params() -> usize {
 /// One protocol run: who trains, on what model, over which wire.
 struct Case {
     name: &'static str,
-    clients: fn() -> Vec<FlClient>,
+    clients: fn() -> Population,
     /// `(input dim, hidden, classes, init seed)` of the two-layer MLP.
     model: Mlp,
     config: FlConfig,
@@ -81,38 +81,38 @@ fn case_factory((d, hidden, classes, seed): Mlp) -> ModelFactory {
     })
 }
 
-fn bridge_clients(n: usize) -> Vec<FlClient> {
+fn bridge_clients(n: usize) -> Population {
     Population::iid(
         &cifar_like_with(CLASSES, 8, SIDE, 3),
         n,
         Arc::new(DefenseStack::identity()),
         &mut StdRng::seed_from_u64(5),
     )
-    .clients()
 }
 
 fn oasis(policy: PolicyKind) -> Arc<DefenseStack> {
     Arc::new(DefenseStack::of(Oasis::new(policy)))
 }
 
-fn oasis_mr_clients() -> Vec<FlClient> {
+fn oasis_mr_clients() -> Population {
     let ds = cifar_like_with(4, 12, 10, 3);
     let mut rng = StdRng::seed_from_u64(0);
-    (0..3)
+    let clients: Vec<FlClient> = (0..3)
         .map(|i| {
             let (a, _) = ds.split(0.5, &mut rng);
             FlClient::new(i, a, oasis(PolicyKind::MajorRotation))
         })
-        .collect()
+        .collect();
+    clients.into()
 }
 
-fn mixed_clients() -> Vec<FlClient> {
+fn mixed_clients() -> Population {
     let ds = cifar_like_with(3, 8, 10, 5);
     let (a, b) = ds.split(0.5, &mut StdRng::seed_from_u64(0));
-    vec![
+    Population::from(vec![
         FlClient::new(0, a, oasis(PolicyKind::MajorRotationShearing)),
         FlClient::new(1, b, Arc::new(DefenseStack::identity())),
-    ]
+    ])
 }
 
 fn lossy_q8() -> WireConfig {
@@ -362,7 +362,7 @@ fn zero_delivered_cohort_round_is_a_noop() {
     let report = runner.run_round(&mut StdRng::seed_from_u64(0)).unwrap();
     assert_eq!(report.round_report.participants, 0);
     assert_eq!(report.round_report.dropped, 8);
-    assert_eq!(report.computed, 0, "no-op rounds must not hydrate anyone");
+    assert_eq!(report.computed, 0, "no-op rounds must not compute anyone");
     assert_eq!(report.round_report.update_norm, 0.0);
     assert_eq!(flatten_params(runner.server().model()), before);
     assert_eq!(runner.server().round(), 1, "the protocol must not wedge");

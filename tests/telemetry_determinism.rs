@@ -54,8 +54,7 @@ fn run_fl(threads: usize, traced: bool) -> (Vec<f32>, Vec<RoundReport>) {
             4,
             Arc::new(DefenseStack::identity()),
             &mut StdRng::seed_from_u64(13),
-        )
-        .clients();
+        );
         let server = FlServer::new(factory, FlConfig::default()).expect("server");
         let mut runner = CohortRunner::new(server, clients);
         let reports: Vec<RoundReport> = runner

@@ -8,7 +8,7 @@ use oasis_population::{CohortRunner, Population};
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 
-fn setup() -> (ModelFactory, Vec<oasis_fl::FlClient>) {
+fn setup() -> (ModelFactory, Population) {
     let data = oasis_data::cifar_like_with(4, 8, 8, 21);
     let d = data.feature_dim();
     let factory: ModelFactory = Arc::new(move || {
@@ -24,8 +24,7 @@ fn setup() -> (ModelFactory, Vec<oasis_fl::FlClient>) {
         3,
         Arc::new(DefenseStack::identity()),
         &mut StdRng::seed_from_u64(2),
-    )
-    .clients();
+    );
     (factory, clients)
 }
 
@@ -40,7 +39,7 @@ fn resumed_training_is_bit_identical_to_uninterrupted() {
 
     // Reference: 6 uninterrupted rounds from one rng stream.
     let server = FlServer::new(Arc::clone(&factory), cfg.clone()).unwrap();
-    let mut reference = CohortRunner::new(server, &clients);
+    let mut reference = CohortRunner::new(server, clients.clone());
     let mut rng = StdRng::seed_from_u64(99);
     for _ in 0..6 {
         reference.run_round(&mut rng).unwrap();
@@ -50,7 +49,7 @@ fn resumed_training_is_bit_identical_to_uninterrupted() {
     // Interrupted: 3 rounds, checkpoint to disk, resume in a fresh
     // server, 3 more rounds continuing the same rng stream.
     let server = FlServer::new(Arc::clone(&factory), cfg.clone()).unwrap();
-    let mut first_half = CohortRunner::new(server, &clients);
+    let mut first_half = CohortRunner::new(server, clients.clone());
     let mut rng = StdRng::seed_from_u64(99);
     for _ in 0..3 {
         first_half.run_round(&mut rng).unwrap();
@@ -66,7 +65,7 @@ fn resumed_training_is_bit_identical_to_uninterrupted() {
     resumed.restore_checkpoint(&path).unwrap();
     resumed.set_round(saved_round);
     assert_eq!(resumed.round(), 3);
-    let mut resumed = CohortRunner::new(resumed, &clients);
+    let mut resumed = CohortRunner::new(resumed, clients.clone());
     for _ in 0..3 {
         resumed.run_round(&mut rng).unwrap();
     }
