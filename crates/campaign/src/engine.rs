@@ -669,6 +669,24 @@ mod tests {
     }
 
     #[test]
+    fn probe_batch_and_calibration_pool_read_the_dataset_pixels() {
+        let dataset = oasis_data::cifar_like_with(3, 8, 8, 3);
+        let source: Vec<_> = dataset
+            .items()
+            .iter()
+            .map(|it| it.image.data().as_ptr())
+            .collect();
+        let setup = CampaignSetup::new(dataset, 4, linear_relu_factory(192, 12, 3, 11));
+        let spec = "campaign:2+attack=rtf:24".parse().unwrap();
+        let campaign = CampaignRunner::new(spec, setup).unwrap();
+        let probe = campaign.probe.as_ref().expect("a phase declares an attack");
+        assert!(!probe.images.is_empty() && !campaign.calibration_pool.is_empty());
+        for img in probe.images.iter().chain(&campaign.calibration_pool) {
+            assert!(source.contains(&img.data().as_ptr()), "a sample was copied");
+        }
+    }
+
+    #[test]
     fn worst_case_ranks_leak_rate_then_psnr() {
         assert_eq!(worst_case(&evals(&[])), None);
         assert_eq!(worst_case(&evals(&[(0.5, 20.0), (0.25, 90.0)])), Some(0));

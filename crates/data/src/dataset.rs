@@ -22,7 +22,10 @@ pub struct LabeledImage {
 ///
 /// A dataset is an immutable window of shared sample storage: cloning
 /// it, or taking a [`Dataset::window`] of it, copies no sample and
-/// allocates nothing.
+/// allocates nothing. Samples share their pixels too (an [`Image`]
+/// clone is copy-on-write), so [`Dataset::split`], the batch samplers
+/// and any reordered copy of the samples copy image handles, never
+/// pixels.
 #[derive(Clone)]
 pub struct Dataset {
     name: Arc<str>,

@@ -128,12 +128,13 @@ impl ClassSpec {
                 patch.checkerboard(cell, self.fg);
                 // Copy only the central region of the checker.
                 let r = scale as usize;
+                let (src, dst) = (patch.data(), img.data_mut());
                 for c in 0..3 {
                     for y in (cy as usize).saturating_sub(r)..(cy as usize + r).min(h) {
                         for x in (cx as usize).saturating_sub(r)..(cx as usize + r).min(w) {
-                            let v = patch.get(c, y, x).expect("in bounds");
-                            if v > 0.0 {
-                                img.set(c, y, x, v).expect("in bounds");
+                            let i = (c * h + y) * w + x;
+                            if src[i] > 0.0 {
+                                dst[i] = src[i];
                             }
                         }
                     }

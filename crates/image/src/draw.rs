@@ -35,12 +35,14 @@ impl Image {
     /// to the frame.
     pub fn fill_rect(&mut self, y0: usize, x0: usize, y1: usize, x1: usize, color: Color) {
         let (c, h, w) = self.dims();
+        let x1 = x1.min(w);
+        let x0 = x0.min(x1);
+        let data = self.data_mut();
         for ch in 0..c {
             let v = color.component(ch);
             for y in y0..y1.min(h) {
-                for x in x0..x1.min(w) {
-                    self.set(ch, y, x, v).expect("in bounds");
-                }
+                let row = (ch * h + y) * w;
+                data[row + x0..row + x1].fill(v);
             }
         }
     }

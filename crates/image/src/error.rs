@@ -12,6 +12,11 @@ pub enum ImageError {
         /// Expected element count.
         expected: usize,
     },
+    /// `channels * height * width` overflows `usize`.
+    TooLarge {
+        /// The requested dimensions `(c, h, w)`.
+        dims: (usize, usize, usize),
+    },
     /// Two images have different dimensions.
     DimensionMismatch {
         /// Human-readable name of the operation.
@@ -51,6 +56,9 @@ impl fmt::Display for ImageError {
                     f,
                     "buffer of length {len} does not match image with {expected} elements"
                 )
+            }
+            ImageError::TooLarge { dims: (c, h, w) } => {
+                write!(f, "image of {c}×{h}×{w} elements overflows usize")
             }
             ImageError::DimensionMismatch { op, lhs, rhs } => {
                 write!(f, "dimension mismatch in {op}: {lhs:?} vs {rhs:?}")

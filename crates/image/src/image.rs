@@ -1,8 +1,8 @@
 //! The CHW `f32` image container.
 
 use oasis_tensor::simd;
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::{ImageError, Result};
 
@@ -11,6 +11,16 @@ use crate::{ImageError, Result};
 /// Pixel values are nominally in `[0, 1]`; transforms that produce
 /// out-of-range values should call [`Image::clamp01`] before the image
 /// is consumed by training or PSNR code.
+///
+/// Clones share their pixels, copy-on-write: `clone` bumps a reference
+/// count, and the first write through a shared image ([`Image::set`],
+/// [`Image::data_mut`] or anything built on them) copies the buffer
+/// once, so the other clones never see it. A dataset, its client
+/// partitions and the batches drawn from them therefore hold each
+/// sample's pixels once. Each write call checks whether the buffer is
+/// shared, so a loop that writes pixel by pixel takes one
+/// `data_mut()` slice before the loop instead of calling `set` per
+/// pixel. Equality compares pixel values, not buffers.
 ///
 /// ```
 /// use oasis_image::Image;
@@ -22,22 +32,38 @@ use crate::{ImageError, Result};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Image {
     channels: usize,
     height: usize,
     width: usize,
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
+}
+
+/// `channels * height * width`, or [`ImageError::TooLarge`] when the
+/// product overflows `usize`.
+fn element_count(channels: usize, height: usize, width: usize) -> Result<usize> {
+    channels
+        .checked_mul(height)
+        .and_then(|n| n.checked_mul(width))
+        .ok_or(ImageError::TooLarge {
+            dims: (channels, height, width),
+        })
 }
 
 impl Image {
     /// Creates a black (all-zero) image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channels * height * width` overflows `usize`.
     pub fn new(channels: usize, height: usize, width: usize) -> Self {
+        let n = element_count(channels, height, width).unwrap_or_else(|e| panic!("{e}"));
         Image {
             channels,
             height,
             width,
-            data: vec![0.0; channels * height * width],
+            data: Arc::new(vec![0.0; n]),
         }
     }
 
@@ -45,10 +71,11 @@ impl Image {
     ///
     /// # Errors
     ///
-    /// Returns [`ImageError::LengthMismatch`] if the buffer length does
-    /// not equal `channels * height * width`.
+    /// Returns [`ImageError::TooLarge`] if `channels * height * width`
+    /// overflows `usize`, and [`ImageError::LengthMismatch`] if the
+    /// buffer length does not equal that product.
     pub fn from_vec(channels: usize, height: usize, width: usize, data: Vec<f32>) -> Result<Self> {
-        let expected = channels * height * width;
+        let expected = element_count(channels, height, width)?;
         if data.len() != expected {
             return Err(ImageError::LengthMismatch {
                 len: data.len(),
@@ -59,7 +86,7 @@ impl Image {
             channels,
             height,
             width,
-            data,
+            data: Arc::new(data),
         })
     }
 
@@ -93,9 +120,10 @@ impl Image {
         &self.data
     }
 
-    /// Mutable access to the flat CHW buffer.
+    /// Mutable access to the flat CHW buffer. Copies the buffer first
+    /// if another clone shares it, so call it once outside a loop.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
     /// Reads the pixel at `(channel, y, x)`.
@@ -114,7 +142,7 @@ impl Image {
     /// Returns [`ImageError::OutOfRange`] on out-of-bounds access.
     pub fn set(&mut self, channel: usize, y: usize, x: usize, value: f32) -> Result<()> {
         let off = self.offset(channel, y, x)?;
-        self.data[off] = value;
+        self.data_mut()[off] = value;
         Ok(())
     }
 
@@ -159,7 +187,7 @@ impl Image {
 
     /// Sets every element to `value`.
     pub fn fill(&mut self, value: f32) {
-        self.data.iter_mut().for_each(|v| *v = value);
+        self.data_mut().fill(value);
     }
 
     /// Mean over all channels and pixels — the scalar "measurement"
@@ -174,9 +202,11 @@ impl Image {
 
     /// Applies `f` to every element, returning a new image.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Image {
-        let mut out = self.clone();
-        out.data.iter_mut().for_each(|v| *v = f(*v));
-        out
+        let data = self.data.iter().map(|&v| f(v)).collect();
+        Image {
+            data: Arc::new(data),
+            ..*self
+        }
     }
 
     /// Clamps all values into `[0, 1]`.
@@ -186,7 +216,9 @@ impl Image {
 
     /// [`Image::clamp01`] without the copy.
     pub fn clamp01_in_place(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = v.clamp(0.0, 1.0));
+        self.data_mut()
+            .iter_mut()
+            .for_each(|v| *v = v.clamp(0.0, 1.0));
     }
 
     /// Pixel-wise average of several same-shape images — the "linear
@@ -200,6 +232,7 @@ impl Image {
             .first()
             .ok_or(ImageError::Format("blend of zero images".into()))?;
         let mut out = Image::new(first.channels, first.height, first.width);
+        let acc = out.data_mut();
         for img in images {
             if img.dims() != first.dims() {
                 return Err(ImageError::DimensionMismatch {
@@ -208,12 +241,12 @@ impl Image {
                     rhs: img.dims(),
                 });
             }
-            for (o, &v) in out.data.iter_mut().zip(&img.data) {
+            for (o, &v) in acc.iter_mut().zip(img.data()) {
                 *o += v;
             }
         }
         let k = images.len() as f32;
-        out.data.iter_mut().for_each(|v| *v /= k);
+        acc.iter_mut().for_each(|v| *v /= k);
         Ok(out)
     }
 
@@ -240,6 +273,7 @@ impl Image {
         if self.data.is_empty() {
             return out;
         }
+        let dst_data = out.data_mut();
         let y_box = |oy: usize| {
             let y0 = oy * h / out_h;
             (y0, (((oy + 1) * h).div_ceil(out_h)).min(h).max(y0 + 1))
@@ -256,7 +290,7 @@ impl Image {
                     let src = &self.data[y0 * w + g * 8 * bw..];
                     simd::box_sums8(src, h * w, w, y1 - y0, bw, &mut sums);
                     for (ch, boxes) in sums.iter().enumerate() {
-                        let dst = &mut out.data[(ch * out_h + oy) * out_w + g * 8..][..8];
+                        let dst = &mut dst_data[(ch * out_h + oy) * out_w + g * 8..][..8];
                         for (o, &a) in dst.iter_mut().zip(boxes) {
                             *o = a / count;
                         }
@@ -272,7 +306,7 @@ impl Image {
             })
             .collect();
         let mut acc = vec![0.0f32; out_w];
-        let mut out_rows = out.data.chunks_exact_mut(out_w);
+        let mut out_rows = dst_data.chunks_exact_mut(out_w);
         for plane in self.data.chunks_exact(h * w) {
             for oy in 0..out_h {
                 let (y0, y1) = y_box(oy);
@@ -313,7 +347,7 @@ impl Image {
             channels: 1,
             height: self.height,
             width: self.width,
-            data: self.data[channel * plane..(channel + 1) * plane].to_vec(),
+            data: Arc::new(self.data[channel * plane..(channel + 1) * plane].to_vec()),
         })
     }
 }
@@ -339,6 +373,51 @@ mod tests {
     fn from_vec_validates_length() {
         assert!(Image::from_vec(3, 2, 2, vec![0.0; 11]).is_err());
         assert!(Image::from_vec(3, 2, 2, vec![0.0; 12]).is_ok());
+    }
+
+    #[test]
+    fn dimension_overflow_is_an_error_not_an_empty_image() {
+        // c·h·w wraps to 0, which an unchecked product would accept
+        // for an empty buffer.
+        let half = 1usize << (usize::BITS / 2);
+        assert!(matches!(
+            Image::from_vec(half, half, 1, vec![]),
+            Err(ImageError::TooLarge {
+                dims: (h, w, 1)
+            }) if h == half && w == half
+        ));
+        assert!(Image::from_vec(usize::MAX, 2, 1, vec![]).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn new_panics_on_dimension_overflow() {
+        let half = 1usize << (usize::BITS / 2);
+        Image::new(half, half, 1);
+    }
+
+    #[test]
+    fn clones_share_pixels_until_one_writes() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Image>();
+
+        let mut img = Image::from_vec(1, 2, 2, vec![0.1, 0.2, 0.3, 0.4]).unwrap();
+        let own = img.data().as_ptr();
+        img.set(0, 0, 0, 0.5).unwrap();
+        assert_eq!(img.data().as_ptr(), own, "an unshared write copies nothing");
+
+        let mut copy = img.clone();
+        assert_eq!(copy.data().as_ptr(), own);
+        assert_eq!(copy, img);
+        copy.data_mut()[3] = 0.9;
+        assert_ne!(copy.data().as_ptr(), own);
+        assert_eq!(img.data(), &[0.5, 0.2, 0.3, 0.4]);
+        assert_eq!(copy.data(), &[0.5, 0.2, 0.3, 0.9]);
+
+        // Equality compares values, not buffers.
+        let twin = Image::from_vec(1, 2, 2, vec![0.5, 0.2, 0.3, 0.4]).unwrap();
+        assert_eq!(twin, img);
+        assert_ne!(twin.data().as_ptr(), img.data().as_ptr());
     }
 
     #[test]

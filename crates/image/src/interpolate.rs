@@ -128,12 +128,13 @@ impl Image {
         let cy = (h as f32 - 1.0) / 2.0;
         let cx = (w as f32 - 1.0) / 2.0;
         let mut out = Image::new(c, h, w);
+        let dst = out.data_mut();
         for ch in 0..c {
             for oy in 0..h {
                 for ox in 0..w {
                     let (sy, sx) = map.apply(oy as f32 - cy, ox as f32 - cx);
-                    let v = bilinear_sample_with(self, ch, sy + cy, sx + cx, fill);
-                    out.set(ch, oy, ox, v).expect("in-bounds by construction");
+                    dst[(ch * h + oy) * w + ox] =
+                        bilinear_sample_with(self, ch, sy + cy, sx + cx, fill);
                 }
             }
         }
@@ -149,37 +150,27 @@ impl Image {
     /// transform against the RTF attack (paper §IV-B).
     pub fn rotate90(&self, quarter_turns: u8) -> Image {
         let (c, h, w) = self.dims();
-        match quarter_turns % 4 {
-            0 => self.clone(),
-            1 => {
-                // (y, x) -> (h-1-x, y) destination; equivalently
-                // out[y][x] = in[x][w-1-y] for square; general:
-                let mut out = Image::new(c, w, h);
-                for ch in 0..c {
-                    for y in 0..h {
-                        for x in 0..w {
-                            let v = self.get(ch, y, x).expect("in bounds");
-                            out.set(ch, w - 1 - x, y, v).expect("in bounds");
-                        }
-                    }
-                }
-                out
-            }
-            2 => {
-                let mut out = Image::new(c, h, w);
-                for ch in 0..c {
-                    for y in 0..h {
-                        for x in 0..w {
-                            let v = self.get(ch, y, x).expect("in bounds");
-                            out.set(ch, h - 1 - y, w - 1 - x, v).expect("in bounds");
-                        }
-                    }
-                }
-                out
-            }
-            3 => self.rotate90(1).rotate90(1).rotate90(1),
-            _ => unreachable!(),
+        let turns = quarter_turns % 4;
+        if turns == 0 {
+            return self.clone();
         }
+        let (oh, ow) = if turns == 2 { (h, w) } else { (w, h) };
+        let mut out = Image::new(c, oh, ow);
+        let (src, dst) = (self.data(), out.data_mut());
+        for ch in 0..c {
+            for y in 0..h {
+                for x in 0..w {
+                    // Where source (y, x) lands in the oh×ow output.
+                    let (ty, tx) = match turns {
+                        1 => (w - 1 - x, y),
+                        2 => (h - 1 - y, w - 1 - x),
+                        _ => (x, h - 1 - y),
+                    };
+                    dst[(ch * oh + ty) * ow + tx] = src[(ch * h + y) * w + x];
+                }
+            }
+        }
+        out
     }
 
     /// Horizontal flip (reflection across the vertical axis,
@@ -187,11 +178,11 @@ impl Image {
     pub fn flip_horizontal(&self) -> Image {
         let (c, h, w) = self.dims();
         let mut out = Image::new(c, h, w);
+        let (src, dst) = (self.data(), out.data_mut());
         for ch in 0..c {
             for y in 0..h {
                 for x in 0..w {
-                    let v = self.get(ch, y, x).expect("in bounds");
-                    out.set(ch, y, w - 1 - x, v).expect("in bounds");
+                    dst[(ch * h + y) * w + w - 1 - x] = src[(ch * h + y) * w + x];
                 }
             }
         }
@@ -203,12 +194,11 @@ impl Image {
     pub fn flip_vertical(&self) -> Image {
         let (c, h, w) = self.dims();
         let mut out = Image::new(c, h, w);
+        let (src, dst) = (self.data(), out.data_mut());
         for ch in 0..c {
             for y in 0..h {
-                for x in 0..w {
-                    let v = self.get(ch, y, x).expect("in bounds");
-                    out.set(ch, h - 1 - y, x, v).expect("in bounds");
-                }
+                let (from, to) = ((ch * h + y) * w, (ch * h + h - 1 - y) * w);
+                dst[to..to + w].copy_from_slice(&src[from..from + w]);
             }
         }
         out
@@ -251,6 +241,15 @@ mod tests {
         let img = gradient_image();
         let r = img.rotate90(1).rotate90(1).rotate90(1).rotate90(1);
         assert_eq!(r, img);
+    }
+
+    #[test]
+    fn rotate270_is_three_quarter_turns_on_a_non_square_image() {
+        let data = (0..2 * 3 * 5).map(|i| i as f32).collect();
+        let img = Image::from_vec(2, 3, 5, data).unwrap();
+        let three = img.rotate90(1).rotate90(1).rotate90(1);
+        assert_eq!(img.rotate90(3), three);
+        assert_eq!(img.rotate90(3).rotate90(1), img);
     }
 
     #[test]

@@ -71,17 +71,19 @@ pub fn montage(images: &[Image], cols: usize) -> Result<Image> {
     let out_w = cols * w + (cols + 1) * PAD;
     let mut out = Image::new(c, out_h, out_w);
     out.fill(0.85);
+    let dst = out.data_mut();
     for (idx, img) in images.iter().enumerate() {
         let gy = idx / cols;
         let gx = idx % cols;
         let oy = PAD + gy * (h + PAD);
         let ox = PAD + gx * (w + PAD);
+        let src = img.data();
         for ch in 0..c {
             for y in 0..h {
-                for x in 0..w {
-                    let v = img.get(ch, y, x).expect("in bounds");
-                    out.set(ch, oy + y, ox + x, v.clamp(0.0, 1.0))
-                        .expect("in bounds");
+                let to = (ch * out_h + oy + y) * out_w + ox;
+                let from = (ch * h + y) * w;
+                for (o, &v) in dst[to..to + w].iter_mut().zip(&src[from..from + w]) {
+                    *o = v.clamp(0.0, 1.0);
                 }
             }
         }

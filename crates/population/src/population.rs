@@ -21,10 +21,12 @@ pub const MAX_DIRICHLET_ALPHA: f64 = 1e4;
 ///
 /// This is the workspace's partitioner: [`Population::iid`] and
 /// [`Population::dirichlet`] reorder a dataset into one shared pool
-/// and give each client a contiguous [`Dataset::window`] of it. A
-/// client reads its samples in place, so building, cloning or taking
-/// a [`Population::subset`] copies no sample; an idle client costs
-/// one [`FlClient`] (72 bytes on 64-bit targets).
+/// and give each client a contiguous [`Dataset::window`] of it. The
+/// pool holds the dataset's own images, whose clones share pixels, so
+/// building moves one image handle per sample and copies no pixel.
+/// A client reads its samples in place, so cloning or taking a
+/// [`Population::subset`] copies no sample; an idle client costs one
+/// [`FlClient`] (72 bytes on 64-bit targets).
 ///
 /// Hand-built client lists, such as a federation that mixes defended
 /// and undefended clients, convert with `From<Vec<FlClient>>`.
