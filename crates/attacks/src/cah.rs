@@ -204,6 +204,10 @@ mod tests {
         assert_eq!(bits(lin.weight()), bits(&want));
         let bias = attack.layer.biases();
         assert_eq!(bits(lin.bias()), bits(&Tensor::from_slice(bias)));
+        // Every model shares the fitted rows instead of copying them.
+        let again = attack.build_model((3, 8, 8), 5, 1).unwrap();
+        let weight = |m: &Sequential| m.layer_as::<Linear>(0).unwrap().weight().data().as_ptr();
+        assert_eq!(weight(&model), weight(&again));
     }
 
     #[test]

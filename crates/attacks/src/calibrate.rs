@@ -20,8 +20,6 @@
 //! [`oasis_tensor::parallel`]. Every response is owned by one lane of
 //! one block, so the result is the same at any thread count.
 
-use std::sync::Arc;
-
 use oasis_image::Image;
 use oasis_nn::Sequential;
 use oasis_tensor::{parallel, Tensor};
@@ -36,11 +34,12 @@ const GROUP: usize = 32;
 
 /// A malicious layer fitted to a calibration set: the weight rows it
 /// was fitted against and each row's quantile bias. The model a
-/// calibrated attack broadcasts carries exactly these rows.
+/// calibrated attack broadcasts carries exactly these rows, and every
+/// model it builds shares them copy-on-write (no trial copies them).
 #[derive(Debug, Clone)]
 pub(crate) struct CalibratedLayer {
-    weights: Arc<Tensor>,
-    biases: Vec<f32>,
+    weights: Tensor,
+    biases: Tensor,
 }
 
 impl CalibratedLayer {
@@ -53,10 +52,8 @@ impl CalibratedLayer {
     /// target outside `(0, 1)`, or an image without `d` values.
     pub(crate) fn fit(weights: Tensor, calibration: &[Image], target: f64) -> Result<Self> {
         let biases = quantile_biases(&weights, calibration, target)?;
-        Ok(CalibratedLayer {
-            weights: Arc::new(weights),
-            biases,
-        })
+        let biases = Tensor::from_vec(biases, &[weights.dims()[0]])?;
+        Ok(CalibratedLayer { weights, biases })
     }
 
     /// Input dimension `d` the layer was fitted for.
@@ -73,7 +70,7 @@ impl CalibratedLayer {
     /// The per-row biases.
     #[cfg(test)]
     pub(crate) fn biases(&self) -> &[f32] {
-        &self.biases
+        self.biases.data()
     }
 
     /// The attacked model over the fitted layer for inputs of width
@@ -90,8 +87,8 @@ impl CalibratedLayer {
             )));
         }
         attacked_model(
-            Tensor::clone(&self.weights),
-            Tensor::from_slice(&self.biases),
+            self.weights.clone(),
+            self.biases.clone(),
             classes,
             head_seed,
         )

@@ -38,11 +38,9 @@ pub fn attacked_model(
     // and every sample keeps a nonzero loss signal.
     let v = Tensor::rand_uniform(&[classes], -0.05, 0.05, &mut rng);
     let mut head_w = Tensor::zeros(&[classes, neurons]);
+    let rows = head_w.data_mut();
     for c in 0..classes {
-        let vc = v.data()[c];
-        for i in 0..neurons {
-            head_w.data_mut()[c * neurons + i] = vc;
-        }
+        rows[c * neurons..(c + 1) * neurons].fill(v.data()[c]);
     }
     let head = Linear::from_parts(head_w, Tensor::zeros(&[classes]))?;
     let mut model = Sequential::new();

@@ -18,6 +18,7 @@
 use oasis_image::Image;
 use oasis_nn::Sequential;
 use oasis_tensor::Tensor;
+use std::sync::OnceLock;
 
 use crate::{
     attacked_model, invert_neuron, invert_neuron_difference, probit, ActiveAttack, AttackError,
@@ -30,6 +31,10 @@ pub struct RtfAttack {
     neurons: usize,
     measurement_mean: f32,
     measurement_std: f32,
+    /// The imprint layer's weight and bias, built by the first
+    /// [`ActiveAttack::build_model`] and shared copy-on-write by every
+    /// later model of the same input width.
+    imprint: OnceLock<(Tensor, Tensor)>,
 }
 
 impl RtfAttack {
@@ -55,6 +60,7 @@ impl RtfAttack {
             neurons,
             measurement_mean,
             measurement_std,
+            imprint: OnceLock::new(),
         })
     }
 
@@ -107,11 +113,16 @@ impl ActiveAttack for RtfAttack {
     ) -> Result<Sequential> {
         let (c, h, w) = geometry;
         let d = c * h * w;
-        // Every row is the measurement functional h(x) = mean(x).
-        let row_value = 1.0 / d as f32;
-        let weight = Tensor::full(&[self.neurons, d], row_value);
-        let cutoffs = self.cutoffs();
-        let bias = Tensor::from_slice(&cutoffs.iter().map(|&c| -c).collect::<Vec<_>>());
+        let imprint = || {
+            // Every row is the measurement functional h(x) = mean(x).
+            let weight = Tensor::full(&[self.neurons, d], 1.0 / d as f32);
+            let bias = Tensor::from_slice(&self.cutoffs().iter().map(|&c| -c).collect::<Vec<_>>());
+            (weight, bias)
+        };
+        let (weight, bias) = match self.imprint.get_or_init(imprint) {
+            layer if layer.0.dims()[1] == d => layer.clone(),
+            _ => imprint(),
+        };
         attacked_model(weight, bias, classes, seed)
     }
 
@@ -201,6 +212,22 @@ mod tests {
             );
         }
         assert!(matches.iter().any(|m| m.psnr >= PSNR_CAP - 30.0));
+    }
+
+    #[test]
+    fn models_of_one_width_share_the_imprint_weights() {
+        let attack = RtfAttack::new(16, 0.4, 0.1).unwrap();
+        let weight = |geometry| {
+            let model = attack.build_model(geometry, 4, 0).unwrap();
+            model.layer_as::<Linear>(0).unwrap().weight().clone()
+        };
+        let (a, b) = (weight((3, 4, 4)), weight((3, 4, 4)));
+        assert_eq!(a.data().as_ptr(), b.data().as_ptr());
+        // Another width gets its own rows of 1/d.
+        let wide = weight((3, 8, 8));
+        assert_eq!(wide.dims(), &[16, 192]);
+        assert!(wide.data().iter().all(|&v| v == 1.0 / 192.0));
+        assert_eq!(a, weight((3, 4, 4)));
     }
 
     #[test]

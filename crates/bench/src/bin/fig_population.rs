@@ -8,9 +8,12 @@
 //!    the legacy single-victim wire for reference.
 //! 2. **Server throughput vs population** — rounds/s of the
 //!    streaming [`CohortRunner`] as the population grows 1 k → 100 k
-//!    with the cohort pinned, plus the peak accumulator bytes, which
-//!    stay at one model buffer throughout (the raw wire folds
-//!    borrowed frame views — no decode copy ever materializes).
+//!    with the cohort pinned (the median of 40 rounds, taken in turn
+//!    across the populations after one warm-up round each, so the
+//!    rows of one run share the host's phases), plus the peak
+//!    accumulator bytes, which stay at one model buffer throughout
+//!    (the raw wire folds borrowed frame views — no decode copy ever
+//!    materializes).
 //!
 //! ```text
 //! cargo run --release -p oasis-bench --bin fig_population -- [--quick | --full]
@@ -77,51 +80,38 @@ fn main() {
         );
     }
 
-    let rounds = match scale {
-        Scale::Quick => 2usize,
-        _ => 5,
-    };
-    println!("\nStreaming cohort rounds (cohort {cohort}, raw wire, {rounds} rounds each):");
+    // One untimed warm-up round per population (pool threads, first
+    // touches of the model buffers), then timed rounds taken in turn
+    // across the populations, so a slow phase of the host slows every
+    // row alike, and each row reports its median round.
+    let rounds = 40usize;
+    println!(
+        "\nStreaming cohort rounds (cohort {cohort}, raw wire, median of {rounds} rounds after a warm-up):"
+    );
     println!(
         "{:>12} {:>10} {:>12} {:>16} {:>16}",
         "population", "rounds/s", "ms/round", "accum bytes", "frame bytes"
     );
-    for &population in &populations {
-        if population == 0 {
-            continue; // the legacy wire has no population to sample
+    let mut rows: Vec<Row> = populations
+        .iter()
+        .filter(|&&population| population > 0) // the legacy wire has no population to sample
+        .map(|&population| Row::new(population, cohort))
+        .collect();
+    for r in 0..=rounds {
+        for row in &mut rows {
+            row.round(r);
         }
-        let (factory, pop) = fixture(population);
-        let server = || {
-            FlServer::new(
-                Arc::clone(&factory),
-                FlConfig {
-                    clients_per_round: cohort,
-                    ..FlConfig::default()
-                },
-            )
-            .expect("fig server")
-        };
-        let mut runner = CohortRunner::new(server(), pop);
-        let start = Instant::now();
-        let mut peak_accum = 0usize;
-        let mut peak_frame = 0usize;
-        for r in 0..rounds {
-            // A fresh server per round: every round is the same work.
-            *runner.server_mut() = server();
-            let report = runner
-                .run_round(&mut StdRng::seed_from_u64(14 + r as u64))
-                .expect("fig population round");
-            peak_accum = peak_accum.max(report.peak_accum_bytes);
-            peak_frame = peak_frame.max(report.peak_frame_bytes);
-        }
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
+    }
+    for row in &mut rows {
+        row.round_ms.sort_by(f64::total_cmp);
+        let median_ms = row.round_ms[rounds / 2].max(1e-6);
         println!(
             "{:>12} {:>10.2} {:>12.2} {:>16} {:>16}",
-            population,
-            rounds as f64 / secs,
-            secs * 1_000.0 / rounds as f64,
-            peak_accum,
-            peak_frame,
+            row.population,
+            1_000.0 / median_ms,
+            median_ms,
+            row.peak_accum,
+            row.peak_frame,
         );
     }
     println!("\nExpected shape: PSNR and leak rate are flat across the population");
@@ -130,6 +120,61 @@ fn main() {
     println!("selection shuffle, and the accumulator stays at one model buffer");
     println!("(raw frames fold as borrowed views) no matter how large the");
     println!("deployment grows.");
+}
+
+/// One population's streaming runner and what its rounds measured.
+struct Row {
+    population: usize,
+    cohort: usize,
+    factory: ModelFactory,
+    runner: CohortRunner,
+    /// Wall clock of every timed round (round 0 warms up untimed).
+    round_ms: Vec<f64>,
+    peak_accum: usize,
+    peak_frame: usize,
+}
+
+impl Row {
+    fn new(population: usize, cohort: usize) -> Row {
+        let (factory, pop) = fixture(population);
+        let runner = CohortRunner::new(server(&factory, cohort), pop);
+        Row {
+            population,
+            cohort,
+            factory,
+            runner,
+            round_ms: Vec::new(),
+            peak_accum: 0,
+            peak_frame: 0,
+        }
+    }
+
+    /// Runs round `r` on a fresh server, so every round is the same
+    /// work, and times it unless it is the warm-up round 0.
+    fn round(&mut self, r: usize) {
+        *self.runner.server_mut() = server(&self.factory, self.cohort);
+        let start = Instant::now();
+        let report = self
+            .runner
+            .run_round(&mut StdRng::seed_from_u64(14 + r as u64))
+            .expect("fig population round");
+        if r > 0 {
+            self.round_ms.push(start.elapsed().as_secs_f64() * 1_000.0);
+        }
+        self.peak_accum = self.peak_accum.max(report.peak_accum_bytes);
+        self.peak_frame = self.peak_frame.max(report.peak_frame_bytes);
+    }
+}
+
+fn server(factory: &ModelFactory, cohort: usize) -> FlServer {
+    FlServer::new(
+        Arc::clone(factory),
+        FlConfig {
+            clients_per_round: cohort,
+            ..FlConfig::default()
+        },
+    )
+    .expect("fig server")
 }
 
 /// The perf `pop` fixture's shape: a tiny linear model over the

@@ -38,7 +38,8 @@ use crate::trajectory::{TrajectoryRecord, TrajectoryReport};
 /// drawn from `seed` — shared by the campaign binaries and tests.
 ///
 /// The weights are drawn once, when the factory is built; every call
-/// clones them into a fresh model, bit-identical to drawing them anew.
+/// returns a fresh model sharing them copy-on-write, bit-identical to
+/// drawing them anew, so a call copies no weight.
 pub fn linear_relu_factory(d: usize, hidden: usize, classes: usize, seed: u64) -> ModelFactory {
     use oasis_nn::{Linear, Relu, Sequential};
     let mut rng = StdRng::seed_from_u64(seed);

@@ -71,6 +71,7 @@ impl Layer for BatchNorm {
             Mode::Train => {
                 let mut inv_std = vec![0.0f32; self.channels];
                 let mut x_hat = input.clone();
+                let (xh_data, out_data) = (x_hat.data_mut(), out.data_mut());
                 for c in 0..self.channels {
                     // Mean and variance over batch × spatial.
                     let mut mean = 0.0f64;
@@ -101,8 +102,8 @@ impl Layer for BatchNorm {
                         let base = b * self.channels * p + c * p;
                         for i in 0..p {
                             let xh = (input.data()[base + i] - mean) * istd;
-                            x_hat.data_mut()[base + i] = xh;
-                            out.data_mut()[base + i] = g * xh + be;
+                            xh_data[base + i] = xh;
+                            out_data[base + i] = g * xh + be;
                         }
                     }
                 }
@@ -113,6 +114,7 @@ impl Layer for BatchNorm {
                 });
             }
             Mode::Eval => {
+                let out_data = out.data_mut();
                 for c in 0..self.channels {
                     let istd = 1.0 / (self.running_var[c] + self.eps).sqrt();
                     let mean = self.running_mean[c];
@@ -121,7 +123,7 @@ impl Layer for BatchNorm {
                         let base = b * self.channels * p + c * p;
                         for i in 0..p {
                             let xh = (input.data()[base + i] - mean) * istd;
-                            out.data_mut()[base + i] = g * xh + be;
+                            out_data[base + i] = g * xh + be;
                         }
                     }
                 }
@@ -139,6 +141,7 @@ impl Layer for BatchNorm {
         let batch = grad_output.dims()[0];
         let n = (batch * p) as f32;
         let mut gx = grad_output.clone();
+        let gx_data = gx.data_mut();
         for c in 0..self.channels {
             // Accumulate Σδy and Σδy·x̂ per channel.
             let mut sum_dy = 0.0f64;
@@ -162,7 +165,7 @@ impl Layer for BatchNorm {
                 for i in 0..p {
                     let dy = grad_output.data()[base + i];
                     let xh = cache.x_hat.data()[base + i];
-                    gx.data_mut()[base + i] = g * istd * (dy - mean_dy - xh * mean_dy_xhat);
+                    gx_data[base + i] = g * istd * (dy - mean_dy - xh * mean_dy_xhat);
                 }
             }
         }

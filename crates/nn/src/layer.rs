@@ -122,10 +122,13 @@ pub fn load_params(layer: &mut dyn Layer, flat: &[f32]) -> Result<()> {
             expected,
         });
     }
+    // `Tensor::copy_from_slice`, not `data_mut`: a parameter still
+    // shared with the template a model was cloned from gets a fresh
+    // buffer instead of a copy of the values it is about to lose.
     let mut offset = 0usize;
     layer.visit_params(&mut |p, _| {
         let n = p.numel();
-        p.data_mut().copy_from_slice(&flat[offset..offset + n]);
+        p.copy_from_slice(&flat[offset..offset + n]);
         offset += n;
     });
     Ok(())
@@ -150,7 +153,7 @@ pub fn load_grads(layer: &mut dyn Layer, flat: &[f32]) -> Result<()> {
     let mut offset = 0usize;
     layer.visit_params(&mut |_, g| {
         let n = g.numel();
-        g.data_mut().copy_from_slice(&flat[offset..offset + n]);
+        g.copy_from_slice(&flat[offset..offset + n]);
         offset += n;
     });
     Ok(())

@@ -2,7 +2,7 @@
 //! attack × defense × workload experiment, a parallel runner, and a
 //! serializable report.
 
-use oasis_attacks::{run_attack_over_wire, ActiveAttack, AttackOutcome};
+use oasis_attacks::{run_attack_over_wire, ActiveAttack, AttackOutcome, WireTrace};
 use oasis_data::{Batch, Dataset};
 use oasis_image::Image;
 use oasis_metrics::Summary;
@@ -224,7 +224,7 @@ impl Scenario {
 
     /// Executes the scenario as a [`Sweep`] of one, building its own
     /// dataset, calibration images and calibrated attack (see
-    /// [`Sweep::run`]).
+    /// [`Sweep::run`], which also says what each trial keeps).
     ///
     /// # Errors
     ///
@@ -235,7 +235,9 @@ impl Scenario {
 
     /// Like [`Scenario::run`], but also returns the raw
     /// [`AttackOutcome`] of every trial (reconstruction pools and
-    /// processed batches) for visual figures.
+    /// processed batches) for visual figures. [`Scenario::run`] frees
+    /// each trial's pool as the trial ends; this keeps every one until
+    /// the cell returns.
     ///
     /// # Errors
     ///
@@ -333,17 +335,26 @@ impl Sweep {
     /// from the decoded bytes — trials whose upload is lost or
     /// straggles contribute no reconstructions (and no leaks).
     ///
+    /// Each trial keeps only what its [`TrialReport`] needs (matched
+    /// PSNRs, leak rate, client loss and wire sizes): its
+    /// reconstruction pool and processed batch are freed as the trial
+    /// ends, so the memory a cell holds grows with the pool width, not
+    /// with the trial count.
+    ///
     /// # Errors
     ///
     /// Returns an error if the spec cannot be constructed (bad
     /// calibration, unique-label sampling without enough classes) or
     /// an attacked round fails.
     pub fn run(&mut self, scenario: &Scenario) -> Result<ScenarioReport, ScenarioError> {
-        self.run_detailed(scenario).map(|(report, _)| report)
+        self.run_keeping(scenario, drop).map(|(report, _)| report)
     }
 
     /// Like [`Sweep::run`], but also returns every trial's raw
-    /// [`AttackOutcome`] (see [`Scenario::run_detailed`]).
+    /// [`AttackOutcome`] (see [`Scenario::run_detailed`]). Every
+    /// trial's reconstruction pool and processed batch stay alive
+    /// until the cell returns, so this is for visual figures, not for
+    /// long trial counts. The report equals [`Sweep::run`]'s.
     ///
     /// # Errors
     ///
@@ -352,6 +363,18 @@ impl Sweep {
         &mut self,
         scenario: &Scenario,
     ) -> Result<(ScenarioReport, Vec<AttackOutcome>), ScenarioError> {
+        self.run_keeping(scenario, |outcome| outcome)
+    }
+
+    /// The one setup-and-trial path behind [`Sweep::run`] and
+    /// [`Sweep::run_detailed`]: each trial's report inputs are taken
+    /// inside its trial, then `keep` decides what else of the outcome
+    /// outlives it.
+    fn run_keeping<K: Send>(
+        &mut self,
+        scenario: &Scenario,
+        keep: impl Fn(AttackOutcome) -> K + Sync,
+    ) -> Result<(ScenarioReport, Vec<K>), ScenarioError> {
         let run_span = oasis_telemetry::span("scenario.run");
         let started = Instant::now();
         let setup_span = oasis_telemetry::span("scenario.setup");
@@ -378,7 +401,7 @@ impl Sweep {
         let batches = scenario.trial_batches(&dataset);
         drop(setup_span);
 
-        let outcomes: Vec<Result<(AttackOutcome, u64), ScenarioError>> =
+        let outcomes: Vec<Result<(TrialResult, K, u64), ScenarioError>> =
             oasis_tensor::parallel::map_indexed(&batches, |i, batch| {
                 let trial_span = oasis_telemetry::span("scenario.trial");
                 let trial_seed = scenario.seed ^ i as u64;
@@ -389,15 +412,15 @@ impl Sweep {
                     classes,
                     trial_seed,
                     codec.as_ref(),
-                )
-                .map_err(ScenarioError::from);
-                let trial_ns = trial_span.finish_ns();
-                outcome.map(|o| (o, trial_ns))
+                )?;
+                let result = TrialResult::of(&outcome, scenario.leak_threshold_db);
+                let kept = keep(outcome);
+                Ok((result, kept, trial_span.finish_ns()))
             });
         oasis_telemetry::counter!("scenario.trials").add(outcomes.len() as u64);
 
         let mut trials = Vec::with_capacity(outcomes.len());
-        let mut detailed = Vec::with_capacity(outcomes.len());
+        let mut kept = Vec::with_capacity(outcomes.len());
         let mut pooled = Vec::new();
         let mut bytes_on_wire = 0u64;
         let mut ratio_sum = 0.0f64;
@@ -405,14 +428,11 @@ impl Sweep {
         let mut scheduler = CohortScheduler::new(scenario.population);
         let mut trial_wall_ns = Vec::new();
         for (i, outcome) in outcomes.into_iter().enumerate() {
-            let (outcome, trial_ns) = outcome?;
+            let (result, outcome, trial_ns) = outcome?;
             if oasis_telemetry::enabled() {
                 trial_wall_ns.push(trial_ns);
             }
-            let trace = outcome
-                .wire
-                .clone()
-                .expect("attacked rounds over a codec always record a wire trace");
+            let trace = &result.wire;
 
             // Trial i is FL round i of the simulated deployment: does
             // this victim's upload actually reach the server?
@@ -443,12 +463,8 @@ impl Sweep {
             ratio_sum += trace.compression_ratio();
 
             let (matched_psnrs, mean_psnr, leak_rate) = if delivered {
-                pooled.extend_from_slice(&outcome.matched_psnrs);
-                (
-                    outcome.matched_psnrs.clone(),
-                    outcome.mean_psnr(),
-                    outcome.leak_rate(scenario.leak_threshold_db),
-                )
+                pooled.extend_from_slice(&result.matched_psnrs);
+                (result.matched_psnrs, result.mean_psnr, result.leak_rate)
             } else {
                 (Vec::new(), 0.0, 0.0)
             };
@@ -458,12 +474,12 @@ impl Sweep {
                 matched_psnrs,
                 mean_psnr,
                 leak_rate,
-                client_loss: outcome.client_loss,
+                client_loss: result.client_loss,
                 dropped: !delivered,
                 bytes_on_wire: trace.encoded_bytes,
                 sim_ms: traffic.round_ms,
             });
-            detailed.push(outcome);
+            kept.push(outcome);
         }
 
         let summary = Summary::from_values(&pooled);
@@ -490,7 +506,32 @@ impl Sweep {
             wall_clock_ms: started.elapsed().as_secs_f64() * 1e3,
         };
         drop(run_span);
-        Ok((report, detailed))
+        Ok((report, kept))
+    }
+}
+
+/// What a [`ScenarioReport`] needs of one attacked trial, taken inside
+/// the trial so the rest of its [`AttackOutcome`] can be freed there.
+struct TrialResult {
+    matched_psnrs: Vec<f64>,
+    mean_psnr: f64,
+    leak_rate: f64,
+    client_loss: f32,
+    wire: WireTrace,
+}
+
+impl TrialResult {
+    fn of(outcome: &AttackOutcome, leak_threshold_db: f64) -> Self {
+        TrialResult {
+            matched_psnrs: outcome.matched_psnrs.clone(),
+            mean_psnr: outcome.mean_psnr(),
+            leak_rate: outcome.leak_rate(leak_threshold_db),
+            client_loss: outcome.client_loss,
+            wire: outcome
+                .wire
+                .clone()
+                .expect("attacked rounds over a codec always record a wire trace"),
+        }
     }
 }
 

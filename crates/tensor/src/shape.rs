@@ -1,6 +1,5 @@
 //! Shape arithmetic for dense row-major tensors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::TensorError;
@@ -17,7 +16,7 @@ use crate::TensorError;
 /// assert_eq!(s.numel(), 24);
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

@@ -1,15 +1,25 @@
 //! The dense row-major `f32` tensor.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::{Result, Shape, TensorError};
 
-/// A dense, row-major, owned `f32` tensor.
+/// A dense, row-major `f32` tensor.
 ///
 /// All tensors are contiguous; transposes and slices copy. This keeps
 /// every downstream algorithm (manual backprop, gradient inversion)
 /// trivially auditable.
+///
+/// Clones share their values, copy-on-write: `clone` bumps a reference
+/// count, and the first write through a shared tensor
+/// ([`Tensor::data_mut`] or anything built on it) copies the buffer
+/// once, so the other clones never see it. A model template, the
+/// models cloned from it and the malicious layer every attacked trial
+/// receives therefore hold their weights once. Each write call checks
+/// whether the buffer is shared, so a loop that writes element by
+/// element takes one `data_mut()` slice before the loop. Equality
+/// compares values, not buffers.
 ///
 /// ```
 /// use oasis_tensor::Tensor;
@@ -21,9 +31,9 @@ use crate::{Result, Shape, TensorError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
     shape: Shape,
 }
 
@@ -46,14 +56,17 @@ impl Tensor {
                 expected: shape.numel(),
             });
         }
-        Ok(Tensor { data, shape })
+        Ok(Tensor {
+            data: Arc::new(data),
+            shape,
+        })
     }
 
     /// Creates an all-zero tensor.
     pub fn zeros(dims: &[usize]) -> Self {
         let shape = Shape::new(dims);
         Tensor {
-            data: vec![0.0; shape.numel()],
+            data: Arc::new(vec![0.0; shape.numel()]),
             shape,
         }
     }
@@ -67,7 +80,7 @@ impl Tensor {
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
         Tensor {
-            data: vec![value; shape.numel()],
+            data: Arc::new(vec![value; shape.numel()]),
             shape,
         }
     }
@@ -75,8 +88,9 @@ impl Tensor {
     /// Creates the `n`×`n` identity matrix.
     pub fn eye(n: usize) -> Self {
         let mut t = Tensor::zeros(&[n, n]);
+        let data = t.data_mut();
         for i in 0..n {
-            t.data[i * n + i] = 1.0;
+            data[i * n + i] = 1.0;
         }
         t
     }
@@ -84,7 +98,7 @@ impl Tensor {
     /// Creates a rank-1 tensor from a slice.
     pub fn from_slice(values: &[f32]) -> Self {
         Tensor {
-            data: values.to_vec(),
+            data: Arc::new(values.to_vec()),
             shape: Shape::new(&[values.len()]),
         }
     }
@@ -92,7 +106,7 @@ impl Tensor {
     /// Creates a scalar (rank-0) tensor.
     pub fn scalar(value: f32) -> Self {
         Tensor {
-            data: vec![value],
+            data: Arc::new(vec![value]),
             shape: Shape::new(&[]),
         }
     }
@@ -126,14 +140,33 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable access to the flat row-major buffer.
+    /// Mutable access to the flat row-major buffer. Copies the buffer
+    /// first if another clone shares it, so call it once outside a
+    /// loop.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor and returns its buffer.
+    /// Overwrites every value with `values`. An unshared buffer is
+    /// written in place; a shared one is replaced by a fresh copy of
+    /// `values`, so the write never first copies the values it is
+    /// about to overwrite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len()` differs from [`Tensor::numel`].
+    pub fn copy_from_slice(&mut self, values: &[f32]) {
+        assert_eq!(values.len(), self.numel(), "copy_from_slice length");
+        match Arc::get_mut(&mut self.data) {
+            Some(data) => data.copy_from_slice(values),
+            None => self.data = Arc::new(values.to_vec()),
+        }
+    }
+
+    /// Consumes the tensor and returns its buffer (a copy when another
+    /// clone shares it).
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::unwrap_or_clone(self.data)
     }
 
     /// Reads the element at a multi-index.
@@ -154,7 +187,7 @@ impl Tensor {
     /// bounds.
     pub fn set(&mut self, index: &[usize], value: f32) -> Result<()> {
         let flat = self.shape.flat_index(index)?;
-        self.data[flat] = value;
+        self.data_mut()[flat] = value;
         Ok(())
     }
 
@@ -202,7 +235,7 @@ impl Tensor {
                 bound: rows,
             });
         }
-        Ok(&mut self.data[i * cols..(i + 1) * cols])
+        Ok(&mut self.data_mut()[i * cols..(i + 1) * cols])
     }
 
     // ------------------------------------------------------------------
@@ -224,9 +257,10 @@ impl Tensor {
         }
         let (r, c) = (self.dims()[0], self.dims()[1]);
         let mut out = Tensor::zeros(&[c, r]);
+        let dst = out.data_mut();
         for i in 0..r {
             for j in 0..c {
-                out.data[j * r + i] = self.data[i * c + j];
+                dst[j * r + i] = self.data[i * c + j];
             }
         }
         Ok(out)
@@ -253,7 +287,7 @@ impl Tensor {
             });
         }
         Ok(Tensor {
-            data: self.data[start * cols..end * cols].to_vec(),
+            data: Arc::new(self.data[start * cols..end * cols].to_vec()),
             shape: Shape::new(&[end - start, cols]),
         })
     }
@@ -378,6 +412,40 @@ mod tests {
     fn debug_never_empty() {
         let t = Tensor::zeros(&[100]);
         assert!(!format!("{t:?}").is_empty());
+    }
+
+    #[test]
+    fn clones_share_values_until_a_write() {
+        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
+        let mut b = a.clone();
+        assert_eq!(a.data().as_ptr(), b.data().as_ptr());
+        b.row_mut(1).unwrap()[0] = 9.0;
+        assert_ne!(a.data().as_ptr(), b.data().as_ptr());
+        assert_eq!(a.data(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(b.data(), &[1.0, 2.0, 9.0, 4.0]);
+        assert_ne!(a, b);
+        b.set(&[1, 0], 3.0).unwrap();
+        assert_eq!(a, b, "equality compares values, not buffers");
+        assert_eq!(a.clone().into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn copy_from_slice_writes_in_place_only_when_unshared() {
+        let mut t = Tensor::zeros(&[3]);
+        let ptr = t.data().as_ptr();
+        t.copy_from_slice(&[1.0, 2.0, 3.0]);
+        assert_eq!(t.data().as_ptr(), ptr, "an unshared buffer is reused");
+        let template = t.clone();
+        t.copy_from_slice(&[4.0, 5.0, 6.0]);
+        assert_ne!(t.data().as_ptr(), ptr, "a shared buffer is replaced");
+        assert_eq!(template.data(), &[1.0, 2.0, 3.0]);
+        assert_eq!(t.data(), &[4.0, 5.0, 6.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "copy_from_slice length")]
+    fn copy_from_slice_rejects_a_wrong_length() {
+        Tensor::zeros(&[3]).copy_from_slice(&[1.0]);
     }
 
     #[test]

@@ -1,0 +1,154 @@
+//! Trial memory does not grow with the trial count. `Scenario::run`
+//! turns each attacked trial into its `TrialReport` inside the trial,
+//! so a trial's reconstruction pool (one candidate image per attacked
+//! neuron) and processed batch are freed with it, and every trial's
+//! model shares the attack's malicious weights copy-on-write. The
+//! live heap of a cell is then set-up plus what the trials in flight
+//! hold, whatever the trial count. A counting global allocator
+//! measures it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+use oasis_scenario::{Scale, Scenario, ScenarioReport};
+use oasis_tensor::parallel;
+
+/// The system allocator, counting live bytes and their peak.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes, Ordering::Relaxed);
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments
+// unchanged; the counters only observe sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        shrink(layout.size());
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let new = System.realloc(ptr, layout, new_size);
+        if !new.is_null() {
+            if new_size > layout.size() {
+                grow(new_size - layout.size());
+            } else {
+                shrink(layout.size() - new_size);
+            }
+        }
+        new
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The counters are process-wide: tests that measure take this lock so
+/// no other test of this binary allocates meanwhile.
+static MEASURE: Mutex<()> = Mutex::new(());
+
+/// Attacked neurons `n`. Under DP noise every row of the malicious
+/// layer's gradient inverts to a distinct candidate, so each trial's
+/// reconstruction pool holds about `n` images: one model-sized buffer.
+const NEURONS: usize = 512;
+/// Input width `d` of the quick-scale `imagenette` stand-in (16×16×3).
+const INPUT: usize = 16 * 16 * 3;
+/// One model-sized buffer: the `n × d` malicious layer in `f32`.
+const MODEL_BYTES: usize = NEURONS * INPUT * 4;
+/// Model-sized buffers of slack per trial in flight, for trials that
+/// overlap at their peaks over a long cell but not within one wave.
+const SLACK_PER_TRIAL: usize = 4;
+/// Trials per cell: keeping every trial's pool would exceed the bound
+/// several times over.
+const TRIALS: usize = 24;
+
+fn cell(trials: usize) -> Scenario {
+    Scenario::builder()
+        .attack(format!("rtf:{NEURONS}").parse().unwrap())
+        .defense("dp:1,0.0003".parse().unwrap())
+        .workload("imagenette".parse().unwrap())
+        .scale(Scale::Quick)
+        .trials(trials)
+        .seed(5)
+        .build()
+        .unwrap()
+}
+
+/// The peak live heap above the starting live bytes while `f` runs.
+fn peak_above_start<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let start = LIVE.load(Ordering::Relaxed);
+    PEAK.store(start, Ordering::Relaxed);
+    let out = f();
+    (out, PEAK.load(Ordering::Relaxed) - start)
+}
+
+#[test]
+fn live_heap_scales_with_pool_width_not_trial_count() {
+    let _lock = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    for width in [1, 2] {
+        parallel::with_threads(width, || {
+            // Warm the worker pool so its threads are not charged to a
+            // cell.
+            cell(width).run().unwrap();
+            // One wave of trials: set-up plus `width` trials in flight.
+            let (_, wave) = peak_above_start(|| cell(width).run().unwrap());
+            let bound = wave + width * SLACK_PER_TRIAL * MODEL_BYTES;
+            let (report, peak) = peak_above_start(|| cell(TRIALS).run().unwrap());
+            assert_eq!(report.trials.len(), TRIALS);
+            println!(
+                "width {width}: one wave {:.1} MiB, {TRIALS} trials {:.1} MiB, bound {:.1} MiB",
+                wave as f64 / 1048576.0,
+                peak as f64 / 1048576.0,
+                bound as f64 / 1048576.0
+            );
+            assert!(
+                peak <= bound,
+                "{TRIALS} trials at pool width {width} peaked {peak} B above start; \
+                 one wave peaked {wave} B, so the bound is {bound} B"
+            );
+        });
+    }
+}
+
+/// `report` serialized with its wall-clock fields zeroed.
+fn timeless(mut report: ScenarioReport) -> String {
+    report.wall_clock_ms = 0.0;
+    report.trial_wall_ns.iter_mut().for_each(|ns| *ns = 0);
+    serde_json::to_string(&report).unwrap()
+}
+
+#[test]
+fn streamed_report_equals_the_detailed_one_bit_for_bit() {
+    let _lock = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let scenario = cell(4);
+    let (detailed, outcomes) = scenario.run_detailed().unwrap();
+    assert_eq!(outcomes.len(), 4);
+    assert!(outcomes.iter().all(|o| !o.reconstructions.is_empty()));
+    assert_eq!(timeless(scenario.run().unwrap()), timeless(detailed));
+}
