@@ -83,6 +83,7 @@ impl CahAttack {
 /// Builds `rows` trap-weight rows of width `d`: |N(0,1)| magnitudes, a
 /// random half of coordinates negated.
 fn trap_weights(rows: usize, d: usize, seed: u64) -> Tensor {
+    let _span = oasis_telemetry::span("attack.calibrate.trap_weights");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut w = Tensor::randn(&[rows, d], &mut rng).map(f32::abs);
     let mut indices: Vec<usize> = (0..d).collect();

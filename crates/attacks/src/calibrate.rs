@@ -16,8 +16,8 @@
 //! changes is the layout: the images are transposed once into
 //! `k`-major groups of [`GROUP`] images, one accumulator lane per
 //! image, so a group stays cache-resident while every row streams
-//! past it and the lanes advance together; row blocks fan out over
-//! [`oasis_tensor::parallel`]. Every response is owned by one lane of
+//! past it and the lanes advance together; the transpose (by group)
+//! and the row blocks fan out over [`oasis_tensor::parallel`]. Every response is owned by one lane of
 //! one block, so the result is the same at any thread count.
 
 use oasis_image::Image;
@@ -114,14 +114,17 @@ pub(crate) fn quantile_biases(
         )));
     }
     let n = calibration.len();
-    let mut responses = responses(weights, calibration)?;
+    let mut responses = {
+        let _span = oasis_telemetry::span("attack.calibrate.responses");
+        responses(weights, calibration)?
+    };
+    let _span = oasis_telemetry::span("attack.calibrate.quantile");
     let pos = ((1.0 - target) * (n - 1) as f64).round() as usize;
+    // Under `total_cmp` equal elements have equal bits, so the element
+    // a selection puts at `pos` is the one the full sort puts there.
     Ok(responses
         .chunks_exact_mut(n)
-        .map(|row| {
-            row.sort_by(f32::total_cmp);
-            -row[pos]
-        })
+        .map(|row| -*row.select_nth_unstable_by(pos, f32::total_cmp).1)
         .collect())
 }
 
@@ -145,15 +148,18 @@ fn responses(weights: &Tensor, calibration: &[Image]) -> Result<Vec<f32>> {
     let n = calibration.len();
     // Group g holds x[k][l] = image(g·GROUP + l)[k] at k·GROUP + l;
     // the last group's missing images are zero lanes, never read back.
+    // Groups are filled independently, so they fan out on the pool.
     let groups = n.div_ceil(GROUP);
     let mut xt = vec![0.0f32; groups * d * GROUP];
-    for (i, img) in calibration.iter().enumerate() {
-        let (g, l) = (i / GROUP, i % GROUP);
-        let group = &mut xt[g * d * GROUP..(g + 1) * d * GROUP];
-        for (slot, &v) in group.chunks_exact_mut(GROUP).zip(img.data()) {
-            slot[l] = v;
+    parallel::for_each_row_block(&mut xt, d * GROUP, |g0, block| {
+        for (g, group) in (g0..).zip(block.chunks_exact_mut(d * GROUP)) {
+            for (l, img) in calibration[g * GROUP..].iter().take(GROUP).enumerate() {
+                for (slot, &v) in group.chunks_exact_mut(GROUP).zip(img.data()) {
+                    slot[l] = v;
+                }
+            }
         }
-    }
+    });
     let start: f32 = std::iter::empty::<f32>().sum();
     let mut out = vec![0.0f32; rows * n];
     parallel::for_each_row_block(&mut out, n, |r0, block| {

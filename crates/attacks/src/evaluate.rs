@@ -82,6 +82,7 @@ pub fn reconstruct(
             .invert(i, grad_weight, grad_bias)
             .and_then(|values| Image::from_vec(c, h, w, values).ok())
     });
+    let _span = oasis_telemetry::span("reconstruct.dedupe");
     dedupe_images(candidates.into_iter().flatten().collect())
 }
 

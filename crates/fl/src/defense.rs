@@ -81,10 +81,12 @@ pub trait Defense: Send + Sync {
 ///
 /// The noise comes from [`oasis_tensor::add_randn_scaled`]: f64
 /// Box–Muller cast to f32, with support `|z| ≤ √(−2 ln 2⁻⁵³) ≈ 8.57`
-/// standard deviations. Its vector path is bit-exact with the libm
-/// path, because it keeps a polynomial result only when its f32
-/// rounding cannot differ from the libm value's and recomputes the
-/// rest. Floating-point samplers like this one can void formal DP
+/// standard deviations, fed two raw rng words per draw. Its vector
+/// paths (AVX2, and eight draws per f64x8 vector on AVX-512) are
+/// bit-exact with the libm path, because they keep a polynomial result
+/// only when its f32 rounding cannot differ from the libm value's and
+/// recompute the rest, so the noise is the same under every
+/// `OASIS_SIMD` setting. Floating-point samplers like this one can void formal DP
 /// guarantees (Mironov, CCS 2012): the repository measures attack
 /// success under this noise and certifies no privacy.
 #[derive(Debug, Clone, Copy)]

@@ -129,7 +129,7 @@ impl Image {
     /// Each pixel, in data order, draws its own Box–Muller pair
     /// (`u1 = 1 − U`, then `u2 = U`) and adds the cosine normal
     /// `√(−2 ln u1)·cos(2π·u2)`, evaluated in f64 and cast to f32. The
-    /// pairs go 128 at a time through the guarded vector kernel of
+    /// draws go 128 at a time through the guarded cosine-only kernel of
     /// [`oasis_tensor::for_each_cos_normal`], whose output is
     /// bit-identical to the libm evaluation on every SIMD backend.
     pub fn add_noise(&mut self, std: f32, rng: &mut impl Rng) {

@@ -27,7 +27,7 @@ const CONV_CASES: [[usize; 8]; 7] = [
 
 /// Runs `check` under every available backend at 1 and 2 threads.
 fn everywhere(check: impl Fn()) {
-    for backend in [Backend::Avx2, Backend::Scalar] {
+    for backend in Backend::ALL {
         if !backend.is_available() {
             continue;
         }

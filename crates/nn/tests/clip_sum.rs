@@ -114,7 +114,7 @@ fn batches_and_widths_across_the_blocked_kernels_are_bit_equal_on_every_backend(
     // `case` puts a non-finite input in a sample with an all-zero δ
     // and in one other sample. The reference runs on the scalar
     // backend; every available backend must match it.
-    let backends: Vec<Backend> = [Backend::Scalar, Backend::Avx2]
+    let backends: Vec<Backend> = Backend::ALL
         .into_iter()
         .filter(|b| b.is_available())
         .collect();

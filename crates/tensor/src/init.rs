@@ -42,11 +42,13 @@ impl Tensor {
 /// without the temporary tensor.
 ///
 /// The sampler is f64 Box–Muller cast to f32 (`u1 ∈ [2⁻⁵³, 1]`, so its
-/// support is `|v| ≤ √(−2 ln 2⁻⁵³) ≈ 8.57`). Its vector path is
-/// bit-exact with the libm path: it approximates `ln`, `sin` and `cos`
-/// with polynomials but keeps a result only when its f32 rounding
-/// cannot differ from the libm value's, and recomputes the rest on the
-/// libm path (see [`crate::simd::normal_pairs`]). Floating-point
+/// support is `|v| ≤ √(−2 ln 2⁻⁵³) ≈ 8.57`), fed the rng's raw 64-bit
+/// words: [`crate::simd::normal_pairs`] forms each uniform from its
+/// word exactly as `rng.gen::<f64>()` would. Its vector paths (AVX2,
+/// and f64x8 on AVX-512) are bit-exact with the libm path: they
+/// approximate `ln`, `sin` and `cos` with polynomials but keep a
+/// result only when its f32 rounding cannot differ from the libm
+/// value's, and recompute the rest on the libm path. Floating-point
 /// samplers like this one can void formal differential privacy
 /// (Mironov, "On Significance of the Least Significant Bits for
 /// Differential Privacy", CCS 2012): callers use it to measure attack
@@ -58,54 +60,55 @@ pub fn add_randn_scaled(out: &mut [f32], mean: f32, std: f32, rng: &mut impl Rng
 /// Applies `f(out[i], z_i)` to every element of `out`, in index order,
 /// where `z_i` is the cosine normal `√(−2 ln u1)·cos(2π·u2)` (f64, cast
 /// to f32) of element `i`'s own Box–Muller draw (`u1 = 1 − U`, then
-/// `u2 = U`); the sine normal of each draw is discarded.
+/// `u2 = U`, two rng words per element).
 ///
 /// This is the pixel noise of `oasis_image`'s `Image::add_noise`: the
 /// same rng consumption and the same bits as one libm Box–Muller per
-/// element, computed by the batched, guarded [`simd::normal_pairs`]
-/// kernel.
+/// element, computed by the batched, guarded [`simd::cos_normals`]
+/// kernel, which never computes the sine.
 pub fn for_each_cos_normal(out: &mut [f32], rng: &mut impl Rng, f: impl FnMut(&mut f32, f32)) {
     for_each_normal::<1>(out, rng, f);
 }
 
-/// Box–Muller pairs per [`simd::normal_pairs`] call.
+/// Box–Muller draws per [`simd::normal_pairs`] or
+/// [`simd::cos_normals`] call.
 const NORMAL_BATCH: usize = 128;
 
 /// Visits every element of `out` with one standard normal, in index
-/// order, from one Box–Muller draw (`u1 = 1 − U`, then `u2 = U`, so
-/// `ln` never sees 0) per `PER_DRAW` elements. `PER_DRAW = 2` uses both
-/// normals of a draw, cosine first, and discards the second normal of
-/// the last draw when the length is odd; `PER_DRAW = 1` uses the cosine
-/// normal only ([`for_each_cos_normal`]).
+/// order, from one Box–Muller draw (two rng words: `u1 = 1 − U`, then
+/// `u2 = U`, so `ln` never sees 0) per `PER_DRAW` elements.
+/// `PER_DRAW = 2` uses both normals of a draw, cosine first, and
+/// discards the second normal of the last draw when the length is odd;
+/// `PER_DRAW = 1` uses the cosine normal only
+/// ([`for_each_cos_normal`]).
 ///
-/// Draws are batched [`NORMAL_BATCH`] pairs at a time into stack
-/// buffers; the rng consumption is the same as one draw per pair. The
-/// pairs the kernel recomputed on its libm path are added to the
+/// Draws are batched [`NORMAL_BATCH`] at a time: their words go into a
+/// stack buffer and the kernel forms the uniforms itself, so the rng
+/// consumption is the same as one `gen::<f64>()` per uniform. The draws
+/// the kernel recomputed on its libm path are added to the
 /// `tensor.normal_fallbacks` counter once per call.
 fn for_each_normal<const PER_DRAW: usize>(
     out: &mut [f32],
     rng: &mut impl Rng,
     mut f: impl FnMut(&mut f32, f32),
 ) {
-    let mut u1 = [0.0f64; NORMAL_BATCH];
-    let mut u2 = [0.0f64; NORMAL_BATCH];
+    let mut words = [0u64; 2 * NORMAL_BATCH];
     let mut z = [0.0f32; 2 * NORMAL_BATCH];
     let mut fallbacks = 0;
     for chunk in out.chunks_mut(PER_DRAW * NORMAL_BATCH) {
-        let pairs = chunk.len().div_ceil(PER_DRAW);
-        for (a, b) in u1[..pairs].iter_mut().zip(&mut u2[..pairs]) {
-            *a = 1.0 - rng.gen::<f64>();
-            *b = rng.gen();
+        let draws = chunk.len().div_ceil(PER_DRAW);
+        let words = &mut words[..2 * draws];
+        for w in words.iter_mut() {
+            *w = rng.next_u64();
         }
-        fallbacks += simd::normal_pairs(&u1[..pairs], &u2[..pairs], &mut z[..2 * pairs]);
-        if PER_DRAW == 2 {
-            for (o, &v) in chunk.iter_mut().zip(&z) {
-                f(o, v);
-            }
+        let z = &mut z[..PER_DRAW * draws];
+        fallbacks += if PER_DRAW == 2 {
+            simd::normal_pairs(words, z)
         } else {
-            for (o, pair) in chunk.iter_mut().zip(z.chunks_exact(2)) {
-                f(o, pair[0]);
-            }
+            simd::cos_normals(words, z)
+        };
+        for (o, &v) in chunk.iter_mut().zip(z.iter()) {
+            f(o, v);
         }
     }
     oasis_telemetry::counter!("tensor.normal_fallbacks").add(fallbacks as u64);
@@ -157,6 +160,32 @@ mod tests {
                 assert_eq!(g.to_bits(), (b + n).to_bits());
             }
             assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "len {len}");
+        }
+    }
+
+    #[test]
+    fn noise_draws_two_gen_f64_words_per_draw_on_every_backend() {
+        // The kernels take raw words and form each uniform in registers;
+        // the rng must end where one `gen::<f64>()` per uniform leaves it.
+        for backend in simd::Backend::ALL.into_iter().filter(|b| b.is_available()) {
+            for len in [0, 1, 7, 8, 9, 255, 256, 257] {
+                let mut buf = vec![0.0f32; len];
+                for (per_draw, fill) in [(2, true), (1, false)] {
+                    let mut rng = StdRng::seed_from_u64(len as u64);
+                    simd::with_backend(backend, || {
+                        if fill {
+                            add_randn_scaled(&mut buf, 0.0, 1.0, &mut rng);
+                        } else {
+                            for_each_cos_normal(&mut buf, &mut rng, |o, z| *o = z);
+                        }
+                    });
+                    let mut want = StdRng::seed_from_u64(len as u64);
+                    for _ in 0..2 * len.div_ceil(per_draw) {
+                        want.gen::<f64>();
+                    }
+                    assert_eq!(rng, want, "{} len {len}", backend.label());
+                }
+            }
         }
     }
 

@@ -9,10 +9,11 @@
 //! bit-identity; if a kernel here is ever "optimized" with FMA or a
 //! horizontal-add shuffle, that suite is the tripwire.
 //!
-//! The exception is [`normal_pairs`], whose reference is libm: it
-//! approximates inside a rounding guard and recomputes every undecided
-//! lane with the scalar specification (see [`super::normal_pairs`];
-//! `crates/tensor/tests/normal_parity.rs` is its tripwire).
+//! The exception is [`normal_block`], whose reference is libm: it
+//! approximates inside a rounding guard, and the caller recomputes
+//! every undecided lane with the scalar specification (see
+//! [`super::normal_pairs`]; `crates/tensor/tests/normal_parity.rs` is
+//! its tripwire).
 //!
 //! # Safety
 //!
@@ -33,7 +34,7 @@
 use std::arch::x86_64::*;
 
 use super::scalar;
-use super::{NORM_LANES, SQ_BOUND_CHUNKS, SQ_TILE};
+use super::{GUARD_ULPS, NORM_LANES, SQ_BOUND_CHUNKS, SQ_TILE};
 
 /// Reads the 8 lanes of an f32x8 register into an array (for scalar
 /// fixed-order combines).
@@ -1161,105 +1162,91 @@ unsafe fn box_sums8_n<const N: usize>(
     }
 }
 
-/// See [`scalar::normal_pairs`] and the guard rule in
-/// [`super::normal_pairs`]: four pairs per f64x4, in-repo polynomials
-/// in place of libm, and every lane whose f32 rounding is not decided
-/// by the guard recomputed by [`scalar::normal_pair`]. A final partial
-/// block runs padded with a fast-path pair whose lanes are discarded.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn normal_pairs(u1: &[f64], u2: &[f64], out: &mut [f32]) -> usize {
-    debug_assert!(
-        u1.len() == u2.len() && out.len() == 2 * u1.len(),
-        "normal_pairs needs equal uniform lengths and two outputs per pair"
-    );
-    // `n` bounds all three slices, so every block's four-pair loads
-    // and eight-float store below stay in range.
-    let n = u1.len().min(u2.len()).min(out.len() / 2);
-    let full = n / 4 * 4;
-    let mut fallbacks = 0;
-    for i in (0..full).step_by(4) {
-        let fail = normal_block(
-            _mm256_loadu_pd(u1.as_ptr().add(i)),
-            _mm256_loadu_pd(u2.as_ptr().add(i)),
-            out.as_mut_ptr().add(2 * i),
-        );
-        if fail != 0 {
-            fallbacks += recompute_lanes(fail, &u1[i..], &u2[i..], &mut out[2 * i..]);
-        }
-    }
-    if full < n {
-        let m = n - full;
-        let (mut a, mut b, mut z) = ([0.5f64; 4], [0.125f64; 4], [0.0f32; 8]);
-        a[..m].copy_from_slice(&u1[full..n]);
-        b[..m].copy_from_slice(&u2[full..n]);
-        let fail = normal_block(
-            _mm256_loadu_pd(a.as_ptr()),
-            _mm256_loadu_pd(b.as_ptr()),
-            z.as_mut_ptr(),
-        ) & ((1 << m) - 1);
-        out[2 * full..2 * n].copy_from_slice(&z[..2 * m]);
-        fallbacks += recompute_lanes(fail, &u1[full..], &u2[full..], &mut out[2 * full..]);
-    }
-    fallbacks
-}
-
-/// Overwrites the pairs flagged in the 4-bit `fail` mask with the
-/// scalar specification; returns how many there were.
-fn recompute_lanes(fail: i32, u1: &[f64], u2: &[f64], out: &mut [f32]) -> usize {
-    for l in (0..4).filter(|l| fail & (1 << l) != 0) {
-        (out[2 * l], out[2 * l + 1]) = scalar::normal_pair(u1[l], u2[l]);
-    }
-    fail.count_ones() as usize
-}
-
-/// Relative half-width of the rounding guard. The polynomial results
-/// differ from libm's by at most about 2⁻⁴⁹ relative (2⁻⁵⁰·⁴, 3 ulps,
-/// measured over 2·10⁷ pairs), far inside it.
-const GUARD: f64 = 1.0 / (1u64 << 40) as f64;
-
-/// Four Box–Muller pairs, stored interleaved (`a0 b0 a1 b1 …`) at
-/// `dst`; returns the mask of lanes the caller must recompute.
+/// Four Box–Muller draws from eight rng words (`words[2l]` and
+/// `words[2l + 1]` for draw `l`), in-repo polynomials in place of libm:
+/// writes `PER_DRAW` outputs per draw to `out` (interleaved `a0 b0 a1
+/// b1 …` when both are kept) and returns the mask of draws whose f32
+/// rounding the guard leaves undecided (see [`super::normal_pairs`]
+/// and [`scalar::normal_draw`]).
 ///
-/// # Safety
+/// The fast path does not take `u1 = 1` (from `w >> 11 = 0`), for the
+/// sign of its zero output, nor a reduced angle below 2⁻³⁰.
 ///
-/// AVX2 must be available, and `dst` must be valid for writing eight
-/// `f32`s.
+/// # Panics
+///
+/// Panics unless `words` holds 8 words and `out` `4·PER_DRAW` floats.
 #[target_feature(enable = "avx2")]
-unsafe fn normal_block(u1: __m256d, u2: __m256d, dst: *mut f32) -> i32 {
-    let one = _mm256_set1_pd(1.0);
-    // The fast path covers normal u1 < 1 and u2 ∈ [0, 1); ordered
-    // compares also send NaN to the fallback. u1 = 1 is excluded for
-    // the sign of its zero output.
-    let in_domain = _mm256_and_pd(
-        _mm256_and_pd(
-            _mm256_cmp_pd::<_CMP_GE_OQ>(u1, _mm256_set1_pd(f64::MIN_POSITIVE)),
-            _mm256_cmp_pd::<_CMP_LT_OQ>(u1, one),
-        ),
-        _mm256_and_pd(
-            _mm256_cmp_pd::<_CMP_GE_OQ>(u2, _mm256_setzero_pd()),
-            _mm256_cmp_pd::<_CMP_LT_OQ>(u2, one),
-        ),
+pub(crate) unsafe fn normal_block<const PER_DRAW: usize>(words: &[u64], out: &mut [f32]) -> u32 {
+    let (words, out) = (&words[..8], &mut out[..4 * PER_DRAW]);
+    let c = |v: f64| _mm256_set1_pd(v);
+    // (a0 b0 a1 b1), (a2 b2 a3 b3) → (a0 a1 a2 a3), (b0 b1 b2 b3).
+    let x = _mm256_loadu_si256(words.as_ptr().cast());
+    let y = _mm256_loadu_si256(words.as_ptr().add(4).cast());
+    let (p, q) = (
+        _mm256_permute2x128_si256::<0x20>(x, y),
+        _mm256_permute2x128_si256::<0x31>(x, y),
     );
-    let r = _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), ln(u1)));
-    let theta = _mm256_mul_pd(_mm256_set1_pd(2.0 * std::f64::consts::PI), u2);
+    let u1 = _mm256_sub_pd(c(1.0), uniform(_mm256_unpacklo_epi64(p, q)));
+    let u2 = uniform(_mm256_unpackhi_epi64(p, q));
+    let r = _mm256_sqrt_pd(_mm256_mul_pd(c(-2.0), ln(u1)));
+    let theta = _mm256_mul_pd(c(2.0 * std::f64::consts::PI), u2);
     let (sin, cos, reduced_ok) = sincos(theta);
     let (a, a_ok) = guarded_f32(_mm256_mul_pd(r, cos));
-    let (b, b_ok) = guarded_f32(_mm256_mul_pd(r, sin));
-    _mm_storeu_ps(dst, _mm_unpacklo_ps(a, b));
-    _mm_storeu_ps(dst.add(4), _mm_unpackhi_ps(a, b));
-    let ok = _mm256_movemask_pd(_mm256_and_pd(in_domain, reduced_ok))
-        & _mm_movemask_ps(_mm_and_ps(a_ok, b_ok));
-    !ok & 0xf
+    let mut ok = _mm256_movemask_pd(_mm256_and_pd(
+        _mm256_cmp_pd::<_CMP_LT_OQ>(u1, c(1.0)),
+        reduced_ok,
+    )) & a_ok;
+    if PER_DRAW == 2 {
+        let (b, b_ok) = guarded_f32(_mm256_mul_pd(r, sin));
+        _mm_storeu_ps(out.as_mut_ptr(), _mm_unpacklo_ps(a, b));
+        _mm_storeu_ps(out.as_mut_ptr().add(4), _mm_unpackhi_ps(a, b));
+        ok &= b_ok;
+    } else {
+        _mm_storeu_ps(out.as_mut_ptr(), a);
+    }
+    !ok as u32 & 0xf
 }
 
-/// `v` rounded to f32, and whether that rounding is decided: `v·(1−g)`
-/// and `v·(1+g)` round to the same f32, so every value within relative
-/// `g` of `v` does too.
+/// `(w >> 11)·2⁻⁵³` of each word, exactly (`rand`'s `gen::<f64>()`):
+/// the low 52 bits of `w >> 11` under the exponent of 0.5 give
+/// `0.5 + m·2⁻⁵³`, from which 0.5 is taken back unless bit 52 of
+/// `w >> 11` (the sign bit of `w`) is set. Both steps are exact.
 #[target_feature(enable = "avx2")]
-unsafe fn guarded_f32(v: __m256d) -> (__m128, __m128) {
-    let lo = _mm256_cvtpd_ps(_mm256_mul_pd(v, _mm256_set1_pd(1.0 - GUARD)));
-    let hi = _mm256_cvtpd_ps(_mm256_mul_pd(v, _mm256_set1_pd(1.0 + GUARD)));
-    (_mm256_cvtpd_ps(v), _mm_cmpeq_ps(lo, hi))
+unsafe fn uniform(w: __m256i) -> __m256d {
+    let m = _mm256_and_si256(
+        _mm256_srli_epi64::<11>(w),
+        _mm256_set1_epi64x(0x000f_ffff_ffff_ffff),
+    );
+    let v = _mm256_castsi256_pd(_mm256_or_si256(
+        m,
+        _mm256_set1_epi64x(0x3fe0_0000_0000_0000),
+    ));
+    _mm256_blendv_pd(
+        _mm256_sub_pd(v, _mm256_set1_pd(0.5)),
+        v,
+        _mm256_castsi256_pd(w),
+    )
+}
+
+/// `v` rounded to f32, and the mask of lanes whose rounding the guard
+/// decides: the 29 bits the rounding drops are more than
+/// [`GUARD_ULPS`] from its midpoint and `|v|` is in f32's normal range.
+#[target_feature(enable = "avx2")]
+unsafe fn guarded_f32(v: __m256d) -> (__m128, i32) {
+    let dropped = _mm256_and_si256(_mm256_castpd_si256(v), _mm256_set1_epi64x((1 << 29) - 1));
+    let off = _mm256_sub_epi64(dropped, _mm256_set1_epi64x(1 << 28));
+    let decided = _mm256_or_si256(
+        _mm256_cmpgt_epi64(off, _mm256_set1_epi64x(GUARD_ULPS)),
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(-GUARD_ULPS), off),
+    );
+    let normal = _mm256_cmp_pd::<_CMP_GE_OQ>(
+        _mm256_andnot_pd(_mm256_set1_pd(-0.0), v),
+        _mm256_set1_pd(f64::from(f32::MIN_POSITIVE)),
+    );
+    (
+        _mm256_cvtpd_ps(v),
+        _mm256_movemask_pd(_mm256_and_pd(_mm256_castsi256_pd(decided), normal)),
+    )
 }
 
 /// Horner's rule `k[0] + x·(k[1] + x·(… + x·k[n−1]))`, mul then add.
@@ -1335,7 +1322,9 @@ unsafe fn ln(x: __m256d) -> __m256d {
 /// `(sin θ, cos θ, ok)` for θ ∈ [0, 2π): Cody–Waite reduction
 /// `y = θ − n·π/2` with fdlibm's 33-bit `pio2_1` (so `n·pio2_1` and the
 /// first subtraction are exact), fdlibm's `__kernel_sin`/`__kernel_cos`
-/// on `y`, then a branch-free quadrant select on `n ∈ 0..=4`. `ok`
+/// on `y` (the latter without the `qx` split that buys its last ulp,
+/// which the guard does not need), then a branch-free quadrant select
+/// on `n ∈ 0..=4`. `ok`
 /// clears lanes with `|y| < 2⁻³⁰`, where the reduction's absolute error
 /// (about 2⁻⁸⁴) is no longer small relative to `y`. Constants are
 /// fdlibm's, as bit patterns.
@@ -1379,29 +1368,11 @@ unsafe fn sincos(theta: __m256d) -> (__m256d, __m256d, __m256d) {
         y,
         _mm256_mul_pd(v, _mm256_add_pd(c(S[0]), _mm256_mul_pd(z, sr))),
     );
-    // __kernel_cos(y, 0) = (1 − qx) − ((z/2 − qx) − z·r), where qx is 0
-    // below |y| = 0.3, 0.28125 above 0.78125, else |y|/4 truncated to
-    // its high word.
+    // __kernel_cos(y, 0) without its qx split: 1 − (z/2 − z·r).
     let cr = _mm256_mul_pd(z, horner(z, &C));
-    let quarter = _mm256_castsi256_pd(_mm256_sub_epi64(
-        _mm256_and_si256(
-            _mm256_castpd_si256(ay),
-            _mm256_set1_epi64x(0xffff_ffff_0000_0000_u64 as i64),
-        ),
-        _mm256_set1_epi64x(0x0020_0000_0000_0000),
-    ));
-    let qx = _mm256_blendv_pd(
-        quarter,
-        c(0.28125),
-        _mm256_cmp_pd::<_CMP_GT_OQ>(ay, c(0.78125)),
-    );
-    let qx = _mm256_andnot_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(ay, c(0.3)), qx);
     let cos_y = _mm256_sub_pd(
-        _mm256_sub_pd(c(1.0), qx),
-        _mm256_sub_pd(
-            _mm256_sub_pd(_mm256_mul_pd(c(0.5), z), qx),
-            _mm256_mul_pd(z, cr),
-        ),
+        c(1.0),
+        _mm256_sub_pd(_mm256_mul_pd(c(0.5), z), _mm256_mul_pd(z, cr)),
     );
     // Quadrant n mod 4: sin θ = (s, c, −s, −c), cos θ = (c, −s, −c, s).
     let is = |q: f64| _mm256_cmp_pd::<_CMP_EQ_OQ>(n, c(q));
@@ -1411,4 +1382,75 @@ unsafe fn sincos(theta: __m256d) -> (__m256d, __m256d, __m256d) {
     let sin = _mm256_xor_pd(_mm256_blendv_pd(sin_y, cos_y, swap), sin_neg);
     let cos = _mm256_xor_pd(_mm256_blendv_pd(cos_y, sin_y, swap), cos_neg);
     (sin, cos, ok)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
+
+    #[test]
+    fn polynomials_stay_within_a_few_ulps_of_libm() {
+        if !is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut worst = 0u64;
+        for _ in 0..250_000 {
+            let w1: [u64; 4] = std::array::from_fn(|_| rng.next_u64());
+            let w2: [u64; 4] = std::array::from_fn(|_| rng.next_u64());
+            // SAFETY: AVX2 was detected above.
+            let (a, b, ok) = unsafe {
+                let load = |w: &[u64; 4]| uniform(_mm256_loadu_si256(w.as_ptr().cast()));
+                let u1 = _mm256_sub_pd(_mm256_set1_pd(1.0), load(&w1));
+                let r = _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), ln(u1)));
+                let theta = _mm256_mul_pd(_mm256_set1_pd(2.0 * std::f64::consts::PI), load(&w2));
+                let (sin, cos, ok) = sincos(theta);
+                let (a, b) = (_mm256_mul_pd(r, cos), _mm256_mul_pd(r, sin));
+                (lanes_f64(a), lanes_f64(b), _mm256_movemask_pd(ok))
+            };
+            // Lanes the reduction check sends to the fallback are not
+            // the polynomials' to answer for.
+            for l in (0..4).filter(|l| ok & (1 << l) != 0) {
+                let (u1, u2) = scalar::uniforms(w1[l], w2[l]);
+                let r = (-2.0 * u1.ln()).sqrt();
+                let theta = 2.0 * std::f64::consts::PI * u2;
+                for (got, want) in [(a[l], r * theta.cos()), (b[l], r * theta.sin())] {
+                    worst = worst.max(got.to_bits().abs_diff(want.to_bits()));
+                }
+            }
+        }
+        assert!(worst <= 64, "{worst} ulps from libm");
+    }
+
+    #[test]
+    fn uniform_is_gen_f64_of_the_word() {
+        if !is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let mut words = StdRng::seed_from_u64(5);
+        let mut draws = words.clone();
+        let edges = [0, 0x7ff, 0x800, 1 << 63, (1 << 63) - 1, u64::MAX];
+        for i in 0..4096 {
+            let w: [u64; 4] = if i == 0 {
+                [edges[0], edges[1], edges[2], edges[3]]
+            } else if i == 1 {
+                [edges[4], edges[5], 0, 0]
+            } else {
+                std::array::from_fn(|_| words.next_u64())
+            };
+            // SAFETY: AVX2 was detected above.
+            let got = unsafe { lanes_f64(uniform(_mm256_loadu_si256(w.as_ptr().cast()))) };
+            for (g, w) in got.iter().zip(w) {
+                let want = if i < 2 {
+                    (w >> 11) as f64 / (1u64 << 53) as f64
+                } else {
+                    draws.gen::<f64>()
+                };
+                assert_eq!(g.to_bits(), want.to_bits(), "word {w:#x}");
+            }
+        }
+        assert_eq!(words, draws);
+    }
 }

@@ -2,13 +2,23 @@
 //!
 //! The hot inner loops — matmul dot/axpy, q8 quantize/dequantize,
 //! sign pack/unpack, MSE reduction, Gaussian sampling — are implemented once per
-//! backend: AVX2 f32x8 on `x86_64` (runtime-detected) and a portable
-//! scalar reference everywhere else (including `aarch64`).
+//! backend. There are three backends:
+//!
+//! * `avx512` ([`Backend::Avx512`], `x86_64` with AVX2, AVX-512F and
+//!   AVX-512DQ, runtime-detected): the AVX2 kernels, plus an f64x8
+//!   Box–Muller sampler, its only kernel of its own;
+//! * `avx2` ([`Backend::Avx2`], `x86_64` with AVX2): f32x8 kernels and
+//!   an f64x4 Box–Muller sampler;
+//! * `scalar` ([`Backend::Scalar`]): the portable reference,
+//!   everywhere (including `aarch64`).
+//!
 //! Dispatch is resolved **once per process** from the `OASIS_SIMD`
-//! environment variable (`auto` | `avx2` | `scalar`,
+//! environment variable (`auto` | `avx512` | `avx2` | `scalar`,
 //! mirroring `OASIS_THREADS`) plus CPU feature detection, then read
 //! from a [`std::sync::OnceLock`]; per-call overhead is one relaxed
-//! atomic load and a thread-local check.
+//! atomic load and a thread-local check. `auto` picks the first
+//! available backend in that order, and `OASIS_SIMD=avx2` pins AVX2
+//! without the AVX-512 sampler.
 //!
 //! [`sq_err_tile`] is a register tile over a pairwise kernel (one
 //! reconstruction × 4 originals, for all-pairs PSNR): it loads each
@@ -54,51 +64,61 @@
 //! too, and [`box_sums8`], whose vector backend keeps each box's
 //! (y, x) add order by giving every box its own lane.
 //!
-//! ### The libm-referenced kernel: [`normal_pairs`]
+//! ### The libm-referenced kernels: [`normal_pairs`] and [`cos_normals`]
 //!
-//! One kernel follows a different rule. The reference of
-//! [`normal_pairs`] (Box–Muller) is the platform libm's f64 `ln`,
-//! `cos` and `sin`, which no vector backend can replicate lane by
-//! lane. Its AVX2 backend evaluates in-repo polynomials instead
-//! (fdlibm's log and sin/cos kernels, within about 2⁻⁴⁹ relative of a
-//! libm accurate to a few ulps), so approximation is allowed — but only
-//! inside a rounding guard. A lane's f64 result `v` is accepted only
-//! when `v·(1−2⁻⁴⁰)` and `v·(1+2⁻⁴⁰)` round to the same f32; rounding
-//! is monotone, so the libm value, which lies between them, rounds to
-//! that f32 too. Pairs that fail the guard are recomputed by the
-//! scalar specification, and so are the edge cases the polynomials do
-//! not cover: `u1` outside `[f64::MIN_POSITIVE, 1)` (`u1 = 1` for the
-//! sign of its zero output), `u2` outside `[0, 1)`, non-finite inputs,
-//! and a reduced angle below 2⁻³⁰. The output therefore still equals
-//! the scalar backend bit for bit, by construction; about 4·10⁻⁵ of
-//! pairs take the fallback. The parity suite for this kernel is
+//! Two kernels follow a different rule. Their input is raw rng words,
+//! two per Box–Muller draw: `u1 = 1 − U(w₀)` and `u2 = U(w₁)`, with
+//! `U(w) = (w >> 11)·2⁻⁵³`. That is exactly the value `rand`'s
+//! `gen::<f64>()` makes of the word, and every step is exact, so each
+//! backend forms the uniforms itself (in registers on the vector ones)
+//! and the stream equals a `gen::<f64>()` per uniform. It also fixes
+//! the domain: `u1 ∈ [2⁻⁵³, 1]` and `u2 ∈ [0, 1 − 2⁻⁵³]`.
+//!
+//! The reference is the platform libm's f64 `ln`, `cos` and `sin`,
+//! which no vector backend can replicate lane by lane. The AVX2 and
+//! AVX-512 samplers evaluate in-repo polynomials instead (fdlibm's log
+//! and sin/cos kernels, within 3 ulps of libm), so approximation is
+//! allowed — but only inside a rounding guard. A lane's f64 result `v`
+//! is accepted only when `|v|` is in f32's normal range and the 29
+//! mantissa bits that rounding to f32 drops are more than
+//! 2¹⁴ ulps from the rounding midpoint; every value within 2¹⁴ ulps of
+//! `v`, the libm value among them, then rounds to the same f32. Draws
+//! that fail the guard are recomputed by the scalar specification, and
+//! so are the two cases the polynomials do not cover: `u1 = 1` (for the
+//! sign of its zero output) and a reduced angle below 2⁻³⁰. The output
+//! therefore still equals the scalar backend bit for bit, by
+//! construction; about 1.2·10⁻⁴ of draws take the fallback.
+//! [`cos_normals`] keeps only the cosine normal of each draw and never
+//! forms or guards the sine normal. The parity suite for these kernels is
 //! `tests/normal_parity.rs`.
 //!
 //! ## Safety
 //!
 //! This module's `unsafe` (the dispatchers here and the kernels in
-//! `avx2.rs`) exists because calling a `#[target_feature]` kernel
+//! `avx2.rs` and `avx512.rs`) exists because calling a `#[target_feature]` kernel
 //! requires the CPU feature. The invariant is enforced structurally:
 //! a feature-gated [`Backend`] value is only obtainable after its
 //! detection predicate passed ([`Backend::detect`] checks
 //! `is_x86_feature_detected!`, [`with_backend`] asserts
-//! [`Backend::is_available`]). `avx2.rs` documents this at
-//! the top; the dispatchers carry the per-call SAFETY notes.
+//! [`Backend::is_available`]). `avx2.rs` and `avx512.rs` document
+//! this at the top; the dispatchers carry the per-call SAFETY notes.
 //!
 //! It is not the workspace's only `unsafe`. The worker pool erases
 //! task lifetimes in `pool.rs` (sound because `run_tasks` joins every
 //! task before it returns), and `oasis-wire`'s frame format casts
 //! aligned f32 payloads to and from bytes. CI runs `oasis-wire` and this crate's
 //! pool, parallel and dispatch unit tests under miri (with
-//! `OASIS_SIMD=scalar`); the `#[target_feature]` AVX2 kernels are not
-//! miri-checked and are held by the parity suites and the forced-scalar
-//! end-to-end reference check instead.
+//! `OASIS_SIMD=scalar`); the `#[target_feature]` AVX2 and AVX-512
+//! kernels are not miri-checked and are held by the parity suites and
+//! the forced-scalar end-to-end reference check instead.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 pub(crate) mod scalar;
 
 /// Samples per [`masked_sq_norms`] call: one independent lane each.
@@ -119,6 +139,9 @@ pub const SQ_BOUND_CHUNKS: usize = 16;
 /// backends can become active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
+    /// The AVX2 kernels plus an f64x8 Box–Muller sampler (`x86_64`
+    /// with runtime-detected AVX2, AVX-512F and AVX-512DQ).
+    Avx512,
     /// AVX2 f32x8 kernels (`x86_64` with runtime-detected AVX2).
     Avx2,
     /// Portable scalar reference kernels (always available).
@@ -126,22 +149,30 @@ pub enum Backend {
 }
 
 impl Backend {
+    /// Every variant, best first.
+    pub const ALL: [Backend; 3] = [Backend::Avx512, Backend::Avx2, Backend::Scalar];
+
     /// Best backend the current CPU supports.
     pub fn detect() -> Backend {
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            return Backend::Avx2;
-        }
-        Backend::Scalar
+        Backend::ALL
+            .into_iter()
+            .find(|b| b.is_available())
+            .unwrap_or(Backend::Scalar)
     }
 
     /// Whether this backend can execute on the current CPU.
     pub fn is_available(self) -> bool {
         match self {
             #[cfg(target_arch = "x86_64")]
+            Backend::Avx512 => {
+                is_x86_feature_detected!("avx2")
+                    && is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512dq")
+            }
+            #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => false,
+            Backend::Avx512 | Backend::Avx2 => false,
             Backend::Scalar => true,
         }
     }
@@ -150,6 +181,7 @@ impl Backend {
     /// bench records and logs.
     pub fn label(self) -> &'static str {
         match self {
+            Backend::Avx512 => "avx512",
             Backend::Avx2 => "avx2",
             Backend::Scalar => "scalar",
         }
@@ -163,6 +195,7 @@ impl Backend {
 /// aborting every process).
 fn parse_choice(v: &str) -> Option<Backend> {
     let forced = match v.trim().to_ascii_lowercase().as_str() {
+        "avx512" => Backend::Avx512,
         "avx2" => Backend::Avx2,
         "scalar" => return Some(Backend::Scalar),
         _ => return None, // "auto", empty, unknown
@@ -247,14 +280,16 @@ pub(crate) fn with_override<R>(o: Option<Backend>, f: impl FnOnce() -> R) -> R {
 /// SAFETY: the vector arms require their instruction set, and are
 /// only reachable through a `Backend` value whose detection predicate
 /// passed (see module docs) — `Backend::Avx2` cannot become active on
-/// a CPU that lacks AVX2.
+/// a CPU that lacks AVX2, nor `Backend::Avx512` on one that lacks AVX2
+/// or the AVX-512 subsets it names. Every kernel but the Box–Muller
+/// block runs its AVX2 body on both.
 macro_rules! dispatch {
     ($kernel:ident ( $($arg:expr),* $(,)? )) => {
         match active() {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: Avx2 is only constructed after
+            // SAFETY: Avx2 and Avx512 are only constructed after
             // `is_x86_feature_detected!("avx2")` returned true.
-            Backend::Avx2 => unsafe { avx2::$kernel($($arg),*) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::$kernel($($arg),*) },
             _ => scalar::$kernel($($arg),*),
         }
     };
@@ -479,19 +514,114 @@ pub fn box_sums8(
     dispatch!(box_sums8(src, step, stride, rows, bw, out))
 }
 
-/// Box–Muller over paired uniforms: `out[2i]` and `out[2i + 1]` are
-/// `r·cos θ` and `r·sin θ` cast to f32, with `r = √(−2 ln u1[i])` and
-/// `θ = 2π·u2[i]` evaluated in f64 with the platform libm — the stream
+/// Box–Muller over raw rng words: draw `i` takes the uniforms
+/// `u1 = 1 − U(words[2i])` and `u2 = U(words[2i + 1])`, with
+/// `U(w) = (w >> 11)·2⁻⁵³` (exactly `rand`'s `gen::<f64>()` of that
+/// word), and writes `out[2i]` and `out[2i + 1]` as `r·cos θ` and
+/// `r·sin θ` cast to f32, with `r = √(−2 ln u1)` and `θ = 2π·u2`
+/// evaluated in f64 with the platform libm — the stream
 /// [`Tensor::randn`](crate::Tensor::randn) draws. Returns the number of
-/// pairs the backend recomputed on the libm path (0 on the scalar
+/// draws the backend recomputed on the libm path (0 on the scalar
 /// backend).
 ///
 /// The output is bit-identical on every backend, under the rule in
 /// the module docs' "libm-referenced kernel" section. Requires
-/// `u1.len() == u2.len()` and `out.len() == 2·u1.len()`
+/// `out.len() == words.len()`, an even length (debug-asserted).
+pub fn normal_pairs(words: &[u64], out: &mut [f32]) -> usize {
+    debug_assert!(
+        words.len().is_multiple_of(2) && out.len() == words.len(),
+        "normal_pairs needs two words and two outputs per draw"
+    );
+    normals::<2>(words, out)
+}
+
+/// [`normal_pairs`] keeping only the cosine normal of each draw:
+/// `out[i]` is `r·cos θ` of draw `i` (words `2i` and `2i + 1`), and
+/// no sine normal is formed. Requires `words.len() == 2·out.len()`
 /// (debug-asserted).
-pub fn normal_pairs(u1: &[f64], u2: &[f64], out: &mut [f32]) -> usize {
-    dispatch!(normal_pairs(u1, u2, out))
+pub fn cos_normals(words: &[u64], out: &mut [f32]) -> usize {
+    debug_assert!(
+        words.len() == 2 * out.len(),
+        "cos_normals needs two words per output"
+    );
+    normals::<1>(words, out)
+}
+
+/// The Box–Muller kernels' dispatch: `PER_DRAW` outputs per draw.
+fn normals<const PER_DRAW: usize>(words: &[u64], out: &mut [f32]) -> usize {
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx512 is only constructed after AVX2, AVX-512F and
+        // AVX-512DQ were detected.
+        Backend::Avx512 => guarded_blocks::<8, PER_DRAW>(words, out, |w, o| unsafe {
+            avx512::normal_block::<PER_DRAW>(w, o)
+        }),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2 is only constructed after AVX2 was detected.
+        Backend::Avx2 => guarded_blocks::<4, PER_DRAW>(words, out, |w, o| unsafe {
+            avx2::normal_block::<PER_DRAW>(w, o)
+        }),
+        _ => scalar::normals::<PER_DRAW>(words, out),
+    }
+}
+
+/// The vector samplers' rounding guard, in f64 ulps: a lane is kept
+/// only when the 29 low mantissa bits that rounding to f32 drops are
+/// more than this far from the rounding midpoint (and `|v|` is in f32's
+/// normal range, where those are the dropped bits). Any value within
+/// that many ulps of the lane then rounds to the same f32. Their
+/// polynomial results differ from libm's by at most 3 ulps (measured
+/// over 4·10⁶ values; the kernels' unit tests hold them to 64), far
+/// inside it.
+#[cfg(target_arch = "x86_64")]
+const GUARD_ULPS: i64 = 1 << 14;
+
+/// The loop of a vector Box–Muller backend, `L` draws per block.
+/// `block` reads `2·L` words, writes `PER_DRAW·L` outputs and returns
+/// the mask of draws it left undecided, which are recomputed by the
+/// scalar specification. A final partial block runs on words padded
+/// with a fast-path draw whose outputs are discarded. Returns the
+/// number of recomputed draws.
+#[cfg(target_arch = "x86_64")]
+fn guarded_blocks<const L: usize, const PER_DRAW: usize>(
+    words: &[u64],
+    out: &mut [f32],
+    mut block: impl FnMut(&[u64], &mut [f32]) -> u32,
+) -> usize {
+    let draws = (words.len() / 2).min(out.len() / PER_DRAW);
+    let mut fallbacks = 0;
+    let mut recompute = |fail: u32, words: &[u64], out: &mut [f32]| {
+        for l in (0..L).filter(|l| fail & (1 << l) != 0) {
+            scalar::normal_draw::<PER_DRAW>(&words[2 * l..2 * l + 2], &mut out[PER_DRAW * l..]);
+        }
+        fallbacks += fail.count_ones() as usize;
+    };
+    let full = draws / L * L;
+    for (w, o) in words[..2 * full]
+        .chunks_exact(2 * L)
+        .zip(out.chunks_exact_mut(PER_DRAW * L))
+    {
+        let fail = block(w, o);
+        if fail != 0 {
+            recompute(fail, w, o);
+        }
+    }
+    if full < draws {
+        let m = draws - full;
+        const { assert!(L <= 8 && PER_DRAW <= 2) };
+        let (mut w, mut z) = ([0u64; 16], [0.0f32; 16]);
+        let (w, z) = (&mut w[..2 * L], &mut z[..PER_DRAW * L]);
+        for pad in w.chunks_exact_mut(2) {
+            // u1 = 0.5, u2 = 0.125: far from every fallback case.
+            pad.copy_from_slice(&[1 << 63, 1 << 61]);
+        }
+        w[..2 * m].copy_from_slice(&words[2 * full..2 * draws]);
+        let fail = block(w, z) & ((1 << m) - 1);
+        let out = &mut out[PER_DRAW * full..PER_DRAW * draws];
+        out.copy_from_slice(&z[..PER_DRAW * m]);
+        recompute(fail, w, out);
+    }
+    fallbacks
 }
 
 #[cfg(test)]
@@ -506,8 +636,24 @@ mod tests {
 
     #[test]
     fn labels_are_the_env_spellings() {
+        for backend in Backend::ALL {
+            assert_eq!(
+                parse_choice(backend.label()),
+                backend.is_available().then_some(backend)
+            );
+        }
+        assert_eq!(Backend::Avx512.label(), "avx512");
         assert_eq!(Backend::Avx2.label(), "avx2");
         assert_eq!(Backend::Scalar.label(), "scalar");
+    }
+
+    #[test]
+    fn detect_prefers_the_widest_available_backend() {
+        let best = Backend::detect();
+        let first = Backend::ALL.into_iter().find(|b| b.is_available());
+        assert_eq!(Some(best), first);
+        // Avx512 needs everything Avx2 does.
+        assert!(!Backend::Avx512.is_available() || Backend::Avx2.is_available());
     }
 
     #[test]
@@ -524,6 +670,8 @@ mod tests {
         // when available it is honored.
         let avx2 = Backend::Avx2.is_available().then_some(Backend::Avx2);
         assert_eq!(parse_choice("avx2"), avx2);
+        let avx512 = Backend::Avx512.is_available().then_some(Backend::Avx512);
+        assert_eq!(parse_choice("AVX512"), avx512);
     }
 
     #[test]
@@ -557,8 +705,10 @@ mod tests {
     #[test]
     #[cfg(not(target_arch = "x86_64"))]
     fn pinning_unavailable_backend_panics() {
-        let result = std::panic::catch_unwind(|| with_backend(Backend::Avx2, || ()));
-        assert!(result.is_err());
+        for backend in [Backend::Avx512, Backend::Avx2] {
+            let result = std::panic::catch_unwind(|| with_backend(backend, || ()));
+            assert!(result.is_err());
+        }
     }
 
     #[test]

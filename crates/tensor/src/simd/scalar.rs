@@ -431,31 +431,41 @@ pub(crate) fn box_sums8(
     }
 }
 
-/// One Box–Muller pair from `u1 ∈ (0, 1]` and `u2 ∈ [0, 1)`:
-/// `r = √(−2 ln u1)`, `θ = 2π·u2`, then `(r·cos θ, r·sin θ)`, all in
+/// The uniforms of one Box–Muller draw from its two rng words:
+/// `u1 = 1 − U(w1)` and `u2 = U(w2)`, with `U(w) = (w >> 11)·2⁻⁵³`,
+/// the value `rand`'s `gen::<f64>()` makes of the word. Every step is
+/// exact, so `u1 ∈ [2⁻⁵³, 1]` and `u2 ∈ [0, 1 − 2⁻⁵³]`.
+pub(crate) fn uniforms(w1: u64, w2: u64) -> (f64, f64) {
+    let u = |w: u64| (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    (1.0 - u(w1), u(w2))
+}
+
+/// One Box–Muller draw from the words `w[0]` and `w[1]` (see
+/// [`uniforms`]): `r = √(−2 ln u1)`, `θ = 2π·u2`, then `r·cos θ` into
+/// `out[0]` and, when `PER_DRAW = 2`, `r·sin θ` into `out[1]`, all in
 /// f64 with the platform libm's `ln`, `cos` and `sin`, each result
 /// cast to f32.
 ///
-/// The specification of [`normal_pairs`]. Unlike every other kernel
-/// here, vector backends do not replicate it operation by operation;
-/// they approximate it inside a rounding guard (see
-/// [`super::normal_pairs`]).
-pub(crate) fn normal_pair(u1: f64, u2: f64) -> (f32, f32) {
+/// The specification of [`super::normal_pairs`] and
+/// [`super::cos_normals`]. Unlike every other kernel here, vector
+/// backends do not replicate it operation by operation; they
+/// approximate it inside a rounding guard (see the [`super`] docs).
+pub(crate) fn normal_draw<const PER_DRAW: usize>(w: &[u64], out: &mut [f32]) {
+    let (u1, u2) = uniforms(w[0], w[1]);
     let r = (-2.0 * u1.ln()).sqrt();
     let theta = 2.0 * std::f64::consts::PI * u2;
-    ((r * theta.cos()) as f32, (r * theta.sin()) as f32)
+    out[0] = (r * theta.cos()) as f32;
+    if PER_DRAW == 2 {
+        out[1] = (r * theta.sin()) as f32;
+    }
 }
 
-/// [`normal_pair`] of every `(u1[i], u2[i])` into `out[2i]` (the
-/// cosine branch) and `out[2i + 1]` (the sine branch). Returns the
-/// number of pairs recomputed on a fallback path: always 0 here.
-pub(crate) fn normal_pairs(u1: &[f64], u2: &[f64], out: &mut [f32]) -> usize {
-    debug_assert!(
-        u1.len() == u2.len() && out.len() == 2 * u1.len(),
-        "normal_pairs needs equal uniform lengths and two outputs per pair"
-    );
-    for ((&a, &b), o) in u1.iter().zip(u2).zip(out.chunks_exact_mut(2)) {
-        (o[0], o[1]) = normal_pair(a, b);
+/// [`normal_draw`] of every word pair: `PER_DRAW` outputs per draw.
+/// Returns the number of draws recomputed on a fallback path: always 0
+/// here.
+pub(crate) fn normals<const PER_DRAW: usize>(words: &[u64], out: &mut [f32]) -> usize {
+    for (w, o) in words.chunks_exact(2).zip(out.chunks_exact_mut(PER_DRAW)) {
+        normal_draw::<PER_DRAW>(w, o);
     }
     0
 }

@@ -61,7 +61,7 @@ fn best() -> Backend {
 
 /// Every backend this CPU can run.
 fn backends() -> Vec<Backend> {
-    [Backend::Scalar, Backend::Avx2]
+    Backend::ALL
         .into_iter()
         .filter(|b| b.is_available())
         .collect()
