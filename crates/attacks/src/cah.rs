@@ -81,22 +81,27 @@ impl CahAttack {
 }
 
 /// Builds `rows` trap-weight rows of width `d`: |N(0,1)| magnitudes, a
-/// random half of coordinates negated.
+/// random half of coordinates negated, each row scaled by `1/√d` so
+/// pre-activations stay O(1) for unit images.
+///
+/// All normals are drawn first, then one shuffle per row. The scale
+/// is applied before the negation, which is exact: `(−|z|)·s` and
+/// `−(|z|·s)` are the same float.
 fn trap_weights(rows: usize, d: usize, seed: u64) -> Tensor {
     let _span = oasis_telemetry::span("attack.calibrate.trap_weights");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut w = Tensor::randn(&[rows, d], &mut rng).map(f32::abs);
+    let mut w = Tensor::randn(&[rows, d], &mut rng);
+    let scale = 1.0 / (d as f32).sqrt();
     let mut indices: Vec<usize> = (0..d).collect();
-    for r in 0..rows {
+    for row in w.data_mut().chunks_exact_mut(d.max(1)) {
+        for v in row.iter_mut() {
+            *v = v.abs() * scale;
+        }
         indices.shuffle(&mut rng);
-        let row = w.row_mut(r).expect("row in bounds");
         for &i in indices.iter().take(d / 2) {
             row[i] = -row[i];
         }
     }
-    // Normalize rows so pre-activations stay O(1) for unit images.
-    let scale = 1.0 / (d as f32).sqrt();
-    w.scale_in_place(scale);
     w
 }
 
@@ -137,6 +142,31 @@ mod tests {
         for r in 0..10 {
             let neg = w.row(r).unwrap().iter().filter(|&&v| v < 0.0).count();
             assert_eq!(neg, 50, "row {r} has {neg} negative entries");
+        }
+    }
+
+    #[test]
+    fn trap_weights_match_the_three_pass_construction_bit_exactly() {
+        // The construction before the draw was fused, verbatim: abs into
+        // a second tensor, negate the shuffled halves, then scale.
+        fn three_pass(rows: usize, d: usize, seed: u64) -> Tensor {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut w = Tensor::randn(&[rows, d], &mut rng).map(f32::abs);
+            let mut indices: Vec<usize> = (0..d).collect();
+            for r in 0..rows {
+                indices.shuffle(&mut rng);
+                let row = w.row_mut(r).expect("row in bounds");
+                for &i in indices.iter().take(d / 2) {
+                    row[i] = -row[i];
+                }
+            }
+            w.scale_in_place(1.0 / (d as f32).sqrt());
+            w
+        }
+        for (rows, d, seed) in [(1, 1, 0), (3, 7, 1), (10, 100, 2), (17, 3072, 3)] {
+            let (got, want) = (trap_weights(rows, d, seed), three_pass(rows, d, seed));
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "rows={rows} d={d}");
         }
     }
 

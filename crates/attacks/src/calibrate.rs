@@ -8,29 +8,38 @@
 //!
 //! The responses are `rows × N` dot products of length `d` — for
 //! `cah:400` on 384 images of `d = 3072` that is 472 M mul-adds, the
-//! largest cost of setting up an attack. The kernel computes every
-//! response with exactly the IEEE operation sequence of
+//! largest cost of setting up an attack. Every response is computed
+//! with exactly the IEEE operation sequence of
 //! `row.iter().zip(x).map(|(&w, &x)| w * x).sum::<f32>()`: it starts
 //! from the value [`Sum`](std::iter::Sum) starts from and adds
 //! `w_k·x_k` in ascending `k`, multiply then add, never fused. What
-//! changes is the layout: the images are transposed once into
-//! `k`-major groups of [`GROUP`] images, one accumulator lane per
-//! image, so a group stays cache-resident while every row streams
-//! past it and the lanes advance together; the transpose (by group)
-//! and the row blocks fan out over [`oasis_tensor::parallel`]. Every response is owned by one lane of
-//! one block, so the result is the same at any thread count.
+//! changes is the layout. The images are taken in groups of [`GROUP`],
+//! each transposed `k`-major so that one image is one accumulator
+//! lane, and [`simd::lane_dots`] runs every weight row against a group
+//! in register tiles of several rows (a runtime-dispatched kernel with
+//! AVX2 and AVX-512 bodies). The pool's blocks split the
+//! `(group, row)` pairs group-major, so each block transposes only the
+//! groups it covers into one reused buffer. A NaN response is redone
+//! with the sequential sum, which pins its payload. Every response is
+//! owned by one lane of one block, so the result is the same at any
+//! thread count and on every backend.
 
 use oasis_image::Image;
 use oasis_nn::Sequential;
+use oasis_tensor::simd::{self, DOT_LANES};
 use oasis_tensor::{parallel, Tensor};
 
 use crate::{attacked_model, AttackError, Result};
 
 /// Images whose responses advance together, one accumulator lane
-/// each: enough independent add chains to hide the add latency while
-/// the accumulators stay in registers, and a group (~400 KB at
-/// `d = 3072`) stays in cache while the rows stream past.
-const GROUP: usize = 32;
+/// each ([`simd::lane_dots`]'s group): a group (~400 KB at `d = 3072`)
+/// stays in cache while the rows stream past.
+const GROUP: usize = DOT_LANES;
+
+/// Values of each image the transpose moves per pass over a group:
+/// the strip's `GROUP` rows (16 KiB) stay in L1 while every image
+/// writes its lane.
+const TRANSPOSE_STRIP: usize = 128;
 
 /// A malicious layer fitted to a calibration set: the weight rows it
 /// was fitted against and each row's quantile bias. The model a
@@ -146,60 +155,62 @@ fn responses(weights: &Tensor, calibration: &[Image]) -> Result<Vec<f32>> {
         )));
     }
     let n = calibration.len();
-    // Group g holds x[k][l] = image(g·GROUP + l)[k] at k·GROUP + l;
-    // the last group's missing images are zero lanes, never read back.
-    // Groups are filled independently, so they fan out on the pool.
-    let groups = n.div_ceil(GROUP);
-    let mut xt = vec![0.0f32; groups * d * GROUP];
-    parallel::for_each_row_block(&mut xt, d * GROUP, |g0, block| {
-        for (g, group) in (g0..).zip(block.chunks_exact_mut(d * GROUP)) {
-            for (l, img) in calibration[g * GROUP..].iter().take(GROUP).enumerate() {
-                for (slot, &v) in group.chunks_exact_mut(GROUP).zip(img.data()) {
-                    slot[l] = v;
-                }
-            }
+    let w = weights.data();
+    // dots[(g·rows + r)·GROUP + l] is row r's response to image
+    // g·GROUP + l: group-major, so the pool's blocks split the
+    // (group, row) pairs and each block transposes only its groups.
+    let mut dots = vec![0.0f32; n.div_ceil(GROUP) * rows * GROUP];
+    parallel::for_each_row_block(&mut dots, GROUP, |first, block| {
+        // xt[k·GROUP + l] = image(g·GROUP + l)[k] for the current group
+        // g. A short last group leaves stale lanes, never read back.
+        let mut xt = vec![0.0f32; d * GROUP];
+        let (mut at, mut block) = (first, block);
+        while !block.is_empty() {
+            let (g, r0) = (at / rows, at % rows);
+            let count = (rows - r0).min(block.len() / GROUP);
+            transpose_group(&calibration[g * GROUP..n.min((g + 1) * GROUP)], &mut xt);
+            let (head, tail) = block.split_at_mut(count * GROUP);
+            simd::lane_dots(
+                &w[r0 * d..(r0 + count) * d],
+                xt.as_chunks().0,
+                head.as_chunks_mut().0,
+            );
+            (at, block) = (at + count, tail);
         }
     });
-    let start: f32 = std::iter::empty::<f32>().sum();
     let mut out = vec![0.0f32; rows * n];
     parallel::for_each_row_block(&mut out, n, |r0, block| {
-        for (g, group) in xt.chunks_exact(d * GROUP).enumerate() {
-            let lanes = GROUP.min(n - g * GROUP);
-            for (r, row_out) in block.chunks_exact_mut(n).enumerate() {
-                let w = weights.row(r0 + r).expect("row in bounds");
-                let acc = lane_dots(w, group.as_chunks().0, start);
-                for (l, (o, &z)) in row_out[g * GROUP..]
-                    .iter_mut()
-                    .zip(&acc[..lanes])
-                    .enumerate()
-                {
-                    // Which NaN a chain ends in depends on the operand
-                    // order the vectorizer gives the add (Rust leaves
-                    // NaN payloads unspecified), so NaN lanes are
-                    // redone with the sequential sum.
-                    *o = if z.is_nan() {
-                        sequential_dot(w, calibration[g * GROUP + l].data())
-                    } else {
-                        z
-                    };
-                }
+        for (r, row_out) in (r0..).zip(block.chunks_exact_mut(n)) {
+            for (i, o) in row_out.iter_mut().enumerate() {
+                let z = dots[((i / GROUP) * rows + r) * GROUP + i % GROUP];
+                // Which NaN a chain ends in depends on the operand
+                // order each backend gives the add (Rust leaves NaN
+                // payloads unspecified), so NaN lanes are redone with
+                // the sequential sum.
+                *o = if z.is_nan() {
+                    sequential_dot(&w[r * d..(r + 1) * d], calibration[i].data())
+                } else {
+                    z
+                };
             }
         }
     });
     Ok(out)
 }
 
-/// `GROUP` dots at once: lane `l` adds `w_k·x[k][l]` to `start` in
-/// ascending `k`, the sequence [`sequential_dot`] runs for one image.
-#[inline]
-fn lane_dots(w: &[f32], x: &[[f32; GROUP]], start: f32) -> [f32; GROUP] {
-    let mut acc = [start; GROUP];
-    for (&wk, xk) in w.iter().zip(x) {
-        for l in 0..GROUP {
-            acc[l] += wk * xk[l];
+/// Writes `images` (at most [`GROUP`], each `d = xt.len() / GROUP`
+/// values) `k`-major into `xt`: `xt[k·GROUP + l] = images[l][k]`.
+fn transpose_group(images: &[Image], xt: &mut [f32]) {
+    // A strip of TRANSPOSE_STRIP values of each image at a time, so
+    // the strip's rows of the group stay in L1.
+    for (s, strip) in xt.chunks_mut(TRANSPOSE_STRIP * GROUP).enumerate() {
+        for (l, img) in images.iter().enumerate() {
+            let src = &img.data()[s * TRANSPOSE_STRIP..];
+            for (slot, &v) in strip.chunks_exact_mut(GROUP).zip(src) {
+                slot[l] = v;
+            }
         }
     }
-    acc
 }
 
 /// `Σ_k w_k·x_k` as a strictly sequential `Iterator::sum`.
@@ -210,6 +221,7 @@ fn sequential_dot(w: &[f32], x: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasis_tensor::simd::Backend;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -276,15 +288,19 @@ mod tests {
         ) {
             let (w, images) = case(rows, n, d, hostile == 1, seed);
             let (want_responses, want_biases) = oracle(&w, &images, target);
-            for threads in [1, 2] {
-                let (got_responses, got_biases) = parallel::with_threads(threads, || {
-                    (
-                        responses(&w, &images).unwrap(),
-                        quantile_biases(&w, &images, target).unwrap(),
-                    )
-                });
-                prop_assert_eq!(bits(&got_responses), bits(&want_responses));
-                prop_assert_eq!(bits(&got_biases), bits(&want_biases));
+            for backend in Backend::ALL.into_iter().filter(|b| b.is_available()) {
+                for threads in [1, 2, 4] {
+                    let (got_responses, got_biases) = simd::with_backend(backend, || {
+                        parallel::with_threads(threads, || {
+                            (
+                                responses(&w, &images).unwrap(),
+                                quantile_biases(&w, &images, target).unwrap(),
+                            )
+                        })
+                    });
+                    prop_assert_eq!(bits(&got_responses), bits(&want_responses));
+                    prop_assert_eq!(bits(&got_biases), bits(&want_biases));
+                }
             }
         }
     }

@@ -2,6 +2,7 @@
 //! pool hygiene.
 
 use oasis_image::Image;
+use oasis_tensor::simd;
 
 /// Minimum `|∂L/∂b_i|` for a neuron to be considered informative.
 pub const BIAS_GRAD_EPS: f32 = 1e-9;
@@ -79,19 +80,21 @@ fn is_duplicate(a: &[f32], b: &[f32]) -> bool {
 /// means duplicates (which have almost identical means) are the only
 /// candidates compared pixel-wise, and the comparison itself
 /// short-circuits (`is_duplicate`) as soon as a candidate is
-/// provably distinct.
+/// provably distinct. The squared norms and means are taken first,
+/// eight candidates at a time ([`simd::sq_and_sums8`]).
 pub fn dedupe_images(pool: Vec<Image>) -> Vec<Image> {
     use std::collections::HashMap;
+    let stats = candidate_stats(&pool);
     let mut kept: Vec<Image> = Vec::new();
     let mut buckets: HashMap<i64, Vec<usize>> = HashMap::new();
-    'outer: for img in pool {
-        let norm_sq: f32 = img.data().iter().map(|v| v * v).sum();
+    'outer: for (img, (norm_sq, mean)) in pool.into_iter().zip(stats) {
         if !norm_sq.is_finite() || norm_sq < 1e-8 {
             continue; // degenerate
         }
-        let key = (img.mean() as f64 * 1e4).round() as i64;
+        // Saturates for |mean| beyond ~9.2·10¹⁴; the neighbours must too.
+        let key = (mean as f64 * 1e4).round() as i64;
         // Duplicates can straddle a bucket boundary; check neighbors.
-        for k in [key - 1, key, key + 1] {
+        for k in [key.saturating_sub(1), key, key.saturating_add(1)] {
             if let Some(indices) = buckets.get(&k) {
                 for &i in indices {
                     if kept[i].dims() == img.dims() && is_duplicate(kept[i].data(), img.data()) {
@@ -104,6 +107,42 @@ pub fn dedupe_images(pool: Vec<Image>) -> Vec<Image> {
         kept.push(img);
     }
     kept
+}
+
+/// Each image's `(Σ v², mean)`: the f32 `Iterator::sum` of its squared
+/// values and [`Image::mean`], bit for bit.
+///
+/// Both are sequential add chains, so one image at a time waits on
+/// the add latency at every value. Runs of eight images of one size go
+/// through [`simd::sq_and_sums8`] together, so their chains overlap;
+/// every chain keeps its own order.
+fn candidate_stats(pool: &[Image]) -> Vec<(f32, f32)> {
+    let mut stats = Vec::with_capacity(pool.len());
+    let mut rest = pool;
+    while let Some(first) = rest.first() {
+        let n = first.numel();
+        let run = rest
+            .iter()
+            .take(8)
+            .take_while(|img| img.numel() == n)
+            .count();
+        if run == 8 && n > 0 {
+            let (sq, sum) = simd::sq_and_sums8(std::array::from_fn(|j| rest[j].data()));
+            stats.extend(
+                sq.into_iter()
+                    .zip(sum)
+                    .map(|(sq, sum)| (sq, (sum / n as f64) as f32)),
+            );
+        } else {
+            stats.extend(
+                rest[..run]
+                    .iter()
+                    .map(|img| (img.data().iter().map(|v| v * v).sum(), img.mean())),
+            );
+        }
+        rest = &rest[run..];
+    }
+    stats
 }
 
 #[cfg(test)]
@@ -251,5 +290,125 @@ mod tests {
         assert_eq!(pool.len(), 500);
         let kept = dedupe_images(pool);
         assert_eq!(kept.len(), 10, "one survivor per distinct sample");
+    }
+
+    /// `dedupe_images` before its sums ran side by side, verbatim: each
+    /// candidate's norm and mean taken one at a time inside the loop.
+    fn dedupe_oracle(pool: Vec<Image>) -> Vec<Image> {
+        use std::collections::HashMap;
+        let mut kept: Vec<Image> = Vec::new();
+        let mut buckets: HashMap<i64, Vec<usize>> = HashMap::new();
+        'outer: for img in pool {
+            let norm_sq: f32 = img.data().iter().map(|v| v * v).sum();
+            if !norm_sq.is_finite() || norm_sq < 1e-8 {
+                continue; // degenerate
+            }
+            let key = (img.mean() as f64 * 1e4).round() as i64;
+            // Duplicates can straddle a bucket boundary; check neighbors.
+            for k in [key - 1, key, key + 1] {
+                if let Some(indices) = buckets.get(&k) {
+                    for &i in indices {
+                        if kept[i].dims() == img.dims() && is_duplicate(kept[i].data(), img.data())
+                        {
+                            continue 'outer;
+                        }
+                    }
+                }
+            }
+            buckets.entry(key).or_default().push(kept.len());
+            kept.push(img);
+        }
+        kept
+    }
+
+    fn bits(images: &[Image]) -> Vec<((usize, usize, usize), Vec<u32>)> {
+        images
+            .iter()
+            .map(|img| (img.dims(), img.data().iter().map(|v| v.to_bits()).collect()))
+            .collect()
+    }
+
+    /// A shuffled pool of `d`-value candidates: near-duplicates whose
+    /// means straddle a bucket edge, exact copies, distinct images, and
+    /// degenerate ones (all-zero, NaN, ±∞, a squared norm that
+    /// overflows, and squared norms a hair either side of 1e-8), with
+    /// a few candidates of another size breaking the runs.
+    fn hostile_pool(d: usize, seed: u64) -> Vec<Image> {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pool = Vec::new();
+        for _ in 0..12 {
+            // A mean of (k + ½)·1e-4 puts the bucket edge between two
+            // copies a few 1e-7 apart (far above 45 dB).
+            let edge = (rng.gen_range(0..10_000) as f32 + 0.5) * 1e-4;
+            let spread: Vec<f32> = (0..d).map(|_| rng.gen_range(-0.01f32..0.01)).collect();
+            let centred = spread.iter().sum::<f32>() / d as f32;
+            for offset in [-3e-7f32, 3e-7, 0.0] {
+                pool.push(img(&spread
+                    .iter()
+                    .map(|&v| v - centred + edge + offset)
+                    .collect::<Vec<_>>()));
+            }
+        }
+        for _ in 0..10 {
+            let v: Vec<f32> = (0..d).map(|_| rng.gen::<f32>()).collect();
+            pool.push(img(&v));
+            if rng.gen_bool(0.5) {
+                pool.push(img(&v));
+            }
+        }
+        let tiny = (1e-8f32 / d as f32).sqrt();
+        for special in [0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e20] {
+            let mut v = vec![special; d];
+            v[0] = 0.25;
+            pool.push(img(&v));
+            pool.push(img(&vec![special; d]));
+        }
+        for scale in [0.999f32, 0.999_999, 1.0, 1.000_001, 1.001] {
+            pool.push(img(&vec![tiny * scale; d]));
+        }
+        for _ in 0..5 {
+            pool.push(img(&(0..d + 3)
+                .map(|_| rng.gen::<f32>())
+                .collect::<Vec<_>>()));
+        }
+        pool.shuffle(&mut rng);
+        pool
+    }
+
+    #[test]
+    fn dedupe_matches_the_one_candidate_at_a_time_oracle() {
+        for (d, seed) in [(1, 0), (7, 1), (8, 2), (48, 3), (61, 4), (3072, 5)] {
+            let pool = hostile_pool(d, seed);
+            let want = dedupe_oracle(pool.clone());
+            let got = dedupe_images(pool);
+            assert_eq!(bits(&got), bits(&want), "d={d}");
+        }
+    }
+
+    #[test]
+    fn dedupe_candidate_stats_equal_the_sums_they_replace() {
+        let pool = hostile_pool(33, 6);
+        for (img, (norm_sq, mean)) in pool.iter().zip(candidate_stats(&pool)) {
+            let want: f32 = img.data().iter().map(|v| v * v).sum();
+            assert!(
+                (norm_sq.is_nan() && want.is_nan()) || norm_sq.to_bits() == want.to_bits(),
+                "{norm_sq} vs {want}"
+            );
+            let want = img.mean();
+            assert!((mean.is_nan() && want.is_nan()) || mean.to_bits() == want.to_bits());
+        }
+    }
+
+    #[test]
+    fn dedupe_survives_means_beyond_the_bucket_key_range() {
+        // (1e15·1e4).round() saturates the i64 key at i64::MAX; its
+        // neighbour key used to overflow.
+        for value in [1e15f32, -1e15] {
+            let pool = vec![img(&[value; 4]), img(&[value; 4])];
+            assert_eq!(dedupe_images(pool).len(), 1, "{value}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! `trace_check` — validate an `oasis-telemetry` JSONL trace file.
 //!
 //! ```text
-//! trace_check <trace.jsonl> [--summary] [--min-spans N]
+//! trace_check <trace.jsonl> [--summary] [--min-spans N] [--min-coverage F]
 //! ```
 //!
 //! Checks the structural invariants the schema promises (see
@@ -9,20 +9,24 @@
 //! unique nonzero span ids, file order monotone in `(start_ns, id)`,
 //! and every parent present, on the same thread, and enclosing its
 //! child's interval. `--summary` additionally prints the per-span
-//! self-time table CI attaches as an artifact. Exit 1 on any
-//! violation, so CI can gate on it.
+//! self-time table CI attaches as an artifact. `--min-coverage F`
+//! prints the trace's coverage (`oasis_telemetry::coverage`: the share
+//! of the driving thread's root spans that their direct children
+//! account for, `e2ebench`'s `trace.coverage`) and requires it to be at
+//! least `F`. Exit 1 on any violation, so CI can gate on it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use oasis_telemetry::{read_trace, self_time_table, summarize, validate_trace};
+use oasis_telemetry::{coverage, read_trace, self_time_table, summarize, validate_trace};
 
-const USAGE: &str = "trace_check <trace.jsonl> [--summary] [--min-spans N]";
+const USAGE: &str = "trace_check <trace.jsonl> [--summary] [--min-spans N] [--min-coverage F]";
 
 fn main() -> ExitCode {
     let mut path: Option<PathBuf> = None;
     let mut summary = false;
     let mut min_spans = 1usize;
+    let mut min_coverage: Option<f64> = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -32,6 +36,15 @@ fn main() -> ExitCode {
                     Some(n) => n,
                     None => {
                         eprintln!("trace_check: --min-spans needs a number\n{USAGE}");
+                        return ExitCode::FAILURE;
+                    }
+                };
+            }
+            "--min-coverage" => {
+                min_coverage = match it.next().and_then(|v| v.parse::<f64>().ok()) {
+                    Some(f) if (0.0..=1.0).contains(&f) => Some(f),
+                    _ => {
+                        eprintln!("trace_check: --min-coverage needs a number in [0, 1]\n{USAGE}");
                         return ExitCode::FAILURE;
                     }
                 };
@@ -82,6 +95,20 @@ fn main() -> ExitCode {
         trace.metrics.gauges.len(),
         trace.metrics.histograms.len(),
     );
+    if let Some(floor) = min_coverage {
+        let Some(got) = coverage(&trace.spans) else {
+            eprintln!("trace_check: {}: no op time to cover", path.display());
+            return ExitCode::FAILURE;
+        };
+        println!("coverage {got:.4} (floor {floor})");
+        if got < floor {
+            eprintln!(
+                "trace_check: {}: coverage {got:.4} is below {floor}",
+                path.display()
+            );
+            return ExitCode::FAILURE;
+        }
+    }
     if summary {
         print!("{}", self_time_table(&summarize(&trace.spans)));
     }

@@ -205,7 +205,7 @@ type Base = (&'static str, fn() -> PreparedBench);
 
 /// Every `core` kernel; [`core_suite`] records each as a
 /// `_simd`/`_scalar` pair.
-pub const CORE_KERNELS: [Base; 18] = [
+pub const CORE_KERNELS: [Base; 19] = [
     ("matmul_256", bench_matmul_256),
     ("matmul_conv_fwd", bench_matmul_conv_fwd),
     ("matmul_nt_conv_gw", bench_matmul_nt_conv_gw),
@@ -223,6 +223,7 @@ pub const CORE_KERNELS: [Base; 18] = [
     ("psnr_pairs", bench_psnr_pairs),
     ("score_pool", bench_score_pool),
     ("normal_fill", bench_normal_fill),
+    ("cah_responses", bench_cah_responses),
     ("render_imagenette", bench_render_imagenette),
 ];
 
@@ -935,6 +936,27 @@ fn bench_normal_fill() -> PreparedBench {
         run: Box::new(move || {
             oasis_tensor::add_randn_scaled(&mut update, 0.0, 0.01, &mut rng);
             std::hint::black_box(&update);
+        }),
+    }
+}
+
+/// One image group of `cah:400`'s calibration responses: 400 trap
+/// rows of width 3072 against 32 images held `k`-major, the shape
+/// every group of the 384-image fit runs.
+fn bench_cah_responses() -> PreparedBench {
+    let (rows, d) = (400, 3072);
+    let w = seeded_tensor(&[rows, d], 28);
+    let x: Vec<[f32; simd::DOT_LANES]> = seeded_tensor(&[d, simd::DOT_LANES], 29)
+        .data()
+        .as_chunks()
+        .0
+        .to_vec();
+    let mut out = vec![[0.0f32; simd::DOT_LANES]; rows];
+    PreparedBench {
+        throughput: Some(((rows * simd::DOT_LANES) as f64, "dot/s")),
+        run: Box::new(move || {
+            simd::lane_dots(w.data(), &x, &mut out);
+            std::hint::black_box(&out);
         }),
     }
 }

@@ -59,7 +59,7 @@ pub use metrics::{
     counter, gauge, histogram, metrics_snapshot, reset_metrics, Counter, CounterSnapshot, Gauge,
     GaugeSnapshot, HistSnapshot, Histogram, MetricsSnapshot,
 };
-pub use summary::{fmt_ns, self_time_table, summarize, SpanStats};
+pub use summary::{coverage, fmt_ns, self_time_table, summarize, SpanStats};
 pub use trace::{
     read_trace, read_trace_str, render_trace, validate_trace, write_trace, TraceData,
     TRACE_SCHEMA_VERSION,

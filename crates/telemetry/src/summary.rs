@@ -68,6 +68,28 @@ pub fn summarize(records: &[SpanRecord]) -> Vec<SpanStats> {
     stats
 }
 
+/// How much of the ops' wall time their direct children account for:
+/// `e2ebench`'s `trace.coverage`, the children's total duration over
+/// the ops'. The ops are the root spans of the thread that opened the
+/// earliest span, the thread driving the run; root spans of other
+/// threads are pool work the ops dispatched, not ops. `None` when
+/// there are no spans or the ops last 0 ns.
+pub fn coverage(records: &[SpanRecord]) -> Option<f64> {
+    let driver = records.iter().min_by_key(|r| (r.start_ns, r.id))?.tid;
+    let ops: HashMap<u64, u64> = records
+        .iter()
+        .filter(|r| r.parent == 0 && r.tid == driver)
+        .map(|r| (r.id, r.dur_ns))
+        .collect();
+    let op_ns: u64 = ops.values().sum();
+    let child_ns: u64 = records
+        .iter()
+        .filter(|r| ops.contains_key(&r.parent))
+        .map(|r| r.dur_ns)
+        .sum();
+    (op_ns > 0).then(|| child_ns as f64 / op_ns as f64)
+}
+
 /// Nearest-rank percentile over an ascending-sorted slice.
 fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
@@ -182,6 +204,26 @@ mod tests {
         let records = vec![rec(2, 99, "child", 0, 50)];
         let stats = summarize(&records);
         assert_eq!(stats[0].self_ns, 50);
+    }
+
+    #[test]
+    fn coverage_is_the_driving_threads_ops_covered_by_their_children() {
+        let on = |tid, r: SpanRecord| SpanRecord { tid, ..r };
+        let records = vec![
+            // Two ops on the driving thread: 80 of 100 and 10 of 20 ns
+            // are children; a grandchild adds nothing.
+            rec(1, 0, "op", 0, 100),
+            rec(2, 1, "a", 0, 50),
+            rec(3, 2, "deep", 0, 50),
+            rec(4, 1, "b", 60, 30),
+            rec(5, 0, "op", 200, 20),
+            rec(6, 5, "c", 205, 10),
+            // A worker's root span is not an op.
+            on(2, rec(7, 0, "task", 10, 500)),
+        ];
+        assert_eq!(coverage(&records), Some(90.0 / 120.0));
+        assert_eq!(coverage(&[]), None);
+        assert_eq!(coverage(&[rec(1, 0, "op", 5, 0)]), None);
     }
 
     #[test]

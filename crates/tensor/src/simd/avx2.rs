@@ -34,7 +34,7 @@
 use std::arch::x86_64::*;
 
 use super::scalar;
-use super::{GUARD_ULPS, NORM_LANES, SQ_BOUND_CHUNKS, SQ_TILE};
+use super::{DOT_LANES, GUARD_ULPS, NORM_LANES, SQ_BOUND_CHUNKS, SQ_TILE};
 
 /// Reads the 8 lanes of an f32x8 register into an array (for scalar
 /// fixed-order combines).
@@ -731,6 +731,158 @@ unsafe fn sq_norms<const MASKED: bool>(
         _mm256_storeu_ps(out.as_mut_ptr().add(8 * h), *acc);
     }
     out
+}
+
+/// See [`scalar::sq_and_sums8`]: eight values of each vector are
+/// loaded at a time and transposed in registers, so one f32x8 holds
+/// element `k` of all eight vectors; its squares add to one f32x8
+/// accumulator and its f64 widenings to two f64x4 ones, in ascending
+/// `k`. The last `n mod 8` elements run the scalar lanes.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn sq_and_sums8(x: [&[f32]; 8]) -> ([f32; 8], [f64; 8]) {
+    let n = x[0].len();
+    let x = x.map(|v| &v[..n]);
+    let sq_start: f32 = std::iter::empty::<f32>().sum();
+    let sum_start: f64 = std::iter::empty::<f64>().sum();
+    let mut sq = _mm256_set1_ps(sq_start);
+    let (mut lo, mut hi) = (_mm256_set1_pd(sum_start), _mm256_set1_pd(sum_start));
+    let full = n / 8 * 8;
+    for k in (0..full).step_by(8) {
+        let mut r = [sq; 8];
+        for (r, v) in r.iter_mut().zip(&x) {
+            // k + 8 <= full <= v.len().
+            *r = _mm256_loadu_ps(v.as_ptr().add(k));
+        }
+        for v in transpose8(r) {
+            sq = _mm256_add_ps(sq, _mm256_mul_ps(v, v));
+            lo = _mm256_add_pd(lo, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
+            hi = _mm256_add_pd(hi, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v)));
+        }
+    }
+    let mut sq = lanes_f32(sq);
+    let (lo, hi) = (lanes_f64(lo), lanes_f64(hi));
+    let mut sum: [f64; 8] = std::array::from_fn(|j| if j < 4 { lo[j] } else { hi[j - 4] });
+    for v in (full..n).map(|k| x.map(|x| x[k])) {
+        for j in 0..8 {
+            sq[j] += v[j] * v[j];
+            sum[j] += v[j] as f64;
+        }
+    }
+    (sq, sum)
+}
+
+/// The 8 × 8 transpose: output `k` holds element `k` of every input.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+    // Within each 128-bit half: pairs, then fours.
+    let t: [__m256; 8] = [
+        _mm256_unpacklo_ps(r[0], r[1]),
+        _mm256_unpackhi_ps(r[0], r[1]),
+        _mm256_unpacklo_ps(r[2], r[3]),
+        _mm256_unpackhi_ps(r[2], r[3]),
+        _mm256_unpacklo_ps(r[4], r[5]),
+        _mm256_unpackhi_ps(r[4], r[5]),
+        _mm256_unpacklo_ps(r[6], r[7]),
+        _mm256_unpackhi_ps(r[6], r[7]),
+    ];
+    // q[i] holds element i (low half) and i + 4 (high half) of inputs
+    // 0–3, q[4 + i] the same of inputs 4–7.
+    let q: [__m256; 8] = [
+        _mm256_shuffle_ps::<0x44>(t[0], t[2]),
+        _mm256_shuffle_ps::<0xEE>(t[0], t[2]),
+        _mm256_shuffle_ps::<0x44>(t[1], t[3]),
+        _mm256_shuffle_ps::<0xEE>(t[1], t[3]),
+        _mm256_shuffle_ps::<0x44>(t[4], t[6]),
+        _mm256_shuffle_ps::<0xEE>(t[4], t[6]),
+        _mm256_shuffle_ps::<0x44>(t[5], t[7]),
+        _mm256_shuffle_ps::<0xEE>(t[5], t[7]),
+    ];
+    [
+        _mm256_permute2f128_ps::<0x20>(q[0], q[4]),
+        _mm256_permute2f128_ps::<0x20>(q[1], q[5]),
+        _mm256_permute2f128_ps::<0x20>(q[2], q[6]),
+        _mm256_permute2f128_ps::<0x20>(q[3], q[7]),
+        _mm256_permute2f128_ps::<0x31>(q[0], q[4]),
+        _mm256_permute2f128_ps::<0x31>(q[1], q[5]),
+        _mm256_permute2f128_ps::<0x31>(q[2], q[6]),
+        _mm256_permute2f128_ps::<0x31>(q[3], q[7]),
+    ]
+}
+
+/// f32x8 vectors per row of a [`lane_dots`] tile: half the group's
+/// lanes, so the group runs as two tiles side by side.
+const DOT_VECS: usize = 2;
+
+/// Weight rows per [`lane_dots`] register tile: `DOT_ROWS × DOT_VECS`
+/// accumulators, the `DOT_VECS` values of one `k` and a broadcast
+/// weight fill 15 of the 16 registers.
+const DOT_ROWS: usize = 6;
+
+/// See [`scalar::lane_dots`]: a register tile of [`DOT_ROWS`] weight
+/// rows × half the group's [`DOT_LANES`] lanes loads each `x[k]` half
+/// once for all its rows, so the group streams from cache twice per
+/// tile of rows rather than once per row. Every lane keeps the scalar
+/// add sequence.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn lane_dots(w: &[f32], x: &[[f32; DOT_LANES]], out: &mut [[f32; DOT_LANES]]) {
+    let d = x.len();
+    let (mut w, mut out) = (w, out);
+    while !out.is_empty() {
+        // Full tiles, then the rest as tiles of 4, 2 and 1 rows.
+        let rows = match out.len() {
+            DOT_ROWS.. => DOT_ROWS,
+            4.. => 4,
+            2 | 3 => 2,
+            _ => 1,
+        };
+        let (tile_w, rest_w) = w.split_at(rows * d);
+        let (tile_out, rest_out) = std::mem::take(&mut out).split_at_mut(rows);
+        for lane0 in (0..DOT_LANES).step_by(8 * DOT_VECS) {
+            match rows {
+                DOT_ROWS => dots_tile::<DOT_ROWS>(tile_w, x, lane0, tile_out),
+                4 => dots_tile::<4>(tile_w, x, lane0, tile_out),
+                2 => dots_tile::<2>(tile_w, x, lane0, tile_out),
+                _ => dots_tile::<1>(tile_w, x, lane0, tile_out),
+            }
+        }
+        (w, out) = (rest_w, rest_out);
+    }
+}
+
+/// `R` rows of [`lane_dots`] at lanes `lane0..lane0 + 8·DOT_VECS`: `w`
+/// holds the `R` rows, `out` their outputs.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn dots_tile<const R: usize>(
+    w: &[f32],
+    x: &[[f32; DOT_LANES]],
+    lane0: usize,
+    out: &mut [[f32; DOT_LANES]],
+) {
+    let d = x.len();
+    let (w, out) = (&w[..R * d], &mut out[..R]);
+    assert!(lane0 + 8 * DOT_VECS <= DOT_LANES);
+    let start = _mm256_set1_ps(std::iter::empty::<f32>().sum());
+    let mut acc = [[start; DOT_VECS]; R];
+    for (k, xk) in x.iter().enumerate() {
+        let mut xv = [start; DOT_VECS];
+        for (h, v) in xv.iter_mut().enumerate() {
+            *v = _mm256_loadu_ps(xk.as_ptr().add(lane0 + 8 * h));
+        }
+        for (r, acc) in acc.iter_mut().enumerate() {
+            // r·d + k < R·d = w.len().
+            let wk = _mm256_set1_ps(*w.as_ptr().add(r * d + k));
+            for (a, &v) in acc.iter_mut().zip(&xv) {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(wk, v));
+            }
+        }
+    }
+    for (o, acc) in out.iter_mut().zip(&acc) {
+        for (h, &a) in acc.iter().enumerate() {
+            _mm256_storeu_ps(o.as_mut_ptr().add(lane0 + 8 * h), a);
+        }
+    }
 }
 
 /// See [`scalar::minmax`]. min/max over finite floats is fold-order

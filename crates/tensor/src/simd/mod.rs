@@ -1,12 +1,14 @@
 //! Runtime-dispatched SIMD kernels for the workspace's hot loops.
 //!
 //! The hot inner loops — matmul dot/axpy, q8 quantize/dequantize,
-//! sign pack/unpack, MSE reduction, Gaussian sampling — are implemented once per
-//! backend. There are three backends:
+//! sign pack/unpack, MSE reduction, Gaussian sampling, calibration
+//! responses — are implemented once per backend. There are three
+//! backends:
 //!
 //! * `avx512` ([`Backend::Avx512`], `x86_64` with AVX2, AVX-512F and
-//!   AVX-512DQ, runtime-detected): the AVX2 kernels, plus an f64x8
-//!   Box–Muller sampler, its only kernel of its own;
+//!   AVX-512DQ, runtime-detected): the AVX2 kernels, plus two kernels
+//!   of its own, an f64x8 Box–Muller sampler and an 8-row × 32-lane
+//!   f32x16 register tile for [`lane_dots`];
 //! * `avx2` ([`Backend::Avx2`], `x86_64` with AVX2): f32x8 kernels and
 //!   an f64x4 Box–Muller sampler;
 //! * `scalar` ([`Backend::Scalar`]): the portable reference,
@@ -18,7 +20,7 @@
 //! from a [`std::sync::OnceLock`]; per-call overhead is one relaxed
 //! atomic load and a thread-local check. `auto` picks the first
 //! available backend in that order, and `OASIS_SIMD=avx2` pins AVX2
-//! without the AVX-512 sampler.
+//! without the two AVX-512 kernels.
 //!
 //! [`sq_err_tile`] is a register tile over a pairwise kernel (one
 //! reconstruction × 4 originals, for all-pairs PSNR): it loads each
@@ -31,6 +33,16 @@
 //! is [`sq_err_sum`]'s. [`box_sums8`] is one output row of an
 //! equal-width box filter (the coarse shrink of PSNR matching), eight
 //! boxes in eight lanes.
+//!
+//! Two kernels run sequential sums side by side, one lane per sum, so
+//! the lanes' add chains overlap while each keeps `Iterator::sum`'s
+//! order. [`lane_dots`] (the quantile calibration's responses) dots
+//! weight rows with a `k`-major group of [`DOT_LANES`] images; its
+//! vector bodies hold a register tile of several rows and load each
+//! `x[k]` once for all of them (6 rows × 16 lanes on AVX2, 8 rows × 32
+//! lanes on AVX-512). [`sq_and_sums8`] (the reconstruction dedupe's
+//! norms and means) takes eight vectors in their own layout and, on
+//! the vector backend, transposes eight values of each in registers.
 //!
 //! Four kernels carry the dense products of the client step, each
 //! cache- and register-blocked on the vector backend and specified by
@@ -62,7 +74,10 @@
 //! That includes [`sq_err_tile_bounded`], whose abandoned outputs (the
 //! partial sum at the checkpoint that stopped them) are bit-identical
 //! too, and [`box_sums8`], whose vector backend keeps each box's
-//! (y, x) add order by giving every box its own lane.
+//! (y, x) add order by giving every box its own lane. Rust leaves NaN
+//! payloads unspecified, so a NaN output is only pinned as NaN
+//! ([`lane_dots`] and [`sq_and_sums8`] say so; the calibration redoes
+//! its NaN responses sequentially).
 //!
 //! ### The libm-referenced kernels: [`normal_pairs`] and [`cos_normals`]
 //!
@@ -131,6 +146,9 @@ pub const SQ_TILE: usize = 4;
 /// [`sq_err_tile_bounded`] (128 elements).
 pub const SQ_BOUND_CHUNKS: usize = 16;
 
+/// Vectors per [`lane_dots`] group: one accumulator lane each.
+pub const DOT_LANES: usize = 32;
+
 /// A SIMD instruction-set backend the kernels can dispatch to.
 ///
 /// All variants exist on every architecture so `OASIS_SIMD` values
@@ -139,8 +157,9 @@ pub const SQ_BOUND_CHUNKS: usize = 16;
 /// backends can become active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The AVX2 kernels plus an f64x8 Box–Muller sampler (`x86_64`
-    /// with runtime-detected AVX2, AVX-512F and AVX-512DQ).
+    /// The AVX2 kernels plus an f64x8 Box–Muller sampler and an
+    /// f32x16 [`lane_dots`] tile (`x86_64` with runtime-detected AVX2,
+    /// AVX-512F and AVX-512DQ).
     Avx512,
     /// AVX2 f32x8 kernels (`x86_64` with runtime-detected AVX2).
     Avx2,
@@ -282,7 +301,8 @@ pub(crate) fn with_override<R>(o: Option<Backend>, f: impl FnOnce() -> R) -> R {
 /// passed (see module docs) — `Backend::Avx2` cannot become active on
 /// a CPU that lacks AVX2, nor `Backend::Avx512` on one that lacks AVX2
 /// or the AVX-512 subsets it names. Every kernel but the Box–Muller
-/// block runs its AVX2 body on both.
+/// block and [`lane_dots`], which dispatch themselves, runs its AVX2
+/// body on both.
 macro_rules! dispatch {
     ($kernel:ident ( $($arg:expr),* $(,)? )) => {
         match active() {
@@ -512,6 +532,63 @@ pub fn box_sums8(
         );
     }
     dispatch!(box_sums8(src, step, stride, rows, bw, out))
+}
+
+/// Eight vectors' sums of squares and plain sums, side by side:
+/// `sq[j]` is `x[j].iter().map(|v| v * v).sum::<f32>()` and `sum[j]`
+/// is `x[j].iter().map(|&v| v as f64).sum::<f64>()`, each the
+/// sequential `Iterator::sum` (from `Sum`'s start value, in index
+/// order) bit for bit. One vector at a time, both sums wait on the add
+/// latency at every element; eight at a time their sixteen chains
+/// overlap.
+///
+/// A NaN result is NaN on every backend, with an unspecified payload
+/// (as for [`lane_dots`]); every other result is bit-identical.
+///
+/// # Panics
+///
+/// Panics unless the eight vectors have one length.
+pub fn sq_and_sums8(x: [&[f32]; 8]) -> ([f32; 8], [f64; 8]) {
+    assert!(
+        x.iter().all(|v| v.len() == x[0].len()),
+        "sq_and_sums8 needs vectors of one length"
+    );
+    dispatch!(sq_and_sums8(x))
+}
+
+/// Dots of weight rows with a group of [`DOT_LANES`] vectors stored
+/// `k`-major (`x[k][l]` is element `k` of vector `l`): for the
+/// `out.len()` rows `w_r` of width `d = x.len()` packed in `w`,
+/// `out[r][l]` is `w_r · x_l` as the sequential
+/// `Iterator::sum` of `w_rk * x[k][l]` computes it: from `Sum`'s start
+/// value, adding each product in ascending `k`, multiply then add,
+/// never fused.
+///
+/// Every output that is not NaN is bit-identical on every backend. A
+/// NaN output is NaN on every backend, but which NaN depends on the
+/// operand order each backend gives the add (Rust leaves NaN payloads
+/// unspecified); a caller that needs the sequential sum's NaN redoes
+/// that output.
+///
+/// # Panics
+///
+/// Panics unless `w.len() == out.len() · x.len()`.
+pub fn lane_dots(w: &[f32], x: &[[f32; DOT_LANES]], out: &mut [[f32; DOT_LANES]]) {
+    assert_eq!(
+        w.len(),
+        out.len() * x.len(),
+        "lane_dots needs one weight row of x.len() values per output"
+    );
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx512 is only constructed after AVX2, AVX-512F and
+        // AVX-512DQ were detected.
+        Backend::Avx512 => unsafe { avx512::lane_dots(w, x, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2 is only constructed after AVX2 was detected.
+        Backend::Avx2 => unsafe { avx2::lane_dots(w, x, out) },
+        _ => scalar::lane_dots(w, x, out),
+    }
 }
 
 /// Box–Muller over raw rng words: draw `i` takes the uniforms

@@ -13,7 +13,7 @@
 //! so the "scalar" backend is itself reasonably fast — the explicit
 //! backends buy the full register width plus runtime dispatch.
 
-use super::{NORM_LANES, SQ_BOUND_CHUNKS, SQ_TILE};
+use super::{DOT_LANES, NORM_LANES, SQ_BOUND_CHUNKS, SQ_TILE};
 
 /// Lane width every reduction kernel is blocked to. Vector backends
 /// must use the same logical lane count (one f32x8, two f32x4, …) to
@@ -184,6 +184,41 @@ pub(crate) fn masked_sq_norms(
         acc = a;
     }
     acc
+}
+
+/// The eight vectors' sums of squares (f32) and sums (f64), each a
+/// sequential sum in index order from `Sum`'s start value; the
+/// vectors advance together, one lane each.
+pub(crate) fn sq_and_sums8(x: [&[f32]; 8]) -> ([f32; 8], [f64; 8]) {
+    let n = x[0].len();
+    let x = x.map(|v| &v[..n]);
+    let mut sq = [std::iter::empty::<f32>().sum::<f32>(); 8];
+    let mut sum = [std::iter::empty::<f64>().sum::<f64>(); 8];
+    for v in (0..n).map(|k| x.map(|x| x[k])) {
+        for j in 0..8 {
+            sq[j] += v[j] * v[j];
+            sum[j] += v[j] as f64;
+        }
+    }
+    (sq, sum)
+}
+
+/// One row at a time, the group's [`DOT_LANES`] dots advance
+/// together: lane `l` adds `w_k·x[k][l]` to `Sum`'s start value in
+/// ascending `k`, the sequence `Iterator::sum` runs for one vector.
+/// LLVM vectorizes the lanes without reassociating anything.
+pub(crate) fn lane_dots(w: &[f32], x: &[[f32; DOT_LANES]], out: &mut [[f32; DOT_LANES]]) {
+    let start: f32 = std::iter::empty::<f32>().sum();
+    let d = x.len();
+    for (r, o) in out.iter_mut().enumerate() {
+        let mut acc = [start; DOT_LANES];
+        for (&wk, xk) in w[r * d..(r + 1) * d].iter().zip(x) {
+            for l in 0..DOT_LANES {
+                acc[l] += wk * xk[l];
+            }
+        }
+        *o = acc;
+    }
 }
 
 /// In-place single-coefficient AXPY: `out[j] += alpha * x[j]`.

@@ -21,7 +21,9 @@
 //! `sq_err_tile` is pinned against the single-pair sum,
 //! `sq_err_tile_bounded` against `sq_err_tile` (an output is the full
 //! sum or a sound early stop) and `box_sums8` against the per-pixel
-//! box loop.
+//! box loop. `lane_dots` (the calibration responses) and
+//! `sq_and_sums8` (dedupe's norms and means) are pinned against the
+//! sequential `Iterator::sum` per output.
 
 use oasis_tensor::simd::{self, Backend};
 use oasis_tensor::{parallel, Tensor};
@@ -743,4 +745,106 @@ fn box_sums8_matches_the_per_pixel_box_loop_on_every_backend() {
             }
         }
     }
+}
+
+/// `x`'s values with, in about one case in eight, a ±∞, NaN, ±0 or
+/// subnormal in place of a uniform value.
+fn sprinkled_values(n: usize, rng: &mut impl rand::Rng) -> Vec<f32> {
+    let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 0.0, -0.0, 1e-40];
+    (0..n)
+        .map(|_| {
+            if rng.gen_range(0..40) == 0 {
+                specials[rng.gen_range(0..specials.len())]
+            } else {
+                rng.gen_range(-1.0f32..1.0)
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn lane_dots_match_the_sequential_sum_per_response_on_every_backend() {
+    // Image counts 1, 31, 32, 33 and 384 fill one group partly, exactly
+    // and into a second (13 groups for 384); row counts cross every
+    // register-tile remainder of both vector backends (6 × 2 and 8 × 2
+    // tiles), and zero rows; odd widths leave no vector-friendly k, and
+    // width 0 leaves every response at the sum's start value.
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    const L: usize = simd::DOT_LANES;
+    let mut rng = StdRng::seed_from_u64(30);
+    for (n, rows, d) in [
+        (1, 1, 1),
+        (31, 5, 7),
+        (32, 13, 33),
+        (33, 9, 64),
+        (384, 17, 3),
+        (40, 0, 5),
+        (7, 3, 0),
+        (65, 23, 257),
+    ] {
+        let w = sprinkled_values(rows * d, &mut rng);
+        let images: Vec<Vec<f32>> = (0..n).map(|_| sprinkled_values(d, &mut rng)).collect();
+        let mut fill = || rng.gen_range(-1.0f32..1.0);
+        for (g, group) in images.chunks(L).enumerate() {
+            // Lanes past the last image hold values never compared.
+            let x: Vec<[f32; L]> = (0..d)
+                .map(|k| std::array::from_fn(|l| group.get(l).map_or_else(&mut fill, |img| img[k])))
+                .collect();
+            for backend in backends() {
+                let mut out = vec![[f32::NAN; L]; rows];
+                simd::with_backend(backend, || simd::lane_dots(&w, &x, &mut out));
+                for (r, got) in out.iter().enumerate() {
+                    let row = &w[r * d..(r + 1) * d];
+                    for (l, img) in group.iter().enumerate() {
+                        let want: f32 = row.iter().zip(img).map(|(&a, &b)| a * b).sum();
+                        assert!(
+                            same(got[l], want),
+                            "{backend:?} n={n} rows={rows} d={d}: row {r} image {}: {} vs {want}",
+                            g * L + l,
+                            got[l]
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "lane_dots needs one weight row")]
+fn lane_dots_reject_a_short_weight_set() {
+    let x = vec![[0.0f32; simd::DOT_LANES]; 4];
+    simd::lane_dots(&[0.0; 7], &x, &mut [[0.0; simd::DOT_LANES]; 2]);
+}
+
+#[test]
+fn sq_and_sums8_match_the_sequential_sums_on_every_backend() {
+    // Lengths 0–41 cross every eight-value block and tail; every third
+    // length gets ±∞, NaN or a subnormal somewhere.
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(31);
+    for n in 0..=41usize {
+        for _ in 0..4 {
+            let x: Vec<Vec<f32>> = (0..8).map(|_| sprinkled_values(n, &mut rng)).collect();
+            let view: [&[f32]; 8] = std::array::from_fn(|j| &x[j][..]);
+            for backend in backends() {
+                let (sq, sum) = simd::with_backend(backend, || simd::sq_and_sums8(view));
+                for j in 0..8 {
+                    let want_sq: f32 = x[j].iter().map(|v| v * v).sum();
+                    let want_sum: f64 = x[j].iter().map(|&v| v as f64).sum();
+                    assert!(same(sq[j], want_sq), "{backend:?} n={n} lane {j} squares");
+                    assert!(same(sum[j], want_sum), "{backend:?} n={n} lane {j} sum");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "vectors of one length")]
+fn sq_and_sums8_reject_unequal_lengths() {
+    let (a, b) = ([0.0f32; 9], [0.0f32; 8]);
+    simd::sq_and_sums8([&a, &a, &a, &b, &a, &a, &a, &a]);
 }
