@@ -16,8 +16,8 @@
 //! changes is the layout. The images are taken in groups of [`GROUP`],
 //! each transposed `k`-major so that one image is one accumulator
 //! lane, and [`simd::lane_dots`] runs every weight row against a group
-//! in register tiles of several rows (a runtime-dispatched kernel with
-//! AVX2 and AVX-512 bodies). The pool's blocks split the
+//! in register tiles of several rows (a runtime-dispatched kernel whose
+//! AVX2 body both vector backends run). The pool's blocks split the
 //! `(group, row)` pairs group-major, so each block transposes only the
 //! groups it covers into one reused buffer. A NaN response is redone
 //! with the sequential sum, which pins its payload. Every response is

@@ -829,21 +829,15 @@ pub(crate) unsafe fn lane_dots(w: &[f32], x: &[[f32; DOT_LANES]], out: &mut [[f3
     let d = x.len();
     let (mut w, mut out) = (w, out);
     while !out.is_empty() {
-        // Full tiles, then the rest as tiles of 4, 2 and 1 rows.
-        let rows = match out.len() {
-            DOT_ROWS.. => DOT_ROWS,
-            4.. => 4,
-            2 | 3 => 2,
-            _ => 1,
-        };
+        // Full tiles, then the leftover rows one at a time.
+        let rows = if out.len() >= DOT_ROWS { DOT_ROWS } else { 1 };
         let (tile_w, rest_w) = w.split_at(rows * d);
         let (tile_out, rest_out) = std::mem::take(&mut out).split_at_mut(rows);
         for lane0 in (0..DOT_LANES).step_by(8 * DOT_VECS) {
-            match rows {
-                DOT_ROWS => dots_tile::<DOT_ROWS>(tile_w, x, lane0, tile_out),
-                4 => dots_tile::<4>(tile_w, x, lane0, tile_out),
-                2 => dots_tile::<2>(tile_w, x, lane0, tile_out),
-                _ => dots_tile::<1>(tile_w, x, lane0, tile_out),
+            if rows == DOT_ROWS {
+                dots_tile::<DOT_ROWS>(tile_w, x, lane0, tile_out);
+            } else {
+                dots_tile::<1>(tile_w, x, lane0, tile_out);
             }
         }
         (w, out) = (rest_w, rest_out);

@@ -1,17 +1,13 @@
 //! AVX-512 kernels (x86_64, runtime-detected).
 //!
-//! [`super::Backend::Avx512`] has two kernels of its own. The
-//! Box–Muller block [`normal_block`] runs eight draws per f64x8 vector
-//! with the AVX2 block's fdlibm polynomials and rounding guard. Like
-//! the AVX2 block, it approximates libm inside the guard, and the
+//! [`super::Backend::Avx512`] has one kernel of its own, the
+//! Box–Muller block [`normal_block`]: eight draws per f64x8 vector with
+//! the AVX2 block's fdlibm polynomials and rounding guard. Every other
+//! kernel of the backend is the AVX2 body in [`super::avx2`]. Like the
+//! AVX2 block, this one approximates libm inside the guard, and the
 //! caller recomputes every undecided lane with the scalar
 //! specification (see [`super::normal_pairs`];
 //! `crates/tensor/tests/normal_parity.rs` is its tripwire).
-//! [`lane_dots`] holds 8 weight rows × 32 lanes in sixteen f32x16
-//! accumulators and keeps the scalar reference's per-lane operation
-//! sequence, multiply then add (`crates/tensor/tests/simd_parity.rs`
-//! pins it). Every other kernel of the backend is the AVX2 body in
-//! [`super::avx2`].
 //!
 //! # Safety
 //!
@@ -29,7 +25,7 @@
 
 use std::arch::x86_64::*;
 
-use super::{DOT_LANES, GUARD_ULPS};
+use super::GUARD_ULPS;
 
 /// Eight Box–Muller draws from sixteen rng words (`words[2l]` and
 /// `words[2l + 1]` for draw `l`): writes `PER_DRAW` outputs per draw to
@@ -68,75 +64,6 @@ pub(crate) unsafe fn normal_block<const PER_DRAW: usize>(words: &[u64], out: &mu
         _mm256_storeu_ps(out.as_mut_ptr(), a);
     }
     u32::from(!ok)
-}
-
-/// f32x16 vectors per row of a [`lane_dots`] tile.
-const DOT_VECS: usize = DOT_LANES / 16;
-
-/// Weight rows per [`lane_dots`] register tile: `DOT_ROWS × DOT_VECS`
-/// accumulators, half of the 32 registers.
-const DOT_ROWS: usize = 8;
-
-/// See [`super::scalar::lane_dots`]: a register tile of [`DOT_ROWS`]
-/// weight rows × the group's [`DOT_LANES`] lanes loads each `x[k]`
-/// once for all its rows, so the group streams from cache once per
-/// tile rather than once per row. Every lane keeps the scalar add
-/// sequence.
-#[target_feature(enable = "avx512f,avx512dq")]
-pub(crate) unsafe fn lane_dots(w: &[f32], x: &[[f32; DOT_LANES]], out: &mut [[f32; DOT_LANES]]) {
-    let d = x.len();
-    let (mut w, mut out) = (w, out);
-    while !out.is_empty() {
-        // Full tiles, then the rest as tiles of 4, 2 and 1 rows.
-        let rows = match out.len() {
-            DOT_ROWS.. => DOT_ROWS,
-            4.. => 4,
-            2 | 3 => 2,
-            _ => 1,
-        };
-        let (tile_w, rest_w) = w.split_at(rows * d);
-        let (tile_out, rest_out) = std::mem::take(&mut out).split_at_mut(rows);
-        match rows {
-            DOT_ROWS => dots_tile::<DOT_ROWS>(tile_w, x, tile_out),
-            4 => dots_tile::<4>(tile_w, x, tile_out),
-            2 => dots_tile::<2>(tile_w, x, tile_out),
-            _ => dots_tile::<1>(tile_w, x, tile_out),
-        }
-        (w, out) = (rest_w, rest_out);
-    }
-}
-
-/// `R` rows of [`lane_dots`]: `w` holds the `R` rows, `out` their
-/// outputs.
-#[target_feature(enable = "avx512f,avx512dq")]
-#[inline]
-unsafe fn dots_tile<const R: usize>(
-    w: &[f32],
-    x: &[[f32; DOT_LANES]],
-    out: &mut [[f32; DOT_LANES]],
-) {
-    let d = x.len();
-    let (w, out) = (&w[..R * d], &mut out[..R]);
-    let start = _mm512_set1_ps(std::iter::empty::<f32>().sum());
-    let mut acc = [[start; DOT_VECS]; R];
-    for (k, xk) in x.iter().enumerate() {
-        let mut xv = [start; DOT_VECS];
-        for (h, v) in xv.iter_mut().enumerate() {
-            *v = _mm512_loadu_ps(xk.as_ptr().add(16 * h));
-        }
-        for (r, acc) in acc.iter_mut().enumerate() {
-            // r·d + k < R·d = w.len().
-            let wk = _mm512_set1_ps(*w.as_ptr().add(r * d + k));
-            for (a, &v) in acc.iter_mut().zip(&xv) {
-                *a = _mm512_add_ps(*a, _mm512_mul_ps(wk, v));
-            }
-        }
-    }
-    for (o, acc) in out.iter_mut().zip(&acc) {
-        for (h, &a) in acc.iter().enumerate() {
-            _mm512_storeu_ps(o.as_mut_ptr().add(16 * h), a);
-        }
-    }
 }
 
 /// `(w >> 11)·2⁻⁵³` of each word, exactly (`rand`'s `gen::<f64>()`).

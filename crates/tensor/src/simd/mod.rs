@@ -6,9 +6,8 @@
 //! backends:
 //!
 //! * `avx512` ([`Backend::Avx512`], `x86_64` with AVX2, AVX-512F and
-//!   AVX-512DQ, runtime-detected): the AVX2 kernels, plus two kernels
-//!   of its own, an f64x8 Box–Muller sampler and an 8-row × 32-lane
-//!   f32x16 register tile for [`lane_dots`];
+//!   AVX-512DQ, runtime-detected): the AVX2 kernels, plus an f64x8
+//!   Box–Muller sampler, its only kernel of its own;
 //! * `avx2` ([`Backend::Avx2`], `x86_64` with AVX2): f32x8 kernels and
 //!   an f64x4 Box–Muller sampler;
 //! * `scalar` ([`Backend::Scalar`]): the portable reference,
@@ -20,7 +19,7 @@
 //! from a [`std::sync::OnceLock`]; per-call overhead is one relaxed
 //! atomic load and a thread-local check. `auto` picks the first
 //! available backend in that order, and `OASIS_SIMD=avx2` pins AVX2
-//! without the two AVX-512 kernels.
+//! without the AVX-512 sampler.
 //!
 //! [`sq_err_tile`] is a register tile over a pairwise kernel (one
 //! reconstruction × 4 originals, for all-pairs PSNR): it loads each
@@ -38,11 +37,11 @@
 //! the lanes' add chains overlap while each keeps `Iterator::sum`'s
 //! order. [`lane_dots`] (the quantile calibration's responses) dots
 //! weight rows with a `k`-major group of [`DOT_LANES`] images; its
-//! vector bodies hold a register tile of several rows and load each
-//! `x[k]` once for all of them (6 rows × 16 lanes on AVX2, 8 rows × 32
-//! lanes on AVX-512). [`sq_and_sums8`] (the reconstruction dedupe's
-//! norms and means) takes eight vectors in their own layout and, on
-//! the vector backend, transposes eight values of each in registers.
+//! vector body holds a register tile of 6 rows × 16 lanes and loads
+//! each half of `x[k]` once for all of its rows. [`sq_and_sums8`] (the
+//! reconstruction dedupe's norms and means) takes eight vectors in
+//! their own layout and, on the vector backend, transposes eight
+//! values of each in registers.
 //!
 //! Four kernels carry the dense products of the client step, each
 //! cache- and register-blocked on the vector backend and specified by
@@ -157,9 +156,8 @@ pub const DOT_LANES: usize = 32;
 /// backends can become active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The AVX2 kernels plus an f64x8 Box–Muller sampler and an
-    /// f32x16 [`lane_dots`] tile (`x86_64` with runtime-detected AVX2,
-    /// AVX-512F and AVX-512DQ).
+    /// The AVX2 kernels plus an f64x8 Box–Muller sampler (`x86_64`
+    /// with runtime-detected AVX2, AVX-512F and AVX-512DQ).
     Avx512,
     /// AVX2 f32x8 kernels (`x86_64` with runtime-detected AVX2).
     Avx2,
@@ -301,8 +299,7 @@ pub(crate) fn with_override<R>(o: Option<Backend>, f: impl FnOnce() -> R) -> R {
 /// passed (see module docs) — `Backend::Avx2` cannot become active on
 /// a CPU that lacks AVX2, nor `Backend::Avx512` on one that lacks AVX2
 /// or the AVX-512 subsets it names. Every kernel but the Box–Muller
-/// block and [`lane_dots`], which dispatch themselves, runs its AVX2
-/// body on both.
+/// block runs its AVX2 body on both.
 macro_rules! dispatch {
     ($kernel:ident ( $($arg:expr),* $(,)? )) => {
         match active() {
@@ -579,16 +576,7 @@ pub fn lane_dots(w: &[f32], x: &[[f32; DOT_LANES]], out: &mut [[f32; DOT_LANES]]
         out.len() * x.len(),
         "lane_dots needs one weight row of x.len() values per output"
     );
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx512 is only constructed after AVX2, AVX-512F and
-        // AVX-512DQ were detected.
-        Backend::Avx512 => unsafe { avx512::lane_dots(w, x, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only constructed after AVX2 was detected.
-        Backend::Avx2 => unsafe { avx2::lane_dots(w, x, out) },
-        _ => scalar::lane_dots(w, x, out),
-    }
+    dispatch!(lane_dots(w, x, out))
 }
 
 /// Box–Muller over raw rng words: draw `i` takes the uniforms

@@ -765,9 +765,8 @@ fn sprinkled_values(n: usize, rng: &mut impl rand::Rng) -> Vec<f32> {
 #[test]
 fn lane_dots_match_the_sequential_sum_per_response_on_every_backend() {
     // Image counts 1, 31, 32, 33 and 384 fill one group partly, exactly
-    // and into a second (13 groups for 384); row counts cross every
-    // register-tile remainder of both vector backends (6 × 2 and 8 × 2
-    // tiles), and zero rows; odd widths leave no vector-friendly k, and
+    // and into a second (13 groups for 384); most row counts leave
+    // rows past the vector backend's 6-row tiles, and one is zero; odd widths leave no vector-friendly k, and
     // width 0 leaves every response at the sum's start value.
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
