@@ -205,7 +205,7 @@ type Base = (&'static str, fn() -> PreparedBench);
 
 /// Every `core` kernel; [`core_suite`] records each as a
 /// `_simd`/`_scalar` pair.
-pub const CORE_KERNELS: [Base; 19] = [
+pub const CORE_KERNELS: [Base; 20] = [
     ("matmul_256", bench_matmul_256),
     ("matmul_conv_fwd", bench_matmul_conv_fwd),
     ("matmul_nt_conv_gw", bench_matmul_nt_conv_gw),
@@ -219,6 +219,7 @@ pub const CORE_KERNELS: [Base; 19] = [
     ("conv2d_forward_b32", || bench_conv_forward(32)),
     ("codec_q8_encode", || bench_codec_encode(Box::new(Q8Codec))),
     ("codec_q8_decode", || bench_codec_decode(Box::new(Q8Codec))),
+    ("codec_q8_fold", || bench_codec_fold(Box::new(Q8Codec))),
     ("psnr", bench_psnr),
     ("psnr_pairs", bench_psnr_pairs),
     ("score_pool", bench_score_pool),
@@ -896,9 +897,9 @@ fn bench_codec_decode(codec: Box<dyn UpdateCodec>) -> PreparedBench {
     let update = codec_update();
     let bytes = update.len() as f64 * 4.0;
     let encoded = codec.encode(&update).expect("bench encode");
-    // Measure the fold-path decode: a borrowed view over one reused
-    // scratch slot — raw frames resolve to a zero-copy borrow, lossy
-    // codecs fill the slot — exactly what the server does per frame.
+    // Measure the borrowed-view decode over one reused scratch slot:
+    // raw frames resolve to a zero-copy borrow, lossy codecs fill the
+    // slot. (The server's fold is timed by `bench_codec_fold`.)
     let mut scratch = Vec::new();
     PreparedBench {
         throughput: Some((bytes, "B/s")),
@@ -909,6 +910,24 @@ fn bench_codec_decode(codec: Box<dyn UpdateCodec>) -> PreparedBench {
                     .expect("bench decode")
                     .len(),
             );
+        }),
+    }
+}
+
+/// The server's fold of one frame into a reused accumulator,
+/// [`UpdateCodec::fold_into`] (for q8, `simd::dequantize_add_q8`).
+fn bench_codec_fold(codec: Box<dyn UpdateCodec>) -> PreparedBench {
+    let update = codec_update();
+    let bytes = update.len() as f64 * 4.0;
+    let encoded = codec.encode(&update).expect("bench encode");
+    let mut acc = vec![0.0f32; update.len()];
+    PreparedBench {
+        throughput: Some((bytes, "B/s")),
+        run: Box::new(move || {
+            codec
+                .fold_into(&encoded, 1e-3, &mut acc)
+                .expect("bench fold");
+            std::hint::black_box(&acc);
         }),
     }
 }

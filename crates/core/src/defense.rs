@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn oasis_client_computes_update_on_expanded_batch() {
         use oasis_fl::{DefenseStack, FlClient, ModelFactory};
-        use oasis_nn::{flatten_params, Linear, Relu, Sequential};
+        use oasis_nn::{shared_params, Linear, Relu, Sequential};
         use std::sync::Arc;
 
         let data = cifar_like_with(3, 4, 8, 0);
@@ -150,7 +150,7 @@ mod tests {
             m.push(Linear::new(8, 3, &mut rng));
             m
         });
-        let global = flatten_params(&factory());
+        let global = shared_params(&factory());
         let oasis = Oasis::new(PolicyKind::MajorRotation);
         let client = FlClient::new(0, data.clone(), Arc::new(DefenseStack::of(oasis)));
         let update = client.compute_update(&factory, &global, 4, 1).unwrap();

@@ -3,7 +3,8 @@
 use std::sync::Arc;
 
 use oasis_data::Dataset;
-use oasis_nn::{load_params, Sequential};
+use oasis_nn::{install_params, Sequential};
+use oasis_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -86,10 +87,16 @@ impl FlClient {
         self.defense.processed_len(batch_size.min(self.data.len()))
     }
 
-    /// Executes one round of local computation: loads the broadcast
-    /// weights and runs [`DefenseStack::local_step`] on a sampled batch
-    /// — the result is precisely what a dishonest server gets to
-    /// inspect.
+    /// Executes one round of local computation: builds the model
+    /// (one `factory` call), installs the broadcast weights and runs
+    /// [`DefenseStack::local_step`] on a sampled batch — the result is
+    /// precisely what a dishonest server gets to inspect.
+    ///
+    /// `global_params` are the server's parameter tensors
+    /// ([`crate::FlServer::global_params`]). They are installed without
+    /// a copy: the local model reads the server's weight buffers in
+    /// place, copy-on-write, and releases them when it is dropped at
+    /// the end of the call.
     ///
     /// Update clipping applies at client granularity here: the whole
     /// averaged update is clipped to [`DefenseStack::clip_norm`] and
@@ -102,11 +109,12 @@ impl FlClient {
     ///
     /// # Errors
     ///
-    /// Propagates model-execution failures.
+    /// Propagates model-execution failures, and a `global_params` list
+    /// that does not fit the factory's architecture.
     pub fn compute_update(
         &self,
         factory: &ModelFactory,
-        global_params: &[f32],
+        global_params: &[Tensor],
         batch_size: usize,
         round_seed: u64,
     ) -> Result<ClientUpdate> {
@@ -115,7 +123,7 @@ impl FlClient {
             .data
             .sample_batch(batch_size.min(self.data.len()), &mut rng);
         let mut model = factory();
-        load_params(&mut model, global_params)?;
+        install_params(&mut model, global_params)?;
         let step = self.defense.local_step(&mut model, &batch, &mut rng)?;
         Ok(ClientUpdate {
             client_id: self.id,
@@ -137,7 +145,7 @@ mod tests {
     use super::*;
     use crate::{DefenseStack, DpStage};
     use oasis_data::{cifar_like_with, Batch};
-    use oasis_nn::{flatten_params, Linear, Relu};
+    use oasis_nn::{shared_params, Linear, Relu};
 
     fn factory(d: usize, classes: usize) -> ModelFactory {
         Arc::new(move || {
@@ -156,10 +164,10 @@ mod tests {
         let d = data.feature_dim();
         let f = factory(d, 3);
         let template = f();
-        let global = flatten_params(&template);
+        let global = shared_params(&template);
         let client = FlClient::new(0, data, Arc::new(DefenseStack::identity()));
         let update = client.compute_update(&f, &global, 4, 99).unwrap();
-        assert_eq!(update.grads.len(), global.len());
+        assert_eq!(update.grads.len(), oasis_nn::param_count(&template));
         assert_eq!(update.samples, 4);
         assert!(update.loss.is_finite());
     }
@@ -169,7 +177,7 @@ mod tests {
         let data = cifar_like_with(3, 4, 8, 0);
         let d = data.feature_dim();
         let f = factory(d, 3);
-        let global = flatten_params(&f());
+        let global = shared_params(&f());
         let client = FlClient::new(1, data, Arc::new(DefenseStack::identity()));
         let a = client.compute_update(&f, &global, 4, 5).unwrap();
         let b = client.compute_update(&f, &global, 4, 5).unwrap();
@@ -183,7 +191,7 @@ mod tests {
         let data = cifar_like_with(3, 4, 8, 0);
         let d = data.feature_dim();
         let f = factory(d, 3);
-        let global = flatten_params(&f());
+        let global = shared_params(&f());
         let exact = FlClient::new(0, data.clone(), Arc::new(DefenseStack::identity()))
             .compute_update(&f, &global, 4, 5)
             .unwrap();
@@ -216,7 +224,7 @@ mod tests {
         let data = cifar_like_with(3, 4, 8, 0);
         let d = data.feature_dim();
         let f = factory(d, 3);
-        let global = flatten_params(&f());
+        let global = shared_params(&f());
         // An expanding batch defense: duplicates every sample, so the
         // reported count differs from the drawn batch size.
         struct Doubler;
@@ -243,12 +251,88 @@ mod tests {
         }
     }
 
+    /// A `Linear` that records where its weights live at every
+    /// forward.
+    struct Probe {
+        inner: Linear,
+        seen: Arc<std::sync::Mutex<Vec<usize>>>,
+    }
+
+    impl oasis_nn::Layer for Probe {
+        fn forward(&mut self, input: &Tensor, mode: oasis_nn::Mode) -> oasis_nn::Result<Tensor> {
+            let at = self.inner.weight().data().as_ptr() as usize;
+            self.seen.lock().unwrap().push(at);
+            self.inner.forward(input, mode)
+        }
+        fn backward(&mut self, grad: &Tensor) -> oasis_nn::Result<Tensor> {
+            self.inner.backward(grad)
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+            self.inner.visit_params(f);
+        }
+        fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+            self.inner.visit_params_mut(f);
+        }
+        fn visit_params_ref(&self, f: &mut dyn FnMut(&Tensor)) {
+            self.inner.visit_params_ref(f);
+        }
+        fn zero_grad(&mut self) {
+            self.inner.zero_grad();
+        }
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn client_models_read_the_server_weights_in_place() {
+        let data = cifar_like_with(3, 4, 8, 0);
+        let d = data.feature_dim();
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let probe_seen = seen.clone();
+        let f: ModelFactory = Arc::new(move || {
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut m = Sequential::new();
+            m.push(Probe {
+                inner: Linear::new(d, 16, &mut rng),
+                seen: probe_seen.clone(),
+            });
+            m.push(Relu::new());
+            m.push(Linear::new(16, 3, &mut rng));
+            m
+        });
+        let mut server = crate::FlServer::new(f.clone(), crate::FlConfig::default()).unwrap();
+        let global = server.global_params();
+        let server_weights = global[0].data().as_ptr() as usize;
+        let client = FlClient::new(0, data, Arc::new(DefenseStack::identity()));
+        let update = client.compute_update(&f, &global, 4, 1).unwrap();
+        assert_eq!(
+            *seen.lock().unwrap(),
+            vec![server_weights],
+            "the client model must run on the server's weight buffer"
+        );
+        // With the round's handles dropped, the step writes in place.
+        drop(global);
+        server.apply_update(&update.grads).unwrap();
+        let stepped = server.model().layer_as::<Probe>(0).unwrap();
+        assert_eq!(
+            stepped.inner.weight().data().as_ptr() as usize,
+            server_weights
+        );
+    }
+
     #[test]
     fn gradient_is_nonzero_for_untrained_model() {
         let data = cifar_like_with(2, 2, 8, 1);
         let d = data.feature_dim();
         let f = factory(d, 2);
-        let global = flatten_params(&f());
+        let global = shared_params(&f());
         let client = FlClient::new(2, data, Arc::new(DefenseStack::identity()));
         let update = client.compute_update(&f, &global, 2, 0).unwrap();
         assert!(update.grads.iter().any(|&g| g.abs() > 1e-9));

@@ -1,6 +1,7 @@
 //! The central server.
 
-use oasis_nn::{flatten_params, load_params, param_count, Sequential};
+use oasis_nn::{flatten_params, param_count, shared_params, Layer, Sequential};
+use oasis_tensor::Tensor;
 use oasis_wire::{CodecSpec, NetSpec};
 
 use crate::{FlConfig, FlError, ModelFactory, Result};
@@ -193,27 +194,43 @@ impl FlServer {
         flatten_params(&self.model)
     }
 
+    /// The global weights `w_t` as the model's parameter tensors, each
+    /// sharing its values with the server copy-on-write: what a round
+    /// hands every client ([`crate::FlClient::compute_update`])
+    /// instead of a flattened copy. Drop them before
+    /// [`FlServer::apply_update`], which then steps the weights in
+    /// place.
+    pub fn global_params(&self) -> Vec<Tensor> {
+        shared_params(&self.model)
+    }
+
     /// Applies an aggregated mean update as one server SGD step:
-    /// `w_{t+1} = w_t − η Ḡ` (paper Eq. 1's server side).
+    /// `w_{t+1} = w_t − η Ḡ` (paper Eq. 1's server side), in place on
+    /// the model's parameters. A parameter still shared with a tensor
+    /// from [`FlServer::global_params`] is copied before the step, so
+    /// such a tensor keeps the weights it was handed.
     ///
     /// # Errors
     ///
     /// Returns [`FlError::UpdateLength`] when `agg` disagrees with
-    /// the model's parameter count, or a model error from reloading
-    /// the stepped weights.
+    /// the model's parameter count; the weights are untouched then.
     pub fn apply_update(&mut self, agg: &[f32]) -> Result<()> {
         let lr = self.config.learning_rate;
-        let mut new_params = flatten_params(&self.model);
-        if agg.len() != new_params.len() {
+        let expected = param_count(&self.model);
+        if agg.len() != expected {
             return Err(FlError::UpdateLength {
                 len: agg.len(),
-                expected: new_params.len(),
+                expected,
             });
         }
-        for (w, &g) in new_params.iter_mut().zip(agg) {
-            *w -= lr * g;
-        }
-        load_params(&mut self.model, &new_params)?;
+        let mut rest = agg;
+        self.model.visit_params_mut(&mut |p| {
+            let (g, tail) = rest.split_at(p.numel());
+            for (w, &g) in p.data_mut().iter_mut().zip(g) {
+                *w -= lr * g;
+            }
+            rest = tail;
+        });
         Ok(())
     }
 }
@@ -261,6 +278,21 @@ mod tests {
             server.apply_update(&agg[1..]),
             Err(FlError::UpdateLength { .. })
         ));
+    }
+
+    #[test]
+    fn step_leaves_handed_out_weights_alone() {
+        let cfg = FlConfig {
+            learning_rate: 0.5,
+            ..FlConfig::default()
+        };
+        let mut server = FlServer::new(factory(), cfg).unwrap();
+        let handed = server.global_params();
+        let before: Vec<f32> = handed.iter().flat_map(|t| t.data().to_vec()).collect();
+        server.apply_update(&vec![1.0; before.len()]).unwrap();
+        let after: Vec<f32> = handed.iter().flat_map(|t| t.data().to_vec()).collect();
+        assert_eq!(after, before, "a client's handle must keep w_t");
+        assert_ne!(flatten_params(server.model()), before);
     }
 
     #[test]

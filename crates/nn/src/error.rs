@@ -29,7 +29,8 @@ pub enum NnError {
         /// The number of classes.
         classes: usize,
     },
-    /// A parameter buffer passed to `load_params` has the wrong length.
+    /// A parameter buffer passed to `load_params`, or a tensor list
+    /// passed to `install_params`, does not fit the model.
     ParamLength {
         /// Length provided.
         len: usize,

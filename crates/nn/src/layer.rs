@@ -63,6 +63,16 @@ pub trait Layer: Send {
     /// Visits every `(parameter, gradient)` pair in a stable order.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor));
 
+    /// Visits every parameter tensor mutably, in the same stable order
+    /// as [`Layer::visit_params`], without handing out the gradients:
+    /// how weights are loaded or installed. The default goes through
+    /// `visit_params`; a layer that tracks the state of its gradient
+    /// slots overrides it, so loading weights does not forget that
+    /// state.
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        self.visit_params(&mut |p, _| f(p));
+    }
+
     /// Visits every parameter tensor read-only, in the same stable
     /// order as [`Layer::visit_params`]. Serialization paths
     /// (checkpointing, broadcast snapshots) use this so inspecting a
@@ -126,10 +136,58 @@ pub fn load_params(layer: &mut dyn Layer, flat: &[f32]) -> Result<()> {
     // shared with the template a model was cloned from gets a fresh
     // buffer instead of a copy of the values it is about to lose.
     let mut offset = 0usize;
-    layer.visit_params(&mut |p, _| {
+    layer.visit_params_mut(&mut |p| {
         let n = p.numel();
         p.copy_from_slice(&flat[offset..offset + n]);
         offset += n;
+    });
+    Ok(())
+}
+
+/// The parameter tensors of `layer` in visit order, each sharing its
+/// values with the layer copy-on-write: the global weights as a
+/// server hands them to its clients, without copying one value.
+pub fn shared_params(layer: &dyn Layer) -> Vec<Tensor> {
+    let mut out = Vec::new();
+    layer.visit_params_ref(&mut |p| out.push(p.clone()));
+    out
+}
+
+/// Installs tensors from [`shared_params`] as `layer`'s parameters,
+/// without copying: each parameter becomes one more copy-on-write
+/// handle on the given tensor's values, so the layer reads them in
+/// place until something writes to them. Gradients are untouched.
+///
+/// # Errors
+///
+/// Returns [`crate::NnError::ParamLength`] when the tensor count
+/// differs from the layer's, and [`crate::NnError::BadInput`] when a
+/// tensor's shape does; nothing is installed then.
+pub fn install_params(layer: &mut dyn Layer, params: &[Tensor]) -> Result<()> {
+    let mut expected = Vec::new();
+    layer.visit_params_ref(&mut |p| expected.push(p.dims().to_vec()));
+    if expected.len() != params.len() {
+        return Err(crate::NnError::ParamLength {
+            len: params.iter().map(Tensor::numel).sum(),
+            expected: param_count(layer),
+        });
+    }
+    if let Some((want, got)) = expected
+        .iter()
+        .zip(params)
+        .find(|(d, p)| d[..] != *p.dims())
+    {
+        return Err(crate::NnError::BadInput {
+            layer: "install_params",
+            expected: format!("a parameter of dims {want:?}"),
+            actual: got.dims().to_vec(),
+        });
+    }
+    let mut given = params.iter();
+    layer.visit_params_mut(&mut |p| {
+        if let Some(t) = given.next() {
+            *p = t.clone();
+        }
     });
     Ok(())
 }

@@ -53,7 +53,10 @@ mod sequential;
 pub use batchnorm::BatchNorm;
 pub use conv::Conv2d;
 pub use error::NnError;
-pub use layer::{flatten_grads, flatten_params, load_grads, load_params, param_count, Layer, Mode};
+pub use layer::{
+    flatten_grads, flatten_params, install_params, load_grads, load_params, param_count,
+    shared_params, Layer, Mode,
+};
 pub use linear::Linear;
 pub use loss::{mse_loss, softmax, softmax_cross_entropy, LossOutput};
 pub use optim::{Adam, Optimizer, Sgd};

@@ -16,12 +16,23 @@ use crate::{Layer, Mode, NnError, Result};
 /// The weight and bias (and their gradients) are directly accessible:
 /// the dishonest server edits them, and the attacks read the gradient
 /// buffers after a client's backward pass.
+///
+/// The layer knows when both gradient slots hold `+0`: construction
+/// and [`Layer::zero_grad`] leave them so, and every write to a slot
+/// (a backward, or a [`Layer::visit_params`] that hands them out)
+/// forgets it. While they are known to be `+0`, `zero_grad` skips its
+/// fill and the backward writes `δᵀx` and `Σδ` straight into the slots
+/// instead of adding a freshly allocated product, with the same bits:
+/// the products are sums from `+0`, so none of them is `−0`, and
+/// adding one to `+0` leaves it unchanged.
 #[derive(Debug)]
 pub struct Linear {
     weight: Tensor,
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
+    /// Whether both gradient slots are known to hold `+0`.
+    grads_zero: bool,
     cached_input: Option<Tensor>,
 }
 
@@ -34,6 +45,7 @@ impl Linear {
             bias: Tensor::rand_uniform(&[out_features], -bound, bound, rng),
             grad_weight: Tensor::zeros(&[out_features, in_features]),
             grad_bias: Tensor::zeros(&[out_features]),
+            grads_zero: true,
             cached_input: None,
         }
     }
@@ -59,6 +71,7 @@ impl Linear {
             bias,
             grad_weight: Tensor::zeros(&[out_f, in_f]),
             grad_bias: Tensor::zeros(&[out_f]),
+            grads_zero: true,
             cached_input: None,
         })
     }
@@ -246,17 +259,36 @@ impl Layer for Linear {
             .cached_input
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "linear" })?;
-        // ∂L/∂W = δᵀ · x  (out, in)
-        self.grad_weight
-            .add_assign(&grad_output.matmul_tn(input)?)?;
-        // ∂L/∂b = Σ_batch δ
-        self.grad_bias.add_assign(&grad_output.sum_axis0()?)?;
+        if std::mem::take(&mut self.grads_zero) {
+            // The slots are +0, what both sums start from: write
+            // ∂L/∂W = δᵀ · x and ∂L/∂b = Σ_batch δ in place.
+            grad_output.matmul_tn_into(input, self.grad_weight.data_mut())?;
+            grad_output.add_rows_to(self.grad_bias.data_mut())?;
+        } else {
+            self.grad_weight
+                .add_assign(&grad_output.matmul_tn(input)?)?;
+            self.grad_bias.add_assign(&grad_output.sum_axis0()?)?;
+        }
         Ok(())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+        self.grads_zero = false;
         f(&mut self.weight, &mut self.grad_weight);
         f(&mut self.bias, &mut self.grad_bias);
+    }
+
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
+    }
+
+    fn zero_grad(&mut self) {
+        if !self.grads_zero {
+            self.grad_weight.data_mut().fill(0.0);
+            self.grad_bias.data_mut().fill(0.0);
+            self.grads_zero = true;
+        }
     }
 
     fn visit_params_ref(&self, f: &mut dyn FnMut(&Tensor)) {
@@ -359,6 +391,89 @@ mod tests {
         {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Inputs and upstream gradients with signed zeros, zero rows and
+    /// subnormals mixed into normal values.
+    fn tricky(dims: &[usize], rng: &mut StdRng) -> Tensor {
+        let mut t = Tensor::randn(dims, rng);
+        for (i, v) in t.data_mut().iter_mut().enumerate() {
+            match i % 7 {
+                0 => *v = -0.0,
+                3 => *v = 0.0,
+                5 => *v *= 1e-40,
+                _ => {}
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn in_place_backward_equals_a_temporary_plus_add_assign() {
+        for (in_f, out_f, batch) in [(3, 2, 1), (70, 33, 5), (257, 64, 8), (300, 17, 40)] {
+            let mut rng = StdRng::seed_from_u64(in_f as u64);
+            let mut l = Linear::new(in_f, out_f, &mut rng);
+            let x = tricky(&[batch, in_f], &mut rng);
+            let delta = tricky(&[batch, out_f], &mut rng);
+            assert!(l.grads_zero);
+            l.forward(&x, Mode::Train).unwrap();
+            l.backward_params(&delta).unwrap();
+            assert!(!l.grads_zero);
+            let mut gw = Tensor::zeros(&[out_f, in_f]);
+            gw.add_assign(&delta.matmul_tn(&x).unwrap()).unwrap();
+            let mut gb = Tensor::zeros(&[out_f]);
+            gb.add_assign(&delta.sum_axis0().unwrap()).unwrap();
+            assert_eq!(bits(l.grad_weight()), bits(&gw), "{in_f}x{out_f} b={batch}");
+            assert_eq!(bits(l.grad_bias()), bits(&gb), "{in_f}x{out_f} b={batch}");
+
+            // A second backward without zero_grad accumulates.
+            let delta2 = tricky(&[batch, out_f], &mut rng);
+            l.backward(&delta2).unwrap();
+            gw.add_assign(&delta2.matmul_tn(&x).unwrap()).unwrap();
+            gb.add_assign(&delta2.sum_axis0().unwrap()).unwrap();
+            assert_eq!(bits(l.grad_weight()), bits(&gw));
+            assert_eq!(bits(l.grad_bias()), bits(&gb));
+
+            // zero_grad really zeroes once the slots have been written.
+            l.zero_grad();
+            assert!(l.grads_zero);
+            assert!(l.grad_weight().data().iter().all(|v| v.to_bits() == 0));
+            assert!(l.grad_bias().data().iter().all(|v| v.to_bits() == 0));
+        }
+    }
+
+    #[test]
+    fn writing_the_gradient_slots_clears_the_zero_flag() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut l = Linear::new(3, 2, &mut rng);
+        crate::load_grads(&mut l, &[1.0; 8]).unwrap();
+        assert!(!l.grads_zero);
+        l.zero_grad();
+        assert_eq!(crate::flatten_grads(&mut l), vec![0.0; 8]);
+
+        l.visit_params(&mut |_, g| g.data_mut().fill(2.0));
+        assert!(!l.grads_zero);
+        l.zero_grad();
+        assert_eq!(crate::flatten_grads(&mut l), vec![0.0; 8]);
+
+        // Loading weights leaves the gradient slots, and the flag, alone.
+        l.zero_grad();
+        crate::load_params(&mut l, &[0.5; 8]).unwrap();
+        assert!(l.grads_zero);
+
+        // A backward after load_grads adds to the loaded values.
+        let x = Tensor::randn(&[4, 3], &mut rng);
+        let delta = Tensor::randn(&[4, 2], &mut rng);
+        crate::load_grads(&mut l, &[0.25; 8]).unwrap();
+        l.forward(&x, Mode::Train).unwrap();
+        l.backward(&delta).unwrap();
+        let mut gw = Tensor::full(&[2, 3], 0.25);
+        gw.add_assign(&delta.matmul_tn(&x).unwrap()).unwrap();
+        assert_eq!(bits(l.grad_weight()), bits(&gw));
     }
 
     #[test]

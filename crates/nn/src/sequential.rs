@@ -97,9 +97,23 @@ impl Layer for Sequential {
         }
     }
 
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        for layer in &mut self.layers {
+            layer.visit_params_mut(f);
+        }
+    }
+
     fn visit_params_ref(&self, f: &mut dyn FnMut(&Tensor)) {
         for layer in &self.layers {
             layer.visit_params_ref(f);
+        }
+    }
+
+    /// Each layer zeroes its own gradients, so a layer that knows its
+    /// slots are already zero skips the fill.
+    fn zero_grad(&mut self) {
+        for layer in &mut self.layers {
+            layer.zero_grad();
         }
     }
 

@@ -8,13 +8,18 @@ use oasis_wire::{EncodedUpdate, UpdateCodec};
 ///
 /// Memory is the whole point: the aggregator owns exactly one
 /// model-sized accumulator — `4·n` bytes — no matter how many clients
-/// fold into it. Each frame is consumed as a *borrowed view*
-/// ([`UpdateCodec::decode_view`]): with the raw codec an aligned
-/// frame folds straight off the wire with zero post-decode copies and
-/// the scratch slot stays empty; lossy codecs decode into one reused
-/// model-sized slot, for `2 × 4·n` total. It reports its own
-/// footprint via [`StreamingAggregator::peak_bytes`] so tests can
-/// assert the bound rather than trust the comment.
+/// fold into it or which codec they use. Each codec folds its own
+/// frame into it ([`UpdateCodec::fold_into`]): q8 dequantizes and adds
+/// in one pass, raw adds straight off the borrowed wire payload, sign
+/// and top-k add directly, and no frame is decoded into a buffer
+/// first. [`StreamingAggregator::peak_bytes`] reports that
+/// accumulator. It cannot see a temporary made inside a codec's fold;
+/// `tests/fold_copies.rs` counts those for the raw codec, whose fold
+/// adds from a view of the wire payload.
+///
+/// A frame is checked before anything is added (element count,
+/// finite values; see [`UpdateCodec::fold_into`]), so a rejected
+/// frame leaves the sum bit for bit as it was.
 ///
 /// Folding is strictly sequential in call order, so the FP
 /// accumulation sequence — and therefore the aggregated update, bit
@@ -23,29 +28,28 @@ use oasis_wire::{EncodedUpdate, UpdateCodec};
 #[derive(Debug)]
 pub struct StreamingAggregator {
     agg: Vec<f32>,
-    scratch: Vec<f32>,
     folded: usize,
 }
 
 impl StreamingAggregator {
-    /// An empty accumulator for an `n`-parameter model. The scratch
-    /// slot starts empty and only materializes if a frame actually
-    /// needs a decode copy (lossy codec or misaligned raw payload).
+    /// An empty accumulator for an `n`-parameter model.
     pub fn new(n: usize) -> Self {
         StreamingAggregator {
             agg: vec![0.0; n],
-            scratch: Vec::new(),
             folded: 0,
         }
     }
 
-    /// Decodes one delivered frame to a borrowed view and folds it in
-    /// with FedAvg weight `weight` (`samples_i / total`).
+    /// Folds one delivered frame in with FedAvg weight `weight`
+    /// (`samples_i / total`), through its codec's
+    /// [`UpdateCodec::fold_into`].
     ///
     /// # Errors
     ///
-    /// Propagates codec failures; returns [`FlError::UpdateLength`]
-    /// when the frame's element count disagrees with the model.
+    /// Returns [`FlError::UpdateLength`] when the frame's element
+    /// count disagrees with the model, and propagates the codec's
+    /// rejection of a malformed or non-finite frame; either way the
+    /// sum is unchanged.
     pub fn fold(
         &mut self,
         codec: &dyn UpdateCodec,
@@ -53,16 +57,13 @@ impl StreamingAggregator {
         weight: f32,
     ) -> Result<()> {
         let _span = oasis_telemetry::span("agg.fold");
-        let view = codec.decode_view(frame, &mut self.scratch)?;
-        if view.len() != self.agg.len() {
+        if frame.n != self.agg.len() {
             return Err(FlError::UpdateLength {
-                len: view.len(),
+                len: frame.n,
                 expected: self.agg.len(),
             });
         }
-        for (a, &g) in self.agg.iter_mut().zip(view) {
-            *a += weight * g;
-        }
+        codec.fold_into(frame, weight, &mut self.agg)?;
         self.folded += 1;
         Ok(())
     }
@@ -83,12 +84,11 @@ impl StreamingAggregator {
         self.agg.iter().map(|g| g * g).sum::<f32>().sqrt()
     }
 
-    /// The aggregator's actual heap footprint in bytes: accumulator
-    /// plus whatever scratch the codec forced. `4·n` on the raw
-    /// zero-copy path, `2 × 4·n` for lossy codecs — the population
-    /// memory bound tests assert on this.
+    /// The aggregator's own heap footprint in bytes: the accumulator,
+    /// `4·n` for every codec. A temporary inside a codec's
+    /// [`UpdateCodec::fold_into`] is not counted here.
     pub fn peak_bytes(&self) -> usize {
-        (self.agg.len() + self.scratch.capacity()) * std::mem::size_of::<f32>()
+        self.agg.len() * std::mem::size_of::<f32>()
     }
 }
 
@@ -115,40 +115,61 @@ mod tests {
     }
 
     #[test]
-    fn raw_footprint_is_one_model_buffer() {
-        // The zero-copy pin: raw frames are folded as borrowed views,
-        // so no matter how many fold in, the aggregator never
-        // materializes decode scratch — its footprint is exactly the
-        // accumulator.
+    fn footprint_is_one_model_buffer_for_every_codec() {
+        // The aggregator holds no buffer beside the accumulator,
+        // however many frames fold in (copies inside a codec's fold
+        // are counted by `tests/fold_copies.rs`).
         let n = 4096usize;
-        let codec = CodecSpec::Raw.build();
-        let mut agg = StreamingAggregator::new(n);
-        assert_eq!(agg.peak_bytes(), 4 * n);
-        let frame = codec.encode(&vec![1.0f32; n]).unwrap();
-        for _ in 0..100 {
-            agg.fold(&*codec, &frame, 0.01).unwrap();
+        for spec in [
+            CodecSpec::Raw,
+            CodecSpec::Q8,
+            CodecSpec::TopK { k: 64 },
+            CodecSpec::Sign,
+        ] {
+            let codec = spec.build();
+            let mut agg = StreamingAggregator::new(n);
+            assert_eq!(agg.peak_bytes(), 4 * n);
+            let frame = codec.encode(&vec![1.0f32; n]).unwrap();
+            for _ in 0..100 {
+                agg.fold(&*codec, &frame, 0.01).unwrap();
+            }
+            assert_eq!(agg.peak_bytes(), 4 * n, "{spec}");
         }
-        assert_eq!(
-            agg.peak_bytes(),
-            4 * n,
-            "raw fold must not copy frames into scratch"
-        );
     }
 
     #[test]
-    fn lossy_footprint_is_two_model_buffers() {
-        let n = 4096usize;
-        let codec = CodecSpec::Q8.build();
-        let mut agg = StreamingAggregator::new(n);
-        let frame = codec.encode(&vec![1.0f32; n]).unwrap();
-        for _ in 0..100 {
-            agg.fold(&*codec, &frame, 0.01).unwrap();
+    fn non_finite_frames_fail_and_leave_the_sum_alone() {
+        let n = 37usize;
+        let update: Vec<f32> = (0..n).map(|i| (i as f32 * 0.7).sin()).collect();
+        // A q8 frame whose affine `lo` is NaN, and a raw frame with one
+        // NaN value: built by patching valid frames' payload bytes.
+        let q8 = CodecSpec::Q8.build();
+        let mut bad_q8 = q8.encode(&update).unwrap();
+        let lo = update.iter().copied().fold(f32::INFINITY, f32::min);
+        patch_f32(&mut bad_q8.payload, lo, f32::NAN);
+        let raw = CodecSpec::Raw.build();
+        let mut bad_raw = raw.encode(&update).unwrap();
+        patch_f32(&mut bad_raw.payload, update[5], f32::NAN);
+        for (codec, bad) in [(&q8, bad_q8), (&raw, bad_raw)] {
+            let mut agg = StreamingAggregator::new(n);
+            agg.fold(&**codec, &codec.encode(&update).unwrap(), 0.5)
+                .unwrap();
+            let before: Vec<u32> = agg.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert!(agg.fold(&**codec, &bad, 0.5).is_err());
+            let after: Vec<u32> = agg.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(after, before, "{}", codec.spec());
+            assert_eq!(agg.folded(), 1);
         }
-        assert_eq!(
-            agg.peak_bytes(),
-            2 * 4 * n,
-            "lossy fold needs exactly one reused decode slot"
-        );
+    }
+
+    /// Overwrites the last occurrence of `old`'s bytes in a payload.
+    fn patch_f32(payload: &mut [u8], old: f32, new: f32) {
+        let pat = old.to_le_bytes();
+        let at = (0..=payload.len() - 4)
+            .rev()
+            .find(|&i| payload[i..i + 4] == pat)
+            .expect("value in payload");
+        payload[at..at + 4].copy_from_slice(&new.to_le_bytes());
     }
 
     #[test]

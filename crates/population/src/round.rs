@@ -19,11 +19,10 @@ pub struct CohortReport {
     /// wire plan before any compute — so this equals
     /// `round_report.participants`, not the cohort.
     pub computed: usize,
-    /// Peak accumulator + decode-scratch bytes held by the streaming
-    /// fold, independent of population and cohort: `4·n` for an
-    /// `n`-parameter model on the raw zero-copy wire (frames fold as
-    /// borrowed views), `2 × 4·n` when a lossy codec needs a decode
-    /// slot, and 0 when nothing is delivered.
+    /// Peak bytes held by the streaming fold, independent of
+    /// population, cohort and codec: `4·n` for an `n`-parameter model
+    /// (each codec folds its frames straight into the one accumulator,
+    /// with no decode buffer), and 0 when nothing is delivered.
     pub peak_accum_bytes: usize,
     /// Peak encoded-frame bytes alive at once: one wire frame per
     /// concurrent compute slot, `O(threads · frame)`, never
@@ -128,8 +127,11 @@ impl CohortRunner {
         let select_ns = select_span.finish_ns();
 
         let broadcast_span = oasis_telemetry::span("fl.round.broadcast");
-        let global = self.server.broadcast_weights();
-        let n = global.len();
+        // The server's own parameter tensors, shared copy-on-write:
+        // every client reads them in place, and they are dropped
+        // before the step so it updates the weights in place.
+        let global = self.server.global_params();
+        let n: usize = global.iter().map(|t| t.numel()).sum();
         let bytes_down_each = n * 4;
         let codec = self.server.wire().codec().build();
         let bytes_up_each = codec.encoded_len(n);
@@ -226,6 +228,7 @@ impl CohortRunner {
                 }
                 fold_ns += fold_span.finish_ns();
             }
+            drop(global);
             oasis_telemetry::counter!("fl.clients_computed").add(delivered_ids.len() as u64);
             oasis_telemetry::gauge!("agg.peak_accum_bytes").set_max(agg.peak_bytes() as i64);
             let mean_loss = loss_sum / delivered_ids.len() as f32;
@@ -539,20 +542,20 @@ mod tests {
 
     #[test]
     fn raw_memory_stays_one_model_buffer_regardless_of_cohort() {
-        // Raw frames fold as borrowed views — the streaming
-        // aggregator never materializes a decode slot, so the peak is
-        // exactly the accumulator however large the cohort.
+        // The round's aggregation buffer is the accumulator alone,
+        // however large the cohort.
         let mut r = runner(300, 64);
         let report = r.run_round(&mut StdRng::seed_from_u64(3)).unwrap();
         assert_eq!(report.peak_accum_bytes, 4 * PARAMS);
     }
 
     #[test]
-    fn lossy_memory_stays_two_model_buffers_regardless_of_cohort() {
+    fn lossy_memory_stays_one_model_buffer_regardless_of_cohort() {
+        // q8 frames dequantize straight into the accumulator.
         let mut r = runner(300, 64);
         r.server_mut()
             .set_wire(WireConfig::new(CodecSpec::Q8, NetSpec::Ideal));
         let report = r.run_round(&mut StdRng::seed_from_u64(3)).unwrap();
-        assert_eq!(report.peak_accum_bytes, 2 * 4 * PARAMS);
+        assert_eq!(report.peak_accum_bytes, 4 * PARAMS);
     }
 }

@@ -91,8 +91,8 @@ proptest! {
         }
         prop_assert_eq!(agg.as_slice(), &direct[..]);
         prop_assert_eq!(agg.folded(), updates.len());
-        // Raw frames fold as borrowed views: the aggregator's
-        // footprint is exactly the accumulator, never a decode copy.
+        // The aggregator holds only the accumulator (copies inside the
+        // raw fold are counted by `fold_copies.rs`).
         prop_assert_eq!(agg.peak_bytes(), 4 * n);
     }
 }

@@ -72,6 +72,33 @@ impl Tensor {
         dense_product(Product::Tn, self, other)
     }
 
+    /// [`Tensor::matmul_tn`] written into `out`, which must hold the
+    /// `m×n` product's values and be `+0` throughout on entry — the
+    /// kernel adds into it. The result is `matmul_tn`'s, bit for bit,
+    /// without allocating the product: a layer can write its weight
+    /// gradient straight into a zeroed gradient slot.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error unless both operands are rank-2 with matching
+    /// leading dimension and `out` holds exactly `m·n` values.
+    pub fn matmul_tn_into(&self, other: &Tensor, out: &mut [f32]) -> Result<()> {
+        let (m, k, n) = product_dims(Product::Tn, self, other)?;
+        if out.len() != m * n {
+            return Err(TensorError::LengthMismatch {
+                len: out.len(),
+                expected: m * n,
+            });
+        }
+        debug_assert!(
+            out.iter().all(|v| v.to_bits() == 0),
+            "matmul_tn_into needs a +0 output"
+        );
+        let _span = oasis_telemetry::span(Product::Tn.names().1);
+        fill_product(Product::Tn, self, other, (m, k, n), out);
+        Ok(())
+    }
+
     /// Computes `self · otherᵀ` without materializing the transpose.
     ///
     /// `self` is `(m×k)`, `other` is `(n×k)`, result is `(m×n)`. This is
@@ -91,18 +118,21 @@ impl Tensor {
     }
 }
 
-/// The steps every dense product takes: the rank and inner-dimension
-/// checks, the `tensor.<op>` span, the FLOP count, the zeroed `m×n`
-/// output and, above the FLOP threshold, the split of its rows across
-/// the worker pool. Each output's accumulation order is the same
-/// under every row partition, so the parallel path is bit-identical
-/// to the serial one.
-fn dense_product(product: Product, lhs: &Tensor, rhs: &Tensor) -> Result<Tensor> {
-    let (op, span) = match product {
-        Product::Nn => ("matmul", "tensor.matmul"),
-        Product::Tn => ("matmul_tn", "tensor.matmul_tn"),
-        Product::Nt => ("matmul_nt", "tensor.matmul_nt"),
-    };
+impl Product {
+    /// The operation's name in errors and its telemetry span.
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            Product::Nn => ("matmul", "tensor.matmul"),
+            Product::Tn => ("matmul_tn", "tensor.matmul_tn"),
+            Product::Nt => ("matmul_nt", "tensor.matmul_nt"),
+        }
+    }
+}
+
+/// The rank and inner-dimension checks of a dense product: its
+/// `(m, k, n)`.
+fn product_dims(product: Product, lhs: &Tensor, rhs: &Tensor) -> Result<(usize, usize, usize)> {
+    let op = product.names().0;
     let (lr, lc) = dims2(lhs, op)?;
     let (rr, rc) = dims2(rhs, op)?;
     let (m, k, k2, n) = match product {
@@ -117,7 +147,15 @@ fn dense_product(product: Product, lhs: &Tensor, rhs: &Tensor) -> Result<Tensor>
             rhs: rhs.dims().to_vec(),
         });
     }
-    let _span = oasis_telemetry::span(span);
+    Ok((m, k, n))
+}
+
+/// The steps every dense product takes: the checks, the
+/// `tensor.<op>` span, and the zeroed `m×n` output that
+/// [`fill_product`] adds into.
+fn dense_product(product: Product, lhs: &Tensor, rhs: &Tensor) -> Result<Tensor> {
+    let (m, k, n) = product_dims(product, lhs, rhs)?;
+    let _span = oasis_telemetry::span(product.names().1);
     // `matmul_nt` has two regimes: a long reduction dim amortizes the
     // unrolled dot's lane setup, while a short one (conv im2col:
     // k = C·k², often < 64) wastes most of each 8-lane chunk — there
@@ -126,8 +164,24 @@ fn dense_product(product: Product, lhs: &Tensor, rhs: &Tensor) -> Result<Tensor>
     if product == Product::Nt && (k < 64 || k < 2 * n) {
         return lhs.matmul(&rhs.transpose()?);
     }
-    oasis_telemetry::counter!("tensor.matmul_flops").add(2 * (m * k * n) as u64);
     let mut out = Tensor::zeros(&[m, n]);
+    fill_product(product, lhs, rhs, (m, k, n), out.data_mut());
+    Ok(out)
+}
+
+/// Adds the `m×n` product into `out` (`+0` on entry): the FLOP count
+/// and, above the FLOP threshold, the split of the output rows across
+/// the worker pool. Each output's accumulation order is the same
+/// under every row partition, so the parallel path is bit-identical
+/// to the serial one.
+fn fill_product(
+    product: Product,
+    lhs: &Tensor,
+    rhs: &Tensor,
+    (m, k, n): (usize, usize, usize),
+    out: &mut [f32],
+) {
+    oasis_telemetry::counter!("tensor.matmul_flops").add(2 * (m * k * n) as u64);
     let (a, b) = (lhs.data(), rhs.data());
     let kernel = |row0: usize, rows: &mut [f32]| match product {
         Product::Nn => matmul_rows(a, b, k, n, row0, rows),
@@ -135,11 +189,10 @@ fn dense_product(product: Product, lhs: &Tensor, rhs: &Tensor) -> Result<Tensor>
         Product::Nt => simd::matmul_nt_rows(a, b, k, row0, rows),
     };
     if above_par_threshold(m, k, n) {
-        parallel::for_each_row_block(out.data_mut(), n, kernel);
+        parallel::for_each_row_block(out, n, kernel);
     } else {
-        kernel(0, out.data_mut());
+        kernel(0, out);
     }
-    Ok(out)
 }
 
 /// `matmul`'s kernel: output rows `[row0, row0 + rows.len() / n)` of

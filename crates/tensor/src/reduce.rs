@@ -57,6 +57,21 @@ impl Tensor {
     ///
     /// Returns an error if the tensor is not rank-2.
     pub fn sum_axis0(&self) -> Result<Tensor> {
+        let cols = if self.rank() == 2 { self.dims()[1] } else { 0 };
+        let mut out = vec![0.0f32; cols];
+        self.add_rows_to(&mut out)?;
+        Tensor::from_vec(out, &[cols])
+    }
+
+    /// Adds every row of a rank-2 tensor into `out`, row by row: from
+    /// a `+0` start this is [`Tensor::sum_axis0`], bit for bit,
+    /// without allocating the sum.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the tensor is not rank-2 or `out` does not
+    /// hold one value per column.
+    pub fn add_rows_to(&self, out: &mut [f32]) -> Result<()> {
         if self.rank() != 2 {
             return Err(TensorError::RankMismatch {
                 op: "sum_axis0",
@@ -64,14 +79,22 @@ impl Tensor {
                 actual: self.rank(),
             });
         }
-        let (rows, cols) = (self.dims()[0], self.dims()[1]);
-        let mut out = vec![0.0f32; cols];
-        for r in 0..rows {
-            for (o, &v) in out.iter_mut().zip(&self.data()[r * cols..(r + 1) * cols]) {
+        let cols = self.dims()[1];
+        if out.len() != cols {
+            return Err(TensorError::LengthMismatch {
+                len: out.len(),
+                expected: cols,
+            });
+        }
+        if cols == 0 {
+            return Ok(());
+        }
+        for row in self.data().chunks_exact(cols) {
+            for (o, &v) in out.iter_mut().zip(row) {
                 *o += v;
             }
         }
-        Tensor::from_vec(out, &[cols])
+        Ok(())
     }
 
     /// Index of the maximum element of each row of a rank-2 tensor.

@@ -879,42 +879,66 @@ unsafe fn dots_tile<const R: usize>(
     }
 }
 
-/// See [`scalar::minmax`]. min/max over finite floats is fold-order
-/// independent except for signed zeros, which both backends
-/// canonicalize to `+0.0` after the fold.
+/// See [`scalar::min_max_finite`]. min/max over finite floats is
+/// fold-order independent except for signed zeros, which both backends
+/// canonicalize to `+0.0` after the fold; a NaN lane can poison the
+/// vector fold, but any non-finite value also sets the exponent flag
+/// and the result is `None` regardless.
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn minmax(x: &[f32]) -> (f32, f32) {
-    let n = x.len();
-    let chunks = n / 8;
+pub(crate) unsafe fn min_max_finite(x: &[f32]) -> Option<(f32, f32)> {
+    let chunks = x.len() / 8;
+    let exponent = _mm256_set1_epi32(0x7f80_0000);
     let mut vlo = _mm256_set1_ps(f32::INFINITY);
     let mut vhi = _mm256_set1_ps(f32::NEG_INFINITY);
+    let mut vbad = _mm256_setzero_si256();
     for c in 0..chunks {
         let v = _mm256_loadu_ps(x.as_ptr().add(c * 8));
         vlo = _mm256_min_ps(vlo, v);
         vhi = _mm256_max_ps(vhi, v);
+        let e = _mm256_and_si256(_mm256_castps_si256(v), exponent);
+        vbad = _mm256_or_si256(vbad, _mm256_cmpeq_epi32(e, exponent));
     }
-    let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+    if _mm256_testz_si256(vbad, vbad) == 0 {
+        return None;
+    }
+    let (mut lo, mut hi) = scalar::min_max_finite(&x[chunks * 8..])?;
     for l in lanes_f32(vlo) {
         lo = lo.min(l);
     }
     for l in lanes_f32(vhi) {
         hi = hi.max(l);
     }
-    for &v in &x[chunks * 8..] {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    (
+    Some((
         if lo == 0.0 { 0.0 } else { lo },
         if hi == 0.0 { 0.0 } else { hi },
-    )
+    ))
 }
 
-/// See [`scalar::quantize_q8`].
+/// Distance from ½ below which [`quantize_q8`]'s f32 fast path hands a
+/// block to the f64 specification: 2⁻¹², four times the fast path's
+/// worst error (see there).
+const Q8_GUARD: f32 = 1.0 / 4096.0;
+
+/// See [`scalar::quantize_q8`]. Eight values at a time, first in f32
+/// without a divider, under a rounding guard:
 ///
-/// Rust's `f64::round` rounds half away from zero, which no AVX
-/// rounding mode provides; for the kernel's non-negative domain it is
-/// emulated exactly as `floor(x) + (x − floor(x) ≥ 0.5)`. The
+/// * the fast path computes `y = (v − lo)·(1/scale)` in f32, with
+///   `1/scale` rounded once to f32. Each of the three roundings is
+///   within a relative 2⁻²⁴ and the exact quotient is at most 255, so
+///   `y` is within 255·4·2⁻²⁴ ≈ 2⁻¹⁴ of the exact `(v − lo)/scale`,
+///   and the specification's f64 quotient is within 2⁻⁴⁵ of it;
+/// * rounding is discontinuous only at half-integers, so when every
+///   lane's fractional part is more than [`Q8_GUARD`] (2⁻¹²) from ½,
+///   `y` and the f64 quotient round to the same level, and the fast
+///   path's bytes are kept;
+/// * otherwise (a value near a half level, or `y` infinite or NaN
+///   because `v − lo` or `1/scale` overflowed f32, which fails every
+///   ordered compare) the block is redone in f64 as the specification
+///   does.
+///
+/// `f64::round` rounds half away from zero, which no AVX rounding mode
+/// provides; for the kernel's non-negative domain the f64 path
+/// emulates it exactly as `floor(x) + (x − floor(x) ≥ 0.5)`. The
 /// fraction `x − floor(x)` is exact for every non-negative finite x
 /// (Sterbenz for x ≥ 1, trivially for x < 1), so the emulation agrees
 /// with `round` on every input — including the half-ulp-below-half
@@ -925,58 +949,118 @@ pub(crate) unsafe fn quantize_q8(src: &[f32], lo: f32, scale: f64, dst: &mut [u8
     debug_assert!(scale > 0.0, "quantize_q8 requires a positive scale");
     let n = src.len();
     let chunks = n / 8;
-    let vlo = _mm256_set1_pd(f64::from(lo));
-    let vscale = _mm256_set1_pd(scale);
-    let vhalf = _mm256_set1_pd(0.5);
-    let vone = _mm256_set1_pd(1.0);
-    let vmax = _mm256_set1_pd(255.0);
-    let vzero = _mm256_setzero_pd();
+    let flo = _mm256_set1_ps(lo);
+    let inv = _mm256_set1_ps((1.0 / scale) as f32);
+    let half = _mm256_set1_ps(0.5);
+    let guard = _mm256_set1_ps(Q8_GUARD);
+    let magnitude = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
+    let one = _mm256_set1_ps(1.0);
+    let top = _mm256_set1_ps(255.0);
     for c in 0..chunks {
-        let v8 = src.as_ptr().add(c * 8);
-        let quant4 = |p: *const f32| -> __m128i {
-            let x = _mm256_div_pd(_mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(p)), vlo), vscale);
-            let fl = _mm256_floor_pd(x);
-            let frac = _mm256_sub_pd(x, fl);
-            let bump = _mm256_and_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(frac, vhalf), vone);
-            let rounded = _mm256_add_pd(fl, bump);
-            let clamped = _mm256_max_pd(_mm256_min_pd(rounded, vmax), vzero);
-            _mm256_cvtpd_epi32(clamped)
+        let p = src.as_ptr().add(c * 8);
+        let y = _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(p), flo), inv);
+        let fl = _mm256_floor_ps(y);
+        let frac = _mm256_sub_ps(y, fl);
+        let off_half = _mm256_and_ps(_mm256_sub_ps(frac, half), magnitude);
+        let safe = _mm256_cmp_ps::<_CMP_GT_OQ>(off_half, guard);
+        let bytes = if _mm256_movemask_ps(safe) == 0xff {
+            let bump = _mm256_and_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(frac, half), one);
+            let level = _mm256_cvtps_epi32(_mm256_min_ps(_mm256_add_ps(fl, bump), top));
+            let packed16 = _mm_packs_epi32(
+                _mm256_castsi256_si128(level),
+                _mm256_extracti128_si256::<1>(level),
+            );
+            _mm_packus_epi16(packed16, _mm_setzero_si128())
+        } else {
+            quantize8_f64(p, lo, scale)
         };
-        let ia = quant4(v8);
-        let ib = quant4(v8.add(4));
-        let packed16 = _mm_packs_epi32(ia, ib);
-        let packed8 = _mm_packus_epi16(packed16, _mm_setzero_si128());
-        _mm_storel_epi64(dst.as_mut_ptr().add(c * 8).cast(), packed8);
+        _mm_storel_epi64(dst.as_mut_ptr().add(c * 8).cast(), bytes);
     }
     if chunks * 8 < n {
         scalar::quantize_q8(&src[chunks * 8..], lo, scale, &mut dst[chunks * 8..]);
     }
 }
 
-/// See [`scalar::dequantize_q8`]: `lo + scale·q` in f64 (mul then
-/// add), clamped into f32's finite range, rounded to f32 by the
-/// correctly-rounded `vcvtpd2ps`.
+/// [`quantize_q8`]'s f64 path for the eight values at `p`: the
+/// specification's quotient and rounding, levels in the low 8 bytes.
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn dequantize_q8(q: &[u8], lo: f32, scale: f32, out: &mut [f32]) {
-    debug_assert_eq!(q.len(), out.len(), "dequantize_q8 requires equal lengths");
-    let n = q.len();
-    let chunks = n / 8;
+unsafe fn quantize8_f64(p: *const f32, lo: f32, scale: f64) -> __m128i {
+    let vlo = _mm256_set1_pd(f64::from(lo));
+    let vscale = _mm256_set1_pd(scale);
+    let quant4 = |p: *const f32| -> __m128i {
+        let x = _mm256_div_pd(_mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(p)), vlo), vscale);
+        let fl = _mm256_floor_pd(x);
+        let frac = _mm256_sub_pd(x, fl);
+        let half = _mm256_set1_pd(0.5);
+        let bump = _mm256_and_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(frac, half), _mm256_set1_pd(1.0));
+        let rounded = _mm256_add_pd(fl, bump);
+        let clamped = _mm256_max_pd(
+            _mm256_min_pd(rounded, _mm256_set1_pd(255.0)),
+            _mm256_setzero_pd(),
+        );
+        _mm256_cvtpd_epi32(clamped)
+    };
+    let packed16 = _mm_packs_epi32(quant4(p), quant4(p.add(4)));
+    _mm_packus_epi16(packed16, _mm_setzero_si128())
+}
+
+/// Eight dequantized levels of [`scalar::dequantize_q8`]: `lo + scale·q`
+/// in f64 (mul then add), clamped into f32's finite range, rounded to
+/// f32 by the correctly-rounded `vcvtpd2ps`.
+#[target_feature(enable = "avx2")]
+unsafe fn dequantize8(q: *const u8, lo: f32, scale: f32) -> __m256 {
     let vlo = _mm256_set1_pd(f64::from(lo));
     let vscale = _mm256_set1_pd(f64::from(scale));
     let vmin = _mm256_set1_pd(f64::from(f32::MIN));
     let vmax = _mm256_set1_pd(f64::from(f32::MAX));
+    let bytes = _mm_loadl_epi64(q.cast());
+    let deq4 = |i32x4: __m128i| -> __m128 {
+        let v = _mm256_add_pd(vlo, _mm256_mul_pd(vscale, _mm256_cvtepi32_pd(i32x4)));
+        _mm256_cvtpd_ps(_mm256_max_pd(_mm256_min_pd(v, vmax), vmin))
+    };
+    let fa = deq4(_mm_cvtepu8_epi32(bytes));
+    let fb = deq4(_mm_cvtepu8_epi32(_mm_srli_si128::<4>(bytes)));
+    _mm256_set_m128(fb, fa)
+}
+
+/// See [`scalar::dequantize_q8`].
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn dequantize_q8(q: &[u8], lo: f32, scale: f32, out: &mut [f32]) {
+    debug_assert_eq!(q.len(), out.len(), "dequantize_q8 requires equal lengths");
+    let chunks = q.len() / 8;
     for c in 0..chunks {
-        let bytes = _mm_loadl_epi64(q.as_ptr().add(c * 8).cast());
-        let deq4 = |i32x4: __m128i| -> __m128 {
-            let v = _mm256_add_pd(vlo, _mm256_mul_pd(vscale, _mm256_cvtepi32_pd(i32x4)));
-            _mm256_cvtpd_ps(_mm256_max_pd(_mm256_min_pd(v, vmax), vmin))
-        };
-        let fa = deq4(_mm_cvtepu8_epi32(bytes));
-        let fb = deq4(_mm_cvtepu8_epi32(_mm_srli_si128::<4>(bytes)));
-        _mm256_storeu_ps(out.as_mut_ptr().add(c * 8), _mm256_set_m128(fb, fa));
+        let v = dequantize8(q.as_ptr().add(c * 8), lo, scale);
+        _mm256_storeu_ps(out.as_mut_ptr().add(c * 8), v);
     }
-    if chunks * 8 < n {
+    if chunks * 8 < q.len() {
         scalar::dequantize_q8(&q[chunks * 8..], lo, scale, &mut out[chunks * 8..]);
+    }
+}
+
+/// See [`scalar::dequantize_add_q8`]: [`dequantize_q8`]'s eight values,
+/// multiplied by `weight` and then added to `acc`.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn dequantize_add_q8(
+    q: &[u8],
+    lo: f32,
+    scale: f32,
+    weight: f32,
+    acc: &mut [f32],
+) {
+    debug_assert_eq!(
+        q.len(),
+        acc.len(),
+        "dequantize_add_q8 requires equal lengths"
+    );
+    let chunks = q.len() / 8;
+    let vw = _mm256_set1_ps(weight);
+    for c in 0..chunks {
+        let v = dequantize8(q.as_ptr().add(c * 8), lo, scale);
+        let a = acc.as_mut_ptr().add(c * 8);
+        _mm256_storeu_ps(a, _mm256_add_ps(_mm256_loadu_ps(a), _mm256_mul_ps(vw, v)));
+    }
+    if chunks * 8 < q.len() {
+        scalar::dequantize_add_q8(&q[chunks * 8..], lo, scale, weight, &mut acc[chunks * 8..]);
     }
 }
 

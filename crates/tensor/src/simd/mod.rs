@@ -1,9 +1,9 @@
 //! Runtime-dispatched SIMD kernels for the workspace's hot loops.
 //!
-//! The hot inner loops — matmul dot/axpy, q8 quantize/dequantize,
-//! sign pack/unpack, MSE reduction, Gaussian sampling, calibration
-//! responses — are implemented once per backend. There are three
-//! backends:
+//! The hot inner loops — matmul dot/axpy, the q8 codec's scan,
+//! quantize, dequantize and dequantize-and-add, sign pack/unpack, MSE
+//! reduction, Gaussian sampling, calibration responses — are
+//! implemented once per backend. There are three backends:
 //!
 //! * `avx512` ([`Backend::Avx512`], `x86_64` with AVX2, AVX-512F and
 //!   AVX-512DQ, runtime-detected): the AVX2 kernels, plus an f64x8
@@ -77,6 +77,18 @@
 //! payloads unspecified, so a NaN output is only pinned as NaN
 //! ([`lane_dots`] and [`sq_and_sums8`] say so; the calibration redoes
 //! its NaN responses sequentially).
+//!
+//! ### The guarded q8 quantize: [`quantize_q8`]
+//!
+//! [`quantize_q8`] is specified in f64, with one division per value.
+//! The vector backend computes each level in f32 without a divider and
+//! keeps an eight-value block only where that provably rounds like the
+//! specification: its error is at most 255·4·2⁻²⁴ ≈ 2⁻¹⁴ of a level,
+//! so a block is kept when every value's fraction is more than 2⁻¹²
+//! from ½, and any other block is redone in f64 (the AVX2 kernel's
+//! docs give the derivation). The bytes are the specification's by
+//! construction; `tests/simd_parity.rs` pins them at half levels, at
+//! ranges near `f32::MAX` and at subnormal ranges.
 //!
 //! ### The libm-referenced kernels: [`normal_pairs`] and [`cos_normals`]
 //!
@@ -418,16 +430,20 @@ pub(crate) fn axpy4x2(
     dispatch!(axpy4x2(o0, o1, c0, c1, b0, b1, b2, b3))
 }
 
-/// `(min, max)` over `x`; `(+∞, −∞)` when empty. All values must be
-/// finite (NaN poisons the fold differently per backend); signed
-/// zeros canonicalize to `+0.0` so the result is fold-order free.
-pub fn minmax(x: &[f32]) -> (f32, f32) {
-    dispatch!(minmax(x))
+/// `(min, max)` over `x` in one pass, or `None` when any value is
+/// infinite or NaN; `Some((+∞, −∞))` when empty. Signed zeros
+/// canonicalize to `+0.0` so the result is fold-order free, and the
+/// result is bit-identical across backends.
+pub fn min_max_finite(x: &[f32]) -> Option<(f32, f32)> {
+    dispatch!(min_max_finite(x))
 }
 
 /// Affine int8 quantization `dst[i] = round((src[i] − lo) / scale)`
-/// clamped to `0..=255`, computed in f64 with round-half-away-from-
-/// zero (Rust [`f64::round`] semantics).
+/// clamped to `0..=255`, specified in f64 with round-half-away-from-
+/// zero (Rust [`f64::round`] semantics). The vector backend computes
+/// in f32 without a divider and redoes in f64 any block where that
+/// could round differently (its guard and bound are documented on
+/// the kernel).
 ///
 /// Preconditions (debug-asserted where cheap): `src.len() ==
 /// dst.len()`, `scale > 0` and finite, every `src[i]` finite and
@@ -442,6 +458,15 @@ pub fn quantize_q8(src: &[f32], lo: f32, scale: f64, dst: &mut [u8]) {
 /// (debug-asserted).
 pub fn dequantize_q8(q: &[u8], lo: f32, scale: f32, out: &mut [f32]) {
     dispatch!(dequantize_q8(q, lo, scale, out))
+}
+
+/// [`dequantize_q8`] folded into a weighted sum in one pass:
+/// `acc[i] += weight · dequantize(q[i])`, the multiply and the add
+/// rounded separately, so the result equals dequantizing into a
+/// buffer and then adding `weight · out[i]`, bit for bit.
+/// `q.len() == acc.len()` required (debug-asserted).
+pub fn dequantize_add_q8(q: &[u8], lo: f32, scale: f32, weight: f32, acc: &mut [f32]) {
+    dispatch!(dequantize_add_q8(q, lo, scale, weight, acc))
 }
 
 /// Packs one IEEE sign bit per element, LSB-first within each byte

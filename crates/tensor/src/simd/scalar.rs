@@ -281,17 +281,19 @@ fn canonical_zero(v: f32) -> f32 {
     }
 }
 
-/// `(min, max)` over `x`, `(+∞, −∞)` when empty.
-///
-/// Precondition: all values finite (NaN would poison the fold
-/// differently per backend). Signed zeros canonicalize to `+0.0`.
-pub(crate) fn minmax(x: &[f32]) -> (f32, f32) {
-    let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+/// `(min, max)` over `x` when every value is finite, `None` when any
+/// is infinite or NaN; `Some((+∞, −∞))` when empty. Signed zeros
+/// canonicalize to `+0.0`. One pass, no early exit: a value is
+/// non-finite exactly when its exponent bits are all ones.
+pub(crate) fn min_max_finite(x: &[f32]) -> Option<(f32, f32)> {
+    const EXPONENT: u32 = 0x7f80_0000;
+    let (mut lo, mut hi, mut bad) = (f32::INFINITY, f32::NEG_INFINITY, false);
     for &v in x {
         lo = lo.min(v);
         hi = hi.max(v);
+        bad |= v.to_bits() & EXPONENT == EXPONENT;
     }
-    (canonical_zero(lo), canonical_zero(hi))
+    (!bad).then(|| (canonical_zero(lo), canonical_zero(hi)))
 }
 
 /// Affine int8 quantization: `dst[i] = round((src[i] − lo) / scale)`
@@ -315,9 +317,26 @@ pub(crate) fn quantize_q8(src: &[f32], lo: f32, scale: f64, dst: &mut [u8]) {
 pub(crate) fn dequantize_q8(q: &[u8], lo: f32, scale: f32, out: &mut [f32]) {
     debug_assert_eq!(q.len(), out.len(), "dequantize_q8 requires equal lengths");
     for (o, &q) in out.iter_mut().zip(q) {
-        let v = f64::from(lo) + f64::from(scale) * f64::from(q);
-        *o = v.clamp(f64::from(f32::MIN), f64::from(f32::MAX)) as f32;
+        *o = dequantize_one(lo, scale, q);
     }
+}
+
+/// [`dequantize_q8`] folded into a weighted sum:
+/// `acc[i] += weight · dequantize(q[i])`, multiply then add.
+pub(crate) fn dequantize_add_q8(q: &[u8], lo: f32, scale: f32, weight: f32, acc: &mut [f32]) {
+    debug_assert_eq!(
+        q.len(),
+        acc.len(),
+        "dequantize_add_q8 requires equal lengths"
+    );
+    for (a, &q) in acc.iter_mut().zip(q) {
+        *a += weight * dequantize_one(lo, scale, q);
+    }
+}
+
+fn dequantize_one(lo: f32, scale: f32, q: u8) -> f32 {
+    let v = f64::from(lo) + f64::from(scale) * f64::from(q);
+    v.clamp(f64::from(f32::MIN), f64::from(f32::MAX)) as f32
 }
 
 /// Packs one sign bit per element, LSB-first within each byte: bit

@@ -240,20 +240,25 @@ proptest! {
     }
 
     #[test]
-    fn minmax_is_bit_identical(x in lane_vec(), off in 0usize..4) {
+    fn min_max_finite_is_bit_identical(x in lane_vec(), off in 0usize..4) {
         let off = off % x.len();
         let s = &x[off..];
-        let (slo, shi) = simd::with_backend(Backend::Scalar, || simd::minmax(s));
-        let (vlo, vhi) = simd::with_backend(best(), || simd::minmax(s));
-        prop_assert_eq!(slo.to_bits(), vlo.to_bits());
-        prop_assert_eq!(shi.to_bits(), vhi.to_bits());
+        let bits = |b| {
+            simd::with_backend(b, || simd::min_max_finite(s))
+                .map(|(lo, hi)| (lo.to_bits(), hi.to_bits()))
+        };
+        let reference = bits(Backend::Scalar);
+        prop_assert!(reference.is_some());
+        for backend in backends() {
+            prop_assert_eq!(bits(backend), reference, "{:?}", backend);
+        }
     }
 
     #[test]
     fn q8_bytes_are_bit_identical(x in lane_vec(), off in 0usize..4) {
         let off = off % x.len();
         let src = &x[off..];
-        let (lo, hi) = simd::minmax(src);
+        let (lo, hi) = simd::min_max_finite(src).unwrap();
         let scale = (f64::from(hi) - f64::from(lo)) / 255.0;
         if scale <= 0.0 {
             continue; // constant vector: the codec never calls the kernel
@@ -280,6 +285,23 @@ proptest! {
         });
         for (s, v) in d_scalar.iter().zip(&d_vector) {
             prop_assert_eq!(s.to_bits(), v.to_bits());
+        }
+
+        // The one-pass fold equals dequantizing, then adding
+        // `weight · value`, on every backend.
+        let weight = 0.3125f32 - off as f32;
+        let expected: Vec<u32> = src
+            .iter()
+            .zip(&d_scalar)
+            .map(|(&a, &d)| (a + weight * d).to_bits())
+            .collect();
+        for backend in backends() {
+            let mut acc = src.to_vec();
+            simd::with_backend(backend, || {
+                simd::dequantize_add_q8(&q_scalar, lo, scale32, weight, &mut acc);
+            });
+            let got: Vec<u32> = acc.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&got, &expected, "{:?}", backend);
         }
     }
 
@@ -515,9 +537,87 @@ fn signed_zero_minmax_is_canonical_on_every_backend() {
         vec![0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, -0.0],
     ] {
         for backend in [Backend::Scalar, best()] {
-            let (lo, hi) = simd::with_backend(backend, || simd::minmax(&x));
+            let (lo, hi) = simd::with_backend(backend, || simd::min_max_finite(&x)).unwrap();
             assert_eq!(lo.to_bits(), 0.0f32.to_bits(), "{backend:?} {x:?}");
             assert_eq!(hi.to_bits(), 0.0f32.to_bits(), "{backend:?} {x:?}");
+        }
+    }
+}
+
+#[test]
+fn min_max_finite_flags_non_finite_values_at_every_lane_position() {
+    for len in 0..=41usize {
+        let base: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin() * 10.0).collect();
+        let (lo, hi) = base
+            .iter()
+            .fold((f32::INFINITY, f32::NEG_INFINITY), |(l, h), &v| {
+                (l.min(v), h.max(v))
+            });
+        for backend in backends() {
+            let got = simd::with_backend(backend, || simd::min_max_finite(&base));
+            assert_eq!(got, Some((lo, hi)), "{backend:?} len={len}");
+        }
+        for pos in 0..len {
+            for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN] {
+                let mut x = base.clone();
+                x[pos] = bad;
+                for backend in backends() {
+                    let got = simd::with_backend(backend, || simd::min_max_finite(&x));
+                    assert_eq!(got, None, "{backend:?} len={len} {bad} at {pos}");
+                }
+            }
+        }
+    }
+}
+
+/// The f64 specification of the q8 levels.
+fn q8_spec(src: &[f32], lo: f32, scale: f64) -> Vec<u8> {
+    src.iter()
+        .map(|&v| (((f64::from(v) - f64::from(lo)) / scale).round() as i32).clamp(0, 255) as u8)
+        .collect()
+}
+
+#[test]
+fn guarded_q8_quantize_matches_the_f64_specification() {
+    // The cases the vector kernel's f32 fast path guards: values on a
+    // half level and one f32 step either side of it; a one-step range
+    // (the nearest a called kernel gets to `lo == hi`, which scale 0
+    // keeps away from it); ranges at f32::MAX, where `v − lo` or
+    // `1/scale` overflows f32; and subnormal ranges. Every length
+    // 0–41 slides over each range's values.
+    let ranges: [(f32, f32); 9] = [
+        (0.0, 255.0),
+        (-1.3, 7.9),
+        (-3e-3, 2e-3),
+        (1.0, 1.0f32.next_up()),
+        (-f32::MAX, f32::MAX),
+        (f32::MAX / 4.0, f32::MAX),
+        (-f32::MAX, -1.0),
+        (0.0, 1e-40),
+        (-1e-44, 3e-42),
+    ];
+    for (lo, hi) in ranges {
+        let scale = (f64::from(hi) - f64::from(lo)) / 255.0;
+        let mut values = vec![lo, hi];
+        for k in 0..255 {
+            let half = (f64::from(lo) + (f64::from(k) + 0.5) * scale) as f32;
+            values.extend([half.next_down(), half, half.next_up()]);
+        }
+        values.retain(|&v| v.is_finite() && v >= lo && v <= hi);
+        for len in 0..=41usize {
+            let windows: Vec<&[f32]> = if len == 0 {
+                vec![&[]]
+            } else {
+                values.chunks(len).collect()
+            };
+            for src in windows {
+                let expected = q8_spec(src, lo, scale);
+                for backend in backends() {
+                    let mut q = vec![0xAAu8; src.len()];
+                    simd::with_backend(backend, || simd::quantize_q8(src, lo, scale, &mut q));
+                    assert_eq!(q, expected, "{backend:?} range ({lo}, {hi}) len={len}");
+                }
+            }
         }
     }
 }

@@ -117,6 +117,36 @@ pub trait UpdateCodec: Send + Sync {
         Ok(out)
     }
 
+    /// Folds a frame into a weighted sum in one pass: `acc[i] +=
+    /// weight · g[i]` for the update `g` the frame decodes to, with no
+    /// decode buffer. Each term is the same f32 multiply, then the same
+    /// add, as decoding with [`UpdateCodec::decode_view`] and adding,
+    /// so the sum is bit-identical to that. (Top-k adds only its kept
+    /// entries: the `+0` terms it skips cannot change an accumulator
+    /// that started at `+0`, which never holds `−0`.)
+    ///
+    /// Before the first add, the frame is checked for everything the
+    /// codec owns: the element count against `acc`, each tensor's
+    /// length, and finiteness wherever the frame carries floats (q8's
+    /// `affine` pair, the raw payload, top-k's values, sign's
+    /// magnitude), plus top-k indices that ascend strictly below the
+    /// element count, as its encoder writes them; `weight`
+    /// must be finite too. A frame that fails is an error, and `acc`
+    /// is then bit for bit what it was, so one hostile or corrupt
+    /// update cannot poison the sum.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] on a malformed or non-finite frame, a
+    /// length that disagrees with `acc`, or a non-finite weight —
+    /// never panics.
+    fn fold_into(
+        &self,
+        encoded: &EncodedUpdate,
+        weight: f32,
+        acc: &mut [f32],
+    ) -> Result<(), WireError>;
+
     /// Exact wire size of any `n`-element update under this codec.
     ///
     /// Every built-in codec's frame size is a pure function of the
@@ -231,6 +261,17 @@ fn all_finite(values: &[f32]) -> bool {
     }) == 0
 }
 
+/// The checks every [`UpdateCodec::fold_into`] makes first: the frame
+/// holds one value per accumulator slot, and the weight is finite.
+fn check_fold(encoded: &EncodedUpdate, weight: f32, acc: &[f32]) -> Result<(), WireError> {
+    if !weight.is_finite() {
+        return Err(WireError::Codec(format!(
+            "fold weight {weight} is not finite"
+        )));
+    }
+    check_out_len(acc, encoded.n)
+}
+
 fn check_out_len(out: &[f32], n: usize) -> Result<(), WireError> {
     if out.len() != n {
         return Err(WireError::Codec(format!(
@@ -332,6 +373,29 @@ impl UpdateCodec for RawCodec {
         tensor.read_f32(scratch)?;
         Ok(scratch)
     }
+
+    /// Adds from [`RawCodec::decode_view`]'s slice: the borrowed
+    /// payload when it is aligned, a one-off copy when it is not. The
+    /// payload must be finite.
+    fn fold_into(
+        &self,
+        encoded: &EncodedUpdate,
+        weight: f32,
+        acc: &mut [f32],
+    ) -> Result<(), WireError> {
+        check_fold(encoded, weight, acc)?;
+        let mut scratch = Vec::new();
+        let values = self.decode_view(encoded, &mut scratch)?;
+        if !all_finite(values) {
+            return Err(WireError::Codec(
+                "raw update holds a non-finite value".into(),
+            ));
+        }
+        for (a, &g) in acc.iter_mut().zip(values) {
+            *a += weight * g;
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -342,12 +406,52 @@ impl UpdateCodec for RawCodec {
 /// is split into 255 levels; each element becomes one byte plus a
 /// shared `(min, scale)` pair. Worst-case error per element is half a
 /// level, `(max − min)/255 · ½`.
+///
+/// Encoding scans the update once for its minimum, maximum and
+/// finiteness ([`oasis_tensor::simd::min_max_finite`]). The level of
+/// each value is specified as `round((v − min) / scale)` in f64; the
+/// vector kernel computes `(v − min)·(1/scale)` in f32 instead, whose
+/// error is at most 255·4·2⁻²⁴ ≈ 2⁻¹⁴ of a level, keeps an eight-value
+/// block only when every value's fraction is more than 2⁻¹² from ½,
+/// and redoes any other block in f64. The bytes on the wire are the
+/// specification's on every backend.
+///
+/// Folding ([`UpdateCodec::fold_into`]) dequantizes and adds in one
+/// pass. Decoding and folding both refuse a frame whose `affine`
+/// values are not finite.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Q8Codec;
 
 impl Q8Codec {
     fn tensors(n: usize) -> Decl<2> {
         [("q", Dtype::U8, n), ("affine", Dtype::F32, 2)]
+    }
+
+    /// A q8 frame's `n` levels and its `(lo, scale)` pair, which must
+    /// be finite: dequantizing with a NaN or infinite one would emit
+    /// non-finite values (and the backends' clamps treat NaN
+    /// differently).
+    fn levels<'a>(view: &WireView<'a>, n: usize) -> Result<(&'a [u8], f32, f32), WireError> {
+        let affine = view.require("affine")?.to_f32_vec()?;
+        let [lo, scale] = affine[..] else {
+            return Err(WireError::Codec(format!(
+                "q8 affine tensor has {} values, expected 2",
+                affine.len()
+            )));
+        };
+        if !(lo.is_finite() && scale.is_finite()) {
+            return Err(WireError::Codec(format!(
+                "q8 affine ({lo}, {scale}) is not finite"
+            )));
+        }
+        let q = view.require("q")?.to_u8_slice()?;
+        if q.len() != n {
+            return Err(WireError::Codec(format!(
+                "q8 payload has {} levels, update frame says {n}",
+                q.len()
+            )));
+        }
+        Ok((q, lo, scale))
     }
 }
 
@@ -362,14 +466,14 @@ impl UpdateCodec for Q8Codec {
 
     fn encode(&self, update: &[f32]) -> Result<EncodedUpdate, WireError> {
         let _span = oasis_telemetry::span("wire.encode.q8");
-        if !all_finite(update) {
+        let Some((lo, hi)) = oasis_tensor::simd::min_max_finite(update) else {
             return Err(WireError::Codec("q8 requires finite values".into()));
-        }
-        let (mut lo, mut hi) = oasis_tensor::simd::minmax(update);
-        if update.is_empty() {
-            lo = 0.0;
-            hi = 0.0;
-        }
+        };
+        let (lo, hi) = if update.is_empty() {
+            (0.0, 0.0)
+        } else {
+            (lo, hi)
+        };
         // The range arithmetic runs in f64: `hi − lo` can overflow
         // f32 (e.g. MAX..−MAX), which would poison every level with
         // inf/NaN while the finite-input guard still passes.
@@ -398,26 +502,26 @@ impl UpdateCodec for Q8Codec {
         oasis_telemetry::counter!("wire.bytes_decoded").add(encoded.payload.len() as u64);
         check_out_len(out, encoded.n)?;
         let view = parse_payload(encoded)?;
-        let affine = view.require("affine")?.to_f32_vec()?;
-        let [lo, scale] = affine[..] else {
-            return Err(WireError::Codec(format!(
-                "q8 affine tensor has {} values, expected 2",
-                affine.len()
-            )));
-        };
-        let q_tensor = view.require("q")?;
-        let q = q_tensor.to_u8_slice()?;
-        if q.len() != out.len() {
-            return Err(WireError::Codec(format!(
-                "q8 payload has {} levels, update frame says {}",
-                q.len(),
-                out.len()
-            )));
-        }
+        let (q, lo, scale) = Self::levels(&view, encoded.n)?;
         // Dequantize in f64 and clamp into f32's finite range: for
         // extreme updates `lo + 255·scale` can land one rounding step
         // past f32::MAX, and the decoder must never emit inf/NaN.
         oasis_tensor::simd::dequantize_q8(q, lo, scale, out);
+        Ok(())
+    }
+
+    fn fold_into(
+        &self,
+        encoded: &EncodedUpdate,
+        weight: f32,
+        acc: &mut [f32],
+    ) -> Result<(), WireError> {
+        let _span = oasis_telemetry::span("wire.decode.q8");
+        oasis_telemetry::counter!("wire.bytes_decoded").add(encoded.payload.len() as u64);
+        check_fold(encoded, weight, acc)?;
+        let view = parse_payload(encoded)?;
+        let (q, lo, scale) = Self::levels(&view, encoded.n)?;
+        oasis_tensor::simd::dequantize_add_q8(q, lo, scale, weight, acc);
         Ok(())
     }
 }
@@ -507,6 +611,49 @@ impl UpdateCodec for TopKCodec {
         }
         Ok(())
     }
+
+    /// Adds only the kept entries, after checking that the indices
+    /// ascend strictly below `n` (as the encoder writes them) and the
+    /// values are finite.
+    fn fold_into(
+        &self,
+        encoded: &EncodedUpdate,
+        weight: f32,
+        acc: &mut [f32],
+    ) -> Result<(), WireError> {
+        let _span = oasis_telemetry::span("wire.decode.topk");
+        oasis_telemetry::counter!("wire.bytes_decoded").add(encoded.payload.len() as u64);
+        check_fold(encoded, weight, acc)?;
+        let view = parse_payload(encoded)?;
+        let indices = view.require("idx")?.to_u32_vec()?;
+        let values = view.require("val")?.to_f32_vec()?;
+        if indices.len() != values.len() {
+            return Err(WireError::Codec(format!(
+                "topk payload has {} indices but {} values",
+                indices.len(),
+                values.len()
+            )));
+        }
+        if !ascending_below(&indices, encoded.n) {
+            return Err(WireError::Codec(format!(
+                "topk indices do not ascend strictly below n={}",
+                encoded.n
+            )));
+        }
+        if !all_finite(&values) {
+            return Err(WireError::Codec("topk value is not finite".into()));
+        }
+        for (&i, &v) in indices.iter().zip(&values) {
+            acc[i as usize] += weight * v;
+        }
+        Ok(())
+    }
+}
+
+/// Whether the indices ascend strictly and stay below `n`, as
+/// [`TopKCodec::encode`] writes them; any other frame is refused.
+fn ascending_below(indices: &[u32], n: usize) -> bool {
+    indices.windows(2).all(|w| w[0] < w[1]) && indices.last().is_none_or(|&i| (i as usize) < n)
 }
 
 // ---------------------------------------------------------------------
@@ -522,6 +669,32 @@ pub struct SignCodec;
 impl SignCodec {
     fn tensors(n: usize) -> Decl<2> {
         [("bits", Dtype::U8, n.div_ceil(8)), ("mag", Dtype::F32, 1)]
+    }
+
+    /// A sign frame's bit bytes (at least one bit per element) and
+    /// its shared magnitude, which must be finite.
+    fn signs<'a>(view: &WireView<'a>, n: usize) -> Result<(&'a [u8], f32), WireError> {
+        let bits = view.require("bits")?.to_u8_slice()?;
+        let mag_tensor = view.require("mag")?.to_f32_vec()?;
+        let [mag] = mag_tensor[..] else {
+            return Err(WireError::Codec(format!(
+                "sign magnitude tensor has {} values, expected 1",
+                mag_tensor.len()
+            )));
+        };
+        if !mag.is_finite() {
+            return Err(WireError::Codec(format!(
+                "sign magnitude {mag} is not finite"
+            )));
+        }
+        if bits.len() < n.div_ceil(8) {
+            return Err(WireError::Codec(format!(
+                "sign payload has {} bit-bytes, n={n} needs {}",
+                bits.len(),
+                n.div_ceil(8)
+            )));
+        }
+        Ok((bits, mag))
     }
 }
 
@@ -563,24 +736,31 @@ impl UpdateCodec for SignCodec {
         oasis_telemetry::counter!("wire.bytes_decoded").add(encoded.payload.len() as u64);
         check_out_len(out, encoded.n)?;
         let view = parse_payload(encoded)?;
-        let bits_tensor = view.require("bits")?;
-        let bits = bits_tensor.to_u8_slice()?;
-        let mag_tensor = view.require("mag")?.to_f32_vec()?;
-        let [mag] = mag_tensor[..] else {
-            return Err(WireError::Codec(format!(
-                "sign magnitude tensor has {} values, expected 1",
-                mag_tensor.len()
-            )));
-        };
-        if bits.len() < encoded.n.div_ceil(8) {
-            return Err(WireError::Codec(format!(
-                "sign payload has {} bit-bytes, n={} needs {}",
-                bits.len(),
-                encoded.n,
-                encoded.n.div_ceil(8)
-            )));
-        }
+        let (bits, mag) = Self::signs(&view, encoded.n)?;
         oasis_tensor::simd::unpack_signs(bits, mag, out);
+        Ok(())
+    }
+
+    /// Adds `weight · (±mag)` per element.
+    fn fold_into(
+        &self,
+        encoded: &EncodedUpdate,
+        weight: f32,
+        acc: &mut [f32],
+    ) -> Result<(), WireError> {
+        let _span = oasis_telemetry::span("wire.decode.sign");
+        oasis_telemetry::counter!("wire.bytes_decoded").add(encoded.payload.len() as u64);
+        check_fold(encoded, weight, acc)?;
+        let view = parse_payload(encoded)?;
+        let (bits, mag) = Self::signs(&view, encoded.n)?;
+        let (pos, neg) = (weight * mag, weight * -mag);
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a += if bits[i / 8] & (1 << (i % 8)) != 0 {
+                pos
+            } else {
+                neg
+            };
+        }
         Ok(())
     }
 }

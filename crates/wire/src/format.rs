@@ -653,7 +653,7 @@ impl<'a> TensorView<'a, '_> {
     /// # Errors
     ///
     /// Returns [`WireError::Header`] when the dtype is not `u8`.
-    pub fn to_u8_slice(&self) -> Result<&[u8], WireError> {
+    pub fn to_u8_slice(&self) -> Result<&'a [u8], WireError> {
         self.expect_dtype(Dtype::U8)?;
         Ok(self.bytes)
     }

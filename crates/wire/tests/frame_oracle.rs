@@ -67,7 +67,7 @@ fn two_copy_encode(spec: CodecSpec, update: &[f32]) -> Result<Vec<u8>, WireError
             if update.iter().any(|v| !v.is_finite()) {
                 return Err(WireError::Codec("q8 requires finite values".into()));
             }
-            let (mut lo, mut hi) = oasis_tensor::simd::minmax(update);
+            let (mut lo, mut hi) = oasis_tensor::simd::min_max_finite(update).unwrap();
             if update.is_empty() {
                 lo = 0.0;
                 hi = 0.0;

@@ -2,8 +2,8 @@
 //! malformed-buffer rejection.
 
 use oasis_wire::{
-    CodecSpec, EncodedUpdate, NetSpec, Q8Codec, RawCodec, SignCodec, Submission, TopKCodec,
-    UpdateCodec, WireView,
+    CodecSpec, Dtype, EncodedUpdate, FrameWriter, NetSpec, Q8Codec, RawCodec, SignCodec,
+    Submission, TopKCodec, UpdateCodec, WireView,
 };
 use proptest::prelude::*;
 
@@ -331,4 +331,258 @@ fn q8_and_sign_wire_bytes_are_backend_independent() {
             }
         }
     }
+}
+
+/// `fold_into` is `decode_view` followed by `acc[i] += weight · g[i]`,
+/// bit for bit, for every codec and backend: lengths 0, 1, 7–9 and
+/// 4 099, random weights of both signs, several frames folded into one
+/// accumulator that starts at `+0` (as FedAvg's does), and signed zeros
+/// in every update — top-k keeps its `−0.0` values whenever k reaches
+/// them.
+#[test]
+fn fold_into_equals_decode_then_add() {
+    use oasis_tensor::simd::{self, Backend};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(0xF01D);
+    let backends: Vec<Backend> = Backend::ALL
+        .into_iter()
+        .filter(|b| b.is_available())
+        .collect();
+    for n in [0usize, 1, 7, 8, 9, 4099] {
+        for spec in [
+            CodecSpec::Raw,
+            CodecSpec::Q8,
+            CodecSpec::TopK { k: 3 },
+            CodecSpec::TopK { k: 5000 },
+            CodecSpec::Sign,
+        ] {
+            let codec = spec.build();
+            let frames: Vec<(f32, EncodedUpdate)> = (0..4)
+                .map(|_| {
+                    let mut update = update_from(rng.gen(), n);
+                    for v in update.iter_mut().step_by(3) {
+                        *v = -0.0;
+                    }
+                    (rng.gen_range(-2.0f32..2.0), codec.encode(&update).unwrap())
+                })
+                .collect();
+            let mut reference = vec![0.0f32; n];
+            let mut scratch = Vec::new();
+            for (weight, frame) in &frames {
+                let g = codec.decode_view(frame, &mut scratch).unwrap();
+                for (a, &g) in reference.iter_mut().zip(g) {
+                    *a += weight * g;
+                }
+            }
+            for &backend in &backends {
+                let mut folded = vec![0.0f32; n];
+                for (weight, frame) in &frames {
+                    simd::with_backend(backend, || codec.fold_into(frame, *weight, &mut folded))
+                        .unwrap();
+                }
+                for (i, (a, b)) in folded.iter().zip(&reference).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{spec} {backend:?} n={n} at {i}");
+                }
+            }
+        }
+    }
+}
+
+/// Builds a frame of 1-D tensors the way a hostile client might.
+fn frame_of(n: usize, tensors: &[(&str, &[u8], Dtype)]) -> EncodedUpdate {
+    let shapes: Vec<[usize; 1]> = tensors
+        .iter()
+        .map(|(_, bytes, dtype)| [bytes.len() / dtype.size()])
+        .collect();
+    let decl: Vec<(&str, Dtype, &[usize])> = tensors
+        .iter()
+        .zip(&shapes)
+        .map(|((name, _, dtype), shape)| (*name, *dtype, &shape[..]))
+        .collect();
+    let mut w = FrameWriter::new(&decl).unwrap();
+    for (_, bytes, _) in tensors {
+        w.write_with(|out| out.copy_from_slice(bytes)).unwrap();
+    }
+    EncodedUpdate {
+        n,
+        payload: w.finish().unwrap(),
+    }
+}
+
+fn le<T: Copy>(values: &[T], bytes: impl Fn(T) -> [u8; 4]) -> Vec<u8> {
+    values.iter().flat_map(|&v| bytes(v)).collect()
+}
+
+/// Every check `fold_into` makes before its first add: a frame that
+/// fails one is an error and leaves the accumulator bit for bit as it
+/// was.
+#[test]
+fn hostile_frames_fold_nothing() {
+    let n = 5usize;
+    let f32s = |v: &[f32]| le(v, f32::to_le_bytes);
+    let u32s = |v: &[u32]| le(v, u32::to_le_bytes);
+    let cases: Vec<(CodecSpec, EncodedUpdate, &str)> = vec![
+        (
+            CodecSpec::Raw,
+            frame_of(
+                n,
+                &[("update", &f32s(&[1.0, f32::NAN, 0.0, 2.0, 3.0]), Dtype::F32)],
+            ),
+            "NaN raw value",
+        ),
+        (
+            CodecSpec::Raw,
+            frame_of(
+                n,
+                &[(
+                    "update",
+                    &f32s(&[1.0, 2.0, f32::INFINITY, 0.0, 3.0]),
+                    Dtype::F32,
+                )],
+            ),
+            "infinite raw value",
+        ),
+        (
+            CodecSpec::Raw,
+            frame_of(n, &[("update", &f32s(&[1.0, 2.0, 3.0]), Dtype::F32)]),
+            "short raw payload",
+        ),
+        (
+            CodecSpec::Q8,
+            frame_of(
+                n,
+                &[
+                    ("q", &[0, 1, 2, 3, 4], Dtype::U8),
+                    ("affine", &f32s(&[f32::NAN, 0.1]), Dtype::F32),
+                ],
+            ),
+            "NaN q8 lo",
+        ),
+        (
+            CodecSpec::Q8,
+            frame_of(
+                n,
+                &[
+                    ("q", &[0, 1, 2, 3, 4], Dtype::U8),
+                    ("affine", &f32s(&[0.0, f32::INFINITY]), Dtype::F32),
+                ],
+            ),
+            "infinite q8 scale",
+        ),
+        (
+            CodecSpec::Q8,
+            frame_of(
+                n,
+                &[
+                    ("q", &[0, 1, 2, 3], Dtype::U8),
+                    ("affine", &f32s(&[0.0, 0.1]), Dtype::F32),
+                ],
+            ),
+            "short q8 levels",
+        ),
+        (
+            CodecSpec::TopK { k: 2 },
+            frame_of(
+                n,
+                &[
+                    ("idx", &u32s(&[1, 1]), Dtype::U32),
+                    ("val", &f32s(&[1.0, 2.0]), Dtype::F32),
+                ],
+            ),
+            "repeated top-k index",
+        ),
+        (
+            CodecSpec::TopK { k: 2 },
+            frame_of(
+                n,
+                &[
+                    ("idx", &u32s(&[3, 0, 3]), Dtype::U32),
+                    ("val", &f32s(&[1.0, 2.0, 3.0]), Dtype::F32),
+                ],
+            ),
+            "unsorted repeated top-k index",
+        ),
+        (
+            CodecSpec::TopK { k: 2 },
+            frame_of(
+                n,
+                &[
+                    ("idx", &u32s(&[2, 0]), Dtype::U32),
+                    ("val", &f32s(&[1.0, 2.0]), Dtype::F32),
+                ],
+            ),
+            "descending top-k indices",
+        ),
+        (
+            CodecSpec::TopK { k: 2 },
+            frame_of(
+                n,
+                &[
+                    ("idx", &u32s(&[0, 5]), Dtype::U32),
+                    ("val", &f32s(&[1.0, 2.0]), Dtype::F32),
+                ],
+            ),
+            "top-k index out of range",
+        ),
+        (
+            CodecSpec::TopK { k: 2 },
+            frame_of(
+                n,
+                &[
+                    ("idx", &u32s(&[0, 4]), Dtype::U32),
+                    ("val", &f32s(&[1.0, f32::NAN]), Dtype::F32),
+                ],
+            ),
+            "NaN top-k value",
+        ),
+        (
+            CodecSpec::Sign,
+            frame_of(
+                n,
+                &[
+                    ("bits", &[0b10101], Dtype::U8),
+                    ("mag", &f32s(&[f32::NAN]), Dtype::F32),
+                ],
+            ),
+            "NaN sign magnitude",
+        ),
+        (
+            CodecSpec::Sign,
+            frame_of(
+                9,
+                &[
+                    ("bits", &[0b10101], Dtype::U8),
+                    ("mag", &f32s(&[0.5]), Dtype::F32),
+                ],
+            ),
+            "too few sign bits",
+        ),
+    ];
+    let start: Vec<f32> = vec![0.5, -0.25, 0.0, 1.5, -2.0];
+    for (spec, frame, what) in cases {
+        let codec = spec.build();
+        let mut acc = start.clone();
+        acc.resize(frame.n, 0.0);
+        let before: Vec<u32> = acc.iter().map(|v| v.to_bits()).collect();
+        assert!(codec.fold_into(&frame, 0.5, &mut acc).is_err(), "{what}");
+        let after: Vec<u32> = acc.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(after, before, "{what}: the sum moved");
+        // q8 and sign refuse the same frames when decoding, so a
+        // decoder never emits a non-finite value either.
+        if matches!(spec, CodecSpec::Q8 | CodecSpec::Sign) {
+            assert!(codec.decode(&frame).is_err(), "{what}: decoded");
+        }
+    }
+    // A valid frame with a non-finite weight, or one whose element
+    // count disagrees with the accumulator, is refused too.
+    let codec = CodecSpec::Q8.build();
+    let frame = codec.encode(&start).unwrap();
+    for weight in [f32::NAN, f32::INFINITY] {
+        let mut acc = start.clone();
+        assert!(codec.fold_into(&frame, weight, &mut acc).is_err());
+        assert_eq!(acc, start);
+    }
+    let mut short = vec![0.0f32; n - 1];
+    assert!(codec.fold_into(&frame, 1.0, &mut short).is_err());
+    assert!(short.iter().all(|&v| v == 0.0));
 }

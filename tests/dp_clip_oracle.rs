@@ -47,6 +47,15 @@ impl UpdateCodec for Capture {
         RawCodec.decode_to(encoded, out)
     }
 
+    fn fold_into(
+        &self,
+        encoded: &EncodedUpdate,
+        weight: f32,
+        acc: &mut [f32],
+    ) -> Result<(), WireError> {
+        RawCodec.fold_into(encoded, weight, acc)
+    }
+
     fn encoded_len(&self, n: usize) -> usize {
         RawCodec.encoded_len(n)
     }
