@@ -205,7 +205,6 @@ pub struct CampaignRunner {
     calibration_pool: Vec<Image>,
     runner: CohortRunner,
     defense: Arc<DefenseStack>,
-    base: Population,
     active: Vec<bool>,
     active_count: usize,
     entered_phase: usize,
@@ -249,7 +248,7 @@ impl CampaignRunner {
         }
         let defense = Arc::new(defense.build());
         let phase0 = spec.phases()[0].clone();
-        let base = match phase0.alpha {
+        let population = match phase0.alpha {
             Some(alpha) => Population::dirichlet(
                 &dataset,
                 clients,
@@ -266,7 +265,7 @@ impl CampaignRunner {
         };
         let mut server = FlServer::new(factory, fl)?;
         server.set_wire(WireConfig::new(codec, phase0.net.unwrap_or(NetSpec::Ideal)));
-        let runner = CohortRunner::new(server, base.clone());
+        let runner = CohortRunner::new(server, population);
 
         // The adversary's probe batch and calibration pool come from
         // the training dataset itself, on streams salted away from
@@ -312,7 +311,6 @@ impl CampaignRunner {
             calibration_pool,
             runner,
             defense,
-            base,
             active: vec![true; clients],
             active_count: clients,
             entered_phase: 0,
@@ -323,7 +321,7 @@ impl CampaignRunner {
         if dirichlet_start {
             // Dirichlet partitions can starve clients of data; keep
             // starved clients offline from round 0.
-            campaign.sync_population();
+            campaign.sync_active();
         }
         Ok(campaign)
     }
@@ -361,11 +359,6 @@ impl CampaignRunner {
     /// Every adversary candidate probe run so far.
     pub fn adversary_log(&self) -> &[AdversaryEval] {
         &self.adversary_log
-    }
-
-    /// Clients currently active (not churned out).
-    pub fn active_clients(&self) -> usize {
-        self.active_count
     }
 
     /// Assembles the trajectory report for everything run so far.
@@ -428,14 +421,7 @@ impl CampaignRunner {
             ))));
         }
         while self.round() < to_round {
-            let r = self.round();
-            let (pi, phase) = self
-                .spec
-                .phase_at(r)
-                .map(|(i, p)| (i, p.clone()))
-                .expect("round inside campaign");
-            self.ensure_phase(pi, &phase);
-            self.apply_churn(r, &phase);
+            self.enter_round();
             let next = self.runner.server().round() + 1;
             self.runner.server_mut().set_round(next);
         }
@@ -447,13 +433,7 @@ impl CampaignRunner {
     /// adversary probe, and trajectory recording.
     fn step(&mut self) -> Result<(), CampaignError> {
         let r = self.round();
-        let (pi, phase) = self
-            .spec
-            .phase_at(r)
-            .map(|(i, p)| (i, p.clone()))
-            .expect("step called past campaign end");
-        self.ensure_phase(pi, &phase);
-        let (churn_left, churn_joined) = self.apply_churn(r, &phase);
+        let (pi, phase, (churn_left, churn_joined)) = self.enter_round();
 
         // The training stream: identical to `CohortRunner::run`.
         let mut rng = CohortScheduler::round_rng(self.seed, r);
@@ -471,7 +451,7 @@ impl CampaignRunner {
         let record = TrajectoryRecord {
             round: r,
             phase: pi,
-            active_clients: self.active_count,
+            active_clients: self.runner.active().len(),
             cohort: report.cohort,
             delivered: report.participants,
             dropped: report.dropped,
@@ -496,6 +476,21 @@ impl CampaignRunner {
         Ok(())
     }
 
+    /// Readies the next round's population: enters its phase, then
+    /// applies its churn. Returns the phase index, the phase, and how
+    /// many clients left and joined.
+    fn enter_round(&mut self) -> (usize, PhaseSpec, (usize, usize)) {
+        let r = self.round();
+        let (pi, phase) = self
+            .spec
+            .phase_at(r)
+            .map(|(i, p)| (i, p.clone()))
+            .expect("round inside campaign");
+        self.ensure_phase(pi, &phase);
+        let churn = self.apply_churn(r, &phase);
+        (pi, phase, churn)
+    }
+
     /// Applies phase-entry actions exactly once per phase: the
     /// network swap (sticky until overridden) and the Dirichlet drift
     /// re-partition. Phase 0's actions run at construction.
@@ -509,14 +504,15 @@ impl CampaignRunner {
                 .set_wire(WireConfig::new(self.codec, net));
         }
         if let Some(alpha) = phase.alpha {
-            self.base = Population::dirichlet(
+            let _span = oasis_telemetry::span("campaign.drift");
+            self.runner.set_population(Population::dirichlet(
                 &self.dataset,
                 self.clients,
                 alpha,
                 Arc::clone(&self.defense),
                 &mut drift_rng(self.seed, pi as u64),
-            );
-            self.sync_population();
+            ));
+            self.sync_active();
         }
         self.entered_phase = pi;
     }
@@ -529,6 +525,7 @@ impl CampaignRunner {
         if phase.join.is_none() && phase.leave.is_none() {
             return (0, 0);
         }
+        let _span = oasis_telemetry::span("campaign.churn");
         let join = phase.join.unwrap_or(0.0);
         let leave = phase.leave.unwrap_or(0.0);
         let mut rng = churn_rng(self.seed, r);
@@ -548,32 +545,26 @@ impl CampaignRunner {
             }
         }
         if left > 0 || joined > 0 {
-            self.sync_population();
+            self.sync_active();
         }
         (left, joined)
     }
 
-    /// Rebuilds the runner's population as the active subset of the
-    /// base partition (clients keep their ids, so rejoining clients
-    /// train on their original shards). Clients whose current shard
-    /// is empty — extreme-α Dirichlet drift can starve a
-    /// client of data — stay offline until a later re-partition
-    /// provisions them again.
-    fn sync_population(&mut self) {
-        let eligible = |id: usize| !self.base.clients()[id].data().is_empty();
-        if self.active_count == self.clients && (0..self.clients).all(eligible) {
-            self.runner.set_population(self.base.clone());
-            return;
-        }
-        let mut positions: Vec<usize> = (0..self.clients)
-            .filter(|&id| self.active[id] && eligible(id))
-            .collect();
-        if positions.is_empty() {
+    /// Rewrites the runner's active list to the churned-in clients.
+    /// The list indexes the one population, so a rejoining client
+    /// trains on its original shard. Clients whose current shard is
+    /// empty — extreme-α Dirichlet drift can starve a client of data —
+    /// stay offline until a later re-partition provisions them again.
+    fn sync_active(&mut self) {
+        let active = &self.active;
+        self.runner
+            .set_active(|pos, client| active[pos] && !client.data().is_empty());
+        if self.runner.active().is_empty() {
             // Every active client is starved; keep the protocol alive
             // on whoever still holds data.
-            positions = (0..self.clients).filter(|&id| eligible(id)).collect();
+            self.runner
+                .set_active(|_, client| !client.data().is_empty());
         }
-        self.runner.set_population(self.base.subset(&positions));
     }
 
     /// Probes every candidate against the campaign's defense and returns
@@ -684,6 +675,31 @@ mod tests {
         assert!(!probe.images.is_empty() && !campaign.calibration_pool.is_empty());
         for img in probe.images.iter().chain(&campaign.calibration_pool) {
             assert!(source.contains(&img.data().as_ptr()), "a sample was copied");
+        }
+    }
+
+    #[test]
+    fn a_starved_campaign_records_the_clients_it_sampled_from() {
+        // Near-total churn plus α = 0.01 drift leaves every churned-in
+        // client without data in many seeds, so rounds fall back to
+        // whoever holds data; each record must count those clients.
+        let spec: CampaignSpec = "campaign:2+leave=0.95;4+alpha=0.01+leave=0.95"
+            .parse()
+            .unwrap();
+        for seed in 0..40 {
+            let mut setup = CampaignSetup::new(
+                oasis_data::cifar_like_with(3, 8, 8, 3),
+                12,
+                linear_relu_factory(192, 12, 3, 11),
+            );
+            setup.seed = seed;
+            setup.partition_seed = 5;
+            let mut campaign = CampaignRunner::new(spec.clone(), setup).unwrap();
+            campaign.run().unwrap();
+            let jsonl = campaign.trajectory("none").to_jsonl();
+            if let Err(e) = crate::validate_trajectory(&jsonl) {
+                panic!("seed {seed}: {e}");
+            }
         }
     }
 

@@ -22,7 +22,10 @@
 //!   [`oasis_population::CohortRunner::run`]), applies dynamics on
 //!   disjoint salted streams, and probes the adversary against the
 //!   one [`oasis_fl::DefenseStack`] every client runs, fixed at setup
-//!   by [`CampaignSetup::defense`].
+//!   by [`CampaignSetup::defense`]. The runner's one client list
+//!   lasts the campaign: churn rewrites its active list in place
+//!   (span `campaign.churn`), and a drift re-partition replaces the
+//!   list once (span `campaign.drift`).
 //! * [`TrajectoryReport`] — one serde record per round (PSNR, leak
 //!   rate, accuracy proxy, bytes on wire, delivered/dropped/churned
 //!   counts, telemetry phase timings), written as schema-versioned

@@ -28,7 +28,7 @@ pub struct TrajectoryRecord {
     pub round: u64,
     /// Index of the phase the round ran under.
     pub phase: usize,
-    /// Clients currently active (not churned out).
+    /// Clients the round's cohort was sampled from.
     pub active_clients: usize,
     /// Cohort size the scheduler drew this round.
     pub cohort: usize,
@@ -244,7 +244,7 @@ pub fn validate_trajectory(text: &str) -> Result<TrajectorySummary, String> {
             phases += 1;
         }
         last_phase = r.phase;
-        if r.delivered + r.dropped != r.cohort {
+        if r.delivered.checked_add(r.dropped) != Some(r.cohort) {
             return Err(ctx(format!(
                 "delivered {} + dropped {} != cohort {}",
                 r.delivered, r.dropped, r.cohort
@@ -279,7 +279,7 @@ pub fn validate_trajectory(text: &str) -> Result<TrajectorySummary, String> {
         if r.attack.is_some() {
             probed += 1;
         }
-        churn += r.churn_left + r.churn_joined;
+        churn = churn.saturating_add(r.churn_left.saturating_add(r.churn_joined));
     }
     Ok(TrajectorySummary {
         rounds: report.records.len(),
@@ -350,6 +350,11 @@ mod tests {
         // Accounting mismatch.
         let mut r = report();
         r.records[0].dropped = 2;
+        assert!(validate_trajectory(&r.to_jsonl()).is_err());
+        // Counts whose sum overflows.
+        let mut r = report();
+        r.records[0].delivered = usize::MAX;
+        r.records[0].dropped = 1;
         assert!(validate_trajectory(&r.to_jsonl()).is_err());
         // Dead population.
         let mut r = report();

@@ -14,9 +14,9 @@
 //!   client lists (say, a federation that mixes defended and
 //!   undefended clients) convert into it.
 //! * [`CohortScheduler`] — seeded deterministic sampling of the K
-//!   participants of each round. The per-round rng stream is keyed by
-//!   `(seed, round)`, so any round is reproducible in isolation and
-//!   at any thread count.
+//!   participants of each round from N, with N an argument of every
+//!   draw. The per-round rng stream is keyed by `(seed, round)`, so
+//!   any round is reproducible in isolation and at any thread count.
 //! * [`StreamingAggregator`] — folds each delivered update into a
 //!   running `O(model)` accumulator as frames come off the wire, so
 //!   server memory is `O(model + cohort_scratch)` regardless of
@@ -25,7 +25,9 @@
 //! [`CohortRunner`] ties them together and drives an
 //! [`FlServer`](oasis_fl::FlServer) through rounds. It is the
 //! workspace's one round engine, and the round is bit-identical at
-//! any thread count.
+//! any thread count. It holds one population for good and samples
+//! each round from an active list of its positions, so churn
+//! ([`CohortRunner::set_active`]) moves indices, never clients.
 //!
 //! ```
 //! use oasis_population::{CohortRunner, Population};

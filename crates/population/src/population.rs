@@ -17,16 +17,18 @@ use rand::Rng;
 pub const MAX_DIRICHLET_ALPHA: f64 = 1e4;
 
 /// The clients a [`CohortRunner`](crate::CohortRunner) draws its
-/// cohorts from, in position order.
+/// cohorts from, in position order. A runner holds one population for
+/// a whole campaign: churn changes which positions are active, not
+/// the list.
 ///
 /// This is the workspace's partitioner: [`Population::iid`] and
 /// [`Population::dirichlet`] reorder a dataset into one shared pool
 /// and give each client a contiguous [`Dataset::window`] of it. The
 /// pool holds the dataset's own images, whose clones share pixels, so
 /// building moves one image handle per sample and copies no pixel.
-/// A client reads its samples in place, so cloning or taking a
-/// [`Population::subset`] copies no sample; an idle client costs one
-/// [`FlClient`] (72 bytes on 64-bit targets).
+/// A client reads its samples in place, so cloning a population
+/// copies no sample; an idle client costs one [`FlClient`] (72 bytes
+/// on 64-bit targets).
 ///
 /// Hand-built client lists, such as a federation that mixes defended
 /// and undefended clients, convert with `From<Vec<FlClient>>`.
@@ -143,20 +145,6 @@ impl Population {
         Population { clients }
     }
 
-    /// A population restricted to the clients at `positions`, sharing
-    /// their datasets. Clients keep their ids, so a churned-out client
-    /// that later rejoins trains on the *same* shard — data lives on
-    /// the device across connectivity gaps.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any position is out of range.
-    pub fn subset(&self, positions: &[usize]) -> Population {
-        Population {
-            clients: positions.iter().map(|&p| self.clients[p].clone()).collect(),
-        }
-    }
-
     /// Number of clients in the population.
     pub fn len(&self) -> usize {
         self.clients.len()
@@ -257,12 +245,11 @@ mod tests {
         assert_eq!(end, total, "the windows tile the pool");
     }
 
-    /// Asserts that every client of `view` is `pop`'s client at the
-    /// matching position and reads the very same samples.
-    fn assert_shares_clients(view: &Population, pop: &Population, positions: &[usize]) {
-        assert_eq!(view.len(), positions.len());
-        for (c, &p) in view.clients().iter().zip(positions) {
-            let original = &pop.clients()[p];
+    /// Asserts that every client of `copy` is `pop`'s client at the
+    /// same position and reads the very same samples.
+    fn assert_shares_clients(copy: &Population, pop: &Population) {
+        assert_eq!(copy.len(), pop.len());
+        for (c, original) in copy.clients().iter().zip(pop.clients()) {
             assert_eq!(c.id(), original.id());
             assert_eq!(c.data().len(), original.data().len());
             assert_eq!(c.data().items().as_ptr(), original.data().items().as_ptr());
@@ -290,9 +277,7 @@ mod tests {
         assert_eq!(pool_offsets(&wide), offsets);
 
         for pop in [&iid, &dirichlet, &wide] {
-            let all: Vec<usize> = (0..pop.len()).collect();
-            assert_shares_clients(&pop.clone(), pop, &all);
-            assert_shares_clients(&pop.subset(&[3, 1, 4]), pop, &[3, 1, 4]);
+            assert_shares_clients(&pop.clone(), pop);
         }
         // An idle client is one handle on the shared pool, not a shard.
         assert!(std::mem::size_of::<FlClient>() <= 80);
@@ -480,37 +465,5 @@ mod tests {
             Arc::new(DefenseStack::identity()),
             &mut StdRng::seed_from_u64(0),
         );
-    }
-
-    #[test]
-    fn churned_client_rejoins_with_its_original_shard() {
-        let data = cifar_like_with(3, 8, 8, 4);
-        let pop = Population::iid(
-            &data,
-            6,
-            Arc::new(DefenseStack::identity()),
-            &mut StdRng::seed_from_u64(2),
-        );
-        let before: Vec<_> = pop
-            .clients()
-            .iter()
-            .map(|c| c.data().items().to_vec())
-            .collect();
-
-        // Clients 1 and 4 churn out, then client 4 rejoins.
-        let shrunk = pop.subset(&[0, 2, 3, 5]);
-        assert_eq!(shrunk.len(), 4);
-        assert_eq!(shrunk.clients()[2].id(), 3);
-        let regrown = pop.subset(&[0, 2, 3, 4, 5]);
-        let back = &regrown.clients()[3];
-        assert_eq!(back.id(), 4);
-        assert_eq!(back.data().items(), &before[4][..]);
-
-        // Every surviving client still trains on its original shard
-        // through the subset view.
-        for (c, &id) in shrunk.clients().iter().zip(&[0usize, 2, 3, 5]) {
-            assert_eq!(c.id(), id);
-            assert_eq!(c.data().items(), &before[id][..]);
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! The round engine: one FL round over a population.
 
-use oasis_fl::{FlError, FlServer, Result, RoundReport};
+use oasis_fl::{FlClient, FlError, FlServer, Result, RoundReport};
 use oasis_tensor::parallel;
 use oasis_wire::{DeliveryStatus, EncodedUpdate, Submission};
 use rand::rngs::StdRng;
@@ -12,7 +12,7 @@ use crate::{CohortScheduler, Population, StreamingAggregator};
 pub struct CohortReport {
     /// The protocol-level outcome.
     pub round_report: RoundReport,
-    /// How many clients the cohort was sampled from.
+    /// How many clients the cohort was sampled from: the active list's length.
     pub population: usize,
     /// How many clients actually computed an update. Dropped cohort
     /// members never compute — their delivery fate is known from the
@@ -40,25 +40,32 @@ pub struct CohortReport {
 /// and dropped clients cost nothing, so a population can grow to
 /// 10⁵–10⁶ while the server footprint stays flat.
 ///
-/// Delivery fates are keyed by cohort position (the client's index in
-/// the population), not by [`FlClient::id`](oasis_fl::FlClient::id).
+/// Rounds sample from the **active list**, the ascending positions of
+/// the online clients: churn rewrites it in place
+/// ([`CohortRunner::set_active`]) and a re-partition resets it
+/// ([`CohortRunner::set_population`]). Delivery fates are keyed by
+/// cohort position, an index in the active list, not by
+/// [`FlClient::id`](oasis_fl::FlClient::id), so a round over an active
+/// list is bit-identical to one over a population of just its clients.
 pub struct CohortRunner {
     server: FlServer,
     clients: Population,
+    active: Vec<u32>,
     scheduler: CohortScheduler,
 }
 
 impl CohortRunner {
-    /// Couples a server to its clients. Cohort size comes from the
-    /// server's [`oasis_fl::FlConfig::clients_per_round`]: `0` means
-    /// every client.
+    /// Couples a server to its clients, all of them active. Cohort
+    /// size comes from the server's
+    /// [`oasis_fl::FlConfig::clients_per_round`]: `0` means every
+    /// active client.
     pub fn new(server: FlServer, clients: impl Into<Population>) -> Self {
         let clients = clients.into();
-        let scheduler = CohortScheduler::new(clients.len());
         CohortRunner {
             server,
+            active: (0..clients.len() as u32).collect(),
             clients,
-            scheduler,
+            scheduler: CohortScheduler::default(),
         }
     }
 
@@ -72,20 +79,28 @@ impl CohortRunner {
         &mut self.server
     }
 
-    /// The clients rounds sample from.
-    pub fn population(&self) -> &Population {
-        &self.clients
+    /// The positions in the runner's population that rounds sample
+    /// from, ascending.
+    pub fn active(&self) -> &[u32] {
+        &self.active
     }
 
-    /// Replaces the clients mid-run — how campaigns express churn
-    /// (an active-subset swap) and non-IID drift (a re-partition).
-    /// The scheduler is rebuilt only when the client count changes,
-    /// so a same-size swap leaves the sampling stream untouched.
+    /// Rewrites the active list in place: the client at position
+    /// `pos` is active when `keep(pos, client)` holds. No client is
+    /// copied.
+    pub fn set_active(&mut self, mut keep: impl FnMut(usize, &FlClient) -> bool) {
+        let clients = self.clients.clients();
+        self.active.clear();
+        self.active.extend(
+            (0..clients.len() as u32).filter(|&pos| keep(pos as usize, &clients[pos as usize])),
+        );
+    }
+
+    /// Replaces the clients mid-run (a campaign's drift re-partition)
+    /// and makes every one of them active.
     pub fn set_population(&mut self, clients: Population) {
-        if clients.len() != self.scheduler.population() {
-            self.scheduler = CohortScheduler::new(clients.len());
-        }
         self.clients = clients;
+        self.set_active(|_, _| true);
     }
 
     /// Runs one round off an explicit rng: the selection shuffle
@@ -107,22 +122,22 @@ impl CohortRunner {
     ///
     /// # Errors
     ///
-    /// [`FlError::NoClients`] when there are no clients, client model
+    /// [`FlError::NoClients`] when no client is active, client model
     /// errors, wire codec failures, a delivered set whose sample
     /// counts sum to zero, or an update whose sample count differs
     /// from the pre-pass count ([`FlError::BadConfig`]).
     pub fn run_round(&mut self, rng: &mut StdRng) -> Result<CohortReport> {
-        let clients = self.clients.clients();
-        if clients.is_empty() {
+        let (clients, active) = (self.clients.clients(), &self.active[..]);
+        if active.is_empty() {
             return Err(FlError::NoClients);
         }
+        // The client at cohort position `i` (an index in the active list).
+        let client = |i: u32| &clients[active[i as usize] as usize];
         let round_span = oasis_telemetry::span("fl.round");
         let mut timings = oasis_telemetry::enabled().then(oasis_fl::RoundTimings::default);
-        let m = self
-            .scheduler
-            .cohort_size(self.server.config().clients_per_round);
+        let m = CohortScheduler::cohort_size(active.len(), self.server.config().clients_per_round);
         let select_span = oasis_telemetry::span("fl.round.select");
-        let (cohort, round_seed) = self.scheduler.sample(m, rng);
+        let (cohort, round_seed) = self.scheduler.sample(active.len(), m, rng);
         let cohort: Vec<u32> = cohort.to_vec();
         let select_ns = select_span.finish_ns();
 
@@ -181,7 +196,7 @@ impl CohortRunner {
             let hydrate_span = oasis_telemetry::span("fl.round.hydrate");
             let samples: Vec<usize> = delivered_ids
                 .iter()
-                .map(|&id| clients[id as usize].round_samples(batch))
+                .map(|&id| client(id).round_samples(batch))
                 .collect();
             let agg = agg.insert(StreamingAggregator::new(n));
             hydrate_ns = hydrate_span.finish_ns();
@@ -206,8 +221,8 @@ impl CohortRunner {
                 let compute_span = oasis_telemetry::span("fl.round.compute");
                 let frames: Vec<Result<(f32, usize, EncodedUpdate)>> =
                     parallel::map_indexed(wave, |_, &id| {
-                        let update = clients[id as usize]
-                            .compute_update(&factory, &global, batch, round_seed)?;
+                        let update =
+                            client(id).compute_update(&factory, &global, batch, round_seed)?;
                         let encoded = codec.encode(&update.grads)?;
                         Ok((update.loss, update.samples, encoded))
                     });
@@ -266,7 +281,7 @@ impl CohortRunner {
         self.server.set_round(round + 1);
         Ok(CohortReport {
             round_report: report,
-            population: clients.len(),
+            population: active.len(),
             computed: agg.as_ref().map_or(0, StreamingAggregator::folded),
             peak_accum_bytes: agg.as_ref().map_or(0, StreamingAggregator::peak_bytes),
             peak_frame_bytes,
@@ -407,8 +422,8 @@ mod tests {
 
     #[test]
     fn empty_population_errors() {
-        let empty = runner(4, 0).population().subset(&[]);
-        let mut r = CohortRunner::new(server(FlConfig::default()), empty);
+        let mut r = runner(4, 0);
+        r.set_active(|_, _| false);
         assert!(matches!(
             r.run_round(&mut StdRng::seed_from_u64(0)),
             Err(FlError::NoClients)

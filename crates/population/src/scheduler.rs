@@ -12,53 +12,41 @@ use rand::{Rng, SeedableRng};
 /// the protocol's rng stream — is the same as shuffling the clients
 /// themselves, whatever N is.
 ///
-/// The index buffer is owned and reused across rounds (`O(N)` once,
-/// not per round) and reset to identity before every shuffle: a
-/// shuffle of an already-shuffled buffer would compose permutations,
-/// and the same rng would no longer select the same cohort.
-#[derive(Debug)]
+/// N is an argument of every draw, not state: a population that
+/// grows or shrinks between rounds needs no new scheduler. The index
+/// buffer is owned and reused across rounds (`O(N)` once, not per
+/// round) and reset to identity before every shuffle: a shuffle of an
+/// already-shuffled buffer would compose permutations, and the same
+/// rng would no longer select the same cohort.
+#[derive(Debug, Default)]
 pub struct CohortScheduler {
-    population: usize,
     indices: Vec<u32>,
 }
 
 impl CohortScheduler {
-    /// A scheduler over `population` clients.
-    pub fn new(population: usize) -> Self {
-        CohortScheduler {
-            population,
-            indices: Vec::new(),
-        }
-    }
-
-    /// The population size this scheduler samples from.
-    pub fn population(&self) -> usize {
-        self.population
-    }
-
-    /// Resolves a configured cohort size against the population:
-    /// `0` means everyone, anything else is capped at the population
-    /// — the exact rule [`oasis_fl::FlConfig::clients_per_round`]
-    /// uses.
-    pub fn cohort_size(&self, clients_per_round: usize) -> usize {
+    /// Resolves a configured cohort size against a population of
+    /// `population` clients: `0` means everyone, anything else is
+    /// capped at the population — the exact rule
+    /// [`oasis_fl::FlConfig::clients_per_round`] uses.
+    pub fn cohort_size(population: usize, clients_per_round: usize) -> usize {
         if clients_per_round == 0 {
-            self.population
+            population
         } else {
-            clients_per_round.min(self.population)
+            clients_per_round.min(population)
         }
     }
 
-    /// Draws one round's cohort: shuffles the identity index buffer
-    /// with `rng`, then draws the round seed (shuffle first, seed
-    /// second). Returns the
-    /// selected ids in selection order plus the `round_seed` that
-    /// keys every client's local rng and the wire transport.
-    pub fn sample(&mut self, cohort: usize, rng: &mut StdRng) -> (&[u32], u64) {
+    /// Draws one round's cohort of at most `cohort` of `population`
+    /// clients: shuffles the identity index buffer with `rng`, then
+    /// draws the round seed (shuffle first, seed second). Returns the
+    /// selected positions in selection order plus the `round_seed`
+    /// that keys every client's local rng and the wire transport.
+    pub fn sample(&mut self, population: usize, cohort: usize, rng: &mut StdRng) -> (&[u32], u64) {
         self.indices.clear();
-        self.indices.extend(0..self.population as u32);
+        self.indices.extend(0..population as u32);
         self.indices.shuffle(rng);
         let round_seed: u64 = rng.gen();
-        let m = cohort.min(self.population);
+        let m = cohort.min(population);
         (&self.indices[..m], round_seed)
     }
 
@@ -85,9 +73,9 @@ mod tests {
         direct.shuffle(&mut rng_a);
         let direct_seed: u64 = rng_a.gen();
 
-        let mut sched = CohortScheduler::new(n);
+        let mut sched = CohortScheduler::default();
         let mut rng_b = StdRng::seed_from_u64(77);
-        let (ids, seed) = sched.sample(n, &mut rng_b);
+        let (ids, seed) = sched.sample(n, n, &mut rng_b);
         assert_eq!(seed, direct_seed);
         let got: Vec<usize> = ids.iter().map(|&i| i as usize).collect();
         assert_eq!(got, direct);
@@ -95,23 +83,22 @@ mod tests {
 
     #[test]
     fn buffer_resets_to_identity_between_rounds() {
-        let mut sched = CohortScheduler::new(16);
+        let mut sched = CohortScheduler::default();
         let mut rng1 = StdRng::seed_from_u64(5);
-        let first: Vec<u32> = sched.sample(8, &mut rng1).0.to_vec();
+        let first: Vec<u32> = sched.sample(16, 8, &mut rng1).0.to_vec();
         let mut rng2 = StdRng::seed_from_u64(9);
-        sched.sample(8, &mut rng2);
+        sched.sample(16, 8, &mut rng2);
         // Replaying the first rng must replay the first cohort — it
         // would not if the buffer kept the previous permutation.
         let mut rng1_again = StdRng::seed_from_u64(5);
-        assert_eq!(sched.sample(8, &mut rng1_again).0, &first[..]);
+        assert_eq!(sched.sample(16, 8, &mut rng1_again).0, &first[..]);
     }
 
     #[test]
     fn cohort_size_follows_clients_per_round_rule() {
-        let sched = CohortScheduler::new(100);
-        assert_eq!(sched.cohort_size(0), 100);
-        assert_eq!(sched.cohort_size(64), 64);
-        assert_eq!(sched.cohort_size(1000), 100);
+        assert_eq!(CohortScheduler::cohort_size(100, 0), 100);
+        assert_eq!(CohortScheduler::cohort_size(100, 64), 64);
+        assert_eq!(CohortScheduler::cohort_size(100, 1000), 100);
     }
 
     #[test]

@@ -1,8 +1,16 @@
 //! Property tests for the population crate: spec round-trips in the
-//! style of the scenario spec proptests, scheduler determinism, and
-//! the streaming-fold weight identity.
+//! style of the scenario spec proptests, scheduler determinism, the
+//! streaming-fold weight identity, and rounds over the runner's
+//! active list.
 
-use oasis_population::{CohortScheduler, PopulationSpec, SampleSpec, StreamingAggregator};
+use std::sync::Arc;
+
+use oasis_data::cifar_like_with;
+use oasis_fl::{DefenseStack, FlClient, FlConfig, FlServer, ModelFactory, WireConfig};
+use oasis_nn::{flatten_params, Linear, Relu, Sequential};
+use oasis_population::{
+    CohortRunner, CohortScheduler, Population, PopulationSpec, SampleSpec, StreamingAggregator,
+};
 use oasis_wire::CodecSpec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -51,13 +59,13 @@ proptest! {
         seed in 0u64..1_000_000,
         rounds in 1usize..4,
     ) {
-        let mut sched = CohortScheduler::new(population);
-        let mut replay = CohortScheduler::new(population);
+        let mut sched = CohortScheduler::default();
+        let mut replay = CohortScheduler::default();
         for round in 0..rounds as u64 {
-            let m = sched.cohort_size(cohort);
-            let (ids, s1) = sched.sample(m, &mut CohortScheduler::round_rng(seed, round));
+            let m = CohortScheduler::cohort_size(population, cohort);
+            let (ids, s1) = sched.sample(population, m, &mut CohortScheduler::round_rng(seed, round));
             let ids: Vec<u32> = ids.to_vec();
-            let (ids2, s2) = replay.sample(m, &mut CohortScheduler::round_rng(seed, round));
+            let (ids2, s2) = replay.sample(population, m, &mut CohortScheduler::round_rng(seed, round));
             prop_assert_eq!(&ids, &ids2.to_vec());
             prop_assert_eq!(s1, s2);
             prop_assert_eq!(ids.len(), cohort.min(population));
@@ -114,10 +122,89 @@ fn round_rng_is_instance_free() {
 /// `clients_per_round: 0` "everyone participates" mode.
 #[test]
 fn full_cohort_is_a_permutation() {
-    let mut sched = CohortScheduler::new(100);
-    let (ids, _) = sched.sample(100, &mut StdRng::seed_from_u64(4));
+    let mut sched = CohortScheduler::default();
+    let (ids, _) = sched.sample(100, 100, &mut StdRng::seed_from_u64(4));
     let mut sorted: Vec<u32> = ids.to_vec();
     sorted.sort_unstable();
     let identity: Vec<u32> = (0..100).collect();
     assert_eq!(sorted, identity);
+}
+
+/// A two-layer MLP on 8×8×3 inputs and 3 classes, the same weights at
+/// every call.
+fn small_factory() -> ModelFactory {
+    Arc::new(|| {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut m = Sequential::new();
+        m.push(Linear::new(8 * 8 * 3, 6, &mut rng));
+        m.push(Relu::new());
+        m.push(Linear::new(6, 3, &mut rng));
+        m
+    })
+}
+
+/// A runner over `clients` on a lossy wire, so delivery fates (keyed
+/// by cohort position) decide which updates arrive.
+fn lossy_runner(clients: Population, cohort: usize) -> CohortRunner {
+    let config = FlConfig {
+        clients_per_round: cohort,
+        ..FlConfig::default()
+    };
+    let mut server = FlServer::new(small_factory(), config).expect("valid config");
+    server.set_wire(WireConfig::new(
+        CodecSpec::Raw,
+        "sim:5,10,0.3".parse().expect("valid net"),
+    ));
+    CohortRunner::new(server, clients)
+}
+
+proptest! {
+    /// Rounds over an active list equal, bit for bit, rounds over a
+    /// population of just the kept clients: clients leave and rejoin
+    /// between rounds through random keep-masks, and one round swaps
+    /// in a new partition.
+    #[test]
+    fn active_list_rounds_equal_rounds_over_the_kept_clients(
+        masks in proptest::collection::vec(proptest::collection::vec(0u8..2, 10), 2..6),
+        swap_at in 0usize..6,
+        cohort in 0usize..8,
+        seed in 0u64..1_000_000,
+    ) {
+        let data = cifar_like_with(3, 6, 8, 3);
+        let defense = Arc::new(DefenseStack::identity());
+        let partition = |s: u64| {
+            Population::iid(&data, 10, Arc::clone(&defense), &mut StdRng::seed_from_u64(s))
+        };
+        let mut population = partition(seed);
+        let mut active = lossy_runner(population.clone(), cohort);
+        let mut reference = lossy_runner(population.clone(), cohort);
+        for (round, mask) in masks.iter().enumerate() {
+            if round == swap_at {
+                population = partition(seed ^ 1);
+                active.set_population(population.clone());
+            }
+            let mut kept: Vec<u32> = (0..10).filter(|&p| mask[p as usize] == 1).collect();
+            if kept.is_empty() {
+                kept.push(0);
+            }
+            active.set_active(|pos, _| kept.binary_search(&(pos as u32)).is_ok());
+            prop_assert_eq!(active.active(), &kept[..]);
+            let clients: Vec<FlClient> = kept
+                .iter()
+                .map(|&p| population.clients()[p as usize].clone())
+                .collect();
+            reference.set_population(Population::from(clients));
+
+            let mut rng = CohortScheduler::round_rng(seed, round as u64);
+            let got = active.run_round(&mut rng).expect("round runs");
+            let mut rng = CohortScheduler::round_rng(seed, round as u64);
+            let want = reference.run_round(&mut rng).expect("round runs");
+            prop_assert_eq!(got.population, kept.len());
+            prop_assert_eq!(got, want);
+        }
+        prop_assert_eq!(
+            flatten_params(active.server().model()),
+            flatten_params(reference.server().model())
+        );
+    }
 }

@@ -425,7 +425,7 @@ impl Sweep {
         let mut bytes_on_wire = 0u64;
         let mut ratio_sum = 0.0f64;
         let mut cohort_delivered = 0usize;
-        let mut scheduler = CohortScheduler::new(scenario.population);
+        let mut scheduler = CohortScheduler::default();
         let mut trial_wall_ns = Vec::new();
         for (i, outcome) in outcomes.into_iter().enumerate() {
             let (result, outcome, trial_ns) = outcome?;
@@ -443,7 +443,8 @@ impl Sweep {
                 // peers' frames are byte-for-byte the victim's size)
                 // and the victim is the cohort's first member.
                 let mut rng = CohortScheduler::round_rng(scenario.seed, i as u64);
-                let (cohort, round_seed) = scheduler.sample(scenario.sample, &mut rng);
+                let (cohort, round_seed) =
+                    scheduler.sample(scenario.population, scenario.sample, &mut rng);
                 (cohort.iter().map(|&id| id as usize).collect(), round_seed)
             } else {
                 (vec![i], scenario.seed)

@@ -264,10 +264,10 @@ pub fn read_trace(path: &Path) -> Result<TraceData, String> {
 // ---------------------------------------------------------------------
 
 /// Semantic checks on a parsed trace: supported schema version,
-/// unique nonzero span ids, spans sorted by `(start_ns, id)`
-/// (monotone starts), and — for every non-root span — a parent that
-/// exists, lives on the same thread, and fully contains the child's
-/// interval. This is the gate behind `tools/trace_check` and the
+/// unique nonzero span ids, span ends that fit in a `u64`, spans
+/// sorted by `(start_ns, id)` (monotone starts), and — for every
+/// non-root span — a parent that exists, lives on the same thread,
+/// and fully contains the child's interval. This is the gate behind `tools/trace_check` and the
 /// telemetry determinism tests.
 ///
 /// # Errors
@@ -288,6 +288,9 @@ pub fn validate_trace(trace: &TraceData) -> Result<(), String> {
         }
         if !ids.insert(s.id) {
             return Err(format!("duplicate span id {}", s.id));
+        }
+        if s.start_ns.checked_add(s.dur_ns).is_none() {
+            return Err(format!("span {} ends past the end of the u64 clock", s.id));
         }
         let key = (s.start_ns, s.id);
         if let Some(prev) = prev_key {
@@ -416,6 +419,12 @@ mod tests {
             ..dup.clone()
         };
         assert!(validate_trace(&unsorted).unwrap_err().contains("monotone"));
+
+        let endless = TraceData {
+            spans: vec![rec(1, 0, 1, 0, 10), rec(2, 1, 1, 5, u64::MAX)],
+            ..dup.clone()
+        };
+        assert!(validate_trace(&endless).unwrap_err().contains("u64 clock"));
 
         let orphan = TraceData {
             spans: vec![rec(2, 7, 1, 0, 10)],

@@ -1,22 +1,34 @@
-//! Deterministic fuzzing of every spec grammar.
+//! Deterministic fuzzing of every spec grammar and of the JSONL files
+//! the workspace reads back.
 //!
 //! A seeded, std-only mutator derives thousands of hostile strings
-//! from the canonical spec corpus — byte flips, truncations, splices
-//! of two entries and number substitutions (`NaN`, `inf`, `-0`,
-//! `1e39`, `0`) — and holds every grammar to three invariants:
+//! from a corpus — byte flips, truncations, splices of two entries
+//! and number substitutions (`NaN`, `inf`, `-0`, `1e39`, `0`) — and
+//! holds every spec grammar to three invariants:
 //!
 //! * parsing never panics;
 //! * every accepted string prints to a spec that re-parses equal;
 //! * every accepted defense builds, and every accepted attack with at
 //!   most 64 neurons builds against a 4-image calibration set, without
 //!   panicking (construction errors are fine; panics are not).
+//!
+//! The same mutator, seeded with a real campaign trajectory and a
+//! real telemetry trace, holds their readers and validators
+//! ([`TrajectoryReport::from_jsonl_str`], [`validate_trajectory`],
+//! [`oasis_telemetry::read_trace_str`] and
+//! [`oasis_telemetry::validate_trace`]) to one invariant: a hostile
+//! file is an `Err`, never a panic.
 
 use std::collections::BTreeSet;
 use std::fmt::{Debug, Display};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
+use std::sync::Mutex;
 
-use oasis_campaign::CampaignSpec;
+use oasis_campaign::{
+    linear_relu_factory, validate_trajectory, CampaignRunner, CampaignSetup, CampaignSpec,
+    TrajectoryReport,
+};
 use oasis_image::Image;
 use oasis_scenario::{
     AttackSpec, CodecSpec, DefenseSpec, NetSpec, PopulationSpec, SampleSpec, WorkloadSpec,
@@ -36,6 +48,25 @@ const CORPUS: &str = "\
 
 /// Replacements for a numeric token.
 const NUMBERS: &[&str] = &["NaN", "inf", "-inf", "-0", "1e39", "0", "1", "-1"];
+
+/// Replacements for a numeric token of a JSONL file: the spec numbers
+/// plus the integer extremes a counter field can hold or overflow.
+const JSON_NUMBERS: &[&str] = &[
+    "NaN",
+    "inf",
+    "-0",
+    "1e39",
+    "0",
+    "-1",
+    "1.5",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-9223372036854775808",
+];
+
+/// Held by every test of this file: telemetry is process-wide, so
+/// the traced corpus campaign must not record another test's spans.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// splitmix64: a tiny seeded generator, so the corpus needs no
 /// dependency and every run replays the same mutants.
@@ -78,8 +109,9 @@ fn number_spans(s: &str) -> Vec<(usize, usize)> {
     spans
 }
 
-/// One mutant of a corpus entry.
-fn mutate(rng: &mut Rng, corpus: &[&str]) -> String {
+/// One mutant of a corpus entry; number substitutions draw from
+/// `numbers`.
+fn mutate(rng: &mut Rng, corpus: &[&str], numbers: &[&str]) -> String {
     let s = rng.pick(corpus);
     match rng.below(4) {
         // Byte flip: one random bit of one random byte (non-UTF-8
@@ -108,7 +140,7 @@ fn mutate(rng: &mut Rng, corpus: &[&str]) -> String {
                 return s.to_string();
             }
             let (a, b) = spans[rng.below(spans.len())];
-            format!("{}{}{}", &s[..a], rng.pick(NUMBERS), &s[b..])
+            format!("{}{}{}", &s[..a], rng.pick(numbers), &s[b..])
         }
     }
 }
@@ -141,6 +173,7 @@ fn neurons(spec: &AttackSpec) -> usize {
 
 #[test]
 fn spec_grammars_survive_hostile_mutants() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let calibration: Vec<Image> = oasis_data::cifar_like_with(4, 1, 8, 3)
         .items()
         .iter()
@@ -151,7 +184,7 @@ fn spec_grammars_survive_hostile_mutants() {
     let corpus: Vec<&str> = CORPUS.split_whitespace().collect();
     let mut rng = Rng(0x5EED_F022);
     let mut inputs: Vec<String> = corpus.iter().map(|s| s.to_string()).collect();
-    inputs.extend((0..6000).map(|_| mutate(&mut rng, &corpus)));
+    inputs.extend((0..6000).map(|_| mutate(&mut rng, &corpus, NUMBERS)));
 
     let mut built = BTreeSet::new();
     let mut accepted = 0usize;
@@ -189,4 +222,67 @@ fn spec_grammars_survive_hostile_mutants() {
         "only {accepted} of {} inputs parsed",
         inputs.len()
     );
+}
+
+/// A real campaign's trajectory and telemetry trace, as JSONL text:
+/// three phases with churn on a lossy net, a drift re-partition and
+/// an adversary probe, so every record field is populated somewhere.
+fn jsonl_corpus() -> [String; 2] {
+    let spec: CampaignSpec =
+        "campaign:1;1+leave=0.3+join=0.5+net=sim:10,16,0.2;1+alpha=0.5+attack=rtf:8"
+            .parse()
+            .expect("corpus spec parses");
+    let mut setup = CampaignSetup::new(
+        oasis_data::cifar_like_with(3, 4, 8, 3),
+        4,
+        linear_relu_factory(192, 8, 3, 11),
+    );
+    setup.fl.clients_per_round = 2;
+    let was = oasis_telemetry::set_enabled(true);
+    let mut campaign = CampaignRunner::new(spec, setup).expect("corpus campaign builds");
+    campaign.run().expect("corpus campaign runs");
+    oasis_telemetry::set_enabled(was);
+    let spans = oasis_telemetry::take_spans();
+    let trace = oasis_telemetry::render_trace(&spans, &oasis_telemetry::metrics_snapshot());
+    oasis_telemetry::reset();
+    [campaign.trajectory("none").to_jsonl(), trace]
+}
+
+#[test]
+fn jsonl_readers_survive_hostile_mutants() {
+    let [trajectory, trace] = {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        jsonl_corpus()
+    };
+    // The seeds are valid files; the mutator slices them by byte.
+    validate_trajectory(&trajectory).expect("the seed trajectory validates");
+    let parsed = oasis_telemetry::read_trace_str(&trace).expect("the seed trace parses");
+    oasis_telemetry::validate_trace(&parsed).expect("the seed trace validates");
+    assert!(trajectory.is_ascii() && trace.is_ascii());
+
+    let corpus = [trajectory.as_str(), trace.as_str()];
+    let mut rng = Rng(0x5EED_7A11);
+    let mut rejected = 0usize;
+    for _ in 0..1500 {
+        let input = mutate(&mut rng, &corpus, JSON_NUMBERS);
+        let outcome = catch_unwind(|| {
+            let trajectory = TrajectoryReport::from_jsonl_str(&input).is_ok();
+            let valid = validate_trajectory(&input).is_ok();
+            let trace = oasis_telemetry::read_trace_str(&input)
+                .and_then(|t| oasis_telemetry::validate_trace(&t))
+                .is_ok();
+            !(trajectory || valid || trace)
+        });
+        match outcome {
+            Ok(was_rejected) => rejected += usize::from(was_rejected),
+            Err(_) => panic!("reading a mutant panicked:\n{input}"),
+        }
+    }
+    // Both sides are exercised: many mutants stay readable (a flip in
+    // a timing value), and many are refused.
+    assert!(
+        rejected > 300,
+        "only {rejected} of 1500 mutants were refused"
+    );
+    assert!(rejected < 1450, "{rejected} of 1500 mutants were refused");
 }
