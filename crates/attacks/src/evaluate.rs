@@ -44,10 +44,11 @@ pub trait ActiveAttack: Send + Sync {
     ) -> Result<Sequential>;
 
     /// Inverts row `i` of the malicious layer's gradients into a
-    /// flattened candidate input, or `None` when the row carries no
+    /// flattened candidate input (a rank-1 tensor whose buffer becomes
+    /// the candidate image's), or `None` when the row carries no
     /// signal. The default is the single-neuron Eq. 6 rule,
     /// [`invert_neuron`].
-    fn invert(&self, i: usize, grad_weight: &Tensor, grad_bias: &Tensor) -> Option<Vec<f32>> {
+    fn invert(&self, i: usize, grad_weight: &Tensor, grad_bias: &Tensor) -> Option<Tensor> {
         invert_neuron(
             grad_weight.row(i).expect("row in bounds"),
             grad_bias.data()[i],
@@ -68,7 +69,8 @@ const PAR_MIN_SWEEP_ELEMS: usize = 64 * 1024;
 ///
 /// Rows invert independently, so the sweep fans out across the worker
 /// pool; it keeps index order, so dedupe sees the same candidate
-/// sequence at any thread count.
+/// sequence at any thread count. Each candidate image adopts the
+/// buffer its row inverted into: one allocation per candidate.
 pub fn reconstruct(
     attack: &dyn ActiveAttack,
     grad_weight: &Tensor,
@@ -80,7 +82,7 @@ pub fn reconstruct(
     let candidates = parallel::map_range_min(n, n * c * h * w, PAR_MIN_SWEEP_ELEMS, |i| {
         attack
             .invert(i, grad_weight, grad_bias)
-            .and_then(|values| Image::from_vec(c, h, w, values).ok())
+            .and_then(|values| Image::from_tensor(c, h, w, values).ok())
     });
     let _span = oasis_telemetry::span("reconstruct.dedupe");
     dedupe_images(candidates.into_iter().flatten().collect())
@@ -258,32 +260,25 @@ fn run_attack_inner(
         }
     };
 
-    let (recons, loss, processed) = match defense.clip_norm() {
+    let (loss, processed) = match defense.clip_norm() {
         None => {
             // The exact-gradient path: the client's local step.
-            let client_span = oasis_telemetry::span("attack.client_step");
+            let _client_span = oasis_telemetry::span("attack.client_step");
             let step = defense.local_step(&mut model, batch, &mut rng)?;
             let received = transmit(step.update)?;
             load_grads(&mut model, &received)?;
-            let lin = malicious_layer(&model)?;
-            drop(client_span);
-            let recon_span = oasis_telemetry::span("attack.reconstruct");
-            let recons = reconstruct(attack, lin.grad_weight(), lin.grad_bias(), geometry);
-            drop(recon_span);
-            (recons, step.loss, step.processed)
+            (step.loss, step.processed)
         }
         Some(clip_norm) => {
             // The per-sample path (record-level DP-SGD): per-sample
             // gradients, clipped then averaged, then the stack's
             // update perturbation (e.g. Gaussian noise of std
             // `σ · C / B` from the DP stage).
-            let client_span = oasis_telemetry::span("attack.client_step");
+            let _client_span = oasis_telemetry::span("attack.client_step");
             let processed = defense.process_batch(batch, &mut rng);
             let b = processed.len();
-            let d = geometry.0 * geometry.1 * geometry.2;
             let x = processed.to_matrix();
             let (deltas, total_loss) = per_sample_deltas(&mut model, &x, &processed.labels)?;
-            let n = deltas.dims()[1];
             // What is clipped is each sample's gradient of the
             // malicious layer's weight and bias — the only parameters
             // uploaded and all the attacker reads (real DP-SGD would
@@ -293,20 +288,21 @@ fn run_attack_inner(
             let clip_span = oasis_telemetry::span("attack.clip");
             let mut update = Linear::clipped_grad_mean(&x, &deltas, clip_norm)?;
             drop(clip_span);
-            let inv_b = 1.0 / b as f32;
             // Only the (perturbed) malicious-layer update is uploaded;
-            // that is what crosses the wire.
+            // that is what crosses the wire. It loads into that layer
+            // alone: `Linear` visits weight then bias, the order
+            // `clipped_grad_mean` writes them in.
             defense.perturb_update(&mut update, b, &mut rng);
-            let mut received = transmit(update)?;
-            let gb = Tensor::from_vec(received.split_off(n * d), &[n])?;
-            let gw = Tensor::from_vec(received, &[n, d])?;
-            drop(client_span);
-            let recon_span = oasis_telemetry::span("attack.reconstruct");
-            let recons = reconstruct(attack, &gw, &gb, geometry);
-            drop(recon_span);
-            (recons, total_loss * inv_b, processed)
+            let received = transmit(update)?;
+            let malicious = model.layer_mut(0).expect("per_sample_deltas read layer 0");
+            load_grads(malicious, &received)?;
+            (total_loss * (1.0 / b as f32), processed)
         }
     };
+    let lin = malicious_layer(&model)?;
+    let recon_span = oasis_telemetry::span("attack.reconstruct");
+    let recons = reconstruct(attack, lin.grad_weight(), lin.grad_bias(), geometry);
+    drop(recon_span);
 
     Ok(score(recons, batch, processed, loss, wire))
 }

@@ -2,7 +2,7 @@
 //! pool hygiene.
 
 use oasis_image::Image;
-use oasis_tensor::simd;
+use oasis_tensor::{simd, Tensor};
 
 /// Minimum `|∂L/∂b_i|` for a neuron to be considered informative.
 pub const BIAS_GRAD_EPS: f32 = 1e-9;
@@ -12,35 +12,37 @@ pub const BIAS_GRAD_EPS: f32 = 1e-9;
 /// If neuron `i` was activated by exactly one sample `x_t`, the result
 /// is exactly `x_t`; if several samples activated it, the result is
 /// the loss-weighted linear combination the paper's defense aims to
-/// force. Returns `None` when the bias gradient is (numerically) zero
-/// — the neuron saw no samples.
-pub fn invert_neuron(grad_w_row: &[f32], grad_b: f32) -> Option<Vec<f32>> {
+/// force. The result is a rank-1 tensor of the row's length, built in
+/// one pass into its own buffer. Returns `None` when the bias gradient
+/// is (numerically) zero — the neuron saw no samples.
+pub fn invert_neuron(grad_w_row: &[f32], grad_b: f32) -> Option<Tensor> {
     if grad_b.abs() < BIAS_GRAD_EPS {
         return None;
     }
-    Some(grad_w_row.iter().map(|&g| g / grad_b).collect())
+    let values = grad_w_row.iter().map(|&g| g / grad_b);
+    Some(Tensor::from_values(values, &[grad_w_row.len()]).expect("one value per weight"))
 }
 
 /// The RTF bin extraction: inverts the *difference* of two adjacent
 /// neurons' gradients, isolating samples whose measurement fell
-/// strictly between the two bias cutoffs.
+/// strictly between the two bias cutoffs. The result is shaped and
+/// built as [`invert_neuron`]'s.
+///
+/// # Panics
+///
+/// Panics if the two rows differ in length.
 pub fn invert_neuron_difference(
     grad_w_hi: &[f32],
     grad_b_hi: f32,
     grad_w_lo: &[f32],
     grad_b_lo: f32,
-) -> Option<Vec<f32>> {
+) -> Option<Tensor> {
     let db = grad_b_hi - grad_b_lo;
     if db.abs() < BIAS_GRAD_EPS {
         return None;
     }
-    Some(
-        grad_w_hi
-            .iter()
-            .zip(grad_w_lo)
-            .map(|(&a, &b)| (a - b) / db)
-            .collect(),
-    )
+    let values = grad_w_hi.iter().zip(grad_w_lo).map(|(&a, &b)| (a - b) / db);
+    Some(Tensor::from_values(values, &[grad_w_hi.len()]).expect("rows of one length"))
 }
 
 /// PSNR above which two reconstructions are considered the same image.
@@ -156,7 +158,8 @@ mod tests {
         let g = -1.7f32;
         let grad_w: Vec<f32> = x.iter().map(|&v| g * v).collect();
         let rec = invert_neuron(&grad_w, g).unwrap();
-        for (a, b) in rec.iter().zip(&x) {
+        assert_eq!(rec.dims(), &[3]);
+        for (a, b) in rec.data().iter().zip(&x) {
             assert!((a - b).abs() < 1e-6);
         }
     }
@@ -175,8 +178,8 @@ mod tests {
         let (g1, g2) = (0.3f32, 0.7f32);
         let grad_w = [g1 * x1[0] + g2 * x2[0], g1 * x1[1] + g2 * x2[1]];
         let rec = invert_neuron(&grad_w, g1 + g2).unwrap();
-        assert!((rec[0] - 0.3).abs() < 1e-6);
-        assert!((rec[1] - 0.7).abs() < 1e-6);
+        assert!((rec.data()[0] - 0.3).abs() < 1e-6);
+        assert!((rec.data()[1] - 0.7).abs() < 1e-6);
     }
 
     #[test]
@@ -191,7 +194,7 @@ mod tests {
         let gw_lo = [g2 * x2[0], g2 * x2[1]];
         let gb_lo = g2;
         let rec = invert_neuron_difference(&gw_hi, gb_hi, &gw_lo, gb_lo).unwrap();
-        for (a, b) in rec.iter().zip(&x1) {
+        for (a, b) in rec.data().iter().zip(&x1) {
             assert!((a - b).abs() < 1e-5);
         }
     }

@@ -72,13 +72,15 @@ impl ActiveAttack for LinearModelAttack {
     /// normalization (the standard presentation step for
     /// gradient-inversion outputs) restores a comparable intensity
     /// range.
-    fn invert(&self, i: usize, grad_weight: &Tensor, grad_bias: &Tensor) -> Option<Vec<f32>> {
+    fn invert(&self, i: usize, grad_weight: &Tensor, grad_bias: &Tensor) -> Option<Tensor> {
         let mut values =
             invert_neuron(grad_weight.row(i).expect("class row"), grad_bias.data()[i])?;
-        let lo = values.iter().copied().fold(f32::INFINITY, f32::min);
-        let hi = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        // Normalized in place: the fresh candidate shares no buffer.
+        let data = values.data_mut();
+        let lo = data.iter().copied().fold(f32::INFINITY, f32::min);
+        let hi = data.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         if hi - lo > 1e-9 {
-            for v in &mut values {
+            for v in data {
                 *v = (*v - lo) / (hi - lo);
             }
         }
@@ -148,8 +150,8 @@ mod tests {
             let values = attack
                 .invert(class_row, lin.grad_weight(), lin.grad_bias())
                 .expect("class row has signal");
-            let rec =
-                oasis_image::Image::from_vec(geometry.0, geometry.1, geometry.2, values).unwrap();
+            let rec = oasis_image::Image::from_tensor(geometry.0, geometry.1, geometry.2, values)
+                .unwrap();
             psnr(&rec, &unique.images[0])
         };
 

@@ -129,7 +129,7 @@ impl ActiveAttack for RtfAttack {
     /// The adjacent-bin difference: bin `i` holds the samples that
     /// activate neuron `i` but not `i + 1`. The top bin, `h(x) > c_n`,
     /// is the last neuron alone.
-    fn invert(&self, i: usize, grad_weight: &Tensor, grad_bias: &Tensor) -> Option<Vec<f32>> {
+    fn invert(&self, i: usize, grad_weight: &Tensor, grad_bias: &Tensor) -> Option<Tensor> {
         let row = |j: usize| grad_weight.row(j).expect("row in bounds");
         let bias = grad_bias.data();
         if i + 1 < self.neurons {

@@ -14,7 +14,7 @@ proptest! {
     ) {
         let grad_w: Vec<f32> = x.iter().map(|&v| g * v).collect();
         let rec = invert_neuron(&grad_w, g).expect("nonzero signal");
-        for (a, b) in rec.iter().zip(&x) {
+        for (a, b) in rec.data().iter().zip(&x) {
             prop_assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
     }
@@ -36,7 +36,7 @@ proptest! {
         let grad_w: Vec<f32> = x1.iter().zip(&x2).map(|(&a, &b)| g1 * a + g2 * b).collect();
         let rec = invert_neuron(&grad_w, g1 + g2).expect("nonzero signal");
         let (w1, w2) = (g1 / (g1 + g2), g2 / (g1 + g2));
-        for ((r, &a), &b) in rec.iter().zip(&x1).zip(&x2) {
+        for ((r, &a), &b) in rec.data().iter().zip(&x1).zip(&x2) {
             let expect = w1 * a + w2 * b;
             prop_assert!((r - expect).abs() < 1e-3, "{r} vs {expect}");
         }
@@ -60,7 +60,7 @@ proptest! {
         let gw_lo: Vec<f32> = xo.iter().map(|&b| g_other * b).collect();
         let rec = invert_neuron_difference(&gw_hi, g_t + g_other, &gw_lo, g_other)
             .expect("nonzero difference");
-        for (r, &a) in rec.iter().zip(&xt) {
+        for (r, &a) in rec.data().iter().zip(&xt) {
             prop_assert!((r - a).abs() < 2e-3, "{r} vs {a}");
         }
     }

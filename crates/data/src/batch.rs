@@ -54,12 +54,13 @@ impl Batch {
     /// Panics if images have inconsistent dimensions.
     pub fn to_matrix(&self) -> Tensor {
         let d = self.images.first().map(|i| i.numel()).unwrap_or(0);
-        let mut data = Vec::with_capacity(self.images.len() * d);
-        for img in &self.images {
+        let mut x = Tensor::zeros(&[self.images.len(), d]);
+        let data = x.data_mut();
+        for (i, img) in self.images.iter().enumerate() {
             assert_eq!(img.numel(), d, "inconsistent image dims in batch");
-            data.extend_from_slice(img.data());
+            data[i * d..(i + 1) * d].copy_from_slice(img.data());
         }
-        Tensor::from_vec(data, &[self.images.len(), d]).expect("consistent dims")
+        x
     }
 }
 

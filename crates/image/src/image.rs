@@ -1,8 +1,7 @@
 //! The CHW `f32` image container.
 
-use oasis_tensor::simd;
+use oasis_tensor::{simd, Tensor, TensorError};
 use std::fmt;
-use std::sync::Arc;
 
 use crate::{ImageError, Result};
 
@@ -12,8 +11,10 @@ use crate::{ImageError, Result};
 /// out-of-range values should call [`Image::clamp01`] before the image
 /// is consumed by training or PSNR code.
 ///
-/// Clones share their pixels, copy-on-write: `clone` bumps a reference
-/// count, and the first write through a shared image ([`Image::set`],
+/// An image is a [`Tensor`] of dims `[channels, height, width]`, so it
+/// is one heap allocation and its clones share their pixels,
+/// copy-on-write, as tensors do: `clone` bumps a reference count, and
+/// the first write through a shared image ([`Image::set`],
 /// [`Image::data_mut`] or anything built on them) copies the buffer
 /// once, so the other clones never see it. A dataset, its client
 /// partitions and the batches drawn from them therefore hold each
@@ -34,21 +35,8 @@ use crate::{ImageError, Result};
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct Image {
-    channels: usize,
-    height: usize,
-    width: usize,
-    data: Arc<Vec<f32>>,
-}
-
-/// `channels * height * width`, or [`ImageError::TooLarge`] when the
-/// product overflows `usize`.
-fn element_count(channels: usize, height: usize, width: usize) -> Result<usize> {
-    channels
-        .checked_mul(height)
-        .and_then(|n| n.checked_mul(width))
-        .ok_or(ImageError::TooLarge {
-            dims: (channels, height, width),
-        })
+    /// The pixels, dims `[channels, height, width]`.
+    pixels: Tensor,
 }
 
 impl Image {
@@ -58,72 +46,82 @@ impl Image {
     ///
     /// Panics if `channels * height * width` overflows `usize`.
     pub fn new(channels: usize, height: usize, width: usize) -> Self {
-        let n = element_count(channels, height, width).unwrap_or_else(|e| panic!("{e}"));
         Image {
-            channels,
-            height,
-            width,
-            data: Arc::new(vec![0.0; n]),
+            pixels: Tensor::zeros(&[channels, height, width]),
         }
     }
 
-    /// Creates an image from a CHW buffer.
+    /// Creates an image from a CHW buffer, copying it once into the
+    /// image's own.
+    ///
+    /// # Errors
+    ///
+    /// As [`Image::from_tensor`].
+    pub fn from_vec(channels: usize, height: usize, width: usize, data: Vec<f32>) -> Result<Self> {
+        Self::from_tensor(channels, height, width, Tensor::from_slice(&data))
+    }
+
+    /// The image of the given dims over `pixels`' values in CHW order,
+    /// sharing its buffer: nothing is copied.
     ///
     /// # Errors
     ///
     /// Returns [`ImageError::TooLarge`] if `channels * height * width`
-    /// overflows `usize`, and [`ImageError::LengthMismatch`] if the
-    /// buffer length does not equal that product.
-    pub fn from_vec(channels: usize, height: usize, width: usize, data: Vec<f32>) -> Result<Self> {
-        let expected = element_count(channels, height, width)?;
-        if data.len() != expected {
-            return Err(ImageError::LengthMismatch {
-                len: data.len(),
-                expected,
-            });
+    /// overflows `usize`, and [`ImageError::LengthMismatch`] if
+    /// `pixels` does not hold that many values.
+    pub fn from_tensor(
+        channels: usize,
+        height: usize,
+        width: usize,
+        pixels: Tensor,
+    ) -> Result<Self> {
+        match pixels.reshape(&[channels, height, width]) {
+            Ok(pixels) => Ok(Image { pixels }),
+            Err(TensorError::LengthMismatch { len, expected }) => {
+                Err(ImageError::LengthMismatch { len, expected })
+            }
+            // The only other error of a rank-3 reshape.
+            Err(_) => Err(ImageError::TooLarge {
+                dims: (channels, height, width),
+            }),
         }
-        Ok(Image {
-            channels,
-            height,
-            width,
-            data: Arc::new(data),
-        })
-    }
-
-    /// Number of channels.
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-
-    /// Height in pixels.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// Width in pixels.
-    pub fn width(&self) -> usize {
-        self.width
     }
 
     /// `(channels, height, width)`.
     pub fn dims(&self) -> (usize, usize, usize) {
-        (self.channels, self.height, self.width)
+        let dims = self.pixels.dims();
+        (dims[0], dims[1], dims[2])
+    }
+
+    /// Number of channels.
+    pub fn channels(&self) -> usize {
+        self.dims().0
+    }
+
+    /// Height in pixels.
+    pub fn height(&self) -> usize {
+        self.dims().1
+    }
+
+    /// Width in pixels.
+    pub fn width(&self) -> usize {
+        self.dims().2
     }
 
     /// Total number of scalar elements.
     pub fn numel(&self) -> usize {
-        self.data.len()
+        self.pixels.numel()
     }
 
     /// The flat CHW buffer.
     pub fn data(&self) -> &[f32] {
-        &self.data
+        self.pixels.data()
     }
 
     /// Mutable access to the flat CHW buffer. Copies the buffer first
     /// if another clone shares it, so call it once outside a loop.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        Arc::make_mut(&mut self.data).as_mut_slice()
+        self.pixels.data_mut()
     }
 
     /// Reads the pixel at `(channel, y, x)`.
@@ -132,7 +130,7 @@ impl Image {
     ///
     /// Returns [`ImageError::OutOfRange`] on out-of-bounds access.
     pub fn get(&self, channel: usize, y: usize, x: usize) -> Result<f32> {
-        Ok(self.data[self.offset(channel, y, x)?])
+        Ok(self.data()[self.offset(channel, y, x)?])
     }
 
     /// Writes the pixel at `(channel, y, x)`.
@@ -152,37 +150,21 @@ impl Image {
     /// the fill convention for all geometric transforms (paper Eq. 2–5
     /// with the usual implementation fill).
     pub fn get_or_zero(&self, channel: usize, y: isize, x: isize) -> f32 {
-        if channel >= self.channels
-            || y < 0
-            || x < 0
-            || y as usize >= self.height
-            || x as usize >= self.width
-        {
+        let (c, h, w) = self.dims();
+        if channel >= c || y < 0 || x < 0 || y as usize >= h || x as usize >= w {
             return 0.0;
         }
-        self.data[(channel * self.height + y as usize) * self.width + x as usize]
+        self.data()[(channel * h + y as usize) * w + x as usize]
     }
 
     fn offset(&self, channel: usize, y: usize, x: usize) -> Result<usize> {
-        if channel >= self.channels {
-            return Err(ImageError::OutOfRange {
-                index: channel,
-                bound: self.channels,
-            });
+        let (c, h, w) = self.dims();
+        for (index, bound) in [(channel, c), (y, h), (x, w)] {
+            if index >= bound {
+                return Err(ImageError::OutOfRange { index, bound });
+            }
         }
-        if y >= self.height {
-            return Err(ImageError::OutOfRange {
-                index: y,
-                bound: self.height,
-            });
-        }
-        if x >= self.width {
-            return Err(ImageError::OutOfRange {
-                index: x,
-                bound: self.width,
-            });
-        }
-        Ok((channel * self.height + y) * self.width + x)
+        Ok((channel * h + y) * w + x)
     }
 
     /// Sets every element to `value`.
@@ -194,18 +176,18 @@ impl Image {
     /// the RTF attack bins on (paper §IV-B). Accumulated in f64 so the
     /// measurement is stable to well below an RTF bin width.
     pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
+        let data = self.data();
+        if data.is_empty() {
             return 0.0;
         }
-        (self.data.iter().map(|&v| v as f64).sum::<f64>() / self.data.len() as f64) as f32
+        (data.iter().map(|&v| v as f64).sum::<f64>() / data.len() as f64) as f32
     }
 
-    /// Applies `f` to every element, returning a new image.
+    /// Applies `f` to every element, returning a new image built in
+    /// one pass into its own buffer.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Image {
-        let data = self.data.iter().map(|&v| f(v)).collect();
         Image {
-            data: Arc::new(data),
-            ..*self
+            pixels: self.pixels.map(f),
         }
     }
 
@@ -231,7 +213,8 @@ impl Image {
         let first = images
             .first()
             .ok_or(ImageError::Format("blend of zero images".into()))?;
-        let mut out = Image::new(first.channels, first.height, first.width);
+        let (c, h, w) = first.dims();
+        let mut out = Image::new(c, h, w);
         let acc = out.data_mut();
         for img in images {
             if img.dims() != first.dims() {
@@ -270,7 +253,8 @@ impl Image {
             return self.clone();
         }
         let mut out = Image::new(c, out_h, out_w);
-        if self.data.is_empty() {
+        let data = self.data();
+        if data.is_empty() {
             return out;
         }
         let dst_data = out.data_mut();
@@ -287,7 +271,7 @@ impl Image {
                 let (y0, y1) = y_box(oy);
                 let count = ((y1 - y0) * bw) as f32;
                 for g in 0..out_w / 8 {
-                    let src = &self.data[y0 * w + g * 8 * bw..];
+                    let src = &data[y0 * w + g * 8 * bw..];
                     simd::box_sums8(src, h * w, w, y1 - y0, bw, &mut sums);
                     for (ch, boxes) in sums.iter().enumerate() {
                         let dst = &mut dst_data[(ch * out_h + oy) * out_w + g * 8..][..8];
@@ -307,7 +291,7 @@ impl Image {
             .collect();
         let mut acc = vec![0.0f32; out_w];
         let mut out_rows = dst_data.chunks_exact_mut(out_w);
-        for plane in self.data.chunks_exact(h * w) {
+        for plane in data.chunks_exact(h * w) {
             for oy in 0..out_h {
                 let (y0, y1) = y_box(oy);
                 // One source row at a time across every box of this
@@ -336,32 +320,22 @@ impl Image {
     ///
     /// Returns [`ImageError::OutOfRange`] if `channel` is out of bounds.
     pub fn channel(&self, channel: usize) -> Result<Image> {
-        if channel >= self.channels {
+        let (c, h, w) = self.dims();
+        if channel >= c {
             return Err(ImageError::OutOfRange {
                 index: channel,
-                bound: self.channels,
+                bound: c,
             });
         }
-        let plane = self.height * self.width;
-        Ok(Image {
-            channels: 1,
-            height: self.height,
-            width: self.width,
-            data: Arc::new(self.data[channel * plane..(channel + 1) * plane].to_vec()),
-        })
+        let plane = Tensor::from_slice(&self.data()[channel * h * w..(channel + 1) * h * w]);
+        Self::from_tensor(1, h, w, plane)
     }
 }
 
 impl fmt::Debug for Image {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Image({}×{}×{}, mean={:.4})",
-            self.channels,
-            self.height,
-            self.width,
-            self.mean()
-        )
+        let (c, h, w) = self.dims();
+        write!(f, "Image({c}×{h}×{w}, mean={:.4})", self.mean())
     }
 }
 

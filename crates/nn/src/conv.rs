@@ -54,6 +54,14 @@ fn lane_sum(row: &[f32]) -> f32 {
     ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7])) + tail
 }
 
+/// `held` as a tensor of dims `dims` to overwrite: the held scratch
+/// when its dims match (nothing else shares it, so writes land in
+/// place), else a fresh one.
+fn scratch(held: Option<Tensor>, dims: &[usize]) -> Tensor {
+    held.filter(|t| t.dims() == dims)
+        .unwrap_or_else(|| Tensor::zeros(dims))
+}
+
 /// A 2-D convolution with square kernels, zero padding and stride.
 #[derive(Debug)]
 pub struct Conv2d {
@@ -70,12 +78,12 @@ pub struct Conv2d {
     grad_bias: Tensor,
     cached_input: Option<Tensor>,
     /// Reused `(C·k·k, B·P)` transposed-im2col scratch.
-    scratch_col: Vec<f32>,
+    scratch_col: Option<Tensor>,
     /// Whether `scratch_col` holds the lowering of `cached_input`
     /// (set by a training-mode forward, cleared by an eval forward).
     col_valid: bool,
     /// Reused `(out_c, B·P)` gradient-transpose scratch.
-    scratch_dy: Vec<f32>,
+    scratch_dy: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -109,9 +117,9 @@ impl Conv2d {
             grad_weight: Tensor::zeros(&[out_channels, ckk]),
             grad_bias: Tensor::zeros(&[out_channels]),
             cached_input: None,
-            scratch_col: Vec::new(),
+            scratch_col: None,
             col_valid: false,
-            scratch_dy: Vec::new(),
+            scratch_dy: None,
         }
     }
 
@@ -280,20 +288,21 @@ impl Conv2d {
         let in_f = self.in_features();
         let ckk = self.weight.dims()[1];
 
-        let mut colv = std::mem::take(&mut self.scratch_col);
-        if !self.col_valid || colv.len() != ckk * bp {
-            colv.resize(ckk * bp, 0.0);
-            self.im2col_t(input.data(), batch, &mut colv);
-            self.col_valid = true;
-        }
-        let col = Tensor::from_vec(colv, &[ckk, bp])?;
+        let col = match self.scratch_col.take() {
+            Some(col) if self.col_valid && col.dims() == [ckk, bp] => col,
+            held => {
+                let mut col = scratch(held, &[ckk, bp]);
+                self.im2col_t(input.data(), batch, col.data_mut());
+                self.col_valid = true;
+                col
+            }
+        };
 
         // δY as (oc, B·P): contiguous P-long segment copies from the
         // channel-major layer output gradient.
-        let mut dyv = std::mem::take(&mut self.scratch_dy);
-        dyv.resize(oc * bp, 0.0);
+        let mut dy = scratch(self.scratch_dy.take(), &[oc, bp]);
         let go = grad_output.data();
-        parallel::for_each_row_block_min(&mut dyv, bp, PAR_MIN_ELEMS, |c0, rows| {
+        parallel::for_each_row_block_min(dy.data_mut(), bp, PAR_MIN_ELEMS, |c0, rows| {
             for (lc, drow) in rows.chunks_mut(bp).enumerate() {
                 let c = c0 + lc;
                 for (b, dst) in drow.chunks_mut(p).enumerate() {
@@ -301,10 +310,8 @@ impl Conv2d {
                 }
             }
         });
-        // Bias gradient = per-channel row sums, taken before δY moves
-        // into its tensor so no scratch vector is needed.
-        let gb = Tensor::from_vec(dyv.chunks(bp).map(lane_sum).collect(), &[oc])?;
-        let dy = Tensor::from_vec(dyv, &[oc, bp])?;
+        // Bias gradient = per-channel row sums.
+        let gb = Tensor::from_values(dy.data().chunks(bp).map(lane_sum), &[oc])?;
 
         let gw = dy.matmul_nt(&col)?; // (oc, C·k·k)
         self.grad_weight.add_assign(&gw)?;
@@ -328,8 +335,8 @@ impl Conv2d {
         } else {
             None
         };
-        self.scratch_col = col.into_vec();
-        self.scratch_dy = dy.into_vec();
+        self.scratch_col = Some(col);
+        self.scratch_dy = Some(dy);
         self.cached_input = Some(input);
         Ok(grad_input)
     }
@@ -347,12 +354,10 @@ impl Layer for Conv2d {
         if mode == Mode::Train {
             self.cached_input = Some(input.clone());
         }
-        let mut colv = std::mem::take(&mut self.scratch_col);
-        colv.resize(ckk * bp, 0.0);
-        self.im2col_t(input.data(), batch, &mut colv);
-        let col = Tensor::from_vec(colv, &[ckk, bp])?;
+        let mut col = scratch(self.scratch_col.take(), &[ckk, bp]);
+        self.im2col_t(input.data(), batch, col.data_mut());
         let y = self.weight.matmul(&col)?; // (oc, B·P)
-        self.scratch_col = col.into_vec();
+        self.scratch_col = Some(col);
         // A training forward leaves `col` describing `cached_input`,
         // so the next backward can skip the rebuild.
         self.col_valid = mode == Mode::Train;

@@ -30,12 +30,11 @@ pub enum TensorError {
         /// Actual rank.
         actual: usize,
     },
-    /// An axis index was out of range for the tensor's rank.
-    AxisOutOfRange {
-        /// The offending axis.
-        axis: usize,
-        /// The tensor's rank.
-        rank: usize,
+    /// The dims have more than four axes (NCHW), or their product
+    /// overflows `usize`.
+    TooLarge {
+        /// The requested dims.
+        dims: Vec<usize>,
     },
     /// An element index was out of range.
     IndexOutOfRange {
@@ -67,9 +66,10 @@ impl fmt::Display for TensorError {
             } => {
                 write!(f, "{op} requires rank {expected}, got rank {actual}")
             }
-            TensorError::AxisOutOfRange { axis, rank } => {
-                write!(f, "axis {axis} out of range for rank {rank}")
-            }
+            TensorError::TooLarge { dims } => write!(
+                f,
+                "dims {dims:?} exceed rank 4 or their element count overflows usize"
+            ),
             TensorError::IndexOutOfRange { index, bound } => {
                 write!(f, "index {index} out of range (bound {bound})")
             }
@@ -101,7 +101,7 @@ mod tests {
                 expected: 2,
                 actual: 1,
             },
-            TensorError::AxisOutOfRange { axis: 5, rank: 2 },
+            TensorError::TooLarge { dims: vec![1; 5] },
             TensorError::IndexOutOfRange { index: 9, bound: 4 },
             TensorError::EmptyTensor,
         ];

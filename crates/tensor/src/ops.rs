@@ -3,13 +3,11 @@
 use crate::{simd, Result, Tensor, TensorError};
 
 impl Tensor {
-    /// Applies `f` to every element, returning a new tensor.
+    /// Applies `f` to every element, returning a new tensor built in
+    /// one pass into its own buffer.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        let mut out = self.clone();
-        for v in out.data_mut() {
-            *v = f(*v);
-        }
-        out
+        Tensor::from_values(self.data().iter().map(|&v| f(v)), self.dims())
+            .expect("same dims, same count")
     }
 
     /// Applies `f` to every element in place.
@@ -25,20 +23,15 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
     pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Tensor> {
-        if !self.shape().same_as(other.shape()) {
+        if self.shape() != other.shape() {
             return Err(TensorError::ShapeMismatch {
                 op: "zip_map",
                 lhs: self.dims().to_vec(),
                 rhs: other.dims().to_vec(),
             });
         }
-        let data = self
-            .data()
-            .iter()
-            .zip(other.data())
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        Tensor::from_vec(data, self.dims())
+        let values = self.data().iter().zip(other.data()).map(|(&a, &b)| f(a, b));
+        Tensor::from_values(values, self.dims())
     }
 
     /// Elementwise addition.
@@ -65,7 +58,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
     pub fn add_assign(&mut self, other: &Tensor) -> Result<()> {
-        if !self.shape().same_as(other.shape()) {
+        if self.shape() != other.shape() {
             return Err(TensorError::ShapeMismatch {
                 op: "add_assign",
                 lhs: self.dims().to_vec(),
@@ -86,7 +79,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
     pub fn axpy(&mut self, alpha: f32, other: &Tensor) -> Result<()> {
-        if !self.shape().same_as(other.shape()) {
+        if self.shape() != other.shape() {
             return Err(TensorError::ShapeMismatch {
                 op: "axpy",
                 lhs: self.dims().to_vec(),

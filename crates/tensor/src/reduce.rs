@@ -58,9 +58,9 @@ impl Tensor {
     /// Returns an error if the tensor is not rank-2.
     pub fn sum_axis0(&self) -> Result<Tensor> {
         let cols = if self.rank() == 2 { self.dims()[1] } else { 0 };
-        let mut out = vec![0.0f32; cols];
-        self.add_rows_to(&mut out)?;
-        Tensor::from_vec(out, &[cols])
+        let mut out = Tensor::zeros(&[cols]);
+        self.add_rows_to(out.data_mut())?;
+        Ok(out)
     }
 
     /// Adds every row of a rank-2 tensor into `out`, row by row: from

@@ -11,15 +11,23 @@ use crate::{Result, Shape, TensorError};
 /// every downstream algorithm (manual backprop, gradient inversion)
 /// trivially auditable.
 ///
+/// A tensor is one heap allocation: an `Arc<[f32]>`, whose reference
+/// counts sit in front of the values, plus a [`Shape`] stored inline.
 /// Clones share their values, copy-on-write: `clone` bumps a reference
 /// count, and the first write through a shared tensor
 /// ([`Tensor::data_mut`] or anything built on it) copies the buffer
 /// once, so the other clones never see it. A model template, the
 /// models cloned from it and the malicious layer every attacked trial
-/// receives therefore hold their weights once. Each write call checks
-/// whether the buffer is shared, so a loop that writes element by
-/// element takes one `data_mut()` slice before the loop. Equality
-/// compares values, not buffers.
+/// receives therefore hold their weights once, and an
+/// `oasis_image::Image` is a tensor of dims `[c, h, w]`, so a dataset's
+/// partitions and batches share its pixels the same way. Each write
+/// call checks whether the buffer is shared, so a loop that writes
+/// element by element takes one `data_mut()` slice before the loop.
+/// Equality compares values, not buffers.
+///
+/// A buffer cannot grow in place, so build one in its final size:
+/// [`Tensor::from_values`] collects an exact-size iterator straight
+/// into it, while [`Tensor::from_vec`] copies its `Vec` once.
 ///
 /// ```
 /// use oasis_tensor::Tensor;
@@ -33,8 +41,14 @@ use crate::{Result, Shape, TensorError};
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
-    data: Arc<Vec<f32>>,
+    data: Arc<[f32]>,
     shape: Shape,
+}
+
+/// The shape of `dims`, for constructors that panic on dims
+/// [`Shape::new`] rejects.
+fn valid_shape(dims: &[usize]) -> Shape {
+    Shape::new(dims).unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl Tensor {
@@ -42,45 +56,67 @@ impl Tensor {
     // Constructors
     // ------------------------------------------------------------------
 
-    /// Creates a tensor from a flat buffer and a shape.
+    /// Creates a tensor of dims `dims` from its row-major values,
+    /// collected straight into the tensor's buffer: one allocation when
+    /// the iterator knows its exact length, as a slice iterator or a
+    /// range does through `map`, `zip` or `copied`.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::LengthMismatch`] if `data.len()` is not the
-    /// product of `dims`.
-    pub fn from_vec(data: Vec<f32>, dims: &[usize]) -> Result<Self> {
-        let shape = Shape::new(dims);
+    /// Returns [`TensorError::TooLarge`] for dims of rank above four or
+    /// an element count that overflows `usize`, and
+    /// [`TensorError::LengthMismatch`] if the iterator does not yield
+    /// exactly that many values.
+    pub fn from_values(values: impl IntoIterator<Item = f32>, dims: &[usize]) -> Result<Self> {
+        let shape = Shape::new(dims)?;
+        let data: Arc<[f32]> = values.into_iter().collect();
         if data.len() != shape.numel() {
             return Err(TensorError::LengthMismatch {
                 len: data.len(),
                 expected: shape.numel(),
             });
         }
-        Ok(Tensor {
-            data: Arc::new(data),
-            shape,
-        })
+        Ok(Tensor { data, shape })
+    }
+
+    /// Creates a tensor from a flat buffer and a shape, copying the
+    /// buffer once into the tensor's.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tensor::from_values`].
+    pub fn from_vec(data: Vec<f32>, dims: &[usize]) -> Result<Self> {
+        Self::from_values(data, dims)
     }
 
     /// Creates an all-zero tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than four axes or an element count that overflows
+    /// `usize`.
     pub fn zeros(dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        Tensor {
-            data: Arc::new(vec![0.0; shape.numel()]),
-            shape,
-        }
+        Self::full(dims, 0.0)
     }
 
     /// Creates an all-one tensor.
+    ///
+    /// # Panics
+    ///
+    /// As [`Tensor::zeros`].
     pub fn ones(dims: &[usize]) -> Self {
         Self::full(dims, 1.0)
     }
 
     /// Creates a tensor filled with `value`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Tensor::zeros`].
     pub fn full(dims: &[usize], value: f32) -> Self {
-        let shape = Shape::new(dims);
+        let shape = valid_shape(dims);
         Tensor {
-            data: Arc::new(vec![value; shape.numel()]),
+            data: std::iter::repeat_n(value, shape.numel()).collect(),
             shape,
         }
     }
@@ -98,16 +134,16 @@ impl Tensor {
     /// Creates a rank-1 tensor from a slice.
     pub fn from_slice(values: &[f32]) -> Self {
         Tensor {
-            data: Arc::new(values.to_vec()),
-            shape: Shape::new(&[values.len()]),
+            data: Arc::from(values),
+            shape: valid_shape(&[values.len()]),
         }
     }
 
     /// Creates a scalar (rank-0) tensor.
     pub fn scalar(value: f32) -> Self {
         Tensor {
-            data: Arc::new(vec![value]),
-            shape: Shape::new(&[]),
+            data: Arc::from([value]),
+            shape: valid_shape(&[]),
         }
     }
 
@@ -132,7 +168,7 @@ impl Tensor {
 
     /// Total number of elements.
     pub fn numel(&self) -> usize {
-        self.shape.numel()
+        self.data.len()
     }
 
     /// The flat row-major buffer.
@@ -144,7 +180,7 @@ impl Tensor {
     /// first if another clone shares it, so call it once outside a
     /// loop.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        Arc::make_mut(&mut self.data).as_mut_slice()
+        Arc::make_mut(&mut self.data)
     }
 
     /// Overwrites every value with `values`. An unshared buffer is
@@ -159,14 +195,30 @@ impl Tensor {
         assert_eq!(values.len(), self.numel(), "copy_from_slice length");
         match Arc::get_mut(&mut self.data) {
             Some(data) => data.copy_from_slice(values),
-            None => self.data = Arc::new(values.to_vec()),
+            None => self.data = Arc::from(values),
         }
     }
 
-    /// Consumes the tensor and returns its buffer (a copy when another
-    /// clone shares it).
-    pub fn into_vec(self) -> Vec<f32> {
-        Arc::unwrap_or_clone(self.data)
+    /// The same values under new dims, sharing the buffer: nothing is
+    /// copied.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::TooLarge`] for dims [`Shape::new`]
+    /// rejects, and [`TensorError::LengthMismatch`] if `dims` do not
+    /// hold [`Tensor::numel`] elements.
+    pub fn reshape(self, dims: &[usize]) -> Result<Tensor> {
+        let shape = Shape::new(dims)?;
+        if shape.numel() != self.numel() {
+            return Err(TensorError::LengthMismatch {
+                len: self.numel(),
+                expected: shape.numel(),
+            });
+        }
+        Ok(Tensor {
+            data: self.data,
+            shape,
+        })
     }
 
     /// Reads the element at a multi-index.
@@ -287,32 +339,9 @@ impl Tensor {
             });
         }
         Ok(Tensor {
-            data: Arc::new(self.data[start * cols..end * cols].to_vec()),
-            shape: Shape::new(&[end - start, cols]),
+            data: Arc::from(&self.data[start * cols..end * cols]),
+            shape: valid_shape(&[end - start, cols]),
         })
-    }
-
-    /// Stacks rank-N tensors along a new leading axis.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `items` is empty or shapes differ.
-    pub fn stack(items: &[Tensor]) -> Result<Tensor> {
-        let first = items.first().ok_or(TensorError::EmptyTensor)?;
-        let mut data = Vec::with_capacity(first.numel() * items.len());
-        for t in items {
-            if !t.shape.same_as(&first.shape) {
-                return Err(TensorError::ShapeMismatch {
-                    op: "stack",
-                    lhs: first.dims().to_vec(),
-                    rhs: t.dims().to_vec(),
-                });
-            }
-            data.extend_from_slice(&t.data);
-        }
-        let mut dims = vec![items.len()];
-        dims.extend_from_slice(first.dims());
-        Tensor::from_vec(data, &dims)
     }
 }
 
@@ -342,6 +371,33 @@ mod tests {
     fn from_vec_validates_length() {
         assert!(Tensor::from_vec(vec![1.0; 5], &[2, 3]).is_err());
         assert!(Tensor::from_vec(vec![1.0; 6], &[2, 3]).is_ok());
+    }
+
+    #[test]
+    fn overflowing_dims_are_an_error_not_an_empty_tensor() {
+        // 2³² · 2³² wraps to 0, which an unchecked product would accept
+        // for an empty buffer.
+        let dims = [1usize << 32, 1 << 32];
+        let err = Tensor::from_vec(vec![], &dims).unwrap_err();
+        assert_eq!(
+            err,
+            TensorError::TooLarge {
+                dims: dims.to_vec()
+            }
+        );
+        assert!(err.to_string().contains("overflows usize"));
+        assert!(std::panic::catch_unwind(|| Tensor::zeros(&dims)).is_err());
+    }
+
+    #[test]
+    fn reshape_shares_the_buffer_and_checks_the_count() {
+        let t = Tensor::from_values((0..6).map(|i| i as f32), &[6]).unwrap();
+        let ptr = t.data().as_ptr();
+        let m = t.clone().reshape(&[2, 3]).unwrap();
+        assert_eq!((m.dims(), m.data().as_ptr()), (&[2, 3][..], ptr));
+        assert_eq!(m.get(&[1, 0]).unwrap(), 3.0);
+        assert!(t.clone().reshape(&[4]).is_err());
+        assert!(t.reshape(&[1 << 32, 1 << 32]).is_err());
     }
 
     #[test]
@@ -387,22 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn stack_builds_leading_axis() {
-        let a = Tensor::from_slice(&[1.0, 2.0]);
-        let b = Tensor::from_slice(&[3.0, 4.0]);
-        let s = Tensor::stack(&[a, b]).unwrap();
-        assert_eq!(s.dims(), &[2, 2]);
-        assert_eq!(s.data(), &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn stack_rejects_mixed_shapes() {
-        let a = Tensor::from_slice(&[1.0, 2.0]);
-        let b = Tensor::from_slice(&[3.0]);
-        assert!(Tensor::stack(&[a, b]).is_err());
-    }
-
-    #[test]
     fn row_accessors_enforce_rank() {
         let t = Tensor::zeros(&[4]);
         assert!(t.row(0).is_err());
@@ -426,7 +466,6 @@ mod tests {
         assert_ne!(a, b);
         b.set(&[1, 0], 3.0).unwrap();
         assert_eq!(a, b, "equality compares values, not buffers");
-        assert_eq!(a.clone().into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

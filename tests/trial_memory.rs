@@ -6,19 +6,38 @@
 //! live heap of a cell is then set-up plus what the trials in flight
 //! hold, whatever the trial count. A counting global allocator
 //! measures it.
+//!
+//! The same allocator counts allocation calls, which pins what a
+//! tensor costs: a `Tensor` (and an `Image`, a tensor of dims
+//! `[c, h, w]`) is one allocation, and a clone or a write to an
+//! unshared buffer allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use oasis_image::Image;
 use oasis_scenario::{Scale, Scenario, ScenarioReport};
-use oasis_tensor::parallel;
+use oasis_tensor::{parallel, Tensor};
 
-/// The system allocator, counting live bytes and their peak.
+/// The system allocator, counting live bytes and their peak, and
+/// each thread's allocation calls (`alloc`, `alloc_zeroed` and
+/// `realloc`).
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Per thread, so the test harness's own allocations on other
+    /// threads never land in a count.
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_call() {
+    CALLS.with(|calls| calls.set(calls.get() + 1));
+}
 
 fn grow(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
@@ -30,9 +49,10 @@ fn shrink(bytes: usize) {
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments
-// unchanged; the counters only observe sizes.
+// unchanged; the counters only observe sizes and calls.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_call();
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
             grow(layout.size());
@@ -41,6 +61,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_call();
         let ptr = System.alloc_zeroed(layout);
         if !ptr.is_null() {
             grow(layout.size());
@@ -54,6 +75,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_call();
         let new = System.realloc(ptr, layout, new_size);
         if !new.is_null() {
             if new_size > layout.size() {
@@ -151,4 +173,35 @@ fn streamed_report_equals_the_detailed_one_bit_for_bit() {
     assert_eq!(outcomes.len(), 4);
     assert!(outcomes.iter().all(|o| !o.reconstructions.is_empty()));
     assert_eq!(timeless(scenario.run().unwrap()), timeless(detailed));
+}
+
+/// The allocation calls this thread makes while `f` runs; what `f`
+/// returns is dropped after the count.
+fn calls<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let start = CALLS.get();
+    let out = std::hint::black_box(f());
+    (out, CALLS.get() - start)
+}
+
+#[test]
+fn a_tensor_is_one_allocation_and_a_clone_or_unshared_write_none() {
+    // Only so the live-heap peaks above never see these buffers.
+    let _lock = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let values = vec![0.25f32; 3 * 16 * 16];
+    let (mut weights, n) = calls(|| Tensor::zeros(&[512, 768]));
+    assert_eq!(n, 1, "Tensor::zeros");
+    let (vector, n) = calls(|| Tensor::from_slice(&values));
+    assert_eq!(n, 1, "Tensor::from_slice");
+    let (image, n) = calls(|| Image::new(3, 16, 16));
+    assert_eq!(n, 1, "Image::new");
+
+    let (shared, n) = calls(|| weights.clone());
+    assert_eq!(n, 0, "Tensor::clone");
+    let (_, n) = calls(|| image.clone());
+    assert_eq!(n, 0, "Image::clone");
+    drop(shared);
+    let (_, n) = calls(|| weights.data_mut()[7] = 1.0);
+    assert_eq!(n, 0, "data_mut on an unshared tensor");
+    assert_eq!(weights.data()[7], 1.0);
+    assert_eq!(vector.data(), &values[..]);
 }
