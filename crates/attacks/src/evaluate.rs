@@ -8,7 +8,7 @@ use oasis_image::Image;
 use oasis_metrics::{
     best_psnr_per_original_seeded, match_greedy_coarse, ReconstructionMatch, Summary,
 };
-use oasis_nn::{load_grads, param_count, softmax_cross_entropy, Layer, Linear, Mode, Sequential};
+use oasis_nn::{param_count, softmax_cross_entropy, Layer, Linear, Mode, Sequential};
 use oasis_tensor::{parallel, Tensor};
 use oasis_wire::UpdateCodec;
 use rand::rngs::StdRng;
@@ -46,14 +46,20 @@ pub trait ActiveAttack: Send + Sync {
     /// Inverts row `i` of the malicious layer's gradients into a
     /// flattened candidate input (a rank-1 tensor whose buffer becomes
     /// the candidate image's), or `None` when the row carries no
-    /// signal. The default is the single-neuron Eq. 6 rule,
-    /// [`invert_neuron`].
-    fn invert(&self, i: usize, grad_weight: &Tensor, grad_bias: &Tensor) -> Option<Tensor> {
-        invert_neuron(
-            grad_weight.row(i).expect("row in bounds"),
-            grad_bias.data()[i],
-        )
+    /// signal. `grad_weight` holds one row per entry of `grad_bias`,
+    /// back to back: row `i` is `grad_weight[i·d..(i+1)·d]` with
+    /// `d = grad_weight.len() / grad_bias.len()`. The default is the
+    /// single-neuron Eq. 6 rule, [`invert_neuron`].
+    fn invert(&self, i: usize, grad_weight: &[f32], grad_bias: &[f32]) -> Option<Tensor> {
+        invert_neuron(grad_row(grad_weight, grad_bias, i), grad_bias[i])
     }
+}
+
+/// Row `i` of a weight gradient stored row after row, one row per
+/// bias entry.
+pub(crate) fn grad_row<'a>(grad_weight: &'a [f32], grad_bias: &[f32], i: usize) -> &'a [f32] {
+    let d = grad_weight.len() / grad_bias.len();
+    &grad_weight[i * d..(i + 1) * d]
 }
 
 /// Minimum total gradient elements (`rows · d`) before the inversion
@@ -73,12 +79,12 @@ const PAR_MIN_SWEEP_ELEMS: usize = 64 * 1024;
 /// buffer its row inverted into: one allocation per candidate.
 pub fn reconstruct(
     attack: &dyn ActiveAttack,
-    grad_weight: &Tensor,
-    grad_bias: &Tensor,
+    grad_weight: &[f32],
+    grad_bias: &[f32],
     geometry: (usize, usize, usize),
 ) -> Vec<Image> {
     let (c, h, w) = geometry;
-    let n = grad_weight.dims()[0];
+    let n = grad_bias.len();
     let candidates = parallel::map_range_min(n, n * c * h * w, PAR_MIN_SWEEP_ELEMS, |i| {
         attack
             .invert(i, grad_weight, grad_bias)
@@ -190,16 +196,20 @@ pub fn run_attack(
 }
 
 /// Like [`run_attack`], but the client's update crosses the wire: the
-/// flat update is encoded with `codec`, decoded server-side, and the
-/// attacker inverts what the *decoded* gradients say — lossy codecs
-/// therefore degrade reconstruction, a new result surface. The
-/// outcome's [`AttackOutcome::wire`] records the exact bytes on the
-/// wire. With the lossless `raw` codec this
-/// reproduces the in-process numbers bit-exactly.
+/// flat update is encoded with `codec`, the server folds the frame
+/// with weight 1 into a zeroed buffer ([`UpdateCodec::fold_into`], as
+/// the round's aggregator folds), and the attacker inverts what the
+/// *received* gradients say — lossy codecs therefore degrade
+/// reconstruction, a new result surface. The outcome's
+/// [`AttackOutcome::wire`] records the exact bytes on the wire. With
+/// the lossless `raw` codec this reproduces the in-process numbers
+/// bit-exactly.
 ///
 /// # Errors
 ///
-/// Propagates model-construction, execution, and codec failures.
+/// Propagates model-construction, execution, and codec failures; a
+/// frame the codec refuses, such as a non-finite update, fails the
+/// trial.
 pub fn run_attack_over_wire(
     attack: &dyn ActiveAttack,
     batch: &Batch,
@@ -215,8 +225,8 @@ pub fn run_attack_over_wire(
 /// [`run_attack_over_wire`]: build the malicious model, compute the
 /// uploaded gradients on the defended batch (the stack's
 /// [`DefenseStack::local_step`] when it does not clip; per-sample
-/// clipped otherwise) and perturb them, optionally round-trip the
-/// update through a wire codec, invert, and score.
+/// clipped otherwise) and perturb them, optionally send the update
+/// through a wire codec, invert layer 0's window of it, and score.
 fn run_attack_inner(
     attack: &dyn ActiveAttack,
     batch: &Batch,
@@ -232,42 +242,40 @@ fn run_attack_inner(
         .ok_or_else(|| AttackError::BadConfig("empty batch".into()))?
         .dims();
     let mut model = attack.build_model(geometry, classes, seed)?;
+    let lin = malicious_layer(&model)?;
+    let (weight_len, bias_len) = (lin.weight().numel(), lin.bias().numel());
     let broadcast_bytes = param_count(&model) * 4;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x00DE_F317);
     drop(setup_span);
     let mut wire: Option<WireTrace> = None;
     // The server reconstructs from what it *receives*: when a codec
-    // is installed, the client's full flat update crosses the wire
-    // (encode → decode) before the attacker reads the malicious
-    // layer's gradients out of it.
-    let mut transmit = |update: Vec<f32>| -> Result<Vec<f32>> {
-        match codec {
-            None => Ok(update),
-            Some(codec) => {
-                let encoded = codec.encode(&update)?;
-                wire = Some(WireTrace {
-                    raw_bytes: encoded.raw_byte_size(),
-                    encoded_bytes: encoded.byte_size(),
-                    broadcast_bytes,
-                });
-                // Decode lands back in the buffer the update left in
-                // — the frame's element count is the update length by
-                // construction, so no fresh allocation is needed.
-                let mut received = update;
-                codec.decode_to(&encoded, &mut received)?;
-                Ok(received)
-            }
+    // is installed, the client's flat update crosses the wire, and the
+    // server zeroes the buffer the update left in and folds the frame
+    // into it with weight 1, as the round's aggregator folds.
+    let mut transmit = |mut update: Vec<f32>| -> Result<Vec<f32>> {
+        if let Some(codec) = codec {
+            let encoded = codec.encode(&update)?;
+            wire = Some(WireTrace {
+                raw_bytes: encoded.raw_byte_size(),
+                encoded_bytes: encoded.byte_size(),
+                broadcast_bytes,
+            });
+            update.fill(0.0);
+            codec.fold_into(&encoded, 1.0, &mut update)?;
         }
+        Ok(update)
     };
 
-    let (loss, processed) = match defense.clip_norm() {
+    let (loss, processed, received) = match defense.clip_norm() {
         None => {
             // The exact-gradient path: the client's local step.
             let _client_span = oasis_telemetry::span("attack.client_step");
             let step = defense.local_step(&mut model, batch, &mut rng)?;
-            let received = transmit(step.update)?;
-            load_grads(&mut model, &received)?;
-            (step.loss, step.processed)
+            // Nothing reads the model after the step (the inversion
+            // reads the received update): free its gradient slots
+            // before the update crosses the wire.
+            drop(model);
+            (step.loss, step.processed, transmit(step.update)?)
         }
         Some(clip_norm) => {
             // The per-sample path (record-level DP-SGD): per-sample
@@ -279,6 +287,7 @@ fn run_attack_inner(
             let b = processed.len();
             let x = processed.to_matrix();
             let (deltas, total_loss) = per_sample_deltas(&mut model, &x, &processed.labels)?;
+            drop(model);
             // What is clipped is each sample's gradient of the
             // malicious layer's weight and bias — the only parameters
             // uploaded and all the attacker reads (real DP-SGD would
@@ -289,19 +298,17 @@ fn run_attack_inner(
             let mut update = Linear::clipped_grad_mean(&x, &deltas, clip_norm)?;
             drop(clip_span);
             // Only the (perturbed) malicious-layer update is uploaded;
-            // that is what crosses the wire. It loads into that layer
-            // alone: `Linear` visits weight then bias, the order
-            // `clipped_grad_mean` writes them in.
+            // that is what crosses the wire.
             defense.perturb_update(&mut update, b, &mut rng);
-            let received = transmit(update)?;
-            let malicious = model.layer_mut(0).expect("per_sample_deltas read layer 0");
-            load_grads(malicious, &received)?;
-            (total_loss * (1.0 / b as f32), processed)
+            (total_loss * (1.0 / b as f32), processed, transmit(update)?)
         }
     };
-    let lin = malicious_layer(&model)?;
+    // Layer 0 leads the flat update, its weight rows then its bias
+    // (`Linear`'s visit order, which `clipped_grad_mean` also writes):
+    // the per-sample update is that window alone.
+    let (grad_weight, grad_bias) = received[..weight_len + bias_len].split_at(weight_len);
     let recon_span = oasis_telemetry::span("attack.reconstruct");
-    let recons = reconstruct(attack, lin.grad_weight(), lin.grad_bias(), geometry);
+    let recons = reconstruct(attack, grad_weight, grad_bias, geometry);
     drop(recon_span);
 
     Ok(score(recons, batch, processed, loss, wire))
@@ -451,22 +458,54 @@ mod tests {
         let calib = batch_of(64, 10, 1);
         let attack = RtfAttack::calibrated(64, &calib.images).unwrap();
         let batch = batch_of(4, 10, 2);
-        let in_process = run_attack(&attack, &batch, &DefenseStack::identity(), 4, 3).unwrap();
         let codec = oasis_wire::CodecSpec::Raw.build();
-        let over_wire = run_attack_over_wire(
-            &attack,
-            &batch,
-            &DefenseStack::identity(),
-            4,
-            3,
-            codec.as_ref(),
-        )
-        .unwrap();
-        assert_eq!(over_wire.matched_psnrs, in_process.matched_psnrs);
-        let trace = over_wire.wire.expect("wire trace recorded");
-        assert!(trace.encoded_bytes > trace.raw_bytes, "header overhead");
-        assert!(trace.broadcast_bytes > 0);
-        assert!(in_process.wire.is_none());
+        // The identity stack uploads every layer, and layer 0 is a
+        // window of the frame; the DP stack takes the per-sample branch
+        // and uploads layer 0 alone, so the window is the whole frame.
+        for stack in [
+            DefenseStack::identity(),
+            DefenseStack::of(DpStage::new(1.0, 0.5)),
+        ] {
+            let in_process = run_attack(&attack, &batch, &stack, 4, 3).unwrap();
+            let over_wire =
+                run_attack_over_wire(&attack, &batch, &stack, 4, 3, codec.as_ref()).unwrap();
+            assert_eq!(over_wire.matched_psnrs, in_process.matched_psnrs);
+            assert_eq!(over_wire.per_original_best, in_process.per_original_best);
+            assert_eq!(
+                over_wire.client_loss.to_bits(),
+                in_process.client_loss.to_bits()
+            );
+            let pixel_bits = |outcome: &AttackOutcome| -> Vec<Vec<u32>> {
+                outcome
+                    .reconstructions
+                    .iter()
+                    .map(|r| r.data().iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            assert!(!in_process.reconstructions.is_empty());
+            assert_eq!(pixel_bits(&over_wire), pixel_bits(&in_process));
+            let trace = over_wire.wire.expect("wire trace recorded");
+            assert!(trace.encoded_bytes > trace.raw_bytes, "header overhead");
+            assert!(trace.broadcast_bytes > 0);
+            assert!(in_process.wire.is_none());
+        }
+    }
+
+    #[test]
+    fn non_finite_update_fails_the_wire_trial() {
+        // Noise of std f32::MAX overflows the update; the raw fold
+        // refuses the frame, so the trial errs instead of inverting it.
+        let calib = batch_of(64, 10, 1);
+        let attack = RtfAttack::calibrated(64, &calib.images).unwrap();
+        let batch = batch_of(4, 10, 2);
+        let stack = DefenseStack::of(DpStage::new(f32::MAX, f32::MAX));
+        let codec = oasis_wire::CodecSpec::Raw.build();
+        let result = run_attack_over_wire(&attack, &batch, &stack, 4, 3, codec.as_ref());
+        assert!(
+            matches!(result, Err(AttackError::Wire(_))),
+            "{:?}",
+            result.map(|o| o.matched_psnrs)
+        );
     }
 
     #[test]

@@ -13,6 +13,7 @@ use oasis_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::evaluate::grad_row;
 use crate::{invert_neuron, ActiveAttack, AttackError, Result};
 
 /// The linear-model inversion attack.
@@ -72,9 +73,8 @@ impl ActiveAttack for LinearModelAttack {
     /// normalization (the standard presentation step for
     /// gradient-inversion outputs) restores a comparable intensity
     /// range.
-    fn invert(&self, i: usize, grad_weight: &Tensor, grad_bias: &Tensor) -> Option<Tensor> {
-        let mut values =
-            invert_neuron(grad_weight.row(i).expect("class row"), grad_bias.data()[i])?;
+    fn invert(&self, i: usize, grad_weight: &[f32], grad_bias: &[f32]) -> Option<Tensor> {
+        let mut values = invert_neuron(grad_row(grad_weight, grad_bias, i), grad_bias[i])?;
         // Normalized in place: the fresh candidate shares no buffer.
         let data = values.data_mut();
         let lo = data.iter().copied().fold(f32::INFINITY, f32::min);
@@ -148,7 +148,7 @@ mod tests {
                 .unwrap();
             let lin = model.layer_as::<Linear>(0).unwrap();
             let values = attack
-                .invert(class_row, lin.grad_weight(), lin.grad_bias())
+                .invert(class_row, lin.grad_weight().data(), lin.grad_bias().data())
                 .expect("class row has signal");
             let rec = oasis_image::Image::from_tensor(geometry.0, geometry.1, geometry.2, values)
                 .unwrap();

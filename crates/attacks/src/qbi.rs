@@ -155,7 +155,12 @@ mod tests {
             .unwrap();
 
         let lin = model.layer_as::<Linear>(0).unwrap();
-        let recons = reconstruct(&attack, lin.grad_weight(), lin.grad_bias(), geometry);
+        let recons = reconstruct(
+            &attack,
+            lin.grad_weight().data(),
+            lin.grad_bias().data(),
+            geometry,
+        );
         assert!(!recons.is_empty(), "no reconstructions at all");
         let matches = match_greedy(&recons, &batch);
         let perfect = matches.iter().filter(|m| m.psnr > 100.0).count();

@@ -20,6 +20,7 @@ use oasis_nn::Sequential;
 use oasis_tensor::Tensor;
 use std::sync::OnceLock;
 
+use crate::evaluate::grad_row;
 use crate::{
     attacked_model, invert_neuron, invert_neuron_difference, probit, ActiveAttack, AttackError,
     Result,
@@ -129,13 +130,12 @@ impl ActiveAttack for RtfAttack {
     /// The adjacent-bin difference: bin `i` holds the samples that
     /// activate neuron `i` but not `i + 1`. The top bin, `h(x) > c_n`,
     /// is the last neuron alone.
-    fn invert(&self, i: usize, grad_weight: &Tensor, grad_bias: &Tensor) -> Option<Tensor> {
-        let row = |j: usize| grad_weight.row(j).expect("row in bounds");
-        let bias = grad_bias.data();
+    fn invert(&self, i: usize, grad_weight: &[f32], grad_bias: &[f32]) -> Option<Tensor> {
+        let row = |j: usize| grad_row(grad_weight, grad_bias, j);
         if i + 1 < self.neurons {
-            invert_neuron_difference(row(i), bias[i], row(i + 1), bias[i + 1])
+            invert_neuron_difference(row(i), grad_bias[i], row(i + 1), grad_bias[i + 1])
         } else {
-            invert_neuron(row(i), bias[i])
+            invert_neuron(row(i), grad_bias[i])
         }
     }
 }
@@ -199,7 +199,12 @@ mod tests {
             .unwrap();
 
         let lin = model.layer_as::<Linear>(0).unwrap();
-        let recons = reconstruct(&attack, lin.grad_weight(), lin.grad_bias(), geometry);
+        let recons = reconstruct(
+            &attack,
+            lin.grad_weight().data(),
+            lin.grad_bias().data(),
+            geometry,
+        );
         assert!(!recons.is_empty());
         let matches = match_greedy(&recons, &batch);
         assert_eq!(matches.len(), 4);

@@ -205,7 +205,7 @@ type Base = (&'static str, fn() -> PreparedBench);
 
 /// Every `core` kernel; [`core_suite`] records each as a
 /// `_simd`/`_scalar` pair.
-pub const CORE_KERNELS: [Base; 20] = [
+pub const CORE_KERNELS: [Base; 19] = [
     ("matmul_256", bench_matmul_256),
     ("matmul_conv_fwd", bench_matmul_conv_fwd),
     ("matmul_nt_conv_gw", bench_matmul_nt_conv_gw),
@@ -218,7 +218,6 @@ pub const CORE_KERNELS: [Base; 20] = [
     ("conv2d_backward_b8", bench_conv_backward_b8),
     ("conv2d_forward_b32", || bench_conv_forward(32)),
     ("codec_q8_encode", || bench_codec_encode(Box::new(Q8Codec))),
-    ("codec_q8_decode", || bench_codec_decode(Box::new(Q8Codec))),
     ("codec_q8_fold", || bench_codec_fold(Box::new(Q8Codec))),
     ("psnr", bench_psnr),
     ("psnr_pairs", bench_psnr_pairs),
@@ -272,9 +271,7 @@ pub fn fl_suite() -> Vec<BenchDef> {
         BenchDef::new("codec_raw_encode", || {
             bench_codec_encode(Box::new(RawCodec))
         }),
-        BenchDef::new("codec_raw_decode", || {
-            bench_codec_decode(Box::new(RawCodec))
-        }),
+        BenchDef::new("codec_raw_fold", || bench_codec_fold(Box::new(RawCodec))),
         BenchDef::new("rtf_invert_128", bench_rtf_invert),
         BenchDef::new("defense_oasis", bench_defense_oasis),
         BenchDef::new("defense_dp", bench_defense_dp),
@@ -893,27 +890,6 @@ fn bench_codec_encode(codec: Box<dyn UpdateCodec>) -> PreparedBench {
     }
 }
 
-fn bench_codec_decode(codec: Box<dyn UpdateCodec>) -> PreparedBench {
-    let update = codec_update();
-    let bytes = update.len() as f64 * 4.0;
-    let encoded = codec.encode(&update).expect("bench encode");
-    // Measure the borrowed-view decode over one reused scratch slot:
-    // raw frames resolve to a zero-copy borrow, lossy codecs fill the
-    // slot. (The server's fold is timed by `bench_codec_fold`.)
-    let mut scratch = Vec::new();
-    PreparedBench {
-        throughput: Some((bytes, "B/s")),
-        run: Box::new(move || {
-            std::hint::black_box(
-                codec
-                    .decode_view(&encoded, &mut scratch)
-                    .expect("bench decode")
-                    .len(),
-            );
-        }),
-    }
-}
-
 /// The server's fold of one frame into a reused accumulator,
 /// [`UpdateCodec::fold_into`] (for q8, `simd::dequantize_add_q8`).
 fn bench_codec_fold(codec: Box<dyn UpdateCodec>) -> PreparedBench {
@@ -1174,17 +1150,13 @@ fn bench_rtf_invert() -> PreparedBench {
     let grad_w = seeded_tensor(&[neurons, d], 16);
     // Strictly decreasing bias gradients keep every adjacent
     // difference invertible, so all bins do work.
-    let grad_b = Tensor::from_vec(
-        (0..neurons)
-            .map(|i| 1.0 + (neurons - i) as f32 * 0.01)
-            .collect(),
-        &[neurons],
-    )
-    .expect("bias gradient");
+    let grad_b: Vec<f32> = (0..neurons)
+        .map(|i| 1.0 + (neurons - i) as f32 * 0.01)
+        .collect();
     PreparedBench {
         throughput: Some((neurons as f64, "neuron/s")),
         run: Box::new(move || {
-            std::hint::black_box(reconstruct(&attack, &grad_w, &grad_b, geometry));
+            std::hint::black_box(reconstruct(&attack, grad_w.data(), &grad_b, geometry));
         }),
     }
 }
@@ -1277,7 +1249,7 @@ mod tests {
                 "fl_round_raw",
                 "fl_round_raw_telem",
                 "codec_raw_encode",
-                "codec_raw_decode",
+                "codec_raw_fold",
                 "rtf_invert_128",
                 "defense_oasis",
                 "defense_dp",
@@ -1480,7 +1452,7 @@ mod tests {
         );
         assert_eq!(
             names(apply_filter(fl_suite(), "codec")),
-            ["codec_raw_encode", "codec_raw_decode"]
+            ["codec_raw_encode", "codec_raw_fold"]
         );
         assert!(apply_filter(core_suite(), "no-such-bench").is_empty());
     }

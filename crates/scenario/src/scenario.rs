@@ -332,8 +332,10 @@ impl Sweep {
     /// Every trial's update crosses the scenario's wire: it is
     /// encoded with the [`CodecSpec`] codec, carried by the
     /// [`NetSpec`] simulated network, and the attacker reconstructs
-    /// from the decoded bytes — trials whose upload is lost or
-    /// straggles contribute no reconstructions (and no leaks).
+    /// from what the server folds out of the frame — trials whose
+    /// upload is lost or straggles contribute no reconstructions (and
+    /// no leaks), and a frame the codec refuses (a non-finite update)
+    /// fails the cell.
     ///
     /// Each trial keeps only what its [`TrialReport`] needs (matched
     /// PSNRs, leak rate, client loss and wire sizes): its

@@ -1004,9 +1004,9 @@ unsafe fn quantize8_f64(p: *const f32, lo: f32, scale: f64) -> __m128i {
     _mm_packus_epi16(packed16, _mm_setzero_si128())
 }
 
-/// Eight dequantized levels of [`scalar::dequantize_q8`]: `lo + scale·q`
-/// in f64 (mul then add), clamped into f32's finite range, rounded to
-/// f32 by the correctly-rounded `vcvtpd2ps`.
+/// Eight dequantized levels of [`scalar::dequantize_add_q8`]:
+/// `lo + scale·q` in f64 (mul then add), clamped into f32's finite
+/// range, rounded to f32 by the correctly-rounded `vcvtpd2ps`.
 #[target_feature(enable = "avx2")]
 unsafe fn dequantize8(q: *const u8, lo: f32, scale: f32) -> __m256 {
     let vlo = _mm256_set1_pd(f64::from(lo));
@@ -1023,21 +1023,7 @@ unsafe fn dequantize8(q: *const u8, lo: f32, scale: f32) -> __m256 {
     _mm256_set_m128(fb, fa)
 }
 
-/// See [`scalar::dequantize_q8`].
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn dequantize_q8(q: &[u8], lo: f32, scale: f32, out: &mut [f32]) {
-    debug_assert_eq!(q.len(), out.len(), "dequantize_q8 requires equal lengths");
-    let chunks = q.len() / 8;
-    for c in 0..chunks {
-        let v = dequantize8(q.as_ptr().add(c * 8), lo, scale);
-        _mm256_storeu_ps(out.as_mut_ptr().add(c * 8), v);
-    }
-    if chunks * 8 < q.len() {
-        scalar::dequantize_q8(&q[chunks * 8..], lo, scale, &mut out[chunks * 8..]);
-    }
-}
-
-/// See [`scalar::dequantize_add_q8`]: [`dequantize_q8`]'s eight values,
+/// See [`scalar::dequantize_add_q8`]: [`dequantize8`]'s eight values,
 /// multiplied by `weight` and then added to `acc`.
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn dequantize_add_q8(
@@ -1082,30 +1068,6 @@ pub(crate) unsafe fn pack_signs(src: &[f32], bits: &mut [u8]) {
     }
     if chunks * 8 < n {
         scalar::pack_signs(&src[chunks * 8..], &mut bits[chunks..]);
-    }
-}
-
-/// See [`scalar::unpack_signs`]: each byte is broadcast, tested
-/// against per-lane bit masks, and blended between `+mag` and `−mag`.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn unpack_signs(bits: &[u8], mag: f32, out: &mut [f32]) {
-    debug_assert!(
-        bits.len() >= out.len().div_ceil(8),
-        "unpack_signs needs one bit per output element"
-    );
-    let n = out.len();
-    let chunks = n / 8;
-    let vpos = _mm256_set1_ps(mag);
-    let vneg = _mm256_set1_ps(-mag);
-    let lane_bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-    for (c, &byte) in bits[..chunks].iter().enumerate() {
-        let vb = _mm256_set1_epi32(i32::from(byte));
-        let hit = _mm256_cmpeq_epi32(_mm256_and_si256(vb, lane_bits), lane_bits);
-        let v = _mm256_blendv_ps(vneg, vpos, _mm256_castsi256_ps(hit));
-        _mm256_storeu_ps(out.as_mut_ptr().add(c * 8), v);
-    }
-    if chunks * 8 < n {
-        scalar::unpack_signs(&bits[chunks..], mag, &mut out[chunks * 8..]);
     }
 }
 

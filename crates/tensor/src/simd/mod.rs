@@ -1,7 +1,7 @@
 //! Runtime-dispatched SIMD kernels for the workspace's hot loops.
 //!
 //! The hot inner loops — matmul dot/axpy, the q8 codec's scan,
-//! quantize, dequantize and dequantize-and-add, sign pack/unpack, MSE
+//! quantize, dequantize-and-add, sign packing, MSE
 //! reduction, Gaussian sampling, calibration responses — are
 //! implemented once per backend. There are three backends:
 //!
@@ -453,17 +453,11 @@ pub fn quantize_q8(src: &[f32], lo: f32, scale: f64, dst: &mut [u8]) {
     dispatch!(quantize_q8(src, lo, scale, dst))
 }
 
-/// Affine int8 dequantization `out[i] = lo + scale · q[i]` in f64,
-/// clamped into f32's finite range. `q.len() == out.len()` required
-/// (debug-asserted).
-pub fn dequantize_q8(q: &[u8], lo: f32, scale: f32, out: &mut [f32]) {
-    dispatch!(dequantize_q8(q, lo, scale, out))
-}
-
-/// [`dequantize_q8`] folded into a weighted sum in one pass:
-/// `acc[i] += weight · dequantize(q[i])`, the multiply and the add
-/// rounded separately, so the result equals dequantizing into a
-/// buffer and then adding `weight · out[i]`, bit for bit.
+/// Affine int8 dequantization folded into a weighted sum in one pass:
+/// `acc[i] += weight · dequantize(q[i])`, where `dequantize(q) = lo +
+/// scale · q` in f64, clamped into f32's finite range. The multiply
+/// and the add round separately, so the result equals dequantizing
+/// into a buffer and then adding `weight · out[i]`, bit for bit.
 /// `q.len() == acc.len()` required (debug-asserted).
 pub fn dequantize_add_q8(q: &[u8], lo: f32, scale: f32, weight: f32, acc: &mut [f32]) {
     dispatch!(dequantize_add_q8(q, lo, scale, weight, acc))
@@ -476,12 +470,6 @@ pub fn dequantize_add_q8(q: &[u8], lo: f32, scale: f32, weight: f32, acc: &mut [
 /// across backends — these bytes go on the wire.
 pub fn pack_signs(src: &[f32], bits: &mut [u8]) {
     dispatch!(pack_signs(src, bits))
-}
-
-/// Expands packed sign bits back to `±mag` (bit set ⇒ `+mag`).
-/// `bits` must hold at least `out.len()` bits (debug-asserted).
-pub fn unpack_signs(bits: &[u8], mag: f32, out: &mut [f32]) {
-    dispatch!(unpack_signs(bits, mag, out))
 }
 
 /// Sum of squared differences `Σ (a[i] − b[i])²` accumulated in f64

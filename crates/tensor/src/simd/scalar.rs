@@ -310,19 +310,8 @@ pub(crate) fn quantize_q8(src: &[f32], lo: f32, scale: f64, dst: &mut [u8]) {
     }
 }
 
-/// Affine int8 dequantization: `out[i] = lo + scale · q[i]` in f64,
-/// clamped into f32's finite range (for extreme updates
-/// `lo + 255·scale` can land one rounding step past `f32::MAX`, and
-/// the decoder must never emit inf/NaN).
-pub(crate) fn dequantize_q8(q: &[u8], lo: f32, scale: f32, out: &mut [f32]) {
-    debug_assert_eq!(q.len(), out.len(), "dequantize_q8 requires equal lengths");
-    for (o, &q) in out.iter_mut().zip(q) {
-        *o = dequantize_one(lo, scale, q);
-    }
-}
-
-/// [`dequantize_q8`] folded into a weighted sum:
-/// `acc[i] += weight · dequantize(q[i])`, multiply then add.
+/// Affine int8 dequantization folded into a weighted sum:
+/// `acc[i] += weight · dequantize_one(q[i])`, multiply then add.
 pub(crate) fn dequantize_add_q8(q: &[u8], lo: f32, scale: f32, weight: f32, acc: &mut [f32]) {
     debug_assert_eq!(
         q.len(),
@@ -334,6 +323,9 @@ pub(crate) fn dequantize_add_q8(q: &[u8], lo: f32, scale: f32, weight: f32, acc:
     }
 }
 
+/// One dequantized level: `lo + scale · q` in f64, clamped into f32's
+/// finite range (for extreme updates `lo + 255·scale` can land one
+/// rounding step past `f32::MAX`, and the fold must never add inf/NaN).
 fn dequantize_one(lo: f32, scale: f32, q: u8) -> f32 {
     let v = f64::from(lo) + f64::from(scale) * f64::from(q);
     v.clamp(f64::from(f32::MIN), f64::from(f32::MAX)) as f32
@@ -354,22 +346,6 @@ pub(crate) fn pack_signs(src: &[f32], bits: &mut [u8]) {
         if v.is_sign_positive() {
             bits[i / 8] |= 1 << (i % 8);
         }
-    }
-}
-
-/// Expands packed sign bits back to `±mag` (bit set ⇒ `+mag`).
-pub(crate) fn unpack_signs(bits: &[u8], mag: f32, out: &mut [f32]) {
-    debug_assert!(
-        bits.len() >= out.len().div_ceil(8),
-        "unpack_signs needs one bit per output element"
-    );
-    let neg = -mag;
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = if bits[i / 8] & (1 << (i % 8)) != 0 {
-            mag
-        } else {
-            neg
-        };
     }
 }
 

@@ -3,9 +3,12 @@
 //!
 //! Every codec frames its payload in the wire tensor format of
 //! [`crate::format`], so an encoded update is self-describing and the
-//! strict format validation guards every decode. Each
-//! [`EncodedUpdate`] reports its exact byte size, making compression
-//! ratio a first-class metric of the FL loop.
+//! strict format validation guards every read. A frame has one reader,
+//! [`UpdateCodec::fold_into`], which checks it and adds it into a
+//! weighted sum; a receiver that wants the update itself folds it with
+//! weight 1 into a `+0` buffer. Each [`EncodedUpdate`] reports its
+//! exact byte size, making compression ratio a first-class metric of
+//! the FL loop.
 //!
 //! | spec      | scheme                                   | error bound |
 //! |-----------|------------------------------------------|-------------|
@@ -24,7 +27,7 @@ use crate::WireError;
 
 /// A client update after encoding: the original element count and
 /// the framed payload. The frame does not name its codec; whoever
-/// decodes it holds the codec that encoded it.
+/// folds it holds the codec that encoded it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedUpdate {
     /// Element count of the original update vector.
@@ -53,8 +56,8 @@ impl EncodedUpdate {
     }
 }
 
-/// Encodes and decodes flat update vectors (the `G_j` of paper Eq. 1)
-/// for transmission.
+/// Encodes flat update vectors (the `G_j` of paper Eq. 1) for
+/// transmission, and folds received frames into a weighted sum.
 pub trait UpdateCodec: Send + Sync {
     /// The spec this codec implements.
     fn spec(&self) -> CodecSpec;
@@ -67,63 +70,15 @@ pub trait UpdateCodec: Send + Sync {
     /// (e.g. non-finite values in a quantizing codec).
     fn encode(&self, update: &[f32]) -> Result<EncodedUpdate, WireError>;
 
-    /// Decodes into a caller-provided slice of exactly `encoded.n`
-    /// elements — the borrowed-output primitive every other decode
-    /// form is built on. The destination is typically a reused scratch
-    /// `Vec` (see [`UpdateCodec::decode_view`]), so steady-state rounds
-    /// decode with zero allocations and exactly one write per element.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on malformed payloads or when
-    /// `out.len() != encoded.n` — never panics. `out`'s contents are
-    /// unspecified on error.
-    fn decode_to(&self, encoded: &EncodedUpdate, out: &mut [f32]) -> Result<(), WireError>;
-
-    /// Decodes to a borrowed view: the returned slice lives as long
-    /// as the *frame* (not this call), and points either straight
-    /// into the wire payload — the raw codec's zero-copy fast path,
-    /// alignment-checked at runtime — or into `scratch` after a
-    /// [`UpdateCodec::decode_to`] fill. Callers that fold updates
-    /// (FedAvg) should prefer this form: with the default raw wire a
-    /// delivered update is then never copied between the transport
-    /// and the aggregation arithmetic. A copying decode resizes
-    /// `scratch` to `encoded.n` in place, so a caller that keeps one
-    /// `Vec` across frames allocates only when a frame outgrows it.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on malformed payloads — never panics.
-    fn decode_view<'a>(
-        &self,
-        encoded: &'a EncodedUpdate,
-        scratch: &'a mut Vec<f32>,
-    ) -> Result<&'a [f32], WireError> {
-        scratch.clear();
-        scratch.resize(encoded.n, 0.0);
-        self.decode_to(encoded, scratch)?;
-        Ok(scratch)
-    }
-
-    /// Decodes an encoded update back into a flat vector of the
-    /// original length.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on malformed payloads — never panics.
-    fn decode(&self, encoded: &EncodedUpdate) -> Result<Vec<f32>, WireError> {
-        let mut out = vec![0.0f32; encoded.n];
-        self.decode_to(encoded, &mut out)?;
-        Ok(out)
-    }
-
     /// Folds a frame into a weighted sum in one pass: `acc[i] +=
-    /// weight · g[i]` for the update `g` the frame decodes to, with no
-    /// decode buffer. Each term is the same f32 multiply, then the same
-    /// add, as decoding with [`UpdateCodec::decode_view`] and adding,
-    /// so the sum is bit-identical to that. (Top-k adds only its kept
-    /// entries: the `+0` terms it skips cannot change an accumulator
-    /// that started at `+0`, which never holds `−0`.)
+    /// weight · g[i]` for the update `g` the frame carries, with no
+    /// decode buffer. Each term is one f32 multiply, then one add, so
+    /// folding with weight `w` equals `acc + w · fold(1)` bit for bit,
+    /// where `fold(1)` is the same frame folded with weight 1 into a
+    /// `+0` buffer: the update itself, except that a `−0` reads `+0`.
+    /// (Top-k adds only its kept entries: the `+0` terms it skips
+    /// cannot change an accumulator that started at `+0`, which never
+    /// holds `−0`.)
     ///
     /// Before the first add, the frame is checked for everything the
     /// codec owns: the element count against `acc`, each tensor's
@@ -269,14 +224,11 @@ fn check_fold(encoded: &EncodedUpdate, weight: f32, acc: &[f32]) -> Result<(), W
             "fold weight {weight} is not finite"
         )));
     }
-    check_out_len(acc, encoded.n)
-}
-
-fn check_out_len(out: &[f32], n: usize) -> Result<(), WireError> {
-    if out.len() != n {
+    if acc.len() != encoded.n {
         return Err(WireError::Codec(format!(
-            "decode destination holds {} elements, update frame says {n}",
-            out.len()
+            "fold destination holds {} elements, update frame says {}",
+            acc.len(),
+            encoded.n
         )));
     }
     Ok(())
@@ -309,7 +261,9 @@ fn frame_len<const K: usize>(decl: Decl<K>) -> usize {
 // raw
 // ---------------------------------------------------------------------
 
-/// Lossless `f32` transport: `decode ∘ encode` is bit-exact.
+/// Lossless `f32` transport: a frame folded with weight 1 into a `+0`
+/// buffer is the encoded update bit for bit, except that `−0` reads
+/// `+0`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RawCodec;
 
@@ -340,43 +294,11 @@ impl UpdateCodec for RawCodec {
         })
     }
 
-    fn decode_to(&self, encoded: &EncodedUpdate, out: &mut [f32]) -> Result<(), WireError> {
-        let _span = oasis_telemetry::span("wire.decode.raw");
-        oasis_telemetry::counter!("wire.bytes_decoded").add(encoded.payload.len() as u64);
-        check_out_len(out, encoded.n)?;
-        let view = parse_payload(encoded)?;
-        view.require("update")?.read_f32(out)
-    }
-
-    /// The zero-copy fast path: a raw frame's `update` tensor is
-    /// borrowed straight off the wire payload when its extent is
-    /// 4-byte aligned (which [`FrameWriter::new`]'s padded headers
-    /// make the steady state); `scratch` is touched only by the
-    /// misaligned fallback.
-    fn decode_view<'a>(
-        &self,
-        encoded: &'a EncodedUpdate,
-        scratch: &'a mut Vec<f32>,
-    ) -> Result<&'a [f32], WireError> {
-        let _span = oasis_telemetry::span("wire.decode.raw");
-        oasis_telemetry::counter!("wire.bytes_decoded").add(encoded.payload.len() as u64);
-        let view = parse_payload(encoded)?;
-        let tensor = view.require("update")?;
-        if let Some(borrowed) = tensor.as_f32s()? {
-            check_out_len(borrowed, encoded.n)?;
-            oasis_telemetry::counter!("wire.decode.borrowed").add(1);
-            return Ok(borrowed);
-        }
-        oasis_telemetry::counter!("wire.decode.copied").add(1);
-        scratch.clear();
-        scratch.resize(encoded.n, 0.0);
-        tensor.read_f32(scratch)?;
-        Ok(scratch)
-    }
-
-    /// Adds from [`RawCodec::decode_view`]'s slice: the borrowed
-    /// payload when it is aligned, a one-off copy when it is not. The
-    /// payload must be finite.
+    /// The zero-copy fast path: the frame's `update` tensor is read
+    /// straight off the wire payload when its extent is 4-byte aligned
+    /// (which [`FrameWriter::new`]'s padded headers make the steady
+    /// state, counted as `wire.decode.borrowed`), and copied once when
+    /// it is not (`wire.decode.copied`). The payload must be finite.
     fn fold_into(
         &self,
         encoded: &EncodedUpdate,
@@ -384,8 +306,29 @@ impl UpdateCodec for RawCodec {
         acc: &mut [f32],
     ) -> Result<(), WireError> {
         check_fold(encoded, weight, acc)?;
-        let mut scratch = Vec::new();
-        let values = self.decode_view(encoded, &mut scratch)?;
+        let _span = oasis_telemetry::span("wire.decode.raw");
+        oasis_telemetry::counter!("wire.bytes_decoded").add(encoded.payload.len() as u64);
+        let view = parse_payload(encoded)?;
+        let tensor = view.require("update")?;
+        let copy;
+        let values = match tensor.as_f32s()? {
+            Some(borrowed) => {
+                oasis_telemetry::counter!("wire.decode.borrowed").add(1);
+                borrowed
+            }
+            None => {
+                oasis_telemetry::counter!("wire.decode.copied").add(1);
+                copy = tensor.to_f32_vec()?;
+                &copy[..]
+            }
+        };
+        if values.len() != encoded.n {
+            return Err(WireError::Codec(format!(
+                "raw payload has {} values, update frame says {}",
+                values.len(),
+                encoded.n
+            )));
+        }
         if !all_finite(values) {
             return Err(WireError::Codec(
                 "raw update holds a non-finite value".into(),
@@ -417,8 +360,7 @@ impl UpdateCodec for RawCodec {
 /// specification's on every backend.
 ///
 /// Folding ([`UpdateCodec::fold_into`]) dequantizes and adds in one
-/// pass. Decoding and folding both refuse a frame whose `affine`
-/// values are not finite.
+/// pass, and refuses a frame whose `affine` values are not finite.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Q8Codec;
 
@@ -497,19 +439,6 @@ impl UpdateCodec for Q8Codec {
         })
     }
 
-    fn decode_to(&self, encoded: &EncodedUpdate, out: &mut [f32]) -> Result<(), WireError> {
-        let _span = oasis_telemetry::span("wire.decode.q8");
-        oasis_telemetry::counter!("wire.bytes_decoded").add(encoded.payload.len() as u64);
-        check_out_len(out, encoded.n)?;
-        let view = parse_payload(encoded)?;
-        let (q, lo, scale) = Self::levels(&view, encoded.n)?;
-        // Dequantize in f64 and clamp into f32's finite range: for
-        // extreme updates `lo + 255·scale` can land one rounding step
-        // past f32::MAX, and the decoder must never emit inf/NaN.
-        oasis_tensor::simd::dequantize_q8(q, lo, scale, out);
-        Ok(())
-    }
-
     fn fold_into(
         &self,
         encoded: &EncodedUpdate,
@@ -531,7 +460,7 @@ impl UpdateCodec for Q8Codec {
 // ---------------------------------------------------------------------
 
 /// Magnitude sparsification: only the `k` largest-|·| entries travel
-/// (as `(u32 index, f32 value)` pairs); the decoder reads zeros
+/// (as `(u32 index, f32 value)` pairs); the receiver reads zeros
 /// elsewhere. Kept entries are bit-exact.
 #[derive(Debug, Clone, Copy)]
 pub struct TopKCodec {
@@ -588,30 +517,6 @@ impl UpdateCodec for TopKCodec {
         })
     }
 
-    fn decode_to(&self, encoded: &EncodedUpdate, out: &mut [f32]) -> Result<(), WireError> {
-        let _span = oasis_telemetry::span("wire.decode.topk");
-        oasis_telemetry::counter!("wire.bytes_decoded").add(encoded.payload.len() as u64);
-        check_out_len(out, encoded.n)?;
-        let view = parse_payload(encoded)?;
-        let indices = view.require("idx")?.to_u32_vec()?;
-        let values = view.require("val")?.to_f32_vec()?;
-        if indices.len() != values.len() {
-            return Err(WireError::Codec(format!(
-                "topk payload has {} indices but {} values",
-                indices.len(),
-                values.len()
-            )));
-        }
-        out.fill(0.0);
-        for (&i, &v) in indices.iter().zip(&values) {
-            let slot = out.get_mut(i as usize).ok_or_else(|| {
-                WireError::Codec(format!("topk index {i} out of range for n={}", encoded.n))
-            })?;
-            *slot = v;
-        }
-        Ok(())
-    }
-
     /// Adds only the kept entries, after checking that the indices
     /// ascend strictly below `n` (as the encoder writes them) and the
     /// values are finite.
@@ -661,7 +566,7 @@ fn ascending_below(indices: &[u32], n: usize) -> bool {
 // ---------------------------------------------------------------------
 
 /// 1-bit sign-SGD style compression: one sign bit per element plus a
-/// single shared magnitude (the mean |·| of the update). Decoded
+/// single shared magnitude (the mean |·| of the update). Received
 /// entries are `±magnitude` with the original sign.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SignCodec;
@@ -731,16 +636,6 @@ impl UpdateCodec for SignCodec {
         })
     }
 
-    fn decode_to(&self, encoded: &EncodedUpdate, out: &mut [f32]) -> Result<(), WireError> {
-        let _span = oasis_telemetry::span("wire.decode.sign");
-        oasis_telemetry::counter!("wire.bytes_decoded").add(encoded.payload.len() as u64);
-        check_out_len(out, encoded.n)?;
-        let view = parse_payload(encoded)?;
-        let (bits, mag) = Self::signs(&view, encoded.n)?;
-        oasis_tensor::simd::unpack_signs(bits, mag, out);
-        Ok(())
-    }
-
     /// Adds `weight · (±mag)` per element.
     fn fold_into(
         &self,
@@ -773,6 +668,14 @@ mod tests {
         vec![0.5, -1.25, 3.0, 0.0, -0.125, 2.75, -3.5, 0.03125]
     }
 
+    /// The update a frame carries, as a receiver reads it: folded with
+    /// weight 1 into a `+0` buffer.
+    fn received(codec: &dyn UpdateCodec, enc: &EncodedUpdate) -> Result<Vec<f32>, WireError> {
+        let mut out = vec![0.0f32; enc.n];
+        codec.fold_into(enc, 1.0, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn raw_is_bit_exact() {
         let x = sample();
@@ -782,7 +685,7 @@ mod tests {
             enc.byte_size() > enc.raw_byte_size(),
             "header adds overhead"
         );
-        let back = RawCodec.decode(&enc).unwrap();
+        let back = received(&RawCodec, &enc).unwrap();
         for (a, b) in x.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -792,7 +695,7 @@ mod tests {
     fn q8_error_within_half_level() {
         let x = sample();
         let enc = Q8Codec.encode(&x).unwrap();
-        let back = Q8Codec.decode(&enc).unwrap();
+        let back = received(&Q8Codec, &enc).unwrap();
         let (lo, hi) = (-3.5f32, 3.0f32);
         let bound = (hi - lo) / 255.0 * 0.5 + 1e-6;
         for (a, b) in x.iter().zip(&back) {
@@ -803,7 +706,7 @@ mod tests {
     #[test]
     fn q8_constant_vector_is_exact() {
         let x = vec![2.5f32; 10];
-        let back = Q8Codec.decode(&Q8Codec.encode(&x).unwrap()).unwrap();
+        let back = received(&Q8Codec, &Q8Codec.encode(&x).unwrap()).unwrap();
         assert_eq!(back, x);
     }
 
@@ -812,7 +715,7 @@ mod tests {
         // hi − lo overflows f32 here; the round trip must stay finite
         // (not NaN-poison downstream aggregation) and keep ordering.
         let x = vec![f32::MAX, -f32::MAX, 0.0];
-        let back = Q8Codec.decode(&Q8Codec.encode(&x).unwrap()).unwrap();
+        let back = received(&Q8Codec, &Q8Codec.encode(&x).unwrap()).unwrap();
         assert!(back.iter().all(|v| v.is_finite()), "{back:?}");
         assert!(back[0] > back[2] && back[2] > back[1], "{back:?}");
     }
@@ -821,7 +724,7 @@ mod tests {
     fn topk_keeps_largest_magnitudes_exactly() {
         let x = sample();
         let codec = TopKCodec { k: 3 };
-        let back = codec.decode(&codec.encode(&x).unwrap()).unwrap();
+        let back = received(&codec, &codec.encode(&x).unwrap()).unwrap();
         assert_eq!(back, vec![0.0, 0.0, 3.0, 0.0, 0.0, 2.75, -3.5, 0.0]);
     }
 
@@ -840,7 +743,7 @@ mod tests {
     fn sign_preserves_signs_with_shared_magnitude() {
         let x = sample();
         let enc = SignCodec.encode(&x).unwrap();
-        let back = SignCodec.decode(&enc).unwrap();
+        let back = received(&SignCodec, &enc).unwrap();
         let mag = x.iter().map(|v| v.abs()).sum::<f32>() / x.len() as f32;
         for (a, b) in x.iter().zip(&back) {
             assert!((b.abs() - mag).abs() < 1e-5);
@@ -877,17 +780,17 @@ mod tests {
     }
 
     #[test]
-    fn decoding_foreign_payload_errors_not_panics() {
+    fn folding_foreign_payload_errors_not_panics() {
         let enc = RawCodec.encode(&sample()).unwrap();
-        // Feed the raw payload to the wrong decoders.
-        assert!(Q8Codec.decode(&enc).is_err());
-        assert!(SignCodec.decode(&enc).is_err());
+        // Feed the raw payload to the wrong codecs.
+        assert!(received(&Q8Codec, &enc).is_err());
+        assert!(received(&SignCodec, &enc).is_err());
         // Truncate the payload.
         let cut = EncodedUpdate {
             payload: enc.payload[..enc.payload.len() - 3].to_vec(),
             ..enc.clone()
         };
-        assert!(RawCodec.decode(&cut).is_err());
+        assert!(received(&RawCodec, &cut).is_err());
     }
 
     #[test]
@@ -932,7 +835,7 @@ mod tests {
         ] {
             let codec = spec.build();
             let enc = codec.encode(&[]).unwrap();
-            assert_eq!(codec.decode(&enc).unwrap(), Vec::<f32>::new());
+            assert_eq!(received(&*codec, &enc).unwrap(), Vec::<f32>::new());
         }
     }
 }

@@ -612,8 +612,9 @@ impl<'a> TensorView<'a, '_> {
     /// Decodes the payload as little-endian `f32`s into a
     /// caller-sized slice — exactly one copy, memcpy-speed when the
     /// source is aligned. This is the copying half of the zero-copy
-    /// pair ([`TensorView::as_f32s`] is the borrowing half); decode
-    /// scratch slots land here.
+    /// pair ([`TensorView::as_f32s`] is the borrowing half);
+    /// checkpoint loads and the raw fold's misaligned fallback land
+    /// here.
     ///
     /// # Errors
     ///

@@ -7,9 +7,10 @@
 //! is the earlier implementation, kept verbatim: for every sample, a
 //! B = 1 forward and backward through the whole model, the
 //! materialized malicious-layer gradient's `norm_sq`, and an `axpy`
-//! into a running sum. The uploaded update (captured off the wire
-//! before any decoding) and the client loss must match it bit for bit
-//! for every attack family, batch size, clip regime, and pool width.
+//! into a running sum. The uploaded update (captured as the codec
+//! encodes it, before the server folds it) and the client loss must
+//! match it bit for bit for every attack family, batch size, clip
+//! regime, and pool width.
 
 use std::sync::Mutex;
 
@@ -41,10 +42,6 @@ impl UpdateCodec for Capture {
     fn encode(&self, update: &[f32]) -> Result<EncodedUpdate, WireError> {
         *self.0.lock().unwrap() = Some(update.to_vec());
         RawCodec.encode(update)
-    }
-
-    fn decode_to(&self, encoded: &EncodedUpdate, out: &mut [f32]) -> Result<(), WireError> {
-        RawCodec.decode_to(encoded, out)
     }
 
     fn fold_into(

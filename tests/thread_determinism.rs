@@ -207,7 +207,7 @@ fn run_inversion_sweeps(threads: usize) -> Vec<Vec<Vec<f32>>> {
         attacks
             .iter()
             .map(|attack| {
-                reconstruct(attack.as_ref(), &grad_w, &grad_b, geometry)
+                reconstruct(attack.as_ref(), grad_w.data(), grad_b.data(), geometry)
                     .into_iter()
                     .map(|img| img.data().to_vec())
                     .collect()
