@@ -124,6 +124,7 @@ impl ActiveAttack for CahAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate::tests::malicious_grads;
     use crate::reconstruct;
     use oasis_data::cifar_like_with;
     use oasis_data::Batch;
@@ -208,17 +209,12 @@ mod tests {
         let mut model = attack.build_model(geometry, 10, 0).unwrap();
 
         let labeled = Batch::new(batch.clone(), (0..6).collect());
-        DefenseStack::identity()
+        let step = DefenseStack::identity()
             .local_step(&mut model, &labeled, &mut StdRng::seed_from_u64(0))
             .unwrap();
 
-        let lin = model.layer_as::<Linear>(0).unwrap();
-        let recons = reconstruct(
-            &attack,
-            lin.grad_weight().data(),
-            lin.grad_bias().data(),
-            geometry,
-        );
+        let (grad_weight, grad_bias) = malicious_grads(&model, &step.update);
+        let recons = reconstruct(&attack, grad_weight, grad_bias, geometry);
         assert!(!recons.is_empty(), "no reconstructions at all");
         let matches = match_greedy(&recons, &batch);
         let perfect = matches.iter().filter(|m| m.psnr > 100.0).count();

@@ -272,8 +272,8 @@ fn run_attack_inner(
             let _client_span = oasis_telemetry::span("attack.client_step");
             let step = defense.local_step(&mut model, batch, &mut rng)?;
             // Nothing reads the model after the step (the inversion
-            // reads the received update): free its gradient slots
-            // before the update crosses the wire.
+            // reads the received update): free it before the update
+            // crosses the wire.
             drop(model);
             (step.loss, step.processed, transmit(step.update)?)
         }
@@ -328,9 +328,10 @@ fn malicious_layer(model: &Sequential) -> Result<&Linear> {
 /// Layer 0 runs once on the whole `(b, d)` batch: its product computes
 /// every output row independently, so each row equals the B = 1
 /// forward. The layers after it and the loss then run per sample
-/// (B = 1), as a per-sample backward pass would. Layer 0's own
-/// backward is never run — [`Linear::clipped_grad_mean`] takes its
-/// place.
+/// (B = 1), as a per-sample backward pass would, writing their own
+/// gradients (which nothing reads) into one tail buffer re-zeroed for
+/// each sample. Layer 0's own backward is never run —
+/// [`Linear::clipped_grad_mean`] takes its place.
 fn per_sample_deltas(
     model: &mut Sequential,
     x: &Tensor,
@@ -342,8 +343,10 @@ fn per_sample_deltas(
     // Eval: nothing reads a cached input, since layer 0 never runs
     // backward here.
     let z = malicious.forward(x, Mode::Eval)?;
+    let malicious_params = param_count(malicious);
     let (b, n) = (z.dims()[0], z.dims()[1]);
     let mut deltas = Tensor::zeros(&[b, n]);
+    let mut tail = vec![0.0f32; param_count(model) - malicious_params];
     let mut total_loss = 0.0f32;
     for (s, delta) in deltas.data_mut().chunks_exact_mut(n).enumerate() {
         let mut h = z.slice_rows(s, s + 1)?;
@@ -354,10 +357,8 @@ fn per_sample_deltas(
                 .forward(&h, Mode::Train)?;
         }
         let out = softmax_cross_entropy(&h, &labels[s..s + 1])?;
-        let mut g = out.grad;
-        for l in (1..model.len()).rev() {
-            g = model.layer_mut(l).expect("index in range").backward(&g)?;
-        }
+        tail.fill(0.0);
+        let g = model.backward_from(1, &out.grad, &mut tail)?;
         delta.copy_from_slice(g.data());
         total_loss += out.loss;
     }
@@ -403,7 +404,7 @@ fn score(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::RtfAttack;
     use oasis_data::cifar_like_with;
@@ -412,6 +413,17 @@ mod tests {
     fn batch_of(n: usize, side: usize, seed: u64) -> Batch {
         let ds = cifar_like_with(n, 1, side, seed);
         Batch::from_items(ds.items().to_vec())
+    }
+
+    /// `model`'s malicious-layer window of a flat `update`: its weight
+    /// rows, then its bias.
+    pub(crate) fn malicious_grads<'a>(
+        model: &Sequential,
+        update: &'a [f32],
+    ) -> (&'a [f32], &'a [f32]) {
+        let lin = malicious_layer(model).expect("malicious layer");
+        let weight_len = lin.weight().numel();
+        update[..weight_len + lin.bias().numel()].split_at(weight_len)
     }
 
     #[test]

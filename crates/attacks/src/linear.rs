@@ -117,8 +117,8 @@ mod tests {
         // the linear combination the paper's defense leverages via
         // same-label augmentation. Invert the target sample's class
         // row directly in both settings and compare.
+        use crate::evaluate::tests::malicious_grads;
         use oasis_metrics::psnr;
-        use oasis_nn::Linear;
         use rand::{rngs::StdRng, SeedableRng};
 
         // Many classes keep the softmax cross-terms small (p ≈ 1/k),
@@ -143,12 +143,12 @@ mod tests {
 
         let invert_class_row = |batch: &Batch| -> f64 {
             let mut model = attack.build_model(geometry, classes, 1).unwrap();
-            DefenseStack::identity()
+            let step = DefenseStack::identity()
                 .local_step(&mut model, batch, &mut StdRng::seed_from_u64(0))
                 .unwrap();
-            let lin = model.layer_as::<Linear>(0).unwrap();
+            let (grad_weight, grad_bias) = malicious_grads(&model, &step.update);
             let values = attack
-                .invert(class_row, lin.grad_weight().data(), lin.grad_bias().data())
+                .invert(class_row, grad_weight, grad_bias)
                 .expect("class row has signal");
             let rec = oasis_image::Image::from_tensor(geometry.0, geometry.1, geometry.2, values)
                 .unwrap();

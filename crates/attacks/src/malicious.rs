@@ -53,7 +53,7 @@ pub fn attacked_model(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oasis_nn::{softmax_cross_entropy, Layer, Mode};
+    use oasis_nn::{param_count, softmax_cross_entropy, Layer, Mode};
 
     #[test]
     fn model_has_three_layers() {
@@ -89,12 +89,12 @@ mod tests {
         let b = Tensor::zeros(&[6]);
         let mut model = attacked_model(w, b, 3, 2).unwrap();
         let x = Tensor::rand_uniform(&[1, 4], 0.1, 1.0, &mut rng);
-        model.zero_grad();
         let logits = model.forward(&x, Mode::Train).unwrap();
         let out = softmax_cross_entropy(&logits, &[1]).unwrap();
-        model.backward(&out.grad).unwrap();
-        let lin = model.layer_as::<Linear>(0).unwrap();
-        let gb = lin.grad_bias().data();
+        let mut grads = vec![0.0f32; param_count(&model)];
+        model.backward(&out.grad, &mut grads).unwrap();
+        // Layer 0's window leads the buffer: 6×4 weights, then 6 biases.
+        let gb = &grads[24..30];
         for &g in gb {
             assert!(
                 (g - gb[0]).abs() < 1e-9,

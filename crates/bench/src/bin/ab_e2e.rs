@@ -14,7 +14,9 @@
 //! the number of pairs in which the change was better, and the ratio of
 //! the medians (change / parent). `beyond IQR` says whether the medians
 //! differ, in the better direction, by more than the parent's q3 − q1.
-//! The environment passes through, so `OASIS_SIMD` or `OASIS_THREADS`
+//! Under it, marked informational, come the `proc.*` metrics of the
+//! `per_layer` list, from each whole run's accounting as a child. The
+//! environment passes through, so `OASIS_SIMD` or `OASIS_THREADS`
 //! apply to both builds. `tools/ab_e2e` wraps this binary.
 
 use std::process::{Command, ExitCode};
@@ -27,13 +29,14 @@ struct Metric {
     higher_is_better: bool,
 }
 
-/// The `end_to_end` metrics declared in `BENCHMARK.json`.
-fn declared_metrics() -> Result<Vec<Metric>, String> {
+/// The metrics of `list` (`end_to_end` or `per_layer`) declared in
+/// `BENCHMARK.json`.
+fn declared_metrics(list: &str) -> Result<Vec<Metric>, String> {
     let text = std::fs::read_to_string("BENCHMARK.json")
         .map_err(|e| format!("cannot read BENCHMARK.json: {e}"))?;
     let root: serde::Value = serde_json::from_str(&text).map_err(|e| format!("{e}"))?;
-    let Some(serde::Value::Array(entries)) = root.get("end_to_end") else {
-        return Err("BENCHMARK.json has no end_to_end list".into());
+    let Some(serde::Value::Array(entries)) = root.get(list) else {
+        return Err(format!("BENCHMARK.json has no {list} list"));
     };
     entries
         .iter()
@@ -44,20 +47,39 @@ fn declared_metrics() -> Result<Vec<Metric>, String> {
                     name: name.to_owned(),
                     higher_is_better: better == "higher",
                 }),
-                _ => Err("an end_to_end entry lacks its name or direction".into()),
+                _ => Err(format!("a {list} entry lacks its name or direction")),
             }
         })
         .collect()
 }
 
+/// The `proc.*` metrics of the `per_layer` list, as
+/// [`children_counters`] reads them.
+const PROC: [&str; 3] = ["proc.minor_faults", "proc.user_cpu_s", "proc.sys_cpu_s"];
+
+/// Minor faults and user and system CPU seconds of this process's
+/// waited-for children: `cminflt`, `cutime` and `cstime` of
+/// `/proc/self/stat`, counted from the state letter after the
+/// parenthesised command name, times in 100 Hz ticks (all zero where
+/// `/proc` is unavailable).
+fn children_counters() -> [f64; 3] {
+    let text = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    let rest = text.rsplit_once(')').map_or("", |(_, r)| r);
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    let field = |i: usize| -> f64 { fields.get(i).and_then(|v| v.parse().ok()).unwrap_or(0.0) };
+    [field(8), field(13) / 100.0, field(14) / 100.0]
+}
+
 /// Runs one build and returns its metrics, `(name, value)`, after
-/// checking that the run was correct.
+/// checking that the run was correct, with its `proc.*` counters.
 fn run(bin: &str, workload: &str, seconds: &str) -> Result<Vec<(String, f64)>, String> {
+    let before = children_counters();
     let out = Command::new(bin)
         .args(["--workload", workload, "--seed", "1", "--seconds", seconds])
         .args(["--trace", "0"])
         .output()
         .map_err(|e| format!("cannot run {bin}: {e}"))?;
+    let after = children_counters();
     let stdout = String::from_utf8_lossy(&out.stdout);
     let last = stdout.lines().last().unwrap_or_default();
     let result: serde::Value =
@@ -71,9 +93,11 @@ fn run(bin: &str, workload: &str, seconds: &str) -> Result<Vec<(String, f64)>, S
     let Some(serde::Value::Object(metrics)) = result.get("metrics") else {
         return Err(format!("{bin}: no metrics in its result line"));
     };
+    let counters = PROC.into_iter().zip(after).zip(before);
     Ok(metrics
         .iter()
         .filter_map(|(k, v)| Some((k.clone(), v.get("value")?.as_f64()?)))
+        .chain(counters.map(|((name, end), start)| (name.to_owned(), end - start)))
         .collect())
 }
 
@@ -121,7 +145,10 @@ fn compare(
     seconds: &str,
     pairs: usize,
 ) -> Result<(), String> {
-    let metrics = declared_metrics()?;
+    let mut metrics = declared_metrics("end_to_end")?;
+    let end_to_end = metrics.len();
+    let per_layer = declared_metrics("per_layer")?.into_iter();
+    metrics.extend(per_layer.filter(|m| PROC.contains(&m.name.as_str())));
     // runs[side][pair]: side 0 is the parent, 1 the change.
     let mut runs: [Vec<Vec<(String, f64)>>; 2] = [Vec::new(), Vec::new()];
     for pair in 0..pairs {
@@ -130,7 +157,7 @@ fn compare(
             let bin = [parent, change][side];
             let values = run(bin, workload, seconds)?;
             let label = ["parent", "change"][side];
-            let shown: Vec<String> = metrics
+            let shown: Vec<String> = metrics[..end_to_end]
                 .iter()
                 .filter_map(|m| values.iter().find(|(k, _)| *k == m.name))
                 .map(|(k, v)| format!("{k}={v:.4}"))
@@ -143,7 +170,7 @@ fn compare(
         "{workload}, {seconds} s runs, {pairs} alternating pairs (parent {parent}, change {change})"
     );
     println!(
-        "{:<16} {:<7} {:>30} {:>30} {:>7} {:>7} {:>11}",
+        "{:<18} {:<7} {:>30} {:>30} {:>7} {:>7} {:>11}",
         "metric",
         "better",
         "parent median [q1–q3]",
@@ -152,7 +179,11 @@ fn compare(
         "ratio",
         "beyond IQR"
     );
-    for m in &metrics {
+    let num = |v: f64| format!("{v:.*}", if v.abs() >= 1e3 { 0 } else { 4 });
+    for (i, m) in metrics.iter().enumerate() {
+        if i == end_to_end {
+            println!("informational: process counters of each whole run (per_layer proc.*)");
+        }
         let side = |s: usize| -> Option<Vec<f64>> {
             runs[s]
                 .iter()
@@ -174,15 +205,15 @@ fn compare(
         let (cq1, cm, cq3) = quartiles(&c);
         let beyond = better(cm, pm) && (cm - pm).abs() > pq3 - pq1;
         println!(
-            "{:<16} {:<7} {:>30} {:>30} {:>7} {:>7.3} {:>11}",
+            "{:<18} {:<7} {:>30} {:>30} {:>7} {:>7.3} {:>11}",
             m.name,
             if m.higher_is_better {
                 "higher"
             } else {
                 "lower"
             },
-            format!("{pm:.4} [{pq1:.4}–{pq3:.4}]"),
-            format!("{cm:.4} [{cq1:.4}–{cq3:.4}]"),
+            format!("{} [{}–{}]", num(pm), num(pq1), num(pq3)),
+            format!("{} [{}–{}]", num(cm), num(cq1), num(cq3)),
             format!("{wins}/{pairs}"),
             cm / pm,
             if beyond { "yes" } else { "no" }

@@ -866,10 +866,12 @@ fn bench_conv_backward_b8() -> PreparedBench {
     let x = seeded_tensor(&[batch, 3 * 16 * 16], 11);
     let y = conv.forward(&x, Mode::Train).expect("bench conv fwd");
     let grad = Tensor::ones(y.dims());
+    let mut grads = vec![0.0f32; oasis_nn::param_count(&conv)];
     PreparedBench {
         throughput: Some((batch as f64, "img/s")),
         run: Box::new(move || {
-            std::hint::black_box(conv.backward(&grad).expect("bench conv bwd"));
+            grads.fill(0.0);
+            std::hint::black_box(conv.backward(&grad, &mut grads).expect("bench conv bwd"));
         }),
     }
 }

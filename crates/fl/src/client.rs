@@ -22,7 +22,7 @@ pub type ModelFactory = Arc<dyn Fn() -> Sequential + Send + Sync>;
 pub struct ClientUpdate {
     /// The uploading client.
     pub client_id: usize,
-    /// Flattened gradient vector in [`oasis_nn::flatten_grads`] order.
+    /// The defended gradient in parameter order ([`crate::LocalStep::update`]).
     pub grads: Vec<f32>,
     /// The client's local loss (diagnostic).
     pub loss: f32,
@@ -264,20 +264,14 @@ mod tests {
             self.seen.lock().unwrap().push(at);
             self.inner.forward(input, mode)
         }
-        fn backward(&mut self, grad: &Tensor) -> oasis_nn::Result<Tensor> {
-            self.inner.backward(grad)
-        }
-        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-            self.inner.visit_params(f);
+        fn backward(&mut self, grad: &Tensor, grads: &mut [f32]) -> oasis_nn::Result<Tensor> {
+            self.inner.backward(grad, grads)
         }
         fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
             self.inner.visit_params_mut(f);
         }
         fn visit_params_ref(&self, f: &mut dyn FnMut(&Tensor)) {
             self.inner.visit_params_ref(f);
-        }
-        fn zero_grad(&mut self) {
-            self.inner.zero_grad();
         }
         fn name(&self) -> &'static str {
             "probe"

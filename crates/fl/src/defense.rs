@@ -32,7 +32,7 @@
 //! ```
 
 use oasis_data::Batch;
-use oasis_nn::{flatten_grads, softmax_cross_entropy, Layer, Mode};
+use oasis_nn::{param_count, softmax_cross_entropy, Layer, Mode};
 use rand::rngs::StdRng;
 
 /// One client-side defense, as a value. Every method but `name`
@@ -243,15 +243,14 @@ impl DefenseStack {
     /// One defended local training step — the computation whose
     /// result a dishonest server gets to inspect. In order:
     /// [`DefenseStack::process_batch`], one full-batch `Mode::Train`
-    /// forward and softmax cross-entropy backward from zeroed
-    /// gradients, [`flatten_grads`], [`DefenseStack::clip_update`] and
-    /// [`DefenseStack::perturb_update`] over the processed batch size.
-    /// The backward is [`Layer::backward_params`]: the update is made
-    /// of parameter gradients only, so the model's input gradient is
-    /// never computed.
-    ///
-    /// The model's gradient slots keep the *unclipped* gradients; the
-    /// defended update is [`LocalStep::update`].
+    /// forward, a softmax cross-entropy backward into one `+0` buffer
+    /// of [`param_count`] floats, then [`DefenseStack::clip_update`]
+    /// and [`DefenseStack::perturb_update`] over the processed batch
+    /// size, in place on that buffer, which becomes
+    /// [`LocalStep::update`]. The backward is
+    /// [`Layer::backward_params`]: the update is made of parameter
+    /// gradients only, so the model's input gradient is never
+    /// computed.
     ///
     /// # Errors
     ///
@@ -263,11 +262,10 @@ impl DefenseStack {
         rng: &mut StdRng,
     ) -> oasis_nn::Result<LocalStep> {
         let processed = self.process_batch(batch, rng);
-        model.zero_grad();
         let logits = model.forward(&processed.to_matrix(), Mode::Train)?;
         let out = softmax_cross_entropy(&logits, &processed.labels)?;
-        model.backward_params(&out.grad)?;
-        let mut update = flatten_grads(model);
+        let mut update = vec![0.0f32; param_count(model)];
+        model.backward_params(&out.grad, &mut update)?;
         self.clip_update(&mut update);
         self.perturb_update(&mut update, processed.len(), rng);
         Ok(LocalStep {
@@ -283,8 +281,9 @@ impl DefenseStack {
 pub struct LocalStep {
     /// The defended batch `D′` the gradients were computed on.
     pub processed: Batch,
-    /// The flattened update after the stack's clip and perturbation,
-    /// in [`flatten_grads`] order.
+    /// The model's gradient after the stack's clip and perturbation,
+    /// one float per parameter in [`Layer::visit_params_ref`] order:
+    /// the buffer the backward pass wrote.
     pub update: Vec<f32>,
     /// The mean cross-entropy loss over `processed`.
     pub loss: f32,

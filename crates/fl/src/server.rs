@@ -1,6 +1,6 @@
 //! The central server.
 
-use oasis_nn::{flatten_params, param_count, shared_params, Layer, Sequential};
+use oasis_nn::{flatten_params, param_count, shared_params, zip_params, Sequential};
 use oasis_tensor::Tensor;
 use oasis_wire::{CodecSpec, NetSpec};
 
@@ -223,14 +223,11 @@ impl FlServer {
                 expected,
             });
         }
-        let mut rest = agg;
-        self.model.visit_params_mut(&mut |p| {
-            let (g, tail) = rest.split_at(p.numel());
+        zip_params(&mut self.model, agg, &mut |p, g| {
             for (w, &g) in p.data_mut().iter_mut().zip(g) {
                 *w -= lr * g;
             }
-            rest = tail;
-        });
+        })?;
         Ok(())
     }
 }

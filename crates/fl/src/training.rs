@@ -1,7 +1,7 @@
 //! Centralized training helpers (used by the Table I experiment).
 
 use oasis_data::Dataset;
-use oasis_nn::{load_grads, Layer, Mode, Optimizer, Sequential};
+use oasis_nn::{Layer, Mode, Optimizer, Sequential};
 use oasis_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,12 +20,11 @@ pub struct TrainReport {
 /// Trains `model` on `train` for `epochs` epochs with the given batch
 /// size and defense stack, then evaluates top-1 accuracy on `test`.
 ///
-/// Every batch runs [`DefenseStack::local_step`]; the defended update
-/// is loaded back into the model's gradient slots and the optimizer
-/// steps on it, so a stack that clips or perturbs the update is
-/// applied too. This is the Table I pipeline: the stack is either the
-/// identity (the paper's "Without OASIS" row) or the OASIS defense
-/// (every other row).
+/// Every batch runs [`DefenseStack::local_step`] and the optimizer
+/// steps on its defended update, so a stack that clips or perturbs the
+/// update is applied too. This is the Table I pipeline: the stack is
+/// either the identity (the paper's "Without OASIS" row) or the OASIS
+/// defense (every other row).
 ///
 /// # Errors
 ///
@@ -47,8 +46,7 @@ pub fn train_centralized(
         let mut losses = Vec::new();
         for batch in train.shuffled_batches(batch_size, &mut rng) {
             let step = defense.local_step(model, &batch, &mut rng)?;
-            load_grads(model, &step.update)?;
-            optimizer.step(model);
+            optimizer.step(model, &step.update)?;
             losses.push(step.loss);
         }
         epoch_losses.push(losses.iter().sum::<f32>() / losses.len().max(1) as f32);

@@ -3,6 +3,7 @@
 use oasis_tensor::Tensor;
 use std::any::Any;
 
+use crate::layer::check_window;
 use crate::{Layer, Mode, NnError, Result};
 
 /// Per-channel batch normalization.
@@ -17,8 +18,6 @@ pub struct BatchNorm {
     momentum: f32,
     gamma: Tensor,
     beta: Tensor,
-    grad_gamma: Tensor,
-    grad_beta: Tensor,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
     cache: Option<Cache>,
@@ -41,8 +40,6 @@ impl BatchNorm {
             momentum: 0.1,
             gamma: Tensor::ones(&[channels]),
             beta: Tensor::zeros(&[channels]),
-            grad_gamma: Tensor::zeros(&[channels]),
-            grad_beta: Tensor::zeros(&[channels]),
             running_mean: vec![0.0; channels],
             running_var: vec![1.0; channels],
             cache: None,
@@ -132,11 +129,13 @@ impl Layer for BatchNorm {
         Ok(out)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_output: &Tensor, grads: &mut [f32]) -> Result<Tensor> {
         let cache = self
             .cache
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "batchnorm" })?;
+        check_window(self, grads)?;
+        let (grad_gamma, grad_beta) = grads.split_at_mut(self.channels);
         let p = cache.spatial;
         let batch = grad_output.dims()[0];
         let n = (batch * p) as f32;
@@ -154,8 +153,8 @@ impl Layer for BatchNorm {
                     sum_dy_xhat += dy * cache.x_hat.data()[base + i] as f64;
                 }
             }
-            self.grad_gamma.data_mut()[c] += sum_dy_xhat as f32;
-            self.grad_beta.data_mut()[c] += sum_dy as f32;
+            grad_gamma[c] += sum_dy_xhat as f32;
+            grad_beta[c] += sum_dy as f32;
             let g = self.gamma.data()[c];
             let istd = cache.inv_std[c];
             let mean_dy = sum_dy as f32 / n;
@@ -172,9 +171,9 @@ impl Layer for BatchNorm {
         Ok(gx)
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        f(&mut self.gamma, &mut self.grad_gamma);
-        f(&mut self.beta, &mut self.grad_beta);
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        f(&mut self.gamma);
+        f(&mut self.beta);
     }
 
     fn visit_params_ref(&self, f: &mut dyn FnMut(&Tensor)) {
@@ -240,7 +239,7 @@ mod tests {
     #[test]
     fn backward_before_forward_errors() {
         let mut bn = BatchNorm::new(1);
-        assert!(bn.backward(&Tensor::zeros(&[1, 4])).is_err());
+        assert!(bn.backward(&Tensor::zeros(&[1, 4]), &mut [0.0; 2]).is_err());
     }
 
     #[test]
@@ -250,8 +249,9 @@ mod tests {
         let x = Tensor::randn(&[4, 3], &mut rng);
         bn.forward(&x, Mode::Train).unwrap();
         let g = Tensor::ones(&[4, 3]);
-        bn.backward(&g).unwrap();
-        assert!((bn.grad_beta.data()[0] - 12.0).abs() < 1e-4);
+        let mut grads = [0.0f32; 2];
+        bn.backward(&g, &mut grads).unwrap();
+        assert!((grads[1] - 12.0).abs() < 1e-4);
     }
 
     #[test]
@@ -269,7 +269,7 @@ mod tests {
         let x = Tensor::randn(&[8, 5], &mut rng);
         bn.forward(&x, Mode::Train).unwrap();
         let g = Tensor::randn(&[8, 5], &mut rng);
-        let gx = bn.backward(&g).unwrap();
+        let gx = bn.backward(&g, &mut [0.0; 2]).unwrap();
         let total: f32 = gx.data().iter().sum();
         assert!(total.abs() < 1e-3, "sum {total}");
     }

@@ -31,6 +31,7 @@ use oasis_tensor::{parallel, Tensor};
 use rand::Rng;
 use std::any::Any;
 
+use crate::layer::check_window;
 use crate::{Layer, Mode, NnError, Result};
 
 /// Minimum buffer size (elements) before a lowering fill, gradient
@@ -74,8 +75,6 @@ pub struct Conv2d {
     in_w: usize,
     weight: Tensor,
     bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
     cached_input: Option<Tensor>,
     /// Reused `(C·k·k, B·P)` transposed-im2col scratch.
     scratch_col: Option<Tensor>,
@@ -114,8 +113,6 @@ impl Conv2d {
             in_w: input_hw.1,
             weight: Tensor::rand_uniform(&[out_channels, ckk], -bound, bound, rng),
             bias: Tensor::rand_uniform(&[out_channels], -bound, bound, rng),
-            grad_weight: Tensor::zeros(&[out_channels, ckk]),
-            grad_bias: Tensor::zeros(&[out_channels]),
             cached_input: None,
             scratch_col: None,
             col_valid: false,
@@ -259,16 +256,23 @@ impl Conv2d {
     }
 
     /// The one backward pass behind [`Layer::backward`] and
-    /// [`Layer::backward_params`]: accumulates the parameter gradients
-    /// and, when `input_grad` is set, also computes and returns `δx`
-    /// (`Wᵀ·δY` scattered back through col2im).
-    fn backward_with(&mut self, grad_output: &Tensor, input_grad: bool) -> Result<Option<Tensor>> {
+    /// [`Layer::backward_params`]: adds the parameter gradients into
+    /// the `+0` window `grads` and, when `input_grad` is set, also
+    /// computes and returns `δx` (`Wᵀ·δY` scattered back through
+    /// col2im).
+    fn backward_with(
+        &mut self,
+        grad_output: &Tensor,
+        grads: &mut [f32],
+        input_grad: bool,
+    ) -> Result<Option<Tensor>> {
         let _span = oasis_telemetry::span("nn.conv.backward");
         let batch = self
             .cached_input
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "conv2d" })?
             .dims()[0];
+        check_window(self, grads)?;
         let p = self.out_h() * self.out_w();
         let bp = batch * p;
         let oc = self.out_channels;
@@ -310,12 +314,15 @@ impl Conv2d {
                 }
             }
         });
-        // Bias gradient = per-channel row sums.
-        let gb = Tensor::from_values(dy.data().chunks(bp).map(lane_sum), &[oc])?;
-
         let gw = dy.matmul_nt(&col)?; // (oc, C·k·k)
-        self.grad_weight.add_assign(&gw)?;
-        self.grad_bias.add_assign(&gb)?;
+        let (grad_weight, grad_bias) = grads.split_at_mut(gw.numel());
+        for (g, &v) in grad_weight.iter_mut().zip(gw.data()) {
+            *g += v;
+        }
+        // Bias gradient = per-channel row sums.
+        for (g, row) in grad_bias.iter_mut().zip(dy.data().chunks(bp)) {
+            *g += lane_sum(row);
+        }
 
         let grad_input = if input_grad {
             let dcol = self.weight.matmul_tn(&dy)?; // (C·k·k, B·P)
@@ -382,19 +389,19 @@ impl Layer for Conv2d {
         Ok(out)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_output: &Tensor, grads: &mut [f32]) -> Result<Tensor> {
         Ok(self
-            .backward_with(grad_output, true)?
+            .backward_with(grad_output, grads, true)?
             .expect("input gradient requested"))
     }
 
-    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
-        self.backward_with(grad_output, false).map(drop)
+    fn backward_params(&mut self, grad_output: &Tensor, grads: &mut [f32]) -> Result<()> {
+        self.backward_with(grad_output, grads, false).map(drop)
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        f(&mut self.weight, &mut self.grad_weight);
-        f(&mut self.bias, &mut self.grad_bias);
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
     }
 
     fn visit_params_ref(&self, f: &mut dyn FnMut(&Tensor)) {
@@ -478,9 +485,10 @@ mod tests {
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, (5, 5), &mut rng);
         let x = Tensor::randn(&[4, 2 * 25], &mut rng);
         let y = conv.forward(&x, Mode::Train).unwrap();
-        let gx = conv.backward(&Tensor::ones(y.dims())).unwrap();
+        let mut grads = vec![0.0f32; crate::param_count(&conv)];
+        let gx = conv.backward(&Tensor::ones(y.dims()), &mut grads).unwrap();
         assert_eq!(gx.dims(), x.dims());
-        assert_eq!(conv.grad_weight_for_test().dims(), &[3, 2 * 9]);
+        assert_eq!(grads.len(), 3 * 2 * 9 + 3);
     }
 
     #[test]
@@ -499,13 +507,14 @@ mod tests {
         let other = Tensor::randn(&[4, 2 * 25], &mut rng);
         conv.forward(&other, Mode::Eval).unwrap();
 
-        let gx = conv.backward(&Tensor::ones(y.dims())).unwrap();
-        let gx_ref = reference.backward(&Tensor::ones(y.dims())).unwrap();
+        let mut grads = vec![0.0f32; crate::param_count(&conv)];
+        let mut grads_ref = grads.clone();
+        let gx = conv.backward(&Tensor::ones(y.dims()), &mut grads).unwrap();
+        let gx_ref = reference
+            .backward(&Tensor::ones(y.dims()), &mut grads_ref)
+            .unwrap();
         assert_eq!(gx, gx_ref);
-        assert_eq!(
-            conv.grad_weight_for_test().data(),
-            reference.grad_weight_for_test().data()
-        );
+        assert_eq!(grads, grads_ref);
     }
 
     impl Conv2d {
@@ -514,9 +523,6 @@ mod tests {
         }
         fn bias_set_for_test(&mut self, values: &[f32]) {
             self.bias.data_mut().copy_from_slice(values);
-        }
-        fn grad_weight_for_test(&self) -> &Tensor {
-            &self.grad_weight
         }
     }
 }

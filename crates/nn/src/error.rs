@@ -29,7 +29,8 @@ pub enum NnError {
         /// The number of classes.
         classes: usize,
     },
-    /// A parameter buffer passed to `load_params`, or a tensor list
+    /// A parameter buffer passed to `load_params`, a gradient window
+    /// passed to a backward pass or an optimizer step, or a tensor list
     /// passed to `install_params`, does not fit the model.
     ParamLength {
         /// Length provided.

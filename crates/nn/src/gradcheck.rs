@@ -9,7 +9,7 @@
 use oasis_tensor::Tensor;
 use rand::Rng;
 
-use crate::{Layer, Mode, Result};
+use crate::{param_count, Layer, Mode, Result};
 
 /// Result of a gradient check.
 ///
@@ -70,12 +70,12 @@ pub fn check_layer(
     let y0 = layer.forward(input, Mode::Train)?;
     let r = Tensor::rand_uniform(y0.dims(), -1.0, 1.0, rng);
 
-    // Analytic gradients.
-    layer.zero_grad();
+    // Analytic gradients, into one flat buffer.
+    let mut grads = vec![0.0f32; param_count(layer)];
     let _ = layer.forward(input, Mode::Train)?;
-    let gx = layer.backward(&r)?;
-    let mut param_grads: Vec<Tensor> = Vec::new();
-    layer.visit_params(&mut |_, g| param_grads.push(g.clone()));
+    let gx = layer.backward(&r, &mut grads)?;
+    let mut param_sizes = Vec::new();
+    layer.visit_params_ref(&mut |p| param_sizes.push(p.numel()));
 
     // --- Input coordinates ---
     let mut input_errs = Vec::new();
@@ -95,15 +95,17 @@ pub fn check_layer(
 
     // --- Parameter coordinates ---
     let mut param_errs = Vec::new();
-    for (pi, param_grad) in param_grads.iter().enumerate() {
-        let count = param_grad.numel();
+    let mut offset = 0usize;
+    for (pi, &count) in param_sizes.iter().enumerate() {
+        let param_grad = &grads[offset..offset + count];
+        offset += count;
         let stride = (count / max_coords.max(1)).max(1);
         for i in (0..count).step_by(stride) {
-            let analytic = param_grad.data()[i];
+            let analytic = param_grad[i];
             // Perturb parameter pi[i] in place via the visitor.
             let perturb = |layer: &mut dyn Layer, delta: f32| {
                 let mut k = 0usize;
-                layer.visit_params(&mut |p, _| {
+                layer.visit_params_mut(&mut |p| {
                     if k == pi {
                         p.data_mut()[i] += delta;
                     }

@@ -18,18 +18,27 @@ pub enum Mode {
 
 /// A differentiable network component.
 ///
-/// The contract mirrors classic define-by-run frameworks:
+/// Gradients are not layer state: the caller owns one flat buffer of
+/// [`param_count`] floats, laid out in [`Layer::visit_params_ref`]
+/// order (the "model update `G_j`" a client uploads), and every
+/// backward pass writes into the caller's window of it.
 ///
 /// 1. `forward(x, Mode::Train)` caches whatever `backward` needs.
-/// 2. `backward(δy)` **accumulates** parameter gradients (they are not
-///    overwritten — call [`Layer::zero_grad`] between steps) and
-///    returns `δx`.
-/// 3. `backward_params(δy)` accumulates the same parameter gradients,
-///    bit for bit, and skips `δx`: the backward of a network's first
-///    layer, whose input gradient nothing reads (a client uploads
-///    parameter gradients only).
-/// 4. [`Layer::visit_params`] yields `(param, grad)` pairs in a stable
-///    order; optimizers and the FL protocol rely on that order.
+/// 2. `backward(δy, grads)` writes this batch's parameter gradients
+///    into `grads` and returns `δx`. `grads` is the layer's own window
+///    of the flat buffer — [`param_count`] floats in visit order — and
+///    must hold `+0` on entry; a layer writes its products into it, or
+///    adds them to those zeros, so the window ends holding exactly the
+///    batch's gradient. A composite layer splits its window among its
+///    children, in visit order.
+/// 3. `backward_params(δy, grads)` writes the same parameter
+///    gradients, bit for bit, and skips `δx`: the backward of a
+///    network's first layer, whose input gradient nothing reads (a
+///    client uploads parameter gradients only).
+/// 4. Two visitors walk the parameters in that one stable order:
+///    [`Layer::visit_params_ref`] reads them (serialization, counting,
+///    broadcast snapshots) and [`Layer::visit_params_mut`] writes them
+///    (loading weights, installing shared ones, optimizer steps).
 pub trait Layer: Send {
     /// Runs the layer on `input` (rank-2: `[batch, features]`).
     ///
@@ -38,51 +47,40 @@ pub trait Layer: Send {
     /// Returns an error if the input shape is incompatible.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor>;
 
-    /// Backpropagates `grad_output`, accumulating parameter gradients
-    /// and returning the gradient with respect to the layer input.
+    /// Backpropagates `grad_output`, writing the parameter gradients
+    /// into `grads` (the layer's `+0` window, see the trait docs) and
+    /// returning the gradient with respect to the layer input.
     ///
     /// # Errors
     ///
-    /// Returns an error if called before `forward` or on shape
-    /// mismatch.
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
+    /// Returns an error if called before `forward`, on shape mismatch,
+    /// and [`crate::NnError::ParamLength`] when `grads` is not one
+    /// float per parameter.
+    fn backward(&mut self, grad_output: &Tensor, grads: &mut [f32]) -> Result<Tensor>;
 
     /// Backpropagates `grad_output` into the parameter gradients only:
-    /// the accumulation of [`Layer::backward`], bit for bit, without
-    /// computing the input gradient. The default runs `backward` and
-    /// drops its result; layers whose input gradient costs real work
-    /// override it.
+    /// what [`Layer::backward`] writes into `grads`, bit for bit,
+    /// without computing the input gradient. The default runs
+    /// `backward` and drops its result; layers whose input gradient
+    /// costs real work override it.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Layer::backward`].
-    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
-        self.backward(grad_output).map(drop)
+    fn backward_params(&mut self, grad_output: &Tensor, grads: &mut [f32]) -> Result<()> {
+        self.backward(grad_output, grads).map(drop)
     }
-
-    /// Visits every `(parameter, gradient)` pair in a stable order.
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor));
 
     /// Visits every parameter tensor mutably, in the same stable order
-    /// as [`Layer::visit_params`], without handing out the gradients:
-    /// how weights are loaded or installed. The default goes through
-    /// `visit_params`; a layer that tracks the state of its gradient
-    /// slots overrides it, so loading weights does not forget that
-    /// state.
-    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        self.visit_params(&mut |p, _| f(p));
-    }
+    /// as [`Layer::visit_params_ref`]: how weights are loaded,
+    /// installed and stepped.
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor));
 
-    /// Visits every parameter tensor read-only, in the same stable
-    /// order as [`Layer::visit_params`]. Serialization paths
-    /// (checkpointing, broadcast snapshots) use this so inspecting a
-    /// model never requires `&mut` access.
+    /// Visits every parameter tensor read-only, in a stable order —
+    /// the order of the flat parameter and gradient buffers.
+    /// Serialization paths (checkpointing, broadcast snapshots) use
+    /// this so inspecting a model never requires `&mut` access.
     fn visit_params_ref(&self, f: &mut dyn FnMut(&Tensor));
-
-    /// Resets all accumulated gradients to zero.
-    fn zero_grad(&mut self) {
-        self.visit_params(&mut |_, g| g.map_in_place(|_| 0.0));
-    }
 
     /// A short human-readable layer name.
     fn name(&self) -> &'static str;
@@ -110,14 +108,6 @@ pub fn flatten_params(layer: &dyn Layer) -> Vec<f32> {
     out
 }
 
-/// Flattens all accumulated gradients into a single `Vec<f32>` in
-/// visit order — the "model update `G_j`" a client uploads.
-pub fn flatten_grads(layer: &mut dyn Layer) -> Vec<f32> {
-    let mut out = Vec::new();
-    layer.visit_params(&mut |_, g| out.extend_from_slice(g.data()));
-    out
-}
-
 /// Loads a flat parameter vector produced by [`flatten_params`].
 ///
 /// # Errors
@@ -125,21 +115,31 @@ pub fn flatten_grads(layer: &mut dyn Layer) -> Vec<f32> {
 /// Returns [`crate::NnError::ParamLength`] if `flat` has the wrong
 /// length.
 pub fn load_params(layer: &mut dyn Layer, flat: &[f32]) -> Result<()> {
-    let expected = param_count(layer);
-    if flat.len() != expected {
-        return Err(crate::NnError::ParamLength {
-            len: flat.len(),
-            expected,
-        });
-    }
     // `Tensor::copy_from_slice`, not `data_mut`: a parameter still
     // shared with the template a model was cloned from gets a fresh
     // buffer instead of a copy of the values it is about to lose.
-    let mut offset = 0usize;
+    zip_params(layer, flat, &mut |p, values| p.copy_from_slice(values))
+}
+
+/// Visits every parameter of `layer` mutably, in visit order, together
+/// with its window of `flat` — one float per parameter in the same
+/// order, like a flat gradient or parameter vector.
+///
+/// # Errors
+///
+/// Returns [`crate::NnError::ParamLength`] if `flat` has the wrong
+/// length; nothing is visited then.
+pub fn zip_params(
+    layer: &mut dyn Layer,
+    flat: &[f32],
+    f: &mut dyn FnMut(&mut Tensor, &[f32]),
+) -> Result<()> {
+    check_window(layer, flat)?;
+    let mut rest = flat;
     layer.visit_params_mut(&mut |p| {
-        let n = p.numel();
-        p.copy_from_slice(&flat[offset..offset + n]);
-        offset += n;
+        let (window, tail) = rest.split_at(p.numel());
+        rest = tail;
+        f(p, window);
     });
     Ok(())
 }
@@ -156,7 +156,7 @@ pub fn shared_params(layer: &dyn Layer) -> Vec<Tensor> {
 /// Installs tensors from [`shared_params`] as `layer`'s parameters,
 /// without copying: each parameter becomes one more copy-on-write
 /// handle on the given tensor's values, so the layer reads them in
-/// place until something writes to them. Gradients are untouched.
+/// place until something writes to them.
 ///
 /// # Errors
 ///
@@ -192,28 +192,17 @@ pub fn install_params(layer: &mut dyn Layer, params: &[Tensor]) -> Result<()> {
     Ok(())
 }
 
-/// Loads a flat gradient vector produced by [`flatten_grads`] — how a
-/// server materializes a client update received over the wire back
-/// into a model's gradient slots.
-///
-/// # Errors
-///
-/// Returns [`crate::NnError::ParamLength`] if `flat` has the wrong
-/// length.
-pub fn load_grads(layer: &mut dyn Layer, flat: &[f32]) -> Result<()> {
-    let expected = param_count(layer);
-    if flat.len() != expected {
-        return Err(crate::NnError::ParamLength {
-            len: flat.len(),
-            expected,
-        });
+/// Checks that `grads` is `layer`'s gradient window: one float per
+/// parameter.
+pub(crate) fn check_window(layer: &dyn Layer, grads: &[f32]) -> Result<()> {
+    check_len(grads.len(), param_count(layer))
+}
+
+/// [`crate::NnError::ParamLength`] unless `len == expected`.
+pub(crate) fn check_len(len: usize, expected: usize) -> Result<()> {
+    if len != expected {
+        return Err(crate::NnError::ParamLength { len, expected });
     }
-    let mut offset = 0usize;
-    layer.visit_params(&mut |_, g| {
-        let n = g.numel();
-        g.copy_from_slice(&flat[offset..offset + n]);
-        offset += n;
-    });
     Ok(())
 }
 
@@ -240,33 +229,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut a = Linear::new(3, 2, &mut rng);
         assert!(load_params(&mut a, &[0.0; 4]).is_err());
-    }
-
-    #[test]
-    fn load_grads_round_trips_flatten_grads() {
-        use crate::Mode;
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut l = Linear::new(3, 2, &mut rng);
-        let x = Tensor::randn(&[4, 3], &mut rng);
-        let y = l.forward(&x, Mode::Train).unwrap();
-        l.backward(&Tensor::ones(y.dims())).unwrap();
-        let grads = flatten_grads(&mut l);
-        l.zero_grad();
-        load_grads(&mut l, &grads).unwrap();
-        assert_eq!(flatten_grads(&mut l), grads);
-        assert!(load_grads(&mut l, &[0.0; 3]).is_err());
-    }
-
-    #[test]
-    fn zero_grad_clears_gradients() {
-        use crate::Mode;
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut l = Linear::new(2, 2, &mut rng);
-        let x = Tensor::randn(&[4, 2], &mut rng);
-        let y = l.forward(&x, Mode::Train).unwrap();
-        l.backward(&Tensor::ones(y.dims())).unwrap();
-        assert!(flatten_grads(&mut l).iter().any(|&g| g != 0.0));
-        l.zero_grad();
-        assert!(flatten_grads(&mut l).iter().all(|&g| g == 0.0));
     }
 }

@@ -4,11 +4,12 @@
 //! [`oasis_tensor`].
 //!
 //! Every layer implements [`Layer`]: a `forward` pass that caches what
-//! backward needs, a `backward` pass that accumulates parameter
-//! gradients and returns the input gradient, a `backward_params` pass
-//! that accumulates the same parameter gradients without the input
-//! gradient (what a network's first layer needs), and a parameter
-//! visitor used by optimizers and the federated-learning protocol.
+//! backward needs, a `backward` pass that writes the parameter
+//! gradients into the caller's window of one flat gradient buffer and
+//! returns the input gradient, a `backward_params` pass that writes the
+//! same parameter gradients without the input gradient (what a
+//! network's first layer needs), and two parameter visitors — read and
+//! write — used by optimizers and the federated-learning protocol.
 //!
 //! The gradients are **analytically exact** — this matters because the
 //! active reconstruction attacks in `oasis-attacks` invert gradient
@@ -54,8 +55,8 @@ pub use batchnorm::BatchNorm;
 pub use conv::Conv2d;
 pub use error::NnError;
 pub use layer::{
-    flatten_grads, flatten_params, install_params, load_grads, load_params, param_count,
-    shared_params, Layer, Mode,
+    flatten_params, install_params, load_params, param_count, shared_params, zip_params, Layer,
+    Mode,
 };
 pub use linear::Linear;
 pub use loss::{mse_loss, softmax, softmax_cross_entropy, LossOutput};

@@ -5,6 +5,7 @@ use oasis_tensor::{simd, Tensor};
 use rand::Rng;
 use std::any::Any;
 
+use crate::layer::check_window;
 use crate::{Layer, Mode, NnError, Result};
 
 /// A fully-connected layer `y = x · Wᵀ + b`.
@@ -13,26 +14,15 @@ use crate::{Layer, Mode, NnError, Result};
 /// (together with `b[i]`) parameterizes neuron `i` — matching the
 /// paper's notation `(W ∈ R^{n×d}, b ∈ R^n)` for the malicious layer.
 ///
-/// The weight and bias (and their gradients) are directly accessible:
-/// the dishonest server edits them, and the attacks read the gradient
-/// buffers after a client's backward pass.
-///
-/// The layer knows when both gradient slots hold `+0`: construction
-/// and [`Layer::zero_grad`] leave them so, and every write to a slot
-/// (a backward, or a [`Layer::visit_params`] that hands them out)
-/// forgets it. While they are known to be `+0`, `zero_grad` skips its
-/// fill and the backward writes `δᵀx` and `Σδ` straight into the slots
-/// instead of adding a freshly allocated product, with the same bits:
-/// the products are sums from `+0`, so none of them is `−0`, and
-/// adding one to `+0` leaves it unchanged.
+/// The weight and bias are directly accessible: the dishonest server
+/// edits them. The layer holds no gradient: its backward writes
+/// `∂L/∂W = δᵀ · x` and `∂L/∂b = Σ_batch δ` straight into the caller's
+/// `+0` window, weight rows then bias — the window of the flat update
+/// the attacks invert.
 #[derive(Debug)]
 pub struct Linear {
     weight: Tensor,
     bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
-    /// Whether both gradient slots are known to hold `+0`.
-    grads_zero: bool,
     cached_input: Option<Tensor>,
 }
 
@@ -43,9 +33,6 @@ impl Linear {
         Linear {
             weight: Tensor::rand_uniform(&[out_features, in_features], -bound, bound, rng),
             bias: Tensor::rand_uniform(&[out_features], -bound, bound, rng),
-            grad_weight: Tensor::zeros(&[out_features, in_features]),
-            grad_bias: Tensor::zeros(&[out_features]),
-            grads_zero: true,
             cached_input: None,
         }
     }
@@ -65,13 +52,9 @@ impl Linear {
                 actual: weight.dims().to_vec(),
             });
         }
-        let (out_f, in_f) = (weight.dims()[0], weight.dims()[1]);
         Ok(Linear {
             weight,
             bias,
-            grad_weight: Tensor::zeros(&[out_f, in_f]),
-            grad_bias: Tensor::zeros(&[out_f]),
-            grads_zero: true,
             cached_input: None,
         })
     }
@@ -96,17 +79,6 @@ impl Linear {
         &self.bias
     }
 
-    /// Accumulated weight gradient `∂L/∂W` — what a client uploads and
-    /// the attacker inverts.
-    pub fn grad_weight(&self) -> &Tensor {
-        &self.grad_weight
-    }
-
-    /// Accumulated bias gradient `∂L/∂b`.
-    pub fn grad_bias(&self) -> &Tensor {
-        &self.grad_bias
-    }
-
     /// Record-level clipped mean gradient (DP-SGD's clip-and-sum) of
     /// a `Linear` layer, without materializing any per-sample
     /// gradient.
@@ -116,7 +88,7 @@ impl Linear {
     /// gradient is the rank-one `∂L/∂W = δ_sᵀ x_s`, `∂L/∂b = δ_s`;
     /// each is scaled to L2 norm at most `clip`, and the mean over
     /// the batch comes back flat, weight `(n×d)` row-major then bias
-    /// `(n)` — the layer's [`crate::flatten_grads`] order.
+    /// `(n)` — the layer's window of the flat gradient buffer.
     ///
     /// The result is bit-identical to materializing each sample's
     /// gradient with a B = 1 backward pass, taking its
@@ -248,47 +220,29 @@ impl Layer for Linear {
         Ok(y.add_row_broadcast(&self.bias)?)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.backward_params(grad_output)?;
+    fn backward(&mut self, grad_output: &Tensor, grads: &mut [f32]) -> Result<Tensor> {
+        self.backward_params(grad_output, grads)?;
         // ∂L/∂x = δ · W
         Ok(grad_output.matmul(&self.weight)?)
     }
 
-    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+    fn backward_params(&mut self, grad_output: &Tensor, grads: &mut [f32]) -> Result<()> {
         let input = self
             .cached_input
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "linear" })?;
-        if std::mem::take(&mut self.grads_zero) {
-            // The slots are +0, what both sums start from: write
-            // ∂L/∂W = δᵀ · x and ∂L/∂b = Σ_batch δ in place.
-            grad_output.matmul_tn_into(input, self.grad_weight.data_mut())?;
-            grad_output.add_rows_to(self.grad_bias.data_mut())?;
-        } else {
-            self.grad_weight
-                .add_assign(&grad_output.matmul_tn(input)?)?;
-            self.grad_bias.add_assign(&grad_output.sum_axis0()?)?;
-        }
+        check_window(self, grads)?;
+        // The window is +0, what both sums start from: write
+        // ∂L/∂W = δᵀ · x and ∂L/∂b = Σ_batch δ in place.
+        let (grad_weight, grad_bias) = grads.split_at_mut(self.weight.numel());
+        grad_output.matmul_tn_into(input, grad_weight)?;
+        grad_output.add_rows_to(grad_bias)?;
         Ok(())
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        self.grads_zero = false;
-        f(&mut self.weight, &mut self.grad_weight);
-        f(&mut self.bias, &mut self.grad_bias);
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
         f(&mut self.weight);
         f(&mut self.bias);
-    }
-
-    fn zero_grad(&mut self) {
-        if !self.grads_zero {
-            self.grad_weight.data_mut().fill(0.0);
-            self.grad_bias.data_mut().fill(0.0);
-            self.grads_zero = true;
-        }
     }
 
     fn visit_params_ref(&self, f: &mut dyn FnMut(&Tensor)) {
@@ -336,7 +290,22 @@ mod tests {
     fn backward_before_forward_errors() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut l = Linear::new(3, 2, &mut rng);
-        assert!(l.backward(&Tensor::zeros(&[1, 2])).is_err());
+        assert!(l.backward(&Tensor::zeros(&[1, 2]), &mut [0.0; 8]).is_err());
+    }
+
+    #[test]
+    fn backward_rejects_a_window_of_the_wrong_length() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut l = Linear::new(3, 2, &mut rng);
+        let x = Tensor::randn(&[4, 3], &mut rng);
+        l.forward(&x, Mode::Train).unwrap();
+        let delta = Tensor::ones(&[4, 2]);
+        for len in [0, 6, 7, 9] {
+            assert!(matches!(
+                l.backward(&delta, &mut vec![0.0; len]),
+                Err(NnError::ParamLength { expected: 8, .. })
+            ));
+        }
     }
 
     #[test]
@@ -348,14 +317,16 @@ mod tests {
         let x = Tensor::from_vec(vec![0.3, -0.7, 0.2], &[1, 3]).unwrap();
         let y = l.forward(&x, Mode::Train).unwrap();
         let g = Tensor::from_vec(vec![2.0, -1.5], &[1, 2]).unwrap();
-        l.backward(&g).unwrap();
+        let mut grads = [0.0f32; 8];
+        l.backward(&g, &mut grads).unwrap();
         let _ = y;
+        let (grad_weight, grad_bias) = grads.split_at(6);
         for i in 0..2 {
             let gi = g.data()[i];
-            assert!((l.grad_bias().data()[i] - gi).abs() < 1e-6);
+            assert!((grad_bias[i] - gi).abs() < 1e-6);
             for j in 0..3 {
                 let expect = gi * x.data()[j];
-                let got = l.grad_weight().get(&[i, j]).unwrap();
+                let got = grad_weight[i * 3 + j];
                 assert!((got - expect).abs() < 1e-6);
             }
         }
@@ -375,26 +346,27 @@ mod tests {
         let g = Tensor::randn(&[4, 2], &mut rng);
 
         l_batch.forward(&x, Mode::Train).unwrap();
-        l_batch.backward(&g).unwrap();
+        let mut batch_grads = [0.0f32; 8];
+        l_batch.backward(&g, &mut batch_grads).unwrap();
 
+        let mut summed = [0.0f32; 8];
         for s in 0..4 {
             let xs = x.slice_rows(s, s + 1).unwrap();
             let gs = g.slice_rows(s, s + 1).unwrap();
             l_single.forward(&xs, Mode::Train).unwrap();
-            l_single.backward(&gs).unwrap(); // accumulates
+            let mut sample = [0.0f32; 8];
+            l_single.backward(&gs, &mut sample).unwrap();
+            for (acc, v) in summed.iter_mut().zip(sample) {
+                *acc += v;
+            }
         }
-        for (a, b) in l_batch
-            .grad_weight()
-            .data()
-            .iter()
-            .zip(l_single.grad_weight().data())
-        {
+        for (a, b) in batch_grads[..6].iter().zip(&summed[..6]) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
     }
 
-    fn bits(t: &Tensor) -> Vec<u32> {
-        t.data().iter().map(|v| v.to_bits()).collect()
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     /// Inputs and upstream gradients with signed zeros, zero rows and
@@ -413,67 +385,29 @@ mod tests {
     }
 
     #[test]
-    fn in_place_backward_equals_a_temporary_plus_add_assign() {
+    fn in_place_backward_equals_a_temporary_added_to_zeros() {
         for (in_f, out_f, batch) in [(3, 2, 1), (70, 33, 5), (257, 64, 8), (300, 17, 40)] {
             let mut rng = StdRng::seed_from_u64(in_f as u64);
             let mut l = Linear::new(in_f, out_f, &mut rng);
             let x = tricky(&[batch, in_f], &mut rng);
             let delta = tricky(&[batch, out_f], &mut rng);
-            assert!(l.grads_zero);
             l.forward(&x, Mode::Train).unwrap();
-            l.backward_params(&delta).unwrap();
-            assert!(!l.grads_zero);
-            let mut gw = Tensor::zeros(&[out_f, in_f]);
-            gw.add_assign(&delta.matmul_tn(&x).unwrap()).unwrap();
-            let mut gb = Tensor::zeros(&[out_f]);
-            gb.add_assign(&delta.sum_axis0().unwrap()).unwrap();
-            assert_eq!(bits(l.grad_weight()), bits(&gw), "{in_f}x{out_f} b={batch}");
-            assert_eq!(bits(l.grad_bias()), bits(&gb), "{in_f}x{out_f} b={batch}");
-
-            // A second backward without zero_grad accumulates.
-            let delta2 = tricky(&[batch, out_f], &mut rng);
-            l.backward(&delta2).unwrap();
-            gw.add_assign(&delta2.matmul_tn(&x).unwrap()).unwrap();
-            gb.add_assign(&delta2.sum_axis0().unwrap()).unwrap();
-            assert_eq!(bits(l.grad_weight()), bits(&gw));
-            assert_eq!(bits(l.grad_bias()), bits(&gb));
-
-            // zero_grad really zeroes once the slots have been written.
-            l.zero_grad();
-            assert!(l.grads_zero);
-            assert!(l.grad_weight().data().iter().all(|v| v.to_bits() == 0));
-            assert!(l.grad_bias().data().iter().all(|v| v.to_bits() == 0));
+            let mut grads = vec![0.0f32; out_f * in_f + out_f];
+            l.backward_params(&delta, &mut grads).unwrap();
+            // The products, each added into a `+0` buffer.
+            let plus_zero = |product: Tensor| -> Vec<u32> {
+                let mut sum = vec![0.0f32; product.numel()];
+                for (s, &v) in sum.iter_mut().zip(product.data()) {
+                    *s += v;
+                }
+                bits(&sum)
+            };
+            let gw = plus_zero(delta.matmul_tn(&x).unwrap());
+            let gb = plus_zero(delta.sum_axis0().unwrap());
+            let (grad_weight, grad_bias) = grads.split_at(out_f * in_f);
+            assert_eq!(bits(grad_weight), gw, "{in_f}x{out_f} b={batch}");
+            assert_eq!(bits(grad_bias), gb, "{in_f}x{out_f} b={batch}");
         }
-    }
-
-    #[test]
-    fn writing_the_gradient_slots_clears_the_zero_flag() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut l = Linear::new(3, 2, &mut rng);
-        crate::load_grads(&mut l, &[1.0; 8]).unwrap();
-        assert!(!l.grads_zero);
-        l.zero_grad();
-        assert_eq!(crate::flatten_grads(&mut l), vec![0.0; 8]);
-
-        l.visit_params(&mut |_, g| g.data_mut().fill(2.0));
-        assert!(!l.grads_zero);
-        l.zero_grad();
-        assert_eq!(crate::flatten_grads(&mut l), vec![0.0; 8]);
-
-        // Loading weights leaves the gradient slots, and the flag, alone.
-        l.zero_grad();
-        crate::load_params(&mut l, &[0.5; 8]).unwrap();
-        assert!(l.grads_zero);
-
-        // A backward after load_grads adds to the loaded values.
-        let x = Tensor::randn(&[4, 3], &mut rng);
-        let delta = Tensor::randn(&[4, 2], &mut rng);
-        crate::load_grads(&mut l, &[0.25; 8]).unwrap();
-        l.forward(&x, Mode::Train).unwrap();
-        l.backward(&delta).unwrap();
-        let mut gw = Tensor::full(&[2, 3], 0.25);
-        gw.add_assign(&delta.matmul_tn(&x).unwrap()).unwrap();
-        assert_eq!(bits(l.grad_weight()), bits(&gw));
     }
 
     #[test]

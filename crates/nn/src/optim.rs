@@ -2,18 +2,23 @@
 
 use oasis_tensor::Tensor;
 
-use crate::Layer;
+use crate::{zip_params, Layer, Result};
 
 /// A gradient-based parameter updater.
 ///
-/// Optimizers rely on [`Layer::visit_params`] yielding parameters in a
-/// stable order; per-parameter state (momentum, Adam moments) is
+/// Optimizers rely on [`Layer::visit_params_mut`] yielding parameters
+/// in a stable order; per-parameter state (momentum, Adam moments) is
 /// indexed by visit position.
 pub trait Optimizer {
-    /// Applies one update step using the gradients currently
-    /// accumulated in `model`, then leaves the gradients untouched
-    /// (call [`Layer::zero_grad`] before the next backward pass).
-    fn step(&mut self, model: &mut dyn Layer);
+    /// Applies one update step to `model`'s parameters from the flat
+    /// gradient `grads`, laid out in visit order (the buffer a
+    /// backward pass writes, or a defended update).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::NnError::ParamLength`] when `grads` is not one
+    /// float per parameter; the parameters are untouched then.
+    fn step(&mut self, model: &mut dyn Layer, grads: &[f32]) -> Result<()>;
 
     /// The current learning rate.
     fn learning_rate(&self) -> f32;
@@ -56,29 +61,24 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, model: &mut dyn Layer) {
+    fn step(&mut self, model: &mut dyn Layer, grads: &[f32]) -> Result<()> {
         let mut idx = 0usize;
         let lr = self.lr;
         let momentum = self.momentum;
         let wd = self.weight_decay;
         let velocity = &mut self.velocity;
-        model.visit_params(&mut |p, g| {
+        zip_params(model, grads, &mut |p, g| {
             if velocity.len() <= idx {
                 velocity.push(Tensor::zeros(p.dims()));
             }
             let v = &mut velocity[idx];
-            for ((pv, gv), vv) in p
-                .data_mut()
-                .iter_mut()
-                .zip(g.data())
-                .zip(v.data_mut().iter_mut())
-            {
+            for ((pv, gv), vv) in p.data_mut().iter_mut().zip(g).zip(v.data_mut().iter_mut()) {
                 let grad = gv + wd * *pv;
                 *vv = momentum * *vv + grad;
                 *pv -= lr * *vv;
             }
             idx += 1;
-        });
+        })
     }
 
     fn learning_rate(&self) -> f32 {
@@ -122,16 +122,15 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, model: &mut dyn Layer) {
-        self.step_count += 1;
-        let t = self.step_count as f32;
+    fn step(&mut self, model: &mut dyn Layer, grads: &[f32]) -> Result<()> {
+        let t = (self.step_count + 1) as f32;
         let bias1 = 1.0 - self.beta1.powf(t);
         let bias2 = 1.0 - self.beta2.powf(t);
         let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
         let m = &mut self.m;
         let v = &mut self.v;
         let mut idx = 0usize;
-        model.visit_params(&mut |p, g| {
+        zip_params(model, grads, &mut |p, g| {
             if m.len() <= idx {
                 m.push(Tensor::zeros(p.dims()));
                 v.push(Tensor::zeros(p.dims()));
@@ -140,7 +139,7 @@ impl Optimizer for Adam {
             for (((pv, gv), mv), vv) in p
                 .data_mut()
                 .iter_mut()
-                .zip(g.data())
+                .zip(g)
                 .zip(mi.data_mut().iter_mut())
                 .zip(vi.data_mut().iter_mut())
             {
@@ -152,7 +151,10 @@ impl Optimizer for Adam {
                 *pv -= lr * m_hat / (v_hat.sqrt() + eps);
             }
             idx += 1;
-        });
+        })?;
+        // Counted once the step is taken: a rejected one moves nothing.
+        self.step_count += 1;
+        Ok(())
     }
 
     fn learning_rate(&self) -> f32 {
@@ -167,7 +169,7 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{softmax_cross_entropy, Linear, Mode};
+    use crate::{param_count, softmax_cross_entropy, Linear, Mode};
     use rand::{rngs::StdRng, SeedableRng};
 
     /// One linear layer trained on a trivially separable problem must
@@ -180,11 +182,11 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..200 {
-            model.zero_grad();
             let logits = model.forward(&x, Mode::Train).unwrap();
             let out = softmax_cross_entropy(&logits, &labels).unwrap();
-            model.backward(&out.grad).unwrap();
-            optimizer.step(&mut model);
+            let mut grads = vec![0.0f32; param_count(&model)];
+            model.backward(&out.grad, &mut grads).unwrap();
+            optimizer.step(&mut model, &grads).unwrap();
             first.get_or_insert(out.loss);
             last = out.loss;
         }
@@ -218,21 +220,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_grad_between_steps_prevents_accumulation_drift() {
-        // Two identical steps with zero_grad in between must produce
-        // the same parameter change as expected for plain SGD.
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut model = Linear::new(1, 1, &mut rng);
-        let w0 = model.weight().data()[0];
-        let x = Tensor::from_vec(vec![1.0], &[1, 1]).unwrap();
-        let mut opt = Sgd::new(0.1);
-
-        model.zero_grad();
-        let y = model.forward(&x, Mode::Train).unwrap();
-        let out = crate::mse_loss(&y, &Tensor::zeros(&[1, 1])).unwrap();
-        model.backward(&out.grad).unwrap();
-        opt.step(&mut model);
-        let w1 = model.weight().data()[0];
-        assert_ne!(w0, w1);
+    fn step_reads_the_flat_gradient_in_visit_order() {
+        // Plain SGD moves each parameter by `lr · g` for its own slot of
+        // the flat gradient: weight rows first, then the bias.
+        let w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
+        let mut model = Linear::from_parts(w, Tensor::from_slice(&[5.0, 6.0])).unwrap();
+        let grads = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        Sgd::new(0.5).step(&mut model, &grads).unwrap();
+        assert_eq!(model.weight().data(), &[0.5, 1.0, 1.5, 2.0]);
+        assert_eq!(model.bias().data(), &[2.5, 3.0]);
+        // A gradient of the wrong length moves nothing.
+        assert!(Adam::new(0.1, 0.0).step(&mut model, &grads[..5]).is_err());
+        assert_eq!(model.bias().data(), &[2.5, 3.0]);
     }
 }

@@ -46,7 +46,7 @@ impl Layer for AvgPoolAll {
         Ok(out)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_output: &Tensor, _grads: &mut [f32]) -> Result<Tensor> {
         let p = self.spatial.ok_or(NnError::BackwardBeforeForward {
             layer: "avgpool_all",
         })?;
@@ -63,7 +63,7 @@ impl Layer for AvgPoolAll {
         Ok(gx)
     }
 
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
+    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Tensor)) {}
 
     fn visit_params_ref(&self, _f: &mut dyn FnMut(&Tensor)) {}
 
@@ -98,7 +98,7 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[1, 4]).unwrap();
         pool.forward(&x, Mode::Train).unwrap();
         let gx = pool
-            .backward(&Tensor::from_vec(vec![8.0], &[1, 1]).unwrap())
+            .backward(&Tensor::from_vec(vec![8.0], &[1, 1]).unwrap(), &mut [])
             .unwrap();
         assert_eq!(gx.data(), &[2.0, 2.0, 2.0, 2.0]);
     }

@@ -31,7 +31,7 @@ impl Layer for Relu {
         Ok(input.relu())
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_output: &Tensor, _grads: &mut [f32]) -> Result<Tensor> {
         let mask = self
             .mask
             .as_ref()
@@ -52,7 +52,7 @@ impl Layer for Relu {
         Ok(out)
     }
 
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
+    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Tensor)) {}
 
     fn visit_params_ref(&self, _f: &mut dyn FnMut(&Tensor)) {}
 
@@ -87,7 +87,7 @@ mod tests {
         let x = Tensor::from_vec(vec![-1.0, 0.5, 2.0], &[1, 3]).unwrap();
         r.forward(&x, Mode::Train).unwrap();
         let g = Tensor::from_vec(vec![10.0, 10.0, 10.0], &[1, 3]).unwrap();
-        let gx = r.backward(&g).unwrap();
+        let gx = r.backward(&g, &mut []).unwrap();
         assert_eq!(gx.data(), &[0.0, 10.0, 10.0]);
     }
 
@@ -98,21 +98,22 @@ mod tests {
         let mut r = Relu::new();
         let x = Tensor::from_vec(vec![0.0], &[1, 1]).unwrap();
         r.forward(&x, Mode::Train).unwrap();
-        let gx = r.backward(&Tensor::ones(&[1, 1])).unwrap();
+        let gx = r.backward(&Tensor::ones(&[1, 1]), &mut []).unwrap();
         assert_eq!(gx.data(), &[0.0]);
     }
 
     #[test]
     fn backward_without_forward_errors() {
         let mut r = Relu::new();
-        assert!(r.backward(&Tensor::ones(&[1, 1])).is_err());
+        assert!(r.backward(&Tensor::ones(&[1, 1]), &mut []).is_err());
     }
 
     #[test]
     fn has_no_params() {
         let mut r = Relu::new();
         let mut count = 0;
-        r.visit_params(&mut |_, _| count += 1);
+        r.visit_params_mut(&mut |_| count += 1);
         assert_eq!(count, 0);
+        assert_eq!(crate::param_count(&r), 0);
     }
 }

@@ -12,7 +12,10 @@ use oasis_tensor::Tensor;
 use rand::Rng;
 use std::any::Any;
 
-use crate::{BatchNorm, Conv2d, Layer, Linear, Mode, NnError, Relu, Result, Sequential};
+use crate::layer::check_window;
+use crate::{
+    param_count, BatchNorm, Conv2d, Layer, Linear, Mode, NnError, Relu, Result, Sequential,
+};
 
 /// A basic residual block: `y = relu(bn2(conv2(relu(bn1(conv1(x))))) + skip(x))`.
 ///
@@ -86,13 +89,19 @@ impl Layer for ResidualBlock {
         Ok(pre.relu())
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_output: &Tensor, grads: &mut [f32]) -> Result<Tensor> {
         let mask = self
             .out_mask
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward {
                 layer: "residual_block",
             })?;
+        check_window(self, grads)?;
+        // The children's windows, in visit order.
+        let (w_conv1, rest) = grads.split_at_mut(param_count(&self.conv1));
+        let (w_bn1, rest) = rest.split_at_mut(param_count(&self.bn1));
+        let (w_conv2, rest) = rest.split_at_mut(param_count(&self.conv2));
+        let (w_bn2, w_skip) = rest.split_at_mut(param_count(&self.bn2));
         let mut g = grad_output.clone();
         for (v, &m) in g.data_mut().iter_mut().zip(mask) {
             if !m {
@@ -100,30 +109,31 @@ impl Layer for ResidualBlock {
             }
         }
         // Residual path.
-        let gf = self.bn2.backward(&g)?;
-        let gf = self.conv2.backward(&gf)?;
-        let gf = self.relu1.backward(&gf)?;
-        let gf = self.bn1.backward(&gf)?;
-        let gx_res = self.conv1.backward(&gf)?;
+        let gf = self.bn2.backward(&g, w_bn2)?;
+        let gf = self.conv2.backward(&gf, w_conv2)?;
+        let gf = self.relu1.backward(&gf, &mut [])?;
+        let gf = self.bn1.backward(&gf, w_bn1)?;
+        let gx_res = self.conv1.backward(&gf, w_conv1)?;
         // Skip path.
         let gx_skip = match &mut self.skip {
             Some((proj, bn)) => {
-                let gs = bn.backward(&g)?;
-                proj.backward(&gs)?
+                let (w_proj, w_bn) = w_skip.split_at_mut(param_count(&*proj));
+                let gs = bn.backward(&g, w_bn)?;
+                proj.backward(&gs, w_proj)?
             }
             None => g,
         };
         Ok(gx_res.add(&gx_skip)?)
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        self.conv1.visit_params(f);
-        self.bn1.visit_params(f);
-        self.conv2.visit_params(f);
-        self.bn2.visit_params(f);
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        self.conv1.visit_params_mut(f);
+        self.bn1.visit_params_mut(f);
+        self.conv2.visit_params_mut(f);
+        self.bn2.visit_params_mut(f);
         if let Some((proj, bn)) = &mut self.skip {
-            proj.visit_params(f);
-            bn.visit_params(f);
+            proj.visit_params_mut(f);
+            bn.visit_params_mut(f);
         }
     }
 
@@ -195,7 +205,7 @@ pub fn resnet_lite(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{flatten_grads, softmax_cross_entropy};
+    use crate::{param_count, softmax_cross_entropy};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -223,7 +233,8 @@ mod tests {
         let mut block = ResidualBlock::new(3, 6, 2, (6, 6), &mut rng);
         let x = Tensor::randn(&[2, 3 * 36], &mut rng);
         let y = block.forward(&x, Mode::Train).unwrap();
-        let gx = block.backward(&Tensor::ones(y.dims())).unwrap();
+        let mut grads = vec![0.0f32; param_count(&block)];
+        let gx = block.backward(&Tensor::ones(y.dims()), &mut grads).unwrap();
         assert_eq!(gx.dims(), x.dims());
     }
 
@@ -243,8 +254,8 @@ mod tests {
         let x = Tensor::randn(&[4, 3 * 64], &mut rng);
         let logits = net.forward(&x, Mode::Train).unwrap();
         let out = softmax_cross_entropy(&logits, &[0, 1, 2, 3]).unwrap();
-        net.backward(&out.grad).unwrap();
-        let grads = flatten_grads(&mut net);
+        let mut grads = vec![0.0f32; param_count(&net)];
+        net.backward(&out.grad, &mut grads).unwrap();
         let nonzero = grads.iter().filter(|&&g| g != 0.0).count();
         assert!(
             nonzero * 2 > grads.len(),
@@ -270,11 +281,11 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..30 {
-            net.zero_grad();
             let logits = net.forward(&x, Mode::Train).unwrap();
             let out = softmax_cross_entropy(&logits, &labels).unwrap();
-            net.backward(&out.grad).unwrap();
-            crate::Optimizer::step(&mut opt, &mut net);
+            let mut grads = vec![0.0f32; param_count(&net)];
+            net.backward(&out.grad, &mut grads).unwrap();
+            crate::Optimizer::step(&mut opt, &mut net, &grads).unwrap();
             first.get_or_insert(out.loss);
             last = out.loss;
         }

@@ -3,7 +3,8 @@
 use oasis_tensor::Tensor;
 use std::any::Any;
 
-use crate::{Layer, Mode, Result};
+use crate::layer::{check_len, check_window};
+use crate::{param_count, Layer, Mode, Result};
 
 /// A stack of layers applied in order.
 ///
@@ -58,6 +59,37 @@ impl Sequential {
             .get_mut(i)
             .and_then(|b| b.as_any_mut().downcast_mut())
     }
+
+    /// Backpropagates `grad_output` through layers `from..` only, in
+    /// reverse, and returns the gradient at layer `from`'s input.
+    /// `grads` is the `+0` window of those layers alone, which each
+    /// layer's own window is split off the end of as the pass walks
+    /// back.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::NnError::ParamLength`] when `grads` is not one
+    /// float per parameter of layers `from..`, and propagates the
+    /// layers' backward errors.
+    pub fn backward_from(
+        &mut self,
+        from: usize,
+        grad_output: &Tensor,
+        grads: &mut [f32],
+    ) -> Result<Tensor> {
+        let layers = self.layers.get_mut(from..).unwrap_or_default();
+        check_len(grads.len(), layers.iter().map(|l| param_count(&**l)).sum())?;
+        let mut g = grad_output.clone();
+        let mut rest = grads;
+        for layer in layers.iter_mut().rev() {
+            let taken = std::mem::take(&mut rest);
+            let split = taken.len() - param_count(&**layer);
+            let (head, window) = taken.split_at_mut(split);
+            g = layer.backward(&g, window)?;
+            rest = head;
+        }
+        Ok(g)
+    }
 }
 
 impl Layer for Sequential {
@@ -69,32 +101,21 @@ impl Layer for Sequential {
         Ok(x)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
-        }
-        Ok(g)
+    fn backward(&mut self, grad_output: &Tensor, grads: &mut [f32]) -> Result<Tensor> {
+        self.backward_from(0, grad_output, grads)
     }
 
-    /// Runs `backward` through layers `1..` in reverse, then
-    /// `backward_params` on layer 0, so the stack's input gradient is
-    /// never formed.
-    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
+    /// Runs `backward` through layers `1..` in reverse
+    /// ([`Sequential::backward_from`]), then `backward_params` on
+    /// layer 0, so the stack's input gradient is never formed.
+    fn backward_params(&mut self, grad_output: &Tensor, grads: &mut [f32]) -> Result<()> {
+        check_window(self, grads)?;
+        let Some(first) = self.layers.first() else {
             return Ok(());
         };
-        let mut g = None;
-        for layer in rest.iter_mut().rev() {
-            g = Some(layer.backward(g.as_ref().unwrap_or(grad_output))?);
-        }
-        first.backward_params(g.as_ref().unwrap_or(grad_output))
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        for layer in &mut self.layers {
-            layer.visit_params(f);
-        }
+        let (first_window, rest) = grads.split_at_mut(param_count(&**first));
+        let g = self.backward_from(1, grad_output, rest)?;
+        self.layers[0].backward_params(&g, first_window)
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
@@ -106,14 +127,6 @@ impl Layer for Sequential {
     fn visit_params_ref(&self, f: &mut dyn FnMut(&Tensor)) {
         for layer in &self.layers {
             layer.visit_params_ref(f);
-        }
-    }
-
-    /// Each layer zeroes its own gradients, so a layer that knows its
-    /// slots are already zero skips the fill.
-    fn zero_grad(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grad();
         }
     }
 
@@ -173,8 +186,10 @@ mod tests {
         let mut m = mlp(&mut rng);
         let x = Tensor::randn(&[5, 4], &mut rng);
         let y = m.forward(&x, Mode::Train).unwrap();
-        let gx = m.backward(&Tensor::ones(y.dims())).unwrap();
+        let mut grads = vec![0.0f32; crate::param_count(&m)];
+        let gx = m.backward(&Tensor::ones(y.dims()), &mut grads).unwrap();
         assert_eq!(gx.dims(), x.dims());
+        assert!(m.backward(&Tensor::ones(y.dims()), &mut [0.0; 3]).is_err());
     }
 
     #[test]

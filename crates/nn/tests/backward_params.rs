@@ -1,12 +1,12 @@
 //! `Layer::backward_params` against `Layer::backward`.
 //!
 //! The parameter-only backward skips the input gradient and nothing
-//! else, so the parameter gradients it accumulates must be bit-equal
-//! to `backward`'s — after one call and after a second accumulating
-//! call — for every layer that overrides it, on every SIMD backend
-//! and at 1 and 2 pool threads.
+//! else, so the parameter gradients it writes into its window must be
+//! bit-equal to `backward`'s — on two successive batches — for every
+//! layer that overrides it, on every SIMD backend and at 1 and 2 pool
+//! threads.
 
-use oasis_nn::{Conv2d, Layer, Linear, Mode, NnError, Relu, Sequential};
+use oasis_nn::{param_count, Conv2d, Layer, Linear, Mode, NnError, Relu, Sequential};
 use oasis_tensor::simd::{with_backend, Backend};
 use oasis_tensor::{parallel, Tensor};
 use rand::rngs::StdRng;
@@ -37,16 +37,14 @@ fn everywhere(check: impl Fn()) {
     }
 }
 
-fn grad_bits(layer: &mut dyn Layer) -> Vec<Vec<u32>> {
-    let mut out = Vec::new();
-    layer.visit_params(&mut |_, g| out.push(g.data().iter().map(|v| v.to_bits()).collect()));
-    out
+fn bits(grads: &[f32]) -> Vec<u32> {
+    grads.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Builds two identical layers with `make`, runs two accumulating
-/// `Mode::Train` steps on each — `backward` on one, `backward_params`
-/// on the other — and requires bit-equal parameter gradients after
-/// each step.
+/// Builds two identical layers with `make`, runs two `Mode::Train`
+/// steps on each — `backward` on one, `backward_params` on the other,
+/// each into a fresh `+0` window — and requires bit-equal parameter
+/// gradients after each step.
 fn assert_param_grads_match<L: Layer>(
     what: &str,
     make: impl Fn() -> L,
@@ -61,12 +59,16 @@ fn assert_param_grads_match<L: Layer>(
         let y = full.forward(&x, Mode::Train).unwrap();
         assert_eq!(params_only.forward(&x, Mode::Train).unwrap(), y);
         let g = Tensor::randn(y.dims(), &mut rng);
-        let gx = full.backward(&g).unwrap();
+        let mut full_grads = vec![0.0f32; param_count(&full)];
+        let mut params_only_grads = full_grads.clone();
+        let gx = full.backward(&g, &mut full_grads).unwrap();
         assert_eq!(gx.dims(), &[batch, in_features]);
-        params_only.backward_params(&g).unwrap();
+        params_only
+            .backward_params(&g, &mut params_only_grads)
+            .unwrap();
         assert_eq!(
-            grad_bits(&mut params_only),
-            grad_bits(&mut full),
+            bits(&params_only_grads),
+            bits(&full_grads),
             "{what}: parameter gradients differ after step {step}"
         );
     }
@@ -151,23 +153,42 @@ fn backward_params_before_forward_errors() {
     let g = Tensor::ones(&[2, 3]);
     let mut linear = Linear::new(4, 3, &mut rng);
     assert!(matches!(
-        linear.backward_params(&g),
+        linear.backward_params(&g, &mut [0.0; 15]),
         Err(NnError::BackwardBeforeForward { layer: "linear" })
     ));
     let mut conv = Conv2d::new(1, 3, 1, 1, 0, (1, 1), &mut rng);
     assert!(matches!(
-        conv.backward_params(&g),
+        conv.backward_params(&g, &mut [0.0; 6]),
         Err(NnError::BackwardBeforeForward { layer: "conv2d" })
     ));
     for conv_first in [false, true] {
         let mut model = nested(conv_first);
-        assert!(model.backward_params(&Tensor::ones(&[2, 4])).is_err());
+        let mut grads = vec![0.0f32; param_count(&model)];
+        assert!(model
+            .backward_params(&Tensor::ones(&[2, 4]), &mut grads)
+            .is_err());
+    }
+}
+
+#[test]
+fn backward_params_rejects_a_window_of_the_wrong_length() {
+    for conv_first in [false, true] {
+        let mut model = nested(conv_first);
+        let x = Tensor::ones(&[2, 50]);
+        model.forward(&x, Mode::Train).unwrap();
+        let n = param_count(&model);
+        for len in [0, n - 1, n + 1] {
+            assert!(matches!(
+                model.backward_params(&Tensor::ones(&[2, 4]), &mut vec![0.0; len]),
+                Err(NnError::ParamLength { .. })
+            ));
+        }
     }
 }
 
 #[test]
 fn empty_sequential_backward_params_is_a_no_op() {
     assert!(Sequential::new()
-        .backward_params(&Tensor::ones(&[2, 3]))
+        .backward_params(&Tensor::ones(&[2, 3]), &mut [])
         .is_ok());
 }

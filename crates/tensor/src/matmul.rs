@@ -76,7 +76,7 @@ impl Tensor {
     /// `m×n` product's values and be `+0` throughout on entry — the
     /// kernel adds into it. The result is `matmul_tn`'s, bit for bit,
     /// without allocating the product: a layer can write its weight
-    /// gradient straight into a zeroed gradient slot.
+    /// gradient straight into its `+0` window of a gradient buffer.
     ///
     /// # Errors
     ///

@@ -52,25 +52,6 @@ impl Tensor {
         self.zip_map(other, |a, b| a - b)
     }
 
-    /// In-place `self += other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn add_assign(&mut self, other: &Tensor) -> Result<()> {
-        if self.shape() != other.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "add_assign",
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        for (a, &b) in self.data_mut().iter_mut().zip(other.data()) {
-            *a += b;
-        }
-        Ok(())
-    }
-
     /// In-place `self += alpha * other` (AXPY), via the same
     /// [`crate::simd`] kernel the matmul paths use — one kernel, one
     /// tail-handling story.

@@ -3,8 +3,9 @@
 //! and continue training with a bit-identical trajectory.
 //!
 //! [`load_model`] reads the file into memory and hands the bytes to
-//! [`load_model_bytes`], which validates the header and every
-//! name/shape against the model *before mutating anything*, then
+//! [`load_model_bytes`], which validates the header, every
+//! name/shape/dtype against the model and every value's finiteness
+//! *before mutating anything*, then
 //! copies each tensor exactly once — file bytes → parameter storage —
 //! via [`crate::TensorView::read_f32`]. There is no intermediate
 //! `Vec<Vec<f32>>` staging, so peak load memory is the file plus the
@@ -66,7 +67,8 @@ pub fn model_to_bytes(model: &Sequential) -> Result<Vec<u8>, WireError> {
 
 /// Loads a checkpoint produced by [`model_to_bytes`] into `model`.
 /// Strict: the architecture must match — same tensor names, same
-/// shapes, no extras, no omissions.
+/// shapes, no extras, no omissions — and every value must be finite,
+/// so a corrupt file cannot plant a NaN or ±Inf in the model.
 ///
 /// The copy is single-pass after validation: each checkpoint tensor is
 /// written straight into its parameter's storage, with no staging
@@ -75,13 +77,14 @@ pub fn model_to_bytes(model: &Sequential) -> Result<Vec<u8>, WireError> {
 ///
 /// # Errors
 ///
-/// Returns a [`WireError`] on malformed buffers or any
-/// name/shape/count mismatch with `model`.
+/// Returns a [`WireError`] on malformed buffers, any
+/// name/shape/count mismatch with `model`, or a non-finite value.
 pub fn load_model_bytes(model: &mut Sequential, bytes: &[u8]) -> Result<(), WireError> {
     let view = WireView::parse(bytes)?;
 
-    // Pass 1: read-only walk checking names, shapes, dtypes, and the
-    // tensor count against the checkpoint before mutating anything.
+    // Pass 1: read-only walk checking names, shapes, dtypes, values
+    // and the tensor count against the checkpoint before mutating
+    // anything.
     let mut expected = 0usize;
     for_each_param_entry(model, &mut |tensor_name, dims, _| {
         expected += 1;
@@ -97,6 +100,12 @@ pub fn load_model_bytes(model: &mut Sequential, bytes: &[u8]) -> Result<(), Wire
             return Err(WireError::Header(format!(
                 "checkpoint tensor `{tensor_name}` has dtype {}, model parameters are f32",
                 t.meta().dtype.as_str()
+            )));
+        }
+        let finite = |b: &[u8]| f32::from_le_bytes([b[0], b[1], b[2], b[3]]).is_finite();
+        if !t.bytes().chunks_exact(4).all(finite) {
+            return Err(WireError::Payload(format!(
+                "checkpoint tensor `{tensor_name}` holds a non-finite value"
             )));
         }
         Ok(())
@@ -115,7 +124,7 @@ pub fn load_model_bytes(model: &mut Sequential, bytes: &[u8]) -> Result<(), Wire
         let layer = model.layer_mut(li).expect("index in range");
         let name = layer.name();
         let mut pi = 0usize;
-        layer.visit_params(&mut |p, _| {
+        layer.visit_params_mut(&mut |p| {
             if copy_err.is_none() {
                 let tensor_name = format!("{li:03}.{name}.{pi}");
                 let res = view
@@ -160,7 +169,7 @@ pub fn load_model(path: impl AsRef<Path>, model: &mut Sequential) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oasis_nn::{flatten_params, Linear, Relu};
+    use oasis_nn::{flatten_params, Layer, Linear, Relu};
     use rand::{rngs::StdRng, SeedableRng};
 
     fn model(seed: u64) -> Sequential {
@@ -211,6 +220,29 @@ mod tests {
             before,
             "validation must run before any mutation"
         );
+    }
+
+    #[test]
+    fn non_finite_checkpoint_is_rejected_before_any_write() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut a = model(1);
+            // The last value of the last (4th) parameter: every tensor
+            // before it is valid, so a load that wrote as it checked
+            // would already have changed the model.
+            let mut k = 0;
+            a.visit_params_mut(&mut |p| {
+                k += 1;
+                if k == 4 {
+                    *p.data_mut().last_mut().unwrap() = bad;
+                }
+            });
+            let bytes = model_to_bytes(&a).unwrap();
+            let mut b = model(2);
+            let before = flatten_params(&b);
+            let err = load_model_bytes(&mut b, &bytes).unwrap_err();
+            assert!(err.to_string().contains("non-finite"), "{err}");
+            assert_eq!(flatten_params(&b), before, "value {bad}");
+        }
     }
 
     #[test]

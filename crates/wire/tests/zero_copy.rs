@@ -238,8 +238,9 @@ fn truncated_checkpoint_files_error_never_panic() {
     // One seeded single-byte flip at every position of the file
     // (every 17th under the interpreter): length prefix, JSON header,
     // padding and payload. A flip may load (a payload flip is a valid
-    // checkpoint with other values); it must never panic, and a
-    // rejected file must leave every parameter bit unchanged.
+    // checkpoint with other values) but must then leave every
+    // parameter finite; it must never panic, and a rejected file must
+    // leave every parameter bit unchanged.
     let mut rng = StdRng::seed_from_u64(0xF11B);
     let flip_path = tmp("flipped.oasis");
     let stride = if cfg!(miri) { 17 } else { 1 };
@@ -254,6 +255,14 @@ fn truncated_checkpoint_files_error_never_panic() {
                 param_bits(&m),
                 before,
                 "rejected flip at byte {pos}/{} mutated the model",
+                full.len()
+            );
+        } else {
+            assert!(
+                param_bits(&m)
+                    .into_iter()
+                    .all(|b| f32::from_bits(b).is_finite()),
+                "loaded flip at byte {pos}/{} planted a non-finite parameter",
                 full.len()
             );
         }

@@ -7,8 +7,8 @@ use oasis_augment::PolicyKind;
 use oasis_data::{cifar_like_with, Dataset};
 use oasis_fl::{train_centralized, DefenseStack};
 use oasis_nn::{
-    flatten_params, softmax_cross_entropy, Adam, Layer, Linear, Mode, Optimizer, Relu, Sequential,
-    Sgd,
+    flatten_params, param_count, softmax_cross_entropy, Adam, Layer, Linear, Mode, Optimizer, Relu,
+    Sequential, Sgd,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -57,8 +57,7 @@ fn oasis_training_keeps_accuracy_close_to_baseline() {
 fn train_centralized_matches_the_unshared_loop_bit_exactly() {
     // The reference is the loop `train_centralized` ran before it
     // shared `DefenseStack::local_step`: Table I's optimizer steps
-    // straight on the backward pass's gradients, with no flatten/load
-    // round trip.
+    // straight on the gradient buffer the backward pass wrote.
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let (train, test) = split();
     for defense in [DefenseStack::identity(), oasis(PolicyKind::MajorRotation)] {
@@ -72,11 +71,11 @@ fn train_centralized_matches_the_unshared_loop_bit_exactly() {
             let mut losses = Vec::new();
             for batch in train.shuffled_batches(8, &mut rng) {
                 let processed = defense.process_batch(&batch, &mut rng);
-                reference.zero_grad();
                 let logits = reference.forward(&processed.to_matrix(), Mode::Train);
                 let out = softmax_cross_entropy(&logits.unwrap(), &processed.labels).unwrap();
-                reference.backward(&out.grad).unwrap();
-                opt.step(&mut reference);
+                let mut grads = vec![0.0f32; param_count(&reference)];
+                reference.backward(&out.grad, &mut grads).unwrap();
+                opt.step(&mut reference, &grads).unwrap();
                 losses.push(out.loss);
             }
             epoch_losses.push(losses.iter().sum::<f32>() / losses.len() as f32);

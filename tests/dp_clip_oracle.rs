@@ -4,10 +4,10 @@
 //! `run_attack` computes a clipping stack's upload with one batched
 //! malicious-layer forward, a per-sample tail through the later layers,
 //! and the fused `Linear::clipped_grad_mean` kernel. [`oracle`] below
-//! is the earlier implementation, kept verbatim: for every sample, a
-//! B = 1 forward and backward through the whole model, the
-//! materialized malicious-layer gradient's `norm_sq`, and an `axpy`
-//! into a running sum. The uploaded update (captured as the codec
+//! is the earlier implementation, with its arithmetic kept verbatim:
+//! for every sample, a B = 1 forward and backward through the whole
+//! model into a fresh gradient buffer, the `norm_sq` of the
+//! malicious layer's window of it, and an `axpy` into a running sum. The uploaded update (captured as the codec
 //! encodes it, before the server folds it) and the client loss must
 //! match it bit for bit for every attack family, batch size, clip
 //! regime, and pool width.
@@ -21,8 +21,8 @@ use oasis_attacks::{
 use oasis_augment::PolicyKind;
 use oasis_data::{cifar_like_with, Batch};
 use oasis_fl::{ClipStage, DefenseStack};
-use oasis_nn::{softmax_cross_entropy, Layer, Linear, Mode, Sequential};
-use oasis_tensor::{parallel, Tensor};
+use oasis_nn::{param_count, softmax_cross_entropy, Layer, Linear, Mode, Sequential};
+use oasis_tensor::{parallel, simd, Tensor};
 use oasis_wire::{CodecSpec, EncodedUpdate, RawCodec, UpdateCodec, WireError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,8 +64,14 @@ fn malicious_layer(model: &Sequential) -> Res<&Linear> {
         .ok_or("malicious layer missing")?)
 }
 
-/// The per-sample loop `run_attack` used before the fused kernel,
-/// verbatim: returns the pre-noise upload and the client loss.
+/// `Tensor::norm_sq` of a window: the same sequential sum of squares.
+fn norm_sq(values: &[f32]) -> f32 {
+    values.iter().map(|&v| v * v).sum()
+}
+
+/// The per-sample loop `run_attack` used before the fused kernel, with
+/// the same arithmetic: returns the pre-noise upload and the client
+/// loss.
 fn oracle(
     model: &mut Sequential,
     processed: &Batch,
@@ -80,20 +86,21 @@ fn oracle(
     let mut total_loss = 0.0f32;
     for i in 0..b {
         let xi = Tensor::from_vec(processed.images[i].data().to_vec(), &[1, d])?;
-        model.zero_grad();
         let logits = model.forward(&xi, Mode::Train)?;
         let out = softmax_cross_entropy(&logits, &processed.labels[i..i + 1])?;
-        model.backward(&out.grad)?;
+        let mut grads = vec![0.0f32; param_count(model)];
+        model.backward(&out.grad, &mut grads)?;
         total_loss += out.loss;
-        let lin = malicious_layer(model)?;
-        let norm = (lin.grad_weight().norm_sq() + lin.grad_bias().norm_sq()).sqrt();
+        // Layer 0 leads the buffer: its weight rows, then its bias.
+        let (grad_weight, grad_bias) = grads[..n * d + n].split_at(n * d);
+        let norm = (norm_sq(grad_weight) + norm_sq(grad_bias)).sqrt();
         let scale = if norm > clip_norm {
             clip_norm / norm
         } else {
             1.0
         };
-        sum_gw.axpy(scale, lin.grad_weight())?;
-        sum_gb.axpy(scale, lin.grad_bias())?;
+        simd::axpy(sum_gw.data_mut(), scale, grad_weight);
+        simd::axpy(sum_gb.data_mut(), scale, grad_bias);
     }
     let inv_b = 1.0 / b as f32;
     sum_gw.scale_in_place(inv_b);

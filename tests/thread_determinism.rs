@@ -15,7 +15,7 @@ use oasis_attacks::{
 };
 use oasis_data::cifar_like_with;
 use oasis_fl::{DefenseStack, FlConfig, FlServer, ModelFactory, RoundReport};
-use oasis_nn::{flatten_params, Conv2d, Layer, Linear, Mode, Relu, Sequential};
+use oasis_nn::{flatten_params, param_count, Conv2d, Layer, Linear, Mode, Relu, Sequential};
 use oasis_population::{CohortRunner, Population};
 use oasis_scenario::{Scale, Scenario};
 use oasis_tensor::{parallel, Tensor};
@@ -148,23 +148,30 @@ fn workload_rendering_is_bit_identical_across_thread_counts() {
 /// The `conv2d_forward_b32` perf workload plus its backward, at model
 /// shape: forward activations, weight/bias gradients, and the input
 /// gradient must not move by a bit.
-fn run_conv(threads: usize) -> (Tensor, Tensor) {
+fn run_conv(threads: usize) -> (Tensor, Tensor, Vec<f32>) {
     parallel::with_threads(threads, || {
         let mut conv = Conv2d::new(3, 16, 3, 1, 1, (16, 16), &mut StdRng::seed_from_u64(9));
         let x = Tensor::randn(&[32, 3 * 16 * 16], &mut StdRng::seed_from_u64(10));
         let y = conv.forward(&x, Mode::Train).expect("forward");
-        let gx = conv.backward(&Tensor::ones(y.dims())).expect("backward");
-        (y, gx)
+        let mut grads = vec![0.0f32; param_count(&conv)];
+        let gx = conv
+            .backward(&Tensor::ones(y.dims()), &mut grads)
+            .expect("backward");
+        (y, gx, grads)
     })
 }
 
 #[test]
 fn conv_batch32_is_bit_identical_across_thread_counts() {
-    let (y1, gx1) = run_conv(1);
+    let (y1, gx1, grads1) = run_conv(1);
     for threads in [2, 4, 8] {
-        let (yn, gxn) = run_conv(threads);
+        let (yn, gxn, gradsn) = run_conv(threads);
         assert_eq!(yn.data(), y1.data(), "forward diverged at t={threads}");
         assert_eq!(gxn.data(), gx1.data(), "backward diverged at t={threads}");
+        assert_eq!(
+            gradsn, grads1,
+            "parameter gradients diverged at t={threads}"
+        );
     }
 }
 

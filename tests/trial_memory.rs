@@ -10,33 +10,51 @@
 //! The same allocator counts allocation calls, which pins what a
 //! tensor costs: a `Tensor` (and an `Image`, a tensor of dims
 //! `[c, h, w]`) is one allocation, and a clone or a write to an
-//! unshared buffer allocates nothing.
+//! unshared buffer allocates nothing. It also counts the calls of at
+//! least a given size, which pins what a local step costs: one update
+//! buffer, allocated once at its final size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use oasis_attacks::{ActiveAttack, RtfAttack};
+use oasis_data::{imagenette_like_with, Batch};
+use oasis_fl::DefenseStack;
 use oasis_image::Image;
 use oasis_scenario::{Scale, Scenario, ScenarioReport};
 use oasis_tensor::{parallel, Tensor};
+use rand::{rngs::StdRng, SeedableRng};
 
 /// The system allocator, counting live bytes and their peak, and
 /// each thread's allocation calls (`alloc`, `alloc_zeroed` and
-/// `realloc`).
+/// `realloc`), with those of at least [`LARGE`] bytes counted apart.
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// The size from which an allocation call counts as large.
+static LARGE: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 thread_local! {
     /// Per thread, so the test harness's own allocations on other
     /// threads never land in a count.
     static CALLS: Cell<usize> = const { Cell::new(0) };
+    /// `alloc` and `alloc_zeroed` calls of at least [`LARGE`] bytes.
+    static LARGE_ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// `realloc` calls to at least [`LARGE`] bytes.
+    static LARGE_REALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
 fn count_call() {
     CALLS.with(|calls| calls.set(calls.get() + 1));
+}
+
+fn count_large(counter: &'static std::thread::LocalKey<Cell<usize>>, size: usize) {
+    if size >= LARGE.load(Ordering::Relaxed) {
+        counter.with(|n| n.set(n.get() + 1));
+    }
 }
 
 fn grow(bytes: usize) {
@@ -53,6 +71,7 @@ fn shrink(bytes: usize) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_call();
+        count_large(&LARGE_ALLOCS, layout.size());
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
             grow(layout.size());
@@ -62,6 +81,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_call();
+        count_large(&LARGE_ALLOCS, layout.size());
         let ptr = System.alloc_zeroed(layout);
         if !ptr.is_null() {
             grow(layout.size());
@@ -76,6 +96,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_call();
+        count_large(&LARGE_REALLOCS, new_size);
         let new = System.realloc(ptr, layout, new_size);
         if !new.is_null() {
             if new_size > layout.size() {
@@ -204,4 +225,38 @@ fn a_tensor_is_one_allocation_and_a_clone_or_unshared_write_none() {
     assert_eq!(n, 0, "data_mut on an unshared tensor");
     assert_eq!(weights.data()[7], 1.0);
     assert_eq!(vector.data(), &values[..]);
+}
+
+#[test]
+fn a_local_step_allocates_one_update_buffer_at_its_final_size() {
+    let _lock = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let data = imagenette_like_with(1, 16, 3);
+    let batch = Batch::from_items(data.items().iter().take(8).cloned().collect());
+    // At `d ≥ 2n` layer 0's forward product runs on the dot-product
+    // kernel; at `d < 2n` (`n` = 512 here) `matmul_nt` materializes
+    // `Wᵀ`, one more weight-sized buffer that belongs to the forward,
+    // not to the update.
+    for (neurons, forward_transposes) in [(256, 0), (NEURONS, 1)] {
+        let attack = RtfAttack::new(neurons, 0.4, 0.1).unwrap();
+        let mut model = attack.build_model(batch.images[0].dims(), 10, 0).unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        // Inline, so every allocation of the step lands on this thread.
+        let (allocs, reallocs) = parallel::with_threads(1, || {
+            LARGE.store(neurons * INPUT * 4, Ordering::Relaxed);
+            let (a0, r0) = (LARGE_ALLOCS.get(), LARGE_REALLOCS.get());
+            let step = DefenseStack::identity()
+                .local_step(&mut model, &batch, &mut rng)
+                .unwrap();
+            let counts = (LARGE_ALLOCS.get() - a0, LARGE_REALLOCS.get() - r0);
+            LARGE.store(usize::MAX, Ordering::Relaxed);
+            assert_eq!(step.update.len(), oasis_nn::param_count(&model));
+            counts
+        });
+        assert_eq!(
+            allocs,
+            1 + forward_transposes,
+            "n = {neurons}: allocations of at least layer 0's weight bytes"
+        );
+        assert_eq!(reallocs, 0, "n = {neurons}: the update buffer never grows");
+    }
 }
