@@ -2,13 +2,13 @@
 //!
 //! Runs the fixed micro-benchmark suites of [`oasis_bench::perf`] and
 //! serializes one versioned `BENCH_<suite>.json` per suite, stamped
-//! with the host it ran on. `tools/bench_compare <file>` applies the
-//! paired gate to one run; `tools/bench_compare <before> <after>`
-//! diffs two runs of the same host.
+//! with the host it ran on, into `out/` (or `$OASIS_OUT_DIR`, see
+//! [`oasis_scenario::out_path`]). `tools/bench_compare <file>` applies
+//! the paired gate to one run.
 //!
 //! ```text
 //! perf [--quick] [--suite core|fl|scale|all]... [--filter SUBSTR]
-//!      [--out-dir DIR] [--trace PATH] [--list]
+//!      [--trace PATH] [--list]
 //! ```
 //!
 //! `--suite` may repeat to select several suites. `OASIS_THREADS`
@@ -24,7 +24,6 @@ struct Args {
     quick: bool,
     suites: Vec<String>,
     filter: Option<String>,
-    out_dir: PathBuf,
     list: bool,
     trace: Option<PathBuf>,
 }
@@ -34,7 +33,6 @@ fn parse_args() -> Result<Args, String> {
         quick: false,
         suites: perf::SUITE_NAMES.iter().map(|s| s.to_string()).collect(),
         filter: None,
-        out_dir: PathBuf::from("."),
         list: false,
         trace: oasis_telemetry::trace_path_from_env(),
     };
@@ -68,16 +66,13 @@ fn parse_args() -> Result<Args, String> {
             "--filter" => {
                 args.filter = Some(it.next().ok_or("--filter needs a substring")?);
             }
-            "--out-dir" => {
-                args.out_dir = PathBuf::from(it.next().ok_or("--out-dir needs a path")?);
-            }
             "--trace" => {
                 args.trace = Some(PathBuf::from(it.next().ok_or("--trace needs a path")?));
             }
             "--help" | "-h" => {
                 println!(
                     "perf [--quick] [--suite core|fl|scale|all]... [--filter SUBSTR] \
-                     [--out-dir DIR] [--trace PATH] [--list]\n\
+                     [--trace PATH] [--list]\n\
                      --trace PATH (or OASIS_TRACE=PATH) records a schema-v1 JSONL span \
                      trace of the run and prints a self-time table; bench medians are \
                      measured with telemetry in whatever state the bench pins."
@@ -132,11 +127,7 @@ fn main() -> ExitCode {
             continue;
         }
         let json = serde_json::to_string_pretty(&suite).expect("schema serializes");
-        if let Err(e) = std::fs::create_dir_all(&args.out_dir) {
-            eprintln!("perf: cannot create {}: {e}", args.out_dir.display());
-            return ExitCode::FAILURE;
-        }
-        let path = args.out_dir.join(format!("BENCH_{name}.json"));
+        let path = oasis_scenario::out_path(&format!("BENCH_{name}.json"));
         if let Err(e) = std::fs::write(&path, json + "\n") {
             eprintln!("perf: cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;

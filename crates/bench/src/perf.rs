@@ -1,5 +1,6 @@
-//! The `perf` micro-benchmark harness: kernels and machine-relative
-//! record pairs, serialized as versioned `BENCH_<suite>.json` records.
+//! The `perf` micro-benchmark harness: kernels timed as
+//! machine-relative record pairs, serialized as versioned
+//! `BENCH_<suite>.json` records.
 //!
 //! End-to-end throughput — the paper's attack grid, defended
 //! campaigns — is measured by `e2ebench`, which fingerprints the host,
@@ -8,7 +9,8 @@
 //! a stable name, a fixed workload shape and a self-calibrated
 //! iteration count, and the output schema round-trips through serde.
 //!
-//! Three suites:
+//! Three suites, and every record of each belongs to a pair of
+//! [`PAIR_RULES`]:
 //!
 //! * `core` — tensor, nn and codec kernels at model-relevant shapes
 //!   (matmul / matmul_nt / matmul_tn, Conv2d forward and backward, the
@@ -19,24 +21,16 @@
 //!   backend) and `_scalar` (the reference kernels).
 //! * `fl` — protocol paths: a full [`CohortRunner::run_round`] over
 //!   four clients untraced and traced (`fl_round_raw` /
-//!   `fl_round_raw_telem`), the raw codec, one RTF inversion step, one
-//!   `oasis:MR` batch transform and one `dp:1,0.01` update perturbation
-//!   (`defense_oasis` / `defense_dp`), and one cohort-64
-//!   round sampled from 1 k and from 100 k clients over one shared
-//!   sample pool (`pop_round_1k` / `pop_round_100k`).
+//!   `fl_round_raw_telem`), and one cohort-64 round sampled from 1 k
+//!   and from 100 k clients over one shared sample pool
+//!   (`pop_round_1k` / `pop_round_100k`).
 //! * `scale` — the [`SCALE_BASES`] re-run at 1 and 4 worker threads
 //!   (pinned per bench via [`parallel::with_threads`], independent of
 //!   `OASIS_THREADS`), as `_t1` / `_t4` records.
 //!
-//! Two checks read the records, and neither compares hosts:
-//!
-//! * [`paired_gate`] times each variant record against its reference
-//!   sibling *within one run*, per the fixed [`PAIR_RULES`] table, so
-//!   it holds on any machine. This is the CI gate.
-//! * [`compare_suites`] diffs the absolute medians of two runs, and
-//!   refuses unless both ran on the same host ([`BenchSuite::cpu`],
-//!   [`BenchSuite::nproc`], [`BenchSuite::simd`]) with the same
-//!   settings. It is for before/after runs on one machine.
+//! [`paired_gate`] times each variant record against its reference
+//! sibling *within one run*, so it holds on any machine. Absolute
+//! medians are never compared across runs.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -52,7 +46,7 @@ use oasis_metrics::{
 use oasis_nn::{Conv2d, Layer, Linear, Mode, Relu, Sequential};
 use oasis_population::{CohortRunner, Population};
 use oasis_tensor::{parallel, simd, Tensor};
-use oasis_wire::{CodecSpec, NetSpec, Q8Codec, RawCodec, UpdateCodec};
+use oasis_wire::{CodecSpec, NetSpec, Q8Codec, UpdateCodec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -182,7 +176,7 @@ pub struct PreparedBench {
 /// A named benchmark definition: construction is deferred so listing
 /// a suite costs nothing.
 pub struct BenchDef {
-    /// Stable name (the comparison key across runs).
+    /// Stable name (the pairing key of [`PAIR_RULES`]).
     pub name: String,
     build: Box<dyn Fn() -> PreparedBench>,
 }
@@ -259,22 +253,14 @@ pub fn core_suite() -> Vec<BenchDef> {
         .collect()
 }
 
-/// The `fl` suite: protocol round (untraced and traced), raw codec,
-/// one attack step, each stage of the `oasis:MR+dp` stack, and
-/// population rounds.
+/// The `fl` suite: a protocol round untraced and traced, and a
+/// population round sampled from 1 k and from 100 k clients.
 ///
 /// Order is fixed; names are stable comparison keys.
 pub fn fl_suite() -> Vec<BenchDef> {
     vec![
         BenchDef::new("fl_round_raw", bench_fl_round_raw),
         BenchDef::new("fl_round_raw_telem", bench_fl_round_raw_telem),
-        BenchDef::new("codec_raw_encode", || {
-            bench_codec_encode(Box::new(RawCodec))
-        }),
-        BenchDef::new("codec_raw_fold", || bench_codec_fold(Box::new(RawCodec))),
-        BenchDef::new("rtf_invert_128", bench_rtf_invert),
-        BenchDef::new("defense_oasis", bench_defense_oasis),
-        BenchDef::new("defense_dp", bench_defense_dp),
         BenchDef::new("pop_round_1k", || bench_pop_round(1_000)),
         BenchDef::new("pop_round_100k", || bench_pop_round(100_000)),
     ]
@@ -565,141 +551,6 @@ pub fn paired_gate(suite: &BenchSuite) -> Result<Vec<PairPoint>, String> {
         ));
     }
     Ok(points)
-}
-
-// ---------------------------------------------------------------------
-// Absolute comparison (same host only)
-// ---------------------------------------------------------------------
-
-/// Warn threshold: median slower by more than this percent.
-pub const WARN_PCT: f64 = 10.0;
-/// Fail threshold: median slower by more than this percent.
-pub const FAIL_PCT: f64 = 35.0;
-
-/// How one bench moved between baseline and current.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaClass {
-    /// Within thresholds (or faster).
-    Ok,
-    /// Slower than [`WARN_PCT`].
-    Warn,
-    /// Slower than [`FAIL_PCT`].
-    Fail,
-    /// Present in the baseline but missing from the current run —
-    /// coverage silently shrank, treated as failure.
-    Missing,
-    /// New bench with no baseline (informational).
-    New,
-}
-
-/// One bench's baseline-vs-current delta.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Delta {
-    /// Bench name.
-    pub name: String,
-    /// Baseline median, ns (0 when [`DeltaClass::New`]).
-    pub base_ns: u64,
-    /// Current median, ns (0 when [`DeltaClass::Missing`]).
-    pub cur_ns: u64,
-    /// Signed regression percentage (positive = slower).
-    pub pct: f64,
-    /// Classification against the thresholds.
-    pub class: DeltaClass,
-}
-
-/// Full comparison outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompareReport {
-    /// Per-bench deltas, baseline order first, then new benches.
-    pub deltas: Vec<Delta>,
-    /// Any delta at [`DeltaClass::Warn`].
-    pub warned: bool,
-    /// Any delta at [`DeltaClass::Fail`] or [`DeltaClass::Missing`].
-    pub failed: bool,
-}
-
-/// Diffs `current` against `baseline` at [`WARN_PCT`] / [`FAIL_PCT`].
-///
-/// # Errors
-///
-/// Returns a message when the runs are not comparable: a different
-/// schema, suite, host (CPU model, core count, SIMD backend), worker
-/// threads or calibration budget. Medians from another host track the
-/// host, not the code, so such a diff is refused rather than failed.
-pub fn compare_suites(
-    baseline: &BenchSuite,
-    current: &BenchSuite,
-) -> Result<CompareReport, String> {
-    let conditions = |s: &BenchSuite| {
-        [
-            ("schema", s.schema_version.to_string()),
-            ("suite", s.suite.clone()),
-            ("host cpu", s.cpu.clone()),
-            ("host nproc", s.nproc.to_string()),
-            ("host simd", s.simd.clone()),
-            ("threads", s.threads.to_string()),
-            ("quick", s.quick.to_string()),
-        ]
-    };
-    for ((what, base), (_, cur)) in conditions(baseline).into_iter().zip(conditions(current)) {
-        if base != cur {
-            return Err(format!(
-                "{what} mismatch: baseline `{base}` vs current `{cur}` — \
-                 absolute medians compare on the same host and settings only"
-            ));
-        }
-    }
-    let mut deltas = Vec::new();
-    for base in &baseline.results {
-        let delta = match current.get(&base.name) {
-            Some(cur) => {
-                let pct =
-                    (cur.median_ns as f64 - base.median_ns as f64) / base.median_ns as f64 * 100.0;
-                let class = if pct > FAIL_PCT {
-                    DeltaClass::Fail
-                } else if pct > WARN_PCT {
-                    DeltaClass::Warn
-                } else {
-                    DeltaClass::Ok
-                };
-                Delta {
-                    name: base.name.clone(),
-                    base_ns: base.median_ns,
-                    cur_ns: cur.median_ns,
-                    pct,
-                    class,
-                }
-            }
-            None => Delta {
-                name: base.name.clone(),
-                base_ns: base.median_ns,
-                cur_ns: 0,
-                pct: 0.0,
-                class: DeltaClass::Missing,
-            },
-        };
-        deltas.push(delta);
-    }
-    for cur in &current.results {
-        if baseline.get(&cur.name).is_none() {
-            deltas.push(Delta {
-                name: cur.name.clone(),
-                base_ns: 0,
-                cur_ns: cur.median_ns,
-                pct: 0.0,
-                class: DeltaClass::New,
-            });
-        }
-    }
-    let warned = deltas.iter().any(|d| d.class == DeltaClass::Warn);
-    let failed = deltas
-        .iter()
-        .any(|d| matches!(d.class, DeltaClass::Fail | DeltaClass::Missing));
-    Ok(CompareReport {
-        deltas,
-        warned,
-        failed,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -1102,45 +953,6 @@ fn bench_fl_round_raw_telem() -> PreparedBench {
     })
 }
 
-/// The stack a defense spec string builds.
-fn defense(spec: &str) -> DefenseStack {
-    spec.parse::<oasis_scenario::DefenseSpec>()
-        .expect("defense spec")
-        .build()
-}
-
-/// The `oasis:MR` batch stage on a B = 8 batch (16×16×3): the
-/// per-round client-side cost of OASIS's augmentation.
-fn bench_defense_oasis() -> PreparedBench {
-    let stack = defense("oasis:MR");
-    let data = cifar_like_with(8, 1, 16, 21);
-    let batch = oasis_data::Batch::from_items(data.items().to_vec());
-    PreparedBench {
-        throughput: Some((batch.len() as f64, "img/s")),
-        run: Box::new(move || {
-            let mut rng = StdRng::seed_from_u64(22);
-            std::hint::black_box(stack.process_batch(&batch, &mut rng));
-        }),
-    }
-}
-
-/// The `dp:1,0.01` update stage on a 262 144-parameter update:
-/// client-level clip plus Gaussian noise, mostly the noise sampler.
-fn bench_defense_dp() -> PreparedBench {
-    let stack = defense("dp:1,0.01");
-    let update = codec_update();
-    PreparedBench {
-        throughput: Some((update.len() as f64, "param/s")),
-        run: Box::new(move || {
-            let mut rng = StdRng::seed_from_u64(22);
-            let mut u = update.clone();
-            stack.clip_update(&mut u);
-            stack.perturb_update(&mut u, 8, &mut rng);
-            std::hint::black_box(u);
-        }),
-    }
-}
-
 /// One RTF inversion step: invert a 128-neuron malicious layer's
 /// gradients back into candidate images (paper Eq. 6 over every bin,
 /// plus pool dedup).
@@ -1250,11 +1062,6 @@ mod tests {
             [
                 "fl_round_raw",
                 "fl_round_raw_telem",
-                "codec_raw_encode",
-                "codec_raw_fold",
-                "rtf_invert_128",
-                "defense_oasis",
-                "defense_dp",
                 "pop_round_1k",
                 "pop_round_100k",
             ]
@@ -1282,13 +1089,23 @@ mod tests {
     #[test]
     fn no_rename_can_ungate_a_pair() {
         // Listing only, no timing: every rule of the table must pair
-        // something, and every variant must have its reference in the
-        // same suite — otherwise a rename silently drops a gate.
+        // something, every variant must have its reference in the
+        // same suite — otherwise a rename silently drops a gate — and
+        // every record is a variant or a variant's reference, so no
+        // record is timed that the gate never reads.
         let mut matched = [false; PAIR_RULES.len()];
         for suite_name in SUITE_NAMES {
             let listed = names(suite(suite_name).expect("listed suite"));
+            let references: Vec<String> = listed
+                .iter()
+                .filter_map(|name| reference_of(name).map(|(_, r)| r))
+                .collect();
             for name in &listed {
                 let Some((rule, reference)) = reference_of(name) else {
+                    assert!(
+                        references.contains(name),
+                        "`{suite_name}::{name}` belongs to no pair"
+                    );
                     continue;
                 };
                 assert!(
@@ -1410,8 +1227,8 @@ mod tests {
 
         let empty = suite_of(&[]);
         assert!(BenchSuite::from_json(&json(&empty)).is_err());
-        // Two zero medians would divide 0 by 0: a NaN delta that
-        // classifies as `Ok`.
+        // A zero variant median would make an infinite ratio that
+        // passes every floor.
         let zero = suite_of(&[("a", 0)]);
         assert!(BenchSuite::from_json(&json(&zero))
             .unwrap_err()
@@ -1453,8 +1270,8 @@ mod tests {
             ]
         );
         assert_eq!(
-            names(apply_filter(fl_suite(), "codec")),
-            ["codec_raw_encode", "codec_raw_fold"]
+            names(apply_filter(fl_suite(), "pop_round")),
+            ["pop_round_1k", "pop_round_100k"]
         );
         assert!(apply_filter(core_suite(), "no-such-bench").is_empty());
     }
@@ -1489,71 +1306,5 @@ mod tests {
             assert!(rec.throughput.unwrap() > 0.0);
             assert_eq!(rec.throughput_unit.as_deref(), Some("item/s"));
         }
-    }
-
-    #[test]
-    fn compare_classifies_against_thresholds() {
-        let baseline = suite_of(&[
-            ("steady", 1000),
-            ("warned", 1000),
-            ("failed", 1000),
-            ("gone", 1000),
-        ]);
-        let current = suite_of(&[
-            ("steady", 1050),
-            ("warned", 1200),
-            ("failed", 1500),
-            ("brand_new", 10),
-        ]);
-        let report = compare_suites(&baseline, &current).expect("comparable");
-        let class_of = |n: &str| {
-            report
-                .deltas
-                .iter()
-                .find(|d| d.name == n)
-                .expect("delta present")
-                .class
-        };
-        assert_eq!(class_of("steady"), DeltaClass::Ok);
-        assert_eq!(class_of("warned"), DeltaClass::Warn);
-        assert_eq!(class_of("failed"), DeltaClass::Fail);
-        assert_eq!(class_of("gone"), DeltaClass::Missing);
-        assert_eq!(class_of("brand_new"), DeltaClass::New);
-        assert!(report.warned);
-        assert!(report.failed);
-    }
-
-    #[test]
-    fn compare_refuses_another_host_or_setting() {
-        let a = suite_of(&[("a", 10)]);
-        let edits: [fn(&mut BenchSuite); 7] = [
-            |s| s.schema_version += 1,
-            |s| s.suite = "fl".into(),
-            |s| s.cpu = "Other CPU".into(),
-            |s| s.nproc = 64,
-            |s| s.simd = "avx2".into(),
-            |s| s.threads = 4,
-            |s| s.quick = false,
-        ];
-        for edit in edits {
-            let mut b = a.clone();
-            edit(&mut b);
-            assert!(compare_suites(&a, &b).is_err(), "{b:?}");
-        }
-        let err = compare_suites(&a, &{
-            let mut b = a.clone();
-            b.cpu = "Other CPU".into();
-            b
-        })
-        .unwrap_err();
-        assert!(err.contains("host cpu mismatch"), "{err}");
-    }
-
-    #[test]
-    fn improvements_never_warn() {
-        let report = compare_suites(&suite_of(&[("fast", 1000)]), &suite_of(&[("fast", 400)]))
-            .expect("comparable");
-        assert!(!report.warned && !report.failed);
-        assert!(report.deltas[0].pct < 0.0);
     }
 }
