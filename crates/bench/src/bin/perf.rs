@@ -11,7 +11,9 @@
 //!      [--trace PATH] [--list]
 //! ```
 //!
-//! `--suite` may repeat to select several suites. `OASIS_THREADS`
+//! `--suite` may repeat to select several suites. `--filter` keeps
+//! every record pair with a member whose name contains `SUBSTR`, so a
+//! filtered file stays gateable. `OASIS_THREADS`
 //! sets the pool width of the `core` and `fl` records (the `scale`
 //! suite pins its own per-bench thread counts and ignores it).
 

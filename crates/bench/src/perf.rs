@@ -308,11 +308,32 @@ pub fn suite(name: &str) -> Option<Vec<BenchDef>> {
     }
 }
 
-/// Retains only the benches whose name contains `filter`.
+/// Retains every [`PAIR_RULES`] pair (a variant with its reference)
+/// that has a member whose name contains `filter`, so a filtered run
+/// still times whole pairs.
 pub fn apply_filter(benches: Vec<BenchDef>, filter: &str) -> Vec<BenchDef> {
-    benches
+    pair_groups(benches, Some(filter))
         .into_iter()
-        .filter(|b| b.name.contains(filter))
+        .flatten()
+        .collect()
+}
+
+/// The benches grouped with their [`PAIR_RULES`] references, in suite
+/// order of each group's first member, keeping only the groups with a
+/// member whose name contains `filter` (all of them without one).
+fn pair_groups(benches: Vec<BenchDef>, filter: Option<&str>) -> Vec<Vec<BenchDef>> {
+    let mut groups: Vec<(String, Vec<BenchDef>)> = Vec::new();
+    for b in benches {
+        let key = reference_of(&b.name).map_or_else(|| b.name.clone(), |(_, r)| r);
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, group)) => group.push(b),
+            None => groups.push((key, vec![b])),
+        }
+    }
+    groups
+        .into_iter()
+        .map(|(_, group)| group)
+        .filter(|group| filter.is_none_or(|f| group.iter().any(|b| b.name.contains(f))))
         .collect()
 }
 
@@ -375,20 +396,8 @@ pub fn run_group(mut group: Vec<(String, PreparedBench)>, quick: bool) -> Vec<Be
 /// sibling ([`run_group`]); records come out group by group, in suite
 /// order of each group's first member.
 pub fn run_suite(name: &str, filter: Option<&str>, quick: bool) -> Option<BenchSuite> {
-    let mut benches = suite(name)?;
-    if let Some(f) = filter {
-        benches = apply_filter(benches, f);
-    }
-    let mut groups: Vec<(String, Vec<BenchDef>)> = Vec::new();
-    for b in benches {
-        let key = reference_of(&b.name).map_or_else(|| b.name.clone(), |(_, r)| r);
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, group)) => group.push(b),
-            None => groups.push((key, vec![b])),
-        }
-    }
     let mut results = Vec::new();
-    for (_, group) in groups {
+    for group in pair_groups(suite(name)?, filter) {
         let prepared = group.into_iter().map(|b| (b.name, (b.build)())).collect();
         for rec in run_group(prepared, quick) {
             eprintln!("  {}", format_record(&rec));
@@ -1272,6 +1281,15 @@ mod tests {
         assert_eq!(
             names(apply_filter(fl_suite(), "pop_round")),
             ["pop_round_1k", "pop_round_100k"]
+        );
+        // A filter matching one member of a pair keeps the whole pair.
+        assert_eq!(
+            names(apply_filter(fl_suite(), "telem")),
+            ["fl_round_raw", "fl_round_raw_telem"]
+        );
+        assert_eq!(
+            names(apply_filter(core_suite(), "matmul_256_simd")),
+            ["matmul_256_simd", "matmul_256_scalar"]
         );
         assert!(apply_filter(core_suite(), "no-such-bench").is_empty());
     }

@@ -1,6 +1,6 @@
 //! Elementwise and broadcast arithmetic.
 
-use crate::{simd, Result, Tensor, TensorError};
+use crate::{Result, Tensor, TensorError};
 
 impl Tensor {
     /// Applies `f` to every element, returning a new tensor built in
@@ -52,25 +52,6 @@ impl Tensor {
         self.zip_map(other, |a, b| a - b)
     }
 
-    /// In-place `self += alpha * other` (AXPY), via the same
-    /// [`crate::simd`] kernel the matmul paths use — one kernel, one
-    /// tail-handling story.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) -> Result<()> {
-        if self.shape() != other.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "axpy",
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        simd::axpy(self.data_mut(), alpha, other.data());
-        Ok(())
-    }
-
     /// Multiplies every element by a scalar.
     pub fn scale(&self, s: f32) -> Tensor {
         self.map(|v| v * s)
@@ -107,34 +88,6 @@ impl Tensor {
             *v += bias.data()[i % cols];
         }
         Ok(out)
-    }
-
-    /// Dot product of two rank-1 tensors.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on rank or length mismatch.
-    pub fn dot(&self, other: &Tensor) -> Result<f32> {
-        if self.rank() != 1 || other.rank() != 1 {
-            return Err(TensorError::RankMismatch {
-                op: "dot",
-                expected: 1,
-                actual: self.rank().max(other.rank()),
-            });
-        }
-        if self.numel() != other.numel() {
-            return Err(TensorError::ShapeMismatch {
-                op: "dot",
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        Ok(self
-            .data()
-            .iter()
-            .zip(other.data())
-            .map(|(&a, &b)| a * b)
-            .sum())
     }
 
     /// Rectified linear unit applied elementwise.
@@ -214,13 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_accumulates() {
-        let mut a = t(&[1.0, 1.0]);
-        a.axpy(0.5, &t(&[2.0, 4.0])).unwrap();
-        assert_eq!(a.data(), &[2.0, 3.0]);
-    }
-
-    #[test]
     fn add_row_broadcast_adds_bias_per_row() {
         let m = Tensor::from_vec(vec![0.0, 0.0, 1.0, 1.0], &[2, 2]).unwrap();
         let b = t(&[10.0, 20.0]);
@@ -233,11 +179,6 @@ mod tests {
         let m = Tensor::zeros(&[2, 2]);
         assert!(m.add_row_broadcast(&t(&[1.0, 2.0, 3.0])).is_err());
         assert!(Tensor::zeros(&[4]).add_row_broadcast(&t(&[1.0])).is_err());
-    }
-
-    #[test]
-    fn dot_of_orthogonal_vectors_is_zero() {
-        assert_eq!(t(&[1.0, 0.0]).dot(&t(&[0.0, 5.0])).unwrap(), 0.0);
     }
 
     #[test]

@@ -1,13 +1,26 @@
 //! AVX2 kernels (x86_64, runtime-detected).
 //!
-//! Every function performs, per lane, the *identical sequence of IEEE
-//! operations* as its [`super::scalar`] reference: separate multiply
-//! then add (never a fused multiply-add, which would round once
-//! instead of twice), the same fixed lane-combine order for
-//! reductions, and the same sequential scalar tail. The parity suite
-//! (`crates/tensor/tests/simd_parity.rs`) pins the resulting
-//! bit-identity; if a kernel here is ever "optimized" with FMA or a
-//! horizontal-add shuffle, that suite is the tripwire.
+//! Two kinds of kernel run on this backend.
+//!
+//! * The elementwise ones — `dot`, `axpy`, `axpy4`, `axpy4x2` and
+//!   `dequantize_add_q8` — have no body here. [`compiled`] runs their
+//!   [`super::scalar`] source with AVX2 enabled, and LLVM vectorizes
+//!   it. The bits are the scalar ones because the compiler keeps
+//!   every IEEE operation: it does not fuse a multiply and an add
+//!   into an FMA, nor reassociate float adds, whatever instruction
+//!   set it targets.
+//! * The rest are written out in intrinsics, where the compiler's
+//!   vector code measured well short of them: the blocked products,
+//!   the q8 scan and quantize, sign packing, the PSNR reductions, the
+//!   box filter, the lane-parallel sums and the Box–Muller sampler.
+//!   Each performs, per lane, the *identical sequence of IEEE
+//!   operations* as its scalar reference: separate multiply then add
+//!   (never a fused multiply-add, which would round once instead of
+//!   twice), the same fixed lane-combine order for reductions, and
+//!   the same sequential scalar tail. The parity suite
+//!   (`crates/tensor/tests/simd_parity.rs`) pins the resulting
+//!   bit-identity; if a kernel here is ever "optimized" with FMA or a
+//!   horizontal-add shuffle, that suite is the tripwire.
 //!
 //! The exception is [`normal_block`], whose reference is libm: it
 //! approximates inside a rounding guard, and the caller recomputes
@@ -29,6 +42,7 @@
 //! ones the scalar reference checks. Where a kernel loads through a
 //! raw pointer, the pointer comes from a bounds-checked subslice taken
 //! just before, and the offsets added to it stay inside that subslice.
+//! [`compiled`] adds nothing to check: its body is safe code.
 #![allow(unsafe_op_in_unsafe_fn)]
 
 use std::arch::x86_64::*;
@@ -53,24 +67,20 @@ unsafe fn lanes_f64(v: __m256d) -> [f64; 4] {
     out
 }
 
-/// See [`scalar::dot`]: one f32x8 accumulator holds the eight scalar
-/// lanes; mul+add per chunk, fixed combine, sequential tail.
+/// Runs `f` with AVX2 enabled: a scalar kernel inlined into `f` is
+/// vectorized for this backend, with the same IEEE operations in the
+/// same order (see the module docs).
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "dot requires equal lengths");
-    let n = a.len().min(b.len());
-    let chunks = n / 8;
-    let mut acc = _mm256_setzero_ps();
-    for c in 0..chunks {
-        let va = _mm256_loadu_ps(a.as_ptr().add(c * 8));
-        let vb = _mm256_loadu_ps(b.as_ptr().add(c * 8));
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-    }
-    finish_dot(acc, a, b, chunks * 8)
+pub(crate) unsafe fn compiled<R>(f: impl FnOnce() -> R) -> R {
+    f()
 }
 
-/// The end of one [`dot`]: the fixed lane combine of `acc` plus the
-/// sequential tail of `a[from..] · b[from..]`.
+/// The end of one [`scalar::dot`]: the fixed lane combine of `acc`
+/// plus the sequential tail of `a[from..] · b[from..]`.
 #[target_feature(enable = "avx2")]
 unsafe fn finish_dot(acc: __m256, a: &[f32], b: &[f32], from: usize) -> f32 {
     let l = lanes_f32(acc);
@@ -95,8 +105,9 @@ const NT_KC: usize = 128;
 /// while every A tile of the row range streams past it.
 const NT_PANEL_BYTES: usize = 512 * 1024;
 
-/// See [`scalar::matmul_nt_rows`]: each output's eight [`dot`] lanes
-/// live in one f32x8 accumulator, and the loops are blocked around it.
+/// See [`scalar::matmul_nt_rows`]: each output's eight
+/// [`scalar::dot`] lanes live in one f32x8 accumulator, and the loops
+/// are blocked around it.
 ///
 /// * B rows go in panels of at most [`NT_PANEL_BYTES`], so B is read
 ///   from memory once per call instead of once per A tile.
@@ -105,8 +116,10 @@ const NT_PANEL_BYTES: usize = 512 * 1024;
 ///   every [`NT_COLS`] B rows of the panel pass: the tile's
 ///   accumulators run the block in registers, then wait in `parked`
 ///   until the next block resumes them. Lanes still add their chunks
-///   in order, so every output is [`dot`]'s sequence, bit for bit.
-/// * After the last block, each output gets [`dot`]'s combine and tail.
+///   in order, so every output is [`scalar::dot`]'s sequence, bit for
+///   bit.
+/// * After the last block, each output gets [`scalar::dot`]'s combine
+///   and tail.
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn matmul_nt_rows(a: &[f32], b: &[f32], k: usize, row0: usize, out: &mut [f32]) {
     let n = b.len() / k;
@@ -193,124 +206,6 @@ unsafe fn nt_tile<const R: usize>(
             break;
         }
         kc0 = kc1;
-    }
-}
-
-/// See [`scalar::axpy`].
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn axpy(out: &mut [f32], alpha: f32, x: &[f32]) {
-    debug_assert_eq!(out.len(), x.len(), "axpy requires equal lengths");
-    let n = out.len().min(x.len());
-    let chunks = n / 8;
-    let va = _mm256_set1_ps(alpha);
-    for c in 0..chunks {
-        let p = out.as_mut_ptr().add(c * 8);
-        let vo = _mm256_loadu_ps(p);
-        let vx = _mm256_loadu_ps(x.as_ptr().add(c * 8));
-        _mm256_storeu_ps(p, _mm256_add_ps(vo, _mm256_mul_ps(va, vx)));
-    }
-    for i in chunks * 8..n {
-        out[i] += alpha * x[i];
-    }
-}
-
-/// See [`scalar::axpy4`]: per output lane
-/// `((c0·b0 + c1·b1) + c2·b2) + c3·b3`, added once to the output.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn axpy4(
-    out_row: &mut [f32],
-    coeff: [f32; 4],
-    b0: &[f32],
-    b1: &[f32],
-    b2: &[f32],
-    b3: &[f32],
-) {
-    let n = out_row.len();
-    let chunks = n / 8;
-    let va0 = _mm256_set1_ps(coeff[0]);
-    let va1 = _mm256_set1_ps(coeff[1]);
-    let va2 = _mm256_set1_ps(coeff[2]);
-    let va3 = _mm256_set1_ps(coeff[3]);
-    for c in 0..chunks {
-        let j = c * 8;
-        let p = out_row.as_mut_ptr().add(j);
-        let mut s = _mm256_add_ps(
-            _mm256_mul_ps(va0, _mm256_loadu_ps(b0.as_ptr().add(j))),
-            _mm256_mul_ps(va1, _mm256_loadu_ps(b1.as_ptr().add(j))),
-        );
-        s = _mm256_add_ps(s, _mm256_mul_ps(va2, _mm256_loadu_ps(b2.as_ptr().add(j))));
-        s = _mm256_add_ps(s, _mm256_mul_ps(va3, _mm256_loadu_ps(b3.as_ptr().add(j))));
-        _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), s));
-    }
-    if chunks * 8 < n {
-        scalar::axpy4(
-            &mut out_row[chunks * 8..],
-            coeff,
-            &b0[chunks * 8..],
-            &b1[chunks * 8..],
-            &b2[chunks * 8..],
-            &b3[chunks * 8..],
-        );
-    }
-}
-
-/// See [`scalar::axpy4x2`]: the four right-hand chunks are loaded
-/// once and feed both output rows.
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn axpy4x2(
-    o0: &mut [f32],
-    o1: &mut [f32],
-    c0: [f32; 4],
-    c1: [f32; 4],
-    b0: &[f32],
-    b1: &[f32],
-    b2: &[f32],
-    b3: &[f32],
-) {
-    debug_assert_eq!(o0.len(), o1.len(), "axpy4x2 rows must match");
-    let n = o0.len();
-    let chunks = n / 8;
-    let a = [
-        _mm256_set1_ps(c0[0]),
-        _mm256_set1_ps(c0[1]),
-        _mm256_set1_ps(c0[2]),
-        _mm256_set1_ps(c0[3]),
-    ];
-    let b = [
-        _mm256_set1_ps(c1[0]),
-        _mm256_set1_ps(c1[1]),
-        _mm256_set1_ps(c1[2]),
-        _mm256_set1_ps(c1[3]),
-    ];
-    for c in 0..chunks {
-        let j = c * 8;
-        let v0 = _mm256_loadu_ps(b0.as_ptr().add(j));
-        let v1 = _mm256_loadu_ps(b1.as_ptr().add(j));
-        let v2 = _mm256_loadu_ps(b2.as_ptr().add(j));
-        let v3 = _mm256_loadu_ps(b3.as_ptr().add(j));
-        let p0 = o0.as_mut_ptr().add(j);
-        let p1 = o1.as_mut_ptr().add(j);
-        let mut s0 = _mm256_add_ps(_mm256_mul_ps(a[0], v0), _mm256_mul_ps(a[1], v1));
-        s0 = _mm256_add_ps(s0, _mm256_mul_ps(a[2], v2));
-        s0 = _mm256_add_ps(s0, _mm256_mul_ps(a[3], v3));
-        _mm256_storeu_ps(p0, _mm256_add_ps(_mm256_loadu_ps(p0), s0));
-        let mut s1 = _mm256_add_ps(_mm256_mul_ps(b[0], v0), _mm256_mul_ps(b[1], v1));
-        s1 = _mm256_add_ps(s1, _mm256_mul_ps(b[2], v2));
-        s1 = _mm256_add_ps(s1, _mm256_mul_ps(b[3], v3));
-        _mm256_storeu_ps(p1, _mm256_add_ps(_mm256_loadu_ps(p1), s1));
-    }
-    if chunks * 8 < n {
-        scalar::axpy4x2(
-            &mut o0[chunks * 8..],
-            &mut o1[chunks * 8..],
-            c0,
-            c1,
-            &b0[chunks * 8..],
-            &b1[chunks * 8..],
-            &b2[chunks * 8..],
-            &b3[chunks * 8..],
-        );
     }
 }
 
@@ -1002,52 +897,6 @@ unsafe fn quantize8_f64(p: *const f32, lo: f32, scale: f64) -> __m128i {
     };
     let packed16 = _mm_packs_epi32(quant4(p), quant4(p.add(4)));
     _mm_packus_epi16(packed16, _mm_setzero_si128())
-}
-
-/// Eight dequantized levels of [`scalar::dequantize_add_q8`]:
-/// `lo + scale·q` in f64 (mul then add), clamped into f32's finite
-/// range, rounded to f32 by the correctly-rounded `vcvtpd2ps`.
-#[target_feature(enable = "avx2")]
-unsafe fn dequantize8(q: *const u8, lo: f32, scale: f32) -> __m256 {
-    let vlo = _mm256_set1_pd(f64::from(lo));
-    let vscale = _mm256_set1_pd(f64::from(scale));
-    let vmin = _mm256_set1_pd(f64::from(f32::MIN));
-    let vmax = _mm256_set1_pd(f64::from(f32::MAX));
-    let bytes = _mm_loadl_epi64(q.cast());
-    let deq4 = |i32x4: __m128i| -> __m128 {
-        let v = _mm256_add_pd(vlo, _mm256_mul_pd(vscale, _mm256_cvtepi32_pd(i32x4)));
-        _mm256_cvtpd_ps(_mm256_max_pd(_mm256_min_pd(v, vmax), vmin))
-    };
-    let fa = deq4(_mm_cvtepu8_epi32(bytes));
-    let fb = deq4(_mm_cvtepu8_epi32(_mm_srli_si128::<4>(bytes)));
-    _mm256_set_m128(fb, fa)
-}
-
-/// See [`scalar::dequantize_add_q8`]: [`dequantize8`]'s eight values,
-/// multiplied by `weight` and then added to `acc`.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn dequantize_add_q8(
-    q: &[u8],
-    lo: f32,
-    scale: f32,
-    weight: f32,
-    acc: &mut [f32],
-) {
-    debug_assert_eq!(
-        q.len(),
-        acc.len(),
-        "dequantize_add_q8 requires equal lengths"
-    );
-    let chunks = q.len() / 8;
-    let vw = _mm256_set1_ps(weight);
-    for c in 0..chunks {
-        let v = dequantize8(q.as_ptr().add(c * 8), lo, scale);
-        let a = acc.as_mut_ptr().add(c * 8);
-        _mm256_storeu_ps(a, _mm256_add_ps(_mm256_loadu_ps(a), _mm256_mul_ps(vw, v)));
-    }
-    if chunks * 8 < q.len() {
-        scalar::dequantize_add_q8(&q[chunks * 8..], lo, scale, weight, &mut acc[chunks * 8..]);
-    }
 }
 
 /// See [`scalar::pack_signs`]: `movemask` extracts the eight IEEE

@@ -2,8 +2,8 @@
 //!
 //! The hot inner loops — matmul dot/axpy, the q8 codec's scan,
 //! quantize, dequantize-and-add, sign packing, MSE
-//! reduction, Gaussian sampling, calibration responses — are
-//! implemented once per backend. There are three backends:
+//! reduction, Gaussian sampling, calibration responses — each have a
+//! scalar body, the specification. There are three backends:
 //!
 //! * `avx512` ([`Backend::Avx512`], `x86_64` with AVX2, AVX-512F and
 //!   AVX-512DQ, runtime-detected): the AVX2 kernels, plus an f64x8
@@ -12,6 +12,13 @@
 //!   an f64x4 Box–Muller sampler;
 //! * `scalar` ([`Backend::Scalar`]): the portable reference,
 //!   everywhere (including `aarch64`).
+//!
+//! The elementwise kernels — [`dot`], [`axpy`], `axpy4`, `axpy4x2`
+//! and [`dequantize_add_q8`] — have no AVX2 body: on `avx2` and `avx512`
+//! their scalar body runs compiled with AVX2 enabled, through one
+//! trampoline (`dispatch!(compiled …)`), and LLVM vectorizes it. Every
+//! other kernel has an AVX2 body written in intrinsics, kept where
+//! the compiled scalar body measured well short of it.
 //!
 //! Dispatch is resolved **once per process** from the `OASIS_SIMD`
 //! environment variable (`auto` | `avx512` | `avx2` | `scalar`,
@@ -62,14 +69,21 @@
 //!
 //! ## Bit-exactness contract
 //!
-//! The scalar backend is the reference semantics. Vector backends replicate
-//! its exact per-lane IEEE operation sequence (separate multiply and
-//! add — never FMA — same fixed lane-combine order, same sequential
-//! tails), so **every kernel is bit-identical across backends**, not
-//! merely close: golden fixtures, thread-determinism suites, and
-//! bytes-on-wire (q8/sign payloads are part of the threat model)
-//! hold under any `OASIS_SIMD` setting. The parity suite
-//! (`tests/simd_parity.rs`) pins this across lane-boundary shapes.
+//! The scalar backend is the reference semantics. The hand-written
+//! vector kernels replicate its exact per-lane IEEE operation
+//! sequence (separate multiply and add — never FMA — same fixed
+//! lane-combine order, same sequential tails). The compiled ones are
+//! the scalar source itself, and that keeps its bits on any target:
+//! rustc neither fuses a multiply and an add into an FMA nor
+//! reassociates float arithmetic, so LLVM vectorizes only what it can
+//! vectorize exactly (independent elements, or the eight independent
+//! lanes of [`dot`]). So **every kernel is bit-identical across
+//! backends**, not merely close: golden fixtures, thread-determinism
+//! suites, and bytes-on-wire (q8/sign payloads are part of the threat
+//! model) hold under any `OASIS_SIMD` setting. The parity suite
+//! (`tests/simd_parity.rs`) pins this across lane-boundary shapes,
+//! holding the compiled kernels to their specification written out
+//! per element.
 //! That includes [`sq_err_tile_bounded`], whose abandoned outputs (the
 //! partial sum at the checkpoint that stopped them) are bit-identical
 //! too, and [`box_sums8`], whose vector backend keeps each box's
@@ -121,8 +135,11 @@
 //! ## Safety
 //!
 //! This module's `unsafe` (the dispatchers here and the kernels in
-//! `avx2.rs` and `avx512.rs`) exists because calling a `#[target_feature]` kernel
-//! requires the CPU feature. The invariant is enforced structurally:
+//! `avx2.rs` and `avx512.rs`) exists because calling a
+//! `#[target_feature]` function requires the CPU feature. For the
+//! compiled kernels that call, to the trampoline, is the only
+//! `unsafe`: their body is safe scalar code. The invariant is
+//! enforced structurally:
 //! a feature-gated [`Backend`] value is only obtainable after its
 //! detection predicate passed ([`Backend::detect`] checks
 //! `is_x86_feature_detected!`, [`with_backend`] asserts
@@ -134,7 +151,9 @@
 //! task before it returns), and `oasis-wire`'s frame format casts
 //! aligned f32 payloads to and from bytes. CI runs `oasis-wire` and this crate's
 //! pool, parallel and dispatch unit tests under miri (with
-//! `OASIS_SIMD=scalar`); the `#[target_feature]` AVX2 and AVX-512
+//! `OASIS_SIMD=scalar`). The compiled kernels hold no `unsafe` beyond
+//! the trampoline call, and their body is the scalar source that
+//! CI's forced-scalar steps run. The hand-written AVX2 and AVX-512
 //! kernels are not miri-checked and are held by the parity suites and
 //! the forced-scalar end-to-end reference check instead.
 
@@ -311,7 +330,8 @@ pub(crate) fn with_override<R>(o: Option<Backend>, f: impl FnOnce() -> R) -> R {
 /// passed (see module docs) — `Backend::Avx2` cannot become active on
 /// a CPU that lacks AVX2, nor `Backend::Avx512` on one that lacks AVX2
 /// or the AVX-512 subsets it names. Every kernel but the Box–Muller
-/// block runs its AVX2 body on both.
+/// block runs its AVX2 body on both; `compiled kernel(..)` runs the
+/// scalar body compiled for AVX2 there ([`avx2::compiled`]).
 macro_rules! dispatch {
     ($kernel:ident ( $($arg:expr),* $(,)? )) => {
         match active() {
@@ -319,6 +339,16 @@ macro_rules! dispatch {
             // SAFETY: Avx2 and Avx512 are only constructed after
             // `is_x86_feature_detected!("avx2")` returned true.
             Backend::Avx2 | Backend::Avx512 => unsafe { avx2::$kernel($($arg),*) },
+            _ => scalar::$kernel($($arg),*),
+        }
+    };
+    (compiled $kernel:ident ( $($arg:expr),* $(,)? )) => {
+        match active() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above; the closure itself is safe code.
+            Backend::Avx2 | Backend::Avx512 => unsafe {
+                avx2::compiled(|| scalar::$kernel($($arg),*))
+            },
             _ => scalar::$kernel($($arg),*),
         }
     };
@@ -331,7 +361,7 @@ macro_rules! dispatch {
 /// Both slices must have the same length (debug-asserted; release
 /// builds reduce over the shorter length).
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    dispatch!(dot(a, b))
+    dispatch!(compiled dot(a, b))
 }
 
 /// Rows `[row0, row0 + out.len() / n)` of `a · bᵀ` for `a (m×k)` and
@@ -397,7 +427,7 @@ pub fn masked_sq_norms(delta: &[[f32; NORM_LANES]], x: &[[f32; NORM_LANES]]) -> 
 ///
 /// Both slices must have the same length (debug-asserted).
 pub fn axpy(out: &mut [f32], alpha: f32, x: &[f32]) {
-    dispatch!(axpy(out, alpha, x))
+    dispatch!(compiled axpy(out, alpha, x))
 }
 
 /// Four-row AXPY accumulation
@@ -411,7 +441,7 @@ pub(crate) fn axpy4(
     b2: &[f32],
     b3: &[f32],
 ) {
-    dispatch!(axpy4(out_row, coeff, b0, b1, b2, b3))
+    dispatch!(compiled axpy4(out_row, coeff, b0, b1, b2, b3))
 }
 
 /// Two-output-row variant of [`axpy4`]: both rows consume the same
@@ -427,7 +457,7 @@ pub(crate) fn axpy4x2(
     b2: &[f32],
     b3: &[f32],
 ) {
-    dispatch!(axpy4x2(o0, o1, c0, c1, b0, b1, b2, b3))
+    dispatch!(compiled axpy4x2(o0, o1, c0, c1, b0, b1, b2, b3))
 }
 
 /// `(min, max)` over `x` in one pass, or `None` when any value is
@@ -460,7 +490,7 @@ pub fn quantize_q8(src: &[f32], lo: f32, scale: f64, dst: &mut [u8]) {
 /// into a buffer and then adding `weight · out[i]`, bit for bit.
 /// `q.len() == acc.len()` required (debug-asserted).
 pub fn dequantize_add_q8(q: &[u8], lo: f32, scale: f32, weight: f32, acc: &mut [f32]) {
-    dispatch!(dequantize_add_q8(q, lo, scale, weight, acc))
+    dispatch!(compiled dequantize_add_q8(q, lo, scale, weight, acc))
 }
 
 /// Packs one IEEE sign bit per element, LSB-first within each byte

@@ -10,8 +10,16 @@
 //!
 //! The loops are written with fixed-width independent accumulator
 //! lanes (the shape LLVM can auto-vectorize without `-ffast-math`),
-//! so the "scalar" backend is itself reasonably fast — the explicit
-//! backends buy the full register width plus runtime dispatch.
+//! so the "scalar" backend is itself reasonably fast.
+//!
+//! Five of them are also the AVX2 backend's code: [`dot`], [`axpy`],
+//! [`axpy4`], [`axpy4x2`] and [`dequantize_add_q8`] run there compiled
+//! with AVX2 enabled (`super::avx2::compiled`). They are
+//! `#[inline(always)]` so that their loops are compiled inside the
+//! trampoline; `axpy4` and `axpy4x2` slice every operand to the
+//! loop's length first so that no bounds check stops the vectorizer.
+//! Rustc never fuses or reassociates float operations, so the vector
+//! code they compile to has these bits.
 
 use super::{DOT_LANES, NORM_LANES, SQ_BOUND_CHUNKS, SQ_TILE};
 
@@ -26,6 +34,7 @@ pub(crate) const LANES: usize = 8;
 /// dependency chain. The lane-combine order is fixed, so results are
 /// deterministic (but differ in the last ulp from a strictly
 /// sequential sum).
+#[inline(always)]
 pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dot requires equal lengths");
     let mut acc = [0.0f32; LANES];
@@ -222,6 +231,7 @@ pub(crate) fn lane_dots(w: &[f32], x: &[[f32; DOT_LANES]], out: &mut [[f32; DOT_
 }
 
 /// In-place single-coefficient AXPY: `out[j] += alpha * x[j]`.
+#[inline(always)]
 pub(crate) fn axpy(out: &mut [f32], alpha: f32, x: &[f32]) {
     debug_assert_eq!(out.len(), x.len(), "axpy requires equal lengths");
     for (o, &v) in out.iter_mut().zip(x) {
@@ -234,6 +244,7 @@ pub(crate) fn axpy(out: &mut [f32], alpha: f32, x: &[f32]) {
 ///
 /// Four k-steps share one traversal of the output row, quartering the
 /// store traffic of the plain rank-1 update.
+#[inline(always)]
 pub(crate) fn axpy4(
     out_row: &mut [f32],
     coeff: [f32; 4],
@@ -243,6 +254,10 @@ pub(crate) fn axpy4(
     b3: &[f32],
 ) {
     let [a0, a1, a2, a3] = coeff;
+    // Cut to the row so the compiler drops the per-element bounds
+    // checks and can vectorize the loop.
+    let n = out_row.len();
+    let (b0, b1, b2, b3) = (&b0[..n], &b1[..n], &b2[..n], &b3[..n]);
     for (j, o) in out_row.iter_mut().enumerate() {
         *o += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
     }
@@ -253,6 +268,7 @@ pub(crate) fn axpy4(
 /// dominant cost when the right-hand matrix outgrows cache). Each
 /// row's accumulation sequence is identical to [`axpy4`]'s.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 pub(crate) fn axpy4x2(
     o0: &mut [f32],
     o1: &mut [f32],
@@ -263,10 +279,17 @@ pub(crate) fn axpy4x2(
     b2: &[f32],
     b3: &[f32],
 ) {
-    for (j, (x0, x1)) in o0.iter_mut().zip(o1.iter_mut()).enumerate() {
+    debug_assert_eq!(o0.len(), o1.len(), "axpy4x2 rows must match");
+    // As in `axpy4`, every slice is cut to the loop's length. Indexed,
+    // not zipped: over zipped rows the compiled AVX2 loop spilled two
+    // of its eight broadcast coefficients and ran about 10 % slower.
+    let n = o0.len().min(o1.len());
+    let (o0, o1) = (&mut o0[..n], &mut o1[..n]);
+    let (b0, b1, b2, b3) = (&b0[..n], &b1[..n], &b2[..n], &b3[..n]);
+    for j in 0..n {
         let (v0, v1, v2, v3) = (b0[j], b1[j], b2[j], b3[j]);
-        *x0 += c0[0] * v0 + c0[1] * v1 + c0[2] * v2 + c0[3] * v3;
-        *x1 += c1[0] * v0 + c1[1] * v1 + c1[2] * v2 + c1[3] * v3;
+        o0[j] += c0[0] * v0 + c0[1] * v1 + c0[2] * v2 + c0[3] * v3;
+        o1[j] += c1[0] * v0 + c1[1] * v1 + c1[2] * v2 + c1[3] * v3;
     }
 }
 
@@ -312,6 +335,7 @@ pub(crate) fn quantize_q8(src: &[f32], lo: f32, scale: f64, dst: &mut [u8]) {
 
 /// Affine int8 dequantization folded into a weighted sum:
 /// `acc[i] += weight · dequantize_one(q[i])`, multiply then add.
+#[inline(always)]
 pub(crate) fn dequantize_add_q8(q: &[u8], lo: f32, scale: f32, weight: f32, acc: &mut [f32]) {
     debug_assert_eq!(
         q.len(),
@@ -326,6 +350,7 @@ pub(crate) fn dequantize_add_q8(q: &[u8], lo: f32, scale: f32, weight: f32, acc:
 /// One dequantized level: `lo + scale · q` in f64, clamped into f32's
 /// finite range (for extreme updates `lo + 255·scale` can land one
 /// rounding step past `f32::MAX`, and the fold must never add inf/NaN).
+#[inline(always)]
 fn dequantize_one(lo: f32, scale: f32, q: u8) -> f32 {
     let v = f64::from(lo) + f64::from(scale) * f64::from(q);
     v.clamp(f64::from(f32::MIN), f64::from(f32::MAX)) as f32

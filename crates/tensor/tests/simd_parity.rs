@@ -11,6 +11,15 @@
 //! best backend *is* scalar the comparisons are trivially true; the
 //! CI perf leg runs on AVX2 where they are load-bearing.
 //!
+//! Where the vector backend compiles the scalar source itself (`dot`,
+//! `axpy`, plain `matmul`'s `axpy4`/`axpy4x2` and the q8 fold), a
+//! scalar-vs-vector comparison would only test the compiler, so those
+//! kernels are pinned on every backend against their specification
+//! written out per element: `dot` against its eight-lane sum, fixed
+//! combine and sequential tail, `axpy` against `out[i] + alpha·x[i]`,
+//! the fold against `acc[i] + weight·dequantize(q[i])` and plain
+//! `matmul` against the four-step block sum.
+//!
 //! The blocked kernels are pinned against per-element loops on every
 //! available backend and at 1 and 2 threads, with ±0, ±∞, NaN and
 //! subnormals added to the mix: `matmul_nt` against one `dot` per
@@ -110,6 +119,21 @@ fn lane_rows(rows: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
     })
 }
 
+/// `dot`'s specification written out: lane `l` adds `a[i]·b[i]` for
+/// each `i ≡ l (mod 8)` of the whole eight-element chunks, in order
+/// from `+0`; the lanes combine as
+/// `((l0 + l4) + (l1 + l5)) + ((l2 + l6) + (l3 + l7))`, and the
+/// remaining products follow as one sequential sum.
+fn dot_oracle(a: &[f32], b: &[f32]) -> f32 {
+    let whole = a.len() / 8 * 8;
+    let mut l = [0.0f32; 8];
+    for i in 0..whole {
+        l[i % 8] += a[i] * b[i];
+    }
+    let tail: f32 = (whole..a.len()).map(|i| a[i] * b[i]).sum();
+    ((l[0] + l[4]) + (l[1] + l[5])) + ((l[2] + l[6]) + (l[3] + l[7])) + tail
+}
+
 /// The per-element loop `matmul_nt` ran before its register tile,
 /// kept verbatim as the oracle: one `dot` per output.
 fn matmul_nt_oracle(a: &Tensor, b: &Tensor) -> Vec<f32> {
@@ -199,9 +223,11 @@ fn assert_same(got: &Tensor, want: &[f32], what: &str) {
 proptest! {
     #[test]
     fn dot_is_bit_identical((a, b) in lane_pair()) {
-        let scalar = simd::with_backend(Backend::Scalar, || simd::dot(&a, &b));
-        let vector = simd::with_backend(best(), || simd::dot(&a, &b));
-        prop_assert_eq!(scalar.to_bits(), vector.to_bits());
+        let want = dot_oracle(&a, &b).to_bits();
+        for backend in backends() {
+            let got = simd::with_backend(backend, || simd::dot(&a, &b));
+            prop_assert_eq!(got.to_bits(), want, "{:?}", backend);
+        }
     }
 
     #[test]
@@ -210,33 +236,26 @@ proptest! {
     ) {
         let off = off % a.len();
         let (sa, sb) = (&a[off..], &b[off..]);
-        let scalar = simd::with_backend(Backend::Scalar, || simd::dot(sa, sb));
-        let vector = simd::with_backend(best(), || simd::dot(sa, sb));
-        prop_assert_eq!(scalar.to_bits(), vector.to_bits());
-    }
-
-    #[test]
-    fn axpy_is_bit_identical((out, x) in lane_pair(), alpha in tricky_f32()) {
-        let mut via_scalar = out.clone();
-        let mut via_vector = out.clone();
-        simd::with_backend(Backend::Scalar, || simd::axpy(&mut via_scalar, alpha, &x));
-        simd::with_backend(best(), || simd::axpy(&mut via_vector, alpha, &x));
-        for (s, v) in via_scalar.iter().zip(&via_vector) {
-            prop_assert_eq!(s.to_bits(), v.to_bits());
+        let want = dot_oracle(sa, sb).to_bits();
+        for backend in backends() {
+            let got = simd::with_backend(backend, || simd::dot(sa, sb));
+            prop_assert_eq!(got.to_bits(), want, "{:?}", backend);
         }
     }
 
     #[test]
-    fn tensor_axpy_routes_through_the_same_kernel(
-        (out, x) in lane_pair(), alpha in tricky_f32(),
-    ) {
-        let n = out.len();
-        let mut t = Tensor::from_vec(out.clone(), &[n]).unwrap();
-        let xt = Tensor::from_vec(x.clone(), &[n]).unwrap();
-        t.axpy(alpha, &xt).unwrap();
-        let mut direct = out;
-        simd::axpy(&mut direct, alpha, &x);
-        prop_assert_eq!(t.data(), &direct[..]);
+    fn axpy_is_bit_identical((out, x) in lane_pair(), alpha in tricky_f32()) {
+        let want: Vec<u32> = out
+            .iter()
+            .zip(&x)
+            .map(|(&o, &v)| (o + alpha * v).to_bits())
+            .collect();
+        for backend in backends() {
+            let mut got = out.clone();
+            simd::with_backend(backend, || simd::axpy(&mut got, alpha, &x));
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&got, &want, "{:?}", backend);
+        }
     }
 
     #[test]
@@ -597,6 +616,41 @@ fn guarded_q8_quantize_matches_the_f64_specification() {
                     simd::with_backend(backend, || simd::quantize_q8(src, lo, scale, &mut q));
                     assert_eq!(q, expected, "{backend:?} range ({lo}, {hi}) len={len}");
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn q8_fold_clamps_levels_into_f32_range() {
+    // `lo + scale·q` leaves f32's range from q = 128 on: above
+    // f32::MAX with the first scale, below f32::MIN with the second.
+    // Each such level folds as f32::MAX (or MIN), never as ±∞.
+    let ranges = [
+        (f32::MAX / 2.0, f32::MAX / 255.0),
+        (f32::MIN / 2.0, f32::MIN / 255.0),
+    ];
+    for (lo, scale) in ranges {
+        for len in 0..=41usize {
+            let q: Vec<u8> = (0..len).map(|i| (i * 255 / 40) as u8).collect();
+            let acc: Vec<f32> = (0..len).map(|i| i as f32 - 20.0).collect();
+            let want: Vec<u32> = acc
+                .iter()
+                .zip(&q)
+                .map(|(&a, &q)| {
+                    let level = (f64::from(lo) + f64::from(scale) * f64::from(q))
+                        .clamp(f64::from(f32::MIN), f64::from(f32::MAX));
+                    (a + 0.5 * level as f32).to_bits()
+                })
+                .collect();
+            for backend in backends() {
+                let mut got = acc.clone();
+                simd::with_backend(backend, || {
+                    simd::dequantize_add_q8(&q, lo, scale, 0.5, &mut got);
+                });
+                assert!(got.iter().all(|v| v.is_finite()), "{backend:?} len={len}");
+                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{backend:?} lo={lo} len={len}");
             }
         }
     }
