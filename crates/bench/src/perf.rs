@@ -17,8 +17,9 @@
 //!   q8 codec, PSNR of one pair and all-pairs PSNR, a DP-noise fill of
 //!   Gaussian normals, a rendered calibration set). Every kernel in
 //!   [`CORE_KERNELS`] is recorded twice, with the SIMD backend pinned
-//!   per bench via [`simd::with_backend`]: `_simd` (best detected
-//!   backend) and `_scalar` (the reference kernels).
+//!   per bench via [`simd::with_backend`]: `_simd` (the resolved
+//!   backend: `OASIS_SIMD`'s choice, else the best detected) and
+//!   `_scalar` (the reference kernels).
 //! * `fl` — protocol paths: a full [`CohortRunner::run_round`] over
 //!   four clients untraced and traced (`fl_round_raw` /
 //!   `fl_round_raw_telem`), and one cohort-64 round sampled from 1 k
@@ -87,8 +88,9 @@ pub struct BenchSuite {
     pub nproc: usize,
     /// Worker threads the run used (see `OASIS_THREADS`).
     pub threads: usize,
-    /// SIMD backend label the run resolved (see `OASIS_SIMD`); `_simd`
-    /// / `_scalar` record pairs pin their own backend per bench.
+    /// SIMD backend label the run resolved (see `OASIS_SIMD`): the
+    /// backend of the `_simd` records; `_scalar` records pin the
+    /// scalar one.
     pub simd: String,
     /// Whether the run used the reduced `--quick` calibration budget.
     pub quick: bool,
@@ -233,12 +235,13 @@ pub const SCALE_BASES: [Base; 4] = [
 pub const SCALE_WIDTHS: [usize; 2] = [1, 4];
 
 /// The `core` suite: each of [`CORE_KERNELS`] as a `_simd` record
-/// (best detected backend) followed by a `_scalar` record.
+/// (the resolved backend, so `OASIS_SIMD=avx2` measures AVX2 on an
+/// AVX-512 host) followed by a `_scalar` record.
 ///
 /// Order is fixed; names are stable comparison keys.
 pub fn core_suite() -> Vec<BenchDef> {
     let backends = [
-        ("simd", simd::Backend::detect()),
+        ("simd", simd::resolved()),
         ("scalar", simd::Backend::Scalar),
     ];
     CORE_KERNELS

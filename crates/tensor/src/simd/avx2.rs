@@ -3,16 +3,17 @@
 //! Two kinds of kernel run on this backend.
 //!
 //! * The elementwise ones — `dot`, `axpy`, `axpy4`, `axpy4x2` and
-//!   `dequantize_add_q8` — have no body here. [`compiled`] runs their
-//!   [`super::scalar`] source with AVX2 enabled, and LLVM vectorizes
-//!   it. The bits are the scalar ones because the compiler keeps
-//!   every IEEE operation: it does not fuse a multiply and an add
-//!   into an FMA, nor reassociate float adds, whatever instruction
-//!   set it targets.
+//!   `dequantize_add_q8` — and the Box–Muller block have no body
+//!   here. [`compiled`] runs their safe source ([`super::scalar`], and
+//!   `super::normal` for the sampler) with AVX2 enabled, and LLVM
+//!   vectorizes it. The bits are the source's because the compiler
+//!   keeps every IEEE operation: it does not fuse a multiply and an
+//!   add into an FMA, nor reassociate float adds, whatever
+//!   instruction set it targets.
 //! * The rest are written out in intrinsics, where the compiler's
 //!   vector code measured well short of them: the blocked products,
 //!   the q8 scan and quantize, sign packing, the PSNR reductions, the
-//!   box filter, the lane-parallel sums and the Box–Muller sampler.
+//!   box filter and the lane-parallel sums.
 //!   Each performs, per lane, the *identical sequence of IEEE
 //!   operations* as its scalar reference: separate multiply then add
 //!   (never a fused multiply-add, which would round once instead of
@@ -22,20 +23,14 @@
 //!   bit-identity; if a kernel here is ever "optimized" with FMA or a
 //!   horizontal-add shuffle, that suite is the tripwire.
 //!
-//! The exception is [`normal_block`], whose reference is libm: it
-//! approximates inside a rounding guard, and the caller recomputes
-//! every undecided lane with the scalar specification (see
-//! [`super::normal_pairs`]; `crates/tensor/tests/normal_parity.rs` is
-//! its tripwire).
-//!
 //! # Safety
 //!
 //! Every function is `#[target_feature(enable = "avx2")]` and thus
 //! unsafe to call: the caller must guarantee the CPU supports AVX2.
 //! The only callers are the dispatchers in [`super`], which reach
-//! this module exclusively through a [`super::Backend::Avx2`] value,
-//! and `Backend::Avx2` is only ever constructed after
-//! `is_x86_feature_detected!("avx2")` returned true (at env
+//! this module exclusively through a [`super::Backend::Avx2`] or
+//! [`super::Backend::Avx512`] value, and neither is ever constructed
+//! before `is_x86_feature_detected!("avx2")` returned true (at env
 //! resolution or via the availability assert in
 //! [`super::with_backend`]). No other invariant is required: all
 //! loads/stores use unaligned forms, and slice bounds are the same
@@ -48,7 +43,7 @@
 use std::arch::x86_64::*;
 
 use super::scalar;
-use super::{DOT_LANES, GUARD_ULPS, NORM_LANES, SQ_BOUND_CHUNKS, SQ_TILE};
+use super::{DOT_LANES, NORM_LANES, SQ_BOUND_CHUNKS, SQ_TILE};
 
 /// Reads the 8 lanes of an f32x8 register into an array (for scalar
 /// fixed-order combines).
@@ -67,7 +62,7 @@ unsafe fn lanes_f64(v: __m256d) -> [f64; 4] {
     out
 }
 
-/// Runs `f` with AVX2 enabled: a scalar kernel inlined into `f` is
+/// Runs `f` with AVX2 enabled: a safe kernel body inlined into `f` is
 /// vectorized for this backend, with the same IEEE operations in the
 /// same order (see the module docs).
 ///
@@ -1200,298 +1195,5 @@ unsafe fn box_sums8_n<const N: usize>(
     }
     for (o, acc) in out.iter_mut().zip(acc) {
         *o = lanes_f32(acc);
-    }
-}
-
-/// Four Box–Muller draws from eight rng words (`words[2l]` and
-/// `words[2l + 1]` for draw `l`), in-repo polynomials in place of libm:
-/// writes `PER_DRAW` outputs per draw to `out` (interleaved `a0 b0 a1
-/// b1 …` when both are kept) and returns the mask of draws whose f32
-/// rounding the guard leaves undecided (see [`super::normal_pairs`]
-/// and [`scalar::normal_draw`]).
-///
-/// The fast path does not take `u1 = 1` (from `w >> 11 = 0`), for the
-/// sign of its zero output, nor a reduced angle below 2⁻³⁰.
-///
-/// # Panics
-///
-/// Panics unless `words` holds 8 words and `out` `4·PER_DRAW` floats.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn normal_block<const PER_DRAW: usize>(words: &[u64], out: &mut [f32]) -> u32 {
-    let (words, out) = (&words[..8], &mut out[..4 * PER_DRAW]);
-    let c = |v: f64| _mm256_set1_pd(v);
-    // (a0 b0 a1 b1), (a2 b2 a3 b3) → (a0 a1 a2 a3), (b0 b1 b2 b3).
-    let x = _mm256_loadu_si256(words.as_ptr().cast());
-    let y = _mm256_loadu_si256(words.as_ptr().add(4).cast());
-    let (p, q) = (
-        _mm256_permute2x128_si256::<0x20>(x, y),
-        _mm256_permute2x128_si256::<0x31>(x, y),
-    );
-    let u1 = _mm256_sub_pd(c(1.0), uniform(_mm256_unpacklo_epi64(p, q)));
-    let u2 = uniform(_mm256_unpackhi_epi64(p, q));
-    let r = _mm256_sqrt_pd(_mm256_mul_pd(c(-2.0), ln(u1)));
-    let theta = _mm256_mul_pd(c(2.0 * std::f64::consts::PI), u2);
-    let (sin, cos, reduced_ok) = sincos(theta);
-    let (a, a_ok) = guarded_f32(_mm256_mul_pd(r, cos));
-    let mut ok = _mm256_movemask_pd(_mm256_and_pd(
-        _mm256_cmp_pd::<_CMP_LT_OQ>(u1, c(1.0)),
-        reduced_ok,
-    )) & a_ok;
-    if PER_DRAW == 2 {
-        let (b, b_ok) = guarded_f32(_mm256_mul_pd(r, sin));
-        _mm_storeu_ps(out.as_mut_ptr(), _mm_unpacklo_ps(a, b));
-        _mm_storeu_ps(out.as_mut_ptr().add(4), _mm_unpackhi_ps(a, b));
-        ok &= b_ok;
-    } else {
-        _mm_storeu_ps(out.as_mut_ptr(), a);
-    }
-    !ok as u32 & 0xf
-}
-
-/// `(w >> 11)·2⁻⁵³` of each word, exactly (`rand`'s `gen::<f64>()`):
-/// the low 52 bits of `w >> 11` under the exponent of 0.5 give
-/// `0.5 + m·2⁻⁵³`, from which 0.5 is taken back unless bit 52 of
-/// `w >> 11` (the sign bit of `w`) is set. Both steps are exact.
-#[target_feature(enable = "avx2")]
-unsafe fn uniform(w: __m256i) -> __m256d {
-    let m = _mm256_and_si256(
-        _mm256_srli_epi64::<11>(w),
-        _mm256_set1_epi64x(0x000f_ffff_ffff_ffff),
-    );
-    let v = _mm256_castsi256_pd(_mm256_or_si256(
-        m,
-        _mm256_set1_epi64x(0x3fe0_0000_0000_0000),
-    ));
-    _mm256_blendv_pd(
-        _mm256_sub_pd(v, _mm256_set1_pd(0.5)),
-        v,
-        _mm256_castsi256_pd(w),
-    )
-}
-
-/// `v` rounded to f32, and the mask of lanes whose rounding the guard
-/// decides: the 29 bits the rounding drops are more than
-/// [`GUARD_ULPS`] from its midpoint and `|v|` is in f32's normal range.
-#[target_feature(enable = "avx2")]
-unsafe fn guarded_f32(v: __m256d) -> (__m128, i32) {
-    let dropped = _mm256_and_si256(_mm256_castpd_si256(v), _mm256_set1_epi64x((1 << 29) - 1));
-    let off = _mm256_sub_epi64(dropped, _mm256_set1_epi64x(1 << 28));
-    let decided = _mm256_or_si256(
-        _mm256_cmpgt_epi64(off, _mm256_set1_epi64x(GUARD_ULPS)),
-        _mm256_cmpgt_epi64(_mm256_set1_epi64x(-GUARD_ULPS), off),
-    );
-    let normal = _mm256_cmp_pd::<_CMP_GE_OQ>(
-        _mm256_andnot_pd(_mm256_set1_pd(-0.0), v),
-        _mm256_set1_pd(f64::from(f32::MIN_POSITIVE)),
-    );
-    (
-        _mm256_cvtpd_ps(v),
-        _mm256_movemask_pd(_mm256_and_pd(_mm256_castsi256_pd(decided), normal)),
-    )
-}
-
-/// Horner's rule `k[0] + x·(k[1] + x·(… + x·k[n−1]))`, mul then add.
-#[target_feature(enable = "avx2")]
-unsafe fn horner(x: __m256d, k: &[f64]) -> __m256d {
-    let (last, rest) = k.split_last().expect("coefficients");
-    rest.iter().rev().fold(_mm256_set1_pd(*last), |acc, &k| {
-        _mm256_add_pd(_mm256_set1_pd(k), _mm256_mul_pd(x, acc))
-    })
-}
-
-/// Natural log of normal positive lanes: fdlibm's `__ieee754_log`
-/// (x = 2ᵏ·(1+f) with 1+f ∈ [√2/2, √2), `s = f/(2+f)`, the `Lg1..Lg7`
-/// polynomial in s²), always on its `hfsq` branch. Constants are
-/// fdlibm's, as bit patterns.
-#[target_feature(enable = "avx2")]
-unsafe fn ln(x: __m256d) -> __m256d {
-    const LN2_HI: f64 = f64::from_bits(0x3fe62e42_fee00000);
-    const LN2_LO: f64 = f64::from_bits(0x3dea39ef_35793c76);
-    const LG: [f64; 7] = [
-        f64::from_bits(0x3fe55555_55555593),
-        f64::from_bits(0x3fd99999_9997fa04),
-        f64::from_bits(0x3fd24924_94229359),
-        f64::from_bits(0x3fcc71c5_1d8e78af),
-        f64::from_bits(0x3fc74664_96cb03de),
-        f64::from_bits(0x3fc39a09_d078c69f),
-        f64::from_bits(0x3fc2f112_df3e5244),
-    ];
-    let c = |v: f64| _mm256_set1_pd(v);
-    let bits = _mm256_castpd_si256(x);
-    let mant = _mm256_and_si256(bits, _mm256_set1_epi64x(0x000f_ffff_ffff_ffff));
-    // Bit 52 set iff 1+f ≥ √2 (high mantissa word ≥ 0x6a09c): then
-    // use (1+f)/2 and k+1.
-    let carry = _mm256_and_si256(
-        _mm256_add_epi64(mant, _mm256_set1_epi64x(0x95f64 << 32)),
-        _mm256_set1_epi64x(1 << 52),
-    );
-    let m = _mm256_castsi256_pd(_mm256_or_si256(
-        mant,
-        _mm256_xor_si256(carry, _mm256_set1_epi64x(0x3ff0_0000_0000_0000)),
-    ));
-    // k + 1023 is a small integer: place it in the mantissa of 2⁵².
-    let biased_k = _mm256_add_epi64(
-        _mm256_srli_epi64::<52>(bits),
-        _mm256_srli_epi64::<52>(carry),
-    );
-    let k = _mm256_sub_pd(
-        _mm256_castsi256_pd(_mm256_or_si256(
-            biased_k,
-            _mm256_set1_epi64x(0x4330_0000_0000_0000),
-        )),
-        c((1u64 << 52) as f64 + 1023.0),
-    );
-    let f = _mm256_sub_pd(m, c(1.0));
-    let s = _mm256_div_pd(f, _mm256_add_pd(c(2.0), f));
-    let z = _mm256_mul_pd(s, s);
-    let w = _mm256_mul_pd(z, z);
-    let t1 = _mm256_mul_pd(w, horner(w, &[LG[1], LG[3], LG[5]]));
-    let t2 = _mm256_mul_pd(z, horner(w, &[LG[0], LG[2], LG[4], LG[6]]));
-    let r = _mm256_add_pd(t2, t1);
-    let hfsq = _mm256_mul_pd(_mm256_mul_pd(c(0.5), f), f);
-    // k·ln2_hi − ((hfsq − (s·(hfsq + R) + k·ln2_lo)) − f)
-    let inner = _mm256_add_pd(
-        _mm256_mul_pd(s, _mm256_add_pd(hfsq, r)),
-        _mm256_mul_pd(k, c(LN2_LO)),
-    );
-    _mm256_sub_pd(
-        _mm256_mul_pd(k, c(LN2_HI)),
-        _mm256_sub_pd(_mm256_sub_pd(hfsq, inner), f),
-    )
-}
-
-/// `(sin θ, cos θ, ok)` for θ ∈ [0, 2π): Cody–Waite reduction
-/// `y = θ − n·π/2` with fdlibm's 33-bit `pio2_1` (so `n·pio2_1` and the
-/// first subtraction are exact), fdlibm's `__kernel_sin`/`__kernel_cos`
-/// on `y` (the latter without the `qx` split that buys its last ulp,
-/// which the guard does not need), then a branch-free quadrant select
-/// on `n ∈ 0..=4`. `ok`
-/// clears lanes with `|y| < 2⁻³⁰`, where the reduction's absolute error
-/// (about 2⁻⁸⁴) is no longer small relative to `y`. Constants are
-/// fdlibm's, as bit patterns.
-#[target_feature(enable = "avx2")]
-unsafe fn sincos(theta: __m256d) -> (__m256d, __m256d, __m256d) {
-    const PIO2_1: f64 = f64::from_bits(0x3ff921fb_54400000);
-    const PIO2_1T: f64 = f64::from_bits(0x3dd0b461_1a626331);
-    const S: [f64; 6] = [
-        f64::from_bits(0xbfc55555_55555549),
-        f64::from_bits(0x3f811111_1110f8a6),
-        f64::from_bits(0xbf2a01a0_19c161d5),
-        f64::from_bits(0x3ec71de3_57b1fe7d),
-        f64::from_bits(0xbe5ae5e6_8a2b9ceb),
-        f64::from_bits(0x3de5d93a_5acfd57c),
-    ];
-    const C: [f64; 6] = [
-        f64::from_bits(0x3fa55555_5555554c),
-        f64::from_bits(0xbf56c16c_16c15177),
-        f64::from_bits(0x3efa01a0_19cb1590),
-        f64::from_bits(0xbe927e4f_809c52ad),
-        f64::from_bits(0x3e21ee9e_bdb4b1c4),
-        f64::from_bits(0xbda8fae9_be8838d4),
-    ];
-    let c = |v: f64| _mm256_set1_pd(v);
-    let sign = c(-0.0);
-    let n = _mm256_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(_mm256_mul_pd(
-        theta,
-        c(std::f64::consts::FRAC_2_PI),
-    ));
-    let y = _mm256_sub_pd(
-        _mm256_sub_pd(theta, _mm256_mul_pd(n, c(PIO2_1))),
-        _mm256_mul_pd(n, c(PIO2_1T)),
-    );
-    let ay = _mm256_andnot_pd(sign, y);
-    let ok = _mm256_cmp_pd::<_CMP_GE_OQ>(ay, c(1.0 / (1u64 << 30) as f64));
-    let z = _mm256_mul_pd(y, y);
-    // __kernel_sin(y, 0, 0) = y + y³·(S1 + z·(S2 + z·(… + z·S6)))
-    let sr = horner(z, &S[1..]);
-    let v = _mm256_mul_pd(z, y);
-    let sin_y = _mm256_add_pd(
-        y,
-        _mm256_mul_pd(v, _mm256_add_pd(c(S[0]), _mm256_mul_pd(z, sr))),
-    );
-    // __kernel_cos(y, 0) without its qx split: 1 − (z/2 − z·r).
-    let cr = _mm256_mul_pd(z, horner(z, &C));
-    let cos_y = _mm256_sub_pd(
-        c(1.0),
-        _mm256_sub_pd(_mm256_mul_pd(c(0.5), z), _mm256_mul_pd(z, cr)),
-    );
-    // Quadrant n mod 4: sin θ = (s, c, −s, −c), cos θ = (c, −s, −c, s).
-    let is = |q: f64| _mm256_cmp_pd::<_CMP_EQ_OQ>(n, c(q));
-    let swap = _mm256_or_pd(is(1.0), is(3.0));
-    let sin_neg = _mm256_and_pd(_mm256_or_pd(is(2.0), is(3.0)), sign);
-    let cos_neg = _mm256_and_pd(_mm256_or_pd(is(1.0), is(2.0)), sign);
-    let sin = _mm256_xor_pd(_mm256_blendv_pd(sin_y, cos_y, swap), sin_neg);
-    let cos = _mm256_xor_pd(_mm256_blendv_pd(cos_y, sin_y, swap), cos_neg);
-    (sin, cos, ok)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, RngCore, SeedableRng};
-
-    #[test]
-    fn polynomials_stay_within_a_few_ulps_of_libm() {
-        if !is_x86_feature_detected!("avx2") {
-            return;
-        }
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut worst = 0u64;
-        for _ in 0..250_000 {
-            let w1: [u64; 4] = std::array::from_fn(|_| rng.next_u64());
-            let w2: [u64; 4] = std::array::from_fn(|_| rng.next_u64());
-            // SAFETY: AVX2 was detected above.
-            let (a, b, ok) = unsafe {
-                let load = |w: &[u64; 4]| uniform(_mm256_loadu_si256(w.as_ptr().cast()));
-                let u1 = _mm256_sub_pd(_mm256_set1_pd(1.0), load(&w1));
-                let r = _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), ln(u1)));
-                let theta = _mm256_mul_pd(_mm256_set1_pd(2.0 * std::f64::consts::PI), load(&w2));
-                let (sin, cos, ok) = sincos(theta);
-                let (a, b) = (_mm256_mul_pd(r, cos), _mm256_mul_pd(r, sin));
-                (lanes_f64(a), lanes_f64(b), _mm256_movemask_pd(ok))
-            };
-            // Lanes the reduction check sends to the fallback are not
-            // the polynomials' to answer for.
-            for l in (0..4).filter(|l| ok & (1 << l) != 0) {
-                let (u1, u2) = scalar::uniforms(w1[l], w2[l]);
-                let r = (-2.0 * u1.ln()).sqrt();
-                let theta = 2.0 * std::f64::consts::PI * u2;
-                for (got, want) in [(a[l], r * theta.cos()), (b[l], r * theta.sin())] {
-                    worst = worst.max(got.to_bits().abs_diff(want.to_bits()));
-                }
-            }
-        }
-        assert!(worst <= 64, "{worst} ulps from libm");
-    }
-
-    #[test]
-    fn uniform_is_gen_f64_of_the_word() {
-        if !is_x86_feature_detected!("avx2") {
-            return;
-        }
-        let mut words = StdRng::seed_from_u64(5);
-        let mut draws = words.clone();
-        let edges = [0, 0x7ff, 0x800, 1 << 63, (1 << 63) - 1, u64::MAX];
-        for i in 0..4096 {
-            let w: [u64; 4] = if i == 0 {
-                [edges[0], edges[1], edges[2], edges[3]]
-            } else if i == 1 {
-                [edges[4], edges[5], 0, 0]
-            } else {
-                std::array::from_fn(|_| words.next_u64())
-            };
-            // SAFETY: AVX2 was detected above.
-            let got = unsafe { lanes_f64(uniform(_mm256_loadu_si256(w.as_ptr().cast()))) };
-            for (g, w) in got.iter().zip(w) {
-                let want = if i < 2 {
-                    (w >> 11) as f64 / (1u64 << 53) as f64
-                } else {
-                    draws.gen::<f64>()
-                };
-                assert_eq!(g.to_bits(), want.to_bits(), "word {w:#x}");
-            }
-        }
-        assert_eq!(words, draws);
     }
 }

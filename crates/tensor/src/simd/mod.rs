@@ -6,19 +6,23 @@
 //! scalar body, the specification. There are three backends:
 //!
 //! * `avx512` ([`Backend::Avx512`], `x86_64` with AVX2, AVX-512F and
-//!   AVX-512DQ, runtime-detected): the AVX2 kernels, plus an f64x8
-//!   Box–Muller sampler, its only kernel of its own;
+//!   AVX-512DQ, runtime-detected): the AVX2 kernels, but the
+//!   Box–Muller sampler compiled for AVX-512, eight draws per f64x8
+//!   vector;
 //! * `avx2` ([`Backend::Avx2`], `x86_64` with AVX2): f32x8 kernels and
-//!   an f64x4 Box–Muller sampler;
+//!   the sampler four draws per f64x4 vector;
 //! * `scalar` ([`Backend::Scalar`]): the portable reference,
 //!   everywhere (including `aarch64`).
 //!
 //! The elementwise kernels — [`dot`], [`axpy`], `axpy4`, `axpy4x2`
 //! and [`dequantize_add_q8`] — have no AVX2 body: on `avx2` and `avx512`
 //! their scalar body runs compiled with AVX2 enabled, through one
-//! trampoline (`dispatch!(compiled …)`), and LLVM vectorizes it. Every
-//! other kernel has an AVX2 body written in intrinsics, kept where
-//! the compiled scalar body measured well short of it.
+//! trampoline (`dispatch!(compiled …)`), and LLVM vectorizes it. The
+//! Box–Muller sampler has one safe vector body (`normal.rs`), compiled
+//! the same way: four draws wide for AVX2 and eight wide for AVX-512
+//! (`avx512::compiled`). Every other kernel has an AVX2 body written
+//! in intrinsics, kept where the compiled scalar body measured well
+//! short of it.
 //!
 //! Dispatch is resolved **once per process** from the `OASIS_SIMD`
 //! environment variable (`auto` | `avx512` | `avx2` | `scalar`,
@@ -115,9 +119,9 @@
 //! the domain: `u1 ∈ [2⁻⁵³, 1]` and `u2 ∈ [0, 1 − 2⁻⁵³]`.
 //!
 //! The reference is the platform libm's f64 `ln`, `cos` and `sin`,
-//! which no vector backend can replicate lane by lane. The AVX2 and
-//! AVX-512 samplers evaluate in-repo polynomials instead (fdlibm's log
-//! and sin/cos kernels, within 3 ulps of libm), so approximation is
+//! which no vector backend can replicate lane by lane. The vector
+//! sampler evaluates in-repo polynomials instead (fdlibm's log and
+//! sin/cos kernels, within 3 ulps of libm), so approximation is
 //! allowed — but only inside a rounding guard. A lane's f64 result `v`
 //! is accepted only when `|v|` is in f32's normal range and the 29
 //! mantissa bits that rounding to f32 drops are more than
@@ -134,28 +138,31 @@
 //!
 //! ## Safety
 //!
-//! This module's `unsafe` (the dispatchers here and the kernels in
-//! `avx2.rs` and `avx512.rs`) exists because calling a
-//! `#[target_feature]` function requires the CPU feature. For the
-//! compiled kernels that call, to the trampoline, is the only
-//! `unsafe`: their body is safe scalar code. The invariant is
+//! This module's `unsafe` (the dispatchers here, the kernels in
+//! `avx2.rs` and the trampolines in `avx2.rs` and `avx512.rs`) exists
+//! because calling a `#[target_feature]` function requires the CPU
+//! feature. For the compiled kernels that call, to the trampoline, is
+//! the only `unsafe`: their body is safe code. The invariant is
 //! enforced structurally:
 //! a feature-gated [`Backend`] value is only obtainable after its
 //! detection predicate passed ([`Backend::detect`] checks
 //! `is_x86_feature_detected!`, [`with_backend`] asserts
-//! [`Backend::is_available`]). `avx2.rs` and `avx512.rs` document
-//! this at the top; the dispatchers carry the per-call SAFETY notes.
+//! [`Backend::is_available`]). `avx2.rs` documents this at the top and
+//! `avx512.rs` on its trampoline; the dispatchers carry the per-call
+//! SAFETY notes.
 //!
 //! It is not the workspace's only `unsafe`. The worker pool erases
 //! task lifetimes in `pool.rs` (sound because `run_tasks` joins every
 //! task before it returns), and `oasis-wire`'s frame format casts
 //! aligned f32 payloads to and from bytes. CI runs `oasis-wire` and this crate's
 //! pool, parallel and dispatch unit tests under miri (with
-//! `OASIS_SIMD=scalar`). The compiled kernels hold no `unsafe` beyond
-//! the trampoline call, and their body is the scalar source that
-//! CI's forced-scalar steps run. The hand-written AVX2 and AVX-512
-//! kernels are not miri-checked and are held by the parity suites and
-//! the forced-scalar end-to-end reference check instead.
+//! `OASIS_SIMD=scalar`), the sampler's unit tests among them. The
+//! compiled kernels hold no `unsafe` beyond the trampoline call, and
+//! their body is safe code: the scalar source that CI's forced-scalar
+//! steps run, or the sampler's body, which miri runs through its unit
+//! tests. The hand-written AVX2 kernels are not miri-checked and are
+//! held by the parity suites and the forced-scalar end-to-end
+//! reference check instead.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -164,6 +171,8 @@ use std::sync::OnceLock;
 mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod avx512;
+#[cfg(any(target_arch = "x86_64", test))]
+mod normal;
 pub(crate) mod scalar;
 
 /// Samples per [`masked_sq_norms`] call: one independent lane each.
@@ -187,8 +196,9 @@ pub const DOT_LANES: usize = 32;
 /// backends can become active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The AVX2 kernels plus an f64x8 Box–Muller sampler (`x86_64`
-    /// with runtime-detected AVX2, AVX-512F and AVX-512DQ).
+    /// The AVX2 kernels, with the Box–Muller sampler compiled for
+    /// AVX-512 (`x86_64` with runtime-detected AVX2, AVX-512F and
+    /// AVX-512DQ).
     Avx512,
     /// AVX2 f32x8 kernels (`x86_64` with runtime-detected AVX2).
     Avx2,
@@ -660,14 +670,15 @@ fn normals<const PER_DRAW: usize>(words: &[u64], out: &mut [f32]) -> usize {
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx512 is only constructed after AVX2, AVX-512F and
-        // AVX-512DQ were detected.
+        // AVX-512DQ were detected; the closure itself is safe code.
         Backend::Avx512 => guarded_blocks::<8, PER_DRAW>(words, out, |w, o| unsafe {
-            avx512::normal_block::<PER_DRAW>(w, o)
+            avx512::compiled(|| normal::normal_block::<8, PER_DRAW>(w, o))
         }),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only constructed after AVX2 was detected.
+        // SAFETY: Avx2 is only constructed after AVX2 was detected; the
+        // closure itself is safe code.
         Backend::Avx2 => guarded_blocks::<4, PER_DRAW>(words, out, |w, o| unsafe {
-            avx2::normal_block::<PER_DRAW>(w, o)
+            avx2::compiled(|| normal::normal_block::<4, PER_DRAW>(w, o))
         }),
         _ => scalar::normals::<PER_DRAW>(words, out),
     }
@@ -677,11 +688,11 @@ fn normals<const PER_DRAW: usize>(words: &[u64], out: &mut [f32]) -> usize {
 /// only when the 29 low mantissa bits that rounding to f32 drops are
 /// more than this far from the rounding midpoint (and `|v|` is in f32's
 /// normal range, where those are the dropped bits). Any value within
-/// that many ulps of the lane then rounds to the same f32. Their
-/// polynomial results differ from libm's by at most 3 ulps (measured
-/// over 4·10⁶ values; the kernels' unit tests hold them to 64), far
-/// inside it.
-#[cfg(target_arch = "x86_64")]
+/// that many ulps of the lane then rounds to the same f32. The
+/// sampler's polynomial results differ from libm's by at most 3 ulps
+/// (measured over 4·10⁶ values; `normal.rs`'s unit tests hold them to
+/// 64), far inside it.
+#[cfg(any(target_arch = "x86_64", test))]
 const GUARD_ULPS: i64 = 1 << 14;
 
 /// The loop of a vector Box–Muller backend, `L` draws per block.
@@ -827,13 +838,21 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_dot_matches_scalar_reference() {
+    fn dispatched_dot_matches_its_lane_oracle() {
         let a: Vec<f32> = (0..67).map(|i| (i as f32 * 0.37).sin()).collect();
         let b: Vec<f32> = (0..67).map(|i| (i as f32 * 0.11).cos()).collect();
-        let reference = scalar::dot(&a, &b);
-        let best = with_backend(Backend::detect(), || dot(&a, &b));
-        let forced_scalar = with_backend(Backend::Scalar, || dot(&a, &b));
-        assert_eq!(best.to_bits(), reference.to_bits());
-        assert_eq!(forced_scalar.to_bits(), reference.to_bits());
+        // `dot` written out: lane `i % 8` sums the whole chunks, then
+        // the fixed combine and the sequential tail.
+        let mut lanes = [0.0f32; 8];
+        for i in 0..64 {
+            lanes[i % 8] += a[i] * b[i];
+        }
+        let tail: f32 = (64..67).map(|i| a[i] * b[i]).sum();
+        let l = lanes;
+        let oracle = ((l[0] + l[4]) + (l[1] + l[5])) + ((l[2] + l[6]) + (l[3] + l[7])) + tail;
+        for backend in Backend::ALL.into_iter().filter(|b| b.is_available()) {
+            let got = with_backend(backend, || dot(&a, &b));
+            assert_eq!(got.to_bits(), oracle.to_bits(), "{}", backend.label());
+        }
     }
 }
