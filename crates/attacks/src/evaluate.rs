@@ -198,7 +198,7 @@ pub fn run_attack(
 /// Like [`run_attack`], but the client's update crosses the wire: the
 /// flat update is encoded with `codec`, the server folds the frame
 /// with weight 1 into a zeroed buffer ([`UpdateCodec::fold_into`], as
-/// the round's aggregator folds), and the attacker inverts what the
+/// the FL round folds each frame), and the attacker inverts what the
 /// *received* gradients say — lossy codecs therefore degrade
 /// reconstruction, a new result surface. The outcome's
 /// [`AttackOutcome::wire`] records the exact bytes on the wire. With
@@ -251,7 +251,7 @@ fn run_attack_inner(
     // The server reconstructs from what it *receives*: when a codec
     // is installed, the client's flat update crosses the wire, and the
     // server zeroes the buffer the update left in and folds the frame
-    // into it with weight 1, as the round's aggregator folds.
+    // into it with weight 1, as the FL round folds each frame.
     let mut transmit = |mut update: Vec<f32>| -> Result<Vec<f32>> {
         if let Some(codec) = codec {
             let encoded = codec.encode(&update)?;

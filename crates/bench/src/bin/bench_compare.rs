@@ -6,10 +6,12 @@
 //! ```
 //!
 //! It applies [`perf::paired_gate`]: every variant record (`_simd`,
-//! `_t4`, `_telem`, `_100k`) against its reference sibling measured in
-//! the same run, at the floors of [`perf::PAIR_RULES`]. The check is
-//! machine-relative, so it holds on any host; pairs wider than the
-//! host's core count print as `info`. This is the CI gate.
+//! `_wide`, `_telem`, `_100k`) against its reference sibling measured
+//! in the same run, at the floors of [`perf::PAIR_RULES`]. The check is
+//! machine-relative, so it holds on any host. A `_wide` record runs on
+//! every core of its host ([`perf::wide_threads`], at least two), so
+//! its pair gates on any host with two or more cores and prints as
+//! `info` on one core. This is the CI gate.
 //!
 //! The file is validated first ([`perf::BenchSuite::from_json`]).
 //! Exit status 1 on a failed pair, a refused input, or any argument

@@ -10,10 +10,10 @@
 //!    streaming [`CohortRunner`] as the population grows 1 k → 100 k
 //!    with the cohort pinned (the median of 40 rounds, taken in turn
 //!    across the populations after one warm-up round each, so the
-//!    rows of one run share the host's phases), plus the peak
-//!    accumulator bytes, which stay at one model buffer throughout
-//!    (the raw wire folds borrowed frame views — no decode copy ever
-//!    materializes).
+//!    rows of one run share the host's phases), plus what a round
+//!    holds by construction: one `f32` accumulator of the model's
+//!    size, and one raw frame per concurrent compute slot (the raw
+//!    wire folds borrowed frame views, so no decode copy materializes).
 //!
 //! ```text
 //! cargo run --release -p oasis-bench --bin fig_population -- [--quick | --full]
@@ -25,8 +25,10 @@ use std::time::Instant;
 use oasis_bench::{banner, AttackSpec, Scale, Scenario, Sweep, Workload};
 use oasis_data::cifar_like_with;
 use oasis_fl::{DefenseStack, FlConfig, FlServer, ModelFactory};
-use oasis_nn::{Linear, Relu, Sequential};
+use oasis_nn::{param_count, Linear, Relu, Sequential};
 use oasis_population::{CohortRunner, Population};
+use oasis_tensor::parallel;
+use oasis_wire::CodecSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -105,13 +107,17 @@ fn main() {
     for row in &mut rows {
         row.round_ms.sort_by(f64::total_cmp);
         let median_ms = row.round_ms[rounds / 2].max(1e-6);
+        // Every cohort member is delivered on the ideal raw wire, and
+        // the round computes them in waves as wide as the pool.
+        let n = param_count(&(row.factory)());
+        let wave = parallel::num_threads().min(cohort.min(row.population));
         println!(
             "{:>12} {:>10.2} {:>12.2} {:>16} {:>16}",
             row.population,
             1_000.0 / median_ms,
             median_ms,
-            row.peak_accum,
-            row.peak_frame,
+            4 * n,
+            wave.max(1) * CodecSpec::Raw.build().encoded_len(n),
         );
     }
     println!("\nExpected shape: PSNR and leak rate are flat across the population");
@@ -130,8 +136,6 @@ struct Row {
     runner: CohortRunner,
     /// Wall clock of every timed round (round 0 warms up untimed).
     round_ms: Vec<f64>,
-    peak_accum: usize,
-    peak_frame: usize,
 }
 
 impl Row {
@@ -144,8 +148,6 @@ impl Row {
             factory,
             runner,
             round_ms: Vec::new(),
-            peak_accum: 0,
-            peak_frame: 0,
         }
     }
 
@@ -154,15 +156,12 @@ impl Row {
     fn round(&mut self, r: usize) {
         *self.runner.server_mut() = server(&self.factory, self.cohort);
         let start = Instant::now();
-        let report = self
-            .runner
+        self.runner
             .run_round(&mut StdRng::seed_from_u64(14 + r as u64))
             .expect("fig population round");
         if r > 0 {
             self.round_ms.push(start.elapsed().as_secs_f64() * 1_000.0);
         }
-        self.peak_accum = self.peak_accum.max(report.peak_accum_bytes);
-        self.peak_frame = self.peak_frame.max(report.peak_frame_bytes);
     }
 }
 

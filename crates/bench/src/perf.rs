@@ -25,9 +25,10 @@
 //!   `fl_round_raw_telem`), and one cohort-64 round sampled from 1 k
 //!   and from 100 k clients over one shared sample pool
 //!   (`pop_round_1k` / `pop_round_100k`).
-//! * `scale` — the [`SCALE_BASES`] re-run at 1 and 4 worker threads
-//!   (pinned per bench via [`parallel::with_threads`], independent of
-//!   `OASIS_THREADS`), as `_t1` / `_t4` records.
+//! * `scale` — the [`SCALE_BASES`] re-run at one worker thread and at
+//!   [`wide_threads`] (the host's cores, at least two), pinned per
+//!   bench via [`parallel::with_threads`] independent of
+//!   `OASIS_THREADS`, as `_t1` / `_wide` records.
 //!
 //! [`paired_gate`] times each variant record against its reference
 //! sibling *within one run*, so it holds on any machine. Absolute
@@ -223,7 +224,8 @@ pub const CORE_KERNELS: [Base; 19] = [
     ("render_imagenette", bench_render_imagenette),
 ];
 
-/// The benches [`scale_suite`] records at each of [`SCALE_WIDTHS`].
+/// The benches [`scale_suite`] records at one thread and at
+/// [`wide_threads`].
 pub const SCALE_BASES: [Base; 4] = [
     ("fl_round_raw", bench_fl_round_raw),
     ("conv2d_forward_b32", || bench_conv_forward(32)),
@@ -231,8 +233,19 @@ pub const SCALE_BASES: [Base; 4] = [
     ("rtf_invert_128", bench_rtf_invert),
 ];
 
-/// Worker-thread widths of the `scale` suite (`_t<N>` records).
-pub const SCALE_WIDTHS: [usize; 2] = [1, 4];
+/// Hardware threads available on this host.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Worker threads of the `scale` suite's `_wide` records on a host
+/// with `nproc` cores: all of them, and at least two, so that the
+/// pair measures parallel work even on one core. The record name does
+/// not carry the width, so the pairs of any two hosts line up, and a
+/// pair gates on every host with two or more cores.
+pub fn wide_threads(nproc: usize) -> usize {
+    nproc.max(2)
+}
 
 /// The `core` suite: each of [`CORE_KERNELS`] as a `_simd` record
 /// (the resolved backend, so `OASIS_SIMD=avx2` measures AVX2 on an
@@ -269,18 +282,19 @@ pub fn fl_suite() -> Vec<BenchDef> {
     ]
 }
 
-/// The `scale` suite: each of [`SCALE_BASES`] at every width of
-/// [`SCALE_WIDTHS`].
+/// The `scale` suite: each of [`SCALE_BASES`] at one thread (`_t1`)
+/// and at [`wide_threads`] of this host (`_wide`).
 ///
 /// Order is fixed; names are stable comparison keys. Thread count is
 /// pinned per bench with [`parallel::with_threads`], so one run
-/// measures every width regardless of `OASIS_THREADS`.
+/// measures both widths regardless of `OASIS_THREADS`.
 pub fn scale_suite() -> Vec<BenchDef> {
+    let widths = [("t1", 1), ("wide", wide_threads(host_cores()))];
     SCALE_BASES
         .iter()
         .flat_map(|&(name, build)| {
-            SCALE_WIDTHS.map(|threads| {
-                BenchDef::new(format!("{name}_t{threads}"), move || {
+            widths.map(|(tag, threads)| {
+                BenchDef::new(format!("{name}_{tag}"), move || {
                     pinned(build(), move |run| parallel::with_threads(threads, run))
                 })
             })
@@ -411,7 +425,7 @@ pub fn run_suite(name: &str, filter: Option<&str>, quick: bool) -> Option<BenchS
         schema_version: SCHEMA_VERSION,
         suite: name.to_string(),
         cpu: cpu_model(),
-        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        nproc: host_cores(),
         threads: parallel::num_threads(),
         simd: simd::resolved().label().to_string(),
         quick,
@@ -446,15 +460,16 @@ pub struct PairRule {
     pub reference: &'static str,
     /// Lowest passing reference/variant median ratio.
     pub floor: f64,
-    /// Worker threads the variant runs at; `None` is the run's own
-    /// pool width ([`BenchSuite::threads`]).
-    pub threads: Option<usize>,
+    /// Whether the variant runs at [`wide_threads`] of the run's host;
+    /// otherwise it runs at the run's own pool width
+    /// ([`BenchSuite::threads`]).
+    pub wide: bool,
 }
 
 /// The paired gate's fixed table. Ranges quoted are reference/variant
 /// over ten `--quick` runs on a 2-vCPU Xeon (AVX2).
 ///
-/// * `_simd`/`_scalar` and `_t4`/`_t1` at 0.9: vector lanes and worker
+/// * `_simd`/`_scalar` and `_wide`/`_t1` at 0.9: vector lanes and worker
 ///   threads must never lose to the serial reference; 0.9 absorbs
 ///   `--quick` median jitter (and both halves time the same code on a
 ///   host without vector lanes). The `_simd` pairs range 1.12–4.73.
@@ -468,25 +483,25 @@ pub const PAIR_RULES: [PairRule; 4] = [
         variant: "_simd",
         reference: "_scalar",
         floor: 0.9,
-        threads: None,
+        wide: false,
     },
     PairRule {
-        variant: "_t4",
+        variant: "_wide",
         reference: "_t1",
         floor: 0.9,
-        threads: Some(4),
+        wide: true,
     },
     PairRule {
         variant: "_telem",
         reference: "",
         floor: 0.5,
-        threads: None,
+        wide: false,
     },
     PairRule {
         variant: "_100k",
         reference: "_1k",
         floor: 0.5,
-        threads: None,
+        wide: false,
     },
 ];
 
@@ -547,13 +562,18 @@ pub fn paired_gate(suite: &BenchSuite) -> Result<Vec<PairPoint>, String> {
         let base = suite
             .get(&reference)
             .ok_or_else(|| format!("`{}` has no `{reference}` record to pair with", rec.name))?;
+        let variant_threads = if rule.wide {
+            wide_threads(suite.nproc)
+        } else {
+            suite.threads
+        };
         points.push(PairPoint {
             variant: rec.name.clone(),
             reference,
             variant_ns: rec.median_ns,
             reference_ns: base.median_ns,
             floor: rule.floor,
-            gated: rule.threads.unwrap_or(suite.threads) <= suite.nproc,
+            gated: variant_threads <= suite.nproc,
         });
     }
     if points.is_empty() {
@@ -1082,13 +1102,13 @@ mod tests {
             names(scale_suite()),
             [
                 "fl_round_raw_t1",
-                "fl_round_raw_t4",
+                "fl_round_raw_wide",
                 "conv2d_forward_b32_t1",
-                "conv2d_forward_b32_t4",
+                "conv2d_forward_b32_wide",
                 "matmul_256_t1",
-                "matmul_256_t4",
+                "matmul_256_wide",
                 "rtf_invert_128_t1",
-                "rtf_invert_128_t4",
+                "rtf_invert_128_wide",
             ]
         );
         for name in SUITE_NAMES {
@@ -1134,15 +1154,11 @@ mod tests {
     }
 
     #[test]
-    fn pop_suite_memory_stays_bounded() {
-        // The bench fixture's promise: on the raw zero-copy wire the
-        // server-side update memory is exactly one model buffer (the
-        // accumulator — frames fold as borrowed views, so no decode
-        // scratch is ever materialized), independent of population.
-        // One round at the smallest population suffices — the
-        // aggregator's footprint has no population term at all.
+    fn pop_fixture_round_samples_its_cohort() {
+        // The bench fixture's round: a cohort of 64 sampled from the
+        // population. What a round allocates is counted, per buffer,
+        // by `tests/trial_memory.rs`.
         let (factory, pop) = pop_fixture(1_000);
-        let n = oasis_nn::param_count(&factory());
         let server = FlServer::new(
             factory,
             FlConfig {
@@ -1152,12 +1168,12 @@ mod tests {
         )
         .expect("server");
         let mut runner = CohortRunner::new(server, pop);
+        assert_eq!(runner.active().len(), 1_000);
         let report = runner
             .run_round(&mut StdRng::seed_from_u64(14))
             .expect("pop round");
-        assert_eq!(report.population, 1_000);
-        assert_eq!(report.round_report.cohort, 64);
-        assert_eq!(report.peak_accum_bytes, 4 * n);
+        assert_eq!(report.cohort, 64);
+        assert_eq!(report.participants, 64);
     }
 
     fn record(name: &str, median_ns: u64) -> BenchRecord {
@@ -1214,14 +1230,18 @@ mod tests {
 
     #[test]
     fn pairs_wider_than_the_host_are_informational() {
-        let mut scale = suite_of(&[("matmul_256_t1", 1000), ("matmul_256_t4", 5000)]);
+        let mut scale = suite_of(&[("matmul_256_t1", 1000), ("matmul_256_wide", 5000)]);
+        scale.nproc = 1;
         let points = paired_gate(&scale).expect("gate applies");
         assert!(
             !points[0].gated && !points[0].failed(),
-            "4 threads on 2 cores"
+            "2 threads on 1 core"
         );
-        scale.nproc = 4;
-        assert!(paired_gate(&scale).expect("gate applies")[0].failed());
+        // From two cores up the wide side runs on every core: it gates.
+        for nproc in [2, 64] {
+            scale.nproc = nproc;
+            assert!(paired_gate(&scale).expect("gate applies")[0].failed());
+        }
     }
 
     #[test]

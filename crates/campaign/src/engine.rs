@@ -437,7 +437,7 @@ impl CampaignRunner {
 
         // The training stream: identical to `CohortRunner::run`.
         let mut rng = CohortScheduler::round_rng(self.seed, r);
-        let report = self.runner.run_round(&mut rng)?.round_report;
+        let report = self.runner.run_round(&mut rng)?;
 
         let probe_due = self.eval_every > 0
             && !phase.attack.is_empty()

@@ -20,8 +20,6 @@ pub type ModelFactory = Arc<dyn Fn() -> Sequential + Send + Sync>;
 /// (`G_j` in paper Eq. 1).
 #[derive(Debug, Clone)]
 pub struct ClientUpdate {
-    /// The uploading client.
-    pub client_id: usize,
     /// The defended gradient in parameter order ([`crate::LocalStep::update`]).
     pub grads: Vec<f32>,
     /// The client's local loss (diagnostic).
@@ -126,7 +124,6 @@ impl FlClient {
         install_params(&mut model, global_params)?;
         let step = self.defense.local_step(&mut model, &batch, &mut rng)?;
         Ok(ClientUpdate {
-            client_id: self.id,
             grads: step.update,
             loss: step.loss,
             samples: step.processed.len(),

@@ -60,7 +60,7 @@
 //! let clients = Population::iid(&data, 3, Arc::new(DefenseStack::identity()), &mut StdRng::seed_from_u64(1));
 //! let server = FlServer::new(factory, FlConfig::default())?;
 //! let mut runner = CohortRunner::new(server, clients);
-//! let report = runner.run_round(&mut StdRng::seed_from_u64(2))?.round_report;
+//! let report = runner.run_round(&mut StdRng::seed_from_u64(2))?;
 //! assert_eq!(report.participants, 3);
 //! # Ok(())
 //! # }

@@ -100,7 +100,7 @@ impl PartialEq for RoundReport {
 /// The round itself — cohort sampling, broadcast, delivery over the
 /// wire, sample-weighted FedAvg of what arrived — is driven by
 /// `oasis_population::CohortRunner`, which calls
-/// [`FlServer::broadcast_weights`] to open a round and
+/// [`FlServer::global_params`] to open a round and
 /// [`FlServer::apply_update`] to close it.
 pub struct FlServer {
     factory: ModelFactory,

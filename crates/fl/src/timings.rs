@@ -8,7 +8,8 @@
 ///
 /// `compute` covers each delivered client's local training *and* its
 /// update encode (both run in the same parallel task), and `fold`
-/// covers decoding each frame as the streaming aggregator folds it.
+/// covers each codec's `fold_into`, which decodes a frame as it adds
+/// it into the round's accumulator.
 /// The span trace (see `oasis-telemetry`) still splits them out: the
 /// codecs record `wire.encode.*` / `wire.decode.*` spans wherever
 /// they run.
@@ -16,7 +17,9 @@
 pub struct RoundTimings {
     /// Cohort selection / scheduler sampling.
     pub select_ns: u64,
-    /// Global weight flattening.
+    /// Handing out the server's parameter tensors (reference-count
+    /// bumps, copy-on-write; nothing is flattened) and building the
+    /// round's codec.
     pub broadcast_ns: u64,
     /// The FedAvg pre-pass: summing the delivered clients' sample
     /// counts (from shard lengths, without drawing a batch) and

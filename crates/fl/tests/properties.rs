@@ -1,16 +1,14 @@
 //! Property tests for the FL aggregation algebra, run on the round
-//! engine's fold: updates travel the raw wire and stream through
-//! `StreamingAggregator`, which must match a directly written
-//! sample-weighted FedAvg oracle bit for bit.
+//! engine's fold: updates travel the raw wire and fold through the
+//! codec's `fold_into` into one accumulator, which must match a
+//! directly written sample-weighted FedAvg oracle bit for bit.
 
 use oasis_fl::ClientUpdate;
-use oasis_population::StreamingAggregator;
 use oasis_wire::CodecSpec;
 use proptest::prelude::*;
 
-fn upd(id: usize, grads: Vec<f32>, samples: usize) -> ClientUpdate {
+fn upd(grads: Vec<f32>, samples: usize) -> ClientUpdate {
     ClientUpdate {
-        client_id: id,
         grads,
         loss: 0.0,
         samples,
@@ -35,13 +33,13 @@ fn fedavg_oracle(updates: &[ClientUpdate]) -> Vec<f32> {
 fn fedavg(updates: &[ClientUpdate]) -> Vec<f32> {
     let codec = CodecSpec::Raw.build();
     let total: usize = updates.iter().map(|u| u.samples).sum();
-    let mut agg = StreamingAggregator::new(updates[0].grads.len());
+    let mut streamed = vec![0.0f32; updates[0].grads.len()];
     for u in updates {
         let frame = codec.encode(&u.grads).expect("encode");
-        agg.fold(&*codec, &frame, u.samples as f32 / total as f32)
+        codec
+            .fold_into(&frame, u.samples as f32 / total as f32, &mut streamed)
             .expect("fold");
     }
-    let streamed = agg.as_slice().to_vec();
     assert_eq!(
         streamed,
         fedavg_oracle(updates),
@@ -58,7 +56,7 @@ proptest! {
         k in 1usize..8,
     ) {
         let updates: Vec<ClientUpdate> =
-            (0..k).map(|i| upd(i, g.clone(), 1)).collect();
+            (0..k).map(|_| upd(g.clone(), 1)).collect();
         let avg = fedavg(&updates);
         for (a, b) in avg.iter().zip(&g) {
             prop_assert!((a - b).abs() < 1e-4);
@@ -75,7 +73,7 @@ proptest! {
         use rand::{rngs::StdRng, SeedableRng, Rng};
         let mut rng = StdRng::seed_from_u64(seed);
         let updates: Vec<ClientUpdate> = (0..k)
-            .map(|i| upd(i, (0..n).map(|_| rng.gen_range(-5.0f32..5.0)).collect(), i + 1))
+            .map(|i| upd((0..n).map(|_| rng.gen_range(-5.0f32..5.0)).collect(), i + 1))
             .collect();
         let mut reversed = updates.clone();
         reversed.reverse();
@@ -96,11 +94,11 @@ proptest! {
         use rand::{rngs::StdRng, SeedableRng, Rng};
         let mut rng = StdRng::seed_from_u64(seed);
         let updates: Vec<ClientUpdate> = (0..3)
-            .map(|i| upd(i, (0..n).map(|_| rng.gen_range(-5.0f32..5.0)).collect(), 1))
+            .map(|_| upd((0..n).map(|_| rng.gen_range(-5.0f32..5.0)).collect(), 1))
             .collect();
         let scaled: Vec<ClientUpdate> = updates
             .iter()
-            .map(|u| upd(u.client_id, u.grads.iter().map(|g| g * alpha).collect(), 1))
+            .map(|u| upd(u.grads.iter().map(|g| g * alpha).collect(), 1))
             .collect();
         let base = fedavg(&updates);
         let scaled_avg = fedavg(&scaled);
@@ -120,7 +118,7 @@ proptest! {
         use rand::{rngs::StdRng, SeedableRng, Rng};
         let mut rng = StdRng::seed_from_u64(seed);
         let updates: Vec<ClientUpdate> = (0..4)
-            .map(|i| upd(i, (0..n).map(|_| rng.gen_range(-5.0f32..5.0)).collect(), samples))
+            .map(|_| upd((0..n).map(|_| rng.gen_range(-5.0f32..5.0)).collect(), samples))
             .collect();
         let weighted = fedavg(&updates);
         for (i, w) in weighted.iter().enumerate() {
@@ -142,7 +140,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let g1: Vec<f32> = (0..n).map(|_| rng.gen_range(-5.0f32..5.0)).collect();
         let g2: Vec<f32> = (0..n).map(|_| rng.gen_range(-5.0f32..5.0)).collect();
-        let updates = vec![upd(0, g1.clone(), s1), upd(1, g2.clone(), s2)];
+        let updates = vec![upd(g1.clone(), s1), upd(g2.clone(), s2)];
         let w = fedavg(&updates);
         for i in 0..n {
             let lo = g1[i].min(g2[i]) - 1e-4;

@@ -4,7 +4,7 @@
 //! OASIS evaluation run cohorts sampled from 10⁵–10⁶ clients with a
 //! server footprint that does not grow with the population.
 //!
-//! Three pieces compose into a round:
+//! Two pieces feed a round:
 //!
 //! * [`Population`] — the deployment as data: one
 //!   [`FlClient`](oasis_fl::FlClient) per client, each training on a
@@ -17,17 +17,17 @@
 //!   participants of each round from N, with N an argument of every
 //!   draw. The per-round rng stream is keyed by `(seed, round)`, so
 //!   any round is reproducible in isolation and at any thread count.
-//! * [`StreamingAggregator`] — folds each delivered update into a
-//!   running `O(model)` accumulator as frames come off the wire, so
-//!   server memory is `O(model + cohort_scratch)` regardless of
-//!   population.
 //!
-//! [`CohortRunner`] ties them together and drives an
-//! [`FlServer`](oasis_fl::FlServer) through rounds. It is the
-//! workspace's one round engine, and the round is bit-identical at
-//! any thread count. It holds one population for good and samples
-//! each round from an active list of its positions, so churn
-//! ([`CohortRunner::set_active`]) moves indices, never clients.
+//! [`CohortRunner`] drives an [`FlServer`](oasis_fl::FlServer) through
+//! rounds over them. It is the workspace's one round engine, and the
+//! round is bit-identical at any thread count. Each delivered frame
+//! folds through its codec's
+//! [`UpdateCodec::fold_into`](oasis_wire::UpdateCodec::fold_into)
+//! into one model-sized accumulator, which is the server's update
+//! memory whatever the population or the cohort. The runner holds one
+//! population for good and samples each round from an active list of
+//! its positions, so churn ([`CohortRunner::set_active`]) moves
+//! indices, never clients.
 //!
 //! ```
 //! use oasis_population::{CohortRunner, Population};
@@ -57,21 +57,19 @@
 //! let mut runner = CohortRunner::new(server, pop);
 //! let reports = runner.run(3, 2)?;
 //! assert_eq!(reports.len(), 3);
-//! assert_eq!(reports[0].round_report.cohort, 8);
+//! assert_eq!(reports[0].cohort, 8);
 //! # Ok(())
 //! # }
 //! ```
 
 #![warn(missing_docs)]
 
-mod aggregate;
 mod population;
 mod round;
 mod scheduler;
 mod spec;
 
-pub use aggregate::StreamingAggregator;
 pub use population::{Population, MAX_DIRICHLET_ALPHA};
-pub use round::{CohortReport, CohortRunner};
+pub use round::CohortRunner;
 pub use scheduler::CohortScheduler;
 pub use spec::{PopulationSpec, SampleSpec};

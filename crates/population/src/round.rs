@@ -5,40 +5,18 @@ use oasis_tensor::parallel;
 use oasis_wire::{DeliveryStatus, EncodedUpdate, Submission};
 use rand::rngs::StdRng;
 
-use crate::{CohortScheduler, Population, StreamingAggregator};
-
-/// A [`RoundReport`] plus the resource facts of the streaming round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CohortReport {
-    /// The protocol-level outcome.
-    pub round_report: RoundReport,
-    /// How many clients the cohort was sampled from: the active list's length.
-    pub population: usize,
-    /// How many clients actually computed an update. Dropped cohort
-    /// members never compute — their delivery fate is known from the
-    /// wire plan before any compute — so this equals
-    /// `round_report.participants`, not the cohort.
-    pub computed: usize,
-    /// Peak bytes held by the streaming fold, independent of
-    /// population, cohort and codec: `4·n` for an `n`-parameter model
-    /// (each codec folds its frames straight into the one accumulator,
-    /// with no decode buffer), and 0 when nothing is delivered.
-    pub peak_accum_bytes: usize,
-    /// Peak encoded-frame bytes alive at once: one wire frame per
-    /// concurrent compute slot, `O(threads · frame)`, never
-    /// `O(cohort · frame)`.
-    pub peak_frame_bytes: usize,
-}
+use crate::{CohortScheduler, Population};
 
 /// The round engine: drives an [`FlServer`] through rounds sampled
 /// from a [`Population`] — a partition, or any hand-built client list
 /// converted into one.
 ///
 /// Each round is cohort sampling → broadcast → delivery planning →
-/// computing only the clients whose updates will arrive → streaming
-/// aggregation → server step. Memory is `O(model + cohort_scratch)`
-/// and dropped clients cost nothing, so a population can grow to
-/// 10⁵–10⁶ while the server footprint stays flat.
+/// computing only the clients whose updates will arrive → folding
+/// each frame into one model-sized accumulator → server step. Dropped
+/// clients cost nothing, and the server's update memory is that one
+/// accumulator whatever the population or the cohort, so a population
+/// can grow to 10⁵–10⁶ while the server footprint stays flat.
 ///
 /// Rounds sample from the **active list**, the ascending positions of
 /// the online clients: churn rewrites it in place
@@ -115,7 +93,15 @@ impl CohortRunner {
     /// cohort member's fate is decided before any gradient exists) →
     /// meta pre-pass summing the delivered clients' sample counts →
     /// wave-parallel compute/encode of **delivered clients only** →
-    /// serial streaming fold in delivery order → server SGD step.
+    /// serial fold in delivery order → server SGD step.
+    ///
+    /// The fold is paper Eq. 1's sample-weighted FedAvg: each frame
+    /// goes through its codec's
+    /// [`UpdateCodec::fold_into`](oasis_wire::UpdateCodec::fold_into)
+    /// with weight `samples_i / total` into one `vec![0.0; n]`
+    /// accumulator, so the FP sequence, and the aggregate bit for bit,
+    /// is the same at any thread count. `fold_into` checks the weight,
+    /// the element count and every value before it adds anything.
     ///
     /// A round where nothing is delivered is a no-op, not an error,
     /// and computes nothing.
@@ -126,7 +112,7 @@ impl CohortRunner {
     /// errors, wire codec failures, a delivered set whose sample
     /// counts sum to zero, or an update whose sample count differs
     /// from the pre-pass count ([`FlError::BadConfig`]).
-    pub fn run_round(&mut self, rng: &mut StdRng) -> Result<CohortReport> {
+    pub fn run_round(&mut self, rng: &mut StdRng) -> Result<RoundReport> {
         let (clients, active) = (self.clients.clients(), &self.active[..]);
         if active.is_empty() {
             return Err(FlError::NoClients);
@@ -177,8 +163,6 @@ impl CohortRunner {
         let deliver_ns = deliver_span.finish_ns();
 
         let batch = self.server.config().local_batch_size;
-        let mut agg = None;
-        let mut peak_frame_bytes = 0usize;
         let mut hydrate_ns = 0u64;
         let mut compute_ns = 0u64;
         let mut fold_ns = 0u64;
@@ -198,7 +182,7 @@ impl CohortRunner {
                 .iter()
                 .map(|&id| client(id).round_samples(batch))
                 .collect();
-            let agg = agg.insert(StreamingAggregator::new(n));
+            let mut acc = vec![0.0f32; n];
             hydrate_ns = hydrate_span.finish_ns();
             let total: usize = samples.iter().sum();
             if total == 0 {
@@ -213,7 +197,6 @@ impl CohortRunner {
             let wave_width = parallel::effective_parallelism()
                 .min(delivered_ids.len())
                 .max(1);
-            peak_frame_bytes = wave_width * bytes_up_each;
             let factory = self.server.factory().clone();
             let mut loss_sum = 0.0f32;
             let mut predicted = samples.iter().copied();
@@ -238,18 +221,20 @@ impl CohortRunner {
                             "client {id} reported {samples} samples, its defense stack predicted {expected}"
                         )));
                     }
-                    agg.fold(&*codec, &encoded, samples as f32 / total as f32)?;
+                    let agg_span = oasis_telemetry::span("agg.fold");
+                    codec.fold_into(&encoded, samples as f32 / total as f32, &mut acc)?;
+                    drop(agg_span);
                     loss_sum += loss;
                 }
                 fold_ns += fold_span.finish_ns();
             }
             drop(global);
             oasis_telemetry::counter!("fl.clients_computed").add(delivered_ids.len() as u64);
-            oasis_telemetry::gauge!("agg.peak_accum_bytes").set_max(agg.peak_bytes() as i64);
+            oasis_telemetry::gauge!("agg.peak_accum_bytes").set_max((acc.len() * 4) as i64);
             let mean_loss = loss_sum / delivered_ids.len() as f32;
             let step_span = oasis_telemetry::span("fl.round.step");
-            let update_norm = agg.norm();
-            self.server.apply_update(agg.as_slice())?;
+            let update_norm = acc.iter().map(|g| g * g).sum::<f32>().sqrt();
+            self.server.apply_update(&acc)?;
             step_ns = step_span.finish_ns();
             (mean_loss, update_norm)
         };
@@ -279,13 +264,7 @@ impl CohortRunner {
             timings,
         };
         self.server.set_round(round + 1);
-        Ok(CohortReport {
-            round_report: report,
-            population: active.len(),
-            computed: agg.as_ref().map_or(0, StreamingAggregator::folded),
-            peak_accum_bytes: agg.as_ref().map_or(0, StreamingAggregator::peak_bytes),
-            peak_frame_bytes,
-        })
+        Ok(report)
     }
 
     /// Runs `rounds` rounds with per-round keyed rng streams
@@ -298,7 +277,7 @@ impl CohortRunner {
     /// # Errors
     ///
     /// Stops at the first failing round.
-    pub fn run(&mut self, rounds: usize, seed: u64) -> Result<Vec<CohortReport>> {
+    pub fn run(&mut self, rounds: usize, seed: u64) -> Result<Vec<RoundReport>> {
         (0..rounds)
             .map(|_| {
                 let mut rng = CohortScheduler::round_rng(seed, self.server.round() as u64);
@@ -327,6 +306,7 @@ mod tests {
     use oasis_nn::{flatten_params, Linear, Relu, Sequential};
     use oasis_wire::{CodecSpec, NetSpec};
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     /// Parameters of the default test model (hidden width 12).
@@ -385,28 +365,47 @@ mod tests {
     #[test]
     fn cohort_round_reports_sampling() {
         let mut r = runner(200, 16);
+        assert_eq!(r.active().len(), 200);
         let report = r.run_round(&mut StdRng::seed_from_u64(0)).unwrap();
-        assert_eq!(report.population, 200);
-        assert_eq!(report.round_report.cohort, 16);
-        assert_eq!(report.round_report.participants, 16);
-        assert_eq!(report.computed, 16);
-        assert!(report.round_report.update_norm > 0.0);
+        assert_eq!(report.cohort, 16);
+        assert_eq!(report.participants, 16);
+        assert!(report.update_norm > 0.0);
     }
 
     #[test]
     fn dropped_cohort_members_are_never_computed() {
-        let mut r = runner(100, 32);
+        // Counts the local steps: each computed client runs its
+        // defense's batch transform once.
+        struct Steps(Arc<AtomicUsize>);
+        impl oasis_fl::Defense for Steps {
+            fn name(&self) -> &str {
+                "steps"
+            }
+            fn process(&self, batch: oasis_data::Batch, _rng: &mut StdRng) -> oasis_data::Batch {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                batch
+            }
+        }
+        let steps = Arc::new(AtomicUsize::new(0));
+        let pop = Population::iid(
+            &cifar_like_with(3, 8, 8, 3),
+            100,
+            Arc::new(DefenseStack::of(Steps(Arc::clone(&steps)))),
+            &mut StdRng::seed_from_u64(5),
+        );
+        let config = FlConfig {
+            clients_per_round: 32,
+            ..FlConfig::default()
+        };
+        let mut r = CohortRunner::new(server(config), pop);
         r.server_mut().set_wire(WireConfig::new(
             CodecSpec::Raw,
             "sim:5,10,0.4".parse().unwrap(),
         ));
         let report = r.run_round(&mut StdRng::seed_from_u64(1)).unwrap();
-        assert!(report.round_report.dropped > 0, "40% loss should drop");
-        assert_eq!(report.computed, report.round_report.participants);
-        assert_eq!(
-            report.computed + report.round_report.dropped,
-            report.round_report.cohort
-        );
+        assert!(report.dropped > 0, "40% loss should drop");
+        assert_eq!(report.participants + report.dropped, report.cohort);
+        assert_eq!(steps.load(Ordering::Relaxed), report.participants);
     }
 
     #[test]
@@ -475,8 +474,7 @@ mod tests {
     fn ideal_wire_reports_traffic() {
         let report = resident(FlConfig::default())
             .run_round(&mut StdRng::seed_from_u64(0))
-            .unwrap()
-            .round_report;
+            .unwrap();
         // Raw codec: every update is slightly larger than 4·n bytes
         // (wire header), broadcast is exactly 4·n per client.
         assert_eq!(report.bytes_down, 4 * (4 * PARAMS as u64));
@@ -497,9 +495,7 @@ mod tests {
             "sim:5,10,0.2".parse().unwrap(),
         ));
         let mut rng = StdRng::seed_from_u64(42);
-        let reports: Vec<RoundReport> = (0..30)
-            .map(|_| r.run_round(&mut rng).unwrap().round_report)
-            .collect();
+        let reports: Vec<RoundReport> = (0..30).map(|_| r.run_round(&mut rng).unwrap()).collect();
         let delivered: usize = reports.iter().map(|r| r.participants).sum();
         let dropped: usize = reports.iter().map(|r| r.dropped).sum();
         assert!(dropped > 0, "20% loss should drop something over 30 rounds");
@@ -525,10 +521,7 @@ mod tests {
         q8.server_mut()
             .set_wire(WireConfig::new(CodecSpec::Q8, NetSpec::Ideal));
         let q8_report = q8.run_round(&mut StdRng::seed_from_u64(0)).unwrap();
-        let (q8_up, raw_up) = (
-            q8_report.round_report.bytes_up,
-            raw_report.round_report.bytes_up,
-        );
+        let (q8_up, raw_up) = (q8_report.bytes_up, raw_report.bytes_up);
         assert!(
             q8_up * 3 < raw_up,
             "q8 uplink {q8_up} should be well under raw {raw_up}"
@@ -553,24 +546,5 @@ mod tests {
             flatten_params(lazy.server().model()),
             flatten_params(resident.server().model())
         );
-    }
-
-    #[test]
-    fn raw_memory_stays_one_model_buffer_regardless_of_cohort() {
-        // The round's aggregation buffer is the accumulator alone,
-        // however large the cohort.
-        let mut r = runner(300, 64);
-        let report = r.run_round(&mut StdRng::seed_from_u64(3)).unwrap();
-        assert_eq!(report.peak_accum_bytes, 4 * PARAMS);
-    }
-
-    #[test]
-    fn lossy_memory_stays_one_model_buffer_regardless_of_cohort() {
-        // q8 frames dequantize straight into the accumulator.
-        let mut r = runner(300, 64);
-        r.server_mut()
-            .set_wire(WireConfig::new(CodecSpec::Q8, NetSpec::Ideal));
-        let report = r.run_round(&mut StdRng::seed_from_u64(3)).unwrap();
-        assert_eq!(report.peak_accum_bytes, 4 * PARAMS);
     }
 }

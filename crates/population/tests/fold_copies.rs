@@ -1,17 +1,17 @@
 //! Counts the copies the server's fold makes of a raw frame.
 //!
-//! `StreamingAggregator::peak_bytes` is the accumulator alone, so it
-//! cannot see a copy made inside a codec's fold. Two things here can:
-//! the process-wide `wire.decode.borrowed` / `wire.decode.copied`
-//! counters, and a global allocator that records the largest block
-//! requested while folding. This file holds one test so that nothing
-//! else in its test binary moves either while it reads them.
+//! The round folds each frame with its codec's `fold_into`, straight
+//! into the accumulator. Two things here see a copy made inside that
+//! fold: the process-wide `wire.decode.borrowed` /
+//! `wire.decode.copied` counters, and a global allocator that records
+//! the largest block requested while folding. This file holds one
+//! test so that nothing else in its test binary moves either while it
+//! reads them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use oasis_population::StreamingAggregator;
-use oasis_wire::{CodecSpec, EncodedUpdate, RawCodec};
+use oasis_wire::{CodecSpec, EncodedUpdate, RawCodec, UpdateCodec};
 
 /// The system allocator, recording the largest block requested while
 /// [`MEASURING`] is set.
@@ -73,11 +73,11 @@ fn aligned_raw_frames_fold_without_a_copy() {
             codec.encode(&update).unwrap()
         })
         .collect();
-    let mut agg = StreamingAggregator::new(n);
+    let mut acc = vec![0.0f32; n];
     let (borrowed, copied) = decode_counts();
     MEASURING.store(true, Ordering::Relaxed);
     for frame in &frames {
-        agg.fold(&*codec, frame, 0.2).unwrap();
+        codec.fold_into(frame, 0.2, &mut acc).unwrap();
     }
     MEASURING.store(false, Ordering::Relaxed);
     // Parsing a frame's header allocates a little; a copy of the
@@ -109,9 +109,9 @@ fn aligned_raw_frames_fold_without_a_copy() {
         payload.extend_from_slice(&v.to_le_bytes());
     }
     let misaligned = EncodedUpdate { n: 3, payload };
-    let mut small = StreamingAggregator::new(3);
-    small.fold(&RawCodec, &misaligned, 0.5).unwrap();
+    let mut small = [0.0f32; 3];
+    RawCodec.fold_into(&misaligned, 0.5, &mut small).unwrap();
     assert_eq!(decode_counts(), (borrowed + 5, copied + 1));
     let expect: Vec<f32> = update.iter().map(|&g| 0.0 + 0.5 * g).collect();
-    assert_eq!(small.as_slice(), &expect[..]);
+    assert_eq!(small, &expect[..]);
 }

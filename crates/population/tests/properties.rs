@@ -1,16 +1,13 @@
 //! Property tests for the population crate: spec round-trips in the
 //! style of the scenario spec proptests, scheduler determinism, the
-//! streaming-fold weight identity, and rounds over the runner's
-//! active list.
+//! fold's weight identity, and rounds over the runner's active list.
 
 use std::sync::Arc;
 
 use oasis_data::cifar_like_with;
 use oasis_fl::{DefenseStack, FlClient, FlConfig, FlServer, ModelFactory, WireConfig};
 use oasis_nn::{flatten_params, Linear, Relu, Sequential};
-use oasis_population::{
-    CohortRunner, CohortScheduler, Population, PopulationSpec, SampleSpec, StreamingAggregator,
-};
+use oasis_population::{CohortRunner, CohortScheduler, Population, PopulationSpec, SampleSpec};
 use oasis_wire::CodecSpec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -77,8 +74,8 @@ proptest! {
         }
     }
 
-    /// Streaming folds equal the direct weighted sum for lossless
-    /// codecs, element for element.
+    /// The round's fold equals the direct weighted sum for a lossless
+    /// codec, element for element.
     #[test]
     fn streaming_fold_is_the_weighted_sum(
         updates in proptest::collection::vec(
@@ -89,19 +86,15 @@ proptest! {
     ) {
         let codec = CodecSpec::Raw.build();
         let n = updates[0].len();
-        let mut agg = StreamingAggregator::new(n);
+        let mut acc = vec![0.0f32; n];
         let mut direct = vec![0.0f32; n];
         for (u, &w) in updates.iter().zip(&weights) {
-            agg.fold(&*codec, &codec.encode(u).unwrap(), w).unwrap();
+            codec.fold_into(&codec.encode(u).unwrap(), w, &mut acc).unwrap();
             for (d, &g) in direct.iter_mut().zip(u) {
                 *d += w * g;
             }
         }
-        prop_assert_eq!(agg.as_slice(), &direct[..]);
-        prop_assert_eq!(agg.folded(), updates.len());
-        // The aggregator holds only the accumulator (copies inside the
-        // raw fold are counted by `fold_copies.rs`).
-        prop_assert_eq!(agg.peak_bytes(), 4 * n);
+        prop_assert_eq!(acc, direct);
     }
 }
 
@@ -199,7 +192,6 @@ proptest! {
             let got = active.run_round(&mut rng).expect("round runs");
             let mut rng = CohortScheduler::round_rng(seed, round as u64);
             let want = reference.run_round(&mut rng).expect("round runs");
-            prop_assert_eq!(got.population, kept.len());
             prop_assert_eq!(got, want);
         }
         prop_assert_eq!(

@@ -50,8 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reports = CohortRunner::new(server, hospitals).run(150, 99)?;
     println!(
         "honest federation: loss {:.3} -> {:.3} over {} rounds",
-        reports[0].round_report.mean_loss,
-        reports.last().unwrap().round_report.mean_loss,
+        reports[0].mean_loss,
+        reports.last().unwrap().mean_loss,
         reports.len()
     );
 
@@ -103,8 +103,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reports = CohortRunner::new(server, defended_hospitals).run(150, 98)?;
     println!(
         "\nmixed federation (2 defended, 2 not): loss {:.3} -> {:.3}",
-        reports[0].round_report.mean_loss,
-        reports.last().unwrap().round_report.mean_loss
+        reports[0].mean_loss,
+        reports.last().unwrap().mean_loss
     );
     println!("OASIS is a purely client-side defense: adopting hospitals gain");
     println!("protection without coordinating with anyone else.");

@@ -86,7 +86,6 @@ fn one_phase_campaign_matches_cohort_runner_bit_exactly() {
     );
     assert_eq!(campaign.records().len(), reports.len());
     for (record, report) in campaign.records().iter().zip(&reports) {
-        let report = &report.round_report;
         assert_eq!(record.round, report.round as u64);
         assert_eq!(record.cohort, report.cohort);
         assert_eq!(record.delivered, report.participants);

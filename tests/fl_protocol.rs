@@ -43,12 +43,7 @@ fn defended_federation_converges() {
         clients_per_round: 0,
     };
     let server = FlServer::new(factory(d, 4), cfg).unwrap();
-    let reports: Vec<RoundReport> = CohortRunner::new(server, shards)
-        .run(25, 1)
-        .unwrap()
-        .into_iter()
-        .map(|r| r.round_report)
-        .collect();
+    let reports: Vec<RoundReport> = CohortRunner::new(server, shards).run(25, 1).unwrap();
     let first: f32 = reports[..3].iter().map(|r| r.mean_loss).sum::<f32>() / 3.0;
     let last: f32 = reports[reports.len() - 3..]
         .iter()
@@ -73,8 +68,7 @@ fn mixed_federation_round_reports_all_participants() {
     let server = FlServer::new(factory(d, 3), FlConfig::default()).unwrap();
     let report = CohortRunner::new(server, clients)
         .run_round(&mut StdRng::seed_from_u64(9))
-        .unwrap()
-        .round_report;
+        .unwrap();
     assert_eq!(report.participants, 2);
     assert!(report.mean_loss.is_finite());
 }
@@ -99,10 +93,7 @@ fn protocol_is_deterministic() {
         let reports = CohortRunner::new(server, make_clients())
             .run(3, seed)
             .unwrap();
-        reports
-            .iter()
-            .map(|r| r.round_report.mean_loss)
-            .collect::<Vec<_>>()
+        reports.iter().map(|r| r.mean_loss).collect::<Vec<_>>()
     };
     assert_eq!(run(42), run(42));
     assert_ne!(run(42), run(43));

@@ -57,12 +57,7 @@ fn run_fl(threads: usize, traced: bool) -> (Vec<f32>, Vec<RoundReport>) {
         );
         let server = FlServer::new(factory, FlConfig::default()).expect("server");
         let mut runner = CohortRunner::new(server, clients);
-        let reports: Vec<RoundReport> = runner
-            .run(3, 14)
-            .expect("rounds")
-            .into_iter()
-            .map(|r| r.round_report)
-            .collect();
+        let reports: Vec<RoundReport> = runner.run(3, 14).expect("rounds");
         oasis_telemetry::set_enabled(was);
         (flatten_params(runner.server().model()), reports)
     })

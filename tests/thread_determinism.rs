@@ -44,12 +44,7 @@ fn run_fl(threads: usize) -> (Vec<f32>, Vec<RoundReport>) {
         );
         let server = FlServer::new(factory, FlConfig::default()).expect("server");
         let mut runner = CohortRunner::new(server, clients);
-        let reports: Vec<RoundReport> = runner
-            .run(3, 14)
-            .expect("rounds")
-            .into_iter()
-            .map(|r| r.round_report)
-            .collect();
+        let reports: Vec<RoundReport> = runner.run(3, 14).expect("rounds");
         (flatten_params(runner.server().model()), reports)
     })
 }

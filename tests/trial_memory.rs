@@ -11,20 +11,28 @@
 //! tensor costs: a `Tensor` (and an `Image`, a tensor of dims
 //! `[c, h, w]`) is one allocation, and a clone or a write to an
 //! unshared buffer allocates nothing. It also counts the calls of at
-//! least a given size, which pins what a local step costs: one update
-//! buffer, allocated once at its final size.
+//! least a given size, which pins what a local step costs (one update
+//! buffer, allocated once at its final size) and what an FL round
+//! costs in model-sized buffers: the fold's accumulator, plus each
+//! delivered client's update and, where a frame is model-sized, its
+//! frame. A buffer added beside these fails the round's count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use std::sync::Arc;
+
 use oasis_attacks::{ActiveAttack, RtfAttack};
-use oasis_data::{imagenette_like_with, Batch};
-use oasis_fl::DefenseStack;
+use oasis_data::{cifar_like_with, imagenette_like_with, Batch};
+use oasis_fl::{DefenseStack, FlConfig, FlServer, ModelFactory, WireConfig};
 use oasis_image::Image;
-use oasis_scenario::{Scale, Scenario, ScenarioReport};
+use oasis_nn::{param_count, Linear, Relu, Sequential};
+use oasis_population::{CohortRunner, Population};
+use oasis_scenario::{DefenseSpec, Scale, Scenario, ScenarioReport};
 use oasis_tensor::{parallel, Tensor};
+use oasis_wire::{CodecSpec, NetSpec};
 use rand::{rngs::StdRng, SeedableRng};
 
 /// The system allocator, counting live bytes and their peak, and
@@ -258,5 +266,66 @@ fn a_local_step_allocates_one_update_buffer_at_its_final_size() {
             "n = {neurons}: allocations of at least layer 0's weight bytes"
         );
         assert_eq!(reallocs, 0, "n = {neurons}: the update buffer never grows");
+    }
+}
+
+/// Clients of the counted round, all of them in its cohort and all
+/// delivered (ideal wire).
+const ROUND_CLIENTS: usize = 16;
+/// The round's fold accumulator: one `vec![0.0; n]`.
+const ACCUMULATOR: usize = 1;
+/// Each client's update buffer (`DefenseStack::local_step`).
+const UPDATE_PER_CLIENT: usize = 1;
+/// Each client's raw frame: the model's bytes plus a header. A q8
+/// frame is a quarter of that, below the threshold.
+const RAW_FRAME_PER_CLIENT: usize = 1;
+/// Model-sized allocations of one round on the raw wire.
+const ROUND_RAW: usize = ACCUMULATOR + ROUND_CLIENTS * (UPDATE_PER_CLIENT + RAW_FRAME_PER_CLIENT);
+/// Model-sized allocations of one round on the q8 wire.
+const ROUND_Q8: usize = ACCUMULATOR + ROUND_CLIENTS * UPDATE_PER_CLIENT;
+
+#[test]
+fn a_round_allocates_its_accumulator_and_one_update_and_frame_per_client() {
+    let _lock = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    // The `perf` population fixture's MLP: 768 → 64 → 10, 49 866
+    // parameters. Its largest tensor (the 768 × 64 weight) is below
+    // the model's bytes, so building a client's model counts nothing.
+    let data = cifar_like_with(10, 8, 16, 0);
+    let d = data.feature_dim();
+    let factory: ModelFactory = Arc::new(move || {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut m = Sequential::new();
+        m.push(Linear::new(d, 64, &mut rng));
+        m.push(Relu::new());
+        m.push(Linear::new(64, 10, &mut rng));
+        m
+    });
+    let model_bytes = 4 * param_count(&factory());
+    for (codec, want) in [(CodecSpec::Raw, ROUND_RAW), (CodecSpec::Q8, ROUND_Q8)] {
+        for defense in ["none", "oasis:MR", "dp:1,0.0003"] {
+            let stack = defense.parse::<DefenseSpec>().unwrap().build();
+            let mut rng = StdRng::seed_from_u64(13);
+            let pop = Population::iid(&data, ROUND_CLIENTS, Arc::new(stack), &mut rng);
+            let mut server = FlServer::new(Arc::clone(&factory), FlConfig::default()).unwrap();
+            server.set_wire(WireConfig::new(codec, NetSpec::Ideal));
+            let mut runner = CohortRunner::new(server, pop);
+            // Inline, so every allocation of the round lands on this
+            // thread; the first round warms what is built once.
+            let (report, allocs, reallocs) = parallel::with_threads(1, || {
+                runner.run_round(&mut StdRng::seed_from_u64(0)).unwrap();
+                LARGE.store(model_bytes, Ordering::Relaxed);
+                let (a0, r0) = (LARGE_ALLOCS.get(), LARGE_REALLOCS.get());
+                let report = runner.run_round(&mut StdRng::seed_from_u64(1)).unwrap();
+                let (a1, r1) = (LARGE_ALLOCS.get(), LARGE_REALLOCS.get());
+                LARGE.store(usize::MAX, Ordering::Relaxed);
+                (report, a1 - a0, r1 - r0)
+            });
+            assert_eq!(report.participants, ROUND_CLIENTS, "{codec} {defense}");
+            assert_eq!(
+                allocs, want,
+                "{codec} {defense}: allocations of at least the model's {model_bytes} bytes"
+            );
+            assert_eq!(reallocs, 0, "{codec} {defense}: no round buffer grows");
+        }
     }
 }
