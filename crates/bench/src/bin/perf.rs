@@ -1,10 +1,12 @@
-//! `perf` — the machine-readable kernel and record-pair record.
+//! `perf` — the kernel record pairs and their paired gate.
 //!
-//! Runs the fixed micro-benchmark suites of [`oasis_bench::perf`] and
-//! serializes one versioned `BENCH_<suite>.json` per suite, stamped
-//! with the host it ran on, into `out/` (or `$OASIS_OUT_DIR`, see
-//! [`oasis_scenario::out_path`]). `tools/bench_compare <file>` applies
-//! the paired gate to one run.
+//! Runs the fixed micro-benchmark suites of [`oasis_bench::perf`]
+//! (one line per record on stderr) and applies [`perf::paired_gate`]
+//! to each suite it has just run (one line per pair on stdout). Exit
+//! status 1 when a gated pair is below its floor, when the gate
+//! refuses a suite (a variant without its reference, or no pair at
+//! all), or when the filter leaves nothing to time. This is the CI
+//! gate. No file is written unless `--trace` asks for one.
 //!
 //! ```text
 //! perf [--quick] [--suite core|fl|scale|all]... [--filter SUBSTR]
@@ -13,14 +15,14 @@
 //!
 //! `--suite` may repeat to select several suites. `--filter` keeps
 //! every record pair with a member whose name contains `SUBSTR`, so a
-//! filtered file stays gateable. `OASIS_THREADS`
+//! filtered run still times and gates whole pairs. `OASIS_THREADS`
 //! sets the pool width of the `core` and `fl` records (the `scale`
 //! suite pins its own per-bench thread counts and ignores it).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use oasis_bench::perf;
+use oasis_bench::perf::{self, BenchSuite};
 
 struct Args {
     quick: bool,
@@ -75,6 +77,9 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "perf [--quick] [--suite core|fl|scale|all]... [--filter SUBSTR] \
                      [--trace PATH] [--list]\n\
+                     Times each suite's record pairs and gates every variant against \
+                     its reference from the same run (`PAIR_RULES`); exits 1 when a \
+                     pair fails its floor or a suite cannot be gated.\n\
                      --trace PATH (or OASIS_TRACE=PATH) records a schema-v1 JSONL span \
                      trace of the run and prints a self-time table; bench medians are \
                      measured with telemetry in whatever state the bench pins."
@@ -85,6 +90,42 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
+}
+
+/// Prints one suite's paired gate, a header naming the host and one
+/// line per pair, and returns whether the suite passed: every gated
+/// pair at its floor, and no refusal.
+fn gate(suite: &BenchSuite) -> bool {
+    let points = match perf::paired_gate(suite) {
+        Ok(points) => points,
+        Err(msg) => {
+            eprintln!("perf: {msg}");
+            return false;
+        }
+    };
+    println!(
+        "suite `{}`: paired gate on {} ({} cores, {} threads, simd {})",
+        suite.suite, suite.cpu, suite.nproc, suite.threads, suite.simd
+    );
+    for p in &points {
+        let tag = if !p.gated {
+            "info"
+        } else if p.failed() {
+            "FAIL"
+        } else {
+            "ok"
+        };
+        println!(
+            "  {tag:<5} {:<26} {:>12} ns vs {:<26} {:>12} ns  ({:.2}x, floor {:.2})",
+            p.variant,
+            p.variant_ns,
+            p.reference,
+            p.reference_ns,
+            p.ratio(),
+            p.floor
+        );
+    }
+    !points.iter().any(perf::PairPoint::failed)
 }
 
 fn main() -> ExitCode {
@@ -116,6 +157,7 @@ fn main() -> ExitCode {
         oasis_telemetry::enable();
     }
 
+    let (mut passed, mut gated_any) = (true, false);
     for name in &args.suites {
         eprintln!(
             "suite `{name}` (threads={}, {}):",
@@ -125,16 +167,15 @@ fn main() -> ExitCode {
         let suite = perf::run_suite(name, args.filter.as_deref(), args.quick)
             .expect("validated suite name");
         if suite.results.is_empty() {
-            eprintln!("  (filter matched nothing — no JSON written)");
+            eprintln!("  (filter matched nothing)");
             continue;
         }
-        let json = serde_json::to_string_pretty(&suite).expect("schema serializes");
-        let path = oasis_scenario::out_path(&format!("BENCH_{name}.json"));
-        if let Err(e) = std::fs::write(&path, json + "\n") {
-            eprintln!("perf: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("{}", path.display());
+        gated_any = true;
+        passed &= gate(&suite);
+    }
+    if !gated_any {
+        eprintln!("perf: the filter left no record to gate");
+        passed = false;
     }
     if let Some(path) = &args.trace {
         let spans = oasis_telemetry::take_spans();
@@ -152,6 +193,10 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
+    }
+    if !passed {
+        eprintln!("perf: performance gate failed");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -1,13 +1,13 @@
 //! The `perf` micro-benchmark harness: kernels timed as
-//! machine-relative record pairs, serialized as versioned
-//! `BENCH_<suite>.json` records.
+//! machine-relative record pairs, and the paired gate that judges
+//! each pair within the run that timed it.
 //!
 //! End-to-end throughput — the paper's attack grid, defended
 //! campaigns — is measured by `e2ebench`, which fingerprints the host,
 //! attributes time per layer and checks reference outputs. `perf`
 //! keeps what a single process can time in isolation: every bench has
 //! a stable name, a fixed workload shape and a self-calibrated
-//! iteration count, and the output schema round-trips through serde.
+//! iteration count.
 //!
 //! Three suites, and every record of each belongs to a pair of
 //! [`PAIR_RULES`]:
@@ -30,11 +30,11 @@
 //!   bench via [`parallel::with_threads`] independent of
 //!   `OASIS_THREADS`, as `_t1` / `_wide` records.
 //!
-//! [`paired_gate`] times each variant record against its reference
-//! sibling *within one run*, so it holds on any machine. Absolute
+//! [`paired_gate`] judges each variant record against its reference
+//! sibling *within one run*, on the records still in memory, so it
+//! holds on any machine. Nothing is written to disk, and absolute
 //! medians are never compared across runs.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,16 +51,11 @@ use oasis_tensor::{parallel, simd, Tensor};
 use oasis_wire::{CodecSpec, NetSpec, Q8Codec, UpdateCodec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
-
-/// Version of the `BENCH_*.json` schema. Bump on breaking changes;
-/// files of any other version are refused on load.
-pub const SCHEMA_VERSION: u32 = 2;
 
 /// One benchmark's measured result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct BenchRecord {
-    /// Stable bench name (the comparison key).
+    /// Stable bench name (the pairing key of [`PAIR_RULES`]).
     pub name: String,
     /// Iterations actually timed (after self-calibration).
     pub iters: u64,
@@ -75,11 +70,9 @@ pub struct BenchRecord {
     pub throughput_unit: Option<String>,
 }
 
-/// A whole suite run, as serialized to `BENCH_<suite>.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A whole suite run: its records and the host they ran on.
+#[derive(Debug)]
 pub struct BenchSuite {
-    /// Schema version ([`SCHEMA_VERSION`] at write time).
-    pub schema_version: u32,
     /// Suite name, one of [`SUITE_NAMES`].
     pub suite: String,
     /// CPU model of the host (the `model name` line of
@@ -93,65 +86,8 @@ pub struct BenchSuite {
     /// backend of the `_simd` records; `_scalar` records pin the
     /// scalar one.
     pub simd: String,
-    /// Whether the run used the reduced `--quick` calibration budget.
-    pub quick: bool,
     /// Per-bench results, in suite order.
     pub results: Vec<BenchRecord>,
-}
-
-impl BenchSuite {
-    /// Looks up a result by bench name.
-    pub fn get(&self, name: &str) -> Option<&BenchRecord> {
-        self.results.iter().find(|r| r.name == name)
-    }
-
-    /// Parses and validates a `BENCH_<suite>.json` document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the text is not JSON, its schema version
-    /// is not [`SCHEMA_VERSION`], a field is missing, or the records
-    /// cannot be compared at all: no result, a zero median, a minimum
-    /// above its median, or a name recorded twice (a duplicate would
-    /// shadow its twin in [`BenchSuite::get`]).
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let value: serde_json::Value = serde_json::from_str(text).map_err(|e| format!("{e:?}"))?;
-        match value.get("schema_version").and_then(|v| v.as_u64()) {
-            Some(v) if v == u64::from(SCHEMA_VERSION) => {}
-            Some(v) => {
-                return Err(format!(
-                    "schema v{v} is not supported (expected v{SCHEMA_VERSION}); re-run `perf`"
-                ))
-            }
-            None => return Err("no `schema_version` field".into()),
-        }
-        let suite: Self = serde_json::from_str(text).map_err(|e| format!("{e:?}"))?;
-        suite.validate()?;
-        Ok(suite)
-    }
-
-    /// Names the first record [`BenchSuite::from_json`] must reject.
-    fn validate(&self) -> Result<(), String> {
-        if self.results.is_empty() {
-            return Err(format!("suite `{}` has no results", self.suite));
-        }
-        let mut seen = HashSet::new();
-        for r in &self.results {
-            if r.median_ns == 0 {
-                return Err(format!("`{}` has a zero median", r.name));
-            }
-            if r.min_ns > r.median_ns {
-                return Err(format!(
-                    "`{}` has min_ns {} above median_ns {}",
-                    r.name, r.min_ns, r.median_ns
-                ));
-            }
-            if !seen.insert(r.name.as_str()) {
-                return Err(format!("`{}` is recorded twice", r.name));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// The host's CPU model, read as `e2ebench` reads it.
@@ -422,19 +358,16 @@ pub fn run_suite(name: &str, filter: Option<&str>, quick: bool) -> Option<BenchS
         }
     }
     Some(BenchSuite {
-        schema_version: SCHEMA_VERSION,
         suite: name.to_string(),
         cpu: cpu_model(),
         nproc: host_cores(),
         threads: parallel::num_threads(),
         simd: simd::resolved().label().to_string(),
-        quick,
         results,
     })
 }
 
-/// One human-readable line per record (the JSON is the machine
-/// record).
+/// One human-readable line per record.
 pub fn format_record(r: &BenchRecord) -> String {
     let tp = match (&r.throughput, &r.throughput_unit) {
         (Some(t), Some(u)) => format!("  {:>10.3e} {u}", t),
@@ -560,7 +493,9 @@ pub fn paired_gate(suite: &BenchSuite) -> Result<Vec<PairPoint>, String> {
             continue;
         };
         let base = suite
-            .get(&reference)
+            .results
+            .iter()
+            .find(|r| r.name == reference)
             .ok_or_else(|| format!("`{}` has no `{reference}` record to pair with", rec.name))?;
         let variant_threads = if rule.wide {
             wide_threads(suite.nproc)
@@ -1112,7 +1047,13 @@ mod tests {
             ]
         );
         for name in SUITE_NAMES {
-            assert!(suite(name).is_some(), "{name}");
+            // The gate pairs a variant with the first record of its
+            // reference's name, so a duplicate would shadow its twin.
+            let listed = names(suite(name).expect("listed suite"));
+            let mut unique = listed.clone();
+            unique.sort();
+            unique.dedup();
+            assert_eq!(unique.len(), listed.len(), "`{name}` lists a name twice");
         }
         assert!(suite("nope").is_none());
         assert_eq!(SUITE_NAMES.len(), 3);
@@ -1189,13 +1130,11 @@ mod tests {
 
     fn suite_of(medians: &[(&str, u64)]) -> BenchSuite {
         BenchSuite {
-            schema_version: SCHEMA_VERSION,
             suite: "core".into(),
             cpu: "Test CPU".into(),
             nproc: 2,
             threads: 1,
             simd: "scalar".into(),
-            quick: true,
             results: medians.iter().map(|&(n, m)| record(n, m)).collect(),
         }
     }
@@ -1252,45 +1191,6 @@ mod tests {
     }
 
     #[test]
-    fn loading_rejects_records_that_cannot_be_compared() {
-        let json = |s: &BenchSuite| serde_json::to_string(s).expect("serialize");
-        let good = suite_of(&[("a", 10), ("b", 20)]);
-        assert_eq!(BenchSuite::from_json(&json(&good)), Ok(good.clone()));
-
-        let empty = suite_of(&[]);
-        assert!(BenchSuite::from_json(&json(&empty)).is_err());
-        // A zero variant median would make an infinite ratio that
-        // passes every floor.
-        let zero = suite_of(&[("a", 0)]);
-        assert!(BenchSuite::from_json(&json(&zero))
-            .unwrap_err()
-            .contains("zero median"));
-        let mut inverted = good.clone();
-        inverted.results[0].min_ns = 11;
-        assert!(BenchSuite::from_json(&json(&inverted)).is_err());
-        let twice = suite_of(&[("a", 10), ("a", 20)]);
-        assert!(BenchSuite::from_json(&json(&twice))
-            .unwrap_err()
-            .contains("twice"));
-    }
-
-    #[test]
-    fn v1_files_are_refused_on_schema() {
-        let v1 = r#"{
-            "schema_version": 1,
-            "suite": "core",
-            "threads": 1,
-            "simd": "avx2",
-            "quick": true,
-            "results": [{"name": "a", "iters": 3, "median_ns": 10, "min_ns": 9,
-                         "throughput": null, "throughput_unit": null}]
-        }"#;
-        let err = BenchSuite::from_json(v1).unwrap_err();
-        assert!(err.contains("schema v1"), "{err}");
-        assert!(BenchSuite::from_json("not json").is_err());
-    }
-
-    #[test]
     fn filter_selects_expected_subset() {
         assert_eq!(
             names(apply_filter(core_suite(), "conv2d_forward")),
@@ -1315,16 +1215,6 @@ mod tests {
             ["matmul_256_simd", "matmul_256_scalar"]
         );
         assert!(apply_filter(core_suite(), "no-such-bench").is_empty());
-    }
-
-    #[test]
-    fn schema_roundtrips_through_serde_json() {
-        let mut suite = suite_of(&[("matmul_256_simd", 1_234_567), ("unitless", 10)]);
-        suite.results[0].throughput = Some(2.5e9);
-        suite.results[0].throughput_unit = Some("flop/s".into());
-        let json = serde_json::to_string_pretty(&suite).expect("serialize");
-        let back: BenchSuite = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, suite);
     }
 
     #[test]

@@ -363,10 +363,11 @@ fn zero_delivered_cohort_round_is_a_noop() {
     assert_eq!(runner.server().round(), 1, "the protocol must not wedge");
 }
 
-/// A round samples its cohort from 100 000 clients. The model-sized
-/// buffers a round allocates are counted by `tests/trial_memory.rs`.
+/// A round samples its cohort from 100 000 clients, over a lossy
+/// wire. That nothing a round allocates grows with the population is
+/// counted by `tests/trial_memory.rs`.
 #[test]
-fn hundred_k_population_round_has_bounded_memory() {
+fn hundred_k_population_round_samples_its_cohort() {
     let data = cifar_like_with(CLASSES, 8, SIDE, 2);
     let pop = Population::iid(
         &data,

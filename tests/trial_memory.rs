@@ -15,7 +15,12 @@
 //! buffer, allocated once at its final size) and what an FL round
 //! costs in model-sized buffers: the fold's accumulator, plus each
 //! delivered client's update and, where a frame is model-sized, its
-//! frame. A buffer added beside these fails the round's count.
+//! frame. A buffer added beside these fails the round's count, and so
+//! does one that grows with the population a round samples from.
+//!
+//! Per thread, it also keeps the largest single request, which bounds
+//! what a reader of hostile bytes (a wire frame, a checkpoint) asks
+//! for by the length of its input rather than by a length it reads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -26,18 +31,20 @@ use std::sync::Arc;
 
 use oasis_attacks::{ActiveAttack, RtfAttack};
 use oasis_data::{cifar_like_with, imagenette_like_with, Batch};
-use oasis_fl::{DefenseStack, FlConfig, FlServer, ModelFactory, WireConfig};
+use oasis_fl::{DefenseStack, FlConfig, FlServer, ModelFactory, RoundReport, WireConfig};
 use oasis_image::Image;
 use oasis_nn::{param_count, Linear, Relu, Sequential};
 use oasis_population::{CohortRunner, Population};
 use oasis_scenario::{DefenseSpec, Scale, Scenario, ScenarioReport};
 use oasis_tensor::{parallel, Tensor};
-use oasis_wire::{CodecSpec, NetSpec};
-use rand::{rngs::StdRng, SeedableRng};
+use oasis_wire::checkpoint::{load_model_bytes, model_to_bytes};
+use oasis_wire::{CodecSpec, EncodedUpdate, NetSpec, WireView};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// The system allocator, counting live bytes and their peak, and
 /// each thread's allocation calls (`alloc`, `alloc_zeroed` and
-/// `realloc`), with those of at least [`LARGE`] bytes counted apart.
+/// `realloc`), with those of at least [`LARGE`] bytes counted apart,
+/// and the largest of them.
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -53,10 +60,14 @@ thread_local! {
     static LARGE_ALLOCS: Cell<usize> = const { Cell::new(0) };
     /// `realloc` calls to at least [`LARGE`] bytes.
     static LARGE_REALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// The largest size an allocation call asked for (a `realloc`'s
+    /// new size), since [`largest_request`] last reset it.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_call() {
+fn count_call(size: usize) {
     CALLS.with(|calls| calls.set(calls.get() + 1));
+    LARGEST.with(|largest| largest.set(largest.get().max(size)));
 }
 
 fn count_large(counter: &'static std::thread::LocalKey<Cell<usize>>, size: usize) {
@@ -78,7 +89,7 @@ fn shrink(bytes: usize) {
 // unchanged; the counters only observe sizes and calls.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_call();
+        count_call(layout.size());
         count_large(&LARGE_ALLOCS, layout.size());
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
@@ -88,7 +99,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_call();
+        count_call(layout.size());
         count_large(&LARGE_ALLOCS, layout.size());
         let ptr = System.alloc_zeroed(layout);
         if !ptr.is_null() {
@@ -103,7 +114,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_call();
+        count_call(new_size);
         count_large(&LARGE_REALLOCS, new_size);
         let new = System.realloc(ptr, layout, new_size);
         if !new.is_null() {
@@ -284,12 +295,11 @@ const ROUND_RAW: usize = ACCUMULATOR + ROUND_CLIENTS * (UPDATE_PER_CLIENT + RAW_
 /// Model-sized allocations of one round on the q8 wire.
 const ROUND_Q8: usize = ACCUMULATOR + ROUND_CLIENTS * UPDATE_PER_CLIENT;
 
-#[test]
-fn a_round_allocates_its_accumulator_and_one_update_and_frame_per_client() {
-    let _lock = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
-    // The `perf` population fixture's MLP: 768 → 64 → 10, 49 866
-    // parameters. Its largest tensor (the 768 × 64 weight) is below
-    // the model's bytes, so building a client's model counts nothing.
+/// The `perf` population fixture: an 80-image 16×16 pool and its MLP,
+/// 768 → 64 → 10, 49 866 parameters. Its largest tensor (the 768 × 64
+/// weight) is below the model's bytes, so building a client's model
+/// counts nothing.
+fn population_fixture() -> (oasis_data::Dataset, ModelFactory) {
     let data = cifar_like_with(10, 8, 16, 0);
     let d = data.feature_dim();
     let factory: ModelFactory = Arc::new(move || {
@@ -300,6 +310,28 @@ fn a_round_allocates_its_accumulator_and_one_update_and_frame_per_client() {
         m.push(Linear::new(64, 10, &mut rng));
         m
     });
+    (data, factory)
+}
+
+/// One warm round of `runner` inline, so every allocation of the round
+/// lands on this thread (the first round warms what is built once),
+/// with its allocation and realloc calls of at least `large` bytes.
+fn warm_round(runner: &mut CohortRunner, large: usize) -> (RoundReport, usize, usize) {
+    parallel::with_threads(1, || {
+        runner.run_round(&mut StdRng::seed_from_u64(0)).unwrap();
+        LARGE.store(large, Ordering::Relaxed);
+        let (a0, r0) = (LARGE_ALLOCS.get(), LARGE_REALLOCS.get());
+        let report = runner.run_round(&mut StdRng::seed_from_u64(1)).unwrap();
+        let (a1, r1) = (LARGE_ALLOCS.get(), LARGE_REALLOCS.get());
+        LARGE.store(usize::MAX, Ordering::Relaxed);
+        (report, a1 - a0, r1 - r0)
+    })
+}
+
+#[test]
+fn a_round_allocates_its_accumulator_and_one_update_and_frame_per_client() {
+    let _lock = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let (data, factory) = population_fixture();
     let model_bytes = 4 * param_count(&factory());
     for (codec, want) in [(CodecSpec::Raw, ROUND_RAW), (CodecSpec::Q8, ROUND_Q8)] {
         for defense in ["none", "oasis:MR", "dp:1,0.0003"] {
@@ -309,17 +341,7 @@ fn a_round_allocates_its_accumulator_and_one_update_and_frame_per_client() {
             let mut server = FlServer::new(Arc::clone(&factory), FlConfig::default()).unwrap();
             server.set_wire(WireConfig::new(codec, NetSpec::Ideal));
             let mut runner = CohortRunner::new(server, pop);
-            // Inline, so every allocation of the round lands on this
-            // thread; the first round warms what is built once.
-            let (report, allocs, reallocs) = parallel::with_threads(1, || {
-                runner.run_round(&mut StdRng::seed_from_u64(0)).unwrap();
-                LARGE.store(model_bytes, Ordering::Relaxed);
-                let (a0, r0) = (LARGE_ALLOCS.get(), LARGE_REALLOCS.get());
-                let report = runner.run_round(&mut StdRng::seed_from_u64(1)).unwrap();
-                let (a1, r1) = (LARGE_ALLOCS.get(), LARGE_REALLOCS.get());
-                LARGE.store(usize::MAX, Ordering::Relaxed);
-                (report, a1 - a0, r1 - r0)
-            });
+            let (report, allocs, reallocs) = warm_round(&mut runner, model_bytes);
             assert_eq!(report.participants, ROUND_CLIENTS, "{codec} {defense}");
             assert_eq!(
                 allocs, want,
@@ -327,5 +349,254 @@ fn a_round_allocates_its_accumulator_and_one_update_and_frame_per_client() {
             );
             assert_eq!(reallocs, 0, "{codec} {defense}: no round buffer grows");
         }
+    }
+}
+
+/// Clients of the population round's cohort.
+const COHORT: usize = 64;
+/// The larger population a round samples its cohort from.
+const HUNDRED_K: usize = 100_000;
+/// One `u32` per client of [`HUNDRED_K`]: the size of a buffer that
+/// grows with the population, such as the cohort sampler's index
+/// list if it were rebuilt each round. The fixture's model (199 464
+/// bytes) is below it, so the per-client buffers of the count above
+/// do not count here.
+const PER_CLIENT_OF_HUNDRED_K: usize = 4 * HUNDRED_K;
+
+#[test]
+fn a_round_allocates_nothing_that_grows_with_the_population() {
+    let _lock = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let (data, factory) = population_fixture();
+    assert!(4 * param_count(&factory()) < PER_CLIENT_OF_HUNDRED_K);
+    for population in [1_000, HUNDRED_K] {
+        let pop = Population::iid(
+            &data,
+            population,
+            Arc::new(DefenseStack::identity()),
+            &mut StdRng::seed_from_u64(13),
+        );
+        for codec in [CodecSpec::Raw, CodecSpec::Q8] {
+            let config = FlConfig {
+                clients_per_round: COHORT,
+                ..FlConfig::default()
+            };
+            let mut server = FlServer::new(Arc::clone(&factory), config).unwrap();
+            server.set_wire(WireConfig::new(codec, NetSpec::Ideal));
+            let mut runner = CohortRunner::new(server, pop.clone());
+            let (report, allocs, reallocs) = warm_round(&mut runner, PER_CLIENT_OF_HUNDRED_K);
+            assert_eq!(report.cohort, COHORT, "{codec} over {population}");
+            assert_eq!(
+                (allocs, reallocs),
+                (0, 0),
+                "{codec} over {population} clients: allocation and realloc calls of at \
+                 least {PER_CLIENT_OF_HUNDRED_K} bytes"
+            );
+        }
+    }
+}
+
+/// The largest single allocation request this thread makes while `f`
+/// runs.
+fn largest_request<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    LARGEST.set(0);
+    let out = std::hint::black_box(f());
+    (out, LARGEST.get())
+}
+
+/// Bytes a reader of `L` hostile bytes may ask for in one allocation:
+/// `READ_BYTES_PER_INPUT_BYTE · L + READ_FIXED_BYTES`.
+///
+/// Derivation. A frame is a length prefix, a JSON header and a
+/// payload; a checkpoint is one frame. What the readers allocate
+/// grows with what they read, never with a length they are told:
+///
+/// * the JSON parser builds a `serde::Value` tree. Its widest buffer
+///   is an array's `Vec<Value>`: a `Value` is 32 bytes, each element
+///   takes at least 2 input bytes (a digit and a comma), and `Vec`
+///   growth at most doubles the capacity, so `2 · 32 · L/2 = 32 · L`.
+///   An object's `(String, Value)` entry is 56 bytes per at least 5
+///   input bytes (`"":0,`), so at most `22.4 · L`; a string at most
+///   doubles its `L` bytes;
+/// * the typed header: a shape's `Vec<usize>` is 8 bytes per at least
+///   2 input bytes, doubled, `8 · L`; a `TensorMeta` is 72 bytes per
+///   tensor entry of at least 40 input bytes;
+/// * a payload copy (`to_f32_vec`, `to_u32_vec`) is at most the
+///   tensor's extent, which the parser has checked against the
+///   buffer: at most `L`;
+/// * an error message quotes at most a name and a shape, each a
+///   rewrite of input bytes under `2 · L` once grown.
+///
+/// The fixed term covers minimum capacities (four `Value`s are 128
+/// bytes) and the fixed text of messages.
+const READ_BYTES_PER_INPUT_BYTE: usize = 32;
+/// See [`READ_BYTES_PER_INPUT_BYTE`].
+const READ_FIXED_BYTES: usize = 4096;
+/// The size every crafted header claims: 64 MiB. A reader that
+/// allocates what it is told fails the bound on every such frame,
+/// yet stays small enough not to exhaust memory.
+const CLAIM: usize = 64 << 20;
+
+/// A frame from a hand-written JSON header and a payload; only the
+/// length prefix is computed.
+fn hand_frame(header: &str, payload: &[u8]) -> Vec<u8> {
+    let mut out = (header.len() as u64).to_le_bytes().to_vec();
+    out.extend_from_slice(header.as_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// One tensor's header entry.
+fn entry(name: &str, dtype: &str, shape: &[usize], (start, end): (usize, usize)) -> String {
+    format!(r#"{{"name":"{name}","dtype":"{dtype}","shape":{shape:?},"offsets":[{start},{end}]}}"#)
+}
+
+/// A header of the given tensor entries.
+fn hand_header(entries: &[String]) -> String {
+    format!(r#"{{"version":1,"tensors":[{}]}}"#, entries.join(","))
+}
+
+/// Frames whose header claims `CLAIM` bytes for a tensor named
+/// `name` of `dtype` (`size` bytes per element), over a payload of
+/// a few bytes: an extent past the buffer, a shape larger than its
+/// extent, a two-dimensional claim, an offset far past the payload,
+/// a claim behind a valid first tensor, and length prefixes that
+/// claim a larger header than the buffer holds.
+fn claims(name: &str, dtype: &str, size: usize) -> Vec<Vec<u8>> {
+    let numel = CLAIM / size;
+    let payload = [0u8; 16];
+    let mut frames: Vec<Vec<u8>> = [
+        vec![entry(name, dtype, &[numel], (0, CLAIM))],
+        vec![entry(name, dtype, &[numel], (0, 16))],
+        vec![entry(name, dtype, &[4096, numel / 4096], (0, CLAIM))],
+        vec![entry(name, dtype, &[4 / size], (CLAIM, CLAIM + 4))],
+        vec![
+            entry("lead", "u8", &[16], (0, 16)),
+            entry(name, dtype, &[numel], (16, 16 + CLAIM)),
+        ],
+    ]
+    .iter()
+    .map(|entries| hand_frame(&hand_header(entries), &payload))
+    .collect();
+    for prefix in [16u64 << 20, CLAIM as u64, u64::MAX] {
+        let mut frame = prefix.to_le_bytes().to_vec();
+        frame.extend_from_slice(br#"{"version":1,"tensors":[]}"#);
+        frames.push(frame);
+    }
+    frames
+}
+
+/// A fixed-seed corpus of mutants of `valid`: byte flips anywhere,
+/// truncations at every length up to the payload and at random ones
+/// past it, and header element counts that lie by a little.
+fn mutants(valid: &[u8], rng: &mut StdRng) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for _ in 0..96 {
+        let mut m = valid.to_vec();
+        for _ in 0..rng.gen_range(1..=4) {
+            let at = rng.gen_range(0..m.len());
+            m[at] ^= rng.gen_range(1..=255u8);
+        }
+        out.push(m);
+    }
+    let header_end = 8 + u64::from_le_bytes(valid[..8].try_into().unwrap()) as usize;
+    for len in (0..header_end).chain((0..16).map(|_| rng.gen_range(header_end..valid.len()))) {
+        out.push(valid[..len].to_vec());
+    }
+    let view = WireView::parse(valid).unwrap();
+    for lie in [-1isize, 1, 1000] {
+        let entries: Vec<String> = view
+            .tensors()
+            .map(|t| {
+                let meta = t.meta();
+                let mut shape = meta.shape.clone();
+                if let Some(first) = shape.first_mut() {
+                    *first = first.saturating_add_signed(lie);
+                }
+                entry(&meta.name, meta.dtype.as_str(), &shape, meta.offsets)
+            })
+            .collect();
+        out.push(hand_frame(&hand_header(&entries), &valid[header_end..]));
+    }
+    out
+}
+
+/// Asserts that reading `input` asked for no more than the bound of
+/// [`READ_BYTES_PER_INPUT_BYTE`] in one allocation.
+fn assert_bounded(what: &str, input: usize, largest: usize) {
+    let bound = READ_BYTES_PER_INPUT_BYTE * input + READ_FIXED_BYTES;
+    assert!(
+        largest <= bound,
+        "{what}: a {input}-byte input made a {largest}-byte allocation (bound {bound})"
+    );
+}
+
+#[test]
+fn hostile_frames_and_checkpoints_never_allocate_by_a_length_they_claim() {
+    let _lock = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    // The derivation's premise: a JSON value is 32 bytes.
+    assert_eq!(std::mem::size_of::<serde::Value>(), 32);
+    let mut rng = StdRng::seed_from_u64(50);
+    let n = 1000;
+    let update: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let codecs = [
+        (CodecSpec::Raw, ("update", "f32", 4)),
+        (CodecSpec::Q8, ("q", "u8", 1)),
+        (CodecSpec::TopK { k: 100 }, ("idx", "u32", 4)),
+        (CodecSpec::Sign, ("bits", "u8", 1)),
+    ];
+    for (spec, (name, dtype, size)) in codecs {
+        let codec = spec.build();
+        let valid = codec.encode(&update).unwrap().payload;
+        let crafted = claims(name, dtype, size);
+        let corpus = mutants(&valid, &mut rng).into_iter().chain(crafted.clone());
+        for payload in corpus {
+            let len = payload.len();
+            let frame = EncodedUpdate { n, payload };
+            let mut acc = vec![0.0f32; n];
+            let (_, largest) = largest_request(|| codec.fold_into(&frame, 1.0, &mut acc));
+            assert_bounded(&format!("{spec} fold"), len, largest);
+        }
+        for payload in crafted {
+            let frame = EncodedUpdate { n, payload };
+            assert!(codec.fold_into(&frame, 1.0, &mut vec![0.0; n]).is_err());
+        }
+        // Element counts that lie outside the frame: the update's
+        // own count, against a frame of another length.
+        for lie in [0, 1, n - 1, n + 1, 2 * n] {
+            let frame = EncodedUpdate {
+                n: lie,
+                payload: valid.clone(),
+            };
+            let mut acc = vec![0.0f32; lie];
+            let (_, largest) = largest_request(|| codec.fold_into(&frame, 1.0, &mut acc));
+            assert_bounded(&format!("{spec} fold with n = {lie}"), valid.len(), largest);
+        }
+    }
+
+    let model = || {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut m = Sequential::new();
+        m.push(Linear::new(6, 4, &mut rng));
+        m.push(Relu::new());
+        m.push(Linear::new(4, 3, &mut rng));
+        m
+    };
+    let valid = model_to_bytes(&model()).unwrap();
+    let first = WireView::parse(&valid)
+        .unwrap()
+        .tensors()
+        .next()
+        .unwrap()
+        .meta()
+        .name
+        .clone();
+    let crafted = claims(&first, "f32", 4);
+    let mut target = model();
+    for bytes in mutants(&valid, &mut rng).into_iter().chain(crafted.clone()) {
+        let (_, largest) = largest_request(|| load_model_bytes(&mut target, &bytes));
+        assert_bounded("checkpoint load", bytes.len(), largest);
+    }
+    for bytes in crafted {
+        assert!(load_model_bytes(&mut target, &bytes).is_err());
     }
 }
